@@ -133,8 +133,9 @@ fn check_template(
             Step::HashJoinProbe { key, slot, payload_width } => {
                 check_expr(idx, key, report);
                 match state.object(*slot) {
-                    Some(StateObject::HashTable { payload_width: built, .. }) => {
-                        if built != payload_width {
+                    Some(StateObject::HashTable(table)) => {
+                        let built = table.payload_width();
+                        if built != *payload_width {
                             report.report(
                                 Code::HX003,
                                 Some(idx),
@@ -195,8 +196,9 @@ fn check_terminal(
             check_expr(idx, key, report);
             payload.iter().for_each(|e| check_expr(idx, e, report));
             match state.object(*slot) {
-                Some(StateObject::HashTable { payload_width, .. }) => {
-                    if *payload_width != payload.len() {
+                Some(StateObject::HashTable(table)) => {
+                    let payload_width = table.payload_width();
+                    if payload_width != payload.len() {
                         report.report(
                             Code::HX003,
                             Some(idx),
@@ -297,7 +299,7 @@ fn check_terminal(
 
 fn kind_name(object: &StateObject) -> &'static str {
     match object {
-        StateObject::HashTable { .. } => "a hash table",
+        StateObject::HashTable(_) => "a hash table",
         StateObject::Accumulators(_) => "an accumulator set",
         StateObject::GroupBy(_) => "a group-by table",
     }

@@ -10,6 +10,7 @@
 use hetex_common::{DataType, EngineConfig, HetError, Result};
 use hetex_core::RelNode;
 use hetex_jit::ir::AggFunc;
+use hetex_jit::state::JoinHashTable;
 use hetex_jit::{AggSpec, Expr};
 use hetex_storage::Catalog;
 use std::collections::HashMap;
@@ -150,13 +151,13 @@ fn eval(
                 // No explicit fact filter: every fact row reaches the first join.
                 profile.rows_after_filter = probe_rows.len() as f64;
             }
-            let mut table: HashMap<i64, Vec<Vec<i64>>> = HashMap::new();
+            let table = JoinHashTable::new(payload.len());
             for row in build_rows {
                 let key = row
                     .get(*build_key)
                     .copied()
                     .ok_or_else(|| HetError::Plan("build key out of range".into()))?;
-                table.entry(key).or_default().push(payload.iter().map(|&p| row[p]).collect());
+                table.insert(key, payload.iter().map(|&p| row[p]).collect());
             }
             let mut out = Vec::new();
             for row in probe_rows {
@@ -164,13 +165,11 @@ fn eval(
                     .get(*probe_key)
                     .copied()
                     .ok_or_else(|| HetError::Plan("probe key out of range".into()))?;
-                if let Some(matches) = table.get(&key) {
-                    for m in matches {
-                        let mut joined = row.clone();
-                        joined.extend_from_slice(m);
-                        out.push(joined);
-                    }
-                }
+                table.probe(key, |m| {
+                    let mut joined = row.clone();
+                    joined.extend_from_slice(m);
+                    out.push(joined);
+                });
             }
             if on_spine {
                 profile.joins += 1;

@@ -89,6 +89,9 @@ pub fn reference_execute(plan: &RelNode, catalog: &Catalog) -> Result<Vec<Vec<i6
     }
 }
 
+/// Fold `rows` into one value per aggregate. Goes through the engine's own
+/// [`Expr::eval`] and [`AggFunc::accumulate`], so overflow wraps here exactly
+/// as it does in every lowering.
 fn aggregate(rows: &[Vec<i64>], aggs: &[AggSpec]) -> Vec<i64> {
     aggs.iter()
         .map(|agg| {

@@ -110,17 +110,10 @@ impl Expr {
         match self {
             Expr::Col(i) => regs[*i],
             Expr::Lit(v) => *v,
-            Expr::Add(a, b) => a.eval(regs) + b.eval(regs),
-            Expr::Sub(a, b) => a.eval(regs) - b.eval(regs),
-            Expr::Mul(a, b) => a.eval(regs) * b.eval(regs),
-            Expr::Div(a, b) => {
-                let d = b.eval(regs);
-                if d == 0 {
-                    0
-                } else {
-                    a.eval(regs) / d
-                }
-            }
+            Expr::Add(a, b) => a.eval(regs).wrapping_add(b.eval(regs)),
+            Expr::Sub(a, b) => a.eval(regs).wrapping_sub(b.eval(regs)),
+            Expr::Mul(a, b) => a.eval(regs).wrapping_mul(b.eval(regs)),
+            Expr::Div(a, b) => div_or_zero(a.eval(regs), b.eval(regs)),
             Expr::Eq(a, b) => (a.eval(regs) == b.eval(regs)) as i64,
             Expr::Ne(a, b) => (a.eval(regs) != b.eval(regs)) as i64,
             Expr::Lt(a, b) => (a.eval(regs) < b.eval(regs)) as i64,
@@ -173,12 +166,10 @@ impl Expr {
                 out.extend(sel.iter().map(|&r| src[r as usize]));
             }
             Expr::Lit(v) => out.resize(sel.len(), *v),
-            Expr::Add(a, b) => binary_batch(a, b, cols, sel, out, pool, |x, y| x + y),
-            Expr::Sub(a, b) => binary_batch(a, b, cols, sel, out, pool, |x, y| x - y),
-            Expr::Mul(a, b) => binary_batch(a, b, cols, sel, out, pool, |x, y| x * y),
-            Expr::Div(a, b) => {
-                binary_batch(a, b, cols, sel, out, pool, |x, y| if y == 0 { 0 } else { x / y })
-            }
+            Expr::Add(a, b) => binary_batch(a, b, cols, sel, out, pool, i64::wrapping_add),
+            Expr::Sub(a, b) => binary_batch(a, b, cols, sel, out, pool, i64::wrapping_sub),
+            Expr::Mul(a, b) => binary_batch(a, b, cols, sel, out, pool, i64::wrapping_mul),
+            Expr::Div(a, b) => binary_batch(a, b, cols, sel, out, pool, div_or_zero),
             Expr::Eq(a, b) => binary_batch(a, b, cols, sel, out, pool, |x, y| (x == y) as i64),
             Expr::Ne(a, b) => binary_batch(a, b, cols, sel, out, pool, |x, y| (x != y) as i64),
             Expr::Lt(a, b) => binary_batch(a, b, cols, sel, out, pool, |x, y| (x < y) as i64),
@@ -277,6 +268,17 @@ impl Expr {
             | Expr::And(a, b)
             | Expr::Or(a, b) => 1.0 + a.op_count() + b.op_count(),
         }
+    }
+}
+
+/// Integer division as both evaluators define it: a zero divisor yields 0 and
+/// `i64::MIN / -1` wraps, so no data value can panic a worker.
+#[inline]
+fn div_or_zero(x: i64, y: i64) -> i64 {
+    if y == 0 {
+        0
+    } else {
+        x.wrapping_div(y)
     }
 }
 
@@ -443,6 +445,32 @@ mod tests {
             for (j, &row) in sel.iter().enumerate() {
                 let regs: Vec<i64> = cols.iter().map(|c| c[row as usize]).collect();
                 assert_eq!(out[j], expr.eval(&regs), "{expr:?} lane {j} (row {row})");
+            }
+        }
+    }
+
+    #[test]
+    fn arithmetic_wraps_instead_of_panicking_in_both_evaluators() {
+        // Overflowing operands in every lane: debug and release builds, and
+        // the scalar and batch evaluators, must all produce the wrapped value.
+        let cols: Vec<Vec<i64>> = vec![vec![i64::MAX, i64::MIN, i64::MIN], vec![1, -1, 0]];
+        let sel: Vec<u32> = vec![0, 1, 2];
+        let bin =
+            |f: fn(Box<Expr>, Box<Expr>) -> Expr| f(Box::new(Expr::col(0)), Box::new(Expr::col(1)));
+        let cases = [
+            (bin(Expr::Add), [i64::MIN, i64::MAX, i64::MIN]),
+            (bin(Expr::Sub), [i64::MAX - 1, i64::MIN + 1, i64::MIN]),
+            (Expr::col(0).mul(Expr::lit(2)), [-2, 0, 0]),
+            (bin(Expr::Div), [i64::MAX, i64::MIN, 0]),
+        ];
+        let mut pool = ScratchPool::new();
+        let mut out = Vec::new();
+        for (expr, expected) in &cases {
+            expr.eval_batch(&cols, &sel, &mut out, &mut pool);
+            assert_eq!(out, expected, "{expr:?} (batch)");
+            for (lane, want) in expected.iter().enumerate() {
+                let regs = [cols[0][lane], cols[1][lane]];
+                assert_eq!(expr.eval(&regs), *want, "{expr:?} lane {lane} (scalar)");
             }
         }
     }

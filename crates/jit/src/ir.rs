@@ -58,12 +58,13 @@ impl AggFunc {
         }
     }
 
-    /// Combine an accumulator with a new input value.
+    /// Combine an accumulator with a new input value. Sums and counts wrap
+    /// on overflow, like the device atomics the partials are merged with.
     #[inline]
     pub fn accumulate(self, acc: i64, value: i64) -> i64 {
         match self {
-            AggFunc::Sum => acc + value,
-            AggFunc::Count => acc + 1,
+            AggFunc::Sum => acc.wrapping_add(value),
+            AggFunc::Count => acc.wrapping_add(1),
             AggFunc::Min => acc.min(value),
             AggFunc::Max => acc.max(value),
         }
@@ -73,7 +74,7 @@ impl AggFunc {
     #[inline]
     pub fn merge(self, a: i64, b: i64) -> i64 {
         match self {
-            AggFunc::Sum | AggFunc::Count => a + b,
+            AggFunc::Sum | AggFunc::Count => a.wrapping_add(b),
             AggFunc::Min => a.min(b),
             AggFunc::Max => a.max(b),
         }
@@ -332,6 +333,10 @@ mod tests {
         assert_eq!(AggFunc::Min.merge(3, 4), 3);
         assert_eq!(AggFunc::Max.merge(3, 4), 4);
         assert_eq!(AggFunc::Count.merge(3, 4), 7);
+        // Overflow wraps in every build profile, like `DeviceAtomicI64::fetch_add`.
+        assert_eq!(AggFunc::Sum.accumulate(i64::MAX, 1), i64::MIN);
+        assert_eq!(AggFunc::Count.accumulate(i64::MAX, 0), i64::MIN);
+        assert_eq!(AggFunc::Sum.merge(i64::MIN, -1), i64::MAX);
     }
 
     #[test]

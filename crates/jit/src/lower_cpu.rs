@@ -11,9 +11,8 @@
 use crate::expr::Expr;
 use crate::ir::{AggSpec, Step, TerminalStep};
 use crate::pipeline::{BlockCounters, CompiledPipeline, ExecCtx};
-use crate::state::SharedState;
+use crate::state::{FlatGroups, SharedState};
 use hetex_common::{BlockHandle, Result};
-use std::collections::HashMap;
 
 /// Apply the transform steps to one tuple, invoking `emit` for every tuple
 /// that reaches the terminal (a probe with several matches fans out).
@@ -59,10 +58,10 @@ where
             let mapped: Vec<i64> = exprs.iter().map(|e| e.eval(&regs)).collect();
             apply_from(steps, idx + 1, state, mapped, probes, matches, emit)
         }
-        Step::HashJoinProbe { key, slot, .. } => {
+        Step::HashJoinProbe { key, slot, payload_width } => {
             let k = key.eval(&regs);
             *probes += 1;
-            let table = state.hash_table(*slot)?;
+            let table = state.hash_table_of_width(*slot, *payload_width)?;
             let mut found: Vec<Vec<i64>> = Vec::new();
             table.probe(k, |payload| found.push(payload.to_vec()));
             *matches += found.len() as u64;
@@ -107,7 +106,10 @@ pub(crate) fn process_block(
         TerminalStep::Reduce { aggs, .. } => aggs.iter().map(|a| a.func.identity()).collect(),
         _ => Vec::new(),
     };
-    let mut local_groups: HashMap<Vec<i64>, Vec<i64>> = HashMap::new();
+    let mut local_groups = match pipeline.terminal() {
+        TerminalStep::GroupBy { keys, aggs, .. } => FlatGroups::new(keys.len(), aggs),
+        _ => FlatGroups::default(),
+    };
     let mut outputs: Vec<BlockHandle> = Vec::new();
 
     let mut probes = 0u64;
@@ -145,7 +147,7 @@ pub(crate) fn process_block(
                 TerminalStep::HashJoinBuild { key, payload, slot } => {
                     let k = key.eval(&r);
                     let row_payload = eval_row(payload, &r);
-                    state.hash_table(*slot)?.insert(k, row_payload);
+                    state.hash_table_of_width(*slot, payload.len())?.insert(k, row_payload);
                     build_inserts += 1;
                 }
                 TerminalStep::Reduce { aggs, .. } => {
@@ -153,10 +155,7 @@ pub(crate) fn process_block(
                 }
                 TerminalStep::GroupBy { keys, aggs, .. } => {
                     let key = eval_row(keys, &r);
-                    let entry = local_groups
-                        .entry(key)
-                        .or_insert_with(|| aggs.iter().map(|a| a.func.identity()).collect());
-                    accumulate_local(aggs, &r, entry);
+                    accumulate_local(aggs, &r, local_groups.entry(&key));
                 }
             }
             Ok(())
@@ -173,7 +172,7 @@ pub(crate) fn process_block(
         }
         TerminalStep::GroupBy { slot, .. } => {
             if !local_groups.is_empty() {
-                state.group_by(*slot)?.merge_batch(local_groups.drain());
+                state.group_by(*slot)?.merge_batch(&local_groups);
                 counters.atomics += 1;
             }
         }

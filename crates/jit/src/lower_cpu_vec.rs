@@ -30,9 +30,8 @@
 use crate::expr::ScratchPool;
 use crate::ir::{Step, TerminalStep};
 use crate::pipeline::{BlockCounters, CompiledPipeline, ExecCtx};
-use crate::state::SharedState;
-use hetex_common::{BlockHandle, Result};
-use std::collections::HashMap;
+use crate::state::{JoinMatches, SharedState};
+use hetex_common::{BlockHandle, ColumnData, Result};
 
 /// Tuples per chunk. Sized so a handful of `i64` register columns plus
 /// scratch (~tens of KiB) stay L1/L2-resident while still amortizing
@@ -68,13 +67,21 @@ struct VecScratch {
     sel: Vec<u32>,
     /// Dense predicate / key / aggregate buffers.
     flags: Vec<i64>,
+    /// The `(lane, build row)` pairs of the chunk's last probe.
+    matches: JoinMatches,
     /// Rentable intermediate buffers for expression evaluation.
     pool: ScratchPool,
 }
 
 impl VecScratch {
     fn new() -> Self {
-        Self { regs: Vec::new(), sel: Vec::new(), flags: Vec::new(), pool: ScratchPool::new() }
+        Self {
+            regs: Vec::new(),
+            sel: Vec::new(),
+            flags: Vec::new(),
+            matches: JoinMatches::default(),
+            pool: ScratchPool::new(),
+        }
     }
 
     /// Rent `n` cleared columns from the pool.
@@ -120,7 +127,11 @@ pub(crate) fn process_block(
         TerminalStep::Reduce { aggs, .. } => aggs.iter().map(|a| a.func.identity()).collect(),
         _ => Vec::new(),
     };
-    let mut local_groups: HashMap<Vec<i64>, Vec<i64>> = HashMap::new();
+    // The block-local group table lives in the context: cleared, not
+    // reallocated, per block.
+    if let TerminalStep::GroupBy { keys, aggs, .. } = pipeline.terminal() {
+        ctx.local_groups.reset(keys.len(), aggs);
+    }
     let mut outputs: Vec<BlockHandle> = Vec::new();
 
     let mut probes = 0u64;
@@ -140,8 +151,12 @@ pub(crate) fn process_block(
 
         // Gather the chunk's input registers column-at-a-time.
         let mut in_cols = scratch.rent_columns(columns.len());
-        for (c, col) in columns.iter().enumerate() {
-            in_cols[c].extend((base..base + len).map(|r| col.get_i64(r).unwrap_or(0)));
+        for (dst, col) in in_cols.iter_mut().zip(columns) {
+            match col {
+                ColumnData::Int64(v) => dst.extend_from_slice(&v[base..base + len]),
+                ColumnData::Int32(v) => dst.extend(v[base..base + len].iter().map(|&x| x as i64)),
+                ColumnData::Float64(_) => dst.resize(len, 0),
+            }
         }
         scratch.install_dense(in_cols, len);
 
@@ -180,25 +195,32 @@ pub(crate) fn process_block(
                 Step::HashJoinProbe { key, slot, payload_width } => {
                     let mut keys = std::mem::take(&mut scratch.flags);
                     key.eval_batch(&scratch.regs, &scratch.sel, &mut keys, &mut scratch.pool);
-                    let table = state.hash_table(*slot)?;
+                    // One read guard per chunk; matches come back in probe
+                    // order — the depth-first order of the tuple-at-a-time
+                    // recursion — as (lane, build row) pairs, and the output
+                    // is then gathered a column at a time.
+                    let table = state.hash_table_of_width(*slot, *payload_width)?.read();
+                    table.probe_batch(&keys, &mut scratch.matches);
+                    probes += keys.len() as u64;
+                    let fanned = scratch.matches.rows.len();
+                    probe_matches += fanned as u64;
                     let mut out_cols = scratch.rent_columns(width + payload_width);
-                    let mut fanned = 0usize;
-                    for (j, &row) in scratch.sel.iter().enumerate() {
-                        probes += 1;
-                        // Matches append in probe order — the depth-first
-                        // order of the tuple-at-a-time recursion.
-                        let regs = &scratch.regs;
-                        let found = table.probe(keys[j], |payload| {
-                            for c in 0..width {
-                                out_cols[c].push(regs[c][row as usize]);
-                            }
-                            for (p, v) in payload.iter().enumerate() {
-                                out_cols[width + p].push(*v);
-                            }
-                        });
-                        probe_matches += found as u64;
-                        fanned += found;
+                    for (c, out) in out_cols.iter_mut().enumerate() {
+                        if c < width {
+                            let src = &scratch.regs[c];
+                            let sel = &scratch.sel;
+                            out.extend(
+                                scratch
+                                    .matches
+                                    .lanes
+                                    .iter()
+                                    .map(|&l| src[sel[l as usize] as usize]),
+                            );
+                        } else {
+                            table.gather_payload(c - width, &scratch.matches.rows, out);
+                        }
                     }
+                    drop(table);
                     scratch.flags = keys;
                     scratch.install_dense(out_cols, fanned);
                     width += payload_width;
@@ -259,11 +281,9 @@ pub(crate) fn process_block(
                             &mut scratch.pool,
                         );
                     }
-                    let table = state.hash_table(*slot)?;
-                    for j in 0..scratch.sel.len() {
-                        table.insert(keys[j], pay_cols.iter().map(|c| c[j]).collect());
-                        build_inserts += 1;
-                    }
+                    // One write guard per chunk.
+                    state.hash_table_of_width(*slot, payload.len())?.insert_batch(&keys, &pay_cols);
+                    build_inserts += keys.len() as u64;
                     scratch.flags = keys;
                     for col in pay_cols {
                         scratch.pool.release(col);
@@ -306,15 +326,7 @@ pub(crate) fn process_block(
                             &mut scratch.pool,
                         );
                     }
-                    for j in 0..scratch.sel.len() {
-                        let key: Vec<i64> = key_cols.iter().map(|c| c[j]).collect();
-                        let entry = local_groups
-                            .entry(key)
-                            .or_insert_with(|| aggs.iter().map(|a| a.func.identity()).collect());
-                        for (i, agg) in aggs.iter().enumerate() {
-                            entry[i] = agg.func.accumulate(entry[i], agg_cols[i][j]);
-                        }
-                    }
+                    ctx.local_groups.accumulate_batch(&key_cols, &agg_cols, scratch.sel.len());
                     for col in key_cols.into_iter().chain(agg_cols) {
                         scratch.pool.release(col);
                     }
@@ -332,8 +344,8 @@ pub(crate) fn process_block(
             counters.atomics += aggs.len() as u64;
         }
         TerminalStep::GroupBy { slot, .. } => {
-            if !local_groups.is_empty() {
-                state.group_by(*slot)?.merge_batch(local_groups.drain());
+            if !ctx.local_groups.is_empty() {
+                state.group_by(*slot)?.merge_batch(&ctx.local_groups);
                 counters.atomics += 1;
             }
         }
@@ -497,6 +509,77 @@ mod tests {
             |state, _| {
                 let groups = state.group_by(StateSlot(1)).unwrap().snapshot();
                 assert_eq!(groups.len(), 40);
+            },
+        );
+    }
+
+    #[test]
+    fn wide_fan_out_probe_packs_the_same_rows_in_the_same_order() {
+        // Every build key carries three two-column payload rows inserted at
+        // different times, so each matching probe fans out 3x and the output
+        // of one chunk overflows the chunk size.
+        let n = VEC_CHUNK * 2 + 10;
+        let keys: Vec<i64> = (0..n as i64).map(|i| (i * 13) % 300 - 20).collect();
+        let vals: Vec<i64> = (0..n as i64).collect();
+        let mk_state = || {
+            let mut s = SharedState::new();
+            let ht = s.add_hash_table(2);
+            for copy in 0..3 {
+                for k in 0..250 {
+                    s.hash_table(ht).unwrap().insert(k, vec![k * 10 + copy, -k]);
+                }
+            }
+            s
+        };
+        let matching = keys.iter().filter(|k| (0..250).contains(*k)).count();
+        assert_modes_agree(
+            vec![Step::HashJoinProbe { key: Expr::col(0), slot: StateSlot(0), payload_width: 2 }],
+            TerminalStep::Pack {
+                exprs: vec![Expr::col(1), Expr::col(2), Expr::col(3)],
+                partition_by: None,
+                partitions: 1,
+            },
+            vec![keys, vals],
+            mk_state,
+            |_, blocks| {
+                assert_eq!(blocks.iter().map(BlockHandle::rows).sum::<usize>(), matching * 3);
+                // Matches of one probe tuple stay adjacent, in insertion order.
+                let first = blocks[0].block();
+                for r in 0..3 {
+                    assert_eq!(
+                        first.column(0).unwrap().get_i64(r),
+                        first.column(0).unwrap().get_i64(0)
+                    );
+                    assert_eq!(first.column(1).unwrap().get_i64(r).unwrap() % 10, r as i64);
+                }
+            },
+        );
+    }
+
+    #[test]
+    fn a_block_of_64k_distinct_groups_matches_tuple_at_a_time() {
+        // Every tuple starts its own group: the block-local table grows from
+        // empty to 64k groups inside one block, then merges them all.
+        let n = 64 * 1024;
+        let keys: Vec<i64> =
+            (0..n as i64).map(|i| i.wrapping_mul(0x9E37_79B9) ^ (i << 40)).collect();
+        let vals: Vec<i64> = (0..n as i64).map(|i| i - 7).collect();
+        let aggs =
+            || vec![AggSpec::sum(Expr::col(1)), AggSpec::count(), AggSpec::max(Expr::col(1))];
+        assert_modes_agree(
+            Vec::new(),
+            TerminalStep::GroupBy { keys: vec![Expr::col(0)], aggs: aggs(), slot: StateSlot(0) },
+            vec![keys.clone(), vals],
+            || {
+                let mut s = SharedState::new();
+                s.add_group_by(&aggs());
+                s
+            },
+            |state, _| {
+                let groups = state.group_by(StateSlot(0)).unwrap().snapshot();
+                assert_eq!(groups.len(), n);
+                let row = keys.iter().position(|k| *k == groups[0].0[0]).unwrap() as i64;
+                assert_eq!(groups[0].1, vec![row - 7, 1, row - 7]);
             },
         );
     }

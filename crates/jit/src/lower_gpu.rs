@@ -14,7 +14,7 @@
 use crate::ir::TerminalStep;
 use crate::lower_cpu::{accumulate_local, apply_transforms, eval_row, partition_of};
 use crate::pipeline::{BlockCounters, CompiledPipeline, ExecCtx};
-use crate::state::SharedState;
+use crate::state::{FlatGroups, SharedState};
 use hetex_common::{BlockHandle, HetError, Result};
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -53,7 +53,10 @@ pub(crate) fn process_block(
             TerminalStep::Reduce { aggs, .. } => aggs.iter().map(|a| a.func.identity()).collect(),
             _ => Vec::new(),
         };
-        let mut local_groups: HashMap<Vec<i64>, Vec<i64>> = HashMap::new();
+        // Most of a launch's virtual threads see no tuple of a small block:
+        // the group table is made by the first tuple that needs it, so idle
+        // threads allocate nothing.
+        let mut local_groups: Option<FlatGroups> = None;
         let mut local_packed: Vec<(usize, Vec<i64>)> = Vec::new();
         let mut local_probes = 0u64;
         let mut local_matches = 0u64;
@@ -80,17 +83,18 @@ pub(crate) fn process_block(
                         }
                         TerminalStep::HashJoinBuild { key, payload, slot } => {
                             let k = key.eval(&r);
-                            state.hash_table(*slot)?.insert(k, eval_row(payload, &r));
+                            state
+                                .hash_table_of_width(*slot, payload.len())?
+                                .insert(k, eval_row(payload, &r));
                         }
                         TerminalStep::Reduce { aggs, .. } => {
                             accumulate_local(aggs, &r, &mut local_partials);
                         }
                         TerminalStep::GroupBy { keys, aggs, .. } => {
                             let key = eval_row(keys, &r);
-                            let entry = local_groups.entry(key).or_insert_with(|| {
-                                aggs.iter().map(|a| a.func.identity()).collect()
-                            });
-                            accumulate_local(aggs, &r, entry);
+                            let groups = local_groups
+                                .get_or_insert_with(|| FlatGroups::new(keys.len(), aggs));
+                            accumulate_local(aggs, &r, groups.entry(&key));
                         }
                     }
                     Ok(())
@@ -115,8 +119,8 @@ pub(crate) fn process_block(
                     state.accumulators(*slot)?.merge_partials(&local_partials);
                 }
                 TerminalStep::GroupBy { slot, .. } => {
-                    if !local_groups.is_empty() {
-                        state.group_by(*slot)?.merge_batch(local_groups.drain());
+                    if let Some(groups) = &local_groups {
+                        state.group_by(*slot)?.merge_batch(groups);
                     }
                 }
                 TerminalStep::Pack { .. } => {

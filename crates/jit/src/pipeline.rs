@@ -17,7 +17,7 @@ use crate::ir::{Step, TerminalStep};
 use crate::lower_cpu;
 use crate::lower_cpu_vec::{self, VEC_CHUNK};
 use crate::lower_gpu;
-use crate::state::SharedState;
+use crate::state::{FlatGroups, SharedState};
 use hetex_common::{
     Block, BlockHandle, BlockId, BlockMeta, ColumnData, HetError, KernelMode, MemoryNodeId,
     PipelineId, Result,
@@ -96,6 +96,9 @@ pub struct ExecCtx {
     pub kernel_mode: KernelMode,
     /// Partially filled pack outputs, keyed by partition.
     pub(crate) open_partitions: HashMap<usize, Vec<Vec<i64>>>,
+    /// The vectorized lowering's block-local group-by partials: cleared per
+    /// block, so their allocations last as long as the instance.
+    pub(crate) local_groups: FlatGroups,
     /// Weight inherited by produced blocks (set from the last input block).
     pub(crate) current_weight: f64,
     next_block_id: usize,
@@ -112,6 +115,7 @@ impl ExecCtx {
             out_node,
             kernel_mode: KernelMode::default(),
             open_partitions: HashMap::new(),
+            local_groups: FlatGroups::default(),
             current_weight: 1.0,
             next_block_id: 0,
         }
@@ -128,6 +132,7 @@ impl ExecCtx {
             out_node,
             kernel_mode: KernelMode::default(),
             open_partitions: HashMap::new(),
+            local_groups: FlatGroups::default(),
             current_weight: 1.0,
             next_block_id: 0,
         }

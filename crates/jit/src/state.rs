@@ -8,49 +8,232 @@
 //! the *cost* of those synchronizations is what the cost model charges (one
 //! atomic per CPU block, one per GPU warp), mirroring how the paper minimizes
 //! global atomics with neighborhood reductions.
+//!
+//! Both hash structures are *flat*: a power-of-two open-addressing slot array
+//! (linear probing, at most half full, indexed by the top bits of
+//! [`hash_i64`]) over one contiguous, fixed-stride `i64` arena. There is no
+//! per-row heap object, so building costs a few stores per tuple and dropping
+//! a table is a handful of frees however many rows it holds. DESIGN.md,
+//! "Hash state layout", has the full picture.
 
+use crate::expr::hash_i64;
 use crate::ir::{AggFunc, AggSpec, StateSlot};
 use hetex_common::{HetError, Result};
 use hetex_gpu_sim::DeviceAtomicI64;
-use parking_lot::{Mutex, RwLock};
-use std::collections::HashMap;
+use parking_lot::{Mutex, RwLock, RwLockReadGuard};
+
+/// "No row" / "no group": the empty-slot marker and the end of a match chain.
+const NIL: u32 = u32::MAX;
+
+/// Slots a table starts with on its first insert.
+const MIN_SLOTS: usize = 16;
+
+/// Shift that maps a 63-bit [`hash_i64`] value to the top bits indexing
+/// `slots` (a power of two) slots.
+fn shift_for(slots: usize) -> u32 {
+    debug_assert!(slots.is_power_of_two());
+    63 - slots.trailing_zeros()
+}
+
+/// Hash of a group key: [`hash_i64`] folded over its columns.
+fn hash_key(key: &[i64]) -> i64 {
+    key.iter().fold(0, |h, &k| hash_i64(h ^ k))
+}
+
+/// The next free row / group index, which must stay below [`NIL`].
+fn next_index(len: usize) -> u32 {
+    u32::try_from(len).ok().filter(|&i| i != NIL).expect("hash state holds fewer than 2^32 entries")
+}
+
+/// One slot of the join table: a distinct key and the first and last row of
+/// its match chain. Empty while `head` is [`NIL`].
+#[derive(Debug, Clone, Copy)]
+struct JoinSlot {
+    key: i64,
+    head: u32,
+    tail: u32,
+}
+
+const EMPTY_JOIN_SLOT: JoinSlot = JoinSlot { key: 0, head: NIL, tail: NIL };
+
+/// The unsynchronized join table the lock in [`JoinHashTable`] protects.
+///
+/// Row `r` occupies `arena[r * stride .. (r + 1) * stride]` with
+/// `stride = width + 1`: the payload columns, then the index of the next row
+/// with the same key (`NIL` at the end of the chain). A slot remembers its
+/// chain's head and tail, so an insert appends in O(1) and a probe visits
+/// matches in insertion order.
+#[derive(Debug, Default)]
+struct FlatJoin {
+    width: usize,
+    slots: Vec<JoinSlot>,
+    shift: u32,
+    distinct: usize,
+    arena: Vec<i64>,
+}
+
+impl FlatJoin {
+    fn stride(&self) -> usize {
+        self.width + 1
+    }
+
+    fn rows(&self) -> usize {
+        self.arena.len() / self.stride()
+    }
+
+    fn home(&self, key: i64) -> usize {
+        (hash_i64(key) as u64 >> self.shift) as usize
+    }
+
+    /// Head row of `key`'s chain, scanning from slot `i` (its home slot).
+    /// Terminates because the table is never more than half full.
+    fn head_from(&self, mut i: usize, key: i64) -> u32 {
+        let mask = self.slots.len() - 1;
+        loop {
+            let slot = self.slots[i];
+            if slot.head == NIL || slot.key == key {
+                return slot.head;
+            }
+            i = (i + 1) & mask;
+        }
+    }
+
+    fn head_of(&self, key: i64) -> u32 {
+        if self.slots.is_empty() {
+            NIL
+        } else {
+            self.head_from(self.home(key), key)
+        }
+    }
+
+    /// The payload of row `row` and the row that follows it in its chain.
+    fn row(&self, row: u32) -> (&[i64], u32) {
+        let cells = &self.arena[row as usize * self.stride()..][..self.stride()];
+        (&cells[..self.width], cells[self.width] as u32)
+    }
+
+    /// Double the slot array (the arena does not move).
+    fn grow(&mut self) {
+        let len = (self.slots.len() * 2).max(MIN_SLOTS);
+        let old = std::mem::replace(&mut self.slots, vec![EMPTY_JOIN_SLOT; len]);
+        self.shift = shift_for(len);
+        for slot in old.into_iter().filter(|s| s.head != NIL) {
+            let mut i = self.home(slot.key);
+            while self.slots[i].head != NIL {
+                i = (i + 1) & (len - 1);
+            }
+            self.slots[i] = slot;
+        }
+    }
+
+    /// Link the row about to be appended to the arena into `key`'s chain.
+    fn link(&mut self, key: i64) {
+        let row = next_index(self.rows());
+        if (self.distinct + 1) * 2 > self.slots.len() {
+            self.grow();
+        }
+        let mask = self.slots.len() - 1;
+        let stride = self.stride();
+        let mut i = self.home(key);
+        loop {
+            let slot = &mut self.slots[i];
+            if slot.head == NIL {
+                *slot = JoinSlot { key, head: row, tail: row };
+                self.distinct += 1;
+                return;
+            }
+            if slot.key == key {
+                self.arena[slot.tail as usize * stride + self.width] = i64::from(row);
+                slot.tail = row;
+                return;
+            }
+            i = (i + 1) & mask;
+        }
+    }
+
+    fn insert(&mut self, key: i64, payload: &[i64]) {
+        assert_eq!(payload.len(), self.width, "payload does not match the table's width");
+        self.link(key);
+        self.arena.extend_from_slice(payload);
+        self.arena.push(i64::from(NIL));
+    }
+
+    fn insert_batch(&mut self, keys: &[i64], payload_cols: &[Vec<i64>]) {
+        assert_eq!(payload_cols.len(), self.width, "payload does not match the table's width");
+        assert!(payload_cols.iter().all(|c| c.len() == keys.len()), "ragged payload columns");
+        self.arena.reserve(keys.len() * self.stride());
+        for (j, &key) in keys.iter().enumerate() {
+            self.link(key);
+            self.arena.extend(payload_cols.iter().map(|c| c[j]));
+            self.arena.push(i64::from(NIL));
+        }
+    }
+
+    fn bytes(&self) -> u64 {
+        (self.slots.capacity() * std::mem::size_of::<JoinSlot>()
+            + self.arena.capacity() * std::mem::size_of::<i64>()) as u64
+    }
+}
 
 /// A hash table built by the build side of an equi-join.
-#[derive(Debug, Default)]
+///
+/// Builders and probers synchronize per *chunk*: [`Self::insert_batch`] takes
+/// the write lock once for a whole chunk of build tuples and [`Self::read`]
+/// hands out a guard under which a whole chunk of keys is probed. There is no
+/// freeze step — a probe may follow an insert at any time — because an
+/// uncontended read lock per chunk is already noise next to the probes it
+/// covers.
+#[derive(Debug)]
 pub struct JoinHashTable {
-    map: RwLock<HashMap<i64, Vec<Vec<i64>>>>,
-    rows: DeviceAtomicI64,
+    payload_width: usize,
+    table: RwLock<FlatJoin>,
 }
 
 impl JoinHashTable {
-    /// An empty hash table.
-    pub fn new() -> Self {
-        Self::default()
+    /// An empty hash table whose rows carry `payload_width` payload columns.
+    pub fn new(payload_width: usize) -> Self {
+        Self {
+            payload_width,
+            table: RwLock::new(FlatJoin { width: payload_width, ..FlatJoin::default() }),
+        }
+    }
+
+    /// Payload columns per build row.
+    pub fn payload_width(&self) -> usize {
+        self.payload_width
     }
 
     /// Insert one build tuple.
+    ///
+    /// # Panics
+    /// If `payload` does not have [`Self::payload_width`] columns.
     pub fn insert(&self, key: i64, payload: Vec<i64>) {
-        self.map.write().entry(key).or_default().push(payload);
-        self.rows.fetch_add(1);
+        self.table.write().insert(key, &payload);
     }
 
-    /// Visit the payloads matching `key`.
-    pub fn probe<F: FnMut(&[i64])>(&self, key: i64, mut visit: F) -> usize {
-        let guard = self.map.read();
-        match guard.get(&key) {
-            Some(rows) => {
-                for row in rows {
-                    visit(row);
-                }
-                rows.len()
-            }
-            None => 0,
-        }
+    /// Insert a chunk of build tuples under one write lock: tuple `j` is
+    /// `(keys[j], payload_cols[..][j])`, inserted in ascending `j`.
+    ///
+    /// # Panics
+    /// If there are not [`Self::payload_width`] payload columns of
+    /// `keys.len()` values each.
+    pub fn insert_batch(&self, keys: &[i64], payload_cols: &[Vec<i64>]) {
+        self.table.write().insert_batch(keys, payload_cols);
+    }
+
+    /// A read guard to probe a chunk of keys under.
+    pub fn read(&self) -> JoinProbe<'_> {
+        JoinProbe { table: self.table.read() }
+    }
+
+    /// Visit the payloads matching `key`, in insertion order.
+    pub fn probe<F: FnMut(&[i64])>(&self, key: i64, visit: F) -> usize {
+        self.read().probe(key, visit)
     }
 
     /// Number of build tuples inserted.
     pub fn len(&self) -> usize {
-        self.rows.load() as usize
+        self.table.read().rows()
     }
 
     /// True if nothing has been inserted.
@@ -60,12 +243,82 @@ impl JoinHashTable {
 
     /// Number of distinct keys.
     pub fn distinct_keys(&self) -> usize {
-        self.map.read().len()
+        self.table.read().distinct
     }
 
-    /// Approximate size of the table in bytes (for state-memory accounting).
-    pub fn approx_bytes(&self, payload_width: usize) -> u64 {
-        (self.len() as u64) * (16 + 8 * payload_width as u64)
+    /// Bytes the table holds (slot array plus row arena, at capacity), for
+    /// state-memory accounting.
+    pub fn approx_bytes(&self) -> u64 {
+        self.table.read().bytes()
+    }
+}
+
+/// The matches of one [`JoinProbe::probe_batch`], reusable across chunks:
+/// match `m` pairs probe key number `lanes[m]` with build row `rows[m]`.
+#[derive(Debug, Default)]
+pub struct JoinMatches {
+    /// Each key's chain head while the batch resolves.
+    heads: Vec<u32>,
+    /// Index into the probed keys, ascending.
+    pub lanes: Vec<u32>,
+    /// Matching build row, for [`JoinProbe::gather_payload`].
+    pub rows: Vec<u32>,
+}
+
+/// Shared read access to a [`JoinHashTable`], held for a chunk of probes.
+pub struct JoinProbe<'a> {
+    table: RwLockReadGuard<'a, FlatJoin>,
+}
+
+impl JoinProbe<'_> {
+    /// Visit the payloads matching `key`, in insertion order.
+    pub fn probe<F: FnMut(&[i64])>(&self, key: i64, mut visit: F) -> usize {
+        let mut matches = 0;
+        let mut row = self.table.head_of(key);
+        while row != NIL {
+            let (payload, next) = self.table.row(row);
+            visit(payload);
+            matches += 1;
+            row = next;
+        }
+        matches
+    }
+
+    /// Probe a chunk of keys, replacing `matches` with every match in key
+    /// order and then insertion order.
+    ///
+    /// Runs as three passes — hash every key, resolve every home slot, walk
+    /// every chain — so each pass is a short loop of independent loads whose
+    /// cache misses overlap instead of queueing behind one another.
+    pub fn probe_batch(&self, keys: &[i64], matches: &mut JoinMatches) {
+        let table = &*self.table;
+        let JoinMatches { heads, lanes, rows } = matches;
+        lanes.clear();
+        rows.clear();
+        if table.slots.is_empty() {
+            return;
+        }
+        heads.clear();
+        heads.extend(keys.iter().map(|&k| table.home(k) as u32));
+        for (head, &key) in heads.iter_mut().zip(keys) {
+            *head = table.head_from(*head as usize, key);
+        }
+        for (lane, &head) in heads.iter().enumerate() {
+            let mut row = head;
+            while row != NIL {
+                lanes.push(lane as u32);
+                rows.push(row);
+                row = table.row(row).1;
+            }
+        }
+    }
+
+    /// Append payload column `column` of each of `rows` to `out`.
+    pub fn gather_payload(&self, column: usize, rows: &[u32], out: &mut Vec<i64>) {
+        let table = &*self.table;
+        assert!(column < table.width, "payload column out of range");
+        let stride = table.stride();
+        out.extend(rows.iter().map(|&r| table.arena[r as usize * stride + column]));
     }
 }
 
@@ -125,36 +378,198 @@ impl Accumulators {
     }
 }
 
+/// A flat, unsynchronized group table: the block- / thread-local partials of
+/// every lowering, and (behind a mutex) the body of [`GroupByTable`].
+///
+/// Group `g` occupies `arena[g * stride .. (g + 1) * stride]` with
+/// `stride = key_arity + funcs.len()`: its key columns, then one accumulator
+/// per aggregate. Slots hold group indexes, so groups keep their
+/// first-insertion order and growing moves no row.
+#[derive(Debug, Default)]
+pub struct FlatGroups {
+    key_arity: usize,
+    funcs: Vec<AggFunc>,
+    slots: Vec<u32>,
+    shift: u32,
+    groups: usize,
+    arena: Vec<i64>,
+    /// Per-lane scratch of [`Self::accumulate_batch`].
+    hashes: Vec<i64>,
+    ids: Vec<u32>,
+}
+
+impl FlatGroups {
+    /// An empty table of `key_arity`-column keys aggregated by `aggs`.
+    pub fn new(key_arity: usize, aggs: &[AggSpec]) -> Self {
+        let mut table = Self::default();
+        table.reset(key_arity, aggs);
+        table
+    }
+
+    /// Empty the table and give it a new shape, keeping its allocations.
+    pub fn reset(&mut self, key_arity: usize, aggs: &[AggSpec]) {
+        self.slots.fill(NIL);
+        self.arena.clear();
+        self.groups = 0;
+        self.key_arity = key_arity;
+        self.funcs.clear();
+        self.funcs.extend(aggs.iter().map(|a| a.func));
+    }
+
+    /// Number of groups.
+    pub fn len(&self) -> usize {
+        self.groups
+    }
+
+    /// True if no groups exist.
+    pub fn is_empty(&self) -> bool {
+        self.groups == 0
+    }
+
+    /// Every `(key, accumulators)` pair, in first-insertion order.
+    pub fn iter(&self) -> impl Iterator<Item = (&[i64], &[i64])> {
+        let stride = self.stride();
+        (0..self.groups).map(move |g| self.arena[g * stride..][..stride].split_at(self.key_arity))
+    }
+
+    /// The accumulators of `key`'s group, starting a group of identities if
+    /// the key is new.
+    pub fn entry(&mut self, key: &[i64]) -> &mut [i64] {
+        assert_eq!(key.len(), self.key_arity, "group key does not match the table's arity");
+        let hash = hash_key(key);
+        let group = self.upsert(hash, |c| key[c]);
+        let stride = self.stride();
+        &mut self.arena[group * stride..][self.key_arity..stride]
+    }
+
+    /// Fold a chunk of tuples into their groups: tuple `j` has key
+    /// `key_cols[..][j]` and feeds `agg_cols[i][j]` to aggregate `i`, for
+    /// `j < lanes`. Hashes the whole chunk, then resolves every group, then
+    /// updates one aggregate column at a time.
+    pub fn accumulate_batch(&mut self, key_cols: &[Vec<i64>], agg_cols: &[Vec<i64>], lanes: usize) {
+        assert_eq!(key_cols.len(), self.key_arity, "group key does not match the table's arity");
+        assert_eq!(agg_cols.len(), self.funcs.len(), "one input column per aggregate");
+        let mut hashes = std::mem::take(&mut self.hashes);
+        let mut ids = std::mem::take(&mut self.ids);
+        hashes.clear();
+        hashes.resize(lanes, 0);
+        for col in key_cols {
+            for (h, &k) in hashes.iter_mut().zip(&col[..lanes]) {
+                *h = hash_i64(*h ^ k);
+            }
+        }
+        ids.clear();
+        ids.extend(
+            hashes.iter().enumerate().map(|(j, &h)| self.upsert(h, |c| key_cols[c][j]) as u32),
+        );
+        let stride = self.stride();
+        for (i, col) in agg_cols.iter().enumerate() {
+            let func = self.funcs[i];
+            let offset = self.key_arity + i;
+            for (&g, &v) in ids.iter().zip(&col[..lanes]) {
+                let acc = &mut self.arena[g as usize * stride + offset];
+                *acc = func.accumulate(*acc, v);
+            }
+        }
+        self.hashes = hashes;
+        self.ids = ids;
+    }
+
+    /// Merge another table's partial accumulators into this one. An empty
+    /// table with no shape yet adopts `other`'s key arity.
+    pub fn merge_from(&mut self, other: &FlatGroups) {
+        if self.groups == 0 {
+            self.key_arity = other.key_arity;
+        }
+        assert_eq!(self.key_arity, other.key_arity, "merging group tables of different arity");
+        assert_eq!(self.funcs, other.funcs, "merging group tables of different aggregates");
+        let stride = self.stride();
+        for (key, partials) in other.iter() {
+            let hash = hash_key(key);
+            let group = self.upsert(hash, |c| key[c]);
+            let accs = &mut self.arena[group * stride..][self.key_arity..stride];
+            for ((func, acc), partial) in self.funcs.iter().zip(accs).zip(partials) {
+                *acc = func.merge(*acc, *partial);
+            }
+        }
+    }
+
+    /// Bytes the table holds (slot array plus group arena, at capacity).
+    pub fn approx_bytes(&self) -> u64 {
+        (self.slots.capacity() * std::mem::size_of::<u32>()
+            + self.arena.capacity() * std::mem::size_of::<i64>()) as u64
+    }
+
+    fn stride(&self) -> usize {
+        self.key_arity + self.funcs.len()
+    }
+
+    /// Index of the group whose key columns are `key_at(0..key_arity)` and
+    /// hash to `hash`, appending it with identity accumulators if it is new.
+    fn upsert(&mut self, hash: i64, key_at: impl Fn(usize) -> i64) -> usize {
+        if (self.groups + 1) * 2 > self.slots.len() {
+            self.grow();
+        }
+        let mask = self.slots.len() - 1;
+        let stride = self.stride();
+        let mut i = (hash as u64 >> self.shift) as usize;
+        loop {
+            let group = self.slots[i];
+            if group == NIL {
+                self.slots[i] = next_index(self.groups);
+                self.groups += 1;
+                self.arena.extend((0..self.key_arity).map(&key_at));
+                self.arena.extend(self.funcs.iter().map(|f| f.identity()));
+                return self.groups - 1;
+            }
+            let stored = &self.arena[group as usize * stride..][..self.key_arity];
+            if stored.iter().enumerate().all(|(c, &k)| k == key_at(c)) {
+                return group as usize;
+            }
+            i = (i + 1) & mask;
+        }
+    }
+
+    /// Double the slot array, re-deriving each group's hash from its key.
+    fn grow(&mut self) {
+        let len = (self.slots.len() * 2).max(MIN_SLOTS);
+        self.slots.clear();
+        self.slots.resize(len, NIL);
+        self.shift = shift_for(len);
+        let stride = self.stride();
+        for group in 0..self.groups {
+            let key = &self.arena[group * stride..][..self.key_arity];
+            let hash = hash_key(key);
+            let mut i = (hash as u64 >> self.shift) as usize;
+            while self.slots[i] != NIL {
+                i = (i + 1) & (len - 1);
+            }
+            self.slots[i] = group as u32;
+        }
+    }
+}
+
 /// A grouped aggregation table.
 #[derive(Debug)]
 pub struct GroupByTable {
     funcs: Vec<AggFunc>,
-    groups: Mutex<HashMap<Vec<i64>, Vec<i64>>>,
+    groups: Mutex<FlatGroups>,
 }
 
 impl GroupByTable {
-    /// A table whose values follow `aggs`.
+    /// A table whose values follow `aggs`. Its key arity is that of the first
+    /// partials merged into it.
     pub fn new(aggs: &[AggSpec]) -> Self {
-        Self { funcs: aggs.iter().map(|a| a.func).collect(), groups: Mutex::new(HashMap::new()) }
+        Self {
+            funcs: aggs.iter().map(|a| a.func).collect(),
+            groups: Mutex::new(FlatGroups::new(0, aggs)),
+        }
     }
 
-    /// Merge a batch of partial `(key, values)` pairs. Batching keeps the
-    /// critical section per block/warp rather than per tuple, matching the
-    /// granularity at which the generated code synchronizes.
-    pub fn merge_batch(&self, partials: impl IntoIterator<Item = (Vec<i64>, Vec<i64>)>) {
-        let mut groups = self.groups.lock();
-        for (key, values) in partials {
-            match groups.get_mut(&key) {
-                Some(acc) => {
-                    for ((func, a), v) in self.funcs.iter().zip(acc.iter_mut()).zip(&values) {
-                        *a = func.merge(*a, *v);
-                    }
-                }
-                None => {
-                    groups.insert(key, values);
-                }
-            }
-        }
+    /// Merge a block's / warp's local partials under one critical section —
+    /// the granularity at which the generated code synchronizes.
+    pub fn merge_batch(&self, partials: &FlatGroups) {
+        self.groups.lock().merge_from(partials);
     }
 
     /// Number of groups.
@@ -170,7 +585,7 @@ impl GroupByTable {
     /// Snapshot of all `(key, values)` pairs, sorted by key for determinism.
     pub fn snapshot(&self) -> Vec<(Vec<i64>, Vec<i64>)> {
         let mut rows: Vec<(Vec<i64>, Vec<i64>)> =
-            self.groups.lock().iter().map(|(k, v)| (k.clone(), v.clone())).collect();
+            self.groups.lock().iter().map(|(k, v)| (k.to_vec(), v.to_vec())).collect();
         rows.sort();
         rows
     }
@@ -179,13 +594,19 @@ impl GroupByTable {
     pub fn funcs(&self) -> &[AggFunc] {
         &self.funcs
     }
+
+    /// Bytes the table holds (slot array plus group arena, at capacity), for
+    /// state-memory accounting.
+    pub fn approx_bytes(&self) -> u64 {
+        self.groups.lock().approx_bytes()
+    }
 }
 
 /// One shared state object referenced by a [`StateSlot`].
 #[derive(Debug)]
 pub enum StateObject {
-    /// A join hash table (with the payload width the probe side expects).
-    HashTable { table: JoinHashTable, payload_width: usize },
+    /// A join hash table.
+    HashTable(JoinHashTable),
     /// Ungrouped aggregate accumulators.
     Accumulators(Accumulators),
     /// A grouped aggregation table.
@@ -212,7 +633,7 @@ impl SharedState {
 
     /// Add a join hash table whose payloads have `payload_width` columns.
     pub fn add_hash_table(&mut self, payload_width: usize) -> StateSlot {
-        self.push(StateObject::HashTable { table: JoinHashTable::new(), payload_width })
+        self.push(StateObject::HashTable(JoinHashTable::new(payload_width)))
     }
 
     /// Add accumulators for `aggs`.
@@ -244,12 +665,30 @@ impl SharedState {
     /// The hash table in `slot`.
     pub fn hash_table(&self, slot: StateSlot) -> Result<&JoinHashTable> {
         match self.slots.get(slot.index()) {
-            Some(StateObject::HashTable { table, .. }) => Ok(table),
+            Some(StateObject::HashTable(table)) => Ok(table),
             Some(_) => {
                 Err(HetError::Execution(format!("state slot {} is not a hash table", slot.index())))
             }
             None => Err(HetError::Execution(format!("unknown state slot {}", slot.index()))),
         }
+    }
+
+    /// The hash table in `slot`, which a step expects to carry
+    /// `payload_width` payload columns per row.
+    pub fn hash_table_of_width(
+        &self,
+        slot: StateSlot,
+        payload_width: usize,
+    ) -> Result<&JoinHashTable> {
+        let table = self.hash_table(slot)?;
+        if table.payload_width() != payload_width {
+            return Err(HetError::Execution(format!(
+                "state slot {} holds {} payload columns per row, the pipeline expects {payload_width}",
+                slot.index(),
+                table.payload_width()
+            )));
+        }
+        Ok(table)
     }
 
     /// The accumulators in `slot`.
@@ -284,8 +723,10 @@ mod tests {
 
     #[test]
     fn hash_table_insert_and_probe() {
-        let t = JoinHashTable::new();
+        let t = JoinHashTable::new(2);
         assert!(t.is_empty());
+        assert_eq!(t.approx_bytes(), 0, "an empty table owns no memory");
+        assert_eq!(t.probe(10, |_| panic!("no match expected")), 0);
         t.insert(10, vec![1, 100]);
         t.insert(10, vec![2, 200]);
         t.insert(20, vec![3, 300]);
@@ -294,9 +735,41 @@ mod tests {
         let mut seen = Vec::new();
         let matches = t.probe(10, |row| seen.push(row.to_vec()));
         assert_eq!(matches, 2);
-        assert_eq!(seen.len(), 2);
+        assert_eq!(seen, vec![vec![1, 100], vec![2, 200]], "matches visit in insertion order");
         assert_eq!(t.probe(99, |_| panic!("no match expected")), 0);
-        assert!(t.approx_bytes(2) > 0);
+        // Three rows of two payload columns plus the chain link, and the slots.
+        assert!(t.approx_bytes() >= 3 * 3 * 8 + 16 * MIN_SLOTS as u64);
+    }
+
+    #[test]
+    fn batch_build_and_probe_agree_with_the_single_tuple_calls() {
+        let keys: Vec<i64> = (0..5_000).map(|i| (i * 7) % 1_500).collect();
+        let payload: Vec<i64> = (0..5_000).collect();
+        let batched = JoinHashTable::new(1);
+        for chunk in 0..5 {
+            let range = chunk * 1_000..(chunk + 1) * 1_000;
+            batched.insert_batch(&keys[range.clone()], &[payload[range].to_vec()]);
+        }
+        let single = JoinHashTable::new(1);
+        for (&k, &p) in keys.iter().zip(&payload) {
+            single.insert(k, vec![p]);
+        }
+        assert_eq!(batched.len(), 5_000);
+        assert_eq!(batched.distinct_keys(), 1_500);
+        assert_eq!(single.distinct_keys(), 1_500);
+
+        let probe_keys: Vec<i64> = (-10..1_600).collect();
+        let mut matches = JoinMatches::default();
+        let guard = batched.read();
+        guard.probe_batch(&probe_keys, &mut matches);
+        let mut gathered = Vec::new();
+        guard.gather_payload(0, &matches.rows, &mut gathered);
+        let mut expected = Vec::new();
+        for (lane, &k) in probe_keys.iter().enumerate() {
+            single.probe(k, |row| expected.push((lane as u32, row[0])));
+        }
+        let got: Vec<(u32, i64)> = matches.lanes.into_iter().zip(gathered).collect();
+        assert_eq!(got, expected);
     }
 
     #[test]
@@ -341,12 +814,51 @@ mod tests {
         let aggs = vec![AggSpec::sum(Expr::col(0)), AggSpec::max(Expr::col(0))];
         let g = GroupByTable::new(&aggs);
         assert!(g.is_empty());
-        g.merge_batch(vec![(vec![1997, 1], vec![100, 10]), (vec![1998, 1], vec![50, 5])]);
-        g.merge_batch(vec![(vec![1997, 1], vec![25, 99])]);
+        let partials = |rows: &[([i64; 2], [i64; 2])]| {
+            let mut local = FlatGroups::new(2, &aggs);
+            for (key, values) in rows {
+                local.entry(key).copy_from_slice(values);
+            }
+            local
+        };
+        g.merge_batch(&partials(&[([1997, 1], [100, 10]), ([1998, 1], [50, 5])]));
+        g.merge_batch(&partials(&[([1997, 1], [25, 99])]));
         assert_eq!(g.len(), 2);
         let rows = g.snapshot();
         assert_eq!(rows[0], (vec![1997, 1], vec![125, 99]));
         assert_eq!(rows[1], (vec![1998, 1], vec![50, 5]));
+        assert!(g.approx_bytes() >= 2 * 4 * 8);
+    }
+
+    #[test]
+    fn local_groups_batch_matches_per_tuple_and_clears_in_place() {
+        let aggs = vec![AggSpec::sum(Expr::col(0)), AggSpec::count(), AggSpec::min(Expr::col(0))];
+        let keys: Vec<i64> = (0..3_000).map(|i| (i * 31) % 700 - 350).collect();
+        let vals: Vec<i64> = (0..3_000).map(|i| i * 3 - 4_000).collect();
+        let ones = vec![1; 3_000];
+        let mut batched = FlatGroups::new(1, &aggs);
+        batched.accumulate_batch(
+            std::slice::from_ref(&keys),
+            &[vals.clone(), ones, vals.clone()],
+            3_000,
+        );
+        let mut single = FlatGroups::new(1, &aggs);
+        for (&k, &v) in keys.iter().zip(&vals) {
+            let accs = single.entry(&[k]);
+            for (acc, agg) in accs.iter_mut().zip(&aggs) {
+                *acc = agg.func.accumulate(*acc, v);
+            }
+        }
+        assert_eq!(batched.len(), 700);
+        assert!(batched.iter().eq(single.iter()), "same groups in first-insertion order");
+
+        let bytes = batched.approx_bytes();
+        batched.reset(1, &aggs);
+        assert!(batched.is_empty());
+        assert_eq!(batched.iter().count(), 0);
+        assert_eq!(batched.approx_bytes(), bytes, "clearing keeps the allocations");
+        batched.entry(&[5])[1] = 9;
+        assert_eq!(batched.iter().collect::<Vec<_>>(), vec![(&[5][..], &[0, 9, i64::MAX][..])]);
     }
 
     #[test]
@@ -365,5 +877,9 @@ mod tests {
         assert!(state.accumulators(gb).is_err());
         assert!(state.group_by(ht).is_err());
         assert!(state.hash_table(StateSlot(99)).is_err());
+        // A step that disagrees with the table about the payload is an
+        // error, not a corrupted arena.
+        assert!(state.hash_table_of_width(ht, 2).is_ok());
+        assert!(state.hash_table_of_width(ht, 1).is_err());
     }
 }
