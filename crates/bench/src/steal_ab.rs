@@ -11,11 +11,18 @@
 //!   recover ≥ 10% of end-to-end simulated time with byte-identical rows.
 //! * **unskewed** — the healthy paper server, where stealing must cost ≤ 2%.
 //!
+//! Both run with **slowdown feedback off**, so stealing is the only defence
+//! — the mirror image of `calib_ab`, which disables stealing to isolate
+//! feedback routing. With both on, how much backlog is left to steal depends
+//! on how many blocks the router queues behind the straggler before its
+//! first 8× observation lands, i.e. on how fast the host ran that first
+//! kernel: a wall-clock race, not a property of either mechanism.
+//!
 //! `cargo run --release -p hetex-bench --bin steal_ab` emits
 //! `BENCH_steal.json`.
 
 use crate::pipeline_ab::join_reduce_engine_on;
-use hetex_common::{EngineConfig, Result, StealPolicy};
+use hetex_common::{CalibrationConfig, EngineConfig, Result, StealPolicy};
 use hetex_topology::ServerTopology;
 
 /// Hidden slowdown factor of the straggler GPU in the skewed workload.
@@ -86,7 +93,8 @@ impl StealAbReport {
 /// The acceptance configuration shared by both workloads (same scale
 /// extrapolation as `pipeline_ab`).
 fn base_config() -> EngineConfig {
-    let mut config = EngineConfig::hybrid(8, 2);
+    let mut config = EngineConfig::hybrid(8, 2)
+        .with_calibration(CalibrationConfig::default().with_slowdown_feedback(false));
     config.scale_weight = 20_000.0;
     config.block_capacity = 2048;
     config.with_table_weight("dim", 2_500.0)

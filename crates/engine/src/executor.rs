@@ -2042,17 +2042,9 @@ impl Executor {
                             let straggling =
                                 || cost.is_straggler(routing[idx].observed_slowdown(slot_idx));
                             loop {
-                                // Fault ladder, pre-claim: a dying device
-                                // must not claim a block it cannot finish.
+                                // Fault ladder, pre-claim: a wedged or
+                                // already quarantined device claims nothing.
                                 if let Some(f) = fault_here {
-                                    if !f.is_quarantined(device_id)
-                                        && abort_at.is_some_and(|at| clock.now() >= at)
-                                    {
-                                        // Permanent abort: the device dies
-                                        // the moment its clock crosses the
-                                        // scripted onset.
-                                        f.quarantine(device_id);
-                                    }
                                     if !f.is_quarantined(device_id)
                                         && wedge_at.is_some_and(|at| clock.now() >= at)
                                     {
@@ -2216,20 +2208,28 @@ impl Executor {
                                 }
                                 let ready =
                                     SimTime::from_nanos(block.meta().ready_at_ns).max(gate_floor);
-                                // Fault ladder, per-invocation: transient
-                                // kernel failures draw deterministically
-                                // from the plan, *before* the kernel runs —
-                                // kernels are transactional at block
-                                // granularity, so a failed invocation left
-                                // no partial state and the block simply
-                                // re-runs. Each retry charges a doubling
-                                // slice of simulated backoff; past the
-                                // budget the device is declared lost and
-                                // the claimed block leads the re-homed
-                                // stream.
+                                // Fault ladder, per-invocation, *before*
+                                // the kernel runs — kernels are
+                                // transactional at block granularity, so a
+                                // lost invocation left no partial state.
+                                // Permanent abort: a device whose clock has
+                                // crossed the scripted onset dies on the
+                                // next block it claims, and that block leads
+                                // the re-homed stream. (Judged before the
+                                // claim, a device that had already drained
+                                // its queue would quarantine itself with
+                                // nothing in hand to re-home.) Transient
+                                // failures draw deterministically from the
+                                // plan and the block simply re-runs; each
+                                // retry charges a doubling slice of
+                                // simulated backoff, and past the budget the
+                                // device is declared lost the same way.
                                 if let Some(f) = fault_here {
+                                    if abort_at.is_some_and(|at| clock.now() >= at) {
+                                        f.quarantine(device_id);
+                                    }
                                     let mut attempt = 0u32;
-                                    loop {
+                                    while !f.is_quarantined(device_id) {
                                         let invocation = f.next_invocation(device_id);
                                         if !f.plan.transient_failure(
                                             device_id,
@@ -2995,12 +2995,18 @@ mod tests {
         // One GPU is a hidden 8x straggler: the router keeps pricing its
         // nominal profile, so its queue backs up. With stealing, siblings
         // drain the backlog; the rows must be identical either way and the
-        // skewed run must get faster, not slower.
+        // skewed run must get faster, not slower. Slowdown feedback is off so
+        // that the backlog is structural: with it on, how much the router
+        // queues behind the straggler before its first 8x observation lands
+        // depends on how fast the host ran that first kernel, and a fast one
+        // leaves nothing to steal.
         let topology = ServerTopology::paper_server();
         let slow_gpu = topology.gpus()[1];
         let skewed = topology.with_device_slowdown(slow_gpu, 8.0).unwrap();
         let catalog = catalog_with_data(&skewed, 200_000);
-        let mut config = EngineConfig::hybrid(8, 2);
+        let mut config = EngineConfig::hybrid(8, 2).with_calibration(
+            hetex_common::CalibrationConfig::default().with_slowdown_feedback(false),
+        );
         config.scale_weight = 20_000.0;
         let het = parallelize(&join_sum_plan(), &config).unwrap();
         let executor = Executor::new(Arc::clone(&skewed));
@@ -3233,9 +3239,9 @@ mod tests {
         let topology = ServerTopology::paper_server();
         let dead = topology.gpus()[1];
         // Abort after the first block: the worker's clock crosses 1ns as soon
-        // as it has processed anything, leaving the rest of its queue to be
-        // re-executed on the surviving GPU. Stealing is disabled so the
-        // takeover drain is the only rescue path.
+        // as it has processed anything, so the next block it claims — and the
+        // rest of its stream — is re-executed on the surviving GPU. Stealing
+        // is disabled so the takeover drain is the only rescue path.
         let plan = FaultPlan::new().abort_device(dead, SimTime::from_nanos(1));
         let config =
             EngineConfig::gpu_only(2).with_steal_policy(hetex_common::StealPolicy::Disabled);

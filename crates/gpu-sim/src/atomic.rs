@@ -1,8 +1,8 @@
 //! Device-scoped atomics.
 //!
 //! The GPU device provider lowers `workerScopedAtomic<T, Op>` to these types.
-//! They are real host atomics (the simulated kernel threads genuinely run in
-//! parallel on host threads), wrapped so that the rest of the system talks
+//! They are real host atomics (launches from different host threads genuinely
+//! run in parallel), wrapped so that the rest of the system talks
 //! about "device atomics" rather than `std::sync::atomic` directly — which is
 //! also where the cost model hooks the per-atomic charge.
 

@@ -2,10 +2,11 @@
 //!
 //! [`GpuDevice`] is what the cpu2gpu operator launches kernels on. A kernel is
 //! an ordinary Rust closure invoked once per virtual SIMT thread with its
-//! [`ThreadCtx`]; the device executes the grid on a small pool of host threads
-//! (so device-scoped atomics and the neighborhood reducer are genuinely
-//! exercised under concurrency) and reports [`LaunchStats`] that the cost
-//! model prices.
+//! [`ThreadCtx`]; the device executes the grid on the calling thread, in
+//! ascending global thread id, and reports [`LaunchStats`] that the cost model
+//! prices. Concurrency comes from the callers: every GPU has its own executor
+//! worker and several devices (or several launches into one) may run at once,
+//! so device-visible state still needs device atomics.
 
 use crate::memory::DeviceMemory;
 use crate::simt::{LaunchConfig, ThreadCtx};
@@ -26,13 +27,13 @@ pub struct LaunchStats {
     pub warps: u64,
 }
 
-/// A software GPU: SIMT execution over host threads plus device memory.
+/// A software GPU: SIMT execution on the launching host thread plus device
+/// memory.
 #[derive(Debug, Clone)]
 pub struct GpuDevice {
     id: DeviceId,
     profile: DeviceProfile,
     memory: DeviceMemory,
-    host_parallelism: usize,
     launches: Arc<AtomicU64>,
     threads: Arc<AtomicU64>,
     warps: Arc<AtomicU64>,
@@ -42,13 +43,10 @@ impl GpuDevice {
     /// Create a device from its topology profile.
     pub fn new(id: DeviceId, profile: DeviceProfile) -> Self {
         let memory = DeviceMemory::new(profile.local_memory, profile.memory_capacity);
-        let host_parallelism =
-            std::thread::available_parallelism().map(|n| n.get().min(4)).unwrap_or(2);
         Self {
             id,
             profile,
             memory,
-            host_parallelism,
             launches: Arc::new(AtomicU64::new(0)),
             threads: Arc::new(AtomicU64::new(0)),
             warps: Arc::new(AtomicU64::new(0)),
@@ -75,50 +73,37 @@ impl GpuDevice {
         self.profile.local_memory
     }
 
-    /// Launch a kernel: `body` is invoked once per virtual thread of the grid.
-    ///
-    /// The virtual threads are partitioned across a handful of host threads;
-    /// within one host thread they run sequentially, across host threads they
-    /// run concurrently, so all device-visible state must use device atomics —
-    /// the same discipline real kernels need.
+    /// Launch a kernel: `body` is invoked once per virtual thread of the
+    /// grid, on the calling thread. Launches from different host threads run
+    /// concurrently, so device-visible state must use device atomics — the
+    /// same discipline real kernels need. A panicking body unwinds straight
+    /// to the caller.
     pub fn launch<F>(&self, config: LaunchConfig, body: F) -> LaunchStats
     where
         F: Fn(&ThreadCtx) + Send + Sync,
     {
-        let total_threads = config.total_threads();
-        let chunk = total_threads.div_ceil(self.host_parallelism.max(1));
-        std::thread::scope(|scope| {
-            let body = &body;
-            let mut handles = Vec::new();
-            for worker in 0..self.host_parallelism {
-                let start = worker * chunk;
-                if start >= total_threads {
-                    break;
-                }
-                let end = (start + chunk).min(total_threads);
-                handles.push(scope.spawn(move || {
-                    for flat in start..end {
-                        let ctx = ThreadCtx {
-                            block_idx: flat / config.block_dim,
-                            thread_idx: flat % config.block_dim,
-                            config,
-                        };
-                        body(&ctx);
-                    }
-                }));
+        for block_idx in 0..config.grid_dim {
+            for thread_idx in 0..config.block_dim {
+                body(&ThreadCtx { block_idx, thread_idx, config });
             }
-            for h in handles {
-                h.join().expect("simulated GPU worker panicked");
-            }
-        });
-        self.launches.fetch_add(1, Ordering::Relaxed);
-        self.threads.fetch_add(total_threads as u64, Ordering::Relaxed);
-        self.warps.fetch_add(config.total_warps() as u64, Ordering::Relaxed);
-        LaunchStats {
-            launches: 1,
-            threads: total_threads as u64,
-            warps: config.total_warps() as u64,
         }
+        self.record_launch(config)
+    }
+
+    /// Account one launch of `config` whose grid the caller executes itself,
+    /// a warp tile at a time instead of a virtual thread at a time (the JIT's
+    /// GPU lowering): the launch, its threads and its warps are counted
+    /// exactly as [`Self::launch`] counts them.
+    pub fn record_launch(&self, config: LaunchConfig) -> LaunchStats {
+        let stats = LaunchStats {
+            launches: 1,
+            threads: config.total_threads() as u64,
+            warps: config.total_warps() as u64,
+        };
+        self.launches.fetch_add(stats.launches, Ordering::Relaxed);
+        self.threads.fetch_add(stats.threads, Ordering::Relaxed);
+        self.warps.fetch_add(stats.warps, Ordering::Relaxed);
+        stats
     }
 
     /// Cumulative statistics over the device's lifetime.
@@ -201,6 +186,67 @@ mod tests {
         assert_eq!(acc.load(), expected);
         // One global atomic per warp, not per thread.
         assert_eq!(reducer.global_atomics(), cfg.total_warps());
+    }
+
+    #[test]
+    fn concurrent_launches_into_shared_device_state_lose_nothing() {
+        // A launch runs on its caller's thread, so the concurrency device
+        // atomics exist for is forced here: four host threads, released
+        // together, launch into one accumulator and one reducer.
+        const HOSTS: usize = 4;
+        let gpu = standalone_gpu();
+        let data: Vec<i64> = (0..40_000).map(|i| i % 89 - 40).collect();
+        let expected: i64 = data.iter().sum::<i64>() * HOSTS as i64;
+        let cfg = LaunchConfig::new(8, 64);
+        // Every warp hears from its 32 lanes once per launching host.
+        let reducer = NeighborhoodReducer::new(cfg.total_warps(), HOSTS * WARP_SIZE);
+        let acc = DeviceAtomicI64::new(0);
+        let start = std::sync::Barrier::new(HOSTS);
+        std::thread::scope(|scope| {
+            for _ in 0..HOSTS {
+                scope.spawn(|| {
+                    start.wait();
+                    gpu.launch(cfg, |ctx| {
+                        let local: i64 = ctx.grid_stride(data.len()).map(|i| data[i]).sum();
+                        reducer.contribute(ctx.warp_id(), local, &acc);
+                    });
+                });
+            }
+        });
+        assert_eq!(acc.load(), expected);
+        assert_eq!(reducer.global_atomics(), cfg.total_warps(), "one device atomic per warp");
+        let stats = gpu.stats();
+        assert_eq!(stats.launches, HOSTS as u64);
+        assert_eq!(stats.threads, (HOSTS * cfg.total_threads()) as u64);
+        assert_eq!(stats.warps, (HOSTS * cfg.total_warps()) as u64);
+    }
+
+    #[test]
+    fn a_panicking_kernel_unwinds_to_the_launcher_once() {
+        let gpu = standalone_gpu();
+        let ran = AtomicUsize::new(0);
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            gpu.launch(LaunchConfig::new(2, 32), |ctx| {
+                ran.fetch_add(1, Ordering::Relaxed);
+                if ctx.global_id() == 5 {
+                    panic!("kernel fault in thread 5");
+                }
+            })
+        }));
+        // The kernel's own payload arrives, not a re-panic from a joined
+        // worker, and no virtual thread ran after the faulting one.
+        let payload = caught.expect_err("the kernel panicked");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"kernel fault in thread 5"));
+        assert_eq!(ran.load(Ordering::Relaxed), 6);
+        assert_eq!(gpu.stats().launches, 0, "an unwound launch is not counted");
+    }
+
+    #[test]
+    fn a_recorded_launch_counts_like_an_executed_one() {
+        let gpu = standalone_gpu();
+        let cfg = LaunchConfig::new(3, 48);
+        assert_eq!(gpu.record_launch(cfg), gpu.launch(cfg, |_| {}));
+        assert_eq!(gpu.stats(), LaunchStats { launches: 2, threads: 288, warps: 12 });
     }
 
     #[test]

@@ -4,13 +4,14 @@
 //!
 //! No GPU (and no CUDA) is available in this environment, so this crate
 //! provides the pieces of the CUDA programming model that HetExchange's
-//! generated code actually relies on, implemented on host threads:
+//! generated code actually relies on, implemented on the host:
 //!
 //! * [`simt`] — kernels, launch configurations and the SIMT thread hierarchy
 //!   (grid → thread block → warp → lane) with grid-stride loops;
-//! * [`device::GpuDevice`] — a device you can launch kernels on; execution is
-//!   data-parallel across a small host thread pool, and every launch reports
-//!   statistics (threads, warps, launches) that feed the cost model;
+//! * [`device::GpuDevice`] — a device you can launch kernels on; a launch runs
+//!   its grid on the calling host thread (devices run concurrently with each
+//!   other, one executor worker apiece), and every launch reports statistics
+//!   (threads, warps, launches) that feed the cost model;
 //! * [`memory::DeviceMemory`] — a capacity-limited device-memory allocator
 //!   (8 GB per GTX 1080), so "out of device memory" failures behave like the
 //!   real thing (DBMS G's Q4.3 failure at SF1000 depends on this);

@@ -5,8 +5,9 @@
 //! (`neighborhood_reduce`), and only the warp leader issues the device-scoped
 //! atomic. That turns thousands of global atomics into a few dozen.
 //!
-//! Our simulated kernel threads execute asynchronously on host threads, so a
-//! literal lock-step shuffle is not available. [`NeighborhoodReducer`]
+//! Our simulated kernel threads run one after another within a launch and
+//! concurrently across launches, so a literal lock-step shuffle is not
+//! available. [`NeighborhoodReducer`]
 //! preserves the semantics and the *cost shape* instead: every lane deposits
 //! its value into a per-warp accumulator, and the last lane of the warp to
 //! arrive flushes the warp total with a single device atomic. The number of

@@ -11,20 +11,21 @@
 //! resolves column offsets, constants and state slots up front and selects a
 //! device-specific *lowering*:
 //!
-//! * [`lower_cpu`] — a single-threaded, tuple-at-a-time loop with thread-local
-//!   accumulators, the shape of Figure 3's CPU specialization;
-//! * [`lower_cpu_vec`] — a chunked, selection-vector CPU lowering (the default,
-//!   see [`hetex_common::KernelMode`]): filters refine a `u32` selection index
+//! * [`lower_cpu_vec`] — the chunk kernel, and the CPU default (see
+//!   [`hetex_common::KernelMode`]): filters refine a `u32` selection index
 //!   array in tight autovectorizable loops, expressions evaluate
 //!   column-at-a-time into pooled scratch, and terminals consume the surviving
-//!   selection in one pass — same IR, same rows, fewer per-tuple dispatches;
-//! * [`lower_gpu`] — a SIMT kernel on the simulated GPU (`hetex-gpu-sim`) with
-//!   a grid-stride loop, thread-local accumulators, warp-level "neighborhood"
-//!   reduction and one device atomic per warp — the shape of Listing 1's
-//!   pipeline 9.
+//!   selection in one pass, merged into shared state once per block;
+//! * [`lower_gpu`] — the same chunk kernel scheduled as the warp tiles of a
+//!   grid-stride SIMT kernel on the simulated GPU (`hetex-gpu-sim`), with the
+//!   launch and one device atomic per active warp *counted* — the shape of
+//!   Listing 1's pipeline 9;
+//! * [`lower_cpu`] — the legacy single-threaded, tuple-at-a-time CPU loop
+//!   (Figure 3's CPU specialization taken literally), kept as the
+//!   `KernelMode::TupleAtATime` differential baseline; nothing else uses it.
 //!
-//! Both lowerings interpret the *same* step IR, which is exactly the paper's
-//! "one operator blueprint, two specializations" property: relational
+//! Every lowering interprets the *same* step IR, which is exactly the paper's
+//! "one operator blueprint, per-device specializations" property: relational
 //! operators never contain device-specific code; the [`provider::DeviceProvider`]
 //! supplies `threadIdInWorker`, `#threadsInWorker`, state allocation and
 //! worker-scoped atomics.

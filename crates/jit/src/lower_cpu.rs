@@ -16,9 +16,7 @@ use hetex_common::{BlockHandle, Result};
 
 /// Apply the transform steps to one tuple, invoking `emit` for every tuple
 /// that reaches the terminal (a probe with several matches fans out).
-/// Shared by the CPU and GPU lowerings — the "operator blueprint" both
-/// providers specialize.
-pub(crate) fn apply_transforms<E>(
+fn apply_transforms<E>(
     steps: &[Step],
     state: &SharedState,
     regs: Vec<i64>,
@@ -76,12 +74,12 @@ where
 }
 
 /// Evaluate the pack layout for one tuple.
-pub(crate) fn eval_row(exprs: &[Expr], regs: &[i64]) -> Vec<i64> {
+fn eval_row(exprs: &[Expr], regs: &[i64]) -> Vec<i64> {
     exprs.iter().map(|e| e.eval(regs)).collect()
 }
 
 /// Partition index of a tuple under a hash-pack terminal.
-pub(crate) fn partition_of(expr: &Expr, regs: &[i64], partitions: usize) -> usize {
+fn partition_of(expr: &Expr, regs: &[i64], partitions: usize) -> usize {
     (expr.eval(regs).unsigned_abs() % partitions.max(1) as u64) as usize
 }
 
@@ -191,7 +189,7 @@ pub(crate) fn process_block(
 }
 
 /// Accumulate one tuple into block-local aggregate partials.
-pub(crate) fn accumulate_local(aggs: &[AggSpec], regs: &[i64], partials: &mut [i64]) {
+fn accumulate_local(aggs: &[AggSpec], regs: &[i64], partials: &mut [i64]) {
     for (i, agg) in aggs.iter().enumerate() {
         let value = agg.expr.eval(regs);
         partials[i] = agg.func.accumulate(partials[i], value);

@@ -23,9 +23,12 @@
 //! rows are byte-identical between the two modes (the kernel differential
 //! suite pins this).
 //!
-//! The GPU lowering is untouched: a grid-stride SIMT kernel already amortizes
-//! dispatch across the whole launch, so only the CPU specialization needed a
-//! second shape — the IR stays the single operator blueprint.
+//! The GPU lowering ([`crate::lower_gpu`]) runs this same chunk kernel: a
+//! chunk is 32 warps of a grid-stride kernel's consecutive lanes, so the two
+//! devices share one kernel definition and differ in schedule and in what is
+//! counted (the GPU replaces the per-block `atomics` below with one per
+//! active warp and adds the launch). The IR stays the single operator
+//! blueprint.
 
 use crate::expr::ScratchPool;
 use crate::ir::{Step, TerminalStep};

@@ -1,24 +1,37 @@
-//! The GPU lowering: a SIMT kernel over the simulated GPU.
+//! The GPU lowering: the chunk kernel under a SIMT schedule.
 //!
 //! This is the left-hand side of Figure 3 as specialized by the GPU provider
-//! and the shape of Listing 1's pipeline 9: `threadIdInWorker` becomes the
+//! and the shape of Listing 1's pipeline 9: `threadIdInWorker` is the
 //! grid-wide thread id, `#threadsInWorker` the grid size, tuples are visited
-//! with a grid-stride loop, aggregates are accumulated in thread-local
-//! registers, reduced per warp ("neighborhood") and flushed with one
-//! device-scoped atomic per warp.
+//! with a grid-stride loop, aggregates accumulate in registers, are reduced
+//! per warp ("neighborhood") and flushed with one device-scoped atomic per
+//! warp.
 //!
-//! The kernel body interprets the same step IR as the CPU lowering
-//! (`lower_cpu::apply_transforms`), which is the "single blueprint, two
-//! specializations" property HetExchange gets from device providers.
+//! A grid-stride loop hands row `i` to thread `i mod #threads` in wave
+//! `i div #threads`, so consecutive lanes — and consecutive warps, and
+//! consecutive waves — hold consecutive rows: the kernel is a parallel-for
+//! over warps whose per-thread loop collapses into a dense inner loop. The
+//! lowering therefore *executes* it as [`lower_cpu_vec`]'s chunk kernel over
+//! tiles of [`VEC_CHUNK`] lanes (32 warps) in ascending row order: the tile's
+//! lanes are the initial selection vector and a filter refines it exactly as
+//! predication masks lanes off. What SIMT adds is *counted*, from the launch
+//! and block sizes, not simulated lane by lane: one launch, its threads and
+//! warps on the device's [`LaunchStats`](hetex_gpu_sim::LaunchStats), and one
+//! device atomic per active warp — the quantities the cost model prices.
+//!
+//! One operator blueprint, one chunk kernel, two schedules: that is the
+//! "single blueprint, per-device specialization" property HetExchange gets
+//! from device providers.
 
 use crate::ir::TerminalStep;
-use crate::lower_cpu::{accumulate_local, apply_transforms, eval_row, partition_of};
+use crate::lower_cpu_vec::{self, VEC_CHUNK};
 use crate::pipeline::{BlockCounters, CompiledPipeline, ExecCtx};
-use crate::state::{FlatGroups, SharedState};
+use crate::state::SharedState;
 use hetex_common::{BlockHandle, HetError, Result};
-use parking_lot::Mutex;
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use hetex_gpu_sim::simt::WARP_SIZE;
+
+// A tile is a whole number of warps: no warp straddles two tiles.
+const _: () = assert!(VEC_CHUNK.is_multiple_of(WARP_SIZE));
 
 /// Process one block with the GPU specialization.
 pub(crate) fn process_block(
@@ -27,175 +40,27 @@ pub(crate) fn process_block(
     state: &SharedState,
     ctx: &mut ExecCtx,
 ) -> Result<(Vec<BlockHandle>, BlockCounters)> {
-    let gpu = ctx
+    // Counted: the launch — its threads and warps, on the device.
+    let launch = ctx
         .gpu
-        .clone()
-        .ok_or_else(|| HetError::Execution("GPU pipeline executed without a GPU device".into()))?;
-    let rows = block.rows();
-    let data = block.block();
-    let columns = data.columns();
-    let config = ctx.launch_config;
+        .as_ref()
+        .ok_or_else(|| HetError::Execution("GPU pipeline executed without a GPU device".into()))?
+        .record_launch(ctx.launch_config);
 
-    // Shared (device-visible) counters, updated once per virtual thread.
-    let probes = AtomicU64::new(0);
-    let probe_matches = AtomicU64::new(0);
-    let rows_terminal = AtomicU64::new(0);
-    let first_error: Mutex<Option<HetError>> = Mutex::new(None);
-    // Packed output rows produced by the kernel, gathered per partition.
-    let packed: Mutex<HashMap<usize, Vec<Vec<i64>>>> = Mutex::new(HashMap::new());
+    // Executed: the warp tiles, in grid-stride (= ascending row) order.
+    let (outputs, mut counters) = lower_cpu_vec::process_block(pipeline, block, state, ctx)?;
 
-    let steps = pipeline.steps();
-    let terminal = pipeline.terminal();
-
-    gpu.launch(config, |thread| {
-        // Thread-local state (the registers of Listing 1, lines 22/26).
-        let mut local_partials: Vec<i64> = match terminal {
-            TerminalStep::Reduce { aggs, .. } => aggs.iter().map(|a| a.func.identity()).collect(),
-            _ => Vec::new(),
-        };
-        // Most of a launch's virtual threads see no tuple of a small block:
-        // the group table is made by the first tuple that needs it, so idle
-        // threads allocate nothing.
-        let mut local_groups: Option<FlatGroups> = None;
-        let mut local_packed: Vec<(usize, Vec<i64>)> = Vec::new();
-        let mut local_probes = 0u64;
-        let mut local_matches = 0u64;
-        let mut local_terminal = 0u64;
-
-        for i in thread.grid_stride(rows) {
-            let regs: Vec<i64> = columns.iter().map(|c| c.get_i64(i).unwrap_or(0)).collect();
-            let result = apply_transforms(
-                steps,
-                state,
-                regs,
-                &mut local_probes,
-                &mut local_matches,
-                &mut |r| {
-                    local_terminal += 1;
-                    match terminal {
-                        TerminalStep::Pack { exprs, partition_by, partitions } => {
-                            let out_row = eval_row(exprs, &r);
-                            let p = partition_by
-                                .as_ref()
-                                .map(|e| partition_of(e, &r, *partitions))
-                                .unwrap_or(0);
-                            local_packed.push((p, out_row));
-                        }
-                        TerminalStep::HashJoinBuild { key, payload, slot } => {
-                            let k = key.eval(&r);
-                            state
-                                .hash_table_of_width(*slot, payload.len())?
-                                .insert(k, eval_row(payload, &r));
-                        }
-                        TerminalStep::Reduce { aggs, .. } => {
-                            accumulate_local(aggs, &r, &mut local_partials);
-                        }
-                        TerminalStep::GroupBy { keys, aggs, .. } => {
-                            let key = eval_row(keys, &r);
-                            let groups = local_groups
-                                .get_or_insert_with(|| FlatGroups::new(keys.len(), aggs));
-                            accumulate_local(aggs, &r, groups.entry(&key));
-                        }
-                    }
-                    Ok(())
-                },
-            );
-            if let Err(e) = result {
-                let mut slot = first_error.lock();
-                if slot.is_none() {
-                    *slot = Some(e);
-                }
-                return;
-            }
-        }
-
-        // Flush thread-local state into device-shared state. Warp leaders in
-        // the generated code do this after a neighborhood reduction; the
-        // functional effect is identical, and the cost model charges one
-        // atomic per warp below.
-        let flush = (|| -> Result<()> {
-            match terminal {
-                TerminalStep::Reduce { slot, .. } => {
-                    state.accumulators(*slot)?.merge_partials(&local_partials);
-                }
-                TerminalStep::GroupBy { slot, .. } => {
-                    if let Some(groups) = &local_groups {
-                        state.group_by(*slot)?.merge_batch(groups);
-                    }
-                }
-                TerminalStep::Pack { .. } => {
-                    if !local_packed.is_empty() {
-                        let mut shared = packed.lock();
-                        for (p, row) in local_packed.drain(..) {
-                            shared.entry(p).or_default().push(row);
-                        }
-                    }
-                }
-                TerminalStep::HashJoinBuild { .. } => {}
-            }
-            Ok(())
-        })();
-        if let Err(e) = flush {
-            let mut slot = first_error.lock();
-            if slot.is_none() {
-                *slot = Some(e);
-            }
-        }
-
-        probes.fetch_add(local_probes, Ordering::Relaxed);
-        probe_matches.fetch_add(local_matches, Ordering::Relaxed);
-        rows_terminal.fetch_add(local_terminal, Ordering::Relaxed);
-    });
-
-    if let Some(err) = first_error.lock().take() {
-        return Err(err);
-    }
-
-    let rows_terminal = rows_terminal.load(Ordering::Relaxed);
-    let mut counters = BlockCounters {
-        rows_in: rows as u64,
-        bytes_in: data.byte_size() as u64,
-        probes: probes.load(Ordering::Relaxed),
-        probe_matches: probe_matches.load(Ordering::Relaxed),
-        rows_terminal,
-        launches: 1,
-        ..Default::default()
-    };
-
-    // One device atomic per active warp (per aggregate), the neighborhood-
-    // reduction discipline of Listing 1.
-    let active_warps =
-        config.total_warps().min(rows.div_ceil(hetex_gpu_sim::simt::WARP_SIZE).max(1)) as u64;
-    counters.atomics = match terminal {
+    // Counted: one device atomic per active warp (per aggregate) — the
+    // neighborhood-reduction discipline of Listing 1. A hash build inserts
+    // with one atomic per tuple; a pack needs none.
+    counters.launches = launch.launches;
+    let active_warps = launch.warps.min(block.rows().div_ceil(WARP_SIZE).max(1) as u64);
+    counters.atomics = match pipeline.terminal() {
         TerminalStep::Reduce { aggs, .. } => active_warps * aggs.len() as u64,
         TerminalStep::GroupBy { .. } => active_warps,
-        TerminalStep::HashJoinBuild { .. } => rows_terminal,
+        TerminalStep::HashJoinBuild { .. } => counters.rows_terminal,
         TerminalStep::Pack { .. } => 0,
     };
-
-    // Move the kernel's packed rows into the instance's open partitions and
-    // flush the partitions that filled up.
-    let mut outputs = Vec::new();
-    let packed = packed.into_inner();
-    if !packed.is_empty() {
-        let tagged = matches!(terminal, TerminalStep::Pack { partition_by: Some(_), .. });
-        for (p, rows) in packed {
-            let mut bucket = ctx.open_partitions.remove(&p).unwrap_or_default();
-            bucket.extend(rows);
-            while bucket.len() >= ctx.out_capacity {
-                let rest = bucket.split_off(ctx.out_capacity);
-                let full = std::mem::replace(&mut bucket, rest);
-                counters.rows_emitted += full.len() as u64;
-                counters.bytes_out += (full.len() * full[0].len() * 8) as u64;
-                let handle = ctx.build_block(&full, if tagged { Some(p) } else { None })?;
-                outputs.push(handle);
-            }
-            if !bucket.is_empty() {
-                ctx.open_partitions.insert(p, bucket);
-            }
-        }
-    }
-
     Ok((outputs, counters))
 }
 
@@ -205,8 +70,10 @@ mod tests {
     use crate::expr::Expr;
     use crate::ir::{AggSpec, StateSlot, Step};
     use crate::pipeline::ExecCtx;
+    use crate::state::StateObject;
     use hetex_common::{Block, BlockId, BlockMeta, ColumnData, MemoryNodeId, PipelineId};
     use hetex_gpu_sim::device::standalone_gpu;
+    use hetex_gpu_sim::LaunchConfig;
     use hetex_topology::DeviceKind;
     use std::sync::Arc;
 
@@ -367,5 +234,468 @@ mod tests {
         let mut ctx = gpu_ctx(8);
         let err = pipeline.process_block(&handle, &state, &mut ctx);
         assert!(err.is_err());
+    }
+
+    // ---- The GPU lowering against the vectorized CPU lowering -------------
+
+    /// An emitted block: id, partition tag, weight, column-major values.
+    type BlockDump = (BlockId, Option<u64>, f64, Vec<Vec<i64>>);
+
+    /// Everything a run leaves behind that the two lowerings must agree on.
+    #[derive(Debug, PartialEq)]
+    struct Observed {
+        blocks: Vec<BlockDump>,
+        /// Per state slot: hash tables as (len, payloads of `probe_keys` in
+        /// match order), accumulators, sorted groups.
+        state: Vec<String>,
+        counters: BlockCounters,
+    }
+
+    fn dump_state(state: &SharedState, probe_keys: &[i64]) -> Vec<String> {
+        (0..state.len())
+            .map(|slot| match state.object(StateSlot(slot)).unwrap() {
+                StateObject::HashTable(table) => {
+                    let hits: Vec<Vec<Vec<i64>>> = probe_keys
+                        .iter()
+                        .map(|&k| {
+                            let mut rows = Vec::new();
+                            table.probe(k, |payload| rows.push(payload.to_vec()));
+                            rows
+                        })
+                        .collect();
+                    format!("{} {hits:?}", table.len())
+                }
+                StateObject::Accumulators(acc) => format!("{:?}", acc.values()),
+                StateObject::GroupBy(groups) => format!("{:?}", groups.snapshot()),
+            })
+            .collect()
+    }
+
+    /// The neighborhood-reduction discipline: one atomic per active warp.
+    fn active_warps(rows: usize, config: LaunchConfig) -> u64 {
+        config.total_warps().min(rows.div_ceil(32).max(1)) as u64
+    }
+
+    /// Feed `inputs` through one instance of the pipeline compiled for
+    /// `device`, then finalize it.
+    fn observe(
+        device: DeviceKind,
+        steps: &[Step],
+        terminal: &TerminalStep,
+        inputs: &[BlockHandle],
+        mk_state: &dyn Fn() -> SharedState,
+        probe_keys: &[i64],
+    ) -> (Observed, Vec<BlockCounters>) {
+        let pipeline = CompiledPipeline::new(
+            PipelineId::new(21),
+            device,
+            inputs[0].block().width(),
+            steps.to_vec(),
+            terminal.clone(),
+        )
+        .unwrap();
+        let state = mk_state();
+        let mut ctx = match device {
+            DeviceKind::Gpu => gpu_ctx(100),
+            DeviceKind::CpuCore => ExecCtx::cpu(MemoryNodeId::new(0), 100),
+        };
+        let mut blocks = Vec::new();
+        let mut counters = BlockCounters::default();
+        let mut per_block = Vec::new();
+        for input in inputs {
+            let out = pipeline.process_block(input, &state, &mut ctx).unwrap();
+            blocks.extend(out.blocks);
+            counters.merge(&out.counters);
+            per_block.push(out.counters);
+        }
+        let tail = pipeline.finalize_instance(&mut ctx).unwrap();
+        blocks.extend(tail.blocks);
+        counters.merge(&tail.counters);
+        let blocks = blocks
+            .iter()
+            .map(|h| {
+                let cols = h
+                    .block()
+                    .columns()
+                    .iter()
+                    .map(|c| (0..h.rows()).map(|r| c.get_i64(r).unwrap()).collect())
+                    .collect();
+                (h.meta().id, h.meta().hash_partition, h.meta().weight, cols)
+            })
+            .collect();
+        (Observed { blocks, state: dump_state(&state, probe_keys), counters }, per_block)
+    }
+
+    /// Both lowerings of one pipeline over the same inputs: identical packed
+    /// blocks, shared state and functional counters; the GPU additionally
+    /// counts one launch per block and the warp formula's atomics.
+    fn assert_gpu_matches_cpu_vec(
+        steps: &[Step],
+        terminal: &TerminalStep,
+        inputs: &[BlockHandle],
+        mk_state: &dyn Fn() -> SharedState,
+        probe_keys: &[i64],
+    ) -> Observed {
+        let (mut gpu, gpu_blocks) =
+            observe(DeviceKind::Gpu, steps, terminal, inputs, mk_state, probe_keys);
+        let (mut cpu, _) =
+            observe(DeviceKind::CpuCore, steps, terminal, inputs, mk_state, probe_keys);
+
+        let config = LaunchConfig::default_for_device();
+        for (input, counters) in inputs.iter().zip(&gpu_blocks) {
+            let warps = active_warps(input.rows(), config);
+            let expected = match terminal {
+                TerminalStep::Reduce { aggs, .. } => warps * aggs.len() as u64,
+                TerminalStep::GroupBy { .. } => warps,
+                TerminalStep::HashJoinBuild { .. } => counters.rows_terminal,
+                TerminalStep::Pack { .. } => 0,
+            };
+            assert_eq!(counters.launches, 1, "one launch per block");
+            assert_eq!(counters.atomics, expected, "{} rows", input.rows());
+        }
+        assert_eq!(cpu.counters.launches, 0);
+        // The schedule-specific counts are checked above; everything else —
+        // rows_in, bytes_in, probes, probe_matches, rows_terminal,
+        // rows_emitted, bytes_out — must be equal.
+        for side in [&mut gpu, &mut cpu] {
+            side.counters.launches = 0;
+            side.counters.atomics = 0;
+        }
+        assert_eq!(gpu, cpu);
+        gpu
+    }
+
+    fn int_block(cols: Vec<Vec<i64>>) -> BlockHandle {
+        column_block(cols.into_iter().map(ColumnData::Int64).collect())
+    }
+
+    fn column_block(cols: Vec<ColumnData>) -> BlockHandle {
+        let rows = cols[0].len();
+        let block = Block::new(cols, rows).unwrap();
+        let mut meta = BlockMeta::new(BlockId::new(0), MemoryNodeId::new(0));
+        meta.weight = 3.0;
+        BlockHandle::new(block, meta)
+    }
+
+    /// Slot 0: a probe table where keys 0..40 match, key 7 three times and
+    /// key 11 twice. Slot 1: whatever `terminal` accumulates into.
+    fn probe_state_for(terminal: &TerminalStep) -> SharedState {
+        let mut state = SharedState::new();
+        let ht = state.add_hash_table(1);
+        for k in 0..40 {
+            state.hash_table(ht).unwrap().insert(k, vec![k * 10]);
+        }
+        for (k, v) in [(7, 70_000), (11, -11), (7, 7)] {
+            state.hash_table(ht).unwrap().insert(k, vec![v]);
+        }
+        match terminal {
+            TerminalStep::Reduce { aggs, .. } => {
+                state.add_accumulators(aggs);
+            }
+            TerminalStep::GroupBy { aggs, .. } => {
+                state.add_group_by(aggs);
+            }
+            TerminalStep::HashJoinBuild { payload, .. } => {
+                state.add_hash_table(payload.len());
+            }
+            TerminalStep::Pack { .. } => {}
+        }
+        state
+    }
+
+    /// Every terminal, reading the three registers a filter + fan-out probe
+    /// leave behind and writing slot 1.
+    fn all_terminals() -> Vec<TerminalStep> {
+        vec![
+            TerminalStep::Reduce {
+                aggs: vec![
+                    AggSpec::sum(Expr::col(2)),
+                    AggSpec::count(),
+                    AggSpec::min(Expr::col(1)),
+                    AggSpec::max(Expr::col(2)),
+                ],
+                slot: StateSlot(1),
+            },
+            TerminalStep::GroupBy {
+                keys: vec![Expr::col(0)],
+                aggs: vec![AggSpec::sum(Expr::col(2)), AggSpec::count()],
+                slot: StateSlot(1),
+            },
+            TerminalStep::HashJoinBuild {
+                key: Expr::col(0),
+                payload: vec![Expr::col(1), Expr::col(2)],
+                slot: StateSlot(1),
+            },
+            TerminalStep::Pack {
+                exprs: vec![Expr::col(1), Expr::col(2)],
+                partition_by: None,
+                partitions: 1,
+            },
+            TerminalStep::Pack {
+                exprs: vec![Expr::col(0), Expr::col(1), Expr::col(2)],
+                partition_by: Some(Expr::col(2)),
+                partitions: 3,
+            },
+        ]
+    }
+
+    #[test]
+    fn every_terminal_matches_the_vectorized_cpu_lowering_at_every_launch_shape() {
+        // Empty launch, sub-warp, one warp, warp + 1, a hybrid_paper-sized
+        // block, exactly one grid-stride wave (80 x 128 threads), wave + 1,
+        // and many waves.
+        let steps = vec![
+            Step::Filter { predicate: Expr::col(1).gt_lit(29) },
+            Step::HashJoinProbe { key: Expr::col(0), slot: StateSlot(0), payload_width: 1 },
+        ];
+        let probe_keys: Vec<i64> = (0..64).collect();
+        for rows in [0usize, 1, 31, 32, 33, 470, 10_240, 10_241, 65_536] {
+            let keys: Vec<i64> = (0..rows as i64).map(|i| (i * 7 + 7) % 64).collect();
+            let vals: Vec<i64> = (0..rows as i64).map(|i| (i * 13 + 30) % 101).collect();
+            // The same block twice: open pack partitions and block-local
+            // state carry across launches of one instance.
+            let inputs = [int_block(vec![keys.clone(), vals.clone()]), int_block(vec![keys, vals])];
+            for terminal in all_terminals() {
+                let seen = assert_gpu_matches_cpu_vec(
+                    &steps,
+                    &terminal,
+                    &inputs,
+                    &|| probe_state_for(&terminal),
+                    &probe_keys,
+                );
+                assert_eq!(seen.counters.rows_in, 2 * rows as u64);
+                assert!(seen.counters.probe_matches >= seen.counters.rows_terminal);
+                if rows >= 470 {
+                    assert!(seen.counters.probe_matches > seen.counters.probes / 2, "fan-out");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn gpu_pack_and_build_orders_are_ascending() {
+        // The by-product of tiling: pack output and build insertion follow
+        // the input order, not the order host threads happened to flush in.
+        let rows = 25_000usize;
+        let ids: Vec<i64> = (0..rows as i64).collect();
+        let keys: Vec<i64> = ids.iter().map(|i| i % 5).collect();
+        let state = SharedState::new();
+        let pack = CompiledPipeline::new(
+            PipelineId::new(22),
+            DeviceKind::Gpu,
+            2,
+            vec![],
+            TerminalStep::Pack { exprs: vec![Expr::col(0)], partition_by: None, partitions: 1 },
+        )
+        .unwrap();
+        let mut ctx = gpu_ctx(4096);
+        let block = int_block(vec![ids.clone(), keys.clone()]);
+        let mut out = pack.process_block(&block, &state, &mut ctx).unwrap().blocks;
+        out.extend(pack.finalize_instance(&mut ctx).unwrap().blocks);
+        let packed: Vec<i64> = out
+            .iter()
+            .flat_map(|h| (0..h.rows()).map(|r| h.block().column(0).unwrap().get_i64(r).unwrap()))
+            .collect();
+        assert_eq!(packed, ids);
+
+        let mut state = SharedState::new();
+        let ht = state.add_hash_table(1);
+        let build = CompiledPipeline::new(
+            PipelineId::new(23),
+            DeviceKind::Gpu,
+            2,
+            vec![],
+            TerminalStep::HashJoinBuild {
+                key: Expr::col(1),
+                payload: vec![Expr::col(0)],
+                slot: ht,
+            },
+        )
+        .unwrap();
+        build.process_block(&block, &state, &mut gpu_ctx(4096)).unwrap();
+        let mut of_key_3 = Vec::new();
+        state.hash_table(ht).unwrap().probe(3, |payload| of_key_3.push(payload[0]));
+        assert_eq!(of_key_3, ids.iter().copied().filter(|i| i % 5 == 3).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn a_wrapping_sum_wraps_identically() {
+        let rows = 10_241usize;
+        let vals: Vec<i64> = (0..rows as i64).map(|i| i64::MAX / 3 - i).collect();
+        let aggs = vec![AggSpec::sum(Expr::col(0)), AggSpec::min(Expr::col(0))];
+        let terminal = TerminalStep::Reduce { aggs: aggs.clone(), slot: StateSlot(0) };
+        let seen = assert_gpu_matches_cpu_vec(
+            &[],
+            &terminal,
+            &[int_block(vec![vals.clone()])],
+            &|| {
+                let mut s = SharedState::new();
+                s.add_accumulators(&aggs);
+                s
+            },
+            &[],
+        );
+        let wrapped = vals.iter().fold(0i64, |a, v| a.wrapping_add(*v));
+        assert!(vals.iter().try_fold(0i64, |a, v| a.checked_add(*v)).is_none(), "must overflow");
+        assert_eq!(seen.state, vec![format!("{:?}", vec![wrapped, i64::MAX / 3 - 10_240])]);
+    }
+
+    #[test]
+    fn int32_and_float64_input_columns_read_identically() {
+        let rows = 2_000usize;
+        let cols = vec![
+            ColumnData::Int32((0..rows as i32).map(|i| i % 17 - 8).collect()),
+            ColumnData::Float64((0..rows).map(|i| i as f64 * 0.5).collect()),
+            ColumnData::Int64((0..rows as i64).collect()),
+        ];
+        let aggs = vec![AggSpec::sum(Expr::col(0)), AggSpec::sum(Expr::col(1)), AggSpec::count()];
+        let terminal = TerminalStep::GroupBy {
+            keys: vec![Expr::col(0)],
+            aggs: aggs.clone(),
+            slot: StateSlot(0),
+        };
+        let seen = assert_gpu_matches_cpu_vec(
+            &[Step::Filter { predicate: Expr::col(2).gt_lit(99) }],
+            &terminal,
+            &[column_block(cols)],
+            &|| {
+                let mut s = SharedState::new();
+                s.add_group_by(&aggs);
+                s
+            },
+            &[],
+        );
+        assert_eq!(seen.counters.rows_terminal, 1_900);
+    }
+
+    #[test]
+    fn a_filter_that_empties_the_selection_emits_and_merges_nothing() {
+        let rows = 10_241usize;
+        let cols = vec![(0..rows as i64).collect(), vec![5; rows]];
+        let steps = vec![
+            Step::Filter { predicate: Expr::col(1).gt_lit(5) },
+            Step::HashJoinProbe { key: Expr::col(0), slot: StateSlot(0), payload_width: 1 },
+        ];
+        for terminal in all_terminals() {
+            let seen = assert_gpu_matches_cpu_vec(
+                &steps,
+                &terminal,
+                &[int_block(cols.clone())],
+                &|| probe_state_for(&terminal),
+                &[0, 7, 11],
+            );
+            assert_eq!(seen.counters.probes, 0);
+            assert_eq!(seen.counters.rows_terminal, 0);
+            assert!(seen.blocks.is_empty());
+        }
+    }
+
+    // ---- Golden charges ---------------------------------------------------
+
+    /// `out.work` of three fixed GPU blocks, as literals captured at the
+    /// commit before the warp-tiled lowering replaced the per-thread
+    /// interpreter. GPU `sim_s` is a function of these, so an edit to the
+    /// lowering, the counters or the GPU charge that moves any of them moves
+    /// simulated time and must say so.
+    #[test]
+    fn gpu_work_profiles_are_pinned() {
+        use hetex_topology::WorkProfile;
+        let weighted = |cols: Vec<Vec<i64>>, weight: f64| {
+            let mut handle = int_block(cols);
+            handle.meta_mut().weight = weight;
+            handle
+        };
+
+        // (a) A ~470-row hybrid_paper-shaped block: filter -> probe -> reduce.
+        let mut state = SharedState::new();
+        let ht = state.add_hash_table(1);
+        for k in 0..50 {
+            state.hash_table(ht).unwrap().insert(k, vec![k * 1000]);
+        }
+        state.hash_table(ht).unwrap().insert(7, vec![-7]);
+        let aggs = vec![AggSpec::sum(Expr::col(2)), AggSpec::count()];
+        let acc = state.add_accumulators(&aggs);
+        let p = CompiledPipeline::new(
+            PipelineId::new(1),
+            DeviceKind::Gpu,
+            2,
+            vec![
+                Step::Filter { predicate: Expr::col(1).gt_lit(99) },
+                Step::HashJoinProbe { key: Expr::col(0), slot: ht, payload_width: 1 },
+            ],
+            TerminalStep::Reduce { aggs, slot: acc },
+        )
+        .unwrap();
+        let block = weighted(
+            vec![(0..470).map(|i| i % 80).collect(), (0..470).map(|i| i * 3 % 400).collect()],
+            1.0,
+        );
+        assert_eq!(
+            p.process_block(&block, &state, &mut gpu_ctx(1024)).unwrap().work,
+            WorkProfile {
+                bytes_scanned: 7520.0,
+                bytes_written: 0.0,
+                random_bytes: 8064.0,
+                tuples: 470.0,
+                ops: 3687.5,
+                atomics: 30.0,
+                kernel_launches: 1,
+            }
+        );
+
+        // (b) One grid-stride wave plus one row, weighted: group-by.
+        let mut state = SharedState::new();
+        let aggs = vec![AggSpec::sum(Expr::col(1)), AggSpec::max(Expr::col(1))];
+        let slot = state.add_group_by(&aggs);
+        let p = CompiledPipeline::new(
+            PipelineId::new(2),
+            DeviceKind::Gpu,
+            2,
+            vec![],
+            TerminalStep::GroupBy { keys: vec![Expr::col(0)], aggs, slot },
+        )
+        .unwrap();
+        let block =
+            weighted(vec![(0..10_241).map(|i| i % 13).collect(), (0..10_241).collect()], 2.5);
+        assert_eq!(
+            p.process_block(&block, &state, &mut gpu_ctx(1024)).unwrap().work,
+            WorkProfile {
+                bytes_scanned: 409640.0,
+                bytes_written: 0.0,
+                random_bytes: 1024100.0,
+                tuples: 25602.5,
+                ops: 198419.375,
+                atomics: 800.0,
+                kernel_launches: 1,
+            }
+        );
+
+        // (c) Many waves: filter -> hash-partitioned pack, flushing mid-block.
+        let p = CompiledPipeline::new(
+            PipelineId::new(3),
+            DeviceKind::Gpu,
+            2,
+            vec![Step::Filter { predicate: Expr::col(0).lt_lit(40_000) }],
+            TerminalStep::Pack {
+                exprs: vec![Expr::col(0), Expr::col(1)],
+                partition_by: Some(Expr::col(1)),
+                partitions: 3,
+            },
+        )
+        .unwrap();
+        let block =
+            weighted(vec![(0..65_536).collect(), (0..65_536).map(|i| i % 7).collect()], 1.0);
+        assert_eq!(
+            p.process_block(&block, &SharedState::new(), &mut gpu_ctx(1000)).unwrap().work,
+            WorkProfile {
+                bytes_scanned: 1048576.0,
+                bytes_written: 624000.0,
+                random_bytes: 0.0,
+                tuples: 65536.0,
+                ops: 193840.0,
+                atomics: 0.0,
+                kernel_launches: 1,
+            }
+        );
     }
 }

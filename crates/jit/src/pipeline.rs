@@ -3,8 +3,8 @@
 //! A [`CompiledPipeline`] is the product of "JIT compilation": the fused,
 //! specialized form of the operators between two pipeline breakers. Its
 //! behaviour is identical on every device; *how* it is executed differs per
-//! device and is implemented by the lowerings (`lower_cpu`, `lower_gpu`),
-//! selected by the pipeline's device kind.
+//! device and is implemented by the lowerings (`lower_cpu_vec`, `lower_gpu`,
+//! and the legacy `lower_cpu`), selected by the pipeline's device kind.
 //!
 //! Processing a block returns the produced output blocks plus
 //! [`BlockCounters`] describing what actually happened (rows, probes,
@@ -24,7 +24,7 @@ use hetex_common::{
 };
 use hetex_gpu_sim::{GpuDevice, LaunchConfig};
 use hetex_topology::{DeviceKind, WorkProfile};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Functional counters for one processed block (or one finalize call).
@@ -94,8 +94,10 @@ pub struct ExecCtx {
     /// How CPU instances execute the step chain (vectorized chunks vs the
     /// legacy per-tuple loop). Ignored by the GPU lowering.
     pub kernel_mode: KernelMode,
-    /// Partially filled pack outputs, keyed by partition.
-    pub(crate) open_partitions: HashMap<usize, Vec<Vec<i64>>>,
+    /// Partially filled pack outputs, keyed by partition. Ordered, so the
+    /// tail flush — and the downstream routing order it decides — is the
+    /// same in every process.
+    pub(crate) open_partitions: BTreeMap<usize, Vec<Vec<i64>>>,
     /// The vectorized lowering's block-local group-by partials: cleared per
     /// block, so their allocations last as long as the instance.
     pub(crate) local_groups: FlatGroups,
@@ -114,7 +116,7 @@ impl ExecCtx {
             out_capacity,
             out_node,
             kernel_mode: KernelMode::default(),
-            open_partitions: HashMap::new(),
+            open_partitions: BTreeMap::new(),
             local_groups: FlatGroups::default(),
             current_weight: 1.0,
             next_block_id: 0,
@@ -131,7 +133,7 @@ impl ExecCtx {
             out_capacity,
             out_node,
             kernel_mode: KernelMode::default(),
-            open_partitions: HashMap::new(),
+            open_partitions: BTreeMap::new(),
             local_groups: FlatGroups::default(),
             current_weight: 1.0,
             next_block_id: 0,
@@ -257,17 +259,19 @@ impl CompiledPipeline {
             (DeviceKind::CpuCore, KernelMode::TupleAtATime) => {
                 lower_cpu::process_block(self, block, state, ctx)?
             }
-            // The GPU lowering has exactly one shape: a grid-stride kernel
-            // already amortizes dispatch, so the kernel mode is a CPU knob.
+            // The GPU lowering has exactly one shape (the chunk kernel over
+            // warp tiles); the kernel mode is a CPU knob.
             (DeviceKind::Gpu, _) => lower_gpu::process_block(self, block, state, ctx)?,
         };
         let work = self.work_profile_for(&counters, ctx.current_weight, self.charge_mode(ctx));
         Ok(PipelineOutput { blocks, counters, work })
     }
 
-    /// The kernel mode this pipeline's work is charged (and executed) under:
-    /// the context's mode on CPU, always tuple-at-a-time on the GPU (whose
-    /// kernel shape — and therefore cost shape — is unchanged).
+    /// The kernel mode this pipeline's work is charged under: the context's
+    /// mode on CPU (which is also how it executes), always tuple-at-a-time on
+    /// the GPU. The charge prices the modeled device — each SIMT thread runs
+    /// the per-tuple instruction stream — not how the host simulates it, so
+    /// executing the GPU kernel in warp tiles moves no simulated time.
     fn charge_mode(&self, ctx: &ExecCtx) -> KernelMode {
         match self.device {
             DeviceKind::CpuCore => ctx.kernel_mode,
@@ -275,13 +279,12 @@ impl CompiledPipeline {
         }
     }
 
-    /// Flush this instance's partially filled pack outputs.
+    /// Flush this instance's partially filled pack outputs, in ascending
+    /// partition order.
     pub fn finalize_instance(&self, ctx: &mut ExecCtx) -> Result<PipelineOutput> {
         let mut blocks = Vec::new();
         let mut counters = BlockCounters::default();
-        let partitions: Vec<usize> = ctx.open_partitions.keys().copied().collect();
-        for p in partitions {
-            let rows = ctx.open_partitions.remove(&p).unwrap_or_default();
+        while let Some((p, rows)) = ctx.open_partitions.pop_first() {
             if rows.is_empty() {
                 continue;
             }
@@ -572,6 +575,51 @@ mod tests {
         let (taat_rows, taat_ops) = run(KernelMode::TupleAtATime);
         assert_eq!(vec_rows, taat_rows);
         assert!(vec_ops < taat_ops, "vectorized must be charged fewer ops");
+    }
+
+    #[test]
+    fn hash_pack_instances_flush_their_tails_in_partition_order() {
+        // 61 open partitions, none of which fills: everything is emitted by
+        // the tail flush, whose order decides downstream routing order.
+        let pack = CompiledPipeline::new(
+            PipelineId::new(14),
+            DeviceKind::CpuCore,
+            2,
+            vec![],
+            TerminalStep::Pack {
+                exprs: vec![Expr::col(0), Expr::col(1)],
+                partition_by: Some(Expr::col(0)),
+                partitions: 61,
+            },
+        )
+        .unwrap();
+        let state = SharedState::new();
+        let run = || {
+            let mut ctx = ExecCtx::cpu(MemoryNodeId::new(0), 1 << 20);
+            for _ in 0..2 {
+                assert!(pack
+                    .process_block(&input_block(500), &state, &mut ctx)
+                    .unwrap()
+                    .blocks
+                    .is_empty());
+            }
+            let tail = pack.finalize_instance(&mut ctx).unwrap().blocks;
+            tail.iter()
+                .map(|h| {
+                    let cols: Vec<Vec<i64>> = (0..2)
+                        .map(|c| {
+                            let col = h.block().column(c).unwrap();
+                            (0..h.rows()).map(|r| col.get_i64(r).unwrap()).collect()
+                        })
+                        .collect();
+                    (h.meta().id, h.meta().hash_partition.unwrap(), cols)
+                })
+                .collect::<Vec<_>>()
+        };
+        let first = run();
+        assert_eq!(first, run(), "two instances fed the same blocks must emit the same sequence");
+        let tags: Vec<u64> = first.iter().map(|(_, p, _)| *p).collect();
+        assert_eq!(tags, (0..61).collect::<Vec<u64>>());
     }
 
     #[test]
