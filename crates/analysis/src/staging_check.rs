@@ -14,7 +14,7 @@
 //! warning) from the *actual* consumer→node mapping the executor will use.
 
 use crate::diagnostics::{AnalysisReport, Code};
-use hetex_common::{EngineConfig, ExecutionMode, MemoryNodeId};
+use hetex_common::{EngineConfig, MemoryNodeId};
 use hetex_core::codegen::StageGraph;
 use hetex_topology::ServerTopology;
 use std::collections::HashMap;
@@ -26,11 +26,6 @@ pub fn check(
     topology: &ServerTopology,
     report: &mut AnalysisReport,
 ) {
-    if config.execution_mode != ExecutionMode::Pipelined {
-        // Stage-at-a-time materializes between stages; the lease-ordering
-        // precondition does not apply.
-        return;
-    }
     let consumers_per_node = consumers_per_node(graph, topology);
     let total_consumers: usize = consumers_per_node.values().sum();
     let Some(budget) = config.staging_bytes else {

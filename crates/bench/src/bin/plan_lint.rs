@@ -150,7 +150,7 @@ fn main() {
     let ssb = SsbWorkload::build(0.002, 100.0, false).expect("build SSB workload");
     let micro = MicroWorkload::build(10_000).expect("build micro workload");
     let (_engine, join_reduce) =
-        hetex_bench::pipeline_ab::join_reduce_engine(10_000).expect("build join+reduce plan");
+        hetex_bench::workload::join_reduce_engine(10_000).expect("build join+reduce plan");
     // Each plan is linted under the config its bench bin actually runs:
     // the workload builders size block capacity (and thus the staging
     // floors) to the generated data, so the lint sees the real regime.
@@ -171,7 +171,7 @@ fn main() {
     for query in [MicroQuery::Sum, MicroQuery::Join] {
         corpus.push((format!("micro/{}", query.label()), micro.plan(query), micro_cfg));
     }
-    corpus.push(("pipeline_ab/join_reduce".to_string(), join_reduce, plain_cfg));
+    corpus.push(("workload/join_reduce".to_string(), join_reduce, plain_cfg));
 
     let mut rows: Vec<LintRow> = Vec::new();
     let mut failures: Vec<String> = Vec::new();

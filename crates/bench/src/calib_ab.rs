@@ -19,7 +19,7 @@
 //! `cargo run --release -p hetex-bench --bin calib_ab [out_dir]` emits
 //! `BENCH_calib.json`.
 
-use crate::pipeline_ab::join_reduce_engine_on;
+use crate::workload::join_reduce_engine_on;
 use hetex_common::{CalibrationConfig, EngineConfig, Result, StealPolicy};
 use hetex_topology::ServerTopology;
 
@@ -134,12 +134,7 @@ fn calib_ab_on(
         nominal_s: nominal.seconds(),
         rows_identical: calibrated.rows == nominal.rows,
         straggler_ewma: calibrated.stats.max_observed_slowdown(),
-        control_plane_ns: calibrated
-            .stats
-            .probed_constants
-            .as_ref()
-            .map(|c| c.control_plane_ns)
-            .unwrap_or(0),
+        control_plane_ns: calibrated.stats.probed_constants.control_plane_ns,
         observed_stage_selectivities: observed,
     })
 }

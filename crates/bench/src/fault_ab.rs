@@ -28,7 +28,7 @@
 //! `cargo run --release -p hetex-bench --bin fault_ab [out_dir]` emits
 //! `BENCH_fault.json`.
 
-use crate::pipeline_ab::join_reduce_engine_on;
+use crate::workload::join_reduce_engine_on;
 use hetex_common::{EngineConfig, FaultConfig, Result, StealPolicy};
 use hetex_topology::{FaultPlan, ServerTopology, SimTime};
 

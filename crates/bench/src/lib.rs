@@ -29,9 +29,7 @@
 pub mod calib_ab;
 pub mod fault_ab;
 pub mod figures;
-pub mod kernel_ab;
 pub mod micro;
-pub mod pipeline_ab;
 pub mod reopt_ab;
 pub mod report;
 pub mod serve_ab;

@@ -21,7 +21,7 @@
 //! `cargo run --release -p hetex-bench --bin reopt_ab [out_dir]` emits
 //! `BENCH_reopt.json`.
 
-use crate::pipeline_ab::join_reduce_engine_on;
+use crate::workload::join_reduce_engine_on;
 use hetex_common::config::ReoptConfig;
 use hetex_common::{CalibrationConfig, EngineConfig, Result, StealPolicy};
 use hetex_topology::ServerTopology;

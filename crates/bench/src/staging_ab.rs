@@ -10,9 +10,9 @@
 //! 5% of the ungoverned throughput on identical row counts. `cargo run
 //! --release -p hetex-bench --bin staging_ab` emits `BENCH_staging.json`.
 
-use crate::pipeline_ab::join_reduce_engine;
+use crate::workload::join_reduce_engine;
 use hetex_common::config::DEFAULT_STAGING_BYTES;
-use hetex_common::{EngineConfig, ExecutionMode, Result};
+use hetex_common::{EngineConfig, Result};
 
 /// The demand-weighted quota A/B (cost-model term 1) reuses the governed
 /// acceptance workload with a deliberately *tight* budget — at the default
@@ -87,11 +87,11 @@ impl StagingAbReport {
 }
 
 /// The acceptance workload: join+reduce over `fact_rows` fact rows on
-/// `EngineConfig::hybrid(8, 2)` in pipelined mode, with and without the
-/// staging byte budget (same scale extrapolation as `pipeline_ab`).
+/// `EngineConfig::hybrid(8, 2)`, with and without the staging byte budget
+/// (same scale extrapolation as `steal_ab`).
 pub fn join_reduce_staging_ab(fact_rows: usize) -> Result<StagingAbRow> {
     let (engine, plan) = join_reduce_engine(fact_rows)?;
-    let mut base = EngineConfig::hybrid(8, 2).with_execution_mode(ExecutionMode::Pipelined);
+    let mut base = EngineConfig::hybrid(8, 2);
     base.scale_weight = 20_000.0;
     base.block_capacity = 2048;
     let base = base.with_table_weight("dim", 2_500.0);
@@ -125,7 +125,7 @@ pub fn join_reduce_staging_ab(fact_rows: usize) -> Result<StagingAbRow> {
 /// per-stage demand, not raw simulated time).
 pub fn join_reduce_demand_quota_ab(fact_rows: usize) -> Result<StagingAbRow> {
     let (engine, plan) = join_reduce_engine(fact_rows)?;
-    let mut base = EngineConfig::hybrid(8, 2).with_execution_mode(ExecutionMode::Pipelined);
+    let mut base = EngineConfig::hybrid(8, 2);
     base.scale_weight = 20_000.0;
     base.block_capacity = 2048;
     let mut base = base.with_table_weight("dim", 2_500.0);

@@ -21,7 +21,7 @@
 //! `cargo run --release -p hetex-bench --bin steal_ab` emits
 //! `BENCH_steal.json`.
 
-use crate::pipeline_ab::join_reduce_engine_on;
+use crate::workload::join_reduce_engine_on;
 use hetex_common::{CalibrationConfig, EngineConfig, Result, StealPolicy};
 use hetex_topology::ServerTopology;
 
@@ -90,8 +90,11 @@ impl StealAbReport {
     }
 }
 
-/// The acceptance configuration shared by both workloads (same scale
-/// extrapolation as `pipeline_ab`).
+/// The acceptance configuration shared by both workloads. The weights model
+/// a paper-scale volume (~48 GB fact side, a dimension that scales more
+/// slowly) on the physically small tables — without them a run is dominated
+/// by the fixed ~10 ms router initialization and the A/B measures nothing.
+/// The other join+reduce A/B suites use the same extrapolation.
 fn base_config() -> EngineConfig {
     let mut config = EngineConfig::hybrid(8, 2)
         .with_calibration(CalibrationConfig::default().with_slowdown_feedback(false));

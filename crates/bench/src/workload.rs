@@ -4,12 +4,16 @@
 //! one Proteus engine over CPU-resident data, optionally a second Proteus
 //! engine over GPU-resident data (the SF100 setup pre-loads the working set
 //! into the GPUs' device memories), the thirteen SSB query plans, and the
-//! scale weight that models the nominal scale factor.
+//! scale weight that models the nominal scale factor. The A/B harnesses'
+//! shared synthetic join+reduce engine ([`join_reduce_engine`]) lives here
+//! too.
 
-use hetex_common::{EngineConfig, MemoryNodeId, Result};
+use hetex_common::{ColumnData, DataType, EngineConfig, MemoryNodeId, Result};
+use hetex_core::RelNode;
 use hetex_engine::Proteus;
+use hetex_jit::{AggSpec, Expr};
 use hetex_ssb::{all_queries, SsbDataset, SsbGenerator, SsbQuery};
-use hetex_storage::Catalog;
+use hetex_storage::{Catalog, TableBuilder};
 use hetex_topology::ServerTopology;
 use std::sync::Arc;
 
@@ -152,6 +156,49 @@ impl SsbWorkload {
     pub fn gpu_nodes(&self) -> Vec<MemoryNodeId> {
         self.topology.gpu_memory_nodes()
     }
+}
+
+/// Build the join+reduce engine the A/B harnesses share: a fact table
+/// joined against a dimension sized at half the fact side — large enough
+/// that the build chain is a real pipeline stage, not a rounding error.
+pub fn join_reduce_engine(fact_rows: usize) -> Result<(Proteus, RelNode)> {
+    join_reduce_engine_on(ServerTopology::paper_server(), fact_rows)
+}
+
+/// Like [`join_reduce_engine`], on an arbitrary topology — the work-stealing
+/// A/B uses this with a deliberately skewed server (one straggler device).
+pub fn join_reduce_engine_on(
+    topology: Arc<ServerTopology>,
+    fact_rows: usize,
+) -> Result<(Proteus, RelNode)> {
+    let engine = Proteus::new(Arc::clone(&topology));
+    let nodes = topology.cpu_memory_nodes();
+    let dim_rows = (fact_rows / 2).max(1);
+    let fact = TableBuilder::new("fact")
+        .column(
+            "key",
+            DataType::Int32,
+            ColumnData::Int32((0..fact_rows as i32).map(|i| i % dim_rows as i32).collect()),
+        )
+        .column("value", DataType::Int64, ColumnData::Int64((0..fact_rows as i64).collect()))
+        .build(&nodes, 4096)?;
+    let dim = TableBuilder::new("dim")
+        .column("k", DataType::Int32, ColumnData::Int32((0..dim_rows as i32).collect()))
+        .column(
+            "attr",
+            DataType::Int32,
+            ColumnData::Int32((0..dim_rows as i32).map(|i| i % 7).collect()),
+        )
+        .build(&nodes, 4096)?;
+    engine.register_table(fact);
+    engine.register_table(dim);
+
+    // SELECT SUM(value), COUNT(*) FROM fact JOIN dim ON key = k WHERE attr < 3
+    let dim_plan = RelNode::scan("dim", &["k", "attr"]).filter(Expr::col(1).lt_lit(3));
+    let plan = RelNode::scan("fact", &["key", "value"])
+        .hash_join(dim_plan, 0, 0, &[1])
+        .reduce(vec![AggSpec::sum(Expr::col(1)), AggSpec::count()], &["sum_v", "cnt"]);
+    Ok((engine, plan))
 }
 
 #[cfg(test)]

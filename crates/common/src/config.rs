@@ -27,21 +27,6 @@ impl ExecutionTarget {
     }
 }
 
-/// How the executor schedules the stages of a compiled query.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ExecutionMode {
-    /// All stages run concurrently; producers push block handles into the
-    /// consumer stage's asynchronous queues the moment each block is produced,
-    /// and routing / mem-move localization happen inline on the producer path
-    /// (§3.1's router-connected pipeline instances). This is the default.
-    #[default]
-    Pipelined,
-    /// Legacy stage-at-a-time scheduling: each stage fully materializes its
-    /// outputs before the next stage starts, and routing is a serial pre-pass.
-    /// Kept selectable for A/B comparison against the pipelined executor.
-    StageAtATime,
-}
-
 /// What the engine does with the findings of the pre-execution static
 /// analysis pass (the `hetex-analysis` crate) it runs over every compiled
 /// query.
@@ -90,41 +75,6 @@ impl StealPolicy {
     }
 }
 
-/// How the CPU lowering executes a compiled pipeline's fused step chain.
-///
-/// The GPU lowering is unaffected: it already amortizes dispatch across a
-/// whole grid-stride kernel, so both modes consume the identical step IR and
-/// only the CPU specialization changes shape (one blueprint, N
-/// specializations — the HetExchange property this knob preserves).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum KernelMode {
-    /// Chunked, selection-vector execution: fixed-size chunks of tuples flow
-    /// through the step chain column-at-a-time, filters refine a `u32`
-    /// selection index array in autovectorizable tight loops, and terminals
-    /// consume the surviving selection in one pass. This is the default.
-    #[default]
-    Vectorized,
-    /// Legacy per-tuple interpretation: every tuple pays the branchy step
-    /// dispatch and per-step intermediate handling. Kept selectable as the
-    /// differential baseline and the kernel A/B's comparison arm.
-    TupleAtATime,
-}
-
-impl KernelMode {
-    /// Human-readable label used by benches and step summaries.
-    pub fn label(self) -> &'static str {
-        match self {
-            KernelMode::Vectorized => "vectorized",
-            KernelMode::TupleAtATime => "tuple-at-a-time",
-        }
-    }
-
-    /// True for the chunked selection-vector path.
-    pub fn is_vectorized(self) -> bool {
-        self == KernelMode::Vectorized
-    }
-}
-
 /// Per-term toggles of the unified routing/admission/steal cost model
 /// (`hetex-core`'s `CostModel`).
 ///
@@ -153,12 +103,6 @@ pub struct CostModelConfig {
     /// is folded into the steal profitability check, so a rescue that would
     /// queue behind saturated links is priced honestly.
     pub link_congestion_term: bool,
-    /// Term 5 — routing block-cost estimates price CPU blocks with the
-    /// chunk/selection cost shape of the *executed* kernel mode instead of
-    /// always assuming per-tuple dispatch. Off, estimates fall back to the
-    /// tuple-at-a-time shape (the pre-vectorization behaviour), overcharging
-    /// vectorized blocks uniformly — rows are unaffected either way.
-    pub vectorized_cost: bool,
 }
 
 impl Default for CostModelConfig {
@@ -168,7 +112,6 @@ impl Default for CostModelConfig {
             control_plane_term: true,
             gate_critical_path: true,
             link_congestion_term: true,
-            vectorized_cost: true,
         }
     }
 }
@@ -182,7 +125,6 @@ impl CostModelConfig {
             control_plane_term: false,
             gate_critical_path: false,
             link_congestion_term: false,
-            vectorized_cost: false,
         }
     }
 
@@ -207,12 +149,6 @@ impl CostModelConfig {
     /// Toggle the link-congestion steal term.
     pub fn with_link_congestion_term(mut self, on: bool) -> Self {
         self.link_congestion_term = on;
-        self
-    }
-
-    /// Toggle the kernel-mode-aware block-cost estimate.
-    pub fn with_vectorized_cost(mut self, on: bool) -> Self {
-        self.vectorized_cost = on;
         self
     }
 }
@@ -567,14 +503,12 @@ pub struct EngineConfig {
     /// with the scale factor (the `date` dimension has a fixed size, `part`
     /// grows logarithmically), so the harness sets one weight per table.
     pub table_weights: Vec<(String, f64)>,
-    /// How stages are scheduled by the executor.
-    pub execution_mode: ExecutionMode,
-    /// Bound (in blocks) of each consumer queue in pipelined mode; producers
-    /// block once a queue is full. This is a control-plane cap on *handles*;
+    /// Bound (in blocks) of each consumer queue; producers block once a
+    /// queue is full. This is a control-plane cap on *handles*;
     /// the data-plane bound on staged *bytes* is `staging_bytes`. `None`
     /// leaves queues unbounded.
     pub queue_capacity: Option<usize>,
-    /// Per-memory-node staging byte budget in pipelined mode (§4.3). Every
+    /// Per-memory-node staging byte budget (§4.3). Every
     /// block admitted into a consumer queue is backed by a `BlockLease` of its
     /// byte size drawn from the destination node's arena, so large blocks
     /// count for more and back-pressure reflects real staging memory. `None`
@@ -593,11 +527,6 @@ pub struct EngineConfig {
     /// quarantine, watchdog, degraded restart) engages when injected or real
     /// faults fire. Inert when the topology carries no fault plan.
     pub fault: FaultConfig,
-    /// How CPU pipeline instances execute their fused step chain: the
-    /// chunked selection-vector lowering (default) or the legacy per-tuple
-    /// loop. Result rows are byte-identical in both modes; only the hot-path
-    /// shape (and therefore the charged compute work) differs.
-    pub kernel_mode: KernelMode,
     /// What to do with the findings of the pre-execution static analysis
     /// pass: reject on errors (default), warn-and-run, or skip the pass.
     pub analysis: AnalysisMode,
@@ -623,14 +552,12 @@ impl Default for EngineConfig {
             hetexchange_enabled: true,
             scale_weight: 1.0,
             table_weights: Vec::new(),
-            execution_mode: ExecutionMode::default(),
             queue_capacity: Some(DEFAULT_QUEUE_CAPACITY),
             staging_bytes: Some(DEFAULT_STAGING_BYTES),
             steal_policy: StealPolicy::default(),
             cost_model: CostModelConfig::default(),
             calibration: CalibrationConfig::default(),
             fault: FaultConfig::default(),
-            kernel_mode: KernelMode::default(),
             analysis: AnalysisMode::default(),
             serve: ServeConfig::default(),
             reopt: ReoptConfig::default(),
@@ -691,12 +618,6 @@ impl EngineConfig {
         self
     }
 
-    /// Select the executor's stage-scheduling mode.
-    pub fn with_execution_mode(mut self, mode: ExecutionMode) -> Self {
-        self.execution_mode = mode;
-        self
-    }
-
     /// Set (or disable, with `None`) the per-node staging byte budget.
     pub fn with_staging_bytes(mut self, bytes: Option<u64>) -> Self {
         self.staging_bytes = bytes;
@@ -727,12 +648,6 @@ impl EngineConfig {
         self
     }
 
-    /// Select the CPU kernel execution mode.
-    pub fn with_kernel_mode(mut self, mode: KernelMode) -> Self {
-        self.kernel_mode = mode;
-        self
-    }
-
     /// Select what the engine does with static-analysis findings.
     pub fn with_analysis(mut self, mode: AnalysisMode) -> Self {
         self.analysis = mode;
@@ -749,16 +664,6 @@ impl EngineConfig {
     pub fn with_reopt(mut self, reopt: ReoptConfig) -> Self {
         self.reopt = reopt;
         self
-    }
-
-    /// Start building a configuration with construction-time validation.
-    /// Unlike the field-struct path (where an inconsistent target/DOP combo
-    /// only surfaces when the engine calls [`Self::validate`]),
-    /// [`EngineConfigBuilder::build`] rejects invalid combinations — a
-    /// `CpuOnly` target with a nonzero `gpu_dop`, a `GpuOnly` target with
-    /// CPU workers — at the construction site.
-    pub fn builder() -> EngineConfigBuilder {
-        EngineConfigBuilder::new()
     }
 
     /// Estimated peak per-node staging footprint of one query under this
@@ -796,6 +701,17 @@ impl EngineConfig {
             ExecutionTarget::GpuOnly if self.gpu_dop == 0 => {
                 Err(HetError::Config("GpuOnly target requires gpu_dop > 0".into()))
             }
+            // A DOP on a device class the target excludes would be ignored by
+            // the parallelizer yet still inflate `total_dop()`, and with it the
+            // staging floor and the serving footprint.
+            ExecutionTarget::CpuOnly if self.gpu_dop > 0 => Err(HetError::Config(format!(
+                "CpuOnly target cannot carry gpu_dop = {}; use Hybrid or drop the GPUs",
+                self.gpu_dop
+            ))),
+            ExecutionTarget::GpuOnly if self.cpu_dop > 0 => Err(HetError::Config(format!(
+                "GpuOnly target cannot carry cpu_dop = {}; use Hybrid or drop the cores",
+                self.cpu_dop
+            ))),
             ExecutionTarget::Hybrid if self.total_dop() == 0 => {
                 Err(HetError::Config("Hybrid target requires at least one device".into()))
             }
@@ -879,167 +795,6 @@ impl EngineConfig {
     }
 }
 
-/// Builder for [`EngineConfig`] with construction-time validation.
-///
-/// The ad-hoc constructors ([`EngineConfig::cpu_only`] and friends) remain as
-/// conveniences, but they accept any DOP combination and defer every check to
-/// [`EngineConfig::validate`] deep inside the engine. The builder rejects
-/// inconsistent combinations — a `CpuOnly` target carrying GPU workers, a
-/// `GpuOnly` target carrying CPU workers, a zero-DOP target — when
-/// [`Self::build`] is called, so misconfigurations fail at the construction
-/// site with the same structured `HetError::Config` the engine would raise.
-#[derive(Debug, Clone, Default)]
-pub struct EngineConfigBuilder {
-    config: EngineConfig,
-}
-
-impl EngineConfigBuilder {
-    /// A builder seeded with [`EngineConfig::default`].
-    pub fn new() -> Self {
-        Self { config: EngineConfig::default() }
-    }
-
-    /// Select the execution target. Selecting a single-device target also
-    /// normalizes the other class's DOP to zero (mirroring the ad-hoc
-    /// constructors), so set DOPs *after* the target.
-    pub fn target(mut self, target: ExecutionTarget) -> Self {
-        self.config.target = target;
-        match target {
-            ExecutionTarget::CpuOnly => self.config.gpu_dop = 0,
-            ExecutionTarget::GpuOnly => self.config.cpu_dop = 0,
-            ExecutionTarget::Hybrid => {}
-        }
-        self
-    }
-
-    /// Set the CPU degree of parallelism.
-    pub fn cpu_dop(mut self, dop: usize) -> Self {
-        self.config.cpu_dop = dop;
-        self
-    }
-
-    /// Set the GPU degree of parallelism.
-    pub fn gpu_dop(mut self, dop: usize) -> Self {
-        self.config.gpu_dop = dop;
-        self
-    }
-
-    /// Set the block capacity (tuples per block).
-    pub fn block_capacity(mut self, capacity: usize) -> Self {
-        self.config.block_capacity = capacity;
-        self
-    }
-
-    /// Set the base-table placement.
-    pub fn placement(mut self, placement: DataPlacement) -> Self {
-        self.config.placement = placement;
-        self
-    }
-
-    /// Set the global scale-extrapolation weight.
-    pub fn scale_weight(mut self, weight: f64) -> Self {
-        self.config.scale_weight = weight;
-        self
-    }
-
-    /// Add a per-table weight override.
-    pub fn table_weight(mut self, table: impl Into<String>, weight: f64) -> Self {
-        self.config.table_weights.push((table.into(), weight));
-        self
-    }
-
-    /// Select the executor's stage-scheduling mode.
-    pub fn execution_mode(mut self, mode: ExecutionMode) -> Self {
-        self.config.execution_mode = mode;
-        self
-    }
-
-    /// Set (or unbound, with `None`) the per-queue handle capacity.
-    pub fn queue_capacity(mut self, capacity: Option<usize>) -> Self {
-        self.config.queue_capacity = capacity;
-        self
-    }
-
-    /// Set (or disable, with `None`) the per-node staging byte budget.
-    pub fn staging_bytes(mut self, bytes: Option<u64>) -> Self {
-        self.config.staging_bytes = bytes;
-        self
-    }
-
-    /// Select the pipelined executor's work-stealing policy.
-    pub fn steal_policy(mut self, policy: StealPolicy) -> Self {
-        self.config.steal_policy = policy;
-        self
-    }
-
-    /// Select which cost-model terms are active.
-    pub fn cost_model(mut self, cost_model: CostModelConfig) -> Self {
-        self.config.cost_model = cost_model;
-        self
-    }
-
-    /// Select which calibration inputs feed the cost model.
-    pub fn calibration(mut self, calibration: CalibrationConfig) -> Self {
-        self.config.calibration = calibration;
-        self
-    }
-
-    /// Select which fault-recovery paths are active.
-    pub fn fault(mut self, fault: FaultConfig) -> Self {
-        self.config.fault = fault;
-        self
-    }
-
-    /// Select the CPU kernel execution mode.
-    pub fn kernel_mode(mut self, mode: KernelMode) -> Self {
-        self.config.kernel_mode = mode;
-        self
-    }
-
-    /// Select what the engine does with static-analysis findings.
-    pub fn analysis(mut self, mode: AnalysisMode) -> Self {
-        self.config.analysis = mode;
-        self
-    }
-
-    /// Select the multi-query serving toggles.
-    pub fn serve(mut self, serve: ServeConfig) -> Self {
-        self.config.serve = serve;
-        self
-    }
-
-    /// Select the feedback-driven re-optimization toggles.
-    pub fn reopt(mut self, reopt: ReoptConfig) -> Self {
-        self.config.reopt = reopt;
-        self
-    }
-
-    /// Validate and produce the configuration. Beyond
-    /// [`EngineConfig::validate`], the builder rejects DOPs on a device
-    /// class the target excludes — combinations the field-struct path
-    /// silently carries until the parallelizer ignores them.
-    pub fn build(self) -> crate::error::Result<EngineConfig> {
-        use crate::error::HetError;
-        match self.config.target {
-            ExecutionTarget::CpuOnly if self.config.gpu_dop > 0 => {
-                return Err(HetError::Config(format!(
-                    "CpuOnly target cannot carry gpu_dop = {}; use Hybrid or drop the GPUs",
-                    self.config.gpu_dop
-                )));
-            }
-            ExecutionTarget::GpuOnly if self.config.cpu_dop > 0 => {
-                return Err(HetError::Config(format!(
-                    "GpuOnly target cannot carry cpu_dop = {}; use Hybrid or drop the cores",
-                    self.config.cpu_dop
-                )));
-            }
-            _ => {}
-        }
-        self.config.validate()?;
-        Ok(self.config)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1103,12 +858,8 @@ mod tests {
         assert!(cfg.cost_model.control_plane_term);
         assert!(cfg.cost_model.gate_critical_path);
         assert!(cfg.cost_model.link_congestion_term);
-        assert!(cfg.cost_model.vectorized_cost);
         let off = CostModelConfig::disabled();
         assert!(!off.demand_weighted_quotas && !off.link_congestion_term);
-        assert!(!off.vectorized_cost);
-        let vec_only = CostModelConfig::disabled().with_vectorized_cost(true);
-        assert!(vec_only.vectorized_cost && !vec_only.demand_weighted_quotas);
         // Each term toggles independently of the others.
         let one = CostModelConfig::disabled().with_gate_critical_path(true);
         assert!(one.gate_critical_path);
@@ -1258,63 +1009,20 @@ mod tests {
     }
 
     #[test]
-    fn builder_rejects_invalid_target_dop_combinations() {
-        // A consistent build passes and matches the ad-hoc constructor.
-        let built =
-            EngineConfig::builder().target(ExecutionTarget::CpuOnly).cpu_dop(8).build().unwrap();
-        assert_eq!(built, EngineConfig::cpu_only(8));
-        // Cross-class DOPs are rejected at construction, not deep in the
-        // engine: CpuOnly cannot carry GPU workers and vice versa.
-        let err = EngineConfig::builder()
-            .target(ExecutionTarget::CpuOnly)
-            .cpu_dop(8)
-            .gpu_dop(2)
-            .build()
-            .unwrap_err();
+    fn validation_rejects_dops_on_a_device_class_the_target_excludes() {
+        // The ad-hoc constructors zero the excluded class, so they pass.
+        EngineConfig::cpu_only(8).validate().unwrap();
+        EngineConfig::gpu_only(1).validate().unwrap();
+        // Cross-class DOPs are rejected: CpuOnly cannot carry GPU workers
+        // and vice versa.
+        let err = EngineConfig { gpu_dop: 2, ..EngineConfig::cpu_only(8) }.validate().unwrap_err();
         assert_eq!(err.category(), "config");
         assert!(err.to_string().contains("gpu_dop"), "descriptive: {err}");
-        let err = EngineConfig::builder()
-            .target(ExecutionTarget::GpuOnly)
-            .gpu_dop(2)
-            .cpu_dop(4)
-            .build()
-            .unwrap_err();
+        let err = EngineConfig { cpu_dop: 4, ..EngineConfig::gpu_only(2) }.validate().unwrap_err();
+        assert_eq!(err.category(), "config");
         assert!(err.to_string().contains("cpu_dop"), "descriptive: {err}");
-        // Zero-DOP targets fail the shared validation.
-        assert!(EngineConfig::builder()
-            .target(ExecutionTarget::GpuOnly)
-            .gpu_dop(0)
-            .build()
-            .is_err());
-        // Selecting a single-device target normalizes the other class.
-        let normalized =
-            EngineConfig::builder().target(ExecutionTarget::GpuOnly).gpu_dop(1).build().unwrap();
-        assert_eq!(normalized.cpu_dop, 0);
-        // The full knob surface is reachable through the builder.
-        let tuned = EngineConfig::builder()
-            .target(ExecutionTarget::Hybrid)
-            .cpu_dop(4)
-            .gpu_dop(1)
-            .block_capacity(512)
-            .scale_weight(10.0)
-            .table_weight("dim", 2.0)
-            .execution_mode(ExecutionMode::Pipelined)
-            .queue_capacity(Some(8))
-            .staging_bytes(None)
-            .steal_policy(StealPolicy::Disabled)
-            .cost_model(CostModelConfig::disabled())
-            .calibration(CalibrationConfig::disabled())
-            .fault(FaultConfig::disabled())
-            .kernel_mode(KernelMode::TupleAtATime)
-            .analysis(AnalysisMode::Warn)
-            .serve(ServeConfig::serving())
-            .reopt(ReoptConfig::enabled())
-            .placement(DataPlacement::CpuResident)
-            .build()
-            .unwrap();
-        assert_eq!(tuned.block_capacity, 512);
-        assert!(tuned.reopt.enabled && tuned.serve.enabled);
-        assert_eq!(tuned.weight_for("dim"), 2.0);
+        // Hybrid carries both.
+        EngineConfig::hybrid(4, 2).validate().unwrap();
     }
 
     #[test]
@@ -1338,17 +1046,5 @@ mod tests {
         assert_eq!(gpu_fallback.target, ExecutionTarget::CpuOnly);
         assert_eq!((gpu_fallback.cpu_dop, gpu_fallback.gpu_dop), (1, 0));
         gpu_fallback.validate().unwrap();
-    }
-
-    #[test]
-    fn kernel_mode_defaults_vectorized_and_is_selectable() {
-        let cfg = EngineConfig::default();
-        assert_eq!(cfg.kernel_mode, KernelMode::Vectorized);
-        assert!(cfg.kernel_mode.is_vectorized());
-        assert_eq!(cfg.kernel_mode.label(), "vectorized");
-        let legacy = cfg.with_kernel_mode(KernelMode::TupleAtATime);
-        assert!(!legacy.kernel_mode.is_vectorized());
-        assert_eq!(legacy.kernel_mode.label(), "tuple-at-a-time");
-        legacy.validate().unwrap();
     }
 }

@@ -21,8 +21,8 @@ pub mod types;
 pub use block::{Block, BlockHandle, BlockMeta, StagingToken};
 pub use column::{Column, ColumnData, DictionaryBuilder};
 pub use config::{
-    AnalysisMode, CalibrationConfig, CostModelConfig, EngineConfig, EngineConfigBuilder,
-    ExecutionMode, FaultConfig, KernelMode, Priority, ReoptConfig, ServeConfig, StealPolicy,
+    AnalysisMode, CalibrationConfig, CostModelConfig, EngineConfig, FaultConfig, Priority,
+    ReoptConfig, ServeConfig, StealPolicy,
 };
 pub use error::{HetError, Result};
 pub use ids::{BlockId, ColumnId, MemoryNodeId, PipelineId, QueryId, TableId};

@@ -51,9 +51,7 @@
 //! these per execution for estimation, so the two concerns cannot be mixed
 //! up.
 
-use hetex_common::{
-    CalibrationConfig, CostModelConfig, EngineConfig, KernelMode, MemoryNodeId, Priority,
-};
+use hetex_common::{CalibrationConfig, CostModelConfig, EngineConfig, MemoryNodeId, Priority};
 use hetex_topology::{CalibratedConstants, LinkSpec, ServerTopology};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -197,7 +195,6 @@ impl SlowdownObserver {
 pub struct CostModel {
     cfg: CostModelConfig,
     calib: CalibrationConfig,
-    kernel_mode: KernelMode,
     constants: Option<Arc<CalibratedConstants>>,
     observer: Option<Arc<SlowdownObserver>>,
 }
@@ -212,35 +209,16 @@ impl CostModel {
     /// A cost model with the given term toggles and no calibration inputs
     /// (nominal profiles, declared constants).
     pub fn new(cfg: CostModelConfig) -> Self {
-        Self {
-            cfg,
-            calib: CalibrationConfig::disabled(),
-            kernel_mode: KernelMode::TupleAtATime,
-            constants: None,
-            observer: None,
-        }
+        Self { cfg, calib: CalibrationConfig::disabled(), constants: None, observer: None }
     }
 
     /// The cost model an engine configuration selects: the config's term
-    /// toggles plus its calibration toggles and the configured CPU kernel
-    /// mode (consumed by [`Self::estimate_kernel_mode`]). The calibration
-    /// *inputs* (the probed constants, the per-execution observer) are
-    /// attached by the executor via [`Self::with_constants`] /
-    /// [`Self::with_observer`]; until they are, a toggled-on input degrades
-    /// to the nominal behaviour.
+    /// toggles plus its calibration toggles. The calibration *inputs* (the
+    /// probed constants, the per-execution observer) are attached by the
+    /// executor via [`Self::with_constants`] / [`Self::with_observer`];
+    /// until they are, a toggled-on input degrades to the nominal behaviour.
     pub fn from_config(config: &EngineConfig) -> Self {
-        Self {
-            calib: config.calibration,
-            kernel_mode: config.kernel_mode,
-            ..Self::new(config.cost_model)
-        }
-    }
-
-    /// A model with every refinement off — the PR 3 estimation behaviour
-    /// (used by the legacy stage-at-a-time executor, which must stay a
-    /// bit-stable differential baseline).
-    pub fn legacy() -> Self {
-        Self::new(CostModelConfig::disabled())
+        Self { calib: config.calibration, ..Self::new(config.cost_model) }
     }
 
     /// Attach the topology micro-probe's measured constants (consumed only
@@ -268,23 +246,6 @@ impl CostModel {
     /// The active calibration toggles.
     pub fn calibration(&self) -> CalibrationConfig {
         self.calib
-    }
-
-    /// The kernel mode block-cost *estimates* should price CPU work at.
-    ///
-    /// With the `vectorized_cost` term on, estimates use the mode the CPU
-    /// lowering will actually execute (chunked selection-vector dispatch is
-    /// cheaper per tuple, so charging the tuple-at-a-time shape would
-    /// overcharge vectorized blocks and skew routing toward the GPU).
-    /// Toggled off — including [`Self::legacy`], whose config disables every
-    /// term — estimates fall back to the tuple-at-a-time shape, the
-    /// bit-stable pre-vectorization baseline.
-    pub fn estimate_kernel_mode(&self) -> KernelMode {
-        if self.cfg.vectorized_cost {
-            self.kernel_mode
-        } else {
-            KernelMode::TupleAtATime
-        }
     }
 
     // ------------------------------------------------------------------
@@ -682,28 +643,8 @@ mod tests {
         CostModel::default()
     }
 
-    #[test]
-    fn estimate_kernel_mode_follows_config_gated_by_vectorized_cost_term() {
-        // Default config: vectorized kernels + vectorized_cost term on, so
-        // estimates price the executed mode.
-        let config = EngineConfig::default();
-        assert_eq!(CostModel::from_config(&config).estimate_kernel_mode(), KernelMode::Vectorized);
-
-        // Term toggled off: estimates fall back to the tuple-at-a-time shape
-        // even though execution stays vectorized.
-        let toggled =
-            EngineConfig { cost_model: config.cost_model.with_vectorized_cost(false), ..config };
-        assert_eq!(
-            CostModel::from_config(&toggled).estimate_kernel_mode(),
-            KernelMode::TupleAtATime
-        );
-
-        // Legacy kernels estimate as legacy regardless of the term.
-        let taat = EngineConfig::default().with_kernel_mode(KernelMode::TupleAtATime);
-        assert_eq!(CostModel::from_config(&taat).estimate_kernel_mode(), KernelMode::TupleAtATime);
-
-        // The legacy model (stage-at-a-time baseline) never prices vectorized.
-        assert_eq!(CostModel::legacy().estimate_kernel_mode(), KernelMode::TupleAtATime);
+    fn all_off() -> CostModel {
+        CostModel::new(CostModelConfig::disabled())
     }
 
     #[test]
@@ -712,8 +653,7 @@ mod tests {
         assert_eq!(model.control_plane_ns(false), 0);
         assert_eq!(model.control_plane_ns(true), REMOTE_CONTROL_PLANE_NS);
         // Toggled off, remote pushes are free again (PR 3 behaviour).
-        let legacy = CostModel::legacy();
-        assert_eq!(legacy.control_plane_ns(true), 0);
+        assert_eq!(all_off().control_plane_ns(true), 0);
     }
 
     #[test]
@@ -770,8 +710,8 @@ mod tests {
         // heavily backlogged: the gate cannot open before the scan clears.
         let loads = vec![9_000, 1_000, 0];
         assert_eq!(model.gate_estimate_ns(&[1], 0, &load_of(&loads), &feeds), 9_000);
-        // Legacy estimate sees only the dependency's own committed load.
-        assert_eq!(CostModel::legacy().gate_estimate_ns(&[1], 0, &load_of(&loads), &feeds), 1_000);
+        // Term off: the estimate sees only the dependency's own committed load.
+        assert_eq!(all_off().gate_estimate_ns(&[1], 0, &load_of(&loads), &feeds), 1_000);
         // The already-open floor still dominates when larger.
         assert_eq!(model.gate_estimate_ns(&[1], 20_000, &load_of(&loads), &feeds), 20_000);
     }
@@ -813,7 +753,7 @@ mod tests {
         // A horizon past the backlog sees the link idle again…
         assert_eq!(model.link_congestion_ns(&topology, cpu, gpu, congested), 0);
         // …and the toggled-off model never prices it.
-        assert_eq!(CostModel::legacy().link_congestion_ns(&topology, cpu, gpu, 0), 0);
+        assert_eq!(all_off().link_congestion_ns(&topology, cpu, gpu, 0), 0);
         topology.reset_clocks();
     }
 
@@ -903,10 +843,7 @@ mod tests {
         // No observed demand yet: even split.
         assert_eq!(model.split_node_budget(900, 100, &[0.0, 0.0, 0.0]), vec![300, 300, 300]);
         // Toggled off: even split regardless of demand.
-        assert_eq!(
-            CostModel::legacy().split_node_budget(900, 100, &[800.0, 0.0, 0.0]),
-            vec![300, 300, 300]
-        );
+        assert_eq!(all_off().split_node_budget(900, 100, &[800.0, 0.0, 0.0]), vec![300, 300, 300]);
         // Degenerate inputs stay safe.
         assert!(model.split_node_budget(1_000, 100, &[]).is_empty());
         assert_eq!(model.split_node_budget(0, 0, &[1.0]), vec![1]);
@@ -944,14 +881,14 @@ mod tests {
     fn construction_carries_the_configured_toggles() {
         let model = all_on();
         assert_eq!(model.config(), CostModelConfig::default());
-        assert_eq!(CostModel::legacy().config(), CostModelConfig::disabled());
+        assert_eq!(all_off().config(), CostModelConfig::disabled());
         let from_config = CostModel::from_config(&EngineConfig::default());
         assert!(from_config.config().gate_critical_path);
         // The engine default also carries the calibration toggles; a bare
         // `new` leaves calibration off (the PR 4 behaviour).
         assert!(from_config.calibration().slowdown_feedback);
         assert!(!model.calibration().measured_constants);
-        assert_eq!(CostModel::legacy().calibration(), CalibrationConfig::disabled());
+        assert_eq!(all_off().calibration(), CalibrationConfig::disabled());
     }
 
     #[test]
@@ -1006,7 +943,7 @@ mod tests {
         let config = EngineConfig::default();
         let on = CostModel::from_config(&config).with_observer(Arc::clone(&observer));
         assert_eq!(on.observed_device_slowdown(0), 8.0);
-        // Toggle on, no observer (stage-at-a-time): nominal.
+        // Toggle on, no observer attached: nominal.
         assert_eq!(CostModel::from_config(&config).observed_device_slowdown(0), 1.0);
         // Recording through the model reaches the shared observer.
         on.observe(0, 1_000, 1_000);

@@ -460,9 +460,9 @@ impl BlockQueue {
         Ok(())
     }
 
-    /// Drain everything currently reachable into a vector (used by the
-    /// stage-at-a-time executor, which runs producers to completion before
-    /// consumers start pulling). On a closed queue nothing is returned; any
+    /// Drain everything currently reachable into a vector (for a consumer
+    /// that starts pulling only after its producers ran to completion, like
+    /// the device-crossing operators). On a closed queue nothing is returned; any
     /// handles buffered at close time were dropped by the closing sweep so
     /// their staging charges are released rather than leaked.
     pub fn drain(&self) -> Vec<BlockHandle> {

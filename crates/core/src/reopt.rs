@@ -106,8 +106,7 @@ pub struct PlanFeedback {
     /// across repeated runs of the same placement).
     pub sim_time_ns: f64,
     /// Observed-slowdown EWMA per device slot, indexed like the topology's
-    /// device list (1.0 = healthy). Empty when the run carried no
-    /// observations (stage-at-a-time mode).
+    /// device list (1.0 = healthy).
     pub observed_slowdowns: Vec<f64>,
     /// Per-stage row counts and timelines (actual selectivities).
     pub stages: Vec<StageObservation>,
@@ -681,7 +680,7 @@ mod tests {
     #[test]
     fn reoptimize_is_quiet_without_enabled_or_signal() {
         let topology = ServerTopology::paper_server();
-        let cost = CostModel::legacy();
+        let cost = CostModel::new(hetex_common::CostModelConfig::disabled());
         // Disabled: never a decision, whatever the feedback says.
         let off = EngineConfig::hybrid(8, 2);
         let mut feedback = feedback_for(&off, &topology);

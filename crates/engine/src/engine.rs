@@ -22,7 +22,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Execution statistics of one query.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct QueryStats {
     /// Blocks processed and busy time per device kind.
     pub per_kind: HashMap<DeviceKind, DeviceKindStats>,
@@ -34,26 +34,24 @@ pub struct QueryStats {
     pub stage_completion: Vec<SimTime>,
     /// Wall-clock time of the functional execution.
     pub wall_time: std::time::Duration,
-    /// Peak leased staging bytes per memory node (governed pipelined mode
-    /// only; empty otherwise).
+    /// Peak leased staging bytes per memory node (empty when byte
+    /// governance is off).
     pub staging_peaks: Vec<(MemoryNodeId, u64)>,
     /// Blocks adaptively re-routed (work-stealing) per stage; all zeros when
-    /// `EngineConfig::steal_policy` is disabled or in stage-at-a-time mode.
+    /// `EngineConfig::steal_policy` is disabled.
     pub blocks_stolen: Vec<u64>,
     /// Cross-node control-plane traffic: pushes that acquired a queue mutex
-    /// on a memory node other than the block's (pipelined mode only). The
-    /// cost model's control-plane term prices exactly these acquisitions.
+    /// on a memory node other than the block's. The cost model's
+    /// control-plane term prices exactly these acquisitions.
     pub remote_control_acquisitions: u64,
     /// Observed-slowdown EWMA per device slot (charged vs nominal busy
     /// time, 1.0 = healthy), indexed like the topology's device list.
-    /// Measured in every pipelined run; priced into routing only when
-    /// `CalibrationConfig::slowdown_feedback` is on. Empty in
-    /// stage-at-a-time mode.
+    /// Measured in every run; priced into routing only when
+    /// `CalibrationConfig::slowdown_feedback` is on.
     pub observed_slowdowns: Vec<f64>,
     /// Constants the topology micro-probe measured at engine construction
-    /// (control-plane round trip ns, per-link effective GB/s). `None` in
-    /// stage-at-a-time mode.
-    pub probed_constants: Option<Arc<CalibratedConstants>>,
+    /// (control-plane round trip ns, per-link effective GB/s).
+    pub probed_constants: Arc<CalibratedConstants>,
     /// Transient kernel failures absorbed by bounded in-place retry (zero
     /// without an injected fault plan).
     pub transient_retries: u64,
@@ -240,24 +238,6 @@ impl Proteus {
     /// counterpart is [`QueryServer::session`](crate::server::QueryServer::session).
     pub fn session(&self) -> crate::session::QuerySession<'_> {
         crate::session::QuerySession::on_engine(self)
-    }
-
-    /// Execute a sequential physical plan under the given configuration.
-    #[deprecated(note = "use `Proteus::session().execute(plan, config)`")]
-    pub fn execute(&self, plan: &RelNode, config: &EngineConfig) -> Result<QueryOutcome> {
-        self.execute_with(plan, config, None, None)
-    }
-
-    /// Execute with an optional server-lifetime slowdown observer shared
-    /// across queries. `None` gives every query a fresh observer.
-    #[deprecated(note = "use `Proteus::session().observe(observer).execute(plan, config)`")]
-    pub fn execute_observed(
-        &self,
-        plan: &RelNode,
-        config: &EngineConfig,
-        observer: Option<Arc<SlowdownObserver>>,
-    ) -> Result<QueryOutcome> {
-        self.execute_with(plan, config, observer, None)
     }
 
     /// The session entry point: validate, optionally re-optimize from cached

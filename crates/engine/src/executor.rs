@@ -8,28 +8,18 @@
 //! PCIe link owns a clock, and the reported query time is the largest
 //! completion timestamp observed (see `DESIGN.md` §4).
 //!
-//! Two scheduling modes exist, selected by
-//! [`ExecutionMode`](hetex_common::ExecutionMode):
-//!
-//! * **Pipelined** (default) — all stages' pipeline-instance workers are
-//!   spawned up front and connected through bounded [`BlockQueue`]s, one per
-//!   consumer slot. Producers route, localize (mem-move) and push each block
-//!   handle the moment it is produced, so transfers, CPU work and GPU work
-//!   genuinely overlap; dependency edges (hash build before probe) are gates
-//!   a consumer waits on, not materialization barriers. This is the paper's
-//!   §3.1 architecture: routers connecting pipeline instances through
-//!   asynchronous queues of block handles.
-//! * **StageAtATime** — the legacy executor: stages run one after another,
-//!   each fully materializing its outputs before the next starts, with
-//!   routing as a serial pre-pass. Its simulated time honestly charges the
-//!   materialization barrier (stage *k* cannot start, and cannot schedule
-//!   transfers, before stage *k-1* completed). Kept selectable so the A/B
-//!   comparison and the correctness gate stay honest.
+//! Scheduling is pipelined: all stages' pipeline-instance workers are
+//! spawned up front and connected through bounded [`BlockQueue`]s, one per
+//! consumer slot. Producers route, localize (mem-move) and push each block
+//! handle the moment it is produced, so transfers, CPU work and GPU work
+//! genuinely overlap; dependency edges (hash build before probe) are gates a
+//! consumer waits on, not materialization barriers. This is the paper's §3.1
+//! architecture: routers connecting pipeline instances through asynchronous
+//! queues of block handles. The independent row oracle the tests compare
+//! against is [`crate::reference_execute`].
 
 use crate::codegen::{MemMoveMode, Stage, StageGraph, StageSource};
-use hetex_common::{
-    BlockHandle, EngineConfig, ExecutionMode, HetError, KernelMode, MemoryNodeId, Result,
-};
+use hetex_common::{BlockHandle, EngineConfig, HetError, MemoryNodeId, Result};
 use hetex_core::cost::{CostModel, DemandSplitter, SlowdownObserver, StealQuery};
 use hetex_core::mem_move::MemMove;
 use hetex_core::plan::RouterPolicy;
@@ -119,7 +109,7 @@ enum StealOutcome {
     Nothing,
 }
 
-/// The staging charge backing one queued block in governed pipelined mode:
+/// The staging charge backing one queued block under byte governance:
 /// the byte admission into the consumer's queue plus the arena lease on the
 /// consumer's memory node. Attached to the handle as its staging token; the
 /// consumer's drop of the handle releases both, waking parked producers.
@@ -141,8 +131,8 @@ pub struct DeviceKindStats {
 }
 
 /// Wall-clock milestones of one stage, used to observe genuine pipelining:
-/// in pipelined mode a consumer stage processes its first block while its
-/// producer stage is still running.
+/// a consumer stage processes its first block while its producer stage is
+/// still running.
 #[derive(Debug, Clone, Default)]
 pub struct StageTimeline {
     /// Wall-clock nanoseconds (since query start) when the stage's workers
@@ -169,29 +159,26 @@ pub struct ExecutionResult {
     pub stage_timeline: Vec<StageTimeline>,
     /// Simulated completion time of each stage.
     pub stage_completion: Vec<SimTime>,
-    /// Peak leased staging bytes per memory node (governed pipelined mode
-    /// only; empty when byte governance is off or in stage-at-a-time mode).
+    /// Peak leased staging bytes per memory node (empty when byte
+    /// governance is off).
     pub staging_peaks: Vec<(MemoryNodeId, u64)>,
     /// Blocks adaptively re-routed (stolen from an overloaded sibling's
-    /// queue) per stage; all zeros when stealing is disabled or in
-    /// stage-at-a-time mode.
+    /// queue) per stage; all zeros when stealing is disabled.
     pub blocks_stolen: Vec<u64>,
     /// Cross-node control-plane traffic: block handles pushed into a queue
     /// on a memory node other than the block's (a remote queue mutex
-    /// acquisition each). Measured in every pipelined run; *priced* into
-    /// routing only when the cost model's control-plane term is on.
+    /// acquisition each). Measured in every run; *priced* into routing only
+    /// when the cost model's control-plane term is on.
     pub remote_control_acquisitions: u64,
     /// Observed-slowdown EWMA per device slot (charged vs nominal busy
     /// time, 1.0 = healthy), indexed like the topology's device list.
-    /// Measured in every pipelined run; *priced* into routing projections
-    /// only when `CalibrationConfig::slowdown_feedback` is on. Empty in
-    /// stage-at-a-time mode.
+    /// Measured in every run; *priced* into routing projections only when
+    /// `CalibrationConfig::slowdown_feedback` is on.
     pub observed_slowdowns: Vec<f64>,
     /// The constants the engine-construction topology micro-probe measured
-    /// (control-plane round trip, per-link effective bandwidth). `None` in
-    /// stage-at-a-time mode; present in pipelined runs whether or not
-    /// `CalibrationConfig::measured_constants` let routing consume them.
-    pub probed_constants: Option<Arc<CalibratedConstants>>,
+    /// (control-plane round trip, per-link effective bandwidth), whether or
+    /// not `CalibrationConfig::measured_constants` let routing consume them.
+    pub probed_constants: Arc<CalibratedConstants>,
     /// Transient kernel failures absorbed by bounded in-place retry (zero
     /// without an injected fault plan).
     pub transient_retries: u64,
@@ -275,15 +262,14 @@ pub struct Executor {
     work_cost: WorkCost,
     /// Constants the topology micro-probe measured at construction
     /// (`hetex_topology::probe`): the control-plane round trip and each
-    /// link's effective bandwidth. Attached to every pipelined execution's
-    /// cost model; whether routing *consumes* them is the run's
+    /// link's effective bandwidth. Attached to every execution's cost
+    /// model; whether routing *consumes* them is the run's
     /// `CalibrationConfig::measured_constants` toggle.
     probed_constants: Arc<CalibratedConstants>,
     /// An externally owned slowdown observer shared across executions (the
     /// serving layer's server-lifetime EWMAs: one query's observed straggler
     /// informs the next query's routing). `None` — the default — makes every
-    /// pipelined execution create its own fresh observer, the single-query
-    /// behaviour.
+    /// execution create its own fresh observer, the single-query behaviour.
     shared_observer: Option<Arc<SlowdownObserver>>,
     /// Simulated time the most recent *failed* execution had reached when its
     /// error surfaced — the progress a degraded restart throws away. The
@@ -491,8 +477,8 @@ impl Executor {
     }
 
     /// Attach a server-lifetime slowdown observer shared across executions:
-    /// pipelined runs record into (and read from) it instead of a fresh
-    /// per-run observer, so observed stragglers carry over between queries.
+    /// runs record into (and read from) it instead of a fresh per-run
+    /// observer, so observed stragglers carry over between queries.
     pub fn with_shared_observer(mut self, observer: Arc<SlowdownObserver>) -> Self {
         self.shared_observer = Some(observer);
         self
@@ -515,7 +501,7 @@ impl Executor {
         &self.gpus
     }
 
-    /// Execute a stage graph in the configured scheduling mode.
+    /// Execute a stage graph.
     ///
     /// Error contract: every `Err` return leaves [`Self::take_failed_sim_time`]
     /// holding `Some` — the simulated time this execution burned before its
@@ -529,18 +515,7 @@ impl Executor {
         config: &EngineConfig,
     ) -> Result<ExecutionResult> {
         *self.failed_sim_time.lock() = None;
-        match config.execution_mode {
-            ExecutionMode::Pipelined => self.execute_pipelined(graph, catalog, config),
-            ExecutionMode::StageAtATime => self.execute_stage_at_a_time(graph, catalog, config),
-        }
-    }
-
-    /// Record the simulated time a failing execution path burned, keeping the
-    /// largest value when several paths report (a stage worker's completion
-    /// fold, then the caller's materialization barrier).
-    fn record_burned(&self, reached: SimTime) {
-        let mut failed = self.failed_sim_time.lock();
-        *failed = Some(failed.map_or(reached, |prev| prev.max(reached)));
+        self.execute_pipelined(graph, catalog, config)
     }
 
     // ------------------------------------------------------------------
@@ -681,21 +656,14 @@ impl Executor {
             bytes_in: bytes,
             ..Default::default()
         };
-        // Estimate CPU consumers at the kernel mode they will execute (the
-        // vectorized lowering dispatches per chunk, not per tuple) and GPU
-        // consumers always at the tuple-at-a-time shape — the SIMT lowering
-        // is unchanged and still charges per-tuple ops. Pricing both kinds
-        // with one shape would skew the device comparison: a vectorized
-        // estimate under-prices GPUs (which never get cheaper), steering
-        // blocks onto them that cost more than projected.
+        // Estimate each consumer kind at the kernel shape it is charged: CPU
+        // consumers dispatch per chunk, GPU consumers per thread. Pricing
+        // both kinds with one shape would skew the device comparison — the
+        // chunked estimate under-prices GPUs, steering blocks onto them that
+        // cost more than projected.
         let template = routing.stage.template(DeviceKind::CpuCore);
-        let est_cpu_work =
-            template.work_profile_for(&counters, handle.meta().weight, cost.estimate_kernel_mode());
-        let est_gpu_work = if cost.estimate_kernel_mode() == KernelMode::TupleAtATime {
-            est_cpu_work
-        } else {
-            template.work_profile_for(&counters, handle.meta().weight, KernelMode::TupleAtATime)
-        };
+        let [est_cpu_work, est_gpu_work] = [DeviceKind::CpuCore, DeviceKind::Gpu]
+            .map(|kind| template.work_profile_on(kind, &counters, handle.meta().weight));
         let mut device_ns = Vec::with_capacity(routing.stage.consumers.len());
         let mut node_ns = Vec::with_capacity(routing.stage.consumers.len());
         for i in 0..routing.stage.consumers.len() {
@@ -768,13 +736,11 @@ impl Executor {
     }
 
     /// Route one block to a consumer of `routing`'s stage and localize it via
-    /// mem-move. `not_before` floors the block's readiness (the stage-at-a-
-    /// time executor uses it to charge the materialization barrier; the
-    /// pipelined executor passes `SimTime::ZERO` so transfers overlap
-    /// upstream compute). When `staging` is present (governed pipelined
-    /// mode), each consumer node's arena occupancy is priced into the
-    /// projection so routing steers away from memory-starved nodes, and ties
-    /// prefer consumers already local to the block (NUMA-aware placement).
+    /// mem-move; the block's readiness is not floored, so transfers overlap
+    /// upstream compute. When `staging` is present (byte governance on),
+    /// each consumer node's arena occupancy is priced into the projection so
+    /// routing steers away from memory-starved nodes, and ties prefer
+    /// consumers already local to the block (NUMA-aware placement).
     ///
     /// `gate_ns` is the estimated opening time of the consumer stage's
     /// dependency gate (0 when ungated) and `gate_pending` whether that gate
@@ -801,8 +767,7 @@ impl Executor {
         routing: &StageRouting<'_>,
         mem_move: &MemMove,
         gpu_nodes: &[MemoryNodeId],
-        mut handle: BlockHandle,
-        not_before: SimTime,
+        handle: BlockHandle,
         staging: Option<&BlockManagerSet>,
         gate_ns: u64,
         gate_pending: bool,
@@ -810,9 +775,6 @@ impl Executor {
         stage_idx: usize,
         fault: Option<&FaultState>,
     ) -> Result<(usize, BlockHandle)> {
-        if handle.meta().ready_at_ns < not_before.as_nanos() {
-            handle.meta_mut().ready_at_ns = not_before.as_nanos();
-        }
         let (device_ns, node_ns) =
             self.block_costs(routing, &handle, gate_pending.then_some(gate_ns), cost);
         // Price each consumer node's staging-arena occupancy: a block routed
@@ -1219,8 +1181,7 @@ impl Executor {
                 ExecCtx::gpu(gpu, config.block_capacity)
             }
             DeviceKind::CpuCore => ExecCtx::cpu(s_node, config.block_capacity),
-        }
-        .with_kernel_mode(config.kernel_mode);
+        };
 
         let mut last_end = floor;
         let mut stats = DeviceKindStats::default();
@@ -1410,8 +1371,7 @@ impl Executor {
             return Ok((Vec::new(), Vec::new()));
         }
         let node = self.topology.cpu_memory_nodes()[0];
-        let mut ctx =
-            ExecCtx::cpu(node, config.block_capacity).with_kernel_mode(config.kernel_mode);
+        let mut ctx = ExecCtx::cpu(node, config.block_capacity);
         let emitted = stage.template(DeviceKind::CpuCore).emit_state_results(state, &mut ctx)?;
         let mut rows = Vec::new();
         for handle in &emitted.blocks {
@@ -1472,7 +1432,7 @@ impl Executor {
                     // Setup failure before any simulated work: the attempt
                     // burned exactly zero, recorded explicitly so the engine's
                     // attempt accounting never has to guess.
-                    self.record_burned(SimTime::ZERO);
+                    *self.failed_sim_time.lock() = Some(SimTime::ZERO);
                     return Err(e);
                 }
             };
@@ -1740,7 +1700,6 @@ impl Executor {
                 mem_move,
                 gpu_nodes,
                 block,
-                SimTime::ZERO,
                 staging_ref,
                 gate_ns,
                 gate_pending,
@@ -1941,7 +1900,6 @@ impl Executor {
                                 mem_move,
                                 gpu_nodes,
                                 handle,
-                                SimTime::ZERO,
                                 staging_ref,
                                 gate_ns,
                                 gate_pending,
@@ -2005,8 +1963,7 @@ impl Executor {
                                 DeviceKind::CpuCore => {
                                     ExecCtx::cpu(out_node, config.block_capacity)
                                 }
-                            }
-                            .with_kernel_mode(config.kernel_mode);
+                            };
 
                             let mut local_stats = DeviceKindStats::default();
                             let mut processed_any = false;
@@ -2456,7 +2413,7 @@ impl Executor {
                 .collect(),
             remote_control_acquisitions: remote_ctl.load(Ordering::Relaxed),
             observed_slowdowns: observer.snapshot(),
-            probed_constants: Some(Arc::clone(&self.probed_constants)),
+            probed_constants: Arc::clone(&self.probed_constants),
             transient_retries: fault_state
                 .as_ref()
                 .map(|f| f.retries.load(Ordering::Relaxed))
@@ -2472,346 +2429,6 @@ impl Executor {
                 .collect(),
         })
     }
-
-    // ------------------------------------------------------------------
-    // Stage-at-a-time executor (legacy, kept for A/B comparison)
-    // ------------------------------------------------------------------
-
-    fn execute_stage_at_a_time(
-        &self,
-        graph: &StageGraph,
-        catalog: &Catalog,
-        config: &EngineConfig,
-    ) -> Result<ExecutionResult> {
-        let wall_start = Instant::now();
-        self.topology.reset_clocks();
-        let dma = DmaEngine::new(Arc::clone(&self.topology));
-        let mem_move = MemMove::new(dma);
-        let device_clocks = self.device_clocks();
-        let trace = std::env::var("HETEX_TRACE_EXEC").is_ok();
-
-        let any_router = graph.stages.iter().any(|s| s.has_router);
-        let mut stage_outputs: Vec<Vec<BlockHandle>> = Vec::with_capacity(graph.stages.len());
-        let mut stage_completion: Vec<SimTime> = Vec::with_capacity(graph.stages.len());
-        let mut timeline: Vec<StageTimeline> = Vec::with_capacity(graph.stages.len());
-        let mut per_kind: HashMap<DeviceKind, DeviceKindStats> = HashMap::new();
-        let mut result_rows: Vec<Vec<i64>> = Vec::new();
-        let mut stage_rows: Vec<(u64, u64)> = Vec::with_capacity(graph.stages.len());
-        // The materialization barrier: a stage-at-a-time engine runs one
-        // stage at a time, so stage k (and its transfers) cannot start
-        // before stage k-1 finished — its simulated time honestly pays the
-        // sum of stage latencies instead of a pipelined critical path.
-        let mut barrier = SimTime::ZERO;
-
-        let mut run_stages = || -> Result<()> {
-            for (stage_idx, stage) in graph.stages.iter().enumerate() {
-                let inputs: Vec<BlockHandle> = match &stage.source {
-                    StageSource::Table { table, projection } => {
-                        self.table_segments(table, projection, catalog, config)?
-                    }
-                    StageSource::Stage(idx) => {
-                        stage_outputs.get(*idx).cloned().ok_or_else(|| {
-                            HetError::Execution(format!("stage {idx} has no outputs yet"))
-                        })?
-                    }
-                };
-
-                // A probe stage additionally cannot start before the hash
-                // tables it reads are fully built.
-                let floor = stage
-                    .depends_on
-                    .iter()
-                    .map(|&d| stage_completion.get(d).copied().unwrap_or(SimTime::ZERO))
-                    .fold(barrier, SimTime::max);
-
-                let outcome = self.run_stage(
-                    stage,
-                    stage_idx,
-                    inputs,
-                    floor,
-                    &graph.state,
-                    &mem_move,
-                    &device_clocks,
-                    config,
-                    trace,
-                    wall_start,
-                )?;
-
-                for (kind, s) in outcome.per_kind {
-                    let entry = per_kind.entry(kind).or_default();
-                    entry.blocks += s.blocks;
-                    entry.busy_ns += s.busy_ns;
-                    entry.bytes_scanned += s.bytes_scanned;
-                }
-                if stage.is_result {
-                    result_rows = outcome.result_rows;
-                }
-                barrier = barrier.max(outcome.completion);
-                stage_completion.push(outcome.completion);
-                stage_outputs.push(outcome.outputs);
-                timeline.push(outcome.timeline);
-                stage_rows.push((outcome.rows_in, outcome.rows_out));
-            }
-            Ok(())
-        };
-        if let Err(e) = run_stages() {
-            // A mid-query failure burned at least the materialization barrier
-            // — the simulated time every completed stage has paid. A failing
-            // stage's own partial completion, when a deeper path captured it,
-            // max-merges with the barrier rather than being overwritten.
-            self.record_burned(barrier);
-            return Err(e);
-        }
-
-        let mut sim_time = stage_completion.iter().copied().fold(SimTime::ZERO, SimTime::max);
-        if any_router {
-            sim_time = sim_time.add_nanos(ROUTER_INIT_OVERHEAD.as_nanos());
-        }
-
-        Ok(ExecutionResult {
-            rows: result_rows,
-            sim_time,
-            wall_time: wall_start.elapsed(),
-            per_kind,
-            bytes_transferred: mem_move.dma().stats().bytes_moved,
-            stage_timeline: timeline,
-            stage_completion,
-            staging_peaks: Vec::new(),
-            blocks_stolen: vec![0; graph.stages.len()],
-            remote_control_acquisitions: 0,
-            observed_slowdowns: Vec::new(),
-            probed_constants: None,
-            transient_retries: 0,
-            recovered_blocks: 0,
-            staging_leaked_bytes: 0,
-            stage_rows,
-        })
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn run_stage(
-        &self,
-        stage: &Stage,
-        stage_idx: usize,
-        inputs: Vec<BlockHandle>,
-        floor: SimTime,
-        state: &SharedState,
-        mem_move: &MemMove,
-        device_clocks: &HashMap<DeviceId, ResourceClock>,
-        config: &EngineConfig,
-        trace: bool,
-        wall_start: Instant,
-    ) -> Result<StageOutcome> {
-        let routing = self.stage_routing(stage)?;
-        let gpu_nodes = self.topology.gpu_memory_nodes();
-        // The legacy executor routes with every cost-model refinement off:
-        // stage-at-a-time is the bit-stable differential baseline the
-        // cost-model toggles are tested against, so its routing must not
-        // move when terms are toggled.
-        let cost = CostModel::legacy();
-
-        // Routing pass: distribute block handles (control plane only), then
-        // let mem-move localize the data for the chosen instance. Serial, and
-        // floored at the materialization barrier: neither routing nor the
-        // transfers it schedules can precede the stage's start.
-        let mut instance_inputs: Vec<Vec<BlockHandle>> = vec![Vec::new(); stage.consumers.len()];
-        for handle in inputs {
-            // No gate term (0, not pending): the materialization barrier
-            // already floors the whole stage at its dependencies' completion,
-            // so legacy routing stays exactly as it was.
-            // No fault plan either: stage-at-a-time is the bit-identical
-            // correctness baseline fault recovery is verified against, so
-            // it must never observe injected faults.
-            let (pick, localized) = self.route_and_localize(
-                &routing, mem_move, &gpu_nodes, handle, floor, None, 0, false, &cost, stage_idx,
-                None,
-            )?;
-            instance_inputs[pick].push(localized);
-        }
-
-        // Processing pass: one host thread per instance.
-        let outputs: Mutex<Vec<BlockHandle>> = Mutex::new(Vec::new());
-        let per_kind: Mutex<HashMap<DeviceKind, DeviceKindStats>> = Mutex::new(HashMap::new());
-        let completion: Mutex<SimTime> = Mutex::new(floor);
-        let first_error: Mutex<Option<HetError>> = Mutex::new(None);
-        let first_block_wall = AtomicU64::new(u64::MAX);
-        let stage_rows_in = AtomicU64::new(0);
-        let stage_rows_out = AtomicU64::new(0);
-
-        std::thread::scope(|scope| {
-            for (slot_idx, slot) in stage.consumers.iter().enumerate() {
-                let my_blocks = std::mem::take(&mut instance_inputs[slot_idx]);
-                if my_blocks.is_empty() {
-                    continue;
-                }
-                let device_id = routing.instance_devices[slot_idx];
-                let device_profile = match self.topology.device(device_id) {
-                    Ok(p) => p.clone(),
-                    Err(e) => {
-                        *first_error.lock() = Some(e);
-                        continue;
-                    }
-                };
-                let clock = device_clocks.get(&device_id).expect("device clock exists").clone();
-                let pipeline = stage.template(slot.kind).clone();
-                let gpu = self.gpus.get(&device_id).cloned();
-                let outputs = &outputs;
-                let per_kind = &per_kind;
-                let completion = &completion;
-                let first_error = &first_error;
-                let first_block_wall = &first_block_wall;
-                let stage_rows_in = &stage_rows_in;
-                let stage_rows_out = &stage_rows_out;
-                let kind = slot.kind;
-                let out_node = routing.instance_nodes[slot_idx];
-                let block_capacity = config.block_capacity;
-                let kernel_mode = config.kernel_mode;
-
-                scope.spawn(move || {
-                    let mut ctx = match kind {
-                        DeviceKind::Gpu => match gpu {
-                            Some(gpu) => ExecCtx::gpu(gpu, block_capacity),
-                            None => {
-                                *first_error.lock() = Some(HetError::Execution(format!(
-                                    "stage {stage_idx}: GPU instance without a device"
-                                )));
-                                return;
-                            }
-                        },
-                        DeviceKind::CpuCore => ExecCtx::cpu(out_node, block_capacity),
-                    }
-                    .with_kernel_mode(kernel_mode);
-
-                    let mut local_stats = DeviceKindStats::default();
-                    let mut local_outputs: Vec<BlockHandle> = Vec::new();
-                    let mut last_end = floor;
-                    let mut processed_any = false;
-
-                    for block in my_blocks {
-                        if !processed_any {
-                            processed_any = true;
-                            let _ = first_block_wall
-                                .fetch_min(wall_start.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                        }
-                        let ready = SimTime::from_nanos(block.meta().ready_at_ns).max(floor);
-                        match pipeline.process_block(&block, state, &mut ctx) {
-                            Ok(out) => {
-                                let (end, busy) =
-                                    self.charge(&clock, &device_profile, &out.work, ready);
-                                last_end = last_end.max(end);
-                                local_stats.busy_ns += busy;
-                                local_stats.blocks += 1;
-                                local_stats.bytes_scanned += out.work.bytes_scanned;
-                                stage_rows_in
-                                    .fetch_add(out.counters.rows_in, Ordering::Relaxed);
-                                stage_rows_out
-                                    .fetch_add(out.counters.rows_emitted, Ordering::Relaxed);
-                                for mut produced in out.blocks {
-                                    produced.meta_mut().ready_at_ns = end.as_nanos();
-                                    local_outputs.push(produced);
-                                }
-                            }
-                            Err(e) => {
-                                let mut slot = first_error.lock();
-                                if slot.is_none() {
-                                    *slot = Some(e);
-                                }
-                                return;
-                            }
-                        }
-                    }
-
-                    // Flush partially filled packed outputs.
-                    match pipeline.finalize_instance(&mut ctx) {
-                        Ok(out) => {
-                            if !out.work.is_empty() {
-                                let (end, busy) =
-                                    self.charge(&clock, &device_profile, &out.work, last_end);
-                                last_end = last_end.max(end);
-                                local_stats.busy_ns += busy;
-                            }
-                            stage_rows_out
-                                .fetch_add(out.counters.rows_emitted, Ordering::Relaxed);
-                            for mut produced in out.blocks {
-                                produced.meta_mut().ready_at_ns = last_end.as_nanos();
-                                local_outputs.push(produced);
-                            }
-                        }
-                        Err(e) => {
-                            let mut slot = first_error.lock();
-                            if slot.is_none() {
-                                *slot = Some(e);
-                            }
-                            return;
-                        }
-                    }
-
-                    if trace {
-                        eprintln!(
-                            "[trace] stage {stage_idx} dev {device_id:?} blocks {} busy {:.1}ms last_end {} clock {}",
-                            local_stats.blocks,
-                            local_stats.busy_ns as f64 / 1e6,
-                            last_end,
-                            clock.now()
-                        );
-                    }
-                    outputs.lock().extend(local_outputs);
-                    {
-                        let mut kinds = per_kind.lock();
-                        let entry = kinds.entry(kind).or_default();
-                        entry.blocks += local_stats.blocks;
-                        entry.busy_ns += local_stats.busy_ns;
-                        entry.bytes_scanned += local_stats.bytes_scanned;
-                    }
-                    let mut done = completion.lock();
-                    *done = done.max(last_end).max(clock.now());
-                });
-            }
-        });
-
-        if let Some(err) = first_error.lock().take() {
-            // How far this attempt simulated before failing (the stage floor
-            // already folds in every completed stage), for the engine's
-            // per-attempt accounting.
-            let reached = *completion.lock();
-            let mut failed = self.failed_sim_time.lock();
-            *failed = Some(failed.map_or(reached, |t| t.max(reached)));
-            return Err(err);
-        }
-
-        let completion = *completion.lock();
-        let mut outputs = outputs.into_inner();
-
-        // Emit reduce / group-by results exactly once per stage, on a CPU
-        // context (the paper's final single-instance gather pipeline).
-        let (result_rows, emitted_blocks) =
-            self.emit_stage_results(stage, state, completion, config)?;
-        outputs.extend(emitted_blocks);
-
-        let first = first_block_wall.load(Ordering::Relaxed);
-        Ok(StageOutcome {
-            outputs,
-            completion,
-            per_kind: per_kind.into_inner(),
-            result_rows,
-            timeline: StageTimeline {
-                first_block_wall_ns: (first != u64::MAX).then_some(first),
-                finished_wall_ns: wall_start.elapsed().as_nanos() as u64,
-            },
-            rows_in: stage_rows_in.load(Ordering::Relaxed),
-            rows_out: stage_rows_out.load(Ordering::Relaxed),
-        })
-    }
-}
-
-struct StageOutcome {
-    outputs: Vec<BlockHandle>,
-    completion: SimTime,
-    per_kind: HashMap<DeviceKind, DeviceKindStats>,
-    result_rows: Vec<Vec<i64>>,
-    timeline: StageTimeline,
-    rows_in: u64,
-    rows_out: u64,
 }
 
 #[cfg(test)]
@@ -2956,11 +2573,6 @@ mod tests {
         let ungoverned = run(&config.clone().with_staging_bytes(None), 100_000);
         assert!(ungoverned.staging_peaks.is_empty());
         assert_eq!(governed.rows, ungoverned.rows);
-
-        // Stage-at-a-time mode is not byte-governed.
-        let saat = run(&config.clone().with_execution_mode(ExecutionMode::StageAtATime), 100_000);
-        assert!(saat.staging_peaks.is_empty());
-        assert_eq!(governed.rows, saat.rows);
     }
 
     #[test]
@@ -3092,10 +2704,9 @@ mod tests {
                 assert_eq!(ewma, 1.0, "device {idx} falsely observed as slow");
             }
         }
-        // Pipelined runs surface the probe's constants; on the two-socket
-        // paper server the measured round trip is non-zero.
-        let constants = calibrated.probed_constants.as_ref().expect("probed constants");
-        assert!(constants.control_plane_ns > 0);
+        // Every run surfaces the probe's constants; on the two-socket paper
+        // server the measured round trip is non-zero.
+        assert!(calibrated.probed_constants.control_plane_ns > 0);
     }
 
     #[test]
@@ -3103,46 +2714,30 @@ mod tests {
         use hetex_common::CostModelConfig;
         let config = EngineConfig::hybrid(4, 2);
         let all_on = run(&config, 100_000);
-        // A hybrid pipelined run pushes blocks across nodes (CPU DRAM to GPU
-        // consumers at least), so control-plane traffic must be measured.
+        // A hybrid run pushes blocks across nodes (CPU DRAM to GPU consumers
+        // at least), so control-plane traffic must be measured.
         assert!(
             all_on.remote_control_acquisitions > 0,
-            "hybrid pipelined run saw no remote queue acquisitions"
+            "hybrid run saw no remote queue acquisitions"
         );
         // Rows are invariant under the estimation toggles: the cost model
         // only moves blocks between equivalent consumers.
-        let all_off = run(&config.clone().with_cost_model(CostModelConfig::disabled()), 100_000);
+        let all_off = run(&config.with_cost_model(CostModelConfig::disabled()), 100_000);
         assert_eq!(all_on.rows, all_off.rows);
-        // The legacy mode neither measures nor prices control-plane traffic,
-        // and carries no calibration observables either.
-        let saat = run(&config.with_execution_mode(ExecutionMode::StageAtATime), 100_000);
-        assert_eq!(saat.remote_control_acquisitions, 0);
-        assert!(saat.observed_slowdowns.is_empty());
-        assert!(saat.probed_constants.is_none());
-        assert_eq!(saat.rows, all_on.rows);
-        // Pipelined runs always surface the per-device EWMAs (healthy here).
+        let (sum, cnt) = expected(100_000);
+        assert_eq!(all_on.rows, vec![vec![sum, cnt]]);
+        // Every run surfaces the per-device EWMAs (healthy here).
         assert!(!all_on.observed_slowdowns.is_empty());
         assert!(all_on.observed_slowdowns.iter().all(|&s| s >= 1.0));
     }
 
     #[test]
-    fn both_modes_produce_identical_rows() {
-        let pipelined = run(&EngineConfig::cpu_only(4), 50_000);
-        let saat = run(
-            &EngineConfig::cpu_only(4).with_execution_mode(ExecutionMode::StageAtATime),
-            50_000,
-        );
-        assert_eq!(pipelined.rows, saat.rows);
-    }
-
-    #[test]
     fn pipelined_mode_overlaps_producer_and_consumer_stages() {
         // Stage 1 (hash build) consumes the blocks stage 0 (dimension scan +
-        // pack) produces. In pipelined mode the build processes its first
-        // block while the scan stage is still running (observed on the wall
-        // clock, so the check retries a few times — the overlap is a
-        // capability, not a guarantee of any single thread interleaving); in
-        // stage-at-a-time mode it can never happen.
+        // pack) produces. The build processes its first block while the
+        // scan stage is still running (observed on the wall clock, so the
+        // check retries a few times — the overlap is a capability, not a
+        // guarantee of any single thread interleaving).
         let topology = ServerTopology::paper_server();
         let fact_rows = 200_000usize;
         let dim_rows = 400_000usize;
@@ -3196,20 +2791,10 @@ mod tests {
         }
         assert!(
             overlapped,
-            "pipelined: the build stage never processed a block before the scan stage finished"
+            "the build stage never processed a block before the scan stage finished"
         );
-
-        let saat_config = config.clone().with_execution_mode(ExecutionMode::StageAtATime);
-        let graph = compile(&het, &saat_config, &topology).unwrap();
-        let saat = executor.execute(&graph, &catalog, &saat_config).unwrap();
-        let build_first =
-            saat.stage_timeline[1].first_block_wall_ns.expect("build stage processed blocks");
-        let scan_finished = saat.stage_timeline[0].finished_wall_ns;
-        assert!(
-            build_first >= scan_finished,
-            "stage-at-a-time: build must start only after the scan finished"
-        );
-        assert_eq!(pipelined.rows, saat.rows);
+        let oracle = crate::reference_execute(&join_sum_plan(), &catalog).unwrap();
+        assert_eq!(pipelined.rows, oracle);
     }
 
     /// `SELECT SUM(value), COUNT(*) FROM fact` — one anonymous routed stage,

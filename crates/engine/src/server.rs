@@ -257,23 +257,6 @@ impl QueryServer {
         QuerySession::on_server(self)
     }
 
-    /// Submit a query at [`Priority::Normal`].
-    #[deprecated(note = "use `QueryServer::session().submit(plan, config)`")]
-    pub fn submit(&mut self, plan: RelNode, config: EngineConfig) -> Result<QueryTicket> {
-        self.submit_session(plan, config, Priority::Normal, None, None)
-    }
-
-    /// Submit a query for admission at `priority`.
-    #[deprecated(note = "use `QueryServer::session().priority(p).submit(plan, config)`")]
-    pub fn submit_with_priority(
-        &mut self,
-        plan: RelNode,
-        config: EngineConfig,
-        priority: Priority,
-    ) -> Result<QueryTicket> {
-        self.submit_session(plan, config, priority, None, None)
-    }
-
     /// Submit a query for admission at `priority`, with optional
     /// session-level overrides of the shared observer and feedback cache.
     /// Returns a ticket the caller can [`QueryTicket::wait`] on; the query

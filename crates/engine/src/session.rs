@@ -3,20 +3,17 @@
 //! [`QuerySession`] is the single entry point for running a query, whatever
 //! the host: opened on a bare engine ([`Proteus::session`]) it executes
 //! one-shot, opened on a server ([`QueryServer::session`]) it can also submit
-//! for admission-controlled serving. The builder carries the per-query knobs
-//! that used to be separate entry points:
+//! for admission-controlled serving. The builder carries the per-query knobs:
 //!
-//! * [`QuerySession::priority`] — the admission class (serving only; replaces
-//!   `submit_with_priority`),
-//! * [`QuerySession::observe`] — a shared slowdown observer (replaces
-//!   `execute_observed`),
+//! * [`QuerySession::priority`] — the admission class (serving only),
+//! * [`QuerySession::observe`] — a shared slowdown observer,
 //! * [`QuerySession::reuse_feedback`] — a shared [`FeedbackCache`] for plan
 //!   re-optimization, overriding the host's own (the engine-lifetime cache
 //!   for one-shot sessions, the server-lifetime cache for served ones).
 //!
 //! Defaults match the host exactly: a plain `engine.session().execute(..)`
-//! is bit-identical to the old `engine.execute(..)`, and a server session
-//! inherits the server's shared observer and feedback cache.
+//! gives the query a fresh observer and the engine-lifetime cache, and a
+//! server session inherits the server's shared observer and feedback cache.
 
 use crate::engine::{Proteus, QueryOutcome};
 use crate::server::{QueryServer, QueryTicket};

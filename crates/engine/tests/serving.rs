@@ -18,6 +18,7 @@
 use hetex_common::{
     ColumnData, DataType, EngineConfig, HetError, Priority, ServeConfig, StealPolicy,
 };
+use hetex_core::SlowdownObserver;
 use hetex_engine::{Proteus, QueryServer};
 use hetex_jit::{AggSpec, Expr};
 use hetex_storage::TableBuilder;
@@ -58,13 +59,8 @@ fn micro_probe_runs_once_per_engine() {
     {
         for _ in 0..3 {
             let outcome = engine.session().execute(&sum_where_plan(42), &config).unwrap();
-            let probed = outcome
-                .stats
-                .probed_constants
-                .as_ref()
-                .expect("pipelined runs report probed constants");
             assert!(
-                Arc::ptr_eq(probed, &reference),
+                Arc::ptr_eq(&outcome.stats.probed_constants, &reference),
                 "query re-probed the topology instead of reusing the engine's constants"
             );
         }
@@ -88,8 +84,10 @@ fn degraded_restarts_reuse_the_engine_probe() {
     let outcome =
         engine.session().execute(&sum_where_plan(42), &EngineConfig::gpu_only(2)).unwrap();
     assert!(outcome.stats.degraded_restarts >= 1, "the dead GPUs must force restarts");
-    let probed = outcome.stats.probed_constants.as_ref().unwrap();
-    assert!(Arc::ptr_eq(probed, &reference), "a degraded-restart attempt re-probed the topology");
+    assert!(
+        Arc::ptr_eq(&outcome.stats.probed_constants, &reference),
+        "a degraded-restart attempt re-probed the topology"
+    );
 }
 
 #[test]
@@ -238,6 +236,24 @@ fn query_server_requires_serving_enabled_and_fitting_footprints() {
     let report = server.shutdown().unwrap();
     assert!(report.sessions.is_empty());
     assert_eq!(report.makespan, SimTime::ZERO);
+}
+
+#[test]
+fn an_engine_session_feeds_the_observer_it_is_given() {
+    // `session().observe(..)` replaces the query's fresh per-run observer:
+    // a hidden 8x straggler must show up in the caller's observer, and the
+    // stats must be a snapshot of that same observer.
+    let topology = ServerTopology::paper_server();
+    let slow_gpu = topology.gpus()[1];
+    let engine = engine_on(topology.with_device_slowdown(slow_gpu, 8.0).unwrap(), 50_000);
+    let observer = Arc::new(SlowdownObserver::new(engine.topology().devices().len()));
+    let outcome = engine
+        .session()
+        .observe(Arc::clone(&observer))
+        .execute(&sum_where_plan(42), &EngineConfig::hybrid(4, 2))
+        .unwrap();
+    assert!(observer.slowdown(slow_gpu.index()) > 1.5, "the given observer saw nothing");
+    assert_eq!(outcome.stats.observed_slowdowns, observer.snapshot());
 }
 
 #[test]

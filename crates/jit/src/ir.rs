@@ -11,14 +11,15 @@
 //! updated differs (Figure 3).
 
 use crate::expr::Expr;
-use hetex_common::{HetError, KernelMode, Result};
+use hetex_common::{HetError, Result};
+use hetex_topology::DeviceKind;
 
-/// Discount applied to expression op counts under the vectorized lowering:
-/// column-at-a-time tight loops over dense lanes amortize the interpreter's
+/// Discount applied to expression op counts on a CPU core, where the chunk
+/// kernel runs column-at-a-time tight loops over dense lanes that amortize
 /// per-node dispatch and let the compiler autovectorize, so one nominal
-/// "simple operation" costs about half what the per-tuple interpreter pays.
-/// Hash-table work (probe/build/group-by lookups) is *not* discounted — it is
-/// per-tuple random access in either mode.
+/// "simple operation" costs about half what a GPU thread's per-tuple
+/// instruction stream pays. Hash-table work (probe/build/group-by lookups) is
+/// *not* discounted — it is per-tuple random access on either device.
 pub const VEC_OP_DISCOUNT: f64 = 0.5;
 
 /// Ops charged per surviving lane for refining the selection vector at a
@@ -142,32 +143,21 @@ impl Step {
         }
     }
 
-    /// Approximate simple-operation count per tuple reaching this step,
-    /// assuming the per-tuple (tuple-at-a-time) dispatch shape.
-    pub fn ops_per_tuple(&self) -> f64 {
-        self.ops_per_tuple_for(KernelMode::TupleAtATime)
-    }
-
-    /// Like [`Self::ops_per_tuple`], but priced for the given kernel mode:
-    /// under [`KernelMode::Vectorized`] expression work is discounted by
-    /// [`VEC_OP_DISCOUNT`] (dense column-at-a-time loops) while per-tuple
-    /// random hash work keeps its full charge.
-    pub fn ops_per_tuple_for(&self, mode: KernelMode) -> f64 {
-        match mode {
-            KernelMode::TupleAtATime => match self {
-                Step::Filter { predicate } => predicate.op_count(),
-                Step::Map { exprs } => exprs.iter().map(Expr::op_count).sum(),
-                Step::HashJoinProbe { key, .. } => key.op_count() + 4.0,
-            },
-            KernelMode::Vectorized => match self {
-                Step::Filter { predicate } => {
-                    predicate.op_count() * VEC_OP_DISCOUNT + VEC_SELECTION_OPS
-                }
-                Step::Map { exprs } => {
-                    exprs.iter().map(Expr::op_count).sum::<f64>() * VEC_OP_DISCOUNT
-                }
-                Step::HashJoinProbe { key, .. } => key.op_count() * VEC_OP_DISCOUNT + 4.0,
-            },
+    /// Approximate simple-operation count per tuple reaching this step on
+    /// `device`. A GPU thread runs the per-tuple instruction stream at full
+    /// charge; on a CPU core expression work is discounted by
+    /// [`VEC_OP_DISCOUNT`] (dense column-at-a-time loops) and a filter adds
+    /// [`VEC_SELECTION_OPS`], while per-tuple random hash work keeps its
+    /// full charge.
+    pub fn ops_per_tuple(&self, device: DeviceKind) -> f64 {
+        let (discount, selection_ops) = match device {
+            DeviceKind::Gpu => (1.0, 0.0),
+            DeviceKind::CpuCore => (VEC_OP_DISCOUNT, VEC_SELECTION_OPS),
+        };
+        match self {
+            Step::Filter { predicate } => predicate.op_count() * discount + selection_ops,
+            Step::Map { exprs } => exprs.iter().map(Expr::op_count).sum::<f64>() * discount,
+            Step::HashJoinProbe { key, .. } => key.op_count() * discount + 4.0,
         }
     }
 
@@ -209,17 +199,12 @@ pub enum TerminalStep {
 }
 
 impl TerminalStep {
-    /// Approximate simple-operation count per tuple reaching the terminal,
-    /// assuming the per-tuple (tuple-at-a-time) dispatch shape.
-    pub fn ops_per_tuple(&self) -> f64 {
-        self.ops_per_tuple_for(KernelMode::TupleAtATime)
-    }
-
-    /// Like [`Self::ops_per_tuple`], but priced for the given kernel mode:
-    /// vectorized terminals evaluate their expressions column-at-a-time
+    /// Approximate simple-operation count per tuple reaching the terminal on
+    /// `device`: CPU terminals evaluate their expressions column-at-a-time
     /// (discounted by [`VEC_OP_DISCOUNT`]) and accumulate in tight dense
-    /// loops, while hash-table inserts/updates stay per-tuple random work.
-    pub fn ops_per_tuple_for(&self, mode: KernelMode) -> f64 {
+    /// loops, GPU threads pay the full per-tuple charge, and hash-table
+    /// inserts/updates stay per-tuple random work on both.
+    pub fn ops_per_tuple(&self, device: DeviceKind) -> f64 {
         let expr_ops = match self {
             TerminalStep::Pack { exprs, partition_by, .. } => {
                 exprs.iter().map(Expr::op_count).sum::<f64>()
@@ -236,24 +221,20 @@ impl TerminalStep {
                     + aggs.iter().map(|a| a.expr.op_count()).sum::<f64>()
             }
         };
-        let discounted = match mode {
-            KernelMode::TupleAtATime => expr_ops,
-            KernelMode::Vectorized => expr_ops * VEC_OP_DISCOUNT,
-        };
         // Accumulate/insert work on top of expression evaluation. The hash
-        // constant (4.0) is per-tuple random access in either mode; the
-        // per-aggregate accumulate costs 1.0 interpreted, half that in a
-        // dense fold.
-        let acc = match mode {
-            KernelMode::TupleAtATime => 1.0,
-            KernelMode::Vectorized => VEC_OP_DISCOUNT,
+        // constant (4.0) is per-tuple random access on either device; the
+        // per-aggregate accumulate costs 1.0 per GPU thread, half that in a
+        // dense CPU fold.
+        let discount = match device {
+            DeviceKind::Gpu => 1.0,
+            DeviceKind::CpuCore => VEC_OP_DISCOUNT,
         };
-        discounted
+        expr_ops * discount
             + match self {
                 TerminalStep::Pack { .. } => 0.0,
                 TerminalStep::HashJoinBuild { .. } => 4.0,
-                TerminalStep::Reduce { aggs, .. } => aggs.len() as f64 * acc,
-                TerminalStep::GroupBy { aggs, .. } => aggs.len() as f64 * acc + 4.0,
+                TerminalStep::Reduce { aggs, .. } => aggs.len() as f64 * discount,
+                TerminalStep::GroupBy { aggs, .. } => aggs.len() as f64 * discount + 4.0,
             }
     }
 
@@ -384,27 +365,22 @@ mod tests {
             slot: StateSlot(0),
         };
         assert_eq!(build.output_width(), 0);
-        assert!(build.ops_per_tuple() > 0.0);
+        assert!(build.ops_per_tuple(DeviceKind::Gpu) > 0.0);
     }
 
     #[test]
     fn vectorized_op_counts_discount_expressions_but_not_hash_work() {
+        let (cpu, gpu) = (DeviceKind::CpuCore, DeviceKind::Gpu);
         let fat = Expr::col(0).between(1, 9).and(Expr::col(1).in_list(vec![1, 2, 3, 4]));
-        let filter = Step::Filter { predicate: fat.clone() };
-        // Filters get cheaper under the vectorized shape...
-        assert!(
-            filter.ops_per_tuple_for(KernelMode::Vectorized)
-                < filter.ops_per_tuple_for(KernelMode::TupleAtATime)
-        );
-        // ...and ops_per_tuple() stays the tuple-at-a-time figure.
-        assert_eq!(filter.ops_per_tuple(), filter.ops_per_tuple_for(KernelMode::TupleAtATime));
+        let filter = Step::Filter { predicate: fat };
+        // Filters are cheaper under the CPU's chunked shape.
+        assert!(filter.ops_per_tuple(cpu) < filter.ops_per_tuple(gpu));
 
         // A probe's hash lookup keeps its full per-tuple charge: only the key
         // expression is discounted.
         let probe = Step::HashJoinProbe { key: Expr::col(0), slot: StateSlot(0), payload_width: 1 };
-        let taat = probe.ops_per_tuple_for(KernelMode::TupleAtATime);
-        let vec = probe.ops_per_tuple_for(KernelMode::Vectorized);
-        assert!(vec >= 4.0 && vec < taat);
+        assert!(probe.ops_per_tuple(cpu) >= 4.0);
+        assert!(probe.ops_per_tuple(cpu) < probe.ops_per_tuple(gpu));
 
         // Terminals: group-by keeps its hash constant, reduce halves its
         // dense accumulate.
@@ -413,13 +389,13 @@ mod tests {
             aggs: vec![AggSpec::sum(Expr::col(1))],
             slot: StateSlot(0),
         };
-        assert!(gb.ops_per_tuple_for(KernelMode::Vectorized) >= 4.0);
-        assert!(gb.ops_per_tuple_for(KernelMode::Vectorized) < gb.ops_per_tuple());
+        assert!(gb.ops_per_tuple(cpu) >= 4.0);
+        assert!(gb.ops_per_tuple(cpu) < gb.ops_per_tuple(gpu));
         let red = TerminalStep::Reduce {
             aggs: vec![AggSpec::sum(Expr::col(0)), AggSpec::count()],
             slot: StateSlot(0),
         };
-        assert!(red.ops_per_tuple_for(KernelMode::Vectorized) < red.ops_per_tuple());
+        assert!(red.ops_per_tuple(cpu) < red.ops_per_tuple(gpu));
     }
 
     #[test]

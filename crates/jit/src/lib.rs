@@ -11,20 +11,17 @@
 //! resolves column offsets, constants and state slots up front and selects a
 //! device-specific *lowering*:
 //!
-//! * [`lower_cpu_vec`] — the chunk kernel, and the CPU default (see
-//!   [`hetex_common::KernelMode`]): filters refine a `u32` selection index
-//!   array in tight autovectorizable loops, expressions evaluate
-//!   column-at-a-time into pooled scratch, and terminals consume the surviving
-//!   selection in one pass, merged into shared state once per block;
+//! * [`lower_cpu_vec`] — the chunk kernel, run as is on a CPU core: filters
+//!   refine a `u32` selection index array in tight autovectorizable loops,
+//!   expressions evaluate column-at-a-time into pooled scratch, and terminals
+//!   consume the surviving selection in one pass, merged into shared state
+//!   once per block;
 //! * [`lower_gpu`] — the same chunk kernel scheduled as the warp tiles of a
 //!   grid-stride SIMT kernel on the simulated GPU (`hetex-gpu-sim`), with the
 //!   launch and one device atomic per active warp *counted* — the shape of
-//!   Listing 1's pipeline 9;
-//! * [`lower_cpu`] — the legacy single-threaded, tuple-at-a-time CPU loop
-//!   (Figure 3's CPU specialization taken literally), kept as the
-//!   `KernelMode::TupleAtATime` differential baseline; nothing else uses it.
+//!   Listing 1's pipeline 9.
 //!
-//! Every lowering interprets the *same* step IR, which is exactly the paper's
+//! Both lowerings run the *same* step IR, which is exactly the paper's
 //! "one operator blueprint, per-device specializations" property: relational
 //! operators never contain device-specific code; the [`provider::DeviceProvider`]
 //! supplies `threadIdInWorker`, `#threadsInWorker`, state allocation and
@@ -33,7 +30,8 @@
 pub mod codegen;
 pub mod expr;
 pub mod ir;
-pub mod lower_cpu;
+#[cfg(test)]
+mod lower_cpu;
 pub mod lower_cpu_vec;
 pub mod lower_gpu;
 pub mod pipeline;

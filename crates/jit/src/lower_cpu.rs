@@ -1,12 +1,13 @@
-//! The CPU lowering: a single-threaded, tuple-at-a-time loop.
+//! The per-tuple interpreter: a test-only oracle for the two lowerings.
 //!
-//! This is the right-hand side of Figure 3 as specialized by the CPU provider:
-//! `threadIdInWorker = 0`, `#threadsInWorker = 1`, the neighborhood reduction
-//! disappears, and the worker-scoped atomic degenerates to one atomic merge of
-//! the block-local partial aggregates per block. Task parallelism comes from
-//! running many instances of this lowering on different cores — never from
-//! parallelism inside the generated code, exactly like morsel-driven CPU
-//! engines.
+//! This is the right-hand side of Figure 3 taken literally, as specialized by
+//! the CPU provider: `threadIdInWorker = 0`, `#threadsInWorker = 1`, the
+//! neighborhood reduction disappears, and the worker-scoped atomic
+//! degenerates to one atomic merge of the block-local partial aggregates per
+//! block. It shares no chunk, selection-vector or batch hash code with
+//! [`crate::lower_cpu_vec`], so that lowering's kernel tests compare their
+//! counters, block order and partition tags against it. It is compiled under
+//! `cfg(test)` only; no pipeline dispatches to it.
 
 use crate::expr::Expr;
 use crate::ir::{AggSpec, Step, TerminalStep};
@@ -200,9 +201,7 @@ fn accumulate_local(aggs: &[AggSpec], regs: &[i64], partials: &mut [i64]) {
 mod tests {
     use super::*;
     use crate::expr::Expr;
-    use hetex_common::{
-        Block, BlockId, BlockMeta, ColumnData, KernelMode, MemoryNodeId, PipelineId,
-    };
+    use hetex_common::{Block, BlockId, BlockMeta, ColumnData, MemoryNodeId, PipelineId};
     use hetex_topology::DeviceKind;
 
     fn block_of(a: Vec<i64>, b: Vec<i64>) -> BlockHandle {
@@ -211,10 +210,9 @@ mod tests {
         BlockHandle::new(block, BlockMeta::new(BlockId::new(0), MemoryNodeId::new(0)))
     }
 
-    // These tests pin the *tuple-at-a-time* lowering (the dispatch default is
-    // vectorized; `lower_cpu_vec`'s differential tests cover that path).
-    fn taat_ctx(node: usize, capacity: usize) -> ExecCtx {
-        ExecCtx::cpu(MemoryNodeId::new(node), capacity).with_kernel_mode(KernelMode::TupleAtATime)
+    // These tests pin the interpreter itself, against hand-computed values.
+    fn cpu_ctx(capacity: usize) -> ExecCtx {
+        ExecCtx::cpu(MemoryNodeId::new(0), capacity)
     }
 
     #[test]
@@ -234,14 +232,14 @@ mod tests {
             TerminalStep::Reduce { aggs: vec![AggSpec::sum(Expr::col(1))], slot },
         )
         .unwrap();
-        let mut ctx = taat_ctx(0, 64);
-        let out = pipeline.process_block(&block_of(a, b), &state, &mut ctx).unwrap();
-        assert!(out.blocks.is_empty());
+        let (blocks, counters) =
+            process_block(&pipeline, &block_of(a, b), &state, &mut cpu_ctx(64)).unwrap();
+        assert!(blocks.is_empty());
         assert_eq!(state.accumulators(slot).unwrap().values(), vec![expected]);
-        assert_eq!(out.counters.rows_in, 1000);
-        assert!(out.counters.rows_terminal < 1000);
-        assert_eq!(out.counters.atomics, 1);
-        assert!(out.work.bytes_scanned > 0.0);
+        assert_eq!(counters.rows_in, 1000);
+        assert!(counters.rows_terminal < 1000);
+        assert_eq!(counters.atomics, 1);
+        assert_eq!(counters.bytes_in, 16_000);
     }
 
     #[test]
@@ -264,8 +262,7 @@ mod tests {
         )
         .unwrap();
         let build_block = block_of((0..10).collect(), (0..10).map(|i| i * 100).collect());
-        let mut bctx = taat_ctx(0, 64);
-        build.process_block(&build_block, &state, &mut bctx).unwrap();
+        process_block(&build, &build_block, &state, &mut cpu_ctx(64)).unwrap();
         assert_eq!(state.hash_table(ht).unwrap().len(), 10);
 
         // Probe side: keys 0..1000 (only 0..10 match); count matches and sum payloads.
@@ -281,14 +278,12 @@ mod tests {
         )
         .unwrap();
         let probe_block = block_of((0..1000).collect(), vec![0; 1000]);
-        let mut pctx = taat_ctx(0, 64);
-        let out = probe.process_block(&probe_block, &state, &mut pctx).unwrap();
-        assert_eq!(out.counters.probes, 1000);
-        assert_eq!(out.counters.probe_matches, 10);
+        let (_, counters) = process_block(&probe, &probe_block, &state, &mut cpu_ctx(64)).unwrap();
+        assert_eq!(counters.probes, 1000);
+        assert_eq!(counters.probe_matches, 10);
         let values = state.accumulators(acc).unwrap().values();
         assert_eq!(values[0], 10);
         assert_eq!(values[1], (0..10).map(|i| i * 100).sum::<i64>());
-        assert!(out.work.random_bytes > 0.0, "probes are random accesses");
     }
 
     #[test]
@@ -307,10 +302,9 @@ mod tests {
             TerminalStep::Reduce { aggs: vec![AggSpec::count()], slot: acc },
         )
         .unwrap();
-        let mut ctx = taat_ctx(0, 64);
-        let out =
-            probe.process_block(&block_of(vec![7, 8, 7], vec![0, 0, 0]), &state, &mut ctx).unwrap();
-        assert_eq!(out.counters.probe_matches, 4);
+        let block = block_of(vec![7, 8, 7], vec![0, 0, 0]);
+        let (_, counters) = process_block(&probe, &block, &state, &mut cpu_ctx(64)).unwrap();
+        assert_eq!(counters.probe_matches, 4);
         assert_eq!(state.accumulators(acc).unwrap().values(), vec![4]);
     }
 
@@ -329,16 +323,15 @@ mod tests {
             },
         )
         .unwrap();
-        let mut ctx = taat_ctx(0, 8);
+        let mut ctx = cpu_ctx(8);
         let a: Vec<i64> = (0..100).collect();
         let b: Vec<i64> = (0..100).map(|i| i * 2).collect();
-        let mut out = pipeline.process_block(&block_of(a, b), &state, &mut ctx).unwrap();
-        let tail = pipeline.finalize_instance(&mut ctx).unwrap();
-        out.blocks.extend(tail.blocks);
-        let total_rows: usize = out.blocks.iter().map(BlockHandle::rows).sum();
+        let (mut blocks, _) = process_block(&pipeline, &block_of(a, b), &state, &mut ctx).unwrap();
+        blocks.extend(pipeline.finalize_instance(&mut ctx).unwrap().blocks);
+        let total_rows: usize = blocks.iter().map(BlockHandle::rows).sum();
         assert_eq!(total_rows, 100);
         // Every block is tagged and hash-homogeneous.
-        for handle in &out.blocks {
+        for handle in &blocks {
             let p = handle.meta().hash_partition.expect("hash-pack must tag blocks");
             let keys = handle.block().column(0).unwrap();
             for i in 0..handle.rows() {
@@ -361,10 +354,9 @@ mod tests {
             TerminalStep::GroupBy { keys: vec![Expr::col(0)], aggs: aggs.clone(), slot },
         )
         .unwrap();
-        let mut ctx = taat_ctx(0, 64);
         let a: Vec<i64> = (0..100).map(|i| i % 5).collect();
         let b: Vec<i64> = (0..100).collect();
-        pipeline.process_block(&block_of(a, b), &state, &mut ctx).unwrap();
+        process_block(&pipeline, &block_of(a, b), &state, &mut cpu_ctx(64)).unwrap();
         let groups = state.group_by(slot).unwrap().snapshot();
         assert_eq!(groups.len(), 5);
         for (key, values) in groups {
@@ -386,10 +378,8 @@ mod tests {
             TerminalStep::Reduce { aggs: vec![AggSpec::sum(Expr::col(0))], slot },
         )
         .unwrap();
-        let mut ctx = taat_ctx(0, 64);
-        pipeline
-            .process_block(&block_of(vec![2, 3, 4], vec![10, 10, 10]), &state, &mut ctx)
-            .unwrap();
+        let block = block_of(vec![2, 3, 4], vec![10, 10, 10]);
+        process_block(&pipeline, &block, &state, &mut cpu_ctx(64)).unwrap();
         assert_eq!(state.accumulators(slot).unwrap().values(), vec![90]);
     }
 }

@@ -1,8 +1,8 @@
-//! The vectorized CPU lowering: chunked, selection-vector execution.
+//! The chunk kernel: chunked, selection-vector execution of the step IR.
 //!
-//! Where [`crate::lower_cpu`] interprets the step chain per tuple (branchy
-//! enum dispatch, a register `Vec` per row), this lowering executes the same
-//! fused IR over fixed-size chunks of [`VEC_CHUNK`] tuples:
+//! This is the CPU lowering, and the kernel the GPU lowering schedules. It
+//! executes a pipeline's fused IR over fixed-size chunks of [`VEC_CHUNK`]
+//! tuples rather than dispatching the step chain per tuple:
 //!
 //! * the chunk's registers are *columns* (`Vec<i64>` per register), gathered
 //!   once from the input block;
@@ -14,14 +14,13 @@
 //!   [`ScratchPool`]), producing a dense chunk and resetting the selection to
 //!   the identity — there is no per-step block materialization;
 //! * the terminal consumes the final selection in one pass with chunk-local
-//!   accumulators that are merged into shared state once per *block*, exactly
-//!   like the tuple-at-a-time lowering (same atomics count, same rows).
+//!   accumulators that are merged into shared state once per *block* (the
+//!   CPU provider's worker-scoped atomic: one synchronization per block).
 //!
-//! Row-order equivalence: tuples are visited in ascending selection order and
-//! a probe appends its matches in probe order, which is exactly the
-//! depth-first order of the recursive tuple-at-a-time interpreter — so output
-//! rows are byte-identical between the two modes (the kernel differential
-//! suite pins this).
+//! Row order: tuples are visited in ascending selection order and a probe
+//! appends its matches in probe order, which is exactly the depth-first order
+//! of a per-tuple interpreter of the same steps — the unit tests below pin
+//! rows, block boundaries, partition tags and counters against one.
 //!
 //! The GPU lowering ([`crate::lower_gpu`]) runs this same chunk kernel: a
 //! chunk is 32 warps of a grid-stride kernel's consecutive lanes, so the two
@@ -105,10 +104,9 @@ impl VecScratch {
     }
 }
 
-/// Process one block with the vectorized CPU specialization. Functionally
-/// identical to [`crate::lower_cpu::process_block`] — same output rows in the
-/// same order, same counters — but the hot path is chunked and
-/// column-at-a-time instead of per-tuple.
+/// Process one block with the chunk kernel: the hot path is chunked and
+/// column-at-a-time, and output rows, their order and the counters are those
+/// of a per-tuple walk of the same steps.
 pub(crate) fn process_block(
     pipeline: &CompiledPipeline,
     block: &BlockHandle,
@@ -125,7 +123,7 @@ pub(crate) fn process_block(
     };
 
     // Block-local terminal state, merged into shared state once per block
-    // (the CPU provider's worker-scoped atomic — identical to lower_cpu).
+    // (the CPU provider's worker-scoped atomic).
     let mut partials: Vec<i64> = match pipeline.terminal() {
         TerminalStep::Reduce { aggs, .. } => aggs.iter().map(|a| a.func.identity()).collect(),
         _ => Vec::new(),
@@ -199,7 +197,7 @@ pub(crate) fn process_block(
                     let mut keys = std::mem::take(&mut scratch.flags);
                     key.eval_batch(&scratch.regs, &scratch.sel, &mut keys, &mut scratch.pool);
                     // One read guard per chunk; matches come back in probe
-                    // order — the depth-first order of the tuple-at-a-time
+                    // order — the depth-first order of a per-tuple
                     // recursion — as (lane, build row) pairs, and the output
                     // is then gathered a column at a time.
                     let table = state.hash_table_of_width(*slot, *payload_width)?.read();
@@ -339,8 +337,8 @@ pub(crate) fn process_block(
         base += len;
     }
 
-    // One shared-state merge per block — identical synchronization (and
-    // atomics accounting) to the tuple-at-a-time lowering.
+    // One shared-state merge per block: the CPU provider's worker-scoped
+    // atomic.
     match terminal {
         TerminalStep::Reduce { aggs, slot } => {
             state.accumulators(*slot)?.merge_partials(&partials);
@@ -380,8 +378,9 @@ mod tests {
         BlockHandle::new(block, BlockMeta::new(BlockId::new(0), MemoryNodeId::new(0)))
     }
 
-    /// Run the same pipeline shape through both CPU lowerings and require
-    /// byte-identical outputs (blocks, order, counters).
+    /// Run the same pipeline shape through the chunk kernel and the per-tuple
+    /// interpreter and require byte-identical outputs (blocks, order,
+    /// counters).
     fn assert_modes_agree(
         steps: Vec<Step>,
         terminal: TerminalStep,
@@ -638,6 +637,110 @@ mod tests {
             |state, _| {
                 assert_eq!(state.hash_table(StateSlot(0)).unwrap().len(), 100);
             },
+        );
+    }
+    /// `out.work` of three fixed CPU blocks, as literals captured at the
+    /// commit before the charge shape was keyed on the pipeline's device
+    /// instead of a kernel-mode setting. CPU `sim_s` is a function of these
+    /// (their GPU twins are `lower_gpu`'s `gpu_work_profiles_are_pinned`).
+    #[test]
+    fn cpu_work_profiles_are_pinned() {
+        use hetex_topology::WorkProfile;
+        let weighted = |cols: Vec<Vec<i64>>, weight: f64| {
+            let mut handle = block_of(cols);
+            handle.meta_mut().weight = weight;
+            handle
+        };
+        let cpu_ctx = |capacity: usize| ExecCtx::cpu(MemoryNodeId::new(0), capacity);
+
+        // (a) filter -> reduce, several chunks with an odd tail.
+        let mut state = SharedState::new();
+        let aggs = vec![AggSpec::sum(Expr::col(1)), AggSpec::count()];
+        let acc = state.add_accumulators(&aggs);
+        let p = CompiledPipeline::new(
+            PipelineId::new(1),
+            DeviceKind::CpuCore,
+            2,
+            vec![Step::Filter {
+                predicate: Expr::col(0).between(10, 60).and(Expr::col(1).gt_lit(3)),
+            }],
+            TerminalStep::Reduce { aggs, slot: acc },
+        )
+        .unwrap();
+        let block = weighted(
+            vec![(0..2_393).map(|i| i % 97).collect(), (0..2_393).map(|i| i * 3 - 1000).collect()],
+            1.0,
+        );
+        assert_eq!(
+            p.process_block(&block, &state, &mut cpu_ctx(1024)).unwrap().work,
+            WorkProfile {
+                bytes_scanned: 38288.0,
+                bytes_written: 0.0,
+                random_bytes: 0.0,
+                tuples: 2393.0,
+                ops: 8036.75,
+                atomics: 2.0,
+                kernel_launches: 0,
+            }
+        );
+
+        // (b) probe -> group-by, weighted, with a fan-out key.
+        let mut state = SharedState::new();
+        let ht = state.add_hash_table(1);
+        for k in 0..40 {
+            state.hash_table(ht).unwrap().insert(k, vec![k * 10]);
+        }
+        state.hash_table(ht).unwrap().insert(7, vec![70_000]);
+        let aggs = vec![AggSpec::sum(Expr::col(2)), AggSpec::max(Expr::col(1))];
+        let slot = state.add_group_by(&aggs);
+        let p = CompiledPipeline::new(
+            PipelineId::new(2),
+            DeviceKind::CpuCore,
+            2,
+            vec![Step::HashJoinProbe { key: Expr::col(0), slot: ht, payload_width: 1 }],
+            TerminalStep::GroupBy { keys: vec![Expr::col(0)], aggs, slot },
+        )
+        .unwrap();
+        let block = weighted(vec![(0..1_224).map(|i| i % 50).collect(), (0..1_224).collect()], 2.5);
+        assert_eq!(
+            p.process_block(&block, &state, &mut cpu_ctx(1024)).unwrap().work,
+            WorkProfile {
+                bytes_scanned: 48960.0,
+                bytes_written: 0.0,
+                random_bytes: 174340.0,
+                tuples: 3060.0,
+                ops: 26723.4375,
+                atomics: 2.5,
+                kernel_launches: 0,
+            }
+        );
+
+        // (c) filter -> hash-partitioned pack, flushing mid-block.
+        let p = CompiledPipeline::new(
+            PipelineId::new(3),
+            DeviceKind::CpuCore,
+            2,
+            vec![Step::Filter { predicate: Expr::col(0).lt_lit(40_000) }],
+            TerminalStep::Pack {
+                exprs: vec![Expr::col(0), Expr::col(1)],
+                partition_by: Some(Expr::col(1)),
+                partitions: 3,
+            },
+        )
+        .unwrap();
+        let block =
+            weighted(vec![(0..65_536).collect(), (0..65_536).map(|i| i % 7).collect()], 1.0);
+        assert_eq!(
+            p.process_block(&block, &SharedState::new(), &mut cpu_ctx(1000)).unwrap().work,
+            WorkProfile {
+                bytes_scanned: 1048576.0,
+                bytes_written: 624000.0,
+                random_bytes: 0.0,
+                tuples: 65536.0,
+                ops: 90776.0,
+                atomics: 0.0,
+                kernel_launches: 0,
+            }
         );
     }
 }

@@ -3,8 +3,8 @@
 //! A [`CompiledPipeline`] is the product of "JIT compilation": the fused,
 //! specialized form of the operators between two pipeline breakers. Its
 //! behaviour is identical on every device; *how* it is executed differs per
-//! device and is implemented by the lowerings (`lower_cpu_vec`, `lower_gpu`,
-//! and the legacy `lower_cpu`), selected by the pipeline's device kind.
+//! device and is implemented by the two lowerings (`lower_cpu_vec`,
+//! `lower_gpu`), selected by the pipeline's device kind.
 //!
 //! Processing a block returns the produced output blocks plus
 //! [`BlockCounters`] describing what actually happened (rows, probes,
@@ -14,13 +14,11 @@
 //! worker's resource clock.
 
 use crate::ir::{Step, TerminalStep};
-use crate::lower_cpu;
 use crate::lower_cpu_vec::{self, VEC_CHUNK};
 use crate::lower_gpu;
 use crate::state::{FlatGroups, SharedState};
 use hetex_common::{
-    Block, BlockHandle, BlockId, BlockMeta, ColumnData, HetError, KernelMode, MemoryNodeId,
-    PipelineId, Result,
+    Block, BlockHandle, BlockId, BlockMeta, ColumnData, HetError, MemoryNodeId, PipelineId, Result,
 };
 use hetex_gpu_sim::{GpuDevice, LaunchConfig};
 use hetex_topology::{DeviceKind, WorkProfile};
@@ -91,9 +89,6 @@ pub struct ExecCtx {
     pub out_capacity: usize,
     /// Memory node output blocks are produced on (local to this instance).
     pub out_node: MemoryNodeId,
-    /// How CPU instances execute the step chain (vectorized chunks vs the
-    /// legacy per-tuple loop). Ignored by the GPU lowering.
-    pub kernel_mode: KernelMode,
     /// Partially filled pack outputs, keyed by partition. Ordered, so the
     /// tail flush — and the downstream routing order it decides — is the
     /// same in every process.
@@ -115,7 +110,6 @@ impl ExecCtx {
             launch_config: LaunchConfig::new(1, 1),
             out_capacity,
             out_node,
-            kernel_mode: KernelMode::default(),
             open_partitions: BTreeMap::new(),
             local_groups: FlatGroups::default(),
             current_weight: 1.0,
@@ -132,18 +126,11 @@ impl ExecCtx {
             launch_config: LaunchConfig::default_for_device(),
             out_capacity,
             out_node,
-            kernel_mode: KernelMode::default(),
             open_partitions: BTreeMap::new(),
             local_groups: FlatGroups::default(),
             current_weight: 1.0,
             next_block_id: 0,
         }
-    }
-
-    /// Select the CPU kernel execution mode for this instance.
-    pub fn with_kernel_mode(mut self, mode: KernelMode) -> Self {
-        self.kernel_mode = mode;
-        self
     }
 
     /// Allocate the next output block id for this instance.
@@ -252,31 +239,12 @@ impl CompiledPipeline {
             )));
         }
         ctx.current_weight = block.meta().weight;
-        let (blocks, counters) = match (self.device, ctx.kernel_mode) {
-            (DeviceKind::CpuCore, KernelMode::Vectorized) => {
-                lower_cpu_vec::process_block(self, block, state, ctx)?
-            }
-            (DeviceKind::CpuCore, KernelMode::TupleAtATime) => {
-                lower_cpu::process_block(self, block, state, ctx)?
-            }
-            // The GPU lowering has exactly one shape (the chunk kernel over
-            // warp tiles); the kernel mode is a CPU knob.
-            (DeviceKind::Gpu, _) => lower_gpu::process_block(self, block, state, ctx)?,
+        let (blocks, counters) = match self.device {
+            DeviceKind::CpuCore => lower_cpu_vec::process_block(self, block, state, ctx)?,
+            DeviceKind::Gpu => lower_gpu::process_block(self, block, state, ctx)?,
         };
-        let work = self.work_profile_for(&counters, ctx.current_weight, self.charge_mode(ctx));
+        let work = self.work_profile(&counters, ctx.current_weight);
         Ok(PipelineOutput { blocks, counters, work })
-    }
-
-    /// The kernel mode this pipeline's work is charged under: the context's
-    /// mode on CPU (which is also how it executes), always tuple-at-a-time on
-    /// the GPU. The charge prices the modeled device — each SIMT thread runs
-    /// the per-tuple instruction stream — not how the host simulates it, so
-    /// executing the GPU kernel in warp tiles moves no simulated time.
-    fn charge_mode(&self, ctx: &ExecCtx) -> KernelMode {
-        match self.device {
-            DeviceKind::CpuCore => ctx.kernel_mode,
-            DeviceKind::Gpu => KernelMode::TupleAtATime,
-        }
     }
 
     /// Flush this instance's partially filled pack outputs, in ascending
@@ -296,7 +264,7 @@ impl CompiledPipeline {
             };
             blocks.push(ctx.build_block(&rows, partition)?);
         }
-        let work = self.work_profile_for(&counters, ctx.current_weight, self.charge_mode(ctx));
+        let work = self.work_profile(&counters, ctx.current_weight);
         Ok(PipelineOutput { blocks, counters, work })
     }
 
@@ -333,35 +301,34 @@ impl CompiledPipeline {
         Ok(PipelineOutput { blocks, counters, work })
     }
 
-    /// Convert functional counters into modeled work, scaled by `weight`,
-    /// priced with the tuple-at-a-time kernel shape (the historical charge;
-    /// also the GPU pipelines' shape).
+    /// Convert functional counters into modeled work, scaled by `weight` and
+    /// priced for the device this pipeline was compiled for.
     pub fn work_profile(&self, counters: &BlockCounters, weight: f64) -> WorkProfile {
-        self.work_profile_for(counters, weight, KernelMode::TupleAtATime)
+        self.work_profile_on(self.device, counters, weight)
     }
 
     /// Convert functional counters into modeled work, scaled by `weight` and
-    /// priced for `mode`'s kernel shape.
+    /// priced for `device`'s kernel shape (routing estimates price one
+    /// template on every consumer kind).
     ///
-    /// Tuple-at-a-time charges one dispatch op per input tuple (the branchy
-    /// per-tuple step match plus register handling) on top of the
-    /// interpreted expression ops. Vectorized replaces that with
-    /// [`VEC_TUPLE_DISPATCH_OPS`] per tuple (selection-vector bookkeeping)
-    /// plus [`VEC_CHUNK_OVERHEAD_OPS`] per [`VEC_CHUNK`]-tuple chunk (chunk
-    /// setup/gather amortized across a thousand tuples), and the per-step
-    /// ops themselves shrink via
-    /// [`Step::ops_per_tuple_for`] / [`TerminalStep::ops_per_tuple_for`].
-    /// Memory terms (scan/write/random bytes) are identical in both modes —
-    /// vectorization changes how tuples are dispatched, not how many bytes
-    /// move.
-    pub fn work_profile_for(
+    /// The charge prices the modeled device, not how the host simulates it.
+    /// A GPU thread pays one dispatch op per input tuple (the per-thread
+    /// step dispatch plus register handling) on top of the full expression
+    /// ops. A CPU core runs the chunk kernel: [`VEC_TUPLE_DISPATCH_OPS`] per
+    /// tuple (selection-vector bookkeeping) plus [`VEC_CHUNK_OVERHEAD_OPS`]
+    /// per [`VEC_CHUNK`]-tuple chunk (chunk setup/gather amortized across a
+    /// thousand tuples), and the per-step ops themselves shrink via
+    /// [`Step::ops_per_tuple`] / [`TerminalStep::ops_per_tuple`]. Memory
+    /// terms (scan/write/random bytes) are the same on both — the kernel
+    /// shape changes how tuples are dispatched, not how many bytes move.
+    pub fn work_profile_on(
         &self,
+        device: DeviceKind,
         counters: &BlockCounters,
         weight: f64,
-        mode: KernelMode,
     ) -> WorkProfile {
-        let transform_ops: f64 = self.steps.iter().map(|s| s.ops_per_tuple_for(mode)).sum();
-        let terminal_ops = self.terminal.ops_per_tuple_for(mode);
+        let transform_ops: f64 = self.steps.iter().map(|s| s.ops_per_tuple(device)).sum();
+        let terminal_ops = self.terminal.ops_per_tuple(device);
         let probe_random_bytes: f64 = self
             .steps
             .iter()
@@ -375,9 +342,9 @@ impl CompiledPipeline {
 
         let rows_in = counters.rows_in as f64;
         let rows_terminal = counters.rows_terminal as f64;
-        let dispatch_ops = match mode {
-            KernelMode::TupleAtATime => rows_in,
-            KernelMode::Vectorized => {
+        let dispatch_ops = match device {
+            DeviceKind::Gpu => rows_in,
+            DeviceKind::CpuCore => {
                 let chunks = counters.rows_in.div_ceil(VEC_CHUNK as u64) as f64;
                 rows_in * VEC_TUPLE_DISPATCH_OPS + chunks * VEC_CHUNK_OVERHEAD_OPS
             }
@@ -397,13 +364,13 @@ impl CompiledPipeline {
     }
 }
 
-/// Per-tuple dispatch charge of the vectorized CPU lowering: maintaining the
+/// Per-tuple dispatch charge of the CPU chunk kernel: maintaining the
 /// selection vector and flag lanes costs a fraction of an op per tuple —
-/// versus the full op the tuple-at-a-time interpreter pays for its per-tuple
-/// step dispatch and register `Vec` handling.
+/// versus the full op a GPU thread pays for its per-tuple step dispatch and
+/// register handling.
 pub const VEC_TUPLE_DISPATCH_OPS: f64 = 0.125;
 
-/// Fixed per-chunk overhead of the vectorized lowering (gather setup,
+/// Fixed per-chunk overhead of the CPU chunk kernel (gather setup,
 /// selection reset, scratch bookkeeping), amortized over [`VEC_CHUNK`]
 /// tuples — ~0.03 ops/tuple at full chunks.
 pub const VEC_CHUNK_OVERHEAD_OPS: f64 = 32.0;
@@ -507,16 +474,19 @@ mod tests {
 
     #[test]
     fn vectorized_charge_is_cheaper_on_cpu_and_unchanged_on_gpu() {
-        let cpu = CompiledPipeline::new(
-            PipelineId::new(11),
-            DeviceKind::CpuCore,
-            2,
-            vec![Step::Filter {
-                predicate: Expr::col(0).between(5, 500).and(Expr::col(1).gt_lit(3)),
-            }],
-            TerminalStep::Reduce { aggs: vec![AggSpec::sum(Expr::col(1))], slot: StateSlot(0) },
-        )
-        .unwrap();
+        let compile = |id: usize, device: DeviceKind| {
+            CompiledPipeline::new(
+                PipelineId::new(id),
+                device,
+                2,
+                vec![Step::Filter {
+                    predicate: Expr::col(0).between(5, 500).and(Expr::col(1).gt_lit(3)),
+                }],
+                TerminalStep::Reduce { aggs: vec![AggSpec::sum(Expr::col(1))], slot: StateSlot(0) },
+            )
+            .unwrap()
+        };
+        let (cpu, gpu) = (compile(11, DeviceKind::CpuCore), compile(12, DeviceKind::Gpu));
         let counters = BlockCounters {
             rows_in: 10_000,
             rows_terminal: 4_000,
@@ -524,57 +494,16 @@ mod tests {
             atomics: 1,
             ..Default::default()
         };
-        let taat = cpu.work_profile_for(&counters, 1.0, KernelMode::TupleAtATime);
-        let vec = cpu.work_profile_for(&counters, 1.0, KernelMode::Vectorized);
-        assert!(vec.ops < taat.ops, "vectorized ops {} !< tuple-at-a-time {}", vec.ops, taat.ops);
-        // Memory terms do not change: vectorization moves no extra bytes.
-        assert_eq!(vec.bytes_scanned, taat.bytes_scanned);
-        assert_eq!(vec.random_bytes, taat.random_bytes);
-        // The legacy entry point stays the tuple-at-a-time charge.
-        assert_eq!(cpu.work_profile(&counters, 1.0).ops, taat.ops);
-
-        // A GPU pipeline charges the same work regardless of the context's
-        // kernel mode (charge_mode pins it to the kernel's one shape).
-        let gpu = CompiledPipeline::new(
-            PipelineId::new(12),
-            DeviceKind::Gpu,
-            2,
-            vec![Step::Filter { predicate: Expr::col(0).gt_lit(10) }],
-            TerminalStep::Reduce { aggs: vec![AggSpec::count()], slot: StateSlot(0) },
-        )
-        .unwrap();
-        let mut ctx = ExecCtx::cpu(MemoryNodeId::new(0), 16);
-        assert_eq!(gpu.charge_mode(&ctx), KernelMode::TupleAtATime);
-        ctx.kernel_mode = KernelMode::TupleAtATime;
-        assert_eq!(cpu.charge_mode(&ctx), KernelMode::TupleAtATime);
-    }
-
-    #[test]
-    fn cpu_dispatch_selects_the_kernel_mode() {
-        // The same pipeline + block under both ExecCtx kernel modes produces
-        // identical state results (the lowerings are functionally equal).
-        let run = |mode: KernelMode| {
-            let mut state = SharedState::new();
-            let slot = state.add_accumulators(&[AggSpec::sum(Expr::col(1)), AggSpec::count()]);
-            let p = CompiledPipeline::new(
-                PipelineId::new(13),
-                DeviceKind::CpuCore,
-                2,
-                vec![Step::Filter { predicate: Expr::col(0).gt_lit(400) }],
-                TerminalStep::Reduce {
-                    aggs: vec![AggSpec::sum(Expr::col(1)), AggSpec::count()],
-                    slot,
-                },
-            )
-            .unwrap();
-            let mut ctx = ExecCtx::cpu(MemoryNodeId::new(0), 64).with_kernel_mode(mode);
-            let out = p.process_block(&input_block(2000), &state, &mut ctx).unwrap();
-            (state.accumulators(slot).unwrap().values(), out.work.ops)
-        };
-        let (vec_rows, vec_ops) = run(KernelMode::Vectorized);
-        let (taat_rows, taat_ops) = run(KernelMode::TupleAtATime);
-        assert_eq!(vec_rows, taat_rows);
-        assert!(vec_ops < taat_ops, "vectorized must be charged fewer ops");
+        let per_thread = cpu.work_profile_on(DeviceKind::Gpu, &counters, 1.0);
+        let chunked = cpu.work_profile_on(DeviceKind::CpuCore, &counters, 1.0);
+        assert!(chunked.ops < per_thread.ops, "{} !< {}", chunked.ops, per_thread.ops);
+        // Memory terms do not change: the kernel shape moves no extra bytes.
+        assert_eq!(chunked.bytes_scanned, per_thread.bytes_scanned);
+        assert_eq!(chunked.random_bytes, per_thread.random_bytes);
+        // A pipeline's own charge is its device's shape, whichever template
+        // the estimate was taken from.
+        assert_eq!(cpu.work_profile(&counters, 1.0), chunked);
+        assert_eq!(gpu.work_profile(&counters, 1.0), per_thread);
     }
 
     #[test]

@@ -6,10 +6,11 @@
 //! *equivalent* consumers of the same stage: none of them may ever change a
 //! query's result. This harness generates random server topologies (1–4
 //! sockets, 0–4 GPUs, random per-device slowdowns and PCIe link widths) and
-//! random small plans, then executes each plan pipelined under **every
-//! toggle configuration** (all-off, each term alone, all-on) and asserts the
-//! rows are byte-identical to the stage-at-a-time executor — the bit-stable
-//! legacy baseline that routes with every refinement off.
+//! random small plans, then executes each plan under **every toggle
+//! configuration** (all-off, each term alone, all-on) and asserts the rows
+//! are byte-identical to `reference_execute` — the independent
+//! single-threaded oracle that shares no routing, queue or kernel code with
+//! the executor.
 //!
 //! PR 5 extends the sweep with the **calibration toggle group**
 //! (`CalibrationConfig`): observed-slowdown feedback routing and the
@@ -21,12 +22,9 @@
 //! remains byte-identical to the PR 4 baseline sweep: it runs exactly the
 //! pre-calibration code paths (integer projections, declared constants).
 //!
-//! PR 7 adds the **kernel-mode axis**: the same randomized scenario space
-//! must yield byte-identical rows whether the CPU pipelines execute the
-//! vectorized (chunked selection-vector) lowering or the legacy
-//! tuple-at-a-time loop, under both the all-off and the all-on toggle
-//! configurations — plus a standalone property pinning the selection-vector
-//! refinement primitive (ordered-subset, monotone shrinking, in-bounds).
+//! PR 7 adds a standalone property pinning the chunk kernel's
+//! selection-vector refinement primitive (ordered-subset, monotone
+//! shrinking, in-bounds).
 //!
 //! PR 10 adds the **re-optimization axis**: `ReoptConfig::disabled()` takes
 //! exactly the pre-reopt code path, an enabled run with a cold feedback
@@ -38,18 +36,16 @@
 //! from the property's name, so every run (local and CI) explores the same
 //! fixed case sequence and failures reproduce exactly. The case budget is
 //! `HETEX_DIFF_CASES` generated scenarios (default 48); each scenario runs
-//! nine pipelined toggle configurations against one stage-at-a-time
-//! baseline, i.e. 48 × 9 = 432 differential toggle-cases per default run
-//! (the acceptance bar is 256+), sized to keep the suite well under three
-//! minutes.
+//! nine toggle configurations against one reference run, i.e. 48 × 9 = 432
+//! differential toggle-cases per default run (the acceptance bar is 256+),
+//! sized to keep the suite well under three minutes.
 
 use hetexchange::common::{
-    CalibrationConfig, ColumnData, CostModelConfig, DataType, EngineConfig, ExecutionMode,
-    HetError, KernelMode,
+    CalibrationConfig, ColumnData, CostModelConfig, DataType, EngineConfig, HetError,
 };
 use hetexchange::core_ops::cost::{SlowdownObserver, SLOWDOWN_EWMA_ALPHA};
 use hetexchange::core_ops::RelNode;
-use hetexchange::engine::Proteus;
+use hetexchange::engine::{reference_execute, Proteus};
 use hetexchange::jit::{AggSpec, Expr};
 use hetexchange::storage::TableBuilder;
 use hetexchange::topology::{DeviceId, ServerTopology, TopologyBuilder};
@@ -174,10 +170,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(case_budget()))]
 
     /// The test-archetype centerpiece: across random topologies and plans,
-    /// pipelined execution under every cost-model toggle configuration
-    /// produces byte-identical rows to the stage-at-a-time baseline.
+    /// execution under every cost-model toggle configuration produces
+    /// byte-identical rows to the `reference_execute` oracle.
     #[test]
-    fn prop_every_toggle_configuration_matches_stage_at_a_time(
+    fn prop_every_toggle_configuration_matches_the_reference(
         sockets in 1usize..5,
         cores_per_socket in 2usize..5,
         gpus in 0usize..5,
@@ -212,9 +208,7 @@ proptest! {
         // and the demand re-split genuinely engage.
         config.staging_bytes = Some(config.min_staging_bytes() * 2);
 
-        let baseline = engine
-            .session().execute(&plan, &config.clone().with_execution_mode(ExecutionMode::StageAtATime))
-            .unwrap();
+        let expected = reference_execute(&plan, engine.catalog()).unwrap();
 
         for (label, toggles, calibration) in toggle_configs() {
             let outcome = engine
@@ -224,7 +218,7 @@ proptest! {
                 )
                 .unwrap();
             prop_assert_eq!(
-                &outcome.rows, &baseline.rows,
+                &outcome.rows, &expected,
                 "toggle config `{}` changed the rows on sockets={} cores={} gpus={} \
                  pcie={} slow=({}, {}) fact_rows={} plan={} dop=({}, {})",
                 label, sockets, cores_per_socket, gpus, pcie_gbps_x10, slow_pick,
@@ -243,90 +237,12 @@ proptest! {
         }
     }
 
-    /// The kernel-mode axis (PR 7): across the same randomized topology /
-    /// plan / config space, the vectorized CPU lowering and the legacy
-    /// tuple-at-a-time lowering must produce byte-identical rows — under
-    /// the all-off toggle configuration (the PR 3 estimation baseline) and
-    /// the all-on default (where the `vectorized_cost` term also reshapes
-    /// the routing estimates). The stage-at-a-time run under
-    /// `TupleAtATime` is the bit-stable legacy anchor all four pipelined
-    /// combinations are compared against.
-    #[test]
-    fn prop_kernel_modes_produce_identical_rows(
-        sockets in 1usize..4,
-        cores_per_socket in 2usize..5,
-        gpus in 0usize..4,
-        pcie_gbps_x10 in 40u64..160,
-        slow_pick in 0usize..64,
-        slowdown_x10 in 10u64..80,
-        fact_rows in 600usize..3_000,
-        plan_pick in 0usize..3,
-        filter_lit in 1i64..7,
-        cpu_dop_raw in 1usize..9,
-    ) {
-        let topology = random_topology(
-            sockets,
-            cores_per_socket,
-            gpus,
-            pcie_gbps_x10 as f64 / 10.0,
-            slow_pick,
-            slowdown_x10 as f64 / 10.0,
-        ).unwrap();
-        let engine = engine_with_tables(Arc::clone(&topology), fact_rows);
-        let plan = random_plan(plan_pick, filter_lit);
-
-        let cpu_dop = cpu_dop_raw.min(sockets * cores_per_socket);
-        let gpu_dop = gpus.min(2);
-        let mut config = if gpu_dop == 0 {
-            EngineConfig::cpu_only(cpu_dop)
-        } else {
-            EngineConfig::hybrid(cpu_dop, gpu_dop)
-        };
-        config.block_capacity = 256;
-        config.staging_bytes = Some(config.min_staging_bytes() * 2);
-
-        let baseline = engine
-            .session().execute(
-                &plan,
-                &config
-                    .clone()
-                    .with_execution_mode(ExecutionMode::StageAtATime)
-                    .with_kernel_mode(KernelMode::TupleAtATime),
-            )
-            .unwrap();
-
-        for (toggle_label, toggles, calibration) in [
-            ("all_off", CostModelConfig::disabled(), CalibrationConfig::disabled()),
-            ("all_on", CostModelConfig::default(), CalibrationConfig::default()),
-        ] {
-            for mode in [KernelMode::Vectorized, KernelMode::TupleAtATime] {
-                let outcome = engine
-                    .session().execute(
-                        &plan,
-                        &config
-                            .clone()
-                            .with_cost_model(toggles)
-                            .with_calibration(calibration)
-                            .with_kernel_mode(mode),
-                    )
-                    .unwrap();
-                prop_assert_eq!(
-                    &outcome.rows, &baseline.rows,
-                    "kernel mode {:?} under `{}` changed the rows on sockets={} cores={} \
-                     gpus={} pcie={} slow=({}, {}) fact_rows={} plan={} dop=({}, {})",
-                    mode, toggle_label, sockets, cores_per_socket, gpus, pcie_gbps_x10,
-                    slow_pick, slowdown_x10, fact_rows, plan_pick, cpu_dop, gpu_dop
-                );
-            }
-        }
-    }
-
-    /// Selection-vector refinement invariants (the vectorized kernel's one
+    /// Selection-vector refinement invariants (the chunk kernel's one
     /// nontrivial primitive): refining a selection by a flag vector keeps
     /// exactly the flagged lanes, **in order** — the surviving selection is
     /// the order-preserving subset of the input, it never grows, and no
-    /// index outside the input selection can appear. Row-order equivalence
-    /// of the whole vectorized lowering rests on this.
+    /// index outside the input selection can appear. The row order of both
+    /// lowerings rests on this.
     #[test]
     fn prop_selection_refinement_is_an_ordered_subset(
         base in proptest::collection::vec(0u32..10_000, 0..600),
@@ -482,7 +398,8 @@ proptest! {
 
     /// The re-optimization toggle (PR 10) is inert until it has feedback,
     /// and result-preserving once it does. On one engine: the
-    /// `ReoptConfig::disabled()` run takes exactly the pre-reopt code path;
+    /// `ReoptConfig::disabled()` run takes exactly the pre-reopt code path
+    /// and returns the `reference_execute` oracle's rows;
     /// the first `ReoptConfig::enabled()` run finds a cold feedback cache,
     /// must apply no rewrite, and must match the disabled run's rows and
     /// compiled plan shape; the second enabled run may substitute a searched
@@ -518,6 +435,7 @@ proptest! {
         // still sees a cold cache for this plan fingerprint.
         let off = engine.session().execute(&plan, &config).unwrap();
         prop_assert!(off.stats.reopt_applied.is_none());
+        prop_assert_eq!(&off.rows, &reference_execute(&plan, engine.catalog()).unwrap());
 
         let enabled = config.clone().with_reopt(ReoptConfig::enabled());
         let cold = engine.session().execute(&plan, &enabled).unwrap();

@@ -1,11 +1,10 @@
-//! Cross-mode equivalence: the pipelined executor and the legacy
-//! stage-at-a-time executor must produce byte-identical result rows on every
-//! workload and device mix — scheduling is a performance decision, never a
-//! correctness one.
+//! Cross-device equivalence: the pipelined executor must produce the rows of
+//! the independent `reference_execute` oracle on every workload and device
+//! mix — placement and scheduling are performance decisions, never
+//! correctness ones.
 
-use hetexchange::bench::pipeline_ab::join_reduce_engine;
-use hetexchange::bench::workload::SsbWorkload;
-use hetexchange::common::{ColumnData, DataType, EngineConfig, ExecutionMode, KernelMode};
+use hetexchange::bench::workload::{join_reduce_engine, SsbWorkload};
+use hetexchange::common::{ColumnData, DataType, EngineConfig};
 use hetexchange::core_ops::RelNode;
 use hetexchange::engine::{reference_execute, Proteus};
 use hetexchange::jit::{AggSpec, Expr};
@@ -16,52 +15,32 @@ fn device_mixes() -> Vec<EngineConfig> {
 }
 
 #[test]
-fn join_reduce_rows_identical_across_modes_and_device_mixes() {
+fn join_reduce_rows_match_the_reference_on_every_device_mix() {
     let (engine, plan) = join_reduce_engine(200_000).unwrap();
-    for base in device_mixes() {
-        let pipelined = engine
-            .session()
-            .execute(&plan, &base.clone().with_execution_mode(ExecutionMode::Pipelined))
-            .unwrap();
-        let stage_at_a_time = engine
-            .session()
-            .execute(&plan, &base.clone().with_execution_mode(ExecutionMode::StageAtATime))
-            .unwrap();
-        assert!(!pipelined.rows.is_empty());
+    let expected = reference_execute(&plan, engine.catalog()).unwrap();
+    assert!(!expected.is_empty());
+    for config in device_mixes() {
+        let got = engine.session().execute(&plan, &config).unwrap();
         assert_eq!(
-            pipelined.rows, stage_at_a_time.rows,
-            "rows diverged between modes under {:?}",
-            base.target
+            got.rows, expected,
+            "rows diverged from the reference under {:?}",
+            config.target
         );
     }
 }
 
 #[test]
-fn ssb_queries_rows_identical_across_modes_and_device_mixes() {
+fn ssb_queries_rows_match_the_reference_on_every_device_mix() {
     let workload = SsbWorkload::build(0.002, 1000.0, false).unwrap();
+    let engine = &workload.engine_cpu_data;
     for name in ["Q1.1", "Q3.1"] {
         let query = workload.queries.iter().find(|q| q.name == name).expect("query exists");
+        let expected = reference_execute(&query.plan, engine.catalog()).unwrap();
+        assert!(!expected.is_empty(), "{name} returned no rows");
         for base in device_mixes() {
-            let config = workload.config(base.clone());
-            let pipelined = workload
-                .engine_cpu_data
-                .session()
-                .execute(&query.plan, &config.clone().with_execution_mode(ExecutionMode::Pipelined))
-                .unwrap();
-            let stage_at_a_time = workload
-                .engine_cpu_data
-                .session()
-                .execute(
-                    &query.plan,
-                    &config.clone().with_execution_mode(ExecutionMode::StageAtATime),
-                )
-                .unwrap();
-            assert!(!pipelined.rows.is_empty(), "{name} returned no rows");
-            assert_eq!(
-                pipelined.rows, stage_at_a_time.rows,
-                "{name} rows diverged between modes under {:?}",
-                base.target
-            );
+            let config = workload.config(base);
+            let got = engine.session().execute(&query.plan, &config).unwrap();
+            assert_eq!(got.rows, expected, "{name} rows diverged under {:?}", config.target);
         }
     }
 }
@@ -158,10 +137,8 @@ fn sum_overflow_wraps_identically_on_every_lowering_and_the_reference() {
     let wrapped: i64 = (0..20_000).fold(0i64, |acc, i| acc.wrapping_add(i64::MAX / 4 - i));
     assert_eq!(expected.iter().fold(0i64, |acc, row| acc.wrapping_add(row[1])), wrapped);
 
-    let mut tuple_at_a_time = EngineConfig::cpu_only(2);
-    tuple_at_a_time.kernel_mode = KernelMode::TupleAtATime;
-    for config in [tuple_at_a_time, EngineConfig::cpu_only(2), EngineConfig::gpu_only(2)] {
+    for config in [EngineConfig::cpu_only(2), EngineConfig::gpu_only(2)] {
         let got = engine.session().execute(&plan, &config).unwrap();
-        assert_eq!(got.rows, expected, "{:?} / {:?}", config.target, config.kernel_mode);
+        assert_eq!(got.rows, expected, "{:?}", config.target);
     }
 }

@@ -1,13 +1,13 @@
 //! Work-stealing invariants (DESIGN.md "Adaptive re-routing"): under
 //! randomized steal timing every block is consumed exactly once (no loss, no
 //! duplication), the staging charges attached to queued handles balance to
-//! zero, and pipelined execution with stealing produces byte-identical rows
-//! to the stage-at-a-time executor on a skewed (hidden-straggler) server.
+//! zero, and execution with stealing produces byte-identical rows to the
+//! `reference_execute` oracle on a skewed (hidden-straggler) server.
 
-use hetexchange::common::{ColumnData, DataType, EngineConfig, ExecutionMode, StealPolicy};
+use hetexchange::common::{ColumnData, DataType, EngineConfig, StealPolicy};
 use hetexchange::core_ops::queue::BlockQueue;
 use hetexchange::core_ops::RelNode;
-use hetexchange::engine::Proteus;
+use hetexchange::engine::{reference_execute, Proteus};
 use hetexchange::jit::{AggSpec, Expr};
 use hetexchange::storage::TableBuilder;
 use hetexchange::topology::ServerTopology;
@@ -204,24 +204,21 @@ fn healthy_server_join_takes_zero_steals_with_and_without_congestion_pricing() {
             &config.clone().with_cost_model(config.cost_model.with_link_congestion_term(false)),
         )
         .unwrap();
-    let baseline = engine
-        .session()
-        .execute(&join_plan(), &config.with_execution_mode(ExecutionMode::StageAtATime))
-        .unwrap();
+    let expected = reference_execute(&join_plan(), engine.catalog()).unwrap();
     assert_eq!(with_congestion.stats.total_blocks_stolen(), 0);
     assert_eq!(without.stats.total_blocks_stolen(), 0);
-    assert_eq!(with_congestion.rows, baseline.rows);
-    assert_eq!(without.rows, baseline.rows);
+    assert_eq!(with_congestion.rows, expected);
+    assert_eq!(without.rows, expected);
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Pipelined-with-stealing row output equals stage-at-a-time output on a
+    /// Row output with stealing equals the reference oracle's on a
     /// hidden-straggler server, across device mixes and slowdowns, with
     /// staging peaks still within the budget.
     #[test]
-    fn prop_stealing_rows_equal_stage_at_a_time(
+    fn prop_stealing_rows_equal_the_reference(
         cpus in 2usize..6,
         gpus in 1usize..3,
         slowdown in 2u64..12,
@@ -237,15 +234,9 @@ proptest! {
         config.staging_bytes = Some(budget);
 
         let stealing = engine.session().execute(&join_plan(), &config).unwrap();
-        let saat = engine
-            .session().execute(
-                &join_plan(),
-                &config.clone().with_execution_mode(ExecutionMode::StageAtATime),
-            )
-            .unwrap();
+        let expected = reference_execute(&join_plan(), engine.catalog()).unwrap();
 
-        prop_assert_eq!(stealing.rows.clone(), saat.rows);
-        prop_assert!(saat.stats.blocks_stolen.iter().all(|&s| s == 0));
+        prop_assert_eq!(&stealing.rows, &expected);
         for (node, peak) in &stealing.stats.staging_peaks {
             prop_assert!(
                 peak <= &budget,
