@@ -22,6 +22,8 @@
 //! from the same calibration constants as the main engine's cost model, so
 //! comparisons against Proteus are apples-to-apples.
 
+#![forbid(unsafe_code)]
+
 pub mod dbms_c;
 pub mod dbms_g;
 pub mod profile;

@@ -4,6 +4,8 @@
 //! Usage: `staging_ab [out_dir]` — writes `BENCH_staging.json` into
 //! `out_dir` (default: the current directory).
 
+#![forbid(unsafe_code)]
+
 use hetex_bench::staging_ab;
 
 fn main() {

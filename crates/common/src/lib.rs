@@ -10,6 +10,8 @@
 //! about CPUs, GPUs, pipelines, or the simulator. Higher layers (`hetex-topology`,
 //! `hetex-storage`, `hetex-core`, …) build on these types.
 
+#![forbid(unsafe_code)]
+
 pub mod block;
 pub mod column;
 pub mod config;

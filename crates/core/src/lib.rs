@@ -38,6 +38,8 @@
 //!   over the device capacities under weighted max-min fairness, the model
 //!   behind the serving layer's latencies and makespan.
 
+#![forbid(unsafe_code)]
+
 pub mod codegen;
 pub mod cost;
 pub mod device_crossing;

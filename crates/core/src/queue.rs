@@ -40,7 +40,7 @@ use hetex_common::{BlockHandle, HetError, MemoryNodeId, Result};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex as StdMutex};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Byte-quota accounting of one queue: how many staged bytes are outstanding
 /// (admitted but not yet dropped by the consumer) against the queue's share
@@ -85,6 +85,10 @@ impl Drop for QueueSlot {
 struct QueueInner {
     buf: VecDeque<BlockHandle>,
     finished: usize,
+    /// Bumped by every push, give-back, producer completion, close and
+    /// [`BlockQueue::wake`] — what a consumer parked in
+    /// [`BlockQueue::park`] waits to see move.
+    events: u64,
 }
 
 /// State shared by all clones of one queue.
@@ -93,7 +97,8 @@ struct QueueCore {
     /// Maximum buffered blocks before `push` parks; `None` = unbounded.
     capacity: Option<usize>,
     inner: StdMutex<QueueInner>,
-    /// Consumers parked in `pop` wait here for blocks (or completion).
+    /// Consumers parked in `pop` / `park` wait here for blocks, completion
+    /// or a wake-up.
     not_empty: Condvar,
     /// Producers parked in `push` wait here for a freed slot.
     not_full: Condvar,
@@ -101,8 +106,7 @@ struct QueueCore {
     closed: AtomicBool,
 }
 
-/// Outcome of a non-blocking (or bounded-wait) [`BlockQueue::try_pop`] /
-/// [`BlockQueue::pop_timeout`].
+/// Outcome of a non-blocking [`BlockQueue::try_pop`].
 #[derive(Debug)]
 pub enum PopNext {
     /// A buffered block.
@@ -295,6 +299,7 @@ impl BlockQueue {
             }
             if self.core.capacity.is_none_or(|cap| inner.buf.len() < cap) {
                 inner.buf.push_back(handle);
+                inner.events += 1;
                 drop(inner);
                 self.core.not_empty.notify_all();
                 return Ok(());
@@ -315,6 +320,7 @@ impl BlockQueue {
     pub fn producer_done(&self) -> Result<()> {
         let mut inner = self.core.inner.lock().unwrap_or_else(|e| e.into_inner());
         inner.finished += 1;
+        inner.events += 1;
         drop(inner);
         self.core.not_empty.notify_all();
         Ok(())
@@ -332,6 +338,7 @@ impl BlockQueue {
         self.core.closed.store(true, Ordering::SeqCst);
         let swept: Vec<BlockHandle> = {
             let mut inner = self.core.inner.lock().unwrap_or_else(|e| e.into_inner());
+            inner.events += 1;
             inner.buf.drain(..).collect()
         };
         // Release the staging charges outside the buffer lock: QueueSlot
@@ -380,39 +387,50 @@ impl BlockQueue {
     /// [`PopNext::Finished`] consumer may go steal from a sibling instead of
     /// parking (or exiting) while a straggler holds a backlog.
     pub fn try_pop(&self) -> PopNext {
-        self.pop_deadline(None)
-    }
-
-    /// Like [`Self::try_pop`], but waits up to `timeout` for a block before
-    /// reporting [`PopNext::Empty`].
-    pub fn pop_timeout(&self, timeout: Duration) -> PopNext {
-        self.pop_deadline(Some(Instant::now() + timeout))
-    }
-
-    fn pop_deadline(&self, deadline: Option<Instant>) -> PopNext {
         let mut inner = self.core.inner.lock().unwrap_or_else(|e| e.into_inner());
-        loop {
-            if self.core.closed.load(Ordering::SeqCst) {
-                return PopNext::Finished;
-            }
-            if let Some(handle) = inner.buf.pop_front() {
-                drop(inner);
-                self.core.not_full.notify_all();
-                return PopNext::Block(handle);
-            }
-            if inner.finished >= self.core.producers.load(Ordering::SeqCst) {
-                return PopNext::Finished;
-            }
-            let now = Instant::now();
-            let Some(deadline) = deadline else { return PopNext::Empty };
-            if now >= deadline {
-                return PopNext::Empty;
-            }
-            let wait = (deadline - now).min(PARK_RECHECK);
-            let (guard, _) =
-                self.core.not_empty.wait_timeout(inner, wait).unwrap_or_else(|e| e.into_inner());
-            inner = guard;
+        if self.core.closed.load(Ordering::SeqCst) {
+            return PopNext::Finished;
         }
+        if let Some(handle) = inner.buf.pop_front() {
+            drop(inner);
+            self.core.not_full.notify_all();
+            return PopNext::Block(handle);
+        }
+        if inner.finished >= self.core.producers.load(Ordering::SeqCst) {
+            return PopNext::Finished;
+        }
+        PopNext::Empty
+    }
+
+    /// The queue's event count (see [`Self::park`]). An idle consumer reads
+    /// it *before* looking for work, so an event that lands between the look
+    /// and the park still ends the park.
+    pub fn events(&self) -> u64 {
+        self.core.inner.lock().unwrap_or_else(|e| e.into_inner()).events
+    }
+
+    /// Count an out-of-band event and wake the consumer parked in
+    /// [`Self::park`] — a sibling's state changed in a way that may change
+    /// what the consumer would do next (e.g. a steal verdict).
+    pub fn wake(&self) {
+        self.core.inner.lock().unwrap_or_else(|e| e.into_inner()).events += 1;
+        self.core.not_empty.notify_all();
+    }
+
+    /// Park the consumer until the event count moves past `seen` (a push,
+    /// give-back, producer completion, close or [`Self::wake`] since
+    /// `seen` was read), or at most `PARK_RECHECK` — the backstop for state
+    /// that changes without an event.
+    pub fn park(&self, seen: u64) {
+        let inner = self.core.inner.lock().unwrap_or_else(|e| e.into_inner());
+        if inner.events != seen {
+            return;
+        }
+        let _ = self
+            .core
+            .not_empty
+            .wait_timeout_while(inner, PARK_RECHECK, |inner| inner.events == seen)
+            .unwrap_or_else(|e| e.into_inner());
     }
 
     /// Remove the most recently enqueued block from this queue's backlog —
@@ -455,6 +473,7 @@ impl BlockQueue {
             return Err(HetError::Cancelled("block queue closed".into()));
         }
         inner.buf.push_back(handle);
+        inner.events += 1;
         drop(inner);
         self.core.not_empty.notify_all();
         Ok(())
@@ -916,23 +935,43 @@ mod tests {
         assert!(matches!(q.try_pop(), PopNext::Block(_)));
         q.producer_done().unwrap();
         assert!(matches!(q.try_pop(), PopNext::Finished));
-        // pop_timeout waits for a late block instead of reporting Empty.
-        let q2 = BlockQueue::new(1);
-        let pusher = {
-            let q2 = q2.clone();
-            thread::spawn(move || {
-                thread::sleep(Duration::from_millis(20));
-                q2.push(handle(7)).unwrap();
-            })
-        };
-        match q2.pop_timeout(Duration::from_secs(2)) {
-            PopNext::Block(h) => assert_eq!(h.meta().id, BlockId::new(7)),
-            other => panic!("expected a block, got {other:?}"),
-        }
-        pusher.join().unwrap();
         // A closed queue reports Finished immediately.
+        let q2 = BlockQueue::new(1);
         q2.close();
-        assert!(matches!(q2.pop_timeout(Duration::from_millis(1)), PopNext::Finished));
+        assert!(matches!(q2.try_pop(), PopNext::Finished));
+    }
+
+    #[test]
+    fn park_ends_on_push_wake_and_close_not_on_a_timer() {
+        // An event between reading the count and parking ends the park at once.
+        let q = BlockQueue::new(1);
+        let seen = q.events();
+        q.push(handle(1)).unwrap();
+        let start = std::time::Instant::now();
+        q.park(seen);
+        assert!(start.elapsed() < PARK_RECHECK);
+        // A parked consumer is released by a push, a wake and a close.
+        type Event = fn(&BlockQueue);
+        let events: [Event; 3] =
+            [|q| q.push(handle(2)).unwrap(), BlockQueue::wake, BlockQueue::close];
+        for event in events {
+            let seen = q.events();
+            let waker = {
+                let q = q.clone();
+                thread::spawn(move || {
+                    thread::sleep(Duration::from_millis(2));
+                    event(&q);
+                })
+            };
+            q.park(seen);
+            waker.join().unwrap();
+            assert_ne!(q.events(), seen);
+        }
+        // A quiet queue parks for at most the recheck backstop.
+        let quiet = BlockQueue::new(1);
+        let start = std::time::Instant::now();
+        quiet.park(quiet.events());
+        assert!(start.elapsed() >= PARK_RECHECK);
     }
 
     #[test]

@@ -1,24 +1,27 @@
 //! The stage executor.
 //!
 //! Executes a [`StageGraph`] on the (simulated) server. Functional execution
-//! is real — every pipeline instance is a host thread processing real blocks,
-//! so results are exact and device-shared state is genuinely updated
-//! concurrently — while *performance* is accounted on the simulated resource
-//! clocks: each device (CPU core or GPU) owns a clock, each DRAM node and each
-//! PCIe link owns a clock, and the reported query time is the largest
-//! completion timestamp observed (see `DESIGN.md` §4).
+//! is real — every pipeline instance is a job on the engine-lifetime
+//! [`pool`], processing real blocks on its own host thread, so results are
+//! exact and device-shared state is genuinely updated concurrently — while
+//! *performance* is accounted on the simulated resource clocks: each device
+//! (CPU core or GPU) owns a clock, each DRAM node and each PCIe link owns a
+//! clock, and the reported query time is the largest completion timestamp
+//! observed (see `DESIGN.md` §4).
 //!
 //! Scheduling is pipelined: all stages' pipeline-instance workers are
-//! spawned up front and connected through bounded [`BlockQueue`]s, one per
-//! consumer slot. Producers route, localize (mem-move) and push each block
-//! handle the moment it is produced, so transfers, CPU work and GPU work
-//! genuinely overlap; dependency edges (hash build before probe) are gates a
-//! consumer waits on, not materialization barriers. This is the paper's §3.1
-//! architecture: routers connecting pipeline instances through asynchronous
-//! queues of block handles. The independent row oracle the tests compare
+//! spawned up front (as pool jobs) and connected through bounded
+//! [`BlockQueue`]s, one per consumer slot. Producers route, localize
+//! (mem-move) and push each block handle the moment it is produced, so
+//! transfers, CPU work and GPU work genuinely overlap; dependency edges
+//! (hash build before probe) are gates a consumer waits on, not
+//! materialization barriers. This is the paper's §3.1 architecture: routers
+//! connecting pipeline instances through asynchronous queues of block
+//! handles. The independent row oracle the tests compare
 //! against is [`crate::reference_execute`].
 
 use crate::codegen::{MemMoveMode, Stage, StageGraph, StageSource};
+use crate::pool;
 use hetex_common::{BlockHandle, EngineConfig, HetError, MemoryNodeId, Result};
 use hetex_core::cost::{CostModel, DemandSplitter, SlowdownObserver, StealQuery};
 use hetex_core::mem_move::MemMove;
@@ -34,6 +37,7 @@ use hetex_topology::{
 };
 use parking_lot::Mutex;
 use std::collections::HashMap;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex as StdMutex};
 use std::time::{Duration, Instant};
@@ -59,11 +63,10 @@ const STAGING_PARK_TIMEOUT: Duration = Duration::from_secs(5);
 /// only invite ping-pong.
 const STEAL_MIN_DEPTH: usize = 2;
 
-/// How long a steal-eligible worker waits on its own queue before scanning
-/// siblings for stealable backlog. Wall-clock only (the simulation charges
-/// no cost for the poll); short enough that an idle worker notices a
-/// straggler promptly.
-const STEAL_POLL: Duration = Duration::from_micros(500);
+/// How long a straggling worker sleeps per claim-yield (see the claim-pacing
+/// comment in the worker loop), leaving its backlog to idle siblings.
+/// Wall-clock only: the simulation charges no cost for the yield.
+const CLAIM_YIELD: Duration = Duration::from_micros(500);
 
 /// Most consecutive claim-yields a straggling worker may take before it
 /// processes a block regardless (see the claim-pacing comment in the worker
@@ -1757,7 +1760,7 @@ impl Executor {
         };
         let worker_finished = &worker_finished;
 
-        std::thread::scope(|scope| {
+        pool::scope(|scope| {
             // Fault watchdog: spawned only when a plan is injected (healthy
             // runs pay nothing). Two jobs: (a) convert a wedged worker —
             // scripted onset passed, zero block progress across several
@@ -1767,114 +1770,119 @@ impl Executor {
             // co-tenant suddenly leasing staging out from under the query.
             if let Some(f) = fault_ref {
                 scope.spawn(move || {
-                    let mut stall: HashMap<usize, (u64, u32)> = HashMap::new();
-                    let mut bursts: Vec<(usize, BlockLease)> = Vec::new();
-                    while !progress.iter().all(|p| p.remaining.load(Ordering::Acquire) == 0) {
-                        let frontier = device_clocks
-                            .values()
-                            .map(|c| c.now())
-                            .fold(SimTime::ZERO, SimTime::max);
-                        if config.fault.watchdog {
-                            for dev_idx in 0..f.quarantined.len() {
-                                let device = DeviceId::new(dev_idx);
-                                let Some(at) = f.plan.wedge_at(device) else { continue };
-                                if f.is_quarantined(device) {
-                                    continue;
-                                }
-                                let Some(clock) = device_clocks.get(&device) else { continue };
-                                if clock.now() < at {
-                                    stall.remove(&dev_idx);
-                                    continue;
-                                }
-                                let progressed = f.progressed[dev_idx].load(Ordering::Relaxed);
-                                let entry = stall.entry(dev_idx).or_insert((progressed, 0));
-                                if entry.0 == progressed {
-                                    entry.1 += 1;
-                                } else {
-                                    *entry = (progressed, 0);
-                                }
-                                if entry.1 < WATCHDOG_STALL_POLLS {
-                                    continue;
-                                }
-                                // Stalled past the onset long enough to
-                                // call it wedged. Charge the detection
-                                // budget in simulated time — a watchdog
-                                // cannot tell silence from one slow block
-                                // faster than two observed block costs —
-                                // then quarantine (recovery) or surface the
-                                // structured error (diagnosis only).
-                                let avg = routing
-                                    .iter()
-                                    .flat_map(|r| {
-                                        r.instance_devices.iter().enumerate().filter_map(
-                                            |(s, d)| {
-                                                (*d == device)
-                                                    .then(|| r.observed_avg_cost(s))
-                                                    .flatten()
-                                            },
-                                        )
-                                    })
-                                    .max()
-                                    .unwrap_or(0);
-                                let budget = WATCHDOG_DETECT_NS.max(2 * avg);
-                                clock.reserve(at.add_nanos(budget), 0);
-                                if config.fault.quarantine {
-                                    f.quarantine(device);
-                                } else {
-                                    let mut reported = false;
-                                    for (si, r) in routing.iter().enumerate() {
-                                        for (sl, d) in r.instance_devices.iter().enumerate() {
-                                            if *d != device {
-                                                continue;
-                                            }
-                                            if !reported {
-                                                reported = true;
-                                                record_error(HetError::Wedged {
-                                                    stage: si,
-                                                    slot: sl,
-                                                });
-                                            }
-                                            // Cascade: closing the wedged
-                                            // slots' queues releases parked
-                                            // producers and the spinning
-                                            // worker itself.
-                                            queues[si][sl].close();
-                                        }
+                    let watchdog = || {
+                        let mut stall: HashMap<usize, (u64, u32)> = HashMap::new();
+                        let mut bursts: Vec<(usize, BlockLease)> = Vec::new();
+                        while !progress.iter().all(|p| p.remaining.load(Ordering::Acquire) == 0) {
+                            let frontier = device_clocks
+                                .values()
+                                .map(|c| c.now())
+                                .fold(SimTime::ZERO, SimTime::max);
+                            if config.fault.watchdog {
+                                for dev_idx in 0..f.quarantined.len() {
+                                    let device = DeviceId::new(dev_idx);
+                                    let Some(at) = f.plan.wedge_at(device) else { continue };
+                                    if f.is_quarantined(device) {
+                                        continue;
                                     }
-                                }
-                            }
-                        }
-                        if let Some(staging) = staging_ref {
-                            for (i, burst) in f.plan.arena_bursts().iter().enumerate() {
-                                let active = bursts.iter().any(|(b, _)| *b == i);
-                                if !active && frontier >= burst.from && frontier < burst.until {
-                                    if let Ok(manager) = staging.manager(burst.node) {
-                                        // A burst takes what the arena has,
-                                        // up to its scripted size: the
-                                        // co-tenant competes for staging,
-                                        // it does not deadlock the arena.
-                                        let free = manager
-                                            .capacity_bytes()
-                                            .saturating_sub(manager.leased_bytes());
-                                        let take = burst.bytes.min(free);
-                                        if take > 0 {
-                                            if let Ok(lease) = manager.acquire_local_labeled(
-                                                take,
-                                                ExhaustionPolicy::Error,
-                                                "fault:burst",
-                                            ) {
-                                                bursts.push((i, lease));
+                                    let Some(clock) = device_clocks.get(&device) else { continue };
+                                    if clock.now() < at {
+                                        stall.remove(&dev_idx);
+                                        continue;
+                                    }
+                                    let progressed = f.progressed[dev_idx].load(Ordering::Relaxed);
+                                    let entry = stall.entry(dev_idx).or_insert((progressed, 0));
+                                    if entry.0 == progressed {
+                                        entry.1 += 1;
+                                    } else {
+                                        *entry = (progressed, 0);
+                                    }
+                                    if entry.1 < WATCHDOG_STALL_POLLS {
+                                        continue;
+                                    }
+                                    // Stalled past the onset long enough to
+                                    // call it wedged. Charge the detection
+                                    // budget in simulated time — a watchdog
+                                    // cannot tell silence from one slow block
+                                    // faster than two observed block costs —
+                                    // then quarantine (recovery) or surface the
+                                    // structured error (diagnosis only).
+                                    let avg = routing
+                                        .iter()
+                                        .flat_map(|r| {
+                                            r.instance_devices.iter().enumerate().filter_map(
+                                                |(s, d)| {
+                                                    (*d == device)
+                                                        .then(|| r.observed_avg_cost(s))
+                                                        .flatten()
+                                                },
+                                            )
+                                        })
+                                        .max()
+                                        .unwrap_or(0);
+                                    let budget = WATCHDOG_DETECT_NS.max(2 * avg);
+                                    clock.reserve(at.add_nanos(budget), 0);
+                                    if config.fault.quarantine {
+                                        f.quarantine(device);
+                                    } else {
+                                        let mut reported = false;
+                                        for (si, r) in routing.iter().enumerate() {
+                                            for (sl, d) in r.instance_devices.iter().enumerate() {
+                                                if *d != device {
+                                                    continue;
+                                                }
+                                                if !reported {
+                                                    reported = true;
+                                                    record_error(HetError::Wedged {
+                                                        stage: si,
+                                                        slot: sl,
+                                                    });
+                                                }
+                                                // Cascade: closing the wedged
+                                                // slots' queues releases parked
+                                                // producers and the spinning
+                                                // worker itself.
+                                                queues[si][sl].close();
                                             }
                                         }
                                     }
                                 }
                             }
-                            bursts.retain(|(i, _)| frontier < f.plan.arena_bursts()[*i].until);
+                            if let Some(staging) = staging_ref {
+                                for (i, burst) in f.plan.arena_bursts().iter().enumerate() {
+                                    let active = bursts.iter().any(|(b, _)| *b == i);
+                                    if !active && frontier >= burst.from && frontier < burst.until {
+                                        if let Ok(manager) = staging.manager(burst.node) {
+                                            // A burst takes what the arena has,
+                                            // up to its scripted size: the
+                                            // co-tenant competes for staging,
+                                            // it does not deadlock the arena.
+                                            let free = manager
+                                                .capacity_bytes()
+                                                .saturating_sub(manager.leased_bytes());
+                                            let take = burst.bytes.min(free);
+                                            if take > 0 {
+                                                if let Ok(lease) = manager.acquire_local_labeled(
+                                                    take,
+                                                    ExhaustionPolicy::Error,
+                                                    "fault:burst",
+                                                ) {
+                                                    bursts.push((i, lease));
+                                                }
+                                            }
+                                        }
+                                    }
+                                }
+                                bursts.retain(|(i, _)| frontier < f.plan.arena_bursts()[*i].until);
+                            }
+                            std::thread::sleep(WATCHDOG_POLL);
                         }
-                        std::thread::sleep(WATCHDOG_POLL);
+                        // Leases drop here: a burst never outlives the run.
+                        drop(bursts);
+                    };
+                    if catch_unwind(AssertUnwindSafe(watchdog)).is_err() {
+                        record_error(HetError::Execution("fault watchdog panicked".into()));
                     }
-                    // Leases drop here: a burst never outlives the run.
-                    drop(bursts);
                 });
             }
 
@@ -1891,6 +1899,10 @@ impl Executor {
                     queues[idx].iter().map(|q| q.register_producer()).collect();
                 scope.spawn(move || {
                     let pump = || -> Result<()> {
+                        #[cfg(test)]
+                        if table.as_str() == tests::PANICKING_TABLE {
+                            panic!("injected source pump panic");
+                        }
                         let segments = self.table_segments(table, projection, catalog, config)?;
                         for handle in segments {
                             let source = handle.meta().location;
@@ -1915,8 +1927,12 @@ impl Executor {
                         }
                         Ok(())
                     };
-                    if let Err(e) = pump() {
-                        record_error(e);
+                    match catch_unwind(AssertUnwindSafe(pump)) {
+                        Ok(Ok(())) => {}
+                        Ok(Err(e)) => record_error(e),
+                        Err(_) => record_error(HetError::Execution(format!(
+                            "stage {idx} source pump panicked"
+                        ))),
                     }
                     // Guards drop → producer_done on every queue.
                 });
@@ -1998,6 +2014,18 @@ impl Executor {
                             let mut claim_yields: usize = 0;
                             let straggling =
                                 || cost.is_straggler(routing[idx].observed_slowdown(slot_idx));
+                            // Idle siblings park until an event may change
+                            // their steal verdict; this worker's straggling,
+                            // quarantine and finished stream are such events.
+                            let wake_siblings = || {
+                                if steal_here {
+                                    for (s, q) in queues[idx].iter().enumerate() {
+                                        if s != slot_idx {
+                                            q.wake();
+                                        }
+                                    }
+                                }
+                            };
                             loop {
                                 // Fault ladder, pre-claim: a wedged or
                                 // already quarantined device claims nothing.
@@ -2025,6 +2053,7 @@ impl Executor {
                                         }
                                     }
                                     if f.is_quarantined(device_id) {
+                                        wake_siblings();
                                         // Bank what this device completed,
                                         // then re-home the rest of its
                                         // stream on a surviving sibling (or
@@ -2072,25 +2101,31 @@ impl Executor {
                                     && straggling()
                                 {
                                     claim_yields += 1;
-                                    std::thread::sleep(STEAL_POLL);
+                                    wake_siblings();
+                                    std::thread::sleep(CLAIM_YIELD);
                                     continue;
                                 }
                                 // Late binding: an idle worker (empty queue,
                                 // or its stream already over) rescues the
                                 // tail of an overloaded sibling's backlog
                                 // instead of parking/exiting while a
-                                // straggler holds blocks hostage.
+                                // straggler holds blocks hostage. With
+                                // nothing to take it parks until an event:
+                                // its own queue's push, completion or close,
+                                // or a sibling's wake-up (straggling,
+                                // quarantined, stream finished).
                                 let block = if steal_here {
-                                    match queue.pop_timeout(STEAL_POLL) {
+                                    let seen = queue.events();
+                                    match queue.try_pop() {
                                         PopNext::Block(block) => {
                                             // Claim pacing, part two: a block
-                                            // that arrived while this worker
-                                            // was parked in pop was claimed
-                                            // before part one could see it —
-                                            // if the device is sim-behind its
-                                            // siblings, un-claim it (back to
-                                            // the queue tail, where thieves
-                                            // look) and yield, bounded by
+                                            // that arrived after part one
+                                            // looked was claimed before it
+                                            // could see it — if the device
+                                            // is sim-behind its siblings,
+                                            // un-claim it (back to the queue
+                                            // tail, where thieves look) and
+                                            // yield, bounded by
                                             // MAX_CLAIM_YIELDS so progress
                                             // never stalls when no sibling
                                             // finds the backlog profitable.
@@ -2103,7 +2138,8 @@ impl Executor {
                                                 // block like close()'s sweep.
                                                 let _ = queue.give_back(block);
                                                 claim_yields += 1;
-                                                std::thread::sleep(STEAL_POLL);
+                                                wake_siblings();
+                                                std::thread::sleep(CLAIM_YIELD);
                                                 continue;
                                             }
                                             block
@@ -2129,23 +2165,18 @@ impl Executor {
                                                         .fetch_add(1, Ordering::Relaxed);
                                                     block
                                                 }
-                                                StealOutcome::Unprofitable => {
-                                                    // A sibling backlog may
-                                                    // turn profitable as the
-                                                    // victim's clock advances;
-                                                    // pace the recheck when
-                                                    // pop no longer waits (a
-                                                    // finished stream returns
-                                                    // immediately).
-                                                    if own_finished {
-                                                        std::thread::sleep(STEAL_POLL);
-                                                    }
-                                                    continue;
+                                                StealOutcome::Nothing if own_finished => {
+                                                    wake_siblings();
+                                                    break;
                                                 }
-                                                StealOutcome::Nothing => {
-                                                    if own_finished {
-                                                        break;
-                                                    }
+                                                // A sibling backlog may turn
+                                                // profitable as the victim's
+                                                // clock advances, and more
+                                                // work may arrive: wait for
+                                                // the event that says so.
+                                                StealOutcome::Unprofitable
+                                                | StealOutcome::Nothing => {
+                                                    queue.park(seen);
                                                     continue;
                                                 }
                                             }
@@ -2208,6 +2239,7 @@ impl Executor {
                                         attempt += 1;
                                     }
                                     if f.is_quarantined(device_id) {
+                                        wake_siblings();
                                         {
                                             let mut kinds = per_kind.lock();
                                             let entry = kinds.entry(kind).or_default();
@@ -2260,6 +2292,9 @@ impl Executor {
                                 routing[idx].nominal_busy[slot_idx]
                                     .fetch_add(nominal_ns, Ordering::Relaxed);
                                 routing[idx].processed[slot_idx].fetch_add(1, Ordering::Relaxed);
+                                if steal_here && straggling() {
+                                    wake_siblings();
+                                }
                                 if let Some(f) = fault_here {
                                     // The watchdog's stall detector reads
                                     // this: a wedged device stops ticking.
@@ -2340,9 +2375,7 @@ impl Executor {
                         // remaining-count never reaches zero, dependent gates
                         // never open, and the whole query deadlocks instead
                         // of reporting the failure.
-                        let outcome =
-                            std::panic::catch_unwind(std::panic::AssertUnwindSafe(run));
-                        match outcome {
+                        match catch_unwind(AssertUnwindSafe(run)) {
                             Ok(Ok(())) => {}
                             Ok(Err(e)) => {
                                 record_error(e);
@@ -2490,6 +2523,36 @@ mod tests {
         let graph = compile(&het, config, &topology).unwrap();
         let executor = Executor::new(topology);
         executor.execute(&graph, &catalog, config).unwrap()
+    }
+
+    /// Scanning a table of this name panics inside its source pump.
+    pub(super) const PANICKING_TABLE: &str = "panicking_source";
+
+    #[test]
+    fn a_panicking_source_pump_is_a_structured_error_not_a_panic() {
+        let topology = ServerTopology::paper_server();
+        let catalog = catalog_with_data(&topology, 10_000);
+        let table = TableBuilder::new(PANICKING_TABLE)
+            .column("v", DataType::Int64, ColumnData::Int64((0..100).collect()))
+            .build(&topology.cpu_memory_nodes(), 4096)
+            .unwrap();
+        catalog.register(table);
+        let plan = RelNode::scan(PANICKING_TABLE, &["v"])
+            .reduce(vec![AggSpec::sum(Expr::col(0))], &["sum_v"]);
+        let config = EngineConfig::hybrid(4, 2);
+        let graph = compile(&parallelize(&plan, &config).unwrap(), &config, &topology).unwrap();
+        let executor = Executor::new(Arc::clone(&topology));
+        match executor.execute(&graph, &catalog, &config) {
+            Err(HetError::Execution(msg)) => {
+                assert_eq!(msg, "stage 0 source pump panicked", "unexpected message: {msg}")
+            }
+            other => panic!("expected a structured execution error, got {other:?}"),
+        }
+        // The pool is unharmed: the next query on the same executor runs.
+        let het = parallelize(&join_sum_plan(), &config).unwrap();
+        let graph = compile(&het, &config, &topology).unwrap();
+        let (sum, cnt) = expected(10_000);
+        assert_eq!(executor.execute(&graph, &catalog, &config).unwrap().rows, vec![vec![sum, cnt]]);
     }
 
     #[test]

@@ -221,6 +221,31 @@ fn query_server_serves_batches_with_exact_rows_and_bounded_admission() {
 }
 
 #[test]
+fn two_server_workers_run_hybrid_queries_on_the_shared_pool() {
+    // Both server workers execute at once, each query's pipeline instances
+    // drawn from the one engine-lifetime pool the other query also uses.
+    let engine = Arc::new(engine_with_table(100_000));
+    let config = EngineConfig::hybrid(24, 2);
+    let footprint = config.est_serve_footprint_bytes();
+    let serve = ServeConfig::serving().with_workers(2).with_admission_bytes(Some(2 * footprint));
+    let expected: Vec<_> = (0..8)
+        .map(|i| engine.session().execute(&sum_where_plan(i * 100), &config).unwrap().rows)
+        .collect();
+    let mut server = QueryServer::new(Arc::clone(&engine), serve).unwrap();
+    let tickets: Vec<_> = (0..8)
+        .map(|i| server.session().submit(sum_where_plan(i as i64 * 100), config.clone()).unwrap())
+        .collect();
+    for (i, ticket) in tickets.into_iter().enumerate() {
+        let outcome = ticket.wait().unwrap();
+        assert_eq!(outcome.rows, expected[i], "served query {i} rows differ from single-query");
+        assert_eq!(outcome.stats.staging_leaked_bytes, 0);
+    }
+    let report = server.shutdown().unwrap();
+    assert_eq!(report.sessions.len(), 8);
+    assert!(report.makespan < report.serial, "two workers must overlap queries");
+}
+
+#[test]
 fn query_server_requires_serving_enabled_and_fitting_footprints() {
     let engine = Arc::new(engine_with_table(1_000));
     let err = QueryServer::new(Arc::clone(&engine), ServeConfig::disabled()).unwrap_err();

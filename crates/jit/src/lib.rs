@@ -27,6 +27,8 @@
 //! supplies `threadIdInWorker`, `#threadsInWorker`, state allocation and
 //! worker-scoped atomics.
 
+#![forbid(unsafe_code)]
+
 pub mod codegen;
 pub mod expr;
 pub mod ir;

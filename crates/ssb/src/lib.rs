@@ -19,6 +19,8 @@
 //!
 //! [`RelNode`]: hetex_core::RelNode
 
+#![forbid(unsafe_code)]
+
 pub mod gen;
 pub mod queries;
 
