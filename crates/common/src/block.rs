@@ -6,17 +6,18 @@
 //! rather than the data itself. This module provides both halves:
 //!
 //! * [`Block`] — an immutable columnar chunk of tuples residing on one memory
-//!   node of the (simulated) server.
+//!   node of the (simulated) server. A block is a row *window* over shared,
+//!   immutable columns, so cutting a stored table into blocks copies no
+//!   values: only mem-move decides whether data moves.
 //! * [`BlockHandle`] — a cheaply clonable reference to a block plus the
 //!   metadata the control-flow operators need: where the data lives, which
 //!   hash partition or broadcast target it belongs to, and at which simulated
 //!   time the data becomes available (`ready_at_ns`, set by mem-move when it
 //!   schedules an asynchronous DMA transfer).
 
-use crate::column::ColumnData;
+use crate::column::{ColumnData, ColumnRef};
 use crate::error::{HetError, Result};
 use crate::ids::{BlockId, MemoryNodeId};
-use crate::schema::Schema;
 use std::sync::Arc;
 
 /// An opaque staging charge attached to a [`BlockHandle`].
@@ -35,15 +36,28 @@ pub type StagingToken = Arc<dyn std::any::Any + Send + Sync>;
 /// blocks, and the engine configuration can override it.
 pub const DEFAULT_BLOCK_CAPACITY: usize = 64 * 1024;
 
-/// An immutable, columnar chunk of tuples located on a specific memory node.
-#[derive(Debug, Clone)]
+/// An immutable, columnar chunk of tuples located on a specific memory node:
+/// rows `[offset, offset + rows)` of shared columns.
+#[derive(Clone)]
 pub struct Block {
-    columns: Vec<ColumnData>,
+    columns: Vec<Arc<ColumnData>>,
+    offset: usize,
     rows: usize,
 }
 
+impl std::fmt::Debug for Block {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        // Only the window: the shared columns may hold a whole table.
+        f.debug_struct("Block")
+            .field("offset", &self.offset)
+            .field("rows", &self.rows)
+            .field("columns", &self.columns().collect::<Vec<_>>())
+            .finish()
+    }
+}
+
 impl Block {
-    /// Build a block from column slices. All columns must have `rows` values.
+    /// Build a block that owns `columns`. All columns must have `rows` values.
     pub fn new(columns: Vec<ColumnData>, rows: usize) -> Result<Self> {
         for (i, col) in columns.iter().enumerate() {
             if col.len() != rows {
@@ -53,17 +67,22 @@ impl Block {
                 )));
             }
         }
-        Ok(Self { columns, rows })
+        Ok(Self { columns: columns.into_iter().map(Arc::new).collect(), offset: 0, rows })
     }
 
-    /// An empty block with columns allocated for `schema` and `capacity`.
-    pub fn empty_for(schema: &Schema, capacity: usize) -> Self {
-        let columns = schema
-            .fields()
-            .iter()
-            .map(|f| ColumnData::with_capacity(f.data_type, capacity))
-            .collect();
-        Self { columns, rows: 0 }
+    /// A block viewing rows `[offset, offset + rows)` of shared `columns`,
+    /// without copying them. Every column must hold the whole window.
+    pub fn window(columns: Vec<Arc<ColumnData>>, offset: usize, rows: usize) -> Result<Self> {
+        let end = offset.checked_add(rows);
+        for (i, col) in columns.iter().enumerate() {
+            if end.is_none_or(|end| end > col.len()) {
+                return Err(HetError::Schema(format!(
+                    "window of {rows} rows at {offset} overruns column {i} of {} rows",
+                    col.len()
+                )));
+            }
+        }
+        Ok(Self { columns, offset, rows })
     }
 
     /// Number of tuples in the block.
@@ -81,71 +100,28 @@ impl Block {
         self.columns.len()
     }
 
-    /// All columns.
-    pub fn columns(&self) -> &[ColumnData] {
-        &self.columns
+    /// The window of every column, in order.
+    pub fn columns(&self) -> impl ExactSizeIterator<Item = ColumnRef<'_>> + '_ {
+        self.columns.iter().map(|c| self.view(c))
     }
 
-    /// Column by position.
-    pub fn column(&self, idx: usize) -> Result<&ColumnData> {
-        self.columns.get(idx).ok_or_else(|| HetError::Schema(format!("block has no column {idx}")))
-    }
-
-    /// Mutable column access, used by the pack operator while a block is being
-    /// filled (before it is sealed into a handle).
-    pub fn column_mut(&mut self, idx: usize) -> Result<&mut ColumnData> {
+    /// The window of the column at `idx`.
+    pub fn column(&self, idx: usize) -> Result<ColumnRef<'_>> {
         self.columns
-            .get_mut(idx)
+            .get(idx)
+            .map(|c| self.view(c))
             .ok_or_else(|| HetError::Schema(format!("block has no column {idx}")))
     }
 
-    /// Append one tuple copied from `src` at row `row`. The source block must
-    /// have the same column types.
-    pub fn push_row_from(&mut self, src: &Block, row: usize) -> Result<()> {
-        if src.width() != self.width() {
-            return Err(HetError::Schema(format!(
-                "cannot copy row between blocks of width {} and {}",
-                src.width(),
-                self.width()
-            )));
-        }
-        for (dst, s) in self.columns.iter_mut().zip(src.columns.iter()) {
-            dst.push_from(s, row)?;
-        }
-        self.rows += 1;
-        Ok(())
-    }
-
-    /// Mark `n` rows as present after filling columns directly via
-    /// [`Self::column_mut`]. All columns must already contain exactly `n` rows.
-    pub fn seal(&mut self, n: usize) -> Result<()> {
-        for (i, col) in self.columns.iter().enumerate() {
-            if col.len() != n {
-                return Err(HetError::Schema(format!(
-                    "seal({n}): column {i} holds {} rows",
-                    col.len()
-                )));
-            }
-        }
-        self.rows = n;
-        Ok(())
-    }
-
-    /// Total size of the block's data in bytes.
+    /// Size of the window's data in bytes: rows × physical width per column.
     pub fn byte_size(&self) -> usize {
-        self.columns.iter().map(ColumnData::byte_size).sum()
+        self.columns().map(|c| c.byte_size()).sum()
     }
 
-    /// A copy of rows `[start, end)` as a new block.
-    pub fn slice(&self, start: usize, end: usize) -> Result<Block> {
-        if end > self.rows || start > end {
-            return Err(HetError::Schema(format!(
-                "slice [{start}, {end}) out of range for block of {} rows",
-                self.rows
-            )));
-        }
-        let columns = self.columns.iter().map(|c| c.slice(start, end)).collect();
-        Ok(Block { columns, rows: end - start })
+    /// In bounds by construction: [`Self::new`] and [`Self::window`] check
+    /// every column against the window.
+    fn view<'a>(&self, col: &'a ColumnData) -> ColumnRef<'a> {
+        col.view(self.offset..self.offset + self.rows)
     }
 }
 
@@ -290,12 +266,6 @@ impl BlockHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schema::{Field, Schema};
-    use crate::types::DataType;
-
-    fn sample_schema() -> Schema {
-        Schema::new(vec![Field::new("a", DataType::Int32), Field::new("b", DataType::Int64)])
-    }
 
     fn sample_block() -> Block {
         Block::new(vec![ColumnData::Int32(vec![1, 2, 3]), ColumnData::Int64(vec![10, 20, 30])], 3)
@@ -312,31 +282,35 @@ mod tests {
     fn block_byte_size_and_slice() {
         let b = sample_block();
         assert_eq!(b.byte_size(), 3 * 4 + 3 * 8);
-        let s = b.slice(1, 3).unwrap();
-        assert_eq!(s.rows(), 2);
-        assert_eq!(s.column(0).unwrap().get_i64(0), Some(2));
-        assert!(b.slice(2, 5).is_err());
+        let columns = vec![
+            Arc::new(ColumnData::Int32(vec![1, 2, 3])),
+            Arc::new(ColumnData::Int64(vec![10, 20, 30])),
+        ];
+        let w = Block::window(columns.clone(), 1, 2).unwrap();
+        assert_eq!(w.rows(), 2);
+        // The window's bytes, not the shared columns'.
+        assert_eq!(w.byte_size(), 2 * 4 + 2 * 8);
+        assert_eq!(w.column(0).unwrap(), ColumnRef::Int32(&[2, 3]));
+        assert_eq!(w.column(1).unwrap().get_i64(0), Some(20));
+        assert!(w.column(2).is_err());
+        // No values were copied: the window reads the shared allocation.
+        let ColumnRef::Int64(view) = w.column(1).unwrap() else { panic!("Int64 column") };
+        let ColumnData::Int64(stored) = columns[1].as_ref() else { panic!("Int64 column") };
+        assert!(std::ptr::eq(view.as_ptr(), &stored[1]));
+        assert_eq!(Arc::strong_count(&columns[0]), 2);
+        drop(w);
+        assert_eq!(Arc::strong_count(&columns[0]), 1);
     }
 
     #[test]
-    fn block_push_row_from() {
-        let src = sample_block();
-        let mut dst = Block::empty_for(&sample_schema(), 4);
-        dst.push_row_from(&src, 2).unwrap();
-        assert_eq!(dst.rows(), 1);
-        assert_eq!(dst.column(1).unwrap().get_i64(0), Some(30));
-        let mut wrong = Block::empty_for(&Schema::new(vec![Field::new("a", DataType::Int32)]), 4);
-        assert!(wrong.push_row_from(&src, 0).is_err());
-    }
-
-    #[test]
-    fn block_seal_checks_column_lengths() {
-        let mut b = Block::empty_for(&sample_schema(), 4);
-        b.column_mut(0).unwrap().push_i64(1);
-        assert!(b.seal(1).is_err());
-        b.column_mut(1).unwrap().push_i64(100);
-        b.seal(1).unwrap();
-        assert_eq!(b.rows(), 1);
+    fn windows_outside_their_columns_are_schema_errors() {
+        let columns = vec![Arc::new(ColumnData::Int32(vec![1, 2, 3]))];
+        for (offset, rows) in [(2, 2), (4, 0), (usize::MAX, 2), (1, usize::MAX)] {
+            let err = Block::window(columns.clone(), offset, rows).unwrap_err();
+            assert!(matches!(err, HetError::Schema(_)), "({offset}, {rows}): {err:?}");
+        }
+        assert!(Block::window(columns.clone(), 3, 0).unwrap().is_empty());
+        assert_eq!(Block::window(Vec::new(), 7, 5).unwrap().byte_size(), 0);
     }
 
     #[test]

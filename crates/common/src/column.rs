@@ -1,16 +1,18 @@
 //! Typed column vectors and dictionary encoding.
 //!
 //! Columns are the unit of storage (`hetex-storage` keeps tables as columns
-//! split into NUMA-resident segments) and blocks are built out of column
-//! slices. Strings are dictionary-encoded into ordered `i32` codes so that the
-//! execution engine only ever processes fixed-width data, exactly like the
-//! columnar engines the paper evaluates.
+//! split into NUMA-resident segments) and blocks are row windows over shared
+//! columns, read through borrowed [`ColumnRef`]s. Strings are
+//! dictionary-encoded into ordered `i32` codes so that the execution engine
+//! only ever processes fixed-width data, exactly like the columnar engines the
+//! paper evaluates.
 
 use crate::error::{HetError, Result};
 use crate::types::{DataType, Value};
 use std::collections::HashMap;
+use std::ops::Range;
 
-/// Physical storage for one column (or one column slice inside a block).
+/// Physical storage for one column.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ColumnData {
     Int32(Vec<i32>),
@@ -18,17 +20,70 @@ pub enum ColumnData {
     Float64(Vec<f64>),
 }
 
-impl ColumnData {
-    /// Create an empty column of the given type with the given capacity.
-    /// Dictionary columns are physically `Int32`.
-    pub fn with_capacity(data_type: DataType, capacity: usize) -> Self {
-        match data_type {
-            DataType::Int32 | DataType::Dictionary => {
-                ColumnData::Int32(Vec::with_capacity(capacity))
-            }
-            DataType::Int64 => ColumnData::Int64(Vec::with_capacity(capacity)),
-            DataType::Float64 => ColumnData::Float64(Vec::with_capacity(capacity)),
+/// A borrowed, typed run of a column's values: how readers see one column of
+/// a block without copying it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum ColumnRef<'a> {
+    Int32(&'a [i32]),
+    Int64(&'a [i64]),
+    Float64(&'a [f64]),
+}
+
+impl ColumnRef<'_> {
+    /// Number of values in view.
+    pub fn len(&self) -> usize {
+        match self {
+            ColumnRef::Int32(v) => v.len(),
+            ColumnRef::Int64(v) => v.len(),
+            ColumnRef::Float64(v) => v.len(),
         }
+    }
+
+    /// True if no values are in view.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The physical data type of the values.
+    pub fn data_type(&self) -> DataType {
+        match self {
+            ColumnRef::Int32(_) => DataType::Int32,
+            ColumnRef::Int64(_) => DataType::Int64,
+            ColumnRef::Float64(_) => DataType::Float64,
+        }
+    }
+
+    /// Size of the values in view in bytes (count × physical width).
+    pub fn byte_size(&self) -> usize {
+        self.len() * self.data_type().byte_width()
+    }
+
+    /// Value at `idx` widened to i64 (floats are rejected).
+    pub fn get_i64(&self, idx: usize) -> Option<i64> {
+        match self {
+            ColumnRef::Int32(v) => v.get(idx).map(|x| *x as i64),
+            ColumnRef::Int64(v) => v.get(idx).copied(),
+            ColumnRef::Float64(_) => None,
+        }
+    }
+}
+
+impl ColumnData {
+    /// Borrow the values at `rows`.
+    ///
+    /// # Panics
+    /// If `rows` is out of bounds, like slice indexing.
+    pub(crate) fn view(&self, rows: Range<usize>) -> ColumnRef<'_> {
+        match self {
+            ColumnData::Int32(v) => ColumnRef::Int32(&v[rows]),
+            ColumnData::Int64(v) => ColumnRef::Int64(&v[rows]),
+            ColumnData::Float64(v) => ColumnRef::Float64(&v[rows]),
+        }
+    }
+
+    /// Borrow every value.
+    pub fn values(&self) -> ColumnRef<'_> {
+        self.view(0..self.len())
     }
 
     /// Number of values stored.
@@ -47,20 +102,12 @@ impl ColumnData {
 
     /// Size of the stored values in bytes.
     pub fn byte_size(&self) -> usize {
-        match self {
-            ColumnData::Int32(v) => v.len() * 4,
-            ColumnData::Int64(v) => v.len() * 8,
-            ColumnData::Float64(v) => v.len() * 8,
-        }
+        self.values().byte_size()
     }
 
     /// The physical data type of the column.
     pub fn data_type(&self) -> DataType {
-        match self {
-            ColumnData::Int32(_) => DataType::Int32,
-            ColumnData::Int64(_) => DataType::Int64,
-            ColumnData::Float64(_) => DataType::Float64,
-        }
+        self.values().data_type()
     }
 
     /// Value at `idx` widened to i64 (floats are rejected).
@@ -110,26 +157,6 @@ impl ColumnData {
         }
     }
 
-    /// Copy the value at `idx` from `src` into `self`; both columns must have
-    /// the same physical type.
-    pub fn push_from(&mut self, src: &ColumnData, idx: usize) -> Result<()> {
-        match (self, src) {
-            (ColumnData::Int32(dst), ColumnData::Int32(s)) => {
-                dst.push(s[idx]);
-                Ok(())
-            }
-            (ColumnData::Int64(dst), ColumnData::Int64(s)) => {
-                dst.push(s[idx]);
-                Ok(())
-            }
-            (ColumnData::Float64(dst), ColumnData::Float64(s)) => {
-                dst.push(s[idx]);
-                Ok(())
-            }
-            _ => Err(HetError::Schema("push_from with mismatched column types".into())),
-        }
-    }
-
     /// Borrow as an `i32` slice (panics in debug if the type differs).
     pub fn as_i32(&self) -> Result<&[i32]> {
         match self {
@@ -169,15 +196,6 @@ impl ColumnData {
             ColumnData::Int32(v) => v.clear(),
             ColumnData::Int64(v) => v.clear(),
             ColumnData::Float64(v) => v.clear(),
-        }
-    }
-
-    /// A slice copy of rows `[start, end)`.
-    pub fn slice(&self, start: usize, end: usize) -> ColumnData {
-        match self {
-            ColumnData::Int32(v) => ColumnData::Int32(v[start..end].to_vec()),
-            ColumnData::Int64(v) => ColumnData::Int64(v[start..end].to_vec()),
-            ColumnData::Float64(v) => ColumnData::Float64(v[start..end].to_vec()),
         }
     }
 }
@@ -293,7 +311,7 @@ mod tests {
 
     #[test]
     fn column_data_push_and_get() {
-        let mut c = ColumnData::with_capacity(DataType::Int32, 4);
+        let mut c = ColumnData::Int32(Vec::new());
         c.push_i64(7);
         c.push_i64(-3);
         assert_eq!(c.len(), 2);
@@ -308,29 +326,25 @@ mod tests {
         let c = ColumnData::Int64(vec![1, 2]);
         assert!(c.as_i64().is_ok());
         assert!(c.as_i32().is_err());
-        let mut f = ColumnData::with_capacity(DataType::Float64, 1);
+        let mut f = ColumnData::Float64(Vec::new());
         assert!(f.push_f64(1.5).is_ok());
-        let mut i = ColumnData::with_capacity(DataType::Int32, 1);
+        let mut i = ColumnData::Int32(Vec::new());
         assert!(i.push_f64(1.5).is_err());
+        assert_eq!(f.values().data_type(), DataType::Float64);
+        assert_eq!(f.values().get_i64(0), None);
     }
 
     #[test]
     fn column_data_slice_and_clear() {
         let c = ColumnData::Int32(vec![1, 2, 3, 4, 5]);
-        assert_eq!(c.slice(1, 3), ColumnData::Int32(vec![2, 3]));
+        let view = c.view(1..3);
+        assert_eq!(view, ColumnRef::Int32(&[2, 3]));
+        assert_eq!((view.len(), view.byte_size(), view.get_i64(1)), (2, 8, Some(3)));
+        assert!(c.view(5..5).is_empty());
+        assert_eq!(ColumnData::Int64(vec![1, 2, 3]).view(0..2).byte_size(), 16);
         let mut c = c;
         c.clear();
         assert!(c.is_empty());
-    }
-
-    #[test]
-    fn push_from_requires_same_type() {
-        let src = ColumnData::Int32(vec![9, 8]);
-        let mut dst = ColumnData::with_capacity(DataType::Int32, 2);
-        dst.push_from(&src, 1).unwrap();
-        assert_eq!(dst.get_i64(0), Some(8));
-        let mut wrong = ColumnData::with_capacity(DataType::Int64, 2);
-        assert!(wrong.push_from(&src, 0).is_err());
     }
 
     #[test]

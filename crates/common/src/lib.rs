@@ -2,9 +2,10 @@
 //!
 //! Shared building blocks for the HetExchange reproduction: scalar values and
 //! data types, relational schemas, typed column vectors (with dictionary
-//! encoding for strings), fixed-capacity data [`Block`]s and the [`BlockHandle`]s
-//! that HetExchange's control-flow operators route around, plus the error and
-//! configuration types used across every crate in the workspace.
+//! encoding for strings), data [`Block`]s (row windows over shared columns) and
+//! the [`BlockHandle`]s that HetExchange's control-flow operators route around,
+//! plus the error and configuration types used across every crate in the
+//! workspace.
 //!
 //! Everything in this crate is device- and engine-agnostic: it knows nothing
 //! about CPUs, GPUs, pipelines, or the simulator. Higher layers (`hetex-topology`,
@@ -21,7 +22,7 @@ pub mod schema;
 pub mod types;
 
 pub use block::{Block, BlockHandle, BlockMeta, StagingToken};
-pub use column::{Column, ColumnData, DictionaryBuilder};
+pub use column::{Column, ColumnData, ColumnRef, DictionaryBuilder};
 pub use config::{
     AnalysisMode, CalibrationConfig, CostModelConfig, EngineConfig, FaultConfig, Priority,
     ReoptConfig, ServeConfig, StealPolicy,

@@ -134,7 +134,7 @@ impl Unpacker {
     pub fn rows(handle: &BlockHandle) -> impl Iterator<Item = Vec<i64>> + '_ {
         let block = handle.block();
         (0..block.rows())
-            .map(move |row| block.columns().iter().map(|c| c.get_i64(row).unwrap_or(0)).collect())
+            .map(move |row| block.columns().map(|c| c.get_i64(row).unwrap_or(0)).collect())
     }
 }
 

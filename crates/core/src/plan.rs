@@ -75,7 +75,7 @@ impl DeviceTarget {
 /// The device-agnostic physical plan.
 #[derive(Debug, Clone, PartialEq)]
 pub enum RelNode {
-    /// Sequential scan of a loaded table, materializing only `projection`.
+    /// Sequential scan of a loaded table, reading only `projection`.
     Scan { table: String, projection: Vec<String> },
     /// Filter by a predicate over the input's columns.
     Filter { input: Box<RelNode>, predicate: Expr },

@@ -548,6 +548,24 @@ mod tests {
     }
 
     #[test]
+    fn scan_views_release_the_stored_columns_when_execute_returns() {
+        // Scan blocks view the stored columns, so every handle a query makes
+        // holds a reference to them: once `execute` returns, none may remain.
+        let engine = engine_with_table(50_000);
+        let table = engine.catalog().get("t").unwrap();
+        let columns = [table.column("a").unwrap(), table.column("b").unwrap()];
+        let before: Vec<usize> = columns.iter().map(Arc::strong_count).collect();
+        for config in
+            [EngineConfig::cpu_only(2), EngineConfig::gpu_only(2), EngineConfig::hybrid(4, 2)]
+        {
+            let outcome = engine.session().execute(&sum_where_plan(), &config).unwrap();
+            assert_eq!(outcome.rows, vec![vec![expected_sum(50_000)]]);
+            let after: Vec<usize> = columns.iter().map(Arc::strong_count).collect();
+            assert_eq!(after, before, "target {:?} left scan views alive", config.target);
+        }
+    }
+
+    #[test]
     fn group_by_returns_sorted_groups() {
         let engine = engine_with_table(10_000);
         let plan =

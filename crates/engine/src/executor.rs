@@ -1380,7 +1380,7 @@ impl Executor {
         for handle in &emitted.blocks {
             let block = handle.block();
             for row in 0..block.rows() {
-                rows.push(block.columns().iter().map(|c| c.get_i64(row).unwrap_or(0)).collect());
+                rows.push(block.columns().map(|c| c.get_i64(row).unwrap_or(0)).collect());
             }
         }
         let mut blocks = emitted.blocks;

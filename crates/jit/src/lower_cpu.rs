@@ -93,7 +93,7 @@ pub(crate) fn process_block(
 ) -> Result<(Vec<BlockHandle>, BlockCounters)> {
     let rows = block.rows();
     let data = block.block();
-    let columns = data.columns();
+    let columns: Vec<_> = data.columns().collect();
     let mut counters = BlockCounters {
         rows_in: rows as u64,
         bytes_in: data.byte_size() as u64,

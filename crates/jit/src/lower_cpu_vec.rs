@@ -5,7 +5,7 @@
 //! tuples rather than dispatching the step chain per tuple:
 //!
 //! * the chunk's registers are *columns* (`Vec<i64>` per register), gathered
-//!   once from the input block;
+//!   once from the input block's window of its (possibly shared) columns;
 //! * `Step::Filter` evaluates its predicate column-at-a-time into a dense
 //!   flag buffer and refines a `u32` **selection vector** with a tight,
 //!   branch-light compaction loop ([`refine_selection`]) — no tuples move;
@@ -33,7 +33,7 @@ use crate::expr::ScratchPool;
 use crate::ir::{Step, TerminalStep};
 use crate::pipeline::{BlockCounters, CompiledPipeline, ExecCtx};
 use crate::state::{JoinMatches, SharedState};
-use hetex_common::{BlockHandle, ColumnData, Result};
+use hetex_common::{BlockHandle, ColumnRef, Result};
 
 /// Tuples per chunk. Sized so a handful of `i64` register columns plus
 /// scratch (~tens of KiB) stay L1/L2-resident while still amortizing
@@ -115,7 +115,7 @@ pub(crate) fn process_block(
 ) -> Result<(Vec<BlockHandle>, BlockCounters)> {
     let rows = block.rows();
     let data = block.block();
-    let columns = data.columns();
+    let columns: Vec<ColumnRef<'_>> = data.columns().collect();
     let mut counters = BlockCounters {
         rows_in: rows as u64,
         bytes_in: data.byte_size() as u64,
@@ -150,13 +150,14 @@ pub(crate) fn process_block(
     while base < rows {
         let len = (rows - base).min(VEC_CHUNK);
 
-        // Gather the chunk's input registers column-at-a-time.
+        // Gather the chunk's input registers column-at-a-time from the
+        // block's window.
         let mut in_cols = scratch.rent_columns(columns.len());
-        for (dst, col) in in_cols.iter_mut().zip(columns) {
+        for (dst, col) in in_cols.iter_mut().zip(&columns) {
             match col {
-                ColumnData::Int64(v) => dst.extend_from_slice(&v[base..base + len]),
-                ColumnData::Int32(v) => dst.extend(v[base..base + len].iter().map(|&x| x as i64)),
-                ColumnData::Float64(_) => dst.resize(len, 0),
+                ColumnRef::Int64(v) => dst.extend_from_slice(&v[base..base + len]),
+                ColumnRef::Int32(v) => dst.extend(v[base..base + len].iter().map(|&x| x as i64)),
+                ColumnRef::Float64(_) => dst.resize(len, 0),
             }
         }
         scratch.install_dense(in_cols, len);
@@ -371,6 +372,7 @@ mod tests {
     use crate::ir::{AggSpec, StateSlot};
     use hetex_common::{Block, BlockId, BlockMeta, ColumnData, MemoryNodeId, PipelineId};
     use hetex_topology::DeviceKind;
+    use std::sync::Arc;
 
     fn block_of(cols: Vec<Vec<i64>>) -> BlockHandle {
         let rows = cols[0].len();
@@ -438,6 +440,59 @@ mod tests {
         // Refining an empty selection is a no-op.
         refine_selection(&mut sel, &[]);
         assert!(sel.is_empty());
+    }
+
+    #[test]
+    fn a_window_over_shared_columns_reads_like_an_owned_copy_of_its_rows() {
+        let n = VEC_CHUNK * 3;
+        let a: Vec<i32> = (0..n as i32).map(|i| i % 89 - 40).collect();
+        let b: Vec<i64> = (0..n as i64).map(|i| i * 7).collect();
+        let (offset, rows) = (VEC_CHUNK + 3, VEC_CHUNK + 100);
+        let rows_of = offset..offset + rows;
+        let copy = Block::new(
+            vec![
+                ColumnData::Int32(a[rows_of.clone()].to_vec()),
+                ColumnData::Int64(b[rows_of].to_vec()),
+            ],
+            rows,
+        )
+        .unwrap();
+        let shared = vec![Arc::new(ColumnData::Int32(a)), Arc::new(ColumnData::Int64(b))];
+        let window = Block::window(shared, offset, rows).unwrap();
+        assert_eq!(window.byte_size(), copy.byte_size());
+        let meta = BlockMeta::new(BlockId::new(0), MemoryNodeId::new(0));
+        let pipeline = CompiledPipeline::new(
+            PipelineId::new(78),
+            DeviceKind::CpuCore,
+            2,
+            vec![Step::Filter { predicate: Expr::col(0).gt_lit(0) }],
+            TerminalStep::Pack {
+                exprs: vec![Expr::col(1), Expr::col(0)],
+                partition_by: None,
+                partitions: 1,
+            },
+        )
+        .unwrap();
+        let run = |block: Block| {
+            let mut ctx = ExecCtx::cpu(MemoryNodeId::new(0), 1 << 20);
+            let handle = BlockHandle::new(block, meta.clone());
+            let (mut out, counters) =
+                process_block(&pipeline, &handle, &SharedState::new(), &mut ctx).unwrap();
+            out.extend(pipeline.finalize_instance(&mut ctx).unwrap().blocks);
+            let cols: Vec<Vec<Option<i64>>> = out
+                .iter()
+                .flat_map(|h| {
+                    h.block()
+                        .columns()
+                        .map(|c| (0..c.len()).map(|r| c.get_i64(r)).collect())
+                        .collect::<Vec<_>>()
+                })
+                .collect();
+            (cols, counters)
+        };
+        let (from_copy, copy_counters) = run(copy);
+        assert!(!from_copy.is_empty() && from_copy[0].len() < rows);
+        assert_eq!(run(window), (from_copy, copy_counters));
     }
 
     #[test]

@@ -317,7 +317,6 @@ mod tests {
                 let cols = h
                     .block()
                     .columns()
-                    .iter()
                     .map(|c| (0..h.rows()).map(|r| c.get_i64(r).unwrap()).collect())
                     .collect();
                 (h.meta().id, h.meta().hash_partition, h.meta().weight, cols)

@@ -4,9 +4,10 @@
 //! is split into contiguous row *segments*, and every segment is assigned to a
 //! memory node of the simulated server — socket DRAM for CPU-resident
 //! placements, GPU device memory for GPU-resident placements (the SF100
-//! experiments pre-load the working set into the GPUs' memories). Scans only
-//! materialize the columns a query needs, so the cost model charges exactly
-//! the bytes a columnar engine would read.
+//! experiments pre-load the working set into the GPUs' memories). Scans hand
+//! out views: each scan block is a row window over the stored columns a query
+//! needs, so a scan copies no values and the cost model charges exactly the
+//! bytes a columnar engine would read.
 
 use hetex_common::{
     Block, BlockHandle, BlockId, BlockMeta, ColumnData, DataType, DictionaryBuilder, Field,
@@ -88,8 +89,9 @@ impl StoredTable {
         Ok(total)
     }
 
-    /// Materialize scan blocks for `projection`, `block_capacity` rows each,
-    /// respecting segment boundaries and placements. Block ids are assigned
+    /// Scan blocks for `projection`, `block_capacity` rows each, respecting
+    /// segment boundaries and placements. Each block views the stored columns
+    /// in projection order; no values are copied. Block ids are assigned
     /// sequentially from 0 for this scan.
     pub fn scan_blocks(
         &self,
@@ -99,26 +101,17 @@ impl StoredTable {
         if block_capacity == 0 {
             return Err(HetError::Config("block_capacity must be positive".into()));
         }
-        let mut col_indexes = Vec::with_capacity(projection.len());
-        let mut fields = Vec::with_capacity(projection.len());
-        for name in projection {
-            let idx = self.schema.index_of(name)?;
-            col_indexes.push(idx);
-            fields.push(self.schema.fields()[idx].clone());
-        }
-        let block_schema = Schema::new(fields);
+        let columns = projection
+            .iter()
+            .map(|name| Ok(Arc::clone(&self.columns[self.schema.index_of(name)?])))
+            .collect::<Result<Vec<_>>>()?;
         let mut handles = Vec::new();
-        let mut next_id = 0usize;
         for seg in &self.segments {
             let mut start = seg.start;
             while start < seg.end {
                 let end = (start + block_capacity).min(seg.end);
-                let columns: Vec<ColumnData> =
-                    col_indexes.iter().map(|&idx| self.columns[idx].slice(start, end)).collect();
-                let block = Block::new(columns, end - start)?;
-                let meta = BlockMeta::new(BlockId::new(next_id), seg.node);
-                next_id += 1;
-                let _ = &block_schema; // schema is implied by projection order
+                let block = Block::window(columns.clone(), start, end - start)?;
+                let meta = BlockMeta::new(BlockId::new(handles.len()), seg.node);
                 handles.push(BlockHandle::new(block, meta));
                 start = end;
             }
@@ -186,13 +179,23 @@ impl TableBuilder {
             return Err(HetError::Config("segment_rows must be positive".into()));
         }
         let rows = self.columns[0].len();
-        for (i, col) in self.columns.iter().enumerate() {
+        for (field, col) in self.fields.iter().zip(&self.columns) {
             if col.len() != rows {
                 return Err(HetError::Schema(format!(
                     "column {} of table {} has {} rows, expected {rows}",
-                    self.fields[i].name,
+                    field.name,
                     self.name,
                     col.len()
+                )));
+            }
+            // Scans are priced from the declared widths (`projected_bytes`)
+            // and charged from the physical ones: they must agree.
+            let (declared, physical) = (field.data_type, col.data_type());
+            let dictionary_codes = declared == DataType::Dictionary && physical == DataType::Int32;
+            if declared != physical && !dictionary_codes {
+                return Err(HetError::Schema(format!(
+                    "column {} of table {} is declared {declared} but holds {physical} values",
+                    field.name, self.name
                 )));
             }
         }
@@ -269,6 +272,8 @@ impl Catalog {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hetex_common::ColumnRef;
+    use proptest::prelude::*;
 
     fn nodes() -> Vec<MemoryNodeId> {
         vec![MemoryNodeId::new(0), MemoryNodeId::new(1)]
@@ -308,6 +313,36 @@ mod tests {
             .column("a", DataType::Int32, ColumnData::Int32(vec![1]))
             .build(&[], 10);
         assert!(no_nodes.is_err());
+    }
+
+    #[test]
+    fn builder_rejects_physical_types_that_contradict_the_declared_ones() {
+        let build =
+            |declared, data| TableBuilder::new("x").column("c", declared, data).build(&nodes(), 10);
+        for (declared, data) in [
+            (DataType::Int64, ColumnData::Int32(vec![1])),
+            (DataType::Int32, ColumnData::Int64(vec![1])),
+            (DataType::Dictionary, ColumnData::Int64(vec![1])),
+            (DataType::Float64, ColumnData::Int64(vec![1])),
+            (DataType::Int64, ColumnData::Float64(vec![1.0])),
+        ] {
+            match build(declared, data.clone()) {
+                Err(HetError::Schema(msg)) => {
+                    assert!(msg.contains("column c of table x"), "{msg}");
+                }
+                other => panic!("{declared} over {data:?} built: {other:?}"),
+            }
+        }
+        for (declared, data) in [
+            (DataType::Int32, ColumnData::Int32(vec![1])),
+            (DataType::Dictionary, ColumnData::Int32(vec![1])),
+            (DataType::Int64, ColumnData::Int64(vec![1])),
+            (DataType::Float64, ColumnData::Float64(vec![1.0])),
+        ] {
+            let t = build(declared, data.clone()).unwrap();
+            // The bytes a scan is priced at are the bytes its blocks carry.
+            assert_eq!(t.projected_bytes(&["c"]).unwrap(), data.byte_size());
+        }
     }
 
     #[test]
@@ -356,6 +391,102 @@ mod tests {
         assert!(catalog.get("t").is_ok());
         assert!(catalog.get("nope").is_err());
         assert_eq!(catalog.table_names(), vec!["t".to_string()]);
+    }
+
+    /// The byte addresses a column view spans.
+    fn addresses(col: ColumnRef<'_>) -> std::ops::Range<usize> {
+        let start = match col {
+            ColumnRef::Int32(v) => v.as_ptr() as usize,
+            ColumnRef::Int64(v) => v.as_ptr() as usize,
+            ColumnRef::Float64(v) => v.as_ptr() as usize,
+        };
+        start..start + col.byte_size()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// Scans are exact and free: `scan_blocks` cuts the blocks a plain
+        /// copy loop would, each block carries exactly its window's bytes,
+        /// and every block column points into the stored column.
+        #[test]
+        fn prop_scan_blocks_are_exact_zero_copy_views(
+            kinds in proptest::collection::vec(0u8..2, 1..4),
+            projection in proptest::collection::vec(0usize..3, 1..4),
+            row_class in 0u8..3,
+            many in 2usize..400,
+            segment_rows in 1usize..80,
+            block_capacity in 1usize..80,
+            node_count in 1usize..4,
+            seed in 0i64..1_000_000,
+        ) {
+            let rows = [0, 1, many][row_class as usize];
+            let placement: Vec<MemoryNodeId> = (0..node_count).map(MemoryNodeId::new).collect();
+            let names: Vec<String> = (0..kinds.len()).map(|c| format!("c{c}")).collect();
+            // The value stored at (column, row), as its column's type holds it.
+            let value = |c: usize, r: usize| {
+                let v = seed.wrapping_mul(31).wrapping_add((c * 1_000 + r) as i64 * 7 - 500);
+                if kinds[c] == 0 { v as i32 as i64 } else { v }
+            };
+            let mut builder = TableBuilder::new("p");
+            for (c, kind) in kinds.iter().enumerate() {
+                builder = if *kind == 0 {
+                    let v = (0..rows).map(|r| value(c, r) as i32).collect();
+                    builder.column(names[c].clone(), DataType::Int32, ColumnData::Int32(v))
+                } else {
+                    let v = (0..rows).map(|r| value(c, r)).collect();
+                    builder.column(names[c].clone(), DataType::Int64, ColumnData::Int64(v))
+                };
+            }
+            let table = builder.build(&placement, segment_rows).unwrap();
+            let projection: Vec<&str> =
+                projection.iter().map(|&p| names[p % kinds.len()].as_str()).collect();
+            let blocks = table.scan_blocks(&projection, block_capacity).unwrap();
+
+            // The reference: a plain copy loop over segments and capacities.
+            let mut expected = Vec::new();
+            for (s, seg_start) in (0..rows).step_by(segment_rows).enumerate() {
+                let seg_end = (seg_start + segment_rows).min(rows);
+                for start in (seg_start..seg_end).step_by(block_capacity) {
+                    let end = (start + block_capacity).min(seg_end);
+                    let values: Vec<Vec<i64>> = projection
+                        .iter()
+                        .map(|name| {
+                            let c = names.iter().position(|n| n == name).unwrap();
+                            (start..end).map(|r| value(c, r)).collect()
+                        })
+                        .collect();
+                    expected.push((start, placement[s % node_count], values));
+                }
+            }
+            prop_assert_eq!(blocks.len(), expected.len());
+
+            let widths: usize = projection
+                .iter()
+                .map(|n| table.schema().field(n).unwrap().data_type.byte_width())
+                .sum();
+            let mut total_bytes = 0;
+            for (i, (handle, (start, node, values))) in blocks.iter().zip(&expected).enumerate() {
+                prop_assert_eq!(handle.meta().id, BlockId::new(i));
+                prop_assert_eq!(handle.meta().location, *node);
+                let block = handle.block();
+                prop_assert_eq!(block.rows(), values[0].len());
+                prop_assert_eq!(block.byte_size(), block.rows() * widths);
+                total_bytes += block.byte_size();
+                for (c, (col, name)) in block.columns().zip(&projection).enumerate() {
+                    let got: Vec<i64> = (0..col.len()).map(|r| col.get_i64(r).unwrap()).collect();
+                    prop_assert_eq!(&got, &values[c]);
+                    // A view into the stored allocation, at the window's rows.
+                    let stored = table.column(name).unwrap();
+                    let stored = addresses(stored.values());
+                    let view = addresses(col);
+                    let width = col.data_type().byte_width();
+                    prop_assert!(stored.start <= view.start && view.end <= stored.end);
+                    prop_assert_eq!(view.start, stored.start + start * width);
+                }
+            }
+            prop_assert_eq!(total_bytes, table.projected_bytes(&projection).unwrap());
+        }
     }
 
     #[test]

@@ -5,7 +5,8 @@
 //! are treated as normal blocks. Partitions' block handles will be propagated
 //! to the router". The segmenter therefore runs single-threaded, touches no
 //! tuple data, and produces a stream of block handles tagged with the memory
-//! node their data lives on.
+//! node their data lives on. It hands out views: every block is a row window
+//! over the stored columns, and no values are copied.
 
 use crate::catalog::StoredTable;
 use hetex_common::{BlockHandle, Result};
@@ -55,11 +56,6 @@ impl Segmenter {
         }
         Ok(handles)
     }
-
-    /// Number of blocks the scan will produce.
-    pub fn block_count(&self) -> Result<usize> {
-        Ok(self.segments()?.len())
-    }
 }
 
 #[cfg(test)]
@@ -88,7 +84,6 @@ mod tests {
         let blocks = seg.segments().unwrap();
         let rows: usize = blocks.iter().map(|b| b.rows()).sum();
         assert_eq!(rows, 1000);
-        assert_eq!(seg.block_count().unwrap(), blocks.len());
         // Projection controls block width.
         let narrow = Segmenter::new(table(), &["b"], 100);
         assert_eq!(narrow.segments().unwrap()[0].block().width(), 1);
