@@ -117,7 +117,14 @@ fn eval(
             }
             let mut columns = Vec::new();
             for name in projection {
-                columns.push(table.column(name)?);
+                let column = table.column(name)?;
+                if column.data_type() == DataType::Float64 {
+                    return Err(HetError::Schema(format!(
+                        "column {}.{name} is Float64; plans evaluate integer columns only",
+                        table.name()
+                    )));
+                }
+                columns.push(column);
             }
             let mut out = Vec::with_capacity(table.rows());
             for r in 0..table.rows() {
@@ -375,5 +382,21 @@ mod tests {
         assert_eq!(rows.len(), 1);
         // No explicit fact filter: all fact rows reach the join.
         assert_eq!(profile.rows_after_filter, 1000.0);
+    }
+
+    #[test]
+    fn a_float_column_is_a_schema_error_not_zeros() {
+        let catalog = catalog();
+        catalog.register(
+            TableBuilder::new("prices")
+                .column("p", DataType::Float64, ColumnData::Float64(vec![0.5, 1.5]))
+                .build(&[MemoryNodeId::new(0)], 256)
+                .unwrap(),
+        );
+        let plan = RelNode::scan("prices", &["p"]).reduce(vec![AggSpec::sum(Expr::col(0))], &["s"]);
+        match profile_plan(&plan, &catalog, &unit_config()) {
+            Err(HetError::Schema(msg)) => assert!(msg.contains("prices.p"), "{msg}"),
+            other => panic!("expected a schema error, got {other:?}"),
+        }
     }
 }

@@ -1,13 +1,12 @@
 //! Criterion micro-benchmarks of the HetExchange building blocks.
 //!
 //! These measure the *wall-clock* performance of the reproduction's own
-//! components (routing throughput, pack/unpack, hash join pipelines, DMA
-//! scheduling, the simulated GPU), complementing the figure harnesses, which
-//! report *simulated* times on the modeled server.
+//! components (routing throughput, the pack terminal, hash join pipelines,
+//! DMA scheduling, the simulated GPU), complementing the figure harnesses,
+//! which report *simulated* times on the modeled server.
 
-use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
+use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use hetex_common::{Block, BlockHandle, BlockId, BlockMeta, ColumnData, MemoryNodeId, PipelineId};
-use hetex_core::pack::{Packer, Unpacker};
 use hetex_core::plan::RouterPolicy;
 use hetex_core::router::{ConsumerSlot, Router};
 use hetex_gpu_sim::device::standalone_gpu;
@@ -41,31 +40,44 @@ fn bench_router(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_pack_unpack(c: &mut Criterion) {
-    let rows: Vec<Vec<i64>> = (0..10_000).map(|i| vec![i, i * 2, i * 3]).collect();
+/// The production pack: a `TerminalStep::Pack` pipeline run through
+/// `CompiledPipeline::process_block` on a fresh instance, then finalized, over
+/// 64k tuples of three `Int32` columns into 4096-tuple blocks. Divide the
+/// mean by the tuple count for ns/tuple.
+fn bench_pack(c: &mut Criterion) {
+    let rows = 64 * 1024;
+    let column = |f: fn(i32) -> i32| ColumnData::Int32((0..rows as i32).map(f).collect());
+    let block = Block::new(vec![column(|i| i), column(|i| i * 2), column(|i| i % 1000)], rows);
+    let handle =
+        BlockHandle::new(block.unwrap(), BlockMeta::new(BlockId::new(0), MemoryNodeId::new(0)));
+    let state = SharedState::new();
     let mut group = c.benchmark_group("pack");
-    group.throughput(Throughput::Elements(rows.len() as u64));
-    group.bench_function("pack_10k_tuples", |b| {
-        b.iter_batched(
-            || rows.clone(),
-            |rows| {
-                let mut packer = Packer::new(1024, MemoryNodeId::new(0));
-                let mut blocks = Vec::new();
-                for row in rows {
-                    if let Some(b) = packer.push(row).unwrap() {
-                        blocks.push(b);
-                    }
-                }
-                blocks.extend(packer.flush().unwrap());
-                blocks
+    group.throughput(Throughput::Elements(rows as u64));
+    group.sample_size(30);
+    for (name, partition_by, partitions) in
+        [("pack_64k_tuples", None, 1), ("hash_pack_61_way_64k_tuples", Some(Expr::col(2)), 61)]
+    {
+        let pipeline = CompiledPipeline::new(
+            PipelineId::new(3),
+            DeviceKind::CpuCore,
+            3,
+            Vec::new(),
+            TerminalStep::Pack {
+                exprs: vec![Expr::col(0), Expr::col(1), Expr::col(2)],
+                partition_by,
+                partitions,
             },
-            BatchSize::SmallInput,
         )
-    });
-    let handle = block_of(10_000);
-    group.bench_function("unpack_10k_tuples", |b| {
-        b.iter(|| Unpacker::rows(std::hint::black_box(&handle)).map(|r| r[0]).sum::<i64>())
-    });
+        .unwrap();
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                let mut ctx = ExecCtx::cpu(MemoryNodeId::new(0), 4096);
+                let mut blocks = pipeline.process_block(&handle, &state, &mut ctx).unwrap().blocks;
+                blocks.extend(pipeline.finalize_instance(&mut ctx).unwrap().blocks);
+                blocks
+            })
+        });
+    }
     group.finish();
 }
 
@@ -155,12 +167,5 @@ fn bench_gpu_sim(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_router,
-    bench_pack_unpack,
-    bench_pipelines,
-    bench_dma,
-    bench_gpu_sim
-);
+criterion_group!(benches, bench_router, bench_pack, bench_pipelines, bench_dma, bench_gpu_sim);
 criterion_main!(benches);

@@ -6,7 +6,7 @@
 //! engine configuration (CPU-only / GPU-only / hybrid) and both baseline
 //! engines against this executor's output.
 
-use hetex_common::{HetError, Result};
+use hetex_common::{DataType, HetError, Result};
 use hetex_core::RelNode;
 use hetex_jit::ir::AggFunc;
 use hetex_jit::{AggSpec, Expr};
@@ -21,7 +21,14 @@ pub fn reference_execute(plan: &RelNode, catalog: &Catalog) -> Result<Vec<Vec<i6
             let table = catalog.get(table)?;
             let mut columns = Vec::new();
             for name in projection {
-                columns.push(table.column(name)?);
+                let column = table.column(name)?;
+                if column.data_type() == DataType::Float64 {
+                    return Err(HetError::Schema(format!(
+                        "column {}.{name} is Float64; plans evaluate integer columns only",
+                        table.name()
+                    )));
+                }
+                columns.push(column);
             }
             let rows = table.rows();
             let mut out = Vec::with_capacity(rows);
@@ -177,6 +184,26 @@ mod tests {
         .reduce(vec![AggSpec::min(Expr::col(0)), AggSpec::max(Expr::col(0))], &["min", "max"]);
         let rows = reference_execute(&plan, &catalog()).unwrap();
         assert_eq!(rows, vec![vec![20, 120]]);
+    }
+
+    #[test]
+    fn a_float_column_is_a_schema_error_naming_it() {
+        let catalog = catalog();
+        catalog.register(
+            TableBuilder::new("prices")
+                .column("id", DataType::Int64, ColumnData::Int64(vec![1, 2]))
+                .column("price", DataType::Float64, ColumnData::Float64(vec![1.5, 2.5]))
+                .build(&[MemoryNodeId::new(0)], 4)
+                .unwrap(),
+        );
+        let plan = RelNode::scan("prices", &["id", "price"])
+            .reduce(vec![AggSpec::sum(Expr::col(1))], &["total"]);
+        match reference_execute(&plan, &catalog) {
+            Err(HetError::Schema(msg)) => assert!(msg.contains("prices.price"), "{msg}"),
+            other => panic!("expected a schema error, got {other:?}"),
+        }
+        let ints = RelNode::scan("prices", &["id"]).reduce(vec![AggSpec::count()], &["n"]);
+        assert_eq!(reference_execute(&ints, &catalog).unwrap(), vec![vec![2]]);
     }
 
     #[test]

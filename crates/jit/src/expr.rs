@@ -308,7 +308,8 @@ fn binary_batch<F: Fn(i64, i64) -> i64>(
 /// Batch evaluation of a nested expression needs one buffer per concurrently
 /// live operand; the pool hands buffers out and takes them back so the
 /// steady-state chunk loop performs no heap allocation at all (buffers grow
-/// to the chunk size once and are reused for the rest of the block).
+/// to the chunk size once and are reused for as long as the pool lives —
+/// the chunk kernel's lives as long as its pipeline instance).
 #[derive(Debug, Default)]
 pub struct ScratchPool {
     free: Vec<Vec<i64>>,

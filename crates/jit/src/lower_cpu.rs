@@ -13,7 +13,7 @@ use crate::expr::Expr;
 use crate::ir::{AggSpec, Step, TerminalStep};
 use crate::pipeline::{BlockCounters, CompiledPipeline, ExecCtx};
 use crate::state::{FlatGroups, SharedState};
-use hetex_common::{BlockHandle, Result};
+use hetex_common::{BlockHandle, HetError, Result};
 
 /// Apply the transform steps to one tuple, invoking `emit` for every tuple
 /// that reaches the terminal (a probe with several matches fans out).
@@ -109,38 +109,45 @@ pub(crate) fn process_block(
         TerminalStep::GroupBy { keys, aggs, .. } => FlatGroups::new(keys.len(), aggs),
         _ => FlatGroups::default(),
     };
+    ctx.open_pack(pipeline.terminal());
     let mut outputs: Vec<BlockHandle> = Vec::new();
 
     let mut probes = 0u64;
     let mut probe_matches = 0u64;
     let mut rows_terminal = 0u64;
-    let mut rows_emitted = 0u64;
-    let mut bytes_out = 0u64;
     let mut build_inserts = 0u64;
 
     let steps = pipeline.steps();
     let terminal = pipeline.terminal();
 
     for row in 0..rows {
-        let regs: Vec<i64> = columns.iter().map(|c| c.get_i64(row).unwrap_or(0)).collect();
+        let regs = columns
+            .iter()
+            .enumerate()
+            .map(|(c, col)| {
+                col.get_i64(row).ok_or_else(|| {
+                    HetError::Execution(format!("input column {c} is not an integer column"))
+                })
+            })
+            .collect::<Result<Vec<i64>>>()?;
         apply_transforms(steps, state, regs, &mut probes, &mut probe_matches, &mut |r| {
             rows_terminal += 1;
             match terminal {
                 TerminalStep::Pack { exprs, partition_by, partitions } => {
-                    let out_row = eval_row(exprs, &r);
+                    // One tuple at a time into the same open blocks the
+                    // chunk kernel fills a column run at a time.
                     let p = partition_by
                         .as_ref()
                         .map(|e| partition_of(e, &r, *partitions))
                         .unwrap_or(0);
-                    let width = out_row.len();
-                    let bucket = ctx.open_partitions.entry(p).or_default();
-                    bucket.push(out_row);
-                    if bucket.len() >= ctx.out_capacity {
-                        let full = ctx.open_partitions.remove(&p).unwrap_or_default();
-                        rows_emitted += full.len() as u64;
-                        bytes_out += (full.len() * width * 8) as u64;
+                    let open = &mut ctx.open_blocks[p];
+                    for (column, expr) in open.columns.iter_mut().zip(exprs) {
+                        column.push(expr.eval(&r));
+                    }
+                    open.rows += 1;
+                    if open.rows >= ctx.out_capacity {
                         let tag = partition_by.as_ref().map(|_| p);
-                        outputs.push(ctx.build_block(&full, tag)?);
+                        outputs.push(ctx.flush_full(p, tag, &mut counters)?);
                     }
                 }
                 TerminalStep::HashJoinBuild { key, payload, slot } => {
@@ -184,8 +191,6 @@ pub(crate) fn process_block(
     counters.probes = probes;
     counters.probe_matches = probe_matches;
     counters.rows_terminal = rows_terminal;
-    counters.rows_emitted = rows_emitted;
-    counters.bytes_out = bytes_out;
     Ok((outputs, counters))
 }
 

@@ -10,12 +10,18 @@
 //!   flag buffer and refines a `u32` **selection vector** with a tight,
 //!   branch-light compaction loop ([`refine_selection`]) — no tuples move;
 //! * `Step::Map` and `Step::HashJoinProbe` evaluate column-at-a-time over the
-//!   surviving selection into reusable chunk-local scratch (rented from an
+//!   surviving selection into reusable scratch (rented from a
 //!   [`ScratchPool`]), producing a dense chunk and resetting the selection to
 //!   the identity — there is no per-step block materialization;
 //! * the terminal consumes the final selection in one pass with chunk-local
 //!   accumulators that are merged into shared state once per *block* (the
-//!   CPU provider's worker-scoped atomic: one synchronization per block).
+//!   CPU provider's worker-scoped atomic: one synchronization per block); a
+//!   pack appends the chunk's evaluated columns to the instance's open output
+//!   blocks — whole runs when unpartitioned, one lane at a time into its
+//!   partition's columns when hash-partitioned — with no per-tuple object.
+//!
+//! The scratch ([`VecScratch`]) lives in the instance's [`ExecCtx`], so a
+//! block of a few hundred rows reuses the buffers of every block before it.
 //!
 //! Row order: tuples are visited in ascending selection order and a probe
 //! appends its matches in probe order, which is exactly the depth-first order
@@ -33,7 +39,7 @@ use crate::expr::ScratchPool;
 use crate::ir::{Step, TerminalStep};
 use crate::pipeline::{BlockCounters, CompiledPipeline, ExecCtx};
 use crate::state::{JoinMatches, SharedState};
-use hetex_common::{BlockHandle, ColumnRef, Result};
+use hetex_common::{BlockHandle, ColumnRef, HetError, Result};
 
 /// Tuples per chunk. Sized so a handful of `i64` register columns plus
 /// scratch (~tens of KiB) stay L1/L2-resident while still amortizing
@@ -57,11 +63,13 @@ pub fn refine_selection(sel: &mut Vec<u32>, flags: &[i64]) {
     sel.truncate(kept);
 }
 
-/// Chunk-local scratch reused across every chunk of a block: register
-/// columns, the selection vector, flag/key buffers and the expression pool.
-/// Everything grows to chunk size once and is reused, so the steady-state
-/// chunk loop allocates nothing.
-struct VecScratch {
+/// The chunk kernel's scratch: register columns, the selection vector,
+/// flag/key buffers, probe matches and the expression pool. It lives in the
+/// instance's [`ExecCtx`], so every buffer grows to chunk size once per
+/// instance and is reused by every chunk of every block it processes: the
+/// steady-state chunk loop allocates nothing.
+#[derive(Debug, Default)]
+pub(crate) struct VecScratch {
     /// The chunk's register columns (dense after a map/probe, gathered from
     /// the input otherwise).
     regs: Vec<Vec<i64>>,
@@ -73,32 +81,32 @@ struct VecScratch {
     matches: JoinMatches,
     /// Rentable intermediate buffers for expression evaluation.
     pool: ScratchPool,
+    /// Emptied column sets, so renting columns allocates no outer `Vec`.
+    sets: Vec<Vec<Vec<i64>>>,
 }
 
 impl VecScratch {
-    fn new() -> Self {
-        Self {
-            regs: Vec::new(),
-            sel: Vec::new(),
-            flags: Vec::new(),
-            matches: JoinMatches::default(),
-            pool: ScratchPool::new(),
-        }
-    }
-
     /// Rent `n` cleared columns from the pool.
     fn rent_columns(&mut self, n: usize) -> Vec<Vec<i64>> {
-        (0..n).map(|_| self.pool.acquire()).collect()
+        let mut cols = self.sets.pop().unwrap_or_default();
+        cols.extend((0..n).map(|_| self.pool.acquire()));
+        cols
+    }
+
+    /// Return rented columns to the pool.
+    fn release_columns(&mut self, mut cols: Vec<Vec<i64>>) {
+        for col in cols.drain(..) {
+            self.pool.release(col);
+        }
+        self.sets.push(cols);
     }
 
     /// Replace the chunk's registers with `cols`, returning the old columns
     /// to the pool, and reset the selection to the identity over `len` dense
     /// lanes.
     fn install_dense(&mut self, cols: Vec<Vec<i64>>, len: usize) {
-        for old in self.regs.drain(..) {
-            self.pool.release(old);
-        }
-        self.regs = cols;
+        let old = std::mem::replace(&mut self.regs, cols);
+        self.release_columns(old);
         self.sel.clear();
         self.sel.extend(0..len as u32);
     }
@@ -112,6 +120,19 @@ pub(crate) fn process_block(
     block: &BlockHandle,
     state: &SharedState,
     ctx: &mut ExecCtx,
+) -> Result<(Vec<BlockHandle>, BlockCounters)> {
+    let mut scratch = std::mem::take(&mut ctx.scratch);
+    let processed = process_chunks(pipeline, block, state, ctx, &mut scratch);
+    ctx.scratch = scratch;
+    processed
+}
+
+fn process_chunks(
+    pipeline: &CompiledPipeline,
+    block: &BlockHandle,
+    state: &SharedState,
+    ctx: &mut ExecCtx,
+    scratch: &mut VecScratch,
 ) -> Result<(Vec<BlockHandle>, BlockCounters)> {
     let rows = block.rows();
     let data = block.block();
@@ -128,23 +149,21 @@ pub(crate) fn process_block(
         TerminalStep::Reduce { aggs, .. } => aggs.iter().map(|a| a.func.identity()).collect(),
         _ => Vec::new(),
     };
-    // The block-local group table lives in the context: cleared, not
-    // reallocated, per block.
+    // The block-local group table and the open pack blocks live in the
+    // context: cleared or carried over, not reallocated, per block.
     if let TerminalStep::GroupBy { keys, aggs, .. } = pipeline.terminal() {
         ctx.local_groups.reset(keys.len(), aggs);
     }
+    ctx.open_pack(pipeline.terminal());
     let mut outputs: Vec<BlockHandle> = Vec::new();
 
     let mut probes = 0u64;
     let mut probe_matches = 0u64;
     let mut rows_terminal = 0u64;
-    let mut rows_emitted = 0u64;
-    let mut bytes_out = 0u64;
     let mut build_inserts = 0u64;
 
     let steps = pipeline.steps();
     let terminal = pipeline.terminal();
-    let mut scratch = VecScratch::new();
 
     let mut base = 0usize;
     while base < rows {
@@ -153,11 +172,17 @@ pub(crate) fn process_block(
         // Gather the chunk's input registers column-at-a-time from the
         // block's window.
         let mut in_cols = scratch.rent_columns(columns.len());
-        for (dst, col) in in_cols.iter_mut().zip(&columns) {
+        for (c, (dst, col)) in in_cols.iter_mut().zip(&columns).enumerate() {
             match col {
                 ColumnRef::Int64(v) => dst.extend_from_slice(&v[base..base + len]),
                 ColumnRef::Int32(v) => dst.extend(v[base..base + len].iter().map(|&x| x as i64)),
-                ColumnRef::Float64(_) => dst.resize(len, 0),
+                ColumnRef::Float64(_) => {
+                    return Err(HetError::Execution(format!(
+                        "pipeline {}: input column {c} is Float64, and compiled pipelines \
+                         evaluate integer columns only",
+                        pipeline.id()
+                    )));
+                }
             }
         }
         scratch.install_dense(in_cols, len);
@@ -244,32 +269,53 @@ pub(crate) fn process_block(
                             &mut scratch.pool,
                         );
                     }
-                    let mut parts = scratch.pool.acquire();
-                    if let Some(p) = partition_by {
-                        p.eval_batch(&scratch.regs, &scratch.sel, &mut parts, &mut scratch.pool);
-                    }
-                    let out_width = exprs.len();
-                    for j in 0..scratch.sel.len() {
-                        let out_row: Vec<i64> = out_cols.iter().map(|c| c[j]).collect();
-                        let p = if partition_by.is_some() {
-                            (parts[j].unsigned_abs() % (*partitions).max(1) as u64) as usize
-                        } else {
-                            0
-                        };
-                        let bucket = ctx.open_partitions.entry(p).or_default();
-                        bucket.push(out_row);
-                        if bucket.len() >= ctx.out_capacity {
-                            let full = ctx.open_partitions.remove(&p).unwrap_or_default();
-                            rows_emitted += full.len() as u64;
-                            bytes_out += (full.len() * out_width * 8) as u64;
-                            let tag = partition_by.as_ref().map(|_| p);
-                            outputs.push(ctx.build_block(&full, tag)?);
+                    // A block is emitted the moment it fills, so blocks leave
+                    // in fill order and each holds a run of the lane order.
+                    let capacity = ctx.out_capacity.max(1);
+                    match partition_by {
+                        // Whole column runs, split where the open block fills.
+                        None => {
+                            let lanes = scratch.sel.len();
+                            let mut start = 0;
+                            while start < lanes {
+                                let open = &mut ctx.open_blocks[0];
+                                let end = lanes.min(start + capacity.saturating_sub(open.rows));
+                                for (dst, src) in open.columns.iter_mut().zip(&out_cols) {
+                                    dst.extend_from_slice(&src[start..end]);
+                                }
+                                open.rows += end - start;
+                                start = end;
+                                if open.rows >= capacity {
+                                    outputs.push(ctx.flush_full(0, None, &mut counters)?);
+                                }
+                            }
+                        }
+                        // Each lane's values scattered straight into its
+                        // partition's columns, in lane order.
+                        Some(by) => {
+                            let mut keys = scratch.pool.acquire();
+                            by.eval_batch(
+                                &scratch.regs,
+                                &scratch.sel,
+                                &mut keys,
+                                &mut scratch.pool,
+                            );
+                            let fanout = (*partitions).max(1) as u64;
+                            for (j, key) in keys.iter().enumerate() {
+                                let p = (key.unsigned_abs() % fanout) as usize;
+                                let open = &mut ctx.open_blocks[p];
+                                for (dst, src) in open.columns.iter_mut().zip(&out_cols) {
+                                    dst.push(src[j]);
+                                }
+                                open.rows += 1;
+                                if open.rows >= capacity {
+                                    outputs.push(ctx.flush_full(p, Some(p), &mut counters)?);
+                                }
+                            }
+                            scratch.pool.release(keys);
                         }
                     }
-                    scratch.pool.release(parts);
-                    for col in out_cols {
-                        scratch.pool.release(col);
-                    }
+                    scratch.release_columns(out_cols);
                 }
                 TerminalStep::HashJoinBuild { key, payload, slot } => {
                     let mut keys = std::mem::take(&mut scratch.flags);
@@ -287,9 +333,7 @@ pub(crate) fn process_block(
                     state.hash_table_of_width(*slot, payload.len())?.insert_batch(&keys, &pay_cols);
                     build_inserts += keys.len() as u64;
                     scratch.flags = keys;
-                    for col in pay_cols {
-                        scratch.pool.release(col);
-                    }
+                    scratch.release_columns(pay_cols);
                 }
                 TerminalStep::Reduce { aggs, .. } => {
                     let mut values = std::mem::take(&mut scratch.flags);
@@ -329,9 +373,8 @@ pub(crate) fn process_block(
                         );
                     }
                     ctx.local_groups.accumulate_batch(&key_cols, &agg_cols, scratch.sel.len());
-                    for col in key_cols.into_iter().chain(agg_cols) {
-                        scratch.pool.release(col);
-                    }
+                    scratch.release_columns(key_cols);
+                    scratch.release_columns(agg_cols);
                 }
             }
         }
@@ -360,8 +403,6 @@ pub(crate) fn process_block(
     counters.probes = probes;
     counters.probe_matches = probe_matches;
     counters.rows_terminal = rows_terminal;
-    counters.rows_emitted = rows_emitted;
-    counters.bytes_out = bytes_out;
     Ok((outputs, counters))
 }
 
@@ -694,6 +735,289 @@ mod tests {
             },
         );
     }
+
+    /// An emitted block as these tests compare it: id, partition tag, weight,
+    /// rows (the only content of a zero-width block) and column-major values.
+    type Emitted = (BlockId, Option<u64>, f64, usize, Vec<Vec<i64>>);
+
+    fn dump(blocks: &[BlockHandle]) -> Vec<Emitted> {
+        blocks
+            .iter()
+            .map(|h| {
+                let cols = h
+                    .block()
+                    .columns()
+                    .map(|c| (0..c.len()).map(|r| c.get_i64(r).unwrap()).collect())
+                    .collect();
+                (h.meta().id, h.meta().hash_partition, h.meta().weight, h.rows(), cols)
+            })
+            .collect()
+    }
+
+    /// SplitMix64: the property tests' value source.
+    fn mix(mut z: u64) -> u64 {
+        z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// Feed `inputs` through one instance — the chunk kernel, or the
+    /// per-tuple oracle filling the same open blocks a tuple at a time — and
+    /// finalize it: every emitted block in emission order, and the counters
+    /// of every call.
+    fn run_instance(
+        pipeline: &CompiledPipeline,
+        inputs: &[BlockHandle],
+        state: &SharedState,
+        ctx: &mut ExecCtx,
+        per_tuple: bool,
+    ) -> (Vec<Emitted>, Vec<BlockCounters>) {
+        let mut blocks = Vec::new();
+        let mut counters = Vec::new();
+        for input in inputs {
+            let (out, c) = if per_tuple {
+                ctx.current_weight = input.meta().weight;
+                crate::lower_cpu::process_block(pipeline, input, state, ctx).unwrap()
+            } else {
+                let out = pipeline.process_block(input, state, ctx).unwrap();
+                (out.blocks, out.counters)
+            };
+            blocks.extend(out);
+            counters.push(c);
+        }
+        let tail = pipeline.finalize_instance(ctx).unwrap();
+        blocks.extend(tail.blocks);
+        counters.push(tail.counters);
+        (dump(&blocks), counters)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(3))]
+
+        /// The columnar Pack terminal emits what the per-tuple oracle emits —
+        /// blocks, ids, partition tags, weights, order, boundaries and
+        /// counters — for every output width, capacity and partitioning, with
+        /// blocks of a few chunks each fed through one context before it is
+        /// finalized.
+        #[test]
+        fn columnar_pack_matches_the_per_tuple_oracle(
+            sizes in proptest::collection::vec(0usize..1_500, 2..5),
+            seed in 0u64..u64::MAX,
+            keep in 0i64..101,
+        ) {
+            let inputs: Vec<BlockHandle> = sizes
+                .iter()
+                .enumerate()
+                .map(|(b, &rows)| {
+                    let at =
+                        |i: usize, salt: u64| mix(seed ^ mix((b * 4_096 + i) as u64 ^ salt));
+                    let mut handle = block_of(vec![
+                        (0..rows).map(|i| at(i, 1) as i64).collect(),
+                        (0..rows).map(|i| (at(i, 2) % 1_000) as i64 - 500).collect(),
+                        (0..rows).map(|i| (at(i, 3) % 100) as i64).collect(),
+                    ]);
+                    handle.meta_mut().weight = 1.0 + b as f64;
+                    handle
+                })
+                .collect();
+            let survivors: usize = inputs
+                .iter()
+                .map(|h| {
+                    let f = h.block().column(2).unwrap();
+                    (0..h.rows()).filter(|&r| f.get_i64(r).unwrap() < keep).count()
+                })
+                .sum();
+            let exprs = [
+                Expr::col(1),
+                Expr::col(0),
+                Expr::col(0).mul(Expr::col(2)),
+                Expr::lit(-7),
+                Expr::col(2),
+            ];
+            let state = SharedState::new();
+            for width in 0..=4 {
+                for capacity in [1, 2, 1023, 1024, 1025, 64 * 1024] {
+                    for partitions in [None, Some(1), Some(2), Some(61)] {
+                        let pipeline = CompiledPipeline::new(
+                            PipelineId::new(79),
+                            DeviceKind::CpuCore,
+                            3,
+                            vec![Step::Filter { predicate: Expr::col(2).lt_lit(keep) }],
+                            TerminalStep::Pack {
+                                exprs: exprs[..width].to_vec(),
+                                partition_by: partitions.map(|_| Expr::col(1)),
+                                partitions: partitions.unwrap_or(1),
+                            },
+                        )
+                        .unwrap();
+                        let run = |per_tuple| {
+                            let mut ctx = ExecCtx::cpu(MemoryNodeId::new(0), capacity);
+                            run_instance(&pipeline, &inputs, &state, &mut ctx, per_tuple)
+                        };
+                        let (blocks, counters) = run(false);
+                        let case = format!("width {width}, capacity {capacity}, {partitions:?}");
+                        let oracle = run(true);
+                        proptest::prop_assert_eq!(&(blocks.clone(), counters), &oracle, "{}", case);
+                        // What neither path may get wrong in the same way.
+                        proptest::prop_assert_eq!(
+                            blocks.iter().map(|b| b.3).sum::<usize>(), survivors, "{}", case
+                        );
+                        for (r, (id, tag, _, rows, cols)) in blocks.iter().enumerate() {
+                            proptest::prop_assert_eq!(id.index(), r);
+                            proptest::prop_assert!((1..=capacity).contains(rows));
+                            let tagged = (partitions, tag, cols.first());
+                            if let (Some(n), Some(tag), Some(keys)) = tagged {
+                                proptest::prop_assert!(
+                                    keys.iter().all(|k| k.unsigned_abs() % n as u64 == *tag)
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Per state slot: hash tables as their payloads for keys 0..64 in match
+    /// order, accumulators, sorted groups.
+    fn dump_state(state: &SharedState) -> Vec<String> {
+        use crate::state::StateObject;
+        (0..state.len())
+            .map(|slot| match state.object(StateSlot(slot)).unwrap() {
+                StateObject::HashTable(table) => {
+                    let mut rows = Vec::new();
+                    for k in 0..64 {
+                        table.probe(k, |payload| rows.push((k, payload.to_vec())));
+                    }
+                    format!("{rows:?}")
+                }
+                StateObject::Accumulators(acc) => format!("{:?}", acc.values()),
+                StateObject::GroupBy(groups) => format!("{:?}", groups.snapshot()),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_reused_context_gives_a_block_what_a_fresh_context_gives_it() {
+        // Slot 0 holds three build rows per key in 0..40, so a matching probe
+        // fans out 3x; the filter passes every row of a `pass` block and
+        // none of another.
+        let steps = vec![
+            Step::Filter { predicate: Expr::col(1).gt_lit(29) },
+            Step::HashJoinProbe { key: Expr::col(0), slot: StateSlot(0), payload_width: 1 },
+        ];
+        let input = |rows: usize, pass: bool| {
+            block_of(vec![
+                (0..rows as i64).map(|i| (i * 7) % 40).collect(),
+                (0..rows as i64).map(|i| if pass { 30 + i % 50 } else { i % 30 }).collect(),
+            ])
+        };
+        let terminals = [
+            TerminalStep::Reduce {
+                aggs: vec![
+                    AggSpec::sum(Expr::col(2)),
+                    AggSpec::count(),
+                    AggSpec::min(Expr::col(1)),
+                ],
+                slot: StateSlot(1),
+            },
+            TerminalStep::GroupBy {
+                keys: vec![Expr::col(0), Expr::col(2)],
+                aggs: vec![AggSpec::sum(Expr::col(1)), AggSpec::count()],
+                slot: StateSlot(1),
+            },
+            TerminalStep::HashJoinBuild {
+                key: Expr::col(0),
+                payload: vec![Expr::col(1), Expr::col(2)],
+                slot: StateSlot(1),
+            },
+            TerminalStep::Pack {
+                exprs: vec![Expr::col(2), Expr::col(1)],
+                partition_by: None,
+                partitions: 1,
+            },
+            TerminalStep::Pack {
+                exprs: vec![Expr::col(0), Expr::col(2), Expr::col(1)],
+                partition_by: Some(Expr::col(2)),
+                partitions: 61,
+            },
+        ];
+        let mk_state = |terminal: &TerminalStep| {
+            let mut state = SharedState::new();
+            let ht = state.add_hash_table(1);
+            for copy in 0..3 {
+                for k in 0..40 {
+                    state.hash_table(ht).unwrap().insert(k, vec![k * 100 + copy]);
+                }
+            }
+            match terminal {
+                TerminalStep::Reduce { aggs, .. } => {
+                    state.add_accumulators(aggs);
+                }
+                TerminalStep::GroupBy { aggs, .. } => {
+                    state.add_group_by(aggs);
+                }
+                TerminalStep::HashJoinBuild { payload, .. } => {
+                    state.add_hash_table(payload.len());
+                }
+                TerminalStep::Pack { .. } => {}
+            }
+            state
+        };
+        let gpu = Arc::new(hetex_gpu_sim::device::standalone_gpu());
+        let ctx_for = |device: DeviceKind| match device {
+            DeviceKind::CpuCore => ExecCtx::cpu(MemoryNodeId::new(0), 500),
+            DeviceKind::Gpu => ExecCtx::gpu(Arc::clone(&gpu), 500),
+        };
+        // Block B alone, on a context that may have run other blocks: what
+        // it emits (ids aside, which number the instance's blocks), every
+        // counter, and the state it leaves.
+        let observe = |pipeline: &CompiledPipeline, b: &BlockHandle, ctx: &mut ExecCtx| {
+            let state = mk_state(pipeline.terminal());
+            let (blocks, counters) =
+                run_instance(pipeline, std::slice::from_ref(b), &state, ctx, false);
+            let blocks: Vec<_> =
+                blocks.into_iter().map(|(_, tag, w, rows, cols)| (tag, w, rows, cols)).collect();
+            (blocks, counters, dump_state(&state))
+        };
+        let orders = [
+            ((3_000, false), (700, true)),
+            ((3_000, true), (700, true)),
+            ((2_100, true), (500, false)),
+        ];
+        for device in [DeviceKind::CpuCore, DeviceKind::Gpu] {
+            for terminal in &terminals {
+                let pipeline = CompiledPipeline::new(
+                    PipelineId::new(80),
+                    device,
+                    2,
+                    steps.clone(),
+                    terminal.clone(),
+                )
+                .unwrap();
+                for ((a_rows, a_pass), (b_rows, b_pass)) in orders {
+                    let (a, b) = (input(a_rows, a_pass), input(b_rows, b_pass));
+                    let mut reused = ctx_for(device);
+                    let state = mk_state(terminal);
+                    pipeline.process_block(&a, &state, &mut reused).unwrap();
+                    pipeline.finalize_instance(&mut reused).unwrap();
+                    let seen = observe(&pipeline, &b, &mut reused);
+                    assert_eq!(
+                        seen,
+                        observe(&pipeline, &b, &mut ctx_for(device)),
+                        "{device:?} {terminal:?}"
+                    );
+                    if b_pass {
+                        assert_eq!(seen.1[0].probe_matches, 3 * seen.1[0].probes, "3x fan-out");
+                    } else {
+                        assert_eq!(seen.1[0].rows_terminal, 0, "emptied selection");
+                    }
+                }
+            }
+        }
+    }
+
     /// `out.work` of three fixed CPU blocks, as literals captured at the
     /// commit before the charge shape was keyed on the pipeline's device
     /// instead of a kernel-mode setting. CPU `sim_s` is a function of these

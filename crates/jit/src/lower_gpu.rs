@@ -540,31 +540,61 @@ mod tests {
     }
 
     #[test]
-    fn int32_and_float64_input_columns_read_identically() {
+    fn int32_inputs_read_identically_and_float64_inputs_are_rejected() {
         let rows = 2_000usize;
-        let cols = vec![
-            ColumnData::Int32((0..rows as i32).map(|i| i % 17 - 8).collect()),
-            ColumnData::Float64((0..rows).map(|i| i as f64 * 0.5).collect()),
-            ColumnData::Int64((0..rows as i64).collect()),
-        ];
+        let int_cols = || {
+            vec![
+                ColumnData::Int32((0..rows as i32).map(|i| i % 17 - 8).collect()),
+                ColumnData::Int64((0..rows as i64).collect()),
+            ]
+        };
         let aggs = vec![AggSpec::sum(Expr::col(0)), AggSpec::sum(Expr::col(1)), AggSpec::count()];
         let terminal = TerminalStep::GroupBy {
             keys: vec![Expr::col(0)],
             aggs: aggs.clone(),
             slot: StateSlot(0),
         };
+        let mk_state = || {
+            let mut s = SharedState::new();
+            s.add_group_by(&aggs);
+            s
+        };
+        let filter = vec![Step::Filter { predicate: Expr::col(1).gt_lit(99) }];
         let seen = assert_gpu_matches_cpu_vec(
-            &[Step::Filter { predicate: Expr::col(2).gt_lit(99) }],
+            &filter,
             &terminal,
-            &[column_block(cols)],
-            &|| {
-                let mut s = SharedState::new();
-                s.add_group_by(&aggs);
-                s
-            },
+            &[column_block(int_cols())],
+            &mk_state,
             &[],
         );
         assert_eq!(seen.counters.rows_terminal, 1_900);
+
+        // A float column is an error naming it on both devices — never a
+        // column of zeros — and nothing reaches the shared state.
+        let mut cols = int_cols();
+        cols.insert(1, ColumnData::Float64((0..rows).map(|i| i as f64 * 0.5).collect()));
+        let block = column_block(cols);
+        let filter = vec![Step::Filter { predicate: Expr::col(2).gt_lit(99) }];
+        for device in [DeviceKind::CpuCore, DeviceKind::Gpu] {
+            let pipeline = CompiledPipeline::new(
+                PipelineId::new(24),
+                device,
+                3,
+                filter.clone(),
+                terminal.clone(),
+            )
+            .unwrap();
+            let state = mk_state();
+            let mut ctx = match device {
+                DeviceKind::Gpu => gpu_ctx(100),
+                DeviceKind::CpuCore => ExecCtx::cpu(MemoryNodeId::new(0), 100),
+            };
+            match pipeline.process_block(&block, &state, &mut ctx) {
+                Err(HetError::Execution(msg)) => assert!(msg.contains("column 1"), "{msg}"),
+                other => panic!("{device:?}: expected an execution error, got {other:?}"),
+            }
+            assert!(state.group_by(StateSlot(0)).unwrap().is_empty());
+        }
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! worker's resource clock.
 
 use crate::ir::{Step, TerminalStep};
-use crate::lower_cpu_vec::{self, VEC_CHUNK};
+use crate::lower_cpu_vec::{self, VecScratch, VEC_CHUNK};
 use crate::lower_gpu;
 use crate::state::{FlatGroups, SharedState};
 use hetex_common::{
@@ -22,7 +22,6 @@ use hetex_common::{
 };
 use hetex_gpu_sim::{GpuDevice, LaunchConfig};
 use hetex_topology::{DeviceKind, WorkProfile};
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Functional counters for one processed block (or one finalize call).
@@ -74,9 +73,17 @@ pub struct PipelineOutput {
     pub work: WorkProfile,
 }
 
+/// One partition's partially filled pack output: a buffer per output column
+/// and the row count (the only record of a zero-width block's rows).
+#[derive(Debug, Default)]
+pub(crate) struct OpenBlock {
+    pub(crate) columns: Vec<Vec<i64>>,
+    pub(crate) rows: usize,
+}
+
 /// Per-instance execution context: which device the instance runs on, where
-/// its outputs live, and the partially filled output blocks of the pack
-/// terminal (flushed by `finalize_instance`).
+/// its outputs live, the partially filled output blocks of the pack terminal
+/// (flushed by `finalize_instance`), and the kernel's reusable scratch.
 #[derive(Debug)]
 pub struct ExecCtx {
     /// The device kind this instance runs on.
@@ -89,13 +96,17 @@ pub struct ExecCtx {
     pub out_capacity: usize,
     /// Memory node output blocks are produced on (local to this instance).
     pub out_node: MemoryNodeId,
-    /// Partially filled pack outputs, keyed by partition. Ordered, so the
-    /// tail flush — and the downstream routing order it decides — is the
-    /// same in every process.
-    pub(crate) open_partitions: BTreeMap<usize, Vec<Vec<i64>>>,
-    /// The vectorized lowering's block-local group-by partials: cleared per
-    /// block, so their allocations last as long as the instance.
+    /// The pack terminal's open output blocks, indexed by partition (one
+    /// slot when unpartitioned). The tail flush visits them in index order,
+    /// so it — and the downstream routing order it decides — is the same in
+    /// every process.
+    pub(crate) open_blocks: Vec<OpenBlock>,
+    /// The chunk kernel's block-local group-by partials: cleared per block,
+    /// so their allocations last as long as the instance.
     pub(crate) local_groups: FlatGroups,
+    /// The chunk kernel's registers, selection, probe matches and buffer
+    /// pool, reused by every chunk of every block of the instance.
+    pub(crate) scratch: VecScratch,
     /// Weight inherited by produced blocks (set from the last input block).
     pub(crate) current_weight: f64,
     next_block_id: usize,
@@ -110,8 +121,9 @@ impl ExecCtx {
             launch_config: LaunchConfig::new(1, 1),
             out_capacity,
             out_node,
-            open_partitions: BTreeMap::new(),
+            open_blocks: Vec::new(),
             local_groups: FlatGroups::default(),
+            scratch: VecScratch::default(),
             current_weight: 1.0,
             next_block_id: 0,
         }
@@ -124,12 +136,7 @@ impl ExecCtx {
             device: DeviceKind::Gpu,
             gpu: Some(device),
             launch_config: LaunchConfig::default_for_device(),
-            out_capacity,
-            out_node,
-            open_partitions: BTreeMap::new(),
-            local_groups: FlatGroups::default(),
-            current_weight: 1.0,
-            next_block_id: 0,
+            ..Self::cpu(out_node, out_capacity)
         }
     }
 
@@ -140,23 +147,51 @@ impl ExecCtx {
         id
     }
 
-    /// Build an output block handle from row-major tuples.
+    /// For a pack terminal, open an output block for each partition that has
+    /// none yet (one when unpartitioned).
+    pub(crate) fn open_pack(&mut self, terminal: &TerminalStep) {
+        let TerminalStep::Pack { exprs, partition_by, partitions } = terminal else {
+            return;
+        };
+        let open = if partition_by.is_some() { (*partitions).max(1) } else { 1 };
+        if self.open_blocks.len() < open {
+            self.open_blocks.resize_with(open, OpenBlock::default);
+        }
+        for block in &mut self.open_blocks {
+            block.columns.resize_with(exprs.len(), Vec::new);
+        }
+    }
+
+    /// Emit partition `p`'s open block, which has reached the output
+    /// capacity, and open the next one with room for as many rows.
+    pub(crate) fn flush_full(
+        &mut self,
+        p: usize,
+        tag: Option<usize>,
+        counters: &mut BlockCounters,
+    ) -> Result<BlockHandle> {
+        let open = &mut self.open_blocks[p];
+        let rows = std::mem::take(&mut open.rows);
+        let columns = open
+            .columns
+            .iter_mut()
+            .map(|c| std::mem::replace(c, Vec::with_capacity(rows)))
+            .collect();
+        self.build_block(columns, rows, tag, counters)
+    }
+
+    /// Build an output block of `rows` rows from its columns, counting the
+    /// rows and bytes it emits.
     pub(crate) fn build_block(
         &mut self,
-        rows: &[Vec<i64>],
+        columns: Vec<Vec<i64>>,
+        rows: usize,
         partition: Option<usize>,
+        counters: &mut BlockCounters,
     ) -> Result<BlockHandle> {
-        let width = rows.first().map(Vec::len).unwrap_or(0);
-        let mut columns: Vec<Vec<i64>> = vec![Vec::with_capacity(rows.len()); width];
-        for row in rows {
-            if row.len() != width {
-                return Err(HetError::Execution("ragged packed output".into()));
-            }
-            for (c, v) in row.iter().enumerate() {
-                columns[c].push(*v);
-            }
-        }
-        let block = Block::new(columns.into_iter().map(ColumnData::Int64).collect(), rows.len())?;
+        counters.rows_emitted += rows as u64;
+        counters.bytes_out += (rows * columns.len() * 8) as u64;
+        let block = Block::new(columns.into_iter().map(ColumnData::Int64).collect(), rows)?;
         let mut meta = BlockMeta::new(self.next_block_id(), self.out_node);
         meta.weight = self.current_weight;
         meta.hash_partition = partition.map(|p| p as u64);
@@ -252,17 +287,12 @@ impl CompiledPipeline {
     pub fn finalize_instance(&self, ctx: &mut ExecCtx) -> Result<PipelineOutput> {
         let mut blocks = Vec::new();
         let mut counters = BlockCounters::default();
-        while let Some((p, rows)) = ctx.open_partitions.pop_first() {
-            if rows.is_empty() {
-                continue;
+        let tagged = matches!(&self.terminal, TerminalStep::Pack { partition_by: Some(_), .. });
+        for (p, open) in std::mem::take(&mut ctx.open_blocks).into_iter().enumerate() {
+            if open.rows > 0 {
+                let tag = tagged.then_some(p);
+                blocks.push(ctx.build_block(open.columns, open.rows, tag, &mut counters)?);
             }
-            counters.rows_emitted += rows.len() as u64;
-            counters.bytes_out += (rows.len() * rows[0].len() * 8) as u64;
-            let partition = match &self.terminal {
-                TerminalStep::Pack { partition_by: Some(_), .. } => Some(p),
-                _ => None,
-            };
-            blocks.push(ctx.build_block(&rows, partition)?);
         }
         let work = self.work_profile(&counters, ctx.current_weight);
         Ok(PipelineOutput { blocks, counters, work })
@@ -276,26 +306,17 @@ impl CompiledPipeline {
         state: &SharedState,
         ctx: &mut ExecCtx,
     ) -> Result<PipelineOutput> {
-        let mut rows: Vec<Vec<i64>> = Vec::new();
-        match &self.terminal {
+        let (columns, rows) = match &self.terminal {
             TerminalStep::Reduce { slot, .. } => {
-                rows.push(state.accumulators(*slot)?.values());
+                (state.accumulators(*slot)?.values().into_iter().map(|v| vec![v]).collect(), 1)
             }
-            TerminalStep::GroupBy { slot, .. } => {
-                for (key, values) in state.group_by(*slot)?.snapshot() {
-                    let mut row = key;
-                    row.extend(values);
-                    rows.push(row);
-                }
-            }
-            TerminalStep::Pack { .. } | TerminalStep::HashJoinBuild { .. } => {}
-        }
+            TerminalStep::GroupBy { slot, .. } => state.group_by(*slot)?.sorted_columns(),
+            TerminalStep::Pack { .. } | TerminalStep::HashJoinBuild { .. } => (Vec::new(), 0),
+        };
         let mut counters = BlockCounters::default();
         let mut blocks = Vec::new();
-        if !rows.is_empty() {
-            counters.rows_emitted = rows.len() as u64;
-            counters.bytes_out = (rows.len() * rows[0].len() * 8) as u64;
-            blocks.push(ctx.build_block(&rows, None)?);
+        if rows > 0 {
+            blocks.push(ctx.build_block(columns, rows, None, &mut counters)?);
         }
         let work = self.work_profile(&counters, 1.0);
         Ok(PipelineOutput { blocks, counters, work })
@@ -555,16 +576,17 @@ mod tests {
     fn exec_ctx_builds_tagged_blocks() {
         let mut ctx = ExecCtx::cpu(MemoryNodeId::new(1), 8);
         ctx.current_weight = 2.0;
-        let rows = vec![vec![1, 2], vec![3, 4]];
-        let h = ctx.build_block(&rows, Some(5)).unwrap();
+        let mut counters = BlockCounters::default();
+        let h = ctx.build_block(vec![vec![1, 3], vec![2, 4]], 2, Some(5), &mut counters).unwrap();
         assert_eq!(h.rows(), 2);
+        assert_eq!(h.block().column(1).unwrap().get_i64(0), Some(2));
         assert_eq!(h.meta().location, MemoryNodeId::new(1));
         assert_eq!(h.meta().hash_partition, Some(5));
         assert!((h.meta().weight - 2.0).abs() < f64::EPSILON);
-        // ids increment per instance
-        let h2 = ctx.build_block(&rows, None).unwrap();
+        // ids increment per instance; a zero-width block keeps its row count
+        let h2 = ctx.build_block(Vec::new(), 3, None, &mut counters).unwrap();
         assert_ne!(h.meta().id, h2.meta().id);
-        // ragged rows error
-        assert!(ctx.build_block(&[vec![1, 2], vec![3]], None).is_err());
+        assert_eq!((h2.rows(), h2.block().width()), (3, 0));
+        assert_eq!((counters.rows_emitted, counters.bytes_out), (5, 32));
     }
 }

@@ -12,9 +12,10 @@
 //! Both hash structures are *flat*: a power-of-two open-addressing slot array
 //! (linear probing, at most half full, indexed by the top bits of
 //! [`hash_i64`]) over one contiguous, fixed-stride `i64` arena. There is no
-//! per-row heap object, so building costs a few stores per tuple and dropping
-//! a table is a handful of frees however many rows it holds. DESIGN.md,
-//! "Hash state layout", has the full picture.
+//! per-row heap object, so building costs a few stores per tuple, a group-by
+//! result leaves as columns gathered from the arena in key order, and
+//! dropping a table is a handful of frees however many rows it holds.
+//! DESIGN.md, "Hash state layout", has the full picture.
 
 use crate::expr::hash_i64;
 use crate::ir::{AggFunc, AggSpec, StateSlot};
@@ -70,6 +71,8 @@ struct FlatJoin {
     shift: u32,
     distinct: usize,
     arena: Vec<i64>,
+    /// Each new row's resolved slot while [`Self::insert_batch`] links.
+    resolved: Vec<u32>,
 }
 
 impl FlatJoin {
@@ -85,14 +88,15 @@ impl FlatJoin {
         (hash_i64(key) as u64 >> self.shift) as usize
     }
 
-    /// Head row of `key`'s chain, scanning from slot `i` (its home slot).
-    /// Terminates because the table is never more than half full.
-    fn head_from(&self, mut i: usize, key: i64) -> u32 {
+    /// The slot holding `key`, or the empty slot where it would go, scanning
+    /// from slot `i` (its home slot or any slot of its probe run before that
+    /// one). Terminates because the table is never more than half full.
+    fn slot_from(&self, mut i: usize, key: i64) -> usize {
         let mask = self.slots.len() - 1;
         loop {
             let slot = self.slots[i];
             if slot.head == NIL || slot.key == key {
-                return slot.head;
+                return i;
             }
             i = (i + 1) & mask;
         }
@@ -102,7 +106,7 @@ impl FlatJoin {
         if self.slots.is_empty() {
             NIL
         } else {
-            self.head_from(self.home(key), key)
+            self.slots[self.slot_from(self.home(key), key)].head
         }
     }
 
@@ -112,9 +116,13 @@ impl FlatJoin {
         (&cells[..self.width], cells[self.width] as u32)
     }
 
-    /// Double the slot array (the arena does not move).
-    fn grow(&mut self) {
-        let len = (self.slots.len() * 2).max(MIN_SLOTS);
+    /// Grow the slot array until `distinct` keys fit at most half full (the
+    /// arena does not move).
+    fn reserve_keys(&mut self, distinct: usize) {
+        if distinct * 2 <= self.slots.len() {
+            return;
+        }
+        let len = (distinct * 2).next_power_of_two().max(MIN_SLOTS);
         let old = std::mem::replace(&mut self.slots, vec![EMPTY_JOIN_SLOT; len]);
         self.shift = shift_for(len);
         for slot in old.into_iter().filter(|s| s.head != NIL) {
@@ -126,47 +134,54 @@ impl FlatJoin {
         }
     }
 
-    /// Link the row about to be appended to the arena into `key`'s chain.
-    fn link(&mut self, key: i64) {
-        let row = next_index(self.rows());
-        if (self.distinct + 1) * 2 > self.slots.len() {
-            self.grow();
+    /// Append one row per key and link row `j` into `keys[j]`'s chain, in
+    /// ascending `j`. `write_payload` fills the new rows' cells (`stride`
+    /// per row, every cell `NIL` on entry) with their payloads.
+    ///
+    /// Growth is checked once, for room for every key to be new. Then every
+    /// key's slot is resolved in one pass of independent loads, whose cache
+    /// misses overlap as in [`JoinProbe::probe_batch`], and the rows are
+    /// linked in order. A slot resolved as empty may since have been taken by
+    /// an earlier row of the batch: linking then probes on from it, which is
+    /// where a one-row insert would have probed too.
+    fn insert_batch(&mut self, keys: &[i64], write_payload: impl FnOnce(&mut [i64])) {
+        if keys.is_empty() {
+            return;
+        }
+        let first = self.rows();
+        assert!(first + keys.len() <= NIL as usize, "hash state holds fewer than 2^32 entries");
+        self.reserve_keys(self.distinct + keys.len());
+        let stride = self.stride();
+        let start = self.arena.len();
+        self.arena.resize(start + keys.len() * stride, i64::from(NIL));
+        write_payload(&mut self.arena[start..]);
+
+        let mut resolved = std::mem::take(&mut self.resolved);
+        resolved.clear();
+        resolved.extend(keys.iter().map(|&k| self.home(k) as u32));
+        for (slot, &key) in resolved.iter_mut().zip(keys) {
+            *slot = self.slot_from(*slot as usize, key) as u32;
         }
         let mask = self.slots.len() - 1;
-        let stride = self.stride();
-        let mut i = self.home(key);
-        loop {
-            let slot = &mut self.slots[i];
-            if slot.head == NIL {
-                *slot = JoinSlot { key, head: row, tail: row };
-                self.distinct += 1;
-                return;
+        for (j, (&from, &key)) in resolved.iter().zip(keys).enumerate() {
+            let row = (first + j) as u32;
+            let mut i = from as usize;
+            loop {
+                let slot = &mut self.slots[i];
+                if slot.head == NIL {
+                    *slot = JoinSlot { key, head: row, tail: row };
+                    self.distinct += 1;
+                    break;
+                }
+                if slot.key == key {
+                    self.arena[slot.tail as usize * stride + self.width] = i64::from(row);
+                    slot.tail = row;
+                    break;
+                }
+                i = (i + 1) & mask;
             }
-            if slot.key == key {
-                self.arena[slot.tail as usize * stride + self.width] = i64::from(row);
-                slot.tail = row;
-                return;
-            }
-            i = (i + 1) & mask;
         }
-    }
-
-    fn insert(&mut self, key: i64, payload: &[i64]) {
-        assert_eq!(payload.len(), self.width, "payload does not match the table's width");
-        self.link(key);
-        self.arena.extend_from_slice(payload);
-        self.arena.push(i64::from(NIL));
-    }
-
-    fn insert_batch(&mut self, keys: &[i64], payload_cols: &[Vec<i64>]) {
-        assert_eq!(payload_cols.len(), self.width, "payload does not match the table's width");
-        assert!(payload_cols.iter().all(|c| c.len() == keys.len()), "ragged payload columns");
-        self.arena.reserve(keys.len() * self.stride());
-        for (j, &key) in keys.iter().enumerate() {
-            self.link(key);
-            self.arena.extend(payload_cols.iter().map(|c| c[j]));
-            self.arena.push(i64::from(NIL));
-        }
+        self.resolved = resolved;
     }
 
     fn bytes(&self) -> u64 {
@@ -203,12 +218,15 @@ impl JoinHashTable {
         self.payload_width
     }
 
-    /// Insert one build tuple.
+    /// Insert one build tuple: a one-row [`Self::insert_batch`].
     ///
     /// # Panics
     /// If `payload` does not have [`Self::payload_width`] columns.
     pub fn insert(&self, key: i64, payload: Vec<i64>) {
-        self.table.write().insert(key, &payload);
+        assert_eq!(payload.len(), self.payload_width, "payload does not match the table's width");
+        self.table.write().insert_batch(&[key], |cells| {
+            cells[..payload.len()].copy_from_slice(&payload);
+        });
     }
 
     /// Insert a chunk of build tuples under one write lock: tuple `j` is
@@ -218,7 +236,20 @@ impl JoinHashTable {
     /// If there are not [`Self::payload_width`] payload columns of
     /// `keys.len()` values each.
     pub fn insert_batch(&self, keys: &[i64], payload_cols: &[Vec<i64>]) {
-        self.table.write().insert_batch(keys, payload_cols);
+        assert_eq!(
+            payload_cols.len(),
+            self.payload_width,
+            "payload does not match the table's width"
+        );
+        assert!(payload_cols.iter().all(|c| c.len() == keys.len()), "ragged payload columns");
+        let stride = self.payload_width + 1;
+        self.table.write().insert_batch(keys, |cells| {
+            for (c, column) in payload_cols.iter().enumerate() {
+                for (row, &value) in cells.chunks_exact_mut(stride).zip(column) {
+                    row[c] = value;
+                }
+            }
+        });
     }
 
     /// A read guard to probe a chunk of keys under.
@@ -301,7 +332,7 @@ impl JoinProbe<'_> {
         heads.clear();
         heads.extend(keys.iter().map(|&k| table.home(k) as u32));
         for (head, &key) in heads.iter_mut().zip(keys) {
-            *head = table.head_from(*head as usize, key);
+            *head = table.slots[table.slot_from(*head as usize, key)].head;
         }
         for (lane, &head) in heads.iter().enumerate() {
             let mut row = head;
@@ -494,6 +525,24 @@ impl FlatGroups {
         }
     }
 
+    /// Every group as columns — the key columns, then one column per
+    /// aggregate — with rows in ascending key order (lexicographic over the
+    /// key columns). Keys are distinct, so that order is total: an unstable
+    /// sort of group indexes by their key cells finds it, and each column is
+    /// then gathered straight from the arena. The sort runs over contiguous
+    /// `(first key cell, group)` pairs and reads the rest of a key from the
+    /// arena only to break a tie on its first cell.
+    pub fn sorted_columns(&self) -> Vec<Vec<i64>> {
+        let stride = self.stride();
+        let key = |g: u32| &self.arena[g as usize * stride..][..self.key_arity];
+        let mut order: Vec<(i64, u32)> =
+            (0..self.groups as u32).map(|g| (key(g).first().copied().unwrap_or(0), g)).collect();
+        order.sort_unstable_by(|a, b| a.0.cmp(&b.0).then_with(|| key(a.1).cmp(key(b.1))));
+        (0..stride)
+            .map(|c| order.iter().map(|&(_, g)| self.arena[g as usize * stride + c]).collect())
+            .collect()
+    }
+
     /// Bytes the table holds (slot array plus group arena, at capacity).
     pub fn approx_bytes(&self) -> u64 {
         (self.slots.capacity() * std::mem::size_of::<u32>()
@@ -582,12 +631,25 @@ impl GroupByTable {
         self.len() == 0
     }
 
-    /// Snapshot of all `(key, values)` pairs, sorted by key for determinism.
+    /// Every group as [`FlatGroups::sorted_columns`] (key columns, then one
+    /// column per aggregate, ascending by key) and the number of groups: the
+    /// rows a group-by stage emits.
+    pub fn sorted_columns(&self) -> (Vec<Vec<i64>>, usize) {
+        let groups = self.groups.lock();
+        (groups.sorted_columns(), groups.len())
+    }
+
+    /// The rows of [`Self::sorted_columns`] as `(key, values)` pairs, in the
+    /// same order: a row view for tests and inspection.
     pub fn snapshot(&self) -> Vec<(Vec<i64>, Vec<i64>)> {
-        let mut rows: Vec<(Vec<i64>, Vec<i64>)> =
-            self.groups.lock().iter().map(|(k, v)| (k.to_vec(), v.to_vec())).collect();
-        rows.sort();
-        rows
+        let (columns, rows) = self.sorted_columns();
+        let key_arity = columns.len() - self.funcs.len();
+        (0..rows)
+            .map(|r| {
+                let (keys, values) = columns.split_at(key_arity);
+                (keys.iter().map(|c| c[r]).collect(), values.iter().map(|c| c[r]).collect())
+            })
+            .collect()
     }
 
     /// The aggregate functions.
@@ -724,6 +786,7 @@ mod tests {
     #[test]
     fn hash_table_insert_and_probe() {
         let t = JoinHashTable::new(2);
+        t.insert_batch(&[], &[Vec::new(), Vec::new()]);
         assert!(t.is_empty());
         assert_eq!(t.approx_bytes(), 0, "an empty table owns no memory");
         assert_eq!(t.probe(10, |_| panic!("no match expected")), 0);

@@ -4,8 +4,12 @@
 //! order, and a [`GroupByTable`] like an ordered map from key to its folded
 //! aggregates.
 
+use hetex_common::{MemoryNodeId, PipelineId};
 use hetex_jit::state::{FlatGroups, GroupByTable, JoinHashTable, JoinMatches};
-use hetex_jit::{AggFunc, AggSpec, Expr};
+use hetex_jit::{
+    AggFunc, AggSpec, CompiledPipeline, ExecCtx, Expr, SharedState, StateSlot, TerminalStep,
+};
+use hetex_topology::DeviceKind;
 use proptest::collection::vec;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -70,6 +74,26 @@ fn columns_of(rows: &[Vec<i64>], width: usize) -> Vec<Vec<i64>> {
     (0..width).map(|c| rows.iter().map(|r| r[c]).collect()).collect()
 }
 
+/// A group-by over the first `arity` input columns into `slot`.
+fn group_by_pipeline(arity: usize, aggs: &[AggSpec], slot: StateSlot) -> CompiledPipeline {
+    let keys = (0..arity).map(Expr::col).collect();
+    let terminal = TerminalStep::GroupBy { keys, aggs: aggs.to_vec(), slot };
+    CompiledPipeline::new(PipelineId::new(1), DeviceKind::CpuCore, arity, vec![], terminal).unwrap()
+}
+
+#[test]
+fn a_group_by_with_no_groups_emits_no_block() {
+    let aggs = vec![AggSpec::sum(Expr::col(0)), AggSpec::count()];
+    let mut state = SharedState::new();
+    let slot = state.add_group_by(&aggs);
+    let out = group_by_pipeline(2, &aggs, slot)
+        .emit_state_results(&state, &mut ExecCtx::cpu(MemoryNodeId::new(0), 64))
+        .unwrap();
+    assert!(out.blocks.is_empty());
+    assert_eq!((out.counters.rows_emitted, out.counters.bytes_out), (0, 0));
+    assert!(state.group_by(slot).unwrap().snapshot().is_empty());
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -121,6 +145,78 @@ proptest! {
         }
         assert_join_matches_model(&single, &model, 130);
         assert_join_matches_model(&batched, &model, 130);
+    }
+
+    /// One chunk that takes the table across several growth boundaries and
+    /// repeats keys inside itself (more tuples than keys) links every row
+    /// where repeated single inserts would: chains stay in insertion order.
+    #[test]
+    fn one_batch_across_growth_boundaries_keeps_chain_order(
+        before in vec(0usize..40, 0..120),
+        chunk in vec(0usize..300, 301..1_100),
+        wide in 0u8..2,
+    ) {
+        let width = if wide == 1 { 3 } else { 0 };
+        let keys: Vec<i64> = before.iter().chain(&chunk).map(|&op| key_of(op)).collect();
+        let rows: Vec<Vec<i64>> = (0..keys.len()).map(|r| payload_of(r, width)).collect();
+        let single = JoinHashTable::new(width);
+        let batched = JoinHashTable::new(width);
+        let mut model = JoinModel::new();
+        for (r, (key, row)) in keys.iter().zip(&rows).enumerate() {
+            single.insert(*key, row.clone());
+            if r < before.len() {
+                batched.insert(*key, row.clone());
+            }
+            model.entry(*key).or_default().push(row.clone());
+        }
+        let distinct_before = batched.distinct_keys();
+        let tail = before.len()..keys.len();
+        batched.insert_batch(&keys[tail.clone()], &columns_of(&rows[tail], width));
+        prop_assert!(batched.distinct_keys() > 2 * distinct_before.max(8), "no growth crossed");
+        assert_join_matches_model(&single, &model, 310);
+        assert_join_matches_model(&batched, &model, 310);
+    }
+
+    /// The group-by stage emits its groups as sorted columns: the block holds
+    /// the rows, in the order, that sorting `(key, values)` pairs gives, for
+    /// 1–3 key columns spanning the whole `i64` range.
+    #[test]
+    fn sorted_column_emission_equals_the_pair_sort(
+        tuples in vec(0usize..400, 1..2_000),
+        arity in 1usize..4,
+    ) {
+        let aggs = vec![AggSpec::sum(Expr::col(0)), AggSpec::count(), AggSpec::min(Expr::col(0))];
+        let mut local = FlatGroups::new(arity, &aggs);
+        for (row, &t) in tuples.iter().enumerate() {
+            // Wider keys share leading columns, so later columns break ties.
+            let key = [key_of(t % 7), key_of(t % 11 + 3), key_of(t)][3 - arity..].to_vec();
+            let value = (row as i64 - 900).wrapping_mul(0x0100_0000_0000_0001);
+            for (acc, agg) in local.entry(&key).iter_mut().zip(&aggs) {
+                *acc = agg.func.accumulate(*acc, value);
+            }
+        }
+        let mut pairs: Vec<(Vec<i64>, Vec<i64>)> =
+            local.iter().map(|(k, v)| (k.to_vec(), v.to_vec())).collect();
+        pairs.sort();
+
+        let mut state = SharedState::new();
+        let slot = state.add_group_by(&aggs);
+        state.group_by(slot).unwrap().merge_batch(&local);
+        prop_assert_eq!(&state.group_by(slot).unwrap().snapshot(), &pairs);
+        let out = group_by_pipeline(arity, &aggs, slot)
+            .emit_state_results(&state, &mut ExecCtx::cpu(MemoryNodeId::new(0), 64))
+            .unwrap();
+        prop_assert_eq!(out.blocks.len(), 1);
+        let block = out.blocks[0].block();
+        let emitted: Vec<(Vec<i64>, Vec<i64>)> = (0..block.rows())
+            .map(|r| {
+                let row: Vec<i64> = block.columns().map(|c| c.get_i64(r).unwrap()).collect();
+                (row[..arity].to_vec(), row[arity..].to_vec())
+            })
+            .collect();
+        prop_assert_eq!(&emitted, &pairs);
+        prop_assert_eq!(out.counters.rows_emitted, pairs.len() as u64);
+        prop_assert_eq!(out.counters.bytes_out, (pairs.len() * (arity + aggs.len()) * 8) as u64);
     }
 
     /// Threads building one table concurrently lose and duplicate nothing.
