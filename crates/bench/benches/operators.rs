@@ -1,9 +1,9 @@
 //! Criterion micro-benchmarks of the HetExchange building blocks.
 //!
 //! These measure the *wall-clock* performance of the reproduction's own
-//! components (routing throughput, the pack terminal, hash join pipelines,
-//! DMA scheduling, the simulated GPU), complementing the figure harnesses,
-//! which report *simulated* times on the modeled server.
+//! components (routing throughput, the pack terminal, join-table probes, hash
+//! join pipelines, DMA scheduling, the simulated GPU), complementing the
+//! figure harnesses, which report *simulated* times on the modeled server.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use hetex_common::{Block, BlockHandle, BlockId, BlockMeta, ColumnData, MemoryNodeId, PipelineId};
@@ -11,7 +11,10 @@ use hetex_core::plan::RouterPolicy;
 use hetex_core::router::{ConsumerSlot, Router};
 use hetex_gpu_sim::device::standalone_gpu;
 use hetex_gpu_sim::LaunchConfig;
-use hetex_jit::{AggSpec, CompiledPipeline, ExecCtx, Expr, SharedState, Step, TerminalStep};
+use hetex_jit::state::{JoinHashTable, JoinMatches};
+use hetex_jit::{
+    AggSpec, CompiledPipeline, ExecCtx, Expr, SharedState, Step, TerminalStep, VEC_CHUNK,
+};
 use hetex_topology::{Affinity, DeviceId, DeviceKind, DmaEngine, ServerTopology, SimTime};
 use std::sync::Arc;
 
@@ -77,6 +80,60 @@ fn bench_pack(c: &mut Criterion) {
                 blocks
             })
         });
+    }
+    group.finish();
+}
+
+/// `probe_batch` over 64k random keys in `VEC_CHUNK`-key chunks, one read
+/// guard per chunk as the chunk kernel takes it, for each way a join table
+/// answers: `unsealed`, sealed to a `direct` key index, and sealed but left
+/// `hashed`. A table holds every even key of a span of 1k, 20k or 500k, so
+/// about half the probes hit, each key once (`unique`) or three times
+/// (`chains3`). The hashed tables hold the same keys times a large odd
+/// stride, which puts their span past any direct index without changing
+/// their key count, hit rate or chains. Divide the mean by 65,536 for
+/// ns/probe.
+fn bench_probe(c: &mut Criterion) {
+    const PROBES: usize = 64 * 1024;
+    let mut group = c.benchmark_group("probe");
+    group.throughput(Throughput::Elements(PROBES as u64));
+    group.sample_size(30);
+    for (span_label, span) in [("1k", 1_000i64), ("20k", 20_000), ("500k", 500_000)] {
+        let even: Vec<i64> = (0..span / 2).map(|i| 2 * i).collect();
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let probes: Vec<i64> = (0..PROBES)
+            .map(|_| {
+                state = state.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+                ((state >> 33) % span as u64) as i64
+            })
+            .collect();
+        for (chain_label, copies) in [("unique", 1), ("chains3", 3)] {
+            for (kind, stride, seal) in
+                [("unsealed", 1, false), ("direct", 1, true), ("hashed", 1_000_003, true)]
+            {
+                let keys: Vec<i64> = even.iter().map(|&k| k * stride).collect();
+                let table = JoinHashTable::new(1);
+                for _ in 0..copies {
+                    table.insert_batch(&keys, std::slice::from_ref(&keys));
+                }
+                if seal {
+                    table.seal();
+                }
+                assert_eq!(table.is_direct(), kind == "direct", "{kind} table, span {span}");
+                let probes: Vec<i64> = probes.iter().map(|&k| k * stride).collect();
+                let mut matches = JoinMatches::default();
+                group.bench_function(&format!("{kind}_{chain_label}_span_{span_label}"), |b| {
+                    b.iter(|| {
+                        let mut found = 0;
+                        for chunk in probes.chunks(VEC_CHUNK) {
+                            table.read().probe_batch(chunk, &mut matches);
+                            found += matches.rows.len();
+                        }
+                        found
+                    })
+                });
+            }
+        }
     }
     group.finish();
 }
@@ -167,5 +224,13 @@ fn bench_gpu_sim(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_router, bench_pack, bench_pipelines, bench_dma, bench_gpu_sim);
+criterion_group!(
+    benches,
+    bench_router,
+    bench_pack,
+    bench_probe,
+    bench_pipelines,
+    bench_dma,
+    bench_gpu_sim
+);
 criterion_main!(benches);

@@ -1357,9 +1357,10 @@ impl Executor {
         (final_end, busy)
     }
 
-    /// Run the final gather of a reduce/group-by stage: emit the shared-state
-    /// results exactly once, on a CPU context (the paper's final
-    /// single-instance gather pipeline). Returns `(result rows, blocks)`.
+    /// Finish a stage's shared state exactly once, on a CPU context: run the
+    /// final gather of a reduce/group-by stage (the paper's final
+    /// single-instance gather pipeline), or seal a hash-join build's table
+    /// before the gates of its probes open. Returns `(result rows, blocks)`.
     fn emit_stage_results(
         &self,
         stage: &Stage,
@@ -1367,10 +1368,7 @@ impl Executor {
         completion: SimTime,
         config: &EngineConfig,
     ) -> Result<(Vec<Vec<i64>>, Vec<BlockHandle>)> {
-        if !matches!(
-            stage.template(DeviceKind::CpuCore).terminal(),
-            TerminalStep::Reduce { .. } | TerminalStep::GroupBy { .. }
-        ) {
+        if matches!(stage.template(DeviceKind::CpuCore).terminal(), TerminalStep::Pack { .. }) {
             return Ok((Vec::new(), Vec::new()));
         }
         let node = self.topology.cpu_memory_nodes()[0];
@@ -1966,6 +1964,8 @@ impl Executor {
                             // its build stages signalled completion.
                             let gate_floor = gates[idx].wait();
                             last_end = gate_floor;
+                            #[cfg(test)]
+                            tests::record_probed_tables(state, &pipeline);
 
                             let mut ctx = match kind {
                                 DeviceKind::Gpu => match gpu {
@@ -2470,23 +2470,28 @@ mod tests {
     use crate::codegen::compile;
     use hetex_common::{ColumnData, DataType};
     use hetex_core::{parallelize, RelNode};
-    use hetex_jit::{AggSpec, Expr};
+    use hetex_jit::{AggSpec, Expr, Step};
     use hetex_storage::TableBuilder;
 
     fn catalog_with_data(topology: &ServerTopology, rows: usize) -> Catalog {
+        catalog_with_key_stride(topology, rows, 1)
+    }
+
+    /// `fact` joins `dim` on keys `0, stride, 2 × stride, …` (100 of them).
+    fn catalog_with_key_stride(topology: &ServerTopology, rows: usize, stride: i32) -> Catalog {
         let catalog = Catalog::new();
         let nodes = topology.cpu_memory_nodes();
         let fact = TableBuilder::new("fact")
             .column(
                 "key",
                 DataType::Int32,
-                ColumnData::Int32((0..rows as i32).map(|i| i % 100).collect()),
+                ColumnData::Int32((0..rows as i32).map(|i| i % 100 * stride).collect()),
             )
             .column("value", DataType::Int64, ColumnData::Int64((0..rows as i64).collect()))
             .build(&nodes, 4096)
             .unwrap();
         let dim = TableBuilder::new("dim")
-            .column("k", DataType::Int32, ColumnData::Int32((0..100).collect()))
+            .column("k", DataType::Int32, ColumnData::Int32((0..100).map(|k| k * stride).collect()))
             .column("attr", DataType::Int32, ColumnData::Int32((0..100).map(|i| i % 7).collect()))
             .build(&nodes, 4096)
             .unwrap();
@@ -2527,6 +2532,53 @@ mod tests {
 
     /// Scanning a table of this name panics inside its source pump.
     pub(super) const PANICKING_TABLE: &str = "panicking_source";
+
+    /// `(state address, slot, sealed direct)` of every table a pipeline
+    /// instance probes, as it stood when the instance's gate opened.
+    static PROBED_AT_GATE: StdMutex<Vec<(usize, usize, bool)>> = StdMutex::new(Vec::new());
+
+    pub(super) fn record_probed_tables(state: &SharedState, pipeline: &CompiledPipeline) {
+        for step in pipeline.steps() {
+            if let Step::HashJoinProbe { slot, .. } = step {
+                let direct = state.hash_table(*slot).unwrap().is_direct();
+                let at = state as *const SharedState as usize;
+                PROBED_AT_GATE.lock().unwrap().push((at, slot.index(), direct));
+            }
+        }
+    }
+
+    #[test]
+    fn a_dense_build_is_sealed_direct_before_its_probe_gate_opens() {
+        let plan = join_sum_plan();
+        // 100 keys in a span of 100 are indexed directly; at a stride of
+        // 1,000 their span is past both the floor and four times the slots.
+        for (stride, direct) in [(1, true), (1_000, false)] {
+            for config in
+                [EngineConfig::cpu_only(4), EngineConfig::gpu_only(2), EngineConfig::hybrid(4, 2)]
+            {
+                let topology = ServerTopology::paper_server();
+                let catalog = catalog_with_key_stride(&topology, 20_000, stride);
+                let het = parallelize(&plan, &config).unwrap();
+                let graph = compile(&het, &config, &topology).unwrap();
+                let at = &graph.state as *const SharedState as usize;
+                PROBED_AT_GATE.lock().unwrap().retain(|seen| seen.0 != at);
+                let result = Executor::new(topology).execute(&graph, &catalog, &config).unwrap();
+                assert_eq!(result.rows, crate::reference_execute(&plan, &catalog).unwrap());
+                let seen: Vec<bool> = PROBED_AT_GATE
+                    .lock()
+                    .unwrap()
+                    .iter()
+                    .filter(|seen| seen.0 == at)
+                    .map(|seen| seen.2)
+                    .collect();
+                assert!(!seen.is_empty(), "no probe instance ran");
+                assert!(
+                    seen.iter().all(|&d| d == direct),
+                    "stride {stride}: probe gates opened on {seen:?}, expected direct = {direct}"
+                );
+            }
+        }
+    }
 
     #[test]
     fn a_panicking_source_pump_is_a_structured_error_not_a_panic() {

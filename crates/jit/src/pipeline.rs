@@ -298,9 +298,11 @@ impl CompiledPipeline {
         Ok(PipelineOutput { blocks, counters, work })
     }
 
-    /// Emit the results held in shared state (reduce / group-by terminals).
-    /// Must be called exactly once per pipeline, after every instance has
-    /// finished, by the executor.
+    /// Finish the shared state once every instance has finished: emit the
+    /// results of a reduce / group-by terminal, and seal the table of a
+    /// hash-join build (which emits nothing). Must be called exactly once
+    /// per pipeline, after every instance has finished and before any
+    /// pipeline that probes its table starts, by the executor.
     pub fn emit_state_results(
         &self,
         state: &SharedState,
@@ -311,7 +313,11 @@ impl CompiledPipeline {
                 (state.accumulators(*slot)?.values().into_iter().map(|v| vec![v]).collect(), 1)
             }
             TerminalStep::GroupBy { slot, .. } => state.group_by(*slot)?.sorted_columns(),
-            TerminalStep::Pack { .. } | TerminalStep::HashJoinBuild { .. } => (Vec::new(), 0),
+            TerminalStep::HashJoinBuild { slot, .. } => {
+                state.hash_table(*slot)?.seal();
+                (Vec::new(), 0)
+            }
+            TerminalStep::Pack { .. } => (Vec::new(), 0),
         };
         let mut counters = BlockCounters::default();
         let mut blocks = Vec::new();

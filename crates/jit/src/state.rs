@@ -15,6 +15,9 @@
 //! per-row heap object, so building costs a few stores per tuple, a group-by
 //! result leaves as columns gathered from the arena in key order, and
 //! dropping a table is a handful of frees however many rows it holds.
+//! Once its build finishes, a join table is *sealed*: a dense key range
+//! gains a direct `key − min` index beside the slot array, and a table of
+//! unique keys is probed without walking chains.
 //! DESIGN.md, "Hash state layout", has the full picture.
 
 use crate::expr::hash_i64;
@@ -28,6 +31,11 @@ const NIL: u32 = u32::MAX;
 
 /// Slots a table starts with on its first insert.
 const MIN_SLOTS: usize = 16;
+
+/// Key span up to which [`JoinHashTable::seal`] builds a direct index even
+/// when it is larger than the slot array: 32 Ki `u32` heads are 128 KiB,
+/// half the per-core L2 of the paper's Xeon E5-2650L v3.
+pub const DIRECT_FLOOR: usize = 32 * 1024;
 
 /// Shift that maps a 63-bit [`hash_i64`] value to the top bits indexing
 /// `slots` (a power of two) slots.
@@ -64,6 +72,10 @@ const EMPTY_JOIN_SLOT: JoinSlot = JoinSlot { key: 0, head: NIL, tail: NIL };
 /// with the same key (`NIL` at the end of the chain). A slot remembers its
 /// chain's head and tail, so an insert appends in O(1) and a probe visits
 /// matches in insertion order.
+///
+/// A sealed table whose keys fit a short range also holds `direct`: the
+/// smallest key and, at `key − min`, each key's chain head (`NIL` for a key
+/// it lacks). Any insert drops it.
 #[derive(Debug, Default)]
 struct FlatJoin {
     width: usize,
@@ -71,8 +83,22 @@ struct FlatJoin {
     shift: u32,
     distinct: usize,
     arena: Vec<i64>,
+    /// The smallest and largest key inserted; `None` while empty.
+    key_range: Option<(i64, i64)>,
+    direct: Option<(i64, Vec<u32>)>,
     /// Each new row's resolved slot while [`Self::insert_batch`] links.
     resolved: Vec<u32>,
+}
+
+/// `key`'s chain head in the direct index `heads` of keys from `base` on:
+/// one bounds check and one load.
+fn direct_head(base: i64, heads: &[u32], key: i64) -> u32 {
+    let off = key.wrapping_sub(base) as u64;
+    if off < heads.len() as u64 {
+        heads[off as usize]
+    } else {
+        NIL
+    }
 }
 
 impl FlatJoin {
@@ -82,6 +108,33 @@ impl FlatJoin {
 
     fn rows(&self) -> usize {
         self.arena.len() / self.stride()
+    }
+
+    /// Build the direct index if the keys' span is at most
+    /// `max(4 × slots, DIRECT_FLOOR)`: no larger than the slot array, or
+    /// within [`DIRECT_FLOOR`]. A no-op on an empty or already sealed table.
+    ///
+    /// The key range is kept by the inserts, so a table that stays hashed
+    /// costs nothing to seal. The fill is one pass over the slot array that
+    /// stores every slot's head without a branch on whether it is occupied:
+    /// an empty slot's `NIL` goes to a spare last entry, which is dropped.
+    fn seal(&mut self) {
+        let Some((min, max)) = self.key_range else { return };
+        if self.direct.is_some() {
+            return;
+        }
+        let span = i128::from(max) - i128::from(min) + 1;
+        if span > (4 * self.slots.len()).max(DIRECT_FLOOR) as i128 {
+            return;
+        }
+        let span = span as usize;
+        let mut heads = vec![NIL; span + 1];
+        for slot in &self.slots {
+            let off = slot.key.wrapping_sub(min) as u64 as usize;
+            heads[if slot.head == NIL { span } else { off }] = slot.head;
+        }
+        heads.truncate(span);
+        self.direct = Some((min, heads));
     }
 
     fn home(&self, key: i64) -> usize {
@@ -103,7 +156,9 @@ impl FlatJoin {
     }
 
     fn head_of(&self, key: i64) -> u32 {
-        if self.slots.is_empty() {
+        if let Some((base, heads)) = &self.direct {
+            direct_head(*base, heads, key)
+        } else if self.slots.is_empty() {
             NIL
         } else {
             self.slots[self.slot_from(self.home(key), key)].head
@@ -150,6 +205,9 @@ impl FlatJoin {
         }
         let first = self.rows();
         assert!(first + keys.len() <= NIL as usize, "hash state holds fewer than 2^32 entries");
+        self.direct = None;
+        let (lo, hi) = self.key_range.unwrap_or((i64::MAX, i64::MIN));
+        self.key_range = Some(keys.iter().fold((lo, hi), |(lo, hi), &k| (lo.min(k), hi.max(k))));
         self.reserve_keys(self.distinct + keys.len());
         let stride = self.stride();
         let start = self.arena.len();
@@ -185,8 +243,10 @@ impl FlatJoin {
     }
 
     fn bytes(&self) -> u64 {
+        let direct = self.direct.as_ref().map_or(0, |(_, heads)| heads.len());
         (self.slots.capacity() * std::mem::size_of::<JoinSlot>()
-            + self.arena.capacity() * std::mem::size_of::<i64>()) as u64
+            + self.arena.capacity() * std::mem::size_of::<i64>()
+            + direct * std::mem::size_of::<u32>()) as u64
     }
 }
 
@@ -194,10 +254,11 @@ impl FlatJoin {
 ///
 /// Builders and probers synchronize per *chunk*: [`Self::insert_batch`] takes
 /// the write lock once for a whole chunk of build tuples and [`Self::read`]
-/// hands out a guard under which a whole chunk of keys is probed. There is no
-/// freeze step — a probe may follow an insert at any time — because an
-/// uncontended read lock per chunk is already noise next to the probes it
-/// covers.
+/// hands out a guard under which a whole chunk of keys is probed. The build
+/// stage [`Self::seal`]s the table when its last worker finishes, which
+/// gives a dense key range a direct index. Sealing is an optimisation, not a
+/// state the callers must sequence: a probe may follow an insert at any
+/// time, and an insert after a seal drops the index again.
 #[derive(Debug)]
 pub struct JoinHashTable {
     payload_width: usize,
@@ -277,8 +338,23 @@ impl JoinHashTable {
         self.table.read().distinct
     }
 
-    /// Bytes the table holds (slot array plus row arena, at capacity), for
-    /// state-memory accounting.
+    /// Index the keys directly by `key − min` when their span is at most
+    /// `max(4 × slots, DIRECT_FLOOR)` — in bytes, no larger than the slot
+    /// array or at most 128 KiB. Probes then resolve a chain head with one
+    /// bounds check and one load instead of a linear probe. Sealing an empty
+    /// or already sealed table does nothing; any later insert drops the
+    /// index, so an unsealed or re-opened table still answers correctly.
+    pub fn seal(&self) {
+        self.table.write().seal();
+    }
+
+    /// True if the table is sealed with a direct key index.
+    pub fn is_direct(&self) -> bool {
+        self.table.read().direct.is_some()
+    }
+
+    /// Bytes the table holds (slot array and row arena at capacity, plus the
+    /// direct index), for state-memory accounting.
     pub fn approx_bytes(&self) -> u64 {
         self.table.read().bytes()
     }
@@ -294,6 +370,27 @@ pub struct JoinMatches {
     pub lanes: Vec<u32>,
     /// Matching build row, for [`JoinProbe::gather_payload`].
     pub rows: Vec<u32>,
+}
+
+/// Replace `lanes` and `rows` with `(lane, head)` for every lane whose chain
+/// head is not `NIL`, in lane order: the matches of a table whose chains
+/// all hold one row. The loop writes every lane and advances past the ones
+/// that match, so it has no data-dependent branch.
+fn compact_heads(
+    heads: impl ExactSizeIterator<Item = u32>,
+    lanes: &mut Vec<u32>,
+    rows: &mut Vec<u32>,
+) {
+    lanes.resize(heads.len(), 0);
+    rows.resize(heads.len(), 0);
+    let mut kept = 0;
+    for (lane, head) in heads.enumerate() {
+        lanes[kept] = lane as u32;
+        rows[kept] = head;
+        kept += usize::from(head != NIL);
+    }
+    lanes.truncate(kept);
+    rows.truncate(kept);
 }
 
 /// Shared read access to a [`JoinHashTable`], held for a chunk of probes.
@@ -318,9 +415,14 @@ impl JoinProbe<'_> {
     /// Probe a chunk of keys, replacing `matches` with every match in key
     /// order and then insertion order.
     ///
-    /// Runs as three passes — hash every key, resolve every home slot, walk
+    /// Runs as three passes — hash every key, resolve every chain head, walk
     /// every chain — so each pass is a short loop of independent loads whose
-    /// cache misses overlap instead of queueing behind one another.
+    /// cache misses overlap instead of queueing behind one another. A sealed
+    /// table with a direct index skips the hash and resolves each head with
+    /// one bounds check and one load. A table of unique keys has one-row
+    /// chains, so instead of walking them it compacts the heads that are not
+    /// `NIL` without a branch — for a direct index in the same pass that
+    /// resolves them.
     pub fn probe_batch(&self, keys: &[i64], matches: &mut JoinMatches) {
         let table = &*self.table;
         let JoinMatches { heads, lanes, rows } = matches;
@@ -329,10 +431,22 @@ impl JoinProbe<'_> {
         if table.slots.is_empty() {
             return;
         }
+        let unique = table.distinct == table.rows();
         heads.clear();
-        heads.extend(keys.iter().map(|&k| table.home(k) as u32));
-        for (head, &key) in heads.iter_mut().zip(keys) {
-            *head = table.slots[table.slot_from(*head as usize, key)].head;
+        if let Some((base, direct)) = &table.direct {
+            let resolved = keys.iter().map(|&k| direct_head(*base, direct, k));
+            if unique {
+                return compact_heads(resolved, lanes, rows);
+            }
+            heads.extend(resolved);
+        } else {
+            heads.extend(keys.iter().map(|&k| table.home(k) as u32));
+            for (head, &key) in heads.iter_mut().zip(keys) {
+                *head = table.slots[table.slot_from(*head as usize, key)].head;
+            }
+            if unique {
+                return compact_heads(heads.iter().copied(), lanes, rows);
+            }
         }
         for (lane, &head) in heads.iter().enumerate() {
             let mut row = head;

@@ -2,10 +2,14 @@
 //! inserts, batches, merges and threads produced it, a [`JoinHashTable`] must
 //! answer like an ordered map from key to its payload rows in insertion
 //! order, and a [`GroupByTable`] like an ordered map from key to its folded
-//! aggregates.
+//! aggregates. A sealed join table answers exactly as the unsealed one does,
+//! whether its seal built a direct key index or left it hashed.
+//!
+//! The case budget is `HETEX_HASH_CASES` generated cases per property
+//! (default 24); CI's release job raises it.
 
 use hetex_common::{MemoryNodeId, PipelineId};
-use hetex_jit::state::{FlatGroups, GroupByTable, JoinHashTable, JoinMatches};
+use hetex_jit::state::{FlatGroups, GroupByTable, JoinHashTable, JoinMatches, DIRECT_FLOOR};
 use hetex_jit::{
     AggFunc, AggSpec, CompiledPipeline, ExecCtx, Expr, SharedState, StateSlot, TerminalStep,
 };
@@ -17,14 +21,70 @@ use std::sync::Barrier;
 
 type JoinModel = BTreeMap<i64, Vec<Vec<i64>>>;
 
+/// Generated-case budget: `HETEX_HASH_CASES` cases per property (default 24).
+fn case_budget() -> u32 {
+    std::env::var("HETEX_HASH_CASES").ok().and_then(|v| v.parse().ok()).unwrap_or(24)
+}
+
 /// Key number `i`: the extremes and zero first, then keys spread over the
-/// whole `i64` range, negative ones included.
+/// whole `i64` range, negative ones included. Keys this sparse always leave
+/// a sealed table hashed.
 fn key_of(i: usize) -> i64 {
     const EDGES: [i64; 6] = [i64::MIN, i64::MAX, 0, -1, 1, i64::MIN + 1];
     match EDGES.get(i) {
         Some(&edge) => edge,
         None => (i as i64 - 200).wrapping_mul(0x0123_4567_89AB_CDEF),
     }
+}
+
+/// The first `n` keys of [`key_of`].
+fn spread_keys(n: usize) -> Vec<i64> {
+    (0..n).map(key_of).collect()
+}
+
+/// The lowest key of a dense window of `span` keys: at the bottom of `i64`
+/// (`at` 0), at its top (1), or across zero (2).
+fn window_base(at: u8, span: u64) -> i64 {
+    match at {
+        0 => i64::MIN,
+        1 => i64::MAX.wrapping_sub(span as i64 - 1),
+        _ => -(span as i64 / 2),
+    }
+}
+
+/// Keys of the window of `span` keys from `base`: both ends first, so the
+/// window's span is exactly `span`, then one key per offset in `offsets`.
+fn window_keys(base: i64, span: u64, offsets: &[u64]) -> Vec<i64> {
+    [0, span - 1].iter().chain(offsets).map(|&off| base.wrapping_add((off % span) as i64)).collect()
+}
+
+/// Keys to probe a window from `base` with: every built key, the neighbours
+/// just outside the window (wrapping around `i64`), its middle and the
+/// extremes of `i64`.
+fn window_probes(base: i64, span: u64, built: &[i64]) -> Vec<i64> {
+    let mut keys = vec![
+        base.wrapping_sub(1),
+        base.wrapping_add(span as i64),
+        base.wrapping_add(span as i64 / 2),
+        i64::MIN,
+        i64::MAX,
+        0,
+    ];
+    keys.extend_from_slice(built);
+    keys
+}
+
+/// A table of `width` payload columns and its model, holding `keys` in
+/// order, inserted as one batch.
+fn built_table(keys: &[i64], width: usize) -> (JoinHashTable, JoinModel) {
+    let rows: Vec<Vec<i64>> = (0..keys.len()).map(|r| payload_of(r, width)).collect();
+    let table = JoinHashTable::new(width);
+    table.insert_batch(keys, &columns_of(&rows, width));
+    let mut model = JoinModel::new();
+    for (key, row) in keys.iter().zip(rows) {
+        model.entry(*key).or_default().push(row);
+    }
+    (table, model)
 }
 
 /// The payload of the `row`-th inserted tuple: distinct per row, so order
@@ -40,21 +100,18 @@ fn probe_all(table: &JoinHashTable, key: i64) -> Vec<Vec<i64>> {
     rows
 }
 
-fn assert_join_matches_model(table: &JoinHashTable, model: &JoinModel, key_space: usize) {
-    assert_eq!(table.len(), model.values().map(Vec::len).sum::<usize>());
-    assert_eq!(table.is_empty(), model.is_empty());
-    assert_eq!(table.distinct_keys(), model.len());
-    let keys: Vec<i64> = (0..key_space).map(key_of).collect();
-    for &key in &keys {
-        let expected = model.get(&key).cloned().unwrap_or_default();
-        assert_eq!(probe_all(table, key), expected, "key {key}");
-    }
-
-    // The chunked probe sees the same matches in the same order.
+/// Every payload row [`JoinProbe::probe_batch`] matches with each of `keys`,
+/// per key, gathered with [`JoinProbe::gather_payload`].
+///
+/// [`JoinProbe::probe_batch`]: hetex_jit::state::JoinProbe::probe_batch
+/// [`JoinProbe::gather_payload`]: hetex_jit::state::JoinProbe::gather_payload
+fn probe_batch_all(table: &JoinHashTable, keys: &[i64]) -> Vec<Vec<Vec<i64>>> {
     let mut matches = JoinMatches::default();
     let guard = table.read();
-    guard.probe_batch(&keys, &mut matches);
+    guard.probe_batch(keys, &mut matches);
     let JoinMatches { lanes, rows, .. } = &matches;
+    assert_eq!(lanes.len(), rows.len());
+    assert!(lanes.windows(2).all(|w| w[0] <= w[1]), "matches come back in probe order");
     let mut columns = vec![Vec::new(); table.payload_width()];
     for (c, column) in columns.iter_mut().enumerate() {
         guard.gather_payload(c, rows, column);
@@ -63,9 +120,20 @@ fn assert_join_matches_model(table: &JoinHashTable, model: &JoinModel, key_space
     for (m, &lane) in lanes.iter().enumerate() {
         batched[lane as usize].push(columns.iter().map(|col| col[m]).collect::<Vec<i64>>());
     }
-    assert!(lanes.windows(2).all(|w| w[0] <= w[1]), "matches come back in probe order");
-    for (lane, &key) in keys.iter().enumerate() {
-        assert_eq!(batched[lane], model.get(&key).cloned().unwrap_or_default(), "key {key}");
+    batched
+}
+
+fn assert_join_matches_model(table: &JoinHashTable, model: &JoinModel, keys: &[i64]) {
+    assert_eq!(table.len(), model.values().map(Vec::len).sum::<usize>());
+    assert_eq!(table.is_empty(), model.is_empty());
+    assert_eq!(table.distinct_keys(), model.len());
+    for &key in keys {
+        let expected = model.get(&key).cloned().unwrap_or_default();
+        assert_eq!(probe_all(table, key), expected, "key {key}");
+    }
+    // The chunked probe sees the same matches in the same order.
+    for (batched, &key) in probe_batch_all(table, keys).iter().zip(keys) {
+        assert_eq!(batched, &model.get(&key).cloned().unwrap_or_default(), "key {key}");
     }
 }
 
@@ -94,10 +162,59 @@ fn a_group_by_with_no_groups_emits_no_block() {
     assert!(state.group_by(slot).unwrap().snapshot().is_empty());
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+#[test]
+fn sealing_an_empty_table_is_a_no_op() {
+    let table = JoinHashTable::new(1);
+    table.seal();
+    assert!(!table.is_direct());
+    assert_eq!(table.approx_bytes(), 0, "an empty sealed table owns no memory");
+    assert_join_matches_model(&table, &JoinModel::new(), &[0, 1, i64::MIN, i64::MAX]);
+    // It is still an ordinary table: it fills, and then seals.
+    table.insert(7, vec![70]);
+    table.seal();
+    assert!(table.is_direct());
+    assert_join_matches_model(&table, &JoinModel::from([(7, vec![vec![70]])]), &[6, 7, 8]);
+}
 
-    /// Single-tuple inserts, probed while the table grows (no freeze step).
+#[test]
+fn a_span_that_overflows_i64_stays_hashed() {
+    for keys in [
+        vec![i64::MIN, i64::MAX],
+        vec![i64::MIN, 0, -1],
+        vec![-1, i64::MAX, 3],
+        vec![i64::MIN, i64::MIN + 1, i64::MAX - 1, i64::MAX],
+    ] {
+        let (table, model) = built_table(&keys, 1);
+        table.seal();
+        assert!(!table.is_direct(), "keys {keys:?}");
+        assert_join_matches_model(&table, &model, &window_probes(0, 2, &keys));
+    }
+}
+
+/// Past [`DIRECT_FLOOR`], the seal indexes a span up to four times the slot
+/// count. 5,000 distinct keys inserted as one batch take 16 Ki slots, so
+/// a span of 64 Ki keys is indexed and one more key of span is not.
+#[test]
+fn past_the_floor_the_direct_limit_is_four_times_the_slots() {
+    let offsets: Vec<u64> = (1..4_999).map(|i| i * 13).collect();
+    for at in 0..3 {
+        for (span, direct) in [(64 * 1024, true), (64 * 1024 + 1, false)] {
+            let base = window_base(at, span);
+            let keys = window_keys(base, span, &offsets);
+            let (table, model) = built_table(&keys, 1);
+            assert_eq!(table.distinct_keys(), 5_000);
+            table.seal();
+            assert_eq!(table.is_direct(), direct, "span {span} from {base}");
+            assert_join_matches_model(&table, &model, &window_probes(base, span, &keys));
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(case_budget()))]
+
+    /// Single-tuple inserts, probed while the table grows (unsealed), and
+    /// again once sealed: keys this sparse keep it hashed.
     #[test]
     fn join_table_behaves_like_an_ordered_multimap(
         ops in vec(0usize..400, 0..3_000),
@@ -115,7 +232,100 @@ proptest! {
             }
         }
         // 400 keys from 16 slots: the slot array doubled several times.
-        assert_join_matches_model(&table, &model, 410);
+        assert_join_matches_model(&table, &model, &spread_keys(410));
+        table.seal();
+        prop_assert!(!table.is_direct());
+        assert_join_matches_model(&table, &model, &spread_keys(410));
+    }
+
+    /// Dense key windows — at the bottom of `i64`, at its top and across
+    /// zero, with spans from tiny to just past [`DIRECT_FLOOR`], unique keys
+    /// or chains — answer the same sealed and unsealed, equal to the model.
+    /// The seal indexes exactly the windows within the floor (a table this
+    /// small has fewer than `DIRECT_FLOOR / 4` slots), a second seal changes
+    /// nothing, and an insert after the seal drops the index without
+    /// changing an answer.
+    #[test]
+    fn sealed_dense_windows_answer_like_the_model(
+        at in 0u8..3,
+        span_pick in 0usize..4,
+        offsets in vec(0u64..1 << 40, 0..600),
+        chains in 0u8..2,
+        wide in 0u8..2,
+    ) {
+        let span = [3, 1_000, DIRECT_FLOOR as u64, DIRECT_FLOOR as u64 + 1][span_pick];
+        let base = window_base(at, span);
+        let mut keys = window_keys(base, span, &offsets);
+        if chains == 1 {
+            // Every other key again: chains of up to three rows.
+            let again: Vec<i64> = keys.iter().step_by(2).copied().collect();
+            keys.extend(again);
+        } else {
+            let mut seen = std::collections::HashSet::new();
+            keys.retain(|&k| seen.insert(k));
+        }
+        let width = if wide == 1 { 2 } else { 0 };
+        let (unsealed, mut model) = built_table(&keys, width);
+        let (sealed, _) = built_table(&keys, width);
+        let unsealed_bytes = sealed.approx_bytes();
+        sealed.seal();
+        let direct = span <= DIRECT_FLOOR as u64;
+        prop_assert_eq!(sealed.is_direct(), direct);
+        let index_bytes = if direct { 4 * span } else { 0 };
+        prop_assert_eq!(sealed.approx_bytes(), unsealed_bytes + index_bytes);
+        let probes = window_probes(base, span, &keys);
+        assert_join_matches_model(&unsealed, &model, &probes);
+        assert_join_matches_model(&sealed, &model, &probes);
+
+        sealed.seal();
+        prop_assert_eq!(sealed.is_direct(), direct);
+        prop_assert_eq!(sealed.approx_bytes(), unsealed_bytes + index_bytes);
+
+        let extra = base.wrapping_add(span as i64 / 3);
+        sealed.insert(extra, payload_of(keys.len(), width));
+        model.entry(extra).or_default().push(payload_of(keys.len(), width));
+        prop_assert!(!sealed.is_direct(), "an insert drops the direct index");
+        assert_join_matches_model(&sealed, &model, &probes);
+        sealed.seal();
+        prop_assert_eq!(sealed.is_direct(), direct);
+        assert_join_matches_model(&sealed, &model, &probes);
+    }
+
+    /// The branch-free compaction a table of unique keys is probed with
+    /// finds what the chain walk finds: one table, direct or hashed, probed
+    /// before and after one duplicate key makes it walk chains, differs by
+    /// exactly that duplicate's row.
+    #[test]
+    fn unique_key_compaction_equals_the_chain_walk(
+        at in 0u8..3,
+        span_pick in 0usize..2,
+        offsets in vec(0u64..1 << 40, 0..600),
+        dup_pick in 0usize..1_000,
+    ) {
+        let span = [2_000, 1 << 40][span_pick];
+        let base = window_base(at, span);
+        let mut keys = window_keys(base, span, &offsets);
+        let mut seen = std::collections::HashSet::new();
+        keys.retain(|&k| seen.insert(k));
+        let (table, mut model) = built_table(&keys, 1);
+        table.seal();
+        prop_assert_eq!(table.is_direct(), span_pick == 0);
+        let probes = window_probes(base, span, &keys);
+        let compacted = probe_batch_all(&table, &probes);
+
+        let dup = keys[dup_pick % keys.len()];
+        table.insert(dup, payload_of(keys.len(), 1));
+        model.entry(dup).or_default().push(payload_of(keys.len(), 1));
+        table.seal();
+        prop_assert_eq!(table.is_direct(), span_pick == 0);
+        assert_join_matches_model(&table, &model, &probes);
+        let mut walked = probe_batch_all(&table, &probes);
+        for (lane, &key) in probes.iter().enumerate() {
+            if key == dup {
+                prop_assert_eq!(walked[lane].pop(), Some(payload_of(keys.len(), 1)));
+            }
+        }
+        prop_assert_eq!(walked, compacted);
     }
 
     /// Chunked inserts of any chunking equal tuple-by-tuple inserts.
@@ -143,8 +353,8 @@ proptest! {
                 break;
             }
         }
-        assert_join_matches_model(&single, &model, 130);
-        assert_join_matches_model(&batched, &model, 130);
+        assert_join_matches_model(&single, &model, &spread_keys(130));
+        assert_join_matches_model(&batched, &model, &spread_keys(130));
     }
 
     /// One chunk that takes the table across several growth boundaries and
@@ -173,8 +383,8 @@ proptest! {
         let tail = before.len()..keys.len();
         batched.insert_batch(&keys[tail.clone()], &columns_of(&rows[tail], width));
         prop_assert!(batched.distinct_keys() > 2 * distinct_before.max(8), "no growth crossed");
-        assert_join_matches_model(&single, &model, 310);
-        assert_join_matches_model(&batched, &model, 310);
+        assert_join_matches_model(&single, &model, &spread_keys(310));
+        assert_join_matches_model(&batched, &model, &spread_keys(310));
     }
 
     /// The group-by stage emits its groups as sorted columns: the block holds

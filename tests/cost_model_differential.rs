@@ -32,6 +32,10 @@
 //! shape, and a warm-cache run may substitute a searched placement but must
 //! preserve the rows byte-for-byte.
 //!
+//! Every scenario also draws the dimension's key stride (`KEY_STRIDES`):
+//! dense keys seal the join's build table to a direct key index, sparse ones
+//! leave it hashed, so the sweep row-checks both ways of probing it.
+//!
 //! Seeding: the vendored proptest derives a deterministic per-function seed
 //! from the property's name, so every run (local and CI) explores the same
 //! fixed case sequence and failures reproduce exactly. The case budget is
@@ -111,9 +115,16 @@ fn random_topology(
     }
 }
 
+/// Dimension key strides: 1 keeps the build keys dense, so the sealed
+/// join table indexes them directly; at 1,000 their span (at least 149,001
+/// for the smallest dimension) is past `DIRECT_FLOOR` and four times the
+/// slot count, so it stays hashed.
+const KEY_STRIDES: [i32; 2] = [1, 1_000];
+
 /// An engine with a fact table (`key`, `value`) and a quarter-sized
-/// dimension (`k`, `attr`) loaded on the topology's CPU nodes.
-fn engine_with_tables(topology: Arc<ServerTopology>, fact_rows: usize) -> Proteus {
+/// dimension (`k`, `attr`) loaded on the topology's CPU nodes. Dimension
+/// row `i` has key `i × key_stride`, and the fact keys match.
+fn engine_with_tables(topology: Arc<ServerTopology>, fact_rows: usize, key_stride: i32) -> Proteus {
     let dim_rows = (fact_rows / 4).max(1);
     let engine = Proteus::new(topology);
     let nodes = engine.topology().cpu_memory_nodes();
@@ -121,13 +132,19 @@ fn engine_with_tables(topology: Arc<ServerTopology>, fact_rows: usize) -> Proteu
         .column(
             "key",
             DataType::Int32,
-            ColumnData::Int32((0..fact_rows as i32).map(|i| i % dim_rows as i32).collect()),
+            ColumnData::Int32(
+                (0..fact_rows as i32).map(|i| i % dim_rows as i32 * key_stride).collect(),
+            ),
         )
         .column("value", DataType::Int64, ColumnData::Int64((0..fact_rows as i64).collect()))
         .build(&nodes, 256)
         .unwrap();
     let dim = TableBuilder::new("dim")
-        .column("k", DataType::Int32, ColumnData::Int32((0..dim_rows as i32).collect()))
+        .column(
+            "k",
+            DataType::Int32,
+            ColumnData::Int32((0..dim_rows as i32).map(|i| i * key_stride).collect()),
+        )
         .column(
             "attr",
             DataType::Int32,
@@ -184,6 +201,7 @@ proptest! {
         plan_pick in 0usize..3,
         filter_lit in 1i64..7,
         cpu_dop_raw in 1usize..9,
+        stride_pick in 0usize..2,
     ) {
         let topology = random_topology(
             sockets,
@@ -193,7 +211,8 @@ proptest! {
             slow_pick,
             slowdown_x10 as f64 / 10.0,
         ).unwrap();
-        let engine = engine_with_tables(Arc::clone(&topology), fact_rows);
+        let key_stride = KEY_STRIDES[stride_pick];
+        let engine = engine_with_tables(Arc::clone(&topology), fact_rows, key_stride);
         let plan = random_plan(plan_pick, filter_lit);
 
         let cpu_dop = cpu_dop_raw.min(sockets * cores_per_socket);
@@ -220,9 +239,9 @@ proptest! {
             prop_assert_eq!(
                 &outcome.rows, &expected,
                 "toggle config `{}` changed the rows on sockets={} cores={} gpus={} \
-                 pcie={} slow=({}, {}) fact_rows={} plan={} dop=({}, {})",
+                 pcie={} slow=({}, {}) fact_rows={} plan={} dop=({}, {}) key_stride={}",
                 label, sockets, cores_per_socket, gpus, pcie_gbps_x10, slow_pick,
-                slowdown_x10, fact_rows, plan_pick, cpu_dop, gpu_dop
+                slowdown_x10, fact_rows, plan_pick, cpu_dop, gpu_dop, key_stride
             );
             // Governed runs must also stay within the staging budget in
             // every toggle configuration (the demand re-split may never
@@ -361,12 +380,14 @@ proptest! {
         plan_pick in 0usize..3,
         filter_lit in 1i64..7,
         cpu_dop_raw in 1usize..9,
+        stride_pick in 0usize..2,
     ) {
         use hetexchange::common::{ServeConfig, StealPolicy};
         let topology = random_topology(
             sockets, cores_per_socket, gpus, pcie_gbps_x10 as f64 / 10.0, 0, 1.0,
         ).unwrap();
-        let engine = engine_with_tables(Arc::clone(&topology), fact_rows);
+        let engine =
+            engine_with_tables(Arc::clone(&topology), fact_rows, KEY_STRIDES[stride_pick]);
         let plan = random_plan(plan_pick, filter_lit);
         let cpu_dop = cpu_dop_raw.min(sockets * cores_per_socket);
         let gpu_dop = gpus.min(2);
@@ -414,12 +435,14 @@ proptest! {
         plan_pick in 0usize..3,
         filter_lit in 1i64..7,
         cpu_dop_raw in 1usize..9,
+        stride_pick in 0usize..2,
     ) {
         use hetexchange::common::{ReoptConfig, StealPolicy};
         let topology = random_topology(
             sockets, cores_per_socket, gpus, pcie_gbps_x10 as f64 / 10.0, 0, 1.0,
         ).unwrap();
-        let engine = engine_with_tables(Arc::clone(&topology), fact_rows);
+        let engine =
+            engine_with_tables(Arc::clone(&topology), fact_rows, KEY_STRIDES[stride_pick]);
         let plan = random_plan(plan_pick, filter_lit);
         let cpu_dop = cpu_dop_raw.min(sockets * cores_per_socket);
         let gpu_dop = gpus.min(2);
