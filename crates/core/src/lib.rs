@@ -20,14 +20,12 @@
 //! * [`router`] — the control-flow router: policies (round-robin,
 //!   least-loaded, hash, union, broadcast-target), degree-of-parallelism
 //!   control and affinity assignment. Routes block *handles*, never data.
-//! * [`device_crossing`] — cpu2gpu and gpu2cpu, including gpu2cpu's two-part
-//!   implementation around an asynchronous queue.
 //! * [`mem_move`] — the data-flow operator that schedules asynchronous DMA
 //!   transfers (and broadcasts) so consumers only ever see local data.
 //! * [`pack`] — pack/unpack/hash-pack utilities that convert between
 //!   block-at-a-time movement and tuple-at-a-time execution.
-//! * [`queue`] — the asynchronous block-handle queues used by routers and by
-//!   gpu2cpu.
+//! * [`queue`] — the asynchronous block-handle queues connecting routed
+//!   pipeline instances.
 //! * [`reopt`] — feedback-driven plan re-optimization: a plan-fingerprint
 //!   keyed [`reopt::FeedbackCache`] of measurements distilled from executed
 //!   queries, and a small placement/DOP plan-space search costed by the
@@ -42,7 +40,6 @@
 
 pub mod codegen;
 pub mod cost;
-pub mod device_crossing;
 pub mod mem_move;
 pub mod pack;
 pub mod parallelizer;
@@ -55,7 +52,6 @@ pub mod traits;
 
 pub use codegen::{compile, MemMoveMode, Stage, StageGraph, StageSource, StageWiring};
 pub use cost::{CostModel, DemandSplitter, SlowdownObserver, StealQuery};
-pub use device_crossing::{Cpu2Gpu, Gpu2Cpu};
 pub use mem_move::MemMove;
 pub use pack::{Packer, Unpacker};
 pub use parallelizer::parallelize;

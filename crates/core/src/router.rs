@@ -194,7 +194,7 @@ impl<'a> Router<'a> {
     }
 
     /// Devices (by id) that the consumers of this router execute on, in slot
-    /// order — the executor uses this to create one worker per slot.
+    /// order — the executor binds one worker per slot to these.
     pub fn consumer_devices(&self) -> Vec<Option<DeviceId>> {
         self.consumers.iter().map(|slot| slot.affinity.for_kind(slot.kind)).collect()
     }
@@ -242,43 +242,23 @@ impl LoadEstimator {
             .collect()
     }
 
-    /// Like [`Self::projected`], with an additive per-consumer `penalties[i]`
-    /// term and a `gate_ns` floor. This is a *mechanism*: the values of both
-    /// terms are produced by the unified cost model (`crate::cost`), which
-    /// prices each consumer node's staging-arena occupancy into the penalty
-    /// (so the least-loaded policy steers blocks away from memory-starved
-    /// nodes before their producers start parking on leases) and estimates
-    /// the gate from the dependency's critical path.
+    /// Like [`Self::projected`], with three more terms, all priced by the
+    /// unified cost model (`crate::cost`); this is only the mechanism.
     ///
-    /// `gate_ns` is the estimated opening time of the consumer stage's
-    /// dependency gate (0 for ungated stages): none of a gated stage's
-    /// backlog can start before the gate opens, so each projection is the
-    /// absolute completion estimate `gate + load + cost + penalty`. The gate
-    /// is shared by every consumer of the stage, so it never changes the
-    /// *ranking* by itself — its value is that the caller prices gated
-    /// blocks' costs differently (a transfer scheduled while the gate is
-    /// still closed is hidden by it), and the projection stays an honest
-    /// completion time rather than a unitless score.
-    pub fn projected_with_penalty(
-        &self,
-        costs: &[u64],
-        penalties: &[u64],
-        gate_ns: u64,
-    ) -> Vec<u64> {
-        self.projected_with_feedback(costs, penalties, gate_ns, &[])
-    }
-
-    /// Like [`Self::projected_with_penalty`], with each consumer's
-    /// device-axis term — its committed backlog plus this block's cost, the
-    /// part of the projection its *device* must work off — multiplied by
-    /// `slowdowns[i]`, the consumer's observed-slowdown EWMA (see
-    /// `crate::cost::SlowdownObserver`). This is the routing half of the
-    /// calibration loop: committed loads keep pricing the *nominal* profile
-    /// (exactly what was committed), and the observed charged-vs-nominal
-    /// ratio re-scales the whole device term at projection time, so a hidden
-    /// 8× straggler's projections grow 8× and it stops receiving new blocks.
-    /// The gate floor (shared by every consumer) and the staging-occupancy
-    /// penalty (memory pressure, not device speed) stay un-scaled.
+    /// - `penalties[i]`: an additive per-consumer term, the staging-arena
+    ///   occupancy of the consumer's node, so the least-loaded policy steers
+    ///   blocks away from memory-starved nodes before their producers park.
+    /// - `gate_ns`: the estimated opening time of the consumer stage's
+    ///   dependency gate (0 for ungated stages). No gated backlog can start
+    ///   before it, so each projection is the absolute completion estimate
+    ///   `gate + load + cost + penalty`. The gate is shared by every consumer
+    ///   and never changes the ranking by itself.
+    /// - `slowdowns[i]`: the consumer's observed-slowdown EWMA (see
+    ///   `crate::cost::SlowdownObserver`), multiplying its device-axis term
+    ///   (committed backlog plus this block's cost). Committed loads keep
+    ///   pricing the nominal profile, so a hidden 8× straggler's projections
+    ///   grow 8× and it stops receiving new blocks. The gate and the penalty
+    ///   stay un-scaled.
     ///
     /// An empty `slowdowns` (or a slowdown of exactly 1.0 — healthy devices
     /// and toggled-off feedback both read exactly 1.0) keeps the projection
@@ -476,26 +456,32 @@ mod tests {
         // Without penalties consumer 0 is the most loaded…
         assert_eq!(est.projected(&[10, 10, 10]), vec![110, 10, 10]);
         // …and a starved-arena penalty on consumer 1 re-ranks it below 2.
-        assert_eq!(est.projected_with_penalty(&[10, 10, 10], &[0, 500, 0], 0), vec![110, 510, 10]);
+        assert_eq!(
+            est.projected_with_feedback(&[10, 10, 10], &[0, 500, 0], 0, &[]),
+            vec![110, 510, 10]
+        );
     }
 
     #[test]
     fn gate_term_shifts_projections_to_absolute_completions() {
         let est = LoadEstimator::new(3);
         est.commit(0, 400);
-        assert_eq!(est.projected_with_penalty(&[10, 300, 300], &[0, 0, 0], 0), vec![410, 300, 300]);
+        assert_eq!(
+            est.projected_with_feedback(&[10, 300, 300], &[0, 0, 0], 0, &[]),
+            vec![410, 300, 300]
+        );
         // The gate is a shared offset: projections become absolute
         // completion estimates (gate + queued work + this block)…
         assert_eq!(
-            est.projected_with_penalty(&[10, 300, 300], &[0, 0, 0], 500),
+            est.projected_with_feedback(&[10, 300, 300], &[0, 0, 0], 500, &[]),
             vec![910, 800, 800]
         );
         // …and in particular queued backlog is never forgotten under the
         // gate (an earlier floor-based formulation dropped it, flooding the
         // cheapest consumer with every pre-gate block).
         assert!(
-            est.projected_with_penalty(&[10, 300, 300], &[0, 0, 0], 500)[0]
-                > est.projected_with_penalty(&[10, 300, 300], &[0, 0, 0], 500)[1]
+            est.projected_with_feedback(&[10, 300, 300], &[0, 0, 0], 500, &[])[0]
+                > est.projected_with_feedback(&[10, 300, 300], &[0, 0, 0], 500, &[])[1]
         );
     }
 
@@ -508,7 +494,7 @@ mod tests {
         // penalty projection.
         assert_eq!(
             est.projected_with_feedback(&[100, 100, 100], &[0, 7, 0], 50, &[1.0, 1.0, 1.0]),
-            est.projected_with_penalty(&[100, 100, 100], &[0, 7, 0], 50)
+            est.projected_with_feedback(&[100, 100, 100], &[0, 7, 0], 50, &[])
         );
         // An observed 8x straggler's backlog-plus-block term scales by 8,
         // while the gate floor and the occupancy penalty stay un-scaled.

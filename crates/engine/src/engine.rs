@@ -1,22 +1,21 @@
 //! The Proteus-like engine session.
 //!
-//! [`Proteus`] owns the server topology, the catalog of loaded tables, the
-//! memory subsystems (block managers and memory managers of §4.3) and an
-//! executor. Submitting a query follows the lifetime of Figure 2: a
-//! sequential physical plan is parallelized by HetExchange, compiled into
-//! pipelines, and executed; the caller gets back the result rows, the
-//! simulated execution time, and execution statistics.
+//! [`Proteus`] owns the server topology, the catalog of loaded tables and
+//! the engine-lifetime calibration and feedback state. Submitting a query
+//! follows the lifetime of Figure 2: a sequential physical plan is
+//! parallelized by HetExchange, compiled into pipelines, and executed; the
+//! caller gets back the result rows, the simulated execution time, and
+//! execution statistics.
 
 use crate::codegen::compile;
 use crate::executor::{DeviceKindStats, Executor};
-use hetex_common::config::DEFAULT_STAGING_BYTES;
 use hetex_common::{AnalysisMode, EngineConfig, HetError, MemoryNodeId, Result};
 use hetex_core::reopt::reoptimize;
 use hetex_core::{
     parallelize, plan_fingerprint, CostModel, FeedbackCache, HetNode, PlanFeedback, RelNode,
     SlowdownObserver, StageObservation,
 };
-use hetex_storage::{BlockManagerSet, Catalog, MemoryManagerSet, StoredTable};
+use hetex_storage::{Catalog, StoredTable};
 use hetex_topology::{CalibratedConstants, DeviceId, DeviceKind, ServerTopology, SimTime};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -154,8 +153,6 @@ pub struct Proteus {
     /// `EngineConfig::reopt` enabled. Sessions can inject a different cache
     /// (the `QueryServer` shares one across its whole pool).
     feedback: Arc<FeedbackCache>,
-    block_managers: BlockManagerSet,
-    memory_managers: MemoryManagerSet,
 }
 
 impl Proteus {
@@ -166,17 +163,12 @@ impl Proteus {
 
     /// An engine on an arbitrary topology.
     pub fn new(topology: Arc<ServerTopology>) -> Self {
-        let nodes: Vec<_> = topology.memory_nodes().iter().map(|m| m.id).collect();
-        let capacities: Vec<_> =
-            topology.memory_nodes().iter().map(|m| (m.id, m.capacity)).collect();
         let probed_constants = Arc::new(hetex_topology::probe::probe(&topology));
         Self {
             topology,
             catalog: Catalog::new(),
             probed_constants,
             feedback: Arc::new(FeedbackCache::new()),
-            block_managers: BlockManagerSet::new(&nodes, DEFAULT_STAGING_BYTES),
-            memory_managers: MemoryManagerSet::new(&capacities),
         }
     }
 
@@ -201,20 +193,6 @@ impl Proteus {
     /// The table catalog.
     pub fn catalog(&self) -> &Catalog {
         &self.catalog
-    }
-
-    /// The engine-level per-node block managers backing the device providers'
-    /// `getBuffer` surface (Table 1), sized at [`DEFAULT_STAGING_BYTES`].
-    /// Query execution does *not* draw from this set: the pipelined executor
-    /// builds its own per-execution arenas from `EngineConfig::staging_bytes`
-    /// so budgets (and the reported peaks) are per-query observables.
-    pub fn block_managers(&self) -> &BlockManagerSet {
-        &self.block_managers
-    }
-
-    /// The per-node memory managers (state memory).
-    pub fn memory_managers(&self) -> &MemoryManagerSet {
-        &self.memory_managers
     }
 
     /// Register a loaded table.

@@ -1,0 +1,307 @@
+//! Fault recovery (DESIGN.md §7): per-execution fault state, the watchdog,
+//! the per-invocation fault ladder and the takeover drain.
+
+use super::worker::Lane;
+use super::QueryRun;
+use hetex_common::{BlockHandle, HetError, Result};
+use hetex_core::queue::BlockQueue;
+use hetex_storage::{BlockLease, ExhaustionPolicy};
+use hetex_topology::{DeviceId, FaultPlan, SimTime};
+use std::collections::HashMap;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Arc;
+use std::time::Duration;
+
+/// Base simulated backoff charged before re-running a transiently failed
+/// kernel invocation; doubles with every consecutive retry of the same block.
+const TRANSIENT_RETRY_BASE_NS: u64 = 50_000;
+
+/// Consecutive transient failures of one block before the in-place retry
+/// gives up and the device is declared lost (quarantined or, with recovery
+/// off, surfaced as a structured `DeviceLost`).
+const TRANSIENT_RETRY_BUDGET: u32 = 3;
+
+/// Wall-clock cadence of the fault watchdog thread. Wall-clock only — the
+/// stall-detection *cost* is charged in simulated time separately (see
+/// `WATCHDOG_DETECT_NS`).
+const WATCHDOG_POLL: Duration = Duration::from_millis(5);
+
+/// Consecutive watchdog polls a wedge-scripted device must show zero block
+/// progress past its scripted onset before it is declared wedged. Multiple
+/// polls distinguish "wedged" from "momentarily between blocks".
+const WATCHDOG_STALL_POLLS: u32 = 3;
+
+/// Floor of the simulated detection budget the watchdog charges a wedged
+/// device before quarantining it. The actual budget is the larger of this
+/// floor and two observed average block costs of the device — a watchdog
+/// cannot call a device wedged faster than it could tell silence from one
+/// slow block.
+const WATCHDOG_DETECT_NS: u64 = 1_000_000;
+
+/// Per-execution fault-recovery state, created only when the topology
+/// carries a [`FaultPlan`]. Healthy runs carry `None` and skip every check
+/// — the recovery machinery costs them nothing, simulated or wall-clock.
+pub(super) struct FaultState {
+    pub(super) plan: Arc<FaultPlan>,
+    /// One quarantine flag per device (topology device order). Set once and
+    /// never cleared: a quarantined device takes no further work this run.
+    quarantined: Vec<AtomicBool>,
+    /// Kernel-invocation counter per device — the index of the fault plan's
+    /// deterministic transient-failure draw.
+    invocations: Vec<AtomicU64>,
+    /// Blocks completed per device — the progress signal the watchdog's
+    /// stall detector compares across polls.
+    progressed: Vec<AtomicU64>,
+    /// Blocks re-executed on a survivor after a quarantine (observability).
+    pub(super) recovered: AtomicU64,
+    /// Transient failures absorbed by in-place retry (observability).
+    pub(super) retries: AtomicU64,
+}
+
+impl FaultState {
+    pub(super) fn new(plan: Arc<FaultPlan>, devices: usize) -> Self {
+        let counters = || (0..devices).map(|_| AtomicU64::new(0)).collect();
+        Self {
+            plan,
+            quarantined: (0..devices).map(|_| AtomicBool::new(false)).collect(),
+            invocations: counters(),
+            progressed: counters(),
+            recovered: AtomicU64::new(0),
+            retries: AtomicU64::new(0),
+        }
+    }
+
+    pub(super) fn is_quarantined(&self, device: DeviceId) -> bool {
+        self.quarantined[device.index()].load(Ordering::Acquire)
+    }
+
+    /// Quarantine `device` (idempotent): routing stops projecting onto it,
+    /// siblings may steal its backlog at any depth, and its own worker
+    /// re-homes its remaining stream the next time it looks at the flag.
+    fn quarantine(&self, device: DeviceId) {
+        self.quarantined[device.index()].store(true, Ordering::Release);
+    }
+
+    /// One block completed on `device`: a wedged device stops ticking.
+    pub(super) fn note_progress(&self, device: DeviceId) {
+        self.progressed[device.index()].fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// The fault ladder for the block `lane` is about to run, judged
+    /// *before* the kernel runs — kernels are transactional at block
+    /// granularity, so a lost invocation left no partial state. Returns
+    /// whether the device is now quarantined.
+    ///
+    /// Permanent abort: a device whose clock has crossed the scripted onset
+    /// dies on the next block it claims, and that block leads the re-homed
+    /// stream. (Judged before the claim, a device that had already drained
+    /// its queue would quarantine itself with nothing in hand to re-home.)
+    /// Transient failures draw deterministically from the plan and the block
+    /// simply re-runs; each retry charges a doubling slice of simulated
+    /// backoff, and past the budget the device is declared lost the same
+    /// way.
+    pub(super) fn invocation_lost(&self, lane: &mut Lane<'_>, retry: bool) -> bool {
+        let device = lane.device;
+        if self.plan.abort_at(device).is_some_and(|at| lane.clock.now() >= at) {
+            self.quarantine(device);
+        }
+        let mut attempt = 0u32;
+        while !self.is_quarantined(device) {
+            let invocation = self.invocations[device.index()].fetch_add(1, Ordering::Relaxed);
+            if !self.plan.transient_failure(device, lane.clock.now(), invocation) {
+                break;
+            }
+            if !retry || attempt >= TRANSIENT_RETRY_BUDGET {
+                self.quarantine(device);
+                break;
+            }
+            self.retries.fetch_add(1, Ordering::Relaxed);
+            let (_, end) = lane.clock.reserve(SimTime::ZERO, TRANSIENT_RETRY_BASE_NS << attempt);
+            lane.last_end = lane.last_end.max(end);
+            attempt += 1;
+        }
+        self.is_quarantined(device)
+    }
+}
+
+impl QueryRun<'_> {
+    /// `(stage, slot)` of every consumer placed on `device`.
+    fn slots_on(&self, device: DeviceId) -> impl Iterator<Item = (usize, usize)> + '_ {
+        self.routing.iter().enumerate().flat_map(move |(stage, r)| {
+            r.instance_devices
+                .iter()
+                .enumerate()
+                .filter(move |&(_, d)| *d == device)
+                .map(move |(slot, _)| (stage, slot))
+        })
+    }
+
+    /// The fault watchdog, run as its own job until every stage finished.
+    /// Two duties: convert a wedged worker into a quarantine or a structured
+    /// error ([`Self::detect_wedges`]), and drive scripted arena bursts
+    /// ([`Self::drive_bursts`]).
+    pub(super) fn watchdog(&self, fault: &FaultState) {
+        let mut stall: HashMap<usize, (u64, u32)> = HashMap::new();
+        let mut bursts: Vec<(usize, BlockLease)> = Vec::new();
+        while !self.progress.iter().all(|p| p.remaining.load(Ordering::Acquire) == 0) {
+            let frontier =
+                self.device_clocks.values().map(|c| c.now()).fold(SimTime::ZERO, SimTime::max);
+            if self.config.fault.watchdog {
+                self.detect_wedges(fault, &mut stall);
+            }
+            self.drive_bursts(fault, frontier, &mut bursts);
+            std::thread::sleep(WATCHDOG_POLL);
+        }
+        // Leases drop here: a burst never outlives the run.
+    }
+
+    /// A wedge-scripted device whose clock passed the onset and whose
+    /// progress counter stalled for [`WATCHDOG_STALL_POLLS`] polls is
+    /// charged the detection budget in simulated time — a watchdog cannot
+    /// tell silence from one slow block faster than two observed block
+    /// costs — then quarantined (its parked worker is woken to drain), or,
+    /// with quarantine off, reported as `Wedged` with its queues closed so
+    /// parked producers and the worker itself are released.
+    fn detect_wedges(&self, fault: &FaultState, stall: &mut HashMap<usize, (u64, u32)>) {
+        for (dev_idx, progressed) in fault.progressed.iter().enumerate() {
+            let device = DeviceId::new(dev_idx);
+            let Some(at) = fault.plan.wedge_at(device) else { continue };
+            let Some(clock) = self.device_clocks.get(&device) else { continue };
+            if fault.is_quarantined(device) {
+                continue;
+            }
+            if clock.now() < at {
+                stall.remove(&dev_idx);
+                continue;
+            }
+            let progressed = progressed.load(Ordering::Relaxed);
+            let entry = stall.entry(dev_idx).or_insert((progressed, 0));
+            if entry.0 == progressed {
+                entry.1 += 1;
+            } else {
+                *entry = (progressed, 0);
+            }
+            if entry.1 < WATCHDOG_STALL_POLLS {
+                continue;
+            }
+            let avg = self
+                .slots_on(device)
+                .filter_map(|(stage, slot)| self.routing[stage].observed_avg_cost(slot))
+                .max()
+                .unwrap_or(0);
+            clock.reserve(at.add_nanos(WATCHDOG_DETECT_NS.max(2 * avg)), 0);
+            if self.config.fault.quarantine {
+                fault.quarantine(device);
+                self.slots_on(device).for_each(|(stage, slot)| self.queues[stage][slot].wake());
+            } else {
+                if let Some((stage, slot)) = self.slots_on(device).next() {
+                    self.record_error(HetError::Wedged { stage, slot });
+                }
+                self.slots_on(device).for_each(|(stage, slot)| self.queues[stage][slot].close());
+            }
+        }
+    }
+
+    /// Scripted arena bursts: a co-tenant leases `min(bytes, free)` of a
+    /// node's arena while the simulated frontier is inside the burst window
+    /// — it competes for staging, it does not deadlock the arena.
+    fn drive_bursts(
+        &self,
+        fault: &FaultState,
+        frontier: SimTime,
+        bursts: &mut Vec<(usize, BlockLease)>,
+    ) {
+        let Some(staging) = &self.staging else { return };
+        for (i, burst) in fault.plan.arena_bursts().iter().enumerate() {
+            let active = bursts.iter().any(|(b, _)| *b == i);
+            if active || frontier < burst.from || frontier >= burst.until {
+                continue;
+            }
+            let Ok(manager) = staging.arenas.manager(burst.node) else { continue };
+            let take =
+                burst.bytes.min(manager.capacity_bytes().saturating_sub(manager.leased_bytes()));
+            if take > 0 {
+                if let Ok(lease) =
+                    manager.acquire_local_labeled(take, ExhaustionPolicy::Error, "fault:burst")
+                {
+                    bursts.push((i, lease));
+                }
+            }
+        }
+        bursts.retain(|(i, _)| frontier < fault.plan.arena_bursts()[*i].until);
+    }
+
+    /// Graceful degradation after `lost`'s device was quarantined: the lost
+    /// lane's remaining stream — `in_hand` plus everything its `queue` still
+    /// buffers or receives — is re-executed on a new lane bound to the
+    /// surviving sibling with the earliest clock, charged to the survivor's
+    /// clock and profile. The lost worker's job *keeps consuming its own
+    /// queue* (it merely executes on borrowed silicon), so the stage's
+    /// exactly-once termination protocol — producer counts, finished sweeps,
+    /// the completion fan-in — is untouched; pushing the backlog into
+    /// sibling queues instead could race a sibling that already observed
+    /// termination and silently drop rows. Each block moves with
+    /// [`Self::rehome`], and runs with the lost lane's progress as its floor.
+    ///
+    /// Only anonymously routed streams can be re-homed. Bound streams and
+    /// stages with no surviving sibling escalate with a structured
+    /// [`HetError::DeviceLost`]; the engine's degraded-restart rung then
+    /// replans the query on the surviving devices.
+    pub(super) fn take_over(
+        &self,
+        fault: &FaultState,
+        lost: &mut Lane<'_>,
+        queue: &BlockQueue,
+        in_hand: Option<BlockHandle>,
+    ) -> Result<()> {
+        lost.bank();
+        let (stage, lost_slot) = (lost.stage, lost.slot);
+        let routing = &self.routing[stage];
+        let lost_err = HetError::DeviceLost {
+            device: lost.device.index(),
+            stage,
+            block: queue.len() + usize::from(in_hand.is_some()),
+        };
+        if !self.config.fault.quarantine || !routing.rehomeable() {
+            return Err(lost_err);
+        }
+        let Some(survivor) = (0..routing.instance_devices.len())
+            .filter(|&s| s != lost_slot && !fault.is_quarantined(routing.instance_devices[s]))
+            .min_by_key(|&s| {
+                self.device_clocks
+                    .get(&routing.instance_devices[s])
+                    .map_or(u64::MAX, |c| c.now().as_nanos())
+            })
+        else {
+            return Err(lost_err);
+        };
+        let floor = lost.last_end;
+        let mut lane = Lane::new(self, stage, survivor, floor)?;
+        // The lost lane's partially packed outputs are flushed, not
+        // recomputed: completed work lives in managed host-visible staging
+        // in this fault model (kernels are transactional at block
+        // granularity and their packed outputs survive the device), so only
+        // the flush itself is charged — to the survivor, the device
+        // actually doing it.
+        lane.flush(lost.take_packed()?)?;
+        // The claimed block first, then the queue to exhaustion (the
+        // producers still push into it and terminate it normally).
+        let mut next = in_hand;
+        while let Some(block) = next.take().or_else(|| queue.pop()) {
+            if fault.is_quarantined(lane.device) {
+                // The survivor died while we were draining onto it: escalate
+                // and let the restart rung replan on whatever is left.
+                return Err(HetError::DeviceLost {
+                    device: lane.device.index(),
+                    stage,
+                    block: queue.len() + 1,
+                });
+            }
+            lane.step(self.rehome(stage, lost_slot, survivor, block)?, floor)?;
+            fault.recovered.fetch_add(1, Ordering::Relaxed);
+        }
+        lane.finalize()?;
+        lost.last_end = lane.last_end;
+        Ok(())
+    }
+}

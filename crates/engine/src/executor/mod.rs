@@ -1,0 +1,1155 @@
+//! The stage executor.
+//!
+//! Executes a [`StageGraph`] on the (simulated) server. Functional execution
+//! is real — every pipeline instance is a job on the engine-lifetime
+//! [`pool`], processing real blocks on its own host thread, so results are
+//! exact and device-shared state is genuinely updated concurrently — while
+//! *performance* is accounted on the simulated resource clocks: each device
+//! (CPU core or GPU) owns a clock, each DRAM node and each PCIe link owns a
+//! clock, and the reported query time is the largest completion timestamp
+//! observed (see `DESIGN.md` §4).
+//!
+//! Scheduling is pipelined: all stages' pipeline-instance workers are
+//! spawned up front (as pool jobs) and connected through bounded
+//! [`BlockQueue`]s, one per consumer slot. Producers route, localize
+//! (mem-move) and push each block handle the moment it is produced, so
+//! transfers, CPU work and GPU work genuinely overlap; dependency edges
+//! (hash build before probe) are gates a consumer waits on, not
+//! materialization barriers. This is the paper's §3.1 architecture: routers
+//! connecting pipeline instances through asynchronous queues of block
+//! handles. The independent row oracle the tests compare
+//! against is [`crate::reference_execute`].
+//!
+//! One module per paper operator, plus the engine's own parts:
+//!
+//! * [`routing`] — the router: projections, routing plus mem-move, stealing;
+//! * [`movement`] — staging charges, the quota re-split and the one block
+//!   hand-off between slots (`rehome`) that steal and takeover share;
+//! * [`worker`] — a pipeline instance bound to a device (`Lane`: the device
+//!   crossing is its execution context, the pack its finalize flush) and the
+//!   worker loop claim → fault check → run → steal or park;
+//! * [`fault`] — fault state, the watchdog and the takeover drain;
+//! * [`gate`] — dependency gates and the stage-completion protocol.
+
+mod fault;
+mod gate;
+mod movement;
+mod routing;
+mod worker;
+
+use crate::codegen::{StageGraph, StageSource};
+use crate::pool;
+use fault::FaultState;
+use gate::{Gate, StageProgress};
+use hetex_common::{BlockHandle, EngineConfig, HetError, MemoryNodeId, Result};
+use hetex_core::cost::{CostModel, SlowdownObserver};
+use hetex_core::mem_move::MemMove;
+use hetex_core::queue::BlockQueue;
+use hetex_gpu_sim::GpuDevice;
+use hetex_jit::{ExecCtx, SharedState, TerminalStep};
+use hetex_storage::{Catalog, Segmenter};
+use hetex_topology::{
+    CalibratedConstants, CostModel as WorkCost, DeviceId, DeviceKind, DmaEngine, ResourceClock,
+    ServerTopology, SimTime, WorkProfile,
+};
+use movement::Staging;
+use parking_lot::Mutex;
+use routing::StageRouting;
+use std::collections::HashMap;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+use std::time::Instant;
+
+/// Router initialization and thread pinning overhead (§6.4: ~10 ms, visible
+/// only for very small inputs).
+pub const ROUTER_INIT_OVERHEAD: SimTime = SimTime::from_millis(10);
+
+/// Per-device-kind execution statistics of one query.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct DeviceKindStats {
+    /// Blocks processed by instances of this device kind.
+    pub blocks: u64,
+    /// Simulated busy nanoseconds accumulated by this device kind.
+    pub busy_ns: u64,
+    /// Modeled bytes scanned by this device kind.
+    pub bytes_scanned: f64,
+}
+
+/// Wall-clock milestones of one stage, used to observe genuine pipelining:
+/// a consumer stage processes its first block while its producer stage is
+/// still running.
+#[derive(Debug, Clone, Default)]
+pub struct StageTimeline {
+    /// Wall-clock nanoseconds (since query start) when the stage's workers
+    /// processed their first block; `None` if the stage saw no blocks.
+    pub first_block_wall_ns: Option<u64>,
+    /// Wall-clock nanoseconds when the stage finished.
+    pub finished_wall_ns: u64,
+}
+
+/// The raw outcome of running a stage graph.
+#[derive(Debug)]
+pub struct ExecutionResult {
+    /// Result rows (keys then aggregates, sorted by key for group-bys).
+    pub rows: Vec<Vec<i64>>,
+    /// Simulated end-to-end execution time.
+    pub sim_time: SimTime,
+    /// Wall-clock time of the functional execution (not the reported metric).
+    pub wall_time: std::time::Duration,
+    /// Per device kind statistics.
+    pub per_kind: HashMap<DeviceKind, DeviceKindStats>,
+    /// Bytes moved over interconnects (weighted).
+    pub bytes_transferred: f64,
+    /// Wall-clock milestones per stage (pipelining observability).
+    pub stage_timeline: Vec<StageTimeline>,
+    /// Simulated completion time of each stage.
+    pub stage_completion: Vec<SimTime>,
+    /// Peak leased staging bytes per memory node (empty when byte
+    /// governance is off).
+    pub staging_peaks: Vec<(MemoryNodeId, u64)>,
+    /// Blocks adaptively re-routed (stolen from an overloaded sibling's
+    /// queue) per stage; all zeros when stealing is disabled.
+    pub blocks_stolen: Vec<u64>,
+    /// Cross-node control-plane traffic: block handles pushed into a queue
+    /// on a memory node other than the block's (a remote queue mutex
+    /// acquisition each). Measured in every run; *priced* into routing only
+    /// when the cost model's control-plane term is on.
+    pub remote_control_acquisitions: u64,
+    /// Observed-slowdown EWMA per device slot (charged vs nominal busy
+    /// time, 1.0 = healthy), indexed like the topology's device list.
+    /// Measured in every run; *priced* into routing projections only when
+    /// `CalibrationConfig::slowdown_feedback` is on.
+    pub observed_slowdowns: Vec<f64>,
+    /// The constants the engine-construction topology micro-probe measured
+    /// (control-plane round trip, per-link effective bandwidth), whether or
+    /// not `CalibrationConfig::measured_constants` let routing consume them.
+    pub probed_constants: Arc<CalibratedConstants>,
+    /// Transient kernel failures absorbed by bounded in-place retry (zero
+    /// without an injected fault plan).
+    pub transient_retries: u64,
+    /// Blocks re-executed on a surviving sibling after a device quarantine
+    /// (zero without an injected fault plan).
+    pub recovered_blocks: u64,
+    /// Staging bytes still leased when the execution finished, measured
+    /// after remote caches were flushed back to their home arenas. Zero on
+    /// every clean run — the fault-invariant suite's leak check.
+    pub staging_leaked_bytes: u64,
+    /// Observed (rows_in, rows_out) per stage: physical rows entering each
+    /// stage's pipelines across all instances and rows the stage emitted —
+    /// the *actual* per-stage selectivities, as opposed to the structural
+    /// estimates routing plans with. Every block is counted once, on the
+    /// lane that completed it, so a takeover drain reports the same rows as
+    /// a healthy run.
+    pub stage_rows: Vec<(u64, u64)>,
+}
+
+/// Executes stage graphs on a topology.
+pub struct Executor {
+    topology: Arc<ServerTopology>,
+    gpus: HashMap<DeviceId, Arc<GpuDevice>>,
+    /// Work pricing only (toggle-independent `time_ns`). Deliberately the
+    /// bare topology model, *not* a [`CostModel`]: the estimation terms must
+    /// always come from the per-execution model built from the run's
+    /// `EngineConfig`, and this type makes calling them on the field
+    /// unrepresentable.
+    work_cost: WorkCost,
+    /// Constants the topology micro-probe measured at construction
+    /// (`hetex_topology::probe`): the control-plane round trip and each
+    /// link's effective bandwidth. Attached to every execution's cost
+    /// model; whether routing *consumes* them is the run's
+    /// `CalibrationConfig::measured_constants` toggle.
+    probed_constants: Arc<CalibratedConstants>,
+    /// An externally owned slowdown observer shared across executions (the
+    /// serving layer's server-lifetime EWMAs: one query's observed straggler
+    /// informs the next query's routing). `None` — the default — makes every
+    /// execution create its own fresh observer, the single-query behaviour.
+    shared_observer: Option<Arc<SlowdownObserver>>,
+    /// Simulated time the most recent *failed* execution had reached when its
+    /// error surfaced — the progress a degraded restart throws away. The
+    /// engine takes (and clears) this when accounting a failed attempt.
+    failed_sim_time: Mutex<Option<SimTime>>,
+}
+
+impl Executor {
+    /// An executor for the given topology, creating one simulated GPU per GPU
+    /// device in the topology.
+    pub fn new(topology: Arc<ServerTopology>) -> Self {
+        // The topology micro-probe runs once per executor, against scratch
+        // clocks (it never perturbs the topology's own clocks): a handful of
+        // reservations measuring the cross-socket round trip and each
+        // link's effective bandwidth.
+        let probed_constants = Arc::new(hetex_topology::probe::probe(&topology));
+        Self::with_constants(topology, probed_constants)
+    }
+
+    /// An executor reusing already-probed constants instead of re-running the
+    /// topology micro-probe. The engine probes once at construction and hands
+    /// the same `Arc` to every per-query (and per-degraded-attempt) executor:
+    /// exclusion never changes links or sockets, so the measured constants
+    /// stay valid for the whole engine lifetime.
+    pub fn with_constants(
+        topology: Arc<ServerTopology>,
+        probed_constants: Arc<CalibratedConstants>,
+    ) -> Self {
+        let gpus = topology
+            .gpus()
+            .into_iter()
+            .map(|id| {
+                let profile = topology.device(id).expect("gpu device exists").clone();
+                (id, Arc::new(GpuDevice::new(id, profile)))
+            })
+            .collect();
+        Self {
+            topology,
+            gpus,
+            work_cost: WorkCost::new(),
+            probed_constants,
+            shared_observer: None,
+            failed_sim_time: Mutex::new(None),
+        }
+    }
+
+    /// Attach a server-lifetime slowdown observer shared across executions:
+    /// runs record into (and read from) it instead of a fresh per-run
+    /// observer, so observed stragglers carry over between queries.
+    pub fn with_shared_observer(mut self, observer: Arc<SlowdownObserver>) -> Self {
+        self.shared_observer = Some(observer);
+        self
+    }
+
+    /// The simulated time the last failed execution had reached when its
+    /// error surfaced, clearing the record. `None` when nothing failed since
+    /// the last take (or the failure happened before any work was simulated).
+    pub fn take_failed_sim_time(&self) -> Option<SimTime> {
+        self.failed_sim_time.lock().take()
+    }
+
+    /// Execute a stage graph.
+    ///
+    /// Error contract: every `Err` return leaves [`Self::take_failed_sim_time`]
+    /// holding `Some` — the simulated time this execution burned before its
+    /// error surfaced ([`SimTime::ZERO`] for failures preceding any simulated
+    /// work). The record is cleared at entry, so a take after an error is
+    /// unambiguously *this* execution's, never a stale one.
+    pub fn execute(
+        &self,
+        graph: &StageGraph,
+        catalog: &Catalog,
+        config: &EngineConfig,
+    ) -> Result<ExecutionResult> {
+        *self.failed_sim_time.lock() = None;
+        let wall_start = Instant::now();
+        self.topology.reset_clocks();
+        // A setup failure precedes any simulated work: the attempt burned
+        // exactly zero, recorded explicitly so the engine's attempt
+        // accounting never has to guess.
+        let run = QueryRun::new(self, graph, catalog, config, wall_start).inspect_err(|_| {
+            *self.failed_sim_time.lock() = Some(SimTime::ZERO);
+        })?;
+        let run = &run;
+        pool::scope(|scope| {
+            // The fault watchdog is spawned only when a plan is injected
+            // (healthy runs pay nothing).
+            if let Some(fault) = &run.fault {
+                scope.spawn(move || {
+                    if catch_unwind(AssertUnwindSafe(|| run.watchdog(fault))).is_err() {
+                        run.record_error(HetError::Execution("fault watchdog panicked".into()));
+                    }
+                });
+            }
+            for (stage, s) in graph.stages.iter().enumerate() {
+                if let StageSource::Table { table, projection } = &s.source {
+                    // Registered before any worker can observe the queues.
+                    let guards: Vec<_> =
+                        run.queues[stage].iter().map(BlockQueue::register_producer).collect();
+                    scope.spawn(move || run.pump(stage, table, projection, guards));
+                }
+            }
+            // One worker per pipeline instance of every stage, all up front.
+            for (stage, s) in graph.stages.iter().enumerate() {
+                for slot in 0..s.consumers.len() {
+                    scope.spawn(move || run.work(stage, slot));
+                }
+            }
+        });
+        self.finish(run)
+    }
+
+    /// Fold a finished run into its result, or record how far a failed one
+    /// got (the same completion fold the success path reports, so a
+    /// degraded restart can report honest all-attempt simulated time).
+    fn finish(&self, run: &QueryRun<'_>) -> Result<ExecutionResult> {
+        let mut sim_time =
+            run.progress.iter().map(|p| *p.completion.lock()).fold(SimTime::ZERO, SimTime::max);
+        if run.graph.stages.iter().any(|s| s.has_router) {
+            sim_time = sim_time.add_nanos(ROUTER_INIT_OVERHEAD.as_nanos());
+        }
+        if let Some(err) = run.first_error.lock().take() {
+            *self.failed_sim_time.lock() = Some(sim_time);
+            return Err(err);
+        }
+        let (staging_peaks, staging_leaked_bytes) =
+            run.staging.as_ref().map(|s| s.peaks_and_leaks()).unwrap_or_default();
+        let fault_count = |count: fn(&FaultState) -> &AtomicU64| {
+            run.fault.as_ref().map_or(0, |f| count(f).load(Ordering::Relaxed))
+        };
+        Ok(ExecutionResult {
+            rows: std::mem::take(&mut *run.result_rows.lock()),
+            sim_time,
+            wall_time: run.wall_start.elapsed(),
+            per_kind: std::mem::take(&mut *run.per_kind.lock()),
+            bytes_transferred: run.mem_move.dma().stats().bytes_moved,
+            stage_timeline: run.progress.iter().map(StageProgress::timeline).collect(),
+            stage_completion: run.progress.iter().map(|p| *p.completion.lock()).collect(),
+            staging_peaks,
+            blocks_stolen: run
+                .progress
+                .iter()
+                .map(|p| p.blocks_stolen.load(Ordering::Relaxed))
+                .collect(),
+            remote_control_acquisitions: run.remote_ctl.load(Ordering::Relaxed),
+            observed_slowdowns: run.observer.snapshot(),
+            probed_constants: Arc::clone(&self.probed_constants),
+            transient_retries: fault_count(|f| &f.retries),
+            recovered_blocks: fault_count(|f| &f.recovered),
+            staging_leaked_bytes,
+            stage_rows: run
+                .progress
+                .iter()
+                .map(|p| (p.rows_in.load(Ordering::Relaxed), p.rows_out.load(Ordering::Relaxed)))
+                .collect(),
+        })
+    }
+
+    /// Charge modeled work to a device clock and its local memory node's
+    /// bandwidth clock. The memory-node clock is a *utilization accumulator*:
+    /// every block advances it by bytes / node_bandwidth, and a block cannot
+    /// complete before the node has had enough cumulative capacity to serve
+    /// it. This is what makes a socket's cores stop scaling once they
+    /// saturate its DRAM (§6.4: the sum query plateaus at ~16 cores).
+    fn charge(
+        &self,
+        clock: &ResourceClock,
+        device_profile: &hetex_topology::DeviceProfile,
+        work: &WorkProfile,
+        not_before: SimTime,
+    ) -> (SimTime, u64) {
+        // The straggler multiplier applies at charge time only: routing-time
+        // estimates keep pricing the nominal profile, exactly the blind spot
+        // adaptive re-routing exists to absorb.
+        let busy = (self.work_cost.time_ns(work, device_profile) as f64
+            * device_profile.exec_slowdown) as u64;
+        let (_, end) = clock.reserve(not_before, busy);
+        let mut final_end = end;
+        if work.memory_node_bytes() > 0.0 {
+            if let (Ok(node), Ok(mem_clock)) = (
+                self.topology.memory_node(device_profile.local_memory),
+                self.topology.memory_clock(device_profile.local_memory),
+            ) {
+                let mem_ns = (work.memory_node_bytes() / (node.bandwidth_gbps * 1e9) * 1e9) as u64;
+                let (_, mem_end) = mem_clock.reserve(SimTime::ZERO, mem_ns);
+                // The device keeps issuing (out-of-order cores / latency-
+                // hiding GPUs overlap DRAM stalls), so the node's backlog
+                // delays this block's completion without serializing the
+                // device clock behind the whole node. Keeping the two clocks
+                // decoupled also makes the simulated time insensitive to the
+                // wall-clock interleaving of concurrent workers.
+                final_end = end.max(mem_end);
+            }
+        }
+        (final_end, busy)
+    }
+}
+
+/// Everything one execution shares between its jobs: the graph and config
+/// it runs, the per-query cost model, routing state, queues, staging arenas,
+/// gates and fault state, and the collected outcome. Built once by
+/// [`Executor::execute`] and borrowed by every job for the run's lifetime.
+struct QueryRun<'a> {
+    exec: &'a Executor,
+    graph: &'a StageGraph,
+    catalog: &'a Catalog,
+    config: &'a EngineConfig,
+    wall_start: Instant,
+    /// `HETEX_TRACE_EXEC` is set: every lane prints a `[trace]` line.
+    trace: bool,
+    /// The run's unified cost model: every estimation term the router path,
+    /// the queue-admission path and the steal path consult, with the
+    /// per-term toggles this execution's config selects (§5 of DESIGN.md)
+    /// and the calibration inputs (§6): the construction-time probe's
+    /// measured constants and `observer`.
+    cost: CostModel,
+    /// The run's slowdown observer (one EWMA slot per device): lanes record
+    /// every completed block's charged-vs-nominal ratio into it, routing
+    /// reads it back. A serving layer substitutes its server-lifetime
+    /// observer so one query's straggler observation informs the next.
+    observer: Arc<SlowdownObserver>,
+    mem_move: MemMove,
+    gpu_nodes: Vec<MemoryNodeId>,
+    /// One persistent clock per device: a core used by several stages cannot
+    /// do their work at the same simulated time.
+    device_clocks: HashMap<DeviceId, ResourceClock>,
+    routing: Vec<StageRouting<'a>>,
+    /// One queue per consumer slot, placed on the consumer's memory node.
+    queues: Vec<Vec<BlockQueue>>,
+    /// Byte governance (§4.2); `None` keeps handle-count bounds only.
+    staging: Option<Staging>,
+    gates: Vec<Gate>,
+    progress: Vec<StageProgress>,
+    /// `Some` only when the topology carries a non-empty injected fault
+    /// plan; `None` short-circuits every fault checkpoint, so healthy runs
+    /// execute the exact pre-fault code path.
+    fault: Option<FaultState>,
+    per_kind: Mutex<HashMap<DeviceKind, DeviceKindStats>>,
+    result_rows: Mutex<Vec<Vec<i64>>>,
+    first_error: Mutex<Option<HetError>>,
+    /// Cross-node control-plane traffic gauge (remote queue mutex
+    /// acquisitions), reported in the execution result.
+    remote_ctl: AtomicU64,
+}
+
+impl<'a> QueryRun<'a> {
+    fn new(
+        exec: &'a Executor,
+        graph: &'a StageGraph,
+        catalog: &'a Catalog,
+        config: &'a EngineConfig,
+        wall_start: Instant,
+    ) -> Result<Self> {
+        let topology = &exec.topology;
+        let observer = exec
+            .shared_observer
+            .clone()
+            .unwrap_or_else(|| Arc::new(SlowdownObserver::new(topology.devices().len())));
+        let cost = CostModel::from_config(config)
+            .with_constants(Arc::clone(&exec.probed_constants))
+            .with_observer(Arc::clone(&observer));
+        let routing = graph
+            .stages
+            .iter()
+            .map(|s| StageRouting::new(topology, s))
+            .collect::<Result<Vec<_>>>()?;
+        let staging = Staging::new(topology, config, &cost, &routing);
+        let queues = movement::placed_queues(config, &routing);
+        let progress: Vec<StageProgress> =
+            graph.stages.iter().map(|s| StageProgress::new(s.consumers.len())).collect();
+        // Register each producing stage as ONE logical producer on each of
+        // its consumer's queues: blocks flow from any worker at any time, and
+        // the registration is released when the stage completes (after the
+        // terminal emission was pushed).
+        for (stage, feeds) in graph.wiring.feeds.iter().enumerate() {
+            if let Some(consumer) = feeds {
+                *progress[stage].downstream_guards.lock() =
+                    queues[*consumer].iter().map(BlockQueue::register_producer).collect();
+            }
+        }
+        Ok(Self {
+            exec,
+            graph,
+            catalog,
+            config,
+            wall_start,
+            trace: std::env::var("HETEX_TRACE_EXEC").is_ok(),
+            cost,
+            observer,
+            mem_move: MemMove::new(DmaEngine::new(Arc::clone(topology))),
+            gpu_nodes: topology.gpu_memory_nodes(),
+            device_clocks: (0..topology.devices().len())
+                .map(|idx| (DeviceId::new(idx), ResourceClock::new(format!("dev{idx}"))))
+                .collect(),
+            routing,
+            queues,
+            staging,
+            gates: graph.stages.iter().map(|s| Gate::new(s.depends_on.len())).collect(),
+            progress,
+            fault: topology
+                .fault_plan()
+                .filter(|p| !p.is_empty())
+                .map(|p| FaultState::new(Arc::clone(p), topology.devices().len())),
+            per_kind: Mutex::new(HashMap::new()),
+            result_rows: Mutex::new(Vec::new()),
+            first_error: Mutex::new(None),
+            remote_ctl: AtomicU64::new(0),
+        })
+    }
+
+    /// Keep the first error; later ones are consequences of the cascade.
+    fn record_error(&self, e: HetError) {
+        self.first_error.lock().get_or_insert(e);
+    }
+
+    fn failed(&self) -> bool {
+        self.first_error.lock().is_some()
+    }
+
+    /// The input segments of a table-scan stage.
+    fn table_segments(&self, table: &str, projection: &[String]) -> Result<Vec<BlockHandle>> {
+        let weight = self.config.weight_for(table);
+        let table = self.catalog.get(table)?;
+        let projection: Vec<&str> = projection.iter().map(String::as_str).collect();
+        Segmenter::new(table, &projection, self.config.block_capacity)
+            .with_weight(weight)
+            .segments()
+    }
+
+    /// Finish a stage's shared state exactly once, on a CPU context: run the
+    /// final gather of a reduce/group-by stage (the paper's final
+    /// single-instance gather pipeline), or seal a hash-join build's table
+    /// before the gates of its probes open. Returns `(result rows, blocks)`.
+    fn emit_stage_results(
+        &self,
+        stage: usize,
+        completion: SimTime,
+    ) -> Result<(Vec<Vec<i64>>, Vec<BlockHandle>)> {
+        let template = self.graph.stages[stage].template(DeviceKind::CpuCore);
+        if matches!(template.terminal(), TerminalStep::Pack { .. }) {
+            return Ok((Vec::new(), Vec::new()));
+        }
+        let node = self.exec.topology.cpu_memory_nodes()[0];
+        let mut ctx = ExecCtx::cpu(node, self.config.block_capacity);
+        let state: &SharedState = &self.graph.state;
+        let emitted = template.emit_state_results(state, &mut ctx)?;
+        let mut rows = Vec::new();
+        for handle in &emitted.blocks {
+            let block = handle.block();
+            for row in 0..block.rows() {
+                rows.push(block.columns().map(|c| c.get_i64(row).unwrap_or(0)).collect());
+            }
+        }
+        let mut blocks = emitted.blocks;
+        for b in &mut blocks {
+            b.meta_mut().ready_at_ns = completion.as_nanos();
+        }
+        Ok((rows, blocks))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::codegen::compile;
+    use hetex_common::{ColumnData, DataType};
+    use hetex_core::{parallelize, RelNode};
+    use hetex_jit::{AggSpec, CompiledPipeline, Expr, Step};
+    use hetex_storage::TableBuilder;
+    use hetex_topology::FaultPlan;
+    use std::sync::Mutex as StdMutex;
+
+    fn catalog_with_data(topology: &ServerTopology, rows: usize) -> Catalog {
+        catalog_with_key_stride(topology, rows, 1)
+    }
+
+    /// `fact` joins `dim` on keys `0, stride, 2 × stride, …` (100 of them).
+    fn catalog_with_key_stride(topology: &ServerTopology, rows: usize, stride: i32) -> Catalog {
+        let catalog = Catalog::new();
+        let nodes = topology.cpu_memory_nodes();
+        let fact = TableBuilder::new("fact")
+            .column(
+                "key",
+                DataType::Int32,
+                ColumnData::Int32((0..rows as i32).map(|i| i % 100 * stride).collect()),
+            )
+            .column("value", DataType::Int64, ColumnData::Int64((0..rows as i64).collect()))
+            .build(&nodes, 4096)
+            .unwrap();
+        let dim = TableBuilder::new("dim")
+            .column("k", DataType::Int32, ColumnData::Int32((0..100).map(|k| k * stride).collect()))
+            .column("attr", DataType::Int32, ColumnData::Int32((0..100).map(|i| i % 7).collect()))
+            .build(&nodes, 4096)
+            .unwrap();
+        catalog.register(fact);
+        catalog.register(dim);
+        catalog
+    }
+
+    fn join_sum_plan() -> RelNode {
+        // SELECT SUM(value) FROM fact JOIN dim ON key = k WHERE attr < 3
+        let dim = RelNode::scan("dim", &["k", "attr"]).filter(Expr::col(1).lt_lit(3));
+        RelNode::scan("fact", &["key", "value"])
+            .hash_join(dim, 0, 0, &[1])
+            .reduce(vec![AggSpec::sum(Expr::col(1)), AggSpec::count()], &["sum_v", "cnt"])
+    }
+
+    fn expected(rows: usize) -> (i64, i64) {
+        let mut sum = 0i64;
+        let mut cnt = 0i64;
+        for i in 0..rows as i64 {
+            let key = i % 100;
+            if key % 7 < 3 {
+                sum += i;
+                cnt += 1;
+            }
+        }
+        (sum, cnt)
+    }
+
+    fn run(config: &EngineConfig, rows: usize) -> ExecutionResult {
+        let topology = ServerTopology::paper_server();
+        let catalog = catalog_with_data(&topology, rows);
+        let het = parallelize(&join_sum_plan(), config).unwrap();
+        let graph = compile(&het, config, &topology).unwrap();
+        let executor = Executor::new(topology);
+        executor.execute(&graph, &catalog, config).unwrap()
+    }
+
+    /// Scanning a table of this name panics inside its source pump.
+    pub(super) const PANICKING_TABLE: &str = "panicking_source";
+
+    /// `(state address, slot, sealed direct)` of every table a pipeline
+    /// instance probes, as it stood when the instance's gate opened.
+    static PROBED_AT_GATE: StdMutex<Vec<(usize, usize, bool)>> = StdMutex::new(Vec::new());
+
+    pub(super) fn record_probed_tables(state: &SharedState, pipeline: &CompiledPipeline) {
+        for step in pipeline.steps() {
+            if let Step::HashJoinProbe { slot, .. } = step {
+                let direct = state.hash_table(*slot).unwrap().is_direct();
+                let at = state as *const SharedState as usize;
+                PROBED_AT_GATE.lock().unwrap().push((at, slot.index(), direct));
+            }
+        }
+    }
+
+    #[test]
+    fn a_dense_build_is_sealed_direct_before_its_probe_gate_opens() {
+        let plan = join_sum_plan();
+        // 100 keys in a span of 100 are indexed directly; at a stride of
+        // 1,000 their span is past both the floor and four times the slots.
+        for (stride, direct) in [(1, true), (1_000, false)] {
+            for config in
+                [EngineConfig::cpu_only(4), EngineConfig::gpu_only(2), EngineConfig::hybrid(4, 2)]
+            {
+                let topology = ServerTopology::paper_server();
+                let catalog = catalog_with_key_stride(&topology, 20_000, stride);
+                let het = parallelize(&plan, &config).unwrap();
+                let graph = compile(&het, &config, &topology).unwrap();
+                let at = &graph.state as *const SharedState as usize;
+                PROBED_AT_GATE.lock().unwrap().retain(|seen| seen.0 != at);
+                let result = Executor::new(topology).execute(&graph, &catalog, &config).unwrap();
+                assert_eq!(result.rows, crate::reference_execute(&plan, &catalog).unwrap());
+                let seen: Vec<bool> = PROBED_AT_GATE
+                    .lock()
+                    .unwrap()
+                    .iter()
+                    .filter(|seen| seen.0 == at)
+                    .map(|seen| seen.2)
+                    .collect();
+                assert!(!seen.is_empty(), "no probe instance ran");
+                assert!(
+                    seen.iter().all(|&d| d == direct),
+                    "stride {stride}: probe gates opened on {seen:?}, expected direct = {direct}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_panicking_source_pump_is_a_structured_error_not_a_panic() {
+        let topology = ServerTopology::paper_server();
+        let catalog = catalog_with_data(&topology, 10_000);
+        let table = TableBuilder::new(PANICKING_TABLE)
+            .column("v", DataType::Int64, ColumnData::Int64((0..100).collect()))
+            .build(&topology.cpu_memory_nodes(), 4096)
+            .unwrap();
+        catalog.register(table);
+        let plan = RelNode::scan(PANICKING_TABLE, &["v"])
+            .reduce(vec![AggSpec::sum(Expr::col(0))], &["sum_v"]);
+        let config = EngineConfig::hybrid(4, 2);
+        let graph = compile(&parallelize(&plan, &config).unwrap(), &config, &topology).unwrap();
+        let executor = Executor::new(Arc::clone(&topology));
+        match executor.execute(&graph, &catalog, &config) {
+            Err(HetError::Execution(msg)) => {
+                assert_eq!(msg, "stage 0 source pump panicked", "unexpected message: {msg}")
+            }
+            other => panic!("expected a structured execution error, got {other:?}"),
+        }
+        // The pool is unharmed: the next query on the same executor runs.
+        let het = parallelize(&join_sum_plan(), &config).unwrap();
+        let graph = compile(&het, &config, &topology).unwrap();
+        let (sum, cnt) = expected(10_000);
+        assert_eq!(executor.execute(&graph, &catalog, &config).unwrap().rows, vec![vec![sum, cnt]]);
+    }
+
+    #[test]
+    fn cpu_only_execution_is_correct() {
+        let result = run(&EngineConfig::cpu_only(4), 50_000);
+        let (sum, cnt) = expected(50_000);
+        assert_eq!(result.rows, vec![vec![sum, cnt]]);
+        assert!(result.sim_time > SimTime::ZERO);
+        assert!(result.per_kind.contains_key(&DeviceKind::CpuCore));
+        assert!(!result.per_kind.contains_key(&DeviceKind::Gpu));
+    }
+
+    #[test]
+    fn gpu_only_execution_matches_cpu_results() {
+        let gpu = run(&EngineConfig::gpu_only(2), 50_000);
+        let cpu = run(&EngineConfig::cpu_only(4), 50_000);
+        assert_eq!(gpu.rows, cpu.rows);
+        assert!(gpu.per_kind.contains_key(&DeviceKind::Gpu));
+        // Data started CPU-resident, so bytes had to cross PCIe.
+        assert!(gpu.bytes_transferred > 0.0);
+    }
+
+    #[test]
+    fn hybrid_execution_uses_both_device_kinds() {
+        let result = run(&EngineConfig::hybrid(8, 2), 200_000);
+        let (sum, cnt) = expected(200_000);
+        assert_eq!(result.rows, vec![vec![sum, cnt]]);
+        let cpu_blocks = result.per_kind.get(&DeviceKind::CpuCore).map_or(0, |s| s.blocks);
+        let gpu_blocks = result.per_kind.get(&DeviceKind::Gpu).map_or(0, |s| s.blocks);
+        assert!(cpu_blocks > 0, "CPU should receive some blocks");
+        assert!(gpu_blocks > 0, "GPUs should receive some blocks");
+    }
+
+    #[test]
+    fn more_cpu_cores_reduce_simulated_time() {
+        let one = run(&EngineConfig::cpu_only(1), 200_000);
+        let eight = run(&EngineConfig::cpu_only(8), 200_000);
+        assert!(
+            eight.sim_time < one.sim_time,
+            "8 cores ({}) should beat 1 core ({})",
+            eight.sim_time,
+            one.sim_time
+        );
+    }
+
+    #[test]
+    fn router_overhead_is_charged_once() {
+        let mut without = EngineConfig::cpu_only(1);
+        without.hetexchange_enabled = false;
+        let seq = run(&without, 20_000);
+        let with = run(&EngineConfig::cpu_only(1), 20_000);
+        let diff = with.sim_time.as_nanos() as i64 - seq.sim_time.as_nanos() as i64;
+        assert!(
+            diff >= ROUTER_INIT_OVERHEAD.as_nanos() as i64 / 2,
+            "router overhead missing: {diff}"
+        );
+        assert_eq!(seq.rows, with.rows);
+    }
+
+    #[test]
+    fn governed_pipelined_respects_the_staging_budget() {
+        // Hybrid so blocks cross to GPU memory nodes (lease transfer across a
+        // device crossing) with a deliberately modest budget.
+        let mut config = EngineConfig::hybrid(4, 2);
+        config.block_capacity = 1024;
+        let budget = config.min_staging_bytes() * 4;
+        config.staging_bytes = Some(budget);
+        let governed = run(&config, 100_000);
+        let (sum, cnt) = expected(100_000);
+        assert_eq!(governed.rows, vec![vec![sum, cnt]]);
+        assert!(!governed.staging_peaks.is_empty(), "governed mode reports per-node peaks");
+        for (node, peak) in &governed.staging_peaks {
+            assert!(peak <= &budget, "node {node} peaked at {peak} > budget {budget}");
+        }
+        assert!(
+            governed.staging_peaks.iter().any(|(_, peak)| *peak > 0),
+            "pipelined blocks must be backed by leases: no node ever staged bytes"
+        );
+
+        // Ungoverned mode (PR 1 behaviour) reports no peaks and agrees on rows.
+        let ungoverned = run(&config.clone().with_staging_bytes(None), 100_000);
+        assert!(ungoverned.staging_peaks.is_empty());
+        assert_eq!(governed.rows, ungoverned.rows);
+    }
+
+    #[test]
+    fn a_block_wider_than_the_arena_still_flows() {
+        // The budget floor is validated against an *estimated* tuple width;
+        // real blocks can be wider. A budget smaller than a single block must
+        // serialize the pipeline (each block charged the full arena), not
+        // kill it with a can-never-fit error.
+        let topology = ServerTopology::paper_server();
+        let catalog = catalog_with_data(&topology, 50_000);
+        let plan = RelNode::scan("fact", &["key", "value"])
+            .reduce(vec![AggSpec::sum(Expr::col(1)), AggSpec::count()], &["sum_v", "cnt"]);
+        let mut config = EngineConfig::cpu_only(2);
+        config.block_capacity = 1024;
+        let het = parallelize(&plan, &config).unwrap();
+        let graph = compile(&het, &config, &topology).unwrap();
+        // Shrink the budget below one block's ~12 KiB only for execution:
+        // validation (rightly) rejects it, but the executor must still
+        // degrade to serialized flow rather than a can-never-fit error.
+        config.staging_bytes = Some(1024);
+        let executor = Executor::new(topology);
+        let result = executor.execute(&graph, &catalog, &config).unwrap();
+        let sum: i64 = (0..50_000i64).sum();
+        assert_eq!(result.rows, vec![vec![sum, 50_000]]);
+        for (node, peak) in &result.staging_peaks {
+            assert!(*peak <= 1024, "node {node} peaked at {peak} > clamped budget 1024");
+        }
+    }
+
+    #[test]
+    fn stealing_rescues_a_straggler_and_preserves_rows() {
+        // One GPU is a hidden 8x straggler: the router keeps pricing its
+        // nominal profile, so its queue backs up. With stealing, siblings
+        // drain the backlog; the rows must be identical either way and the
+        // skewed run must get faster, not slower. Slowdown feedback is off so
+        // that the backlog is structural: with it on, how much the router
+        // queues behind the straggler before its first 8x observation lands
+        // depends on how fast the host ran that first kernel, and a fast one
+        // leaves nothing to steal.
+        let topology = ServerTopology::paper_server();
+        let slow_gpu = topology.gpus()[1];
+        let skewed = topology.with_device_slowdown(slow_gpu, 8.0).unwrap();
+        let catalog = catalog_with_data(&skewed, 200_000);
+        let mut config = EngineConfig::hybrid(8, 2).with_calibration(
+            hetex_common::CalibrationConfig::default().with_slowdown_feedback(false),
+        );
+        config.scale_weight = 20_000.0;
+        let het = parallelize(&join_sum_plan(), &config).unwrap();
+        let executor = Executor::new(Arc::clone(&skewed));
+
+        // One freshly compiled graph per execution: the compiled graph owns
+        // the query's shared state (hash tables, accumulators), which is
+        // populated by a run. The end-to-end comparison uses the median of
+        // three measurements per side — when stealing engages is wall-clock
+        // sensitive (observed-slowdown EWMAs), so a single run under CPU
+        // contention can land in a scheduler tail (the reopt/calib A/B bins
+        // gate their acceptance bars the same way).
+        let disabled_cfg = config.clone().with_steal_policy(hetex_common::StealPolicy::Disabled);
+        let (sum, cnt) = expected(200_000);
+        let mut stealing_times = Vec::new();
+        let mut bound_times = Vec::new();
+        for _ in 0..3 {
+            let graph = compile(&het, &config, &skewed).unwrap();
+            let stealing = executor.execute(&graph, &catalog, &config).unwrap();
+            let graph = compile(&het, &disabled_cfg, &skewed).unwrap();
+            let bound = executor.execute(&graph, &catalog, &disabled_cfg).unwrap();
+
+            assert_eq!(stealing.rows, vec![vec![sum, cnt]]);
+            assert_eq!(bound.rows, stealing.rows);
+            assert!(bound.blocks_stolen.iter().all(|&s| s == 0), "disabled policy must not steal");
+            assert!(
+                stealing.blocks_stolen.iter().sum::<u64>() > 0,
+                "idle siblings should have stolen from the straggler's backlog"
+            );
+            stealing_times.push(stealing.sim_time);
+            bound_times.push(bound.sim_time);
+        }
+        stealing_times.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        bound_times.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        assert!(
+            stealing_times[1] <= bound_times[1],
+            "stealing (median {}) must not lose to binding (median {}) on a skewed topology",
+            stealing_times[1],
+            bound_times[1]
+        );
+    }
+
+    #[test]
+    fn feedback_routing_diverts_new_blocks_from_a_hidden_straggler() {
+        use hetex_common::CalibrationConfig;
+        // One GPU is a hidden 8x straggler and stealing is disabled, so the
+        // only defence is the calibration loop: the straggler's observed
+        // slowdown must grow past the detector threshold, and feedback
+        // routing must beat nominal routing end-to-end with identical rows.
+        let topology = ServerTopology::paper_server();
+        let slow_gpu = topology.gpus()[1];
+        let skewed = topology.with_device_slowdown(slow_gpu, 8.0).unwrap();
+        let catalog = catalog_with_data(&skewed, 200_000);
+        let mut config = EngineConfig::hybrid(8, 2);
+        config.scale_weight = 20_000.0;
+        config.steal_policy = hetex_common::StealPolicy::Disabled;
+        let het = parallelize(&join_sum_plan(), &config).unwrap();
+        let executor = Executor::new(Arc::clone(&skewed));
+
+        let graph = compile(&het, &config, &skewed).unwrap();
+        let calibrated = executor.execute(&graph, &catalog, &config).unwrap();
+        let nominal_cfg = config.clone().with_calibration(CalibrationConfig::disabled());
+        let graph = compile(&het, &nominal_cfg, &skewed).unwrap();
+        let nominal = executor.execute(&graph, &catalog, &nominal_cfg).unwrap();
+
+        let (sum, cnt) = expected(200_000);
+        assert_eq!(calibrated.rows, vec![vec![sum, cnt]]);
+        assert_eq!(nominal.rows, calibrated.rows);
+        assert!(
+            calibrated.sim_time < nominal.sim_time,
+            "feedback routing ({}) must beat nominal routing ({}) on a skewed topology",
+            calibrated.sim_time,
+            nominal.sim_time
+        );
+        // The straggler's EWMA is observed in both runs (measurement is
+        // always on; only the pricing is toggled).
+        for result in [&calibrated, &nominal] {
+            let observed = result.observed_slowdowns[slow_gpu.index()];
+            assert!(observed > 1.5, "straggler EWMA {observed} never rose");
+        }
+        // Every healthy device reads exactly nominal.
+        for (idx, &ewma) in calibrated.observed_slowdowns.iter().enumerate() {
+            if DeviceId::new(idx) != slow_gpu {
+                assert_eq!(ewma, 1.0, "device {idx} falsely observed as slow");
+            }
+        }
+        // Every run surfaces the probe's constants; on the two-socket paper
+        // server the measured round trip is non-zero.
+        assert!(calibrated.probed_constants.control_plane_ns > 0);
+    }
+
+    #[test]
+    fn cost_model_toggles_preserve_rows_and_measure_control_plane_traffic() {
+        use hetex_common::CostModelConfig;
+        let config = EngineConfig::hybrid(4, 2);
+        let all_on = run(&config, 100_000);
+        // A hybrid run pushes blocks across nodes (CPU DRAM to GPU consumers
+        // at least), so control-plane traffic must be measured.
+        assert!(
+            all_on.remote_control_acquisitions > 0,
+            "hybrid run saw no remote queue acquisitions"
+        );
+        // Rows are invariant under the estimation toggles: the cost model
+        // only moves blocks between equivalent consumers.
+        let all_off = run(&config.with_cost_model(CostModelConfig::disabled()), 100_000);
+        assert_eq!(all_on.rows, all_off.rows);
+        let (sum, cnt) = expected(100_000);
+        assert_eq!(all_on.rows, vec![vec![sum, cnt]]);
+        // Every run surfaces the per-device EWMAs (healthy here).
+        assert!(!all_on.observed_slowdowns.is_empty());
+        assert!(all_on.observed_slowdowns.iter().all(|&s| s >= 1.0));
+    }
+
+    #[test]
+    fn pipelined_mode_overlaps_producer_and_consumer_stages() {
+        // Stage 1 (hash build) consumes the blocks stage 0 (dimension scan +
+        // pack) produces. The build processes its first block while the
+        // scan stage is still running (observed on the wall clock, so the
+        // check retries a few times — the overlap is a capability, not a
+        // guarantee of any single thread interleaving).
+        let topology = ServerTopology::paper_server();
+        let fact_rows = 200_000usize;
+        let dim_rows = 400_000usize;
+        let catalog = {
+            let catalog = Catalog::new();
+            let nodes = topology.cpu_memory_nodes();
+            let fact = TableBuilder::new("fact")
+                .column(
+                    "key",
+                    DataType::Int32,
+                    ColumnData::Int32((0..fact_rows as i32).map(|i| i % dim_rows as i32).collect()),
+                )
+                .column(
+                    "value",
+                    DataType::Int64,
+                    ColumnData::Int64((0..fact_rows as i64).collect()),
+                )
+                .build(&nodes, 256)
+                .unwrap();
+            let dim = TableBuilder::new("dim")
+                .column("k", DataType::Int32, ColumnData::Int32((0..dim_rows as i32).collect()))
+                .column(
+                    "attr",
+                    DataType::Int32,
+                    ColumnData::Int32((0..dim_rows as i32).map(|i| i % 7).collect()),
+                )
+                .build(&nodes, 256)
+                .unwrap();
+            catalog.register(fact);
+            catalog.register(dim);
+            catalog
+        };
+        let mut config = EngineConfig::cpu_only(4);
+        config.block_capacity = 256;
+        let het = parallelize(&join_sum_plan(), &config).unwrap();
+        let graph = compile(&het, &config, &topology).unwrap();
+        let executor = Executor::new(Arc::clone(&topology));
+
+        let mut pipelined = executor.execute(&graph, &catalog, &config).unwrap();
+        let mut overlapped = false;
+        for _ in 0..5 {
+            let build_first = pipelined.stage_timeline[1]
+                .first_block_wall_ns
+                .expect("build stage processed blocks");
+            let scan_finished = pipelined.stage_timeline[0].finished_wall_ns;
+            if build_first < scan_finished {
+                overlapped = true;
+                break;
+            }
+            pipelined = executor.execute(&graph, &catalog, &config).unwrap();
+        }
+        assert!(
+            overlapped,
+            "the build stage never processed a block before the scan stage finished"
+        );
+        let oracle = crate::reference_execute(&join_sum_plan(), &catalog).unwrap();
+        assert_eq!(pipelined.rows, oracle);
+    }
+
+    /// `SELECT SUM(value), COUNT(*) FROM fact` — one anonymous routed stage,
+    /// so every consumer is interchangeable and a quarantined worker's
+    /// backlog can always be drained on a sibling.
+    fn scan_sum_plan() -> RelNode {
+        RelNode::scan("fact", &["key", "value"])
+            .reduce(vec![AggSpec::sum(Expr::col(1)), AggSpec::count()], &["sum_v", "cnt"])
+    }
+
+    fn run_faulted(
+        topology: &Arc<ServerTopology>,
+        plan: &FaultPlan,
+        config: &EngineConfig,
+        rel: &RelNode,
+        rows: usize,
+    ) -> Result<ExecutionResult> {
+        let faulted = topology.with_fault_plan(plan.clone()).unwrap();
+        let catalog = catalog_with_data(&faulted, rows);
+        let het = parallelize(rel, config).unwrap();
+        let graph = compile(&het, config, &faulted).unwrap();
+        Executor::new(faulted).execute(&graph, &catalog, config)
+    }
+
+    #[test]
+    fn an_aborted_worker_is_quarantined_and_its_backlog_drained_on_a_sibling() {
+        let topology = ServerTopology::paper_server();
+        let dead = topology.gpus()[1];
+        // Abort after the first block: the worker's clock crosses 1ns as soon
+        // as it has processed anything, so the next block it claims — and the
+        // rest of its stream — is re-executed on the surviving GPU. Stealing
+        // is disabled so the takeover drain is the only rescue path.
+        let plan = FaultPlan::new().abort_device(dead, SimTime::from_nanos(1));
+        let config =
+            EngineConfig::gpu_only(2).with_steal_policy(hetex_common::StealPolicy::Disabled);
+        let faulted = run_faulted(&topology, &plan, &config, &scan_sum_plan(), 50_000).unwrap();
+        let healthy =
+            run_faulted(&topology, &FaultPlan::new(), &config, &scan_sum_plan(), 50_000).unwrap();
+        let sum: i64 = (0..50_000i64).sum();
+        assert_eq!(faulted.rows, vec![vec![sum, 50_000]]);
+        assert_eq!(faulted.rows, healthy.rows, "recovery must be byte-identical");
+        assert!(
+            faulted.recovered_blocks > 0,
+            "the dead core's backlog should have been re-executed on the survivor"
+        );
+        assert_eq!(faulted.staging_leaked_bytes, 0, "recovery must not leak leases");
+        assert_eq!(healthy.recovered_blocks, 0);
+        assert_eq!(healthy.transient_retries, 0);
+    }
+
+    #[test]
+    fn a_takeover_drain_counts_every_rehomed_row_once() {
+        // The same one-GPU abort: the blocks the survivor re-executes, and
+        // the lost lane's packed rows it flushes, count toward the stage's
+        // observed rows exactly as they would in a healthy run.
+        let topology = ServerTopology::paper_server();
+        let plan = FaultPlan::new().abort_device(topology.gpus()[1], SimTime::from_nanos(1));
+        let config =
+            EngineConfig::gpu_only(2).with_steal_policy(hetex_common::StealPolicy::Disabled);
+        let faulted = run_faulted(&topology, &plan, &config, &scan_sum_plan(), 50_000).unwrap();
+        let healthy =
+            run_faulted(&topology, &FaultPlan::new(), &config, &scan_sum_plan(), 50_000).unwrap();
+        assert!(faulted.recovered_blocks > 0, "nothing was taken over");
+        assert_eq!(healthy.stage_rows, vec![(50_000, 0)]);
+        assert_eq!(faulted.stage_rows, healthy.stage_rows);
+    }
+
+    #[test]
+    fn transient_kernel_failures_retry_in_place_and_preserve_rows() {
+        let topology = ServerTopology::paper_server();
+        let flaky = topology.cpu_cores()[0];
+        // Every kernel invocation on the flaky core fails with p=0.5 for the
+        // whole run; the retry budget absorbs almost all of them, and the
+        // rare streak that exhausts it escalates to quarantine + drain — rows
+        // are exact either way.
+        let plan = FaultPlan::new().transient_window(
+            flaky,
+            SimTime::ZERO,
+            SimTime::from_millis(60_000),
+            0.5,
+            42,
+        );
+        let config = EngineConfig::cpu_only(2);
+        let faulted = run_faulted(&topology, &plan, &config, &scan_sum_plan(), 200_000).unwrap();
+        let sum: i64 = (0..200_000i64).sum();
+        assert_eq!(faulted.rows, vec![vec![sum, 200_000]]);
+        assert!(faulted.transient_retries > 0, "p=0.5 over ~50 blocks must hit at least once");
+        assert_eq!(faulted.staging_leaked_bytes, 0);
+
+        // With in-place retry switched off, the first transient failure
+        // escalates straight to quarantine; the drain still saves the rows.
+        let no_retry_cfg = config
+            .clone()
+            .with_fault(hetex_common::FaultConfig::default().with_transient_retry(false));
+        let escalated =
+            run_faulted(&topology, &plan, &no_retry_cfg, &scan_sum_plan(), 200_000).unwrap();
+        assert_eq!(escalated.rows, faulted.rows);
+        assert_eq!(escalated.transient_retries, 0);
+    }
+
+    #[test]
+    fn a_wedged_worker_is_detected_by_the_watchdog_and_drained() {
+        let topology = ServerTopology::paper_server();
+        let stuck = topology.gpus()[1];
+        let plan = FaultPlan::new().wedge_worker(stuck, SimTime::from_nanos(1));
+        let config =
+            EngineConfig::gpu_only(2).with_steal_policy(hetex_common::StealPolicy::Disabled);
+        let recovered = run_faulted(&topology, &plan, &config, &scan_sum_plan(), 50_000).unwrap();
+        let sum: i64 = (0..50_000i64).sum();
+        assert_eq!(recovered.rows, vec![vec![sum, 50_000]]);
+        assert_eq!(recovered.staging_leaked_bytes, 0);
+
+        // Same wedge with quarantine off: the watchdog can only convert the
+        // hang into a structured `Wedged` failure.
+        let no_quarantine = config.clone().with_fault(
+            hetex_common::FaultConfig::default()
+                .with_quarantine(false)
+                .with_degraded_restart(false),
+        );
+        let err =
+            run_faulted(&topology, &plan, &no_quarantine, &scan_sum_plan(), 50_000).unwrap_err();
+        assert_eq!(err.category(), "wedged", "got: {err}");
+
+        // With the watchdog disabled the wedge is never injected at all: no
+        // configuration of the fault ladder may turn into an untestable hang.
+        let no_watchdog =
+            config.clone().with_fault(hetex_common::FaultConfig::default().with_watchdog(false));
+        let untouched =
+            run_faulted(&topology, &plan, &no_watchdog, &scan_sum_plan(), 50_000).unwrap();
+        assert_eq!(untouched.rows, recovered.rows);
+    }
+
+    #[test]
+    fn device_loss_without_quarantine_is_a_structured_error() {
+        let topology = ServerTopology::paper_server();
+        let dead = topology.gpus()[1];
+        let plan = FaultPlan::new().abort_device(dead, SimTime::ZERO);
+        let config = EngineConfig::gpu_only(2).with_fault(hetex_common::FaultConfig::disabled());
+        let err = run_faulted(&topology, &plan, &config, &scan_sum_plan(), 50_000).unwrap_err();
+        match err {
+            HetError::DeviceLost { device, .. } => assert_eq!(device, dead.index()),
+            other => panic!("expected DeviceLost, got: {other}"),
+        }
+    }
+
+    #[test]
+    fn gpu_loss_mid_join_recovers_on_the_surviving_devices() {
+        let topology = ServerTopology::paper_server();
+        let dead = topology.gpus()[1];
+        let plan = FaultPlan::new().abort_device(dead, SimTime::from_nanos(1));
+        let mut config = EngineConfig::hybrid(8, 2);
+        config.scale_weight = 20_000.0;
+        let faulted = run_faulted(&topology, &plan, &config, &join_sum_plan(), 200_000).unwrap();
+        let (sum, cnt) = expected(200_000);
+        assert_eq!(faulted.rows, vec![vec![sum, cnt]]);
+        assert_eq!(faulted.staging_leaked_bytes, 0);
+    }
+
+    #[test]
+    fn an_arena_burst_squeezes_staging_without_corrupting_rows() {
+        let topology = ServerTopology::paper_server();
+        let node = topology.cpu_memory_nodes()[0];
+        let mut config = EngineConfig::hybrid(4, 2);
+        config.block_capacity = 1024;
+        let budget = config.min_staging_bytes() * 4;
+        config.staging_bytes = Some(budget);
+        // The burst grabs up to half the arena for the first simulated 50ms;
+        // producers park, the clocks advance past the window, the watchdog
+        // releases the hostage lease and the pipeline drains normally.
+        let plan =
+            FaultPlan::new().arena_burst(node, budget / 2, SimTime::ZERO, SimTime::from_millis(50));
+        let squeezed = run_faulted(&topology, &plan, &config, &join_sum_plan(), 100_000).unwrap();
+        let (sum, cnt) = expected(100_000);
+        assert_eq!(squeezed.rows, vec![vec![sum, cnt]]);
+        assert_eq!(squeezed.staging_leaked_bytes, 0, "the burst lease must be released");
+        for (n, peak) in &squeezed.staging_peaks {
+            assert!(peak <= &budget, "node {n} peaked at {peak} > budget {budget}");
+        }
+    }
+}

@@ -1,0 +1,260 @@
+//! Mem-move's staging side (§4.2): queue placement and byte quotas, the
+//! staging charge backing every queued block, the demand-weighted quota
+//! re-split, and the one hand-off that moves a routed block between two
+//! slots of a stage (`rehome`), shared by stealing and the takeover drain.
+
+use super::routing::StageRouting;
+use super::QueryRun;
+use hetex_common::{BlockHandle, EngineConfig, MemoryNodeId, Result};
+use hetex_core::cost::{CostModel, DemandSplitter};
+use hetex_core::queue::{BlockQueue, QueueSlot};
+use hetex_storage::{BlockLease, BlockManagerSet, ExhaustionPolicy};
+use hetex_topology::ServerTopology;
+use parking_lot::Mutex;
+use std::collections::HashMap;
+use std::sync::atomic::Ordering;
+use std::sync::Arc;
+use std::time::Duration;
+
+/// How long a producer may park waiting for staging bytes (arena lease or
+/// queue quota) before the acquisition fails. Long enough that real
+/// back-pressure only slows the query; finite so a wedged pipeline reports a
+/// `HetError::Memory` instead of hanging the process.
+const STAGING_PARK_TIMEOUT: Duration = Duration::from_secs(5);
+
+/// The staging charge backing one queued block under byte governance:
+/// the byte admission into the consumer's queue plus the arena lease on the
+/// consumer's memory node. Attached to the handle as its staging token; the
+/// consumer's drop of the handle releases both, waking parked producers.
+#[derive(Debug)]
+struct StagingCharge {
+    _slot: Option<QueueSlot>,
+    _lease: BlockLease,
+}
+
+/// One memory node's demand-weighted quota re-split (cost-model term 1):
+/// the `(stage, slot)` queues placed on the node and their demand splitter.
+struct QuotaGroup {
+    node: MemoryNodeId,
+    members: Vec<(usize, usize)>,
+    splitter: Mutex<DemandSplitter>,
+}
+
+/// Byte governance of one execution: one arena per memory node, sized by
+/// the configured per-node budget and created per execution so peaks are
+/// per-query observables.
+pub(super) struct Staging {
+    pub(super) arenas: BlockManagerSet,
+    budget: u64,
+    quota_groups: Vec<QuotaGroup>,
+    /// Quota floor of the re-split: one estimated maximum-size block, so no
+    /// active queue ever starves below a single block.
+    quota_floor: u64,
+}
+
+/// One queue per consumer slot, placed on the consumer's memory node
+/// (NUMA-aware placement: the queue and the handles it buffers live where
+/// the consumer reads them). Every stage runs concurrently, so a node's
+/// staging budget is shared by every consumer placed on it: each queue gets
+/// an even byte share as its admission quota. The shares sum to at most the
+/// node budget, so one stage's flood can never starve another stage's
+/// consumers out of their reserved staging — the key step of the
+/// deadlock-freedom argument in DESIGN.md.
+pub(super) fn placed_queues(
+    config: &EngineConfig,
+    routing: &[StageRouting<'_>],
+) -> Vec<Vec<BlockQueue>> {
+    let mut per_node: HashMap<MemoryNodeId, u64> = HashMap::new();
+    for node in routing.iter().flat_map(|r| &r.instance_nodes) {
+        *per_node.entry(*node).or_default() += 1;
+    }
+    routing
+        .iter()
+        .map(|r| {
+            r.instance_nodes
+                .iter()
+                .map(|node| {
+                    let queue = match config.queue_capacity {
+                        Some(cap) => BlockQueue::bounded(0, cap),
+                        None => BlockQueue::new(0),
+                    }
+                    .on_node(*node);
+                    match config.staging_bytes {
+                        Some(budget) => queue.with_byte_quota(
+                            budget / per_node.get(node).copied().unwrap_or(1).max(1),
+                        ),
+                        None => queue,
+                    }
+                })
+                .collect()
+        })
+        .collect()
+}
+
+impl Staging {
+    /// `None` when the config leaves staging ungoverned.
+    pub(super) fn new(
+        topology: &ServerTopology,
+        config: &EngineConfig,
+        cost: &CostModel,
+        routing: &[StageRouting<'_>],
+    ) -> Option<Self> {
+        let budget = config.staging_bytes?;
+        let nodes: Vec<MemoryNodeId> = topology.memory_nodes().iter().map(|m| m.id).collect();
+        // The initial quotas are the even split of `placed_queues` (exactly
+        // what the cost model returns before any demand was observed).
+        let mut groups: Vec<(MemoryNodeId, Vec<(usize, usize)>)> = Vec::new();
+        if cost.config().demand_weighted_quotas {
+            for (stage, r) in routing.iter().enumerate() {
+                for (slot, node) in r.instance_nodes.iter().enumerate() {
+                    match groups.iter_mut().find(|(n, _)| n == node) {
+                        Some((_, members)) => members.push((stage, slot)),
+                        None => groups.push((*node, vec![(stage, slot)])),
+                    }
+                }
+            }
+        }
+        let quota_groups = groups
+            .into_iter()
+            .map(|(node, members)| QuotaGroup {
+                node,
+                splitter: Mutex::new(DemandSplitter::new(members.len())),
+                members,
+            })
+            .collect();
+        Some(Self {
+            arenas: BlockManagerSet::new(&nodes, budget),
+            budget,
+            quota_groups,
+            quota_floor: config.est_max_block_bytes(),
+        })
+    }
+
+    /// Leased fraction of `node`'s arena.
+    pub(super) fn occupancy(&self, node: MemoryNodeId) -> Option<f64> {
+        self.arenas.manager(node).ok().map(|m| m.occupancy())
+    }
+
+    /// Lease `bytes` on `to` for a block coming from `from`, parking up to
+    /// [`STAGING_PARK_TIMEOUT`] on a full arena.
+    fn lease(&self, from: MemoryNodeId, to: MemoryNodeId, bytes: u64) -> Result<BlockLease> {
+        self.arenas.acquire(from, to, bytes, ExhaustionPolicy::Park(STAGING_PARK_TIMEOUT))
+    }
+
+    /// Bytes a block is charged: a block wider than the whole arena
+    /// (possible: the budget floor is validated against an estimated tuple
+    /// width, the arena charges exact bytes) is charged the full arena
+    /// instead of erroring — it parks until the arena is completely free,
+    /// then flows alone, preserving the slow-but-alive contract for any
+    /// validated budget.
+    fn bytes_of(&self, handle: &BlockHandle) -> u64 {
+        (handle.byte_size() as u64).min(self.budget)
+    }
+
+    /// Per-node peaks and the bytes still leased, read after remote caches
+    /// returned their prefetched leases home: every handle was dropped, so
+    /// any byte still leased was stranded by a recovery path — the chaos
+    /// suite asserts this stays zero.
+    pub(super) fn peaks_and_leaks(&self) -> (Vec<(MemoryNodeId, u64)>, u64) {
+        self.arenas.flush_remote_caches();
+        (self.arenas.peaks(), self.arenas.leased_bytes_total())
+    }
+}
+
+impl QueryRun<'_> {
+    /// Back `handle`, routed to slot `pick` of `consumer` from `source`, by
+    /// a staging charge: a byte admission into the chosen queue plus a
+    /// `BlockLease` on the consumer's memory node (acquired through the
+    /// producer node's remote cache when the two differ). The lease-ordering
+    /// rule: any charge the handle still carries is released *before* the
+    /// new one is acquired — a handle never holds staging on two nodes, so a
+    /// device crossing is release-on-source then acquire-on-destination, and
+    /// a full arena can only park a producer that holds nothing.
+    pub(super) fn charge_staging(
+        &self,
+        consumer: usize,
+        pick: usize,
+        source: MemoryNodeId,
+        handle: &mut BlockHandle,
+    ) -> Result<()> {
+        let node = self.routing[consumer].instance_nodes[pick];
+        if node != source {
+            self.remote_ctl.fetch_add(1, Ordering::Relaxed);
+        }
+        let Some(staging) = &self.staging else { return Ok(()) };
+        handle.take_staging();
+        let bytes = staging.bytes_of(handle);
+        if bytes == 0 {
+            return Ok(());
+        }
+        let slot = self.queues[consumer][pick].admit(bytes)?;
+        let lease = staging.lease(source, node, bytes)?;
+        handle.attach_staging(Arc::new(StagingCharge { _slot: slot, _lease: lease }));
+        self.resplit_quotas(staging, node);
+        Ok(())
+    }
+
+    /// Demand-weighted quota re-split (cost-model term 1): every
+    /// `QUOTA_RESPLIT_CADENCE` admissions on `node`, fold each of its
+    /// queues' freshly admitted bytes into their demand EWMA and apply the
+    /// new shares.
+    fn resplit_quotas(&self, staging: &Staging, node: MemoryNodeId) {
+        let Some(group) = staging.quota_groups.iter().find(|g| g.node == node) else { return };
+        let shares = group.splitter.lock().on_admission(
+            |i| {
+                let (s, q) = group.members[i];
+                self.queues[s][q].admitted_bytes_total()
+            },
+            staging.budget,
+            staging.quota_floor,
+            &self.cost,
+        );
+        for (&(s, q), &share) in group.members.iter().zip(shares.iter().flatten()) {
+            self.queues[s][q].set_byte_quota(share);
+        }
+    }
+
+    /// Hand a routed block from slot `from` of `stage` to slot `to` — the one
+    /// hand-off a steal and a takeover drain share.
+    ///
+    /// The routing-time commit moves from `from`'s load accumulators (device
+    /// and memory node) to `to`'s, so subsequent routing sees the
+    /// re-balanced world. These hand-off estimates can differ slightly from
+    /// the routing-time commit (the block was localized in between), and the
+    /// de-commit saturates, so drift only perturbs the balancing heuristic.
+    ///
+    /// The staging charge follows the lease-ordering rule of DESIGN.md §4.2
+    /// across nodes: the `from`-side charge (queue byte slot plus the lease
+    /// on its node) is released *before* the block is localized for `to` and
+    /// re-charged there, so a lane parked on a full arena holds nothing. No
+    /// queue-quota admission: the block goes straight into processing, never
+    /// into `to`'s buffer, but its bytes now live on `to`'s node and must be
+    /// backed by that arena until the lane drops the handle.
+    pub(super) fn rehome(
+        &self,
+        stage: usize,
+        from: usize,
+        to: usize,
+        mut block: BlockHandle,
+    ) -> Result<BlockHandle> {
+        let routing = &self.routing[stage];
+        let (device_ns, node_ns) = self.block_costs(stage, &block, None);
+        routing.move_commit(from, to, &device_ns, &node_ns);
+        block.take_staging();
+        // Localize when `to` cannot address the block where `from`'s
+        // mem-move left it (e.g. a CPU core rescuing a block already copied
+        // into a straggler GPU's device memory).
+        let to_node = routing.instance_nodes[to];
+        if self.needs_move(stage, to, block.meta().location) {
+            block = self.mem_move.relocate(&block, to_node)?;
+        }
+        if let Some(staging) = &self.staging {
+            let bytes = staging.bytes_of(&block);
+            if bytes > 0 {
+                let lease = staging.lease(routing.instance_nodes[from], to_node, bytes)?;
+                block.attach_staging(Arc::new(StagingCharge { _slot: None, _lease: lease }));
+            }
+        }
+        Ok(block)
+    }
+}

@@ -27,6 +27,8 @@
 
 // The pool's lifetime erasure is the workspace's one audited `unsafe` site.
 #![deny(unsafe_code)]
+// Function-size bound (threshold in the workspace `clippy.toml`).
+#![warn(clippy::too_many_lines)]
 
 pub use hetex_core::codegen;
 
