@@ -74,8 +74,7 @@ pub enum Code {
     /// one estimated maximum-size block per device instance.
     HX020,
     /// Staging governance degraded: per-queue quota carve-outs on some node
-    /// fall below one block (near-lockstep progress), or byte governance is
-    /// disabled entirely (unbounded staging memory).
+    /// fall below one block (near-lockstep progress).
     HX021,
     /// The fault plan references a device or memory node that does not exist
     /// in the topology, or carries an out-of-range probability.

@@ -26,21 +26,7 @@ pub fn check(
     topology: &ServerTopology,
     report: &mut AnalysisReport,
 ) {
-    let consumers_per_node = consumers_per_node(graph, topology);
-    let total_consumers: usize = consumers_per_node.values().sum();
-    let Some(budget) = config.staging_bytes else {
-        if total_consumers > 1 {
-            report.report(
-                Code::HX021,
-                None,
-                format!(
-                    "staging byte governance is disabled with {total_consumers} pipelined \
-                     consumers; staged memory is unbounded"
-                ),
-            );
-        }
-        return;
-    };
+    let budget = config.staging_bytes;
     let block = config.est_max_block_bytes();
     let floor = config.min_staging_bytes();
     if budget < floor {
@@ -59,7 +45,7 @@ pub fn check(
     // The soft regime: per-queue carve-outs (an even `budget / consumers`
     // share per node) below one block. Live, but progress degrades to
     // near-lockstep block-at-a-time flow on that node.
-    for (node, consumers) in sorted(consumers_per_node) {
+    for (node, consumers) in sorted(consumers_per_node(graph, topology)) {
         let share = budget / consumers as u64;
         if share < block {
             report.report(

@@ -251,10 +251,23 @@ fn mutation_starved_staging_budget_is_hx020() {
     // checked against configs the planner never saw.
     let mut config = hybrid();
     let (graph, topology) = compiled(&join_plan(3), &config);
-    config.staging_bytes = Some(config.min_staging_bytes().saturating_sub(1).max(1));
+    config.staging_bytes = config.min_staging_bytes().saturating_sub(1).max(1);
     let report = analyze(&graph, &config, &topology);
     assert_fires(&report, Code::HX020, "staging budget below floor");
     assert!(report.has_errors(), "HX020 is an error");
+}
+
+#[test]
+fn mutation_sub_block_quota_carve_out_is_hx021() {
+    // The floor covers one block per device instance, but a multi-stage
+    // plan places more queues than instances on a node, so each queue's
+    // even carve-out of a floor-sized budget is below one block.
+    let mut config = hybrid();
+    let (graph, topology) = compiled(&join_plan(3), &config);
+    config.staging_bytes = config.min_staging_bytes();
+    let report = analyze(&graph, &config, &topology);
+    assert_fires(&report, Code::HX021, "sub-block quota carve-out");
+    assert!(!report.has_errors(), "HX021 is a warning");
 }
 
 #[test]

@@ -35,7 +35,6 @@ pub mod micro;
 pub mod reopt_ab;
 pub mod report;
 pub mod serve_ab;
-pub mod staging_ab;
 pub mod steal_ab;
 pub mod systems;
 pub mod workload;

@@ -75,94 +75,14 @@ impl StealPolicy {
     }
 }
 
-/// Per-term toggles of the unified routing/admission/steal cost model
-/// (`hetex-core`'s `CostModel`).
-///
-/// PRs 1–3 grew estimation logic organically — an arena-occupancy penalty in
-/// the router, an even per-queue staging quota split, a gate term fed by the
-/// dependency's committed load, a clock-based steal profitability check —
-/// and each closed with a named estimation gap. The cost model consolidates
-/// all of it behind one API and ships the four refinements below; each is
-/// individually toggleable so differential tests can isolate each term's
-/// contribution (all-off reproduces the PR 3 behaviour exactly).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CostModelConfig {
-    /// Term 1 — staging quota shares follow observed per-queue demand
-    /// (EWMA of admitted bytes, re-split on a cadence) instead of the even
-    /// `budget / consumers_on_node` split.
-    pub demand_weighted_quotas: bool,
-    /// Term 2 — each cross-node queue push (a remote queue mutex
-    /// acquisition) is priced into the consumer's node-axis load, so
-    /// control-plane traffic is no longer free when the data plane is.
-    pub control_plane_term: bool,
-    /// Term 3 — a gated stage's opening time is estimated from the
-    /// dependency's *critical path* (the slowest transitive feed's committed
-    /// load included), not only the dependency's own committed device load.
-    pub gate_critical_path: bool,
-    /// Term 4 — outstanding DMA backlog on the relocation route (per-link)
-    /// is folded into the steal profitability check, so a rescue that would
-    /// queue behind saturated links is priced honestly.
-    pub link_congestion_term: bool,
-}
-
-impl Default for CostModelConfig {
-    fn default() -> Self {
-        Self {
-            demand_weighted_quotas: true,
-            control_plane_term: true,
-            gate_critical_path: true,
-            link_congestion_term: true,
-        }
-    }
-}
-
-impl CostModelConfig {
-    /// Every refinement disabled — the PR 3 estimation behaviour, the
-    /// baseline the differential tests toggle against.
-    pub fn disabled() -> Self {
-        Self {
-            demand_weighted_quotas: false,
-            control_plane_term: false,
-            gate_critical_path: false,
-            link_congestion_term: false,
-        }
-    }
-
-    /// Toggle the demand-weighted staging quota term.
-    pub fn with_demand_weighted_quotas(mut self, on: bool) -> Self {
-        self.demand_weighted_quotas = on;
-        self
-    }
-
-    /// Toggle the cross-node control-plane term.
-    pub fn with_control_plane_term(mut self, on: bool) -> Self {
-        self.control_plane_term = on;
-        self
-    }
-
-    /// Toggle the critical-path gate estimate.
-    pub fn with_gate_critical_path(mut self, on: bool) -> Self {
-        self.gate_critical_path = on;
-        self
-    }
-
-    /// Toggle the link-congestion steal term.
-    pub fn with_link_congestion_term(mut self, on: bool) -> Self {
-        self.link_congestion_term = on;
-        self
-    }
-}
-
 /// Toggles of the online-calibration subsystem (`hetex-core`'s
 /// `Calibration` machinery): the estimate→observe→correct loop that feeds
-/// *measured* device and interconnect behaviour back into routing
-/// projections, instead of trusting declared profiles forever.
+/// *measured* device behaviour back into routing projections and steal
+/// pricing, instead of trusting declared profiles forever.
 ///
-/// The cost-model toggles ([`CostModelConfig`]) select which estimation
-/// *terms* exist; this group selects where their *inputs* come from. Both
-/// default on; `CalibrationConfig::disabled()` reproduces the pre-calibration
-/// (PR 4) behaviour bit-for-bit — nominal device speeds, the QPI-default
-/// control-plane constant and the declared PCIe link widths.
+/// Both default on; `CalibrationConfig::disabled()` routes and steals on
+/// nominal device speeds. The topology micro-probe's measured constants are
+/// not a toggle: every execution's cost model consumes them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CalibrationConfig {
     /// Feed each device's observed-slowdown EWMA (charged vs nominal busy
@@ -171,11 +91,6 @@ pub struct CalibrationConfig {
     /// device's observed slowdown, so a hidden straggler stops *receiving*
     /// new blocks instead of only having them stolen back.
     pub slowdown_feedback: bool,
-    /// Use the constants measured by the topology micro-probe at engine
-    /// construction (cross-node round-trip for the control-plane charge,
-    /// per-link bandwidth for transfer estimates) instead of the hard-coded
-    /// QPI default and the links' declared widths.
-    pub measured_constants: bool,
     /// Feed the observed-slowdown EWMA into the steal-profitability victim
     /// time estimate: a victim whose device is an observed straggler is
     /// priced at its *observed* per-block cost (nominal cost times the EWMA)
@@ -186,27 +101,20 @@ pub struct CalibrationConfig {
 
 impl Default for CalibrationConfig {
     fn default() -> Self {
-        Self { slowdown_feedback: true, measured_constants: true, steal_feedback: true }
+        Self { slowdown_feedback: true, steal_feedback: true }
     }
 }
 
 impl CalibrationConfig {
-    /// Every calibration input disabled — the PR 4 behaviour (nominal
-    /// profiles, declared constants), the baseline the differential tests
-    /// toggle against.
+    /// Both feedback inputs disabled: routing and steal pricing on nominal
+    /// profiles, the baseline the differential tests toggle against.
     pub fn disabled() -> Self {
-        Self { slowdown_feedback: false, measured_constants: false, steal_feedback: false }
+        Self { slowdown_feedback: false, steal_feedback: false }
     }
 
     /// Toggle the observed-slowdown routing feedback.
     pub fn with_slowdown_feedback(mut self, on: bool) -> Self {
         self.slowdown_feedback = on;
-        self
-    }
-
-    /// Toggle the probed control-plane/link constants.
-    pub fn with_measured_constants(mut self, on: bool) -> Self {
-        self.measured_constants = on;
         self
     }
 
@@ -503,25 +411,18 @@ pub struct EngineConfig {
     /// with the scale factor (the `date` dimension has a fixed size, `part`
     /// grows logarithmically), so the harness sets one weight per table.
     pub table_weights: Vec<(String, f64)>,
-    /// Bound (in blocks) of each consumer queue; producers block once a
-    /// queue is full. This is a control-plane cap on *handles*;
-    /// the data-plane bound on staged *bytes* is `staging_bytes`. `None`
-    /// leaves queues unbounded.
-    pub queue_capacity: Option<usize>,
-    /// Per-memory-node staging byte budget (§4.3). Every
-    /// block admitted into a consumer queue is backed by a `BlockLease` of its
+    /// Per-memory-node staging byte budget (DESIGN.md §4.2). Every block
+    /// admitted into a consumer queue is backed by a `BlockLease` of its
     /// byte size drawn from the destination node's arena, so large blocks
-    /// count for more and back-pressure reflects real staging memory. `None`
-    /// disables byte governance (PR 1 behaviour: handle-count bounds only).
-    pub staging_bytes: Option<u64>,
+    /// count for more and back-pressure reflects real staging memory. The
+    /// handle count of each queue is separately capped at
+    /// [`DEFAULT_QUEUE_CAPACITY`].
+    pub staging_bytes: u64,
     /// Adaptive re-routing policy of the pipelined executor: whether idle
     /// workers steal queued blocks from overloaded same-stage siblings.
     pub steal_policy: StealPolicy,
-    /// Per-term toggles of the unified cost model driving routing
-    /// projections, staging quota splits and steal profitability.
-    pub cost_model: CostModelConfig,
-    /// Online-calibration toggles: whether routing projections consume the
-    /// observed-slowdown feedback and the probed topology constants.
+    /// Online-calibration toggles: whether routing projections and steal
+    /// pricing consume the observed-slowdown feedback.
     pub calibration: CalibrationConfig,
     /// Fault-tolerance toggles: how much of the recovery ladder (retry,
     /// quarantine, watchdog, degraded restart) engages when injected or real
@@ -552,10 +453,8 @@ impl Default for EngineConfig {
             hetexchange_enabled: true,
             scale_weight: 1.0,
             table_weights: Vec::new(),
-            queue_capacity: Some(DEFAULT_QUEUE_CAPACITY),
-            staging_bytes: Some(DEFAULT_STAGING_BYTES),
+            staging_bytes: DEFAULT_STAGING_BYTES,
             steal_policy: StealPolicy::default(),
-            cost_model: CostModelConfig::default(),
             calibration: CalibrationConfig::default(),
             fault: FaultConfig::default(),
             analysis: AnalysisMode::default(),
@@ -565,7 +464,9 @@ impl Default for EngineConfig {
     }
 }
 
-/// Default bound (in blocks) of each pipelined consumer queue.
+/// Bound (in blocks) of each pipelined consumer queue: a control-plane cap
+/// on buffered *handles*; the data-plane bound on staged *bytes* is
+/// `EngineConfig::staging_bytes`.
 pub const DEFAULT_QUEUE_CAPACITY: usize = 16;
 
 /// Default per-memory-node staging byte budget (64 MiB). Generous relative to
@@ -618,21 +519,9 @@ impl EngineConfig {
         self
     }
 
-    /// Set (or disable, with `None`) the per-node staging byte budget.
-    pub fn with_staging_bytes(mut self, bytes: Option<u64>) -> Self {
-        self.staging_bytes = bytes;
-        self
-    }
-
     /// Select the pipelined executor's work-stealing policy.
     pub fn with_steal_policy(mut self, policy: StealPolicy) -> Self {
         self.steal_policy = policy;
-        self
-    }
-
-    /// Select which cost-model terms are active.
-    pub fn with_cost_model(mut self, cost_model: CostModelConfig) -> Self {
-        self.cost_model = cost_model;
         self
     }
 
@@ -668,11 +557,10 @@ impl EngineConfig {
 
     /// Estimated peak per-node staging footprint of one query under this
     /// configuration — the byte size of the admission token the serving
-    /// layer holds for the query's whole run. Equal to the query's own
-    /// per-node staging budget when governance is on (the executor's arenas
-    /// cannot lease more than that), the staging floor otherwise.
+    /// layer holds for the query's whole run: the query's own per-node
+    /// staging budget, since the executor's arenas cannot lease more.
     pub fn est_serve_footprint_bytes(&self) -> u64 {
-        self.staging_bytes.unwrap_or_else(|| self.min_staging_bytes())
+        self.staging_bytes
     }
 
     /// Estimated size in bytes of a maximum-size block under this
@@ -721,9 +609,6 @@ impl EngineConfig {
             _ if self.scale_weight <= 0.0 => {
                 Err(HetError::Config("scale_weight must be positive".into()))
             }
-            _ if self.queue_capacity == Some(0) => {
-                Err(HetError::Config("queue_capacity must be positive when bounded".into()))
-            }
             _ if self.serve.enabled && self.serve.workers == 0 => {
                 Err(HetError::Config("serving requires at least one worker".into()))
             }
@@ -749,19 +634,17 @@ impl EngineConfig {
                     self.reopt.min_gain
                 )))
             }
-            _ if self.staging_bytes.is_some_and(|b| b < self.min_staging_bytes()) => {
-                Err(HetError::Config(format!(
-                    "staging_bytes ({}) must cover at least one maximum-size block per active \
+            _ if self.staging_bytes < self.min_staging_bytes() => Err(HetError::Config(format!(
+                "staging_bytes ({}) must cover at least one maximum-size block per active \
                      consumer: {} consumers x {} bytes/block (block_capacity {} x {} bytes/tuple) \
                      = {} bytes minimum",
-                    self.staging_bytes.unwrap_or(0),
-                    self.total_dop().max(1),
-                    self.est_max_block_bytes(),
-                    self.block_capacity,
-                    EST_MAX_TUPLE_BYTES,
-                    self.min_staging_bytes()
-                )))
-            }
+                self.staging_bytes,
+                self.total_dop().max(1),
+                self.est_max_block_bytes(),
+                self.block_capacity,
+                EST_MAX_TUPLE_BYTES,
+                self.min_staging_bytes()
+            ))),
             _ => Ok(()),
         }
     }
@@ -830,12 +713,10 @@ mod tests {
         let cfg = EngineConfig::hybrid(8, 2);
         let floor = cfg.min_staging_bytes();
         assert_eq!(floor, cfg.est_max_block_bytes() * 10);
-        assert!(cfg.clone().with_staging_bytes(Some(floor)).validate().is_ok());
-        let err = cfg.clone().with_staging_bytes(Some(floor - 1)).validate().unwrap_err();
+        assert!(EngineConfig { staging_bytes: floor, ..cfg.clone() }.validate().is_ok());
+        let err = EngineConfig { staging_bytes: floor - 1, ..cfg }.validate().unwrap_err();
         assert_eq!(err.category(), "config");
         assert!(err.to_string().contains("per active consumer"), "descriptive: {err}");
-        // Disabling governance is always valid.
-        cfg.with_staging_bytes(None).validate().unwrap();
         // The default budget is valid for the default (hybrid 24+2) config.
         EngineConfig::default().validate().unwrap();
     }
@@ -851,40 +732,18 @@ mod tests {
     }
 
     #[test]
-    fn cost_model_defaults_on_and_toggles_individually() {
-        let cfg = EngineConfig::default();
-        assert_eq!(cfg.cost_model, CostModelConfig::default());
-        assert!(cfg.cost_model.demand_weighted_quotas);
-        assert!(cfg.cost_model.control_plane_term);
-        assert!(cfg.cost_model.gate_critical_path);
-        assert!(cfg.cost_model.link_congestion_term);
-        let off = CostModelConfig::disabled();
-        assert!(!off.demand_weighted_quotas && !off.link_congestion_term);
-        // Each term toggles independently of the others.
-        let one = CostModelConfig::disabled().with_gate_critical_path(true);
-        assert!(one.gate_critical_path);
-        assert!(!one.control_plane_term && !one.demand_weighted_quotas);
-        let cfg = cfg.with_cost_model(off);
-        assert_eq!(cfg.cost_model, CostModelConfig::disabled());
-        cfg.validate().unwrap();
-    }
-
-    #[test]
     fn calibration_defaults_on_and_toggles_individually() {
         let cfg = EngineConfig::default();
         assert_eq!(cfg.calibration, CalibrationConfig::default());
         assert!(cfg.calibration.slowdown_feedback);
-        assert!(cfg.calibration.measured_constants);
         assert!(cfg.calibration.steal_feedback);
         let off = CalibrationConfig::disabled();
-        assert!(!off.slowdown_feedback && !off.measured_constants && !off.steal_feedback);
-        // Each input toggles independently of the others.
+        assert!(!off.slowdown_feedback && !off.steal_feedback);
+        // Each input toggles independently of the other.
         let one = CalibrationConfig::disabled().with_slowdown_feedback(true);
-        assert!(one.slowdown_feedback && !one.measured_constants && !one.steal_feedback);
-        let other = CalibrationConfig::disabled().with_measured_constants(true);
-        assert!(!other.slowdown_feedback && other.measured_constants);
-        let third = CalibrationConfig::disabled().with_steal_feedback(true);
-        assert!(third.steal_feedback && !third.slowdown_feedback);
+        assert!(one.slowdown_feedback && !one.steal_feedback);
+        let other = CalibrationConfig::disabled().with_steal_feedback(true);
+        assert!(other.steal_feedback && !other.slowdown_feedback);
         let cfg = cfg.with_calibration(off);
         assert_eq!(cfg.calibration, CalibrationConfig::disabled());
         cfg.validate().unwrap();
@@ -959,10 +818,8 @@ mod tests {
     fn serve_footprint_follows_the_staging_budget() {
         let cfg = EngineConfig::hybrid(8, 2);
         assert_eq!(cfg.est_serve_footprint_bytes(), DEFAULT_STAGING_BYTES);
-        let tight = cfg.clone().with_staging_bytes(Some(cfg.min_staging_bytes()));
+        let tight = EngineConfig { staging_bytes: cfg.min_staging_bytes(), ..cfg.clone() };
         assert_eq!(tight.est_serve_footprint_bytes(), cfg.min_staging_bytes());
-        let ungoverned = cfg.with_staging_bytes(None);
-        assert_eq!(ungoverned.est_serve_footprint_bytes(), ungoverned.min_staging_bytes());
     }
 
     #[test]

@@ -24,8 +24,8 @@ pub mod types;
 pub use block::{Block, BlockHandle, BlockMeta, StagingToken};
 pub use column::{Column, ColumnData, ColumnRef, DictionaryBuilder};
 pub use config::{
-    AnalysisMode, CalibrationConfig, CostModelConfig, EngineConfig, FaultConfig, Priority,
-    ReoptConfig, ServeConfig, StealPolicy,
+    AnalysisMode, CalibrationConfig, EngineConfig, FaultConfig, Priority, ReoptConfig, ServeConfig,
+    StealPolicy,
 };
 pub use error::{HetError, Result};
 pub use ids::{BlockId, ColumnId, MemoryNodeId, PipelineId, QueryId, TableId};

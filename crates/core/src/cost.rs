@@ -1,16 +1,11 @@
 //! The unified routing/admission/steal cost model (CostModel v2).
 //!
-//! PRs 1–3 grew estimation logic organically and each left a named gap: the
-//! router priced arena occupancy and a gate term inline
-//! (`route_and_localize`), the staging budget was split evenly per queue
-//! regardless of demand, gate estimates ignored the dependency's feed
-//! latency, and steal profitability ignored link congestion. This module
-//! consolidates every estimation term behind one calibrated interface —
-//! the executor's router path, queue-admission path and steal path contain
-//! no penalty arithmetic of their own any more, they *ask* the
-//! [`CostModel`] — and ships the four ROADMAP refinements, each
-//! individually toggleable through
-//! [`CostModelConfig`](hetex_common::CostModelConfig):
+//! Every estimation term the executor's router path, queue-admission path
+//! and steal path consult lives behind one calibrated interface — those
+//! paths contain no penalty arithmetic of their own, they *ask* the
+//! [`CostModel`]. Beyond the shared mechanism (occupancy penalty,
+//! projection composition, gate-hiding transfer split, straggler and
+//! hysteresis checks) it prices four terms:
 //!
 //! 1. **Demand-weighted staging quotas** ([`CostModel::split_node_budget`],
 //!    [`DemandSplitter`]) — per-queue byte shares follow an EWMA of
@@ -28,22 +23,22 @@
 //!    queue behind outstanding DMA on the route is priced honestly, so
 //!    near-equilibrium steals stay safe with stealing enabled.
 //!
-//! On top of the four terms sits the **`Calibration` subsystem** (PR 5),
-//! which closes the estimate→observe→correct loop for *routing*, not just
-//! stealing, through two inputs toggled by
-//! [`CalibrationConfig`](hetex_common::CalibrationConfig):
+//! On top of the four terms sits the **`Calibration` subsystem**, which
+//! closes the estimate→observe→correct loop for *routing*, not just
+//! stealing:
 //!
 //! * **Observed-slowdown feedback** ([`SlowdownObserver`],
 //!   [`CostModel::observed_device_slowdown`]) — a shared, lock-free EWMA of
 //!   each device's charged-vs-nominal busy ratio, updated at block
 //!   completion; routing multiplies it into the device-axis term of the
 //!   projection, so a hidden 8× straggler stops *receiving* new blocks
-//!   instead of only having them stolen back.
+//!   instead of only having them stolen back. Priced only with
+//!   [`CalibrationConfig`](hetex_common::CalibrationConfig)'s toggles on.
 //! * **Measured topology constants** ([`CostModel::control_plane_ns`],
 //!   [`CostModel::link_transfer_ns`]) — a micro-probe at engine
 //!   construction (`hetex_topology::probe`) replaces the hard-coded QPI
 //!   control-plane default and the declared link widths with measured
-//!   figures.
+//!   figures wherever the constants are attached.
 //!
 //! Work pricing itself (a `WorkProfile` on a `DeviceProfile`) stays in
 //! `hetex-topology`'s `CostModel`, deliberately *outside* this type: the
@@ -51,7 +46,7 @@
 //! these per execution for estimation, so the two concerns cannot be mixed
 //! up.
 
-use hetex_common::{CalibrationConfig, CostModelConfig, EngineConfig, MemoryNodeId, Priority};
+use hetex_common::{CalibrationConfig, EngineConfig, MemoryNodeId, Priority};
 use hetex_topology::{CalibratedConstants, LinkSpec, ServerTopology};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -73,10 +68,9 @@ pub const STEAL_HYSTERESIS_BLOCKS: u64 = 2;
 /// Default cost of acquiring a remote queue's mutex: one interconnect round
 /// trip (QPI/UPI latency ~500 ns) plus the bounce of the queue's cache
 /// lines. Charged per pushed block, so it is *not* scaled by the block's
-/// weight — control-plane traffic is per handle, not per byte. With
-/// `CalibrationConfig::measured_constants` on, the topology micro-probe's
-/// measured round trip replaces this declared figure (see
-/// [`CostModel::control_plane_ns`]).
+/// weight — control-plane traffic is per handle, not per byte. Once the
+/// topology micro-probe's constants are attached, its measured round trip
+/// replaces this declared figure (see [`CostModel::control_plane_ns`]).
 pub const REMOTE_CONTROL_PLANE_NS: u64 = 700;
 
 /// Arena occupancy below which the staging-pressure penalty stays disengaged:
@@ -117,7 +111,7 @@ pub struct StealQuery {
     /// The thief's observed average charged cost per block.
     pub thief_avg_ns: u64,
     /// Outstanding DMA backlog on the relocation route (0 when the thief
-    /// can address the block in place, or when the congestion term is off).
+    /// can address the block in place).
     pub congestion_ns: u64,
 }
 
@@ -193,36 +187,29 @@ impl SlowdownObserver {
 /// [`SlowdownObserver`] this model reads.
 #[derive(Debug, Clone)]
 pub struct CostModel {
-    cfg: CostModelConfig,
     calib: CalibrationConfig,
     constants: Option<Arc<CalibratedConstants>>,
     observer: Option<Arc<SlowdownObserver>>,
 }
 
+/// The model [`EngineConfig::default`] selects.
 impl Default for CostModel {
     fn default() -> Self {
-        Self::new(CostModelConfig::default())
+        Self::from_config(&EngineConfig::default())
     }
 }
 
 impl CostModel {
-    /// A cost model with the given term toggles and no calibration inputs
-    /// (nominal profiles, declared constants).
-    pub fn new(cfg: CostModelConfig) -> Self {
-        Self { cfg, calib: CalibrationConfig::disabled(), constants: None, observer: None }
-    }
-
-    /// The cost model an engine configuration selects: the config's term
-    /// toggles plus its calibration toggles. The calibration *inputs* (the
-    /// probed constants, the per-execution observer) are attached by the
-    /// executor via [`Self::with_constants`] / [`Self::with_observer`];
-    /// until they are, a toggled-on input degrades to the nominal behaviour.
+    /// The cost model an engine configuration selects: its calibration
+    /// toggles. The calibration *inputs* (the probed constants, the
+    /// per-execution observer) are attached by the executor via
+    /// [`Self::with_constants`] / [`Self::with_observer`]; until they are,
+    /// the model prices the declared figures and nominal profiles.
     pub fn from_config(config: &EngineConfig) -> Self {
-        Self { calib: config.calibration, ..Self::new(config.cost_model) }
+        Self { calib: config.calibration, constants: None, observer: None }
     }
 
-    /// Attach the topology micro-probe's measured constants (consumed only
-    /// when `calibration.measured_constants` is on).
+    /// Attach the topology micro-probe's measured constants.
     pub fn with_constants(mut self, constants: Arc<CalibratedConstants>) -> Self {
         self.constants = Some(constants);
         self
@@ -236,11 +223,6 @@ impl CostModel {
     pub fn with_observer(mut self, observer: Arc<SlowdownObserver>) -> Self {
         self.observer = Some(observer);
         self
-    }
-
-    /// The active term toggles.
-    pub fn config(&self) -> CostModelConfig {
-        self.cfg
     }
 
     /// The active calibration toggles.
@@ -297,13 +279,12 @@ impl CostModel {
     }
 
     /// Estimated time to move `bytes` over `link`: the probe's measured
-    /// effective rate when `calibration.measured_constants` is on (and the
-    /// constants are attached), the link's declared width otherwise — the
-    /// PR 4 behaviour bit-for-bit.
+    /// effective rate when the constants are attached, the link's declared
+    /// width otherwise.
     pub fn link_transfer_ns(&self, link: &LinkSpec, bytes: f64) -> u64 {
         match &self.constants {
-            Some(constants) if self.calib.measured_constants => constants.transfer_ns(link, bytes),
-            _ => link.transfer_ns(bytes),
+            Some(constants) => constants.transfer_ns(link, bytes),
+            None => link.transfer_ns(bytes),
         }
     }
 
@@ -335,20 +316,17 @@ impl CostModel {
 
     /// Control-plane cost of pushing one block handle to a consumer: the
     /// per-acquisition charge when the producer's node and the consumer's
-    /// node differ (the push acquires a remote queue mutex), zero otherwise
-    /// or when the term is toggled off. Charged on the consumer's *node*
-    /// axis — it is traffic on the path to that node's memory, not work on
-    /// the consumer's device. With `calibration.measured_constants` on (and
-    /// the probe's constants attached) the charge is the topology's
-    /// *measured* cross-socket round trip instead of the
-    /// [`REMOTE_CONTROL_PLANE_NS`] QPI default.
+    /// node differ (the push acquires a remote queue mutex), zero otherwise.
+    /// Charged on the consumer's *node* axis — it is traffic on the path to
+    /// that node's memory, not work on the consumer's device. With the
+    /// probe's constants attached the charge is the topology's *measured*
+    /// cross-socket round trip instead of the [`REMOTE_CONTROL_PLANE_NS`]
+    /// QPI default.
     pub fn control_plane_ns(&self, remote: bool) -> u64 {
-        if !(remote && self.cfg.control_plane_term) {
-            return 0;
-        }
-        match &self.constants {
-            Some(constants) if self.calib.measured_constants => constants.control_plane_ns,
-            _ => REMOTE_CONTROL_PLANE_NS,
+        match (&self.constants, remote) {
+            (_, false) => 0,
+            (Some(constants), true) => constants.control_plane_ns,
+            (None, true) => REMOTE_CONTROL_PLANE_NS,
         }
     }
 
@@ -356,9 +334,9 @@ impl CostModel {
     /// its device projection and its memory node's backlog (the same two
     /// clocks the executor charges; summing would double-count), plus a
     /// small device tie-breaker keeping the projection strictly increasing
-    /// in the consumer's own backlog, plus — in governed mode only — a +1 ns
+    /// in the consumer's own backlog, plus — with `numa_tiebreak` — a +1 ns
     /// nudge on non-local consumers so exact ties keep control-plane traffic
-    /// on-socket.
+    /// on-socket. The executor always asks for the nudge.
     pub fn compose_projection(
         &self,
         device_projection_ns: u64,
@@ -401,16 +379,15 @@ impl CostModel {
 
     /// Estimated opening time of a stage's dependency gate: the partial
     /// floor of already-completed dependencies (`floor_ns`) combined with
-    /// the committed load of each still-running dependency. With the
-    /// critical-path term on, a dependency's estimate is the maximum over
-    /// its whole transitive *feed chain* (`feeds[p] == Some(s)` meaning
+    /// each still-running dependency's estimate, the maximum committed load
+    /// over its whole transitive *feed chain* (`feeds[p] == Some(s)` meaning
     /// stage `p` produces into stage `s`): a build fed by a slow scan
     /// cannot complete before that scan's backlog clears, no matter how
     /// little work the build itself has committed yet.
     ///
     /// `load_of(stage)` is a lookup (not a pre-built slice): this runs on
-    /// the per-block routing hot path, and with the term off only the
-    /// dependencies themselves are ever read.
+    /// the per-block routing hot path, and only the stages on a feed chain
+    /// are ever read.
     pub fn gate_estimate_ns(
         &self,
         deps: &[usize],
@@ -418,16 +395,9 @@ impl CostModel {
         load_of: &dyn Fn(usize) -> u64,
         feeds: &[Option<usize>],
     ) -> u64 {
-        let mut ns = floor_ns;
-        for &dep in deps {
-            let dep_ns = if self.cfg.gate_critical_path {
-                Self::critical_path_ns(dep, load_of, feeds, 0)
-            } else {
-                load_of(dep)
-            };
-            ns = ns.max(dep_ns);
-        }
-        ns
+        deps.iter()
+            .map(|&dep| Self::critical_path_ns(dep, load_of, feeds, 0))
+            .fold(floor_ns, u64::max)
     }
 
     /// The slowest committed load along `stage`'s transitive feed chain
@@ -466,8 +436,8 @@ impl CostModel {
     /// Outstanding DMA backlog, in nanoseconds past `horizon_ns`, on the
     /// route between two memory nodes: the slowest link of the route frees
     /// only at its clock's current reservation end, and a relocation issued
-    /// at the horizon queues behind that backlog. Zero on idle links, when
-    /// source and destination coincide, or when the term is toggled off.
+    /// at the horizon queues behind that backlog. Zero on idle links and
+    /// when source and destination coincide.
     pub fn link_congestion_ns(
         &self,
         topology: &ServerTopology,
@@ -475,7 +445,7 @@ impl CostModel {
         to: MemoryNodeId,
         horizon_ns: u64,
     ) -> u64 {
-        if !self.cfg.link_congestion_term || from == to {
+        if from == to {
             return 0;
         }
         let Ok(route) = topology.route(from, to) else { return 0 };
@@ -499,7 +469,7 @@ impl CostModel {
         to: MemoryNodeId,
         horizon_ns: u64,
     ) -> f64 {
-        if !self.cfg.link_congestion_term || from == to {
+        if from == to {
             return 0.0;
         }
         let Ok(route) = topology.route(from, to) else { return 0.0 };
@@ -542,8 +512,8 @@ impl CostModel {
     /// the budget: the proportional remainder after floors goes to demand,
     /// and rounding dust lands on the hungriest queue. When the floors
     /// alone exceed the budget (more queues than validation's per-device
-    /// floor anticipated), or the term is toggled off, or no demand was
-    /// observed yet, the split degrades to the even PR 2 split.
+    /// floor anticipated), or no demand was observed yet, the split
+    /// degrades to the even split.
     pub fn split_node_budget(&self, budget: u64, floor: u64, demands: &[f64]) -> Vec<u64> {
         let n = demands.len() as u64;
         if n == 0 {
@@ -556,10 +526,7 @@ impl CostModel {
         // the whole budget (violating the sum-to-budget contract).
         let total_demand: f64 =
             demands.iter().copied().filter(|d| d.is_finite()).map(|d| d.max(0.0)).sum();
-        if !self.cfg.demand_weighted_quotas
-            || floor.saturating_mul(n) > budget
-            || total_demand <= 0.0
-        {
+        if floor.saturating_mul(n) > budget || total_demand <= 0.0 {
             return even();
         }
         let spread = budget - floor * n;
@@ -639,26 +606,16 @@ mod tests {
     use super::*;
     use hetex_topology::{DmaEngine, SimTime};
 
-    fn all_on() -> CostModel {
-        CostModel::default()
-    }
-
-    fn all_off() -> CostModel {
-        CostModel::new(CostModelConfig::disabled())
-    }
-
     #[test]
     fn control_plane_term_prices_remote_pushes_only() {
-        let model = all_on();
+        let model = CostModel::default();
         assert_eq!(model.control_plane_ns(false), 0);
         assert_eq!(model.control_plane_ns(true), REMOTE_CONTROL_PLANE_NS);
-        // Toggled off, remote pushes are free again (PR 3 behaviour).
-        assert_eq!(all_off().control_plane_ns(true), 0);
     }
 
     #[test]
     fn occupancy_penalty_engages_above_half() {
-        let model = all_on();
+        let model = CostModel::default();
         assert_eq!(model.occupancy_penalty_ns(1000, 0.0), 0);
         assert_eq!(model.occupancy_penalty_ns(1000, 0.5), 0);
         assert_eq!(model.occupancy_penalty_ns(1000, 0.75), 500);
@@ -667,11 +624,11 @@ mod tests {
 
     #[test]
     fn projection_composition_maxes_axes_and_nudges_remote_ties() {
-        let model = all_on();
+        let model = CostModel::default();
         // Device-dominated and node-dominated projections max, not sum.
         assert_eq!(model.compose_projection(1280, 100, true, false), 1280 + 10);
         assert_eq!(model.compose_projection(128, 5000, true, false), 5000 + 1);
-        // The NUMA tie-break engages only in governed mode and only off-node.
+        // The NUMA tie-break engages only when asked for and only off-node.
         let local = model.compose_projection(128, 128, true, true);
         let remote = model.compose_projection(128, 128, false, true);
         assert_eq!(remote, local + 1);
@@ -683,7 +640,7 @@ mod tests {
 
     #[test]
     fn gated_transfer_split_hides_up_to_the_gate() {
-        let model = all_on();
+        let model = CostModel::default();
         // Transfer fits entirely before the gate: nothing on the device axis.
         assert_eq!(model.gated_transfer_split(400, 1000, 0), (0, 400));
         // Accumulated node backlog eats the gate's hiding capacity.
@@ -704,14 +661,15 @@ mod tests {
 
     #[test]
     fn gate_estimate_includes_the_dependency_feed_chain() {
-        let model = all_on();
+        let model = CostModel::default();
         let feeds = chain_feeds();
         // The build (stage 1) committed little, but its feed (stage 0) is
         // heavily backlogged: the gate cannot open before the scan clears.
         let loads = vec![9_000, 1_000, 0];
         assert_eq!(model.gate_estimate_ns(&[1], 0, &load_of(&loads), &feeds), 9_000);
-        // Term off: the estimate sees only the dependency's own committed load.
-        assert_eq!(all_off().gate_estimate_ns(&[1], 0, &load_of(&loads), &feeds), 1_000);
+        // An idle feed leaves the dependency's own committed load.
+        let idle_feed = vec![0, 1_000, 0];
+        assert_eq!(model.gate_estimate_ns(&[1], 0, &load_of(&idle_feed), &feeds), 1_000);
         // The already-open floor still dominates when larger.
         assert_eq!(model.gate_estimate_ns(&[1], 20_000, &load_of(&loads), &feeds), 20_000);
     }
@@ -719,7 +677,7 @@ mod tests {
     #[test]
     fn gate_estimate_is_monotone_in_feed_latency() {
         // Satellite acceptance: a slower feed can only open the gate later.
-        let model = all_on();
+        let model = CostModel::default();
         let feeds = chain_feeds();
         let mut previous = 0;
         for feed_load in [0u64, 500, 2_000, 2_000, 50_000] {
@@ -736,7 +694,7 @@ mod tests {
 
     #[test]
     fn congestion_is_zero_on_idle_links_and_grows_with_backlog() {
-        let model = all_on();
+        let model = CostModel::default();
         let topology = ServerTopology::paper_server();
         let cpu = MemoryNodeId::new(0);
         let gpu = MemoryNodeId::new(2);
@@ -750,16 +708,14 @@ mod tests {
         let congested = model.link_congestion_ns(&topology, cpu, gpu, 0);
         assert!(congested > 0, "a scheduled transfer must back the link up");
         assert!(model.outstanding_link_bytes(&topology, cpu, gpu, 0) > 1e9);
-        // A horizon past the backlog sees the link idle again…
+        // A horizon past the backlog sees the link idle again.
         assert_eq!(model.link_congestion_ns(&topology, cpu, gpu, congested), 0);
-        // …and the toggled-off model never prices it.
-        assert_eq!(all_off().link_congestion_ns(&topology, cpu, gpu, 0), 0);
         topology.reset_clocks();
     }
 
     #[test]
     fn steal_profitability_honours_hysteresis_and_congestion() {
-        let model = all_on();
+        let model = CostModel::default();
         let base = StealQuery {
             victim_clock_ns: 1_000,
             victim_avg_ns: 800,
@@ -813,7 +769,7 @@ mod tests {
 
     #[test]
     fn straggler_threshold_separates_healthy_from_slow() {
-        let model = all_on();
+        let model = CostModel::default();
         assert!(!model.is_straggler(1.0));
         assert!(!model.is_straggler(STRAGGLER_RATIO));
         assert!(model.is_straggler(STRAGGLER_RATIO + 0.01));
@@ -822,7 +778,7 @@ mod tests {
 
     #[test]
     fn demand_shares_sum_to_the_budget_and_respect_the_floor() {
-        let model = all_on();
+        let model = CostModel::default();
         let budget = 10_000u64;
         let floor = 1_000u64;
         let shares = model.split_node_budget(budget, floor, &[900.0, 100.0, 0.0]);
@@ -837,13 +793,11 @@ mod tests {
 
     #[test]
     fn demand_split_degrades_to_even_when_it_cannot_do_better() {
-        let model = all_on();
-        // Floors exceeding the budget: even split (PR 2 behaviour).
+        let model = CostModel::default();
+        // Floors exceeding the budget: even split.
         assert_eq!(model.split_node_budget(1_000, 600, &[1.0, 1.0]), vec![500, 500]);
         // No observed demand yet: even split.
         assert_eq!(model.split_node_budget(900, 100, &[0.0, 0.0, 0.0]), vec![300, 300, 300]);
-        // Toggled off: even split regardless of demand.
-        assert_eq!(all_off().split_node_budget(900, 100, &[800.0, 0.0, 0.0]), vec![300, 300, 300]);
         // Degenerate inputs stay safe.
         assert!(model.split_node_budget(1_000, 100, &[]).is_empty());
         assert_eq!(model.split_node_budget(0, 0, &[1.0]), vec![1]);
@@ -856,7 +810,7 @@ mod tests {
 
     #[test]
     fn demand_splitter_resplits_on_the_cadence() {
-        let model = all_on();
+        let model = CostModel::default();
         let mut splitter = DemandSplitter::new(2);
         // Queue 0 admits 3000 bytes/interval, queue 1 admits 1000.
         let totals = |i: usize| if i == 0 { 3_000 } else { 1_000 };
@@ -879,16 +833,15 @@ mod tests {
 
     #[test]
     fn construction_carries_the_configured_toggles() {
-        let model = all_on();
-        assert_eq!(model.config(), CostModelConfig::default());
-        assert_eq!(all_off().config(), CostModelConfig::disabled());
-        let from_config = CostModel::from_config(&EngineConfig::default());
-        assert!(from_config.config().gate_critical_path);
-        // The engine default also carries the calibration toggles; a bare
-        // `new` leaves calibration off (the PR 4 behaviour).
-        assert!(from_config.calibration().slowdown_feedback);
-        assert!(!model.calibration().measured_constants);
-        assert_eq!(all_off().calibration(), CalibrationConfig::disabled());
+        // `Default` is the engine default's model, calibration included.
+        let model = CostModel::default();
+        assert_eq!(model.calibration(), CalibrationConfig::default());
+        assert_eq!(
+            format!("{model:?}"),
+            format!("{:?}", CostModel::from_config(&EngineConfig::default()))
+        );
+        let off = EngineConfig::default().with_calibration(CalibrationConfig::disabled());
+        assert_eq!(CostModel::from_config(&off).calibration(), CalibrationConfig::disabled());
     }
 
     #[test]
@@ -937,7 +890,8 @@ mod tests {
         let observer = Arc::new(SlowdownObserver::new(1));
         observer.record(0, 8_000, 1_000);
         // Toggle off (even with an observer attached): nominal.
-        let off = CostModel::default().with_observer(Arc::clone(&observer));
+        let nominal = EngineConfig::default().with_calibration(CalibrationConfig::disabled());
+        let off = CostModel::from_config(&nominal).with_observer(Arc::clone(&observer));
         assert_eq!(off.observed_device_slowdown(0), 1.0);
         // Toggle on, observer attached: the EWMA.
         let config = EngineConfig::default();
@@ -951,7 +905,7 @@ mod tests {
     }
 
     #[test]
-    fn measured_constants_replace_the_declared_figures_only_when_on() {
+    fn measured_constants_replace_the_declared_figures_once_attached() {
         let topology = ServerTopology::paper_server();
         let constants = Arc::new(hetex_topology::probe::probe(&topology));
         let link = &topology.links()[0];
@@ -963,18 +917,9 @@ mod tests {
         assert_eq!(calibrated.control_plane_ns(false), 0);
         // …and transfer estimates use the measured effective rate.
         assert_eq!(calibrated.link_transfer_ns(link, 1e9), constants.transfer_ns(link, 1e9));
-        // Calibration off (or constants not attached): declared figures,
-        // bit-for-bit.
-        let nominal =
-            CostModel::from_config(&config.clone().with_calibration(CalibrationConfig::disabled()))
-                .with_constants(Arc::clone(&constants));
-        assert_eq!(nominal.control_plane_ns(true), REMOTE_CONTROL_PLANE_NS);
-        assert_eq!(nominal.link_transfer_ns(link, 1e9), link.transfer_ns(1e9));
+        // Constants not attached: the declared figures.
         let unattached = CostModel::from_config(&config);
         assert_eq!(unattached.control_plane_ns(true), REMOTE_CONTROL_PLANE_NS);
         assert_eq!(unattached.link_transfer_ns(link, 1e9), link.transfer_ns(1e9));
-        // The control-plane *term* toggle still gates the charge entirely.
-        let term_off = CostModel::new(CostModelConfig::disabled()).with_constants(constants);
-        assert_eq!(term_off.control_plane_ns(true), 0);
     }
 }

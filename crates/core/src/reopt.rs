@@ -680,7 +680,7 @@ mod tests {
     #[test]
     fn reoptimize_is_quiet_without_enabled_or_signal() {
         let topology = ServerTopology::paper_server();
-        let cost = CostModel::new(hetex_common::CostModelConfig::disabled());
+        let cost = CostModel::default();
         // Disabled: never a decision, whatever the feedback says.
         let off = EngineConfig::hybrid(8, 2);
         let mut feedback = feedback_for(&off, &topology);

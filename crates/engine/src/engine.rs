@@ -33,8 +33,7 @@ pub struct QueryStats {
     pub stage_completion: Vec<SimTime>,
     /// Wall-clock time of the functional execution.
     pub wall_time: std::time::Duration,
-    /// Peak leased staging bytes per memory node (empty when byte
-    /// governance is off).
+    /// Peak leased staging bytes per memory node.
     pub staging_peaks: Vec<(MemoryNodeId, u64)>,
     /// Blocks adaptively re-routed (work-stealing) per stage; all zeros when
     /// `EngineConfig::steal_policy` is disabled.

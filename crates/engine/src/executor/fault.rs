@@ -211,13 +211,12 @@ impl QueryRun<'_> {
         frontier: SimTime,
         bursts: &mut Vec<(usize, BlockLease)>,
     ) {
-        let Some(staging) = &self.staging else { return };
         for (i, burst) in fault.plan.arena_bursts().iter().enumerate() {
             let active = bursts.iter().any(|(b, _)| *b == i);
             if active || frontier < burst.from || frontier >= burst.until {
                 continue;
             }
-            let Ok(manager) = staging.arenas.manager(burst.node) else { continue };
+            let Ok(manager) = self.staging.arenas.manager(burst.node) else { continue };
             let take =
                 burst.bytes.min(manager.capacity_bytes().saturating_sub(manager.leased_bytes()));
             if take > 0 {

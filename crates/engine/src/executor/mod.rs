@@ -105,16 +105,15 @@ pub struct ExecutionResult {
     pub stage_timeline: Vec<StageTimeline>,
     /// Simulated completion time of each stage.
     pub stage_completion: Vec<SimTime>,
-    /// Peak leased staging bytes per memory node (empty when byte
-    /// governance is off).
+    /// Peak leased staging bytes per memory node.
     pub staging_peaks: Vec<(MemoryNodeId, u64)>,
     /// Blocks adaptively re-routed (stolen from an overloaded sibling's
     /// queue) per stage; all zeros when stealing is disabled.
     pub blocks_stolen: Vec<u64>,
     /// Cross-node control-plane traffic: block handles pushed into a queue
     /// on a memory node other than the block's (a remote queue mutex
-    /// acquisition each). Measured in every run; *priced* into routing only
-    /// when the cost model's control-plane term is on.
+    /// acquisition each), the traffic the cost model's control-plane term
+    /// prices into routing.
     pub remote_control_acquisitions: u64,
     /// Observed-slowdown EWMA per device slot (charged vs nominal busy
     /// time, 1.0 = healthy), indexed like the topology's device list.
@@ -122,8 +121,8 @@ pub struct ExecutionResult {
     /// `CalibrationConfig::slowdown_feedback` is on.
     pub observed_slowdowns: Vec<f64>,
     /// The constants the engine-construction topology micro-probe measured
-    /// (control-plane round trip, per-link effective bandwidth), whether or
-    /// not `CalibrationConfig::measured_constants` let routing consume them.
+    /// (control-plane round trip, per-link effective bandwidth) that routing
+    /// priced this run with.
     pub probed_constants: Arc<CalibratedConstants>,
     /// Transient kernel failures absorbed by bounded in-place retry (zero
     /// without an injected fault plan).
@@ -157,8 +156,7 @@ pub struct Executor {
     /// Constants the topology micro-probe measured at construction
     /// (`hetex_topology::probe`): the control-plane round trip and each
     /// link's effective bandwidth. Attached to every execution's cost
-    /// model; whether routing *consumes* them is the run's
-    /// `CalibrationConfig::measured_constants` toggle.
+    /// model, which prices them in place of the declared figures.
     probed_constants: Arc<CalibratedConstants>,
     /// An externally owned slowdown observer shared across executions (the
     /// serving layer's server-lifetime EWMAs: one query's observed straggler
@@ -289,8 +287,7 @@ impl Executor {
             *self.failed_sim_time.lock() = Some(sim_time);
             return Err(err);
         }
-        let (staging_peaks, staging_leaked_bytes) =
-            run.staging.as_ref().map(|s| s.peaks_and_leaks()).unwrap_or_default();
+        let (staging_peaks, staging_leaked_bytes) = run.staging.peaks_and_leaks();
         let fault_count = |count: fn(&FaultState) -> &AtomicU64| {
             run.fault.as_ref().map_or(0, |f| count(f).load(Ordering::Relaxed))
         };
@@ -375,10 +372,9 @@ struct QueryRun<'a> {
     /// `HETEX_TRACE_EXEC` is set: every lane prints a `[trace]` line.
     trace: bool,
     /// The run's unified cost model: every estimation term the router path,
-    /// the queue-admission path and the steal path consult, with the
-    /// per-term toggles this execution's config selects (§5 of DESIGN.md)
-    /// and the calibration inputs (§6): the construction-time probe's
-    /// measured constants and `observer`.
+    /// the queue-admission path and the steal path consult (§5 of
+    /// DESIGN.md) and the calibration inputs (§6): the construction-time
+    /// probe's measured constants and `observer`.
     cost: CostModel,
     /// The run's slowdown observer (one EWMA slot per device): lanes record
     /// every completed block's charged-vs-nominal ratio into it, routing
@@ -393,8 +389,8 @@ struct QueryRun<'a> {
     routing: Vec<StageRouting<'a>>,
     /// One queue per consumer slot, placed on the consumer's memory node.
     queues: Vec<Vec<BlockQueue>>,
-    /// Byte governance (§4.2); `None` keeps handle-count bounds only.
-    staging: Option<Staging>,
+    /// Byte governance (§4.2).
+    staging: Staging,
     gates: Vec<Gate>,
     progress: Vec<StageProgress>,
     /// `Some` only when the topology carries a non-empty injected fault
@@ -430,7 +426,7 @@ impl<'a> QueryRun<'a> {
             .iter()
             .map(|s| StageRouting::new(topology, s))
             .collect::<Result<Vec<_>>>()?;
-        let staging = Staging::new(topology, config, &cost, &routing);
+        let staging = Staging::new(topology, config, &routing);
         let queues = movement::placed_queues(config, &routing);
         let progress: Vec<StageProgress> =
             graph.stages.iter().map(|s| StageProgress::new(s.consumers.len())).collect();
@@ -734,11 +730,11 @@ mod tests {
         let mut config = EngineConfig::hybrid(4, 2);
         config.block_capacity = 1024;
         let budget = config.min_staging_bytes() * 4;
-        config.staging_bytes = Some(budget);
+        config.staging_bytes = budget;
         let governed = run(&config, 100_000);
         let (sum, cnt) = expected(100_000);
         assert_eq!(governed.rows, vec![vec![sum, cnt]]);
-        assert!(!governed.staging_peaks.is_empty(), "governed mode reports per-node peaks");
+        assert!(!governed.staging_peaks.is_empty(), "every run reports per-node peaks");
         for (node, peak) in &governed.staging_peaks {
             assert!(peak <= &budget, "node {node} peaked at {peak} > budget {budget}");
         }
@@ -746,11 +742,6 @@ mod tests {
             governed.staging_peaks.iter().any(|(_, peak)| *peak > 0),
             "pipelined blocks must be backed by leases: no node ever staged bytes"
         );
-
-        // Ungoverned mode (PR 1 behaviour) reports no peaks and agrees on rows.
-        let ungoverned = run(&config.clone().with_staging_bytes(None), 100_000);
-        assert!(ungoverned.staging_peaks.is_empty());
-        assert_eq!(governed.rows, ungoverned.rows);
     }
 
     #[test]
@@ -770,7 +761,7 @@ mod tests {
         // Shrink the budget below one block's ~12 KiB only for execution:
         // validation (rightly) rejects it, but the executor must still
         // degrade to serialized flow rather than a can-never-fit error.
-        config.staging_bytes = Some(1024);
+        config.staging_bytes = 1024;
         let executor = Executor::new(topology);
         let result = executor.execute(&graph, &catalog, &config).unwrap();
         let sum: i64 = (0..50_000i64).sum();
@@ -889,7 +880,7 @@ mod tests {
 
     #[test]
     fn cost_model_toggles_preserve_rows_and_measure_control_plane_traffic() {
-        use hetex_common::CostModelConfig;
+        use hetex_common::CalibrationConfig;
         let config = EngineConfig::hybrid(4, 2);
         let all_on = run(&config, 100_000);
         // A hybrid run pushes blocks across nodes (CPU DRAM to GPU consumers
@@ -898,10 +889,11 @@ mod tests {
             all_on.remote_control_acquisitions > 0,
             "hybrid run saw no remote queue acquisitions"
         );
-        // Rows are invariant under the estimation toggles: the cost model
+        // Rows are invariant under the calibration toggles: the cost model
         // only moves blocks between equivalent consumers.
-        let all_off = run(&config.with_cost_model(CostModelConfig::disabled()), 100_000);
-        assert_eq!(all_on.rows, all_off.rows);
+        let nominal = run(&config.with_calibration(CalibrationConfig::disabled()), 100_000);
+        assert_eq!(all_on.rows, nominal.rows);
+        assert!(nominal.remote_control_acquisitions > 0);
         let (sum, cnt) = expected(100_000);
         assert_eq!(all_on.rows, vec![vec![sum, cnt]]);
         // Every run surfaces the per-device EWMAs (healthy here).
@@ -1138,7 +1130,7 @@ mod tests {
         let mut config = EngineConfig::hybrid(4, 2);
         config.block_capacity = 1024;
         let budget = config.min_staging_bytes() * 4;
-        config.staging_bytes = Some(budget);
+        config.staging_bytes = budget;
         // The burst grabs up to half the arena for the first simulated 50ms;
         // producers park, the clocks advance past the window, the watchdog
         // releases the hostage lease and the pipeline drains normally.

@@ -5,8 +5,9 @@
 
 use super::routing::StageRouting;
 use super::QueryRun;
+use hetex_common::config::DEFAULT_QUEUE_CAPACITY;
 use hetex_common::{BlockHandle, EngineConfig, MemoryNodeId, Result};
-use hetex_core::cost::{CostModel, DemandSplitter};
+use hetex_core::cost::DemandSplitter;
 use hetex_core::queue::{BlockQueue, QueueSlot};
 use hetex_storage::{BlockLease, BlockManagerSet, ExhaustionPolicy};
 use hetex_topology::ServerTopology;
@@ -22,10 +23,10 @@ use std::time::Duration;
 /// `HetError::Memory` instead of hanging the process.
 const STAGING_PARK_TIMEOUT: Duration = Duration::from_secs(5);
 
-/// The staging charge backing one queued block under byte governance:
-/// the byte admission into the consumer's queue plus the arena lease on the
-/// consumer's memory node. Attached to the handle as its staging token; the
-/// consumer's drop of the handle releases both, waking parked producers.
+/// The staging charge backing one queued block: the byte admission into
+/// the consumer's queue plus the arena lease on the consumer's memory node.
+/// Attached to the handle as its staging token; the consumer's drop of the
+/// handle releases both, waking parked producers.
 #[derive(Debug)]
 struct StagingCharge {
     _slot: Option<QueueSlot>,
@@ -40,9 +41,9 @@ struct QuotaGroup {
     splitter: Mutex<DemandSplitter>,
 }
 
-/// Byte governance of one execution: one arena per memory node, sized by
-/// the configured per-node budget and created per execution so peaks are
-/// per-query observables.
+/// Byte governance of one execution (DESIGN.md §4.2): one arena per memory
+/// node, sized by the configured per-node budget and created per execution
+/// so peaks are per-query observables.
 pub(super) struct Staging {
     pub(super) arenas: BlockManagerSet,
     budget: u64,
@@ -52,14 +53,15 @@ pub(super) struct Staging {
     quota_floor: u64,
 }
 
-/// One queue per consumer slot, placed on the consumer's memory node
-/// (NUMA-aware placement: the queue and the handles it buffers live where
-/// the consumer reads them). Every stage runs concurrently, so a node's
-/// staging budget is shared by every consumer placed on it: each queue gets
-/// an even byte share as its admission quota. The shares sum to at most the
-/// node budget, so one stage's flood can never starve another stage's
-/// consumers out of their reserved staging — the key step of the
-/// deadlock-freedom argument in DESIGN.md.
+/// One queue per consumer slot, bounded at [`DEFAULT_QUEUE_CAPACITY`]
+/// handles and placed on the consumer's memory node (NUMA-aware placement:
+/// the queue and the handles it buffers live where the consumer reads
+/// them). Every stage runs concurrently, so a node's staging budget is
+/// shared by every consumer placed on it: each queue starts with an even
+/// byte share as its admission quota. The shares sum to at most the node
+/// budget, so one stage's flood can never starve another stage's consumers
+/// out of their reserved staging — the key step of the deadlock-freedom
+/// argument in DESIGN.md.
 pub(super) fn placed_queues(
     config: &EngineConfig,
     routing: &[StageRouting<'_>],
@@ -74,17 +76,9 @@ pub(super) fn placed_queues(
             r.instance_nodes
                 .iter()
                 .map(|node| {
-                    let queue = match config.queue_capacity {
-                        Some(cap) => BlockQueue::bounded(0, cap),
-                        None => BlockQueue::new(0),
-                    }
-                    .on_node(*node);
-                    match config.staging_bytes {
-                        Some(budget) => queue.with_byte_quota(
-                            budget / per_node.get(node).copied().unwrap_or(1).max(1),
-                        ),
-                        None => queue,
-                    }
+                    BlockQueue::bounded(0, DEFAULT_QUEUE_CAPACITY).on_node(*node).with_byte_quota(
+                        config.staging_bytes / per_node.get(node).copied().unwrap_or(1).max(1),
+                    )
                 })
                 .collect()
         })
@@ -92,25 +86,20 @@ pub(super) fn placed_queues(
 }
 
 impl Staging {
-    /// `None` when the config leaves staging ungoverned.
     pub(super) fn new(
         topology: &ServerTopology,
         config: &EngineConfig,
-        cost: &CostModel,
         routing: &[StageRouting<'_>],
-    ) -> Option<Self> {
-        let budget = config.staging_bytes?;
+    ) -> Self {
         let nodes: Vec<MemoryNodeId> = topology.memory_nodes().iter().map(|m| m.id).collect();
         // The initial quotas are the even split of `placed_queues` (exactly
         // what the cost model returns before any demand was observed).
         let mut groups: Vec<(MemoryNodeId, Vec<(usize, usize)>)> = Vec::new();
-        if cost.config().demand_weighted_quotas {
-            for (stage, r) in routing.iter().enumerate() {
-                for (slot, node) in r.instance_nodes.iter().enumerate() {
-                    match groups.iter_mut().find(|(n, _)| n == node) {
-                        Some((_, members)) => members.push((stage, slot)),
-                        None => groups.push((*node, vec![(stage, slot)])),
-                    }
+        for (stage, r) in routing.iter().enumerate() {
+            for (slot, node) in r.instance_nodes.iter().enumerate() {
+                match groups.iter_mut().find(|(n, _)| n == node) {
+                    Some((_, members)) => members.push((stage, slot)),
+                    None => groups.push((*node, vec![(stage, slot)])),
                 }
             }
         }
@@ -122,12 +111,12 @@ impl Staging {
                 members,
             })
             .collect();
-        Some(Self {
-            arenas: BlockManagerSet::new(&nodes, budget),
-            budget,
+        Self {
+            arenas: BlockManagerSet::new(&nodes, config.staging_bytes),
+            budget: config.staging_bytes,
             quota_groups,
             quota_floor: config.est_max_block_bytes(),
-        })
+        }
     }
 
     /// Leased fraction of `node`'s arena.
@@ -181,16 +170,15 @@ impl QueryRun<'_> {
         if node != source {
             self.remote_ctl.fetch_add(1, Ordering::Relaxed);
         }
-        let Some(staging) = &self.staging else { return Ok(()) };
         handle.take_staging();
-        let bytes = staging.bytes_of(handle);
+        let bytes = self.staging.bytes_of(handle);
         if bytes == 0 {
             return Ok(());
         }
         let slot = self.queues[consumer][pick].admit(bytes)?;
-        let lease = staging.lease(source, node, bytes)?;
+        let lease = self.staging.lease(source, node, bytes)?;
         handle.attach_staging(Arc::new(StagingCharge { _slot: slot, _lease: lease }));
-        self.resplit_quotas(staging, node);
+        self.resplit_quotas(node);
         Ok(())
     }
 
@@ -198,7 +186,8 @@ impl QueryRun<'_> {
     /// `QUOTA_RESPLIT_CADENCE` admissions on `node`, fold each of its
     /// queues' freshly admitted bytes into their demand EWMA and apply the
     /// new shares.
-    fn resplit_quotas(&self, staging: &Staging, node: MemoryNodeId) {
+    fn resplit_quotas(&self, node: MemoryNodeId) {
+        let staging = &self.staging;
         let Some(group) = staging.quota_groups.iter().find(|g| g.node == node) else { return };
         let shares = group.splitter.lock().on_admission(
             |i| {
@@ -248,12 +237,10 @@ impl QueryRun<'_> {
         if self.needs_move(stage, to, block.meta().location) {
             block = self.mem_move.relocate(&block, to_node)?;
         }
-        if let Some(staging) = &self.staging {
-            let bytes = staging.bytes_of(&block);
-            if bytes > 0 {
-                let lease = staging.lease(routing.instance_nodes[from], to_node, bytes)?;
-                block.attach_staging(Arc::new(StagingCharge { _slot: None, _lease: lease }));
-            }
+        let bytes = self.staging.bytes_of(&block);
+        if bytes > 0 {
+            let lease = self.staging.lease(routing.instance_nodes[from], to_node, bytes)?;
+            block.attach_staging(Arc::new(StagingCharge { _slot: None, _lease: lease }));
         }
         Ok(block)
     }

@@ -264,8 +264,8 @@ impl QueryRun<'_> {
                 // (successive blocks pipeline across hops, so the sustained
                 // rate is the slowest link's, not the hop-latency sum). This
                 // respects per-link bandwidth overrides in the topology, and
-                // — with measured constants on — uses each link's *probed*
-                // effective rate instead of its declared width.
+                // uses each link's *probed* effective rate instead of its
+                // declared width.
                 let transfer_ns = topology
                     .route(handle.meta().location, routing.instance_nodes[i])
                     .map(|links| {
@@ -301,7 +301,7 @@ impl QueryRun<'_> {
                 .unwrap_or(0);
             // Pushing to an off-node consumer acquires its queue mutex
             // across the interconnect — control-plane traffic the cost
-            // model prices on the node axis (zero when the term is off).
+            // model prices on the node axis.
             let control_ns =
                 cost.control_plane_ns(routing.instance_nodes[i] != handle.meta().location);
             node_ns.push(mem.saturating_add(transfer_axis_ns).saturating_add(control_ns));
@@ -311,10 +311,10 @@ impl QueryRun<'_> {
 
     /// Route one block to a consumer of `stage` and localize it via
     /// mem-move; the block's readiness is not floored, so transfers overlap
-    /// upstream compute. Under byte governance each consumer node's arena
-    /// occupancy is priced into the projection so routing steers away from
-    /// memory-starved nodes, and ties prefer consumers already local to the
-    /// block (NUMA-aware placement).
+    /// upstream compute. Each consumer node's arena occupancy is priced
+    /// into the projection so routing steers away from memory-starved
+    /// nodes, and ties prefer consumers already local to the block
+    /// (NUMA-aware placement).
     ///
     /// The projection is gate-aware (see [`Self::gate_estimate`]): the
     /// estimated gate opening shifts every consumer's projection to an
@@ -351,11 +351,10 @@ impl QueryRun<'_> {
             .instance_nodes
             .iter()
             .enumerate()
-            .map(|(i, node)| match &self.staging {
-                Some(s) => {
-                    s.occupancy(*node).map_or(0, |o| cost.occupancy_penalty_ns(device_ns[i], o))
-                }
-                None => 0,
+            .map(|(i, node)| {
+                self.staging
+                    .occupancy(*node)
+                    .map_or(0, |o| cost.occupancy_penalty_ns(device_ns[i], o))
             })
             .collect();
         let source = handle.meta().location;
@@ -378,11 +377,10 @@ impl QueryRun<'_> {
         // Project each consumer's completion from its two backlogs (device
         // and memory node — the same two clocks the executor charges); the
         // composition, including the strictly-increasing device tie-breaker
-        // and the governed-mode NUMA nudge toward the block's current node,
-        // lives in the cost model. Quarantined consumers project as unusable
-        // — the load estimator's u64::MAX convention for devices routing
-        // must steer around.
-        let numa_tiebreak = self.staging.is_some();
+        // and the NUMA nudge toward the block's current node, lives in the
+        // cost model. Quarantined consumers project as unusable — the load
+        // estimator's u64::MAX convention for devices routing must steer
+        // around.
         let dead = |i: usize| {
             self.fault.as_ref().is_some_and(|f| f.is_quarantined(routing.instance_devices[i]))
         };
@@ -398,12 +396,7 @@ impl QueryRun<'_> {
                 let node = routing.node_load[routing.node_index[i]]
                     .load(Ordering::Relaxed)
                     .saturating_add(node_ns[i]);
-                cost.compose_projection(
-                    dev,
-                    node,
-                    routing.instance_nodes[i] == source,
-                    numa_tiebreak,
-                )
+                cost.compose_projection(dev, node, routing.instance_nodes[i] == source, true)
             })
             .collect();
         let mut pick = routing.router.route(handle.meta(), &projected)?;
@@ -449,10 +442,10 @@ impl QueryRun<'_> {
 
     /// Route one produced block to `consumer`'s stage and enqueue it for the
     /// chosen instance — the single downstream hand-off shared by source
-    /// pumps, lanes, finalize flushes and terminal emissions. Under byte
-    /// governance the block is backed by a staging charge before it is
-    /// pushed (see [`Self::charge_staging`]); the bounded queue and a full
-    /// arena both exert back-pressure here.
+    /// pumps, lanes, finalize flushes and terminal emissions. The block is
+    /// backed by a staging charge before it is pushed (see
+    /// [`Self::charge_staging`]); the bounded queue and a full arena both
+    /// exert back-pressure here.
     pub(super) fn push_downstream(&self, consumer: usize, block: BlockHandle) -> Result<()> {
         let source = block.meta().location;
         let (pick, mut localized) = self.route_and_localize(consumer, block)?;

@@ -81,9 +81,11 @@ fn run_case(case: u64, seed: u64) {
     if rng.chance(0.4) {
         config.steal_policy = StealPolicy::Disabled;
     }
-    let governed = rng.chance(0.5);
-    if governed {
-        config.staging_bytes = Some(config.min_staging_bytes() * (2 + rng.below(6)));
+    // Half the cases stage under a tight budget (a few times the floor),
+    // the rest under the default one.
+    let tight = rng.chance(0.5);
+    if tight {
+        config.staging_bytes = config.min_staging_bytes() * (2 + rng.below(6));
     }
 
     // Random fault schedule: 1-3 faults, biased toward the GPUs (the likely
@@ -122,10 +124,10 @@ fn run_case(case: u64, seed: u64) {
                 plan = plan.wedge_worker(device, onset);
             }
             _ => {
-                if governed {
+                if tight {
                     let nodes = topology.cpu_memory_nodes();
                     let node = nodes[rng.below(nodes.len() as u64) as usize];
-                    let bytes = config.staging_bytes.unwrap_or(0) / 2;
+                    let bytes = config.staging_bytes / 2;
                     plan = plan.arena_burst(node, bytes, onset, SimTime::from_millis(2));
                 } else {
                     plan = plan.abort_device(device, onset);
@@ -180,7 +182,7 @@ fn run_case(case: u64, seed: u64) {
     };
 
     let label = format!(
-        "case {case} (seed {seed:#x}): target {:?} dop {}+{} cap {} governed {governed} \
+        "case {case} (seed {seed:#x}): target {:?} dop {}+{} cap {} tight {tight} \
          join {join} rows {rows} plan {plan:?}",
         config.target, config.cpu_dop, config.gpu_dop, config.block_capacity
     );

@@ -2,34 +2,27 @@
 //!
 //! Every CostModel term — demand-weighted staging quotas, the cross-node
 //! control-plane charge, the critical-path gate estimate, the
-//! link-congestion steal term — only moves block handles between
-//! *equivalent* consumers of the same stage: none of them may ever change a
-//! query's result. This harness generates random server topologies (1–4
-//! sockets, 0–4 GPUs, random per-device slowdowns and PCIe link widths) and
-//! random small plans, then executes each plan under **every toggle
-//! configuration** (all-off, each term alone, all-on) and asserts the rows
-//! are byte-identical to `reference_execute` — the independent
-//! single-threaded oracle that shares no routing, queue or kernel code with
-//! the executor.
+//! link-congestion steal term — and every calibration input only moves
+//! block handles between *equivalent* consumers of the same stage: none of
+//! them may ever change a query's result. This harness generates random
+//! server topologies (1–4 sockets, 0–4 GPUs, random per-device slowdowns
+//! and PCIe link widths) and random small plans, then executes each plan
+//! under **every calibration toggle configuration** (both feedback inputs
+//! off, observed-slowdown routing feedback alone, steal-victim feedback
+//! alone, both on) and asserts the rows are byte-identical to
+//! `reference_execute` — the independent single-threaded oracle that shares
+//! no routing, queue or kernel code with the executor. The four cost-model
+//! terms and the probed constants are not toggles: every configuration
+//! prices them, under a deliberately tight staging budget so quota
+//! admission, leases and the demand re-split genuinely engage.
 //!
-//! PR 5 extends the sweep with the **calibration toggle group**
-//! (`CalibrationConfig`): observed-slowdown feedback routing and the
-//! measured topology constants each run isolated (on top of the all-off
-//! cost model) and combined in the all-on configuration. Neither input may
-//! change rows either — feedback only re-ranks equivalent consumers, and
-//! measured constants only re-price the same projections. The all-off
-//! configuration (every cost-model term *and* every calibration input off)
-//! remains byte-identical to the PR 4 baseline sweep: it runs exactly the
-//! pre-calibration code paths (integer projections, declared constants).
+//! A standalone property pins the chunk kernel's selection-vector
+//! refinement primitive (ordered-subset, monotone shrinking, in-bounds).
 //!
-//! PR 7 adds a standalone property pinning the chunk kernel's
-//! selection-vector refinement primitive (ordered-subset, monotone
-//! shrinking, in-bounds).
-//!
-//! PR 10 adds the **re-optimization axis**: `ReoptConfig::disabled()` takes
-//! exactly the pre-reopt code path, an enabled run with a cold feedback
-//! cache applies no rewrite and matches the disabled run's rows and plan
-//! shape, and a warm-cache run may substitute a searched placement but must
+//! The **re-optimization axis**: `ReoptConfig::disabled()` takes exactly
+//! the pre-reopt code path, an enabled run with a cold feedback cache
+//! applies no rewrite and matches the disabled run's rows and plan shape,
+//! and a warm-cache run may substitute a searched placement but must
 //! preserve the rows byte-for-byte.
 //!
 //! Every scenario also draws the dimension's key stride (`KEY_STRIDES`):
@@ -39,14 +32,11 @@
 //! Seeding: the vendored proptest derives a deterministic per-function seed
 //! from the property's name, so every run (local and CI) explores the same
 //! fixed case sequence and failures reproduce exactly. The case budget is
-//! `HETEX_DIFF_CASES` generated scenarios (default 48); each scenario runs
-//! nine toggle configurations against one reference run, i.e. 48 × 9 = 432
-//! differential toggle-cases per default run (the acceptance bar is 256+),
-//! sized to keep the suite well under three minutes.
+//! `HETEX_DIFF_CASES` generated scenarios (default 72); each scenario runs
+//! four toggle configurations against one reference run, i.e. 72 × 4 = 288
+//! differential toggle-cases per default run (the acceptance bar is 256+).
 
-use hetexchange::common::{
-    CalibrationConfig, ColumnData, CostModelConfig, DataType, EngineConfig, HetError,
-};
+use hetexchange::common::{CalibrationConfig, ColumnData, DataType, EngineConfig, HetError};
 use hetexchange::core_ops::cost::{SlowdownObserver, SLOWDOWN_EWMA_ALPHA};
 use hetexchange::core_ops::RelNode;
 use hetexchange::engine::{reference_execute, Proteus};
@@ -56,34 +46,21 @@ use hetexchange::topology::{DeviceId, ServerTopology, TopologyBuilder};
 use proptest::prelude::*;
 use std::sync::Arc;
 
-/// Generated-case budget: `HETEX_DIFF_CASES` scenarios (default 48). CI pins
+/// Generated-case budget: `HETEX_DIFF_CASES` scenarios (default 72). CI pins
 /// the default; the knob exists so a local soak can raise it.
 fn case_budget() -> u32 {
-    std::env::var("HETEX_DIFF_CASES").ok().and_then(|v| v.parse().ok()).unwrap_or(48)
+    std::env::var("HETEX_DIFF_CASES").ok().and_then(|v| v.parse().ok()).unwrap_or(72)
 }
 
-/// Every toggle configuration the differential sweep runs: the PR 3
-/// baseline, each cost-model term isolated, each calibration input
-/// isolated, and the all-on default (every term and every input).
-fn toggle_configs() -> Vec<(&'static str, CostModelConfig, CalibrationConfig)> {
-    let off = CostModelConfig::disabled();
-    let calib_off = CalibrationConfig::disabled();
+/// Every toggle configuration the differential sweep runs: both calibration
+/// inputs off, each alone, and the all-on default.
+fn toggle_configs() -> Vec<(&'static str, CalibrationConfig)> {
+    let off = CalibrationConfig::disabled();
     vec![
-        ("all_off", off, calib_off),
-        ("demand_quotas", off.with_demand_weighted_quotas(true), calib_off),
-        ("control_plane", off.with_control_plane_term(true), calib_off),
-        ("gate_critical_path", off.with_gate_critical_path(true), calib_off),
-        ("link_congestion", off.with_link_congestion_term(true), calib_off),
-        ("slowdown_feedback", off, calib_off.with_slowdown_feedback(true)),
-        ("measured_constants", off, calib_off.with_measured_constants(true)),
-        // The measured control-plane constant only matters where the term
-        // pricing it is on — exercise the interaction explicitly.
-        (
-            "control_plane_measured",
-            off.with_control_plane_term(true),
-            calib_off.with_measured_constants(true),
-        ),
-        ("all_on", CostModelConfig::default(), CalibrationConfig::default()),
+        ("calibration_off", off),
+        ("slowdown_feedback", off.with_slowdown_feedback(true)),
+        ("steal_feedback", off.with_steal_feedback(true)),
+        ("all_on", CalibrationConfig::default()),
     ]
 }
 
@@ -186,9 +163,9 @@ fn random_plan(plan_pick: usize, filter_lit: i64) -> RelNode {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(case_budget()))]
 
-    /// The test-archetype centerpiece: across random topologies and plans,
-    /// execution under every cost-model toggle configuration produces
-    /// byte-identical rows to the `reference_execute` oracle.
+    /// The centerpiece: across random topologies and plans, execution under
+    /// every calibration toggle configuration produces byte-identical rows
+    /// to the `reference_execute` oracle.
     #[test]
     fn prop_every_toggle_configuration_matches_the_reference(
         sockets in 1usize..5,
@@ -225,16 +202,13 @@ proptest! {
         config.block_capacity = 256;
         // A deliberately tight (but valid) budget so quota admission, leases
         // and the demand re-split genuinely engage.
-        config.staging_bytes = Some(config.min_staging_bytes() * 2);
+        config.staging_bytes = config.min_staging_bytes() * 2;
 
         let expected = reference_execute(&plan, engine.catalog()).unwrap();
 
-        for (label, toggles, calibration) in toggle_configs() {
+        for (label, calibration) in toggle_configs() {
             let outcome = engine
-                .session().execute(
-                    &plan,
-                    &config.clone().with_cost_model(toggles).with_calibration(calibration),
-                )
+                .session().execute(&plan, &config.clone().with_calibration(calibration))
                 .unwrap();
             prop_assert_eq!(
                 &outcome.rows, &expected,
@@ -243,14 +217,13 @@ proptest! {
                 label, sockets, cores_per_socket, gpus, pcie_gbps_x10, slow_pick,
                 slowdown_x10, fact_rows, plan_pick, cpu_dop, gpu_dop, key_stride
             );
-            // Governed runs must also stay within the staging budget in
-            // every toggle configuration (the demand re-split may never
-            // oversubscribe the arena).
+            // Every toggle configuration must also stay within the staging
+            // budget (the demand re-split may never oversubscribe the arena).
             for (node, peak) in &outcome.stats.staging_peaks {
                 prop_assert!(
-                    *peak <= config.staging_bytes.unwrap(),
+                    *peak <= config.staging_bytes,
                     "toggle config `{}`: node {} peaked at {} > budget {}",
-                    label, node, peak, config.staging_bytes.unwrap()
+                    label, node, peak, config.staging_bytes
                 );
             }
         }

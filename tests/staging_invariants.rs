@@ -6,7 +6,7 @@
 use hetexchange::common::config::DEFAULT_STAGING_BYTES;
 use hetexchange::common::{ColumnData, DataType, EngineConfig};
 use hetexchange::core_ops::RelNode;
-use hetexchange::engine::Proteus;
+use hetexchange::engine::{reference_execute, Proteus};
 use hetexchange::jit::{AggSpec, Expr};
 use hetexchange::storage::TableBuilder;
 use proptest::prelude::*;
@@ -62,27 +62,36 @@ fn expected(fact_rows: usize, dim_rows: usize) -> (i64, i64) {
 
 #[test]
 fn tiny_budget_completes_slowly_instead_of_deadlocking() {
-    // The smallest budget validation admits: one estimated max-size block per
-    // active consumer. Per-queue quotas collapse to roughly one block, so the
-    // whole pipeline advances in near-lockstep — slow, but alive.
-    let fact_rows = 30_000;
-    let dim_rows = 10_000;
-    let engine = join_engine(fact_rows, dim_rows, 512);
-    let mut config = EngineConfig::hybrid(2, 1);
-    config.block_capacity = 256;
-    let tiny = config.min_staging_bytes();
-    assert!(tiny < DEFAULT_STAGING_BYTES / 100, "budget must be genuinely tiny: {tiny}");
-    config.staging_bytes = Some(tiny);
-    let outcome = engine.session().execute(&join_plan(), &config).unwrap();
-    let (sum, cnt) = expected(fact_rows, dim_rows);
-    assert_eq!(outcome.rows, vec![vec![sum, cnt]]);
-    for (node, peak) in &outcome.stats.staging_peaks {
-        assert!(*peak <= tiny, "node {node} peaked at {peak} > tiny budget {tiny}");
+    // Two budgets near the floor of one estimated max-size block per active
+    // consumer: exactly the floor on hybrid(2,1), where per-queue quotas
+    // collapse to roughly one block and the pipeline advances in
+    // near-lockstep; and three floors on the scale-extrapolated hybrid(8,2)
+    // join, where quotas still bind and the demand-weighted re-split has
+    // something to re-balance. Slow, but alive and exact.
+    let mut lockstep = EngineConfig::hybrid(2, 1);
+    lockstep.block_capacity = 256;
+    lockstep.staging_bytes = lockstep.min_staging_bytes();
+    let mut rebalanced = EngineConfig::hybrid(8, 2).with_table_weight("dim", 2_500.0);
+    rebalanced.scale_weight = 20_000.0;
+    rebalanced.block_capacity = 2048;
+    rebalanced.staging_bytes = rebalanced.min_staging_bytes() * 3;
+    for (config, fact_rows, dim_rows, segment_rows) in
+        [(lockstep, 30_000, 10_000, 512), (rebalanced, 200_000, 100_000, 4096)]
+    {
+        let engine = join_engine(fact_rows, dim_rows, segment_rows);
+        let budget = config.staging_bytes;
+        assert!(budget < DEFAULT_STAGING_BYTES / 10, "budget must be genuinely tiny: {budget}");
+        let outcome = engine.session().execute(&join_plan(), &config).unwrap();
+        assert_eq!(outcome.rows, reference_execute(&join_plan(), engine.catalog()).unwrap());
+        for (node, peak) in &outcome.stats.staging_peaks {
+            assert!(*peak <= budget, "node {node} peaked at {peak} > tiny budget {budget}");
+        }
+        assert!(
+            outcome.stats.staging_peaks.iter().any(|(_, p)| *p > 0),
+            "blocks must have been lease-backed"
+        );
+        assert_eq!(outcome.stats.staging_leaked_bytes, 0, "staging leaked under budget {budget}");
     }
-    assert!(
-        outcome.stats.staging_peaks.iter().any(|(_, p)| *p > 0),
-        "blocks must have been lease-backed"
-    );
 }
 
 proptest! {
@@ -108,7 +117,7 @@ proptest! {
         };
         config.block_capacity = [256, 1024, 4096][capacity_sel];
         let budget = config.min_staging_bytes() * budget_mult;
-        config.staging_bytes = Some(budget);
+        config.staging_bytes = budget;
         let outcome = engine.session().execute(&join_plan(), &config).unwrap();
 
         let (sum, cnt) = expected(fact_rows, dim_rows);
