@@ -209,12 +209,12 @@ impl Expr {
         }
     }
 
-    /// The highest register index referenced, if any — used to validate that
-    /// an expression fits a pipeline's input layout.
-    pub fn max_register(&self) -> Option<usize> {
+    /// Call `visit` with every register the expression reads, depth first
+    /// (a register read twice is visited twice).
+    pub fn for_each_register(&self, visit: &mut impl FnMut(usize)) {
         match self {
-            Expr::Col(i) => Some(*i),
-            Expr::Lit(_) => None,
+            Expr::Col(i) => visit(*i),
+            Expr::Lit(_) => {}
             Expr::Add(a, b)
             | Expr::Sub(a, b)
             | Expr::Mul(a, b)
@@ -226,14 +226,22 @@ impl Expr {
             | Expr::Gt(a, b)
             | Expr::Ge(a, b)
             | Expr::And(a, b)
-            | Expr::Or(a, b) => match (a.max_register(), b.max_register()) {
-                (Some(x), Some(y)) => Some(x.max(y)),
-                (x, y) => x.or(y),
-            },
+            | Expr::Or(a, b) => {
+                a.for_each_register(visit);
+                b.for_each_register(visit);
+            }
             Expr::Not(a) | Expr::Between(a, _, _) | Expr::InList(a, _) | Expr::Hash(a) => {
-                a.max_register()
+                a.for_each_register(visit)
             }
         }
+    }
+
+    /// The highest register index referenced, if any — used to validate that
+    /// an expression fits a pipeline's input layout.
+    pub fn max_register(&self) -> Option<usize> {
+        let mut max = None;
+        self.for_each_register(&mut |r| max = max.max(Some(r)));
+        max
     }
 
     /// Validate that every referenced register exists in a layout of `width`
@@ -408,6 +416,9 @@ mod tests {
         assert!(e.check_width(3).is_err());
         assert_eq!(Expr::lit(5).max_register(), None);
         assert!(Expr::lit(5).check_width(0).is_ok());
+        let mut read = Vec::new();
+        e.or(Expr::col(1).between(0, 9)).for_each_register(&mut |r| read.push(r));
+        assert_eq!(read, vec![3, 1, 1]);
     }
 
     #[test]

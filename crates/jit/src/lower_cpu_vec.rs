@@ -4,15 +4,25 @@
 //! executes a pipeline's fused IR over fixed-size chunks of [`VEC_CHUNK`]
 //! tuples rather than dispatching the step chain per tuple:
 //!
-//! * the chunk's registers are *columns* (`Vec<i64>` per register), gathered
-//!   once from the input block's window of its (possibly shared) columns;
+//! * the chunk's registers are *columns* (`Vec<i64>` per register), indexed
+//!   by row. An input register is *lazy* at chunk start: the first step or
+//!   terminal expression that reads it widens it from the input block's
+//!   window of its (possibly shared) columns, at the selected rows only — the
+//!   whole chunk while the selection is still the identity — so a column is
+//!   read only where a row survives to the operator that uses it;
 //! * `Step::Filter` evaluates its predicate column-at-a-time into a dense
 //!   flag buffer and refines a `u32` **selection vector** with a tight,
 //!   branch-light compaction loop ([`refine_selection`]) — no tuples move;
-//! * `Step::Map` and `Step::HashJoinProbe` evaluate column-at-a-time over the
-//!   surviving selection into reusable scratch (rented from a
-//!   [`ScratchPool`]), producing a dense chunk and resetting the selection to
-//!   the identity — there is no per-step block materialization;
+//! * a `Step::HashJoinProbe` against a table of unique keys moves nothing
+//!   either: each selected row has at most one match, so the selection
+//!   narrows to the matched rows and the payload registers are written at
+//!   those rows;
+//! * `Step::Map` and a probe that fans out (a key with several build rows)
+//!   evaluate column-at-a-time over the surviving selection into reusable
+//!   scratch (rented from a [`ScratchPool`]), producing a dense chunk and
+//!   resetting the selection to the identity. A fan-out reads every lazy
+//!   register first, as it re-gathers them all; a map reads only what its
+//!   expressions read. There is no per-step block materialization;
 //! * the terminal consumes the final selection in one pass with chunk-local
 //!   accumulators that are merged into shared state once per *block* (the
 //!   CPU provider's worker-scoped atomic: one synchronization per block); a
@@ -35,7 +45,7 @@
 //! active warp and adds the launch). The IR stays the single operator
 //! blueprint.
 
-use crate::expr::ScratchPool;
+use crate::expr::{Expr, ScratchPool};
 use crate::ir::{Step, TerminalStep};
 use crate::pipeline::{BlockCounters, CompiledPipeline, ExecCtx};
 use crate::state::{JoinMatches, SharedState};
@@ -70,9 +80,12 @@ pub fn refine_selection(sel: &mut Vec<u32>, flags: &[i64]) {
 /// steady-state chunk loop allocates nothing.
 #[derive(Debug, Default)]
 pub(crate) struct VecScratch {
-    /// The chunk's register columns (dense after a map/probe, gathered from
-    /// the input otherwise).
+    /// The chunk's register columns, indexed by row. A register holds values
+    /// at the selected rows only; rows a filter or probe dropped keep stale
+    /// values that are never read. Columns past the current width are spares.
     regs: Vec<Vec<i64>>,
+    /// Per input register: true while it is not yet read from the block.
+    lazy: Vec<bool>,
     /// Surviving selection: row indexes into `regs`, ascending.
     sel: Vec<u32>,
     /// Dense predicate / key / aggregate buffers.
@@ -83,6 +96,29 @@ pub(crate) struct VecScratch {
     pool: ScratchPool,
     /// Emptied column sets, so renting columns allocates no outer `Vec`.
     sets: Vec<Vec<Vec<i64>>>,
+}
+
+/// The input rows of the current chunk: `columns[..][base..base + len]`.
+#[derive(Clone, Copy)]
+struct Window<'a> {
+    columns: &'a [ColumnRef<'a>],
+    base: usize,
+    len: usize,
+}
+
+/// Widen `src` into `dst` at the rows of `sel`: the whole of it while `sel`
+/// is the identity, otherwise row by row, leaving the other rows as they
+/// were.
+fn widen<T: Copy + Into<i64>>(src: &[T], sel: &[u32], dst: &mut Vec<i64>) {
+    if sel.len() == src.len() {
+        dst.clear();
+        dst.extend(src.iter().map(|&v| v.into()));
+    } else {
+        dst.resize(dst.len().max(src.len()), 0);
+        for &r in sel {
+            dst[r as usize] = src[r as usize].into();
+        }
+    }
 }
 
 impl VecScratch {
@@ -101,14 +137,70 @@ impl VecScratch {
         self.sets.push(cols);
     }
 
-    /// Replace the chunk's registers with `cols`, returning the old columns
-    /// to the pool, and reset the selection to the identity over `len` dense
-    /// lanes.
-    fn install_dense(&mut self, cols: Vec<Vec<i64>>, len: usize) {
-        let old = std::mem::replace(&mut self.regs, cols);
-        self.release_columns(old);
+    /// Make room for `width` registers.
+    fn reserve_registers(&mut self, width: usize) {
+        if self.regs.len() < width {
+            self.regs.resize_with(width, Vec::new);
+        }
+    }
+
+    /// Start a chunk of `len` rows: every input register lazy, every row
+    /// selected.
+    fn start_chunk(&mut self, width: usize, len: usize) {
+        self.reserve_registers(width);
+        self.lazy.clear();
+        self.lazy.resize(width, true);
         self.sel.clear();
         self.sel.extend(0..len as u32);
+    }
+
+    /// Replace the chunk's first registers with `cols`, returning the old
+    /// columns to the pool, and reset the selection to the identity over
+    /// `len` dense lanes.
+    fn install_dense(&mut self, mut cols: Vec<Vec<i64>>, len: usize) {
+        self.reserve_registers(cols.len());
+        for (reg, col) in self.regs.iter_mut().zip(cols.iter_mut()) {
+            std::mem::swap(reg, col);
+        }
+        self.release_columns(cols);
+        self.lazy.clear();
+        self.sel.clear();
+        self.sel.extend(0..len as u32);
+    }
+
+    /// Read register `r` from the block window at the selected rows, if it
+    /// is still lazy.
+    fn gather(&mut self, r: usize, window: Window<'_>) {
+        if self.lazy.get(r) != Some(&true) {
+            return;
+        }
+        self.lazy[r] = false;
+        let rows = window.base..window.base + window.len;
+        match window.columns[r] {
+            ColumnRef::Int64(v) => widen(&v[rows], &self.sel, &mut self.regs[r]),
+            ColumnRef::Int32(v) => widen(&v[rows], &self.sel, &mut self.regs[r]),
+            ColumnRef::Float64(_) => unreachable!("Float64 inputs are rejected per block"),
+        }
+    }
+
+    /// Evaluate `expr` over the selection into `out`, gathering the lazy
+    /// registers it reads first.
+    fn eval(&mut self, expr: &Expr, window: Window<'_>, out: &mut Vec<i64>) {
+        expr.for_each_register(&mut |r| self.gather(r, window));
+        expr.eval_batch(&self.regs, &self.sel, out, &mut self.pool);
+    }
+
+    /// Evaluate each of `exprs` into a rented column.
+    fn eval_columns<'e>(
+        &mut self,
+        exprs: impl ExactSizeIterator<Item = &'e Expr>,
+        window: Window<'_>,
+    ) -> Vec<Vec<i64>> {
+        let mut cols = self.rent_columns(exprs.len());
+        for (col, expr) in cols.iter_mut().zip(exprs) {
+            self.eval(expr, window, col);
+        }
+        cols
     }
 }
 
@@ -137,6 +229,16 @@ fn process_chunks(
     let rows = block.rows();
     let data = block.block();
     let columns: Vec<ColumnRef<'_>> = data.columns().collect();
+    // Registers are read lazily, but a float input fails its whole block,
+    // whether or not a surviving row reads it.
+    let float = columns.iter().position(|c| matches!(c, ColumnRef::Float64(_)));
+    if let Some(c) = float.filter(|_| rows > 0) {
+        return Err(HetError::Execution(format!(
+            "pipeline {}: input column {c} is Float64, and compiled pipelines \
+             evaluate integer columns only",
+            pipeline.id()
+        )));
+    }
     let mut counters = BlockCounters {
         rows_in: rows as u64,
         bytes_in: data.byte_size() as u64,
@@ -168,24 +270,8 @@ fn process_chunks(
     let mut base = 0usize;
     while base < rows {
         let len = (rows - base).min(VEC_CHUNK);
-
-        // Gather the chunk's input registers column-at-a-time from the
-        // block's window.
-        let mut in_cols = scratch.rent_columns(columns.len());
-        for (c, (dst, col)) in in_cols.iter_mut().zip(&columns).enumerate() {
-            match col {
-                ColumnRef::Int64(v) => dst.extend_from_slice(&v[base..base + len]),
-                ColumnRef::Int32(v) => dst.extend(v[base..base + len].iter().map(|&x| x as i64)),
-                ColumnRef::Float64(_) => {
-                    return Err(HetError::Execution(format!(
-                        "pipeline {}: input column {c} is Float64, and compiled pipelines \
-                         evaluate integer columns only",
-                        pipeline.id()
-                    )));
-                }
-            }
-        }
-        scratch.install_dense(in_cols, len);
+        let window = Window { columns: &columns, base, len };
+        scratch.start_chunk(columns.len(), len);
 
         // The fused step chain over the chunk.
         let mut width = pipeline.input_width();
@@ -196,60 +282,64 @@ fn process_chunks(
             match step {
                 Step::Filter { predicate } => {
                     let mut flags = std::mem::take(&mut scratch.flags);
-                    predicate.eval_batch(
-                        &scratch.regs,
-                        &scratch.sel,
-                        &mut flags,
-                        &mut scratch.pool,
-                    );
+                    scratch.eval(predicate, window, &mut flags);
                     refine_selection(&mut scratch.sel, &flags);
                     scratch.flags = flags;
                 }
                 Step::Map { exprs } => {
                     let lanes = scratch.sel.len();
-                    let mut mapped = scratch.rent_columns(exprs.len());
-                    for (e, expr) in exprs.iter().enumerate() {
-                        expr.eval_batch(
-                            &scratch.regs,
-                            &scratch.sel,
-                            &mut mapped[e],
-                            &mut scratch.pool,
-                        );
-                    }
+                    let mapped = scratch.eval_columns(exprs.iter(), window);
                     scratch.install_dense(mapped, lanes);
                     width = exprs.len();
                 }
                 Step::HashJoinProbe { key, slot, payload_width } => {
                     let mut keys = std::mem::take(&mut scratch.flags);
-                    key.eval_batch(&scratch.regs, &scratch.sel, &mut keys, &mut scratch.pool);
+                    scratch.eval(key, window, &mut keys);
                     // One read guard per chunk; matches come back in probe
                     // order — the depth-first order of a per-tuple
-                    // recursion — as (lane, build row) pairs, and the output
-                    // is then gathered a column at a time.
+                    // recursion — as (lane, build row) pairs.
                     let table = state.hash_table_of_width(*slot, *payload_width)?.read();
                     table.probe_batch(&keys, &mut scratch.matches);
                     probes += keys.len() as u64;
-                    let fanned = scratch.matches.rows.len();
-                    probe_matches += fanned as u64;
-                    let mut out_cols = scratch.rent_columns(width + payload_width);
-                    for (c, out) in out_cols.iter_mut().enumerate() {
-                        if c < width {
-                            let src = &scratch.regs[c];
-                            let sel = &scratch.sel;
-                            out.extend(
-                                scratch
-                                    .matches
-                                    .lanes
-                                    .iter()
-                                    .map(|&l| src[sel[l as usize] as usize]),
-                            );
-                        } else {
-                            table.gather_payload(c - width, &scratch.matches.rows, out);
-                        }
-                    }
-                    drop(table);
                     scratch.flags = keys;
-                    scratch.install_dense(out_cols, fanned);
+                    let matches = std::mem::take(&mut scratch.matches);
+                    let (lanes, matched) = (&matches.lanes, &matches.rows);
+                    let fanned = matched.len();
+                    probe_matches += fanned as u64;
+                    if table.unique_keys() {
+                        // At most one match per lane: the registers stay
+                        // where they are, the selection narrows to the
+                        // matched rows and the payload lands at them.
+                        for (m, &l) in lanes.iter().enumerate() {
+                            scratch.sel[m] = scratch.sel[l as usize];
+                        }
+                        scratch.sel.truncate(fanned);
+                        let end = scratch.sel.last().map_or(0, |&r| r as usize + 1);
+                        scratch.reserve_registers(width + payload_width);
+                        for (c, reg) in
+                            scratch.regs[width..width + payload_width].iter_mut().enumerate()
+                        {
+                            reg.resize(reg.len().max(end), 0);
+                            table.scatter_payload(c, matched, &scratch.sel, reg);
+                        }
+                    } else {
+                        // A fan-out re-gathers every register densely, so
+                        // the lazy ones are read first.
+                        for r in 0..width {
+                            scratch.gather(r, window);
+                        }
+                        let mut out_cols = scratch.rent_columns(width + payload_width);
+                        for (c, out) in out_cols.iter_mut().enumerate() {
+                            if c < width {
+                                let (src, sel) = (&scratch.regs[c], &scratch.sel);
+                                out.extend(lanes.iter().map(|&l| src[sel[l as usize] as usize]));
+                            } else {
+                                table.gather_payload(c - width, matched, out);
+                            }
+                        }
+                        scratch.install_dense(out_cols, fanned);
+                    }
+                    scratch.matches = matches;
                     width += payload_width;
                 }
             }
@@ -260,15 +350,7 @@ fn process_chunks(
         if !scratch.sel.is_empty() {
             match terminal {
                 TerminalStep::Pack { exprs, partition_by, partitions } => {
-                    let mut out_cols = scratch.rent_columns(exprs.len());
-                    for (e, expr) in exprs.iter().enumerate() {
-                        expr.eval_batch(
-                            &scratch.regs,
-                            &scratch.sel,
-                            &mut out_cols[e],
-                            &mut scratch.pool,
-                        );
-                    }
+                    let out_cols = scratch.eval_columns(exprs.iter(), window);
                     // A block is emitted the moment it fills, so blocks leave
                     // in fill order and each holds a run of the lane order.
                     let capacity = ctx.out_capacity.max(1);
@@ -294,12 +376,7 @@ fn process_chunks(
                         // partition's columns, in lane order.
                         Some(by) => {
                             let mut keys = scratch.pool.acquire();
-                            by.eval_batch(
-                                &scratch.regs,
-                                &scratch.sel,
-                                &mut keys,
-                                &mut scratch.pool,
-                            );
+                            scratch.eval(by, window, &mut keys);
                             let fanout = (*partitions).max(1) as u64;
                             for (j, key) in keys.iter().enumerate() {
                                 let p = (key.unsigned_abs() % fanout) as usize;
@@ -319,16 +396,8 @@ fn process_chunks(
                 }
                 TerminalStep::HashJoinBuild { key, payload, slot } => {
                     let mut keys = std::mem::take(&mut scratch.flags);
-                    key.eval_batch(&scratch.regs, &scratch.sel, &mut keys, &mut scratch.pool);
-                    let mut pay_cols = scratch.rent_columns(payload.len());
-                    for (e, expr) in payload.iter().enumerate() {
-                        expr.eval_batch(
-                            &scratch.regs,
-                            &scratch.sel,
-                            &mut pay_cols[e],
-                            &mut scratch.pool,
-                        );
-                    }
+                    scratch.eval(key, window, &mut keys);
+                    let pay_cols = scratch.eval_columns(payload.iter(), window);
                     // One write guard per chunk.
                     state.hash_table_of_width(*slot, payload.len())?.insert_batch(&keys, &pay_cols);
                     build_inserts += keys.len() as u64;
@@ -338,12 +407,7 @@ fn process_chunks(
                 TerminalStep::Reduce { aggs, .. } => {
                     let mut values = std::mem::take(&mut scratch.flags);
                     for (i, agg) in aggs.iter().enumerate() {
-                        agg.expr.eval_batch(
-                            &scratch.regs,
-                            &scratch.sel,
-                            &mut values,
-                            &mut scratch.pool,
-                        );
+                        scratch.eval(&agg.expr, window, &mut values);
                         // Dense fold into the block-local partial.
                         let mut acc = partials[i];
                         for &v in &values {
@@ -354,24 +418,8 @@ fn process_chunks(
                     scratch.flags = values;
                 }
                 TerminalStep::GroupBy { keys, aggs, .. } => {
-                    let mut key_cols = scratch.rent_columns(keys.len());
-                    for (e, expr) in keys.iter().enumerate() {
-                        expr.eval_batch(
-                            &scratch.regs,
-                            &scratch.sel,
-                            &mut key_cols[e],
-                            &mut scratch.pool,
-                        );
-                    }
-                    let mut agg_cols = scratch.rent_columns(aggs.len());
-                    for (e, agg) in aggs.iter().enumerate() {
-                        agg.expr.eval_batch(
-                            &scratch.regs,
-                            &scratch.sel,
-                            &mut agg_cols[e],
-                            &mut scratch.pool,
-                        );
-                    }
+                    let key_cols = scratch.eval_columns(keys.iter(), window);
+                    let agg_cols = scratch.eval_columns(aggs.iter().map(|a| &a.expr), window);
                     ctx.local_groups.accumulate_batch(&key_cols, &agg_cols, scratch.sel.len());
                     scratch.release_columns(key_cols);
                     scratch.release_columns(agg_cols);
@@ -879,7 +927,267 @@ mod tests {
         }
     }
 
-    /// Per state slot: hash tables as their payloads for keys 0..64 in match
+    /// Generated-case budget of the register-model property:
+    /// `HETEX_KERNEL_CASES` cases (default 24).
+    fn kernel_cases() -> u32 {
+        std::env::var("HETEX_KERNEL_CASES").ok().and_then(|v| v.parse().ok()).unwrap_or(24)
+    }
+
+    /// How a generated join table stores its keys.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum TableKind {
+        /// Unique dense keys, sealed with a direct index.
+        Direct,
+        /// Unique keys spread too far for a direct index, sealed hashed.
+        Hashed,
+        /// Unique dense keys, never sealed.
+        Unsealed,
+        /// Dense keys of one to three rows each, one key with two at least,
+        /// sealed.
+        FanOut,
+    }
+
+    /// The stride of a [`TableKind::Hashed`] table's keys.
+    const SPARSE: i64 = 1 << 40;
+
+    /// A join table to generate: its kind, payload width and rows.
+    struct TableSpec {
+        kind: TableKind,
+        width: usize,
+        rows: Vec<(i64, Vec<i64>)>,
+    }
+
+    /// A probe chain of one to four tables, filters and maps between the
+    /// probes, and one terminal of each kind, drawn from `rng`. Payload values are keys of
+    /// the next tables (0..72, of which 0..64 may be present), input column
+    /// 0 is a key, 1 a filter column, and 2 and 3 are wide values that are
+    /// read first by the terminal unless the chain holds a map.
+    fn probe_chain(rng: &mut proptest::TestRng) -> (Vec<TableSpec>, Vec<Step>, Vec<TerminalStep>) {
+        let kinds = [TableKind::Direct, TableKind::Hashed, TableKind::Unsealed, TableKind::FanOut];
+        let maps = rng.below(2) == 0;
+        let mut tables = Vec::new();
+        let mut steps = Vec::new();
+        let (mut width, mut keys) = (4, vec![0usize]);
+        for slot in 0..1 + rng.below(4) as usize {
+            let kind = kinds[rng.below(4) as usize];
+            let pw = 1 + rng.below(2) as usize;
+            let density = [5, 40, 80, 100][rng.below(4) as usize];
+            let mut rows = Vec::new();
+            for i in 0..64 {
+                let k = (i * 37 + slot as i64) % 64;
+                // The first two keys always land, the first twice in a
+                // fan-out table.
+                let copies = if i < 2 {
+                    1 + usize::from(i == 0 && kind == TableKind::FanOut)
+                } else if rng.below(100) >= density {
+                    0
+                } else if kind == TableKind::FanOut {
+                    1 + rng.below(3) as usize
+                } else {
+                    1
+                };
+                for _ in 0..copies {
+                    let stored = if kind == TableKind::Hashed { k * SPARSE } else { k };
+                    rows.push((stored, (0..pw).map(|_| rng.below(72) as i64).collect()));
+                }
+            }
+            tables.push(TableSpec { kind, width: pw, rows });
+            if rng.below(2) == 0 {
+                let r =
+                    if rng.below(2) == 0 { 1 } else { keys[rng.below(keys.len() as u64) as usize] };
+                steps.push(Step::Filter { predicate: Expr::col(r).lt_lit(rng.below(110) as i64) });
+            }
+            if maps && rng.below(2) == 0 {
+                let mut exprs: Vec<Expr> = (0..width).map(Expr::col).collect();
+                exprs.push(Expr::col(1).sub(Expr::col(3)));
+                steps.push(Step::Map { exprs });
+                width += 1;
+            }
+            let key = Expr::col(keys[rng.below(keys.len() as u64) as usize]);
+            let key = if kind == TableKind::Hashed { key.mul(Expr::lit(SPARSE)) } else { key };
+            steps.push(Step::HashJoinProbe { key, slot: StateSlot(slot), payload_width: pw });
+            keys.extend(width..width + pw);
+            width += pw;
+        }
+        if rng.below(3) == 0 {
+            steps.push(Step::Filter { predicate: Expr::col(3).gt_lit(-500) });
+        }
+        let (last, slot) = (*keys.last().unwrap(), StateSlot(tables.len()));
+        let partitions = 1 + rng.below(7) as usize;
+        let terminals = vec![
+            TerminalStep::Pack {
+                exprs: vec![Expr::col(2), Expr::col(last), Expr::col(3)],
+                partition_by: None,
+                partitions: 1,
+            },
+            TerminalStep::Pack {
+                exprs: vec![Expr::col(3), Expr::col(0)],
+                partition_by: Some(Expr::col(2)),
+                partitions,
+            },
+            TerminalStep::HashJoinBuild {
+                key: Expr::col(last),
+                payload: vec![Expr::col(2), Expr::col(3)],
+                slot,
+            },
+            TerminalStep::Reduce {
+                aggs: vec![
+                    AggSpec::sum(Expr::col(2)),
+                    AggSpec::count(),
+                    AggSpec::min(Expr::col(3)),
+                    AggSpec::max(Expr::col(last)),
+                ],
+                slot,
+            },
+            TerminalStep::GroupBy {
+                keys: vec![Expr::col(last), Expr::col(3)],
+                aggs: vec![AggSpec::sum(Expr::col(2)), AggSpec::count()],
+                slot,
+            },
+        ];
+        (tables, steps, terminals)
+    }
+
+    /// The generated tables, sealed as their kind says, then the terminal's
+    /// state object.
+    fn chain_state(tables: &[TableSpec], terminal: &TerminalStep) -> SharedState {
+        let mut state = SharedState::new();
+        for spec in tables {
+            let slot = state.add_hash_table(spec.width);
+            let table = state.hash_table(slot).unwrap();
+            for (key, payload) in &spec.rows {
+                table.insert(*key, payload.clone());
+            }
+            if spec.kind != TableKind::Unsealed {
+                table.seal();
+            }
+            if spec.kind != TableKind::FanOut {
+                assert_eq!(table.is_direct(), spec.kind == TableKind::Direct, "{:?}", spec.kind);
+            }
+            assert_eq!(table.len() == table.distinct_keys(), spec.kind != TableKind::FanOut);
+        }
+        match terminal {
+            TerminalStep::Reduce { aggs, .. } => {
+                state.add_accumulators(aggs);
+            }
+            TerminalStep::GroupBy { aggs, .. } => {
+                state.add_group_by(aggs);
+            }
+            TerminalStep::HashJoinBuild { payload, .. } => {
+                state.add_hash_table(payload.len());
+            }
+            TerminalStep::Pack { .. } => {}
+        }
+        state
+    }
+
+    /// One input block of `rows` rows: column `c` is `Int32` where
+    /// `int32[c]`, values as [`probe_chain`] describes them.
+    fn chain_input(rng: &mut proptest::TestRng, rows: usize, int32: [bool; 4]) -> BlockHandle {
+        let columns = (0..4)
+            .map(|c| {
+                let values: Vec<i64> = (0..rows)
+                    .map(|_| match c {
+                        0 => rng.below(70) as i64,
+                        1 => rng.below(100) as i64,
+                        2 => rng.next_u64() as i32 as i64,
+                        _ => rng.below(2_000) as i64 - 1_000,
+                    })
+                    .collect();
+                if int32[c] {
+                    ColumnData::Int32(values.into_iter().map(|v| v as i32).collect())
+                } else {
+                    ColumnData::Int64(values)
+                }
+            })
+            .collect();
+        let block = Block::new(columns, rows).unwrap();
+        BlockHandle::new(block, BlockMeta::new(BlockId::new(0), MemoryNodeId::new(0)))
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(kernel_cases()))]
+
+        /// Lazy registers and in-place unique-key probes change nothing the
+        /// per-tuple oracle can see: blocks, ids, tags, order, counters and
+        /// the state left behind, for probe chains over every kind of join
+        /// table with filters and maps between them, every terminal, `Int32`
+        /// and `Int64` inputs, and blocks on and around the chunk size fed
+        /// through one context.
+        #[test]
+        fn lazy_registers_match_the_per_tuple_oracle(seed in 0u64..u64::MAX) {
+            let mut rng = proptest::TestRng::new(seed);
+            let (tables, steps, terminals) = probe_chain(&mut rng);
+            let int32 = [0, 1, 2, 3].map(|_| rng.below(2) == 0);
+            let sizes = [0, 1, 1_023, 1_024, 1_025, 2_900 + rng.below(200) as usize];
+            let inputs: Vec<BlockHandle> = (0..1 + rng.below(3))
+                .map(|b| {
+                    let rows = sizes[rng.below(sizes.len() as u64) as usize];
+                    let mut input = chain_input(&mut rng, rows, int32);
+                    input.meta_mut().weight = 1.0 + b as f64;
+                    input
+                })
+                .collect();
+            let capacity = [1, 7, 1_023, 1_024, 4_096][rng.below(5) as usize];
+            for terminal in terminals {
+                let pipeline = CompiledPipeline::new(
+                    PipelineId::new(81),
+                    DeviceKind::CpuCore,
+                    4,
+                    steps.clone(),
+                    terminal.clone(),
+                )
+                .unwrap();
+                let run = |per_tuple| {
+                    let state = chain_state(&tables, &terminal);
+                    let mut ctx = ExecCtx::cpu(MemoryNodeId::new(0), capacity);
+                    let (blocks, counters) =
+                        run_instance(&pipeline, &inputs, &state, &mut ctx, per_tuple);
+                    (blocks, counters, dump_state(&state))
+                };
+                let case = format!("seed {seed}: {steps:?} -> {terminal:?}, capacity {capacity}");
+                proptest::prop_assert_eq!(run(false), run(true), "{}", case);
+            }
+        }
+    }
+
+    #[test]
+    fn a_float_input_fails_its_block_even_when_no_row_reads_it() {
+        // Column 1 is read only after a probe that matches no row.
+        let rows = 2_000;
+        let block = Block::new(
+            vec![
+                ColumnData::Int64((0..rows as i64).collect()),
+                ColumnData::Float64(vec![0.5; rows]),
+            ],
+            rows,
+        )
+        .unwrap();
+        let block = BlockHandle::new(block, BlockMeta::new(BlockId::new(0), MemoryNodeId::new(0)));
+        let mut state = SharedState::new();
+        let ht = state.add_hash_table(1);
+        state.hash_table(ht).unwrap().insert(-1, vec![0]);
+        let aggs = vec![AggSpec::sum(Expr::col(1)), AggSpec::count()];
+        let acc = state.add_accumulators(&aggs);
+        let pipeline = CompiledPipeline::new(
+            PipelineId::new(82),
+            DeviceKind::CpuCore,
+            2,
+            vec![Step::HashJoinProbe { key: Expr::col(0), slot: ht, payload_width: 1 }],
+            TerminalStep::Reduce { aggs, slot: acc },
+        )
+        .unwrap();
+        let mut ctx = ExecCtx::cpu(MemoryNodeId::new(0), 100);
+        match pipeline.process_block(&block, &state, &mut ctx) {
+            Err(HetError::Execution(msg)) => {
+                assert!(msg.contains("input column 1 is Float64"), "{msg}")
+            }
+            other => panic!("expected an execution error, got {other:?}"),
+        }
+        assert_eq!(state.accumulators(acc).unwrap().values(), vec![0, 0]);
+    }
+
+    /// Per state slot: hash tables as their payloads for keys 0..128 in match
     /// order, accumulators, sorted groups.
     fn dump_state(state: &SharedState) -> Vec<String> {
         use crate::state::StateObject;
@@ -887,7 +1195,7 @@ mod tests {
             .map(|slot| match state.object(StateSlot(slot)).unwrap() {
                 StateObject::HashTable(table) => {
                     let mut rows = Vec::new();
-                    for k in 0..64 {
+                    for k in 0..128 {
                         table.probe(k, |payload| rows.push((k, payload.to_vec())));
                     }
                     format!("{rows:?}")

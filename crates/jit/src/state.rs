@@ -431,7 +431,7 @@ impl JoinProbe<'_> {
         if table.slots.is_empty() {
             return;
         }
-        let unique = table.distinct == table.rows();
+        let unique = self.unique_keys();
         heads.clear();
         if let Some((base, direct)) = &table.direct {
             let resolved = keys.iter().map(|&k| direct_head(*base, direct, k));
@@ -458,12 +458,29 @@ impl JoinProbe<'_> {
         }
     }
 
+    /// True if every key has one build row: a probe matches each key at
+    /// most once.
+    pub fn unique_keys(&self) -> bool {
+        self.table.distinct == self.table.rows()
+    }
+
     /// Append payload column `column` of each of `rows` to `out`.
     pub fn gather_payload(&self, column: usize, rows: &[u32], out: &mut Vec<i64>) {
+        out.extend(self.payload(column, rows));
+    }
+
+    /// Write payload column `column` of row `rows[m]` to `out[at[m]]`.
+    pub fn scatter_payload(&self, column: usize, rows: &[u32], at: &[u32], out: &mut [i64]) {
+        for (value, &a) in self.payload(column, rows).zip(at) {
+            out[a as usize] = value;
+        }
+    }
+
+    fn payload<'r>(&'r self, column: usize, rows: &'r [u32]) -> impl Iterator<Item = i64> + 'r {
         let table = &*self.table;
         assert!(column < table.width, "payload column out of range");
         let stride = table.stride();
-        out.extend(rows.iter().map(|&r| table.arena[r as usize * stride + column]));
+        rows.iter().map(move |&r| table.arena[r as usize * stride + column])
     }
 }
 
