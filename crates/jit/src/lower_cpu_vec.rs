@@ -26,9 +26,11 @@
 //! * the terminal consumes the final selection in one pass with chunk-local
 //!   accumulators that are merged into shared state once per *block* (the
 //!   CPU provider's worker-scoped atomic: one synchronization per block); a
-//!   pack appends the chunk's evaluated columns to the instance's open output
-//!   blocks — whole runs when unpartitioned, one lane at a time into its
-//!   partition's columns when hash-partitioned — with no per-tuple object.
+//!   hash build appends the chunk's keys and payload columns to scratch and
+//!   hands the block's rows to the join table in one append; a pack appends
+//!   the chunk's evaluated columns to the instance's open output blocks —
+//!   whole runs when unpartitioned, one lane at a time into its partition's
+//!   columns when hash-partitioned — with no per-tuple object.
 //!
 //! The scratch ([`VecScratch`]) lives in the instance's [`ExecCtx`], so a
 //! block of a few hundred rows reuses the buffers of every block before it.
@@ -96,6 +98,10 @@ pub(crate) struct VecScratch {
     pool: ScratchPool,
     /// Emptied column sets, so renting columns allocates no outer `Vec`.
     sets: Vec<Vec<Vec<i64>>>,
+    /// A hash build's keys and payload columns, appended chunk by chunk and
+    /// inserted once per block.
+    build_keys: Vec<i64>,
+    build_payload: Vec<Vec<i64>>,
 }
 
 /// The input rows of the current chunk: `columns[..][base..base + len]`.
@@ -253,8 +259,14 @@ fn process_chunks(
     };
     // The block-local group table and the open pack blocks live in the
     // context: cleared or carried over, not reallocated, per block.
-    if let TerminalStep::GroupBy { keys, aggs, .. } = pipeline.terminal() {
-        ctx.local_groups.reset(keys.len(), aggs);
+    match pipeline.terminal() {
+        TerminalStep::GroupBy { keys, aggs, .. } => ctx.local_groups.reset(keys.len(), aggs),
+        TerminalStep::HashJoinBuild { payload, .. } => {
+            scratch.build_keys.clear();
+            scratch.build_payload.resize_with(payload.len(), Vec::new);
+            scratch.build_payload.iter_mut().for_each(Vec::clear);
+        }
+        _ => {}
     }
     ctx.open_pack(pipeline.terminal());
     let mut outputs: Vec<BlockHandle> = Vec::new();
@@ -262,7 +274,6 @@ fn process_chunks(
     let mut probes = 0u64;
     let mut probe_matches = 0u64;
     let mut rows_terminal = 0u64;
-    let mut build_inserts = 0u64;
 
     let steps = pipeline.steps();
     let terminal = pipeline.terminal();
@@ -394,14 +405,15 @@ fn process_chunks(
                     }
                     scratch.release_columns(out_cols);
                 }
-                TerminalStep::HashJoinBuild { key, payload, slot } => {
+                TerminalStep::HashJoinBuild { key, payload, .. } => {
                     let mut keys = std::mem::take(&mut scratch.flags);
                     scratch.eval(key, window, &mut keys);
-                    let pay_cols = scratch.eval_columns(payload.iter(), window);
-                    // One write guard per chunk.
-                    state.hash_table_of_width(*slot, payload.len())?.insert_batch(&keys, &pay_cols);
-                    build_inserts += keys.len() as u64;
+                    scratch.build_keys.extend_from_slice(&keys);
                     scratch.flags = keys;
+                    let pay_cols = scratch.eval_columns(payload.iter(), window);
+                    for (to, from) in scratch.build_payload.iter_mut().zip(&pay_cols) {
+                        to.extend_from_slice(from);
+                    }
                     scratch.release_columns(pay_cols);
                 }
                 TerminalStep::Reduce { aggs, .. } => {
@@ -442,8 +454,10 @@ fn process_chunks(
                 counters.atomics += 1;
             }
         }
-        TerminalStep::HashJoinBuild { .. } => {
-            counters.atomics += build_inserts;
+        TerminalStep::HashJoinBuild { payload, slot, .. } => {
+            let (keys, payload_cols) = (&scratch.build_keys, &scratch.build_payload);
+            state.hash_table_of_width(*slot, payload.len())?.insert_batch(keys, payload_cols);
+            counters.atomics += keys.len() as u64;
         }
         TerminalStep::Pack { .. } => {}
     }

@@ -9,15 +9,16 @@
 //! atomic per CPU block, one per GPU warp), mirroring how the paper minimizes
 //! global atomics with neighborhood reductions.
 //!
-//! Both hash structures are *flat*: a power-of-two open-addressing slot array
-//! (linear probing, at most half full, indexed by the top bits of
-//! [`hash_i64`]) over one contiguous, fixed-stride `i64` arena. There is no
-//! per-row heap object, so building costs a few stores per tuple, a group-by
-//! result leaves as columns gathered from the arena in key order, and
-//! dropping a table is a handful of frees however many rows it holds.
-//! Once its build finishes, a join table is *sealed*: a dense key range
-//! gains a direct `key − min` index beside the slot array, and a table of
-//! unique keys is probed without walking chains.
+//! Both hash structures are *flat*: one contiguous, fixed-stride `i64` arena
+//! indexed by a power-of-two open-addressing slot array (linear probing, at
+//! most half full, indexed by the top bits of [`hash_i64`]). There is no
+//! per-row heap object, so a group-by result leaves as columns gathered from
+//! the arena in key order, and dropping a table is a handful of frees
+//! however many rows it holds. A join table's build only appends, a block
+//! of rows at a time; its index is built once, when the build finishes (or
+//! on the first read after an insert), sized for every row: a direct
+//! `key − min` array of chain heads for a dense key range, the slot array
+//! otherwise. A table of unique keys is probed without walking chains.
 //! DESIGN.md, "Hash state layout", has the full picture.
 
 use crate::expr::hash_i64;
@@ -29,7 +30,8 @@ use parking_lot::{Mutex, RwLock, RwLockReadGuard};
 /// "No row" / "no group": the empty-slot marker and the end of a match chain.
 const NIL: u32 = u32::MAX;
 
-/// Slots a table starts with on its first insert.
+/// The fewest slots a slot array holds: a group table's on its first
+/// insert, a join table's hashed index at any size.
 const MIN_SLOTS: usize = 16;
 
 /// Key span up to which [`JoinHashTable::seal`] builds a direct index even
@@ -54,40 +56,37 @@ fn next_index(len: usize) -> u32 {
     u32::try_from(len).ok().filter(|&i| i != NIL).expect("hash state holds fewer than 2^32 entries")
 }
 
-/// One slot of the join table: a distinct key and the first and last row of
-/// its match chain. Empty while `head` is [`NIL`].
+/// One slot of a hashed join index: a distinct key and the first row of its
+/// match chain. Empty while `head` is [`NIL`].
 #[derive(Debug, Clone, Copy)]
 struct JoinSlot {
     key: i64,
     head: u32,
-    tail: u32,
 }
 
-const EMPTY_JOIN_SLOT: JoinSlot = JoinSlot { key: 0, head: NIL, tail: NIL };
+const EMPTY_JOIN_SLOT: JoinSlot = JoinSlot { key: 0, head: NIL };
 
 /// The unsynchronized join table the lock in [`JoinHashTable`] protects.
 ///
-/// Row `r` occupies `arena[r * stride .. (r + 1) * stride]` with
-/// `stride = width + 1`: the payload columns, then the index of the next row
-/// with the same key (`NIL` at the end of the chain). A slot remembers its
-/// chain's head and tail, so an insert appends in O(1) and a probe visits
-/// matches in insertion order.
+/// Row `r` has key `keys[r]` and occupies `arena[r * stride .. (r + 1) *
+/// stride]` with `stride = width + 1`: the payload columns, then the index
+/// of the next row with the same key (`NIL` at the end of the chain).
 ///
-/// A sealed table whose keys fit a short range also holds `direct`: the
-/// smallest key and, at `key − min`, each key's chain head (`NIL` for a key
-/// it lacks). Any insert drops it.
+/// Inserts only append. [`Self::seal`] links every row into its key's chain
+/// and builds one index of the chain heads, sized for every row: `direct`,
+/// the smallest key and, at `key − min`, each key's chain head (`NIL` for a
+/// key it lacks), when the keys fit a short range, and the hashed `slots`
+/// otherwise. The index and `distinct` cover the first `indexed` rows.
 #[derive(Debug, Default)]
 struct FlatJoin {
     width: usize,
+    keys: Vec<i64>,
+    arena: Vec<i64>,
+    indexed: usize,
+    distinct: usize,
     slots: Vec<JoinSlot>,
     shift: u32,
-    distinct: usize,
-    arena: Vec<i64>,
-    /// The smallest and largest key inserted; `None` while empty.
-    key_range: Option<(i64, i64)>,
     direct: Option<(i64, Vec<u32>)>,
-    /// Each new row's resolved slot while [`Self::insert_batch`] links.
-    resolved: Vec<u32>,
 }
 
 /// `key`'s chain head in the direct index `heads` of keys from `base` on:
@@ -107,34 +106,56 @@ impl FlatJoin {
     }
 
     fn rows(&self) -> usize {
-        self.arena.len() / self.stride()
+        self.keys.len()
     }
 
-    /// Build the direct index if the keys' span is at most
-    /// `max(4 × slots, DIRECT_FLOOR)`: no larger than the slot array, or
-    /// within [`DIRECT_FLOOR`]. A no-op on an empty or already sealed table.
+    /// True while the index covers every row.
+    fn is_indexed(&self) -> bool {
+        self.indexed == self.rows()
+    }
+
+    /// Index every row, once: a no-op on an empty or already indexed table.
     ///
-    /// The key range is kept by the inserts, so a table that stays hashed
-    /// costs nothing to seal. The fill is one pass over the slot array that
-    /// stores every slot's head without a branch on whether it is occupied:
-    /// an empty slot's `NIL` goes to a spare last entry, which is dropped.
+    /// The index has `slots = next_pow2(2 × rows)` slots (at least
+    /// [`MIN_SLOTS`]) and is direct when the keys' span is at most
+    /// `max(4 × slots, DIRECT_FLOOR)`: no larger than the slot array, or
+    /// within [`DIRECT_FLOOR`]. Only that index is allocated. Rows are
+    /// linked from the last to the first, each at the front of its key's
+    /// chain, so chains come out in insertion order without a tail pointer.
     fn seal(&mut self) {
-        let Some((min, max)) = self.key_range else { return };
-        if self.direct.is_some() {
+        if self.is_indexed() {
             return;
         }
+        let (min, max) =
+            self.keys.iter().fold((i64::MAX, i64::MIN), |(lo, hi), &k| (lo.min(k), hi.max(k)));
+        let len = (2 * self.rows()).next_power_of_two().max(MIN_SLOTS);
         let span = i128::from(max) - i128::from(min) + 1;
-        if span > (4 * self.slots.len()).max(DIRECT_FLOOR) as i128 {
-            return;
+        let (stride, width) = (self.stride(), self.width);
+        self.distinct = 0;
+        if span <= (4 * len).max(DIRECT_FLOOR) as i128 {
+            self.slots = Vec::new();
+            let mut heads = vec![NIL; span as usize];
+            for (r, &key) in self.keys.iter().enumerate().rev() {
+                let head = &mut heads[key.wrapping_sub(min) as u64 as usize];
+                self.distinct += usize::from(*head == NIL);
+                self.arena[r * stride + width] = i64::from(*head);
+                *head = r as u32;
+            }
+            self.direct = Some((min, heads));
+        } else {
+            self.direct = None;
+            self.slots = vec![EMPTY_JOIN_SLOT; len];
+            self.shift = shift_for(len);
+            for r in (0..self.rows()).rev() {
+                let key = self.keys[r];
+                let i = self.slot_from(self.home(key), key);
+                let slot = &mut self.slots[i];
+                self.distinct += usize::from(slot.head == NIL);
+                self.arena[r * stride + width] = i64::from(slot.head);
+                *slot = JoinSlot { key, head: r as u32 };
+            }
         }
-        let span = span as usize;
-        let mut heads = vec![NIL; span + 1];
-        for slot in &self.slots {
-            let off = slot.key.wrapping_sub(min) as u64 as usize;
-            heads[if slot.head == NIL { span } else { off }] = slot.head;
-        }
-        heads.truncate(span);
-        self.direct = Some((min, heads));
+        self.indexed = self.rows();
     }
 
     fn home(&self, key: i64) -> usize {
@@ -171,94 +192,35 @@ impl FlatJoin {
         (&cells[..self.width], cells[self.width] as u32)
     }
 
-    /// Grow the slot array until `distinct` keys fit at most half full (the
-    /// arena does not move).
-    fn reserve_keys(&mut self, distinct: usize) {
-        if distinct * 2 <= self.slots.len() {
-            return;
-        }
-        let len = (distinct * 2).next_power_of_two().max(MIN_SLOTS);
-        let old = std::mem::replace(&mut self.slots, vec![EMPTY_JOIN_SLOT; len]);
-        self.shift = shift_for(len);
-        for slot in old.into_iter().filter(|s| s.head != NIL) {
-            let mut i = self.home(slot.key);
-            while self.slots[i].head != NIL {
-                i = (i + 1) & (len - 1);
-            }
-            self.slots[i] = slot;
-        }
-    }
-
-    /// Append one row per key and link row `j` into `keys[j]`'s chain, in
-    /// ascending `j`. `write_payload` fills the new rows' cells (`stride`
-    /// per row, every cell `NIL` on entry) with their payloads.
-    ///
-    /// Growth is checked once, for room for every key to be new. Then every
-    /// key's slot is resolved in one pass of independent loads, whose cache
-    /// misses overlap as in [`JoinProbe::probe_batch`], and the rows are
-    /// linked in order. A slot resolved as empty may since have been taken by
-    /// an earlier row of the batch: linking then probes on from it, which is
-    /// where a one-row insert would have probed too.
+    /// Append one row per key. `write_payload` fills the new rows' cells
+    /// (`stride` per row, every cell `NIL` on entry) with their payloads.
+    /// Nothing is hashed or linked until the next [`Self::seal`].
     fn insert_batch(&mut self, keys: &[i64], write_payload: impl FnOnce(&mut [i64])) {
-        if keys.is_empty() {
-            return;
-        }
-        let first = self.rows();
-        assert!(first + keys.len() <= NIL as usize, "hash state holds fewer than 2^32 entries");
-        self.direct = None;
-        let (lo, hi) = self.key_range.unwrap_or((i64::MAX, i64::MIN));
-        self.key_range = Some(keys.iter().fold((lo, hi), |(lo, hi), &k| (lo.min(k), hi.max(k))));
-        self.reserve_keys(self.distinct + keys.len());
-        let stride = self.stride();
+        next_index(self.rows() + keys.len());
+        self.keys.extend_from_slice(keys);
         let start = self.arena.len();
-        self.arena.resize(start + keys.len() * stride, i64::from(NIL));
+        self.arena.resize(start + keys.len() * self.stride(), i64::from(NIL));
         write_payload(&mut self.arena[start..]);
-
-        let mut resolved = std::mem::take(&mut self.resolved);
-        resolved.clear();
-        resolved.extend(keys.iter().map(|&k| self.home(k) as u32));
-        for (slot, &key) in resolved.iter_mut().zip(keys) {
-            *slot = self.slot_from(*slot as usize, key) as u32;
-        }
-        let mask = self.slots.len() - 1;
-        for (j, (&from, &key)) in resolved.iter().zip(keys).enumerate() {
-            let row = (first + j) as u32;
-            let mut i = from as usize;
-            loop {
-                let slot = &mut self.slots[i];
-                if slot.head == NIL {
-                    *slot = JoinSlot { key, head: row, tail: row };
-                    self.distinct += 1;
-                    break;
-                }
-                if slot.key == key {
-                    self.arena[slot.tail as usize * stride + self.width] = i64::from(row);
-                    slot.tail = row;
-                    break;
-                }
-                i = (i + 1) & mask;
-            }
-        }
-        self.resolved = resolved;
     }
 
     fn bytes(&self) -> u64 {
         let direct = self.direct.as_ref().map_or(0, |(_, heads)| heads.len());
-        (self.slots.capacity() * std::mem::size_of::<JoinSlot>()
-            + self.arena.capacity() * std::mem::size_of::<i64>()
+        (self.slots.len() * std::mem::size_of::<JoinSlot>()
+            + (self.keys.len() + self.arena.len()) * std::mem::size_of::<i64>()
             + direct * std::mem::size_of::<u32>()) as u64
     }
 }
 
 /// A hash table built by the build side of an equi-join.
 ///
-/// Builders and probers synchronize per *chunk*: [`Self::insert_batch`] takes
-/// the write lock once for a whole chunk of build tuples and [`Self::read`]
-/// hands out a guard under which a whole chunk of keys is probed. The build
-/// stage [`Self::seal`]s the table when its last worker finishes, which
-/// gives a dense key range a direct index. Sealing is an optimisation, not a
-/// state the callers must sequence: a probe may follow an insert at any
-/// time, and an insert after a seal drops the index again.
+/// Builders and probers synchronize per *block* and per *chunk*:
+/// [`Self::insert_batch`] takes the write lock once to append a whole block
+/// of build tuples, and [`Self::read`] hands out a guard under which a whole
+/// chunk of keys is probed. The build stage [`Self::seal`]s the table when
+/// its last worker finishes, which indexes every row at once. Sealing is not
+/// a state the callers must sequence: a read of a table with rows its index
+/// does not cover indexes them first, so a probe may follow an insert at
+/// any time.
 #[derive(Debug)]
 pub struct JoinHashTable {
     payload_width: usize,
@@ -290,8 +252,8 @@ impl JoinHashTable {
         });
     }
 
-    /// Insert a chunk of build tuples under one write lock: tuple `j` is
-    /// `(keys[j], payload_cols[..][j])`, inserted in ascending `j`.
+    /// Append a batch of build tuples under one write lock: tuple `j` is
+    /// `(keys[j], payload_cols[..][j])`, appended in ascending `j`.
     ///
     /// # Panics
     /// If there are not [`Self::payload_width`] payload columns of
@@ -313,9 +275,17 @@ impl JoinHashTable {
         });
     }
 
-    /// A read guard to probe a chunk of keys under.
+    /// A read guard to probe a chunk of keys under, indexing any rows
+    /// appended since the last index first.
     pub fn read(&self) -> JoinProbe<'_> {
-        JoinProbe { table: self.table.read() }
+        loop {
+            let table = self.table.read();
+            if table.is_indexed() {
+                return JoinProbe { table };
+            }
+            drop(table);
+            self.seal();
+        }
     }
 
     /// Visit the payloads matching `key`, in insertion order.
@@ -335,26 +305,29 @@ impl JoinHashTable {
 
     /// Number of distinct keys.
     pub fn distinct_keys(&self) -> usize {
-        self.table.read().distinct
+        self.read().table.distinct
     }
 
-    /// Index the keys directly by `key − min` when their span is at most
-    /// `max(4 × slots, DIRECT_FLOOR)` — in bytes, no larger than the slot
-    /// array or at most 128 KiB. Probes then resolve a chain head with one
-    /// bounds check and one load instead of a linear probe. Sealing an empty
-    /// or already sealed table does nothing; any later insert drops the
-    /// index, so an unsealed or re-opened table still answers correctly.
+    /// Index every row: directly by `key − min` when the keys' span is at
+    /// most `max(4 × slots, DIRECT_FLOOR)` for `slots = next_pow2(2 × rows)`
+    /// — in bytes, no larger than a slot array for every row or at most
+    /// 128 KiB — and hashed otherwise. Probes of a direct index resolve a
+    /// chain head with one bounds check and one load instead of a linear
+    /// probe. Sealing an empty or already indexed table does nothing; rows
+    /// inserted later are indexed, with all the others, on the next read.
+    #[cold]
     pub fn seal(&self) {
         self.table.write().seal();
     }
 
-    /// True if the table is sealed with a direct key index.
+    /// True if the table's index covers every row and is direct.
     pub fn is_direct(&self) -> bool {
-        self.table.read().direct.is_some()
+        let table = self.table.read();
+        table.is_indexed() && table.direct.is_some()
     }
 
-    /// Bytes the table holds (slot array and row arena at capacity, plus the
-    /// direct index), for state-memory accounting.
+    /// Bytes of the table's key column, row arena and index, for
+    /// state-memory accounting. The columns' growth slack is not counted.
     pub fn approx_bytes(&self) -> u64 {
         self.table.read().bytes()
     }
@@ -428,7 +401,7 @@ impl JoinProbe<'_> {
         let JoinMatches { heads, lanes, rows } = matches;
         lanes.clear();
         rows.clear();
-        if table.slots.is_empty() {
+        if table.rows() == 0 {
             return;
         }
         let unique = self.unique_keys();
@@ -931,8 +904,16 @@ mod tests {
         assert_eq!(matches, 2);
         assert_eq!(seen, vec![vec![1, 100], vec![2, 200]], "matches visit in insertion order");
         assert_eq!(t.probe(99, |_| panic!("no match expected")), 0);
-        // Three rows of two payload columns plus the chain link, and the slots.
-        assert!(t.approx_bytes() >= 3 * 3 * 8 + 16 * MIN_SLOTS as u64);
+        // Indexed, the table holds its key column, three rows of two payload
+        // columns plus the chain link, and one index: keys 10..=20 direct.
+        assert!(t.is_direct());
+        assert_eq!(t.approx_bytes(), 3 * 8 + 3 * 3 * 8 + 4 * 11);
+        // A far key makes the next index a hashed one of `MIN_SLOTS` slots,
+        // and the direct one goes.
+        t.insert(1 << 40, vec![4, 400]);
+        assert_eq!(t.probe(1 << 40, |row| assert_eq!(row, [4, 400])), 1);
+        assert!(!t.is_direct());
+        assert_eq!(t.approx_bytes(), 4 * 8 + 4 * 3 * 8 + 16 * MIN_SLOTS as u64);
     }
 
     #[test]

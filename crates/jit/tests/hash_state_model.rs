@@ -137,6 +137,67 @@ fn assert_join_matches_model(table: &JoinHashTable, model: &JoinModel, keys: &[i
     }
 }
 
+/// The slots of a hashed index over `rows` rows: at most half full, and
+/// never fewer than 16.
+fn slots_for(rows: usize) -> usize {
+    (2 * rows).next_power_of_two().max(16)
+}
+
+/// True if the seal's rule indexes `keys` directly: their span is at most
+/// `max(4 × slots, DIRECT_FLOOR)`, with the slots counted from the rows, not
+/// the distinct keys.
+fn direct_by_rule(keys: &[i64]) -> bool {
+    let (Some(&min), Some(&max)) = (keys.iter().min(), keys.iter().max()) else {
+        return false;
+    };
+    i128::from(max) - i128::from(min) < (4 * slots_for(keys.len())).max(DIRECT_FLOOR) as i128
+}
+
+/// Bytes an indexed table of `rows` rows of `width` payload columns holds:
+/// its key column, its arena of payloads and chain links, and one index —
+/// four bytes a key of the span for a direct one (`Some(span)`), sixteen a
+/// slot for a hashed one, never both.
+fn indexed_bytes(rows: usize, width: usize, direct_span: Option<u64>) -> u64 {
+    let index = direct_span.map_or(16 * slots_for(rows) as u64, |span| 4 * span);
+    8 * rows as u64 + 8 * (rows * (width + 1)) as u64 + index
+}
+
+/// Every key of `probes` matches the model's rows for it: in the model's
+/// order if `exact`, else as a multiset. Either way the rows one block
+/// appended (payload `[block, position]`) form one run of its chain, in
+/// ascending position, and a chunked probe finds what single probes find.
+fn assert_blocks_stay_whole(table: &JoinHashTable, model: &JoinModel, probes: &[i64], exact: bool) {
+    if exact {
+        return assert_join_matches_model(table, model, probes);
+    }
+    assert_eq!(table.len(), model.values().map(Vec::len).sum::<usize>());
+    assert_eq!(table.distinct_keys(), model.len());
+    for (batched, &key) in probe_batch_all(table, probes).iter().zip(probes) {
+        let chain = probe_all(table, key);
+        assert_eq!(batched, &chain, "key {key}");
+        let mut blocks = std::collections::HashSet::new();
+        for (i, row) in chain.iter().enumerate() {
+            if i > 0 && chain[i - 1][0] == row[0] {
+                assert!(chain[i - 1][1] < row[1], "key {key}: block {} reordered", row[0]);
+            } else {
+                assert!(blocks.insert(row[0]), "key {key}: block {} split", row[0]);
+            }
+        }
+        let mut got = chain;
+        let mut expected = model.get(&key).cloned().unwrap_or_default();
+        got.sort();
+        expected.sort();
+        assert_eq!(got, expected, "key {key}");
+    }
+}
+
+/// Add the rows `insert_batch(keys, payload)` appends to the model.
+fn record(model: &mut JoinModel, keys: &[i64], payload: &[Vec<i64>]) {
+    for (j, &key) in keys.iter().enumerate() {
+        model.entry(key).or_default().push(payload.iter().map(|c| c[j]).collect());
+    }
+}
+
 /// Transpose payload rows into the columns `insert_batch` takes.
 fn columns_of(rows: &[Vec<i64>], width: usize) -> Vec<Vec<i64>> {
     (0..width).map(|c| rows.iter().map(|r| r[c]).collect()).collect()
@@ -210,6 +271,26 @@ fn past_the_floor_the_direct_limit_is_four_times_the_slots() {
     }
 }
 
+/// A chained table is sized by its rows: 10,000 rows over 5,000 keys take
+/// 32 Ki slots, so a span of 128 Ki keys is indexed and one more key of
+/// span is not — where slots counted from the distinct keys would have
+/// stopped at 64 Ki.
+#[test]
+fn a_chained_table_is_sized_by_its_rows() {
+    let offsets: Vec<u64> = (1..4_999).map(|i| i * 13).collect();
+    for at in 0..3 {
+        for (span, direct) in [(128 * 1024, true), (128 * 1024 + 1, false)] {
+            let base = window_base(at, span);
+            let keys = window_keys(base, span, &offsets).repeat(2);
+            let (table, model) = built_table(&keys, 1);
+            table.seal();
+            assert_eq!((table.len(), table.distinct_keys()), (10_000, 5_000));
+            assert_eq!(table.is_direct(), direct, "span {span} from {base}");
+            assert_join_matches_model(&table, &model, &window_probes(base, span, &keys));
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(case_budget()))]
 
@@ -267,19 +348,18 @@ proptest! {
         let width = if wide == 1 { 2 } else { 0 };
         let (unsealed, mut model) = built_table(&keys, width);
         let (sealed, _) = built_table(&keys, width);
-        let unsealed_bytes = sealed.approx_bytes();
         sealed.seal();
         let direct = span <= DIRECT_FLOOR as u64;
         prop_assert_eq!(sealed.is_direct(), direct);
-        let index_bytes = if direct { 4 * span } else { 0 };
-        prop_assert_eq!(sealed.approx_bytes(), unsealed_bytes + index_bytes);
+        let table_bytes = indexed_bytes(keys.len(), width, direct.then_some(span));
+        prop_assert_eq!(sealed.approx_bytes(), table_bytes);
         let probes = window_probes(base, span, &keys);
         assert_join_matches_model(&unsealed, &model, &probes);
         assert_join_matches_model(&sealed, &model, &probes);
 
         sealed.seal();
         prop_assert_eq!(sealed.is_direct(), direct);
-        prop_assert_eq!(sealed.approx_bytes(), unsealed_bytes + index_bytes);
+        prop_assert_eq!(sealed.approx_bytes(), table_bytes);
 
         let extra = base.wrapping_add(span as i64 / 3);
         sealed.insert(extra, payload_of(keys.len(), width));
@@ -471,6 +551,102 @@ proptest! {
             got.sort();
             prop_assert_eq!(&got, expected, "key {}", key);
         }
+    }
+
+    /// One to four threads hand blocks of 0–3,000 rows to one table, each
+    /// block in one `insert_batch`, as build workers do. The keys are dense
+    /// or sparse, in a window at either end of `i64` or across zero, unique,
+    /// in chains of up to three rows or a few hot keys, or dense but for a
+    /// last key at exactly `4 × slots` (shape 2) or one past it (shape 3).
+    /// Every block stays one ordered run of each chain it joins, and a
+    /// single thread's table equals the model. The seal follows the direct
+    /// rule on rows, and so does each re-index after a late block.
+    #[test]
+    fn concurrent_block_hand_offs_stay_whole(
+        blocks in vec(vec(0usize..3_000, 1..4), 1..5),
+        late in vec(0usize..40, 0..4),
+        at in 0u8..3,
+        shape in 0u8..4,
+        fanout in 0u8..3,
+        hot in 1usize..9,
+    ) {
+        const SPARSE: i64 = 0x0123_4567_89AB;
+        let rows: usize = blocks.iter().flatten().sum();
+        let distinct = [rows, rows.div_ceil(3), hot][usize::from(fanout)].max(1);
+        let span = match shape {
+            0 => distinct as u64,
+            1 => (distinct as u64 - 1) * SPARSE as u64 + 1,
+            _ => 4 * slots_for(rows) as u64 + u64::from(shape - 2),
+        };
+        let base = window_base(at, span);
+        // Row `id` has key number `id % distinct`; with shapes 2 and 3 the
+        // last key number sits at the far end of the span.
+        let key_at = |id: usize| {
+            let k = id % distinct;
+            let off = match shape {
+                0 => k as i64,
+                1 => k as i64 * SPARSE,
+                _ if k + 1 == distinct && k > 0 => span as i64 - 1,
+                _ => k as i64,
+            };
+            base.wrapping_add(off)
+        };
+        // Block `tag`'s rows, from row id `first` on.
+        let block_rows = |tag: usize, first: usize, len: usize| {
+            let keys: Vec<i64> = (first..first + len).map(key_at).collect();
+            let payload = vec![vec![tag as i64; len], (0..len as i64).collect()];
+            (keys, payload)
+        };
+        let (mut model, mut all_keys) = (JoinModel::new(), Vec::new());
+        let mut first = 0;
+        let mut planned = Vec::new();
+        for (t, sizes) in blocks.iter().enumerate() {
+            let mut thread_blocks = Vec::new();
+            for (b, &len) in sizes.iter().enumerate() {
+                let (keys, payload) = block_rows(t * 10 + b, first, len);
+                record(&mut model, &keys, &payload);
+                all_keys.extend_from_slice(&keys);
+                thread_blocks.push((keys, payload));
+                first += len;
+            }
+            planned.push(thread_blocks);
+        }
+
+        let table = JoinHashTable::new(2);
+        let barrier = Barrier::new(planned.len());
+        std::thread::scope(|scope| {
+            for thread_blocks in &planned {
+                let (table, barrier) = (&table, &barrier);
+                scope.spawn(move || {
+                    barrier.wait();
+                    for (keys, payload) in thread_blocks {
+                        table.insert_batch(keys, payload);
+                    }
+                });
+            }
+        });
+        let exact = planned.len() == 1;
+        let mut probes: Vec<i64> = (0..distinct).map(key_at).collect();
+        probes = window_probes(base, span, &probes);
+        prop_assert_eq!(table.len(), rows);
+        table.seal();
+        prop_assert_eq!(table.is_direct(), direct_by_rule(&all_keys));
+        assert_blocks_stay_whole(&table, &model, &probes, exact);
+
+        // Late blocks re-index on the next read, probed in between.
+        for (i, &len) in late.iter().enumerate() {
+            let (keys, payload) = block_rows(100 + i, first, len);
+            table.insert_batch(&keys, &payload);
+            record(&mut model, &keys, &payload);
+            all_keys.extend_from_slice(&keys);
+            first += len;
+            prop_assert_eq!(table.is_direct(), len == 0 && direct_by_rule(&all_keys));
+            if let Some(&key) = keys.first() {
+                prop_assert_eq!(probe_all(&table, key).len(), model[&key].len());
+            }
+            prop_assert_eq!(table.is_direct(), direct_by_rule(&all_keys));
+        }
+        assert_blocks_stay_whole(&table, &model, &probes, exact);
     }
 
     /// Local partials built per tuple or per chunk, merged in any number of
