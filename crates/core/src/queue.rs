@@ -39,7 +39,7 @@
 use hetex_common::{BlockHandle, HetError, MemoryNodeId, Result};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex as StdMutex};
+use std::sync::{Arc, Condvar, Mutex as StdMutex, MutexGuard};
 use std::time::Duration;
 
 /// Byte-quota accounting of one queue: how many staged bytes are outstanding
@@ -51,14 +51,22 @@ struct QueueStaging {
     /// the demand-weighted quota re-split (`hetex_core::cost`) adjusts live
     /// quotas on a cadence while producers are admitting.
     quota: AtomicU64,
-    /// Outstanding admitted bytes.
-    outstanding: StdMutex<u64>,
-    /// Signalled whenever outstanding bytes shrink, the quota grows, or the
-    /// queue closes.
+    /// Outstanding admitted bytes and the producers parked in `admit`.
+    admission: StdMutex<Admission>,
+    /// Signalled when outstanding bytes shrink while a producer is parked,
+    /// and always when the quota is reset or the queue closes.
     drained_cv: Condvar,
     /// Cumulative admitted bytes over the queue's lifetime — the demand
     /// signal the quota re-split reads.
     admitted_total: AtomicU64,
+}
+
+/// The admission state guarded by [`QueueStaging::admission`].
+#[derive(Debug, Default)]
+struct Admission {
+    bytes: u64,
+    /// Producers parked in `admit`: a release notifies only if non-zero.
+    parked: usize,
 }
 
 /// RAII receipt of one byte admission into a [`BlockQueue`]; dropping it
@@ -73,10 +81,13 @@ pub struct QueueSlot {
 
 impl Drop for QueueSlot {
     fn drop(&mut self) {
-        let mut outstanding = self.staging.outstanding.lock().unwrap_or_else(|e| e.into_inner());
-        *outstanding = outstanding.saturating_sub(self.bytes);
-        drop(outstanding);
-        self.staging.drained_cv.notify_all();
+        let mut admission = self.staging.admission.lock().unwrap_or_else(|e| e.into_inner());
+        admission.bytes = admission.bytes.saturating_sub(self.bytes);
+        let parked = admission.parked > 0;
+        drop(admission);
+        if parked {
+            self.staging.drained_cv.notify_all();
+        }
     }
 }
 
@@ -89,6 +100,12 @@ struct QueueInner {
     /// [`BlockQueue::wake`] — what a consumer parked in
     /// [`BlockQueue::park`] waits to see move.
     events: u64,
+    /// Consumers parked in `pop` / `park` and producers parked in `push`:
+    /// `not_empty` / `not_full` are notified only while these are non-zero.
+    /// A waiter counts itself before its wait releases this mutex, so a
+    /// notifier that reads zero ran before the waiter checked its condition.
+    parked_consumers: usize,
+    parked_producers: usize,
 }
 
 /// State shared by all clones of one queue.
@@ -180,7 +197,7 @@ impl BlockQueue {
     pub fn with_byte_quota(mut self, quota: u64) -> Self {
         self.staging = Some(Arc::new(QueueStaging {
             quota: AtomicU64::new(quota.max(1)),
-            outstanding: StdMutex::new(0),
+            admission: StdMutex::new(Admission::default()),
             drained_cv: Condvar::new(),
             admitted_total: AtomicU64::new(0),
         }));
@@ -227,7 +244,7 @@ impl BlockQueue {
     pub fn outstanding_bytes(&self) -> u64 {
         self.staging
             .as_ref()
-            .map(|s| *s.outstanding.lock().unwrap_or_else(|e| e.into_inner()))
+            .map(|s| s.admission.lock().unwrap_or_else(|e| e.into_inner()).bytes)
             .unwrap_or(0)
     }
 
@@ -252,21 +269,24 @@ impl BlockQueue {
         if bytes == 0 {
             return Ok(None);
         }
-        let mut outstanding = staging.outstanding.lock().unwrap_or_else(|e| e.into_inner());
+        let mut admission = staging.admission.lock().unwrap_or_else(|e| e.into_inner());
         loop {
             if self.core.closed.load(Ordering::SeqCst) {
                 return Err(HetError::Cancelled("block queue closed".into()));
             }
-            if *outstanding == 0 || *outstanding + bytes <= staging.quota.load(Ordering::SeqCst) {
-                *outstanding += bytes;
+            let outstanding = admission.bytes;
+            if outstanding == 0 || outstanding + bytes <= staging.quota.load(Ordering::SeqCst) {
+                admission.bytes += bytes;
                 staging.admitted_total.fetch_add(bytes, Ordering::Relaxed);
                 return Ok(Some(QueueSlot { bytes, staging: Arc::clone(staging) }));
             }
+            admission.parked += 1;
             let (guard, _) = staging
                 .drained_cv
-                .wait_timeout(outstanding, Duration::from_millis(50))
+                .wait_timeout(admission, Duration::from_millis(50))
                 .unwrap_or_else(|e| e.into_inner());
-            outstanding = guard;
+            admission = guard;
+            admission.parked -= 1;
         }
     }
 
@@ -299,17 +319,17 @@ impl BlockQueue {
             }
             if self.core.capacity.is_none_or(|cap| inner.buf.len() < cap) {
                 inner.buf.push_back(handle);
-                inner.events += 1;
-                drop(inner);
-                self.core.not_empty.notify_all();
+                self.signal(inner);
                 return Ok(());
             }
+            inner.parked_producers += 1;
             let (guard, _) = self
                 .core
                 .not_full
                 .wait_timeout(inner, PARK_RECHECK)
                 .unwrap_or_else(|e| e.into_inner());
             inner = guard;
+            inner.parked_producers -= 1;
         }
     }
 
@@ -320,9 +340,7 @@ impl BlockQueue {
     pub fn producer_done(&self) -> Result<()> {
         let mut inner = self.core.inner.lock().unwrap_or_else(|e| e.into_inner());
         inner.finished += 1;
-        inner.events += 1;
-        drop(inner);
-        self.core.not_empty.notify_all();
+        self.signal(inner);
         Ok(())
     }
 
@@ -366,19 +384,20 @@ impl BlockQueue {
                 return None;
             }
             if let Some(handle) = inner.buf.pop_front() {
-                drop(inner);
-                self.core.not_full.notify_all();
+                self.release_slot(inner);
                 return Some(handle);
             }
             if inner.finished >= self.core.producers.load(Ordering::SeqCst) {
                 return None;
             }
+            inner.parked_consumers += 1;
             let (guard, _) = self
                 .core
                 .not_empty
                 .wait_timeout(inner, PARK_RECHECK)
                 .unwrap_or_else(|e| e.into_inner());
             inner = guard;
+            inner.parked_consumers -= 1;
         }
     }
 
@@ -392,8 +411,7 @@ impl BlockQueue {
             return PopNext::Finished;
         }
         if let Some(handle) = inner.buf.pop_front() {
-            drop(inner);
-            self.core.not_full.notify_all();
+            self.release_slot(inner);
             return PopNext::Block(handle);
         }
         if inner.finished >= self.core.producers.load(Ordering::SeqCst) {
@@ -413,24 +431,29 @@ impl BlockQueue {
     /// [`Self::park`] — a sibling's state changed in a way that may change
     /// what the consumer would do next (e.g. a steal verdict).
     pub fn wake(&self) {
-        self.core.inner.lock().unwrap_or_else(|e| e.into_inner()).events += 1;
-        self.core.not_empty.notify_all();
+        self.signal(self.core.inner.lock().unwrap_or_else(|e| e.into_inner()));
     }
 
     /// Park the consumer until the event count moves past `seen` (a push,
     /// give-back, producer completion, close or [`Self::wake`] since
     /// `seen` was read), or at most `PARK_RECHECK` — the backstop for state
-    /// that changes without an event.
-    pub fn park(&self, seen: u64) {
-        let inner = self.core.inner.lock().unwrap_or_else(|e| e.into_inner());
+    /// that changes without an event. Returns true when the backstop, not
+    /// an event, ended the park.
+    pub fn park(&self, seen: u64) -> bool {
+        let mut inner = self.core.inner.lock().unwrap_or_else(|e| e.into_inner());
         if inner.events != seen {
-            return;
+            return false;
         }
-        let _ = self
+        inner.parked_consumers += 1;
+        // Only an event notifies `not_empty`, so a wait that did not time
+        // out saw one.
+        let (mut inner, wait) = self
             .core
             .not_empty
-            .wait_timeout_while(inner, PARK_RECHECK, |inner| inner.events == seen)
+            .wait_timeout(inner, PARK_RECHECK)
             .unwrap_or_else(|e| e.into_inner());
+        inner.parked_consumers -= 1;
+        wait.timed_out()
     }
 
     /// Remove the most recently enqueued block from this queue's backlog —
@@ -448,13 +471,10 @@ impl BlockQueue {
         if self.core.closed.load(Ordering::SeqCst) {
             return None;
         }
-        let stolen = {
-            let mut inner = self.core.inner.lock().unwrap_or_else(|e| e.into_inner());
-            inner.buf.pop_back()
-        };
+        let mut inner = self.core.inner.lock().unwrap_or_else(|e| e.into_inner());
+        let stolen = inner.buf.pop_back();
         if stolen.is_some() {
-            // A freed slot releases a producer parked on a full queue.
-            self.core.not_full.notify_all();
+            self.release_slot(inner);
         }
         stolen
     }
@@ -473,17 +493,36 @@ impl BlockQueue {
             return Err(HetError::Cancelled("block queue closed".into()));
         }
         inner.buf.push_back(handle);
-        inner.events += 1;
-        drop(inner);
-        self.core.not_empty.notify_all();
+        self.signal(inner);
         Ok(())
     }
 
-    /// Drain everything currently reachable into a vector (for a consumer
-    /// that starts pulling only after its producers ran to completion, like
-    /// the device-crossing operators). On a closed queue nothing is returned; any
-    /// handles buffered at close time were dropped by the closing sweep so
-    /// their staging charges are released rather than leaked.
+    /// Count an event, release the lock and wake the parked consumer, if
+    /// any.
+    fn signal(&self, mut inner: MutexGuard<'_, QueueInner>) {
+        inner.events += 1;
+        let parked = inner.parked_consumers > 0;
+        drop(inner);
+        if parked {
+            self.core.not_empty.notify_all();
+        }
+    }
+
+    /// A block just left the buffer: release the lock and wake the
+    /// producers parked on the full buffer, if any.
+    fn release_slot(&self, inner: MutexGuard<'_, QueueInner>) {
+        let parked = inner.parked_producers > 0;
+        drop(inner);
+        if parked {
+            self.core.not_full.notify_all();
+        }
+    }
+
+    /// Pop until the stream ends and collect every block: blocks until every
+    /// producer finished (or the queue closed). On a closed queue nothing is
+    /// returned; any handles buffered at close time were dropped by the
+    /// closing sweep so their staging charges are released rather than
+    /// leaked.
     pub fn drain(&self) -> Vec<BlockHandle> {
         let mut out = Vec::new();
         while let Some(handle) = self.pop() {
@@ -948,7 +987,7 @@ mod tests {
         let seen = q.events();
         q.push(handle(1)).unwrap();
         let start = std::time::Instant::now();
-        q.park(seen);
+        assert!(!q.park(seen));
         assert!(start.elapsed() < PARK_RECHECK);
         // A parked consumer is released by a push, a wake and a close.
         type Event = fn(&BlockQueue);
@@ -963,15 +1002,61 @@ mod tests {
                     event(&q);
                 })
             };
-            q.park(seen);
+            assert!(!q.park(seen), "the event, not the backstop, ends the park");
             waker.join().unwrap();
             assert_ne!(q.events(), seen);
         }
-        // A quiet queue parks for at most the recheck backstop.
+        // A quiet queue parks for at most the recheck backstop, and says so.
         let quiet = BlockQueue::new(1);
         let start = std::time::Instant::now();
-        quiet.park(quiet.events());
+        assert!(quiet.park(quiet.events()));
         assert!(start.elapsed() >= PARK_RECHECK);
+    }
+
+    #[test]
+    fn a_parked_consumer_misses_no_wake_up() {
+        // One to four producers push, wake and complete while the consumer
+        // cycles through events / try_pop / park. Every block arrives
+        // exactly once, and no park is ended by the backstop after its
+        // event happened: the event's notify must reach the parked
+        // consumer. (A park that saw nothing for `PARK_RECHECK` — a
+        // descheduled producer — is not a lost wake-up.)
+        const PER_PRODUCER: usize = 400;
+        for producers in 1..=4 {
+            let q = BlockQueue::bounded(producers, 4);
+            let start = Arc::new(std::sync::Barrier::new(producers + 1));
+            let threads: Vec<_> = (0..producers)
+                .map(|p| {
+                    let (q, start) = (q.clone(), Arc::clone(&start));
+                    thread::spawn(move || {
+                        start.wait();
+                        for i in 0..PER_PRODUCER {
+                            q.push(handle(p * PER_PRODUCER + i)).unwrap();
+                            if i % 7 == p {
+                                q.wake();
+                            }
+                        }
+                        q.producer_done().unwrap();
+                    })
+                })
+                .collect();
+            start.wait();
+            let (mut ids, mut lost) = (Vec::new(), 0);
+            loop {
+                let seen = q.events();
+                match q.try_pop() {
+                    PopNext::Block(h) => ids.push(h.meta().id.index()),
+                    PopNext::Empty => lost += usize::from(q.park(seen) && q.events() != seen),
+                    PopNext::Finished => break,
+                }
+            }
+            for t in threads {
+                t.join().unwrap();
+            }
+            ids.sort_unstable();
+            assert_eq!(ids, (0..producers * PER_PRODUCER).collect::<Vec<_>>(), "exactly once");
+            assert_eq!(lost, 0, "{producers} producers: parks outlived their event");
+        }
     }
 
     #[test]

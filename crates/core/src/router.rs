@@ -270,22 +270,22 @@ impl LoadEstimator {
         gate_ns: u64,
         slowdowns: &[f64],
     ) -> Vec<u64> {
-        self.loads
-            .iter()
-            .zip(costs)
-            .zip(penalties)
-            .enumerate()
-            .map(|(i, ((load, &cost), &penalty))| {
-                let device_ns = load.load(Ordering::Relaxed).saturating_add(cost);
+        (0..self.loads.len().min(costs.len()).min(penalties.len()))
+            .map(|i| {
                 let slowdown = slowdowns.get(i).copied().unwrap_or(1.0);
-                let device_ns = if slowdown == 1.0 {
-                    device_ns
-                } else {
-                    (device_ns as f64 * slowdown.max(1.0)) as u64
-                };
-                gate_ns.saturating_add(device_ns).saturating_add(penalty)
+                self.project(i, costs[i], penalties[i], gate_ns, slowdown)
             })
             .collect()
+    }
+
+    /// Consumer `idx`'s term of [`Self::projected_with_feedback`]: the
+    /// in-place form the executor's router calls once per consumer, so a
+    /// routed block allocates no projection vectors.
+    pub fn project(&self, idx: usize, cost: u64, penalty: u64, gate_ns: u64, slowdown: f64) -> u64 {
+        let device_ns = self.loads[idx].load(Ordering::Relaxed).saturating_add(cost);
+        let device_ns =
+            if slowdown == 1.0 { device_ns } else { (device_ns as f64 * slowdown.max(1.0)) as u64 };
+        gate_ns.saturating_add(device_ns).saturating_add(penalty)
     }
 
     /// Commit `cost` to consumer `idx`'s load (after routing a block to it).

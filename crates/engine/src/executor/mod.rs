@@ -371,6 +371,9 @@ struct QueryRun<'a> {
     wall_start: Instant,
     /// `HETEX_TRACE_EXEC` is set: every lane prints a `[trace]` line.
     trace: bool,
+    /// `HETEX_TRACE_STEAL` is set: every priced steal prints a `[steal]`
+    /// line.
+    trace_steal: bool,
     /// The run's unified cost model: every estimation term the router path,
     /// the queue-admission path and the steal path consult (§5 of
     /// DESIGN.md) and the calibration inputs (§6): the construction-time
@@ -447,6 +450,7 @@ impl<'a> QueryRun<'a> {
             config,
             wall_start,
             trace: std::env::var("HETEX_TRACE_EXEC").is_ok(),
+            trace_steal: std::env::var("HETEX_TRACE_STEAL").is_ok(),
             cost,
             observer,
             mem_move: MemMove::new(DmaEngine::new(Arc::clone(topology))),
@@ -604,6 +608,79 @@ mod tests {
                 PROBED_AT_GATE.lock().unwrap().push((at, slot.index(), direct));
             }
         }
+    }
+
+    /// A control-plane wake-up of a pipeline worker (see `record_wakeup`).
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+    pub(super) enum Wakeup {
+        /// A claim's park was ended by the `PARK_RECHECK` backstop although
+        /// an event should have ended it: its queue's event count had
+        /// moved, or the lane lingered on a sibling backlog that had
+        /// dropped below the steal depth.
+        Lost,
+        /// A lane woke every sibling of its stage.
+        FanOut,
+        /// A pop left the lane's queue below the steal depth while a thief
+        /// lingered; the fan-out that follows is that thief's release.
+        Release,
+    }
+
+    /// `(state address, wake-up)` of every run's worker loops.
+    static WAKEUPS: StdMutex<Vec<(usize, Wakeup)>> = StdMutex::new(Vec::new());
+
+    pub(super) fn record_wakeup(run: &QueryRun<'_>, wakeup: Wakeup) {
+        let at = &run.graph.state as *const SharedState as usize;
+        WAKEUPS.lock().unwrap().push((at, wakeup));
+    }
+
+    /// Judge a claim park of `slot` of `stage` that the backstop ended. A
+    /// park that simply saw nothing happen for `PARK_RECHECK` is not a lost
+    /// wake-up (a slow host leaves queues quiet that long); one whose event
+    /// had already happened, or whose lingering verdict had already turned
+    /// to "nothing to steal", is.
+    pub(super) fn record_backstop(
+        run: &QueryRun<'_>,
+        stage: usize,
+        slot: usize,
+        seen: u64,
+        lingering: bool,
+    ) {
+        let queues = &run.queues[stage];
+        let moved = queues[slot].events() != seen;
+        let backlog = queues
+            .iter()
+            .enumerate()
+            .any(|(s, q)| s != slot && q.len() >= routing::STEAL_MIN_DEPTH);
+        if moved || (lingering && !backlog) {
+            record_wakeup(run, Wakeup::Lost);
+        }
+    }
+
+    #[test]
+    fn a_healthy_stealing_join_wakes_only_lanes_that_wait() {
+        // Stealing is on and nothing straggles, so the only sibling fan-out
+        // a lane may make is releasing a lingering thief, and no park
+        // outlives the event it waits for.
+        let config = EngineConfig::hybrid(24, 2);
+        assert!(config.steal_policy.is_enabled());
+        let topology = ServerTopology::paper_server();
+        let catalog = catalog_with_data(&topology, 400_000);
+        let het = parallelize(&join_sum_plan(), &config).unwrap();
+        let graph = compile(&het, &config, &topology).unwrap();
+        let at = &graph.state as *const SharedState as usize;
+        WAKEUPS.lock().unwrap().retain(|seen| seen.0 != at);
+        let result = Executor::new(topology).execute(&graph, &catalog, &config).unwrap();
+        let (sum, cnt) = expected(400_000);
+        assert_eq!(result.rows, vec![vec![sum, cnt]]);
+        let wakeups: Vec<Wakeup> =
+            WAKEUPS.lock().unwrap().iter().filter(|seen| seen.0 == at).map(|seen| seen.1).collect();
+        let count = |kind: Wakeup| wakeups.iter().filter(|&&w| w == kind).count();
+        assert_eq!(count(Wakeup::Lost), 0, "parks outlived their wake-up");
+        assert_eq!(
+            count(Wakeup::FanOut),
+            count(Wakeup::Release),
+            "a sibling fan-out released no lingering thief"
+        );
     }
 
     #[test]

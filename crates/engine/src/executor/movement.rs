@@ -227,8 +227,11 @@ impl QueryRun<'_> {
         mut block: BlockHandle,
     ) -> Result<BlockHandle> {
         let routing = &self.routing[stage];
-        let (device_ns, node_ns) = self.block_costs(stage, &block, None);
-        routing.move_commit(from, to, &device_ns, &node_ns);
+        let estimate = self.block_estimate(stage, &block);
+        routing.move_commit(
+            (from, self.consumer_cost(stage, from, &estimate, None)),
+            (to, self.consumer_cost(stage, to, &estimate, None)),
+        );
         block.take_staging();
         // Localize when `to` cannot address the block where `from`'s
         // mem-move left it (e.g. a CPU core rescuing a block already copied

@@ -7,9 +7,14 @@ use crate::codegen::{MemMoveMode, Stage};
 use hetex_common::{BlockHandle, HetError, MemoryNodeId, Result};
 use hetex_core::cost::StealQuery;
 use hetex_core::plan::RouterPolicy;
+use hetex_core::queue::BlockQueue;
 use hetex_core::router::{LoadEstimator, Router};
-use hetex_topology::{DeviceId, DeviceKind, ResourceClock, ServerTopology};
-use std::sync::atomic::{AtomicU64, Ordering};
+use hetex_topology::{
+    DeviceId, DeviceKind, DeviceProfile, LinkId, MemoryNodeSpec, ResourceClock, ServerTopology,
+    WorkProfile,
+};
+use std::cell::RefCell;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 /// Filter selectivity the router assumes when estimating a block's cost for
 /// load balancing (it cannot know real selectivities up front).
@@ -20,7 +25,29 @@ const ASSUMED_SELECTIVITY: f64 = 0.3;
 /// victim keeps its head block (the one it pops next anyway) and the thief
 /// takes work that would otherwise wait behind it — a depth-1 queue would
 /// only invite ping-pong.
-const STEAL_MIN_DEPTH: usize = 2;
+pub(super) const STEAL_MIN_DEPTH: usize = 2;
+
+thread_local! {
+    /// The per-consumer costs and projections of every block a thread routes.
+    static PROJECTION: RefCell<Projection> = RefCell::default();
+}
+
+#[derive(Default)]
+struct Projection {
+    /// `(device_ns, node_ns)` per consumer (see [`QueryRun::consumer_cost`]).
+    costs: Vec<(u64, u64)>,
+    projected: Vec<u64>,
+}
+
+/// What routing prices one block by on every consumer, computed once per
+/// block: the block's estimated work at each kernel shape, and where its
+/// data lives.
+pub(super) struct BlockEstimate {
+    cpu_work: WorkProfile,
+    gpu_work: WorkProfile,
+    location: MemoryNodeId,
+    weighted_bytes: f64,
+}
 
 /// Outcome of one steal attempt (see [`QueryRun::steal_for`]).
 pub(super) enum StealOutcome {
@@ -42,6 +69,15 @@ pub(super) struct StageRouting<'a> {
     router: Router<'a>,
     pub(super) instance_devices: Vec<DeviceId>,
     pub(super) instance_nodes: Vec<MemoryNodeId>,
+    /// The static pricing terms of each consumer, looked up once per query
+    /// instead of once per block: its device profile, its memory node's
+    /// bandwidth, and the route to its node from each source memory node.
+    profiles: Vec<&'a DeviceProfile>,
+    node_bandwidth_gbps: Vec<f64>,
+    routes: Vec<Vec<&'a [LinkId]>>,
+    /// Lanes lingering on an unprofitable backlog (see
+    /// [`QueryRun::release_lingering`]).
+    lingering: AtomicUsize,
     /// Dense index of each consumer's memory node into `node_load`.
     node_index: Vec<usize>,
     /// Per-consumer load estimates (device time committed per routed block).
@@ -76,7 +112,7 @@ pub(super) struct StageRouting<'a> {
 }
 
 impl<'a> StageRouting<'a> {
-    pub(super) fn new(topology: &ServerTopology, stage: &'a Stage) -> Result<Self> {
+    pub(super) fn new(topology: &'a ServerTopology, stage: &'a Stage) -> Result<Self> {
         let router = Router::new(stage.policy, &stage.consumers)?;
         let instance_devices: Vec<DeviceId> = router
             .consumer_devices()
@@ -121,12 +157,29 @@ impl<'a> StageRouting<'a> {
                 hetex_jit::Step::Map { .. } => {}
             }
         }
+        let profiles =
+            instance_devices.iter().map(|&d| topology.device(d)).collect::<Result<Vec<_>>>()?;
+        let node_bandwidth_gbps = instance_nodes
+            .iter()
+            .map(|&node| topology.memory_node(node).map(|m| m.bandwidth_gbps))
+            .collect::<Result<Vec<_>>>()?;
+        let routes = instance_nodes
+            .iter()
+            .map(|&to| {
+                let route = |from: &MemoryNodeSpec| topology.route(from.id, to).unwrap_or(&[]);
+                topology.memory_nodes().iter().map(route).collect()
+            })
+            .collect();
         let counters = || (0..stage.consumers.len()).map(|_| AtomicU64::new(0)).collect();
         Ok(StageRouting {
             stage,
             router,
             instance_devices,
             instance_nodes,
+            profiles,
+            node_bandwidth_gbps,
+            routes,
+            lingering: AtomicUsize::new(0),
             node_index,
             est: LoadEstimator::new(stage.consumers.len()),
             node_load: (0..distinct_nodes.len()).map(|_| AtomicU64::new(0)).collect(),
@@ -168,16 +221,35 @@ impl<'a> StageRouting<'a> {
         Some(self.charged_busy[slot].load(Ordering::Relaxed) / blocks)
     }
 
-    /// Move `device_ns[from]` / `node_ns[from]` of committed load to `to`.
-    pub(super) fn move_commit(&self, from: usize, to: usize, device_ns: &[u64], node_ns: &[u64]) {
-        self.est.decommit(from, device_ns[from]);
-        self.est.commit(to, device_ns[to]);
+    /// Move `from`'s `(device_ns, node_ns)` of committed load to `to`'s.
+    pub(super) fn move_commit(
+        &self,
+        (from, from_cost): (usize, (u64, u64)),
+        (to, to_cost): (usize, (u64, u64)),
+    ) {
+        self.est.decommit(from, from_cost.0);
+        self.est.commit(to, to_cost.0);
         let _ = self.node_load[self.node_index[from]].fetch_update(
             Ordering::Relaxed,
             Ordering::Relaxed,
-            |v| Some(v.saturating_sub(node_ns[from])),
+            |v| Some(v.saturating_sub(from_cost.1)),
         );
-        self.node_load[self.node_index[to]].fetch_add(node_ns[to], Ordering::Relaxed);
+        self.node_load[self.node_index[to]].fetch_add(to_cost.1, Ordering::Relaxed);
+    }
+
+    /// Count the calling lane as lingering until the guard drops.
+    pub(super) fn linger(&self) -> Lingering<'_> {
+        self.lingering.fetch_add(1, Ordering::SeqCst);
+        Lingering(&self.lingering)
+    }
+}
+
+/// A lane's membership in its stage's lingering count.
+pub(super) struct Lingering<'r>(&'r AtomicUsize);
+
+impl Drop for Lingering<'_> {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::SeqCst);
     }
 }
 
@@ -199,11 +271,41 @@ impl QueryRun<'_> {
         consumer_is_gpu || block_on_gpu
     }
 
-    /// Estimated cost of `handle` on each consumer of `stage`: the same
+    /// The consumer-independent half of a block's routing estimate: its
+    /// work under an assumed filter selectivity (see
+    /// [`Self::consumer_cost`]), at both kernel shapes, and its location.
+    pub(super) fn block_estimate(&self, stage: usize, handle: &BlockHandle) -> BlockEstimate {
+        let routing = &self.routing[stage];
+        let rows = handle.rows() as u64;
+        let counters = hetex_jit::BlockCounters {
+            rows_in: rows,
+            rows_terminal: (rows as f64 * routing.est_selectivity) as u64,
+            probes: (rows as f64 * routing.est_probes_per_row) as u64,
+            probe_matches: (rows as f64 * routing.est_probes_per_row * ASSUMED_SELECTIVITY) as u64,
+            bytes_in: handle.byte_size() as u64,
+            ..Default::default()
+        };
+        // Estimate each consumer kind at the kernel shape it is charged: CPU
+        // consumers dispatch per chunk, GPU consumers per thread. Pricing
+        // both kinds with one shape would skew the device comparison — the
+        // chunked estimate under-prices GPUs, steering blocks onto them that
+        // cost more than projected.
+        let template = routing.stage.template(DeviceKind::CpuCore);
+        let [cpu_work, gpu_work] = [DeviceKind::CpuCore, DeviceKind::Gpu]
+            .map(|kind| template.work_profile_on(kind, &counters, handle.meta().weight));
+        BlockEstimate {
+            cpu_work,
+            gpu_work,
+            location: handle.meta().location,
+            weighted_bytes: handle.weighted_bytes(),
+        }
+    }
+
+    /// Estimated cost of a block on consumer `i` of `stage`: the same
     /// work/cost model the executor charges, evaluated with an assumed filter
     /// selectivity, throttled to PCIe speed when the data would have to move.
-    /// Returns `(device_ns, memory_node_ns)` per consumer — the two backlogs
-    /// the least-loaded policy balances.
+    /// Returns `(device_ns, memory_node_ns)` — the two backlogs the
+    /// least-loaded policy balances.
     ///
     /// `pending_gate_ns` is `Some(estimated gate opening)` for a block routed
     /// into a stage whose dependency gate has not opened yet: mem-move
@@ -220,93 +322,58 @@ impl QueryRun<'_> {
     /// and handed them pre-gate blocks they could not start anyway; hiding
     /// it entirely would erase both data affinity and link saturation. The
     /// split keeps all three signals.
-    pub(super) fn block_costs(
+    pub(super) fn consumer_cost(
         &self,
         stage: usize,
-        handle: &BlockHandle,
+        i: usize,
+        block: &BlockEstimate,
         pending_gate_ns: Option<u64>,
-    ) -> (Vec<u64>, Vec<u64>) {
+    ) -> (u64, u64) {
         let (routing, topology, cost) = (&self.routing[stage], &self.exec.topology, &self.cost);
-        let rows = handle.rows() as u64;
-        let counters = hetex_jit::BlockCounters {
-            rows_in: rows,
-            rows_terminal: (rows as f64 * routing.est_selectivity) as u64,
-            probes: (rows as f64 * routing.est_probes_per_row) as u64,
-            probe_matches: (rows as f64 * routing.est_probes_per_row * ASSUMED_SELECTIVITY) as u64,
-            bytes_in: handle.byte_size() as u64,
-            ..Default::default()
+        let est_work = match routing.stage.consumers[i].kind {
+            DeviceKind::CpuCore => &block.cpu_work,
+            DeviceKind::Gpu => &block.gpu_work,
         };
-        // Estimate each consumer kind at the kernel shape it is charged: CPU
-        // consumers dispatch per chunk, GPU consumers per thread. Pricing
-        // both kinds with one shape would skew the device comparison — the
-        // chunked estimate under-prices GPUs, steering blocks onto them that
-        // cost more than projected.
-        let template = routing.stage.template(DeviceKind::CpuCore);
-        let [est_cpu_work, est_gpu_work] = [DeviceKind::CpuCore, DeviceKind::Gpu]
-            .map(|kind| template.work_profile_on(kind, &counters, handle.meta().weight));
-        let consumers = routing.stage.consumers.len();
-        let mut device_ns = Vec::with_capacity(consumers);
-        let mut node_ns = Vec::with_capacity(consumers);
-        for i in 0..consumers {
-            let Ok(device) = topology.device(routing.instance_devices[i]) else {
-                device_ns.push(u64::MAX);
-                node_ns.push(0);
-                continue;
-            };
-            let est_work = match routing.stage.consumers[i].kind {
-                DeviceKind::CpuCore => &est_cpu_work,
-                DeviceKind::Gpu => &est_gpu_work,
-            };
-            let mut block_ns = self.exec.work_cost.time_ns(est_work, device) as f64;
-            let mut transfer_axis_ns = 0u64;
-            if self.needs_move(stage, i, handle.meta().location) {
-                // Price the DMA at the bottleneck link of the actual route
-                // (successive blocks pipeline across hops, so the sustained
-                // rate is the slowest link's, not the hop-latency sum). This
-                // respects per-link bandwidth overrides in the topology, and
-                // uses each link's *probed* effective rate instead of its
-                // declared width.
-                let transfer_ns = topology
-                    .route(handle.meta().location, routing.instance_nodes[i])
-                    .map(|links| {
-                        links
-                            .iter()
-                            .filter_map(|&l| topology.link(l).ok())
-                            .map(|link| cost.link_transfer_ns(link, handle.weighted_bytes()))
-                            .max()
-                            .unwrap_or(0)
-                    })
-                    .unwrap_or(0);
-                match pending_gate_ns {
-                    Some(gate_ns) => {
-                        // How much of this transfer still fits before the
-                        // gate opens, given the transfer backlog already
-                        // accumulated toward this consumer's node.
-                        let node_backlog =
-                            routing.node_load[routing.node_index[i]].load(Ordering::Relaxed);
-                        let (spill, node_axis) =
-                            cost.gated_transfer_split(transfer_ns, gate_ns, node_backlog);
-                        block_ns = block_ns.max(spill as f64);
-                        transfer_axis_ns = node_axis;
-                    }
-                    None => block_ns = block_ns.max(transfer_ns as f64),
-                }
-            }
-            device_ns.push(block_ns as u64);
-            let mem = topology
-                .memory_node(routing.instance_nodes[i])
-                .map(|node| {
-                    (est_work.memory_node_bytes() / (node.bandwidth_gbps * 1e9) * 1e9) as u64
-                })
+        let mut block_ns = self.exec.work_cost.time_ns(est_work, routing.profiles[i]) as f64;
+        let mut transfer_axis_ns = 0u64;
+        if self.needs_move(stage, i, block.location) {
+            // Price the DMA at the bottleneck link of the actual route
+            // (successive blocks pipeline across hops, so the sustained
+            // rate is the slowest link's, not the hop-latency sum). This
+            // respects per-link bandwidth overrides in the topology, and
+            // uses each link's *probed* effective rate instead of its
+            // declared width.
+            let transfer_ns = routing.routes[i]
+                .get(block.location.index())
+                .copied()
+                .unwrap_or_default()
+                .iter()
+                .filter_map(|&l| topology.link(l).ok())
+                .map(|link| cost.link_transfer_ns(link, block.weighted_bytes))
+                .max()
                 .unwrap_or(0);
-            // Pushing to an off-node consumer acquires its queue mutex
-            // across the interconnect — control-plane traffic the cost
-            // model prices on the node axis.
-            let control_ns =
-                cost.control_plane_ns(routing.instance_nodes[i] != handle.meta().location);
-            node_ns.push(mem.saturating_add(transfer_axis_ns).saturating_add(control_ns));
+            match pending_gate_ns {
+                Some(gate_ns) => {
+                    // How much of this transfer still fits before the
+                    // gate opens, given the transfer backlog already
+                    // accumulated toward this consumer's node.
+                    let node_backlog =
+                        routing.node_load[routing.node_index[i]].load(Ordering::Relaxed);
+                    let (spill, node_axis) =
+                        cost.gated_transfer_split(transfer_ns, gate_ns, node_backlog);
+                    block_ns = block_ns.max(spill as f64);
+                    transfer_axis_ns = node_axis;
+                }
+                None => block_ns = block_ns.max(transfer_ns as f64),
+            }
         }
-        (device_ns, node_ns)
+        let mem =
+            (est_work.memory_node_bytes() / (routing.node_bandwidth_gbps[i] * 1e9) * 1e9) as u64;
+        // Pushing to an off-node consumer acquires its queue mutex
+        // across the interconnect — control-plane traffic the cost
+        // model prices on the node axis.
+        let control_ns = cost.control_plane_ns(routing.instance_nodes[i] != block.location);
+        (block_ns as u64, mem.saturating_add(transfer_axis_ns).saturating_add(control_ns))
     }
 
     /// Route one block to a consumer of `stage` and localize it via
@@ -320,7 +387,7 @@ impl QueryRun<'_> {
     /// estimated gate opening shifts every consumer's projection to an
     /// absolute completion estimate, and a still-closed gate discounts the
     /// DMA of transfer-bound consumers (the transfer is scheduled now and
-    /// hidden by the gate — see [`Self::block_costs`]), so compute-bound
+    /// hidden by the gate — see [`Self::consumer_cost`]), so compute-bound
     /// consumers of gated probe stages stop collecting pre-gate blocks they
     /// cannot start anyway.
     ///
@@ -340,91 +407,70 @@ impl QueryRun<'_> {
     ) -> Result<(usize, BlockHandle)> {
         let (routing, cost) = (&self.routing[stage], &self.cost);
         let (gate_ns, gate_pending) = self.gate_estimate(stage);
-        let (device_ns, node_ns) =
-            self.block_costs(stage, &handle, gate_pending.then_some(gate_ns));
-        // Price each consumer node's staging-arena occupancy: a block routed
-        // to a starved node would park its producer on a lease, so its
-        // projected cost grows with the leased fraction of the arena (the
-        // cost model keeps the penalty disengaged below half occupancy —
-        // below that the arena cannot park anyone).
-        let penalties: Vec<u64> = routing
-            .instance_nodes
-            .iter()
-            .enumerate()
-            .map(|(i, node)| {
-                self.staging
-                    .occupancy(*node)
-                    .map_or(0, |o| cost.occupancy_penalty_ns(device_ns[i], o))
-            })
-            .collect();
-        let source = handle.meta().location;
-        // Observed-slowdown feedback (the calibration loop's routing half):
-        // each consumer's device-axis term is multiplied by its device's
-        // observed charged-vs-nominal EWMA, so a consumer whose device has
-        // been seen straggling projects honestly expensive and stops
-        // receiving new blocks — exactly 1.0 (and bit-identical integer
-        // math) for healthy devices. With the toggle off the empty slice
-        // skips even the per-block allocation on this hot path.
-        let slowdowns: Vec<f64> = if cost.calibration().slowdown_feedback {
-            routing
-                .instance_devices
-                .iter()
-                .map(|device| cost.observed_device_slowdown(device.index()))
-                .collect()
-        } else {
-            Vec::new()
-        };
-        // Project each consumer's completion from its two backlogs (device
-        // and memory node — the same two clocks the executor charges); the
-        // composition, including the strictly-increasing device tie-breaker
-        // and the NUMA nudge toward the block's current node, lives in the
-        // cost model. Quarantined consumers project as unusable — the load
-        // estimator's u64::MAX convention for devices routing must steer
-        // around.
+        let block = self.block_estimate(stage, &handle);
         let dead = |i: usize| {
             self.fault.as_ref().is_some_and(|f| f.is_quarantined(routing.instance_devices[i]))
         };
-        let projected: Vec<u64> = routing
-            .est
-            .projected_with_feedback(&device_ns, &penalties, gate_ns, &slowdowns)
-            .into_iter()
-            .enumerate()
-            .map(|(i, dev)| {
+        let (pick, (device_ns, node_ns)) = PROJECTION.with(|projection| {
+            let Projection { costs, projected } = &mut *projection.borrow_mut();
+            costs.clear();
+            projected.clear();
+            for (i, &node) in routing.instance_nodes.iter().enumerate() {
+                let (device_ns, node_ns) =
+                    self.consumer_cost(stage, i, &block, gate_pending.then_some(gate_ns));
+                costs.push((device_ns, node_ns));
+                // Quarantined consumers project as unusable (u64::MAX).
                 if dead(i) {
-                    return u64::MAX;
+                    projected.push(u64::MAX);
+                    continue;
                 }
-                let node = routing.node_load[routing.node_index[i]]
-                    .load(Ordering::Relaxed)
-                    .saturating_add(node_ns[i]);
-                cost.compose_projection(dev, node, routing.instance_nodes[i] == source, true)
-            })
-            .collect();
-        let mut pick = routing.router.route(handle.meta(), &projected)?;
-        if dead(pick) {
-            // Round-robin ignores projections entirely, and even the
-            // least-loaded policy must pick *something* when every consumer
-            // is poisoned. An anonymously routed block is redirected to the
-            // cheapest surviving consumer; a bound block (hash partition,
-            // broadcast target, union lane) has nowhere sound to go.
-            pick = routing
-                .rehomeable()
-                .then(|| {
-                    projected
-                        .iter()
-                        .enumerate()
-                        .filter(|&(_, &p)| p != u64::MAX)
-                        .min_by_key(|&(_, &p)| p)
-                        .map(|(i, _)| i)
-                })
-                .flatten()
-                .ok_or(HetError::DeviceLost {
-                    device: routing.instance_devices[pick].index(),
-                    stage,
-                    block: 0,
-                })?;
-        }
-        routing.est.commit(pick, device_ns[pick]);
-        routing.node_load[routing.node_index[pick]].fetch_add(node_ns[pick], Ordering::Relaxed);
+                // A block routed to a starved node would park its producer
+                // on a lease: price the node arena's occupancy.
+                let penalty = self
+                    .staging
+                    .occupancy(node)
+                    .map_or(0, |o| cost.occupancy_penalty_ns(device_ns, o));
+                // Observed-slowdown feedback: a device seen straggling
+                // projects expensive; exactly 1.0 for healthy devices.
+                let slowdown = cost.observed_device_slowdown(routing.instance_devices[i].index());
+                let dev = routing.est.project(i, device_ns, penalty, gate_ns, slowdown);
+                // The completion from the two backlogs the executor charges
+                // (device and memory node), composed by the cost model.
+                let node_backlog = routing.node_load[routing.node_index[i]].load(Ordering::Relaxed);
+                projected.push(cost.compose_projection(
+                    dev,
+                    node_backlog.saturating_add(node_ns),
+                    node == block.location,
+                    true,
+                ));
+            }
+            let mut pick = routing.router.route(handle.meta(), projected)?;
+            if dead(pick) {
+                // Round-robin ignores projections, and least-loaded must
+                // pick something when every consumer is poisoned: an
+                // anonymous block goes to the cheapest survivor, a bound one
+                // has nowhere sound to go.
+                pick = routing
+                    .rehomeable()
+                    .then(|| {
+                        projected
+                            .iter()
+                            .enumerate()
+                            .filter(|&(_, &p)| p != u64::MAX)
+                            .min_by_key(|&(_, &p)| p)
+                            .map(|(i, _)| i)
+                    })
+                    .flatten()
+                    .ok_or(HetError::DeviceLost {
+                        device: routing.instance_devices[pick].index(),
+                        stage,
+                        block: 0,
+                    })?;
+            }
+            Ok::<_, HetError>((pick, costs[pick]))
+        })?;
+        routing.est.commit(pick, device_ns);
+        routing.node_load[routing.node_index[pick]].fetch_add(node_ns, Ordering::Relaxed);
 
         // Broadcast the dimension data to every GPU memory node (so probes
         // on GPUs read local data), and hand the local copy to the building
@@ -568,7 +614,7 @@ impl QueryRun<'_> {
                 congestion_ns,
             };
             let profitable = cost.steal_profitable(&query);
-            if std::env::var("HETEX_TRACE_STEAL").is_ok() {
+            if self.trace_steal {
                 eprintln!(
                     "[steal] thief {thief} victim {victim} {query:?} outstanding {:.0}B \
                      slowdown {:.2} -> {}",
@@ -591,5 +637,156 @@ impl QueryRun<'_> {
         // failed steal is simply "nothing to do", never an error.
         let Some(block) = queues[victim].steal() else { return Ok(StealOutcome::Nothing) };
         Ok(StealOutcome::Stolen(self.rehome(stage, victim, thief, block)?))
+    }
+
+    /// Whether a sibling of `thief` is an observed straggler or quarantined:
+    /// the only victims [`Self::steal_for`] takes a block from.
+    pub(super) fn has_steal_victim(&self, stage: usize, thief: usize) -> bool {
+        let routing = &self.routing[stage];
+        (0..routing.instance_devices.len()).any(|slot| {
+            slot != thief
+                && (self.cost.is_straggler(routing.observed_slowdown(slot))
+                    || self
+                        .fault
+                        .as_ref()
+                        .is_some_and(|f| f.is_quarantined(routing.instance_devices[slot])))
+        })
+    }
+
+    /// Whether `queue` of `stage`, having just popped, must wake its
+    /// siblings: a lane whose stream is over may linger on its backlog,
+    /// judged unprofitable, and below [`STEAL_MIN_DEPTH`] that verdict
+    /// turns to `Nothing`, on which the lane finishes. The lane raises the
+    /// count before its scan, which reads each depth under the queue's
+    /// mutex, so a pop its scan missed sees the count (DESIGN.md §4.3).
+    pub(super) fn release_lingering(&self, stage: usize, queue: &BlockQueue) -> bool {
+        self.routing[stage].lingering.load(Ordering::SeqCst) > 0 && queue.len() < STEAL_MIN_DEPTH
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::super::Executor;
+    use super::*;
+    use crate::codegen::compile;
+    use hetex_common::{Block, BlockId, BlockMeta, ColumnData, EngineConfig};
+    use hetex_core::{parallelize, RelNode};
+    use hetex_jit::{AggSpec, Expr};
+    use hetex_storage::Catalog;
+    use hetex_topology::{CalibratedConstants, TopologyBuilder};
+    use std::sync::Arc;
+    use std::time::Instant;
+
+    /// Consumer `i`'s price from direct topology lookups, once per block —
+    /// what routing paid before the static terms were precomputed.
+    fn priced_by_lookup(
+        run: &QueryRun<'_>,
+        stage: usize,
+        i: usize,
+        block: &BlockEstimate,
+        pending_gate_ns: Option<u64>,
+    ) -> (u64, u64) {
+        let (routing, topology, cost) = (&run.routing[stage], &run.exec.topology, &run.cost);
+        let node = routing.instance_nodes[i];
+        let work = match routing.stage.consumers[i].kind {
+            DeviceKind::CpuCore => &block.cpu_work,
+            DeviceKind::Gpu => &block.gpu_work,
+        };
+        let device = topology.device(routing.instance_devices[i]).unwrap();
+        let mut device_ns = run.exec.work_cost.time_ns(work, device);
+        let mut transfer_axis_ns = 0;
+        if run.needs_move(stage, i, block.location) {
+            let transfer_ns = topology
+                .route(block.location, node)
+                .unwrap()
+                .iter()
+                .map(|&l| cost.link_transfer_ns(topology.link(l).unwrap(), block.weighted_bytes))
+                .max()
+                .unwrap_or(0);
+            let spill = match pending_gate_ns {
+                Some(gate_ns) => {
+                    let backlog = routing.node_load[routing.node_index[i]].load(Ordering::Relaxed);
+                    let (spill, node_axis) =
+                        cost.gated_transfer_split(transfer_ns, gate_ns, backlog);
+                    transfer_axis_ns = node_axis;
+                    spill
+                }
+                None => transfer_ns,
+            };
+            device_ns = device_ns.max(spill);
+        }
+        let gbps = topology.memory_node(node).unwrap().bandwidth_gbps;
+        let mem_ns = (work.memory_node_bytes() / (gbps * 1e9) * 1e9) as u64;
+        let control_ns = cost.control_plane_ns(node != block.location);
+        (device_ns, mem_ns + transfer_axis_ns + control_ns)
+    }
+
+    /// Every (source node, consumer) pair of every stage of a hybrid join,
+    /// at several block sizes, with and without a pending gate.
+    fn assert_terms_match_lookups(topology: Arc<ServerTopology>, constants: CalibratedConstants) {
+        let gpus = topology.gpus().len();
+        let config = EngineConfig::hybrid(topology.cpu_cores().len(), gpus);
+        let dim = RelNode::scan("dim", &["k", "attr"]).filter(Expr::col(1).lt_lit(3));
+        let plan = RelNode::scan("fact", &["key", "value"])
+            .hash_join(dim, 0, 0, &[1])
+            .reduce(vec![AggSpec::sum(Expr::col(1))], &["sum_v"]);
+        let graph = compile(&parallelize(&plan, &config).unwrap(), &config, &topology).unwrap();
+        let exec = Executor::with_constants(Arc::clone(&topology), Arc::new(constants));
+        let catalog = Catalog::new();
+        let run = QueryRun::new(&exec, &graph, &catalog, &config, Instant::now()).unwrap();
+        let mut priced = 0;
+        for stage in 0..graph.stages.len() {
+            for source in topology.memory_nodes().iter().map(|m| m.id) {
+                for rows in [1, 700, 4096] {
+                    let block = Block::new(vec![ColumnData::Int64(vec![7; rows])], rows).unwrap();
+                    let handle = BlockHandle::new(block, BlockMeta::new(BlockId::new(0), source));
+                    let estimate = run.block_estimate(stage, &handle);
+                    for i in 0..run.routing[stage].instance_nodes.len() {
+                        for gate in [None, Some(0), Some(2_000_000)] {
+                            assert_eq!(
+                                run.consumer_cost(stage, i, &estimate, gate),
+                                priced_by_lookup(&run, stage, i, &estimate, gate),
+                                "stage {stage} consumer {i} from {source}, {rows} rows, gate {gate:?}"
+                            );
+                            priced += 1;
+                        }
+                    }
+                }
+            }
+        }
+        assert!(priced > 0);
+    }
+
+    #[test]
+    fn precomputed_routing_terms_price_like_direct_lookups() {
+        let paper = ServerTopology::paper_server();
+        assert_terms_match_lookups(Arc::clone(&paper), hetex_topology::probe::probe(&paper));
+        // Random multi-socket, multi-GPU servers whose links all run at
+        // different effective rates, so every route has its own bottleneck.
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move |bound: u64| {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            (z ^ (z >> 31)) % bound
+        };
+        for _ in 0..4 {
+            let sockets = 2 + next(3) as usize;
+            let mut builder = TopologyBuilder::new();
+            for _ in 0..sockets {
+                builder.add_socket(1 + next(3) as usize);
+            }
+            for gpu in 0..2 + next(3) as usize {
+                builder.add_gpu((gpu + next(2) as usize) % sockets);
+            }
+            builder.pcie_bandwidth_gbps(4.0 + next(13) as f64);
+            let topology = Arc::new(builder.build().unwrap());
+            let mut constants = hetex_topology::probe::probe(&topology);
+            for gbps in &mut constants.link_gbps {
+                *gbps = 1.0 + next(40) as f64 / 2.0;
+            }
+            assert_terms_match_lookups(topology, constants);
+        }
     }
 }

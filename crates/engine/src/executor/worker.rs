@@ -298,12 +298,15 @@ impl Worker<'_, '_> {
     }
 
     /// Idle siblings park until an event may change their steal verdict;
-    /// this worker's straggling, quarantine and finished stream are such
-    /// events.
+    /// this worker's straggling, claim-yield and quarantine are such events,
+    /// and so is its backlog dropping below the steal depth while a thief
+    /// lingers on it.
     fn wake_siblings(&self) {
         if !self.steals {
             return;
         }
+        #[cfg(test)]
+        super::tests::record_wakeup(self.lane.run, super::tests::Wakeup::FanOut);
         let queues = &self.lane.run.queues[self.lane.stage];
         for (slot, queue) in queues.iter().enumerate() {
             if slot != self.lane.slot {
@@ -325,11 +328,12 @@ impl Worker<'_, '_> {
         // Claim pacing, part one: with backlog already visible, a sim-behind
         // worker sleeps *without touching the queue* — the blocks keep their
         // order and stay stealable.
-        if !self.queue.is_empty() && self.should_yield() {
+        if self.should_yield() && !self.queue.is_empty() {
             return Ok(self.yield_claim());
         }
+        let (run, stage, slot) = (self.lane.run, self.lane.stage, self.lane.slot);
         let seen = self.queue.events();
-        let next = match self.queue.try_pop() {
+        let stream_over = match self.queue.try_pop() {
             PopNext::Block(block) => {
                 // Claim pacing, part two: a block that arrived after part one
                 // looked was claimed before it could see it — un-claim it
@@ -340,28 +344,41 @@ impl Worker<'_, '_> {
                     let _ = self.queue.give_back(block);
                     return Ok(self.yield_claim());
                 }
+                if run.release_lingering(stage, self.queue) {
+                    #[cfg(test)]
+                    super::tests::record_wakeup(run, super::tests::Wakeup::Release);
+                    self.wake_siblings();
+                }
                 return Ok(Claim::Block(block));
             }
-            next => next,
+            PopNext::Empty => false,
+            PopNext::Finished => true,
         };
-        let (run, stage) = (self.lane.run, self.lane.stage);
-        Ok(match run.steal_for(stage, self.lane.slot, &self.lane.clock)? {
-            StealOutcome::Stolen(block) => {
-                run.progress[stage].blocks_stolen.fetch_add(1, Ordering::Relaxed);
-                Claim::Block(block)
+        // Raised before the scan, lowered after the park (the guard drops
+        // on return): see `QueryRun::release_lingering`.
+        let _lingering = stream_over.then(|| run.routing[stage].linger());
+        // A live stream parks on its own queue's events whatever a scan
+        // finds, unless a sibling is a victim worth stealing from; such a
+        // sibling's straggling or quarantine wakes this lane.
+        if stream_over || run.has_steal_victim(stage, slot) {
+            match run.steal_for(stage, slot, &self.lane.clock)? {
+                StealOutcome::Stolen(block) => {
+                    run.progress[stage].blocks_stolen.fetch_add(1, Ordering::Relaxed);
+                    return Ok(Claim::Block(block));
+                }
+                StealOutcome::Nothing if stream_over => return Ok(Claim::Finished),
+                // A sibling backlog may turn profitable as the victim's clock
+                // advances, and more work may arrive: wait for the event that
+                // says so.
+                StealOutcome::Unprofitable | StealOutcome::Nothing => {}
             }
-            StealOutcome::Nothing if matches!(next, PopNext::Finished) => {
-                self.wake_siblings();
-                Claim::Finished
-            }
-            // A sibling backlog may turn profitable as the victim's clock
-            // advances, and more work may arrive: wait for the event that
-            // says so.
-            StealOutcome::Unprofitable | StealOutcome::Nothing => {
-                self.queue.park(seen);
-                Claim::Again
-            }
-        })
+        }
+        let _expired = self.queue.park(seen);
+        #[cfg(test)]
+        if _expired {
+            super::tests::record_backstop(run, stage, slot, seen, stream_over);
+        }
+        Ok(Claim::Again)
     }
 }
 

@@ -425,7 +425,7 @@ fn worker_loop(
                                     .acquire_local_labeled(
                                         job.footprint,
                                         ExhaustionPolicy::Error,
-                                        &label,
+                                        label.clone(),
                                     )
                                     .expect("checked available bytes under the queue lock")
                             })

@@ -35,6 +35,7 @@
 
 use hetex_common::{BlockId, HetError, MemoryNodeId, Result};
 use parking_lot::Mutex;
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex as StdMutex};
@@ -130,8 +131,11 @@ struct Arena {
     peak_leased: u64,
     /// Live leases by id: bytes held and the acquirer's label. Feeds the
     /// top-holders diagnostic a Park timeout reports — "timed out" alone
-    /// cannot tell a wedged consumer from a co-tenant burst.
-    holders: HashMap<BlockId, (u64, String)>,
+    /// cannot tell a wedged consumer from a co-tenant burst. Static labels
+    /// are borrowed, not allocated.
+    holders: HashMap<BlockId, (u64, Cow<'static, str>)>,
+    /// Acquirers parked on `released_cv`: a release notifies only if non-zero.
+    parked: usize,
 }
 
 impl Arena {
@@ -140,7 +144,7 @@ impl Arena {
     fn top_holders(&self, n: usize) -> String {
         let mut by_label: HashMap<&str, u64> = HashMap::new();
         for (bytes, label) in self.holders.values() {
-            *by_label.entry(label.as_str()).or_default() += bytes;
+            *by_label.entry(label).or_default() += bytes;
         }
         let mut ranked: Vec<(&str, u64)> = by_label.into_iter().collect();
         ranked.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(b.0)));
@@ -178,7 +182,12 @@ struct Acquired {
 }
 
 impl NodeState {
-    fn acquire(&self, bytes: u64, policy: ExhaustionPolicy, label: &str) -> Result<Acquired> {
+    fn acquire(
+        &self,
+        bytes: u64,
+        policy: ExhaustionPolicy,
+        label: Cow<'static, str>,
+    ) -> Result<Acquired> {
         if bytes > self.capacity {
             return Err(HetError::Memory(format!(
                 "staging request of {bytes} bytes can never fit the arena on {} ({} bytes)",
@@ -210,18 +219,20 @@ impl NodeState {
                 )));
             }
             parked = true;
+            arena.parked += 1;
             let (guard, _) = self
                 .released_cv
                 .wait_timeout(arena, deadline - now)
                 .unwrap_or_else(|e| e.into_inner());
             arena = guard;
+            arena.parked -= 1;
         }
         arena.available -= bytes;
         arena.peak_leased = arena.peak_leased.max(self.capacity - arena.available);
         self.leased.store(self.capacity - arena.available, Ordering::Relaxed);
         let id = BlockId::new(arena.next_id);
         arena.next_id += 1;
-        arena.holders.insert(id, (bytes, label.to_owned()));
+        arena.holders.insert(id, (bytes, label));
         Ok(Acquired { id, parked })
     }
 
@@ -229,7 +240,7 @@ impl NodeState {
     /// while the arena stays comfortably supplied (at least half the capacity
     /// free after the grab) — prefetching for a remote cache must not hoard
     /// the last bytes other producers are parked on.
-    fn try_take_extra(&self, n: usize, bytes: u64, label: &str) -> Vec<BlockId> {
+    fn try_take_extra(&self, n: usize, bytes: u64, label: Cow<'static, str>) -> Vec<BlockId> {
         if bytes == 0 {
             return Vec::new();
         }
@@ -245,7 +256,7 @@ impl NodeState {
             self.leased.store(self.capacity - arena.available, Ordering::Relaxed);
             let id = BlockId::new(arena.next_id);
             arena.next_id += 1;
-            arena.holders.insert(id, (bytes, label.to_owned()));
+            arena.holders.insert(id, (bytes, label.clone()));
             ids.push(id);
         }
         ids
@@ -256,8 +267,11 @@ impl NodeState {
         arena.available = (arena.available + bytes).min(self.capacity);
         self.leased.store(self.capacity - arena.available, Ordering::Relaxed);
         arena.holders.remove(&id);
+        let parked = arena.parked > 0;
         drop(arena);
-        self.released_cv.notify_all();
+        if parked {
+            self.released_cv.notify_all();
+        }
     }
 }
 
@@ -285,6 +299,7 @@ impl BlockManager {
                     next_id: 0,
                     peak_leased: 0,
                     holders: HashMap::new(),
+                    parked: 0,
                 }),
                 released_cv: Condvar::new(),
                 leased: AtomicU64::new(0),
@@ -335,14 +350,15 @@ impl BlockManager {
 
     /// Like [`Self::acquire_local`], but records `label` as the lease's
     /// holder so a later Park timeout on this arena can name who held the
-    /// bytes (the executor labels by stage/slot; fault injection by burst).
+    /// bytes (the serving layer labels by query; fault injection by burst).
+    /// A static label is recorded without allocating.
     pub fn acquire_local_labeled(
         &self,
         bytes: u64,
         policy: ExhaustionPolicy,
-        label: &str,
+        label: impl Into<Cow<'static, str>>,
     ) -> Result<BlockLease> {
-        let acquired = self.state.acquire(bytes, policy, label)?;
+        let acquired = self.state.acquire(bytes, policy, label.into())?;
         {
             let mut stats = self.stats.lock();
             stats.local_acquires += 1;
@@ -412,11 +428,12 @@ impl BlockManagerSet {
         target: MemoryNodeId,
         bytes: u64,
         policy: ExhaustionPolicy,
-        label: &str,
+        label: impl Into<Cow<'static, str>>,
     ) -> Result<BlockLease> {
+        let label = label.into();
         if local == target {
             let mgr = self.manager(local)?;
-            return match mgr.acquire_local_labeled(bytes, ExhaustionPolicy::Error, label) {
+            return match mgr.acquire_local_labeled(bytes, ExhaustionPolicy::Error, label.clone()) {
                 Ok(lease) => Ok(lease),
                 Err(_) if matches!(policy, ExhaustionPolicy::Park(_)) => {
                     // Before parking, call in the batched *release* half of
@@ -451,11 +468,11 @@ impl BlockManagerSet {
         // Cache miss: one "small task launched to the remote node". The first
         // lease may park per `policy`; the rest of the batch is opportunistic
         // and never waits.
-        let first = match target_mgr.state.acquire(bytes, ExhaustionPolicy::Error, label) {
+        let first = match target_mgr.state.acquire(bytes, ExhaustionPolicy::Error, label.clone()) {
             Ok(first) => first,
             Err(_) if matches!(policy, ExhaustionPolicy::Park(_)) => {
                 self.reclaim_cached_for(target);
-                target_mgr.state.acquire(bytes, policy, label)?
+                target_mgr.state.acquire(bytes, policy, label.clone())?
             }
             Err(e) => return Err(e),
         };

@@ -258,13 +258,13 @@ impl ServerTopology {
 
     /// The route between two distinct memory nodes, as an ordered list of
     /// links. Same-node "routes" are empty.
-    pub fn route(&self, from: MemoryNodeId, to: MemoryNodeId) -> Result<Vec<LinkId>> {
+    pub fn route(&self, from: MemoryNodeId, to: MemoryNodeId) -> Result<&[LinkId]> {
         if from == to {
-            return Ok(Vec::new());
+            return Ok(&[]);
         }
         self.routes
             .get(&(from, to))
-            .cloned()
+            .map(Vec::as_slice)
             .ok_or_else(|| HetError::Transfer(format!("no route from {from} to {to}")))
     }
 
@@ -487,7 +487,7 @@ mod tests {
                     assert!(route.is_empty());
                 } else {
                     assert!(!route.is_empty(), "missing route {a} -> {b}");
-                    for link in route {
+                    for &link in route {
                         t.link(link).unwrap();
                     }
                 }

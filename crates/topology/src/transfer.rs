@@ -84,7 +84,7 @@ impl DmaEngine {
         }
         let route = self.topology.route(from, to)?;
         let mut cursor = ready;
-        for link_id in route {
+        for &link_id in route {
             let link = self.topology.link(link_id)?;
             let duration = link.transfer_ns(bytes);
             let clock = self.topology.link_clock(link_id)?;
