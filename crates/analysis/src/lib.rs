@@ -32,8 +32,6 @@
 //! bench and SSB plan in CI; and the mutation suite in `tests/` proves each
 //! lint actually fires.
 
-#![forbid(unsafe_code)]
-
 pub mod config_check;
 pub mod diagnostics;
 pub mod graph_check;

@@ -22,8 +22,6 @@
 //! from the same calibration constants as the main engine's cost model, so
 //! comparisons against Proteus are apples-to-apples.
 
-#![forbid(unsafe_code)]
-
 pub mod dbms_c;
 pub mod dbms_g;
 pub mod profile;

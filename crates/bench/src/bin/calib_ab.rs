@@ -6,8 +6,6 @@
 //! Usage: `calib_ab [out_dir]` — writes `BENCH_calib.json` into `out_dir`
 //! (default: the current directory).
 
-#![forbid(unsafe_code)]
-
 use hetex_bench::calib_ab;
 
 fn main() {

@@ -6,8 +6,6 @@
 //! Usage: `fault_ab [out_dir]` — writes `BENCH_fault.json` into `out_dir`
 //! (default: the current directory).
 
-#![forbid(unsafe_code)]
-
 use hetex_bench::fault_ab;
 
 fn main() {

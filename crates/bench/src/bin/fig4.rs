@@ -4,8 +4,6 @@
 //! Usage: `cargo run --release -p hetex-bench --bin fig4`
 //! (set `HETEX_PHYSICAL_SF` to change the physical dataset size).
 
-#![forbid(unsafe_code)]
-
 fn main() {
     let sf = hetex_bench::workload::physical_sf_from_env();
     println!("physical SF = {sf}, modeling nominal SF100\n");

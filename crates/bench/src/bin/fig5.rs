@@ -3,8 +3,6 @@
 //!
 //! Usage: `cargo run --release -p hetex-bench --bin fig5`
 
-#![forbid(unsafe_code)]
-
 fn main() {
     let sf = hetex_bench::workload::physical_sf_from_env();
     println!("physical SF = {sf}, modeling nominal SF1000\n");

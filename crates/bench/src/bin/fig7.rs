@@ -4,8 +4,6 @@
 //!
 //! Usage: `cargo run --release -p hetex-bench --bin fig7`
 
-#![forbid(unsafe_code)]
-
 fn main() {
     let cores = [0, 1, 2, 4, 8, 12, 16, 20, 24];
     if let Err(e) = hetex_bench::figures::figure7(200_000, &cores) {

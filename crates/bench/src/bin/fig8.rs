@@ -4,8 +4,6 @@
 //!
 //! Usage: `cargo run --release -p hetex-bench --bin fig8`
 
-#![forbid(unsafe_code)]
-
 fn main() {
     let sizes = [0.125, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0];
     if let Err(e) = hetex_bench::figures::figure8(200_000, &sizes) {

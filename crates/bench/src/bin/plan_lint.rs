@@ -16,8 +16,6 @@
 //! the engine re-verifies a feedback rewrite before dispatch and an
 //! error-severity candidate would turn that rewrite into a runtime refusal.
 
-#![forbid(unsafe_code)]
-
 use hetex_analysis::analyze;
 use hetex_bench::micro::{MicroQuery, MicroWorkload};
 use hetex_bench::SsbWorkload;

@@ -8,8 +8,6 @@
 //! Usage: `reopt_ab [out_dir]` — writes `BENCH_reopt.json` into `out_dir`
 //! (default: the current directory).
 
-#![forbid(unsafe_code)]
-
 use hetex_bench::reopt_ab;
 
 fn main() {

@@ -5,8 +5,6 @@
 //! Usage: `serve_ab [out_dir]` — writes `BENCH_serve.json` into `out_dir`
 //! (default: the current directory).
 
-#![forbid(unsafe_code)]
-
 use hetex_bench::serve_ab::{self, DEFAULT_STREAMS, SPEEDUP_BAR};
 
 fn main() {

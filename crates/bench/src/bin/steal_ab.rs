@@ -5,8 +5,6 @@
 //! Usage: `steal_ab [out_dir]` — writes `BENCH_steal.json` into `out_dir`
 //! (default: the current directory).
 
-#![forbid(unsafe_code)]
-
 use hetex_bench::steal_ab;
 
 fn main() {

@@ -3,8 +3,6 @@
 //!
 //! Usage: `cargo run --release -p hetex-bench --bin table1`
 
-#![forbid(unsafe_code)]
-
 fn main() {
     hetex_bench::figures::table1();
 }

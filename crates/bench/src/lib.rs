@@ -26,8 +26,6 @@
 //! modeled execution times scale to the nominal data size. EXPERIMENTS.md
 //! records the shape comparison against the paper's reported numbers.
 
-#![forbid(unsafe_code)]
-
 pub mod calib_ab;
 pub mod fault_ab;
 pub mod figures;

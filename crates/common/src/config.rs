@@ -412,10 +412,12 @@ pub struct EngineConfig {
     /// grows logarithmically), so the harness sets one weight per table.
     pub table_weights: Vec<(String, f64)>,
     /// Per-memory-node staging byte budget (DESIGN.md §4.2). Every block
-    /// admitted into a consumer queue is backed by a `BlockLease` of its
-    /// byte size drawn from the destination node's arena, so large blocks
-    /// count for more and back-pressure reflects real staging memory. The
-    /// handle count of each queue is separately capped at
+    /// pushed into a consumer queue is first admitted against the queue's
+    /// byte quota (its demand-weighted share of this budget) and backed by
+    /// a `BlockLease` of its byte size from the destination node's arena, so
+    /// large blocks count for more and back-pressure reflects real staging
+    /// memory: a producer held back waits, with no timeout, until bytes are
+    /// released. The handle count of each queue is separately capped at
     /// [`DEFAULT_QUEUE_CAPACITY`].
     pub staging_bytes: u64,
     /// Adaptive re-routing policy of the pipelined executor: whether idle

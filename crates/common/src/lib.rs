@@ -11,8 +11,6 @@
 //! about CPUs, GPUs, pipelines, or the simulator. Higher layers (`hetex-topology`,
 //! `hetex-storage`, `hetex-core`, …) build on these types.
 
-#![forbid(unsafe_code)]
-
 pub mod block;
 pub mod column;
 pub mod config;
@@ -20,6 +18,7 @@ pub mod error;
 pub mod ids;
 pub mod schema;
 pub mod types;
+pub mod wait;
 
 pub use block::{Block, BlockHandle, BlockMeta, StagingToken};
 pub use column::{Column, ColumnData, ColumnRef, DictionaryBuilder};

@@ -36,8 +36,6 @@
 //!   over the device capacities under weighted max-min fairness, the model
 //!   behind the serving layer's latencies and makespan.
 
-#![forbid(unsafe_code)]
-
 pub mod codegen;
 pub mod cost;
 pub mod mem_move;

@@ -9,9 +9,8 @@
 //!   pre-allocated by the block managers, so back-pressure can be handled
 //!   there);
 //! * [`BlockQueue::bounded`] — bounded to a fixed number of buffered blocks,
-//!   giving the pipelined executor explicit back-pressure: a producer blocks
-//!   in [`BlockQueue::push`] until the consumer drains a slot, modeling a
-//!   finite staging arena.
+//!   giving the pipelined executor explicit back-pressure: a producer waits
+//!   for the consumer to drain a slot, modeling a finite staging arena.
 //!
 //! The buffer is an in-process deque guarded by one mutex (it used to be a
 //! channel): the pipelined executor's adaptive re-routing needs *tail* access
@@ -21,6 +20,15 @@
 //! head blocks are the ones the victim will pop next anyway (taking them
 //! races the victim for work it is about to start), while tail blocks are the
 //! ones that would otherwise wait behind the victim's whole backlog.
+//!
+//! Every wait has one mechanism ([`hetex_common::wait`]): the non-blocking
+//! forms [`BlockQueue::poll_pop`], [`BlockQueue::poll_push`] and
+//! [`BlockQueue::poll_admit`] register the caller's waker under the mutex
+//! whose condition failed, and push, give-back, completion, close, a
+//! released [`QueueSlot`] and a quota reset wake exactly the registered
+//! wakers. The blocking [`BlockQueue::push`], [`BlockQueue::pop`],
+//! [`BlockQueue::admit`] and [`BlockQueue::drain`] register a waker that
+//! unparks the calling thread.
 //!
 //! Termination is cooperative: producers register (`new(n)` /
 //! [`BlockQueue::add_producer`] / [`BlockQueue::register_producer`]) and
@@ -36,11 +44,12 @@
 //!   `producer_done` from its `Drop` impl, so a producer that panics before
 //!   finishing still releases its consumer during unwinding.
 
+use hetex_common::wait::{block_on, register, wake_all};
 use hetex_common::{BlockHandle, HetError, MemoryNodeId, Result};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex as StdMutex, MutexGuard};
-use std::time::Duration;
+use std::sync::{Arc, Mutex as StdMutex, MutexGuard};
+use std::task::{Poll, Waker};
 
 /// Byte-quota accounting of one queue: how many staged bytes are outstanding
 /// (admitted but not yet dropped by the consumer) against the queue's share
@@ -51,11 +60,8 @@ struct QueueStaging {
     /// the demand-weighted quota re-split (`hetex_core::cost`) adjusts live
     /// quotas on a cadence while producers are admitting.
     quota: AtomicU64,
-    /// Outstanding admitted bytes and the producers parked in `admit`.
+    /// Outstanding admitted bytes and the producers waiting in admission.
     admission: StdMutex<Admission>,
-    /// Signalled when outstanding bytes shrink while a producer is parked,
-    /// and always when the quota is reset or the queue closes.
-    drained_cv: Condvar,
     /// Cumulative admitted bytes over the queue's lifetime — the demand
     /// signal the quota re-split reads.
     admitted_total: AtomicU64,
@@ -65,12 +71,25 @@ struct QueueStaging {
 #[derive(Debug, Default)]
 struct Admission {
     bytes: u64,
-    /// Producers parked in `admit`: a release notifies only if non-zero.
-    parked: usize,
+    /// Producers waiting for outstanding bytes to shrink (or the quota to
+    /// grow, or the queue to close).
+    waiters: Vec<Waker>,
+}
+
+impl QueueStaging {
+    fn lock(&self) -> MutexGuard<'_, Admission> {
+        self.admission.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Wake every producer waiting in admission.
+    fn wake_waiters(&self) {
+        let waiters = std::mem::take(&mut self.lock().waiters);
+        wake_all(waiters);
+    }
 }
 
 /// RAII receipt of one byte admission into a [`BlockQueue`]; dropping it
-/// returns the bytes to the queue's quota and wakes parked producers. The
+/// returns the bytes to the queue's quota and wakes waiting producers. The
 /// executor bundles this with the arena [`BlockLease`] into the handle's
 /// staging token, so consumer-side drops release both at once.
 #[derive(Debug)]
@@ -81,13 +100,11 @@ pub struct QueueSlot {
 
 impl Drop for QueueSlot {
     fn drop(&mut self) {
-        let mut admission = self.staging.admission.lock().unwrap_or_else(|e| e.into_inner());
+        let mut admission = self.staging.lock();
         admission.bytes = admission.bytes.saturating_sub(self.bytes);
-        let parked = admission.parked > 0;
+        let waiters = std::mem::take(&mut admission.waiters);
         drop(admission);
-        if parked {
-            self.staging.drained_cv.notify_all();
-        }
+        wake_all(waiters);
     }
 }
 
@@ -96,34 +113,23 @@ impl Drop for QueueSlot {
 struct QueueInner {
     buf: VecDeque<BlockHandle>,
     finished: usize,
-    /// Bumped by every push, give-back, producer completion, close and
-    /// [`BlockQueue::wake`] — what a consumer parked in
-    /// [`BlockQueue::park`] waits to see move.
-    events: u64,
-    /// Consumers parked in `pop` / `park` and producers parked in `push`:
-    /// `not_empty` / `not_full` are notified only while these are non-zero.
-    /// A waiter counts itself before its wait releases this mutex, so a
-    /// notifier that reads zero ran before the waiter checked its condition.
-    parked_consumers: usize,
-    parked_producers: usize,
+    /// Consumers waiting for a block, a completion or the close.
+    consumers: Vec<Waker>,
+    /// Producers waiting for a slot in the full buffer.
+    producers: Vec<Waker>,
 }
 
 /// State shared by all clones of one queue.
 #[derive(Debug)]
 struct QueueCore {
-    /// Maximum buffered blocks before `push` parks; `None` = unbounded.
+    /// Maximum buffered blocks before pushes wait; `None` = unbounded.
     capacity: Option<usize>,
     inner: StdMutex<QueueInner>,
-    /// Consumers parked in `pop` / `park` wait here for blocks, completion
-    /// or a wake-up.
-    not_empty: Condvar,
-    /// Producers parked in `push` wait here for a freed slot.
-    not_full: Condvar,
     producers: AtomicUsize,
     closed: AtomicBool,
 }
 
-/// Outcome of a non-blocking [`BlockQueue::try_pop`].
+/// Outcome of a non-blocking [`BlockQueue::poll_pop`].
 #[derive(Debug)]
 pub enum PopNext {
     /// A buffered block.
@@ -150,7 +156,7 @@ pub struct BlockQueue {
 
 impl std::fmt::Debug for BlockQueue {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let inner = self.core.inner.lock().unwrap_or_else(|e| e.into_inner());
+        let inner = self.lock();
         f.debug_struct("BlockQueue")
             .field("producers", &self.core.producers.load(Ordering::Relaxed))
             .field("finished", &inner.finished)
@@ -160,10 +166,6 @@ impl std::fmt::Debug for BlockQueue {
     }
 }
 
-/// How long a parked wait sleeps between rechecks of the closed flag (and of
-/// the producer count, which `add_producer` may raise without a wake-up).
-const PARK_RECHECK: Duration = Duration::from_millis(10);
-
 impl BlockQueue {
     /// An unbounded queue expecting `producers` producers.
     pub fn new(producers: usize) -> Self {
@@ -171,7 +173,7 @@ impl BlockQueue {
     }
 
     /// A bounded queue expecting `producers` producers: at most `capacity`
-    /// blocks buffer before `push` blocks (back-pressure).
+    /// blocks buffer before pushes wait (back-pressure).
     pub fn bounded(producers: usize, capacity: usize) -> Self {
         Self::with_capacity(producers, Some(capacity.max(1)))
     }
@@ -181,8 +183,6 @@ impl BlockQueue {
             core: Arc::new(QueueCore {
                 capacity,
                 inner: StdMutex::new(QueueInner::default()),
-                not_empty: Condvar::new(),
-                not_full: Condvar::new(),
                 producers: AtomicUsize::new(producers),
                 closed: AtomicBool::new(false),
             }),
@@ -191,28 +191,34 @@ impl BlockQueue {
         }
     }
 
-    /// Govern admission by a byte quota: [`Self::admit`] parks producers once
-    /// `quota` bytes are outstanding. Call before cloning the queue (the
-    /// state is shared by clones made afterwards).
+    fn lock(&self) -> MutexGuard<'_, QueueInner> {
+        self.core.inner.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    fn closed_error() -> HetError {
+        HetError::Cancelled("block queue closed".into())
+    }
+
+    /// Govern admission by a byte quota: [`Self::admit`] waits once `quota`
+    /// bytes are outstanding. Call before cloning the queue (the state is
+    /// shared by clones made afterwards).
     pub fn with_byte_quota(mut self, quota: u64) -> Self {
         self.staging = Some(Arc::new(QueueStaging {
             quota: AtomicU64::new(quota.max(1)),
             admission: StdMutex::new(Admission::default()),
-            drained_cv: Condvar::new(),
             admitted_total: AtomicU64::new(0),
         }));
         self
     }
 
     /// Adjust a governed queue's byte quota in place (shared by all clones).
-    /// Growing the quota wakes producers parked in [`Self::admit`] so they
-    /// re-check against the new share; shrinking only affects future
-    /// admissions — already-admitted bytes are never revoked. No-op on an
-    /// ungoverned queue.
+    /// Waiting producers are woken to re-check against the new share;
+    /// shrinking only affects future admissions — already-admitted bytes are
+    /// never revoked. No-op on an ungoverned queue.
     pub fn set_byte_quota(&self, quota: u64) {
         if let Some(staging) = &self.staging {
             staging.quota.store(quota.max(1), Ordering::SeqCst);
-            staging.drained_cv.notify_all();
+            staging.wake_waiters();
         }
     }
 
@@ -242,52 +248,46 @@ impl BlockQueue {
 
     /// Bytes currently admitted and not yet released by the consumer.
     pub fn outstanding_bytes(&self) -> u64 {
-        self.staging
-            .as_ref()
-            .map(|s| s.admission.lock().unwrap_or_else(|e| e.into_inner()).bytes)
-            .unwrap_or(0)
+        self.staging.as_ref().map(|s| s.lock().bytes).unwrap_or(0)
     }
 
-    /// Admit `bytes` against the queue's byte quota, parking while the quota
+    /// Admit `bytes` against the queue's byte quota, waiting while the quota
     /// is exhausted. Returns the RAII receipt to bundle into the handle's
     /// staging token, or `None` when the queue is ungoverned (no quota
-    /// configured, or a zero-byte block).
+    /// configured, or a zero-byte block). Fails once the queue is closed,
+    /// also for a producer already waiting.
+    pub fn admit(&self, bytes: u64) -> Result<Option<QueueSlot>> {
+        block_on(|waker| self.poll_admit(bytes, waker))
+    }
+
+    /// The non-blocking form of [`Self::admit`]: `Pending` (with `waker`
+    /// registered) while the quota is exhausted.
     ///
-    /// Like [`Self::push`] on a full bounded queue, the wait has no deadline
-    /// of its own — back-pressure may legitimately last as long as an
-    /// upstream build runs — but it periodically rechecks the closed flag, so
-    /// `close()` releases parked producers during shutdown instead of
-    /// deadlocking them. (The arena acquisition that follows admission keeps
-    /// a timeout and remains the backstop against genuine wedges.)
+    /// Back-pressure has no deadline of its own — it may legitimately last
+    /// as long as an upstream build runs; the executor's stall detector
+    /// reports a wait that nothing can end.
     ///
     /// An *empty* account always admits one block even if it exceeds the
     /// quota — a block larger than the quota must still be able to flow, one
     /// at a time, or a tiny budget would wedge the pipeline instead of merely
     /// slowing it.
-    pub fn admit(&self, bytes: u64) -> Result<Option<QueueSlot>> {
-        let Some(staging) = &self.staging else { return Ok(None) };
+    pub fn poll_admit(&self, bytes: u64, waker: &Waker) -> Poll<Result<Option<QueueSlot>>> {
+        let Some(staging) = &self.staging else { return Poll::Ready(Ok(None)) };
         if bytes == 0 {
-            return Ok(None);
+            return Poll::Ready(Ok(None));
         }
-        let mut admission = staging.admission.lock().unwrap_or_else(|e| e.into_inner());
-        loop {
-            if self.core.closed.load(Ordering::SeqCst) {
-                return Err(HetError::Cancelled("block queue closed".into()));
-            }
-            let outstanding = admission.bytes;
-            if outstanding == 0 || outstanding + bytes <= staging.quota.load(Ordering::SeqCst) {
-                admission.bytes += bytes;
-                staging.admitted_total.fetch_add(bytes, Ordering::Relaxed);
-                return Ok(Some(QueueSlot { bytes, staging: Arc::clone(staging) }));
-            }
-            admission.parked += 1;
-            let (guard, _) = staging
-                .drained_cv
-                .wait_timeout(admission, Duration::from_millis(50))
-                .unwrap_or_else(|e| e.into_inner());
-            admission = guard;
-            admission.parked -= 1;
+        let mut admission = staging.lock();
+        if self.core.closed.load(Ordering::SeqCst) {
+            return Poll::Ready(Err(Self::closed_error()));
         }
+        let outstanding = admission.bytes;
+        if outstanding == 0 || outstanding + bytes <= staging.quota.load(Ordering::SeqCst) {
+            admission.bytes += bytes;
+            staging.admitted_total.fetch_add(bytes, Ordering::Relaxed);
+            return Poll::Ready(Ok(Some(QueueSlot { bytes, staging: Arc::clone(staging) })));
+        }
+        register(&mut admission.waiters, waker);
+        Poll::Pending
     }
 
     /// Register one more producer (used when a router instantiates additional
@@ -306,41 +306,46 @@ impl BlockQueue {
         ProducerGuard { queue: self.clone(), finished: false }
     }
 
-    /// Push a block handle into the queue, blocking on a full bounded queue.
-    /// Fails if the queue was closed — including while blocked on a full
-    /// queue whose consumer died: the wait periodically rechecks the closed
-    /// flag, so `close()` releases stuck producers instead of deadlocking
-    /// them.
+    /// Push a block handle into the queue, waiting on a full bounded queue.
+    /// Fails if the queue was closed — also while waiting on a full queue
+    /// whose consumer died: `close()` wakes waiting producers.
     pub fn push(&self, handle: BlockHandle) -> Result<()> {
-        let mut inner = self.core.inner.lock().unwrap_or_else(|e| e.into_inner());
-        loop {
-            if self.core.closed.load(Ordering::SeqCst) {
-                return Err(HetError::Cancelled("block queue closed".into()));
+        let mut handle = Some(handle);
+        block_on(|waker| match self.poll_push(handle.take().expect("still held"), waker) {
+            Ok(Some(back)) => {
+                handle = Some(back);
+                Poll::Pending
             }
-            if self.core.capacity.is_none_or(|cap| inner.buf.len() < cap) {
-                inner.buf.push_back(handle);
-                self.signal(inner);
-                return Ok(());
-            }
-            inner.parked_producers += 1;
-            let (guard, _) = self
-                .core
-                .not_full
-                .wait_timeout(inner, PARK_RECHECK)
-                .unwrap_or_else(|e| e.into_inner());
-            inner = guard;
-            inner.parked_producers -= 1;
+            Ok(None) => Poll::Ready(Ok(())),
+            Err(e) => Poll::Ready(Err(e)),
+        })
+    }
+
+    /// The non-blocking form of [`Self::push`]: on a full bounded queue the
+    /// handle comes back (`Ok(Some)`) and `waker` is registered for the next
+    /// freed slot.
+    pub fn poll_push(&self, handle: BlockHandle, waker: &Waker) -> Result<Option<BlockHandle>> {
+        let mut inner = self.lock();
+        if self.core.closed.load(Ordering::SeqCst) {
+            return Err(Self::closed_error());
         }
+        if self.core.capacity.is_some_and(|cap| inner.buf.len() >= cap) {
+            register(&mut inner.producers, waker);
+            return Ok(Some(handle));
+        }
+        inner.buf.push_back(handle);
+        Self::wake_consumers(inner);
+        Ok(None)
     }
 
     /// Signal that one producer has no more blocks to push. Completion is a
-    /// counter, not an in-band message, so it never blocks — a completing
+    /// counter, not an in-band message, so it never waits — a completing
     /// producer cannot deadlock against a full queue or a dead consumer, and
     /// unwinding guards may call this unconditionally.
     pub fn producer_done(&self) -> Result<()> {
-        let mut inner = self.core.inner.lock().unwrap_or_else(|e| e.into_inner());
+        let mut inner = self.lock();
         inner.finished += 1;
-        self.signal(inner);
+        Self::wake_consumers(inner);
         Ok(())
     }
 
@@ -350,23 +355,22 @@ impl BlockQueue {
     ///
     /// Handles still buffered in the queue are dropped here, so the staging
     /// charges they carry are released immediately — a closed queue must not
-    /// keep arena bytes leased (and producers parked on them) until the
+    /// keep arena bytes leased (and producers waiting on them) until the
     /// queue itself is torn down.
     pub fn close(&self) {
         self.core.closed.store(true, Ordering::SeqCst);
-        let swept: Vec<BlockHandle> = {
-            let mut inner = self.core.inner.lock().unwrap_or_else(|e| e.into_inner());
-            inner.events += 1;
-            inner.buf.drain(..).collect()
+        let (swept, consumers, producers) = {
+            let mut inner = self.lock();
+            let buf = std::mem::take(&mut inner.buf);
+            (buf, std::mem::take(&mut inner.consumers), std::mem::take(&mut inner.producers))
         };
         // Release the staging charges outside the buffer lock: QueueSlot
-        // drops take the (separate) staging lock and notify parked producers.
+        // drops take the (separate) staging lock and wake their waiters.
         drop(swept);
-        self.core.not_empty.notify_all();
-        self.core.not_full.notify_all();
-        // Wake producers parked in `admit` so they observe the closed flag.
+        wake_all(consumers);
+        wake_all(producers);
         if let Some(staging) = &self.staging {
-            staging.drained_cv.notify_all();
+            staging.wake_waiters();
         }
     }
 
@@ -375,85 +379,36 @@ impl BlockQueue {
         self.core.closed.load(Ordering::SeqCst)
     }
 
-    /// Pop the next block handle, or `None` once every producer finished and
-    /// the queue drained (or the queue was closed).
+    /// Pop the next block handle, waiting for one; `None` once every
+    /// producer finished and the queue drained (or the queue was closed).
     pub fn pop(&self) -> Option<BlockHandle> {
-        let mut inner = self.core.inner.lock().unwrap_or_else(|e| e.into_inner());
-        loop {
-            if self.core.closed.load(Ordering::SeqCst) {
-                return None;
-            }
-            if let Some(handle) = inner.buf.pop_front() {
-                self.release_slot(inner);
-                return Some(handle);
-            }
-            if inner.finished >= self.core.producers.load(Ordering::SeqCst) {
-                return None;
-            }
-            inner.parked_consumers += 1;
-            let (guard, _) = self
-                .core
-                .not_empty
-                .wait_timeout(inner, PARK_RECHECK)
-                .unwrap_or_else(|e| e.into_inner());
-            inner = guard;
-            inner.parked_consumers -= 1;
-        }
+        block_on(|waker| match self.poll_pop(waker) {
+            PopNext::Block(handle) => Poll::Ready(Some(handle)),
+            PopNext::Empty => Poll::Pending,
+            PopNext::Finished => Poll::Ready(None),
+        })
     }
 
     /// Non-blocking pop distinguishing "empty for now" from "stream over" —
     /// the decision point of the work-stealing loop: an [`PopNext::Empty`] /
     /// [`PopNext::Finished`] consumer may go steal from a sibling instead of
-    /// parking (or exiting) while a straggler holds a backlog.
-    pub fn try_pop(&self) -> PopNext {
-        let mut inner = self.core.inner.lock().unwrap_or_else(|e| e.into_inner());
+    /// waiting (or exiting) while a straggler holds a backlog. On
+    /// [`PopNext::Empty`] it registers `waker`: the next push, give-back,
+    /// completion or close wakes it.
+    pub fn poll_pop(&self, waker: &Waker) -> PopNext {
+        let mut inner = self.lock();
         if self.core.closed.load(Ordering::SeqCst) {
             return PopNext::Finished;
         }
         if let Some(handle) = inner.buf.pop_front() {
-            self.release_slot(inner);
+            Self::release_slot(inner);
             return PopNext::Block(handle);
         }
         if inner.finished >= self.core.producers.load(Ordering::SeqCst) {
             return PopNext::Finished;
         }
+        register(&mut inner.consumers, waker);
         PopNext::Empty
-    }
-
-    /// The queue's event count (see [`Self::park`]). An idle consumer reads
-    /// it *before* looking for work, so an event that lands between the look
-    /// and the park still ends the park.
-    pub fn events(&self) -> u64 {
-        self.core.inner.lock().unwrap_or_else(|e| e.into_inner()).events
-    }
-
-    /// Count an out-of-band event and wake the consumer parked in
-    /// [`Self::park`] — a sibling's state changed in a way that may change
-    /// what the consumer would do next (e.g. a steal verdict).
-    pub fn wake(&self) {
-        self.signal(self.core.inner.lock().unwrap_or_else(|e| e.into_inner()));
-    }
-
-    /// Park the consumer until the event count moves past `seen` (a push,
-    /// give-back, producer completion, close or [`Self::wake`] since
-    /// `seen` was read), or at most `PARK_RECHECK` — the backstop for state
-    /// that changes without an event. Returns true when the backstop, not
-    /// an event, ended the park.
-    pub fn park(&self, seen: u64) -> bool {
-        let mut inner = self.core.inner.lock().unwrap_or_else(|e| e.into_inner());
-        if inner.events != seen {
-            return false;
-        }
-        inner.parked_consumers += 1;
-        // Only an event notifies `not_empty`, so a wait that did not time
-        // out saw one.
-        let (mut inner, wait) = self
-            .core
-            .not_empty
-            .wait_timeout(inner, PARK_RECHECK)
-            .unwrap_or_else(|e| e.into_inner());
-        inner.parked_consumers -= 1;
-        wait.timed_out()
     }
 
     /// Remove the most recently enqueued block from this queue's backlog —
@@ -471,15 +426,15 @@ impl BlockQueue {
         if self.core.closed.load(Ordering::SeqCst) {
             return None;
         }
-        let mut inner = self.core.inner.lock().unwrap_or_else(|e| e.into_inner());
+        let mut inner = self.lock();
         let stolen = inner.buf.pop_back();
         if stolen.is_some() {
-            self.release_slot(inner);
+            Self::release_slot(inner);
         }
         stolen
     }
 
-    /// Return a just-removed block to the tail of the queue without blocking:
+    /// Return a just-removed block to the tail of the queue without waiting:
     /// capacity is deliberately ignored (the block vacated a slot moments ago
     /// — at worst the buffer transiently exceeds its bound by the one block
     /// being returned). Two callers: a thief whose profitability check
@@ -488,37 +443,31 @@ impl BlockQueue {
     /// in between; the caller must then let the block drop, exactly as
     /// [`Self::close`]'s sweep would have.
     pub fn give_back(&self, handle: BlockHandle) -> Result<()> {
-        let mut inner = self.core.inner.lock().unwrap_or_else(|e| e.into_inner());
+        let mut inner = self.lock();
         if self.core.closed.load(Ordering::SeqCst) {
-            return Err(HetError::Cancelled("block queue closed".into()));
+            return Err(Self::closed_error());
         }
         inner.buf.push_back(handle);
-        self.signal(inner);
+        Self::wake_consumers(inner);
         Ok(())
     }
 
-    /// Count an event, release the lock and wake the parked consumer, if
-    /// any.
-    fn signal(&self, mut inner: MutexGuard<'_, QueueInner>) {
-        inner.events += 1;
-        let parked = inner.parked_consumers > 0;
+    /// Release the lock and wake the waiting consumers.
+    fn wake_consumers(mut inner: MutexGuard<'_, QueueInner>) {
+        let consumers = std::mem::take(&mut inner.consumers);
         drop(inner);
-        if parked {
-            self.core.not_empty.notify_all();
-        }
+        wake_all(consumers);
     }
 
     /// A block just left the buffer: release the lock and wake the
-    /// producers parked on the full buffer, if any.
-    fn release_slot(&self, inner: MutexGuard<'_, QueueInner>) {
-        let parked = inner.parked_producers > 0;
+    /// producers waiting on the full buffer.
+    fn release_slot(mut inner: MutexGuard<'_, QueueInner>) {
+        let producers = std::mem::take(&mut inner.producers);
         drop(inner);
-        if parked {
-            self.core.not_full.notify_all();
-        }
+        wake_all(producers);
     }
 
-    /// Pop until the stream ends and collect every block: blocks until every
+    /// Pop until the stream ends and collect every block: waits until every
     /// producer finished (or the queue closed). On a closed queue nothing is
     /// returned; any handles buffered at close time were dropped by the
     /// closing sweep so their staging charges are released rather than
@@ -537,14 +486,13 @@ impl BlockQueue {
     /// estimates (the steal profitability pre-check prices the relocation
     /// route from here), never for correctness.
     pub fn tail_location(&self) -> Option<MemoryNodeId> {
-        let inner = self.core.inner.lock().unwrap_or_else(|e| e.into_inner());
-        inner.buf.back().map(|h| h.meta().location)
+        self.lock().buf.back().map(|h| h.meta().location)
     }
 
     /// Number of blocks currently buffered (completion signals are counters,
     /// not messages, so this is exactly the stealable backlog depth).
     pub fn len(&self) -> usize {
-        self.core.inner.lock().unwrap_or_else(|e| e.into_inner()).buf.len()
+        self.lock().buf.len()
     }
 
     /// True if no blocks are buffered.
@@ -590,6 +538,7 @@ impl Drop for ProducerGuard {
 mod tests {
     use super::*;
     use hetex_common::{Block, BlockId, BlockMeta, ColumnData, MemoryNodeId};
+    use std::task::Waker;
     use std::thread;
     use std::time::Duration;
 
@@ -968,94 +917,158 @@ mod tests {
 
     #[test]
     fn try_pop_distinguishes_empty_from_finished() {
-        let q = BlockQueue::new(1);
-        assert!(matches!(q.try_pop(), PopNext::Empty));
+        let (q, waker) = (BlockQueue::new(1), Waker::noop());
+        assert!(matches!(q.poll_pop(waker), PopNext::Empty));
         q.push(handle(1)).unwrap();
-        assert!(matches!(q.try_pop(), PopNext::Block(_)));
+        assert!(matches!(q.poll_pop(waker), PopNext::Block(_)));
         q.producer_done().unwrap();
-        assert!(matches!(q.try_pop(), PopNext::Finished));
+        assert!(matches!(q.poll_pop(waker), PopNext::Finished));
         // A closed queue reports Finished immediately.
         let q2 = BlockQueue::new(1);
         q2.close();
-        assert!(matches!(q2.try_pop(), PopNext::Finished));
+        assert!(matches!(q2.poll_pop(waker), PopNext::Finished));
+    }
+
+    /// A waker that counts its wakes and unparks the thread that made it.
+    struct Counting {
+        wakes: AtomicUsize,
+        thread: thread::Thread,
+    }
+
+    impl std::task::Wake for Counting {
+        fn wake(self: Arc<Self>) {
+            self.wake_by_ref();
+        }
+
+        fn wake_by_ref(self: &Arc<Self>) {
+            self.wakes.fetch_add(1, Ordering::SeqCst);
+            self.thread.unpark();
+        }
+    }
+
+    fn counting() -> (Arc<Counting>, Waker) {
+        let count = Arc::new(Counting { wakes: AtomicUsize::new(0), thread: thread::current() });
+        (Arc::clone(&count), Waker::from(count))
     }
 
     #[test]
-    fn park_ends_on_push_wake_and_close_not_on_a_timer() {
-        // An event between reading the count and parking ends the park at once.
-        let q = BlockQueue::new(1);
-        let seen = q.events();
-        q.push(handle(1)).unwrap();
-        let start = std::time::Instant::now();
-        assert!(!q.park(seen));
-        assert!(start.elapsed() < PARK_RECHECK);
-        // A parked consumer is released by a push, a wake and a close.
+    fn each_registration_is_woken_by_the_event_it_waits_for() {
+        // An empty queue registers its consumer once, however often it
+        // polls, and a push, a completion and a close each wake it.
         type Event = fn(&BlockQueue);
         let events: [Event; 3] =
-            [|q| q.push(handle(2)).unwrap(), BlockQueue::wake, BlockQueue::close];
+            [|q| q.push(handle(1)).unwrap(), |q| q.producer_done().unwrap(), BlockQueue::close];
         for event in events {
-            let seen = q.events();
-            let waker = {
-                let q = q.clone();
-                thread::spawn(move || {
-                    thread::sleep(Duration::from_millis(2));
-                    event(&q);
-                })
-            };
-            assert!(!q.park(seen), "the event, not the backstop, ends the park");
-            waker.join().unwrap();
-            assert_ne!(q.events(), seen);
+            let q = BlockQueue::new(1);
+            let (count, waker) = counting();
+            assert!(matches!(q.poll_pop(&waker), PopNext::Empty));
+            assert!(matches!(q.poll_pop(&waker), PopNext::Empty));
+            event(&q);
+            assert_eq!(count.wakes.load(Ordering::SeqCst), 1, "one registration, one wake");
+            assert!(!matches!(q.poll_pop(&waker), PopNext::Empty));
         }
-        // A quiet queue parks for at most the recheck backstop, and says so.
-        let quiet = BlockQueue::new(1);
-        let start = std::time::Instant::now();
-        assert!(quiet.park(quiet.events()));
-        assert!(start.elapsed() >= PARK_RECHECK);
+        // A full buffer hands the block back and registers the producer;
+        // a pop wakes it.
+        let q = BlockQueue::bounded(1, 1);
+        let (count, waker) = counting();
+        assert!(q.poll_push(handle(0), &waker).unwrap().is_none());
+        let back = q.poll_push(handle(1), &waker).unwrap().expect("the buffer is full");
+        assert_eq!(count.wakes.load(Ordering::SeqCst), 0);
+        assert!(q.pop().is_some());
+        assert_eq!(count.wakes.load(Ordering::SeqCst), 1);
+        assert!(q.poll_push(back, &waker).unwrap().is_none());
+        // An exhausted quota registers the producer; a quota reset and a
+        // released slot each wake it.
+        let q = BlockQueue::new(1).with_byte_quota(10);
+        let held = q.admit(10).unwrap();
+        let (count, waker) = counting();
+        assert!(q.poll_admit(5, &waker).is_pending());
+        q.set_byte_quota(10);
+        assert_eq!(count.wakes.load(Ordering::SeqCst), 1);
+        assert!(q.poll_admit(5, &waker).is_pending());
+        drop(held);
+        assert_eq!(count.wakes.load(Ordering::SeqCst), 2);
+        assert!(matches!(q.poll_admit(5, &waker), Poll::Ready(Ok(Some(_)))));
     }
 
     #[test]
-    fn a_parked_consumer_misses_no_wake_up() {
-        // One to four producers push, wake and complete while the consumer
-        // cycles through events / try_pop / park. Every block arrives
-        // exactly once, and no park is ended by the backstop after its
-        // event happened: the event's notify must reach the parked
-        // consumer. (A park that saw nothing for `PARK_RECHECK` — a
-        // descheduled producer — is not a lost wake-up.)
+    fn a_registered_consumer_misses_no_wake_up() {
+        // One to four producers push in lock-step with the consumer (each
+        // waits until its block was consumed, so a push is usually the only
+        // event that can end the consumer's wait), complete, and a closer
+        // closes the drained stream. The consumer polls with a waker and
+        // parks until it is woken. Every block arrives exactly once and
+        // every registration is woken; a lost wake-up fails the test at its
+        // deadline instead of hanging it.
         const PER_PRODUCER: usize = 400;
+        const DEADLINE: Duration = Duration::from_secs(5);
         for producers in 1..=4 {
-            let q = BlockQueue::bounded(producers, 4);
-            let start = Arc::new(std::sync::Barrier::new(producers + 1));
+            let q = BlockQueue::bounded(producers + 1, 4);
+            let total = producers * PER_PRODUCER;
+            let consumed: Arc<Vec<AtomicBool>> =
+                Arc::new((0..total).map(|_| AtomicBool::new(false)).collect());
+            let lost = Arc::new(AtomicBool::new(false));
             let threads: Vec<_> = (0..producers)
                 .map(|p| {
-                    let (q, start) = (q.clone(), Arc::clone(&start));
+                    let (q, consumed, lost) = (q.clone(), Arc::clone(&consumed), Arc::clone(&lost));
                     thread::spawn(move || {
-                        start.wait();
-                        for i in 0..PER_PRODUCER {
-                            q.push(handle(p * PER_PRODUCER + i)).unwrap();
-                            if i % 7 == p {
-                                q.wake();
+                        for id in (p * PER_PRODUCER..).take(PER_PRODUCER) {
+                            if q.push(handle(id)).is_err() {
+                                break;
+                            }
+                            while !consumed[id].load(Ordering::SeqCst)
+                                && !lost.load(Ordering::SeqCst)
+                            {
+                                thread::yield_now();
                             }
                         }
                         q.producer_done().unwrap();
                     })
                 })
                 .collect();
-            start.wait();
-            let (mut ids, mut lost) = (Vec::new(), 0);
+            let closer = {
+                let q = q.clone();
+                thread::spawn(move || {
+                    threads.into_iter().for_each(|t| t.join().unwrap());
+                    q.close();
+                })
+            };
+            let (count, waker) = counting();
+            let (mut ids, mut registrations) = (Vec::new(), 0);
             loop {
-                let seen = q.events();
-                match q.try_pop() {
-                    PopNext::Block(h) => ids.push(h.meta().id.index()),
-                    PopNext::Empty => lost += usize::from(q.park(seen) && q.events() != seen),
+                match q.poll_pop(&waker) {
+                    PopNext::Block(h) => {
+                        let id = h.meta().id.index();
+                        consumed[id].store(true, Ordering::SeqCst);
+                        ids.push(id);
+                    }
+                    PopNext::Empty => {
+                        registrations += 1;
+                        let deadline = std::time::Instant::now() + DEADLINE;
+                        while count.wakes.load(Ordering::SeqCst) < registrations {
+                            if std::time::Instant::now() >= deadline {
+                                lost.store(true, Ordering::SeqCst);
+                                break;
+                            }
+                            thread::park_timeout(Duration::from_millis(50));
+                        }
+                        if lost.load(Ordering::SeqCst) {
+                            break;
+                        }
+                    }
                     PopNext::Finished => break,
                 }
             }
-            for t in threads {
-                t.join().unwrap();
-            }
+            q.close();
+            closer.join().unwrap();
+            assert!(!lost.load(Ordering::SeqCst), "{producers} producers: a wake-up was lost");
+            assert_eq!(
+                count.wakes.load(Ordering::SeqCst),
+                registrations,
+                "one wake per registration"
+            );
             ids.sort_unstable();
-            assert_eq!(ids, (0..producers * PER_PRODUCER).collect::<Vec<_>>(), "exactly once");
-            assert_eq!(lost, 0, "{producers} producers: parks outlived their event");
+            assert_eq!(ids, (0..total).collect::<Vec<_>>(), "exactly once");
         }
     }
 

@@ -1,16 +1,20 @@
 //! Fault recovery (DESIGN.md §7): per-execution fault state, the watchdog,
 //! the per-invocation fault ladder and the takeover drain.
 
-use super::worker::Lane;
+use super::movement::Claimed;
+use super::routing::Outbox;
+use super::worker::{Lane, Progress, Wait};
 use super::QueryRun;
-use hetex_common::{BlockHandle, HetError, Result};
-use hetex_core::queue::BlockQueue;
+use hetex_common::{HetError, Result};
+use hetex_core::queue::PopNext;
 use hetex_storage::{BlockLease, ExhaustionPolicy};
 use hetex_topology::{DeviceId, FaultPlan, SimTime};
+use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::task::Waker;
+use std::time::{Duration, Instant};
 
 /// Base simulated backoff charged before re-running a transiently failed
 /// kernel invocation; doubles with every consecutive retry of the same block.
@@ -21,10 +25,10 @@ const TRANSIENT_RETRY_BASE_NS: u64 = 50_000;
 /// off, surfaced as a structured `DeviceLost`).
 const TRANSIENT_RETRY_BUDGET: u32 = 3;
 
-/// Wall-clock cadence of the fault watchdog thread. Wall-clock only — the
-/// stall-detection *cost* is charged in simulated time separately (see
-/// `WATCHDOG_DETECT_NS`).
-const WATCHDOG_POLL: Duration = Duration::from_millis(5);
+/// Wall-clock cadence of the fault watchdog's checks, run between task
+/// steps. Wall-clock only — the stall-detection *cost* is charged in
+/// simulated time separately (see `WATCHDOG_DETECT_NS`).
+pub(super) const WATCHDOG_POLL: Duration = Duration::from_millis(5);
 
 /// Consecutive watchdog polls a wedge-scripted device must show zero block
 /// progress past its scripted onset before it is declared wedged. Multiple
@@ -56,6 +60,18 @@ pub(super) struct FaultState {
     pub(super) recovered: AtomicU64,
     /// Transient failures absorbed by in-place retry (observability).
     pub(super) retries: AtomicU64,
+    /// The watchdog's state between checks.
+    pub(super) watch: Mutex<Watch>,
+}
+
+/// What the watchdog carries from one check to the next.
+pub(super) struct Watch {
+    last: Instant,
+    /// Per wedge-suspect device: its progress count and how many checks in
+    /// a row saw it unchanged.
+    stall: HashMap<usize, (u64, u32)>,
+    /// The arena bursts in force, and the leases they hold hostage.
+    pub(super) bursts: Vec<(usize, BlockLease)>,
 }
 
 impl FaultState {
@@ -68,6 +84,11 @@ impl FaultState {
             progressed: counters(),
             recovered: AtomicU64::new(0),
             retries: AtomicU64::new(0),
+            watch: Mutex::new(Watch {
+                last: Instant::now(),
+                stall: HashMap::new(),
+                bursts: Vec::new(),
+            }),
         }
     }
 
@@ -136,33 +157,36 @@ impl QueryRun<'_> {
         })
     }
 
-    /// The fault watchdog, run as its own job until every stage finished.
-    /// Two duties: convert a wedged worker into a quarantine or a structured
+    /// The fault watchdog, run between task steps at most once per
+    /// [`WATCHDOG_POLL`] (`None` when not due or already running). Two
+    /// duties: convert a wedged worker into a quarantine or a structured
     /// error ([`Self::detect_wedges`]), and drive scripted arena bursts
-    /// ([`Self::drive_bursts`]).
-    pub(super) fn watchdog(&self, fault: &FaultState) {
-        let mut stall: HashMap<usize, (u64, u32)> = HashMap::new();
-        let mut bursts: Vec<(usize, BlockLease)> = Vec::new();
-        while !self.progress.iter().all(|p| p.remaining.load(Ordering::Acquire) == 0) {
-            let frontier =
-                self.device_clocks.values().map(|c| c.now()).fold(SimTime::ZERO, SimTime::max);
-            if self.config.fault.watchdog {
-                self.detect_wedges(fault, &mut stall);
-            }
-            self.drive_bursts(fault, frontier, &mut bursts);
-            std::thread::sleep(WATCHDOG_POLL);
+    /// ([`Self::drive_bursts`]). Returns whether a wedge suspect is still
+    /// being watched — a later check may wake its lane with no other event.
+    pub(super) fn watch(&self) -> Option<bool> {
+        let fault = self.fault.as_ref()?;
+        let mut watch = fault.watch.try_lock()?;
+        if watch.last.elapsed() < WATCHDOG_POLL {
+            return None;
         }
-        // Leases drop here: a burst never outlives the run.
+        watch.last = Instant::now();
+        let frontier =
+            self.device_clocks.values().map(|c| c.now()).fold(SimTime::ZERO, SimTime::max);
+        let suspect = self.config.fault.watchdog && self.detect_wedges(fault, &mut watch.stall);
+        self.drive_bursts(fault, frontier, &mut watch.bursts);
+        Some(suspect)
     }
 
     /// A wedge-scripted device whose clock passed the onset and whose
-    /// progress counter stalled for [`WATCHDOG_STALL_POLLS`] polls is
+    /// progress counter stalled for [`WATCHDOG_STALL_POLLS`] checks is
     /// charged the detection budget in simulated time — a watchdog cannot
     /// tell silence from one slow block faster than two observed block
-    /// costs — then quarantined (its parked worker is woken to drain), or,
-    /// with quarantine off, reported as `Wedged` with its queues closed so
-    /// parked producers and the worker itself are released.
-    fn detect_wedges(&self, fault: &FaultState, stall: &mut HashMap<usize, (u64, u32)>) {
+    /// costs — then quarantined (its waiting lane is woken to hand its
+    /// stream over), or, with quarantine off, reported as `Wedged` with its
+    /// queues closed so waiting producers and the lane itself are released.
+    /// Returns whether a device is still under suspicion.
+    fn detect_wedges(&self, fault: &FaultState, stall: &mut HashMap<usize, (u64, u32)>) -> bool {
+        let mut suspect = false;
         for (dev_idx, progressed) in fault.progressed.iter().enumerate() {
             let device = DeviceId::new(dev_idx);
             let Some(at) = fault.plan.wedge_at(device) else { continue };
@@ -182,6 +206,7 @@ impl QueryRun<'_> {
                 *entry = (progressed, 0);
             }
             if entry.1 < WATCHDOG_STALL_POLLS {
+                suspect = true;
                 continue;
             }
             let avg = self
@@ -192,14 +217,16 @@ impl QueryRun<'_> {
             clock.reserve(at.add_nanos(WATCHDOG_DETECT_NS.max(2 * avg)), 0);
             if self.config.fault.quarantine {
                 fault.quarantine(device);
-                self.slots_on(device).for_each(|(stage, slot)| self.queues[stage][slot].wake());
             } else {
                 if let Some((stage, slot)) = self.slots_on(device).next() {
                     self.record_error(HetError::Wedged { stage, slot });
                 }
                 self.slots_on(device).for_each(|(stage, slot)| self.queues[stage][slot].close());
             }
+            self.slots_on(device)
+                .for_each(|(stage, slot)| self.lane_waker(stage, slot).wake_by_ref());
         }
+        suspect
     }
 
     /// Scripted arena bursts: a co-tenant leases `min(bytes, free)` of a
@@ -231,10 +258,10 @@ impl QueryRun<'_> {
     }
 
     /// Graceful degradation after `lost`'s device was quarantined: the lost
-    /// lane's remaining stream — `in_hand` plus everything its `queue` still
+    /// lane's remaining stream — `in_hand` plus everything its queue still
     /// buffers or receives — is re-executed on a new lane bound to the
     /// surviving sibling with the earliest clock, charged to the survivor's
-    /// clock and profile. The lost worker's job *keeps consuming its own
+    /// clock and profile. The lost worker's task *keeps consuming its own
     /// queue* (it merely executes on borrowed silicon), so the stage's
     /// exactly-once termination protocol — producer counts, finished sweeps,
     /// the completion fan-in — is untouched; pushing the backlog into
@@ -246,20 +273,20 @@ impl QueryRun<'_> {
     /// stages with no surviving sibling escalate with a structured
     /// [`HetError::DeviceLost`]; the engine's degraded-restart rung then
     /// replans the query on the surviving devices.
-    pub(super) fn take_over(
-        &self,
-        fault: &FaultState,
-        lost: &mut Lane<'_>,
-        queue: &BlockQueue,
-        in_hand: Option<BlockHandle>,
-    ) -> Result<()> {
+    pub(super) fn take_over<'r>(
+        &'r self,
+        fault: &'r FaultState,
+        lost: &mut Lane<'r>,
+        in_hand: Option<Claimed>,
+        outbox: &mut Outbox,
+    ) -> Result<Drain<'r>> {
         lost.bank();
         let (stage, lost_slot) = (lost.stage, lost.slot);
         let routing = &self.routing[stage];
         let lost_err = HetError::DeviceLost {
             device: lost.device.index(),
             stage,
-            block: queue.len() + usize::from(in_hand.is_some()),
+            block: self.queues[stage][lost_slot].len() + usize::from(in_hand.is_some()),
         };
         if !self.config.fault.quarantine || !routing.rehomeable() {
             return Err(lost_err);
@@ -282,25 +309,58 @@ impl QueryRun<'_> {
         // granularity and their packed outputs survive the device), so only
         // the flush itself is charged — to the survivor, the device
         // actually doing it.
-        lane.flush(lost.take_packed()?)?;
-        // The claimed block first, then the queue to exhaustion (the
-        // producers still push into it and terminate it normally).
-        let mut next = in_hand;
-        while let Some(block) = next.take().or_else(|| queue.pop()) {
-            if fault.is_quarantined(lane.device) {
-                // The survivor died while we were draining onto it: escalate
-                // and let the restart rung replan on whatever is left.
-                return Err(HetError::DeviceLost {
-                    device: lane.device.index(),
-                    stage,
-                    block: queue.len() + 1,
-                });
-            }
-            lane.step(self.rehome(stage, lost_slot, survivor, block)?, floor)?;
-            fault.recovered.fetch_add(1, Ordering::Relaxed);
+        lane.flush(lost.take_packed()?, outbox);
+        let in_hand = in_hand
+            .map(|claimed| self.rehome(stage, lost_slot, survivor, claimed.block))
+            .transpose()?;
+        Ok(Drain { fault, lane, lost_slot, floor, in_hand })
+    }
+}
+
+/// A takeover drain: the survivor's lane running the lost lane's stream —
+/// the claimed block first, then the lost queue to exhaustion (its
+/// producers still push into it and terminate it normally).
+pub(super) struct Drain<'r> {
+    fault: &'r FaultState,
+    lane: Lane<'r>,
+    lost_slot: usize,
+    /// The lost lane's progress: the floor of every re-executed block, and
+    /// what the lost worker reports if the drain fails.
+    pub(super) floor: SimTime,
+    in_hand: Option<Claimed>,
+}
+
+impl Drain<'_> {
+    /// Re-execute one block of the lost stream on the survivor.
+    pub(super) fn step(&mut self, outbox: &mut Outbox, waker: &Waker) -> Result<Progress> {
+        let (run, stage, survivor) = (self.lane.run, self.lane.stage, self.lane.slot);
+        let queue = &run.queues[stage][self.lost_slot];
+        let mut claimed = match self.in_hand.take() {
+            Some(claimed) => claimed,
+            None => match queue.poll_pop(waker) {
+                PopNext::Block(block) => run.rehome(stage, self.lost_slot, survivor, block)?,
+                PopNext::Empty => return Ok(Progress::Wait(Wait::Queue)),
+                PopNext::Finished => {
+                    self.lane.finalize(outbox)?;
+                    return Ok(Progress::Finished(self.lane.last_end));
+                }
+            },
+        };
+        if self.fault.is_quarantined(self.lane.device) {
+            // The survivor died while we were draining onto it: escalate
+            // and let the restart rung replan on whatever is left.
+            return Err(HetError::DeviceLost {
+                device: self.lane.device.index(),
+                stage,
+                block: queue.len() + 1,
+            });
         }
-        lane.finalize()?;
-        lost.last_end = lane.last_end;
-        Ok(())
+        if !run.poll_lease(&mut claimed, waker)? {
+            self.in_hand = Some(claimed);
+            return Ok(Progress::Wait(Wait::Lease(run.routing[stage].instance_nodes[survivor])));
+        }
+        self.lane.step(claimed.block, self.floor, outbox)?;
+        self.fault.recovered.fetch_add(1, Ordering::Relaxed);
+        Ok(Progress::Ran)
     }
 }

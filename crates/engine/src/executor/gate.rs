@@ -1,50 +1,53 @@
 //! Dependency gates (hash build before probe) and the stage-completion
 //! protocol that opens them.
 
+use super::routing::Outbox;
 use super::{QueryRun, StageTimeline};
+use hetex_common::wait::{register, wake_all};
 use hetex_core::queue::ProducerGuard;
 use hetex_topology::SimTime;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex as StdMutex};
+use std::task::Waker;
 
-/// A dependency gate: consumer workers of a stage block here until every
-/// build stage the pipeline probes has signalled completion, and inherit the
-/// largest simulated completion time as their scheduling floor.
-pub(super) struct Gate {
-    state: StdMutex<(usize, SimTime)>,
-    cv: Condvar,
-}
+/// A dependency gate: the lanes of a stage start only once every build
+/// stage the pipeline probes has signalled completion, and inherit the
+/// largest simulated completion time as their scheduling floor. Holds the
+/// dependencies still running, the floor so far and the waiting lanes.
+pub(super) struct Gate(Mutex<(usize, SimTime, Vec<Waker>)>);
 
 impl Gate {
     pub(super) fn new(dependencies: usize) -> Self {
-        Self { state: StdMutex::new((dependencies, SimTime::ZERO)), cv: Condvar::new() }
+        Self(Mutex::new((dependencies, SimTime::ZERO, Vec::new())))
     }
 
-    /// One dependency completed at simulated time `at`.
+    /// One dependency completed at simulated time `at`; the last one wakes
+    /// the waiting lanes.
     fn open(&self, at: SimTime) {
-        let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
+        let mut state = self.0.lock();
         state.0 = state.0.saturating_sub(1);
         state.1 = state.1.max(at);
-        if state.0 == 0 {
-            self.cv.notify_all();
-        }
+        let waiters = if state.0 == 0 { std::mem::take(&mut state.2) } else { Vec::new() };
+        drop(state);
+        wake_all(waiters);
     }
 
-    /// Block until every dependency completed; returns the simulated floor.
-    pub(super) fn wait(&self) -> SimTime {
-        let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        while state.0 > 0 {
-            state = self.cv.wait(state).unwrap_or_else(|e| e.into_inner());
+    /// The floor once every dependency completed; until then `None`, with
+    /// `waker` registered for the opening.
+    pub(super) fn poll(&self, waker: &Waker) -> Option<SimTime> {
+        let mut state = self.0.lock();
+        if state.0 > 0 {
+            register(&mut state.2, waker);
+            return None;
         }
-        state.1
+        Some(state.1)
     }
 
     /// The gate's partial floor so far, in nanoseconds: the largest completion
     /// time among the dependencies that already opened (0 while none did),
     /// and whether every dependency has completed.
     fn partial_floor_ns(&self) -> (u64, bool) {
-        let state = self.state.lock().unwrap_or_else(|e| e.into_inner());
+        let state = self.0.lock();
         (state.1.as_nanos(), state.0 == 0)
     }
 }
@@ -128,39 +131,48 @@ impl QueryRun<'_> {
     }
 
     /// The completion protocol for one worker of `stage` that got as far as
-    /// `last_end`. The last worker emits the stage's terminal results,
-    /// pushes them downstream, releases the producer registrations and
-    /// opens dependent gates.
-    pub(super) fn worker_finished(&self, stage: usize, last_end: SimTime) {
+    /// `last_end`. The last worker queues the stage's terminal results into
+    /// its `outbox` and gets the stage's completion back: once the outbox is
+    /// delivered, [`Self::stage_finished`] closes the stage.
+    pub(super) fn worker_finished(
+        &self,
+        stage: usize,
+        last_end: SimTime,
+        outbox: &mut Outbox,
+    ) -> Option<SimTime> {
         let progress = &self.progress[stage];
         {
             let mut done = progress.completion.lock();
             *done = done.max(last_end);
         }
         if progress.remaining.fetch_sub(1, Ordering::AcqRel) != 1 {
-            return;
+            return None;
         }
         let completion = *progress.completion.lock();
         if !self.failed() {
-            let emitted = self.emit_stage_results(stage, completion).and_then(|(rows, blocks)| {
-                if self.graph.stages[stage].is_result && !rows.is_empty() {
-                    *self.result_rows.lock() = rows;
-                }
-                match self.graph.wiring.feeds[stage] {
-                    Some(consumer) => {
-                        blocks.into_iter().try_for_each(|b| self.push_downstream(consumer, b))
+            match self.emit_stage_results(stage, completion) {
+                Ok((rows, blocks)) => {
+                    if self.graph.stages[stage].is_result && !rows.is_empty() {
+                        *self.result_rows.lock() = rows;
                     }
-                    None => Ok(()),
+                    if let Some(consumer) = self.graph.wiring.feeds[stage] {
+                        blocks.into_iter().for_each(|b| outbox.push(consumer, b));
+                    }
                 }
-            });
-            if let Err(e) = emitted {
-                self.record_error(e);
+                Err(e) => self.record_error(e),
             }
         }
+        Some(completion)
+    }
+
+    /// Close `stage` after its terminal emission was delivered: release the
+    /// producer registrations (terminating downstream consumers) and open
+    /// dependent gates.
+    pub(super) fn stage_finished(&self, stage: usize, completion: SimTime) {
+        let progress = &self.progress[stage];
         progress
             .finished_wall
             .store(self.wall_start.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        // Terminate downstream consumers (producer_done via guard drop).
         progress.downstream_guards.lock().clear();
         for &dependent in &self.graph.wiring.unlocks[stage] {
             self.gates[dependent].open(completion);

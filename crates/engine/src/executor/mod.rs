@@ -1,24 +1,23 @@
 //! The stage executor.
 //!
 //! Executes a [`StageGraph`] on the (simulated) server. Functional execution
-//! is real — every pipeline instance is a job on the engine-lifetime
-//! [`pool`], processing real blocks on its own host thread, so results are
-//! exact and device-shared state is genuinely updated concurrently — while
-//! *performance* is accounted on the simulated resource clocks: each device
-//! (CPU core or GPU) owns a clock, each DRAM node and each PCIe link owns a
-//! clock, and the reported query time is the largest completion timestamp
-//! observed (see `DESIGN.md` §4).
+//! is real — every pipeline instance is a task processing real blocks, and
+//! the tasks run concurrently on `available_parallelism()` host threads, so
+//! results are exact and device-shared state is genuinely updated
+//! concurrently — while *performance* is accounted on the simulated
+//! resource clocks: each device (CPU core or GPU) owns a clock, each DRAM
+//! node and each PCIe link owns a clock, and the reported query time is the
+//! largest completion timestamp observed (see `DESIGN.md` §4).
 //!
-//! Scheduling is pipelined: all stages' pipeline-instance workers are
-//! spawned up front (as pool jobs) and connected through bounded
-//! [`BlockQueue`]s, one per consumer slot. Producers route, localize
-//! (mem-move) and push each block handle the moment it is produced, so
-//! transfers, CPU work and GPU work genuinely overlap; dependency edges
-//! (hash build before probe) are gates a consumer waits on, not
-//! materialization barriers. This is the paper's §3.1 architecture: routers
-//! connecting pipeline instances through asynchronous queues of block
-//! handles. The independent row oracle the tests compare
-//! against is [`crate::reference_execute`].
+//! Scheduling is pipelined: all stages' pipeline-instance tasks exist up
+//! front and are connected through bounded [`BlockQueue`]s, one per
+//! consumer slot. Producers route, localize (mem-move) and push each block
+//! handle the moment it is produced, so transfers, CPU work and GPU work
+//! genuinely overlap; dependency edges (hash build before probe) are gates
+//! a consumer waits on, not materialization barriers. This is the paper's
+//! §3.1 architecture: routers connecting pipeline instances through
+//! asynchronous queues of block handles. The independent row oracle the
+//! tests compare against is [`crate::reference_execute`].
 //!
 //! One module per paper operator, plus the engine's own parts:
 //!
@@ -26,19 +25,21 @@
 //! * [`movement`] — staging charges, the quota re-split and the one block
 //!   hand-off between slots (`rehome`) that steal and takeover share;
 //! * [`worker`] — a pipeline instance bound to a device (`Lane`: the device
-//!   crossing is its execution context, the pack its finalize flush) and the
-//!   worker loop claim → fault check → run → steal or park;
+//!   crossing is its execution context, the pack its finalize flush), the
+//!   worker task's step claim → fault check → run → steal or wait, and the
+//!   source pumps;
 //! * [`fault`] — fault state, the watchdog and the takeover drain;
-//! * [`gate`] — dependency gates and the stage-completion protocol.
+//! * [`gate`] — dependency gates and the stage-completion protocol;
+//! * [`sched`] — the threads, the ready queue and the stall detector.
 
 mod fault;
 mod gate;
 mod movement;
 mod routing;
+mod sched;
 mod worker;
 
 use crate::codegen::{StageGraph, StageSource};
-use crate::pool;
 use fault::FaultState;
 use gate::{Gate, StageProgress};
 use hetex_common::{BlockHandle, EngineConfig, HetError, MemoryNodeId, Result};
@@ -55,11 +56,14 @@ use hetex_topology::{
 use movement::Staging;
 use parking_lot::Mutex;
 use routing::StageRouting;
+use sched::{Scheduler, Step, TaskSet};
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::task::Waker;
 use std::time::Instant;
+use worker::Task;
 
 /// Router initialization and thread pinning overhead (§6.4: ~10 ms, visible
 /// only for very small inputs).
@@ -246,31 +250,18 @@ impl Executor {
             *self.failed_sim_time.lock() = Some(SimTime::ZERO);
         })?;
         let run = &run;
-        pool::scope(|scope| {
-            // The fault watchdog is spawned only when a plan is injected
-            // (healthy runs pay nothing).
-            if let Some(fault) = &run.fault {
-                scope.spawn(move || {
-                    if catch_unwind(AssertUnwindSafe(|| run.watchdog(fault))).is_err() {
-                        run.record_error(HetError::Execution("fault watchdog panicked".into()));
-                    }
-                });
-            }
-            for (stage, s) in graph.stages.iter().enumerate() {
-                if let StageSource::Table { table, projection } = &s.source {
-                    // Registered before any worker can observe the queues.
-                    let guards: Vec<_> =
-                        run.queues[stage].iter().map(BlockQueue::register_producer).collect();
-                    scope.spawn(move || run.pump(stage, table, projection, guards));
-                }
-            }
-            // One worker per pipeline instance of every stage, all up front.
-            for (stage, s) in graph.stages.iter().enumerate() {
-                for slot in 0..s.consumers.len() {
-                    scope.spawn(move || run.work(stage, slot));
-                }
-            }
-        });
+        let (tasks, initial) = Tasks::new(run);
+        // With a fault plan, the watchdog's checks run between steps and an
+        // idle thread waits at most one of their periods.
+        let idle_wait = run.fault.as_ref().map(|_| fault::WATCHDOG_POLL);
+        run.sched.run(initial, idle_wait, &tasks);
+        drop(tasks);
+        #[cfg(test)]
+        tests::record_waits(run);
+        if let Some(fault) = &run.fault {
+            // A burst never outlives the run.
+            fault.watch.lock().bursts.clear();
+        }
         self.finish(run)
     }
 
@@ -359,10 +350,11 @@ impl Executor {
     }
 }
 
-/// Everything one execution shares between its jobs: the graph and config
+/// Everything one execution shares between its tasks: the graph and config
 /// it runs, the per-query cost model, routing state, queues, staging arenas,
-/// gates and fault state, and the collected outcome. Built once by
-/// [`Executor::execute`] and borrowed by every job for the run's lifetime.
+/// gates, fault state and the scheduler, and the collected outcome. Built
+/// once by [`Executor::execute`] and borrowed by every task for the run's
+/// lifetime.
 struct QueryRun<'a> {
     exec: &'a Executor,
     graph: &'a StageGraph,
@@ -406,6 +398,12 @@ struct QueryRun<'a> {
     /// Cross-node control-plane traffic gauge (remote queue mutex
     /// acquisitions), reported in the execution result.
     remote_ctl: AtomicU64,
+    sched: Arc<Scheduler>,
+    /// One waker per task: the lanes of each stage in slot order, stage by
+    /// stage, then the source pumps.
+    wakers: Vec<Waker>,
+    /// Task id of each stage's first lane, plus the end of the lanes.
+    lane_base: Vec<usize>,
 }
 
 impl<'a> QueryRun<'a> {
@@ -443,6 +441,16 @@ impl<'a> QueryRun<'a> {
                     queues[*consumer].iter().map(BlockQueue::register_producer).collect();
             }
         }
+        let lane_base: Vec<usize> = std::iter::once(0)
+            .chain(graph.stages.iter().scan(0, |end, s| {
+                *end += s.consumers.len();
+                Some(*end)
+            }))
+            .collect();
+        let pumps =
+            graph.stages.iter().filter(|s| matches!(s.source, StageSource::Table { .. })).count();
+        let sched = Scheduler::new(lane_base[graph.stages.len()] + pumps);
+        let wakers = (0..lane_base[graph.stages.len()] + pumps).map(|id| sched.waker(id)).collect();
         Ok(Self {
             exec,
             graph,
@@ -461,7 +469,14 @@ impl<'a> QueryRun<'a> {
             routing,
             queues,
             staging,
-            gates: graph.stages.iter().map(|s| Gate::new(s.depends_on.len())).collect(),
+            gates: (0..graph.stages.len())
+                .map(|stage| {
+                    let dependencies = graph.stages[stage].depends_on.len();
+                    #[cfg(test)]
+                    let dependencies = dependencies + tests::unopened_gates(&graph.state, stage);
+                    Gate::new(dependencies)
+                })
+                .collect(),
             progress,
             fault: topology
                 .fault_plan()
@@ -471,7 +486,15 @@ impl<'a> QueryRun<'a> {
             result_rows: Mutex::new(Vec::new()),
             first_error: Mutex::new(None),
             remote_ctl: AtomicU64::new(0),
+            sched,
+            wakers,
+            lane_base,
         })
+    }
+
+    /// The waker of the task running `slot` of `stage`.
+    fn lane_waker(&self, stage: usize, slot: usize) -> &Waker {
+        &self.wakers[self.lane_base[stage] + slot]
     }
 
     /// Keep the first error; later ones are consequences of the cascade.
@@ -522,6 +545,74 @@ impl<'a> QueryRun<'a> {
             b.meta_mut().ready_at_ns = completion.as_nanos();
         }
         Ok((rows, blocks))
+    }
+}
+
+/// The tasks of one execution, indexed like `QueryRun::wakers`; a finished
+/// task is dropped.
+struct Tasks<'r> {
+    run: &'r QueryRun<'r>,
+    tasks: Vec<Mutex<Option<Task<'r>>>>,
+}
+
+impl<'r> Tasks<'r> {
+    /// Every task, and the ones to queue first: the pumps, then every lane
+    /// whose gate is already open (a gated lane is first queued by the
+    /// gate's opening).
+    fn new(run: &'r QueryRun<'r>) -> (Self, Vec<usize>) {
+        let stages = &run.graph.stages;
+        let lanes = stages.iter().enumerate().flat_map(|(stage, s)| {
+            (0..s.consumers.len()).map(move |slot| Task::worker(run, stage, slot))
+        });
+        let pumps = stages.iter().enumerate().filter_map(|(stage, s)| match &s.source {
+            StageSource::Table { table, projection } => {
+                Some(Task::pump(run, stage, table, projection))
+            }
+            _ => None,
+        });
+        let tasks: Vec<_> = lanes.chain(pumps).map(|task| Mutex::new(Some(task))).collect();
+        let open = (0..stages.len()).flat_map(|stage| {
+            let lanes = run.lane_base[stage]..run.lane_base[stage + 1];
+            lanes.filter(move |&id| run.gates[stage].poll(&run.wakers[id]).is_some())
+        });
+        let initial = (run.lane_base[stages.len()]..tasks.len()).chain(open).collect();
+        (Self { run, tasks }, initial)
+    }
+
+    /// The watchdog's checks (see `QueryRun::watch`): `None` when not due.
+    fn watch(&self) -> Option<bool> {
+        catch_unwind(AssertUnwindSafe(|| self.run.watch())).unwrap_or_else(|_| {
+            self.run.record_error(HetError::Execution("fault watchdog panicked".into()));
+            Some(false)
+        })
+    }
+}
+
+impl TaskSet for Tasks<'_> {
+    fn step(&self, id: usize) -> Step {
+        let mut slot = self.tasks[id].lock();
+        let Some(task) = slot.as_mut() else { return Step::Done };
+        let step = task.step(&self.run.wakers[id]);
+        if let Step::Done = step {
+            *slot = None;
+        }
+        drop(slot);
+        self.watch();
+        step
+    }
+
+    fn idle(&self) -> bool {
+        self.run.fault.is_none() || self.watch() == Some(false)
+    }
+
+    fn stalled(&self) {
+        let waits: Vec<String> =
+            self.tasks.iter().filter_map(|t| t.lock().as_ref().map(Task::describe)).collect();
+        self.run.record_error(HetError::Execution(format!(
+            "execution stalled, every task waiting: {}; staging held by {}",
+            waits.join(", "),
+            self.run.staging.arenas.holders()
+        )));
     }
 }
 
@@ -610,14 +701,9 @@ mod tests {
         }
     }
 
-    /// A control-plane wake-up of a pipeline worker (see `record_wakeup`).
+    /// A sibling wake-up by a pipeline worker (see `record_wakeup`).
     #[derive(Clone, Copy, Debug, PartialEq, Eq)]
     pub(super) enum Wakeup {
-        /// A claim's park was ended by the `PARK_RECHECK` backstop although
-        /// an event should have ended it: its queue's event count had
-        /// moved, or the lane lingered on a sibling backlog that had
-        /// dropped below the steal depth.
-        Lost,
         /// A lane woke every sibling of its stage.
         FanOut,
         /// A pop left the lane's queue below the steal depth while a thief
@@ -625,7 +711,7 @@ mod tests {
         Release,
     }
 
-    /// `(state address, wake-up)` of every run's worker loops.
+    /// `(state address, wake-up)` of every run's workers.
     static WAKEUPS: StdMutex<Vec<(usize, Wakeup)>> = StdMutex::new(Vec::new());
 
     pub(super) fn record_wakeup(run: &QueryRun<'_>, wakeup: Wakeup) {
@@ -633,34 +719,28 @@ mod tests {
         WAKEUPS.lock().unwrap().push((at, wakeup));
     }
 
-    /// Judge a claim park of `slot` of `stage` that the backstop ended. A
-    /// park that simply saw nothing happen for `PARK_RECHECK` is not a lost
-    /// wake-up (a slow host leaves queues quiet that long); one whose event
-    /// had already happened, or whose lingering verdict had already turned
-    /// to "nothing to steal", is.
-    pub(super) fn record_backstop(
-        run: &QueryRun<'_>,
-        stage: usize,
-        slot: usize,
-        seen: u64,
-        lingering: bool,
-    ) {
-        let queues = &run.queues[stage];
-        let moved = queues[slot].events() != seen;
-        let backlog = queues
-            .iter()
-            .enumerate()
-            .any(|(s, q)| s != slot && q.len() >= routing::STEAL_MIN_DEPTH);
-        if moved || (lingering && !backlog) {
-            record_wakeup(run, Wakeup::Lost);
-        }
+    /// `(state address, (waits, re-queues))` of every finished execution.
+    static WAITS: StdMutex<Vec<(usize, (usize, usize))>> = StdMutex::new(Vec::new());
+
+    pub(super) fn record_waits(run: &QueryRun<'_>) {
+        let at = &run.graph.state as *const SharedState as usize;
+        WAITS.lock().unwrap().push((at, run.sched.wait_counts()));
+    }
+
+    /// `(state address, stage)`: give the stage of the graph owning that
+    /// state one more gate dependency, which nothing opens.
+    static UNOPENED: StdMutex<Vec<(usize, usize)>> = StdMutex::new(Vec::new());
+
+    pub(super) fn unopened_gates(state: &SharedState, stage: usize) -> usize {
+        let at = state as *const SharedState as usize;
+        UNOPENED.lock().unwrap().iter().filter(|&&seen| seen == (at, stage)).count()
     }
 
     #[test]
     fn a_healthy_stealing_join_wakes_only_lanes_that_wait() {
         // Stealing is on and nothing straggles, so the only sibling fan-out
-        // a lane may make is releasing a lingering thief, and no park
-        // outlives the event it waits for.
+        // a lane may make is releasing a lingering thief, and every re-queue
+        // ends exactly one wait: no task is queued twice.
         let config = EngineConfig::hybrid(24, 2);
         assert!(config.steal_policy.is_enabled());
         let topology = ServerTopology::paper_server();
@@ -675,12 +755,15 @@ mod tests {
         let wakeups: Vec<Wakeup> =
             WAKEUPS.lock().unwrap().iter().filter(|seen| seen.0 == at).map(|seen| seen.1).collect();
         let count = |kind: Wakeup| wakeups.iter().filter(|&&w| w == kind).count();
-        assert_eq!(count(Wakeup::Lost), 0, "parks outlived their wake-up");
         assert_eq!(
             count(Wakeup::FanOut),
             count(Wakeup::Release),
             "a sibling fan-out released no lingering thief"
         );
+        let (waits, requeues) =
+            WAITS.lock().unwrap().iter().rev().find(|seen| seen.0 == at).unwrap().1;
+        assert!(waits > 0, "a pipelined join waits somewhere");
+        assert_eq!(requeues, waits, "every wait is ended by exactly one re-queue");
     }
 
     #[test]
@@ -736,11 +819,41 @@ mod tests {
             }
             other => panic!("expected a structured execution error, got {other:?}"),
         }
-        // The pool is unharmed: the next query on the same executor runs.
+        // The executor is unharmed: the next query on it runs.
         let het = parallelize(&join_sum_plan(), &config).unwrap();
         let graph = compile(&het, &config, &topology).unwrap();
         let (sum, cnt) = expected(10_000);
         assert_eq!(executor.execute(&graph, &catalog, &config).unwrap().rows, vec![vec![sum, cnt]]);
+    }
+
+    #[test]
+    fn a_gate_nothing_opens_is_a_stall_error_not_a_hang() {
+        // The probe stage of a hybrid join gets a gate dependency nothing
+        // opens: its producers fill its queues, every task ends up waiting
+        // and the run reports who waits on what instead of hanging.
+        let config = EngineConfig::hybrid(4, 2);
+        let topology = ServerTopology::paper_server();
+        let catalog = catalog_with_data(&topology, 50_000);
+        let graph =
+            compile(&parallelize(&join_sum_plan(), &config).unwrap(), &config, &topology).unwrap();
+        let probe = graph.stages.iter().position(|s| !s.depends_on.is_empty()).unwrap();
+        let at = &graph.state as *const SharedState as usize;
+        UNOPENED.lock().unwrap().push((at, probe));
+        let start = Instant::now();
+        let outcome = Executor::new(topology).execute(&graph, &catalog, &config);
+        let elapsed = start.elapsed();
+        UNOPENED.lock().unwrap().retain(|seen| seen.0 != at);
+        match outcome {
+            Err(HetError::Execution(msg)) => {
+                assert!(msg.starts_with("execution stalled"), "{msg}");
+                assert!(msg.contains(&format!("stage {probe} slot 0 waits on its gate")), "{msg}");
+            }
+            other => panic!("expected a stall error, got {other:?}"),
+        }
+        assert!(
+            elapsed < std::time::Duration::from_secs(1),
+            "the stall took {elapsed:?} to report"
+        );
     }
 
     #[test]
@@ -1209,7 +1322,7 @@ mod tests {
         let budget = config.min_staging_bytes() * 4;
         config.staging_bytes = budget;
         // The burst grabs up to half the arena for the first simulated 50ms;
-        // producers park, the clocks advance past the window, the watchdog
+        // producers wait, the clocks advance past the window, the watchdog
         // releases the hostage lease and the pipeline drains normally.
         let plan =
             FaultPlan::new().arena_burst(node, budget / 2, SimTime::ZERO, SimTime::from_millis(50));

@@ -4,29 +4,24 @@
 //! slots of a stage (`rehome`), shared by stealing and the takeover drain.
 
 use super::routing::StageRouting;
+use super::worker::Wait;
 use super::QueryRun;
 use hetex_common::config::DEFAULT_QUEUE_CAPACITY;
 use hetex_common::{BlockHandle, EngineConfig, MemoryNodeId, Result};
 use hetex_core::cost::DemandSplitter;
 use hetex_core::queue::{BlockQueue, QueueSlot};
-use hetex_storage::{BlockLease, BlockManagerSet, ExhaustionPolicy};
+use hetex_storage::{BlockLease, BlockManagerSet};
 use hetex_topology::ServerTopology;
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::time::Duration;
-
-/// How long a producer may park waiting for staging bytes (arena lease or
-/// queue quota) before the acquisition fails. Long enough that real
-/// back-pressure only slows the query; finite so a wedged pipeline reports a
-/// `HetError::Memory` instead of hanging the process.
-const STAGING_PARK_TIMEOUT: Duration = Duration::from_secs(5);
+use std::task::{Poll, Waker};
 
 /// The staging charge backing one queued block: the byte admission into
 /// the consumer's queue plus the arena lease on the consumer's memory node.
 /// Attached to the handle as its staging token; the consumer's drop of the
-/// handle releases both, waking parked producers.
+/// handle releases both, waking waiting producers.
 #[derive(Debug)]
 struct StagingCharge {
     _slot: Option<QueueSlot>,
@@ -124,16 +119,22 @@ impl Staging {
         self.arenas.manager(node).ok().map(|m| m.occupancy())
     }
 
-    /// Lease `bytes` on `to` for a block coming from `from`, parking up to
-    /// [`STAGING_PARK_TIMEOUT`] on a full arena.
-    fn lease(&self, from: MemoryNodeId, to: MemoryNodeId, bytes: u64) -> Result<BlockLease> {
-        self.arenas.acquire(from, to, bytes, ExhaustionPolicy::Park(STAGING_PARK_TIMEOUT))
+    /// Lease `bytes` on `to` for a block coming from `from`; `Pending`, with
+    /// `waker` registered on the arena, while it is dry.
+    fn lease(
+        &self,
+        from: MemoryNodeId,
+        to: MemoryNodeId,
+        bytes: u64,
+        waker: &Waker,
+    ) -> Poll<Result<BlockLease>> {
+        self.arenas.poll_acquire(from, to, bytes, waker)
     }
 
     /// Bytes a block is charged: a block wider than the whole arena
     /// (possible: the budget floor is validated against an estimated tuple
     /// width, the arena charges exact bytes) is charged the full arena
-    /// instead of erroring — it parks until the arena is completely free,
+    /// instead of erroring — it waits until the arena is completely free,
     /// then flows alone, preserving the slow-but-alive contract for any
     /// validated budget.
     fn bytes_of(&self, handle: &BlockHandle) -> u64 {
@@ -150,36 +151,78 @@ impl Staging {
     }
 }
 
+/// A block routed to slot `pick` of `consumer` and localized there, on its
+/// way into the chosen queue: first a byte admission into the queue, then a
+/// `BlockLease` on the consumer's memory node (through the producer node's
+/// remote cache when the two differ), then the push. The lease-ordering
+/// rule: the charge the handle carried was released when it was routed — a
+/// handle never holds staging on two nodes, so a device crossing is
+/// release-on-source then acquire-on-destination, and a dry arena can only
+/// hold back a producer that holds nothing but this block's admission.
+pub(super) struct Routed {
+    pub(super) consumer: usize,
+    pub(super) pick: usize,
+    pub(super) source: MemoryNodeId,
+    pub(super) block: BlockHandle,
+    bytes: u64,
+    charge: Charge,
+}
+
+/// How far a [`Routed`] block got.
+enum Charge {
+    Admit,
+    Lease(Option<QueueSlot>),
+    Push,
+}
+
 impl QueryRun<'_> {
-    /// Back `handle`, routed to slot `pick` of `consumer` from `source`, by
-    /// a staging charge: a byte admission into the chosen queue plus a
-    /// `BlockLease` on the consumer's memory node (acquired through the
-    /// producer node's remote cache when the two differ). The lease-ordering
-    /// rule: any charge the handle still carries is released *before* the
-    /// new one is acquired — a handle never holds staging on two nodes, so a
-    /// device crossing is release-on-source then acquire-on-destination, and
-    /// a full arena can only park a producer that holds nothing.
-    pub(super) fn charge_staging(
+    /// A freshly routed block; its old staging charge is released here.
+    pub(super) fn routed(
         &self,
         consumer: usize,
         pick: usize,
         source: MemoryNodeId,
-        handle: &mut BlockHandle,
-    ) -> Result<()> {
-        let node = self.routing[consumer].instance_nodes[pick];
-        if node != source {
+        mut block: BlockHandle,
+    ) -> Routed {
+        if self.routing[consumer].instance_nodes[pick] != source {
             self.remote_ctl.fetch_add(1, Ordering::Relaxed);
         }
-        handle.take_staging();
-        let bytes = self.staging.bytes_of(handle);
-        if bytes == 0 {
-            return Ok(());
+        block.take_staging();
+        let bytes = self.staging.bytes_of(&block);
+        let charge = if bytes == 0 { Charge::Push } else { Charge::Admit };
+        Routed { consumer, pick, source, block, bytes, charge }
+    }
+
+    /// Take `routed` as far as it goes: `Ok(None)` once it is in its queue,
+    /// or the block back with what holds it (the waker is registered there).
+    pub(super) fn advance(
+        &self,
+        mut routed: Routed,
+        waker: &Waker,
+    ) -> Result<Option<(Routed, Wait)>> {
+        let (stage, slot) = (routed.consumer, routed.pick);
+        let queue = &self.queues[stage][slot];
+        if let Charge::Admit = routed.charge {
+            match queue.poll_admit(routed.bytes, waker) {
+                Poll::Ready(admitted) => routed.charge = Charge::Lease(admitted?),
+                Poll::Pending => return Ok(Some((routed, Wait::Admission { stage, slot }))),
+            }
         }
-        let slot = self.queues[consumer][pick].admit(bytes)?;
-        let lease = self.staging.lease(source, node, bytes)?;
-        handle.attach_staging(Arc::new(StagingCharge { _slot: slot, _lease: lease }));
-        self.resplit_quotas(node);
-        Ok(())
+        if let Charge::Lease(admitted) = &mut routed.charge {
+            let node = self.routing[stage].instance_nodes[slot];
+            match self.staging.lease(routed.source, node, routed.bytes, waker) {
+                Poll::Ready(lease) => {
+                    let charge = StagingCharge { _slot: admitted.take(), _lease: lease? };
+                    routed.block.attach_staging(Arc::new(charge));
+                    routed.charge = Charge::Push;
+                    self.resplit_quotas(node);
+                }
+                Poll::Pending => return Ok(Some((routed, Wait::Lease(node)))),
+            }
+        }
+        Ok(queue
+            .poll_push(routed.block, waker)?
+            .map(|block| (Routed { block, ..routed }, Wait::Push { stage, slot })))
     }
 
     /// Demand-weighted quota re-split (cost-model term 1): every
@@ -214,18 +257,20 @@ impl QueryRun<'_> {
     ///
     /// The staging charge follows the lease-ordering rule of DESIGN.md §4.2
     /// across nodes: the `from`-side charge (queue byte slot plus the lease
-    /// on its node) is released *before* the block is localized for `to` and
-    /// re-charged there, so a lane parked on a full arena holds nothing. No
-    /// queue-quota admission: the block goes straight into processing, never
-    /// into `to`'s buffer, but its bytes now live on `to`'s node and must be
-    /// backed by that arena until the lane drops the handle.
+    /// on its node) is released *before* the block is localized for `to`,
+    /// and the lease on `to`'s node is owed by the returned claim (see
+    /// [`Self::poll_lease`]), so a lane waiting on a dry arena holds
+    /// nothing. No queue-quota admission: the block goes straight into
+    /// processing, never into `to`'s buffer, but its bytes now live on
+    /// `to`'s node and must be backed by that arena until the lane drops the
+    /// handle.
     pub(super) fn rehome(
         &self,
         stage: usize,
         from: usize,
         to: usize,
         mut block: BlockHandle,
-    ) -> Result<BlockHandle> {
+    ) -> Result<Claimed> {
         let routing = &self.routing[stage];
         let estimate = self.block_estimate(stage, &block);
         routing.move_commit(
@@ -240,11 +285,36 @@ impl QueryRun<'_> {
         if self.needs_move(stage, to, block.meta().location) {
             block = self.mem_move.relocate(&block, to_node)?;
         }
-        let bytes = self.staging.bytes_of(&block);
+        Ok(Claimed { block, lease: Some((routing.instance_nodes[from], to_node)) })
+    }
+
+    /// Acquire the lease a claimed block still owes; `false`, with `waker`
+    /// registered on the arena, while it is dry.
+    pub(super) fn poll_lease(&self, claimed: &mut Claimed, waker: &Waker) -> Result<bool> {
+        let Some((from, to)) = claimed.lease else { return Ok(true) };
+        let bytes = self.staging.bytes_of(&claimed.block);
         if bytes > 0 {
-            let lease = self.staging.lease(routing.instance_nodes[from], to_node, bytes)?;
-            block.attach_staging(Arc::new(StagingCharge { _slot: None, _lease: lease }));
+            let Poll::Ready(lease) = self.staging.lease(from, to, bytes, waker) else {
+                return Ok(false);
+            };
+            claimed.block.attach_staging(Arc::new(StagingCharge { _slot: None, _lease: lease? }));
         }
-        Ok(block)
+        claimed.lease = None;
+        Ok(true)
+    }
+}
+
+/// A block a lane claimed to run: popped from its own queue, or handed
+/// over from a sibling's by [`QueryRun::rehome`] with the lease on the
+/// lane's node still owed.
+pub(super) struct Claimed {
+    pub(super) block: BlockHandle,
+    /// `(from, to)` nodes of the owed lease.
+    lease: Option<(MemoryNodeId, MemoryNodeId)>,
+}
+
+impl From<BlockHandle> for Claimed {
+    fn from(block: BlockHandle) -> Self {
+        Self { block, lease: None }
     }
 }

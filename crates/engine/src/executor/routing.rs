@@ -2,6 +2,8 @@
 //! routing plus mem-move localization, the single downstream hand-off every
 //! producer uses, and adaptive re-routing (work stealing).
 
+use super::movement::{Claimed, Routed};
+use super::worker::Wait;
 use super::QueryRun;
 use crate::codegen::{MemMoveMode, Stage};
 use hetex_common::{BlockHandle, HetError, MemoryNodeId, Result};
@@ -14,7 +16,9 @@ use hetex_topology::{
     WorkProfile,
 };
 use std::cell::RefCell;
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::task::Waker;
 
 /// Filter selectivity the router assumes when estimating a block's cost for
 /// load balancing (it cannot know real selectivities up front).
@@ -49,10 +53,28 @@ pub(super) struct BlockEstimate {
     weighted_bytes: f64,
 }
 
+/// A task's emitted blocks on their way downstream (see
+/// [`QueryRun::deliver`]). Blocks are routed one at a time, in order; the
+/// routed head keeps its pick, its localized copy and the part of its
+/// staging charge acquired so far, so a head held back is retried without
+/// being routed or moved a second time.
+#[derive(Default)]
+pub(super) struct Outbox {
+    queued: VecDeque<(usize, BlockHandle)>,
+    head: Option<Routed>,
+}
+
+impl Outbox {
+    /// Queue `block` for delivery to stage `consumer`.
+    pub(super) fn push(&mut self, consumer: usize, block: BlockHandle) {
+        self.queued.push_back((consumer, block));
+    }
+}
+
 /// Outcome of one steal attempt (see [`QueryRun::steal_for`]).
 pub(super) enum StealOutcome {
-    /// A block was stolen and is ready for the thief to process.
-    Stolen(BlockHandle),
+    /// A block was stolen and handed to the thief.
+    Stolen(Claimed),
     /// A sibling has stealable backlog, but moving its tail to this thief
     /// would finish later than leaving it — worth re-checking once the
     /// victim's clock has advanced.
@@ -424,8 +446,8 @@ impl QueryRun<'_> {
                     projected.push(u64::MAX);
                     continue;
                 }
-                // A block routed to a starved node would park its producer
-                // on a lease: price the node arena's occupancy.
+                // A block routed to a starved node would hold its producer
+                // back on a lease: price the node arena's occupancy.
                 let penalty = self
                     .staging
                     .occupancy(node)
@@ -486,17 +508,31 @@ impl QueryRun<'_> {
         Ok((pick, localized))
     }
 
-    /// Route one produced block to `consumer`'s stage and enqueue it for the
-    /// chosen instance — the single downstream hand-off shared by source
-    /// pumps, lanes, finalize flushes and terminal emissions. The block is
-    /// backed by a staging charge before it is pushed (see
-    /// [`Self::charge_staging`]); the bounded queue and a full arena both
-    /// exert back-pressure here.
-    pub(super) fn push_downstream(&self, consumer: usize, block: BlockHandle) -> Result<()> {
-        let source = block.meta().location;
-        let (pick, mut localized) = self.route_and_localize(consumer, block)?;
-        self.charge_staging(consumer, pick, source, &mut localized)?;
-        self.queues[consumer][pick].push(localized)
+    /// Deliver `outbox` in order — the single downstream hand-off shared by
+    /// source pumps, lanes, finalize flushes and terminal emissions. Each
+    /// block is routed and localized once, then backed by a staging charge
+    /// and pushed (see [`Self::advance`]): the bounded queue, the byte quota
+    /// and a dry arena all exert back-pressure here. `Ok(None)` once the
+    /// outbox is empty; otherwise what holds its head back, with `waker`
+    /// registered there.
+    pub(super) fn deliver(&self, outbox: &mut Outbox, waker: &Waker) -> Result<Option<Wait>> {
+        loop {
+            let routed = match outbox.head.take() {
+                Some(routed) => routed,
+                None => {
+                    let Some((consumer, block)) = outbox.queued.pop_front() else {
+                        return Ok(None);
+                    };
+                    let source = block.meta().location;
+                    let (pick, localized) = self.route_and_localize(consumer, block)?;
+                    self.routed(consumer, pick, source, localized)
+                }
+            };
+            if let Some((held, wait)) = self.advance(routed, waker)? {
+                outbox.head = Some(held);
+                return Ok(Some(wait));
+            }
+        }
     }
 
     /// Adaptive re-routing: try to steal one block for the idle worker at

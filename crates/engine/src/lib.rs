@@ -12,9 +12,10 @@
 //! 3. [`codegen`] performs the produce()/consume() traversal, splitting the
 //!    plan at pipeline breakers into device-specialized
 //!    [`hetex_jit::CompiledPipeline`]s organized as a [`codegen::StageGraph`];
-//! 4. [`executor`] runs the stages: every pipeline instance is a job on the
-//!    engine-lifetime [`pool`], pinned (logically) to a CPU core or a
-//!    simulated GPU; blocks really flow and results are exact, while
+//! 4. [`executor`] runs the stages: every pipeline instance is a task,
+//!    pinned (logically) to a CPU core or a simulated GPU and run on one of
+//!    `available_parallelism()` host threads; blocks really flow and results
+//!    are exact, while
 //!    execution *time* is accounted on the simulated resource clocks of
 //!    `hetex-topology`;
 //! 5. [`engine::Proteus`] packages the above behind a session API,
@@ -25,8 +26,6 @@
 //!
 //! [`EngineConfig`]: hetex_common::EngineConfig
 
-// The pool's lifetime erasure is the workspace's one audited `unsafe` site.
-#![deny(unsafe_code)]
 // Function-size bound (threshold in the workspace `clippy.toml`).
 #![warn(clippy::too_many_lines)]
 
@@ -34,7 +33,6 @@ pub use hetex_core::codegen;
 
 pub mod engine;
 pub mod executor;
-pub mod pool;
 pub mod reference;
 pub mod server;
 pub mod session;

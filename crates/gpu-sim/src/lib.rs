@@ -28,8 +28,6 @@
 //! real data); the *performance* of the simulated GPU is modeled by
 //! `hetex-topology`'s cost model, not by the wall-clock time of this crate.
 
-#![forbid(unsafe_code)]
-
 pub mod atomic;
 pub mod device;
 pub mod memory;

@@ -27,8 +27,6 @@
 //! supplies `threadIdInWorker`, `#threadsInWorker`, state allocation and
 //! worker-scoped atomics.
 
-#![forbid(unsafe_code)]
-
 pub mod codegen;
 pub mod expr;
 pub mod ir;

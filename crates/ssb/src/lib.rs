@@ -19,8 +19,6 @@
 //!
 //! [`RelNode`]: hetex_core::RelNode
 
-#![forbid(unsafe_code)]
-
 pub mod gen;
 pub mod queries;
 

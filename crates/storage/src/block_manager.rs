@@ -18,9 +18,9 @@
 //! storage is an ordinary `Block` built by the pack operator, and a lease of
 //! `n` bytes reserves `n` bytes of the node's staging arena, so a large block
 //! costs proportionally more than a tiny one. What the manager provides is
-//! the accounting (arenas can run dry), the waiter/notify machinery that lets
-//! a caller *park* until bytes are released instead of erroring, and the
-//! remote acquisition protocol with its cache/batching behaviour.
+//! the accounting (arenas can run dry), the registration that lets a caller
+//! wait until bytes are released instead of erroring, and the remote
+//! acquisition protocol with its cache/batching behaviour.
 //!
 //! A dry arena has two explicit behaviours, chosen per call through
 //! [`ExhaustionPolicy`]:
@@ -28,17 +28,23 @@
 //! * [`ExhaustionPolicy::Error`] — fail immediately with `HetError::Memory`.
 //!   This is the failure-injection path the unit tests and strict callers
 //!   (e.g. the device providers' `getBuffer`) use.
-//! * [`ExhaustionPolicy::Park`] — block the caller on the node's condition
-//!   variable until enough bytes are released, up to a timeout. This is what
-//!   the pipelined executor uses for back-pressure: a full arena parks the
-//!   producer instead of killing the query.
+//! * [`ExhaustionPolicy::Park`] — block the calling thread until enough
+//!   bytes are released, up to a timeout.
+//!
+//! The pipelined executor's tasks use neither: [`BlockManagerSet::poll_acquire`]
+//! registers the task's waker on the dry arena instead (the one wait
+//! mechanism of `hetex_common::wait`), so a full arena holds the producer
+//! back instead of killing the query, and `Park` is built on the same
+//! registration with a waker that unparks the calling thread.
 
+use hetex_common::wait::{block_until, register, wake_all};
 use hetex_common::{BlockId, HetError, MemoryNodeId, Result};
 use parking_lot::Mutex;
 use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex as StdMutex};
+use std::sync::{Arc, Mutex as StdMutex, MutexGuard};
+use std::task::{Poll, Waker};
 use std::time::{Duration, Instant};
 
 /// How many leases a remote acquisition batch fetches at once (§4.3: batching
@@ -65,7 +71,7 @@ pub enum ExhaustionPolicy {
 }
 
 /// A lease on staging bytes from a node's arena. Dropping the lease returns
-/// the bytes to its home manager and wakes parked acquirers.
+/// the bytes to its home manager and wakes waiting acquirers.
 #[derive(Debug)]
 pub struct BlockLease {
     id: BlockId,
@@ -119,7 +125,8 @@ pub struct BlockManagerStats {
     pub remote_cache_hits: u64,
     /// Batched acquisition round-trips to remote managers.
     pub remote_batches: u64,
-    /// Acquisitions that had to park for released bytes before succeeding.
+    /// `Park` acquisitions that had to wait for released bytes before
+    /// succeeding.
     pub parked: u64,
 }
 
@@ -134,8 +141,8 @@ struct Arena {
     /// cannot tell a wedged consumer from a co-tenant burst. Static labels
     /// are borrowed, not allocated.
     holders: HashMap<BlockId, (u64, Cow<'static, str>)>,
-    /// Acquirers parked on `released_cv`: a release notifies only if non-zero.
-    parked: usize,
+    /// Acquirers waiting for released bytes.
+    waiters: Vec<Waker>,
 }
 
 impl Arena {
@@ -164,87 +171,94 @@ impl Arena {
 struct NodeState {
     node: MemoryNodeId,
     capacity: u64,
-    // std sync primitives (not the vendored parking_lot stub) because the
-    // waiter/notify protocol needs a condition variable.
     arena: StdMutex<Arena>,
-    released_cv: Condvar,
     /// Mirror of `capacity - arena.available`, maintained on every (de)lease
     /// so [`BlockManager::occupancy`] — read per consumer per block on the
     /// routing hot path — never takes the arena lock.
     leased: AtomicU64,
 }
 
-/// The outcome of one arena acquisition: the lease id plus whether the caller
-/// had to park (for stats).
-struct Acquired {
-    id: BlockId,
-    parked: bool,
-}
-
 impl NodeState {
-    fn acquire(
+    fn lock(&self) -> MutexGuard<'_, Arena> {
+        self.arena.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Lease `bytes` now, or — when the arena is dry — register `waker`
+    /// (if any) for the next release and return `None`. Fails only for a
+    /// request that can never fit.
+    fn try_acquire(
         &self,
         bytes: u64,
-        policy: ExhaustionPolicy,
-        label: Cow<'static, str>,
-    ) -> Result<Acquired> {
+        label: &(impl Clone + Into<Cow<'static, str>>),
+        waker: Option<&Waker>,
+    ) -> Result<Option<BlockId>> {
         if bytes > self.capacity {
             return Err(HetError::Memory(format!(
                 "staging request of {bytes} bytes can never fit the arena on {} ({} bytes)",
                 self.node, self.capacity
             )));
         }
-        let mut arena = self.arena.lock().unwrap_or_else(|e| e.into_inner());
-        let mut parked = false;
-        let deadline = match policy {
-            ExhaustionPolicy::Error => None,
-            ExhaustionPolicy::Park(timeout) => Some(Instant::now() + timeout),
-        };
-        while arena.available < bytes {
-            let Some(deadline) = deadline else {
-                return Err(HetError::Memory(format!(
-                    "staging arena exhausted on {} ({} of {} bytes free, {bytes} requested)",
-                    self.node, arena.available, self.capacity
-                )));
-            };
-            let now = Instant::now();
-            if now >= deadline {
-                return Err(HetError::Memory(format!(
-                    "parked staging acquisition timed out on {} ({} of {} bytes free, \
-                     {bytes} requested; top holders by bytes: {})",
-                    self.node,
-                    arena.available,
-                    self.capacity,
-                    arena.top_holders(TOP_HOLDERS_REPORTED)
-                )));
+        let mut arena = self.lock();
+        if arena.available < bytes {
+            if let Some(waker) = waker {
+                register(&mut arena.waiters, waker);
             }
-            parked = true;
-            arena.parked += 1;
-            let (guard, _) = self
-                .released_cv
-                .wait_timeout(arena, deadline - now)
-                .unwrap_or_else(|e| e.into_inner());
-            arena = guard;
-            arena.parked -= 1;
+            return Ok(None);
         }
         arena.available -= bytes;
         arena.peak_leased = arena.peak_leased.max(self.capacity - arena.available);
         self.leased.store(self.capacity - arena.available, Ordering::Relaxed);
         let id = BlockId::new(arena.next_id);
         arena.next_id += 1;
-        arena.holders.insert(id, (bytes, label));
-        Ok(Acquired { id, parked })
+        arena.holders.insert(id, (bytes, label.clone().into()));
+        Ok(Some(id))
+    }
+
+    /// Lease `bytes` under `policy`; the flag says whether a `Park` waited.
+    fn acquire(
+        &self,
+        bytes: u64,
+        policy: ExhaustionPolicy,
+        label: &(impl Clone + Into<Cow<'static, str>>),
+    ) -> Result<(BlockId, bool)> {
+        if let Some(id) = self.try_acquire(bytes, label, None)? {
+            return Ok((id, false));
+        }
+        let ExhaustionPolicy::Park(timeout) = policy else {
+            let available = self.lock().available;
+            return Err(HetError::Memory(format!(
+                "staging arena exhausted on {} ({available} of {} bytes free, {bytes} requested)",
+                self.node, self.capacity
+            )));
+        };
+        let acquired = block_until(Instant::now() + timeout, |waker| {
+            self.try_acquire(bytes, label, Some(waker))
+                .transpose()
+                .map_or(Poll::Pending, Poll::Ready)
+        });
+        if let Some(acquired) = acquired {
+            return acquired.map(|id| (id, true));
+        }
+        let arena = self.lock();
+        Err(HetError::Memory(format!(
+            "parked staging acquisition timed out on {} ({} of {} bytes free, \
+             {bytes} requested; top holders by bytes: {})",
+            self.node,
+            arena.available,
+            self.capacity,
+            arena.top_holders(TOP_HOLDERS_REPORTED)
+        )))
     }
 
     /// Take up to `n` extra leases of `bytes` each without waiting, and only
     /// while the arena stays comfortably supplied (at least half the capacity
     /// free after the grab) — prefetching for a remote cache must not hoard
-    /// the last bytes other producers are parked on.
+    /// the last bytes other producers are waiting on.
     fn try_take_extra(&self, n: usize, bytes: u64, label: Cow<'static, str>) -> Vec<BlockId> {
         if bytes == 0 {
             return Vec::new();
         }
-        let mut arena = self.arena.lock().unwrap_or_else(|e| e.into_inner());
+        let mut arena = self.lock();
         let mut ids = Vec::new();
         while ids.len() < n {
             let after = arena.available.saturating_sub(bytes);
@@ -263,15 +277,13 @@ impl NodeState {
     }
 
     fn release(&self, id: BlockId, bytes: u64) {
-        let mut arena = self.arena.lock().unwrap_or_else(|e| e.into_inner());
+        let mut arena = self.lock();
         arena.available = (arena.available + bytes).min(self.capacity);
         self.leased.store(self.capacity - arena.available, Ordering::Relaxed);
         arena.holders.remove(&id);
-        let parked = arena.parked > 0;
+        let waiters = std::mem::take(&mut arena.waiters);
         drop(arena);
-        if parked {
-            self.released_cv.notify_all();
-        }
+        wake_all(waiters);
     }
 }
 
@@ -299,9 +311,8 @@ impl BlockManager {
                     next_id: 0,
                     peak_leased: 0,
                     holders: HashMap::new(),
-                    parked: 0,
+                    waiters: Vec::new(),
                 }),
-                released_cv: Condvar::new(),
                 leased: AtomicU64::new(0),
             }),
             remote_cache: Mutex::new(HashMap::new()),
@@ -321,7 +332,7 @@ impl BlockManager {
 
     /// Bytes currently available in the local arena.
     pub fn available_bytes(&self) -> u64 {
-        self.state.arena.lock().unwrap_or_else(|e| e.into_inner()).available
+        self.state.lock().available
     }
 
     /// Bytes currently leased out of the arena.
@@ -331,7 +342,7 @@ impl BlockManager {
 
     /// Largest number of bytes ever leased simultaneously.
     pub fn peak_leased_bytes(&self) -> u64 {
-        self.state.arena.lock().unwrap_or_else(|e| e.into_inner()).peak_leased
+        self.state.lock().peak_leased
     }
 
     /// Fraction of the arena currently leased, in `[0, 1]`. The router's load
@@ -358,21 +369,31 @@ impl BlockManager {
         policy: ExhaustionPolicy,
         label: impl Into<Cow<'static, str>>,
     ) -> Result<BlockLease> {
-        let acquired = self.state.acquire(bytes, policy, label.into())?;
+        let (id, parked) = self.state.acquire(bytes, policy, &label.into())?;
         {
             let mut stats = self.stats.lock();
             stats.local_acquires += 1;
-            if acquired.parked {
-                stats.parked += 1;
-            }
+            stats.parked += u64::from(parked);
         }
-        Ok(BlockLease {
-            id: acquired.id,
+        Ok(self.lease(id, bytes))
+    }
+
+    fn lease(&self, id: BlockId, bytes: u64) -> BlockLease {
+        BlockLease {
+            id,
             home: self.state.node,
             bytes,
             manager: Arc::clone(&self.state),
             released: false,
-        })
+        }
+    }
+
+    /// The top lease holders by bytes, aggregated by label (`label:bytes`,
+    /// the diagnostic a Park timeout reports), or `None` while nothing is
+    /// leased.
+    pub fn top_holders(&self) -> Option<String> {
+        let arena = self.state.lock();
+        (!arena.holders.is_empty()).then(|| arena.top_holders(TOP_HOLDERS_REPORTED))
     }
 
     /// Activity counters.
@@ -409,7 +430,7 @@ impl BlockManagerSet {
     /// the arena; remote requests are served from `local`'s cache of `target`
     /// leases, refilled in batches of up to [`REMOTE_BATCH`] (prefetching
     /// stops while the remote arena is more than half occupied, so batching
-    /// never hoards the bytes other producers are parked on).
+    /// never hoards the bytes other producers are waiting on).
     pub fn acquire(
         &self,
         local: MemoryNodeId,
@@ -431,24 +452,55 @@ impl BlockManagerSet {
         label: impl Into<Cow<'static, str>>,
     ) -> Result<BlockLease> {
         let label = label.into();
-        if local == target {
-            let mgr = self.manager(local)?;
-            return match mgr.acquire_local_labeled(bytes, ExhaustionPolicy::Error, label.clone()) {
-                Ok(lease) => Ok(lease),
-                Err(_) if matches!(policy, ExhaustionPolicy::Park(_)) => {
-                    // Before parking, call in the batched *release* half of
-                    // the protocol: leases idling in other nodes' caches of
-                    // this arena go home, so a producer never waits on bytes
-                    // that are merely stranded in a prefetch cache.
-                    self.reclaim_cached_for(target);
-                    mgr.acquire_local_labeled(bytes, policy, label)
-                }
-                Err(e) => Err(e),
-            };
-        }
+        let lease = self.acquire_with(local, target, bytes, &label, |mgr| {
+            if !matches!(policy, ExhaustionPolicy::Park(_)) {
+                return Ok(None);
+            }
+            self.reclaim_cached_for(target);
+            mgr.state.acquire(bytes, policy, &label).map(Some)
+        })?;
+        lease.ok_or_else(|| {
+            let mgr = self.manager(target).map(|m| m.available_bytes()).unwrap_or(0);
+            HetError::Memory(format!(
+                "staging arena exhausted on {target} ({mgr} of {} bytes free, {bytes} requested)",
+                self.manager(target).map(|m| m.capacity_bytes()).unwrap_or(0)
+            ))
+        })
+    }
+
+    /// The non-blocking form of [`Self::acquire`]: `Pending`, with `waker`
+    /// registered on `target`'s arena, while the arena is dry.
+    pub fn poll_acquire(
+        &self,
+        local: MemoryNodeId,
+        target: MemoryNodeId,
+        bytes: u64,
+        waker: &Waker,
+    ) -> Poll<Result<BlockLease>> {
+        let label = Cow::Borrowed(ANON_HOLDER);
+        let lease = self.acquire_with(local, target, bytes, &label, |mgr| {
+            self.reclaim_cached_for(target);
+            Ok(mgr.state.try_acquire(bytes, &label, Some(waker))?.map(|id| (id, false)))
+        });
+        lease.transpose().map_or(Poll::Pending, Poll::Ready)
+    }
+
+    /// The remote protocol around one acquisition: a local request leases
+    /// from the arena, a remote one is served from the cache or fetches a
+    /// batch. A dry arena hands the request to `wait`, which first calls in
+    /// the batched *release* half of the protocol
+    /// ([`Self::reclaim_cached_for`]) when it may wait.
+    fn acquire_with(
+        &self,
+        local: MemoryNodeId,
+        target: MemoryNodeId,
+        bytes: u64,
+        label: &(impl Clone + Into<Cow<'static, str>>),
+        wait: impl FnOnce(&BlockManager) -> Result<Option<(BlockId, bool)>>,
+    ) -> Result<Option<BlockLease>> {
         let local_mgr = self.manager(local)?;
         let target_mgr = self.manager(target)?;
-        {
+        if local != target {
             let mut cache = local_mgr.remote_cache.lock();
             if let Some(leases) = cache.get_mut(&target) {
                 // Best fit: the smallest cached lease covering the request.
@@ -461,54 +513,54 @@ impl BlockManagerSet {
                 if let Some(i) = fit {
                     let lease = leases.swap_remove(i);
                     local_mgr.stats.lock().remote_cache_hits += 1;
-                    return Ok(lease);
+                    return Ok(Some(lease));
                 }
             }
         }
-        // Cache miss: one "small task launched to the remote node". The first
-        // lease may park per `policy`; the rest of the batch is opportunistic
-        // and never waits.
-        let first = match target_mgr.state.acquire(bytes, ExhaustionPolicy::Error, label.clone()) {
-            Ok(first) => first,
-            Err(_) if matches!(policy, ExhaustionPolicy::Park(_)) => {
-                self.reclaim_cached_for(target);
-                target_mgr.state.acquire(bytes, policy, label.clone())?
-            }
-            Err(e) => return Err(e),
+        let acquired = match target_mgr.state.try_acquire(bytes, label, None)? {
+            Some(id) => (id, false),
+            None => match wait(target_mgr)? {
+                Some(acquired) => acquired,
+                None => return Ok(None),
+            },
         };
-        let extras = target_mgr.state.try_take_extra(REMOTE_BATCH - 1, bytes, label);
-        {
-            let mut stats = local_mgr.stats.lock();
-            stats.remote_batches += 1;
-            if first.parked {
-                stats.parked += 1;
-            }
+        let (id, parked) = acquired;
+        let mut stats = local_mgr.stats.lock();
+        stats.parked += u64::from(parked);
+        if local == target {
+            stats.local_acquires += 1;
+            return Ok(Some(target_mgr.lease(id, bytes)));
         }
+        // Cache miss: one "small task launched to the remote node". The
+        // rest of the batch is opportunistic and never waits.
+        stats.remote_batches += 1;
+        drop(stats);
+        let extras = target_mgr.state.try_take_extra(REMOTE_BATCH - 1, bytes, label.clone().into());
         if !extras.is_empty() {
-            let leases: Vec<BlockLease> = extras
-                .into_iter()
-                .map(|id| BlockLease {
-                    id,
-                    home: target,
-                    bytes,
-                    manager: Arc::clone(&target_mgr.state),
-                    released: false,
-                })
-                .collect();
+            let leases = extras.into_iter().map(|id| target_mgr.lease(id, bytes));
             local_mgr.remote_cache.lock().entry(target).or_default().extend(leases);
         }
-        Ok(BlockLease {
-            id: first.id,
-            home: target,
-            bytes,
-            manager: Arc::clone(&target_mgr.state),
-            released: false,
-        })
+        Ok(Some(target_mgr.lease(id, bytes)))
     }
 
     /// Total bytes still available across all arenas.
     pub fn total_available_bytes(&self) -> u64 {
         self.managers.iter().map(|m| m.available_bytes()).sum()
+    }
+
+    /// Each node's top lease holders by bytes (`node[label:bytes, …]`), or
+    /// `none` — who holds the staging a stalled pipeline waits for.
+    pub fn holders(&self) -> String {
+        let held: Vec<String> = self
+            .managers
+            .iter()
+            .filter_map(|m| Some(format!("{}[{}]", m.node(), m.top_holders()?)))
+            .collect();
+        if held.is_empty() {
+            "none".into()
+        } else {
+            held.join(", ")
+        }
     }
 
     /// Per-node peak leased bytes, in node order — the observability hook the
@@ -536,7 +588,7 @@ impl BlockManagerSet {
 
     /// Return every cached lease homed on `target` to its arena — the batched
     /// release half of the remote protocol, invoked before an acquisition
-    /// parks so prefetched-but-idle bytes cannot starve a live producer.
+    /// waits so prefetched-but-idle bytes cannot starve a live producer.
     fn reclaim_cached_for(&self, target: MemoryNodeId) {
         for m in &self.managers {
             m.remote_cache.lock().remove(&target);

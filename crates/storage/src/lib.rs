@@ -17,8 +17,6 @@
 //! SF100 experiments). The [`segmenter`] turns those segments into the
 //! block-shaped partitions that the bottom of every HetExchange plan routes.
 
-#![forbid(unsafe_code)]
-
 pub mod block_manager;
 pub mod catalog;
 pub mod memory_manager;

@@ -25,8 +25,6 @@
 //! saturation and DRAM saturation all emerge from the clocks rather than being
 //! hard-coded.
 
-#![forbid(unsafe_code)]
-
 pub mod affinity;
 pub mod clock;
 pub mod cost;

@@ -3,8 +3,6 @@
 //!
 //! Run with: `cargo run --release --example microbenchmark`
 
-#![forbid(unsafe_code)]
-
 use hetexchange::bench::micro::{MicroQuery, MicroWorkload, PAPER_PROBE_BYTES};
 use hetexchange::common::EngineConfig;
 

@@ -3,8 +3,6 @@
 //!
 //! Run with: `cargo run --release --example plan_inspection`
 
-#![forbid(unsafe_code)]
-
 use hetexchange::common::{EngineConfig, MemoryNodeId, PipelineId};
 use hetexchange::core_ops::traits::{check_relational_requirements, derive_traits};
 use hetexchange::core_ops::{parallelize, RelNode};

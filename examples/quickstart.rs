@@ -5,8 +5,6 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 
-#![forbid(unsafe_code)]
-
 use hetexchange::common::{ColumnData, DataType, EngineConfig};
 use hetexchange::core_ops::RelNode;
 use hetexchange::engine::Proteus;

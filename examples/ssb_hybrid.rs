@@ -4,8 +4,6 @@
 //!
 //! Run with: `cargo run --release --example ssb_hybrid [physical_sf]`
 
-#![forbid(unsafe_code)]
-
 use hetexchange::bench::systems::{run_query, System};
 use hetexchange::bench::workload::SsbWorkload;
 

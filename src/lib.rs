@@ -12,8 +12,6 @@
 //! parallelism in JIT compiled engines* (PVLDB 12(5), 2019). See `DESIGN.md`
 //! for the system inventory and `EXPERIMENTS.md` for the reproduced figures.
 
-#![forbid(unsafe_code)]
-
 pub use hetex_analysis as analysis;
 pub use hetex_baselines as baselines;
 pub use hetex_bench as bench;
