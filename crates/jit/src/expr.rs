@@ -1,11 +1,11 @@
 //! Scalar expressions evaluated inside compiled pipelines.
 //!
 //! Expressions operate over the pipeline's *registers*: the values of the
-//! current tuple, kept in a small array exactly like the register-pipelined
-//! values a compiled engine keeps in CPU registers. Column references are
-//! resolved to register indexes at plan time (this is the "specialization"
-//! part of our JIT substitute), so evaluation is a tight match on an enum with
-//! no name lookups or type dispatch.
+//! current tuple, like the register-pipelined values a compiled engine keeps
+//! in CPU registers. A column reference is a register index fixed at plan
+//! time. This module is the tree walker — per tuple ([`Expr::eval`]) and per
+//! chunk ([`Expr::eval_batch`]); the chunk kernel specialises the common
+//! shapes once per pipeline and walks the tree only for the rest.
 //!
 //! All SSB columns are integers after dictionary encoding, so expressions are
 //! evaluated in `i64`; booleans are represented as 0/1.
@@ -122,16 +122,21 @@ impl Expr {
             Expr::Ge(a, b) => (a.eval(regs) >= b.eval(regs)) as i64,
             Expr::And(a, b) => ((a.eval(regs) != 0) && (b.eval(regs) != 0)) as i64,
             Expr::Or(a, b) => ((a.eval(regs) != 0) || (b.eval(regs) != 0)) as i64,
-            Expr::Not(a) => (a.eval(regs) == 0) as i64,
-            Expr::Between(a, lo, hi) => {
-                let v = a.eval(regs);
-                (v >= *lo && v <= *hi) as i64
+            Expr::Not(a) | Expr::Between(a, ..) | Expr::InList(a, _) | Expr::Hash(a) => {
+                self.unary(a.eval(regs))
             }
-            Expr::InList(a, list) => {
-                let v = a.eval(regs);
-                list.contains(&v) as i64
-            }
-            Expr::Hash(a) => hash_i64(a.eval(regs)),
+        }
+    }
+
+    /// This unary node (`Not`, `Between`, `InList`, `Hash`) of operand `v`.
+    #[inline]
+    fn unary(&self, v: i64) -> i64 {
+        match self {
+            Expr::Not(_) => (v == 0) as i64,
+            Expr::Between(_, lo, hi) => (v >= *lo && v <= *hi) as i64,
+            Expr::InList(_, list) => list.contains(&v) as i64,
+            Expr::Hash(_) => hash_i64(v),
+            _ => unreachable!("not a unary expression: {self:?}"),
         }
     }
 
@@ -141,17 +146,11 @@ impl Expr {
         self.eval(regs) != 0
     }
 
-    /// Column-at-a-time evaluation over the selected lanes of a chunk.
-    ///
-    /// `cols` are the chunk's register columns, `sel` the surviving selection
-    /// (row indexes into the columns). Writes one dense value per selected
-    /// lane into `out`: `out[j]` is the value at row `sel[j]`. Intermediate
-    /// results are rented from `pool`, so a whole step chain evaluates with
-    /// no per-tuple (and, steady-state, no per-chunk) allocation. The inner
-    /// loops are branch-free over the lane dimension — the autovectorizable
-    /// shape the vectorized lowering exists for. Semantically identical to
-    /// [`Self::eval`] per lane; `And`/`Or` evaluate both sides (expressions
-    /// are pure, so eager evaluation cannot change results).
+    /// Column-at-a-time evaluation over the selected lanes of a chunk, the
+    /// chunk kernel's fallback for the shapes it does not specialise: `out[j]`
+    /// is the value at row `sel[j]` of `cols`, intermediates are rented from
+    /// `pool`, and each lane equals [`Self::eval`]'s (`And`/`Or` evaluate
+    /// both sides, which pure expressions cannot tell apart).
     pub fn eval_batch(
         &self,
         cols: &[Vec<i64>],
@@ -182,29 +181,9 @@ impl Expr {
             Expr::Or(a, b) => {
                 binary_batch(a, b, cols, sel, out, pool, |x, y| ((x != 0) || (y != 0)) as i64)
             }
-            Expr::Not(a) => {
+            Expr::Not(a) | Expr::Between(a, ..) | Expr::InList(a, _) | Expr::Hash(a) => {
                 a.eval_batch(cols, sel, out, pool);
-                for v in out.iter_mut() {
-                    *v = (*v == 0) as i64;
-                }
-            }
-            Expr::Between(a, lo, hi) => {
-                a.eval_batch(cols, sel, out, pool);
-                for v in out.iter_mut() {
-                    *v = (*v >= *lo && *v <= *hi) as i64;
-                }
-            }
-            Expr::InList(a, list) => {
-                a.eval_batch(cols, sel, out, pool);
-                for v in out.iter_mut() {
-                    *v = list.contains(v) as i64;
-                }
-            }
-            Expr::Hash(a) => {
-                a.eval_batch(cols, sel, out, pool);
-                for v in out.iter_mut() {
-                    *v = hash_i64(*v);
-                }
+                out.iter_mut().for_each(|v| *v = self.unary(*v));
             }
         }
     }

@@ -1,90 +1,68 @@
 //! The chunk kernel: chunked, selection-vector execution of the step IR.
 //!
 //! This is the CPU lowering, and the kernel the GPU lowering schedules. It
-//! executes a pipeline's fused IR over fixed-size chunks of [`VEC_CHUNK`]
-//! tuples rather than dispatching the step chain per tuple:
+//! runs a pipeline's fused IR over chunks of [`VEC_CHUNK`] tuples:
 //!
-//! * the chunk's registers are *columns* (`Vec<i64>` per register), indexed
-//!   by row. An input register is *lazy* at chunk start: the first step or
-//!   terminal expression that reads it widens it from the input block's
-//!   window of its (possibly shared) columns, at the selected rows only — the
-//!   whole chunk while the selection is still the identity — so a column is
-//!   read only where a row survives to the operator that uses it;
-//! * `Step::Filter` evaluates its predicate column-at-a-time into a dense
-//!   flag buffer and refines a `u32` **selection vector** with a tight,
-//!   branch-light compaction loop ([`refine_selection`]) — no tuples move;
-//! * a `Step::HashJoinProbe` against a table of unique keys moves nothing
-//!   either: each selected row has at most one match, so the selection
-//!   narrows to the matched rows and the payload registers are written at
-//!   those rows;
-//! * `Step::Map` and a probe that fans out (a key with several build rows)
-//!   evaluate column-at-a-time over the surviving selection into reusable
-//!   scratch (rented from a [`ScratchPool`]), producing a dense chunk and
-//!   resetting the selection to the identity. A fan-out reads every lazy
-//!   register first, as it re-gathers them all; a map reads only what its
-//!   expressions read. There is no per-step block materialization;
-//! * the terminal consumes the final selection in one pass with chunk-local
-//!   accumulators that are merged into shared state once per *block* (the
-//!   CPU provider's worker-scoped atomic: one synchronization per block); a
-//!   hash build appends the chunk's keys and payload columns to scratch and
-//!   hands the block's rows to the join table in one append; a pack appends
-//!   the chunk's evaluated columns to the instance's open output blocks —
-//!   whole runs when unpartitioned, one lane at a time into its partition's
-//!   columns when hash-partitioned — with no per-tuple object.
+//! * every expression was specialised once, when the pipeline was compiled,
+//!   to a [`Shape`]: an `And`-tree of column-vs-literal atoms, a value of at
+//!   most two leaves (a column or a literal) under wrapping `+ − ×`, or the
+//!   tree walker ([`Expr::eval_batch`]) for anything else. A leaf reads a
+//!   lazy input register straight from the block's window at its physical
+//!   width (`&[i32]` / `&[i64]`), any other register from its column;
+//! * the chunk's registers are columns (`Vec<i64>`), indexed by row. An
+//!   input register is *lazy* at chunk start: the first tree-walked
+//!   expression that reads it widens it from the window at the selected rows
+//!   only — the leading rows while the selection is the identity;
+//! * `Step::Filter` refines a `u32` **selection vector** in place, one atom
+//!   at a time; any other predicate is evaluated into a dense flag buffer
+//!   that [`refine_selection`] compacts the selection with. No tuple moves;
+//! * a probe against unique keys narrows the selection to the matched rows
+//!   and writes the payload registers at them; `Step::Map` and a probe that
+//!   fans out evaluate into pooled scratch ([`ScratchPool`]), producing a
+//!   dense chunk under the identity selection (a fan-out reads every lazy
+//!   register first);
+//! * the terminal consumes the final selection in one pass, with chunk-local
+//!   state merged into shared state once per *block* (the CPU provider's
+//!   worker-scoped atomic): a reduce folds its values straight from their
+//!   columns, a hash build appends its keys and payload for one insert per
+//!   block, a pack appends column runs — or each lane to its partition —
+//!   to the instance's open output blocks.
 //!
-//! The scratch ([`VecScratch`]) lives in the instance's [`ExecCtx`], so a
-//! block of a few hundred rows reuses the buffers of every block before it.
+//! The scratch ([`VecScratch`]) lives in the instance's [`ExecCtx`], so every
+//! chunk of every block reuses the same buffers. Row order is the depth-first
+//! order of a per-tuple interpreter of the same steps; the unit tests below
+//! pin rows, block boundaries, partition tags and counters against one.
 //!
-//! Row order: tuples are visited in ascending selection order and a probe
-//! appends its matches in probe order, which is exactly the depth-first order
-//! of a per-tuple interpreter of the same steps — the unit tests below pin
-//! rows, block boundaries, partition tags and counters against one.
-//!
-//! The GPU lowering ([`crate::lower_gpu`]) runs this same chunk kernel: a
-//! chunk is 32 warps of a grid-stride kernel's consecutive lanes, so the two
-//! devices share one kernel definition and differ in schedule and in what is
-//! counted (the GPU replaces the per-block `atomics` below with one per
-//! active warp and adds the launch). The IR stays the single operator
-//! blueprint.
+//! The GPU lowering ([`crate::lower_gpu`]) runs this same chunk kernel over
+//! tiles of 32 warps: the two devices share one kernel and differ in
+//! schedule and in what is counted (one atomic per active warp, and the
+//! launch).
 
 use crate::expr::{Expr, ScratchPool};
-use crate::ir::{Step, TerminalStep};
+use crate::ir::{AggFunc, Step, TerminalStep};
 use crate::pipeline::{BlockCounters, CompiledPipeline, ExecCtx};
 use crate::state::{JoinMatches, SharedState};
 use hetex_common::{BlockHandle, ColumnRef, HetError, Result};
 
-/// Tuples per chunk. Sized so a handful of `i64` register columns plus
-/// scratch (~tens of KiB) stay L1/L2-resident while still amortizing
-/// per-chunk setup over a thousand tuples — the classic vectorized-execution
-/// sweet spot between tuple-at-a-time interpretation overhead and full-block
-/// materialization.
+/// Tuples per chunk: a handful of `i64` register columns plus scratch (tens
+/// of KiB) stay L1/L2-resident, and per-chunk setup is amortized over a
+/// thousand tuples.
 pub const VEC_CHUNK: usize = 1024;
 
-/// Refine a selection vector in place: keep `sel[j]` exactly when
-/// `flags[j] != 0` (`flags` is dense, aligned with `sel`). The compaction is
-/// order-preserving and monotone — the result is a subsequence of the input —
-/// and runs as a tight data-dependent loop with no index recomputation.
+/// Refine a selection vector in place: keep `sel[j]`, in order, exactly when
+/// `flags[j] != 0` (`flags` is dense, aligned with `sel`).
 pub fn refine_selection(sel: &mut Vec<u32>, flags: &[i64]) {
     debug_assert_eq!(sel.len(), flags.len());
-    let mut kept = 0usize;
-    for j in 0..sel.len() {
-        let idx = sel[j];
-        sel[kept] = idx;
-        kept += (flags[j] != 0) as usize;
-    }
-    sel.truncate(kept);
+    retain(sel, |j, _| flags[j] != 0);
 }
 
-/// The chunk kernel's scratch: register columns, the selection vector,
-/// flag/key buffers, probe matches and the expression pool. It lives in the
-/// instance's [`ExecCtx`], so every buffer grows to chunk size once per
-/// instance and is reused by every chunk of every block it processes: the
-/// steady-state chunk loop allocates nothing.
+/// The chunk kernel's scratch. It lives in the instance's [`ExecCtx`], so
+/// every buffer grows to chunk size once per instance and the steady-state
+/// chunk loop allocates nothing.
 #[derive(Debug, Default)]
 pub(crate) struct VecScratch {
-    /// The chunk's register columns, indexed by row. A register holds values
-    /// at the selected rows only; rows a filter or probe dropped keep stale
-    /// values that are never read. Columns past the current width are spares.
+    /// The chunk's register columns, indexed by row: valid at the selected
+    /// rows only. Columns past the current width are spares.
     regs: Vec<Vec<i64>>,
     /// Per input register: true while it is not yet read from the block.
     lazy: Vec<bool>,
@@ -112,19 +90,192 @@ struct Window<'a> {
     len: usize,
 }
 
-/// Widen `src` into `dst` at the rows of `sel`: the whole of it while `sel`
-/// is the identity, otherwise row by row, leaving the other rows as they
-/// were.
-fn widen<T: Copy + Into<i64>>(src: &[T], sel: &[u32], dst: &mut Vec<i64>) {
-    if sel.len() == src.len() {
-        dst.clear();
-        dst.extend(src.iter().map(|&v| v.into()));
-    } else {
-        dst.resize(dst.len().max(src.len()), 0);
-        for &r in sel {
-            dst[r as usize] = src[r as usize].into();
+impl<'a> Window<'a> {
+    /// Where `leaf` is read: a lazy input register from this window at its
+    /// physical width, any other register from its column in `regs`.
+    fn src(self, leaf: Leaf, lazy: &[bool], regs: &'a [Vec<i64>]) -> Src<'a> {
+        let rows = self.base..self.base + self.len;
+        match leaf {
+            Leaf::Lit(v) => Src::Lit(v),
+            Leaf::Reg(r) if lazy.get(r) != Some(&true) => Src::I64(&regs[r]),
+            Leaf::Reg(r) => match self.columns[r] {
+                ColumnRef::Int64(v) => Src::I64(&v[rows]),
+                ColumnRef::Int32(v) => Src::I32(&v[rows]),
+                ColumnRef::Float64(_) => unreachable!("Float64 inputs are rejected per block"),
+            },
         }
     }
+}
+
+/// The kernel one expression runs, chosen once per pipeline by [`shapes`]:
+/// an `And`-tree of atoms, applied in order, each refining the selection;
+/// `a op b` over two leaves (a lone leaf `a` is `a + 0`); or the tree walker.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) enum Shape {
+    Atoms(Vec<Atom>),
+    Value(Leaf, Op, Leaf),
+    Tree,
+}
+
+/// `lo <= reg <= hi` in `i64` (empty when `lo > hi`), or `reg IN (list)`.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) enum Atom {
+    Range(usize, i64, i64),
+    In(usize, Vec<i64>),
+}
+
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) enum Leaf {
+    Reg(usize),
+    Lit(i64),
+}
+
+/// Wrapping `+ − ×`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) enum Op {
+    Add,
+    Sub,
+    Mul,
+}
+
+fn leaf(expr: &Expr) -> Option<Leaf> {
+    match *expr {
+        Expr::Col(r) => Some(Leaf::Reg(r)),
+        Expr::Lit(v) => Some(Leaf::Lit(v)),
+        _ => None,
+    }
+}
+
+/// A predicate's atoms, if it is an `And`-tree of them: `Lit op Col` is
+/// `Col op' Lit` mirrored, and a bound past `i64` leaves the range empty.
+fn atoms(expr: &Expr) -> Option<Vec<Atom>> {
+    let reg = |e: &Expr| if let Expr::Col(r) = *e { Some(r) } else { None };
+    let ((a, b), less, eq, greater) = match expr {
+        Expr::And(a, b) => return Some([atoms(a)?, atoms(b)?].concat()),
+        Expr::Between(a, lo, hi) => return Some(vec![Atom::Range(reg(a)?, *lo, *hi)]),
+        Expr::InList(a, list) => return Some(vec![Atom::In(reg(a)?, list.clone())]),
+        Expr::Eq(a, b) => ((a, b), false, true, false),
+        Expr::Lt(a, b) => ((a, b), true, false, false),
+        Expr::Le(a, b) => ((a, b), true, true, false),
+        Expr::Gt(a, b) => ((a, b), false, false, true),
+        Expr::Ge(a, b) => ((a, b), false, true, true),
+        _ => return None,
+    };
+    let (r, v, less, greater) = match (leaf(a)?, leaf(b)?) {
+        (Leaf::Reg(r), Leaf::Lit(v)) => (r, v, less, greater),
+        (Leaf::Lit(v), Leaf::Reg(r)) => (r, v, greater, less),
+        _ => return None,
+    };
+    let lo = if less { Some(i64::MIN) } else { eq.then_some(v).or(v.checked_add(1)) };
+    let hi = if greater { Some(i64::MAX) } else { eq.then_some(v).or(v.checked_sub(1)) };
+    Some(vec![lo.zip(hi).map_or(Atom::Range(r, 1, 0), |(lo, hi)| Atom::Range(r, lo, hi))])
+}
+
+/// A leaf, or two leaves under wrapping `+ − ×`.
+fn value(expr: &Expr) -> Shape {
+    let (a, op, b) = match expr {
+        Expr::Add(a, b) => (leaf(a), Op::Add, leaf(b)),
+        Expr::Sub(a, b) => (leaf(a), Op::Sub, leaf(b)),
+        Expr::Mul(a, b) => (leaf(a), Op::Mul, leaf(b)),
+        e => (leaf(e), Op::Add, Some(Leaf::Lit(0))),
+    };
+    a.zip(b).map_or(Shape::Tree, |(a, b)| Shape::Value(a, op, b))
+}
+
+/// The shapes of a pipeline's expressions: a list per step, then one for the
+/// terminal, each in the order the kernel reads them.
+pub(crate) fn shapes(steps: &[Step], terminal: &TerminalStep) -> Vec<Vec<Shape>> {
+    let values = |exprs: Vec<&Expr>| exprs.into_iter().map(value).collect();
+    let mut shapes: Vec<Vec<Shape>> = steps
+        .iter()
+        .map(|step| match step {
+            Step::Filter { predicate } => vec![atoms(predicate).map_or(Shape::Tree, Shape::Atoms)],
+            Step::Map { exprs } => values(exprs.iter().collect()),
+            Step::HashJoinProbe { key, .. } => vec![value(key)],
+        })
+        .collect();
+    shapes.push(values(match terminal {
+        TerminalStep::Pack { exprs, partition_by: by, .. } => exprs.iter().chain(by).collect(),
+        TerminalStep::HashJoinBuild { key, payload, .. } => {
+            [key].into_iter().chain(payload).collect()
+        }
+        TerminalStep::Reduce { aggs, .. } => aggs.iter().map(|a| &a.expr).collect(),
+        TerminalStep::GroupBy { keys, aggs, .. } => {
+            keys.iter().chain(aggs.iter().map(|a| &a.expr)).collect()
+        }
+    }));
+    shapes
+}
+
+/// Where a leaf's rows are read.
+#[derive(Clone, Copy)]
+enum Src<'a> {
+    I32(&'a [i32]),
+    I64(&'a [i64]),
+    Lit(i64),
+}
+
+/// One past the last selected row: `sel` is the identity exactly when as long.
+fn end(sel: &[u32]) -> usize {
+    sel.last().map_or(0, |&r| r as usize + 1)
+}
+
+/// A reader of the rows below `end` of a column, at its physical width and
+/// sign-extended; cut at `end`, a dense loop up to it has no bounds checks.
+fn wide<T: Copy + Into<i64>>(v: &[T], end: usize) -> impl Fn(usize) -> i64 + Copy + '_ {
+    let v = &v[..end];
+    move |r| v[r].into()
+}
+
+fn with<A, R>(at: A, body: impl FnOnce(A) -> R) -> R {
+    body(at)
+}
+
+/// Run `$body` with `$at` bound to the reader of `$src`'s rows below `$end`.
+macro_rules! reader {
+    ($src:expr, $end:expr, $at:ident => $body:expr) => {
+        match $src {
+            Src::I32(v) => with(wide(v, $end), |$at| $body),
+            Src::I64(v) => with(wide(v, $end), |$at| $body),
+            Src::Lit(v) => with(move |_: usize| v, |$at| $body),
+        }
+    };
+}
+
+/// Where a value's lanes go: onto a buffer, or into a `SUM`/`MIN`/`MAX`.
+enum Sink<'o> {
+    Out(&'o mut Vec<i64>),
+    Fold(AggFunc, &'o mut i64),
+}
+
+/// Feed `sink` with `at` of each selected row, all below `end`: the rows
+/// `0..end` in a contiguous pass under the identity selection.
+fn combine(at: impl Fn(usize) -> i64, sel: &[u32], end: usize, sink: Sink) {
+    if end == sel.len() {
+        take((0..end).map(at), sink);
+    } else {
+        take(sel.iter().map(|&r| at(r as usize)), sink);
+    }
+}
+
+fn take(lanes: impl Iterator<Item = i64>, sink: Sink) {
+    match sink {
+        Sink::Out(out) => out.extend(lanes),
+        Sink::Fold(AggFunc::Min, acc) => *acc = lanes.fold(*acc, i64::min),
+        Sink::Fold(AggFunc::Max, acc) => *acc = lanes.fold(*acc, i64::max),
+        Sink::Fold(_, acc) => *acc = lanes.fold(*acc, i64::wrapping_add),
+    }
+}
+
+/// Keep `sel[j]` exactly when `keep(j, sel[j])`, in order.
+fn retain(sel: &mut Vec<u32>, keep: impl Fn(usize, usize) -> bool) {
+    let mut kept = 0;
+    for j in 0..sel.len() {
+        let r = sel[j];
+        sel[kept] = r;
+        kept += keep(j, r as usize) as usize;
+    }
+    sel.truncate(kept);
 }
 
 impl VecScratch {
@@ -174,37 +325,66 @@ impl VecScratch {
         self.sel.extend(0..len as u32);
     }
 
-    /// Read register `r` from the block window at the selected rows, if it
-    /// is still lazy.
+    /// Widen register `r` from the block window at the selected rows, if it
+    /// is still lazy, leaving the other rows as they were.
     fn gather(&mut self, r: usize, window: Window<'_>) {
-        if self.lazy.get(r) != Some(&true) {
-            return;
-        }
-        self.lazy[r] = false;
-        let rows = window.base..window.base + window.len;
-        match window.columns[r] {
-            ColumnRef::Int64(v) => widen(&v[rows], &self.sel, &mut self.regs[r]),
-            ColumnRef::Int32(v) => widen(&v[rows], &self.sel, &mut self.regs[r]),
-            ColumnRef::Float64(_) => unreachable!("Float64 inputs are rejected per block"),
+        if self.lazy.get(r) == Some(&true) {
+            // A lazy register is read from the window, never from `regs`.
+            let (s, sel, end) =
+                (window.src(Leaf::Reg(r), &self.lazy, &[]), &self.sel, end(&self.sel));
+            let dst = &mut self.regs[r];
+            dst.resize(dst.len().max(end), 0);
+            reader!(s, end, at => sel.iter().for_each(|&r| dst[r as usize] = at(r as usize)));
+            self.lazy[r] = false;
         }
     }
 
-    /// Evaluate `expr` over the selection into `out`, gathering the lazy
-    /// registers it reads first.
-    fn eval(&mut self, expr: &Expr, window: Window<'_>, out: &mut Vec<i64>) {
+    /// Narrow the selection to the rows that pass `atom`.
+    fn refine(&mut self, atom: &Atom, window: Window<'_>) {
+        let (Atom::Range(r, ..) | Atom::In(r, _)) = atom;
+        let (s, sel) = (window.src(Leaf::Reg(*r), &self.lazy, &self.regs), &mut self.sel);
+        let end = end(sel);
+        match atom {
+            _ if sel.is_empty() => {}
+            Atom::Range(_, lo, hi) => {
+                reader!(s, end, v => retain(sel, |_, r| (*lo..=*hi).contains(&v(r))))
+            }
+            Atom::In(_, list) => reader!(s, end, v => retain(sel, |_, r| list.contains(&v(r)))),
+        }
+    }
+
+    /// Feed the value shape `a op b` at the selected rows to `sink`.
+    fn value(&self, shape: &Shape, window: Window<'_>, sink: Sink) {
+        let &Shape::Value(a, op, b) = shape else { unreachable!("not a value: {shape:?}") };
+        let (sel, end) = (&self.sel, end(&self.sel));
+        let (a, b) = (window.src(a, &self.lazy, &self.regs), window.src(b, &self.lazy, &self.regs));
+        reader!(a, end, a => reader!(b, end, b => match op {
+            Op::Add => combine(|r| a(r).wrapping_add(b(r)), sel, end, sink),
+            Op::Sub => combine(|r| a(r).wrapping_sub(b(r)), sel, end, sink),
+            Op::Mul => combine(|r| a(r).wrapping_mul(b(r)), sel, end, sink),
+        }))
+    }
+
+    /// Evaluate `expr`, of shape `shape`, over the selection into `out`.
+    fn eval(&mut self, expr: &Expr, shape: &Shape, window: Window<'_>, out: &mut Vec<i64>) {
+        if let Shape::Value(..) = shape {
+            out.clear();
+            return self.value(shape, window, Sink::Out(out));
+        }
         expr.for_each_register(&mut |r| self.gather(r, window));
         expr.eval_batch(&self.regs, &self.sel, out, &mut self.pool);
     }
 
-    /// Evaluate each of `exprs` into a rented column.
+    /// Evaluate each of `exprs`, of its shape in `shapes`, into a rented column.
     fn eval_columns<'e>(
         &mut self,
-        exprs: impl ExactSizeIterator<Item = &'e Expr>,
+        exprs: impl Iterator<Item = &'e Expr>,
+        shapes: &[Shape],
         window: Window<'_>,
     ) -> Vec<Vec<i64>> {
-        let mut cols = self.rent_columns(exprs.len());
-        for (col, expr) in cols.iter_mut().zip(exprs) {
-            self.eval(expr, window, col);
+        let mut cols = self.rent_columns(shapes.len());
+        for ((col, expr), shape) in cols.iter_mut().zip(exprs).zip(shapes) {
+            self.eval(expr, shape, window, col);
         }
         cols
     }
@@ -252,14 +432,14 @@ fn process_chunks(
     };
 
     // Block-local terminal state, merged into shared state once per block
-    // (the CPU provider's worker-scoped atomic).
-    let mut partials: Vec<i64> = match pipeline.terminal() {
-        TerminalStep::Reduce { aggs, .. } => aggs.iter().map(|a| a.func.identity()).collect(),
-        _ => Vec::new(),
-    };
-    // The block-local group table and the open pack blocks live in the
-    // context: cleared or carried over, not reallocated, per block.
+    // (the CPU provider's worker-scoped atomic). The group table, the build
+    // buffers and the open pack blocks live in the context or the scratch:
+    // cleared or carried over, not reallocated, per block.
+    let mut partials = Vec::new();
     match pipeline.terminal() {
+        TerminalStep::Reduce { aggs, .. } => {
+            partials.extend(aggs.iter().map(|a| a.func.identity()))
+        }
         TerminalStep::GroupBy { keys, aggs, .. } => ctx.local_groups.reset(keys.len(), aggs),
         TerminalStep::HashJoinBuild { payload, .. } => {
             scratch.build_keys.clear();
@@ -271,12 +451,8 @@ fn process_chunks(
     ctx.open_pack(pipeline.terminal());
     let mut outputs: Vec<BlockHandle> = Vec::new();
 
-    let mut probes = 0u64;
-    let mut probe_matches = 0u64;
-    let mut rows_terminal = 0u64;
-
-    let steps = pipeline.steps();
-    let terminal = pipeline.terminal();
+    let (steps, terminal) = (pipeline.steps(), pipeline.terminal());
+    let (shapes, step_shapes) = pipeline.shapes.split_last().expect("the terminal's shapes");
 
     let mut base = 0usize;
     while base < rows {
@@ -286,37 +462,40 @@ fn process_chunks(
 
         // The fused step chain over the chunk.
         let mut width = pipeline.input_width();
-        for step in steps {
+        for (step, shapes) in steps.iter().zip(step_shapes) {
             if scratch.sel.is_empty() {
                 break;
             }
             match step {
-                Step::Filter { predicate } => {
-                    let mut flags = std::mem::take(&mut scratch.flags);
-                    scratch.eval(predicate, window, &mut flags);
-                    refine_selection(&mut scratch.sel, &flags);
-                    scratch.flags = flags;
-                }
+                Step::Filter { predicate } => match &shapes[0] {
+                    Shape::Atoms(atoms) => atoms.iter().for_each(|a| scratch.refine(a, window)),
+                    shape => {
+                        let mut flags = std::mem::take(&mut scratch.flags);
+                        scratch.eval(predicate, shape, window, &mut flags);
+                        refine_selection(&mut scratch.sel, &flags);
+                        scratch.flags = flags;
+                    }
+                },
                 Step::Map { exprs } => {
                     let lanes = scratch.sel.len();
-                    let mapped = scratch.eval_columns(exprs.iter(), window);
+                    let mapped = scratch.eval_columns(exprs.iter(), shapes, window);
                     scratch.install_dense(mapped, lanes);
                     width = exprs.len();
                 }
                 Step::HashJoinProbe { key, slot, payload_width } => {
                     let mut keys = std::mem::take(&mut scratch.flags);
-                    scratch.eval(key, window, &mut keys);
+                    scratch.eval(key, &shapes[0], window, &mut keys);
                     // One read guard per chunk; matches come back in probe
                     // order — the depth-first order of a per-tuple
                     // recursion — as (lane, build row) pairs.
                     let table = state.hash_table_of_width(*slot, *payload_width)?.read();
                     table.probe_batch(&keys, &mut scratch.matches);
-                    probes += keys.len() as u64;
+                    counters.probes += keys.len() as u64;
                     scratch.flags = keys;
                     let matches = std::mem::take(&mut scratch.matches);
                     let (lanes, matched) = (&matches.lanes, &matches.rows);
                     let fanned = matched.len();
-                    probe_matches += fanned as u64;
+                    counters.probe_matches += fanned as u64;
                     if table.unique_keys() {
                         // At most one match per lane: the registers stay
                         // where they are, the selection narrows to the
@@ -325,25 +504,23 @@ fn process_chunks(
                             scratch.sel[m] = scratch.sel[l as usize];
                         }
                         scratch.sel.truncate(fanned);
-                        let end = scratch.sel.last().map_or(0, |&r| r as usize + 1);
+                        let end = end(&scratch.sel);
                         scratch.reserve_registers(width + payload_width);
-                        for (c, reg) in
-                            scratch.regs[width..width + payload_width].iter_mut().enumerate()
-                        {
+                        let payload = &mut scratch.regs[width..width + payload_width];
+                        for (c, reg) in payload.iter_mut().enumerate() {
                             reg.resize(reg.len().max(end), 0);
                             table.scatter_payload(c, matched, &scratch.sel, reg);
                         }
                     } else {
-                        // A fan-out re-gathers every register densely, so
-                        // the lazy ones are read first.
-                        for r in 0..width {
-                            scratch.gather(r, window);
-                        }
+                        // A fan-out re-gathers every register densely, the
+                        // lazy ones straight from the window.
                         let mut out_cols = scratch.rent_columns(width + payload_width);
+                        let (sel, end) = (&scratch.sel, end(&scratch.sel));
                         for (c, out) in out_cols.iter_mut().enumerate() {
                             if c < width {
-                                let (src, sel) = (&scratch.regs[c], &scratch.sel);
-                                out.extend(lanes.iter().map(|&l| src[sel[l as usize] as usize]));
+                                let s = window.src(Leaf::Reg(c), &scratch.lazy, &scratch.regs);
+                                let rows = lanes.iter().map(|&l| sel[l as usize] as usize);
+                                reader!(s, end, at => out.extend(rows.map(at)));
                             } else {
                                 table.gather_payload(c - width, matched, out);
                             }
@@ -357,11 +534,12 @@ fn process_chunks(
         }
 
         // Terminal: consume the surviving selection in one pass.
-        rows_terminal += scratch.sel.len() as u64;
+        counters.rows_terminal += scratch.sel.len() as u64;
         if !scratch.sel.is_empty() {
             match terminal {
                 TerminalStep::Pack { exprs, partition_by, partitions } => {
-                    let out_cols = scratch.eval_columns(exprs.iter(), window);
+                    let out_cols =
+                        scratch.eval_columns(exprs.iter(), &shapes[..exprs.len()], window);
                     // A block is emitted the moment it fills, so blocks leave
                     // in fill order and each holds a run of the lane order.
                     let capacity = ctx.out_capacity.max(1);
@@ -387,7 +565,7 @@ fn process_chunks(
                         // partition's columns, in lane order.
                         Some(by) => {
                             let mut keys = scratch.pool.acquire();
-                            scratch.eval(by, window, &mut keys);
+                            scratch.eval(by, &shapes[exprs.len()], window, &mut keys);
                             let fanout = (*partitions).max(1) as u64;
                             for (j, key) in keys.iter().enumerate() {
                                 let p = (key.unsigned_abs() % fanout) as usize;
@@ -406,35 +584,35 @@ fn process_chunks(
                     scratch.release_columns(out_cols);
                 }
                 TerminalStep::HashJoinBuild { key, payload, .. } => {
-                    let mut keys = std::mem::take(&mut scratch.flags);
-                    scratch.eval(key, window, &mut keys);
-                    scratch.build_keys.extend_from_slice(&keys);
-                    scratch.flags = keys;
-                    let pay_cols = scratch.eval_columns(payload.iter(), window);
-                    for (to, from) in scratch.build_payload.iter_mut().zip(&pay_cols) {
-                        to.extend_from_slice(from);
-                    }
-                    scratch.release_columns(pay_cols);
+                    let cols =
+                        scratch.eval_columns([key].into_iter().chain(payload), shapes, window);
+                    let to =
+                        std::iter::once(&mut scratch.build_keys).chain(&mut scratch.build_payload);
+                    to.zip(&cols).for_each(|(to, from)| to.extend_from_slice(from));
+                    scratch.release_columns(cols);
                 }
                 TerminalStep::Reduce { aggs, .. } => {
-                    let mut values = std::mem::take(&mut scratch.flags);
-                    for (i, agg) in aggs.iter().enumerate() {
-                        scratch.eval(&agg.expr, window, &mut values);
-                        // Dense fold into the block-local partial.
-                        let mut acc = partials[i];
-                        for &v in &values {
-                            acc = agg.func.accumulate(acc, v);
+                    // Dense folds into the block-local partials.
+                    let (lanes, mut values) =
+                        (scratch.sel.len(), std::mem::take(&mut scratch.flags));
+                    for ((agg, shape), acc) in aggs.iter().zip(shapes).zip(&mut partials) {
+                        if agg.func == AggFunc::Count {
+                            *acc = acc.wrapping_add(lanes as i64);
+                        } else if let Shape::Value(..) = shape {
+                            scratch.value(shape, window, Sink::Fold(agg.func, acc));
+                        } else {
+                            scratch.eval(&agg.expr, shape, window, &mut values);
+                            take(values.iter().copied(), Sink::Fold(agg.func, acc));
                         }
-                        partials[i] = acc;
                     }
                     scratch.flags = values;
                 }
                 TerminalStep::GroupBy { keys, aggs, .. } => {
-                    let key_cols = scratch.eval_columns(keys.iter(), window);
-                    let agg_cols = scratch.eval_columns(aggs.iter().map(|a| &a.expr), window);
-                    ctx.local_groups.accumulate_batch(&key_cols, &agg_cols, scratch.sel.len());
-                    scratch.release_columns(key_cols);
-                    scratch.release_columns(agg_cols);
+                    let exprs = keys.iter().chain(aggs.iter().map(|a| &a.expr));
+                    let cols = scratch.eval_columns(exprs, shapes, window);
+                    let (key_cols, agg_cols) = cols.split_at(keys.len());
+                    ctx.local_groups.accumulate_batch(key_cols, agg_cols, scratch.sel.len());
+                    scratch.release_columns(cols);
                 }
             }
         }
@@ -462,9 +640,6 @@ fn process_chunks(
         TerminalStep::Pack { .. } => {}
     }
 
-    counters.probes = probes;
-    counters.probe_matches = probe_matches;
-    counters.rows_terminal = rows_terminal;
     Ok((outputs, counters))
 }
 
@@ -1443,5 +1618,369 @@ mod tests {
                 kernel_launches: 0,
             }
         );
+    }
+
+    #[test]
+    fn the_lowering_specialises_each_listed_shape_and_walks_the_rest() {
+        use Atom::{In, Range};
+        let (c, l) = (Expr::col, Expr::lit);
+        let bin =
+            |f: fn(Box<Expr>, Box<Expr>) -> Expr, a: Expr, b: Expr| f(Box::new(a), Box::new(b));
+        let (min, max) = (i64::MIN, i64::MAX);
+        let predicates = [
+            (c(2).between(5, 9), vec![Range(2, 5, 9)]),
+            (c(1).in_list(vec![4, 2]), vec![In(1, vec![4, 2])]),
+            (bin(Expr::Eq, c(1), l(7)), vec![Range(1, 7, 7)]),
+            (bin(Expr::Eq, l(7), c(1)), vec![Range(1, 7, 7)]),
+            (bin(Expr::Lt, c(0), l(7)), vec![Range(0, min, 6)]),
+            (bin(Expr::Lt, l(7), c(0)), vec![Range(0, 8, max)]),
+            (bin(Expr::Le, c(0), l(7)), vec![Range(0, min, 7)]),
+            (bin(Expr::Le, l(7), c(0)), vec![Range(0, 7, max)]),
+            (bin(Expr::Gt, c(0), l(7)), vec![Range(0, 8, max)]),
+            (bin(Expr::Gt, l(7), c(0)), vec![Range(0, min, 6)]),
+            (bin(Expr::Ge, c(0), l(7)), vec![Range(0, 7, max)]),
+            (bin(Expr::Ge, l(7), c(0)), vec![Range(0, min, 7)]),
+            // Bounds past the `i64` range: empty, without overflowing.
+            (bin(Expr::Lt, c(3), l(min)), vec![Range(3, 1, 0)]),
+            (bin(Expr::Gt, c(3), l(max)), vec![Range(3, 1, 0)]),
+            (bin(Expr::Gt, l(min), c(3)), vec![Range(3, 1, 0)]),
+            (bin(Expr::Le, c(3), l(max)), vec![Range(3, min, max)]),
+            (
+                c(0).lt_lit(3)
+                    .and(c(1).between(1, 2))
+                    .and(c(2).in_list(vec![5]).and(c(3).gt_lit(0))),
+                vec![Range(0, min, 2), Range(1, 1, 2), In(2, vec![5]), Range(3, 1, max)],
+            ),
+        ];
+        for (expr, atoms) in predicates {
+            let pipeline = CompiledPipeline::new(
+                PipelineId::new(90),
+                DeviceKind::CpuCore,
+                4,
+                vec![Step::Filter { predicate: expr.clone() }],
+                TerminalStep::Reduce { aggs: vec![AggSpec::count()], slot: StateSlot(0) },
+            )
+            .unwrap();
+            assert_eq!(pipeline.shapes[0], vec![Shape::Atoms(atoms)], "{expr:?}");
+            assert_eq!(pipeline.tree_walked_exprs(), 0, "{expr:?}");
+        }
+        let walked = [
+            c(0).lt_lit(3).or(c(1).gt_lit(4)),
+            Expr::Not(Box::new(c(0).lt_lit(3))),
+            bin(Expr::Ne, c(0), l(3)),
+            bin(Expr::Lt, c(0), c(1)),
+            bin(Expr::Lt, l(0), l(1)),
+            c(0).lt_lit(3).and(c(1).lt_lit(2).or(c(2).lt_lit(1))),
+            bin(Expr::Add, c(0), l(1)).between(0, 9),
+            c(0),
+        ];
+        for expr in walked {
+            assert_eq!(
+                shapes(&[Step::Filter { predicate: expr.clone() }], &pack(vec![]))[0],
+                vec![Shape::Tree],
+                "{expr:?}"
+            );
+        }
+        let leaf = |r: usize| Leaf::Reg(r);
+        let values = [
+            (c(2), Shape::Value(leaf(2), Op::Add, Leaf::Lit(0))),
+            (l(-3), Shape::Value(Leaf::Lit(-3), Op::Add, Leaf::Lit(0))),
+            (bin(Expr::Add, c(0), c(1)), Shape::Value(leaf(0), Op::Add, leaf(1))),
+            (c(3).sub(l(9)), Shape::Value(leaf(3), Op::Sub, Leaf::Lit(9))),
+            (l(9).mul(c(3)), Shape::Value(Leaf::Lit(9), Op::Mul, leaf(3))),
+            (c(0).mul(c(0).sub(c(1))), Shape::Tree),
+            (bin(Expr::Add, c(0), c(1)).sub(l(1)), Shape::Tree),
+            (bin(Expr::Div, c(0), c(1)), Shape::Tree),
+            (Expr::Hash(Box::new(c(0))), Shape::Tree),
+            (c(0).lt_lit(4), Shape::Tree),
+        ];
+        for (expr, shape) in values {
+            let terminals = [
+                pack(vec![expr.clone()]),
+                TerminalStep::HashJoinBuild {
+                    key: expr.clone(),
+                    payload: vec![],
+                    slot: StateSlot(0),
+                },
+                TerminalStep::Reduce { aggs: vec![AggSpec::sum(expr.clone())], slot: StateSlot(0) },
+                TerminalStep::GroupBy {
+                    keys: vec![expr.clone()],
+                    aggs: vec![],
+                    slot: StateSlot(0),
+                },
+            ];
+            let steps =
+                [Step::HashJoinProbe { key: expr.clone(), slot: StateSlot(1), payload_width: 1 }];
+            let map = Step::Map { exprs: vec![expr.clone()] };
+            assert_eq!(shapes(&[map], &pack(vec![]))[0], vec![shape.clone()], "{expr:?}");
+            for terminal in &terminals {
+                let pipeline = CompiledPipeline::new(
+                    PipelineId::new(91),
+                    DeviceKind::CpuCore,
+                    4,
+                    steps.to_vec(),
+                    terminal.clone(),
+                )
+                .unwrap();
+                let want = vec![vec![shape.clone()], vec![shape.clone()]];
+                assert_eq!(pipeline.shapes, want, "{expr:?} -> {terminal:?}");
+                let walked = 2 * usize::from(shape == Shape::Tree);
+                assert_eq!(pipeline.tree_walked_exprs(), walked, "{expr:?}");
+            }
+        }
+        // A pack's partition key is its last shape; a group-by's aggregates
+        // follow its keys; a build's payload follows its key.
+        let shapes_of = |terminal| shapes(&[], &terminal).remove(0);
+        let tree = c(0).mul(c(1).mul(c(2)));
+        let value = Shape::Value(leaf(1), Op::Add, Leaf::Lit(0));
+        assert_eq!(
+            shapes_of(TerminalStep::Pack {
+                exprs: vec![c(1)],
+                partition_by: Some(tree.clone()),
+                partitions: 3
+            }),
+            vec![value.clone(), Shape::Tree]
+        );
+        assert_eq!(
+            shapes_of(TerminalStep::GroupBy {
+                keys: vec![tree.clone()],
+                aggs: vec![AggSpec::max(c(1)), AggSpec::count()],
+                slot: StateSlot(0)
+            }),
+            vec![Shape::Tree, value.clone(), Shape::Value(Leaf::Lit(1), Op::Add, Leaf::Lit(0))]
+        );
+        assert_eq!(
+            shapes_of(TerminalStep::HashJoinBuild {
+                key: c(1),
+                payload: vec![tree, c(1)],
+                slot: StateSlot(0)
+            }),
+            vec![value.clone(), Shape::Tree, value]
+        );
+    }
+
+    fn pack(exprs: Vec<Expr>) -> TerminalStep {
+        TerminalStep::Pack { exprs, partition_by: None, partitions: 1 }
+    }
+
+    /// The literals the specialised-shape property draws: the `i64` and `i32`
+    /// edges, and values inside its columns' ranges.
+    const EDGES: [i64; 11] = [
+        i64::MIN,
+        i64::MIN + 1,
+        i32::MIN as i64 - 1,
+        i32::MIN as i64,
+        -1,
+        0,
+        1,
+        i32::MAX as i64,
+        i32::MAX as i64 + 1,
+        i64::MAX - 1,
+        i64::MAX,
+    ];
+
+    fn literal(rng: &mut proptest::TestRng) -> i64 {
+        match rng.below(4) {
+            0 => EDGES[rng.below(EDGES.len() as u64) as usize],
+            3 => rng.next_u64() as i32 as i64,
+            _ => rng.below(120) as i64 - 10,
+        }
+    }
+
+    /// An atom of any kind, on one of registers `0..width`, in either operand
+    /// order.
+    fn atom_expr(rng: &mut proptest::TestRng, width: usize) -> Expr {
+        let r = rng.below(width as u64) as usize;
+        let (col, lit) = (Box::new(Expr::col(r)), Box::new(Expr::lit(literal(rng))));
+        let (a, b) = if rng.below(2) == 0 { (col, lit) } else { (lit, col) };
+        match rng.below(7) {
+            0 => Expr::Eq(a, b),
+            1 => Expr::Lt(a, b),
+            2 => Expr::Le(a, b),
+            3 => Expr::Gt(a, b),
+            4 => Expr::Ge(a, b),
+            5 => {
+                let (lo, hi) = (literal(rng), literal(rng));
+                Expr::col(r)
+                    .between(lo.min(hi), if rng.below(8) == 0 { lo.min(hi) - 1 } else { hi })
+            }
+            _ => Expr::col(r).in_list((0..1 + rng.below(4)).map(|_| literal(rng)).collect()),
+        }
+    }
+
+    /// An `And`-tree of one to four atoms over registers `0..width`.
+    fn conjunction(rng: &mut proptest::TestRng, width: usize) -> Expr {
+        let atoms = 1 + rng.below(4).min(rng.below(4)) as usize;
+        let mut tree = atom_expr(rng, width);
+        for _ in 1..atoms {
+            let atom = atom_expr(rng, width);
+            tree = if rng.below(2) == 0 { tree.and(atom) } else { atom.and(tree) };
+        }
+        tree
+    }
+
+    /// A value of every specialised kind over registers `0..width`: a column,
+    /// a literal, or two of them under `+ − ×`.
+    fn value_expr(rng: &mut proptest::TestRng, width: usize) -> Expr {
+        let leaf = |rng: &mut proptest::TestRng| {
+            if rng.below(3) == 0 {
+                Expr::lit(literal(rng))
+            } else {
+                Expr::col(rng.below(width as u64) as usize)
+            }
+        };
+        let (a, b) = (Box::new(leaf(rng)), Box::new(leaf(rng)));
+        match rng.below(5) {
+            0 => *a,
+            1 => Expr::Add(a, b),
+            2 => Expr::Sub(a, b),
+            3 => Expr::Mul(a, b),
+            _ => Expr::col(rng.below(width as u64) as usize),
+        }
+    }
+
+    /// Input column `c` of [`chain_input`]'s layout, with the `i64` and `i32`
+    /// edges mixed into columns 1 and 3.
+    fn edge_input(rng: &mut proptest::TestRng, rows: usize, int32: [bool; 4]) -> BlockHandle {
+        let base = chain_input(rng, rows, int32);
+        let columns = (0..4)
+            .map(|c| {
+                let col = base.block().column(c).unwrap();
+                let values = (0..rows).map(|r| {
+                    let v = col.get_i64(r).unwrap();
+                    if c % 2 == 1 && rng.below(4) == 0 {
+                        EDGES[rng.below(EDGES.len() as u64) as usize]
+                    } else {
+                        v
+                    }
+                });
+                if int32[c] {
+                    ColumnData::Int32(values.map(|v| v as i32).collect())
+                } else {
+                    ColumnData::Int64(values.collect())
+                }
+            })
+            .collect();
+        let block = Block::new(columns, rows).unwrap();
+        BlockHandle::new(block, BlockMeta::new(BlockId::new(0), MemoryNodeId::new(0)))
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(kernel_cases()))]
+
+        /// The specialised shapes change nothing the per-tuple oracle can
+        /// see: `And`-trees of one to four atoms of every kind (both operand
+        /// orders, literals at the `i64` and `i32` edges) at the chain start,
+        /// after a unique probe, after a map and after a fan-out probe, then
+        /// every terminal over values of every specialised kind, on `Int32`
+        /// and `Int64` inputs, blocks on and around the chunk size fed through
+        /// one context: blocks, order, counters and state are the oracle's.
+        #[test]
+        fn specialised_shapes_match_the_per_tuple_oracle(seed in 0u64..u64::MAX) {
+            let mut rng = proptest::TestRng::new(seed);
+            let table = |kind, slot: i64| {
+                let rows = (0..64)
+                    .flat_map(|k| {
+                        let copies = if kind == TableKind::FanOut { 1 + k % 3 } else { 1 };
+                        (0..copies).map(move |c| (k, vec![(k * 7 + slot + c) % 90 - 5]))
+                    })
+                    .collect();
+                TableSpec { kind, width: 1, rows }
+            };
+            let tables = vec![table(TableKind::Direct, 0), table(TableKind::FanOut, 1)];
+            let probe =
+                |slot| Step::HashJoinProbe { key: Expr::col(0), slot, payload_width: 1 };
+            let int32 = [0, 1, 2, 3].map(|_| rng.below(2) == 0);
+            let sizes = [0, 1, 1_023, 1_024, 1_025, 2_900 + rng.below(200) as usize];
+            let inputs: Vec<BlockHandle> = (0..1 + rng.below(3))
+                .map(|b| {
+                    let rows = sizes[rng.below(sizes.len() as u64) as usize];
+                    let mut input = edge_input(&mut rng, rows, int32);
+                    input.meta_mut().weight = 1.0 + b as f64;
+                    input
+                })
+                .collect();
+            let capacity = [1, 7, 1_023, 1_024, 4_096][rng.below(5) as usize];
+            for placement in 0..4 {
+                let (prefix, width) = match placement {
+                    0 => (vec![], 4),
+                    1 => (vec![probe(StateSlot(0))], 5),
+                    2 => {
+                        // The map reverses the input registers, so a register
+                        // it made dense differs from the window column of its
+                        // index.
+                        let mut exprs: Vec<Expr> = (0..4).rev().map(Expr::col).collect();
+                        exprs.push(value_expr(&mut rng, 4));
+                        exprs.push(Expr::col(1).mul(Expr::col(3)).sub(Expr::col(2)));
+                        (vec![Step::Map { exprs }], 6)
+                    }
+                    _ => (vec![probe(StateSlot(1))], 5),
+                };
+                let mut steps = prefix;
+                steps.push(Step::Filter { predicate: conjunction(&mut rng, width) });
+                if rng.below(4) == 0 {
+                    steps.push(Step::Filter { predicate: conjunction(&mut rng, width) });
+                }
+                let slot = StateSlot(2);
+                let mut v = || value_expr(&mut rng, width);
+                let terminals = vec![
+                    TerminalStep::Pack {
+                        exprs: vec![v(), v(), v()],
+                        partition_by: None,
+                        partitions: 1,
+                    },
+                    TerminalStep::Pack {
+                        exprs: vec![v(), v()],
+                        partition_by: Some(v()),
+                        partitions: 5,
+                    },
+                    TerminalStep::HashJoinBuild { key: v(), payload: vec![v(), v()], slot },
+                    TerminalStep::Reduce {
+                        aggs: vec![
+                            AggSpec::sum(v()),
+                            AggSpec::count(),
+                            AggSpec::min(v()),
+                            AggSpec::max(v()),
+                        ],
+                        slot,
+                    },
+                    TerminalStep::GroupBy {
+                        keys: vec![v(), v()],
+                        aggs: vec![AggSpec::sum(v()), AggSpec::count(), AggSpec::max(v())],
+                        slot,
+                    },
+                ];
+                for terminal in terminals {
+                    let pipeline = CompiledPipeline::new(
+                        PipelineId::new(92),
+                        DeviceKind::CpuCore,
+                        4,
+                        steps.clone(),
+                        terminal.clone(),
+                    )
+                    .unwrap();
+                    let run = |per_tuple| {
+                        let state = chain_state(&tables, &terminal);
+                        let mut ctx = ExecCtx::cpu(MemoryNodeId::new(0), capacity);
+                        let (blocks, counters) =
+                            run_instance(&pipeline, &inputs, &state, &mut ctx, per_tuple);
+                        // The built table as a whole, not only its keys 0..128.
+                        let built = match state.object(slot) {
+                            Some(crate::state::StateObject::HashTable(t)) => {
+                                (t.len(), t.distinct_keys())
+                            }
+                            _ => (0, 0),
+                        };
+                        (blocks, counters, dump_state(&state), built)
+                    };
+                    let case =
+                        format!("seed {seed}: {steps:?} -> {terminal:?}, capacity {capacity}");
+                    // Only the map's nested arithmetic is left to the tree walker.
+                    let walked = usize::from(width == 6);
+                    proptest::prop_assert_eq!(pipeline.tree_walked_exprs(), walked, "{}", case);
+                    proptest::prop_assert_eq!(run(false), run(true), "{}", case);
+                }
+            }
+        }
     }
 }

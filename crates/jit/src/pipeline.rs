@@ -14,7 +14,7 @@
 //! worker's resource clock.
 
 use crate::ir::{Step, TerminalStep};
-use crate::lower_cpu_vec::{self, VecScratch, VEC_CHUNK};
+use crate::lower_cpu_vec::{self, Shape, VecScratch, VEC_CHUNK};
 use crate::lower_gpu;
 use crate::state::{FlatGroups, SharedState};
 use hetex_common::{
@@ -207,6 +207,8 @@ pub struct CompiledPipeline {
     input_width: usize,
     steps: Vec<Step>,
     terminal: TerminalStep,
+    /// Each expression's kernel, per step and then the terminal: chosen once.
+    pub(crate) shapes: Vec<Vec<Shape>>,
 }
 
 impl CompiledPipeline {
@@ -225,7 +227,8 @@ impl CompiledPipeline {
             width = step.output_width(width);
         }
         terminal.check_width(width)?;
-        Ok(Self { id, device, input_width, steps, terminal })
+        let shapes = lower_cpu_vec::shapes(&steps, &terminal);
+        Ok(Self { id, device, input_width, steps, terminal, shapes })
     }
 
     /// The pipeline's identifier.
@@ -251,6 +254,12 @@ impl CompiledPipeline {
     /// The terminal step.
     pub fn terminal(&self) -> &TerminalStep {
         &self.terminal
+    }
+
+    /// How many of the pipeline's expressions the chunk kernel evaluates
+    /// with the tree walker rather than a specialised shape.
+    pub fn tree_walked_exprs(&self) -> usize {
+        self.shapes.iter().flatten().filter(|s| **s == Shape::Tree).count()
     }
 
     /// Number of registers flowing into the terminal step.
@@ -386,8 +395,9 @@ impl CompiledPipeline {
             .random(random)
             .compute(rows_in, if rows_in > 0.0 { ops / rows_in } else { 0.0 })
             .atomic(counters.atomics as f64);
+        // `scaled` keeps launches: a block standing in for more is launched once.
         work.kernel_launches = counters.launches;
-        work.scaled(weight.max(0.0)).with_launches(counters.launches)
+        work.scaled(weight.max(0.0))
     }
 }
 
@@ -401,20 +411,6 @@ pub const VEC_TUPLE_DISPATCH_OPS: f64 = 0.125;
 /// selection reset, scratch bookkeeping), amortized over [`VEC_CHUNK`]
 /// tuples — ~0.03 ops/tuple at full chunks.
 pub const VEC_CHUNK_OVERHEAD_OPS: f64 = 32.0;
-
-/// Helper trait so `scaled` keeps the launch count (launches are fixed
-/// overheads — a physically smaller block standing in for a larger one is
-/// still launched once).
-trait WithLaunches {
-    fn with_launches(self, launches: u64) -> WorkProfile;
-}
-
-impl WithLaunches for WorkProfile {
-    fn with_launches(mut self, launches: u64) -> WorkProfile {
-        self.kernel_launches = launches;
-        self
-    }
-}
 
 #[cfg(test)]
 mod tests {

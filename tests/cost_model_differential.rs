@@ -134,14 +134,27 @@ fn engine_with_tables(topology: Arc<ServerTopology>, fact_rows: usize, key_strid
     engine
 }
 
+/// The fact filter, from one of three classes the chunk kernel runs
+/// differently: one atom, a two-atom conjunction (refining the selection in
+/// place, the second atom mirrored), or a shape the kernel leaves to its tree
+/// walker (an `Or` over arithmetic inside a comparison).
+fn fact_filter(class: usize, filter_lit: i64) -> Expr {
+    let atom = Expr::col(0).lt_lit(filter_lit * 100);
+    match class % 3 {
+        0 => atom,
+        1 => atom.and(Expr::Le(Box::new(Expr::lit(filter_lit * 50)), Box::new(Expr::col(1)))),
+        _ => atom.or(Expr::col(1).sub(Expr::col(0)).gt_lit(filter_lit * 300)),
+    }
+}
+
 /// One of three plan shapes: a filtered scan+reduce (ungated single
 /// pipeline), a hash join+reduce (gated probe — the critical-path and
 /// congestion terms engage), or a join+group-by (multi-row, key-sorted
 /// output so row comparison is order-stable).
-fn random_plan(plan_pick: usize, filter_lit: i64) -> RelNode {
+fn random_plan(plan_pick: usize, filter_class: usize, filter_lit: i64) -> RelNode {
     match plan_pick % 3 {
         0 => RelNode::scan("fact", &["key", "value"])
-            .filter(Expr::col(0).lt_lit(filter_lit * 100))
+            .filter(fact_filter(filter_class, filter_lit))
             .reduce(vec![AggSpec::sum(Expr::col(1)), AggSpec::count()], &["sum_v", "cnt"]),
         1 => {
             let dim = RelNode::scan("dim", &["k", "attr"]).filter(Expr::col(1).lt_lit(filter_lit));
@@ -177,6 +190,7 @@ proptest! {
         fact_rows in 600usize..3_000,
         plan_pick in 0usize..3,
         filter_lit in 1i64..7,
+        filter_class in 0usize..3,
         cpu_dop_raw in 1usize..9,
         stride_pick in 0usize..2,
     ) {
@@ -190,7 +204,7 @@ proptest! {
         ).unwrap();
         let key_stride = KEY_STRIDES[stride_pick];
         let engine = engine_with_tables(Arc::clone(&topology), fact_rows, key_stride);
-        let plan = random_plan(plan_pick, filter_lit);
+        let plan = random_plan(plan_pick, filter_class, filter_lit);
 
         let cpu_dop = cpu_dop_raw.min(sockets * cores_per_socket);
         let gpu_dop = gpus.min(2);
@@ -352,6 +366,7 @@ proptest! {
         fact_rows in 600usize..3_000,
         plan_pick in 0usize..3,
         filter_lit in 1i64..7,
+        filter_class in 0usize..3,
         cpu_dop_raw in 1usize..9,
         stride_pick in 0usize..2,
     ) {
@@ -361,7 +376,7 @@ proptest! {
         ).unwrap();
         let engine =
             engine_with_tables(Arc::clone(&topology), fact_rows, KEY_STRIDES[stride_pick]);
-        let plan = random_plan(plan_pick, filter_lit);
+        let plan = random_plan(plan_pick, filter_class, filter_lit);
         let cpu_dop = cpu_dop_raw.min(sockets * cores_per_socket);
         let gpu_dop = gpus.min(2);
         let mut config = if gpu_dop == 0 {
@@ -407,6 +422,7 @@ proptest! {
         fact_rows in 600usize..3_000,
         plan_pick in 0usize..3,
         filter_lit in 1i64..7,
+        filter_class in 0usize..3,
         cpu_dop_raw in 1usize..9,
         stride_pick in 0usize..2,
     ) {
@@ -416,7 +432,7 @@ proptest! {
         ).unwrap();
         let engine =
             engine_with_tables(Arc::clone(&topology), fact_rows, KEY_STRIDES[stride_pick]);
-        let plan = random_plan(plan_pick, filter_lit);
+        let plan = random_plan(plan_pick, filter_class, filter_lit);
         let cpu_dop = cpu_dop_raw.min(sockets * cores_per_socket);
         let gpu_dop = gpus.min(2);
         let mut config = if gpu_dop == 0 {

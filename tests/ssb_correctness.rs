@@ -5,6 +5,7 @@
 use hetexchange::baselines::{DbmsC, DbmsG};
 use hetexchange::common::config::DataPlacement;
 use hetexchange::common::EngineConfig;
+use hetexchange::core_ops::{compile, parallelize, StageSource};
 use hetexchange::engine::{reference_execute, Proteus};
 use hetexchange::ssb::{all_queries, SsbGenerator};
 use hetexchange::storage::Catalog;
@@ -38,6 +39,44 @@ fn all_ssb_queries_match_reference_on_cpu_gpu_and_hybrid() {
                 "{} on {:?} disagrees with the reference executor",
                 query.name, config.target
             );
+        }
+    }
+}
+
+/// Every expression of every stage that scans `lineorder` runs a specialised
+/// kernel shape, on every device template of the CPU, GPU and hybrid plans of
+/// all 13 queries: a predicate or aggregate that falls back to the tree walker
+/// fails here rather than silently slowing the fact scan.
+#[test]
+fn ssb_fact_stages_compile_to_specialised_shapes_only() {
+    let engine = Proteus::on_paper_server();
+    let dataset =
+        generator().generate(&engine.topology().cpu_memory_nodes()).expect("generate SSB");
+    let configs =
+        [EngineConfig::cpu_only(6), EngineConfig::gpu_only(2), EngineConfig::hybrid(6, 2)];
+    let queries = all_queries(&dataset).expect("queries");
+    assert_eq!(queries.len(), 13);
+    for query in &queries {
+        for config in &configs {
+            let het = parallelize(&query.plan, config).expect("parallelize");
+            let graph = compile(&het, config, engine.topology()).expect("compile");
+            let fact = graph.stages.iter().filter(|stage| {
+                matches!(&stage.source, StageSource::Table { table, .. } if table == "lineorder")
+            });
+            let mut templates = 0;
+            for template in fact.flat_map(|stage| stage.templates.values()) {
+                templates += 1;
+                assert_eq!(
+                    template.tree_walked_exprs(),
+                    0,
+                    "{} on {:?}: {:?} -> {:?}",
+                    query.name,
+                    config.target,
+                    template.steps(),
+                    template.terminal()
+                );
+            }
+            assert!(templates > 0, "{} on {:?} has no lineorder stage", query.name, config.target);
         }
     }
 }
