@@ -16,11 +16,13 @@
 //! * `Step::Filter` refines a `u32` **selection vector** in place, one atom
 //!   at a time; any other predicate is evaluated into a dense flag buffer
 //!   that [`refine_selection`] compacts the selection with. No tuple moves;
-//! * a probe against unique keys narrows the selection to the matched rows
-//!   and writes the payload registers at them; `Step::Map` and a probe that
-//!   fans out evaluate into pooled scratch ([`ScratchPool`]), producing a
-//!   dense chunk under the identity selection (a fan-out reads every lazy
-//!   register first);
+//! * a probe is one pass over the selection, contiguous under the identity,
+//!   that reads each row's key through the same leaves, resolves its chain
+//!   head and emits its match (`JoinProbe::probe_rows`). Against unique
+//!   keys it narrows the selection and the payload registers are written at
+//!   the rows it keeps; `Step::Map` and a probe that fans out evaluate into
+//!   pooled scratch ([`ScratchPool`]), producing a dense chunk under the
+//!   identity selection (a fan-out reads every lazy register first);
 //! * the terminal consumes the final selection in one pass, with chunk-local
 //!   state merged into shared state once per *block* (the CPU provider's
 //!   worker-scoped atomic): a reduce folds its values straight from their
@@ -41,7 +43,7 @@
 use crate::expr::{Expr, ScratchPool};
 use crate::ir::{AggFunc, Step, TerminalStep};
 use crate::pipeline::{BlockCounters, CompiledPipeline, ExecCtx};
-use crate::state::{JoinMatches, SharedState};
+use crate::state::{JoinMatches, JoinProbe, SharedState};
 use hetex_common::{BlockHandle, ColumnRef, HetError, Result};
 
 /// Tuples per chunk: a handful of `i64` register columns plus scratch (tens
@@ -68,9 +70,10 @@ pub(crate) struct VecScratch {
     lazy: Vec<bool>,
     /// Surviving selection: row indexes into `regs`, ascending.
     sel: Vec<u32>,
-    /// Dense predicate / key / aggregate buffers.
+    /// Dense predicate / tree-walked key / aggregate buffers.
     flags: Vec<i64>,
-    /// The `(lane, build row)` pairs of the chunk's last probe.
+    /// The build rows of the chunk's last probe, and its probed rows after
+    /// a fan-out.
     matches: JoinMatches,
     /// Rentable intermediate buffers for expression evaluation.
     pool: ScratchPool,
@@ -242,6 +245,18 @@ macro_rules! reader {
     };
 }
 
+/// Run `$body` with `$at` bound to the reader of value shape `$a $op $b`'s
+/// rows below `$end`.
+macro_rules! value_reader {
+    ($a:expr, $op:expr, $b:expr, $end:expr, $at:ident => $body:expr) => {
+        reader!($a, $end, a => reader!($b, $end, b => match $op {
+            Op::Add => with(move |r: usize| a(r).wrapping_add(b(r)), |$at| $body),
+            Op::Sub => with(move |r: usize| a(r).wrapping_sub(b(r)), |$at| $body),
+            Op::Mul => with(move |r: usize| a(r).wrapping_mul(b(r)), |$at| $body),
+        }))
+    };
+}
+
 /// Where a value's lanes go: onto a buffer, or into a `SUM`/`MIN`/`MAX`.
 enum Sink<'o> {
     Out(&'o mut Vec<i64>),
@@ -358,11 +373,24 @@ impl VecScratch {
         let &Shape::Value(a, op, b) = shape else { unreachable!("not a value: {shape:?}") };
         let (sel, end) = (&self.sel, end(&self.sel));
         let (a, b) = (window.src(a, &self.lazy, &self.regs), window.src(b, &self.lazy, &self.regs));
-        reader!(a, end, a => reader!(b, end, b => match op {
-            Op::Add => combine(|r| a(r).wrapping_add(b(r)), sel, end, sink),
-            Op::Sub => combine(|r| a(r).wrapping_sub(b(r)), sel, end, sink),
-            Op::Mul => combine(|r| a(r).wrapping_mul(b(r)), sel, end, sink),
-        }))
+        value_reader!(a, op, b, end, at => combine(at, sel, end, sink))
+    }
+
+    /// Probe `table` with `key`, of shape `shape`, at the selected rows in
+    /// one pass: a value reads each key straight from its leaves, a tree is
+    /// evaluated into a buffer first.
+    fn probe(&mut self, key: &Expr, shape: &Shape, table: &JoinProbe<'_>, window: Window<'_>) {
+        if let &Shape::Value(a, op, b) = shape {
+            let (a, b) =
+                (window.src(a, &self.lazy, &self.regs), window.src(b, &self.lazy, &self.regs));
+            let (end, sel, matches) = (end(&self.sel), &mut self.sel, &mut self.matches);
+            value_reader!(a, op, b, end, at => table.probe_rows(sel, move |_, r| at(r), matches))
+        } else {
+            let mut keys = std::mem::take(&mut self.flags);
+            self.eval(key, shape, window, &mut keys);
+            table.probe_rows(&mut self.sel, |j, _| keys[j], &mut self.matches);
+            self.flags = keys;
+        }
     }
 
     /// Evaluate `expr`, of shape `shape`, over the selection into `out`.
@@ -453,6 +481,14 @@ fn process_chunks(
 
     let (steps, terminal) = (pipeline.steps(), pipeline.terminal());
     let (shapes, step_shapes) = pipeline.shapes.split_last().expect("the terminal's shapes");
+    // One lookup and one read guard per probed table per block.
+    let tables = steps.iter().map(|step| match step {
+        Step::HashJoinProbe { slot, payload_width, .. } => {
+            state.hash_table_of_width(*slot, *payload_width).map(|t| Some(t.read()))
+        }
+        _ => Ok(None),
+    });
+    let tables = tables.collect::<Result<Vec<_>>>()?;
 
     let mut base = 0usize;
     while base < rows {
@@ -462,7 +498,7 @@ fn process_chunks(
 
         // The fused step chain over the chunk.
         let mut width = pipeline.input_width();
-        for (step, shapes) in steps.iter().zip(step_shapes) {
+        for ((step, shapes), table) in steps.iter().zip(step_shapes).zip(&tables) {
             if scratch.sel.is_empty() {
                 break;
             }
@@ -482,28 +518,17 @@ fn process_chunks(
                     scratch.install_dense(mapped, lanes);
                     width = exprs.len();
                 }
-                Step::HashJoinProbe { key, slot, payload_width } => {
-                    let mut keys = std::mem::take(&mut scratch.flags);
-                    scratch.eval(key, &shapes[0], window, &mut keys);
-                    // One read guard per chunk; matches come back in probe
-                    // order — the depth-first order of a per-tuple
-                    // recursion — as (lane, build row) pairs.
-                    let table = state.hash_table_of_width(*slot, *payload_width)?.read();
-                    table.probe_batch(&keys, &mut scratch.matches);
-                    counters.probes += keys.len() as u64;
-                    scratch.flags = keys;
+                Step::HashJoinProbe { key, payload_width, .. } => {
+                    let table = table.as_ref().expect("a probe step's table");
+                    counters.probes += scratch.sel.len() as u64;
+                    scratch.probe(key, &shapes[0], table, window);
                     let matches = std::mem::take(&mut scratch.matches);
                     let (lanes, matched) = (&matches.lanes, &matches.rows);
-                    let fanned = matched.len();
-                    counters.probe_matches += fanned as u64;
+                    counters.probe_matches += matched.len() as u64;
                     if table.unique_keys() {
-                        // At most one match per lane: the registers stay
-                        // where they are, the selection narrows to the
-                        // matched rows and the payload lands at them.
-                        for (m, &l) in lanes.iter().enumerate() {
-                            scratch.sel[m] = scratch.sel[l as usize];
-                        }
-                        scratch.sel.truncate(fanned);
+                        // At most one match per row: the registers stay
+                        // where they are, and the payload lands at the
+                        // narrowed selection.
                         let end = end(&scratch.sel);
                         scratch.reserve_registers(width + payload_width);
                         let payload = &mut scratch.regs[width..width + payload_width];
@@ -515,17 +540,17 @@ fn process_chunks(
                         // A fan-out re-gathers every register densely, the
                         // lazy ones straight from the window.
                         let mut out_cols = scratch.rent_columns(width + payload_width);
-                        let (sel, end) = (&scratch.sel, end(&scratch.sel));
+                        let end = end(&scratch.sel);
                         for (c, out) in out_cols.iter_mut().enumerate() {
                             if c < width {
                                 let s = window.src(Leaf::Reg(c), &scratch.lazy, &scratch.regs);
-                                let rows = lanes.iter().map(|&l| sel[l as usize] as usize);
+                                let rows = lanes.iter().map(|&r| r as usize);
                                 reader!(s, end, at => out.extend(rows.map(at)));
                             } else {
                                 table.gather_payload(c - width, matched, out);
                             }
                         }
-                        scratch.install_dense(out_cols, fanned);
+                        scratch.install_dense(out_cols, matched.len());
                     }
                     scratch.matches = matches;
                     width += payload_width;
@@ -620,7 +645,8 @@ fn process_chunks(
     }
 
     // One shared-state merge per block: the CPU provider's worker-scoped
-    // atomic.
+    // atomic, after the probe guards are released.
+    drop(tables);
     match terminal {
         TerminalStep::Reduce { aggs, slot } => {
             state.accumulators(*slot)?.merge_partials(&partials);
@@ -1335,6 +1361,194 @@ mod tests {
                     (blocks, counters, dump_state(&state))
                 };
                 let case = format!("seed {seed}: {steps:?} -> {terminal:?}, capacity {capacity}");
+                proptest::prop_assert_eq!(run(false), run(true), "{}", case);
+            }
+        }
+    }
+
+    /// The probed key of [`fused_probes_match_the_per_tuple_oracle`]'s
+    /// table, whose keys are `base + i × stride` for `i` in `0..64`: one of
+    /// them, one just outside that span, an `i64` or `i32` edge, or any value.
+    fn probe_key(rng: &mut proptest::TestRng, base: i64, stride: i64) -> i64 {
+        let at = |i: i64| base.wrapping_add(i.wrapping_mul(stride));
+        match rng.below(5) {
+            0 | 1 => at(rng.below(64) as i64),
+            2 => [at(-1), at(64), at(65)][rng.below(3) as usize],
+            3 => EDGES[rng.below(EDGES.len() as u64) as usize],
+            _ => rng.next_u64() as i64,
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(kernel_cases()))]
+
+        /// The fused probe — each key read where it lives, the selection
+        /// narrowed in the same pass, a contiguous pass under the identity
+        /// selection — changes nothing the per-tuple oracle can see. Keys
+        /// come from a lazy `Int32` window, a lazy `Int64` window, a register
+        /// a map made dense, a unique probe's payload, a fan-out's dense
+        /// payload or a tree-walked expression; the selection is the
+        /// identity, sparse after a filter or emptied; the table is
+        /// sealed-direct, sealed-hashed, unsealed or empty, of unique or
+        /// chained keys, probed at its keys, just outside their span (where
+        /// `key − base` wraps) and at the `i64` edges. Blocks, order,
+        /// counters and state are the oracle's for blocks on and around the
+        /// chunk size fed through one context, under every terminal.
+        #[test]
+        fn fused_probes_match_the_per_tuple_oracle(seed in 0u64..u64::MAX) {
+            let mut rng = proptest::TestRng::new(seed);
+            let bases = [
+                i64::MIN,
+                i64::MIN + 1,
+                i32::MIN as i64 - 5,
+                -40,
+                0,
+                i32::MAX as i64 - 30,
+                i64::MAX - 63,
+            ];
+            let base = bases[rng.below(bases.len() as u64) as usize];
+            let (hashed, sealed) = (rng.below(3) == 0, rng.below(4) != 0);
+            let (chained, empty) = (rng.below(3) == 0, rng.below(8) == 0);
+            let stride = if hashed { SPARSE } else { 1 };
+            // The probed table, slot 1: keys 0, 1 and 63 of its span always
+            // land (0 twice when chained), so a direct index spans all 64.
+            let mut tested = Vec::new();
+            for i in 0..64 {
+                let copies = match i {
+                    _ if empty => 0,
+                    0 => 1 + usize::from(chained),
+                    1 | 63 => 1,
+                    _ if rng.below(100) >= 60 => 0,
+                    _ => 1 + if chained { rng.below(3) as usize } else { 0 },
+                };
+                for _ in 0..copies {
+                    let key = base.wrapping_add((i as i64).wrapping_mul(stride));
+                    tested.push((key, vec![rng.below(72) as i64]));
+                }
+            }
+            // The key's source: what comes before the probe, and the key.
+            let source = rng.below(6);
+            // Slot 0: keys 0..100 of input column 2, one or two rows each,
+            // whose payloads are probed keys.
+            let mut prefix = Vec::new();
+            for k in (0..100).filter(|k| k % 5 != 1) {
+                for _ in 0..1 + usize::from(source == 4 && k % 3 == 0) {
+                    prefix.push((k, vec![probe_key(&mut rng, base, stride)]));
+                }
+            }
+            let probe =
+                |slot, key| Step::HashJoinProbe { key, slot: StateSlot(slot), payload_width: 1 };
+            let c = Expr::col;
+            let map = Step::Map { exprs: [0, 1, 2, 3, 1].map(c).to_vec() };
+            let (mut steps, key) = match source {
+                0 => (vec![], c(0)),
+                1 => (vec![], c(1)),
+                2 => (vec![map], c(4)),
+                3 | 4 => (vec![probe(0, c(2))], c(4)),
+                // `(c1 − c2) + c2`, which is `c1` and tree-walked.
+                _ => (vec![], Expr::Add(Box::new(c(1).sub(c(2))), Box::new(c(2)))),
+            };
+            let width = 4 + usize::from(!steps.is_empty());
+            // Every row, a sparse selection, or none.
+            let keep = [None, Some(1 + rng.below(98) as i64), Some(0)];
+            if let Some(keep) = keep[rng.below(3) as usize] {
+                steps.push(Step::Filter { predicate: c(2).lt_lit(keep) });
+            }
+            steps.push(probe(1, key));
+            let int32 = [true, false, rng.below(2) == 0, false];
+            let sizes = [0, 1, 1_023, 1_024, 1_025, 2_900 + rng.below(200) as usize];
+            let inputs: Vec<BlockHandle> = (0..1 + rng.below(3))
+                .map(|b| {
+                    let rows = sizes[rng.below(sizes.len() as u64) as usize];
+                    let columns = (0..4)
+                        .map(|c| {
+                            let values = (0..rows).map(|_| match c {
+                                0 | 1 => probe_key(&mut rng, base, stride),
+                                2 => rng.below(100) as i64,
+                                _ => rng.below(2_000) as i64 - 1_000,
+                            });
+                            if int32[c] {
+                                ColumnData::Int32(values.map(|v| v as i32).collect())
+                            } else {
+                                ColumnData::Int64(values.collect())
+                            }
+                        })
+                        .collect();
+                    let block = Block::new(columns, rows).unwrap();
+                    let mut meta = BlockMeta::new(BlockId::new(0), MemoryNodeId::new(0));
+                    meta.weight = 1.0 + b as f64;
+                    BlockHandle::new(block, meta)
+                })
+                .collect();
+            let capacity = [1, 7, 1_023, 1_024, 4_096][rng.below(5) as usize];
+            let (p, slot) = (Expr::col(width), StateSlot(2));
+            let terminals = vec![
+                TerminalStep::Pack {
+                    exprs: vec![Expr::col(3), p.clone(), Expr::col(0)],
+                    partition_by: None,
+                    partitions: 1,
+                },
+                TerminalStep::Pack {
+                    exprs: vec![Expr::col(3)],
+                    partition_by: Some(p.clone()),
+                    partitions: 5,
+                },
+                TerminalStep::HashJoinBuild {
+                    key: p.clone(),
+                    payload: vec![Expr::col(3), Expr::col(0)],
+                    slot,
+                },
+                TerminalStep::Reduce {
+                    aggs: vec![
+                        AggSpec::sum(Expr::col(3)),
+                        AggSpec::count(),
+                        AggSpec::min(p.clone()),
+                        AggSpec::max(Expr::col(0)),
+                    ],
+                    slot,
+                },
+                TerminalStep::GroupBy {
+                    keys: vec![p.clone(), Expr::col(2)],
+                    aggs: vec![AggSpec::sum(Expr::col(3)), AggSpec::count()],
+                    slot,
+                },
+            ];
+            for terminal in terminals {
+                let pipeline = CompiledPipeline::new(
+                    PipelineId::new(83),
+                    DeviceKind::CpuCore,
+                    4,
+                    steps.clone(),
+                    terminal.clone(),
+                )
+                .unwrap();
+                let run = |per_tuple| {
+                    let mut state = SharedState::new();
+                    let direct = !empty && !hashed;
+                    for (rows, seal, direct) in [(&prefix, true, true), (&tested, sealed, direct)] {
+                        let table = state.add_hash_table(1);
+                        let table = state.hash_table(table).unwrap();
+                        rows.iter().for_each(|(key, payload)| table.insert(*key, payload.clone()));
+                        if seal {
+                            table.seal();
+                            assert_eq!(table.is_direct(), direct);
+                        }
+                    }
+                    match &terminal {
+                        TerminalStep::Reduce { aggs, .. } => state.add_accumulators(aggs),
+                        TerminalStep::GroupBy { aggs, .. } => state.add_group_by(aggs),
+                        TerminalStep::HashJoinBuild { payload, .. } => {
+                            state.add_hash_table(payload.len())
+                        }
+                        TerminalStep::Pack { .. } => slot,
+                    };
+                    let mut ctx = ExecCtx::cpu(MemoryNodeId::new(0), capacity);
+                    let (blocks, counters) =
+                        run_instance(&pipeline, &inputs, &state, &mut ctx, per_tuple);
+                    (blocks, counters, dump_state(&state))
+                };
+                let case =
+                    format!("seed {seed}: {steps:?} -> {terminal:?}, capacity {capacity}");
                 proptest::prop_assert_eq!(run(false), run(true), "{}", case);
             }
         }

@@ -209,6 +209,10 @@ pub struct CompiledPipeline {
     terminal: TerminalStep,
     /// Each expression's kernel, per step and then the terminal: chosen once.
     pub(crate) shapes: Vec<Vec<Shape>>,
+    /// [`Self::work_profile_on`]'s per-tuple transform and terminal ops on
+    /// a CPU core and on a GPU, and its random bytes per probe: summed once.
+    ops: [(f64, f64); 2],
+    probe_random_bytes: f64,
 }
 
 impl CompiledPipeline {
@@ -228,7 +232,17 @@ impl CompiledPipeline {
         }
         terminal.check_width(width)?;
         let shapes = lower_cpu_vec::shapes(&steps, &terminal);
-        Ok(Self { id, device, input_width, steps, terminal, shapes })
+        let ops = [DeviceKind::CpuCore, DeviceKind::Gpu].map(|device| {
+            let transform_ops: f64 = steps.iter().map(|s| s.ops_per_tuple(device)).sum();
+            (transform_ops, terminal.ops_per_tuple(device))
+        });
+        let probe_bytes = steps.iter().filter_map(|s| match s {
+            Step::HashJoinProbe { payload_width, .. } => Some(16.0 + 8.0 * *payload_width as f64),
+            _ => None,
+        });
+        let probe_random_bytes =
+            probe_bytes.clone().sum::<f64>() / probe_bytes.count().max(1) as f64;
+        Ok(Self { id, device, input_width, steps, terminal, shapes, ops, probe_random_bytes })
     }
 
     /// The pipeline's identifier.
@@ -363,18 +377,7 @@ impl CompiledPipeline {
         counters: &BlockCounters,
         weight: f64,
     ) -> WorkProfile {
-        let transform_ops: f64 = self.steps.iter().map(|s| s.ops_per_tuple(device)).sum();
-        let terminal_ops = self.terminal.ops_per_tuple(device);
-        let probe_random_bytes: f64 = self
-            .steps
-            .iter()
-            .map(|s| match s {
-                Step::HashJoinProbe { payload_width, .. } => 16.0 + 8.0 * *payload_width as f64,
-                _ => 0.0,
-            })
-            .sum::<f64>()
-            / self.steps.iter().filter(|s| matches!(s, Step::HashJoinProbe { .. })).count().max(1)
-                as f64;
+        let (transform_ops, terminal_ops) = self.ops[usize::from(device == DeviceKind::Gpu)];
 
         let rows_in = counters.rows_in as f64;
         let rows_terminal = counters.rows_terminal as f64;
@@ -386,7 +389,7 @@ impl CompiledPipeline {
             }
         };
         let ops = dispatch_ops + rows_in * transform_ops + rows_terminal * terminal_ops;
-        let random = counters.probes as f64 * probe_random_bytes
+        let random = counters.probes as f64 * self.probe_random_bytes
             + rows_terminal * self.terminal.random_bytes_per_tuple();
 
         let mut work = WorkProfile::new()

@@ -213,14 +213,13 @@ impl FlatJoin {
 
 /// A hash table built by the build side of an equi-join.
 ///
-/// Builders and probers synchronize per *block* and per *chunk*:
-/// [`Self::insert_batch`] takes the write lock once to append a whole block
-/// of build tuples, and [`Self::read`] hands out a guard under which a whole
-/// chunk of keys is probed. The build stage [`Self::seal`]s the table when
-/// its last worker finishes, which indexes every row at once. Sealing is not
-/// a state the callers must sequence: a read of a table with rows its index
-/// does not cover indexes them first, so a probe may follow an insert at
-/// any time.
+/// Builders and probers synchronize per *block*: [`Self::insert_batch`]
+/// takes the write lock once to append a whole block of build tuples, and
+/// [`Self::read`] hands out a guard under which a whole block of keys is
+/// probed. The build stage [`Self::seal`]s the table when its last worker
+/// finishes, which indexes every row at once. Sealing is not a state the
+/// callers must sequence: a read of a table with rows its index does not
+/// cover indexes them first, so a probe may follow an insert at any time.
 #[derive(Debug)]
 pub struct JoinHashTable {
     payload_width: usize,
@@ -275,7 +274,7 @@ impl JoinHashTable {
         });
     }
 
-    /// A read guard to probe a chunk of keys under, indexing any rows
+    /// A read guard to probe a block of keys under, indexing any rows
     /// appended since the last index first.
     pub fn read(&self) -> JoinProbe<'_> {
         loop {
@@ -333,40 +332,41 @@ impl JoinHashTable {
     }
 }
 
-/// The matches of one [`JoinProbe::probe_batch`], reusable across chunks:
-/// match `m` pairs probe key number `lanes[m]` with build row `rows[m]`.
+/// A probe's matches, reusable across chunks: match `m` pairs probed row
+/// `lanes[m]` with build row `rows[m]`.
 #[derive(Debug, Default)]
 pub struct JoinMatches {
-    /// Each key's chain head while the batch resolves.
-    heads: Vec<u32>,
-    /// Index into the probed keys, ascending.
+    /// The probed row of each match, ascending.
     pub lanes: Vec<u32>,
     /// Matching build row, for [`JoinProbe::gather_payload`].
     pub rows: Vec<u32>,
 }
 
-/// Replace `lanes` and `rows` with `(lane, head)` for every lane whose chain
-/// head is not `NIL`, in lane order: the matches of a table whose chains
-/// all hold one row. The loop writes every lane and advances past the ones
-/// that match, so it has no data-dependent branch.
-fn compact_heads(
-    heads: impl ExactSizeIterator<Item = u32>,
-    lanes: &mut Vec<u32>,
+/// Narrow `sel` to the rows whose key `key(j, sel[j])` has a chain head
+/// (`head`), writing each head to `rows` beside its row: the matches of a
+/// table whose chains all hold one row. The loop writes every row and
+/// advances past the ones that match, so it has no data-dependent branch;
+/// under `IDENTITY` the row is `j` and `sel` is only written.
+fn narrow<const IDENTITY: bool>(
+    sel: &mut Vec<u32>,
     rows: &mut Vec<u32>,
+    key: impl Fn(usize, usize) -> i64,
+    head: impl Fn(i64) -> u32,
 ) {
-    lanes.resize(heads.len(), 0);
-    rows.resize(heads.len(), 0);
-    let mut kept = 0;
-    for (lane, head) in heads.enumerate() {
-        lanes[kept] = lane as u32;
-        rows[kept] = head;
-        kept += usize::from(head != NIL);
+    rows.resize(sel.len(), 0);
+    let (mut kept, lanes, heads) = (0, sel.as_mut_slice(), rows.as_mut_slice());
+    for j in 0..lanes.len() {
+        let r = if IDENTITY { j as u32 } else { lanes[j] };
+        let h = head(key(j, r as usize));
+        lanes[kept] = r;
+        heads[kept] = h;
+        kept += usize::from(h != NIL);
     }
-    lanes.truncate(kept);
+    sel.truncate(kept);
     rows.truncate(kept);
 }
 
-/// Shared read access to a [`JoinHashTable`], held for a chunk of probes.
+/// Shared read access to a [`JoinHashTable`], held for a block of probes.
 pub struct JoinProbe<'a> {
     table: RwLockReadGuard<'a, FlatJoin>,
 }
@@ -385,48 +385,64 @@ impl JoinProbe<'_> {
         matches
     }
 
-    /// Probe a chunk of keys, replacing `matches` with every match in key
-    /// order and then insertion order.
-    ///
-    /// Runs as three passes — hash every key, resolve every chain head, walk
-    /// every chain — so each pass is a short loop of independent loads whose
-    /// cache misses overlap instead of queueing behind one another. A sealed
-    /// table with a direct index skips the hash and resolves each head with
-    /// one bounds check and one load. A table of unique keys has one-row
-    /// chains, so instead of walking them it compacts the heads that are not
-    /// `NIL` without a branch — for a direct index in the same pass that
-    /// resolves them.
+    /// Probe a batch of keys, replacing `matches` with every match in key
+    /// order and then insertion order: `Self::probe_rows` over the rows
+    /// `0..keys.len()`, whose lanes are the keys' indexes.
     pub fn probe_batch(&self, keys: &[i64], matches: &mut JoinMatches) {
+        let mut sel = std::mem::take(&mut matches.lanes);
+        sel.clear();
+        sel.extend(0..keys.len() as u32);
+        self.probe_rows(&mut sel, |j, _| keys[j], matches);
+        if self.unique_keys() {
+            matches.lanes = sel;
+        }
+    }
+
+    /// Probe the key `key(j, sel[j])` of each selected row `sel[j]` in one
+    /// pass that resolves its chain head and emits its matches, in row order
+    /// and then insertion order: against unique keys it narrows `sel` to the
+    /// matched rows and sets `matches.rows` beside them — without reading
+    /// `sel` while it is the identity — otherwise it sets `matches` to every
+    /// `(row, build row)` pair.
+    pub(crate) fn probe_rows(
+        &self,
+        sel: &mut Vec<u32>,
+        key: impl Fn(usize, usize) -> i64,
+        matches: &mut JoinMatches,
+    ) {
         let table = &*self.table;
-        let JoinMatches { heads, lanes, rows } = matches;
-        lanes.clear();
-        rows.clear();
-        if table.rows() == 0 {
-            return;
-        }
-        let unique = self.unique_keys();
-        heads.clear();
-        if let Some((base, direct)) = &table.direct {
-            let resolved = keys.iter().map(|&k| direct_head(*base, direct, k));
-            if unique {
-                return compact_heads(resolved, lanes, rows);
-            }
-            heads.extend(resolved);
+        matches.lanes.clear();
+        matches.rows.clear();
+        if let Some((base, heads)) = &table.direct {
+            self.emit(sel, key, |k| direct_head(*base, heads, k), matches);
+        } else if table.slots.is_empty() {
+            sel.clear();
         } else {
-            heads.extend(keys.iter().map(|&k| table.home(k) as u32));
-            for (head, &key) in heads.iter_mut().zip(keys) {
-                *head = table.slots[table.slot_from(*head as usize, key)].head;
-            }
-            if unique {
-                return compact_heads(heads.iter().copied(), lanes, rows);
-            }
+            self.emit(sel, key, |k| table.slots[table.slot_from(table.home(k), k)].head, matches);
         }
-        for (lane, &head) in heads.iter().enumerate() {
-            let mut row = head;
-            while row != NIL {
-                lanes.push(lane as u32);
-                rows.push(row);
-                row = table.row(row).1;
+    }
+
+    /// [`Self::probe_rows`] with `head` resolving a key's chain head.
+    fn emit(
+        &self,
+        sel: &mut Vec<u32>,
+        key: impl Fn(usize, usize) -> i64,
+        head: impl Fn(i64) -> u32,
+        matches: &mut JoinMatches,
+    ) {
+        let identity = sel.last().map_or(0, |&r| r as usize + 1) == sel.len();
+        match (self.unique_keys(), identity) {
+            (true, true) => narrow::<true>(sel, &mut matches.rows, key, head),
+            (true, false) => narrow::<false>(sel, &mut matches.rows, key, head),
+            (false, _) => {
+                for (j, &r) in sel.iter().enumerate() {
+                    let mut row = head(key(j, r as usize));
+                    while row != NIL {
+                        matches.lanes.push(r);
+                        matches.rows.push(row);
+                        row = self.table.row(row).1;
+                    }
+                }
             }
         }
     }
