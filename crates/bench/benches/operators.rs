@@ -76,7 +76,7 @@ fn bench_pack(c: &mut Criterion) {
             b.iter(|| {
                 let mut ctx = ExecCtx::cpu(MemoryNodeId::new(0), 4096);
                 let mut blocks = pipeline.process_block(&handle, &state, &mut ctx).unwrap().blocks;
-                blocks.extend(pipeline.finalize_instance(&mut ctx).unwrap().blocks);
+                blocks.extend(pipeline.finalize_instance(&state, &mut ctx).unwrap().blocks);
                 blocks
             })
         });

@@ -219,6 +219,15 @@ impl BlockHandle {
         &self.data
     }
 
+    /// The columns only this handle holds, taken out of it — the buffers a
+    /// consumer that is done with the block may reuse. A block or column
+    /// shared with another handle or a table is left to its other holders.
+    /// The staging charge, if any, is released.
+    pub fn into_owned_columns(self) -> Vec<ColumnData> {
+        let Ok(block) = Arc::try_unwrap(self.data) else { return Vec::new() };
+        block.columns.into_iter().filter_map(|column| Arc::try_unwrap(column).ok()).collect()
+    }
+
     /// The shared block pointer (used by mem-move when forwarding without copy).
     pub fn shared(&self) -> Arc<Block> {
         Arc::clone(&self.data)

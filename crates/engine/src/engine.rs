@@ -15,6 +15,7 @@ use hetex_core::{
     parallelize, plan_fingerprint, CostModel, FeedbackCache, HetNode, PlanFeedback, RelNode,
     SlowdownObserver, StageObservation,
 };
+use hetex_jit::state::StateArena;
 use hetex_storage::{Catalog, StoredTable};
 use hetex_topology::{CalibratedConstants, DeviceId, DeviceKind, ServerTopology, SimTime};
 use std::collections::HashMap;
@@ -152,6 +153,10 @@ pub struct Proteus {
     /// `EngineConfig::reopt` enabled. Sessions can inject a different cache
     /// (the `QueryServer` shares one across its whole pool).
     feedback: Arc<FeedbackCache>,
+    /// Engine-lifetime state arena: every query's hash tables, group tables
+    /// and lane buffers take their memory from it and give it back when the
+    /// query ends, so the next query finds it already faulted in.
+    arena: StateArena,
 }
 
 impl Proteus {
@@ -168,6 +173,7 @@ impl Proteus {
             catalog: Catalog::new(),
             probed_constants,
             feedback: Arc::new(FeedbackCache::new()),
+            arena: StateArena::new(),
         }
     }
 
@@ -187,6 +193,11 @@ impl Proteus {
     /// [`QuerySession::reuse_feedback`](crate::session::QuerySession::reuse_feedback).
     pub fn feedback_cache(&self) -> &Arc<FeedbackCache> {
         &self.feedback
+    }
+
+    /// The arena every query's state buffers come from.
+    pub fn state_arena(&self) -> &StateArena {
+        &self.arena
     }
 
     /// The table catalog.
@@ -353,7 +364,8 @@ impl Proteus {
     ) -> Result<QueryOutcome> {
         let het = parallelize(plan, config)?;
         hetex_core::traits::check_relational_requirements(&het)?;
-        let graph = compile(&het, config, topology)?;
+        let mut graph = compile(&het, config, topology)?;
+        graph.state.use_arena(&self.arena);
         Self::verify(&graph, config, topology)?;
         let result = executor.execute(&graph, &self.catalog, config)?;
         Ok(QueryOutcome {
@@ -552,6 +564,37 @@ mod tests {
         // Sorted by key and each key appears 10 times.
         assert!(outcome.rows.windows(2).all(|w| w[0][0] < w[1][0]));
         assert!(outcome.rows.iter().all(|r| r[1] == 10));
+    }
+
+    #[test]
+    fn repeated_queries_take_every_state_buffer_from_the_arena() {
+        // A join and a group-by on one worker, so every run makes the same
+        // requests in the same order: the first run fills the arena, and
+        // from the second on it serves every buffer and keeps the same bytes.
+        let engine = engine_with_table(50_000);
+        let nodes = engine.topology().cpu_memory_nodes();
+        let keys = ColumnData::Int32((0..1000).collect());
+        let payload = ColumnData::Int64((0..1000).map(|k| k * 3).collect());
+        let dim = TableBuilder::new("d").column("k", DataType::Int32, keys);
+        let dim = dim.column("v", DataType::Int64, payload).build(&nodes, 256).unwrap();
+        engine.register_table(dim);
+        let dim = RelNode::scan("d", &["k", "v"]).filter(Expr::col(1).lt_lit(2_400));
+        let plan = RelNode::scan("t", &["a", "b"]).hash_join(dim, 0, 0, &[1]).group_by(
+            &[0],
+            vec![AggSpec::sum(Expr::col(2)), AggSpec::count()],
+            &["a", "sum_v", "cnt"],
+        );
+        let config = EngineConfig::cpu_only(1);
+        let first = engine.session().execute(&plan, &config).unwrap().rows;
+        assert_eq!(first.len(), 800);
+        assert_eq!(first[1], vec![1, 3 * 50, 50]);
+        let (fresh, retained) = engine.state_arena().stats();
+        assert!(fresh > 0 && retained > 0, "the first run fills the arena");
+        for _ in 0..3 {
+            assert_eq!(engine.session().execute(&plan, &config).unwrap().rows, first);
+            assert_eq!(engine.state_arena().stats(), (fresh, retained));
+        }
+        assert!(retained <= hetex_jit::state::STATE_ARENA_BYTES);
     }
 
     #[test]

@@ -152,7 +152,7 @@ impl QueryRun<'_> {
         if !self.failed() {
             match self.emit_stage_results(stage, completion) {
                 Ok((rows, blocks)) => {
-                    if self.graph.stages[stage].is_result && !rows.is_empty() {
+                    if !rows.is_empty() {
                         *self.result_rows.lock() = rows;
                     }
                     if let Some(consumer) = self.graph.wiring.feeds[stage] {

@@ -42,7 +42,7 @@ mod worker;
 use crate::codegen::{StageGraph, StageSource};
 use fault::FaultState;
 use gate::{Gate, StageProgress};
-use hetex_common::{BlockHandle, EngineConfig, HetError, MemoryNodeId, Result};
+use hetex_common::{BlockHandle, ColumnRef, EngineConfig, HetError, MemoryNodeId, Result};
 use hetex_core::cost::{CostModel, SlowdownObserver};
 use hetex_core::mem_move::MemMove;
 use hetex_core::queue::BlockQueue;
@@ -519,7 +519,8 @@ impl<'a> QueryRun<'a> {
     /// Finish a stage's shared state exactly once, on a CPU context: run the
     /// final gather of a reduce/group-by stage (the paper's final
     /// single-instance gather pipeline), or seal a hash-join build's table
-    /// before the gates of its probes open. Returns `(result rows, blocks)`.
+    /// before the gates of its probes open. Returns `(result rows, blocks)`;
+    /// only the result stage's rows are built.
     fn emit_stage_results(
         &self,
         stage: usize,
@@ -533,19 +534,34 @@ impl<'a> QueryRun<'a> {
         let mut ctx = ExecCtx::cpu(node, self.config.block_capacity);
         let state: &SharedState = &self.graph.state;
         let emitted = template.emit_state_results(state, &mut ctx)?;
-        let mut rows = Vec::new();
-        for handle in &emitted.blocks {
-            let block = handle.block();
-            for row in 0..block.rows() {
-                rows.push(block.columns().map(|c| c.get_i64(row).unwrap_or(0)).collect());
-            }
-        }
         let mut blocks = emitted.blocks;
+        let mut rows = Vec::new();
+        if self.graph.stages[stage].is_result {
+            rows = rows_of(&blocks);
+        }
+        if self.graph.wiring.feeds[stage].is_none() {
+            blocks.drain(..).for_each(|b| state.arena().recycle(b));
+        }
         for b in &mut blocks {
             b.meta_mut().ready_at_ns = completion.as_nanos();
         }
         Ok((rows, blocks))
     }
+}
+
+/// The rows of state result `blocks` (`Int64` columns), in order, built
+/// column by column with each row allocated once, at its width.
+fn rows_of(blocks: &[BlockHandle]) -> Vec<Vec<i64>> {
+    let mut rows: Vec<Vec<i64>> = Vec::with_capacity(blocks.iter().map(BlockHandle::rows).sum());
+    for block in blocks.iter().map(BlockHandle::block) {
+        let start = rows.len();
+        rows.resize_with(start + block.rows(), || Vec::with_capacity(block.width()));
+        for column in block.columns() {
+            let ColumnRef::Int64(values) = column else { unreachable!("state results are i64") };
+            rows[start..].iter_mut().zip(values).for_each(|(row, &v)| row.push(v));
+        }
+    }
+    rows
 }
 
 /// The tasks of one execution, indexed like `QueryRun::wakers`; a finished
@@ -1220,6 +1236,27 @@ mod tests {
         assert!(faulted.recovered_blocks > 0, "nothing was taken over");
         assert_eq!(healthy.stage_rows, vec![(50_000, 0)]);
         assert_eq!(faulted.stage_rows, healthy.stage_rows);
+    }
+
+    #[test]
+    fn a_takeover_mid_group_by_merges_the_lost_lanes_partials_once() {
+        // The lost lane folds its first block into its group partials before
+        // the abort; the takeover merges them into the shared table once,
+        // beside the survivor's, so every group counts each row once.
+        let topology = ServerTopology::paper_server();
+        let plan = FaultPlan::new().abort_device(topology.gpus()[1], SimTime::from_nanos(1));
+        let config =
+            EngineConfig::gpu_only(2).with_steal_policy(hetex_common::StealPolicy::Disabled);
+        let aggs = vec![AggSpec::sum(Expr::col(1)), AggSpec::count()];
+        let rel = RelNode::scan("fact", &["key", "value"]).group_by(&[0], aggs, &["s", "n"]);
+        let faulted = run_faulted(&topology, &plan, &config, &rel, 50_000).unwrap();
+        let healthy = run_faulted(&topology, &FaultPlan::new(), &config, &rel, 50_000).unwrap();
+        assert!(faulted.recovered_blocks > 0, "nothing was taken over");
+        let group = |k: i64| (0..50_000).filter(|i| i % 100 == k).collect::<Vec<i64>>();
+        let expected: Vec<Vec<i64>> =
+            (0..100).map(|k| vec![k, group(k).iter().sum(), group(k).len() as i64]).collect();
+        assert_eq!(healthy.rows, expected);
+        assert_eq!(faulted.rows, healthy.rows, "recovery must be byte-identical");
     }
 
     #[test]

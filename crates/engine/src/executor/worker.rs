@@ -115,7 +115,7 @@ impl<'r> Lane<'r> {
             profile: run.exec.topology.device(device)?.clone(),
             clock: run.device_clocks.get(&device).expect("device clock exists").clone(),
             pipeline: routing.stage.template(kind).clone(),
-            ctx,
+            ctx: ctx.with_arena(run.graph.state.arena()),
             stats: DeviceKindStats::default(),
             last_end,
         })
@@ -160,7 +160,8 @@ impl<'r> Lane<'r> {
         // consumed block's staging bytes are free the moment processing
         // ends — and a lane that holds no lease while it waits on a
         // downstream acquisition cannot be part of a hold-and-wait cycle.
-        drop(block);
+        // Its buffers go back to the state arena for the next pack.
+        run.graph.state.arena().recycle(block);
         self.emit(out.blocks, end, outbox);
         Ok(busy)
     }
@@ -173,9 +174,11 @@ impl<'r> Lane<'r> {
         }
     }
 
-    /// The lane's partially filled packed outputs, taken out of its context.
+    /// The lane's partially filled packed outputs, taken out of its context,
+    /// and its group-by partials, merged into the shared table: once per
+    /// lane, whether the lane finishes or is taken over.
     pub(super) fn take_packed(&mut self) -> Result<PipelineOutput> {
-        self.pipeline.finalize_instance(&mut self.ctx)
+        self.pipeline.finalize_instance(&self.run.graph.state, &mut self.ctx)
     }
 
     /// Charge a finalize pass's work to this lane after its latest work and

@@ -290,34 +290,43 @@ fn binary_batch<F: Fn(i64, i64) -> i64>(
     pool.release(rhs);
 }
 
-/// A pool of reusable `i64` column buffers for chunk-local scratch.
+/// A pool of reusable buffers: `i64` columns for chunk-local scratch, and
+/// one size class of the engine's [`crate::state::StateArena`].
 ///
 /// Batch evaluation of a nested expression needs one buffer per concurrently
 /// live operand; the pool hands buffers out and takes them back so the
 /// steady-state chunk loop performs no heap allocation at all (buffers grow
 /// to the chunk size once and are reused for as long as the pool lives —
 /// the chunk kernel's lives as long as its pipeline instance).
-#[derive(Debug, Default)]
-pub struct ScratchPool {
-    free: Vec<Vec<i64>>,
+#[derive(Debug)]
+pub struct ScratchPool<T = i64> {
+    free: Vec<Vec<T>>,
 }
 
-impl ScratchPool {
-    /// An empty pool.
-    pub fn new() -> Self {
-        Self::default()
+impl<T> Default for ScratchPool<T> {
+    fn default() -> Self {
+        Self { free: Vec::new() }
     }
+}
 
+impl<T> ScratchPool<T> {
     /// Rent a buffer (empty, but with whatever capacity it last grew to).
-    pub fn acquire(&mut self) -> Vec<i64> {
+    pub fn acquire(&mut self) -> Vec<T> {
         let mut buf = self.free.pop().unwrap_or_default();
         buf.clear();
         buf
     }
 
     /// Return a buffer to the pool.
-    pub fn release(&mut self, buf: Vec<i64>) {
+    pub fn release(&mut self, buf: Vec<T>) {
         self.free.push(buf);
+    }
+}
+
+impl ScratchPool {
+    /// An empty pool.
+    pub fn new() -> Self {
+        Self::default()
     }
 }
 

@@ -178,7 +178,7 @@ pub(crate) fn process_block(
         }
         TerminalStep::GroupBy { slot, .. } => {
             if !local_groups.is_empty() {
-                state.group_by(*slot)?.merge_batch(&local_groups);
+                state.group_by(*slot)?.absorb(&mut local_groups);
                 counters.atomics += 1;
             }
         }
@@ -332,7 +332,7 @@ mod tests {
         let a: Vec<i64> = (0..100).collect();
         let b: Vec<i64> = (0..100).map(|i| i * 2).collect();
         let (mut blocks, _) = process_block(&pipeline, &block_of(a, b), &state, &mut ctx).unwrap();
-        blocks.extend(pipeline.finalize_instance(&mut ctx).unwrap().blocks);
+        blocks.extend(pipeline.finalize_instance(&state, &mut ctx).unwrap().blocks);
         let total_rows: usize = blocks.iter().map(BlockHandle::rows).sum();
         assert_eq!(total_rows, 100);
         // Every block is tagged and hash-homogeneous.

@@ -27,8 +27,9 @@
 //!   state merged into shared state once per *block* (the CPU provider's
 //!   worker-scoped atomic): a reduce folds its values straight from their
 //!   columns, a hash build appends its keys and payload for one insert per
-//!   block, a pack appends column runs — or each lane to its partition —
-//!   to the instance's open output blocks.
+//!   block, a group-by folds into the instance's partials (merged once, by
+//!   `finalize_instance`), a pack appends column runs — or each lane to its
+//!   partition — to the instance's open output blocks.
 //!
 //! The scratch ([`VecScratch`]) lives in the instance's [`ExecCtx`], so every
 //! chunk of every block reuses the same buffers. Row order is the depth-first
@@ -81,8 +82,8 @@ pub(crate) struct VecScratch {
     sets: Vec<Vec<Vec<i64>>>,
     /// A hash build's keys and payload columns, appended chunk by chunk and
     /// inserted once per block.
-    build_keys: Vec<i64>,
-    build_payload: Vec<Vec<i64>>,
+    pub(crate) build_keys: Vec<i64>,
+    pub(crate) build_payload: Vec<Vec<i64>>,
 }
 
 /// The input rows of the current chunk: `columns[..][base..base + len]`.
@@ -460,19 +461,25 @@ fn process_chunks(
     };
 
     // Block-local terminal state, merged into shared state once per block
-    // (the CPU provider's worker-scoped atomic). The group table, the build
-    // buffers and the open pack blocks live in the context or the scratch:
-    // cleared or carried over, not reallocated, per block.
+    // (the CPU provider's worker-scoped atomic); the group partials gather
+    // every block of the instance. The group table, the build buffers and
+    // the open pack blocks live in the context or the scratch: cleared or
+    // carried over, not reallocated, per block.
     let mut partials = Vec::new();
     match pipeline.terminal() {
         TerminalStep::Reduce { aggs, .. } => {
             partials.extend(aggs.iter().map(|a| a.func.identity()))
         }
-        TerminalStep::GroupBy { keys, aggs, .. } => ctx.local_groups.reset(keys.len(), aggs),
+        TerminalStep::GroupBy { keys, aggs, .. } if ctx.local_groups.is_empty() => {
+            ctx.local_groups.reset(keys.len(), aggs)
+        }
         TerminalStep::HashJoinBuild { payload, .. } => {
-            scratch.build_keys.clear();
             scratch.build_payload.resize_with(payload.len(), Vec::new);
-            scratch.build_payload.iter_mut().for_each(Vec::clear);
+            let arena = &ctx.arena;
+            for buf in std::iter::once(&mut scratch.build_keys).chain(&mut scratch.build_payload) {
+                buf.clear();
+                arena.reserve(buf, rows);
+            }
         }
         _ => {}
     }
@@ -645,19 +652,15 @@ fn process_chunks(
     }
 
     // One shared-state merge per block: the CPU provider's worker-scoped
-    // atomic, after the probe guards are released.
+    // atomic, after the probe guards are released; a group-by's is charged
+    // here and made by `finalize_instance`.
     drop(tables);
     match terminal {
         TerminalStep::Reduce { aggs, slot } => {
             state.accumulators(*slot)?.merge_partials(&partials);
             counters.atomics += aggs.len() as u64;
         }
-        TerminalStep::GroupBy { slot, .. } => {
-            if !ctx.local_groups.is_empty() {
-                state.group_by(*slot)?.merge_batch(&ctx.local_groups);
-                counters.atomics += 1;
-            }
-        }
+        TerminalStep::GroupBy { .. } => counters.atomics += u64::from(counters.rows_terminal > 0),
         TerminalStep::HashJoinBuild { payload, slot, .. } => {
             let (keys, payload_cols) = (&scratch.build_keys, &scratch.build_payload);
             state.hash_table_of_width(*slot, payload.len())?.insert_batch(keys, payload_cols);
@@ -708,7 +711,7 @@ mod tests {
             } else {
                 crate::lower_cpu::process_block(&pipeline, &block, &state, &mut ctx).unwrap()
             };
-            let tail = pipeline.finalize_instance(&mut ctx).unwrap();
+            let tail = pipeline.finalize_instance(&state, &mut ctx).unwrap();
             blocks.extend(tail.blocks);
             (state, blocks, counters)
         };
@@ -782,7 +785,7 @@ mod tests {
             let handle = BlockHandle::new(block, meta.clone());
             let (mut out, counters) =
                 process_block(&pipeline, &handle, &SharedState::new(), &mut ctx).unwrap();
-            out.extend(pipeline.finalize_instance(&mut ctx).unwrap().blocks);
+            out.extend(pipeline.finalize_instance(&SharedState::new(), &mut ctx).unwrap().blocks);
             let cols: Vec<Vec<Option<i64>>> = out
                 .iter()
                 .flat_map(|h| {
@@ -1049,7 +1052,7 @@ mod tests {
             blocks.extend(out);
             counters.push(c);
         }
-        let tail = pipeline.finalize_instance(ctx).unwrap();
+        let tail = pipeline.finalize_instance(state, ctx).unwrap();
         blocks.extend(tail.blocks);
         counters.push(tail.counters);
         (dump(&blocks), counters)
@@ -1712,7 +1715,7 @@ mod tests {
                     let mut reused = ctx_for(device);
                     let state = mk_state(terminal);
                     pipeline.process_block(&a, &state, &mut reused).unwrap();
-                    pipeline.finalize_instance(&mut reused).unwrap();
+                    pipeline.finalize_instance(&state, &mut reused).unwrap();
                     let seen = observe(&pipeline, &b, &mut reused);
                     assert_eq!(
                         seen,

@@ -178,7 +178,7 @@ mod tests {
         let b: Vec<i64> = (0..2000).map(|i| i + 1).collect();
         let mut ctx = gpu_ctx(128);
         let mut out = pipeline.process_block(&block_of(a, b), &state, &mut ctx).unwrap();
-        out.blocks.extend(pipeline.finalize_instance(&mut ctx).unwrap().blocks);
+        out.blocks.extend(pipeline.finalize_instance(&state, &mut ctx).unwrap().blocks);
         let rows: usize = out.blocks.iter().map(BlockHandle::rows).sum();
         assert_eq!(rows, 500);
         // Every emitted row satisfies the filter and keeps b = a + 1.
@@ -210,6 +210,9 @@ mod tests {
         let b: Vec<i64> = (0..10_000).collect();
         let mut ctx = gpu_ctx(1024);
         pipeline.process_block(&block_of(a, b), &state, &mut ctx).unwrap();
+        // The instance's partials reach the shared table when it finishes.
+        assert!(state.group_by(slot).unwrap().is_empty());
+        pipeline.finalize_instance(&state, &mut ctx).unwrap();
         let groups = state.group_by(slot).unwrap().snapshot();
         assert_eq!(groups.len(), 7);
         for (key, values) in groups {
@@ -308,7 +311,7 @@ mod tests {
             counters.merge(&out.counters);
             per_block.push(out.counters);
         }
-        let tail = pipeline.finalize_instance(&mut ctx).unwrap();
+        let tail = pipeline.finalize_instance(&state, &mut ctx).unwrap();
         blocks.extend(tail.blocks);
         counters.merge(&tail.counters);
         let blocks = blocks
@@ -490,7 +493,7 @@ mod tests {
         let mut ctx = gpu_ctx(4096);
         let block = int_block(vec![ids.clone(), keys.clone()]);
         let mut out = pack.process_block(&block, &state, &mut ctx).unwrap().blocks;
-        out.extend(pack.finalize_instance(&mut ctx).unwrap().blocks);
+        out.extend(pack.finalize_instance(&state, &mut ctx).unwrap().blocks);
         let packed: Vec<i64> = out
             .iter()
             .flat_map(|h| (0..h.rows()).map(|r| h.block().column(0).unwrap().get_i64(r).unwrap()))

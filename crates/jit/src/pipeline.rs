@@ -16,7 +16,7 @@
 use crate::ir::{Step, TerminalStep};
 use crate::lower_cpu_vec::{self, Shape, VecScratch, VEC_CHUNK};
 use crate::lower_gpu;
-use crate::state::{FlatGroups, SharedState};
+use crate::state::{FlatGroups, SharedState, StateArena};
 use hetex_common::{
     Block, BlockHandle, BlockId, BlockMeta, ColumnData, HetError, MemoryNodeId, PipelineId, Result,
 };
@@ -83,7 +83,8 @@ pub(crate) struct OpenBlock {
 
 /// Per-instance execution context: which device the instance runs on, where
 /// its outputs live, the partially filled output blocks of the pack terminal
-/// (flushed by `finalize_instance`), and the kernel's reusable scratch.
+/// and the group-by partials (both flushed by `finalize_instance`), and the
+/// kernel's reusable scratch.
 #[derive(Debug)]
 pub struct ExecCtx {
     /// The device kind this instance runs on.
@@ -101,8 +102,9 @@ pub struct ExecCtx {
     /// so it — and the downstream routing order it decides — is the same in
     /// every process.
     pub(crate) open_blocks: Vec<OpenBlock>,
-    /// The chunk kernel's block-local group-by partials: cleared per block,
-    /// so their allocations last as long as the instance.
+    /// The chunk kernel's group-by partials: they gather every block of the
+    /// instance and merge into the shared table once, in
+    /// `finalize_instance`.
     pub(crate) local_groups: FlatGroups,
     /// The chunk kernel's registers, selection, probe matches and buffer
     /// pool, reused by every chunk of every block of the instance.
@@ -110,6 +112,22 @@ pub struct ExecCtx {
     /// Weight inherited by produced blocks (set from the last input block).
     pub(crate) current_weight: f64,
     next_block_id: usize,
+    /// Where the build buffers and the unpartitioned pack's output columns
+    /// come from; the build buffers and any empty output column go back
+    /// when the context drops.
+    pub(crate) arena: StateArena,
+}
+
+impl Drop for ExecCtx {
+    fn drop(&mut self) {
+        let scratch = &mut self.scratch;
+        let open = self.open_blocks.iter_mut().flat_map(|b| &mut b.columns);
+        for buf in
+            std::iter::once(&mut scratch.build_keys).chain(&mut scratch.build_payload).chain(open)
+        {
+            self.arena.give(std::mem::take(buf));
+        }
+    }
 }
 
 impl ExecCtx {
@@ -126,18 +144,25 @@ impl ExecCtx {
             scratch: VecScratch::default(),
             current_weight: 1.0,
             next_block_id: 0,
+            arena: StateArena::default(),
         }
     }
 
     /// A GPU execution context bound to a simulated device.
     pub fn gpu(device: Arc<GpuDevice>, out_capacity: usize) -> Self {
-        let out_node = device.memory_node();
-        Self {
-            device: DeviceKind::Gpu,
-            gpu: Some(device),
-            launch_config: LaunchConfig::default_for_device(),
-            ..Self::cpu(out_node, out_capacity)
-        }
+        let mut ctx = Self::cpu(device.memory_node(), out_capacity);
+        ctx.device = DeviceKind::Gpu;
+        ctx.gpu = Some(device);
+        ctx.launch_config = LaunchConfig::default_for_device();
+        ctx
+    }
+
+    /// Take the group partials, the build buffers and the unpartitioned
+    /// pack's output columns from `arena`, and give them back to it.
+    pub fn with_arena(mut self, arena: &StateArena) -> Self {
+        self.local_groups.use_arena(arena);
+        self.arena = arena.clone();
+        self
     }
 
     /// Allocate the next output block id for this instance.
@@ -148,7 +173,8 @@ impl ExecCtx {
     }
 
     /// For a pack terminal, open an output block for each partition that has
-    /// none yet (one when unpartitioned).
+    /// none yet (one when unpartitioned, whose columns come from the arena
+    /// with room for a whole block).
     pub(crate) fn open_pack(&mut self, terminal: &TerminalStep) {
         let TerminalStep::Pack { exprs, partition_by, partitions } = terminal else {
             return;
@@ -160,6 +186,11 @@ impl ExecCtx {
         for block in &mut self.open_blocks {
             block.columns.resize_with(exprs.len(), Vec::new);
         }
+        if partition_by.is_none() {
+            for column in self.open_blocks[0].columns.iter_mut().filter(|c| c.capacity() == 0) {
+                *column = self.arena.take(self.out_capacity);
+            }
+        }
     }
 
     /// Emit partition `p`'s open block, which has reached the output
@@ -170,13 +201,10 @@ impl ExecCtx {
         tag: Option<usize>,
         counters: &mut BlockCounters,
     ) -> Result<BlockHandle> {
-        let open = &mut self.open_blocks[p];
+        let (open, arena) = (&mut self.open_blocks[p], &self.arena);
         let rows = std::mem::take(&mut open.rows);
-        let columns = open
-            .columns
-            .iter_mut()
-            .map(|c| std::mem::replace(c, Vec::with_capacity(rows)))
-            .collect();
+        let columns =
+            open.columns.iter_mut().map(|c| std::mem::replace(c, arena.take(rows))).collect();
         self.build_block(columns, rows, tag, counters)
     }
 
@@ -306,8 +334,19 @@ impl CompiledPipeline {
     }
 
     /// Flush this instance's partially filled pack outputs, in ascending
-    /// partition order.
-    pub fn finalize_instance(&self, ctx: &mut ExecCtx) -> Result<PipelineOutput> {
+    /// partition order, and merge its group-by partials into `state`'s
+    /// table. The merge is the host's: the model charged its atomic per
+    /// block, so it adds no work.
+    pub fn finalize_instance(
+        &self,
+        state: &SharedState,
+        ctx: &mut ExecCtx,
+    ) -> Result<PipelineOutput> {
+        if let TerminalStep::GroupBy { slot, .. } = &self.terminal {
+            if !ctx.local_groups.is_empty() {
+                state.group_by(*slot)?.absorb(&mut ctx.local_groups);
+            }
+        }
         let mut blocks = Vec::new();
         let mut counters = BlockCounters::default();
         let tagged = matches!(&self.terminal, TerminalStep::Pack { partition_by: Some(_), .. });
@@ -315,6 +354,8 @@ impl CompiledPipeline {
             if open.rows > 0 {
                 let tag = tagged.then_some(p);
                 blocks.push(ctx.build_block(open.columns, open.rows, tag, &mut counters)?);
+            } else {
+                open.columns.into_iter().for_each(|c| ctx.arena.give(c));
             }
         }
         let work = self.work_profile(&counters, ctx.current_weight);
@@ -558,7 +599,7 @@ mod tests {
                     .blocks
                     .is_empty());
             }
-            let tail = pack.finalize_instance(&mut ctx).unwrap().blocks;
+            let tail = pack.finalize_instance(&state, &mut ctx).unwrap().blocks;
             tail.iter()
                 .map(|h| {
                     let cols: Vec<Vec<i64>> = (0..2)

@@ -6,26 +6,30 @@
 //! place where the lack of global cache coherence matters. We keep state in
 //! host memory protected by device-scoped atomics / short critical sections;
 //! the *cost* of those synchronizations is what the cost model charges (one
-//! atomic per CPU block, one per GPU warp), mirroring how the paper minimizes
-//! global atomics with neighborhood reductions.
+//! atomic per CPU block that reaches the terminal, one per GPU warp),
+//! mirroring how the paper minimizes global atomics with neighborhood
+//! reductions. The model prices the paper's per-block flush even though the
+//! host merges a lane's group-by partials once, when the lane finishes, so
+//! simulated time does not depend on how the host batches its merges.
 //!
 //! Both hash structures are *flat*: one contiguous, fixed-stride `i64` arena
-//! indexed by a power-of-two open-addressing slot array (linear probing, at
-//! most half full, indexed by the top bits of [`hash_i64`]). There is no
-//! per-row heap object, so a group-by result leaves as columns gathered from
-//! the arena in key order, and dropping a table is a handful of frees
-//! however many rows it holds. A join table's build only appends, a block
-//! of rows at a time; its index is built once, when the build finishes (or
-//! on the first read after an insert), sized for every row: a direct
-//! `key − min` array of chain heads for a dense key range, the slot array
-//! otherwise. A table of unique keys is probed without walking chains.
+//! indexed directly by key when the keys' span is short, and otherwise by a
+//! power-of-two open-addressing slot array (linear probing, at most half
+//! full, indexed by the top bits of [`hash_i64`]). There is no per-row heap
+//! object, so a group-by result leaves as columns gathered from the arena in
+//! key order, and dropping a table gives a handful of buffers back to the
+//! [`StateArena`] however many rows it holds. A join table's build only
+//! appends, a block of rows at a time; its index is built once, when the
+//! build finishes (or on the first read after an insert), sized for every
+//! row. A table of unique keys is probed without walking chains.
 //! DESIGN.md, "Hash state layout", has the full picture.
 
-use crate::expr::hash_i64;
+use crate::expr::{hash_i64, ScratchPool};
 use crate::ir::{AggFunc, AggSpec, StateSlot};
-use hetex_common::{HetError, Result};
+use hetex_common::{BlockHandle, ColumnData, HetError, Result};
 use hetex_gpu_sim::DeviceAtomicI64;
 use parking_lot::{Mutex, RwLock, RwLockReadGuard};
+use std::sync::Arc;
 
 /// "No row" / "no group": the empty-slot marker and the end of a match chain.
 const NIL: u32 = u32::MAX;
@@ -38,6 +42,126 @@ const MIN_SLOTS: usize = 16;
 /// when it is larger than the slot array: 32 Ki `u32` heads are 128 KiB,
 /// half the per-core L2 of the paper's Xeon E5-2650L v3.
 pub const DIRECT_FLOOR: usize = 32 * 1024;
+
+/// Packed key span up to which a group table indexes its keys directly:
+/// 64 Ki `u32` group ids are 256 KiB, the per-core L2 of the paper's Xeon
+/// E5-2650L v3 (a join seal's [`DIRECT_FLOOR`] budget is half of it).
+pub const GROUP_DIRECT_SPAN: usize = 64 * 1024;
+
+/// Bytes a [`StateArena`] keeps between queries: about three times the
+/// ≈ 22 MB a 500k-row join grouped on a key of 64 Ki values leaves in it.
+pub const STATE_ARENA_BYTES: usize = 64 << 20;
+
+/// A [`StateArena`]'s pools: per element type, one [`ScratchPool`] per size
+/// class (class `k` holds capacities in `2^k .. 2^(k+1)`); then the bytes
+/// they hold and the count of fresh allocations.
+#[derive(Debug, Default)]
+pub(crate) struct Pools(Classes<i64>, Classes<u32>, Classes<JoinSlot>, usize, u64);
+
+type Classes<T> = Vec<ScratchPool<T>>;
+
+/// An element type a [`StateArena`] pools.
+pub(crate) trait Pooled: Copy {
+    fn classes(pools: &mut Pools) -> &mut Classes<Self>;
+}
+
+macro_rules! pooled {
+    ($($t:ty => $at:tt),*) => {$(impl Pooled for $t {
+        fn classes(pools: &mut Pools) -> &mut Classes<Self> { &mut pools.$at }
+    })*};
+}
+pooled!(i64 => 0, u32 => 1, JoinSlot => 2);
+
+/// Where query state gets its buffers: the engine-owned arena of §4.3's
+/// memory managers, recycling what one query's state leaves to the next.
+///
+/// A detached arena (the default) allocates and frees like plain `Vec`s.
+/// An engine's arena ([`Self::new`]) is shared by its queries: the join and
+/// group tables take their keys, rows and indexes from it, a lane its group
+/// partials, build buffers and pack columns, and each gives them back when
+/// it drops (a consumed block's columns come back with [`Self::recycle`]),
+/// so a stream of queries stops faulting in the same memory. A request for
+/// `n` values gets a pooled buffer of the smallest size class whose buffers
+/// all hold `n`, or a fresh one of capacity `next_pow2(n)`; the pool keeps
+/// at most [`STATE_ARENA_BYTES`].
+#[derive(Debug, Clone, Default)]
+pub struct StateArena(Option<Arc<Mutex<Pools>>>);
+
+impl StateArena {
+    /// An arena that keeps buffers between the queries sharing it.
+    pub fn new() -> Self {
+        Self(Some(Arc::default()))
+    }
+
+    /// Buffers allocated afresh so far, and the bytes the pool keeps (both
+    /// zero when detached).
+    pub fn stats(&self) -> (u64, usize) {
+        self.0.as_ref().map_or((0, 0), |pools| {
+            let pools = pools.lock();
+            (pools.4, pools.3)
+        })
+    }
+
+    /// An empty buffer with room for `n` values.
+    pub(crate) fn take<T: Pooled>(&self, n: usize) -> Vec<T> {
+        let Some(pools) = self.0.as_ref().filter(|_| n > 0) else { return Vec::with_capacity(n) };
+        let mut pools = pools.lock();
+        let fits = n.next_power_of_two().ilog2() as usize;
+        let classes = T::classes(&mut pools).iter_mut().skip(fits);
+        if let Some(buf) = classes.map(ScratchPool::acquire).find(|buf| buf.capacity() > 0) {
+            pools.3 -= buf.capacity() * std::mem::size_of::<T>();
+            return buf;
+        }
+        pools.4 += 1;
+        Vec::with_capacity(n.next_power_of_two())
+    }
+
+    /// `n` copies of `value`, in a buffer from the arena.
+    fn filled<T: Pooled>(&self, n: usize, value: T) -> Vec<T> {
+        let mut buf = self.take(n);
+        buf.resize(n, value);
+        buf
+    }
+
+    /// Give a buffer back: kept while the pool stays within its budget.
+    pub(crate) fn give<T: Pooled>(&self, buf: Vec<T>) {
+        let Some(pools) = self.0.as_ref().filter(|_| buf.capacity() > 0) else { return };
+        let mut pools = pools.lock();
+        let (bytes, class) = (buf.capacity() * std::mem::size_of::<T>(), buf.capacity().ilog2());
+        if pools.3 + bytes <= STATE_ARENA_BYTES {
+            let classes = T::classes(&mut pools);
+            classes.resize_with(classes.len().max(class as usize + 1), ScratchPool::default);
+            classes[class as usize].release(buf);
+            pools.3 += bytes;
+        }
+    }
+
+    /// Give back the `i64` columns only `block` holds, once its consumer is
+    /// done with it.
+    pub fn recycle(&self, block: BlockHandle) {
+        for column in block.into_owned_columns() {
+            if let ColumnData::Int64(values) = column {
+                self.give(values);
+            }
+        }
+    }
+
+    /// Make room for `additional` more values in `buf`: a full buffer moves
+    /// to one from the arena at least twice its capacity, and the old one
+    /// goes back.
+    pub(crate) fn reserve<T: Pooled>(&self, buf: &mut Vec<T>, additional: usize) {
+        let need = buf.len() + additional;
+        if need <= buf.capacity() {
+            return;
+        }
+        if self.0.is_none() {
+            return buf.reserve(additional);
+        }
+        let mut grown = self.take(need.max(2 * buf.capacity()));
+        grown.extend_from_slice(buf);
+        self.give(std::mem::replace(buf, grown));
+    }
+}
 
 /// Shift that maps a 63-bit [`hash_i64`] value to the top bits indexing
 /// `slots` (a power of two) slots.
@@ -77,6 +201,7 @@ const EMPTY_JOIN_SLOT: JoinSlot = JoinSlot { key: 0, head: NIL };
 /// the smallest key and, at `key − min`, each key's chain head (`NIL` for a
 /// key it lacks), when the keys fit a short range, and the hashed `slots`
 /// otherwise. The index and `distinct` cover the first `indexed` rows.
+/// Every buffer comes from, and goes back to, `pool`.
 #[derive(Debug, Default)]
 struct FlatJoin {
     width: usize,
@@ -87,6 +212,15 @@ struct FlatJoin {
     slots: Vec<JoinSlot>,
     shift: u32,
     direct: Option<(i64, Vec<u32>)>,
+    pool: StateArena,
+}
+
+impl Drop for FlatJoin {
+    fn drop(&mut self) {
+        self.drop_index();
+        self.pool.give(std::mem::take(&mut self.keys));
+        self.pool.give(std::mem::take(&mut self.arena));
+    }
 }
 
 /// `key`'s chain head in the direct index `heads` of keys from `base` on:
@@ -101,6 +235,14 @@ fn direct_head(base: i64, heads: &[u32], key: i64) -> u32 {
 }
 
 impl FlatJoin {
+    /// Give the index's buffers back to the pool.
+    fn drop_index(&mut self) {
+        self.pool.give(std::mem::take(&mut self.slots));
+        if let Some((_, heads)) = self.direct.take() {
+            self.pool.give(heads);
+        }
+    }
+
     fn stride(&self) -> usize {
         self.width + 1
     }
@@ -132,9 +274,9 @@ impl FlatJoin {
         let span = i128::from(max) - i128::from(min) + 1;
         let (stride, width) = (self.stride(), self.width);
         self.distinct = 0;
+        self.drop_index();
         if span <= (4 * len).max(DIRECT_FLOOR) as i128 {
-            self.slots = Vec::new();
-            let mut heads = vec![NIL; span as usize];
+            let mut heads = self.pool.filled(span as usize, NIL);
             for (r, &key) in self.keys.iter().enumerate().rev() {
                 let head = &mut heads[key.wrapping_sub(min) as u64 as usize];
                 self.distinct += usize::from(*head == NIL);
@@ -143,8 +285,7 @@ impl FlatJoin {
             }
             self.direct = Some((min, heads));
         } else {
-            self.direct = None;
-            self.slots = vec![EMPTY_JOIN_SLOT; len];
+            self.slots = self.pool.filled(len, EMPTY_JOIN_SLOT);
             self.shift = shift_for(len);
             for r in (0..self.rows()).rev() {
                 let key = self.keys[r];
@@ -197,9 +338,11 @@ impl FlatJoin {
     /// Nothing is hashed or linked until the next [`Self::seal`].
     fn insert_batch(&mut self, keys: &[i64], write_payload: impl FnOnce(&mut [i64])) {
         next_index(self.rows() + keys.len());
+        self.pool.reserve(&mut self.keys, keys.len());
         self.keys.extend_from_slice(keys);
-        let start = self.arena.len();
-        self.arena.resize(start + keys.len() * self.stride(), i64::from(NIL));
+        let (start, cells) = (self.arena.len(), keys.len() * self.stride());
+        self.pool.reserve(&mut self.arena, cells);
+        self.arena.resize(start + cells, i64::from(NIL));
         write_payload(&mut self.arena[start..]);
     }
 
@@ -229,10 +372,14 @@ pub struct JoinHashTable {
 impl JoinHashTable {
     /// An empty hash table whose rows carry `payload_width` payload columns.
     pub fn new(payload_width: usize) -> Self {
-        Self {
-            payload_width,
-            table: RwLock::new(FlatJoin { width: payload_width, ..FlatJoin::default() }),
-        }
+        Self::in_arena(payload_width, StateArena::default())
+    }
+
+    /// An empty hash table whose buffers come from `arena`.
+    pub fn in_arena(payload_width: usize, arena: StateArena) -> Self {
+        let mut table = FlatJoin::default();
+        (table.width, table.pool) = (payload_width, arena);
+        Self { payload_width, table: RwLock::new(table) }
     }
 
     /// Payload columns per build row.
@@ -529,24 +676,44 @@ impl Accumulators {
     }
 }
 
-/// A flat, unsynchronized group table: the block- / thread-local partials of
-/// every lowering, and (behind a mutex) the body of [`GroupByTable`].
+/// A flat, unsynchronized group table: a lane's partials, and (behind a
+/// mutex) the body of [`GroupByTable`].
 ///
 /// Group `g` occupies `arena[g * stride .. (g + 1) * stride]` with
 /// `stride = key_arity + funcs.len()`: its key columns, then one accumulator
-/// per aggregate. Slots hold group indexes, so groups keep their
-/// first-insertion order and growing moves no row.
+/// per aggregate, in first-insertion order. While the keys' packed span —
+/// the product over the key columns of each one's observed `min..=max` — is
+/// at most [`GROUP_DIRECT_SPAN`], the table is direct: column `c` covers
+/// `lo[c] .. lo[c] + width[c]`, a key's offset is its row-major position in
+/// that box (column 0 most significant) and `index[offset]` its group — no
+/// hash, no key compare, and ascending offsets are ascending keys. A key
+/// outside the box re-indexes every group over a wider one. A key past the
+/// cap turns the table hashed for good: `index` is then a slot array of
+/// group indexes, probed linearly from the top bits of the key's hash.
+/// Buffers come from, and go back to, `pool`.
 #[derive(Debug, Default)]
 pub struct FlatGroups {
     key_arity: usize,
     funcs: Vec<AggFunc>,
-    slots: Vec<u32>,
+    lo: Vec<i64>,
+    width: Vec<u64>,
+    index: Vec<u32>,
+    hashed: bool,
     shift: u32,
     groups: usize,
     arena: Vec<i64>,
-    /// Per-lane scratch of [`Self::accumulate_batch`].
-    hashes: Vec<i64>,
+    /// [`Self::accumulate_batch`]'s offsets and groups, one per lane.
     ids: Vec<u32>,
+    pool: StateArena,
+}
+
+impl Drop for FlatGroups {
+    fn drop(&mut self) {
+        for buf in [&mut self.index, &mut self.ids] {
+            self.pool.give(std::mem::take(buf));
+        }
+        self.pool.give(std::mem::take(&mut self.arena));
+    }
 }
 
 impl FlatGroups {
@@ -557,14 +724,25 @@ impl FlatGroups {
         table
     }
 
+    /// Take buffers from `arena` from now on, and give them back to it.
+    pub fn use_arena(&mut self, arena: &StateArena) {
+        self.pool = arena.clone();
+    }
+
     /// Empty the table and give it a new shape, keeping its allocations.
     pub fn reset(&mut self, key_arity: usize, aggs: &[AggSpec]) {
-        self.slots.fill(NIL);
-        self.arena.clear();
-        self.groups = 0;
-        self.key_arity = key_arity;
         self.funcs.clear();
         self.funcs.extend(aggs.iter().map(|a| a.func));
+        self.clear(key_arity);
+    }
+
+    /// Empty the table for keys of `key_arity` columns, keeping its
+    /// aggregates and allocations. It starts direct.
+    pub(crate) fn clear(&mut self, key_arity: usize) {
+        self.key_arity = key_arity;
+        (self.hashed, self.groups) = (false, 0);
+        self.index.clear();
+        self.arena.clear();
     }
 
     /// Number of groups.
@@ -577,6 +755,11 @@ impl FlatGroups {
         self.groups == 0
     }
 
+    /// True while keys are indexed directly rather than hashed.
+    pub fn is_direct(&self) -> bool {
+        !self.hashed
+    }
+
     /// Every `(key, accumulators)` pair, in first-insertion order.
     pub fn iter(&self) -> impl Iterator<Item = (&[i64], &[i64])> {
         let stride = self.stride();
@@ -587,57 +770,70 @@ impl FlatGroups {
     /// the key is new.
     pub fn entry(&mut self, key: &[i64]) -> &mut [i64] {
         assert_eq!(key.len(), self.key_arity, "group key does not match the table's arity");
-        let hash = hash_key(key);
-        let group = self.upsert(hash, |c| key[c]);
+        let group = self.group_of(&|c| key[c]);
         let stride = self.stride();
         &mut self.arena[group * stride..][self.key_arity..stride]
     }
 
     /// Fold a chunk of tuples into their groups: tuple `j` has key
     /// `key_cols[..][j]` and feeds `agg_cols[i][j]` to aggregate `i`, for
-    /// `j < lanes`. Hashes the whole chunk, then resolves every group, then
-    /// updates one aggregate column at a time.
+    /// `j < lanes`. Resolves every group, then updates one aggregate column
+    /// at a time.
     pub fn accumulate_batch(&mut self, key_cols: &[Vec<i64>], agg_cols: &[Vec<i64>], lanes: usize) {
         assert_eq!(key_cols.len(), self.key_arity, "group key does not match the table's arity");
         assert_eq!(agg_cols.len(), self.funcs.len(), "one input column per aggregate");
-        let mut hashes = std::mem::take(&mut self.hashes);
         let mut ids = std::mem::take(&mut self.ids);
-        hashes.clear();
-        hashes.resize(lanes, 0);
-        for col in key_cols {
-            for (h, &k) in hashes.iter_mut().zip(&col[..lanes]) {
-                *h = hash_i64(*h ^ k);
+        ids.clear();
+        self.pool.reserve(&mut ids, lanes);
+        if lanes > 0 {
+            self.cover(key_cols.iter().map(|col| bounds_of(&col[..lanes])));
+        }
+        if self.hashed {
+            ids.extend((0..lanes).map(|j| self.group_of(&|c| key_cols[c][j]) as u32));
+        } else {
+            // The box holds every key: pack the offsets a column at a time.
+            ids.resize(lanes, 0);
+            for (c, col) in key_cols.iter().enumerate() {
+                let (lo, width) = (self.lo[c], self.width[c] as u32);
+                for (off, &k) in ids.iter_mut().zip(&col[..lanes]) {
+                    *off = *off * width + k.wrapping_sub(lo) as u32;
+                }
+            }
+            for (j, id) in ids.iter_mut().enumerate() {
+                let off = *id as usize;
+                *id = self.index[off];
+                if *id == NIL {
+                    *id = self.append(&|c| key_cols[c][j]) as u32;
+                    self.index[off] = *id;
+                }
             }
         }
-        ids.clear();
-        ids.extend(
-            hashes.iter().enumerate().map(|(j, &h)| self.upsert(h, |c| key_cols[c][j]) as u32),
-        );
         let stride = self.stride();
         for (i, col) in agg_cols.iter().enumerate() {
-            let func = self.funcs[i];
-            let offset = self.key_arity + i;
+            let (func, offset) = (self.funcs[i], self.key_arity + i);
             for (&g, &v) in ids.iter().zip(&col[..lanes]) {
                 let acc = &mut self.arena[g as usize * stride + offset];
                 *acc = func.accumulate(*acc, v);
             }
         }
-        self.hashes = hashes;
         self.ids = ids;
     }
 
     /// Merge another table's partial accumulators into this one. An empty
-    /// table with no shape yet adopts `other`'s key arity.
+    /// table adopts `other`'s key arity.
     pub fn merge_from(&mut self, other: &FlatGroups) {
         if self.groups == 0 {
-            self.key_arity = other.key_arity;
+            self.clear(other.key_arity);
         }
         assert_eq!(self.key_arity, other.key_arity, "merging group tables of different arity");
         assert_eq!(self.funcs, other.funcs, "merging group tables of different aggregates");
         let stride = self.stride();
+        if !other.is_empty() {
+            let column = |c| other.arena.iter().skip(c).step_by(stride);
+            self.cover((0..self.key_arity).map(|c| bounds_of(column(c))));
+        }
         for (key, partials) in other.iter() {
-            let hash = hash_key(key);
-            let group = self.upsert(hash, |c| key[c]);
+            let group = self.group_of(&|c| key[c]);
             let accs = &mut self.arena[group * stride..][self.key_arity..stride];
             for ((func, acc), partial) in self.funcs.iter().zip(accs).zip(partials) {
                 *acc = func.merge(*acc, *partial);
@@ -647,25 +843,35 @@ impl FlatGroups {
 
     /// Every group as columns — the key columns, then one column per
     /// aggregate — with rows in ascending key order (lexicographic over the
-    /// key columns). Keys are distinct, so that order is total: an unstable
-    /// sort of group indexes by their key cells finds it, and each column is
-    /// then gathered straight from the arena. The sort runs over contiguous
+    /// key columns). A direct table's index is already in that order. A
+    /// hashed one sorts its group indexes by their key cells, which are
+    /// distinct, so the order is total; the sort runs over contiguous
     /// `(first key cell, group)` pairs and reads the rest of a key from the
     /// arena only to break a tie on its first cell.
     pub fn sorted_columns(&self) -> Vec<Vec<i64>> {
         let stride = self.stride();
-        let key = |g: u32| &self.arena[g as usize * stride..][..self.key_arity];
-        let mut order: Vec<(i64, u32)> =
-            (0..self.groups as u32).map(|g| (key(g).first().copied().unwrap_or(0), g)).collect();
-        order.sort_unstable_by(|a, b| a.0.cmp(&b.0).then_with(|| key(a.1).cmp(key(b.1))));
+        let order: Vec<u32> = if self.hashed {
+            let key = |g: u32| &self.arena[g as usize * stride..][..self.key_arity];
+            let mut order: Vec<(i64, u32)> = (0..self.groups as u32)
+                .map(|g| (key(g).first().copied().unwrap_or(0), g))
+                .collect();
+            order.sort_unstable_by(|a, b| a.0.cmp(&b.0).then_with(|| key(a.1).cmp(key(b.1))));
+            order.into_iter().map(|(_, g)| g).collect()
+        } else {
+            self.index.iter().copied().filter(|&g| g != NIL).collect()
+        };
         (0..stride)
-            .map(|c| order.iter().map(|&(_, g)| self.arena[g as usize * stride + c]).collect())
+            .map(|c| {
+                let mut column = self.pool.take(order.len());
+                column.extend(order.iter().map(|&g| self.arena[g as usize * stride + c]));
+                column
+            })
             .collect()
     }
 
-    /// Bytes the table holds (slot array plus group arena, at capacity).
+    /// Bytes the table holds (index plus group arena, at capacity).
     pub fn approx_bytes(&self) -> u64 {
-        (self.slots.capacity() * std::mem::size_of::<u32>()
+        (self.index.capacity() * std::mem::size_of::<u32>()
             + self.arena.capacity() * std::mem::size_of::<i64>()) as u64
     }
 
@@ -673,23 +879,105 @@ impl FlatGroups {
         self.key_arity + self.funcs.len()
     }
 
+    /// The group of the key `key_at(0..key_arity)`, appended with identity
+    /// accumulators if it is new.
+    fn group_of(&mut self, key_at: &impl Fn(usize) -> i64) -> usize {
+        self.cover((0..self.key_arity).map(|c| (key_at(c), key_at(c))));
+        if self.hashed {
+            let hash = (0..self.key_arity).fold(0, |h, c| hash_i64(h ^ key_at(c)));
+            return self.upsert(hash, key_at);
+        }
+        let off = self.offset(key_at);
+        if self.index[off] == NIL {
+            self.index[off] = self.append(key_at) as u32;
+        }
+        self.index[off] as usize
+    }
+
+    /// The offset in the direct index of a key it covers.
+    fn offset(&self, key_at: impl Fn(usize) -> i64) -> usize {
+        let packed = |off, c| off * self.width[c] + key_at(c).wrapping_sub(self.lo[c]) as u64;
+        (0..self.key_arity).fold(0, packed) as usize
+    }
+
+    /// Make a direct table cover the keys whose column `c` lies in the
+    /// `c`-th of `bounds`: widen its box if they fall outside.
+    fn cover(&mut self, bounds: impl Iterator<Item = (i64, i64)> + Clone) {
+        let inside = |((&lo, &width), (min, max)): ((&i64, &u64), (i64, i64))| {
+            (min.wrapping_sub(lo) as u64) < width && (max.wrapping_sub(lo) as u64) < width
+        };
+        let boxed = self.lo.iter().zip(&self.width);
+        if !self.hashed && (self.index.is_empty() || !boxed.zip(bounds.clone()).all(inside)) {
+            self.widen(bounds);
+        }
+    }
+
+    /// Re-index every group over a box that covers each column's observed
+    /// `min..=max` over the stored keys and `bounds`: centred on it, twice as
+    /// wide or as much wider as [`GROUP_DIRECT_SPAN`] allows. If the observed
+    /// span itself is past the cap, the table turns hashed for good.
+    #[cold]
+    fn widen(&mut self, bounds: impl Iterator<Item = (i64, i64)>) {
+        let stride = self.stride();
+        let mut seen: Vec<(i64, i64)> = bounds.collect();
+        for row in self.arena.chunks_exact(stride.max(1)) {
+            for (range, &k) in seen.iter_mut().zip(row) {
+                *range = (range.0.min(k), range.1.max(k));
+            }
+        }
+        let span = |&(lo, hi): &(i64, i64)| (i128::from(hi) - i128::from(lo) + 1) as f64;
+        let (cells, cap) =
+            (|r: &[(i64, i64)]| r.iter().map(span).product::<f64>(), GROUP_DIRECT_SPAN as f64);
+        if cells(&seen) > cap {
+            self.hashed = true;
+            return self.rehash();
+        }
+        let factor = (cap / cells(&seen)).powf(1.0 / seen.len().max(1) as f64).min(2.0);
+        let roomy: Vec<(i64, i64)> = seen
+            .iter()
+            .map(|range| {
+                let width = (span(range) * factor) as i128;
+                let lo = i128::from(range.0) - (width - span(range) as i128) / 2;
+                let lo = lo.clamp(i64::MIN.into(), i128::from(i64::MAX) - width + 1);
+                (lo as i64, (lo + width - 1) as i64)
+            })
+            .collect();
+        let ranges = if cells(&roomy) <= cap { roomy } else { seen };
+        self.lo = ranges.iter().map(|r| r.0).collect();
+        self.width = ranges.iter().map(|r| span(r) as u64).collect();
+        self.pool.give(std::mem::take(&mut self.index));
+        self.index = self.pool.filled(cells(&ranges) as usize, NIL);
+        for g in 0..self.groups {
+            let off = self.offset(|c| self.arena[g * stride + c]);
+            self.index[off] = g as u32;
+        }
+    }
+
+    /// Append a group of key `key_at(..)` with identity accumulators.
+    fn append(&mut self, key_at: &impl Fn(usize) -> i64) -> usize {
+        let (group, stride) = (next_index(self.groups) as usize, self.stride());
+        self.pool.reserve(&mut self.arena, stride);
+        self.arena.extend((0..self.key_arity).map(key_at));
+        self.arena.extend(self.funcs.iter().map(|f| f.identity()));
+        self.groups += 1;
+        group
+    }
+
     /// Index of the group whose key columns are `key_at(0..key_arity)` and
     /// hash to `hash`, appending it with identity accumulators if it is new.
-    fn upsert(&mut self, hash: i64, key_at: impl Fn(usize) -> i64) -> usize {
-        if (self.groups + 1) * 2 > self.slots.len() {
-            self.grow();
+    fn upsert(&mut self, hash: i64, key_at: &impl Fn(usize) -> i64) -> usize {
+        if (self.groups + 1) * 2 > self.index.len() {
+            self.rehash();
         }
-        let mask = self.slots.len() - 1;
+        let mask = self.index.len() - 1;
         let stride = self.stride();
         let mut i = (hash as u64 >> self.shift) as usize;
         loop {
-            let group = self.slots[i];
+            let group = self.index[i];
             if group == NIL {
-                self.slots[i] = next_index(self.groups);
-                self.groups += 1;
-                self.arena.extend((0..self.key_arity).map(&key_at));
-                self.arena.extend(self.funcs.iter().map(|f| f.identity()));
-                return self.groups - 1;
+                let group = self.append(key_at);
+                self.index[i] = group as u32;
+                return group;
             }
             let stored = &self.arena[group as usize * stride..][..self.key_arity];
             if stored.iter().enumerate().all(|(c, &k)| k == key_at(c)) {
@@ -699,23 +987,28 @@ impl FlatGroups {
         }
     }
 
-    /// Double the slot array, re-deriving each group's hash from its key.
-    fn grow(&mut self) {
-        let len = (self.slots.len() * 2).max(MIN_SLOTS);
-        self.slots.clear();
-        self.slots.resize(len, NIL);
+    /// Re-index every group in slots for one more at most half full,
+    /// re-deriving each group's hash from its key.
+    fn rehash(&mut self) {
+        let len = (2 * (self.groups + 1)).next_power_of_two().max(MIN_SLOTS);
+        self.pool.give(std::mem::take(&mut self.index));
+        self.index = self.pool.filled(len, NIL);
         self.shift = shift_for(len);
         let stride = self.stride();
         for group in 0..self.groups {
             let key = &self.arena[group * stride..][..self.key_arity];
-            let hash = hash_key(key);
-            let mut i = (hash as u64 >> self.shift) as usize;
-            while self.slots[i] != NIL {
+            let mut i = (hash_key(key) as u64 >> self.shift) as usize;
+            while self.index[i] != NIL {
                 i = (i + 1) & (len - 1);
             }
-            self.slots[i] = group as u32;
+            self.index[i] = group as u32;
         }
     }
+}
+
+/// The `(min, max)` of `keys`; `(MAX, MIN)` when there are none.
+fn bounds_of<'a>(keys: impl IntoIterator<Item = &'a i64>) -> (i64, i64) {
+    keys.into_iter().fold((i64::MAX, i64::MIN), |(lo, hi), &k| (lo.min(k), hi.max(k)))
 }
 
 /// A grouped aggregation table.
@@ -729,16 +1022,34 @@ impl GroupByTable {
     /// A table whose values follow `aggs`. Its key arity is that of the first
     /// partials merged into it.
     pub fn new(aggs: &[AggSpec]) -> Self {
-        Self {
-            funcs: aggs.iter().map(|a| a.func).collect(),
-            groups: Mutex::new(FlatGroups::new(0, aggs)),
-        }
+        Self::in_arena(aggs, &StateArena::default())
     }
 
-    /// Merge a block's / warp's local partials under one critical section —
-    /// the granularity at which the generated code synchronizes.
-    pub fn merge_batch(&self, partials: &FlatGroups) {
-        self.groups.lock().merge_from(partials);
+    /// A table whose values follow `aggs` and whose buffers come from
+    /// `arena`.
+    pub fn in_arena(aggs: &[AggSpec], arena: &StateArena) -> Self {
+        let mut groups = FlatGroups::new(0, aggs);
+        groups.use_arena(arena);
+        Self { funcs: aggs.iter().map(|a| a.func).collect(), groups: Mutex::new(groups) }
+    }
+
+    /// Merge a lane's partials, leaving `partials` empty: into an empty
+    /// table they move whole, with no per-group work. The chunk kernel
+    /// merges each lane's once, when the lane finishes.
+    pub fn absorb(&self, partials: &mut FlatGroups) {
+        let mut groups = self.groups.lock();
+        if groups.is_empty() && groups.funcs == partials.funcs {
+            std::mem::swap(&mut *groups, partials);
+        } else {
+            groups.merge_from(partials);
+        }
+        let key_arity = partials.key_arity;
+        partials.clear(key_arity);
+    }
+
+    /// True while the table indexes its keys directly.
+    pub fn is_direct(&self) -> bool {
+        self.groups.lock().is_direct()
     }
 
     /// Number of groups.
@@ -795,16 +1106,36 @@ pub enum StateObject {
     GroupBy(GroupByTable),
 }
 
-/// All state objects of one query.
+/// All state objects of one query, and the arena their buffers and their
+/// lanes' come from.
 #[derive(Debug, Default)]
 pub struct SharedState {
     slots: Vec<StateObject>,
+    arena: StateArena,
 }
 
 impl SharedState {
     /// An empty state set.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Take every table's buffers, and those of the lanes that run against
+    /// this state, from `arena`.
+    pub fn use_arena(&mut self, arena: &StateArena) {
+        self.arena = arena.clone();
+        for object in &mut self.slots {
+            match object {
+                StateObject::HashTable(table) => table.table.get_mut().pool = arena.clone(),
+                StateObject::GroupBy(table) => table.groups.get_mut().use_arena(arena),
+                StateObject::Accumulators(_) => {}
+            }
+        }
+    }
+
+    /// The arena this state's buffers come from.
+    pub fn arena(&self) -> &StateArena {
+        &self.arena
     }
 
     /// Add a state object, returning its slot.
@@ -815,7 +1146,10 @@ impl SharedState {
 
     /// Add a join hash table whose payloads have `payload_width` columns.
     pub fn add_hash_table(&mut self, payload_width: usize) -> StateSlot {
-        self.push(StateObject::HashTable(JoinHashTable::new(payload_width)))
+        self.push(StateObject::HashTable(JoinHashTable::in_arena(
+            payload_width,
+            self.arena.clone(),
+        )))
     }
 
     /// Add accumulators for `aggs`.
@@ -825,7 +1159,7 @@ impl SharedState {
 
     /// Add a group-by table for `aggs`.
     pub fn add_group_by(&mut self, aggs: &[AggSpec]) -> StateSlot {
-        self.push(StateObject::GroupBy(GroupByTable::new(aggs)))
+        self.push(StateObject::GroupBy(GroupByTable::in_arena(aggs, &self.arena)))
     }
 
     /// Number of slots.
@@ -1012,8 +1346,8 @@ mod tests {
             }
             local
         };
-        g.merge_batch(&partials(&[([1997, 1], [100, 10]), ([1998, 1], [50, 5])]));
-        g.merge_batch(&partials(&[([1997, 1], [25, 99])]));
+        g.absorb(&mut partials(&[([1997, 1], [100, 10]), ([1998, 1], [50, 5])]));
+        g.absorb(&mut partials(&[([1997, 1], [25, 99])]));
         assert_eq!(g.len(), 2);
         let rows = g.snapshot();
         assert_eq!(rows[0], (vec![1997, 1], vec![125, 99]));

@@ -9,7 +9,9 @@
 //! (default 24); CI's release job raises it.
 
 use hetex_common::{MemoryNodeId, PipelineId};
-use hetex_jit::state::{FlatGroups, GroupByTable, JoinHashTable, JoinMatches, DIRECT_FLOOR};
+use hetex_jit::state::{
+    FlatGroups, GroupByTable, JoinHashTable, JoinMatches, DIRECT_FLOOR, GROUP_DIRECT_SPAN,
+};
 use hetex_jit::{
     AggFunc, AggSpec, CompiledPipeline, ExecCtx, Expr, SharedState, StateSlot, TerminalStep,
 };
@@ -208,6 +210,47 @@ fn group_by_pipeline(arity: usize, aggs: &[AggSpec], slot: StateSlot) -> Compile
     let keys = (0..arity).map(Expr::col).collect();
     let terminal = TerminalStep::GroupBy { keys, aggs: aggs.to_vec(), slot };
     CompiledPipeline::new(PipelineId::new(1), DeviceKind::CpuCore, arity, vec![], terminal).unwrap()
+}
+
+/// Column spans of a group key of `arity` columns whose packed span is
+/// exactly [`GROUP_DIRECT_SPAN`], or — `past` — its last column one wider,
+/// which takes the product past it.
+fn group_spans(arity: usize, past: bool) -> Vec<u64> {
+    let mut spans = match arity {
+        1 => vec![GROUP_DIRECT_SPAN as u64],
+        2 => vec![256, 256],
+        _ => vec![64, 32, 32],
+    };
+    *spans.last_mut().unwrap() += u64::from(past);
+    spans
+}
+
+/// A group table's sorted columns as `(key, values)` rows.
+fn group_rows(columns: Vec<Vec<i64>>, arity: usize) -> Vec<(Vec<i64>, Vec<i64>)> {
+    let rows = columns.first().map_or(0, Vec::len);
+    let (keys, values) = columns.split_at(arity);
+    let row = |cols: &[Vec<i64>], r: usize| cols.iter().map(|c| c[r]).collect();
+    (0..rows).map(|r| (row(keys, r), row(values, r))).collect()
+}
+
+/// Fold `tuples` into `table` in chunks of `chunk`: whole chunks through
+/// `accumulate_batch` and tuple by tuple through `entry`, alternately.
+fn fold_groups(table: &mut FlatGroups, aggs: &[AggSpec], tuples: &[(Vec<i64>, i64)], chunk: usize) {
+    for (i, part) in tuples.chunks(chunk).enumerate() {
+        if i % 2 == 0 {
+            let arity = part[0].0.len();
+            let keys: Vec<Vec<i64>> =
+                (0..arity).map(|c| part.iter().map(|(k, _)| k[c]).collect()).collect();
+            let values: Vec<i64> = part.iter().map(|&(_, v)| v).collect();
+            table.accumulate_batch(&keys, &vec![values; aggs.len()], part.len());
+        } else {
+            for (key, value) in part {
+                for (acc, agg) in table.entry(key).iter_mut().zip(aggs) {
+                    *acc = agg.func.accumulate(*acc, *value);
+                }
+            }
+        }
+    }
 }
 
 #[test]
@@ -491,7 +534,7 @@ proptest! {
 
         let mut state = SharedState::new();
         let slot = state.add_group_by(&aggs);
-        state.group_by(slot).unwrap().merge_batch(&local);
+        state.group_by(slot).unwrap().absorb(&mut local);
         prop_assert_eq!(&state.group_by(slot).unwrap().snapshot(), &pairs);
         let out = group_by_pipeline(arity, &aggs, slot)
             .emit_state_results(&state, &mut ExecCtx::cpu(MemoryNodeId::new(0), 64))
@@ -691,7 +734,7 @@ proptest! {
                     }
                 }
             }
-            shared.merge_batch(&local);
+            shared.absorb(&mut local);
             for (j, &t) in batch.iter().enumerate() {
                 let accs = model
                     .entry(key_row(t))
@@ -705,6 +748,90 @@ proptest! {
         prop_assert_eq!(shared.is_empty(), model.is_empty());
         prop_assert_eq!(shared.funcs(), &[AggFunc::Sum, AggFunc::Count, AggFunc::Min, AggFunc::Max][..]);
         let expected: Vec<(Vec<i64>, Vec<i64>)> = model.into_iter().collect();
+        prop_assert_eq!(shared.snapshot(), expected);
+    }
+
+    /// A group table indexes its keys directly exactly while their packed
+    /// span is within [`GROUP_DIRECT_SPAN`], and direct, hashed and merged
+    /// tables all fold like the per-tuple model. Keys fill a window at the
+    /// bottom or top of `i64` or across zero, whose packed span is the cap
+    /// or one past it, over one to three columns; they arrive as drawn, in
+    /// ascending order (the box grows up) or descending (its base moves
+    /// down), with the window's corners among them. The hashed table is the
+    /// same input behind one far key.
+    #[test]
+    fn direct_and_hashed_group_tables_fold_like_the_per_tuple_model(
+        draws in vec(0..u64::MAX, 1..1_500),
+        arity in 1usize..4,
+        at in 0u8..3,
+        past in 0u8..2,
+        order in 0u8..3,
+        chunk in 1usize..700,
+    ) {
+        let aggs = vec![
+            AggSpec::sum(Expr::col(0)),
+            AggSpec::count(),
+            AggSpec::min(Expr::col(0)),
+            AggSpec::max(Expr::col(0)),
+        ];
+        let past = past == 1;
+        let spans = group_spans(arity, past);
+        let bases: Vec<i64> = spans.iter().map(|&span| window_base(at, span)).collect();
+        let key = |offsets: &dyn Fn(usize) -> u64| -> Vec<i64> {
+            (0..arity).map(|c| bases[c].wrapping_add((offsets(c) % spans[c]) as i64)).collect()
+        };
+        let mut keys: Vec<Vec<i64>> =
+            draws.iter().map(|&r| key(&|c| r >> (21 * c))).collect();
+        keys.push(key(&|_| 0));
+        keys.push(key(&|c| spans[c] - 1));
+        let offset = |k: &Vec<i64>| -> Vec<u64> {
+            k.iter().zip(&bases).map(|(&k, &b)| k.wrapping_sub(b) as u64).collect()
+        };
+        match order {
+            1 => keys.sort_by_key(offset),
+            2 => keys.sort_by_key(|k| std::cmp::Reverse(offset(k))),
+            _ => {}
+        }
+        let value = |row: usize| (row as i64 - 900).wrapping_mul(0x0100_0000_0000_0001);
+        let tuples: Vec<(Vec<i64>, i64)> =
+            keys.into_iter().enumerate().map(|(row, k)| (k, value(row))).collect();
+
+        let mut model: BTreeMap<Vec<i64>, Vec<i64>> = BTreeMap::new();
+        for (key, v) in &tuples {
+            let accs = model
+                .entry(key.clone())
+                .or_insert_with(|| aggs.iter().map(|a| a.func.identity()).collect());
+            for (acc, agg) in accs.iter_mut().zip(&aggs) {
+                *acc = agg.func.accumulate(*acc, *v);
+            }
+        }
+        let expected: Vec<(Vec<i64>, Vec<i64>)> = model.into_iter().collect();
+
+        let mut direct = FlatGroups::new(arity, &aggs);
+        fold_groups(&mut direct, &aggs, &tuples, chunk);
+        prop_assert_eq!(direct.is_direct(), !past);
+        prop_assert_eq!(&group_rows(direct.sorted_columns(), arity), &expected);
+
+        let far: Vec<i64> = bases.iter().map(|b| b.wrapping_add(1 << 40)).collect();
+        let mut hashed = FlatGroups::new(arity, &aggs);
+        hashed.entry(&far);
+        fold_groups(&mut hashed, &aggs, &tuples, chunk);
+        prop_assert!(!hashed.is_direct());
+        let mut rows = group_rows(hashed.sorted_columns(), arity);
+        rows.retain(|(k, _)| *k != far);
+        prop_assert_eq!(&rows, &expected);
+
+        // Two lanes' partials: the first moves into the empty shared
+        // table, the second merges into it.
+        let shared = GroupByTable::new(&aggs);
+        let (first, second) = tuples.split_at(tuples.len() / 2);
+        for lane in [second, first] {
+            let mut partials = FlatGroups::new(arity, &aggs);
+            fold_groups(&mut partials, &aggs, lane, chunk);
+            shared.absorb(&mut partials);
+            prop_assert!(partials.is_empty());
+        }
+        prop_assert_eq!(shared.is_direct(), !past);
         prop_assert_eq!(shared.snapshot(), expected);
     }
 }

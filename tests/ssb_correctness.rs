@@ -5,10 +5,13 @@
 use hetexchange::baselines::{DbmsC, DbmsG};
 use hetexchange::common::config::DataPlacement;
 use hetexchange::common::EngineConfig;
+use hetexchange::common::{ColumnData, DataType};
+use hetexchange::core_ops::RelNode;
 use hetexchange::core_ops::{compile, parallelize, StageSource};
-use hetexchange::engine::{reference_execute, Proteus};
+use hetexchange::engine::{reference_execute, Executor, Proteus};
+use hetexchange::jit::{AggSpec, Expr, StateObject, StateSlot};
 use hetexchange::ssb::{all_queries, SsbGenerator};
-use hetexchange::storage::Catalog;
+use hetexchange::storage::{Catalog, TableBuilder};
 use std::sync::Arc;
 
 fn generator() -> SsbGenerator {
@@ -78,6 +81,56 @@ fn ssb_fact_stages_compile_to_specialised_shapes_only() {
             }
             assert!(templates > 0, "{} on {:?} has no lineorder stage", query.name, config.target);
         }
+    }
+}
+
+/// Whether each group table of `plan` indexed its keys directly, after one
+/// execution on `engine`'s catalog.
+fn group_tables_direct(engine: &Proteus, plan: &RelNode, config: &EngineConfig) -> Vec<bool> {
+    let het = parallelize(plan, config).expect("parallelize");
+    let graph = compile(&het, config, engine.topology()).expect("compile");
+    let executor = Executor::new(Arc::clone(engine.topology()));
+    executor.execute(&graph, engine.catalog(), config).expect("execute");
+    let objects = (0..graph.state.len()).filter_map(|i| graph.state.object(StateSlot(i)));
+    objects
+        .filter_map(|o| if let StateObject::GroupBy(t) = o { Some(t.is_direct()) } else { None })
+        .collect()
+}
+
+/// SSB Q2.1's `(d_year, p_brand1)` key and a 64 Ki-value key behind a join
+/// (the shape of the ruler's `join_groupby`) are indexed directly; a key one
+/// value wider than `GROUP_DIRECT_SPAN` falls back to hashed slots.
+#[test]
+fn group_keys_within_the_direct_span_skip_the_hash() {
+    let engine = Proteus::on_paper_server();
+    let dataset =
+        generator().generate(&engine.topology().cpu_memory_nodes()).expect("generate SSB");
+    dataset.register_into(engine.catalog());
+    let config = EngineConfig::cpu_only(2);
+    let q2_1 = hetexchange::ssb::query_by_name(&dataset, "Q2.1").unwrap();
+    assert_eq!(group_tables_direct(&engine, &q2_1.plan, &config), vec![true]);
+
+    let nodes = engine.topology().cpu_memory_nodes();
+    let rows = 70_000;
+    let dim = TableBuilder::new("dim")
+        .column("k", DataType::Int32, ColumnData::Int32((0..100).collect()))
+        .column("attr", DataType::Int32, ColumnData::Int32((0..100).map(|k| k % 7).collect()));
+    engine.register_table(dim.build(&nodes, 4_096).unwrap());
+    for (name, span, direct) in [("fact", 64 * 1024, true), ("wide", 64 * 1024 + 1, false)] {
+        let fact = TableBuilder::new(name)
+            .column("key", DataType::Int32, ColumnData::Int32((0..rows).map(|i| i % 100).collect()))
+            .column(
+                "grp",
+                DataType::Int32,
+                ColumnData::Int32((0..rows).map(|i| i % span).collect()),
+            )
+            .column("value", DataType::Int64, ColumnData::Int64((0..i64::from(rows)).collect()));
+        engine.register_table(fact.build(&nodes, 8_192).unwrap());
+        let dim = RelNode::scan("dim", &["k", "attr"]).filter(Expr::col(1).lt_lit(3));
+        let plan = RelNode::scan(name, &["key", "grp", "value"])
+            .hash_join(dim, 0, 0, &[1])
+            .group_by(&[1], vec![AggSpec::sum(Expr::col(2)), AggSpec::count()], &["sum_v", "cnt"]);
+        assert_eq!(group_tables_direct(&engine, &plan, &config), vec![direct], "{name}");
     }
 }
 
