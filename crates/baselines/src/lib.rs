@@ -17,8 +17,9 @@
 //!   inability to run Q2.2's string inequality, and a Q4.3-style failure when
 //!   cardinality estimation does not fit device memory.
 //!
-//! Both baselines produce *exact* query results (they share the instrumented
-//! reference evaluator in [`profile`]) and *modeled* execution times built
+//! Both baselines produce *exact* query results (rows and volumes both come
+//! from one run of the engine's row interpreter, observed by [`profile`]) and
+//! *modeled* execution times built
 //! from the same calibration constants as the main engine's cost model, so
 //! comparisons against Proteus are apples-to-apples.
 

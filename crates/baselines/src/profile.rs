@@ -3,17 +3,17 @@
 //! Both baselines need the same two things: the exact query result and the
 //! per-operator data volumes (how many rows survive the fact-side filters, how
 //! many reach each join, how wide the intermediates are). [`profile_plan`]
-//! computes both in a single pass: it is the reference evaluator with
-//! cardinality instrumentation. Volumes are physical; callers scale them by
-//! the benchmark's `scale_weight` to model the nominal SF100/SF1000 datasets.
+//! gets both from one run of the engine's row interpreter
+//! ([`hetex_engine::reference::evaluate`]), observing each node's output as it
+//! is evaluated; it evaluates nothing itself. Volumes are physical; callers
+//! scale them by the benchmark's `scale_weight` to model the nominal
+//! SF100/SF1000 datasets.
 
-use hetex_common::{DataType, EngineConfig, HetError, Result};
+use hetex_common::{DataType, EngineConfig, Result};
 use hetex_core::RelNode;
-use hetex_jit::ir::AggFunc;
-use hetex_jit::state::JoinHashTable;
-use hetex_jit::{AggSpec, Expr};
+use hetex_engine::reference::evaluate;
+use hetex_jit::Expr;
 use hetex_storage::Catalog;
-use std::collections::HashMap;
 
 /// Per-operator volumes of one query execution.
 #[derive(Debug, Clone, Default)]
@@ -77,9 +77,19 @@ pub fn profile_plan(
     catalog: &Catalog,
     config: &EngineConfig,
 ) -> Result<(PlanProfile, Vec<Vec<i64>>)> {
-    let mut profile =
-        PlanProfile { spine_weight: 1.0, group_domain_product: 1.0, ..PlanProfile::default() };
-    let rows = eval(plan, catalog, config, &mut profile, true)?;
+    let mut profiler = Profiler {
+        catalog,
+        config,
+        spine: spine(plan),
+        last_rows: 0,
+        profile: PlanProfile {
+            spine_weight: 1.0,
+            group_domain_product: 1.0,
+            ..PlanProfile::default()
+        },
+    };
+    let rows = evaluate(plan, catalog, &mut |node, rows| profiler.visit(node, rows))?;
+    let mut profile = profiler.profile;
     profile.result_rows = rows.len() as f64;
     // Spine cardinalities were counted on the physical data; scale them to the
     // nominal fact-table size (selectivities are scale-invariant).
@@ -90,162 +100,104 @@ pub fn profile_plan(
     Ok((profile, rows))
 }
 
-fn eval(
-    node: &RelNode,
-    catalog: &Catalog,
-    config: &EngineConfig,
-    profile: &mut PlanProfile,
-    on_spine: bool,
-) -> Result<Vec<Vec<i64>>> {
-    match node {
-        RelNode::Scan { table, projection } => {
-            let weight = config.weight_for(table);
-            let table = catalog.get(table)?;
-            let projection_refs: Vec<&str> = projection.iter().map(String::as_str).collect();
-            let bytes = table.projected_bytes(&projection_refs)? as f64 * weight;
-            if on_spine {
-                profile.fact_bytes += bytes;
-                profile.fact_rows += table.rows() as f64 * weight;
-                profile.spine_width = projection.len();
-                profile.spine_weight = weight;
-                profile.spine_columns = projection
-                    .iter()
-                    .map(|c| Some((table.name().to_string(), c.clone())))
-                    .collect();
-            } else {
-                profile.dim_bytes += bytes;
-            }
-            let mut columns = Vec::new();
-            for name in projection {
-                let column = table.column(name)?;
-                if column.data_type() == DataType::Float64 {
-                    return Err(HetError::Schema(format!(
-                        "column {}.{name} is Float64; plans evaluate integer columns only",
-                        table.name()
-                    )));
+/// The probe spine: the root and, below it, each node's input (a join's
+/// probe side) down to the fact scan.
+fn spine(plan: &RelNode) -> Vec<&RelNode> {
+    let mut spine = vec![plan];
+    let mut node = plan;
+    loop {
+        node = match node {
+            RelNode::Scan { .. } => return spine,
+            RelNode::Filter { input, .. }
+            | RelNode::Project { input, .. }
+            | RelNode::Reduce { input, .. }
+            | RelNode::GroupBy { input, .. } => input,
+            RelNode::HashJoin { probe, .. } => probe,
+        };
+        spine.push(node);
+    }
+}
+
+/// The observer that fills a [`PlanProfile`] as the interpreter visits each
+/// node, inputs first and a join's build side before its probe side.
+struct Profiler<'a> {
+    catalog: &'a Catalog,
+    config: &'a EngineConfig,
+    spine: Vec<&'a RelNode>,
+    /// Output rows of the node visited last: at a join, its probe side's.
+    last_rows: usize,
+    profile: PlanProfile,
+}
+
+impl Profiler<'_> {
+    fn visit(&mut self, node: &RelNode, rows: &[Vec<i64>]) -> Result<()> {
+        let on_spine = self.spine.iter().any(|s| std::ptr::eq(*s, node));
+        let profile = &mut self.profile;
+        match node {
+            RelNode::Scan { table, projection } => {
+                let weight = self.config.weight_for(table);
+                let table = self.catalog.get(table)?;
+                let projection_refs: Vec<&str> = projection.iter().map(String::as_str).collect();
+                let bytes = table.projected_bytes(&projection_refs)? as f64 * weight;
+                if on_spine {
+                    profile.fact_bytes += bytes;
+                    profile.fact_rows += table.rows() as f64 * weight;
+                    profile.spine_width = projection.len();
+                    profile.spine_weight = weight;
+                    profile.spine_columns = projection
+                        .iter()
+                        .map(|c| Some((table.name().to_string(), c.clone())))
+                        .collect();
+                } else {
+                    profile.dim_bytes += bytes;
                 }
-                columns.push(column);
             }
-            let mut out = Vec::with_capacity(table.rows());
-            for r in 0..table.rows() {
-                out.push(columns.iter().map(|c| c.get_i64(r).unwrap_or(0)).collect());
+            RelNode::Filter { .. } if on_spine => profile.rows_after_filter = rows.len() as f64,
+            RelNode::Filter { input, predicate } => {
+                detect_string_range(input, predicate, self.catalog, profile)
             }
-            Ok(out)
-        }
-        RelNode::Filter { input, predicate } => {
-            if !on_spine {
-                detect_string_range(input, predicate, catalog, profile);
-            }
-            let rows = eval(input, catalog, config, profile, on_spine)?;
-            let out: Vec<Vec<i64>> = rows.into_iter().filter(|r| predicate.eval_bool(r)).collect();
-            if on_spine {
-                profile.rows_after_filter = out.len() as f64;
-            }
-            Ok(out)
-        }
-        RelNode::Project { input, exprs, .. } => {
-            let rows = eval(input, catalog, config, profile, on_spine)?;
-            if on_spine {
+            RelNode::Project { exprs, .. } if on_spine => {
                 profile.spine_width = exprs.len();
                 profile.spine_columns = vec![None; exprs.len()];
             }
-            Ok(rows.into_iter().map(|r| exprs.iter().map(|e| e.eval(&r)).collect()).collect())
-        }
-        RelNode::HashJoin { build, probe, build_key, probe_key, payload } => {
-            let build_rows = eval(build, catalog, config, profile, false)?;
-            let probe_rows = eval(probe, catalog, config, profile, on_spine)?;
-            if on_spine && profile.rows_after_filter == 0.0 {
-                // No explicit fact filter: every fact row reaches the first join.
-                profile.rows_after_filter = probe_rows.len() as f64;
-            }
-            let table = JoinHashTable::new(payload.len());
-            for row in build_rows {
-                let key = row
-                    .get(*build_key)
-                    .copied()
-                    .ok_or_else(|| HetError::Plan("build key out of range".into()))?;
-                table.insert(key, payload.iter().map(|&p| row[p]).collect());
-            }
-            let mut out = Vec::new();
-            for row in probe_rows {
-                let key = row
-                    .get(*probe_key)
-                    .copied()
-                    .ok_or_else(|| HetError::Plan("probe key out of range".into()))?;
-                table.probe(key, |m| {
-                    let mut joined = row.clone();
-                    joined.extend_from_slice(m);
-                    out.push(joined);
-                });
-            }
-            if on_spine {
+            RelNode::HashJoin { build, payload, .. } if on_spine => {
+                if profile.rows_after_filter == 0.0 {
+                    // No explicit fact filter: every fact row reaches the first join.
+                    profile.rows_after_filter = self.last_rows as f64;
+                }
                 profile.joins += 1;
-                profile.rows_after_each_join.push(out.len() as f64);
+                profile.rows_after_each_join.push(rows.len() as f64);
                 profile.spine_width += payload.len();
                 for &p in payload {
                     profile.spine_columns.push(source_column(build, p));
                 }
             }
-            Ok(out)
-        }
-        RelNode::Reduce { input, aggs, .. } => {
-            let rows = eval(input, catalog, config, profile, on_spine)?;
-            profile.group_keys = 0;
-            Ok(vec![aggregate(&rows, aggs)])
-        }
-        RelNode::GroupBy { input, keys, aggs, .. } => {
-            let rows = eval(input, catalog, config, profile, on_spine)?;
-            profile.group_keys = keys.len();
-            profile.group_domain_product = keys
-                .iter()
-                .map(|&k| {
-                    profile
-                        .spine_columns
-                        .get(k)
-                        .and_then(|s| s.as_ref())
-                        .and_then(|(table, column)| {
-                            catalog
-                                .get(table)
-                                .ok()
-                                .and_then(|t| t.dictionary(column))
-                                .map(|d| d.len() as f64)
-                        })
-                        .unwrap_or(8.0)
-                })
-                .product();
-            let mut groups: HashMap<Vec<i64>, Vec<Vec<i64>>> = HashMap::new();
-            for row in rows {
-                let key: Vec<i64> = keys.iter().map(|&k| row[k]).collect();
-                groups.entry(key).or_default().push(row);
+            RelNode::Reduce { .. } => profile.group_keys = 0,
+            RelNode::GroupBy { keys, .. } => {
+                profile.group_keys = keys.len();
+                profile.group_domain_product = keys
+                    .iter()
+                    .map(|&k| {
+                        profile
+                            .spine_columns
+                            .get(k)
+                            .and_then(|s| s.as_ref())
+                            .and_then(|(table, column)| {
+                                self.catalog
+                                    .get(table)
+                                    .ok()
+                                    .and_then(|t| t.dictionary(column))
+                                    .map(|d| d.len() as f64)
+                            })
+                            .unwrap_or(8.0)
+                    })
+                    .product();
             }
-            let mut out: Vec<Vec<i64>> = groups
-                .into_iter()
-                .map(|(key, rows)| {
-                    let mut row = key;
-                    row.extend(aggregate(&rows, aggs));
-                    row
-                })
-                .collect();
-            out.sort();
-            Ok(out)
+            RelNode::Project { .. } | RelNode::HashJoin { .. } => {}
         }
+        self.last_rows = rows.len();
+        Ok(())
     }
-}
-
-fn aggregate(rows: &[Vec<i64>], aggs: &[AggSpec]) -> Vec<i64> {
-    aggs.iter()
-        .map(|agg| {
-            let mut acc = agg.func.identity();
-            for row in rows {
-                let value = match agg.func {
-                    AggFunc::Count => 1,
-                    _ => agg.expr.eval(row),
-                };
-                acc = agg.func.accumulate(acc, value);
-            }
-            acc
-        })
-        .collect()
 }
 
 /// The stored (table, column) a build-side output column maps to, if it is a
@@ -304,6 +256,7 @@ mod tests {
     use super::*;
     use hetex_common::{ColumnData, DictionaryBuilder, MemoryNodeId};
     use hetex_engine::reference_execute;
+    use hetex_jit::AggSpec;
     use hetex_storage::TableBuilder;
     use std::sync::Arc;
 
@@ -382,21 +335,5 @@ mod tests {
         assert_eq!(rows.len(), 1);
         // No explicit fact filter: all fact rows reach the join.
         assert_eq!(profile.rows_after_filter, 1000.0);
-    }
-
-    #[test]
-    fn a_float_column_is_a_schema_error_not_zeros() {
-        let catalog = catalog();
-        catalog.register(
-            TableBuilder::new("prices")
-                .column("p", DataType::Float64, ColumnData::Float64(vec![0.5, 1.5]))
-                .build(&[MemoryNodeId::new(0)], 256)
-                .unwrap(),
-        );
-        let plan = RelNode::scan("prices", &["p"]).reduce(vec![AggSpec::sum(Expr::col(0))], &["s"]);
-        match profile_plan(&plan, &catalog, &unit_config()) {
-            Err(HetError::Schema(msg)) => assert!(msg.contains("prices.p"), "{msg}"),
-            other => panic!("expected a schema error, got {other:?}"),
-        }
     }
 }

@@ -188,11 +188,14 @@ mod tests {
 
     #[test]
     fn stealing_is_near_free_on_the_unskewed_workload() {
-        // Single-run sanity bar at 5%: one measurement carries ~±2% of
-        // wall-clock-dependent noise (governed routing prices live arena
-        // occupancy even with zero steals), so the tight ≤2% acceptance bar
-        // is enforced by the `steal_ab` bin on the median of three runs.
-        let row = unskewed_steal_ab(200_000).unwrap();
+        // A 5% sanity bar on the median of three runs: each run's simulated
+        // times follow host-thread interleaving (governed routing prices live
+        // arena occupancy even with zero steals), so one run alone can miss
+        // it. The tight ≤2% acceptance bar is the `steal_ab` bin's, on the
+        // same median.
+        let row = median_by_improvement(
+            (0..3).map(|_| unskewed_steal_ab(200_000)).collect::<Result<Vec<_>>>().unwrap(),
+        );
         assert!(row.rows_identical, "stealing must not change results");
         assert!(
             row.improvement_pct() >= -5.0,

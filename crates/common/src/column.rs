@@ -17,7 +17,6 @@ use std::ops::Range;
 pub enum ColumnData {
     Int32(Vec<i32>),
     Int64(Vec<i64>),
-    Float64(Vec<f64>),
 }
 
 /// A borrowed, typed run of a column's values: how readers see one column of
@@ -26,7 +25,6 @@ pub enum ColumnData {
 pub enum ColumnRef<'a> {
     Int32(&'a [i32]),
     Int64(&'a [i64]),
-    Float64(&'a [f64]),
 }
 
 impl ColumnRef<'_> {
@@ -35,7 +33,6 @@ impl ColumnRef<'_> {
         match self {
             ColumnRef::Int32(v) => v.len(),
             ColumnRef::Int64(v) => v.len(),
-            ColumnRef::Float64(v) => v.len(),
         }
     }
 
@@ -49,7 +46,6 @@ impl ColumnRef<'_> {
         match self {
             ColumnRef::Int32(_) => DataType::Int32,
             ColumnRef::Int64(_) => DataType::Int64,
-            ColumnRef::Float64(_) => DataType::Float64,
         }
     }
 
@@ -58,12 +54,11 @@ impl ColumnRef<'_> {
         self.len() * self.data_type().byte_width()
     }
 
-    /// Value at `idx` widened to i64 (floats are rejected).
+    /// Value at `idx` widened to i64.
     pub fn get_i64(&self, idx: usize) -> Option<i64> {
         match self {
             ColumnRef::Int32(v) => v.get(idx).map(|x| *x as i64),
             ColumnRef::Int64(v) => v.get(idx).copied(),
-            ColumnRef::Float64(_) => None,
         }
     }
 }
@@ -77,7 +72,6 @@ impl ColumnData {
         match self {
             ColumnData::Int32(v) => ColumnRef::Int32(&v[rows]),
             ColumnData::Int64(v) => ColumnRef::Int64(&v[rows]),
-            ColumnData::Float64(v) => ColumnRef::Float64(&v[rows]),
         }
     }
 
@@ -91,7 +85,6 @@ impl ColumnData {
         match self {
             ColumnData::Int32(v) => v.len(),
             ColumnData::Int64(v) => v.len(),
-            ColumnData::Float64(v) => v.len(),
         }
     }
 
@@ -110,21 +103,11 @@ impl ColumnData {
         self.values().data_type()
     }
 
-    /// Value at `idx` widened to i64 (floats are rejected).
+    /// Value at `idx` widened to i64.
     pub fn get_i64(&self, idx: usize) -> Option<i64> {
         match self {
             ColumnData::Int32(v) => v.get(idx).map(|x| *x as i64),
             ColumnData::Int64(v) => v.get(idx).copied(),
-            ColumnData::Float64(_) => None,
-        }
-    }
-
-    /// Value at `idx` as f64.
-    pub fn get_f64(&self, idx: usize) -> Option<f64> {
-        match self {
-            ColumnData::Int32(v) => v.get(idx).map(|x| *x as f64),
-            ColumnData::Int64(v) => v.get(idx).map(|x| *x as f64),
-            ColumnData::Float64(v) => v.get(idx).copied(),
         }
     }
 
@@ -133,7 +116,6 @@ impl ColumnData {
         match self {
             ColumnData::Int32(v) => v.get(idx).map(|x| Value::Int32(*x)),
             ColumnData::Int64(v) => v.get(idx).map(|x| Value::Int64(*x)),
-            ColumnData::Float64(v) => v.get(idx).map(|x| Value::Float64(*x)),
         }
     }
 
@@ -142,18 +124,6 @@ impl ColumnData {
         match self {
             ColumnData::Int32(v) => v.push(value as i32),
             ColumnData::Int64(v) => v.push(value),
-            ColumnData::Float64(v) => v.push(value as f64),
-        }
-    }
-
-    /// Append an f64 value (only valid on Float64 columns).
-    pub fn push_f64(&mut self, value: f64) -> Result<()> {
-        match self {
-            ColumnData::Float64(v) => {
-                v.push(value);
-                Ok(())
-            }
-            _ => Err(HetError::Schema("push_f64 on an integer column".into())),
         }
     }
 
@@ -179,23 +149,11 @@ impl ColumnData {
         }
     }
 
-    /// Borrow as an `f64` slice.
-    pub fn as_f64(&self) -> Result<&[f64]> {
-        match self {
-            ColumnData::Float64(v) => Ok(v),
-            other => Err(HetError::Schema(format!(
-                "expected Float64 column, found {:?}",
-                other.data_type()
-            ))),
-        }
-    }
-
     /// Retain capacity but remove all values.
     pub fn clear(&mut self) {
         match self {
             ColumnData::Int32(v) => v.clear(),
             ColumnData::Int64(v) => v.clear(),
-            ColumnData::Float64(v) => v.clear(),
         }
     }
 }
@@ -316,7 +274,6 @@ mod tests {
         c.push_i64(-3);
         assert_eq!(c.len(), 2);
         assert_eq!(c.get_i64(1), Some(-3));
-        assert_eq!(c.get_f64(0), Some(7.0));
         assert_eq!(c.get_value(0), Some(Value::Int32(7)));
         assert_eq!(c.byte_size(), 8);
     }
@@ -326,12 +283,8 @@ mod tests {
         let c = ColumnData::Int64(vec![1, 2]);
         assert!(c.as_i64().is_ok());
         assert!(c.as_i32().is_err());
-        let mut f = ColumnData::Float64(Vec::new());
-        assert!(f.push_f64(1.5).is_ok());
-        let mut i = ColumnData::Int32(Vec::new());
-        assert!(i.push_f64(1.5).is_err());
-        assert_eq!(f.values().data_type(), DataType::Float64);
-        assert_eq!(f.values().get_i64(0), None);
+        assert_eq!(c.values().data_type(), DataType::Int64);
+        assert_eq!(c.values().get_i64(2), None);
     }
 
     #[test]

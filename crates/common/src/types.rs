@@ -16,8 +16,6 @@ pub enum DataType {
     Int32,
     /// 64-bit signed integer (large measures, revenue sums).
     Int64,
-    /// 64-bit IEEE float (only used by a few derived benchmark metrics).
-    Float64,
     /// Dictionary-encoded string; the physical representation is an `Int32`
     /// code, ordered so that range predicates on the original strings map to
     /// range predicates on the codes.
@@ -29,7 +27,7 @@ impl DataType {
     pub const fn byte_width(self) -> usize {
         match self {
             DataType::Int32 | DataType::Dictionary => 4,
-            DataType::Int64 | DataType::Float64 => 8,
+            DataType::Int64 => 8,
         }
     }
 
@@ -44,7 +42,6 @@ impl fmt::Display for DataType {
         let name = match self {
             DataType::Int32 => "INT32",
             DataType::Int64 => "INT64",
-            DataType::Float64 => "FLOAT64",
             DataType::Dictionary => "DICT",
         };
         f.write_str(name)
@@ -58,7 +55,6 @@ impl fmt::Display for DataType {
 pub enum Value {
     Int32(i32),
     Int64(i64),
-    Float64(f64),
     /// A dictionary code together with (optionally) its decoded string.
     Str(String),
     Null,
@@ -70,7 +66,6 @@ impl Value {
         match self {
             Value::Int32(_) => Some(DataType::Int32),
             Value::Int64(_) => Some(DataType::Int64),
-            Value::Float64(_) => Some(DataType::Float64),
             Value::Str(_) => Some(DataType::Dictionary),
             Value::Null => None,
         }
@@ -81,16 +76,6 @@ impl Value {
         match self {
             Value::Int32(v) => Some(*v as i64),
             Value::Int64(v) => Some(*v),
-            _ => None,
-        }
-    }
-
-    /// Interpret the value as f64, widening integers.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Value::Int32(v) => Some(*v as f64),
-            Value::Int64(v) => Some(*v as f64),
-            Value::Float64(v) => Some(*v),
             _ => None,
         }
     }
@@ -109,7 +94,6 @@ impl fmt::Display for Value {
         match self {
             Value::Int32(v) => write!(f, "{v}"),
             Value::Int64(v) => write!(f, "{v}"),
-            Value::Float64(v) => write!(f, "{v}"),
             Value::Str(s) => write!(f, "{s}"),
             Value::Null => f.write_str("NULL"),
         }
@@ -128,12 +112,6 @@ impl From<i64> for Value {
     }
 }
 
-impl From<f64> for Value {
-    fn from(v: f64) -> Self {
-        Value::Float64(v)
-    }
-}
-
 impl From<&str> for Value {
     fn from(v: &str) -> Self {
         Value::Str(v.to_owned())
@@ -149,13 +127,12 @@ mod tests {
         assert_eq!(DataType::Int32.byte_width(), 4);
         assert_eq!(DataType::Dictionary.byte_width(), 4);
         assert_eq!(DataType::Int64.byte_width(), 8);
-        assert_eq!(DataType::Float64.byte_width(), 8);
     }
 
     #[test]
     fn value_conversions() {
         assert_eq!(Value::from(7i32).as_i64(), Some(7));
-        assert_eq!(Value::from(7i64).as_f64(), Some(7.0));
+        assert_eq!(Value::from(7i64).as_i64(), Some(7));
         assert_eq!(Value::from("MFGR#12").as_str(), Some("MFGR#12"));
         assert_eq!(Value::Null.as_i64(), None);
         assert_eq!(Value::Null.data_type(), None);

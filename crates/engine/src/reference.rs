@@ -1,137 +1,211 @@
-//! A naive, single-threaded reference executor.
+//! The row interpreter: the workspace's one evaluator of [`RelNode`] plans.
 //!
-//! Used only for validation: it evaluates a [`RelNode`] plan directly against
-//! the catalog, materializing intermediate results row by row with no
-//! parallelism, no blocks and no cost model. Integration tests compare every
-//! engine configuration (CPU-only / GPU-only / hybrid) and both baseline
-//! engines against this executor's output.
+//! It evaluates a plan directly against the catalog, materialising each
+//! node's output as rows of `i64`, with no blocks, no parallelism and no cost
+//! model. Integration tests and the benchmark check every engine
+//! configuration against [`reference_execute`], and `hetex-baselines`
+//! measures the volumes its modelled systems are priced by through
+//! [`evaluate`]'s observer. It shares no code with the engine: it matches on
+//! the plan, expression and aggregate enums and implements their meaning
+//! below itself, so a defect in a lowering, a hash table or the engine's tree
+//! walker cannot hide in the oracle as well.
+//!
+//! # Semantics
+//!
+//! * **Scans.** Every value is an `i64`. A scan reads each projected column
+//!   with `get_i64`, so a dictionary column yields its codes.
+//! * **Arithmetic.** `+`, `−` and `×` wrap. `x / 0` is 0, and
+//!   `i64::MIN / −1` wraps.
+//! * **Predicates.** Comparisons, `AND`, `OR`, `NOT`, inclusive `BETWEEN` and
+//!   `IN` give 0 or 1. A filter keeps the rows whose predicate is not 0.
+//! * **Hash.** `Hash(x)` is `((x as u64) × 0x9E37_79B9_7F4A_7C15) >> 1`, read
+//!   as `i64`.
+//! * **Aggregates.** `SUM` and `COUNT` wrap. A reduce over no rows returns
+//!   the identities: 0 for `SUM` and `COUNT`, `i64::MAX` for `MIN` and
+//!   `i64::MIN` for `MAX`. A group-by over no rows returns no rows.
+//! * **Row order.** A join emits its probe rows in input order, each followed
+//!   by its matches in build order; a joined row is the probe row followed by
+//!   the match's payload columns. A group-by emits one row per group, its
+//!   keys then its aggregates, in key order.
+//! * **Errors.** A missing table or column, or a join key outside its row, is
+//!   an error.
+//!
+//! # The observer
+//!
+//! [`evaluate`] calls its observer once per node, with the node and its
+//! output rows, after the node's inputs: a join's build side, then its probe
+//! side, then the join itself.
 
-use hetex_common::{DataType, HetError, Result};
+use hetex_common::{HetError, Result};
 use hetex_core::RelNode;
 use hetex_jit::ir::AggFunc;
 use hetex_jit::{AggSpec, Expr};
 use hetex_storage::Catalog;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
-/// Evaluate `plan` against `catalog`, returning fully materialized rows.
-/// Group-by results are sorted by key (the same order the engine reports).
+/// What [`evaluate`] calls with each node and its output rows.
+pub type Observer<'a> = dyn FnMut(&RelNode, &[Vec<i64>]) -> Result<()> + 'a;
+
+/// Evaluate `plan` against `catalog`, returning fully materialized rows in
+/// the order the module's semantics give (group-by results by key, the order
+/// the engine reports).
 pub fn reference_execute(plan: &RelNode, catalog: &Catalog) -> Result<Vec<Vec<i64>>> {
-    match plan {
+    evaluate(plan, catalog, &mut |_, _| Ok(()))
+}
+
+/// [`reference_execute`], calling `observe` with each node and its output
+/// rows as the node is evaluated; an error from `observe` ends the
+/// evaluation.
+pub fn evaluate(
+    plan: &RelNode,
+    catalog: &Catalog,
+    observe: &mut Observer<'_>,
+) -> Result<Vec<Vec<i64>>> {
+    let rows = match plan {
         RelNode::Scan { table, projection } => {
             let table = catalog.get(table)?;
-            let mut columns = Vec::new();
-            for name in projection {
-                let column = table.column(name)?;
-                if column.data_type() == DataType::Float64 {
-                    return Err(HetError::Schema(format!(
-                        "column {}.{name} is Float64; plans evaluate integer columns only",
-                        table.name()
-                    )));
-                }
-                columns.push(column);
-            }
-            let rows = table.rows();
-            let mut out = Vec::with_capacity(rows);
-            for r in 0..rows {
-                out.push(columns.iter().map(|c| c.get_i64(r).unwrap_or(0)).collect());
-            }
-            Ok(out)
+            let columns =
+                projection.iter().map(|name| table.column(name)).collect::<Result<Vec<_>>>()?;
+            (0..table.rows())
+                .map(|r| columns.iter().map(|c| c.get_i64(r).unwrap_or(0)).collect())
+                .collect()
         }
         RelNode::Filter { input, predicate } => {
-            let rows = reference_execute(input, catalog)?;
-            Ok(rows.into_iter().filter(|r| predicate.eval_bool(r)).collect())
+            let mut rows = evaluate(input, catalog, observe)?;
+            rows.retain(|row| eval(predicate, row) != 0);
+            rows
         }
-        RelNode::Project { input, exprs, .. } => {
-            let rows = reference_execute(input, catalog)?;
-            Ok(rows.into_iter().map(|r| exprs.iter().map(|e| e.eval(&r)).collect()).collect())
-        }
+        RelNode::Project { input, exprs, .. } => evaluate(input, catalog, observe)?
+            .iter()
+            .map(|row| exprs.iter().map(|e| eval(e, row)).collect())
+            .collect(),
         RelNode::HashJoin { build, probe, build_key, probe_key, payload } => {
-            let build_rows = reference_execute(build, catalog)?;
-            let probe_rows = reference_execute(probe, catalog)?;
-            let mut table: HashMap<i64, Vec<Vec<i64>>> = HashMap::new();
-            for row in build_rows {
-                let key = *row.get(*build_key).ok_or_else(|| {
-                    HetError::Plan(format!("build key column {build_key} out of range"))
-                })?;
-                let payload_row: Vec<i64> = payload.iter().map(|&p| row[p]).collect();
-                table.entry(key).or_default().push(payload_row);
-            }
+            let build_rows = evaluate(build, catalog, observe)?;
+            let probe_rows = evaluate(probe, catalog, observe)?;
+            // Build rows sorted by key; the sort is stable, so each key's
+            // matches stay in build order.
+            let mut table = build_rows
+                .iter()
+                .map(|row| {
+                    Ok((
+                        key_of(row, *build_key, "build")?,
+                        payload.iter().map(|&p| row[p]).collect(),
+                    ))
+                })
+                .collect::<Result<Vec<(i64, Vec<i64>)>>>()?;
+            table.sort_by_key(|(key, _)| *key);
             let mut out = Vec::new();
-            for row in probe_rows {
-                let key = *row.get(*probe_key).ok_or_else(|| {
-                    HetError::Plan(format!("probe key column {probe_key} out of range"))
-                })?;
-                if let Some(matches) = table.get(&key) {
-                    for m in matches {
-                        let mut joined = row.clone();
-                        joined.extend_from_slice(m);
-                        out.push(joined);
+            for row in &probe_rows {
+                let key = key_of(row, *probe_key, "probe")?;
+                let first = table.partition_point(|(k, _)| *k < key);
+                for (_, m) in table[first..].iter().take_while(|(k, _)| *k == key) {
+                    let mut joined = Vec::with_capacity(row.len() + m.len());
+                    joined.extend_from_slice(row);
+                    joined.extend_from_slice(m);
+                    out.push(joined);
+                }
+            }
+            out
+        }
+        RelNode::Reduce { input, aggs, .. } => {
+            let mut acc = identities(aggs);
+            for row in &evaluate(input, catalog, observe)? {
+                fold(aggs, &mut acc, row);
+            }
+            vec![acc]
+        }
+        RelNode::GroupBy { input, keys, aggs, .. } => {
+            let mut groups: BTreeMap<Vec<i64>, Vec<i64>> = BTreeMap::new();
+            let mut key = Vec::with_capacity(keys.len());
+            for row in &evaluate(input, catalog, observe)? {
+                key.clear();
+                key.extend(keys.iter().map(|&k| row[k]));
+                match groups.get_mut(key.as_slice()) {
+                    Some(acc) => fold(aggs, acc, row),
+                    None => {
+                        let mut acc = identities(aggs);
+                        fold(aggs, &mut acc, row);
+                        groups.insert(key.clone(), acc);
                     }
                 }
             }
-            Ok(out)
-        }
-        RelNode::Reduce { input, aggs, .. } => {
-            let rows = reference_execute(input, catalog)?;
-            Ok(vec![aggregate(&rows, aggs)])
-        }
-        RelNode::GroupBy { input, keys, aggs, .. } => {
-            let rows = reference_execute(input, catalog)?;
-            let mut groups: HashMap<Vec<i64>, Vec<Vec<i64>>> = HashMap::new();
-            for row in rows {
-                let key: Vec<i64> = keys.iter().map(|&k| row[k]).collect();
-                groups.entry(key).or_default().push(row);
-            }
-            let mut out: Vec<Vec<i64>> = groups
+            groups
                 .into_iter()
-                .map(|(key, rows)| {
-                    let mut row = key;
-                    row.extend(aggregate(&rows, aggs));
+                .map(|(mut row, acc)| {
+                    row.extend(acc);
                     row
                 })
-                .collect();
-            out.sort();
-            Ok(out)
+                .collect()
         }
+    };
+    observe(plan, &rows)?;
+    Ok(rows)
+}
+
+/// Column `index` of `row`: a join's key.
+fn key_of(row: &[i64], index: usize, side: &str) -> Result<i64> {
+    row.get(index)
+        .copied()
+        .ok_or_else(|| HetError::Plan(format!("{side} key column {index} out of range")))
+}
+
+/// `expr` over `row`.
+fn eval(expr: &Expr, row: &[i64]) -> i64 {
+    match expr {
+        Expr::Col(i) => row[*i],
+        Expr::Lit(v) => *v,
+        Expr::Add(a, b) => eval(a, row).wrapping_add(eval(b, row)),
+        Expr::Sub(a, b) => eval(a, row).wrapping_sub(eval(b, row)),
+        Expr::Mul(a, b) => eval(a, row).wrapping_mul(eval(b, row)),
+        Expr::Div(a, b) => match eval(b, row) {
+            0 => 0,
+            y => eval(a, row).wrapping_div(y),
+        },
+        Expr::Eq(a, b) => (eval(a, row) == eval(b, row)) as i64,
+        Expr::Ne(a, b) => (eval(a, row) != eval(b, row)) as i64,
+        Expr::Lt(a, b) => (eval(a, row) < eval(b, row)) as i64,
+        Expr::Le(a, b) => (eval(a, row) <= eval(b, row)) as i64,
+        Expr::Gt(a, b) => (eval(a, row) > eval(b, row)) as i64,
+        Expr::Ge(a, b) => (eval(a, row) >= eval(b, row)) as i64,
+        Expr::And(a, b) => (eval(a, row) != 0 && eval(b, row) != 0) as i64,
+        Expr::Or(a, b) => (eval(a, row) != 0 || eval(b, row) != 0) as i64,
+        Expr::Not(a) => (eval(a, row) == 0) as i64,
+        Expr::Between(a, lo, hi) => (*lo..=*hi).contains(&eval(a, row)) as i64,
+        Expr::InList(a, list) => list.contains(&eval(a, row)) as i64,
+        Expr::Hash(a) => ((eval(a, row) as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 1) as i64,
     }
 }
 
-/// Fold `rows` into one value per aggregate. Goes through the engine's own
-/// [`Expr::eval`] and [`AggFunc::accumulate`], so overflow wraps here exactly
-/// as it does in every lowering.
-fn aggregate(rows: &[Vec<i64>], aggs: &[AggSpec]) -> Vec<i64> {
+/// Each aggregate's value over no rows.
+fn identities(aggs: &[AggSpec]) -> Vec<i64> {
     aggs.iter()
-        .map(|agg| {
-            let mut acc = agg.func.identity();
-            for row in rows {
-                let value = match agg.func {
-                    AggFunc::Count => 1,
-                    _ => agg.expr.eval(row),
-                };
-                acc = agg.func.accumulate(acc, value);
-            }
-            acc
+        .map(|agg| match agg.func {
+            AggFunc::Sum | AggFunc::Count => 0,
+            AggFunc::Min => i64::MAX,
+            AggFunc::Max => i64::MIN,
         })
         .collect()
 }
 
-/// Convenience: the sum query of the paper's running example, as a plan.
-pub fn running_example_plan(
-    table: &str,
-    filter_col: &str,
-    sum_col: &str,
-    threshold: i64,
-) -> RelNode {
-    RelNode::scan(table, &[filter_col, sum_col])
-        .filter(Expr::col(0).gt_lit(threshold))
-        .reduce(vec![AggSpec::sum(Expr::col(1))], &["sum"])
+/// Fold `row` into one accumulator per aggregate.
+fn fold(aggs: &[AggSpec], acc: &mut [i64], row: &[i64]) {
+    for (acc, agg) in acc.iter_mut().zip(aggs) {
+        *acc = match agg.func {
+            AggFunc::Sum => acc.wrapping_add(eval(&agg.expr, row)),
+            AggFunc::Count => acc.wrapping_add(1),
+            AggFunc::Min => (*acc).min(eval(&agg.expr, row)),
+            AggFunc::Max => (*acc).max(eval(&agg.expr, row)),
+        };
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use hetex_common::{ColumnData, DataType, MemoryNodeId};
+    use hetex_jit::ScratchPool;
     use hetex_storage::TableBuilder;
+    use proptest::TestRng;
 
     fn catalog() -> Catalog {
         let catalog = Catalog::new();
@@ -153,9 +227,18 @@ mod tests {
         catalog
     }
 
+    /// A binary expression's constructor.
+    type Binary = fn(Box<Expr>, Box<Expr>) -> Expr;
+
+    fn bin(f: Binary, a: Expr, b: Expr) -> Expr {
+        f(Box::new(a), Box::new(b))
+    }
+
     #[test]
     fn scan_filter_reduce() {
-        let plan = running_example_plan("fact", "k", "v", 1);
+        let plan = RelNode::scan("fact", &["k", "v"])
+            .filter(Expr::col(0).gt_lit(1))
+            .reduce(vec![AggSpec::sum(Expr::col(1))], &["sum"]);
         let rows = reference_execute(&plan, &catalog()).unwrap();
         // k > 1 rows: (2,20),(3,30),(2,40),(9,60) -> 150
         assert_eq!(rows, vec![vec![150]]);
@@ -187,30 +270,243 @@ mod tests {
     }
 
     #[test]
-    fn a_float_column_is_a_schema_error_naming_it() {
-        let catalog = catalog();
-        catalog.register(
-            TableBuilder::new("prices")
-                .column("id", DataType::Int64, ColumnData::Int64(vec![1, 2]))
-                .column("price", DataType::Float64, ColumnData::Float64(vec![1.5, 2.5]))
-                .build(&[MemoryNodeId::new(0)], 4)
-                .unwrap(),
-        );
-        let plan = RelNode::scan("prices", &["id", "price"])
-            .reduce(vec![AggSpec::sum(Expr::col(1))], &["total"]);
-        match reference_execute(&plan, &catalog) {
-            Err(HetError::Schema(msg)) => assert!(msg.contains("prices.price"), "{msg}"),
-            other => panic!("expected a schema error, got {other:?}"),
-        }
-        let ints = RelNode::scan("prices", &["id"]).reduce(vec![AggSpec::count()], &["n"]);
-        assert_eq!(reference_execute(&ints, &catalog).unwrap(), vec![vec![2]]);
-    }
-
-    #[test]
     fn bad_column_index_errors() {
         let dim = RelNode::scan("dim", &["id"]);
         let plan = RelNode::scan("fact", &["k"]).hash_join(dim, 5, 0, &[0]);
         assert!(reference_execute(&plan, &catalog()).is_err());
         assert!(reference_execute(&RelNode::scan("missing", &["x"]), &catalog()).is_err());
+    }
+
+    #[test]
+    fn an_empty_build_side_joins_nothing_and_reduces_to_the_identities() {
+        let dim = RelNode::scan("dim", &["id", "tag"]).filter(Expr::col(0).gt_lit(99));
+        let joined = RelNode::scan("fact", &["k", "v"]).hash_join(dim, 0, 0, &[1]);
+        assert!(reference_execute(&joined, &catalog()).unwrap().is_empty());
+        let aggs = || {
+            vec![
+                AggSpec::sum(Expr::col(1)),
+                AggSpec::count(),
+                AggSpec::min(Expr::col(1)),
+                AggSpec::max(Expr::col(1)),
+            ]
+        };
+        let reduced = joined.clone().reduce(aggs(), &["s", "c", "lo", "hi"]);
+        assert_eq!(
+            reference_execute(&reduced, &catalog()).unwrap(),
+            vec![vec![0, 0, i64::MAX, i64::MIN]]
+        );
+        let grouped = joined.group_by(&[0], aggs(), &["k", "s", "c", "lo", "hi"]);
+        assert!(reference_execute(&grouped, &catalog()).unwrap().is_empty());
+    }
+
+    #[test]
+    fn duplicate_build_keys_fan_out_in_build_order_after_each_probe_row() {
+        let catalog = catalog();
+        catalog.register(
+            TableBuilder::new("multi")
+                .column("id", DataType::Int32, ColumnData::Int32(vec![2, 1, 2, 7, 2]))
+                .column("tag", DataType::Int32, ColumnData::Int32(vec![5, 6, 7, 8, 9]))
+                .build(&[MemoryNodeId::new(0)], 2)
+                .unwrap(),
+        );
+        let plan = RelNode::scan("fact", &["k", "v"]).hash_join(
+            RelNode::scan("multi", &["id", "tag"]),
+            0,
+            0,
+            &[1, 0],
+        );
+        assert_eq!(
+            reference_execute(&plan, &catalog).unwrap(),
+            vec![
+                vec![1, 10, 6, 1],
+                vec![2, 20, 5, 2],
+                vec![2, 20, 7, 2],
+                vec![2, 20, 9, 2],
+                vec![2, 40, 5, 2],
+                vec![2, 40, 7, 2],
+                vec![2, 40, 9, 2],
+                vec![1, 50, 6, 1],
+            ]
+        );
+    }
+
+    #[test]
+    fn group_by_one_to_three_keys_emits_groups_in_key_order() {
+        let catalog = Catalog::new();
+        catalog.register(
+            TableBuilder::new("t")
+                .column("a", DataType::Int32, ColumnData::Int32(vec![2, 1, 2, 1, 2, -3]))
+                .column("b", DataType::Int64, ColumnData::Int64(vec![0, 5, 0, 4, 1, 9]))
+                .column("c", DataType::Int32, ColumnData::Int32(vec![7, 7, 7, 7, 8, 7]))
+                .column("v", DataType::Int64, ColumnData::Int64(vec![1, 2, 3, 4, 5, 6]))
+                .build(&[MemoryNodeId::new(0)], 4)
+                .unwrap(),
+        );
+        let run = |keys: &[usize]| {
+            let names: Vec<&str> = ["k1", "k2", "k3"][..keys.len()].to_vec();
+            let names = [names, vec!["s", "n"]].concat();
+            let plan = RelNode::scan("t", &["a", "b", "c", "v"]).group_by(
+                keys,
+                vec![AggSpec::sum(Expr::col(3)), AggSpec::count()],
+                &names,
+            );
+            reference_execute(&plan, &catalog).unwrap()
+        };
+        assert_eq!(run(&[0]), vec![vec![-3, 6, 1], vec![1, 6, 2], vec![2, 9, 3]]);
+        assert_eq!(
+            run(&[2, 0]),
+            vec![vec![7, -3, 6, 1], vec![7, 1, 6, 2], vec![7, 2, 4, 2], vec![8, 2, 5, 1]]
+        );
+        assert_eq!(
+            run(&[0, 1, 2]),
+            vec![
+                vec![-3, 9, 7, 6, 1],
+                vec![1, 4, 7, 4, 1],
+                vec![1, 5, 7, 2, 1],
+                vec![2, 0, 7, 4, 2],
+                vec![2, 1, 8, 5, 1],
+            ]
+        );
+    }
+
+    #[test]
+    fn division_by_zero_is_zero_and_the_one_overflowing_quotient_wraps() {
+        let div = |x, y| eval(&bin(Expr::Div, Expr::col(0), Expr::col(1)), &[x, y]);
+        assert_eq!(div(7, 0), 0);
+        assert_eq!(div(i64::MIN, 0), 0);
+        assert_eq!(div(i64::MIN, -1), i64::MIN);
+        assert_eq!(div(-7, 2), -3);
+        assert_eq!(eval(&bin(Expr::Add, Expr::lit(i64::MAX), Expr::lit(1)), &[]), i64::MIN);
+        // The same through a plan: a sum that wraps, and a zero divisor.
+        let plan = RelNode::Project {
+            input: Box::new(RelNode::scan("fact", &["k", "v"])),
+            exprs: vec![bin(Expr::Div, Expr::col(1), Expr::col(0).sub(Expr::col(0)))],
+            names: vec!["q".into()],
+        }
+        .reduce(vec![AggSpec::sum(Expr::col(0)), AggSpec::count()], &["s", "n"]);
+        assert_eq!(reference_execute(&plan, &catalog()).unwrap(), vec![vec![0, 6]]);
+    }
+
+    #[test]
+    fn the_observer_sees_every_node_once_build_side_first() {
+        let dim = RelNode::scan("dim", &["id", "tag"]).filter(Expr::col(0).lt_lit(3));
+        let plan = RelNode::scan("fact", &["k", "v"])
+            .hash_join(dim, 0, 0, &[1])
+            .reduce(vec![AggSpec::count()], &["c"]);
+        let mut seen = Vec::new();
+        let rows = evaluate(&plan, &catalog(), &mut |node, rows| {
+            let kind = match node {
+                RelNode::Scan { table, .. } => table.as_str(),
+                RelNode::Filter { .. } => "filter",
+                RelNode::HashJoin { .. } => "join",
+                RelNode::Reduce { .. } => "reduce",
+                _ => "other",
+            };
+            seen.push(format!("{kind} {}", rows.len()));
+            Ok(())
+        })
+        .unwrap();
+        assert_eq!(rows, vec![vec![4]]);
+        assert_eq!(seen, ["dim 3", "filter 2", "fact 6", "join 4", "reduce 1"]);
+        let stop = evaluate(&plan, &catalog(), &mut |_, _| Err(HetError::Plan("stop".into())));
+        assert!(stop.is_err());
+    }
+
+    /// Registers a generated expression reads: zero, ±1, the `i32` and `i64`
+    /// edges and their neighbours, and random values.
+    fn register(rng: &mut TestRng) -> i64 {
+        const EDGES: [i64; 11] = [
+            0,
+            1,
+            -1,
+            i32::MAX as i64,
+            i32::MIN as i64,
+            i32::MAX as i64 + 1,
+            i32::MIN as i64 - 1,
+            i64::MAX,
+            i64::MIN,
+            i64::MAX - 1,
+            i64::MIN + 1,
+        ];
+        match rng.below(3) {
+            0 => EDGES[rng.below(EDGES.len() as u64) as usize],
+            1 => rng.below(21) as i64 - 10,
+            _ => rng.next_u64() as i64,
+        }
+    }
+
+    /// A random expression of depth at most `depth` over `width` registers,
+    /// of every variant; literals are drawn like registers.
+    fn expr(rng: &mut TestRng, depth: u32, width: usize) -> Expr {
+        let leaf = depth == 0 || rng.below(4) == 0;
+        if leaf {
+            return match rng.below(2) {
+                0 => Expr::col(rng.below(width as u64) as usize),
+                _ => Expr::lit(register(rng)),
+            };
+        }
+        const BINARY: [Binary; 12] = [
+            Expr::Add,
+            Expr::Sub,
+            Expr::Mul,
+            Expr::Div,
+            Expr::Eq,
+            Expr::Ne,
+            Expr::Lt,
+            Expr::Le,
+            Expr::Gt,
+            Expr::Ge,
+            Expr::And,
+            Expr::Or,
+        ];
+        let op = rng.below(BINARY.len() as u64 + 4) as usize;
+        let a = Box::new(expr(rng, depth - 1, width));
+        match op.checked_sub(BINARY.len()) {
+            None => BINARY[op](a, Box::new(expr(rng, depth - 1, width))),
+            Some(0) => Expr::Not(a),
+            Some(1) => Expr::Hash(a),
+            Some(2) => {
+                let (lo, hi) = (register(rng), register(rng));
+                Expr::Between(a, lo.min(hi), lo.max(hi))
+            }
+            _ => Expr::InList(a, (0..rng.below(4)).map(|_| register(rng)).collect()),
+        }
+    }
+
+    /// Generated-case budget: `HETEX_KERNEL_CASES` cases (default 24).
+    fn cases() -> u32 {
+        std::env::var("HETEX_KERNEL_CASES").ok().and_then(|v| v.parse().ok()).unwrap_or(24)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(cases()))]
+
+        /// The row interpreter's scalar semantics equal the engine's
+        /// production tree walker, `Expr::eval_batch`, lane by lane: random
+        /// trees of every variant, depth at most 4, over registers at the
+        /// `i32` and `i64` edges, zero, ±1 and random values, evaluated over
+        /// a sparse selection.
+        #[test]
+        fn scalar_semantics_match_the_engine_tree_walker(seed in 0u64..u64::MAX) {
+            let mut rng = TestRng::new(seed);
+            let width = 1 + rng.below(4) as usize;
+            let lanes = 48;
+            let cols: Vec<Vec<i64>> =
+                (0..width).map(|_| (0..lanes).map(|_| register(&mut rng)).collect()).collect();
+            let sel: Vec<u32> = (0..lanes as u32).filter(|_| rng.below(4) != 0).collect();
+            let mut pool = ScratchPool::new();
+            let mut out = Vec::new();
+            for _ in 0..32 {
+                let e = expr(&mut rng, 4, width);
+                e.eval_batch(&cols, &sel, &mut out, &mut pool);
+                proptest::prop_assert_eq!(out.len(), sel.len());
+                for (lane, &r) in sel.iter().enumerate() {
+                    let row: Vec<i64> = cols.iter().map(|c| c[r as usize]).collect();
+                    proptest::prop_assert_eq!(
+                        eval(&e, &row), out[lane], "seed {} {:?} on {:?}", seed, e, row
+                    );
+                }
+            }
+        }
     }
 }

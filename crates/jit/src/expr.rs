@@ -3,9 +3,10 @@
 //! Expressions operate over the pipeline's *registers*: the values of the
 //! current tuple, like the register-pipelined values a compiled engine keeps
 //! in CPU registers. A column reference is a register index fixed at plan
-//! time. This module is the tree walker — per tuple ([`Expr::eval`]) and per
-//! chunk ([`Expr::eval_batch`]); the chunk kernel specialises the common
-//! shapes once per pipeline and walks the tree only for the rest.
+//! time. This module is the tree walker, per chunk ([`Expr::eval_batch`]):
+//! the chunk kernel specialises the common shapes once per pipeline and walks
+//! the tree only for the rest. The per-tuple walker (`Expr::eval`) is built
+//! for tests only, as the per-tuple kernel oracle's.
 //!
 //! All SSB columns are integers after dictionary encoding, so expressions are
 //! evaluated in `i64`; booleans are represented as 0/1.
@@ -104,8 +105,8 @@ impl Expr {
         Expr::Sub(Box::new(self), Box::new(other))
     }
 
-    /// Evaluate over the given registers.
-    #[inline]
+    /// Evaluate over the given registers (the per-tuple oracle's walker).
+    #[cfg(test)]
     pub fn eval(&self, regs: &[i64]) -> i64 {
         match self {
             Expr::Col(i) => regs[*i],
@@ -141,7 +142,7 @@ impl Expr {
     }
 
     /// Evaluate as a boolean predicate.
-    #[inline]
+    #[cfg(test)]
     pub fn eval_bool(&self, regs: &[i64]) -> bool {
         self.eval(regs) != 0
     }
@@ -149,8 +150,8 @@ impl Expr {
     /// Column-at-a-time evaluation over the selected lanes of a chunk, the
     /// chunk kernel's fallback for the shapes it does not specialise: `out[j]`
     /// is the value at row `sel[j]` of `cols`, intermediates are rented from
-    /// `pool`, and each lane equals [`Self::eval`]'s (`And`/`Or` evaluate
-    /// both sides, which pure expressions cannot tell apart).
+    /// `pool`. `And`/`Or` evaluate both sides, which pure expressions cannot
+    /// tell apart from short-circuiting.
     pub fn eval_batch(
         &self,
         cols: &[Vec<i64>],

@@ -45,7 +45,7 @@ use crate::expr::{Expr, ScratchPool};
 use crate::ir::{AggFunc, Step, TerminalStep};
 use crate::pipeline::{BlockCounters, CompiledPipeline, ExecCtx};
 use crate::state::{JoinMatches, JoinProbe, SharedState};
-use hetex_common::{BlockHandle, ColumnRef, HetError, Result};
+use hetex_common::{BlockHandle, ColumnRef, Result};
 
 /// Tuples per chunk: a handful of `i64` register columns plus scratch (tens
 /// of KiB) stay L1/L2-resident, and per-chunk setup is amortized over a
@@ -105,7 +105,6 @@ impl<'a> Window<'a> {
             Leaf::Reg(r) => match self.columns[r] {
                 ColumnRef::Int64(v) => Src::I64(&v[rows]),
                 ColumnRef::Int32(v) => Src::I32(&v[rows]),
-                ColumnRef::Float64(_) => unreachable!("Float64 inputs are rejected per block"),
             },
         }
     }
@@ -444,16 +443,6 @@ fn process_chunks(
     let rows = block.rows();
     let data = block.block();
     let columns: Vec<ColumnRef<'_>> = data.columns().collect();
-    // Registers are read lazily, but a float input fails its whole block,
-    // whether or not a surviving row reads it.
-    let float = columns.iter().position(|c| matches!(c, ColumnRef::Float64(_)));
-    if let Some(c) = float.filter(|_| rows > 0) {
-        return Err(HetError::Execution(format!(
-            "pipeline {}: input column {c} is Float64, and compiled pipelines \
-             evaluate integer columns only",
-            pipeline.id()
-        )));
-    }
     let mut counters = BlockCounters {
         rows_in: rows as u64,
         bytes_in: data.byte_size() as u64,
@@ -1555,42 +1544,6 @@ mod tests {
                 proptest::prop_assert_eq!(run(false), run(true), "{}", case);
             }
         }
-    }
-
-    #[test]
-    fn a_float_input_fails_its_block_even_when_no_row_reads_it() {
-        // Column 1 is read only after a probe that matches no row.
-        let rows = 2_000;
-        let block = Block::new(
-            vec![
-                ColumnData::Int64((0..rows as i64).collect()),
-                ColumnData::Float64(vec![0.5; rows]),
-            ],
-            rows,
-        )
-        .unwrap();
-        let block = BlockHandle::new(block, BlockMeta::new(BlockId::new(0), MemoryNodeId::new(0)));
-        let mut state = SharedState::new();
-        let ht = state.add_hash_table(1);
-        state.hash_table(ht).unwrap().insert(-1, vec![0]);
-        let aggs = vec![AggSpec::sum(Expr::col(1)), AggSpec::count()];
-        let acc = state.add_accumulators(&aggs);
-        let pipeline = CompiledPipeline::new(
-            PipelineId::new(82),
-            DeviceKind::CpuCore,
-            2,
-            vec![Step::HashJoinProbe { key: Expr::col(0), slot: ht, payload_width: 1 }],
-            TerminalStep::Reduce { aggs, slot: acc },
-        )
-        .unwrap();
-        let mut ctx = ExecCtx::cpu(MemoryNodeId::new(0), 100);
-        match pipeline.process_block(&block, &state, &mut ctx) {
-            Err(HetError::Execution(msg)) => {
-                assert!(msg.contains("input column 1 is Float64"), "{msg}")
-            }
-            other => panic!("expected an execution error, got {other:?}"),
-        }
-        assert_eq!(state.accumulators(acc).unwrap().values(), vec![0, 0]);
     }
 
     /// Per state slot: hash tables as their payloads for keys 0..128 in match

@@ -323,8 +323,6 @@ mod tests {
             (DataType::Int64, ColumnData::Int32(vec![1])),
             (DataType::Int32, ColumnData::Int64(vec![1])),
             (DataType::Dictionary, ColumnData::Int64(vec![1])),
-            (DataType::Float64, ColumnData::Int64(vec![1])),
-            (DataType::Int64, ColumnData::Float64(vec![1.0])),
         ] {
             match build(declared, data.clone()) {
                 Err(HetError::Schema(msg)) => {
@@ -337,7 +335,6 @@ mod tests {
             (DataType::Int32, ColumnData::Int32(vec![1])),
             (DataType::Dictionary, ColumnData::Int32(vec![1])),
             (DataType::Int64, ColumnData::Int64(vec![1])),
-            (DataType::Float64, ColumnData::Float64(vec![1.0])),
         ] {
             let t = build(declared, data.clone()).unwrap();
             // The bytes a scan is priced at are the bytes its blocks carry.
@@ -398,7 +395,6 @@ mod tests {
         let start = match col {
             ColumnRef::Int32(v) => v.as_ptr() as usize,
             ColumnRef::Int64(v) => v.as_ptr() as usize,
-            ColumnRef::Float64(v) => v.as_ptr() as usize,
         };
         start..start + col.byte_size()
     }

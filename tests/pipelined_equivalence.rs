@@ -142,36 +142,3 @@ fn sum_overflow_wraps_identically_on_every_lowering_and_the_reference() {
         assert_eq!(got.rows, expected, "{:?}", config.target);
     }
 }
-
-#[test]
-fn a_float_column_is_an_error_on_every_device_mix_and_in_the_reference() {
-    // Compiled pipelines evaluate integers: a Float64 column must fail the
-    // query by name, not read as a column of zeros.
-    let engine = Proteus::on_paper_server();
-    let nodes = engine.topology().cpu_memory_nodes();
-    engine.register_table(
-        TableBuilder::new("prices")
-            .column("id", DataType::Int64, ColumnData::Int64((0..5_000).collect()))
-            .column(
-                "price",
-                DataType::Float64,
-                ColumnData::Float64((0..5_000).map(|i| i as f64 + 0.5).collect()),
-            )
-            .build(&nodes, 1_024)
-            .unwrap(),
-    );
-    let plan = RelNode::scan("prices", &["id", "price"])
-        .filter(Expr::col(0).gt_lit(10))
-        .reduce(vec![AggSpec::sum(Expr::col(1))], &["total"]);
-    let oracle = reference_execute(&plan, engine.catalog());
-    assert!(oracle.is_err_and(|e| e.to_string().contains("prices.price")));
-    for config in device_mixes() {
-        let got = engine.session().execute(&plan, &config);
-        assert!(
-            got.as_ref().is_err_and(|e| e.to_string().contains("Float64")),
-            "{:?}: {:?}",
-            config.target,
-            got.map(|r| r.rows)
-        );
-    }
-}
