@@ -206,9 +206,12 @@ mod tests {
 
     #[test]
     fn calibration_is_near_free_on_the_unskewed_workload() {
-        // Single-run sanity bar at 5% (the tight ≤ 2% bar is enforced by the
-        // bin on the median of three runs, mirroring steal_ab).
-        let row = unskewed_calib_ab(200_000).unwrap();
+        // A 5% sanity bar on the median of three runs: each run's simulated
+        // times follow host-thread interleaving, so one run alone can miss
+        // it. The tight ≤ 2% bar is the bin's, on the same median.
+        let row = median_by_improvement(
+            (0..3).map(|_| unskewed_calib_ab(200_000)).collect::<Result<Vec<_>>>().unwrap(),
+        );
         assert!(row.rows_identical, "calibration must not change results");
         assert!(
             (row.straggler_ewma - 1.0).abs() < 1e-9,

@@ -278,9 +278,12 @@ mod tests {
 
     #[test]
     fn armed_fault_machinery_is_free_without_a_plan() {
-        // Single-run sanity bar at 5%; the tight ≤ 2% bar is enforced by the
-        // bin on the median of three runs, mirroring calib_ab.
-        let row = healthy_fault_ab(200_000).unwrap();
+        // A 5% sanity bar on the median of three runs: each run's simulated
+        // times follow host-thread interleaving, so one run alone can miss
+        // it. The tight ≤ 2% bar is the bin's, on the same median.
+        let row = median_by_overhead(
+            (0..3).map(|_| healthy_fault_ab(200_000)).collect::<Result<Vec<_>>>().unwrap(),
+        );
         assert!(row.rows_identical);
         assert_eq!(row.recovered_blocks + row.transient_retries, 0);
         assert!(

@@ -313,9 +313,15 @@ impl<T> Default for ScratchPool<T> {
 impl<T> ScratchPool<T> {
     /// Rent a buffer (empty, but with whatever capacity it last grew to).
     pub fn acquire(&mut self) -> Vec<T> {
-        let mut buf = self.free.pop().unwrap_or_default();
+        let mut buf = self.pop_where(|_| true).unwrap_or_default();
         buf.clear();
         buf
+    }
+
+    /// The last returned buffer that `fits`, as its last user left it.
+    pub(crate) fn pop_where(&mut self, fits: impl Fn(&Vec<T>) -> bool) -> Option<Vec<T>> {
+        let i = self.free.iter().rposition(fits)?;
+        Some(self.free.swap_remove(i))
     }
 
     /// Return a buffer to the pool.

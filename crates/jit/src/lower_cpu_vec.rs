@@ -26,10 +26,12 @@
 //! * the terminal consumes the final selection in one pass, with chunk-local
 //!   state merged into shared state once per *block* (the CPU provider's
 //!   worker-scoped atomic): a reduce folds its values straight from their
-//!   columns, a hash build appends its keys and payload for one insert per
-//!   block, a group-by folds into the instance's partials (merged once, by
-//!   `finalize_instance`), a pack appends column runs — or each lane to its
-//!   partition — to the instance's open output blocks.
+//!   columns, a hash build appends its keys and payload straight to the
+//!   block's build buffers for one insert per block, a group-by packs its
+//!   keys into cell offsets and folds each aggregate from its leaves into
+//!   the instance's partials (merged once, by `finalize_instance`), a pack
+//!   appends column runs — or each lane to its partition — to the
+//!   instance's open output blocks.
 //!
 //! The scratch ([`VecScratch`]) lives in the instance's [`ExecCtx`], so every
 //! chunk of every block reuses the same buffers. Row order is the depth-first
@@ -42,9 +44,9 @@
 //! launch).
 
 use crate::expr::{Expr, ScratchPool};
-use crate::ir::{AggFunc, Step, TerminalStep};
+use crate::ir::{AggFunc, AggSpec, Step, TerminalStep};
 use crate::pipeline::{BlockCounters, CompiledPipeline, ExecCtx};
-use crate::state::{JoinMatches, JoinProbe, SharedState};
+use crate::state::{FlatGroups, JoinMatches, JoinProbe, SharedState};
 use hetex_common::{BlockHandle, ColumnRef, Result};
 
 /// Tuples per chunk: a handful of `i64` register columns plus scratch (tens
@@ -80,10 +82,11 @@ pub(crate) struct VecScratch {
     pool: ScratchPool,
     /// Emptied column sets, so renting columns allocates no outer `Vec`.
     sets: Vec<Vec<Vec<i64>>>,
-    /// A hash build's keys and payload columns, appended chunk by chunk and
-    /// inserted once per block.
-    pub(crate) build_keys: Vec<i64>,
-    pub(crate) build_payload: Vec<Vec<i64>>,
+    /// A hash build's key column, then its payload columns: appended chunk
+    /// by chunk and inserted once per block.
+    pub(crate) build: Vec<Vec<i64>>,
+    /// A group-by chunk's cell offsets or group indexes, one per lane.
+    ids: Vec<u32>,
 }
 
 /// The input rows of the current chunk: `columns[..][base..base + len]`.
@@ -257,28 +260,52 @@ macro_rules! value_reader {
     };
 }
 
+/// What a value's lanes feed.
+trait Lanes {
+    fn take(self, lanes: impl Iterator<Item = i64>);
+}
+
 /// Where a value's lanes go: onto a buffer, or into a `SUM`/`MIN`/`MAX`.
 enum Sink<'o> {
     Out(&'o mut Vec<i64>),
     Fold(AggFunc, &'o mut i64),
 }
 
+/// A group key's lanes pack into cell offsets (the flag clears if one is
+/// outside the box), an aggregate's fold into those cells. A type of their
+/// own keeps them out of the other terminals' kernels.
+enum GroupSink<'o> {
+    Pack(&'o FlatGroups, usize, &'o mut [u32], &'o mut bool),
+    Fold(&'o mut FlatGroups, usize, &'o [u32]),
+}
+
 /// Feed `sink` with `at` of each selected row, all below `end`: the rows
 /// `0..end` in a contiguous pass under the identity selection.
-fn combine(at: impl Fn(usize) -> i64, sel: &[u32], end: usize, sink: Sink) {
+fn combine(at: impl Fn(usize) -> i64, sel: &[u32], end: usize, sink: impl Lanes) {
     if end == sel.len() {
-        take((0..end).map(at), sink);
+        sink.take((0..end).map(at));
     } else {
-        take(sel.iter().map(|&r| at(r as usize)), sink);
+        sink.take(sel.iter().map(|&r| at(r as usize)));
     }
 }
 
-fn take(lanes: impl Iterator<Item = i64>, sink: Sink) {
-    match sink {
-        Sink::Out(out) => out.extend(lanes),
-        Sink::Fold(AggFunc::Min, acc) => *acc = lanes.fold(*acc, i64::min),
-        Sink::Fold(AggFunc::Max, acc) => *acc = lanes.fold(*acc, i64::max),
-        Sink::Fold(_, acc) => *acc = lanes.fold(*acc, i64::wrapping_add),
+impl Lanes for Sink<'_> {
+    fn take(self, lanes: impl Iterator<Item = i64>) {
+        match self {
+            Sink::Out(out) => out.extend(lanes),
+            Sink::Fold(AggFunc::Min, acc) => *acc = lanes.fold(*acc, i64::min),
+            Sink::Fold(AggFunc::Max, acc) => *acc = lanes.fold(*acc, i64::max),
+            Sink::Fold(_, acc) => *acc = lanes.fold(*acc, i64::wrapping_add),
+        }
+    }
+}
+
+impl Lanes for GroupSink<'_> {
+    fn take(self, lanes: impl Iterator<Item = i64>) {
+        match self {
+            GroupSink::Pack(groups, c, ids, inside) => *inside &= groups.pack(c, lanes, ids),
+            GroupSink::Fold(groups, i, ids) => groups.fold(i, lanes, ids),
+        }
     }
 }
 
@@ -369,11 +396,23 @@ impl VecScratch {
     }
 
     /// Feed the value shape `a op b` at the selected rows to `sink`.
-    fn value(&self, shape: &Shape, window: Window<'_>, sink: Sink) {
+    fn value(&self, shape: &Shape, window: Window<'_>, sink: impl Lanes) {
         let &Shape::Value(a, op, b) = shape else { unreachable!("not a value: {shape:?}") };
         let (sel, end) = (&self.sel, end(&self.sel));
         let (a, b) = (window.src(a, &self.lazy, &self.regs), window.src(b, &self.lazy, &self.regs));
         value_reader!(a, op, b, end, at => combine(at, sel, end, sink))
+    }
+
+    /// Feed `expr`, of shape `shape`, at the selected rows to `sink`: a value
+    /// straight from its leaves, any other shape through the flag buffer.
+    fn feed(&mut self, expr: &Expr, shape: &Shape, window: Window<'_>, sink: impl Lanes) {
+        if let Shape::Value(..) = shape {
+            return self.value(shape, window, sink);
+        }
+        let mut values = std::mem::take(&mut self.flags);
+        self.eval(expr, shape, window, &mut values);
+        sink.take(values.iter().copied());
+        self.flags = values;
     }
 
     /// Probe `table` with `key`, of shape `shape`, at the selected rows in
@@ -433,6 +472,9 @@ pub(crate) fn process_block(
     processed
 }
 
+// Kept out of line: inlined into `process_block`, the chunk loop's code
+// layout cost `scan_cpu` several percent.
+#[inline(never)]
 fn process_chunks(
     pipeline: &CompiledPipeline,
     block: &BlockHandle,
@@ -463,11 +505,10 @@ fn process_chunks(
             ctx.local_groups.reset(keys.len(), aggs)
         }
         TerminalStep::HashJoinBuild { payload, .. } => {
-            scratch.build_payload.resize_with(payload.len(), Vec::new);
-            let arena = &ctx.arena;
-            for buf in std::iter::once(&mut scratch.build_keys).chain(&mut scratch.build_payload) {
+            scratch.build.resize_with(1 + payload.len(), Vec::new);
+            for buf in &mut scratch.build {
                 buf.clear();
-                arena.reserve(buf, rows);
+                ctx.arena.reserve(buf, rows);
             }
         }
         _ => {}
@@ -605,12 +646,13 @@ fn process_chunks(
                     scratch.release_columns(out_cols);
                 }
                 TerminalStep::HashJoinBuild { key, payload, .. } => {
-                    let cols =
-                        scratch.eval_columns([key].into_iter().chain(payload), shapes, window);
-                    let to =
-                        std::iter::once(&mut scratch.build_keys).chain(&mut scratch.build_payload);
-                    to.zip(&cols).for_each(|(to, from)| to.extend_from_slice(from));
-                    scratch.release_columns(cols);
+                    // Each value lands straight in its build buffer.
+                    let mut build = std::mem::take(&mut scratch.build);
+                    let exprs = std::iter::once(key).chain(payload).zip(shapes);
+                    for ((expr, shape), to) in exprs.zip(&mut build) {
+                        scratch.feed(expr, shape, window, Sink::Out(to));
+                    }
+                    scratch.build = build;
                 }
                 TerminalStep::Reduce { aggs, .. } => {
                     // Dense folds into the block-local partials.
@@ -623,17 +665,13 @@ fn process_chunks(
                             scratch.value(shape, window, Sink::Fold(agg.func, acc));
                         } else {
                             scratch.eval(&agg.expr, shape, window, &mut values);
-                            take(values.iter().copied(), Sink::Fold(agg.func, acc));
+                            Sink::Fold(agg.func, acc).take(values.iter().copied());
                         }
                     }
                     scratch.flags = values;
                 }
                 TerminalStep::GroupBy { keys, aggs, .. } => {
-                    let exprs = keys.iter().chain(aggs.iter().map(|a| &a.expr));
-                    let cols = scratch.eval_columns(exprs, shapes, window);
-                    let (key_cols, agg_cols) = cols.split_at(keys.len());
-                    ctx.local_groups.accumulate_batch(key_cols, agg_cols, scratch.sel.len());
-                    scratch.release_columns(cols);
+                    fold_groups(scratch, &mut ctx.local_groups, (keys, aggs), shapes, window)
                 }
             }
         }
@@ -651,7 +689,7 @@ fn process_chunks(
         }
         TerminalStep::GroupBy { .. } => counters.atomics += u64::from(counters.rows_terminal > 0),
         TerminalStep::HashJoinBuild { payload, slot, .. } => {
-            let (keys, payload_cols) = (&scratch.build_keys, &scratch.build_payload);
+            let (keys, payload_cols) = scratch.build.split_first().expect("the build's key column");
             state.hash_table_of_width(*slot, payload.len())?.insert_batch(keys, payload_cols);
             counters.atomics += keys.len() as u64;
         }
@@ -659,6 +697,44 @@ fn process_chunks(
     }
 
     Ok((outputs, counters))
+}
+
+/// Fold the chunk's selected rows into a lane's group partials: keys pack
+/// into cell offsets from their leaves while the table's box holds them all,
+/// else they are evaluated and located; each aggregate then folds from its
+/// leaves, and a `COUNT` reads nothing.
+#[inline(never)]
+fn fold_groups(
+    scratch: &mut VecScratch,
+    groups: &mut FlatGroups,
+    (keys, aggs): (&[Expr], &[AggSpec]),
+    shapes: &[Shape],
+    window: Window<'_>,
+) {
+    let (key_shapes, agg_shapes) = shapes.split_at(keys.len());
+    let mut ids = std::mem::take(&mut scratch.ids);
+    ids.clear();
+    ids.resize(scratch.sel.len(), 0);
+    let mut inside = groups.is_boxed();
+    for (c, (key, shape)) in keys.iter().zip(key_shapes).enumerate() {
+        if inside {
+            scratch.feed(key, shape, window, GroupSink::Pack(groups, c, &mut ids, &mut inside));
+        }
+    }
+    if inside {
+        groups.claim(&mut ids);
+    } else {
+        let cols = scratch.eval_columns(keys.iter(), key_shapes, window);
+        groups.locate(&cols, &mut ids);
+        scratch.release_columns(cols);
+    }
+    for (i, (agg, shape)) in aggs.iter().zip(agg_shapes).enumerate() {
+        match agg.func {
+            AggFunc::Count => groups.fold(i, std::iter::repeat(0), &ids),
+            _ => scratch.feed(&agg.expr, shape, window, GroupSink::Fold(groups, i, &ids)),
+        }
+    }
+    scratch.ids = ids;
 }
 
 #[cfg(test)]

@@ -122,9 +122,7 @@ impl Drop for ExecCtx {
     fn drop(&mut self) {
         let scratch = &mut self.scratch;
         let open = self.open_blocks.iter_mut().flat_map(|b| &mut b.columns);
-        for buf in
-            std::iter::once(&mut scratch.build_keys).chain(&mut scratch.build_payload).chain(open)
-        {
+        for buf in scratch.build.iter_mut().chain(open) {
             self.arena.give(std::mem::take(buf));
         }
     }

@@ -15,13 +15,15 @@
 //! Both hash structures are *flat*: one contiguous, fixed-stride `i64` arena
 //! indexed directly by key when the keys' span is short, and otherwise by a
 //! power-of-two open-addressing slot array (linear probing, at most half
-//! full, indexed by the top bits of [`hash_i64`]). There is no per-row heap
-//! object, so a group-by result leaves as columns gathered from the arena in
-//! key order, and dropping a table gives a handful of buffers back to the
-//! [`StateArena`] however many rows it holds. A join table's build only
-//! appends, a block of rows at a time; its index is built once, when the
-//! build finishes (or on the first read after an insert), sized for every
-//! row. A table of unique keys is probed without walking chains.
+//! full, indexed by the top bits of [`hash_i64`]). A direct group table is
+//! its accumulators, addressed by the key's offset in a box and marked by an
+//! occupancy bitset. There is no per-row heap object, so a group-by result
+//! leaves as columns in key order, and dropping a table gives a handful of
+//! buffers back to the [`StateArena`] however many rows it holds. A join
+//! table's build only appends, a block of rows at a time; its index is built
+//! once, when the build finishes (or on the first read after an insert),
+//! sized for every row. A table of unique keys is probed without walking
+//! chains.
 //! DESIGN.md, "Hash state layout", has the full picture.
 
 use crate::expr::{hash_i64, ScratchPool};
@@ -43,10 +45,14 @@ const MIN_SLOTS: usize = 16;
 /// half the per-core L2 of the paper's Xeon E5-2650L v3.
 pub const DIRECT_FLOOR: usize = 32 * 1024;
 
-/// Packed key span up to which a group table indexes its keys directly:
-/// 64 Ki `u32` group ids are 256 KiB, the per-core L2 of the paper's Xeon
-/// E5-2650L v3 (a join seal's [`DIRECT_FLOOR`] budget is half of it).
+/// Packed key span up to which a group table addresses its accumulators
+/// directly by key: 64 Ki cells, whose occupancy bitset is 8 KiB and whose
+/// accumulators are 512 KiB per aggregate, written only where a group exists.
 pub const GROUP_DIRECT_SPAN: usize = 64 * 1024;
+
+/// Cells a direct group table's first box, or a re-box, has at least, so a
+/// small key domain is boxed once rather than doubled into place.
+const MIN_GROUP_BOX: usize = 1024;
 
 /// Bytes a [`StateArena`] keeps between queries: about three times the
 /// ≈ 22 MB a 500k-row join grouped on a key of 64 Ki values leaves in it.
@@ -102,18 +108,38 @@ impl StateArena {
         })
     }
 
-    /// An empty buffer with room for `n` values.
-    pub(crate) fn take<T: Pooled>(&self, n: usize) -> Vec<T> {
-        let Some(pools) = self.0.as_ref().filter(|_| n > 0) else { return Vec::with_capacity(n) };
+    /// A pooled buffer with room for `n` values, as its last user left it —
+    /// one that holds at least `len` values if any does; otherwise the
+    /// capacity a fresh one gets.
+    fn reuse<T: Pooled>(&self, n: usize, len: usize) -> std::result::Result<Vec<T>, usize> {
+        let Some(pools) = self.0.as_ref().filter(|_| n > 0) else { return Err(n) };
         let mut pools = pools.lock();
         let fits = n.next_power_of_two().ilog2() as usize;
-        let classes = T::classes(&mut pools).iter_mut().skip(fits);
-        if let Some(buf) = classes.map(ScratchPool::acquire).find(|buf| buf.capacity() > 0) {
+        let classes = T::classes(&mut pools);
+        let mut pop =
+            |len| classes.iter_mut().skip(fits).find_map(|c| c.pop_where(|b| b.len() >= len));
+        if let Some(buf) = pop(len).or_else(|| pop(0)) {
             pools.3 -= buf.capacity() * std::mem::size_of::<T>();
-            return buf;
+            return Ok(buf);
         }
         pools.4 += 1;
-        Vec::with_capacity(n.next_power_of_two())
+        Err(n.next_power_of_two())
+    }
+
+    /// An empty buffer with room for `n` values.
+    pub(crate) fn take<T: Pooled>(&self, n: usize) -> Vec<T> {
+        let mut buf = self.reuse(n, 0).unwrap_or_else(Vec::with_capacity);
+        buf.clear();
+        buf
+    }
+
+    /// `n` values as a pooled buffer's last user left them (only those
+    /// past its length are written, none if one holds `n`), or zeroed by
+    /// the allocator.
+    fn stale(&self, n: usize) -> Vec<i64> {
+        let mut buf = self.reuse(n, n).unwrap_or_else(|capacity| vec![0; capacity]);
+        buf.resize(n, 0);
+        buf
     }
 
     /// `n` copies of `value`, in a buffer from the arena.
@@ -679,18 +705,17 @@ impl Accumulators {
 /// A flat, unsynchronized group table: a lane's partials, and (behind a
 /// mutex) the body of [`GroupByTable`].
 ///
-/// Group `g` occupies `arena[g * stride .. (g + 1) * stride]` with
-/// `stride = key_arity + funcs.len()`: its key columns, then one accumulator
-/// per aggregate, in first-insertion order. While the keys' packed span —
-/// the product over the key columns of each one's observed `min..=max` — is
-/// at most [`GROUP_DIRECT_SPAN`], the table is direct: column `c` covers
-/// `lo[c] .. lo[c] + width[c]`, a key's offset is its row-major position in
-/// that box (column 0 most significant) and `index[offset]` its group — no
-/// hash, no key compare, and ascending offsets are ascending keys. A key
-/// outside the box re-indexes every group over a wider one. A key past the
-/// cap turns the table hashed for good: `index` is then a slot array of
-/// group indexes, probed linearly from the top bits of the key's hash.
-/// Buffers come from, and go back to, `pool`.
+/// While the keys' packed span (the product of each key column's observed
+/// `min..=max`) is at most [`GROUP_DIRECT_SPAN`], the table is direct and is
+/// its accumulators: a key's offset `off` is its row-major position in the
+/// box `lo[c] .. lo[c] + width[c]` (column 0 most significant), bit `off` of
+/// `index` marks its group, and `arena[off * aggs..][..aggs]` holds the
+/// group's accumulators, first written by its first fold. A key outside the
+/// box moves every group to a wider one; a key past the cap turns the table
+/// hashed for good: group `g` is then `arena[g * stride..][..stride]`, its
+/// key columns and accumulators in first-insertion order, and `index` a slot
+/// array of group indexes, probed linearly from the top bits of the key's
+/// hash. Buffers come from, and go back to, `pool`.
 #[derive(Debug, Default)]
 pub struct FlatGroups {
     key_arity: usize,
@@ -702,16 +727,16 @@ pub struct FlatGroups {
     shift: u32,
     groups: usize,
     arena: Vec<i64>,
-    /// [`Self::accumulate_batch`]'s offsets and groups, one per lane.
-    ids: Vec<u32>,
     pool: StateArena,
 }
 
+/// Flags a cell offset whose lane is the first to reach the cell: its
+/// first fold starts from the identity, not from the cell.
+const FRESH: u32 = 1 << 31;
+
 impl Drop for FlatGroups {
     fn drop(&mut self) {
-        for buf in [&mut self.index, &mut self.ids] {
-            self.pool.give(std::mem::take(buf));
-        }
+        self.pool.give(std::mem::take(&mut self.index));
         self.pool.give(std::mem::take(&mut self.arena));
     }
 }
@@ -737,12 +762,11 @@ impl FlatGroups {
     }
 
     /// Empty the table for keys of `key_arity` columns, keeping its
-    /// aggregates and allocations. It starts direct.
+    /// aggregates and allocations. It starts direct, with no box.
     pub(crate) fn clear(&mut self, key_arity: usize) {
         self.key_arity = key_arity;
         (self.hashed, self.groups) = (false, 0);
         self.index.clear();
-        self.arena.clear();
     }
 
     /// Number of groups.
@@ -760,116 +784,155 @@ impl FlatGroups {
         !self.hashed
     }
 
-    /// Every `(key, accumulators)` pair, in first-insertion order.
-    pub fn iter(&self) -> impl Iterator<Item = (&[i64], &[i64])> {
-        let stride = self.stride();
-        (0..self.groups).map(move |g| self.arena[g * stride..][..stride].split_at(self.key_arity))
+    /// True while the table is direct and has a box.
+    pub(crate) fn is_boxed(&self) -> bool {
+        !self.hashed && !self.index.is_empty()
+    }
+
+    /// Call `visit` with each group's key and accumulators, in key order
+    /// when direct and in first-insertion order when hashed.
+    pub fn for_each(&self, mut visit: impl FnMut(&[i64], &[i64])) {
+        let (arity, aggs) = (self.key_arity, self.funcs.len());
+        if self.hashed {
+            let rows = self.arena[..self.groups * (arity + aggs)].chunks_exact(arity + aggs);
+            return rows.for_each(|row| visit(&row[..arity], &row[arity..]));
+        }
+        let mut key = vec![0; arity];
+        for (w, &word) in self.index.iter().enumerate() {
+            for off in (0..32).filter(|b| word >> b & 1 == 1).map(|b| w * 32 + b) {
+                let mut rest = off;
+                for c in (0..arity).rev() {
+                    let width = self.width[c] as usize;
+                    key[c] =
+                        self.lo[c].wrapping_add(if c > 0 { rest % width } else { rest } as i64);
+                    rest /= width;
+                }
+                visit(&key, &self.arena[off * aggs..][..aggs]);
+            }
+        }
     }
 
     /// The accumulators of `key`'s group, starting a group of identities if
     /// the key is new.
     pub fn entry(&mut self, key: &[i64]) -> &mut [i64] {
         assert_eq!(key.len(), self.key_arity, "group key does not match the table's arity");
-        let group = self.group_of(&|c| key[c]);
-        let stride = self.stride();
-        &mut self.arena[group * stride..][self.key_arity..stride]
+        let at = self.slot_of(&|c| key[c]);
+        &mut self.arena[at..at + self.funcs.len()]
     }
 
-    /// Fold a chunk of tuples into their groups: tuple `j` has key
-    /// `key_cols[..][j]` and feeds `agg_cols[i][j]` to aggregate `i`, for
-    /// `j < lanes`. Resolves every group, then updates one aggregate column
-    /// at a time.
-    pub fn accumulate_batch(&mut self, key_cols: &[Vec<i64>], agg_cols: &[Vec<i64>], lanes: usize) {
+    /// Pack key column `c` into the offsets `ids`, which hold the columns
+    /// before it: false if a key falls outside the box.
+    #[inline]
+    pub(crate) fn pack(&self, c: usize, keys: impl Iterator<Item = i64>, ids: &mut [u32]) -> bool {
+        let (lo, width, mut inside) = (self.lo[c], self.width[c], true);
+        for (off, k) in ids.iter_mut().zip(keys) {
+            let d = k.wrapping_sub(lo) as u64;
+            inside &= d < width;
+            *off = off.wrapping_mul(width as u32).wrapping_add(d as u32);
+        }
+        inside
+    }
+
+    /// Set lane `j` of `ids` to the claimed cell or the group of the key
+    /// `key_cols[..][j]`, once the table covers them all.
+    pub(crate) fn locate(&mut self, key_cols: &[Vec<i64>], ids: &mut [u32]) {
         assert_eq!(key_cols.len(), self.key_arity, "group key does not match the table's arity");
-        assert_eq!(agg_cols.len(), self.funcs.len(), "one input column per aggregate");
-        let mut ids = std::mem::take(&mut self.ids);
-        ids.clear();
-        self.pool.reserve(&mut ids, lanes);
-        if lanes > 0 {
-            self.cover(key_cols.iter().map(|col| bounds_of(&col[..lanes])));
+        if !ids.is_empty() {
+            self.cover(key_cols.iter().map(|col| bounds_of(&col[..ids.len()])));
         }
-        if self.hashed {
-            ids.extend((0..lanes).map(|j| self.group_of(&|c| key_cols[c][j]) as u32));
-        } else {
-            // The box holds every key: pack the offsets a column at a time.
-            ids.resize(lanes, 0);
-            for (c, col) in key_cols.iter().enumerate() {
-                let (lo, width) = (self.lo[c], self.width[c] as u32);
-                for (off, &k) in ids.iter_mut().zip(&col[..lanes]) {
-                    *off = *off * width + k.wrapping_sub(lo) as u32;
-                }
-            }
-            for (j, id) in ids.iter_mut().enumerate() {
-                let off = *id as usize;
-                *id = self.index[off];
-                if *id == NIL {
-                    *id = self.append(&|c| key_cols[c][j]) as u32;
-                    self.index[off] = *id;
-                }
-            }
+        for (j, id) in ids.iter_mut().enumerate() {
+            *id = self.cell_of(&|c| key_cols[c][j]);
         }
-        let stride = self.stride();
-        for (i, col) in agg_cols.iter().enumerate() {
-            let (func, offset) = (self.funcs[i], self.key_arity + i);
-            for (&g, &v) in ids.iter().zip(&col[..lanes]) {
-                let acc = &mut self.arena[g as usize * stride + offset];
-                *acc = func.accumulate(*acc, v);
-            }
-        }
-        self.ids = ids;
     }
 
-    /// Merge another table's partial accumulators into this one. An empty
-    /// table adopts `other`'s key arity.
+    /// Mark a direct table's cells `offs` occupied, flagging [`FRESH`] each
+    /// lane that is the first to reach its cell. Branch-free.
+    pub(crate) fn claim(&mut self, offs: &mut [u32]) {
+        for off in offs {
+            let (word, bit) = (*off as usize / 32, 1 << (*off % 32));
+            let fresh = self.index[word] & bit == 0;
+            self.index[word] |= bit;
+            self.groups += usize::from(fresh);
+            *off |= u32::from(fresh) << 31;
+        }
+    }
+
+    /// Fold `values`, one per lane of `ids`, into aggregate `i` of each
+    /// lane's cell or group, matching the function once.
+    #[inline]
+    pub(crate) fn fold(&mut self, i: usize, values: impl Iterator<Item = i64>, ids: &[u32]) {
+        let (stride, first, fresh) = match self.hashed {
+            true => (self.stride(), self.key_arity, 0),
+            false => (self.funcs.len(), 0, FRESH),
+        };
+        let (func, accs) = (self.funcs[i], &mut self.arena[first + i..]);
+        let identity = func.identity();
+        macro_rules! each {
+            ($op:expr) => {
+                for (&id, v) in ids.iter().zip(values) {
+                    let acc = &mut accs[(id & !fresh) as usize * stride];
+                    *acc = $op(std::hint::select_unpredictable(id & fresh == 0, *acc, identity), v);
+                }
+            };
+        }
+        match func {
+            AggFunc::Sum => each!(i64::wrapping_add),
+            AggFunc::Count => each!(|acc: i64, _| acc.wrapping_add(1)),
+            AggFunc::Min => each!(i64::min),
+            AggFunc::Max => each!(i64::max),
+        }
+    }
+
+    /// Merge another table's partial accumulators into this one, group by
+    /// group. An empty table adopts `other`'s key arity.
     pub fn merge_from(&mut self, other: &FlatGroups) {
         if self.groups == 0 {
             self.clear(other.key_arity);
         }
         assert_eq!(self.key_arity, other.key_arity, "merging group tables of different arity");
         assert_eq!(self.funcs, other.funcs, "merging group tables of different aggregates");
-        let stride = self.stride();
-        if !other.is_empty() {
-            let column = |c| other.arena.iter().skip(c).step_by(stride);
-            self.cover((0..self.key_arity).map(|c| bounds_of(column(c))));
+        let theirs = other.lo.iter().zip(&other.width).map(|(&lo, &w)| (lo, lo + (w - 1) as i64));
+        if !(other.is_empty() || other.is_boxed() && self.holds(theirs)) {
+            self.cover(other.bounds().into_iter());
         }
-        for (key, partials) in other.iter() {
-            let group = self.group_of(&|c| key[c]);
-            let accs = &mut self.arena[group * stride..][self.key_arity..stride];
-            for ((func, acc), partial) in self.funcs.iter().zip(accs).zip(partials) {
-                *acc = func.merge(*acc, *partial);
+        other.for_each(|key, partials| {
+            let at = self.slot_of(&|c| key[c]);
+            for (i, &partial) in partials.iter().enumerate() {
+                self.arena[at + i] = self.funcs[i].merge(self.arena[at + i], partial);
             }
-        }
+        });
     }
 
     /// Every group as columns — the key columns, then one column per
     /// aggregate — with rows in ascending key order (lexicographic over the
-    /// key columns). A direct table's index is already in that order. A
-    /// hashed one sorts its group indexes by their key cells, which are
-    /// distinct, so the order is total; the sort runs over contiguous
-    /// `(first key cell, group)` pairs and reads the rest of a key from the
-    /// arena only to break a tie on its first cell.
+    /// key columns). A direct table visits its cells in that order. A hashed
+    /// one sorts its group indexes by their key cells, which are distinct,
+    /// so the order is total; the sort runs over contiguous `(first key
+    /// cell, group)` pairs and reads the rest of a key from the arena only
+    /// to break a tie on its first cell.
     pub fn sorted_columns(&self) -> Vec<Vec<i64>> {
         let stride = self.stride();
-        let order: Vec<u32> = if self.hashed {
+        let mut columns: Vec<Vec<i64>> = (0..stride).map(|_| self.pool.take(self.groups)).collect();
+        let mut push = |key: &[i64], accs: &[i64]| {
+            columns.iter_mut().zip(key.iter().chain(accs)).for_each(|(column, &v)| column.push(v))
+        };
+        if self.hashed {
             let key = |g: u32| &self.arena[g as usize * stride..][..self.key_arity];
             let mut order: Vec<(i64, u32)> = (0..self.groups as u32)
                 .map(|g| (key(g).first().copied().unwrap_or(0), g))
                 .collect();
             order.sort_unstable_by(|a, b| a.0.cmp(&b.0).then_with(|| key(a.1).cmp(key(b.1))));
-            order.into_iter().map(|(_, g)| g).collect()
+            for (_, g) in order {
+                let row = &self.arena[g as usize * stride..][..stride];
+                push(&row[..self.key_arity], &row[self.key_arity..]);
+            }
         } else {
-            self.index.iter().copied().filter(|&g| g != NIL).collect()
-        };
-        (0..stride)
-            .map(|c| {
-                let mut column = self.pool.take(order.len());
-                column.extend(order.iter().map(|&g| self.arena[g as usize * stride + c]));
-                column
-            })
-            .collect()
+            self.for_each(push);
+        }
+        columns
     }
 
-    /// Bytes the table holds (index plus group arena, at capacity).
+    /// Bytes the table holds (index plus arena, at capacity).
     pub fn approx_bytes(&self) -> u64 {
         (self.index.capacity() * std::mem::size_of::<u32>()
             + self.arena.capacity() * std::mem::size_of::<i64>()) as u64
@@ -879,78 +942,106 @@ impl FlatGroups {
         self.key_arity + self.funcs.len()
     }
 
-    /// The group of the key `key_at(0..key_arity)`, appended with identity
-    /// accumulators if it is new.
-    fn group_of(&mut self, key_at: &impl Fn(usize) -> i64) -> usize {
-        self.cover((0..self.key_arity).map(|c| (key_at(c), key_at(c))));
-        if self.hashed {
-            let hash = (0..self.key_arity).fold(0, |h, c| hash_i64(h ^ key_at(c)));
-            return self.upsert(hash, key_at);
-        }
-        let off = self.offset(key_at);
-        if self.index[off] == NIL {
-            self.index[off] = self.append(key_at) as u32;
-        }
-        self.index[off] as usize
+    /// Each key column's `(min, max)` over the groups.
+    fn bounds(&self) -> Vec<(i64, i64)> {
+        let mut seen = vec![(i64::MAX, i64::MIN); self.key_arity];
+        self.for_each(|key, _| {
+            for (range, &k) in seen.iter_mut().zip(key) {
+                *range = (range.0.min(k), range.1.max(k));
+            }
+        });
+        seen
     }
 
-    /// The offset in the direct index of a key it covers.
-    fn offset(&self, key_at: impl Fn(usize) -> i64) -> usize {
+    /// The claimed cell (direct) or the group (hashed) of the key
+    /// `key_at(0..key_arity)`.
+    fn cell_of(&mut self, key_at: &impl Fn(usize) -> i64) -> u32 {
+        self.cover((0..self.key_arity).map(|c| (key_at(c), key_at(c))));
+        if self.hashed {
+            return self.upsert(key_at) as u32;
+        }
         let packed = |off, c| off * self.width[c] + key_at(c).wrapping_sub(self.lo[c]) as u64;
-        (0..self.key_arity).fold(0, packed) as usize
+        let mut off = [(0..self.key_arity).fold(0, packed) as u32];
+        self.claim(&mut off);
+        off[0]
+    }
+
+    /// Where the accumulators of the key `key_at(..)` start in the arena,
+    /// set to the identities if its group is new.
+    fn slot_of(&mut self, key_at: &impl Fn(usize) -> i64) -> usize {
+        let id = self.cell_of(key_at);
+        if self.hashed {
+            return id as usize * self.stride() + self.key_arity;
+        }
+        let (aggs, at) = (self.funcs.len(), (id & !FRESH) as usize * self.funcs.len());
+        if id & FRESH != 0 {
+            for (acc, func) in self.arena[at..at + aggs].iter_mut().zip(&self.funcs) {
+                *acc = func.identity();
+            }
+        }
+        at
+    }
+
+    /// True if a direct box holds keys whose column `c` is in `bounds[c]`.
+    fn holds(&self, bounds: impl Iterator<Item = (i64, i64)>) -> bool {
+        let inside = |((&lo, &width), (min, max)): ((&i64, &u64), (i64, i64))| {
+            (min.wrapping_sub(lo) as u64) < width && (max.wrapping_sub(lo) as u64) < width
+        };
+        self.is_boxed() && self.lo.iter().zip(&self.width).zip(bounds).all(inside)
     }
 
     /// Make a direct table cover the keys whose column `c` lies in the
     /// `c`-th of `bounds`: widen its box if they fall outside.
     fn cover(&mut self, bounds: impl Iterator<Item = (i64, i64)> + Clone) {
-        let inside = |((&lo, &width), (min, max)): ((&i64, &u64), (i64, i64))| {
-            (min.wrapping_sub(lo) as u64) < width && (max.wrapping_sub(lo) as u64) < width
-        };
-        let boxed = self.lo.iter().zip(&self.width);
-        if !self.hashed && (self.index.is_empty() || !boxed.zip(bounds.clone()).all(inside)) {
-            self.widen(bounds);
+        if !self.hashed && !self.holds(bounds.clone()) {
+            self.widen(bounds.collect());
         }
     }
 
-    /// Re-index every group over a box that covers each column's observed
-    /// `min..=max` over the stored keys and `bounds`: centred on it, twice as
-    /// wide or as much wider as [`GROUP_DIRECT_SPAN`] allows. If the observed
-    /// span itself is past the cap, the table turns hashed for good.
+    /// Move every group to a box over each column's observed `min..=max`
+    /// (groups and `seen`), twice as wide or as much as [`GROUP_DIRECT_SPAN`]
+    /// allows, from zero if that holds the column, else centred. Past the
+    /// cap, the table turns hashed for good.
     #[cold]
-    fn widen(&mut self, bounds: impl Iterator<Item = (i64, i64)>) {
-        let stride = self.stride();
-        let mut seen: Vec<(i64, i64)> = bounds.collect();
-        for row in self.arena.chunks_exact(stride.max(1)) {
-            for (range, &k) in seen.iter_mut().zip(row) {
-                *range = (range.0.min(k), range.1.max(k));
-            }
+    fn widen(&mut self, mut seen: Vec<(i64, i64)>) {
+        for (range, stored) in seen.iter_mut().zip(self.bounds()) {
+            *range = (range.0.min(stored.0), range.1.max(stored.1));
         }
         let span = |&(lo, hi): &(i64, i64)| (i128::from(hi) - i128::from(lo) + 1) as f64;
         let (cells, cap) =
             (|r: &[(i64, i64)]| r.iter().map(span).product::<f64>(), GROUP_DIRECT_SPAN as f64);
+        let mut old = FlatGroups::default();
+        std::mem::swap(self, &mut old);
+        (self.key_arity, self.pool) = (old.key_arity, old.pool.clone());
+        self.funcs.clone_from(&old.funcs);
         if cells(&seen) > cap {
             self.hashed = true;
-            return self.rehash();
+            self.rehash();
+        } else {
+            // Small boxes grow to `MIN_GROUP_BOX` cells at once.
+            let root = |n: f64| (n / cells(&seen)).powf(1.0 / seen.len().max(1) as f64);
+            let factor = root(cap).min(root(MIN_GROUP_BOX as f64).max(2.0));
+            let roomy: Vec<(i64, i64)> = seen
+                .iter()
+                .map(|range| {
+                    let width = (span(range) * factor).round() as i128;
+                    let lo = i128::from(range.0) - (width - span(range) as i128) / 2;
+                    let lo = lo.clamp(i64::MIN.into(), i128::from(i64::MAX) - width + 1);
+                    let lo = if range.0 >= 0 && width > range.1.into() { 0 } else { lo };
+                    (lo as i64, (lo + width - 1) as i64)
+                })
+                .collect();
+            let ranges = if cells(&roomy) <= cap { roomy } else { seen };
+            self.lo = ranges.iter().map(|r| r.0).collect();
+            self.width = ranges.iter().map(|r| span(r) as u64).collect();
+            let cells = cells(&ranges) as usize;
+            self.index = self.pool.filled(cells.div_ceil(32), 0);
+            self.arena = self.pool.stale(cells * self.funcs.len());
         }
-        let factor = (cap / cells(&seen)).powf(1.0 / seen.len().max(1) as f64).min(2.0);
-        let roomy: Vec<(i64, i64)> = seen
-            .iter()
-            .map(|range| {
-                let width = (span(range) * factor) as i128;
-                let lo = i128::from(range.0) - (width - span(range) as i128) / 2;
-                let lo = lo.clamp(i64::MIN.into(), i128::from(i64::MAX) - width + 1);
-                (lo as i64, (lo + width - 1) as i64)
-            })
-            .collect();
-        let ranges = if cells(&roomy) <= cap { roomy } else { seen };
-        self.lo = ranges.iter().map(|r| r.0).collect();
-        self.width = ranges.iter().map(|r| span(r) as u64).collect();
-        self.pool.give(std::mem::take(&mut self.index));
-        self.index = self.pool.filled(cells(&ranges) as usize, NIL);
-        for g in 0..self.groups {
-            let off = self.offset(|c| self.arena[g * stride + c]);
-            self.index[off] = g as u32;
-        }
+        old.for_each(|key, accs| {
+            let at = self.slot_of(&|c| key[c]);
+            self.arena[at..at + accs.len()].copy_from_slice(accs);
+        });
     }
 
     /// Append a group of key `key_at(..)` with identity accumulators.
@@ -963,14 +1054,15 @@ impl FlatGroups {
         group
     }
 
-    /// Index of the group whose key columns are `key_at(0..key_arity)` and
-    /// hash to `hash`, appending it with identity accumulators if it is new.
-    fn upsert(&mut self, hash: i64, key_at: &impl Fn(usize) -> i64) -> usize {
+    /// Index of the group whose key columns are `key_at(0..key_arity)`,
+    /// appending it with identity accumulators if it is new.
+    fn upsert(&mut self, key_at: &impl Fn(usize) -> i64) -> usize {
         if (self.groups + 1) * 2 > self.index.len() {
             self.rehash();
         }
         let mask = self.index.len() - 1;
         let stride = self.stride();
+        let hash = (0..self.key_arity).fold(0, |h, c| hash_i64(h ^ key_at(c)));
         let mut i = (hash as u64 >> self.shift) as usize;
         loop {
             let group = self.index[i];
@@ -1355,6 +1447,13 @@ mod tests {
         assert!(g.approx_bytes() >= 2 * 4 * 8);
     }
 
+    /// Every group of `table` as a `(key, accumulators)` row, in visit order.
+    fn group_rows(table: &FlatGroups) -> Vec<(Vec<i64>, Vec<i64>)> {
+        let mut rows = Vec::new();
+        table.for_each(|key, accs| rows.push((key.to_vec(), accs.to_vec())));
+        rows
+    }
+
     #[test]
     fn local_groups_batch_matches_per_tuple_and_clears_in_place() {
         let aggs = vec![AggSpec::sum(Expr::col(0)), AggSpec::count(), AggSpec::min(Expr::col(0))];
@@ -1362,11 +1461,11 @@ mod tests {
         let vals: Vec<i64> = (0..3_000).map(|i| i * 3 - 4_000).collect();
         let ones = vec![1; 3_000];
         let mut batched = FlatGroups::new(1, &aggs);
-        batched.accumulate_batch(
-            std::slice::from_ref(&keys),
-            &[vals.clone(), ones, vals.clone()],
-            3_000,
-        );
+        let mut ids = vec![0; 3_000];
+        batched.locate(std::slice::from_ref(&keys), &mut ids);
+        for (i, col) in [&vals, &ones, &vals].into_iter().enumerate() {
+            batched.fold(i, col.iter().copied(), &ids);
+        }
         let mut single = FlatGroups::new(1, &aggs);
         for (&k, &v) in keys.iter().zip(&vals) {
             let accs = single.entry(&[k]);
@@ -1375,15 +1474,15 @@ mod tests {
             }
         }
         assert_eq!(batched.len(), 700);
-        assert!(batched.iter().eq(single.iter()), "same groups in first-insertion order");
+        assert_eq!(group_rows(&batched), group_rows(&single), "same groups in key order");
 
         let bytes = batched.approx_bytes();
         batched.reset(1, &aggs);
         assert!(batched.is_empty());
-        assert_eq!(batched.iter().count(), 0);
+        assert!(group_rows(&batched).is_empty());
         assert_eq!(batched.approx_bytes(), bytes, "clearing keeps the allocations");
         batched.entry(&[5])[1] = 9;
-        assert_eq!(batched.iter().collect::<Vec<_>>(), vec![(&[5][..], &[0, 9, i64::MAX][..])]);
+        assert_eq!(group_rows(&batched), vec![(vec![5], vec![0, 9, i64::MAX])]);
     }
 
     #[test]

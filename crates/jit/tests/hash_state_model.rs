@@ -1,19 +1,20 @@
 //! Model-based properties of the flat hash state: whatever sequence of
 //! inserts, batches, merges and threads produced it, a [`JoinHashTable`] must
 //! answer like an ordered map from key to its payload rows in insertion
-//! order, and a [`GroupByTable`] like an ordered map from key to its folded
+//! order, and a group-by table like an ordered map from key to its folded
 //! aggregates. A sealed join table answers exactly as the unsealed one does,
 //! whether its seal built a direct key index or left it hashed.
 //!
 //! The case budget is `HETEX_HASH_CASES` generated cases per property
 //! (default 24); CI's release job raises it.
 
-use hetex_common::{MemoryNodeId, PipelineId};
+use hetex_common::{Block, BlockHandle, BlockId, BlockMeta, ColumnData, MemoryNodeId, PipelineId};
 use hetex_jit::state::{
-    FlatGroups, GroupByTable, JoinHashTable, JoinMatches, DIRECT_FLOOR, GROUP_DIRECT_SPAN,
+    FlatGroups, JoinHashTable, JoinMatches, StateArena, DIRECT_FLOOR, GROUP_DIRECT_SPAN,
 };
 use hetex_jit::{
     AggFunc, AggSpec, CompiledPipeline, ExecCtx, Expr, SharedState, StateSlot, TerminalStep,
+    VEC_CHUNK,
 };
 use hetex_topology::DeviceKind;
 use proptest::collection::vec;
@@ -22,6 +23,9 @@ use std::collections::BTreeMap;
 use std::sync::Barrier;
 
 type JoinModel = BTreeMap<i64, Vec<Vec<i64>>>;
+
+/// A group-by input row: its key columns and its value.
+type Tuple = (Vec<i64>, i64);
 
 /// Generated-case budget: `HETEX_HASH_CASES` cases per property (default 24).
 fn case_budget() -> u32 {
@@ -233,24 +237,66 @@ fn group_rows(columns: Vec<Vec<i64>>, arity: usize) -> Vec<(Vec<i64>, Vec<i64>)>
     (0..rows).map(|r| (row(keys, r), row(values, r))).collect()
 }
 
-/// Fold `tuples` into `table` in chunks of `chunk`: whole chunks through
-/// `accumulate_batch` and tuple by tuple through `entry`, alternately.
-fn fold_groups(table: &mut FlatGroups, aggs: &[AggSpec], tuples: &[(Vec<i64>, i64)], chunk: usize) {
-    for (i, part) in tuples.chunks(chunk).enumerate() {
-        if i % 2 == 0 {
-            let arity = part[0].0.len();
-            let keys: Vec<Vec<i64>> =
-                (0..arity).map(|c| part.iter().map(|(k, _)| k[c]).collect()).collect();
-            let values: Vec<i64> = part.iter().map(|&(_, v)| v).collect();
-            table.accumulate_batch(&keys, &vec![values; aggs.len()], part.len());
-        } else {
-            for (key, value) in part {
-                for (acc, agg) in table.entry(key).iter_mut().zip(aggs) {
-                    *acc = agg.func.accumulate(*acc, *value);
-                }
-            }
+/// `SUM`, `COUNT`, `MIN` and `MAX` of register `value`.
+fn value_aggs(value: usize) -> Vec<AggSpec> {
+    let v = || Expr::col(value);
+    vec![AggSpec::sum(v()), AggSpec::count(), AggSpec::min(v()), AggSpec::max(v())]
+}
+
+/// The per-tuple model: each key's aggregates folded tuple by tuple, as
+/// `(key, values)` rows in key order.
+fn model_of(aggs: &[AggSpec], tuples: &[Tuple]) -> Vec<(Vec<i64>, Vec<i64>)> {
+    let mut model: BTreeMap<Vec<i64>, Vec<i64>> = BTreeMap::new();
+    for (key, v) in tuples {
+        let accs = model
+            .entry(key.clone())
+            .or_insert_with(|| aggs.iter().map(|a| a.func.identity()).collect());
+        for (acc, agg) in accs.iter_mut().zip(aggs) {
+            *acc = agg.func.accumulate(*acc, *v);
         }
     }
+    model.into_iter().collect()
+}
+
+/// Fold `tuples` into `table` tuple by tuple, through `entry`.
+fn fold_entries(table: &mut FlatGroups, aggs: &[AggSpec], tuples: &[Tuple]) {
+    for (key, value) in tuples {
+        for (acc, agg) in table.entry(key).iter_mut().zip(aggs) {
+            *acc = agg.func.accumulate(*acc, *value);
+        }
+    }
+}
+
+/// Run one lane of a group-by over `arity` key columns and the value after
+/// them ([`value_aggs`]) through the chunk kernel: `tuples` arrive in blocks
+/// of `block` rows, and the lane's partials merge into `slot`'s table when
+/// it finishes. With `narrow`, a key column whose values fit is `Int32`.
+fn fold_lane(
+    state: &SharedState,
+    slot: StateSlot,
+    arity: usize,
+    tuples: &[Tuple],
+    (block, narrow): (usize, bool),
+) {
+    let keys = (0..arity).map(Expr::col).collect();
+    let terminal = TerminalStep::GroupBy { keys, aggs: value_aggs(arity), slot };
+    let pipeline =
+        CompiledPipeline::new(PipelineId::new(1), DeviceKind::CpuCore, arity + 1, vec![], terminal)
+            .unwrap();
+    let mut ctx = ExecCtx::cpu(MemoryNodeId::new(0), 1024).with_arena(state.arena());
+    for part in tuples.chunks(block) {
+        let column = |values: Vec<i64>| match values.iter().map(|&v| i32::try_from(v)).collect() {
+            Ok(values) if narrow => ColumnData::Int32(values),
+            _ => ColumnData::Int64(values),
+        };
+        let mut columns: Vec<ColumnData> =
+            (0..arity).map(|c| column(part.iter().map(|(k, _)| k[c]).collect())).collect();
+        columns.push(ColumnData::Int64(part.iter().map(|&(_, v)| v).collect()));
+        let meta = BlockMeta::new(BlockId::new(0), MemoryNodeId::new(0));
+        let input = BlockHandle::new(Block::new(columns, part.len()).unwrap(), meta);
+        pipeline.process_block(&input, state, &mut ctx).unwrap();
+    }
+    pipeline.finalize_instance(state, &mut ctx).unwrap();
 }
 
 #[test]
@@ -528,8 +574,8 @@ proptest! {
                 *acc = agg.func.accumulate(*acc, value);
             }
         }
-        let mut pairs: Vec<(Vec<i64>, Vec<i64>)> =
-            local.iter().map(|(k, v)| (k.to_vec(), v.to_vec())).collect();
+        let mut pairs: Vec<(Vec<i64>, Vec<i64>)> = Vec::new();
+        local.for_each(|k, v| pairs.push((k.to_vec(), v.to_vec())));
         pairs.sort();
 
         let mut state = SharedState::new();
@@ -692,9 +738,9 @@ proptest! {
         assert_blocks_stay_whole(&table, &model, &probes, exact);
     }
 
-    /// Local partials built per tuple or per chunk, merged in any number of
-    /// batches, fold to the model's aggregates — for every aggregate function
-    /// and for one- and three-column keys.
+    /// Lane partials built through the chunk kernel or tuple by tuple,
+    /// merged in any number of batches, fold to the model's aggregates — for
+    /// every aggregate function and for one- and three-column keys.
     #[test]
     fn group_by_behaves_like_an_ordered_map_of_folds(
         tuples in vec(0usize..90, 0..2_500),
@@ -702,63 +748,47 @@ proptest! {
         wide_key in 0u8..2,
     ) {
         let arity = if wide_key == 1 { 3 } else { 1 };
-        let aggs = vec![
-            AggSpec::sum(Expr::col(0)),
-            AggSpec::count(),
-            AggSpec::min(Expr::col(0)),
-            AggSpec::max(Expr::col(0)),
-        ];
+        let aggs = value_aggs(arity);
         let key_row = |t: usize| -> Vec<i64> {
             // Three-column keys share their first column across many groups.
             [key_of(t % 7), key_of(t), (t / 30) as i64][3 - arity..].to_vec()
         };
         let value = |row: usize| (row as i64 - 900).wrapping_mul(0x0100_0000_0000_0001);
+        let tuples: Vec<Tuple> =
+            tuples.iter().enumerate().map(|(row, &t)| (key_row(t), value(row))).collect();
 
-        let shared = GroupByTable::new(&aggs);
-        let mut model: BTreeMap<Vec<i64>, Vec<i64>> = BTreeMap::new();
-        let per_batch = tuples.len().div_ceil(batches).max(1);
+        let mut state = SharedState::new();
+        let slot = state.add_group_by(&aggs);
+        let shared = state.group_by(slot).unwrap();
         let mut local = FlatGroups::new(arity, &aggs);
-        for (b, batch) in tuples.chunks(per_batch).enumerate() {
-            local.reset(arity, &aggs);
-            let base = b * per_batch;
+        for (b, batch) in tuples.chunks(tuples.len().div_ceil(batches).max(1)).enumerate() {
             if b % 2 == 0 {
-                let key_cols: Vec<Vec<i64>> =
-                    (0..arity).map(|c| batch.iter().map(|&t| key_row(t)[c]).collect()).collect();
-                let values: Vec<i64> = (0..batch.len()).map(|j| value(base + j)).collect();
-                local.accumulate_batch(&key_cols, &vec![values; aggs.len()], batch.len());
+                fold_lane(&state, slot, arity, batch, (VEC_CHUNK, false));
             } else {
-                for (j, &t) in batch.iter().enumerate() {
-                    let accs = local.entry(&key_row(t));
-                    for (acc, agg) in accs.iter_mut().zip(&aggs) {
-                        *acc = agg.func.accumulate(*acc, value(base + j));
-                    }
-                }
-            }
-            shared.absorb(&mut local);
-            for (j, &t) in batch.iter().enumerate() {
-                let accs = model
-                    .entry(key_row(t))
-                    .or_insert_with(|| aggs.iter().map(|a| a.func.identity()).collect());
-                for (acc, agg) in accs.iter_mut().zip(&aggs) {
-                    *acc = agg.func.accumulate(*acc, value(base + j));
-                }
+                local.reset(arity, &aggs);
+                fold_entries(&mut local, &aggs, batch);
+                shared.absorb(&mut local);
             }
         }
-        prop_assert_eq!(shared.len(), model.len());
-        prop_assert_eq!(shared.is_empty(), model.is_empty());
+        let expected = model_of(&aggs, &tuples);
+        prop_assert_eq!(shared.len(), expected.len());
+        prop_assert_eq!(shared.is_empty(), expected.is_empty());
         prop_assert_eq!(shared.funcs(), &[AggFunc::Sum, AggFunc::Count, AggFunc::Min, AggFunc::Max][..]);
-        let expected: Vec<(Vec<i64>, Vec<i64>)> = model.into_iter().collect();
         prop_assert_eq!(shared.snapshot(), expected);
     }
 
-    /// A group table indexes its keys directly exactly while their packed
-    /// span is within [`GROUP_DIRECT_SPAN`], and direct, hashed and merged
-    /// tables all fold like the per-tuple model. Keys fill a window at the
-    /// bottom or top of `i64` or across zero, whose packed span is the cap
-    /// or one past it, over one to three columns; they arrive as drawn, in
-    /// ascending order (the box grows up) or descending (its base moves
-    /// down), with the window's corners among them. The hashed table is the
-    /// same input behind one far key.
+    /// A group table is direct exactly while its keys' packed span is within
+    /// [`GROUP_DIRECT_SPAN`], and direct, hashed and merged tables all fold
+    /// like the per-tuple model, through the chunk kernel and tuple by tuple.
+    /// Keys fill a window at the bottom or top of `i64` or across zero, whose
+    /// packed span is the cap or one past it, over one to three columns, of
+    /// which most cells are never touched; they arrive as drawn, in ascending
+    /// order (the box grows up mid-stream) or descending (its base moves
+    /// down), with the window's corners among them. A hashed lane is the
+    /// same input behind one far key. Lanes merge direct into direct over
+    /// different boxes, direct into hashed and hashed into direct, beside
+    /// empty lanes. Every table takes its buffers from an arena that a run
+    /// over the same keys with other values gave back dirty first.
     #[test]
     fn direct_and_hashed_group_tables_fold_like_the_per_tuple_model(
         draws in vec(0..u64::MAX, 1..1_500),
@@ -766,14 +796,10 @@ proptest! {
         at in 0u8..3,
         past in 0u8..2,
         order in 0u8..3,
-        chunk in 1usize..700,
+        block in 1usize..1_500,
+        narrow in 0u8..2,
     ) {
-        let aggs = vec![
-            AggSpec::sum(Expr::col(0)),
-            AggSpec::count(),
-            AggSpec::min(Expr::col(0)),
-            AggSpec::max(Expr::col(0)),
-        ];
+        let aggs = value_aggs(arity);
         let past = past == 1;
         let spans = group_spans(arity, past);
         let bases: Vec<i64> = spans.iter().map(|&span| window_base(at, span)).collect();
@@ -793,45 +819,64 @@ proptest! {
             _ => {}
         }
         let value = |row: usize| (row as i64 - 900).wrapping_mul(0x0100_0000_0000_0001);
-        let tuples: Vec<(Vec<i64>, i64)> =
+        let tuples: Vec<Tuple> =
             keys.into_iter().enumerate().map(|(row, k)| (k, value(row))).collect();
+        let expected = model_of(&aggs, &tuples);
+        let far = (bases.iter().map(|b| b.wrapping_add(1 << 40)).collect::<Vec<i64>>(), 7);
+        let without_far = |mut rows: Vec<(Vec<i64>, Vec<i64>)>| {
+            rows.retain(|(k, _)| *k != far.0);
+            rows
+        };
 
-        let mut model: BTreeMap<Vec<i64>, Vec<i64>> = BTreeMap::new();
-        for (key, v) in &tuples {
-            let accs = model
-                .entry(key.clone())
-                .or_insert_with(|| aggs.iter().map(|a| a.func.identity()).collect());
-            for (acc, agg) in accs.iter_mut().zip(&aggs) {
-                *acc = agg.func.accumulate(*acc, *v);
+        // Tuple by tuple: a direct table visits its groups in key order.
+        let mut direct = FlatGroups::new(arity, &aggs);
+        fold_entries(&mut direct, &aggs, &tuples);
+        prop_assert_eq!(direct.is_direct(), !past);
+        let mut visited = Vec::new();
+        direct.for_each(|k, v| visited.push((k.to_vec(), v.to_vec())));
+        if !past {
+            prop_assert_eq!(&visited, &expected);
+        }
+        prop_assert_eq!(&group_rows(direct.sorted_columns(), arity), &expected);
+        let mut hashed = FlatGroups::new(arity, &aggs);
+        fold_entries(&mut hashed, &aggs, std::slice::from_ref(&far));
+        fold_entries(&mut hashed, &aggs, &tuples);
+        prop_assert!(!hashed.is_direct());
+        prop_assert_eq!(without_far(group_rows(hashed.sorted_columns(), arity)), expected.clone());
+
+        // Through the chunk kernel, lane by lane, on an arena that a run over
+        // the same keys with other values leaves dirty.
+        let arena = StateArena::new();
+        let (first, second) = tuples.split_at(tuples.len() / 2);
+        let behind_far = |lane: &[Tuple]| [std::slice::from_ref(&far), lane].concat();
+        let lane_sets: Vec<Vec<Vec<Tuple>>> = vec![
+            vec![tuples.clone()],
+            vec![behind_far(&tuples)],
+            // Direct into direct over other boxes, beside an empty lane.
+            vec![second.to_vec(), Vec::new(), first.to_vec()],
+            // Direct into hashed, and hashed into direct.
+            vec![behind_far(first), Vec::new(), second.to_vec()],
+            vec![first.to_vec(), behind_far(second)],
+        ];
+        for (k, lanes) in lane_sets.iter().enumerate() {
+            let hashed = past || lanes.iter().flatten().any(|t| *t == far);
+            for poison in [true, false] {
+                let mut state = SharedState::new();
+                let slot = state.add_group_by(&aggs);
+                state.use_arena(&arena);
+                for lane in lanes {
+                    let lane: Vec<Tuple> = match poison {
+                        true => lane.iter().map(|(k, _)| (k.clone(), i64::MIN + 3)).collect(),
+                        false => lane.clone(),
+                    };
+                    fold_lane(&state, slot, arity, &lane, (block, narrow == 1));
+                }
+                let table = state.group_by(slot).unwrap();
+                prop_assert_eq!(table.is_direct(), !hashed, "lane set {}", k);
+                if !poison {
+                    prop_assert_eq!(without_far(table.snapshot()), expected.clone(), "lane set {}", k);
+                }
             }
         }
-        let expected: Vec<(Vec<i64>, Vec<i64>)> = model.into_iter().collect();
-
-        let mut direct = FlatGroups::new(arity, &aggs);
-        fold_groups(&mut direct, &aggs, &tuples, chunk);
-        prop_assert_eq!(direct.is_direct(), !past);
-        prop_assert_eq!(&group_rows(direct.sorted_columns(), arity), &expected);
-
-        let far: Vec<i64> = bases.iter().map(|b| b.wrapping_add(1 << 40)).collect();
-        let mut hashed = FlatGroups::new(arity, &aggs);
-        hashed.entry(&far);
-        fold_groups(&mut hashed, &aggs, &tuples, chunk);
-        prop_assert!(!hashed.is_direct());
-        let mut rows = group_rows(hashed.sorted_columns(), arity);
-        rows.retain(|(k, _)| *k != far);
-        prop_assert_eq!(&rows, &expected);
-
-        // Two lanes' partials: the first moves into the empty shared
-        // table, the second merges into it.
-        let shared = GroupByTable::new(&aggs);
-        let (first, second) = tuples.split_at(tuples.len() / 2);
-        for lane in [second, first] {
-            let mut partials = FlatGroups::new(arity, &aggs);
-            fold_groups(&mut partials, &aggs, lane, chunk);
-            shared.absorb(&mut partials);
-            prop_assert!(partials.is_empty());
-        }
-        prop_assert_eq!(shared.is_direct(), !past);
-        prop_assert_eq!(shared.snapshot(), expected);
     }
 }

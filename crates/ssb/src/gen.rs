@@ -463,6 +463,26 @@ mod tests {
         );
     }
 
+    /// Every value of every column of the SF 0.01, seed 42 dataset, in
+    /// table, column and row order, folded into one `u64`: a change to the
+    /// generator or to how it draws (the vendored `Rng::below`) that moves
+    /// a single value moves the digest.
+    #[test]
+    fn the_sf_001_seed_42_dataset_is_pinned() {
+        let data = SsbGenerator { seed: 42, ..SsbGenerator::new(0.01) }.generate(&nodes()).unwrap();
+        let mut digest = 0xCBF2_9CE4_8422_2325u64;
+        for table in [&data.lineorder, &data.date, &data.customer, &data.supplier, &data.part] {
+            for field in table.schema().fields() {
+                let column = table.column(&field.name).unwrap();
+                for row in 0..table.rows() {
+                    let value = column.get_i64(row).unwrap() as u64;
+                    digest = (digest ^ value).wrapping_mul(0x0000_0100_0000_01B3).rotate_left(5);
+                }
+            }
+        }
+        assert_eq!(digest, 0x8BD2_4719_FBDF_FCE9);
+    }
+
     #[test]
     fn measures_are_in_documented_ranges() {
         let data = tiny();
