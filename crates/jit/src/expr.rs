@@ -313,7 +313,7 @@ impl<T> Default for ScratchPool<T> {
 impl<T> ScratchPool<T> {
     /// Rent a buffer (empty, but with whatever capacity it last grew to).
     pub fn acquire(&mut self) -> Vec<T> {
-        let mut buf = self.pop_where(|_| true).unwrap_or_default();
+        let mut buf = self.free.pop().unwrap_or_default();
         buf.clear();
         buf
     }

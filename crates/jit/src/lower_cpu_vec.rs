@@ -656,19 +656,13 @@ fn process_chunks(
                 }
                 TerminalStep::Reduce { aggs, .. } => {
                     // Dense folds into the block-local partials.
-                    let (lanes, mut values) =
-                        (scratch.sel.len(), std::mem::take(&mut scratch.flags));
+                    let lanes = scratch.sel.len() as i64;
                     for ((agg, shape), acc) in aggs.iter().zip(shapes).zip(&mut partials) {
-                        if agg.func == AggFunc::Count {
-                            *acc = acc.wrapping_add(lanes as i64);
-                        } else if let Shape::Value(..) = shape {
-                            scratch.value(shape, window, Sink::Fold(agg.func, acc));
-                        } else {
-                            scratch.eval(&agg.expr, shape, window, &mut values);
-                            Sink::Fold(agg.func, acc).take(values.iter().copied());
+                        match agg.func {
+                            AggFunc::Count => *acc = acc.wrapping_add(lanes),
+                            func => scratch.feed(&agg.expr, shape, window, Sink::Fold(func, acc)),
                         }
                     }
-                    scratch.flags = values;
                 }
                 TerminalStep::GroupBy { keys, aggs, .. } => {
                     fold_groups(scratch, &mut ctx.local_groups, (keys, aggs), shapes, window)

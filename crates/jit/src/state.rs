@@ -47,7 +47,7 @@ pub const DIRECT_FLOOR: usize = 32 * 1024;
 
 /// Packed key span up to which a group table addresses its accumulators
 /// directly by key: 64 Ki cells, whose occupancy bitset is 8 KiB and whose
-/// accumulators are 512 KiB per aggregate, written only where a group exists.
+/// accumulators are 512 KiB per aggregate, started by a group's first fold.
 pub const GROUP_DIRECT_SPAN: usize = 64 * 1024;
 
 /// Cells a direct group table's first box, or a re-box, has at least, so a
@@ -109,16 +109,16 @@ impl StateArena {
     }
 
     /// A pooled buffer with room for `n` values, as its last user left it —
-    /// one that holds at least `len` values if any does; otherwise the
-    /// capacity a fresh one gets.
+    /// one of `n`'s own size class that holds at least `len` values if any
+    /// does; otherwise the capacity a fresh one gets.
     fn reuse<T: Pooled>(&self, n: usize, len: usize) -> std::result::Result<Vec<T>, usize> {
         let Some(pools) = self.0.as_ref().filter(|_| n > 0) else { return Err(n) };
         let mut pools = pools.lock();
         let fits = n.next_power_of_two().ilog2() as usize;
         let classes = T::classes(&mut pools);
-        let mut pop =
-            |len| classes.iter_mut().skip(fits).find_map(|c| c.pop_where(|b| b.len() >= len));
-        if let Some(buf) = pop(len).or_else(|| pop(0)) {
+        let long = classes.get_mut(fits).and_then(|c| c.pop_where(|b| b.len() >= len));
+        let any = || classes.iter_mut().skip(fits).find_map(|c| c.pop_where(|_| true));
+        if let Some(buf) = long.or_else(any) {
             pools.3 -= buf.capacity() * std::mem::size_of::<T>();
             return Ok(buf);
         }
@@ -799,13 +799,18 @@ impl FlatGroups {
         }
         let mut key = vec![0; arity];
         for (w, &word) in self.index.iter().enumerate() {
-            for off in (0..32).filter(|b| word >> b & 1 == 1).map(|b| w * 32 + b) {
+            let mut bits = word;
+            while bits != 0 {
+                let off = w * 32 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                // Column 0 is what is left once the others are divided out.
                 let mut rest = off;
-                for c in (0..arity).rev() {
+                for c in (1..arity).rev() {
                     let width = self.width[c] as usize;
-                    key[c] =
-                        self.lo[c].wrapping_add(if c > 0 { rest % width } else { rest } as i64);
-                    rest /= width;
+                    (key[c], rest) = (self.lo[c].wrapping_add((rest % width) as i64), rest / width);
+                }
+                if let Some(first) = key.first_mut() {
+                    *first = self.lo[0].wrapping_add(rest as i64);
                 }
                 visit(&key, &self.arena[off * aggs..][..aggs]);
             }
@@ -884,17 +889,14 @@ impl FlatGroups {
     }
 
     /// Merge another table's partial accumulators into this one, group by
-    /// group. An empty table adopts `other`'s key arity.
+    /// group (a direct one's in key order, so a box grows in few steps). An
+    /// empty table adopts `other`'s key arity.
     pub fn merge_from(&mut self, other: &FlatGroups) {
         if self.groups == 0 {
             self.clear(other.key_arity);
         }
         assert_eq!(self.key_arity, other.key_arity, "merging group tables of different arity");
         assert_eq!(self.funcs, other.funcs, "merging group tables of different aggregates");
-        let theirs = other.lo.iter().zip(&other.width).map(|(&lo, &w)| (lo, lo + (w - 1) as i64));
-        if !(other.is_empty() || other.is_boxed() && self.holds(theirs)) {
-            self.cover(other.bounds().into_iter());
-        }
         other.for_each(|key, partials| {
             let at = self.slot_of(&|c| key[c]);
             for (i, &partial) in partials.iter().enumerate() {
@@ -942,17 +944,6 @@ impl FlatGroups {
         self.key_arity + self.funcs.len()
     }
 
-    /// Each key column's `(min, max)` over the groups.
-    fn bounds(&self) -> Vec<(i64, i64)> {
-        let mut seen = vec![(i64::MAX, i64::MIN); self.key_arity];
-        self.for_each(|key, _| {
-            for (range, &k) in seen.iter_mut().zip(key) {
-                *range = (range.0.min(k), range.1.max(k));
-            }
-        });
-        seen
-    }
-
     /// The claimed cell (direct) or the group (hashed) of the key
     /// `key_at(0..key_arity)`.
     fn cell_of(&mut self, key_at: &impl Fn(usize) -> i64) -> u32 {
@@ -982,18 +973,14 @@ impl FlatGroups {
         at
     }
 
-    /// True if a direct box holds keys whose column `c` is in `bounds[c]`.
-    fn holds(&self, bounds: impl Iterator<Item = (i64, i64)>) -> bool {
-        let inside = |((&lo, &width), (min, max)): ((&i64, &u64), (i64, i64))| {
-            (min.wrapping_sub(lo) as u64) < width && (max.wrapping_sub(lo) as u64) < width
-        };
-        self.is_boxed() && self.lo.iter().zip(&self.width).zip(bounds).all(inside)
-    }
-
     /// Make a direct table cover the keys whose column `c` lies in the
     /// `c`-th of `bounds`: widen its box if they fall outside.
     fn cover(&mut self, bounds: impl Iterator<Item = (i64, i64)> + Clone) {
-        if !self.hashed && !self.holds(bounds.clone()) {
+        let inside = |((&lo, &width), (min, max)): ((&i64, &u64), (i64, i64))| {
+            (min.wrapping_sub(lo) as u64) < width && (max.wrapping_sub(lo) as u64) < width
+        };
+        let boxed = self.lo.iter().zip(&self.width);
+        if !(self.hashed || self.is_boxed() && boxed.zip(bounds.clone()).all(inside)) {
             self.widen(bounds.collect());
         }
     }
@@ -1004,9 +991,11 @@ impl FlatGroups {
     /// cap, the table turns hashed for good.
     #[cold]
     fn widen(&mut self, mut seen: Vec<(i64, i64)>) {
-        for (range, stored) in seen.iter_mut().zip(self.bounds()) {
-            *range = (range.0.min(stored.0), range.1.max(stored.1));
-        }
+        self.for_each(|key, _| {
+            for (range, &k) in seen.iter_mut().zip(key) {
+                *range = (range.0.min(k), range.1.max(k));
+            }
+        });
         let span = |&(lo, hi): &(i64, i64)| (i128::from(hi) - i128::from(lo) + 1) as f64;
         let (cells, cap) =
             (|r: &[(i64, i64)]| r.iter().map(span).product::<f64>(), GROUP_DIRECT_SPAN as f64);
@@ -1014,10 +1003,8 @@ impl FlatGroups {
         std::mem::swap(self, &mut old);
         (self.key_arity, self.pool) = (old.key_arity, old.pool.clone());
         self.funcs.clone_from(&old.funcs);
-        if cells(&seen) > cap {
-            self.hashed = true;
-            self.rehash();
-        } else {
+        self.hashed = cells(&seen) > cap;
+        if !self.hashed {
             // Small boxes grow to `MIN_GROUP_BOX` cells at once.
             let root = |n: f64| (n / cells(&seen)).powf(1.0 / seen.len().max(1) as f64);
             let factor = root(cap).min(root(MIN_GROUP_BOX as f64).max(2.0));
@@ -1125,17 +1112,16 @@ impl GroupByTable {
         Self { funcs: aggs.iter().map(|a| a.func).collect(), groups: Mutex::new(groups) }
     }
 
-    /// Merge a lane's partials, leaving `partials` empty: into an empty
-    /// table they move whole, with no per-group work. The chunk kernel
-    /// merges each lane's once, when the lane finishes.
+    /// Merge a lane's partials, leaving `partials` empty for keys of the
+    /// same arity: into an empty table they move whole, with no per-group
+    /// work. The chunk kernel merges each lane's once, when it finishes.
     pub fn absorb(&self, partials: &mut FlatGroups) {
-        let mut groups = self.groups.lock();
+        let (mut groups, key_arity) = (self.groups.lock(), partials.key_arity);
         if groups.is_empty() && groups.funcs == partials.funcs {
             std::mem::swap(&mut *groups, partials);
         } else {
             groups.merge_from(partials);
         }
-        let key_arity = partials.key_arity;
         partials.clear(key_arity);
     }
 

@@ -10,7 +10,8 @@
 
 use hetex_common::{Block, BlockHandle, BlockId, BlockMeta, ColumnData, MemoryNodeId, PipelineId};
 use hetex_jit::state::{
-    FlatGroups, JoinHashTable, JoinMatches, StateArena, DIRECT_FLOOR, GROUP_DIRECT_SPAN,
+    FlatGroups, GroupByTable, JoinHashTable, JoinMatches, StateArena, DIRECT_FLOOR,
+    GROUP_DIRECT_SPAN,
 };
 use hetex_jit::{
     AggFunc, AggSpec, CompiledPipeline, ExecCtx, Expr, SharedState, StateSlot, TerminalStep,
@@ -768,6 +769,7 @@ proptest! {
                 local.reset(arity, &aggs);
                 fold_entries(&mut local, &aggs, batch);
                 shared.absorb(&mut local);
+                prop_assert!(local.is_empty());
             }
         }
         let expected = model_of(&aggs, &tuples);
@@ -844,10 +846,22 @@ proptest! {
         prop_assert!(!hashed.is_direct());
         prop_assert_eq!(without_far(group_rows(hashed.sorted_columns(), arity)), expected.clone());
 
+        // One lane's partials, absorbed twice: moved whole into the empty
+        // table, then merged into it. Each absorb leaves them empty for reuse.
+        let (first, second) = tuples.split_at(tuples.len() / 2);
+        let shared = GroupByTable::new(&aggs);
+        let mut partials = FlatGroups::new(arity, &aggs);
+        for lane in [second, first] {
+            fold_entries(&mut partials, &aggs, lane);
+            shared.absorb(&mut partials);
+            prop_assert!(partials.is_empty());
+        }
+        prop_assert_eq!(shared.is_direct(), !past);
+        prop_assert_eq!(shared.snapshot(), expected.clone());
+
         // Through the chunk kernel, lane by lane, on an arena that a run over
         // the same keys with other values leaves dirty.
         let arena = StateArena::new();
-        let (first, second) = tuples.split_at(tuples.len() / 2);
         let behind_far = |lane: &[Tuple]| [std::slice::from_ref(&far), lane].concat();
         let lane_sets: Vec<Vec<Vec<Tuple>>> = vec![
             vec![tuples.clone()],
