@@ -1,5 +1,4 @@
-//! Config / fault-plan cross-validation (`HX030`–`HX033`) and
-//! re-optimization config linting (`HX040`–`HX041`).
+//! Config / fault-plan cross-validation (`HX030`–`HX033`).
 //!
 //! A fault plan is a schedule against *this* topology under *this* config:
 //! a fault naming a device that does not exist silently never fires, and a
@@ -9,7 +8,6 @@
 //! authors can validate schedules before attaching them to a topology.
 
 use crate::diagnostics::{AnalysisReport, Code};
-use hetex_common::config::ReoptConfig;
 use hetex_common::FaultConfig;
 use hetex_topology::{DeviceFault, FaultPlan, ServerTopology};
 
@@ -18,32 +16,6 @@ use hetex_topology::{DeviceFault, FaultPlan, ServerTopology};
 pub fn check(config: &FaultConfig, topology: &ServerTopology, report: &mut AnalysisReport) {
     if let Some(plan) = topology.fault_plan() {
         check_fault_plan(plan, topology, config, report);
-    }
-}
-
-/// Lint a re-optimization configuration. A disabled config is always clean
-/// (the feature is inert); an enabled one must carry a sane `min_gain`
-/// (`HX040`, the same bound `EngineConfig::validate` enforces) and at least
-/// one search axis — with both off the candidate space collapses to the
-/// incumbent and the feature can never rewrite anything (`HX041`).
-pub fn check_reopt(reopt: &ReoptConfig, report: &mut AnalysisReport) {
-    if !reopt.enabled {
-        return;
-    }
-    if !(reopt.min_gain.is_finite() && (0.0..1.0).contains(&reopt.min_gain)) {
-        report.report(
-            Code::HX040,
-            None,
-            format!("reopt min_gain must be a finite fraction in [0, 1), got {}", reopt.min_gain),
-        );
-    }
-    if !reopt.search_target && !reopt.search_dop {
-        report.report(
-            Code::HX041,
-            None,
-            "re-optimization enabled with both search axes off: the plan space \
-             is only the incumbent, so no rewrite can ever be emitted",
-        );
     }
 }
 

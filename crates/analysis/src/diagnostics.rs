@@ -30,7 +30,7 @@ impl fmt::Display for Severity {
 
 /// Stable diagnostic codes, grouped by check family:
 /// `HX00x` IR / schema, `HX01x` stage graph, `HX02x` staging memory,
-/// `HX03x` config / fault plan, `HX04x` re-optimization.
+/// `HX03x` config / fault plan.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Code {
     /// Cross-stage schema mismatch: a stage's input width disagrees with
@@ -45,13 +45,11 @@ pub enum Code {
     /// Division by a constant zero: defined to evaluate to 0, which is
     /// almost never what the plan author meant.
     HX004,
-    /// Hash-pack partitioning is degenerate (zero partitions).
-    HX005,
     /// Expression nesting requires an excessive number of concurrently live
     /// scratch columns under the vectorized lowering.
     HX006,
-    /// A filter predicate is not boolean-shaped (top-level arithmetic or
-    /// hash); non-zero-is-true semantics apply, which is rarely intended.
+    /// A filter predicate is not boolean-shaped (top-level arithmetic);
+    /// non-zero-is-true semantics apply, which is rarely intended.
     HX007,
     /// The stage graph has a cycle through feeds/depends-on edges.
     HX010,
@@ -88,12 +86,6 @@ pub enum Code {
     /// A fault-plan entry that can never fire (empty time window, zero
     /// probability, zero-byte burst).
     HX033,
-    /// Re-optimization configuration is invalid (non-finite or out-of-range
-    /// `min_gain`): the engine would reject the config before planning.
-    HX040,
-    /// Re-optimization enabled with every search axis off: the plan space
-    /// collapses to the incumbent, so the feature can never rewrite anything.
-    HX041,
 }
 
 impl Code {
@@ -104,7 +96,6 @@ impl Code {
             Code::HX002 => "HX002",
             Code::HX003 => "HX003",
             Code::HX004 => "HX004",
-            Code::HX005 => "HX005",
             Code::HX006 => "HX006",
             Code::HX007 => "HX007",
             Code::HX010 => "HX010",
@@ -118,21 +109,15 @@ impl Code {
             Code::HX031 => "HX031",
             Code::HX032 => "HX032",
             Code::HX033 => "HX033",
-            Code::HX040 => "HX040",
-            Code::HX041 => "HX041",
         }
     }
 
     /// The severity this code reports at.
     pub fn severity(self) -> Severity {
         match self {
-            Code::HX004
-            | Code::HX006
-            | Code::HX007
-            | Code::HX021
-            | Code::HX032
-            | Code::HX033
-            | Code::HX041 => Severity::Warning,
+            Code::HX004 | Code::HX006 | Code::HX007 | Code::HX021 | Code::HX032 | Code::HX033 => {
+                Severity::Warning
+            }
             _ => Severity::Error,
         }
     }
@@ -144,7 +129,6 @@ impl Code {
             Code::HX002 => "device templates disagree",
             Code::HX003 => "state-slot kind/arity mismatch",
             Code::HX004 => "division by constant zero",
-            Code::HX005 => "degenerate hash-pack partitioning",
             Code::HX006 => "excessive vectorized scratch depth",
             Code::HX007 => "non-boolean filter predicate",
             Code::HX010 => "stage-graph cycle",
@@ -158,8 +142,6 @@ impl Code {
             Code::HX031 => "wedge injection without watchdog",
             Code::HX032 => "transient faults with recovery disabled",
             Code::HX033 => "fault-plan entry never fires",
-            Code::HX040 => "invalid re-optimization config",
-            Code::HX041 => "re-optimization with no search axis",
         }
     }
 }

@@ -179,19 +179,7 @@ fn check_terminal(
     report: &mut AnalysisReport,
 ) {
     match terminal {
-        TerminalStep::Pack { exprs, partition_by, partitions } => {
-            exprs.iter().for_each(|e| check_expr(idx, e, report));
-            if let Some(p) = partition_by {
-                check_expr(idx, p, report);
-                if *partitions == 0 {
-                    report.report(
-                        Code::HX005,
-                        Some(idx),
-                        "hash-pack with zero partitions: every tuple would be dropped",
-                    );
-                }
-            }
-        }
+        TerminalStep::Pack { exprs } => exprs.iter().for_each(|e| check_expr(idx, e, report)),
         TerminalStep::HashJoinBuild { key, payload, slot } => {
             check_expr(idx, key, report);
             payload.iter().for_each(|e| check_expr(idx, e, report));
@@ -345,9 +333,7 @@ fn divides_by_constant_zero(expr: &Expr) -> bool {
         | Expr::Ge(a, b)
         | Expr::And(a, b)
         | Expr::Or(a, b) => divides_by_constant_zero(a) || divides_by_constant_zero(b),
-        Expr::Not(a) | Expr::Between(a, _, _) | Expr::InList(a, _) | Expr::Hash(a) => {
-            divides_by_constant_zero(a)
-        }
+        Expr::Not(a) | Expr::Between(a, _, _) | Expr::InList(a, _) => divides_by_constant_zero(a),
     }
 }
 
@@ -370,9 +356,7 @@ pub fn scratch_depth(expr: &Expr) -> usize {
         | Expr::Ge(a, b)
         | Expr::And(a, b)
         | Expr::Or(a, b) => scratch_depth(a).max(1 + scratch_depth(b)),
-        Expr::Not(a) | Expr::Between(a, _, _) | Expr::InList(a, _) | Expr::Hash(a) => {
-            scratch_depth(a)
-        }
+        Expr::Not(a) | Expr::Between(a, _, _) | Expr::InList(a, _) => scratch_depth(a),
     }
 }
 

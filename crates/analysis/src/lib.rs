@@ -23,9 +23,6 @@
 //! * **Config/fault-plan cross-validation** (`HX03x`, [`config_check`]) —
 //!   fault plans name real devices and are recoverable under the configured
 //!   fault-tolerance toggles.
-//! * **Re-optimization linting** (`HX04x`, [`config_check::check_reopt`]) —
-//!   an enabled `ReoptConfig` carries a sane gain threshold and a non-empty
-//!   search space.
 //!
 //! The engine runs [`analyze`] before executing every query (governed by
 //! `EngineConfig::analysis`); the `plan_lint` binary runs it over every
@@ -38,7 +35,7 @@ pub mod graph_check;
 pub mod ir_check;
 pub mod staging_check;
 
-pub use config_check::{check_fault_plan, check_reopt};
+pub use config_check::check_fault_plan;
 pub use diagnostics::{AnalysisReport, Code, Diagnostic, Severity};
 
 use hetex_common::EngineConfig;
@@ -56,7 +53,6 @@ pub fn analyze(
     graph_check::check(graph, topology, &mut report);
     staging_check::check(graph, config, topology, &mut report);
     config_check::check(&config.fault, topology, &mut report);
-    config_check::check_reopt(&config.reopt, &mut report);
     report
 }
 

@@ -57,30 +57,22 @@ fn bench_pack(c: &mut Criterion) {
     let mut group = c.benchmark_group("pack");
     group.throughput(Throughput::Elements(rows as u64));
     group.sample_size(30);
-    for (name, partition_by, partitions) in
-        [("pack_64k_tuples", None, 1), ("hash_pack_61_way_64k_tuples", Some(Expr::col(2)), 61)]
-    {
-        let pipeline = CompiledPipeline::new(
-            PipelineId::new(3),
-            DeviceKind::CpuCore,
-            3,
-            Vec::new(),
-            TerminalStep::Pack {
-                exprs: vec![Expr::col(0), Expr::col(1), Expr::col(2)],
-                partition_by,
-                partitions,
-            },
-        )
-        .unwrap();
-        group.bench_function(name, |b| {
-            b.iter(|| {
-                let mut ctx = ExecCtx::cpu(MemoryNodeId::new(0), 4096);
-                let mut blocks = pipeline.process_block(&handle, &state, &mut ctx).unwrap().blocks;
-                blocks.extend(pipeline.finalize_instance(&state, &mut ctx).unwrap().blocks);
-                blocks
-            })
-        });
-    }
+    let pipeline = CompiledPipeline::new(
+        PipelineId::new(3),
+        DeviceKind::CpuCore,
+        3,
+        Vec::new(),
+        TerminalStep::Pack { exprs: vec![Expr::col(0), Expr::col(1), Expr::col(2)] },
+    )
+    .unwrap();
+    group.bench_function("pack_64k_tuples", |b| {
+        b.iter(|| {
+            let mut ctx = ExecCtx::cpu(MemoryNodeId::new(0), 4096);
+            let mut blocks = pipeline.process_block(&handle, &state, &mut ctx).unwrap().blocks;
+            blocks.extend(pipeline.finalize_instance(&state, &mut ctx).unwrap().blocks);
+            blocks
+        })
+    });
     group.finish();
 }
 

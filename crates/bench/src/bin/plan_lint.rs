@@ -79,7 +79,7 @@ fn targets() -> [(&'static str, EngineConfig); 5] {
 
 /// Lint the reoptimizer's full searched plan space for one plan: every
 /// candidate placement `candidates` can emit, applied to the submitted
-/// configuration (which `analyze` also vets via `check_reopt`, HX040/HX041).
+/// configuration.
 /// The space collapses into one table row — stages of the widest candidate,
 /// summed diagnostics, per-candidate detail for anything non-clean.
 fn lint_search_space(

@@ -11,9 +11,9 @@
 //!   values: only mem-move decides whether data moves.
 //! * [`BlockHandle`] — a cheaply clonable reference to a block plus the
 //!   metadata the control-flow operators need: where the data lives, which
-//!   hash partition or broadcast target it belongs to, and at which simulated
-//!   time the data becomes available (`ready_at_ns`, set by mem-move when it
-//!   schedules an asynchronous DMA transfer).
+//!   broadcast target it belongs to, and at which simulated time the data
+//!   becomes available (`ready_at_ns`, set by mem-move when it schedules an
+//!   asynchronous DMA transfer).
 
 use crate::column::{ColumnData, ColumnRef};
 use crate::error::{HetError, Result};
@@ -132,9 +132,6 @@ pub struct BlockMeta {
     pub id: BlockId,
     /// Memory node on which the block's data currently resides.
     pub location: MemoryNodeId,
-    /// Hash partition tag set by the hash-pack operator: all tuples in the
-    /// block share this value, so hash-based routing never touches tuples.
-    pub hash_partition: Option<u64>,
     /// Broadcast target set by a multicasting mem-move; the router routes on
     /// this value for broadcast plans.
     pub broadcast_target: Option<usize>,
@@ -149,14 +146,7 @@ pub struct BlockMeta {
 impl BlockMeta {
     /// Metadata for a freshly produced, immediately available block.
     pub fn new(id: BlockId, location: MemoryNodeId) -> Self {
-        Self {
-            id,
-            location,
-            hash_partition: None,
-            broadcast_target: None,
-            ready_at_ns: 0,
-            weight: 1.0,
-        }
+        Self { id, location, broadcast_target: None, ready_at_ns: 0, weight: 1.0 }
     }
 }
 

@@ -315,21 +315,13 @@ pub const DEFAULT_SERVE_ADMISSION_BYTES: u64 = 4 * DEFAULT_STAGING_BYTES;
 /// the differential suite). `ReoptConfig::enabled()` turns the whole loop on:
 /// every successful run distills a `PlanFeedback` record into the engine's
 /// (or server's) feedback cache, and a repeated query's second run searches
-/// the placement/DOP plan space costed by that record's measurements.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// the placement/DOP plan space costed by that record's measurements, and
+/// rewrites the plan only for an estimated gain of at least
+/// [`DEFAULT_REOPT_MIN_GAIN`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ReoptConfig {
     /// Master switch of the re-optimization loop.
     pub enabled: bool,
-    /// Search over the device-placement axis (`CpuOnly`/`GpuOnly`/`Hybrid`).
-    /// Off, candidates keep the submitted configuration's target.
-    pub search_target: bool,
-    /// Search over the degree-of-parallelism axis (CPU ladder, GPU counts).
-    /// Off, candidates keep the submitted configuration's DOPs.
-    pub search_dop: bool,
-    /// Minimum estimated relative gain (0.05 = 5%) a candidate must show
-    /// over the incumbent before the reoptimizer rewrites the plan. Guards
-    /// against churning the placement on estimation noise.
-    pub min_gain: f64,
 }
 
 impl Default for ReoptConfig {
@@ -341,40 +333,18 @@ impl Default for ReoptConfig {
 impl ReoptConfig {
     /// Re-optimization switched off — the default, frozen-plan behaviour.
     pub fn disabled() -> Self {
-        Self {
-            enabled: false,
-            search_target: true,
-            search_dop: true,
-            min_gain: DEFAULT_REOPT_MIN_GAIN,
-        }
+        Self { enabled: false }
     }
 
-    /// The full loop switched on: both search axes and the default gain bar.
+    /// The full loop switched on.
     pub fn enabled() -> Self {
-        Self { enabled: true, ..Self::disabled() }
-    }
-
-    /// Toggle the device-placement search axis.
-    pub fn with_search_target(mut self, on: bool) -> Self {
-        self.search_target = on;
-        self
-    }
-
-    /// Toggle the degree-of-parallelism search axis.
-    pub fn with_search_dop(mut self, on: bool) -> Self {
-        self.search_dop = on;
-        self
-    }
-
-    /// Set the minimum estimated relative gain required to replan.
-    pub fn with_min_gain(mut self, min_gain: f64) -> Self {
-        self.min_gain = min_gain;
-        self
+        Self { enabled: true }
     }
 }
 
-/// Default minimum estimated relative gain (5%) the reoptimizer requires
-/// before rewriting a placement.
+/// Minimum estimated relative gain (5%) a candidate must show over the
+/// incumbent before the reoptimizer rewrites the placement: it guards
+/// against churning the placement on estimation noise.
 pub const DEFAULT_REOPT_MIN_GAIN: f64 = 0.05;
 
 /// Initial placement of base-table data.
@@ -627,15 +597,6 @@ impl EngineConfig {
                     self.est_serve_footprint_bytes()
                 )))
             }
-            _ if self.reopt.enabled
-                && !(self.reopt.min_gain.is_finite()
-                    && (0.0..1.0).contains(&self.reopt.min_gain)) =>
-            {
-                Err(HetError::Config(format!(
-                    "reopt min_gain must be a finite fraction in [0, 1), got {}",
-                    self.reopt.min_gain
-                )))
-            }
             _ if self.staging_bytes < self.min_staging_bytes() => Err(HetError::Config(format!(
                 "staging_bytes ({}) must cover at least one maximum-size block per active \
                      consumer: {} consumers x {} bytes/block (block_capacity {} x {} bytes/tuple) \
@@ -847,24 +808,11 @@ mod tests {
         assert_eq!(cfg.reopt, ReoptConfig::disabled());
         assert!(!cfg.reopt.enabled);
         cfg.validate().unwrap();
-        // Switched on: both axes searched, default gain bar.
+        // Switched on, it validates and toggles nothing else.
         let on = EngineConfig::default().with_reopt(ReoptConfig::enabled());
-        assert!(on.reopt.enabled && on.reopt.search_target && on.reopt.search_dop);
-        assert_eq!(on.reopt.min_gain, DEFAULT_REOPT_MIN_GAIN);
+        assert!(on.reopt.enabled);
         on.validate().unwrap();
-        // Axes toggle independently.
-        let tuned = ReoptConfig::enabled().with_search_target(false).with_min_gain(0.2);
-        assert!(tuned.enabled && !tuned.search_target && tuned.search_dop);
-        assert_eq!(tuned.min_gain, 0.2);
-        // Invalid gain bars are rejected — but only when enabled.
-        let bad = EngineConfig::default().with_reopt(ReoptConfig::enabled().with_min_gain(1.5));
-        assert_eq!(bad.validate().unwrap_err().category(), "config");
-        let nan =
-            EngineConfig::default().with_reopt(ReoptConfig::enabled().with_min_gain(f64::NAN));
-        assert!(nan.validate().is_err());
-        let off_bad =
-            EngineConfig::default().with_reopt(ReoptConfig::disabled().with_min_gain(9.0));
-        off_bad.validate().unwrap();
+        assert_eq!(on.with_reopt(ReoptConfig::disabled()), cfg);
     }
 
     #[test]

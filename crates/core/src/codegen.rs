@@ -216,17 +216,10 @@ impl<'a> Codegen<'a> {
     /// group-by) into a stage; returns its index.
     fn compile_stage(&mut self, node: &HetNode, is_result: bool) -> Result<usize> {
         let (terminal, body) = match node {
-            HetNode::Pack { input, hash_partitions } => {
+            HetNode::Pack { input } => {
                 let width = self.walk_body(input)?;
                 let exprs: Vec<Expr> = (0..width.width).map(Expr::col).collect();
-                (
-                    TerminalStep::Pack {
-                        exprs,
-                        partition_by: hash_partitions.map(|_| Expr::Hash(Box::new(Expr::col(0)))),
-                        partitions: hash_partitions.unwrap_or(1),
-                    },
-                    width,
-                )
+                (TerminalStep::Pack { exprs }, width)
             }
             HetNode::Reduce { input, aggs, .. } => {
                 let body = self.walk_body(input)?;

@@ -18,11 +18,11 @@
 //!   path, queue-admission path and steal path consult, behind one
 //!   calibrated interface with per-term `EngineConfig` toggles.
 //! * [`router`] — the control-flow router: policies (round-robin,
-//!   least-loaded, hash, union, broadcast-target), degree-of-parallelism
+//!   least-loaded, union, broadcast-target), degree-of-parallelism
 //!   control and affinity assignment. Routes block *handles*, never data.
 //! * [`mem_move`] — the data-flow operator that schedules asynchronous DMA
 //!   transfers (and broadcasts) so consumers only ever see local data.
-//! * [`pack`] — pack/unpack/hash-pack utilities that convert between
+//! * [`pack`] — pack/unpack utilities that convert between
 //!   block-at-a-time movement and tuple-at-a-time execution.
 //! * [`queue`] — the asynchronous block-handle queues connecting routed
 //!   pipeline instances.

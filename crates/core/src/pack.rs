@@ -1,11 +1,8 @@
-//! Pack / unpack / hash-pack.
+//! Pack / unpack.
 //!
 //! §3.2: "The pack operator groups tuples into a block and flushes it to the
 //! next operator whenever it fills up. The unpack operator takes a block of
 //! tuples as input and feeds them one tuple at a time to the next operator."
-//! Hash-pack additionally keeps one open block per hash value so every emitted
-//! block is hash-homogeneous, which is what lets the router route whole blocks
-//! without touching tuples.
 //!
 //! Inside compiled pipelines the packing is fused into the generated code (the
 //! `Pack` terminal step of `hetex-jit`); the standalone [`Packer`]/[`Unpacker`]
@@ -16,44 +13,21 @@
 use hetex_common::{
     Block, BlockHandle, BlockId, BlockMeta, ColumnData, HetError, MemoryNodeId, Result,
 };
-use std::collections::HashMap;
 
-/// Groups row-major tuples into blocks, optionally hash-partitioned.
+/// Groups row-major tuples into blocks.
 #[derive(Debug)]
 pub struct Packer {
     capacity: usize,
     node: MemoryNodeId,
     weight: f64,
-    /// `Some((key_column, partition_count))` makes this a hash-pack.
-    hash: Option<(usize, usize)>,
-    open: HashMap<usize, Vec<Vec<i64>>>,
+    open: Vec<Vec<i64>>,
     next_id: usize,
 }
 
 impl Packer {
-    /// A plain pack operator producing `capacity`-row blocks on `node`.
+    /// A pack operator producing `capacity`-row blocks on `node`.
     pub fn new(capacity: usize, node: MemoryNodeId) -> Self {
-        Self { capacity, node, weight: 1.0, hash: None, open: HashMap::new(), next_id: 0 }
-    }
-
-    /// A hash-pack keyed on `key_column` with `partitions` partitions.
-    pub fn hash_partitioned(
-        capacity: usize,
-        node: MemoryNodeId,
-        key_column: usize,
-        partitions: usize,
-    ) -> Result<Self> {
-        if partitions == 0 {
-            return Err(HetError::Plan("hash-pack needs at least one partition".into()));
-        }
-        Ok(Self {
-            capacity,
-            node,
-            weight: 1.0,
-            hash: Some((key_column, partitions)),
-            open: HashMap::new(),
-            next_id: 0,
-        })
+        Self { capacity, node, weight: 1.0, open: Vec::new(), next_id: 0 }
     }
 
     /// Set the scale-extrapolation weight stamped on produced blocks.
@@ -62,19 +36,8 @@ impl Packer {
         self
     }
 
-    fn partition_of(&self, row: &[i64]) -> Result<usize> {
-        match self.hash {
-            None => Ok(0),
-            Some((col, partitions)) => {
-                let key = *row.get(col).ok_or_else(|| {
-                    HetError::Execution(format!("hash-pack key column {col} missing from tuple"))
-                })?;
-                Ok((hetex_jit::expr::hash_i64(key).unsigned_abs() % partitions as u64) as usize)
-            }
-        }
-    }
-
-    fn seal(&mut self, partition: usize, rows: Vec<Vec<i64>>) -> Result<BlockHandle> {
+    fn seal(&mut self) -> Result<BlockHandle> {
+        let rows = std::mem::take(&mut self.open);
         let width = rows.first().map(Vec::len).unwrap_or(0);
         let mut columns = vec![Vec::with_capacity(rows.len()); width];
         for row in &rows {
@@ -89,39 +52,29 @@ impl Packer {
         let mut meta = BlockMeta::new(BlockId::new(self.next_id), self.node);
         self.next_id += 1;
         meta.weight = self.weight;
-        meta.hash_partition = self.hash.map(|_| partition as u64);
         Ok(BlockHandle::new(block, meta))
     }
 
-    /// Push one tuple; returns a sealed block if the tuple's partition filled up.
+    /// Push one tuple; returns a sealed block if it filled the open one.
     pub fn push(&mut self, row: Vec<i64>) -> Result<Option<BlockHandle>> {
-        let partition = self.partition_of(&row)?;
-        let bucket = self.open.entry(partition).or_default();
-        bucket.push(row);
-        if bucket.len() >= self.capacity {
-            let full = self.open.remove(&partition).unwrap_or_default();
-            return Ok(Some(self.seal(partition, full)?));
+        self.open.push(row);
+        if self.open.len() >= self.capacity {
+            return self.seal().map(Some);
         }
         Ok(None)
     }
 
-    /// Flush every partially filled block.
+    /// Flush the partially filled block, if any.
     pub fn flush(&mut self) -> Result<Vec<BlockHandle>> {
-        let mut partitions: Vec<usize> = self.open.keys().copied().collect();
-        partitions.sort_unstable();
-        let mut out = Vec::new();
-        for p in partitions {
-            let rows = self.open.remove(&p).unwrap_or_default();
-            if !rows.is_empty() {
-                out.push(self.seal(p, rows)?);
-            }
+        if self.open.is_empty() {
+            return Ok(Vec::new());
         }
-        Ok(out)
+        Ok(vec![self.seal()?])
     }
 
-    /// Number of tuples currently buffered in open blocks.
+    /// Number of tuples currently buffered in the open block.
     pub fn buffered(&self) -> usize {
-        self.open.values().map(Vec::len).sum()
+        self.open.len()
     }
 }
 
@@ -184,30 +137,7 @@ mod tests {
     }
 
     #[test]
-    fn hash_pack_blocks_are_homogeneous_and_tagged() {
-        let mut packer = Packer::hash_partitioned(16, MemoryNodeId::new(0), 0, 5).unwrap();
-        let mut blocks = Vec::new();
-        for i in 0..500 {
-            if let Some(b) = packer.push(vec![i % 37, i]).unwrap() {
-                blocks.push(b);
-            }
-        }
-        blocks.extend(packer.flush().unwrap());
-        assert!(!blocks.is_empty());
-        for block in &blocks {
-            let tag = block.meta().hash_partition.expect("hash-pack must tag blocks");
-            for row in Unpacker::rows(block) {
-                let expected = hetex_jit::expr::hash_i64(row[0]).unsigned_abs() % 5;
-                assert_eq!(expected, tag, "tuple in block with a different hash partition");
-            }
-        }
-    }
-
-    #[test]
     fn invalid_configurations_error() {
-        assert!(Packer::hash_partitioned(8, MemoryNodeId::new(0), 0, 0).is_err());
-        let mut packer = Packer::hash_partitioned(8, MemoryNodeId::new(0), 3, 2).unwrap();
-        assert!(packer.push(vec![1, 2]).is_err());
         let mut plain = Packer::new(2, MemoryNodeId::new(0));
         plain.push(vec![1, 2]).unwrap();
         // A ragged tuple is caught when the block is sealed.
@@ -231,36 +161,6 @@ mod tests {
             let unpacked: Vec<Vec<i64>> =
                 blocks.iter().flat_map(|b| Unpacker::rows(b).collect::<Vec<_>>()).collect();
             prop_assert_eq!(unpacked, tuples);
-        }
-
-        #[test]
-        fn prop_hash_pack_never_drops_or_mixes(
-            keys in proptest::collection::vec(-500i64..500, 1..300),
-            partitions in 1usize..8,
-            capacity in 1usize..16,
-        ) {
-            let mut packer =
-                Packer::hash_partitioned(capacity, MemoryNodeId::new(0), 0, partitions).unwrap();
-            let mut blocks = Vec::new();
-            for (i, k) in keys.iter().enumerate() {
-                if let Some(b) = packer.push(vec![*k, i as i64]).unwrap() {
-                    blocks.push(b);
-                }
-            }
-            blocks.extend(packer.flush().unwrap());
-            // No tuple dropped or duplicated.
-            let total: usize = blocks.iter().map(|b| b.rows()).sum();
-            prop_assert_eq!(total, keys.len());
-            // Every block is homogeneous with respect to the partition function.
-            for block in &blocks {
-                let tag = block.meta().hash_partition.unwrap();
-                for row in Unpacker::rows(block) {
-                    prop_assert_eq!(
-                        hetex_jit::expr::hash_i64(row[0]).unsigned_abs() % partitions as u64,
-                        tag
-                    );
-                }
-            }
         }
     }
 }

@@ -144,7 +144,7 @@ fn scan_chain(
 /// whole query behind one core's random-access bandwidth).
 fn augment_build_side(build: &RelNode, config: &EngineConfig) -> Result<HetNode> {
     let inner = augment_build_inner(build, config)?;
-    let packed = HetNode::Pack { input: Box::new(inner), hash_partitions: None };
+    let packed = HetNode::Pack { input: Box::new(inner) };
     let mut node = packed;
     if config.hetexchange_enabled {
         node = HetNode::Router {

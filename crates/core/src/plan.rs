@@ -18,7 +18,9 @@ use hetex_jit::{AggSpec, Expr};
 use hetex_topology::DeviceKind;
 use std::fmt;
 
-/// Routing policies of the router operator (§3.1).
+/// Routing policies of the router operator (§3.1). The paper's hash policy
+/// is not among them: it routes blocks a hash-pack tagged, and no plan here
+/// hash-packs (DESIGN.md §12, "No hash exchange").
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RouterPolicy {
     /// Round-robin / range partitioning of blocks over consumers.
@@ -26,9 +28,6 @@ pub enum RouterPolicy {
     /// Route each block to the currently least-loaded consumer; this is the
     /// load-balancing behaviour the hybrid plans rely on.
     LeastLoaded,
-    /// Route by the block's hash-partition tag (set by hash-pack); blocks are
-    /// never inspected, only their handles.
-    Hash,
     /// Route by the block's broadcast-target tag (set by a multicasting
     /// mem-move).
     Target,
@@ -41,7 +40,6 @@ impl fmt::Display for RouterPolicy {
         let s = match self {
             RouterPolicy::RoundRobin => "round-robin",
             RouterPolicy::LeastLoaded => "least-loaded",
-            RouterPolicy::Hash => "hash",
             RouterPolicy::Target => "target",
             RouterPolicy::Union => "union",
         };
@@ -259,11 +257,9 @@ pub enum HetNode {
         input: Box<HetNode>,
         broadcast: bool,
     },
-    /// Data-flow: group tuples into blocks; `hash_partitions` makes it a
-    /// hash-pack whose blocks are hash-homogeneous.
+    /// Data-flow: group tuples into blocks.
     Pack {
         input: Box<HetNode>,
-        hash_partitions: Option<usize>,
     },
     /// Data-flow: feed a block's tuples one at a time to the next operator.
     Unpack {
@@ -403,11 +399,8 @@ impl HetNode {
                 ));
                 input.explain_into(out, depth + 1);
             }
-            HetNode::Pack { input, hash_partitions } => {
-                match hash_partitions {
-                    Some(p) => out.push_str(&format!("{pad}hash-pack partitions={p}\n")),
-                    None => out.push_str(&format!("{pad}pack\n")),
-                }
+            HetNode::Pack { input } => {
+                out.push_str(&format!("{pad}pack\n"));
                 input.explain_into(out, depth + 1);
             }
             HetNode::Unpack { input } => {
@@ -524,7 +517,7 @@ mod tests {
     fn device_target_constructors() {
         assert_eq!(DeviceTarget::cpu(8).kind, DeviceKind::CpuCore);
         assert_eq!(DeviceTarget::gpu(2).dop, 2);
-        assert_eq!(RouterPolicy::Hash.to_string(), "hash");
+        assert_eq!(RouterPolicy::Target.to_string(), "target");
         assert_eq!(RouterPolicy::Union.to_string(), "union");
     }
 }

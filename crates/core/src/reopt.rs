@@ -23,7 +23,7 @@
 //! * [`candidates`] / [`reoptimize`] — the search: enumerate valid
 //!   placement/DOP combinations for the topology, cost each one from the
 //!   feedback record anchored to the *measured* incumbent time, and emit a
-//!   rewrite only when the estimated gain clears `ReoptConfig::min_gain`.
+//!   rewrite only when the estimated gain clears [`DEFAULT_REOPT_MIN_GAIN`].
 //!
 //! Determinism boundaries: the search consumes only the feedback record, the
 //! topology's declared profiles and the [`CostModel`]'s calibrated constants
@@ -35,7 +35,7 @@
 //! rewrites).
 
 use crate::cost::CostModel;
-use hetex_common::config::{ExecutionTarget, EST_MAX_TUPLE_BYTES};
+use hetex_common::config::{ExecutionTarget, DEFAULT_REOPT_MIN_GAIN, EST_MAX_TUPLE_BYTES};
 use hetex_common::EngineConfig;
 use hetex_topology::ServerTopology;
 use std::collections::HashMap;
@@ -294,47 +294,32 @@ pub struct ReoptDecision {
     pub ranked: Vec<CandidateCost>,
 }
 
-/// Enumerate the plan space for `base` on `topology`, honouring the search
-/// axes of `base.reopt`: every placement (or only the incumbent's), a
-/// power-of-two CPU ladder up to the core count (or only the incumbent DOP),
-/// every GPU count (ditto). Only combinations that validate under the base
+/// Enumerate the plan space for `base` on `topology`: every placement, a
+/// power-of-two CPU ladder up to the core count plus the incumbent DOP, and
+/// every GPU count. Only combinations that validate under the base
 /// configuration survive — every candidate this function returns can be
 /// applied and executed as-is, which is the invariant the verifier proptest
 /// and `plan_lint`'s `reopt` target pin.
 pub fn candidates(base: &EngineConfig, topology: &ServerTopology) -> Vec<Candidate> {
-    let reopt = base.reopt;
     let cores = topology.cpu_cores().len();
     let gpus = topology.gpus().len();
     let incumbent = Candidate::of(base);
 
-    let targets: Vec<ExecutionTarget> = if reopt.search_target {
-        vec![ExecutionTarget::CpuOnly, ExecutionTarget::GpuOnly, ExecutionTarget::Hybrid]
-    } else {
-        vec![base.target]
-    };
-    let mut cpu_dops: Vec<usize> = if reopt.search_dop {
-        let mut ladder: Vec<usize> = std::iter::successors(Some(1usize), |d| d.checked_mul(2))
-            .take_while(|d| *d <= cores)
-            .collect();
-        if cores > 0 && !ladder.contains(&cores) {
-            ladder.push(cores);
-        }
-        ladder.push(base.cpu_dop);
-        ladder
-    } else {
-        vec![base.cpu_dop]
-    };
+    let targets = [ExecutionTarget::CpuOnly, ExecutionTarget::GpuOnly, ExecutionTarget::Hybrid];
+    let mut cpu_dops: Vec<usize> = std::iter::successors(Some(1usize), |d| d.checked_mul(2))
+        .take_while(|d| *d <= cores)
+        .collect();
+    if cores > 0 && !cpu_dops.contains(&cores) {
+        cpu_dops.push(cores);
+    }
+    cpu_dops.push(base.cpu_dop);
     cpu_dops.sort_unstable();
     cpu_dops.dedup();
-    let mut gpu_dops: Vec<usize> =
-        if reopt.search_dop { (0..=gpus).collect() } else { vec![base.gpu_dop] };
-    gpu_dops.sort_unstable();
-    gpu_dops.dedup();
 
     let mut out: Vec<Candidate> = Vec::new();
     for &target in &targets {
         for &cpu_dop in &cpu_dops {
-            for &gpu_dop in &gpu_dops {
+            for gpu_dop in 0..=gpus {
                 let candidate = match target {
                     ExecutionTarget::CpuOnly if cpu_dop > 0 && cpu_dop <= cores => {
                         Candidate { target, cpu_dop, gpu_dop: 0 }
@@ -369,7 +354,7 @@ pub fn candidates(base: &EngineConfig, topology: &ServerTopology) -> Vec<Candida
 
 /// The search: cost every candidate from the feedback record, anchored to
 /// the measured incumbent time, and return a rewrite when a candidate beats
-/// the incumbent by at least `base.reopt.min_gain`. `None` means "keep the
+/// the incumbent by at least [`DEFAULT_REOPT_MIN_GAIN`]. `None` means "keep the
 /// plan as submitted" — the search found nothing clearly better (or
 /// re-optimization is disabled, or the feedback carries no usable anchor).
 ///
@@ -447,7 +432,7 @@ pub fn reoptimize(
         return None;
     }
     let estimated_gain = 1.0 - best.estimated_ns / incumbent_ns;
-    if estimated_gain < base.reopt.min_gain {
+    if estimated_gain < DEFAULT_REOPT_MIN_GAIN {
         return None;
     }
     Some(ReoptDecision { chosen: best.candidate, estimated_gain, incumbent_ns, ranked })
@@ -645,10 +630,6 @@ mod tests {
         for candidate in &space {
             candidate.apply(&base).validate().unwrap();
         }
-        // Axes off: the space collapses to the incumbent.
-        let frozen = EngineConfig::hybrid(8, 2)
-            .with_reopt(ReoptConfig::enabled().with_search_target(false).with_search_dop(false));
-        assert_eq!(candidates(&frozen, &topology), vec![Candidate::of(&frozen)]);
     }
 
     #[test]
@@ -671,7 +652,7 @@ mod tests {
             "the rewrite must drop the straggler GPU: {}",
             decision.chosen.label()
         );
-        assert!(decision.estimated_gain >= static_base.reopt.min_gain);
+        assert!(decision.estimated_gain >= DEFAULT_REOPT_MIN_GAIN);
         assert!(!decision.ranked.is_empty());
         // The chosen plan is the best-ranked one.
         assert_eq!(decision.ranked[0].candidate, decision.chosen);

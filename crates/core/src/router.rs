@@ -5,9 +5,8 @@
 //! from the producer to the consumer but not the actual data." It decides the
 //! degree of parallelism, instantiates its consumers, pins them to devices
 //! (affinity), and routes handles according to a pluggable policy. Policies
-//! never look at tuples: hash routing uses the hash tag the hash-pack operator
-//! stamped on the handle, and broadcast routing uses the target tag stamped by
-//! a multicasting mem-move.
+//! never look at tuples: broadcast routing uses the target tag stamped by a
+//! multicasting mem-move.
 
 use crate::plan::{DeviceTarget, RouterPolicy};
 use hetex_common::{BlockMeta, HetError, Result};
@@ -167,14 +166,6 @@ impl<'a> Router<'a> {
                         loads.len()
                     )))
                 }
-            }
-            RouterPolicy::Hash => {
-                let tag = meta.hash_partition.ok_or_else(|| {
-                    HetError::Plan(
-                        "hash routing requires hash-pack to tag blocks with a partition".into(),
-                    )
-                })?;
-                Ok((tag % n as u64) as usize)
             }
             RouterPolicy::Target => {
                 let target = meta.broadcast_target.ok_or_else(|| {
@@ -369,17 +360,6 @@ mod tests {
         assert!(router.route(&meta(), &[1, 2, 3, 4]).is_err());
         // The empty "no info" signal still degrades gracefully.
         assert!(router.route(&meta(), &[]).is_ok());
-    }
-
-    #[test]
-    fn hash_routing_uses_the_handle_tag_only() {
-        let slots = slots(4);
-        let router = Router::new(RouterPolicy::Hash, &slots).unwrap();
-        let mut m = meta();
-        m.hash_partition = Some(11);
-        assert_eq!(router.route(&m, &[]).unwrap(), 11 % 4);
-        // Untagged blocks are a planning bug.
-        assert!(router.route(&meta(), &[]).is_err());
     }
 
     #[test]

@@ -68,7 +68,7 @@ pub fn derive_traits(node: &HetNode) -> PlanTraits {
             let input = derive_traits(input);
             PlanTraits { local: true, ..input }
         }
-        HetNode::Pack { input, .. } => {
+        HetNode::Pack { input } => {
             let input = derive_traits(input);
             PlanTraits { packed: true, ..input }
         }
@@ -180,7 +180,7 @@ mod tests {
         assert_eq!((t.device, t.dop, t.local), (base.device, base.dop, base.local));
 
         // Pack restores the packed trait.
-        let packed = HetNode::Pack { input: Box::new(unpacked), hash_partitions: Some(4) };
+        let packed = HetNode::Pack { input: Box::new(unpacked) };
         assert!(derive_traits(&packed).packed);
     }
 

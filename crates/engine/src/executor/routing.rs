@@ -215,9 +215,8 @@ impl<'a> StageRouting<'a> {
 
     /// Whether a block may move between this stage's consumers after routing
     /// (a steal or a takeover): only when routing was anonymous to begin
-    /// with. Hash-partitioned and broadcast-target blocks are bound to their
-    /// consumer (partitioned state, explicit copies), and a single-consumer
-    /// stage has no sibling to move to.
+    /// with. Broadcast-target blocks are bound to their consumer (explicit
+    /// copies), and a single-consumer stage has no sibling to move to.
     pub(super) fn rehomeable(&self) -> bool {
         self.stage.consumers.len() > 1
             && matches!(self.stage.policy, RouterPolicy::RoundRobin | RouterPolicy::LeastLoaded)

@@ -18,8 +18,6 @@
 //!   `i64::MIN / −1` wraps.
 //! * **Predicates.** Comparisons, `AND`, `OR`, `NOT`, inclusive `BETWEEN` and
 //!   `IN` give 0 or 1. A filter keeps the rows whose predicate is not 0.
-//! * **Hash.** `Hash(x)` is `((x as u64) × 0x9E37_79B9_7F4A_7C15) >> 1`, read
-//!   as `i64`.
 //! * **Aggregates.** `SUM` and `COUNT` wrap. A reduce over no rows returns
 //!   the identities: 0 for `SUM` and `COUNT`, `i64::MAX` for `MIN` and
 //!   `i64::MIN` for `MAX`. A group-by over no rows returns no rows.
@@ -172,7 +170,6 @@ fn eval(expr: &Expr, row: &[i64]) -> i64 {
         Expr::Not(a) => (eval(a, row) == 0) as i64,
         Expr::Between(a, lo, hi) => (*lo..=*hi).contains(&eval(a, row)) as i64,
         Expr::InList(a, list) => list.contains(&eval(a, row)) as i64,
-        Expr::Hash(a) => ((eval(a, row) as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 1) as i64,
     }
 }
 
@@ -459,13 +456,12 @@ mod tests {
             Expr::And,
             Expr::Or,
         ];
-        let op = rng.below(BINARY.len() as u64 + 4) as usize;
+        let op = rng.below(BINARY.len() as u64 + 3) as usize;
         let a = Box::new(expr(rng, depth - 1, width));
         match op.checked_sub(BINARY.len()) {
             None => BINARY[op](a, Box::new(expr(rng, depth - 1, width))),
             Some(0) => Expr::Not(a),
-            Some(1) => Expr::Hash(a),
-            Some(2) => {
+            Some(1) => {
                 let (lo, hi) = (register(rng), register(rng));
                 Expr::Between(a, lo.min(hi), lo.max(hi))
             }

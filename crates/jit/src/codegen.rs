@@ -203,11 +203,7 @@ mod tests {
         let bad = ctx.push_step(Step::Filter { predicate: Expr::col(7).gt_lit(0) });
         assert!(bad.is_err());
         // Width checks also apply to terminals.
-        let bad_terminal = ctx.finish_pipeline(TerminalStep::Pack {
-            exprs: vec![Expr::col(9)],
-            partition_by: None,
-            partitions: 1,
-        });
+        let bad_terminal = ctx.finish_pipeline(TerminalStep::Pack { exprs: vec![Expr::col(9)] });
         assert!(bad_terminal.is_err());
     }
 
@@ -217,13 +213,7 @@ mod tests {
         assert!(ctx.current_width().is_err());
         assert!(ctx.current_device().is_err());
         assert!(ctx.push_step(Step::Filter { predicate: Expr::lit(1) }).is_err());
-        assert!(ctx
-            .finish_pipeline(TerminalStep::Pack {
-                exprs: vec![],
-                partition_by: None,
-                partitions: 1
-            })
-            .is_err());
+        assert!(ctx.finish_pipeline(TerminalStep::Pack { exprs: vec![] }).is_err());
         assert!(ctx.pipeline(PipelineId::new(0)).is_err());
     }
 }

@@ -42,9 +42,6 @@ pub enum Expr {
     Between(Box<Expr>, i64, i64),
     /// Membership in a small literal list (e.g. `d_yearmonthnum IN (...)`).
     InList(Box<Expr>, Vec<i64>),
-    /// A multiplicative hash of the operand, used by hash-pack and
-    /// hash-based routing.
-    Hash(Box<Expr>),
 }
 
 impl Expr {
@@ -123,20 +120,17 @@ impl Expr {
             Expr::Ge(a, b) => (a.eval(regs) >= b.eval(regs)) as i64,
             Expr::And(a, b) => ((a.eval(regs) != 0) && (b.eval(regs) != 0)) as i64,
             Expr::Or(a, b) => ((a.eval(regs) != 0) || (b.eval(regs) != 0)) as i64,
-            Expr::Not(a) | Expr::Between(a, ..) | Expr::InList(a, _) | Expr::Hash(a) => {
-                self.unary(a.eval(regs))
-            }
+            Expr::Not(a) | Expr::Between(a, ..) | Expr::InList(a, _) => self.unary(a.eval(regs)),
         }
     }
 
-    /// This unary node (`Not`, `Between`, `InList`, `Hash`) of operand `v`.
+    /// This unary node (`Not`, `Between`, `InList`) of operand `v`.
     #[inline]
     fn unary(&self, v: i64) -> i64 {
         match self {
             Expr::Not(_) => (v == 0) as i64,
             Expr::Between(_, lo, hi) => (v >= *lo && v <= *hi) as i64,
             Expr::InList(_, list) => list.contains(&v) as i64,
-            Expr::Hash(_) => hash_i64(v),
             _ => unreachable!("not a unary expression: {self:?}"),
         }
     }
@@ -182,7 +176,7 @@ impl Expr {
             Expr::Or(a, b) => {
                 binary_batch(a, b, cols, sel, out, pool, |x, y| ((x != 0) || (y != 0)) as i64)
             }
-            Expr::Not(a) | Expr::Between(a, ..) | Expr::InList(a, _) | Expr::Hash(a) => {
+            Expr::Not(a) | Expr::Between(a, ..) | Expr::InList(a, _) => {
                 a.eval_batch(cols, sel, out, pool);
                 out.iter_mut().for_each(|v| *v = self.unary(*v));
             }
@@ -210,7 +204,7 @@ impl Expr {
                 a.for_each_register(visit);
                 b.for_each_register(visit);
             }
-            Expr::Not(a) | Expr::Between(a, _, _) | Expr::InList(a, _) | Expr::Hash(a) => {
+            Expr::Not(a) | Expr::Between(a, _, _) | Expr::InList(a, _) => {
                 a.for_each_register(visit)
             }
         }
@@ -240,7 +234,7 @@ impl Expr {
     pub fn op_count(&self) -> f64 {
         match self {
             Expr::Col(_) | Expr::Lit(_) => 0.25,
-            Expr::Not(a) | Expr::Hash(a) => 1.0 + a.op_count(),
+            Expr::Not(a) => 1.0 + a.op_count(),
             Expr::Between(a, _, _) => 2.0 + a.op_count(),
             Expr::InList(a, list) => list.len() as f64 * 0.5 + a.op_count(),
             Expr::Add(a, b)
@@ -337,9 +331,7 @@ impl ScratchPool {
     }
 }
 
-/// Multiplicative (Fibonacci) hash over an i64, also used by hash-pack and
-/// the hash routing policy so that partition assignment is consistent across
-/// operators.
+/// Multiplicative (Fibonacci) hash over an i64: the hash tables' slot hash.
 #[inline]
 pub fn hash_i64(v: i64) -> i64 {
     let x = (v as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
@@ -399,8 +391,6 @@ mod tests {
         assert_ne!(a, b);
         assert_eq!(a, hash_i64(1));
         assert!(a >= 0 && b >= 0, "hash must be non-negative for modulo routing");
-        let h = Expr::Hash(Box::new(Expr::col(0)));
-        assert_eq!(h.eval(&[1]), a);
     }
 
     #[test]
@@ -442,7 +432,6 @@ mod tests {
                 .and(Expr::Ge(Box::new(Expr::col(0)), Box::new(Expr::lit(7)))),
             Expr::col(0).between(10, 40),
             Expr::col(2).in_list(vec![0, 2]),
-            Expr::Hash(Box::new(Expr::col(0))),
         ];
         let mut pool = ScratchPool::new();
         let mut out = Vec::new();

@@ -11,7 +11,7 @@
 //! updated differs (Figure 3).
 
 use crate::expr::Expr;
-use hetex_common::{HetError, Result};
+use hetex_common::Result;
 use hetex_topology::DeviceKind;
 
 /// Discount applied to expression op counts on a CPU core, where the chunk
@@ -177,17 +177,10 @@ impl Step {
 #[derive(Debug, Clone, PartialEq)]
 pub enum TerminalStep {
     /// Pack surviving tuples into output blocks of the pipeline's output
-    /// layout; this is the generated-code half of the pack / hash-pack
-    /// operator.
+    /// layout; this is the generated-code half of the pack operator.
     Pack {
         /// Expressions defining the output columns.
         exprs: Vec<Expr>,
-        /// For hash-pack: partition every tuple by this expression so each
-        /// output block is hash-homogeneous, and tag the block handle with the
-        /// partition id. `None` produces plain packed blocks.
-        partition_by: Option<Expr>,
-        /// Number of partitions when `partition_by` is set.
-        partitions: usize,
     },
     /// Build the hash table in `slot` keyed by `key` with the given payload
     /// columns (the blocking side of a hash join).
@@ -206,10 +199,7 @@ impl TerminalStep {
     /// inserts/updates stay per-tuple random work on both.
     pub fn ops_per_tuple(&self, device: DeviceKind) -> f64 {
         let expr_ops = match self {
-            TerminalStep::Pack { exprs, partition_by, .. } => {
-                exprs.iter().map(Expr::op_count).sum::<f64>()
-                    + partition_by.as_ref().map_or(0.0, Expr::op_count)
-            }
+            TerminalStep::Pack { exprs } => exprs.iter().map(Expr::op_count).sum::<f64>(),
             TerminalStep::HashJoinBuild { key, payload, .. } => {
                 key.op_count() + payload.iter().map(Expr::op_count).sum::<f64>()
             }
@@ -258,18 +248,7 @@ impl TerminalStep {
             exprs.iter().try_for_each(|e| e.check_width(input_width))
         };
         match self {
-            TerminalStep::Pack { exprs, partition_by, partitions } => {
-                check_all(exprs)?;
-                if let Some(p) = partition_by {
-                    p.check_width(input_width)?;
-                    if *partitions == 0 {
-                        return Err(HetError::Codegen(
-                            "hash-pack needs at least one partition".into(),
-                        ));
-                    }
-                }
-                Ok(())
-            }
+            TerminalStep::Pack { exprs } => check_all(exprs),
             TerminalStep::HashJoinBuild { key, payload, .. } => {
                 key.check_width(input_width)?;
                 check_all(payload)
@@ -289,7 +268,7 @@ impl TerminalStep {
     /// build: nothing).
     pub fn output_width(&self) -> usize {
         match self {
-            TerminalStep::Pack { exprs, .. } => exprs.len(),
+            TerminalStep::Pack { exprs } => exprs.len(),
             TerminalStep::HashJoinBuild { .. } => 0,
             TerminalStep::Reduce { aggs, .. } => aggs.len(),
             TerminalStep::GroupBy { keys, aggs, .. } => keys.len() + aggs.len(),
@@ -333,15 +312,8 @@ mod tests {
         let bad_filter = Step::Filter { predicate: Expr::col(4).gt_lit(0) };
         assert!(bad_filter.check_width(3).is_err());
         assert!(bad_filter.check_width(5).is_ok());
-        let bad_pack =
-            TerminalStep::Pack { exprs: vec![Expr::col(9)], partition_by: None, partitions: 1 };
+        let bad_pack = TerminalStep::Pack { exprs: vec![Expr::col(9)] };
         assert!(bad_pack.check_width(2).is_err());
-        let empty_partition = TerminalStep::Pack {
-            exprs: vec![Expr::col(0)],
-            partition_by: Some(Expr::col(0)),
-            partitions: 0,
-        };
-        assert!(empty_partition.check_width(2).is_err());
     }
 
     #[test]

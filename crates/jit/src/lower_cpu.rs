@@ -6,8 +6,8 @@
 //! degenerates to one atomic merge of the block-local partial aggregates per
 //! block. It shares no chunk, selection-vector or batch hash code with
 //! [`crate::lower_cpu_vec`], so that lowering's kernel tests compare their
-//! counters, block order and partition tags against it. It is compiled under
-//! `cfg(test)` only; no pipeline dispatches to it.
+//! counters and block order against it. It is compiled under `cfg(test)`
+//! only; no pipeline dispatches to it.
 
 use crate::expr::Expr;
 use crate::ir::{AggSpec, Step, TerminalStep};
@@ -79,11 +79,6 @@ fn eval_row(exprs: &[Expr], regs: &[i64]) -> Vec<i64> {
     exprs.iter().map(|e| e.eval(regs)).collect()
 }
 
-/// Partition index of a tuple under a hash-pack terminal.
-fn partition_of(expr: &Expr, regs: &[i64], partitions: usize) -> usize {
-    (expr.eval(regs).unsigned_abs() % partitions.max(1) as u64) as usize
-}
-
 /// Process one block with the CPU specialization.
 pub(crate) fn process_block(
     pipeline: &CompiledPipeline,
@@ -133,21 +128,16 @@ pub(crate) fn process_block(
         apply_transforms(steps, state, regs, &mut probes, &mut probe_matches, &mut |r| {
             rows_terminal += 1;
             match terminal {
-                TerminalStep::Pack { exprs, partition_by, partitions } => {
-                    // One tuple at a time into the same open blocks the
+                TerminalStep::Pack { exprs } => {
+                    // One tuple at a time into the same open block the
                     // chunk kernel fills a column run at a time.
-                    let p = partition_by
-                        .as_ref()
-                        .map(|e| partition_of(e, &r, *partitions))
-                        .unwrap_or(0);
-                    let open = &mut ctx.open_blocks[p];
+                    let open = &mut ctx.open;
                     for (column, expr) in open.columns.iter_mut().zip(exprs) {
                         column.push(expr.eval(&r));
                     }
                     open.rows += 1;
                     if open.rows >= ctx.out_capacity {
-                        let tag = partition_by.as_ref().map(|_| p);
-                        outputs.push(ctx.flush_full(p, tag, &mut counters)?);
+                        outputs.push(ctx.flush_full(&mut counters)?);
                     }
                 }
                 TerminalStep::HashJoinBuild { key, payload, slot } => {
@@ -311,39 +301,6 @@ mod tests {
         let (_, counters) = process_block(&probe, &block, &state, &mut cpu_ctx(64)).unwrap();
         assert_eq!(counters.probe_matches, 4);
         assert_eq!(state.accumulators(acc).unwrap().values(), vec![4]);
-    }
-
-    #[test]
-    fn hash_pack_produces_homogeneous_blocks() {
-        let state = SharedState::new();
-        let pipeline = CompiledPipeline::new(
-            PipelineId::new(5),
-            DeviceKind::CpuCore,
-            2,
-            vec![],
-            TerminalStep::Pack {
-                exprs: vec![Expr::col(0), Expr::col(1)],
-                partition_by: Some(Expr::col(0)),
-                partitions: 4,
-            },
-        )
-        .unwrap();
-        let mut ctx = cpu_ctx(8);
-        let a: Vec<i64> = (0..100).collect();
-        let b: Vec<i64> = (0..100).map(|i| i * 2).collect();
-        let (mut blocks, _) = process_block(&pipeline, &block_of(a, b), &state, &mut ctx).unwrap();
-        blocks.extend(pipeline.finalize_instance(&state, &mut ctx).unwrap().blocks);
-        let total_rows: usize = blocks.iter().map(BlockHandle::rows).sum();
-        assert_eq!(total_rows, 100);
-        // Every block is tagged and hash-homogeneous.
-        for handle in &blocks {
-            let p = handle.meta().hash_partition.expect("hash-pack must tag blocks");
-            let keys = handle.block().column(0).unwrap();
-            for i in 0..handle.rows() {
-                let key = keys.get_i64(i).unwrap();
-                assert_eq!(key.unsigned_abs() % 4, p);
-            }
-        }
     }
 
     #[test]

@@ -30,13 +30,13 @@
 //!   block's build buffers for one insert per block, a group-by packs its
 //!   keys into cell offsets and folds each aggregate from its leaves into
 //!   the instance's partials (merged once, by `finalize_instance`), a pack
-//!   appends column runs — or each lane to its partition — to the
-//!   instance's open output blocks.
+//!   writes its values straight into the instance's open output block,
+//!   each value once.
 //!
 //! The scratch ([`VecScratch`]) lives in the instance's [`ExecCtx`], so every
 //! chunk of every block reuses the same buffers. Row order is the depth-first
 //! order of a per-tuple interpreter of the same steps; the unit tests below
-//! pin rows, block boundaries, partition tags and counters against one.
+//! pin rows, block boundaries and counters against one.
 //!
 //! The GPU lowering ([`crate::lower_gpu`]) runs this same chunk kernel over
 //! tiles of 32 warps: the two devices share one kernel and differ in
@@ -85,7 +85,8 @@ pub(crate) struct VecScratch {
     /// A hash build's key column, then its payload columns: appended chunk
     /// by chunk and inserted once per block.
     pub(crate) build: Vec<Vec<i64>>,
-    /// A group-by chunk's cell offsets or group indexes, one per lane.
+    /// A group-by chunk's cell offsets or group indexes, one per lane; a
+    /// pack's whole selection while it feeds it a piece at a time.
     ids: Vec<u32>,
 }
 
@@ -201,7 +202,7 @@ pub(crate) fn shapes(steps: &[Step], terminal: &TerminalStep) -> Vec<Vec<Shape>>
         })
         .collect();
     shapes.push(values(match terminal {
-        TerminalStep::Pack { exprs, partition_by: by, .. } => exprs.iter().chain(by).collect(),
+        TerminalStep::Pack { exprs } => exprs.iter().collect(),
         TerminalStep::HashJoinBuild { key, payload, .. } => {
             [key].into_iter().chain(payload).collect()
         }
@@ -599,51 +600,8 @@ fn process_chunks(
         counters.rows_terminal += scratch.sel.len() as u64;
         if !scratch.sel.is_empty() {
             match terminal {
-                TerminalStep::Pack { exprs, partition_by, partitions } => {
-                    let out_cols =
-                        scratch.eval_columns(exprs.iter(), &shapes[..exprs.len()], window);
-                    // A block is emitted the moment it fills, so blocks leave
-                    // in fill order and each holds a run of the lane order.
-                    let capacity = ctx.out_capacity.max(1);
-                    match partition_by {
-                        // Whole column runs, split where the open block fills.
-                        None => {
-                            let lanes = scratch.sel.len();
-                            let mut start = 0;
-                            while start < lanes {
-                                let open = &mut ctx.open_blocks[0];
-                                let end = lanes.min(start + capacity.saturating_sub(open.rows));
-                                for (dst, src) in open.columns.iter_mut().zip(&out_cols) {
-                                    dst.extend_from_slice(&src[start..end]);
-                                }
-                                open.rows += end - start;
-                                start = end;
-                                if open.rows >= capacity {
-                                    outputs.push(ctx.flush_full(0, None, &mut counters)?);
-                                }
-                            }
-                        }
-                        // Each lane's values scattered straight into its
-                        // partition's columns, in lane order.
-                        Some(by) => {
-                            let mut keys = scratch.pool.acquire();
-                            scratch.eval(by, &shapes[exprs.len()], window, &mut keys);
-                            let fanout = (*partitions).max(1) as u64;
-                            for (j, key) in keys.iter().enumerate() {
-                                let p = (key.unsigned_abs() % fanout) as usize;
-                                let open = &mut ctx.open_blocks[p];
-                                for (dst, src) in open.columns.iter_mut().zip(&out_cols) {
-                                    dst.push(src[j]);
-                                }
-                                open.rows += 1;
-                                if open.rows >= capacity {
-                                    outputs.push(ctx.flush_full(p, Some(p), &mut counters)?);
-                                }
-                            }
-                            scratch.pool.release(keys);
-                        }
-                    }
-                    scratch.release_columns(out_cols);
+                TerminalStep::Pack { exprs } => {
+                    pack_rows(scratch, ctx, (exprs, shapes), window, (&mut outputs, &mut counters))?
                 }
                 TerminalStep::HashJoinBuild { key, payload, .. } => {
                     // Each value lands straight in its build buffer.
@@ -693,6 +651,45 @@ fn process_chunks(
     Ok((outputs, counters))
 }
 
+/// Append the chunk's selected rows to the open block, emitting each block
+/// the moment it fills, so blocks leave in fill order and each holds a run
+/// of the lane order. Every value is written once, straight into the block
+/// it lands in: a chunk that crosses a block boundary feeds one piece of its
+/// selection per block, after gathering its registers over the whole
+/// selection so that every piece reads them.
+#[inline(never)]
+fn pack_rows(
+    scratch: &mut VecScratch,
+    ctx: &mut ExecCtx,
+    (exprs, shapes): (&[Expr], &[Shape]),
+    window: Window<'_>,
+    (outputs, counters): (&mut Vec<BlockHandle>, &mut BlockCounters),
+) -> Result<()> {
+    let (capacity, lanes) = (ctx.out_capacity.max(1), scratch.sel.len());
+    let pieces = ctx.open.rows + lanes > capacity;
+    if pieces {
+        exprs.iter().for_each(|e| e.for_each_register(&mut |r| scratch.gather(r, window)));
+        std::mem::swap(&mut scratch.sel, &mut scratch.ids);
+    }
+    let mut start = 0;
+    while start < lanes {
+        let end = lanes.min(start + capacity.saturating_sub(ctx.open.rows));
+        if pieces {
+            scratch.sel.clear();
+            scratch.sel.extend_from_slice(&scratch.ids[start..end]);
+        }
+        for ((expr, shape), column) in exprs.iter().zip(shapes).zip(&mut ctx.open.columns) {
+            scratch.feed(expr, shape, window, Sink::Out(column));
+        }
+        ctx.open.rows += end - start;
+        start = end;
+        if ctx.open.rows >= capacity {
+            outputs.push(ctx.flush_full(counters)?);
+        }
+    }
+    Ok(())
+}
+
 /// Fold the chunk's selected rows into a lane's group partials: keys pack
 /// into cell offsets from their leaves while the table's box holds them all,
 /// else they are evaluated and located; each aggregate then folds from its
@@ -736,6 +733,7 @@ mod tests {
     use super::*;
     use crate::expr::Expr;
     use crate::ir::{AggSpec, StateSlot};
+    use crate::state::StateArena;
     use hetex_common::{Block, BlockId, BlockMeta, ColumnData, MemoryNodeId, PipelineId};
     use hetex_topology::DeviceKind;
     use std::sync::Arc;
@@ -781,7 +779,6 @@ mod tests {
         assert_eq!(vblocks.len(), tblocks.len(), "block count diverged");
         for (vb, tb) in vblocks.iter().zip(&tblocks) {
             assert_eq!(vb.rows(), tb.rows());
-            assert_eq!(vb.meta().hash_partition, tb.meta().hash_partition);
             for c in 0..vb.block().width() {
                 for r in 0..vb.rows() {
                     assert_eq!(
@@ -832,11 +829,7 @@ mod tests {
             DeviceKind::CpuCore,
             2,
             vec![Step::Filter { predicate: Expr::col(0).gt_lit(0) }],
-            TerminalStep::Pack {
-                exprs: vec![Expr::col(1), Expr::col(0)],
-                partition_by: None,
-                partitions: 1,
-            },
+            TerminalStep::Pack { exprs: vec![Expr::col(1), Expr::col(0)] },
         )
         .unwrap();
         let run = |block: Block| {
@@ -957,11 +950,7 @@ mod tests {
         let matching = keys.iter().filter(|k| (0..250).contains(*k)).count();
         assert_modes_agree(
             vec![Step::HashJoinProbe { key: Expr::col(0), slot: StateSlot(0), payload_width: 2 }],
-            TerminalStep::Pack {
-                exprs: vec![Expr::col(1), Expr::col(2), Expr::col(3)],
-                partition_by: None,
-                partitions: 1,
-            },
+            TerminalStep::Pack { exprs: vec![Expr::col(1), Expr::col(2), Expr::col(3)] },
             vec![keys, vals],
             mk_state,
             |_, blocks| {
@@ -1008,36 +997,6 @@ mod tests {
     }
 
     #[test]
-    fn map_and_hash_pack_match_tuple_at_a_time() {
-        let n = VEC_CHUNK + 77;
-        let a: Vec<i64> = (0..n as i64).collect();
-        let b: Vec<i64> = (0..n as i64).map(|i| i % 11).collect();
-        assert_modes_agree(
-            vec![
-                Step::Filter { predicate: Expr::col(1).in_list(vec![1, 3, 5, 7, 9]) },
-                Step::Map { exprs: vec![Expr::col(0).mul(Expr::col(1)), Expr::col(1)] },
-            ],
-            TerminalStep::Pack {
-                exprs: vec![Expr::col(0), Expr::col(1)],
-                partition_by: Some(Expr::col(1)),
-                partitions: 3,
-            },
-            vec![a, b],
-            SharedState::new,
-            |_, blocks| {
-                assert!(!blocks.is_empty());
-                for h in blocks {
-                    let p = h.meta().hash_partition.expect("hash-pack tags blocks");
-                    let keys = h.block().column(1).unwrap();
-                    for r in 0..h.rows() {
-                        assert_eq!(keys.get_i64(r).unwrap().unsigned_abs() % 3, p);
-                    }
-                }
-            },
-        );
-    }
-
-    #[test]
     fn hash_join_build_matches_tuple_at_a_time() {
         let n = 500;
         let k: Vec<i64> = (0..n as i64).collect();
@@ -1061,9 +1020,9 @@ mod tests {
         );
     }
 
-    /// An emitted block as these tests compare it: id, partition tag, weight,
-    /// rows (the only content of a zero-width block) and column-major values.
-    type Emitted = (BlockId, Option<u64>, f64, usize, Vec<Vec<i64>>);
+    /// An emitted block as these tests compare it: id, weight, rows (the
+    /// only content of a zero-width block) and column-major values.
+    type Emitted = (BlockId, f64, usize, Vec<Vec<i64>>);
 
     fn dump(blocks: &[BlockHandle]) -> Vec<Emitted> {
         blocks
@@ -1074,7 +1033,7 @@ mod tests {
                     .columns()
                     .map(|c| (0..c.len()).map(|r| c.get_i64(r).unwrap()).collect())
                     .collect();
-                (h.meta().id, h.meta().hash_partition, h.meta().weight, h.rows(), cols)
+                (h.meta().id, h.meta().weight, h.rows(), cols)
             })
             .collect()
     }
@@ -1118,13 +1077,14 @@ mod tests {
     }
 
     proptest::proptest! {
-        #![proptest_config(proptest::ProptestConfig::with_cases(3))]
+        #![proptest_config(proptest::ProptestConfig::with_cases(kernel_cases()))]
 
         /// The columnar Pack terminal emits what the per-tuple oracle emits —
-        /// blocks, ids, partition tags, weights, order, boundaries and
-        /// counters — for every output width, capacity and partitioning, with
-        /// blocks of a few chunks each fed through one context before it is
-        /// finalized.
+        /// blocks, ids, weights, order, boundaries and counters — for every
+        /// output width and capacity, with blocks of a few chunks each fed
+        /// through one context before it is finalized, and again through
+        /// the same context after `with_arena` gave it an arena that pools
+        /// shorter columns.
         #[test]
         fn columnar_pack_matches_the_per_tuple_oracle(
             sizes in proptest::collection::vec(0usize..1_500, 2..5),
@@ -1153,52 +1113,55 @@ mod tests {
                     (0..h.rows()).filter(|&r| f.get_i64(r).unwrap() < keep).count()
                 })
                 .sum();
+            // Value shapes, and a tree that reads registers the filter left
+            // lazy.
             let exprs = [
                 Expr::col(1),
                 Expr::col(0),
                 Expr::col(0).mul(Expr::col(2)),
                 Expr::lit(-7),
-                Expr::col(2),
+                Expr::col(2).sub(Expr::col(1)).mul(Expr::col(0)),
             ];
             let state = SharedState::new();
-            for width in 0..=4 {
-                for capacity in [1, 2, 1023, 1024, 1025, 64 * 1024] {
-                    for partitions in [None, Some(1), Some(2), Some(61)] {
-                        let pipeline = CompiledPipeline::new(
-                            PipelineId::new(79),
-                            DeviceKind::CpuCore,
-                            3,
-                            vec![Step::Filter { predicate: Expr::col(2).lt_lit(keep) }],
-                            TerminalStep::Pack {
-                                exprs: exprs[..width].to_vec(),
-                                partition_by: partitions.map(|_| Expr::col(1)),
-                                partitions: partitions.unwrap_or(1),
-                            },
-                        )
-                        .unwrap();
-                        let run = |per_tuple| {
-                            let mut ctx = ExecCtx::cpu(MemoryNodeId::new(0), capacity);
-                            run_instance(&pipeline, &inputs, &state, &mut ctx, per_tuple)
-                        };
-                        let (blocks, counters) = run(false);
-                        let case = format!("width {width}, capacity {capacity}, {partitions:?}");
-                        let oracle = run(true);
-                        proptest::prop_assert_eq!(&(blocks.clone(), counters), &oracle, "{}", case);
-                        // What neither path may get wrong in the same way.
-                        proptest::prop_assert_eq!(
-                            blocks.iter().map(|b| b.3).sum::<usize>(), survivors, "{}", case
-                        );
-                        for (r, (id, tag, _, rows, cols)) in blocks.iter().enumerate() {
-                            proptest::prop_assert_eq!(id.index(), r);
-                            proptest::prop_assert!((1..=capacity).contains(rows));
-                            let tagged = (partitions, tag, cols.first());
-                            if let (Some(n), Some(tag), Some(keys)) = tagged {
-                                proptest::prop_assert!(
-                                    keys.iter().all(|k| k.unsigned_abs() % n as u64 == *tag)
-                                );
-                            }
-                        }
+            let capacities = [1, 2, 1000, VEC_CHUNK - 1, VEC_CHUNK, VEC_CHUNK + 1, 64 * 1024];
+            for width in 0..=exprs.len() {
+                for capacity in capacities {
+                    let pipeline = CompiledPipeline::new(
+                        PipelineId::new(79),
+                        DeviceKind::CpuCore,
+                        3,
+                        vec![Step::Filter { predicate: Expr::col(2).lt_lit(keep) }],
+                        TerminalStep::Pack { exprs: exprs[..width].to_vec() },
+                    )
+                    .unwrap();
+                    let mut ctx = ExecCtx::cpu(MemoryNodeId::new(0), capacity);
+                    let (blocks, counters) =
+                        run_instance(&pipeline, &inputs, &state, &mut ctx, false);
+                    let case = format!("width {width}, capacity {capacity}");
+                    let mut fresh = ExecCtx::cpu(MemoryNodeId::new(0), capacity);
+                    let oracle = run_instance(&pipeline, &inputs, &state, &mut fresh, true);
+                    proptest::prop_assert_eq!(&(blocks.clone(), counters), &oracle, "{}", case);
+                    // What neither path may get wrong in the same way.
+                    proptest::prop_assert_eq!(
+                        blocks.iter().map(|b| b.2).sum::<usize>(), survivors, "{}", case
+                    );
+                    for (r, (id, _, rows, _)) in blocks.iter().enumerate() {
+                        proptest::prop_assert_eq!(id.index(), r);
+                        proptest::prop_assert!((1..=capacity).contains(rows));
                     }
+                    // The reused context's ids run on; nothing else moves.
+                    let arena = StateArena::new();
+                    (0..width).for_each(|_| arena.give(Vec::<i64>::with_capacity(capacity / 2)));
+                    let mut ctx = ctx.with_arena(&arena);
+                    let (again, counters) =
+                        run_instance(&pipeline, &inputs, &state, &mut ctx, false);
+                    let again: Vec<Emitted> = again
+                        .into_iter()
+                        .map(|(id, w, rows, cols)| {
+                            (BlockId::new(id.index() - blocks.len()), w, rows, cols)
+                        })
+                        .collect();
+                    proptest::prop_assert_eq!(&(again, counters), &oracle, "reused, {}", case);
                 }
             }
         }
@@ -1290,18 +1253,8 @@ mod tests {
             steps.push(Step::Filter { predicate: Expr::col(3).gt_lit(-500) });
         }
         let (last, slot) = (*keys.last().unwrap(), StateSlot(tables.len()));
-        let partitions = 1 + rng.below(7) as usize;
         let terminals = vec![
-            TerminalStep::Pack {
-                exprs: vec![Expr::col(2), Expr::col(last), Expr::col(3)],
-                partition_by: None,
-                partitions: 1,
-            },
-            TerminalStep::Pack {
-                exprs: vec![Expr::col(3), Expr::col(0)],
-                partition_by: Some(Expr::col(2)),
-                partitions,
-            },
+            TerminalStep::Pack { exprs: vec![Expr::col(2), Expr::col(last), Expr::col(3)] },
             TerminalStep::HashJoinBuild {
                 key: Expr::col(last),
                 payload: vec![Expr::col(2), Expr::col(3)],
@@ -1545,16 +1498,7 @@ mod tests {
             let capacity = [1, 7, 1_023, 1_024, 4_096][rng.below(5) as usize];
             let (p, slot) = (Expr::col(width), StateSlot(2));
             let terminals = vec![
-                TerminalStep::Pack {
-                    exprs: vec![Expr::col(3), p.clone(), Expr::col(0)],
-                    partition_by: None,
-                    partitions: 1,
-                },
-                TerminalStep::Pack {
-                    exprs: vec![Expr::col(3)],
-                    partition_by: Some(p.clone()),
-                    partitions: 5,
-                },
+                TerminalStep::Pack { exprs: vec![Expr::col(3), p.clone(), Expr::col(0)] },
                 TerminalStep::HashJoinBuild {
                     key: p.clone(),
                     payload: vec![Expr::col(3), Expr::col(0)],
@@ -1669,15 +1613,9 @@ mod tests {
                 payload: vec![Expr::col(1), Expr::col(2)],
                 slot: StateSlot(1),
             },
+            TerminalStep::Pack { exprs: vec![Expr::col(2), Expr::col(1)] },
             TerminalStep::Pack {
-                exprs: vec![Expr::col(2), Expr::col(1)],
-                partition_by: None,
-                partitions: 1,
-            },
-            TerminalStep::Pack {
-                exprs: vec![Expr::col(0), Expr::col(2), Expr::col(1)],
-                partition_by: Some(Expr::col(2)),
-                partitions: 61,
+                exprs: vec![Expr::col(0), Expr::col(2).sub(Expr::col(0)).mul(Expr::col(1))],
             },
         ];
         let mk_state = |terminal: &TerminalStep| {
@@ -1715,7 +1653,7 @@ mod tests {
             let (blocks, counters) =
                 run_instance(pipeline, std::slice::from_ref(b), &state, ctx, false);
             let blocks: Vec<_> =
-                blocks.into_iter().map(|(_, tag, w, rows, cols)| (tag, w, rows, cols)).collect();
+                blocks.into_iter().map(|(_, w, rows, cols)| (w, rows, cols)).collect();
             (blocks, counters, dump_state(&state))
         };
         let orders = [
@@ -1755,7 +1693,7 @@ mod tests {
         }
     }
 
-    /// `out.work` of three fixed CPU blocks, as literals captured at the
+    /// `out.work` of two fixed CPU blocks, as literals captured at the
     /// commit before the charge shape was keyed on the pipeline's device
     /// instead of a kernel-mode setting. CPU `sim_s` is a function of these
     /// (their GPU twins are `lower_gpu`'s `gpu_work_profiles_are_pinned`).
@@ -1830,34 +1768,6 @@ mod tests {
                 kernel_launches: 0,
             }
         );
-
-        // (c) filter -> hash-partitioned pack, flushing mid-block.
-        let p = CompiledPipeline::new(
-            PipelineId::new(3),
-            DeviceKind::CpuCore,
-            2,
-            vec![Step::Filter { predicate: Expr::col(0).lt_lit(40_000) }],
-            TerminalStep::Pack {
-                exprs: vec![Expr::col(0), Expr::col(1)],
-                partition_by: Some(Expr::col(1)),
-                partitions: 3,
-            },
-        )
-        .unwrap();
-        let block =
-            weighted(vec![(0..65_536).collect(), (0..65_536).map(|i| i % 7).collect()], 1.0);
-        assert_eq!(
-            p.process_block(&block, &SharedState::new(), &mut cpu_ctx(1000)).unwrap().work,
-            WorkProfile {
-                bytes_scanned: 1048576.0,
-                bytes_written: 624000.0,
-                random_bytes: 0.0,
-                tuples: 65536.0,
-                ops: 90776.0,
-                atomics: 0.0,
-                kernel_launches: 0,
-            }
-        );
     }
 
     #[test]
@@ -1916,7 +1826,10 @@ mod tests {
         ];
         for expr in walked {
             assert_eq!(
-                shapes(&[Step::Filter { predicate: expr.clone() }], &pack(vec![]))[0],
+                shapes(
+                    &[Step::Filter { predicate: expr.clone() }],
+                    &TerminalStep::Pack { exprs: vec![] }
+                )[0],
                 vec![Shape::Tree],
                 "{expr:?}"
             );
@@ -1931,12 +1844,12 @@ mod tests {
             (c(0).mul(c(0).sub(c(1))), Shape::Tree),
             (bin(Expr::Add, c(0), c(1)).sub(l(1)), Shape::Tree),
             (bin(Expr::Div, c(0), c(1)), Shape::Tree),
-            (Expr::Hash(Box::new(c(0))), Shape::Tree),
+            (Expr::Not(Box::new(c(0))), Shape::Tree),
             (c(0).lt_lit(4), Shape::Tree),
         ];
         for (expr, shape) in values {
             let terminals = [
-                pack(vec![expr.clone()]),
+                TerminalStep::Pack { exprs: vec![expr.clone()] },
                 TerminalStep::HashJoinBuild {
                     key: expr.clone(),
                     payload: vec![],
@@ -1952,7 +1865,11 @@ mod tests {
             let steps =
                 [Step::HashJoinProbe { key: expr.clone(), slot: StateSlot(1), payload_width: 1 }];
             let map = Step::Map { exprs: vec![expr.clone()] };
-            assert_eq!(shapes(&[map], &pack(vec![]))[0], vec![shape.clone()], "{expr:?}");
+            assert_eq!(
+                shapes(&[map], &TerminalStep::Pack { exprs: vec![] })[0],
+                vec![shape.clone()],
+                "{expr:?}"
+            );
             for terminal in &terminals {
                 let pipeline = CompiledPipeline::new(
                     PipelineId::new(91),
@@ -1968,17 +1885,13 @@ mod tests {
                 assert_eq!(pipeline.tree_walked_exprs(), walked, "{expr:?}");
             }
         }
-        // A pack's partition key is its last shape; a group-by's aggregates
+        // A pack's shapes are its expressions'; a group-by's aggregates
         // follow its keys; a build's payload follows its key.
         let shapes_of = |terminal| shapes(&[], &terminal).remove(0);
         let tree = c(0).mul(c(1).mul(c(2)));
         let value = Shape::Value(leaf(1), Op::Add, Leaf::Lit(0));
         assert_eq!(
-            shapes_of(TerminalStep::Pack {
-                exprs: vec![c(1)],
-                partition_by: Some(tree.clone()),
-                partitions: 3
-            }),
+            shapes_of(TerminalStep::Pack { exprs: vec![c(1), tree.clone()] }),
             vec![value.clone(), Shape::Tree]
         );
         assert_eq!(
@@ -1997,10 +1910,6 @@ mod tests {
             }),
             vec![value.clone(), Shape::Tree, value]
         );
-    }
-
-    fn pack(exprs: Vec<Expr>) -> TerminalStep {
-        TerminalStep::Pack { exprs, partition_by: None, partitions: 1 }
     }
 
     /// The literals the specialised-shape property draws: the `i64` and `i32`
@@ -2164,16 +2073,7 @@ mod tests {
                 let slot = StateSlot(2);
                 let mut v = || value_expr(&mut rng, width);
                 let terminals = vec![
-                    TerminalStep::Pack {
-                        exprs: vec![v(), v(), v()],
-                        partition_by: None,
-                        partitions: 1,
-                    },
-                    TerminalStep::Pack {
-                        exprs: vec![v(), v()],
-                        partition_by: Some(v()),
-                        partitions: 5,
-                    },
+                    TerminalStep::Pack { exprs: vec![v(), v(), v()] },
                     TerminalStep::HashJoinBuild { key: v(), payload: vec![v(), v()], slot },
                     TerminalStep::Reduce {
                         aggs: vec![

@@ -167,11 +167,7 @@ mod tests {
             DeviceKind::Gpu,
             2,
             vec![Step::Filter { predicate: Expr::col(0).lt_lit(500) }],
-            TerminalStep::Pack {
-                exprs: vec![Expr::col(0), Expr::col(1)],
-                partition_by: None,
-                partitions: 1,
-            },
+            TerminalStep::Pack { exprs: vec![Expr::col(0), Expr::col(1)] },
         )
         .unwrap();
         let a: Vec<i64> = (0..2000).collect();
@@ -241,8 +237,8 @@ mod tests {
 
     // ---- The GPU lowering against the vectorized CPU lowering -------------
 
-    /// An emitted block: id, partition tag, weight, column-major values.
-    type BlockDump = (BlockId, Option<u64>, f64, Vec<Vec<i64>>);
+    /// An emitted block: id, weight, column-major values.
+    type BlockDump = (BlockId, f64, Vec<Vec<i64>>);
 
     /// Everything a run leaves behind that the two lowerings must agree on.
     #[derive(Debug, PartialEq)]
@@ -322,7 +318,7 @@ mod tests {
                     .columns()
                     .map(|c| (0..h.rows()).map(|r| c.get_i64(r).unwrap()).collect())
                     .collect();
-                (h.meta().id, h.meta().hash_partition, h.meta().weight, cols)
+                (h.meta().id, h.meta().weight, cols)
             })
             .collect();
         (Observed { blocks, state: dump_state(&state, probe_keys), counters }, per_block)
@@ -428,16 +424,7 @@ mod tests {
                 payload: vec![Expr::col(1), Expr::col(2)],
                 slot: StateSlot(1),
             },
-            TerminalStep::Pack {
-                exprs: vec![Expr::col(1), Expr::col(2)],
-                partition_by: None,
-                partitions: 1,
-            },
-            TerminalStep::Pack {
-                exprs: vec![Expr::col(0), Expr::col(1), Expr::col(2)],
-                partition_by: Some(Expr::col(2)),
-                partitions: 3,
-            },
+            TerminalStep::Pack { exprs: vec![Expr::col(1), Expr::col(2)] },
         ]
     }
 
@@ -454,7 +441,7 @@ mod tests {
         for rows in [0usize, 1, 31, 32, 33, 470, 10_240, 10_241, 65_536] {
             let keys: Vec<i64> = (0..rows as i64).map(|i| (i * 7 + 7) % 64).collect();
             let vals: Vec<i64> = (0..rows as i64).map(|i| (i * 13 + 30) % 101).collect();
-            // The same block twice: open pack partitions and block-local
+            // The same block twice: the open pack block and block-local
             // state carry across launches of one instance.
             let inputs = [int_block(vec![keys.clone(), vals.clone()]), int_block(vec![keys, vals])];
             for terminal in all_terminals() {
@@ -487,7 +474,7 @@ mod tests {
             DeviceKind::Gpu,
             2,
             vec![],
-            TerminalStep::Pack { exprs: vec![Expr::col(0)], partition_by: None, partitions: 1 },
+            TerminalStep::Pack { exprs: vec![Expr::col(0)] },
         )
         .unwrap();
         let mut ctx = gpu_ctx(4096);
@@ -597,7 +584,7 @@ mod tests {
 
     // ---- Golden charges ---------------------------------------------------
 
-    /// `out.work` of three fixed GPU blocks, as literals captured at the
+    /// `out.work` of two fixed GPU blocks, as literals captured at the
     /// commit before the warp-tiled lowering replaced the per-thread
     /// interpreter. GPU `sim_s` is a function of these, so an edit to the
     /// lowering, the counters or the GPU charge that moves any of them moves
@@ -671,34 +658,6 @@ mod tests {
                 tuples: 25602.5,
                 ops: 198419.375,
                 atomics: 800.0,
-                kernel_launches: 1,
-            }
-        );
-
-        // (c) Many waves: filter -> hash-partitioned pack, flushing mid-block.
-        let p = CompiledPipeline::new(
-            PipelineId::new(3),
-            DeviceKind::Gpu,
-            2,
-            vec![Step::Filter { predicate: Expr::col(0).lt_lit(40_000) }],
-            TerminalStep::Pack {
-                exprs: vec![Expr::col(0), Expr::col(1)],
-                partition_by: Some(Expr::col(1)),
-                partitions: 3,
-            },
-        )
-        .unwrap();
-        let block =
-            weighted(vec![(0..65_536).collect(), (0..65_536).map(|i| i % 7).collect()], 1.0);
-        assert_eq!(
-            p.process_block(&block, &SharedState::new(), &mut gpu_ctx(1000)).unwrap().work,
-            WorkProfile {
-                bytes_scanned: 1048576.0,
-                bytes_written: 624000.0,
-                random_bytes: 0.0,
-                tuples: 65536.0,
-                ops: 193840.0,
-                atomics: 0.0,
                 kernel_launches: 1,
             }
         );

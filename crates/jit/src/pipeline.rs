@@ -73,8 +73,8 @@ pub struct PipelineOutput {
     pub work: WorkProfile,
 }
 
-/// One partition's partially filled pack output: a buffer per output column
-/// and the row count (the only record of a zero-width block's rows).
+/// The pack terminal's partially filled output block: a buffer per output
+/// column and the row count (the only record of a zero-width block's rows).
 #[derive(Debug, Default)]
 pub(crate) struct OpenBlock {
     pub(crate) columns: Vec<Vec<i64>>,
@@ -82,7 +82,7 @@ pub(crate) struct OpenBlock {
 }
 
 /// Per-instance execution context: which device the instance runs on, where
-/// its outputs live, the partially filled output blocks of the pack terminal
+/// its outputs live, the partially filled output block of the pack terminal
 /// and the group-by partials (both flushed by `finalize_instance`), and the
 /// kernel's reusable scratch.
 #[derive(Debug)]
@@ -97,11 +97,9 @@ pub struct ExecCtx {
     pub out_capacity: usize,
     /// Memory node output blocks are produced on (local to this instance).
     pub out_node: MemoryNodeId,
-    /// The pack terminal's open output blocks, indexed by partition (one
-    /// slot when unpartitioned). The tail flush visits them in index order,
-    /// so it — and the downstream routing order it decides — is the same in
-    /// every process.
-    pub(crate) open_blocks: Vec<OpenBlock>,
+    /// The pack terminal's open output block, whose columns hold a whole
+    /// block, so appending to them never reallocates.
+    pub(crate) open: OpenBlock,
     /// The chunk kernel's group-by partials: they gather every block of the
     /// instance and merge into the shared table once, in
     /// `finalize_instance`.
@@ -112,17 +110,16 @@ pub struct ExecCtx {
     /// Weight inherited by produced blocks (set from the last input block).
     pub(crate) current_weight: f64,
     next_block_id: usize,
-    /// Where the build buffers and the unpartitioned pack's output columns
-    /// come from; the build buffers and any empty output column go back
-    /// when the context drops.
+    /// Where the build buffers and the pack's output columns come from; the
+    /// build buffers and any empty output column go back when the context
+    /// drops.
     pub(crate) arena: StateArena,
 }
 
 impl Drop for ExecCtx {
     fn drop(&mut self) {
         let scratch = &mut self.scratch;
-        let open = self.open_blocks.iter_mut().flat_map(|b| &mut b.columns);
-        for buf in scratch.build.iter_mut().chain(open) {
+        for buf in scratch.build.iter_mut().chain(&mut self.open.columns) {
             self.arena.give(std::mem::take(buf));
         }
     }
@@ -137,7 +134,7 @@ impl ExecCtx {
             launch_config: LaunchConfig::new(1, 1),
             out_capacity,
             out_node,
-            open_blocks: Vec::new(),
+            open: OpenBlock::default(),
             local_groups: FlatGroups::default(),
             scratch: VecScratch::default(),
             current_weight: 1.0,
@@ -155,8 +152,8 @@ impl ExecCtx {
         ctx
     }
 
-    /// Take the group partials, the build buffers and the unpartitioned
-    /// pack's output columns from `arena`, and give them back to it.
+    /// Take the group partials, the build buffers and the pack's output
+    /// columns from `arena`, and give them back to it.
     pub fn with_arena(mut self, arena: &StateArena) -> Self {
         self.local_groups.use_arena(arena);
         self.arena = arena.clone();
@@ -170,40 +167,24 @@ impl ExecCtx {
         id
     }
 
-    /// For a pack terminal, open an output block for each partition that has
-    /// none yet (one when unpartitioned, whose columns come from the arena
-    /// with room for a whole block).
+    /// For a pack terminal, give the open block a column per output
+    /// expression, each from the arena with room for a whole block.
     pub(crate) fn open_pack(&mut self, terminal: &TerminalStep) {
-        let TerminalStep::Pack { exprs, partition_by, partitions } = terminal else {
-            return;
-        };
-        let open = if partition_by.is_some() { (*partitions).max(1) } else { 1 };
-        if self.open_blocks.len() < open {
-            self.open_blocks.resize_with(open, OpenBlock::default);
-        }
-        for block in &mut self.open_blocks {
-            block.columns.resize_with(exprs.len(), Vec::new);
-        }
-        if partition_by.is_none() {
-            for column in self.open_blocks[0].columns.iter_mut().filter(|c| c.capacity() == 0) {
-                *column = self.arena.take(self.out_capacity);
-            }
+        let TerminalStep::Pack { exprs } = terminal else { return };
+        self.open.columns.resize_with(exprs.len(), Vec::new);
+        for column in self.open.columns.iter_mut().filter(|c| c.capacity() == 0) {
+            *column = self.arena.take(self.out_capacity);
         }
     }
 
-    /// Emit partition `p`'s open block, which has reached the output
-    /// capacity, and open the next one with room for as many rows.
-    pub(crate) fn flush_full(
-        &mut self,
-        p: usize,
-        tag: Option<usize>,
-        counters: &mut BlockCounters,
-    ) -> Result<BlockHandle> {
-        let (open, arena) = (&mut self.open_blocks[p], &self.arena);
+    /// Emit the open block, which has reached the output capacity, and open
+    /// the next one with room for as many rows.
+    pub(crate) fn flush_full(&mut self, counters: &mut BlockCounters) -> Result<BlockHandle> {
+        let (open, arena) = (&mut self.open, &self.arena);
         let rows = std::mem::take(&mut open.rows);
         let columns =
             open.columns.iter_mut().map(|c| std::mem::replace(c, arena.take(rows))).collect();
-        self.build_block(columns, rows, tag, counters)
+        self.build_block(columns, rows, counters)
     }
 
     /// Build an output block of `rows` rows from its columns, counting the
@@ -212,7 +193,6 @@ impl ExecCtx {
         &mut self,
         columns: Vec<Vec<i64>>,
         rows: usize,
-        partition: Option<usize>,
         counters: &mut BlockCounters,
     ) -> Result<BlockHandle> {
         counters.rows_emitted += rows as u64;
@@ -220,7 +200,6 @@ impl ExecCtx {
         let block = Block::new(columns.into_iter().map(ColumnData::Int64).collect(), rows)?;
         let mut meta = BlockMeta::new(self.next_block_id(), self.out_node);
         meta.weight = self.current_weight;
-        meta.hash_partition = partition.map(|p| p as u64);
         Ok(BlockHandle::new(block, meta))
     }
 }
@@ -331,10 +310,9 @@ impl CompiledPipeline {
         Ok(PipelineOutput { blocks, counters, work })
     }
 
-    /// Flush this instance's partially filled pack outputs, in ascending
-    /// partition order, and merge its group-by partials into `state`'s
-    /// table. The merge is the host's: the model charged its atomic per
-    /// block, so it adds no work.
+    /// Flush this instance's partially filled pack output, and merge its
+    /// group-by partials into `state`'s table. The merge is the host's: the
+    /// model charged its atomic per block, so it adds no work.
     pub fn finalize_instance(
         &self,
         state: &SharedState,
@@ -347,14 +325,11 @@ impl CompiledPipeline {
         }
         let mut blocks = Vec::new();
         let mut counters = BlockCounters::default();
-        let tagged = matches!(&self.terminal, TerminalStep::Pack { partition_by: Some(_), .. });
-        for (p, open) in std::mem::take(&mut ctx.open_blocks).into_iter().enumerate() {
-            if open.rows > 0 {
-                let tag = tagged.then_some(p);
-                blocks.push(ctx.build_block(open.columns, open.rows, tag, &mut counters)?);
-            } else {
-                open.columns.into_iter().for_each(|c| ctx.arena.give(c));
-            }
+        let open = std::mem::take(&mut ctx.open);
+        if open.rows > 0 {
+            blocks.push(ctx.build_block(open.columns, open.rows, &mut counters)?);
+        } else {
+            open.columns.into_iter().for_each(|c| ctx.arena.give(c));
         }
         let work = self.work_profile(&counters, ctx.current_weight);
         Ok(PipelineOutput { blocks, counters, work })
@@ -384,7 +359,7 @@ impl CompiledPipeline {
         let mut counters = BlockCounters::default();
         let mut blocks = Vec::new();
         if rows > 0 {
-            blocks.push(ctx.build_block(columns, rows, None, &mut counters)?);
+            blocks.push(ctx.build_block(columns, rows, &mut counters)?);
         }
         let work = self.work_profile(&counters, 1.0);
         Ok(PipelineOutput { blocks, counters, work })
@@ -474,7 +449,7 @@ mod tests {
             DeviceKind::CpuCore,
             2,
             vec![Step::Filter { predicate: Expr::col(5).gt_lit(0) }],
-            TerminalStep::Pack { exprs: vec![Expr::col(0)], partition_by: None, partitions: 1 },
+            TerminalStep::Pack { exprs: vec![Expr::col(0)] },
         );
         assert!(bad.is_err());
 
@@ -572,63 +547,17 @@ mod tests {
     }
 
     #[test]
-    fn hash_pack_instances_flush_their_tails_in_partition_order() {
-        // 61 open partitions, none of which fills: everything is emitted by
-        // the tail flush, whose order decides downstream routing order.
-        let pack = CompiledPipeline::new(
-            PipelineId::new(14),
-            DeviceKind::CpuCore,
-            2,
-            vec![],
-            TerminalStep::Pack {
-                exprs: vec![Expr::col(0), Expr::col(1)],
-                partition_by: Some(Expr::col(0)),
-                partitions: 61,
-            },
-        )
-        .unwrap();
-        let state = SharedState::new();
-        let run = || {
-            let mut ctx = ExecCtx::cpu(MemoryNodeId::new(0), 1 << 20);
-            for _ in 0..2 {
-                assert!(pack
-                    .process_block(&input_block(500), &state, &mut ctx)
-                    .unwrap()
-                    .blocks
-                    .is_empty());
-            }
-            let tail = pack.finalize_instance(&state, &mut ctx).unwrap().blocks;
-            tail.iter()
-                .map(|h| {
-                    let cols: Vec<Vec<i64>> = (0..2)
-                        .map(|c| {
-                            let col = h.block().column(c).unwrap();
-                            (0..h.rows()).map(|r| col.get_i64(r).unwrap()).collect()
-                        })
-                        .collect();
-                    (h.meta().id, h.meta().hash_partition.unwrap(), cols)
-                })
-                .collect::<Vec<_>>()
-        };
-        let first = run();
-        assert_eq!(first, run(), "two instances fed the same blocks must emit the same sequence");
-        let tags: Vec<u64> = first.iter().map(|(_, p, _)| *p).collect();
-        assert_eq!(tags, (0..61).collect::<Vec<u64>>());
-    }
-
-    #[test]
     fn exec_ctx_builds_tagged_blocks() {
         let mut ctx = ExecCtx::cpu(MemoryNodeId::new(1), 8);
         ctx.current_weight = 2.0;
         let mut counters = BlockCounters::default();
-        let h = ctx.build_block(vec![vec![1, 3], vec![2, 4]], 2, Some(5), &mut counters).unwrap();
+        let h = ctx.build_block(vec![vec![1, 3], vec![2, 4]], 2, &mut counters).unwrap();
         assert_eq!(h.rows(), 2);
         assert_eq!(h.block().column(1).unwrap().get_i64(0), Some(2));
         assert_eq!(h.meta().location, MemoryNodeId::new(1));
-        assert_eq!(h.meta().hash_partition, Some(5));
         assert!((h.meta().weight - 2.0).abs() < f64::EPSILON);
         // ids increment per instance; a zero-width block keeps its row count
-        let h2 = ctx.build_block(Vec::new(), 3, None, &mut counters).unwrap();
+        let h2 = ctx.build_block(Vec::new(), 3, &mut counters).unwrap();
         assert_ne!(h.meta().id, h2.meta().id);
         assert_eq!((h2.rows(), h2.block().width()), (3, 0));
         assert_eq!((counters.rows_emitted, counters.bytes_out), (5, 32));

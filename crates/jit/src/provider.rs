@@ -126,12 +126,8 @@ fn render_steps(pipeline: &CompiledPipeline, indent: &str) -> String {
         }
     }
     match pipeline.terminal() {
-        crate::ir::TerminalStep::Pack { partition_by, .. } => {
-            if partition_by.is_some() {
-                out.push_str(&format!("{indent}append t to block[hash(t)]; flush when full\n"));
-            } else {
-                out.push_str(&format!("{indent}append t to output block; flush when full\n"));
-            }
+        crate::ir::TerminalStep::Pack { .. } => {
+            out.push_str(&format!("{indent}append t to output block; flush when full\n"))
         }
         crate::ir::TerminalStep::HashJoinBuild { slot, .. } => out.push_str(&format!(
             "{indent}insert (key(t), payload(t)) into state[{}]\n",
