@@ -63,8 +63,9 @@ fn lint(
 }
 
 /// The three execution targets the figure harnesses sweep, the serving
-/// configuration `serve_ab` runs under (serving enabled: the lint proves a
-/// plan admitted by the `QueryServer` also validates and analyzes cleanly),
+/// configuration `tests/adaptive_scenarios.rs` serves SSB under (serving
+/// enabled: the lint proves a plan admitted by the `QueryServer` also
+/// validates and analyzes cleanly),
 /// and the `reopt` target whose searched plan space is linted candidate by
 /// candidate.
 fn targets() -> [(&'static str, EngineConfig); 5] {

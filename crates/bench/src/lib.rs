@@ -26,54 +26,12 @@
 //! modeled execution times scale to the nominal data size. EXPERIMENTS.md
 //! records the shape comparison against the paper's reported numbers.
 
-pub mod calib_ab;
-pub mod fault_ab;
 pub mod figures;
 pub mod micro;
-pub mod reopt_ab;
 pub mod report;
-pub mod serve_ab;
-pub mod steal_ab;
 pub mod systems;
 pub mod workload;
 
 pub use report::{print_matrix, QueryTimeRow};
 pub use systems::System;
 pub use workload::SsbWorkload;
-
-/// Where a bench bin writes its `BENCH_*.json`: into `dir` (created if
-/// missing) when one is given, the current directory otherwise. The bins
-/// pass their first CLI argument — argument parsing stays in each `main`,
-/// this helper only resolves (and prepares) the path.
-///
-/// The directory argument exists so CI (and any comparison run) can
-/// generate fresh numbers *next to* the checked-in baselines instead of
-/// overwriting them in place: the old flow snapshotted the committed
-/// `BENCH_*.json` to a temporary directory before the bins clobbered them,
-/// and a bin that ran before the snapshot silently compared a file against
-/// itself.
-pub fn bench_output_path(dir: Option<std::path::PathBuf>, file: &str) -> std::path::PathBuf {
-    let dir = dir.unwrap_or_default();
-    if !dir.as_os_str().is_empty() {
-        std::fs::create_dir_all(&dir)
-            .unwrap_or_else(|e| panic!("create bench output dir {}: {e}", dir.display()));
-    }
-    dir.join(file)
-}
-
-/// Observed per-stage selectivities of a finished query — one entry per
-/// recorded stage (`QueryStats::observed_selectivity`), `None` when a stage
-/// saw no input. The A/B harnesses report these next to their a-priori
-/// workload selectivity labels so the committed artifacts carry *measured*
-/// per-stage row behaviour, the same signal the plan reoptimizer feeds on.
-pub fn observed_selectivities(stats: &hetex_engine::QueryStats) -> Vec<Option<f64>> {
-    (0..stats.stage_rows.len()).map(|i| stats.observed_selectivity(i)).collect()
-}
-
-/// Render observed per-stage selectivities as a JSON array fragment, `null`
-/// for a stage that saw no input. Shared by the A/B report serializers.
-pub fn selectivities_json(sels: &[Option<f64>]) -> String {
-    let items: Vec<String> =
-        sels.iter().map(|s| s.map_or_else(|| "null".to_string(), |v| format!("{v:.4}"))).collect();
-    format!("[{}]", items.join(", "))
-}

@@ -4,9 +4,9 @@
 //! one Proteus engine over CPU-resident data, optionally a second Proteus
 //! engine over GPU-resident data (the SF100 setup pre-loads the working set
 //! into the GPUs' device memories), the thirteen SSB query plans, and the
-//! scale weight that models the nominal scale factor. The A/B harnesses'
-//! shared synthetic join+reduce engine ([`join_reduce_engine`]) lives here
-//! too.
+//! scale weight that models the nominal scale factor. The synthetic
+//! join+reduce engine ([`join_reduce_engine`]) that `plan_lint` and the
+//! root package's tests run lives here too.
 
 use hetex_common::{ColumnData, DataType, EngineConfig, MemoryNodeId, Result};
 use hetex_core::RelNode;
@@ -158,15 +158,16 @@ impl SsbWorkload {
     }
 }
 
-/// Build the join+reduce engine the A/B harnesses share: a fact table
-/// joined against a dimension sized at half the fact side — large enough
-/// that the build chain is a real pipeline stage, not a rounding error.
+/// Build the synthetic join+reduce engine: a fact table joined against a
+/// dimension sized at half the fact side — large enough that the build
+/// chain is a real pipeline stage, not a rounding error.
 pub fn join_reduce_engine(fact_rows: usize) -> Result<(Proteus, RelNode)> {
     join_reduce_engine_on(ServerTopology::paper_server(), fact_rows)
 }
 
-/// Like [`join_reduce_engine`], on an arbitrary topology — the work-stealing
-/// A/B uses this with a deliberately skewed server (one straggler device).
+/// Like [`join_reduce_engine`], on an arbitrary topology — the adaptivity
+/// scenarios use this with a skewed server (one straggler device) or one
+/// with an injected fault plan.
 pub fn join_reduce_engine_on(
     topology: Arc<ServerTopology>,
     fact_rows: usize,

@@ -107,8 +107,7 @@ fn run_case(case: u64, seed: u64) {
                 // GPU busy clocks only reach a few µs at the default scale,
                 // so a window starting later than that would never open:
                 // transient windows cover the whole run (delayed window
-                // starts are exercised by the topology unit tests and the
-                // fault_ab bench).
+                // starts are exercised by the topology unit tests).
                 let p = 0.1 + 0.5 * ((rng.next() >> 11) as f64 / (1u64 << 53) as f64);
                 plan = plan.transient_window(
                     device,
