@@ -81,8 +81,9 @@ impl StealPolicy {
 /// pricing, instead of trusting declared profiles forever.
 ///
 /// Both default on; `CalibrationConfig::disabled()` routes and steals on
-/// nominal device speeds. The topology micro-probe's measured constants are
-/// not a toggle: every execution's cost model consumes them.
+/// nominal device speeds. The link constants the topology derives from its
+/// declared links (control-plane round trip, effective rates) are not
+/// measured and not a toggle: every execution's routing prices them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CalibrationConfig {
     /// Feed each device's observed-slowdown EWMA (charged vs nominal busy
@@ -614,7 +615,8 @@ impl EngineConfig {
 
     /// The configuration this one degrades to when only `cpus` CPU cores and
     /// `gpus` GPUs survive a device loss: DOPs clamp to the survivors, a
-    /// GPU-dependent target falls back to CPU-only when every GPU is gone,
+    /// GPU-dependent target falls back to CPU-only when every GPU is gone
+    /// (on every surviving core when it had no CPU workers of its own),
     /// and `None` means no degraded plan exists (no survivors can host the
     /// target). This is the clamping logic the engine's degraded-restart
     /// ladder applies between attempts, lifted out of the execute path so the
@@ -631,8 +633,9 @@ impl EngineConfig {
         {
             // Every surviving plan must run somewhere: fall back to CPU-only.
             cfg.target = ExecutionTarget::CpuOnly;
-            cfg.gpu_dop = 0;
-            cfg.cpu_dop = cfg.cpu_dop.max(1).min(cpus);
+            if cfg.cpu_dop == 0 {
+                cfg.cpu_dop = cpus;
+            }
         }
         if cfg.cpu_dop == 0 && cfg.target == ExecutionTarget::CpuOnly {
             return None;
@@ -848,10 +851,11 @@ mod tests {
         assert_eq!((clamped.cpu_dop, clamped.gpu_dop), (8, 1));
         // A CPU-only plan with no surviving cores has nowhere to run.
         assert!(EngineConfig::cpu_only(8).degraded_for(0, 2).is_none());
-        // GPU-only with GPUs gone but cores alive falls back to the cores.
+        // GPU-only with GPUs gone but cores alive falls back to every
+        // surviving core.
         let gpu_fallback = EngineConfig::gpu_only(2).degraded_for(6, 0).unwrap();
         assert_eq!(gpu_fallback.target, ExecutionTarget::CpuOnly);
-        assert_eq!((gpu_fallback.cpu_dop, gpu_fallback.gpu_dop), (1, 0));
+        assert_eq!((gpu_fallback.cpu_dop, gpu_fallback.gpu_dop), (6, 0));
         gpu_fallback.validate().unwrap();
     }
 }

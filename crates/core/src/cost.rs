@@ -5,16 +5,17 @@
 //! paths contain no penalty arithmetic of their own, they *ask* the
 //! [`CostModel`]. Beyond the shared mechanism (occupancy penalty,
 //! projection composition, gate-hiding transfer split, straggler and
-//! hysteresis checks) it prices four terms:
+//! hysteresis checks) it prices three of the four v2 terms:
 //!
 //! 1. **Demand-weighted staging quotas** ([`CostModel::split_node_budget`],
 //!    [`DemandSplitter`]) — per-queue byte shares follow an EWMA of
 //!    observed admitted bytes, re-split on a cadence, floored at one
 //!    maximum-size block per active queue.
-//! 2. **Cross-node control-plane term** ([`CostModel::control_plane_ns`]) —
-//!    every push into a remote consumer's queue is a mutex acquisition
-//!    bouncing the queue's cache lines across the interconnect; it is
-//!    charged on the consumer's node axis.
+//! 2. **Cross-node control-plane term** — every push into a remote
+//!    consumer's queue is a mutex acquisition bouncing the queue's cache
+//!    line across the interconnect. Its price is the topology's derived
+//!    round trip ([`ServerTopology::control_plane_ns`]), which routing
+//!    charges on the consumer's node axis.
 //! 3. **Critical-path gate estimate** ([`CostModel::gate_estimate_ns`]) —
 //!    a gated stage cannot open before its dependency's slowest transitive
 //!    *feed* clears, not merely before the dependency's own committed load.
@@ -34,11 +35,11 @@
 //!   projection, so a hidden 8× straggler stops *receiving* new blocks
 //!   instead of only having them stolen back. Priced only with
 //!   [`CalibrationConfig`](hetex_common::CalibrationConfig)'s toggles on.
-//! * **Measured topology constants** ([`CostModel::control_plane_ns`],
-//!   [`CostModel::link_transfer_ns`]) — a micro-probe at engine
-//!   construction (`hetex_topology::probe`) replaces the hard-coded QPI
-//!   control-plane default and the declared link widths with measured
-//!   figures wherever the constants are attached.
+//!
+//! Link transfer estimates are not priced here either: they are the
+//! topology's [`ServerTopology::transfer_estimate_ns`], at each link's
+//! effective rate, derived from its declared width and latency when the
+//! topology is built.
 //!
 //! Work pricing itself (a `WorkProfile` on a `DeviceProfile`) stays in
 //! `hetex-topology`'s `CostModel`, deliberately *outside* this type: the
@@ -47,7 +48,7 @@
 //! up.
 
 use hetex_common::{CalibrationConfig, EngineConfig, MemoryNodeId, Priority};
-use hetex_topology::{CalibratedConstants, LinkSpec, ServerTopology};
+use hetex_topology::ServerTopology;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -64,14 +65,6 @@ pub const STRAGGLER_RATIO: f64 = 1.5;
 /// equilibrium a steal only duplicates what least-loaded routing already
 /// achieves while paying an extra relocation.
 pub const STEAL_HYSTERESIS_BLOCKS: u64 = 2;
-
-/// Default cost of acquiring a remote queue's mutex: one interconnect round
-/// trip (QPI/UPI latency ~500 ns) plus the bounce of the queue's cache
-/// lines. Charged per pushed block, so it is *not* scaled by the block's
-/// weight — control-plane traffic is per handle, not per byte. Once the
-/// topology micro-probe's constants are attached, its measured round trip
-/// replaces this declared figure (see [`CostModel::control_plane_ns`]).
-pub const REMOTE_CONTROL_PLANE_NS: u64 = 700;
 
 /// Arena occupancy below which the staging-pressure penalty stays disengaged:
 /// a half-empty arena cannot park anyone, and pricing it would only add
@@ -188,7 +181,6 @@ impl SlowdownObserver {
 #[derive(Debug, Clone)]
 pub struct CostModel {
     calib: CalibrationConfig,
-    constants: Option<Arc<CalibratedConstants>>,
     observer: Option<Arc<SlowdownObserver>>,
 }
 
@@ -201,18 +193,11 @@ impl Default for CostModel {
 
 impl CostModel {
     /// The cost model an engine configuration selects: its calibration
-    /// toggles. The calibration *inputs* (the probed constants, the
-    /// per-execution observer) are attached by the executor via
-    /// [`Self::with_constants`] / [`Self::with_observer`]; until they are,
-    /// the model prices the declared figures and nominal profiles.
+    /// toggles. The calibration input, the per-execution observer, is
+    /// attached by the executor via [`Self::with_observer`]; until it is,
+    /// the model prices nominal profiles.
     pub fn from_config(config: &EngineConfig) -> Self {
-        Self { calib: config.calibration, constants: None, observer: None }
-    }
-
-    /// Attach the topology micro-probe's measured constants.
-    pub fn with_constants(mut self, constants: Arc<CalibratedConstants>) -> Self {
-        self.constants = Some(constants);
-        self
+        Self { calib: config.calibration, observer: None }
     }
 
     /// Attach the execution's shared slowdown observer. Observations are
@@ -278,16 +263,6 @@ impl CostModel {
         }
     }
 
-    /// Estimated time to move `bytes` over `link`: the probe's measured
-    /// effective rate when the constants are attached, the link's declared
-    /// width otherwise.
-    pub fn link_transfer_ns(&self, link: &LinkSpec, bytes: f64) -> u64 {
-        match &self.constants {
-            Some(constants) => constants.transfer_ns(link, bytes),
-            None => link.transfer_ns(bytes),
-        }
-    }
-
     /// Serving-layer fairness weight of a running query session: the
     /// priority class's base weight scaled by the estimated remaining
     /// simulated cost (in seconds, to keep the magnitudes tame). Weighted
@@ -312,22 +287,6 @@ impl CostModel {
     pub fn occupancy_penalty_ns(&self, device_ns: u64, occupancy: f64) -> u64 {
         let pressure = (occupancy - OCCUPANCY_ENGAGE).max(0.0) * 2.0;
         (device_ns as f64 * pressure) as u64
-    }
-
-    /// Control-plane cost of pushing one block handle to a consumer: the
-    /// per-acquisition charge when the producer's node and the consumer's
-    /// node differ (the push acquires a remote queue mutex), zero otherwise.
-    /// Charged on the consumer's *node* axis — it is traffic on the path to
-    /// that node's memory, not work on the consumer's device. With the
-    /// probe's constants attached the charge is the topology's *measured*
-    /// cross-socket round trip instead of the [`REMOTE_CONTROL_PLANE_NS`]
-    /// QPI default.
-    pub fn control_plane_ns(&self, remote: bool) -> u64 {
-        match (&self.constants, remote) {
-            (_, false) => 0,
-            (Some(constants), true) => constants.control_plane_ns,
-            (None, true) => REMOTE_CONTROL_PLANE_NS,
-        }
     }
 
     /// Compose one consumer's projection from its two backlogs: the later of
@@ -605,13 +564,6 @@ impl DemandSplitter {
 mod tests {
     use super::*;
     use hetex_topology::{DmaEngine, SimTime};
-
-    #[test]
-    fn control_plane_term_prices_remote_pushes_only() {
-        let model = CostModel::default();
-        assert_eq!(model.control_plane_ns(false), 0);
-        assert_eq!(model.control_plane_ns(true), REMOTE_CONTROL_PLANE_NS);
-    }
 
     #[test]
     fn occupancy_penalty_engages_above_half() {
@@ -902,24 +854,5 @@ mod tests {
         // Recording through the model reaches the shared observer.
         on.observe(0, 1_000, 1_000);
         assert!(observer.slowdown(0) < 8.0);
-    }
-
-    #[test]
-    fn measured_constants_replace_the_declared_figures_once_attached() {
-        let topology = ServerTopology::paper_server();
-        let constants = Arc::new(hetex_topology::probe::probe(&topology));
-        let link = &topology.links()[0];
-        let config = EngineConfig::default();
-        let calibrated = CostModel::from_config(&config).with_constants(Arc::clone(&constants));
-        // The measured round trip replaces the 700 ns QPI default…
-        assert_eq!(calibrated.control_plane_ns(true), constants.control_plane_ns);
-        assert_ne!(calibrated.control_plane_ns(true), REMOTE_CONTROL_PLANE_NS);
-        assert_eq!(calibrated.control_plane_ns(false), 0);
-        // …and transfer estimates use the measured effective rate.
-        assert_eq!(calibrated.link_transfer_ns(link, 1e9), constants.transfer_ns(link, 1e9));
-        // Constants not attached: the declared figures.
-        let unattached = CostModel::from_config(&config);
-        assert_eq!(unattached.control_plane_ns(true), REMOTE_CONTROL_PLANE_NS);
-        assert_eq!(unattached.link_transfer_ns(link, 1e9), link.transfer_ns(1e9));
     }
 }

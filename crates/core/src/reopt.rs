@@ -26,7 +26,7 @@
 //!   rewrite only when the estimated gain clears [`DEFAULT_REOPT_MIN_GAIN`].
 //!
 //! Determinism boundaries: the search consumes only the feedback record, the
-//! topology's declared profiles and the [`CostModel`]'s calibrated constants
+//! topology's declared profiles and its derived control-plane round trip
 //! — never wall-clock state — so identical feedback yields an identical
 //! decision. The feedback itself is distilled from simulated measurements,
 //! which on gated plans can vary slightly with worker interleaving; benches
@@ -362,15 +362,16 @@ pub fn candidates(base: &EngineConfig, topology: &ServerTopology) -> Vec<Candida
 /// slowdowns come from the feedback's EWMAs (never from
 /// `DeviceProfile::exec_slowdown`, which routing estimates are forbidden to
 /// see), transfer and control-plane terms are scaled from the measured run's
-/// own traffic, and the `CostModel` contributes its calibrated control-plane
-/// constant. Transfer is a *floor* on a candidate's time, not an addend:
+/// own traffic, and the topology contributes its derived control-plane
+/// round trip. Transfer is a *floor* on a candidate's time, not an addend:
 /// mem-move DMA runs asynchronously, so a placement is bounded by
-/// `max(compute, transfer)`.
+/// `max(compute, transfer)`. `_cost` prices nothing; the benchmark still
+/// passes one (ROADMAP item 1(a)).
 pub fn reoptimize(
     base: &EngineConfig,
     feedback: &PlanFeedback,
     topology: &ServerTopology,
-    cost: &CostModel,
+    _cost: &CostModel,
 ) -> Option<ReoptDecision> {
     if !base.reopt.enabled || feedback.sim_time_ns <= 0.0 {
         return None;
@@ -390,7 +391,7 @@ pub fn reoptimize(
     // the anchor candidate to its *measured* time.
     let kappa = feedback.sim_time_ns / raw_anchor;
     let anchor_gpu_frac = gpu_rate_fraction(&anchor, topology);
-    let anchor_control_ns = control_ns(&anchor, &anchor, feedback, cost);
+    let anchor_control_ns = control_ns(&anchor, &anchor, feedback, topology);
 
     let mut ranked: Vec<CandidateCost> = Vec::new();
     for candidate in candidates(base, topology) {
@@ -404,7 +405,7 @@ pub fn reoptimize(
         // plus the control-plane cost *difference* versus the anchor (whose
         // measured time already includes its own control traffic).
         let candidate_transfer = transfer_ns(&candidate, feedback, topology, anchor_gpu_frac);
-        let control_delta = control_ns(&candidate, &anchor, feedback, cost) - anchor_control_ns;
+        let control_delta = control_ns(&candidate, &anchor, feedback, topology) - anchor_control_ns;
         let estimated_ns = ((kappa * raw).max(candidate_transfer) + control_delta).max(1.0);
         ranked.push(CandidateCost { candidate, estimated_ns });
     }
@@ -522,15 +523,15 @@ fn transfer_ns(
 
 /// Estimated control-plane time of a candidate, nanoseconds: the measured
 /// acquisition count scaled by the consumer-count ratio (more consumers,
-/// proportionally more cross-node pushes), priced at the cost model's
-/// calibrated per-acquisition constant.
+/// proportionally more cross-node pushes), priced at the topology's derived
+/// per-acquisition round trip.
 fn control_ns(
     candidate: &Candidate,
     anchor: &Candidate,
     feedback: &PlanFeedback,
-    cost: &CostModel,
+    topology: &ServerTopology,
 ) -> f64 {
-    let per_acquisition = cost.control_plane_ns(true) as f64;
+    let per_acquisition = topology.control_plane_ns() as f64;
     let anchor_dop = anchor.total_dop().max(1) as f64;
     feedback.remote_control_acquisitions as f64
         * per_acquisition

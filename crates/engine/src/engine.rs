@@ -17,7 +17,8 @@ use hetex_core::{
 };
 use hetex_jit::state::StateArena;
 use hetex_storage::{Catalog, StoredTable};
-use hetex_topology::{CalibratedConstants, DeviceId, DeviceKind, ServerTopology, SimTime};
+use hetex_topology::probe::CalibratedConstants;
+use hetex_topology::{DeviceId, DeviceKind, ServerTopology, SimTime};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -40,17 +41,14 @@ pub struct QueryStats {
     /// `EngineConfig::steal_policy` is disabled.
     pub blocks_stolen: Vec<u64>,
     /// Cross-node control-plane traffic: pushes that acquired a queue mutex
-    /// on a memory node other than the block's. The cost model's
-    /// control-plane term prices exactly these acquisitions.
+    /// on a memory node other than the block's. Routing's control-plane
+    /// term prices exactly these acquisitions.
     pub remote_control_acquisitions: u64,
     /// Observed-slowdown EWMA per device slot (charged vs nominal busy
     /// time, 1.0 = healthy), indexed like the topology's device list.
     /// Measured in every run; priced into routing only when
     /// `CalibrationConfig::slowdown_feedback` is on.
     pub observed_slowdowns: Vec<f64>,
-    /// Constants the topology micro-probe measured at engine construction
-    /// (control-plane round trip ns, per-link effective GB/s).
-    pub probed_constants: Arc<CalibratedConstants>,
     /// Transient kernel failures absorbed by bounded in-place retry (zero
     /// without an injected fault plan).
     pub transient_retries: u64,
@@ -142,12 +140,6 @@ impl QueryOutcome {
 pub struct Proteus {
     topology: Arc<ServerTopology>,
     catalog: Catalog,
-    /// Constants the topology micro-probe measured exactly once, at engine
-    /// construction. Every per-query executor (including degraded-restart
-    /// attempts) reuses this `Arc`: device exclusion never changes links or
-    /// sockets, so the measurement stays valid for the engine's lifetime —
-    /// and the shared pointer is what the probe-once test asserts on.
-    probed_constants: Arc<CalibratedConstants>,
     /// Engine-lifetime plan-feedback cache: one record per plan fingerprint,
     /// consulted (and refreshed) only by sessions with
     /// `EngineConfig::reopt` enabled. Sessions can inject a different cache
@@ -167,11 +159,9 @@ impl Proteus {
 
     /// An engine on an arbitrary topology.
     pub fn new(topology: Arc<ServerTopology>) -> Self {
-        let probed_constants = Arc::new(hetex_topology::probe::probe(&topology));
         Self {
             topology,
             catalog: Catalog::new(),
-            probed_constants,
             feedback: Arc::new(FeedbackCache::new()),
             arena: StateArena::new(),
         }
@@ -182,10 +172,10 @@ impl Proteus {
         &self.topology
     }
 
-    /// The constants the construction-time topology micro-probe measured —
-    /// shared (by `Arc`) with every query this engine executes.
+    /// Benchmark-only: the topology, which carries its derived link
+    /// constants (ROADMAP item 1(a)).
     pub fn probed_constants(&self) -> &Arc<CalibratedConstants> {
-        &self.probed_constants
+        &self.topology
     }
 
     /// The engine-lifetime feedback cache behind plan re-optimization, shared
@@ -256,8 +246,7 @@ impl Proteus {
         let mut effective = config.clone();
         let mut applied = None;
         if let Some(prior) = cache.get(fingerprint) {
-            let cost =
-                CostModel::from_config(config).with_constants(Arc::clone(&self.probed_constants));
+            let cost = CostModel::from_config(config);
             if let Some(decision) = reoptimize(config, &prior, &self.topology, &cost) {
                 effective = decision.chosen.apply(config);
                 effective.validate()?;
@@ -337,17 +326,13 @@ impl Proteus {
 
     /// A fresh executor for one query (or one degraded attempt): private
     /// memory/link clocks, so concurrent queries never corrupt each other's
-    /// simulated accounting, and the engine's construction-time probed
-    /// constants, so the micro-probe never re-runs.
+    /// simulated accounting.
     fn query_executor(
         &self,
         topology: &Arc<ServerTopology>,
         observer: Option<Arc<SlowdownObserver>>,
     ) -> Executor {
-        let executor = Executor::with_constants(
-            topology.with_private_clocks(),
-            Arc::clone(&self.probed_constants),
-        );
+        let executor = Executor::new(topology.with_private_clocks());
         match observer {
             Some(observer) => executor.with_shared_observer(observer),
             None => executor,
@@ -381,7 +366,6 @@ impl Proteus {
                 blocks_stolen: result.blocks_stolen,
                 remote_control_acquisitions: result.remote_control_acquisitions,
                 observed_slowdowns: result.observed_slowdowns,
-                probed_constants: result.probed_constants,
                 transient_retries: result.transient_retries,
                 recovered_blocks: result.recovered_blocks,
                 staging_leaked_bytes: result.staging_leaked_bytes,
@@ -448,10 +432,8 @@ impl Proteus {
             };
             cfg.validate()?;
             // A fresh executor: its device clocks and simulated GPUs run
-            // against the shrunken topology, placement never sees the
-            // excluded devices, and the engine's construction-time probed
-            // constants are reused (exclusion changes no link or socket,
-            // so the measurement stays valid — and the probe never re-runs).
+            // against the shrunken topology, and placement never sees the
+            // excluded devices.
             let executor = self.query_executor(&topology, observer.clone());
             match self.execute_attempt(&topology, &executor, plan, &cfg) {
                 Ok(mut outcome) => {

@@ -49,9 +49,10 @@ use hetex_core::queue::BlockQueue;
 use hetex_gpu_sim::GpuDevice;
 use hetex_jit::{ExecCtx, SharedState, TerminalStep};
 use hetex_storage::{Catalog, Segmenter};
+use hetex_topology::probe::CalibratedConstants;
 use hetex_topology::{
-    CalibratedConstants, CostModel as WorkCost, DeviceId, DeviceKind, DmaEngine, ResourceClock,
-    ServerTopology, SimTime, WorkProfile,
+    CostModel as WorkCost, DeviceId, DeviceKind, DmaEngine, ResourceClock, ServerTopology, SimTime,
+    WorkProfile,
 };
 use movement::Staging;
 use parking_lot::Mutex;
@@ -116,18 +117,14 @@ pub struct ExecutionResult {
     pub blocks_stolen: Vec<u64>,
     /// Cross-node control-plane traffic: block handles pushed into a queue
     /// on a memory node other than the block's (a remote queue mutex
-    /// acquisition each), the traffic the cost model's control-plane term
-    /// prices into routing.
+    /// acquisition each), the traffic routing prices at the topology's
+    /// control-plane round trip.
     pub remote_control_acquisitions: u64,
     /// Observed-slowdown EWMA per device slot (charged vs nominal busy
     /// time, 1.0 = healthy), indexed like the topology's device list.
     /// Measured in every run; *priced* into routing projections only when
     /// `CalibrationConfig::slowdown_feedback` is on.
     pub observed_slowdowns: Vec<f64>,
-    /// The constants the engine-construction topology micro-probe measured
-    /// (control-plane round trip, per-link effective bandwidth) that routing
-    /// priced this run with.
-    pub probed_constants: Arc<CalibratedConstants>,
     /// Transient kernel failures absorbed by bounded in-place retry (zero
     /// without an injected fault plan).
     pub transient_retries: u64,
@@ -157,11 +154,6 @@ pub struct Executor {
     /// `EngineConfig`, and this type makes calling them on the field
     /// unrepresentable.
     work_cost: WorkCost,
-    /// Constants the topology micro-probe measured at construction
-    /// (`hetex_topology::probe`): the control-plane round trip and each
-    /// link's effective bandwidth. Attached to every execution's cost
-    /// model, which prices them in place of the declared figures.
-    probed_constants: Arc<CalibratedConstants>,
     /// An externally owned slowdown observer shared across executions (the
     /// serving layer's server-lifetime EWMAs: one query's observed straggler
     /// informs the next query's routing). `None` — the default — makes every
@@ -177,23 +169,6 @@ impl Executor {
     /// An executor for the given topology, creating one simulated GPU per GPU
     /// device in the topology.
     pub fn new(topology: Arc<ServerTopology>) -> Self {
-        // The topology micro-probe runs once per executor, against scratch
-        // clocks (it never perturbs the topology's own clocks): a handful of
-        // reservations measuring the cross-socket round trip and each
-        // link's effective bandwidth.
-        let probed_constants = Arc::new(hetex_topology::probe::probe(&topology));
-        Self::with_constants(topology, probed_constants)
-    }
-
-    /// An executor reusing already-probed constants instead of re-running the
-    /// topology micro-probe. The engine probes once at construction and hands
-    /// the same `Arc` to every per-query (and per-degraded-attempt) executor:
-    /// exclusion never changes links or sockets, so the measured constants
-    /// stay valid for the whole engine lifetime.
-    pub fn with_constants(
-        topology: Arc<ServerTopology>,
-        probed_constants: Arc<CalibratedConstants>,
-    ) -> Self {
         let gpus = topology
             .gpus()
             .into_iter()
@@ -206,10 +181,18 @@ impl Executor {
             topology,
             gpus,
             work_cost: WorkCost::new(),
-            probed_constants,
             shared_observer: None,
             failed_sim_time: Mutex::new(None),
         }
+    }
+
+    /// Benchmark-only: [`Self::new`]; `topology` carries its derived link
+    /// constants, so `_constants` is unused (ROADMAP item 1(a)).
+    pub fn with_constants(
+        topology: Arc<ServerTopology>,
+        _constants: Arc<CalibratedConstants>,
+    ) -> Self {
+        Self::new(topology)
     }
 
     /// Attach a server-lifetime slowdown observer shared across executions:
@@ -298,7 +281,6 @@ impl Executor {
                 .collect(),
             remote_control_acquisitions: run.remote_ctl.load(Ordering::Relaxed),
             observed_slowdowns: run.observer.snapshot(),
-            probed_constants: Arc::clone(&self.probed_constants),
             transient_retries: fault_count(|f| &f.retries),
             recovered_blocks: fault_count(|f| &f.recovered),
             staging_leaked_bytes,
@@ -368,8 +350,7 @@ struct QueryRun<'a> {
     trace_steal: bool,
     /// The run's unified cost model: every estimation term the router path,
     /// the queue-admission path and the steal path consult (§5 of
-    /// DESIGN.md) and the calibration inputs (§6): the construction-time
-    /// probe's measured constants and `observer`.
+    /// DESIGN.md) and the calibration input (§6), `observer`.
     cost: CostModel,
     /// The run's slowdown observer (one EWMA slot per device): lanes record
     /// every completed block's charged-vs-nominal ratio into it, routing
@@ -419,9 +400,7 @@ impl<'a> QueryRun<'a> {
             .shared_observer
             .clone()
             .unwrap_or_else(|| Arc::new(SlowdownObserver::new(topology.devices().len())));
-        let cost = CostModel::from_config(config)
-            .with_constants(Arc::clone(&exec.probed_constants))
-            .with_observer(Arc::clone(&observer));
+        let cost = CostModel::from_config(config).with_observer(Arc::clone(&observer));
         let routing = graph
             .stages
             .iter()
@@ -1079,9 +1058,6 @@ mod tests {
                 assert_eq!(ewma, 1.0, "device {idx} falsely observed as slow");
             }
         }
-        // Every run surfaces the probe's constants; on the two-socket paper
-        // server the measured round trip is non-zero.
-        assert!(calibrated.probed_constants.control_plane_ns > 0);
     }
 
     #[test]

@@ -362,15 +362,14 @@ impl QueryRun<'_> {
             // (successive blocks pipeline across hops, so the sustained
             // rate is the slowest link's, not the hop-latency sum). This
             // respects per-link bandwidth overrides in the topology, and
-            // uses each link's *probed* effective rate instead of its
-            // declared width.
+            // uses each link's effective rate, which the topology derived
+            // from its declared width and latency when it was built.
             let transfer_ns = routing.routes[i]
                 .get(block.location.index())
                 .copied()
                 .unwrap_or_default()
                 .iter()
-                .filter_map(|&l| topology.link(l).ok())
-                .map(|link| cost.link_transfer_ns(link, block.weighted_bytes))
+                .map(|&l| topology.transfer_estimate_ns(l, block.weighted_bytes))
                 .max()
                 .unwrap_or(0);
             match pending_gate_ns {
@@ -391,9 +390,10 @@ impl QueryRun<'_> {
         let mem =
             (est_work.memory_node_bytes() / (routing.node_bandwidth_gbps[i] * 1e9) * 1e9) as u64;
         // Pushing to an off-node consumer acquires its queue mutex
-        // across the interconnect — control-plane traffic the cost
-        // model prices on the node axis.
-        let control_ns = cost.control_plane_ns(routing.instance_nodes[i] != block.location);
+        // across the interconnect — control-plane traffic priced on the
+        // node axis.
+        let remote = routing.instance_nodes[i] != block.location;
+        let control_ns = if remote { topology.control_plane_ns() } else { 0 };
         (block_ns as u64, mem.saturating_add(transfer_axis_ns).saturating_add(control_ns))
     }
 
@@ -703,12 +703,12 @@ impl QueryRun<'_> {
 mod tests {
     use super::super::Executor;
     use super::*;
-    use crate::codegen::compile;
+    use crate::codegen::{compile, StageGraph};
     use hetex_common::{Block, BlockId, BlockMeta, ColumnData, EngineConfig};
     use hetex_core::{parallelize, RelNode};
     use hetex_jit::{AggSpec, Expr};
     use hetex_storage::Catalog;
-    use hetex_topology::{CalibratedConstants, TopologyBuilder};
+    use hetex_topology::TopologyBuilder;
     use std::sync::Arc;
     use std::time::Instant;
 
@@ -735,7 +735,7 @@ mod tests {
                 .route(block.location, node)
                 .unwrap()
                 .iter()
-                .map(|&l| cost.link_transfer_ns(topology.link(l).unwrap(), block.weighted_bytes))
+                .map(|&l| topology.transfer_estimate_ns(l, block.weighted_bytes))
                 .max()
                 .unwrap_or(0);
             let spill = match pending_gate_ns {
@@ -752,30 +752,38 @@ mod tests {
         }
         let gbps = topology.memory_node(node).unwrap().bandwidth_gbps;
         let mem_ns = (work.memory_node_bytes() / (gbps * 1e9) * 1e9) as u64;
-        let control_ns = cost.control_plane_ns(node != block.location);
+        let control_ns = if node == block.location { 0 } else { topology.control_plane_ns() };
         (device_ns, mem_ns + transfer_axis_ns + control_ns)
     }
 
-    /// Every (source node, consumer) pair of every stage of a hybrid join,
-    /// at several block sizes, with and without a pending gate.
-    fn assert_terms_match_lookups(topology: Arc<ServerTopology>, constants: CalibratedConstants) {
-        let gpus = topology.gpus().len();
-        let config = EngineConfig::hybrid(topology.cpu_cores().len(), gpus);
+    /// A hybrid join over every core and GPU of `topology`, compiled.
+    fn hybrid_join(topology: &Arc<ServerTopology>) -> (EngineConfig, StageGraph) {
+        let config = EngineConfig::hybrid(topology.cpu_cores().len(), topology.gpus().len());
         let dim = RelNode::scan("dim", &["k", "attr"]).filter(Expr::col(1).lt_lit(3));
         let plan = RelNode::scan("fact", &["key", "value"])
             .hash_join(dim, 0, 0, &[1])
             .reduce(vec![AggSpec::sum(Expr::col(1))], &["sum_v"]);
-        let graph = compile(&parallelize(&plan, &config).unwrap(), &config, &topology).unwrap();
-        let exec = Executor::with_constants(Arc::clone(&topology), Arc::new(constants));
+        let graph = compile(&parallelize(&plan, &config).unwrap(), &config, topology).unwrap();
+        (config, graph)
+    }
+
+    fn block_at(source: MemoryNodeId, rows: usize) -> BlockHandle {
+        let block = Block::new(vec![ColumnData::Int64(vec![7; rows])], rows).unwrap();
+        BlockHandle::new(block, BlockMeta::new(BlockId::new(0), source))
+    }
+
+    /// Every (source node, consumer) pair of every stage of a hybrid join,
+    /// at several block sizes, with and without a pending gate.
+    fn assert_terms_match_lookups(topology: Arc<ServerTopology>) {
+        let (config, graph) = hybrid_join(&topology);
+        let exec = Executor::new(Arc::clone(&topology));
         let catalog = Catalog::new();
         let run = QueryRun::new(&exec, &graph, &catalog, &config, Instant::now()).unwrap();
         let mut priced = 0;
         for stage in 0..graph.stages.len() {
             for source in topology.memory_nodes().iter().map(|m| m.id) {
                 for rows in [1, 700, 4096] {
-                    let block = Block::new(vec![ColumnData::Int64(vec![7; rows])], rows).unwrap();
-                    let handle = BlockHandle::new(block, BlockMeta::new(BlockId::new(0), source));
-                    let estimate = run.block_estimate(stage, &handle);
+                    let estimate = run.block_estimate(stage, &block_at(source, rows));
                     for i in 0..run.routing[stage].instance_nodes.len() {
                         for gate in [None, Some(0), Some(2_000_000)] {
                             assert_eq!(
@@ -794,10 +802,11 @@ mod tests {
 
     #[test]
     fn precomputed_routing_terms_price_like_direct_lookups() {
-        let paper = ServerTopology::paper_server();
-        assert_terms_match_lookups(Arc::clone(&paper), hetex_topology::probe::probe(&paper));
-        // Random multi-socket, multi-GPU servers whose links all run at
-        // different effective rates, so every route has its own bottleneck.
+        assert_terms_match_lookups(ServerTopology::paper_server());
+        // Random multi-socket, multi-GPU servers whose PCIe links run
+        // slower than the 30 GB/s inter-socket link in some cases and
+        // faster in others, so each link kind is a route's bottleneck
+        // somewhere.
         let mut state = 0x9E37_79B9_7F4A_7C15u64;
         let mut next = move |bound: u64| {
             state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -815,13 +824,37 @@ mod tests {
             for gpu in 0..2 + next(3) as usize {
                 builder.add_gpu((gpu + next(2) as usize) % sockets);
             }
-            builder.pcie_bandwidth_gbps(4.0 + next(13) as f64);
-            let topology = Arc::new(builder.build().unwrap());
-            let mut constants = hetex_topology::probe::probe(&topology);
-            for gbps in &mut constants.link_gbps {
-                *gbps = 1.0 + next(40) as f64 / 2.0;
-            }
-            assert_terms_match_lookups(topology, constants);
+            builder.pcie_bandwidth_gbps(1.0 + next(120) as f64 / 2.0);
+            assert_terms_match_lookups(Arc::new(builder.build().unwrap()));
         }
+    }
+
+    #[test]
+    fn control_plane_term_prices_remote_pushes_only() {
+        // One CPU consumer, the same block from its own node and from every
+        // other: only the off-node pushes pay the topology's round trip,
+        // on the node axis.
+        for topology in [ServerTopology::paper_server(), ServerTopology::custom_server(1, 4, 1)] {
+            let (config, graph) = hybrid_join(&topology);
+            let exec = Executor::new(Arc::clone(&topology));
+            let catalog = Catalog::new();
+            let run = QueryRun::new(&exec, &graph, &catalog, &config, Instant::now()).unwrap();
+            let stage = graph.stages.len() - 1;
+            let routing = &run.routing[stage];
+            let i = routing.stage.consumers.iter().position(|c| c.kind == DeviceKind::CpuCore);
+            let i = i.unwrap();
+            let own = routing.instance_nodes[i];
+            let node_ns = |source| {
+                let estimate = run.block_estimate(stage, &block_at(source, 700));
+                run.consumer_cost(stage, i, &estimate, None).1
+            };
+            for source in topology.cpu_memory_nodes() {
+                let expected = if source == own { 0 } else { topology.control_plane_ns() };
+                assert_eq!(node_ns(source) - node_ns(own), expected, "from {source} to {own}");
+            }
+        }
+        // The paper server's remote pushes pay a non-zero round trip, so
+        // the loop above tells them apart from local ones.
+        assert_eq!(ServerTopology::paper_server().control_plane_ns(), 1_004);
     }
 }

@@ -15,11 +15,9 @@
 //!   waking the queue. Admission order is strict priority with FIFO inside
 //!   each class and **no bypass** — a class-mate behind a too-big head waits
 //!   with it, which keeps admission deterministic and starvation-free.
-//! * **Shared calibration.** The topology micro-probe ran once, at the
-//!   engine's construction; every served query reuses its
-//!   [`CalibratedConstants`] by `Arc`. One server-lifetime
-//!   [`SlowdownObserver`] is threaded through every execution, so straggler
-//!   EWMAs learned by one query inform the routing of the next.
+//! * **Shared calibration.** One server-lifetime [`SlowdownObserver`] is
+//!   threaded through every execution, so straggler EWMAs learned by one
+//!   query inform the routing of the next.
 //! * **Fair timeline.** Rows are computed functionally (and are exactly the
 //!   single-query rows — each query runs on private simulated clocks), while
 //!   the *served* latencies come from the deterministic fluid replay of

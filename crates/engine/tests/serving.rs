@@ -1,10 +1,5 @@
 //! Engine-reuse and multi-query serving invariants.
 //!
-//! * The topology micro-probe runs exactly once per engine: every query —
-//!   including every degraded-restart attempt — reuses the construction-time
-//!   [`CalibratedConstants`] by `Arc` (pointer identity, not just value
-//!   equality: `probe()` allocates fresh constants per call, so a shared
-//!   pointer proves the probe never re-ran).
 //! * Concurrent `Proteus::execute` calls from many threads are as good as
 //!   serial ones: byte-identical rows, zero staging leaks, and — with
 //!   work-stealing disabled, where execution is wall-clock independent —
@@ -49,45 +44,6 @@ fn sum_where_plan(threshold: i64) -> hetex_core::RelNode {
     hetex_core::RelNode::scan("t", &["a", "b"])
         .filter(Expr::col(0).gt_lit(threshold))
         .reduce(vec![AggSpec::sum(Expr::col(1))], &["sum_b"])
-}
-
-#[test]
-fn micro_probe_runs_once_per_engine() {
-    let engine = engine_with_table(50_000);
-    let reference = Arc::clone(engine.probed_constants());
-    for config in [EngineConfig::cpu_only(4), EngineConfig::hybrid(4, 2), EngineConfig::gpu_only(2)]
-    {
-        for _ in 0..3 {
-            let outcome = engine.session().execute(&sum_where_plan(42), &config).unwrap();
-            assert!(
-                Arc::ptr_eq(&outcome.stats.probed_constants, &reference),
-                "query re-probed the topology instead of reusing the engine's constants"
-            );
-        }
-    }
-}
-
-#[test]
-fn degraded_restarts_reuse_the_engine_probe() {
-    use hetex_topology::FaultPlan;
-    let topology = ServerTopology::paper_server();
-    let gpus = topology.gpus();
-    let faulted = topology
-        .with_fault_plan(
-            FaultPlan::new()
-                .abort_device(gpus[0], SimTime::ZERO)
-                .abort_device(gpus[1], SimTime::ZERO),
-        )
-        .unwrap();
-    let engine = engine_on(faulted, 50_000);
-    let reference = Arc::clone(engine.probed_constants());
-    let outcome =
-        engine.session().execute(&sum_where_plan(42), &EngineConfig::gpu_only(2)).unwrap();
-    assert!(outcome.stats.degraded_restarts >= 1, "the dead GPUs must force restarts");
-    assert!(
-        Arc::ptr_eq(&outcome.stats.probed_constants, &reference),
-        "a degraded-restart attempt re-probed the topology"
-    );
 }
 
 #[test]

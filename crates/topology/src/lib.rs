@@ -43,6 +43,5 @@ pub use device::{DeviceId, DeviceKind, DeviceProfile};
 pub use fault::{ArenaBurst, DeviceFault, FaultPlan};
 pub use interconnect::{LinkId, LinkKind, LinkSpec};
 pub use memory::MemoryNodeSpec;
-pub use probe::CalibratedConstants;
 pub use topology::{ServerTopology, TopologyBuilder};
 pub use transfer::{DmaEngine, TransferTicket};

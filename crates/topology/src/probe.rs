@@ -1,119 +1,29 @@
-//! The topology micro-probe: measured constants for the cost model.
+//! Benchmark-only names for the topology's derived link constants.
 //!
-//! PR 4's control-plane term charged a hard-coded 700 ns per remote queue
-//! push ("QPI-calibrated"), and transfer estimates priced links at their
-//! *declared* widths. Both are declarations, not measurements — exactly the
-//! kind of nominal figure the calibration subsystem exists to replace. This
-//! module runs a short micro-probe at engine construction and derives a
-//! [`CalibratedConstants`] from what the simulated hardware actually
-//! delivers:
-//!
-//! * **Control plane** — a remote queue push acquires the queue's mutex
-//!   across the inter-socket interconnect: the lock's cache lines bounce
-//!   between the sockets, one round trip per acquisition. The probe
-//!   ping-pongs a cache line over each inter-socket link
-//!   [`CONTROL_PROBE_ROUNDS`] times on a scratch [`ResourceClock`] and
-//!   reports the mean measured round trip of the *slowest* such link (the
-//!   conservative bound a multi-socket clique pays). A topology without
-//!   inter-socket links (single socket) measures zero: there is no
-//!   interconnect for the lock line to cross.
-//! * **Per-link bandwidth** — the probe schedules one [`BANDWIDTH_PROBE_BYTES`]
-//!   transfer per link on a scratch clock and reports the *effective* rate
-//!   `bytes / elapsed`, which folds the link's fixed latency into the figure
-//!   (a 12 GB/s-declared PCIe link with 10 µs setup measures ~11.99 GB/s at
-//!   probe size). Estimates built on the measured rate need no separate
-//!   latency term — it is already amortized in.
-//!
-//! The probe runs entirely against scratch clocks: it never touches the
-//! topology's own memory/link clocks, so probing is invisible to any
-//! execution's simulated time.
+//! A [`ServerTopology`] derives its control-plane round trip and each
+//! link's effective rate once, from the declared
+//! [`LinkSpec`](crate::LinkSpec)s, when it is built
+//! ([`ServerTopology::control_plane_ns`], [`ServerTopology::effective_gbps`]).
+//! Nothing is measured. [`probe`] and [`CalibratedConstants`] only keep the
+//! names the benchmark calls until it moves off them (ROADMAP item 1(a)).
 
-use crate::clock::{ResourceClock, SimTime};
-use crate::interconnect::{LinkId, LinkKind, LinkSpec};
 use crate::topology::ServerTopology;
 
-/// Cache line size assumed for the control-plane ping-pong, bytes.
-pub const CACHE_LINE_BYTES: f64 = 64.0;
+/// What the benchmark's names hand around: the topology itself, which
+/// carries its derived constants.
+pub type CalibratedConstants = ServerTopology;
 
-/// Round trips of the control-plane ping-pong per inter-socket link. Enough
-/// repetitions that integer rounding of the per-round reservation does not
-/// bias the mean; small enough that probing stays effectively free.
-pub const CONTROL_PROBE_ROUNDS: u64 = 16;
-
-/// Bytes of the per-link bandwidth probe. Large enough that the measured
-/// effective rate approaches the link's sustained bandwidth (latency
-/// amortized below 0.1%), matching the block-stream transfers the estimates
-/// price.
-pub const BANDWIDTH_PROBE_BYTES: f64 = 256.0 * 1024.0 * 1024.0;
-
-/// Constants measured by [`probe`]: what the cost model should charge for
-/// control-plane traffic and interconnect transfers on *this* topology.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CalibratedConstants {
-    /// Measured cost of one remote queue-mutex acquisition: the mean
-    /// cache-line round trip over the slowest inter-socket link, in
-    /// nanoseconds. Zero on single-socket topologies (no interconnect to
-    /// cross).
-    pub control_plane_ns: u64,
-    /// Measured effective bandwidth per link, GB/s, indexed by
-    /// [`LinkId`]. Always covers every link of the probed topology.
-    pub link_gbps: Vec<f64>,
-}
-
-impl CalibratedConstants {
-    /// Measured effective bandwidth of `link`, GB/s, if the link was probed.
-    pub fn link_bandwidth_gbps(&self, link: LinkId) -> Option<f64> {
-        self.link_gbps.get(link.index()).copied()
-    }
-
-    /// Time to move `bytes` over `link` at its *measured* effective rate.
-    /// No separate latency term: the effective rate amortizes the link's
-    /// fixed setup cost (that is what makes it a measurement rather than a
-    /// restatement of the declared width). Falls back to the declared
-    /// [`LinkSpec::transfer_ns`] for links this probe never saw.
-    pub fn transfer_ns(&self, link: &LinkSpec, bytes: f64) -> u64 {
-        match self.link_bandwidth_gbps(link.id) {
-            Some(gbps) if gbps > 0.0 => (bytes / (gbps * 1e9) * 1e9) as u64,
-            _ => link.transfer_ns(bytes),
-        }
-    }
-}
-
-/// Run the micro-probe against `topology` (see the module docs for the
-/// protocol). Cheap — a few dozen scratch-clock reservations — and free of
-/// side effects on the topology's own clocks.
+/// The topology's derived constants: a copy of `topology` (sharing its
+/// clocks, reserving nothing on them).
 pub fn probe(topology: &ServerTopology) -> CalibratedConstants {
-    // Control plane: cache-line ping-pong over each inter-socket link.
-    let mut control_plane_ns = 0u64;
-    for link in topology.links().iter().filter(|l| l.kind == LinkKind::InterSocket) {
-        let clock = ResourceClock::new(format!("probe:ctl:{}-{}", link.from, link.to));
-        for _ in 0..CONTROL_PROBE_ROUNDS {
-            // Request the line, then receive it: two traversals per round.
-            clock.reserve(SimTime::ZERO, link.transfer_ns(CACHE_LINE_BYTES));
-            clock.reserve(SimTime::ZERO, link.transfer_ns(CACHE_LINE_BYTES));
-        }
-        control_plane_ns = control_plane_ns.max(clock.now().as_nanos() / CONTROL_PROBE_ROUNDS);
-    }
-
-    // Per-link effective bandwidth: one large transfer per link.
-    let link_gbps = topology
-        .links()
-        .iter()
-        .map(|link| {
-            let clock = ResourceClock::new(format!("probe:bw:{}-{}", link.from, link.to));
-            let (_, end) = clock.reserve(SimTime::ZERO, link.transfer_ns(BANDWIDTH_PROBE_BYTES));
-            let elapsed_ns = end.as_nanos().max(1);
-            // bytes / ns == GB/s.
-            BANDWIDTH_PROBE_BYTES / elapsed_ns as f64
-        })
-        .collect();
-
-    CalibratedConstants { control_plane_ns, link_gbps }
+    topology.clone()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::clock::SimTime;
+    use crate::interconnect::LinkKind;
     use crate::topology::TopologyBuilder;
     use hetex_common::MemoryNodeId;
 
@@ -121,33 +31,27 @@ mod tests {
     fn paper_server_probe_measures_all_links_and_the_interconnect() {
         let topology = ServerTopology::paper_server();
         let constants = probe(&topology);
-        // One measured rate per link (1 QPI + 2 PCIe).
-        assert_eq!(constants.link_gbps.len(), topology.links().len());
-        for (idx, link) in topology.links().iter().enumerate() {
-            let measured = constants.link_gbps[idx];
+        for link in topology.links() {
             // The effective rate sits just below the declared width (the
-            // fixed latency is real) but within 1% at probe size.
+            // fixed latency is real) but within 1% at 256 MiB.
+            let rate = constants.effective_gbps(link.id);
             assert!(
-                measured < link.bandwidth_gbps && measured > link.bandwidth_gbps * 0.99,
-                "link {idx}: measured {measured} vs declared {}",
-                link.bandwidth_gbps
+                rate < link.bandwidth_gbps && rate > link.bandwidth_gbps * 0.99,
+                "{link:?}: effective {rate}"
             );
         }
-        // The inter-socket round trip is two traversals of a ~500 ns link:
-        // strictly more than the one-way QPI latency, and measured (not the
-        // 700 ns PR 4 default).
-        assert!(constants.control_plane_ns > 500, "{}", constants.control_plane_ns);
-        assert!(constants.control_plane_ns < 2_500, "{}", constants.control_plane_ns);
+        // Two traversals of a ~500 ns QPI link.
+        assert_eq!(constants.control_plane_ns(), topology.control_plane_ns());
+        assert!((1_000..2_500).contains(&constants.control_plane_ns()));
     }
 
     #[test]
     fn single_socket_topologies_measure_zero_control_plane() {
         let mut b = TopologyBuilder::new();
         b.add_socket(4).add_gpu(0);
-        let topology = b.build().unwrap();
-        let constants = probe(&topology);
-        assert_eq!(constants.control_plane_ns, 0);
-        assert_eq!(constants.link_gbps.len(), 1);
+        let constants = probe(&b.build().unwrap());
+        assert_eq!(constants.control_plane_ns(), 0);
+        assert_eq!(constants.links().len(), 1);
     }
 
     #[test]
@@ -162,28 +66,25 @@ mod tests {
 
     #[test]
     fn measured_transfer_amortizes_latency_into_the_rate() {
-        let topology = ServerTopology::paper_server();
-        let constants = probe(&topology);
+        let topology = probe(&ServerTopology::paper_server());
         let pcie = topology
             .links()
             .iter()
             .find(|l| l.kind == LinkKind::Pcie3x16)
             .expect("paper server has PCIe links");
-        // At probe size, measured and declared agree within a percent…
-        let declared = pcie.transfer_ns(BANDWIDTH_PROBE_BYTES);
-        let measured = constants.transfer_ns(pcie, BANDWIDTH_PROBE_BYTES);
-        let diff = measured.abs_diff(declared);
-        assert!(diff < declared / 100, "measured {measured} vs declared {declared}");
-        // …while a small transfer pays no per-transfer setup under the
-        // effective-rate model (the rate already amortizes it).
-        assert!(constants.transfer_ns(pcie, 4096.0) < pcie.transfer_ns(4096.0));
-        // Unprobed links fall back to the declared model.
-        let unknown = LinkSpec::new(LinkId::new(99), LinkKind::Pcie3x16, "a", "b");
-        assert_eq!(constants.transfer_ns(&unknown, 4096.0), unknown.transfer_ns(4096.0));
-        // A respecting-the-custom-width topology measures the custom width.
+        // At 256 MiB, the estimate and the declared time agree within a
+        // percent…
+        let bytes = 256.0 * 1024.0 * 1024.0;
+        let declared = pcie.transfer_ns(bytes);
+        let estimate = topology.transfer_estimate_ns(pcie.id, bytes);
+        assert!(estimate.abs_diff(declared) < declared / 100, "{estimate} vs {declared}");
+        // …while a small transfer pays no per-transfer setup: the rate
+        // already amortizes it.
+        assert!(topology.transfer_estimate_ns(pcie.id, 4096.0) < pcie.transfer_ns(4096.0));
+        // A custom PCIe width sets the rate.
         let mut b = TopologyBuilder::new();
         b.add_socket(2).add_gpu(0).pcie_bandwidth_gbps(6.0);
-        let narrow = probe(&b.build().unwrap());
-        assert!(narrow.link_gbps[0] < 6.0 && narrow.link_gbps[0] > 5.9, "{:?}", narrow.link_gbps);
+        let narrow = probe(&b.build().unwrap()).effective_gbps(crate::LinkId::new(0));
+        assert!(narrow < 6.0 && narrow > 5.9, "{narrow}");
     }
 }

@@ -6,6 +6,12 @@
 //! built either with [`TopologyBuilder`] or with [`ServerTopology::paper_server`],
 //! which reproduces the machine of §6: two 12-core sockets, 128 GB DRAM each,
 //! one GTX 1080 per socket on a dedicated PCIe 3.0 x16 link.
+//!
+//! Building a topology also derives, once, the two link constants routing
+//! estimates with (DESIGN.md §6): the cost of a remote queue-mutex
+//! acquisition ([`ServerTopology::control_plane_ns`]) and each link's
+//! effective rate ([`ServerTopology::effective_gbps`]). Both are pure
+//! functions of the declared [`LinkSpec`]s; nothing is measured.
 
 use crate::clock::ResourceClock;
 use crate::device::{DeviceId, DeviceKind, DeviceProfile};
@@ -15,6 +21,14 @@ use crate::memory::{MemoryNodeKind, MemoryNodeSpec};
 use hetex_common::{HetError, MemoryNodeId, Result};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
+
+/// A cache line, what one remote queue-mutex acquisition moves each way.
+const CACHE_LINE_BYTES: f64 = 64.0;
+
+/// The transfer size that sets a link's effective rate: large enough that
+/// the link's fixed latency is amortized below 0.1%, like the block streams
+/// routing prices.
+const EFFECTIVE_RATE_BYTES: f64 = 256.0 * 1024.0 * 1024.0;
 
 /// A complete description of a heterogeneous server.
 #[derive(Debug, Clone)]
@@ -38,6 +52,11 @@ pub struct ServerTopology {
     /// [`Self::cpu_cores`], [`Self::cpu_cores_interleaved`]) no longer offer
     /// them, so a degraded re-plan lands only on survivors.
     excluded: HashSet<DeviceId>,
+    /// See [`Self::control_plane_ns`].
+    control_plane_ns: u64,
+    /// Effective rate per link, GB/s, indexed by [`LinkId`]; see
+    /// [`Self::effective_gbps`].
+    link_gbps: Vec<f64>,
 }
 
 impl ServerTopology {
@@ -268,6 +287,29 @@ impl ServerTopology {
             .ok_or_else(|| HetError::Transfer(format!("no route from {from} to {to}")))
     }
 
+    /// Cost of one remote queue-mutex acquisition, nanoseconds: the queue's
+    /// cache line crosses the slowest inter-socket link and comes back, two
+    /// [`LinkSpec::transfer_ns`] of 64 B. Zero on one socket, where no
+    /// interconnect lies between a producer and a queue.
+    pub fn control_plane_ns(&self) -> u64 {
+        self.control_plane_ns
+    }
+
+    /// Effective rate of `link`, GB/s: 256 MiB over the link's declared
+    /// time for them, which folds its fixed latency into the rate (~11.99
+    /// GB/s on a 12 GB/s PCIe link).
+    pub fn effective_gbps(&self, link: LinkId) -> f64 {
+        self.link_gbps[link.index()]
+    }
+
+    /// Estimated time to stream `bytes` over `link` at its effective rate,
+    /// with no separate latency term: the rate already amortizes it. Routing
+    /// estimates with this; the DMA engine charges
+    /// [`LinkSpec::transfer_ns`].
+    pub fn transfer_estimate_ns(&self, link: LinkId, bytes: f64) -> u64 {
+        (bytes / (self.link_gbps[link.index()] * 1e9) * 1e9) as u64
+    }
+
     /// Resource clock of a memory node's shared bandwidth.
     pub fn memory_clock(&self, id: MemoryNodeId) -> Result<&ResourceClock> {
         self.memory_clocks
@@ -430,6 +472,16 @@ impl TopologyBuilder {
             }
         }
 
+        let control_plane_ns = links
+            .iter()
+            .filter(|l| l.kind == LinkKind::InterSocket)
+            .map(|l| 2 * l.transfer_ns(CACHE_LINE_BYTES))
+            .max()
+            .unwrap_or(0);
+        let link_gbps = links
+            .iter()
+            .map(|l| EFFECTIVE_RATE_BYTES / l.transfer_ns(EFFECTIVE_RATE_BYTES).max(1) as f64)
+            .collect();
         let memory_clocks =
             memory_nodes.iter().map(|m| ResourceClock::new(format!("mem:{}", m.id))).collect();
         let link_clocks =
@@ -445,6 +497,8 @@ impl TopologyBuilder {
             sockets: n_sockets,
             fault_plan: None,
             excluded: HashSet::new(),
+            control_plane_ns,
+            link_gbps,
         })
     }
 }
@@ -615,6 +669,109 @@ mod tests {
         // Unknown devices are rejected; the original topology is untouched.
         assert!(t.with_device_excluded(DeviceId::new(999)).is_err());
         assert!(!t.is_excluded(gpu));
+    }
+
+    /// The scratch-clock protocol the constants used to be read back
+    /// through: 16 cache-line round trips per inter-socket link on a fresh
+    /// clock, the slowest link's mean; one 256 MiB transfer per link on a
+    /// fresh clock, its bytes over the elapsed time.
+    fn scratch_clock_constants(t: &ServerTopology) -> (u64, Vec<f64>) {
+        use crate::clock::SimTime;
+        let mut control_ns = 0;
+        for link in t.links().iter().filter(|l| l.kind == LinkKind::InterSocket) {
+            let clock = ResourceClock::new("ctl");
+            for _ in 0..2 * 16 {
+                clock.reserve(SimTime::ZERO, link.transfer_ns(64.0));
+            }
+            control_ns = control_ns.max(clock.now().as_nanos() / 16);
+        }
+        let rates = t
+            .links()
+            .iter()
+            .map(|link| {
+                let (_, end) = ResourceClock::new("bw")
+                    .reserve(SimTime::ZERO, link.transfer_ns(EFFECTIVE_RATE_BYTES));
+                EFFECTIVE_RATE_BYTES / end.as_nanos().max(1) as f64
+            })
+            .collect();
+        (control_ns, rates)
+    }
+
+    #[test]
+    fn paper_server_derives_the_pinned_link_constants() {
+        let t = ServerTopology::paper_server();
+        assert_eq!(t.control_plane_ns(), 1_004);
+        for link in t.links() {
+            let pinned = match link.kind {
+                LinkKind::Pcie3x16 => 268_435_456.0 / 22_379_621.0,
+                LinkKind::InterSocket => 268_435_456.0 / 8_948_348.0,
+                LinkKind::PcieSwitch => unreachable!("the paper server has no switch"),
+            };
+            assert_eq!(t.effective_gbps(link.id).to_bits(), f64::to_bits(pinned), "{link:?}");
+        }
+    }
+
+    #[test]
+    fn derived_constants_match_the_scratch_clock_protocol() {
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = move |bound: u64| {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            (z ^ (z >> 31)) % bound
+        };
+        for _ in 0..64 {
+            let mut builder = TopologyBuilder::new();
+            let sockets = 1 + next(4) as usize;
+            for _ in 0..sockets {
+                builder.add_socket(1 + next(12) as usize);
+            }
+            for _ in 0..next(5) {
+                builder.add_gpu(next(sockets as u64) as usize);
+            }
+            if next(3) > 0 {
+                builder.pcie_bandwidth_gbps(0.5 + next(400) as f64 / 10.0);
+            }
+            let t = builder.build().unwrap();
+            let (control_ns, rates) = scratch_clock_constants(&t);
+            assert_eq!(t.control_plane_ns(), control_ns, "{sockets} sockets");
+            assert_eq!(rates.len(), t.links().len());
+            for link in t.links() {
+                let rate = rates[link.id.index()];
+                assert_eq!(t.effective_gbps(link.id).to_bits(), rate.to_bits(), "{link:?}");
+                for bytes in [64.0, 4096.0, 3.7e6, 2.5e9] {
+                    assert_eq!(
+                        t.transfer_estimate_ns(link.id, bytes),
+                        (bytes / (rate * 1e9) * 1e9) as u64,
+                        "{link:?}, {bytes} B"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn derived_constants_survive_every_topology_copy() {
+        let mut b = TopologyBuilder::new();
+        b.add_socket(4).add_socket(4).add_gpu(1).pcie_bandwidth_gbps(7.3);
+        let t = b.build().unwrap();
+        let gpu = t.gpus()[0];
+        let copies = [
+            t.with_private_clocks(),
+            t.with_device_excluded(gpu).unwrap(),
+            t.with_device_slowdown(gpu, 8.0).unwrap(),
+            t.with_fault_plan(FaultPlan::new().abort_device(gpu, crate::SimTime::ZERO)).unwrap(),
+        ];
+        for copy in copies {
+            assert_eq!(copy.control_plane_ns(), t.control_plane_ns());
+            for link in t.links() {
+                assert_eq!(
+                    copy.effective_gbps(link.id).to_bits(),
+                    t.effective_gbps(link.id).to_bits()
+                );
+            }
+        }
     }
 
     #[test]

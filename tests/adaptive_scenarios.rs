@@ -247,6 +247,12 @@ fn fault_losing_both_gpus_restarts_a_gpu_only_query_on_the_cpu() {
     let ab = median_of_three(|| faulted(both_lost(), &config, FACT_ROWS / 2));
     assert_exact_and_unleaked(&ab);
     assert!(ab.on.stats.degraded_restarts >= 1, "a GPU-only query with no GPUs must restart");
+    // The restart runs on every surviving core, not on one of them.
+    assert!(
+        ab.on.seconds() <= 2.0 * ab.off.seconds(),
+        "the CPU restart took more than twice the healthy GPU-only run: {}",
+        ab.describe()
+    );
 }
 
 #[test]

@@ -12,8 +12,8 @@
 //! alone, both on) and asserts the rows are byte-identical to
 //! `reference_execute` — the independent single-threaded oracle that shares
 //! no routing, queue or kernel code with the executor. The four cost-model
-//! terms and the probed constants are not toggles: every configuration
-//! prices them, under a deliberately tight staging budget so quota
+//! terms and the topology's derived link constants are not toggles: every
+//! configuration prices them, under a deliberately tight staging budget so quota
 //! admission, leases and the demand re-split genuinely engage.
 //!
 //! A standalone property pins the chunk kernel's selection-vector
