@@ -44,88 +44,6 @@ pub enum AnalysisMode {
     Off,
 }
 
-/// Whether (and how) idle pipelined workers re-route queued blocks away from
-/// overloaded siblings of the same stage.
-///
-/// Routing binds every block to a consumer the moment it is produced; a
-/// straggler instance (an unexpectedly slow device, a parked lease, a cold
-/// gate) would otherwise hold its queued blocks hostage while siblings idle.
-/// Stealing re-binds late: the thief takes the *tail* of the victim's queue
-/// (the blocks that would wait longest), the router's load estimator moves
-/// the stolen cost from victim to thief (`LoadEstimator::decommit`), and the
-/// block's staging charge is released on the victim's node and re-acquired on
-/// the thief's. Only anonymously routed stages (round-robin / least-loaded)
-/// steal — hash- and target-routed blocks are semantically bound to their
-/// consumer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum StealPolicy {
-    /// An idle worker steals the tail block from the most-loaded same-stage
-    /// sibling whose backlog holds at least two blocks. This is the default.
-    #[default]
-    TailMostLoaded,
-    /// Never steal: blocks stay bound to the consumer chosen at routing time
-    /// (the pre-stealing behaviour, kept selectable for A/B comparison).
-    Disabled,
-}
-
-impl StealPolicy {
-    /// True when stealing is enabled in any form.
-    pub fn is_enabled(self) -> bool {
-        self != StealPolicy::Disabled
-    }
-}
-
-/// Toggles of the online-calibration subsystem (`hetex-core`'s
-/// `Calibration` machinery): the estimate→observe→correct loop that feeds
-/// *measured* device behaviour back into routing projections and steal
-/// pricing, instead of trusting declared profiles forever.
-///
-/// Both default on; `CalibrationConfig::disabled()` routes and steals on
-/// nominal device speeds. The link constants the topology derives from its
-/// declared links (control-plane round trip, effective rates) are not
-/// measured and not a toggle: every execution's routing prices them.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CalibrationConfig {
-    /// Feed each device's observed-slowdown EWMA (charged vs nominal busy
-    /// time, updated at block completion) back into routing projections:
-    /// the device-axis term of a consumer's projection is multiplied by its
-    /// device's observed slowdown, so a hidden straggler stops *receiving*
-    /// new blocks instead of only having them stolen back.
-    pub slowdown_feedback: bool,
-    /// Feed the observed-slowdown EWMA into the steal-profitability victim
-    /// time estimate: a victim whose device is an observed straggler is
-    /// priced at its *observed* per-block cost (nominal cost times the EWMA)
-    /// when deciding whether a steal pays off, so rescues from hidden
-    /// stragglers are recognized as profitable earlier.
-    pub steal_feedback: bool,
-}
-
-impl Default for CalibrationConfig {
-    fn default() -> Self {
-        Self { slowdown_feedback: true, steal_feedback: true }
-    }
-}
-
-impl CalibrationConfig {
-    /// Both feedback inputs disabled: routing and steal pricing on nominal
-    /// profiles, the baseline the differential tests toggle against.
-    pub fn disabled() -> Self {
-        Self { slowdown_feedback: false, steal_feedback: false }
-    }
-
-    /// Toggle the observed-slowdown routing feedback.
-    pub fn with_slowdown_feedback(mut self, on: bool) -> Self {
-        self.slowdown_feedback = on;
-        self
-    }
-
-    /// Toggle the observed-slowdown steal-victim pricing.
-    pub fn with_steal_feedback(mut self, on: bool) -> Self {
-        self.steal_feedback = on;
-        self
-    }
-}
-
 /// Toggles of the fault-tolerance machinery in the pipelined executor.
 ///
 /// All machinery is additionally gated on a `FaultPlan` being attached to the
@@ -391,12 +309,6 @@ pub struct EngineConfig {
     /// released. The handle count of each queue is separately capped at
     /// [`DEFAULT_QUEUE_CAPACITY`].
     pub staging_bytes: u64,
-    /// Adaptive re-routing policy of the pipelined executor: whether idle
-    /// workers steal queued blocks from overloaded same-stage siblings.
-    pub steal_policy: StealPolicy,
-    /// Online-calibration toggles: whether routing projections and steal
-    /// pricing consume the observed-slowdown feedback.
-    pub calibration: CalibrationConfig,
     /// Fault-tolerance toggles: how much of the recovery ladder (retry,
     /// quarantine, watchdog, degraded restart) engages when injected or real
     /// faults fire. Inert when the topology carries no fault plan.
@@ -427,8 +339,6 @@ impl Default for EngineConfig {
             scale_weight: 1.0,
             table_weights: Vec::new(),
             staging_bytes: DEFAULT_STAGING_BYTES,
-            steal_policy: StealPolicy::default(),
-            calibration: CalibrationConfig::default(),
             fault: FaultConfig::default(),
             analysis: AnalysisMode::default(),
             serve: ServeConfig::default(),
@@ -489,18 +399,6 @@ impl EngineConfig {
     /// Set a per-table weight override.
     pub fn with_table_weight(mut self, table: impl Into<String>, weight: f64) -> Self {
         self.table_weights.push((table.into(), weight));
-        self
-    }
-
-    /// Select the pipelined executor's work-stealing policy.
-    pub fn with_steal_policy(mut self, policy: StealPolicy) -> Self {
-        self.steal_policy = policy;
-        self
-    }
-
-    /// Select which calibration inputs feed the cost model.
-    pub fn with_calibration(mut self, calibration: CalibrationConfig) -> Self {
-        self.calibration = calibration;
         self
     }
 
@@ -685,34 +583,6 @@ mod tests {
         assert!(err.to_string().contains("per active consumer"), "descriptive: {err}");
         // The default budget is valid for the default (hybrid 24+2) config.
         EngineConfig::default().validate().unwrap();
-    }
-
-    #[test]
-    fn stealing_is_on_by_default_and_selectable() {
-        let cfg = EngineConfig::default();
-        assert_eq!(cfg.steal_policy, StealPolicy::TailMostLoaded);
-        assert!(cfg.steal_policy.is_enabled());
-        let off = cfg.with_steal_policy(StealPolicy::Disabled);
-        assert!(!off.steal_policy.is_enabled());
-        off.validate().unwrap();
-    }
-
-    #[test]
-    fn calibration_defaults_on_and_toggles_individually() {
-        let cfg = EngineConfig::default();
-        assert_eq!(cfg.calibration, CalibrationConfig::default());
-        assert!(cfg.calibration.slowdown_feedback);
-        assert!(cfg.calibration.steal_feedback);
-        let off = CalibrationConfig::disabled();
-        assert!(!off.slowdown_feedback && !off.steal_feedback);
-        // Each input toggles independently of the other.
-        let one = CalibrationConfig::disabled().with_slowdown_feedback(true);
-        assert!(one.slowdown_feedback && !one.steal_feedback);
-        let other = CalibrationConfig::disabled().with_steal_feedback(true);
-        assert!(other.steal_feedback && !other.slowdown_feedback);
-        let cfg = cfg.with_calibration(off);
-        assert_eq!(cfg.calibration, CalibrationConfig::disabled());
-        cfg.validate().unwrap();
     }
 
     #[test]

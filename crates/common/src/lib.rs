@@ -22,10 +22,7 @@ pub mod wait;
 
 pub use block::{Block, BlockHandle, BlockMeta, StagingToken};
 pub use column::{Column, ColumnData, ColumnRef, DictionaryBuilder};
-pub use config::{
-    AnalysisMode, CalibrationConfig, EngineConfig, FaultConfig, Priority, ReoptConfig, ServeConfig,
-    StealPolicy,
-};
+pub use config::{AnalysisMode, EngineConfig, FaultConfig, Priority, ReoptConfig, ServeConfig};
 pub use error::{HetError, Result};
 pub use ids::{BlockId, ColumnId, MemoryNodeId, PipelineId, QueryId, TableId};
 pub use schema::{Field, Schema};

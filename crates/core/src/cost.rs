@@ -24,17 +24,14 @@
 //!    queue behind outstanding DMA on the route is priced honestly, so
 //!    near-equilibrium steals stay safe with stealing enabled.
 //!
-//! On top of the four terms sits the **`Calibration` subsystem**, which
-//! closes the estimate→observe→correct loop for *routing*, not just
-//! stealing:
-//!
-//! * **Observed-slowdown feedback** ([`SlowdownObserver`],
-//!   [`CostModel::observed_device_slowdown`]) — a shared, lock-free EWMA of
-//!   each device's charged-vs-nominal busy ratio, updated at block
-//!   completion; routing multiplies it into the device-axis term of the
-//!   projection, so a hidden 8× straggler stops *receiving* new blocks
-//!   instead of only having them stolen back. Priced only with
-//!   [`CalibrationConfig`](hetex_common::CalibrationConfig)'s toggles on.
+//! On top of the four terms sits the one straggler estimator,
+//! [`SlowdownObserver`]: a shared, lock-free EWMA of each device's
+//! charged-vs-nominal busy ratio, updated at block completion. Every defence
+//! against an unequal server reads it ([`CostModel::observed_device_slowdown`],
+//! [`CostModel::is_straggler`]): routing multiplies it into the device-axis
+//! term of the projection, so a hidden 8× straggler stops *receiving* new
+//! blocks; the steal path takes blocks only from a device it marks as a
+//! straggler; and a straggling lane paces its own claims.
 //!
 //! Link transfer estimates are not priced here either: they are the
 //! topology's [`ServerTopology::transfer_estimate_ns`], at each link's
@@ -47,14 +44,14 @@
 //! these per execution for estimation, so the two concerns cannot be mixed
 //! up.
 
-use hetex_common::{CalibrationConfig, EngineConfig, MemoryNodeId, Priority};
+use hetex_common::{EngineConfig, MemoryNodeId, Priority};
 use hetex_topology::ServerTopology;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Observed-slowdown ratio (charged vs nominal busy time) above which a
-/// consumer is treated as a straggler: only observed stragglers are
-/// stealable, and straggling workers pace their claims. Healthy devices
+/// Observed-slowdown EWMA (charged vs nominal busy time) above which a
+/// device is treated as a straggler: only consumers on observed stragglers
+/// are stealable, and straggling workers pace their claims. Healthy devices
 /// price out at exactly 1.0 in this simulation; the threshold leaves room
 /// for estimator drift without letting ordinary imbalance trigger either
 /// behaviour.
@@ -103,19 +100,20 @@ pub struct StealQuery {
     pub thief_clock_ns: u64,
     /// The thief's observed average charged cost per block.
     pub thief_avg_ns: u64,
+    /// Blocks buffered in the thief's own queue: a stolen block adds to the
+    /// work the thief must finish, so it is priced behind them.
+    pub thief_backlog: u64,
     /// Outstanding DMA backlog on the relocation route (0 when the thief
     /// can address the block in place).
     pub congestion_ns: u64,
 }
 
-/// The shared observed-slowdown feedback of one execution: a lock-free EWMA
-/// per device slot of the charged-vs-nominal busy ratio, updated by every
-/// worker at block completion and read by every producer's routing decision.
-/// This is the straggler detector's signal (PR 3 kept it per stage-slot,
-/// consumed only by stealing) promoted to a device-wide observable that
-/// routing projections multiply into the device axis: a device that
-/// straggles in one stage straggles in all of them, and the feedback should
-/// divert *new* blocks everywhere, not only rescue already-routed ones.
+/// The straggler estimator of one execution (or, when serving, of one
+/// server): a lock-free EWMA per device slot of the charged-vs-nominal busy
+/// ratio, updated by every worker at block completion. It is keyed by
+/// device, not by stage: a device that straggles in one stage straggles in
+/// all of them, so routing diverts *new* blocks everywhere and every stage's
+/// steal path sees the same straggler.
 ///
 /// Lock-free: each slot is one `AtomicU64` holding the EWMA's `f64` bits
 /// (zero bits encode "no observation yet" — a real EWMA is always ≥ 1.0,
@@ -178,89 +176,50 @@ impl SlowdownObserver {
 /// the mutable demand state lives in [`DemandSplitter`]s owned by the
 /// executor, and the mutable feedback state in the shared
 /// [`SlowdownObserver`] this model reads.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct CostModel {
-    calib: CalibrationConfig,
     observer: Option<Arc<SlowdownObserver>>,
 }
 
-/// The model [`EngineConfig::default`] selects.
-impl Default for CostModel {
-    fn default() -> Self {
-        Self::from_config(&EngineConfig::default())
-    }
-}
-
 impl CostModel {
-    /// The cost model an engine configuration selects: its calibration
-    /// toggles. The calibration input, the per-execution observer, is
-    /// attached by the executor via [`Self::with_observer`]; until it is,
+    /// The cost model an engine configuration selects. No configuration
+    /// knob reaches the model: the observer the executor attaches via
+    /// [`Self::with_observer`] is its only input, and until it is attached
     /// the model prices nominal profiles.
-    pub fn from_config(config: &EngineConfig) -> Self {
-        Self { calib: config.calibration, observer: None }
+    pub fn from_config(_config: &EngineConfig) -> Self {
+        Self::default()
     }
 
-    /// Attach the execution's shared slowdown observer. Observations are
-    /// *recorded* through the model unconditionally (the EWMAs are an
-    /// always-on observable, like `remote_control_acquisitions`); they are
-    /// *priced* into projections only when `calibration.slowdown_feedback`
-    /// is on.
+    /// Attach the execution's shared slowdown observer.
     pub fn with_observer(mut self, observer: Arc<SlowdownObserver>) -> Self {
         self.observer = Some(observer);
         self
     }
 
-    /// The active calibration toggles.
-    pub fn calibration(&self) -> CalibrationConfig {
-        self.calib
-    }
-
     // ------------------------------------------------------------------
-    // Calibration inputs
+    // The straggler estimator
     // ------------------------------------------------------------------
 
     /// Record one completed block into the attached observer (no-op when
-    /// none is attached). Always recorded, regardless of the feedback
-    /// toggle — measurement is free, pricing is the policy decision.
+    /// none is attached).
     pub fn observe(&self, device_slot: usize, charged_ns: u64, nominal_ns: u64) {
         if let Some(observer) = &self.observer {
             observer.record(device_slot, charged_ns, nominal_ns);
         }
     }
 
-    /// The observed-slowdown multiplier routing applies to `device_slot`'s
-    /// device-axis term: the observer's EWMA with the feedback toggle on,
-    /// exactly 1.0 otherwise (or before any observation), so the toggled-off
-    /// projection math never leaves the integer domain.
+    /// `device_slot`'s observed slowdown: the observer's EWMA, exactly 1.0
+    /// with no observer attached or before the device's first block. Routing
+    /// multiplies it into the device-axis term of a projection.
     pub fn observed_device_slowdown(&self, device_slot: usize) -> f64 {
-        match &self.observer {
-            Some(observer) if self.calib.slowdown_feedback => observer.slowdown(device_slot),
-            _ => 1.0,
-        }
+        self.observer.as_ref().map_or(1.0, |observer| observer.slowdown(device_slot))
     }
 
-    /// The per-block cost the steal-profitability check prices the victim
-    /// at. The victim's own observed average (charged busy / processed) is
-    /// the base estimate; with `calibration.steal_feedback` on (and an
-    /// observer attached) it is floored at the nominal average times the
-    /// victim *device's* observed-slowdown EWMA, so a victim whose few local
-    /// samples happened to be cheap is still priced as slow when its device
-    /// is a known straggler — the EWMA aggregates every instance on the
-    /// device, not just this queue's history. Toggled off, the base estimate
-    /// passes through untouched (the PR 5 behaviour bit-for-bit).
-    pub fn steal_victim_avg_ns(
-        &self,
-        observed_avg_ns: u64,
-        nominal_avg_ns: u64,
-        victim_slot: usize,
-    ) -> u64 {
-        match &self.observer {
-            Some(observer) if self.calib.steal_feedback => {
-                let ewma = observer.slowdown(victim_slot);
-                observed_avg_ns.max((nominal_avg_ns as f64 * ewma) as u64)
-            }
-            _ => observed_avg_ns,
-        }
+    /// True when `device_slot` is an observed straggler (its EWMA is above
+    /// [`STRAGGLER_RATIO`]): consumers on it are the only ones worth
+    /// stealing from, and the ones that pace their own claims.
+    pub fn is_straggler(&self, device_slot: usize) -> bool {
+        self.observed_device_slowdown(device_slot) > STRAGGLER_RATIO
     }
 
     /// Serving-layer fairness weight of a running query session: the
@@ -385,13 +344,6 @@ impl CostModel {
     // Steal profitability (term 4)
     // ------------------------------------------------------------------
 
-    /// True when `observed_slowdown` (charged over nominal busy time) marks
-    /// a consumer as a straggler — the only consumers worth stealing from,
-    /// and the ones that pace their own claims.
-    pub fn is_straggler(&self, observed_slowdown: f64) -> bool {
-        observed_slowdown > STRAGGLER_RATIO
-    }
-
     /// Outstanding DMA backlog, in nanoseconds past `horizon_ns`, on the
     /// route between two memory nodes: the slowest link of the route frees
     /// only at its clock's current reservation end, and a relocation issued
@@ -445,17 +397,18 @@ impl CostModel {
 
     /// The steal profitability decision: the stolen tail block would
     /// complete on the victim no earlier than `victim_clock + backlog ×
-    /// victim_avg`, and on the thief at `thief_clock +
-    /// `[`STEAL_HYSTERESIS_BLOCKS`]` × thief_avg + congestion`. The
+    /// victim_avg`, and on the thief at `thief_clock + (thief_backlog +
+    /// `[`STEAL_HYSTERESIS_BLOCKS`]`) × thief_avg + congestion`. The
     /// congestion term prices the relocation's queueing behind outstanding
     /// DMA, which is what keeps near-equilibrium rescues from losing to the
     /// link they would saturate.
     pub fn steal_profitable(&self, q: &StealQuery) -> bool {
         let victim_end =
             q.victim_clock_ns.saturating_add(q.victim_avg_ns.saturating_mul(q.backlog_depth));
+        let thief_blocks = q.thief_backlog.saturating_add(STEAL_HYSTERESIS_BLOCKS);
         let thief_end = q
             .thief_clock_ns
-            .saturating_add(q.thief_avg_ns.saturating_mul(STEAL_HYSTERESIS_BLOCKS))
+            .saturating_add(q.thief_avg_ns.saturating_mul(thief_blocks))
             .saturating_add(q.congestion_ns);
         thief_end < victim_end
     }
@@ -674,12 +627,16 @@ mod tests {
             backlog_depth: 4,
             thief_clock_ns: 900,
             thief_avg_ns: 500,
+            thief_backlog: 0,
             congestion_ns: 0,
         };
         // victim_end 4200 vs thief_end 1900: profitable.
         assert!(model.steal_profitable(&base));
         // Congestion on the relocation route flips the decision.
         assert!(!model.steal_profitable(&StealQuery { congestion_ns: 2_400, ..base }));
+        // So does the thief's own backlog: 4 blocks end at 3900, 5 at 4400.
+        assert!(model.steal_profitable(&StealQuery { thief_backlog: 4, ..base }));
+        assert!(!model.steal_profitable(&StealQuery { thief_backlog: 5, ..base }));
         // Near equilibrium the hysteresis declines the steal.
         let tight = StealQuery {
             victim_clock_ns: 1_000,
@@ -687,45 +644,26 @@ mod tests {
             backlog_depth: 2,
             thief_clock_ns: 1_000,
             thief_avg_ns: 500,
+            thief_backlog: 0,
             congestion_ns: 0,
         };
         assert!(!model.steal_profitable(&tight));
     }
 
     #[test]
-    fn steal_feedback_prices_the_victim_by_its_device_ewma() {
-        let observer = Arc::new(SlowdownObserver::new(4));
-        // Device slot 2 is an observed 4x straggler.
-        observer.record(2, 4_000, 1_000);
-        let on = CostModel::from_config(
-            &EngineConfig::default()
-                .with_calibration(CalibrationConfig::disabled().with_steal_feedback(true)),
-        )
-        .with_observer(Arc::clone(&observer));
-        // The EWMA floors the victim estimate: 500 observed, but nominal 600
-        // at a 4x device reads 2400.
-        assert_eq!(on.steal_victim_avg_ns(500, 600, 2), 2_400);
-        // A healthy device (slot 0) passes the observed average through.
-        assert_eq!(on.steal_victim_avg_ns(500, 600, 0), 600);
-        assert_eq!(on.steal_victim_avg_ns(700, 600, 0), 700);
-        // Toggled off — or with no observer attached — the base estimate is
-        // untouched (the PR 5 behaviour bit-for-bit).
-        let off = CostModel::from_config(
-            &EngineConfig::default().with_calibration(CalibrationConfig::disabled()),
-        )
-        .with_observer(observer);
-        assert_eq!(off.steal_victim_avg_ns(500, 600, 2), 500);
-        let detached = CostModel::default();
-        assert_eq!(detached.steal_victim_avg_ns(500, 600, 2), 500);
-    }
-
-    #[test]
     fn straggler_threshold_separates_healthy_from_slow() {
-        let model = CostModel::default();
-        assert!(!model.is_straggler(1.0));
-        assert!(!model.is_straggler(STRAGGLER_RATIO));
-        assert!(model.is_straggler(STRAGGLER_RATIO + 0.01));
-        assert!(model.is_straggler(8.0));
+        let observer = Arc::new(SlowdownObserver::new(4));
+        let model = CostModel::default().with_observer(Arc::clone(&observer));
+        // Slot 0 is never observed; the others are seeded at their sample.
+        observer.record(1, 1_000, 1_000);
+        observer.record(2, (STRAGGLER_RATIO * 1_000.0) as u64, 1_000);
+        observer.record(3, 8_000, 1_000);
+        assert!(!model.is_straggler(0));
+        assert!(!model.is_straggler(1));
+        assert!(!model.is_straggler(2), "the threshold itself is not a straggler");
+        assert!(model.is_straggler(3));
+        // Unattached, nothing straggles.
+        assert!(!CostModel::default().is_straggler(3));
     }
 
     #[test]
@@ -785,15 +723,13 @@ mod tests {
 
     #[test]
     fn construction_carries_the_configured_toggles() {
-        // `Default` is the engine default's model, calibration included.
-        let model = CostModel::default();
-        assert_eq!(model.calibration(), CalibrationConfig::default());
-        assert_eq!(
-            format!("{model:?}"),
-            format!("{:?}", CostModel::from_config(&EngineConfig::default()))
-        );
-        let off = EngineConfig::default().with_calibration(CalibrationConfig::disabled());
-        assert_eq!(CostModel::from_config(&off).calibration(), CalibrationConfig::disabled());
+        // No configuration knob reaches the model: every configuration
+        // builds the default, unattached model, which prices nominal.
+        for config in [EngineConfig::default(), EngineConfig::cpu_only(1)] {
+            let model = CostModel::from_config(&config);
+            assert_eq!(format!("{model:?}"), format!("{:?}", CostModel::default()));
+            assert_eq!(model.observed_device_slowdown(0), 1.0);
+        }
     }
 
     #[test]
@@ -841,16 +777,11 @@ mod tests {
     fn feedback_multiplier_requires_toggle_and_observer() {
         let observer = Arc::new(SlowdownObserver::new(1));
         observer.record(0, 8_000, 1_000);
-        // Toggle off (even with an observer attached): nominal.
-        let nominal = EngineConfig::default().with_calibration(CalibrationConfig::disabled());
-        let off = CostModel::from_config(&nominal).with_observer(Arc::clone(&observer));
-        assert_eq!(off.observed_device_slowdown(0), 1.0);
-        // Toggle on, observer attached: the EWMA.
-        let config = EngineConfig::default();
-        let on = CostModel::from_config(&config).with_observer(Arc::clone(&observer));
+        // Observer attached: its EWMA.
+        let on = CostModel::default().with_observer(Arc::clone(&observer));
         assert_eq!(on.observed_device_slowdown(0), 8.0);
-        // Toggle on, no observer attached: nominal.
-        assert_eq!(CostModel::from_config(&config).observed_device_slowdown(0), 1.0);
+        // No observer attached: nominal.
+        assert_eq!(CostModel::default().observed_device_slowdown(0), 1.0);
         // Recording through the model reaches the shared observer.
         on.observe(0, 1_000, 1_000);
         assert!(observer.slowdown(0) < 8.0);

@@ -26,18 +26,19 @@
 //!   rewrite only when the estimated gain clears [`DEFAULT_REOPT_MIN_GAIN`].
 //!
 //! Determinism boundaries: the search consumes only the feedback record, the
-//! topology's declared profiles and its derived control-plane round trip
-//! — never wall-clock state — so identical feedback yields an identical
-//! decision. The feedback itself is distilled from simulated measurements,
-//! which on gated plans can vary slightly with worker interleaving; benches
-//! therefore compare medians, and the differential suite pins the disabled
-//! path (`ReoptConfig::disabled()` never fingerprints, never caches, never
+//! topology's declared profiles and its derived link constants (the
+//! control-plane round trip, each link's effective rate) — never wall-clock
+//! state — so identical feedback yields an identical decision. The feedback
+//! itself is distilled from simulated measurements, which on gated plans can
+//! vary slightly with worker interleaving; benches therefore compare medians,
+//! and the differential suite pins the disabled path
+//! (`ReoptConfig::disabled()` never fingerprints, never caches, never
 //! rewrites).
 
 use crate::cost::CostModel;
 use hetex_common::config::{ExecutionTarget, DEFAULT_REOPT_MIN_GAIN, EST_MAX_TUPLE_BYTES};
 use hetex_common::EngineConfig;
-use hetex_topology::ServerTopology;
+use hetex_topology::{DeviceProfile, ServerTopology};
 use std::collections::HashMap;
 use std::sync::Mutex;
 
@@ -46,13 +47,6 @@ use std::sync::Mutex;
 /// record wholesale — times measured under different placements must not be
 /// averaged together).
 pub const FEEDBACK_EWMA_ALPHA: f64 = 0.5;
-
-/// Planning-side effective PCIe bandwidth (GB/s) used to convert candidate
-/// interconnect-byte estimates into the nanosecond floor that asynchronous
-/// DMA puts under a placement's completion time. A single scalar suffices
-/// for ranking candidates on one server. Matches the paper server's
-/// ~12 GB/s effective x16 Gen 3 links.
-pub const REOPT_PCIE_GBPS: f64 = 12.0;
 
 /// FNV-1a over the plan's stable debug rendering: a fingerprint for "the
 /// same query submitted again". Stable within a build of the workspace
@@ -363,9 +357,9 @@ pub fn candidates(base: &EngineConfig, topology: &ServerTopology) -> Vec<Candida
 /// `DeviceProfile::exec_slowdown`, which routing estimates are forbidden to
 /// see), transfer and control-plane terms are scaled from the measured run's
 /// own traffic, and the topology contributes its derived control-plane
-/// round trip. Transfer is a *floor* on a candidate's time, not an addend:
-/// mem-move DMA runs asynchronously, so a placement is bounded by
-/// `max(compute, transfer)`. `_cost` prices nothing; the benchmark still
+/// round trip and each GPU route's effective rate. Transfer is a *floor* on
+/// a candidate's time, not an addend: mem-move DMA runs asynchronously, so a
+/// placement is bounded by `max(compute, transfer)`. `_cost` prices nothing; the benchmark still
 /// passes one (ROADMAP item 1(a)).
 pub fn reoptimize(
     base: &EngineConfig,
@@ -378,15 +372,12 @@ pub fn reoptimize(
     }
     let anchor =
         Candidate { target: feedback.target, cpu_dop: feedback.cpu_dop, gpu_dop: feedback.gpu_dop };
-    // Routing adapts to observed slowdowns only when the executing config
-    // feeds them back; the estimate must model the run it would produce.
-    let adaptive = base.calibration.slowdown_feedback;
     let width_blocks = match feedback.widest_stage_rows() {
         0 => None,
         rows => Some(rows.div_ceil(base.block_capacity.max(1) as u64).max(1)),
     };
 
-    let raw_anchor = raw_compute_time(&anchor, feedback, topology, adaptive, width_blocks)?;
+    let raw_anchor = raw_compute_time(&anchor, feedback, topology, width_blocks)?;
     // κ converts the unitless compute estimate into nanoseconds by pinning
     // the anchor candidate to its *measured* time.
     let kappa = feedback.sim_time_ns / raw_anchor;
@@ -395,8 +386,7 @@ pub fn reoptimize(
 
     let mut ranked: Vec<CandidateCost> = Vec::new();
     for candidate in candidates(base, topology) {
-        let Some(raw) = raw_compute_time(&candidate, feedback, topology, adaptive, width_blocks)
-        else {
+        let Some(raw) = raw_compute_time(&candidate, feedback, topology, width_blocks) else {
             continue;
         };
         // Anchored compute term, floored by the candidate's interconnect
@@ -440,35 +430,26 @@ pub fn reoptimize(
 }
 
 /// Unitless compute-time estimate of a candidate: work divided by the
-/// aggregate observed-effective device rate. With adaptive routing the
-/// aggregate is `Σ rate_d / slowdown_d` (feedback steers work away from
-/// stragglers); with static routing work splits by *nominal* rates, so the
-/// slowest device's slowdown bounds completion: `max_d slowdown_d / Σ
-/// rate_d`. A candidate wider than the plan's widest stage (in blocks)
-/// cannot use its extra devices; the estimate scales accordingly.
+/// aggregate observed-effective device rate, `Σ rate_d / slowdown_d` —
+/// routing steers work away from observed stragglers. A candidate wider
+/// than the plan's widest stage (in blocks) cannot use its extra devices;
+/// the estimate scales accordingly.
 fn raw_compute_time(
     candidate: &Candidate,
     feedback: &PlanFeedback,
     topology: &ServerTopology,
-    adaptive: bool,
     width_blocks: Option<u64>,
 ) -> Option<f64> {
     let slots = candidate.device_slots(topology);
     if slots.is_empty() {
         return None;
     }
-    let mut adaptive_rate = 0.0f64;
-    let mut nominal_rate = 0.0f64;
-    let mut max_slowdown = 1.0f64;
+    let mut rate = 0.0f64;
     for &slot in &slots {
         let profile = topology.devices().get(slot)?;
-        let rate = profile.compute_gops.max(f64::MIN_POSITIVE);
-        let slowdown = feedback.slowdown_for(slot);
-        adaptive_rate += rate / slowdown;
-        nominal_rate += rate;
-        max_slowdown = max_slowdown.max(slowdown);
+        rate += profile.compute_gops.max(f64::MIN_POSITIVE) / feedback.slowdown_for(slot);
     }
-    let mut time = if adaptive { 1.0 / adaptive_rate } else { max_slowdown / nominal_rate };
+    let mut time = 1.0 / rate;
     if let Some(width) = width_blocks {
         let devices = slots.len() as f64;
         if devices > width as f64 {
@@ -502,10 +483,13 @@ fn gpu_rate_fraction(candidate: &Candidate, topology: &ServerTopology) -> f64 {
     }
 }
 
-/// Estimated interconnect time of a candidate, nanoseconds. Scaled from the
-/// anchor's *measured* bytes when the anchor itself fed GPUs; estimated from
-/// the widest stage's rows otherwise (the anchor never touched the bus, so
-/// there is nothing measured to scale).
+/// Estimated interconnect time of a candidate, nanoseconds. The bytes are
+/// scaled from the anchor's *measured* bytes when the anchor itself fed
+/// GPUs, and estimated from the widest stage's rows otherwise (the anchor
+/// never touched the bus, so there is nothing measured to scale). Each GPU
+/// draws its rate share of them over its own route at that route's
+/// effective rate; the GPUs stream in parallel, so the slowest one bounds
+/// the candidate.
 fn transfer_ns(
     candidate: &Candidate,
     feedback: &PlanFeedback,
@@ -518,7 +502,32 @@ fn transfer_ns(
     } else {
         feedback.widest_stage_rows() as f64 * EST_MAX_TUPLE_BYTES as f64 * frac
     };
-    bytes / REOPT_PCIE_GBPS
+    let gpus: Vec<&DeviceProfile> = candidate
+        .device_slots(topology)
+        .into_iter()
+        .filter_map(|slot| topology.devices().get(slot))
+        .filter(|profile| profile.is_gpu())
+        .collect();
+    let gpu_rate: f64 = gpus.iter().map(|gpu| gpu.compute_gops.max(0.0)).sum();
+    if gpu_rate <= 0.0 {
+        return 0.0;
+    }
+    gpus.iter()
+        .map(|gpu| bytes * (gpu.compute_gops.max(0.0) / gpu_rate) / feed_gbps(topology, gpu))
+        .fold(0.0, f64::max)
+}
+
+/// Effective rate, GB/s, of the route that feeds `gpu` from its socket's
+/// DRAM: the slowest link on it, at [`ServerTopology::effective_gbps`].
+fn feed_gbps(topology: &ServerTopology, gpu: &DeviceProfile) -> f64 {
+    topology
+        .memory_nodes()
+        .iter()
+        .filter(|node| !node.is_gpu_memory() && node.socket == gpu.socket)
+        .filter_map(|node| topology.route(node.id, gpu.local_memory).ok())
+        .flatten()
+        .map(|&link| topology.effective_gbps(link))
+        .fold(f64::INFINITY, f64::min)
 }
 
 /// Estimated control-plane time of a candidate, nanoseconds: the measured
@@ -638,25 +647,44 @@ mod tests {
         let topology = ServerTopology::paper_server();
         let base = EngineConfig::hybrid(8, 2).with_reopt(ReoptConfig::enabled());
         let mut feedback = feedback_for(&base, &topology);
-        // The second GPU was observed 8x slow; static routing (no slowdown
-        // feedback) kept feeding it, so the whole run stretched.
+        // The second GPU was observed 8x slow: routing already steers
+        // around it, so the search prices it at an eighth of its rate, and
+        // dropping it from the incumbent costs nothing — where on a healthy
+        // record the same GPU carries a third of the run.
         let slow_gpu = topology.gpus()[1].index();
         feedback.observed_slowdowns[slow_gpu] = 8.0;
         let cost = CostModel::from_config(&base);
-        let mut static_base = base.clone();
-        static_base.calibration.slowdown_feedback = false;
-        let decision = reoptimize(&static_base, &feedback, &topology, &cost)
+        let estimate = |decision: &ReoptDecision, label: &str| {
+            decision.ranked.iter().find(|c| c.candidate.label() == label).unwrap().estimated_ns
+        };
+        let healthy = reoptimize(&base, &feedback_for(&base, &topology), &topology, &cost)
+            .expect("the healthy record finds a cheaper placement too");
+        assert!(estimate(&healthy, "hybrid(8,1)") >= 1.3 * estimate(&healthy, "hybrid(8,2)"));
+        let decision = reoptimize(&base, &feedback, &topology, &cost)
             .expect("an 8x straggler must trigger a rewrite");
-        assert_ne!(decision.chosen, Candidate::of(&static_base));
-        assert!(
-            decision.chosen.gpu_dop <= 1,
-            "the rewrite must drop the straggler GPU: {}",
-            decision.chosen.label()
-        );
+        assert!(estimate(&decision, "hybrid(8,1)") <= estimate(&decision, "hybrid(8,2)"));
+        assert_ne!(decision.chosen, Candidate::of(&base));
         assert!(decision.estimated_gain >= DEFAULT_REOPT_MIN_GAIN);
         assert!(!decision.ranked.is_empty());
         // The chosen plan is the best-ranked one.
         assert_eq!(decision.ranked[0].candidate, decision.chosen);
+    }
+
+    #[test]
+    fn each_gpu_streams_its_share_over_its_own_link() {
+        // A healthy hybrid(8,2) that moved 47.5 GB in 2.057 s: each GPU's
+        // half crosses its own x16 link in under the measured time, so the
+        // incumbent is priced at exactly that time. One shared 12 GB/s link
+        // would have priced it at 3.96 s.
+        let topology = ServerTopology::paper_server();
+        let base = EngineConfig::hybrid(8, 2).with_reopt(ReoptConfig::enabled());
+        let mut feedback = feedback_for(&base, &topology);
+        feedback.sim_time_ns = 2.057e9;
+        feedback.bytes_transferred = 47.5e9;
+        feedback.stages[0].rows_in = 100_000_000;
+        let decision = reoptimize(&base, &feedback, &topology, &CostModel::default())
+            .expect("a hybrid(8,2) leaves cores idle");
+        assert_eq!(decision.incumbent_ns, feedback.sim_time_ns);
     }
 
     #[test]

@@ -37,17 +37,16 @@ pub struct QueryStats {
     pub wall_time: std::time::Duration,
     /// Peak leased staging bytes per memory node.
     pub staging_peaks: Vec<(MemoryNodeId, u64)>,
-    /// Blocks adaptively re-routed (work-stealing) per stage; all zeros when
-    /// `EngineConfig::steal_policy` is disabled.
+    /// Blocks adaptively re-routed (work-stealing) per stage; all zeros
+    /// unless a device was observed straggling or was quarantined.
     pub blocks_stolen: Vec<u64>,
     /// Cross-node control-plane traffic: pushes that acquired a queue mutex
     /// on a memory node other than the block's. Routing's control-plane
     /// term prices exactly these acquisitions.
     pub remote_control_acquisitions: u64,
     /// Observed-slowdown EWMA per device slot (charged vs nominal busy
-    /// time, 1.0 = healthy), indexed like the topology's device list.
-    /// Measured in every run; priced into routing only when
-    /// `CalibrationConfig::slowdown_feedback` is on.
+    /// time, 1.0 = healthy), indexed like the topology's device list: the
+    /// straggler estimator routing, stealing and claim pacing read.
     pub observed_slowdowns: Vec<f64>,
     /// Transient kernel failures absorbed by bounded in-place retry (zero
     /// without an injected fault plan).

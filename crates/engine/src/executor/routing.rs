@@ -114,22 +114,14 @@ pub(super) struct StageRouting<'a> {
     est_selectivity: f64,
     /// Assumed hash probes per input tuple across the fused probe steps.
     est_probes_per_row: f64,
-    /// Per-consumer nanoseconds actually charged to the device clock — the
-    /// feedback half of the straggler detector. Together with
-    /// `nominal_busy`, the ratio `charged/nominal` is a consumer's observed
-    /// slowdown: 1.0 for a healthy device, larger when reality (an
-    /// unforeseen `exec_slowdown`, contention) costs more than the model
-    /// predicted. The steal profitability check scales the victim's backlog
-    /// by this ratio, so hidden stragglers are priced by what they *did*,
-    /// not what the estimates promised.
+    /// Per-consumer nanoseconds actually charged to the device clock, and
+    /// the count of blocks they were charged for: `charged_busy / processed`
+    /// is a consumer's observed average block cost, which the steal
+    /// profitability pre-check (run *before* a block leaves the victim's
+    /// queue — see [`QueryRun::steal_for`]) and the watchdog budget price
+    /// with, so a hidden straggler is priced by what it *did*, not what the
+    /// estimates promised.
     pub(super) charged_busy: Vec<AtomicU64>,
-    /// Per-consumer nanoseconds the nominal cost model prices for the same
-    /// processed work (denominator of the observed-slowdown ratio).
-    pub(super) nominal_busy: Vec<AtomicU64>,
-    /// Per-consumer count of processed blocks; `charged_busy / processed` is
-    /// a consumer's observed average block cost, the basis of the steal
-    /// profitability pre-check (which must run *before* a block leaves the
-    /// victim's queue — see [`QueryRun::steal_for`]).
     pub(super) processed: Vec<AtomicU64>,
 }
 
@@ -208,7 +200,6 @@ impl<'a> StageRouting<'a> {
             est_selectivity,
             est_probes_per_row,
             charged_busy: counters(),
-            nominal_busy: counters(),
             processed: counters(),
         })
     }
@@ -220,16 +211,6 @@ impl<'a> StageRouting<'a> {
     pub(super) fn rehomeable(&self) -> bool {
         self.stage.consumers.len() > 1
             && matches!(self.stage.policy, RouterPolicy::RoundRobin | RouterPolicy::LeastLoaded)
-    }
-
-    /// Observed slowdown of consumer `slot`: charged over nominal busy time,
-    /// 1.0 until the consumer has processed anything.
-    pub(super) fn observed_slowdown(&self, slot: usize) -> f64 {
-        let nominal = self.nominal_busy[slot].load(Ordering::Relaxed);
-        if nominal == 0 {
-            return 1.0;
-        }
-        (self.charged_busy[slot].load(Ordering::Relaxed) as f64 / nominal as f64).max(1.0)
     }
 
     /// Observed average charged cost per block of consumer `slot`, or `None`
@@ -534,9 +515,11 @@ impl QueryRun<'_> {
         }
     }
 
-    /// Adaptive re-routing: try to steal one block for the idle worker at
-    /// slot `thief` of `stage` from the most-loaded sibling whose backlog
-    /// holds at least [`STEAL_MIN_DEPTH`] blocks.
+    /// Adaptive re-routing: try to steal one block for the worker at slot
+    /// `thief` of `stage` from the most-loaded sibling whose backlog holds
+    /// at least [`STEAL_MIN_DEPTH`] blocks. A thief with a backlog of its
+    /// own prices the stolen block behind it, and leaves a quarantined
+    /// sibling's backlog to idle lanes and the takeover drain.
     ///
     /// Profitability is judged on the **device clocks** and **observed
     /// average block costs**, not the routing estimator: both carry every
@@ -544,8 +527,9 @@ impl QueryRun<'_> {
     /// straggler (a slowdown the cost model did not price) is visible — the
     /// paper's feedback signal. The stolen tail block would complete on the
     /// victim no earlier than `victim_clock + backlog × victim_avg_cost`,
-    /// and on the thief at `thief_clock + thief_avg_cost` (doubled as
-    /// hysteresis: near equilibrium a steal only duplicates what
+    /// and on the thief once the thief's own backlog and the block are
+    /// done, at `thief_clock + (own backlog + 1) × thief_avg_cost` (one block
+    /// more as hysteresis: near equilibrium a steal only duplicates what
     /// least-loaded routing already achieves while paying an extra
     /// relocation). Without this check an idle-but-expensive consumer (a CPU
     /// core eyeing a GPU-bound backlog) would "rescue" blocks into a slower
@@ -569,9 +553,10 @@ impl QueryRun<'_> {
         let dead = |slot: usize| {
             self.fault.as_ref().is_some_and(|f| f.is_quarantined(routing.instance_devices[slot]))
         };
+        let own_backlog = queues[thief].len();
         let mut best: Option<(usize, usize)> = None;
         for (slot, queue) in queues.iter().enumerate() {
-            if slot == thief {
+            if slot == thief || (own_backlog > 0 && dead(slot)) {
                 continue;
             }
             // A quarantined sibling's backlog would never complete on its
@@ -595,7 +580,7 @@ impl QueryRun<'_> {
             // cost (the relocation's link bandwidth), which measurably loses
             // on healthy workloads — and injects wall-clock-dependent noise
             // into otherwise deterministic simulated times.
-            if !cost.is_straggler(routing.observed_slowdown(victim)) {
+            if !cost.is_straggler(routing.instance_devices[victim].index()) {
                 return Ok(StealOutcome::Unprofitable);
             }
 
@@ -613,19 +598,6 @@ impl QueryRun<'_> {
             else {
                 return Ok(StealOutcome::Unprofitable);
             };
-            // Fold the shared slowdown EWMA into the victim's price (the
-            // calibration loop's steal half, `steal_feedback`): a victim
-            // whose *device* has been observed straggling in other stages
-            // too is priced by that history, not only this stage's average.
-            let victim_nominal_avg = routing.nominal_busy[victim]
-                .load(Ordering::Relaxed)
-                .checked_div(routing.processed[victim].load(Ordering::Relaxed))
-                .unwrap_or(0);
-            let victim_avg = cost.steal_victim_avg_ns(
-                victim_avg,
-                victim_nominal_avg,
-                routing.instance_devices[victim].index(),
-            );
             let thief_clock_ns = thief_clock.now().as_nanos();
             let data_location =
                 queues[victim].tail_location().unwrap_or(routing.instance_nodes[victim]);
@@ -646,6 +618,7 @@ impl QueryRun<'_> {
                 backlog_depth: depth as u64,
                 thief_clock_ns,
                 thief_avg_ns: thief_avg,
+                thief_backlog: own_backlog as u64,
                 congestion_ns,
             };
             let profitable = cost.steal_profitable(&query);
@@ -659,7 +632,7 @@ impl QueryRun<'_> {
                         thief_node,
                         thief_clock_ns
                     ),
-                    routing.observed_slowdown(victim),
+                    cost.observed_device_slowdown(routing.instance_devices[victim].index()),
                     if profitable { "steal" } else { "unprofitable" }
                 );
             }
@@ -680,7 +653,7 @@ impl QueryRun<'_> {
         let routing = &self.routing[stage];
         (0..routing.instance_devices.len()).any(|slot| {
             slot != thief
-                && (self.cost.is_straggler(routing.observed_slowdown(slot))
+                && (self.cost.is_straggler(routing.instance_devices[slot].index())
                     || self
                         .fault
                         .as_ref()

@@ -19,9 +19,10 @@ use std::sync::atomic::Ordering;
 use std::task::Waker;
 
 /// Most consecutive claim-yields a straggling worker may take before it
-/// processes a block regardless. Bounds the stall and guarantees progress
-/// even when no sibling ever finds the backlog profitable.
-const MAX_CLAIM_YIELDS: usize = 64;
+/// processes a block regardless: progress even when the sibling it yields
+/// to cannot run. A yield is one scheduler step, and a sibling's block
+/// takes a few hundred of them on another thread, so the bound is wide.
+const MAX_CLAIM_YIELDS: usize = 4096;
 
 /// What a waiting task waits on, as the stall report names it.
 #[derive(Clone, Copy)]
@@ -135,15 +136,13 @@ impl<'r> Lane<'r> {
         let out = self.pipeline.process_block(&block, &run.graph.state, &mut self.ctx)?;
         let (end, busy) = run.exec.charge(&self.clock, &self.profile, &out.work, ready);
         self.last_end = self.last_end.max(end);
-        // Feed the straggler detector: what this block actually cost vs
-        // what the nominal model prices for the same work. The same
-        // observation feeds the shared per-device slowdown EWMA that
-        // routing projections consume (the calibration loop).
+        // Feed the straggler estimator: what this block actually cost vs
+        // what the nominal model prices for the same work, folded into the
+        // device's shared slowdown EWMA.
         let nominal_ns = run.exec.work_cost.time_ns(&out.work, &self.profile);
         run.cost.observe(self.device.index(), busy, nominal_ns);
         let routing = &run.routing[self.stage];
         routing.charged_busy[self.slot].fetch_add(busy, Ordering::Relaxed);
-        routing.nominal_busy[self.slot].fetch_add(nominal_ns, Ordering::Relaxed);
         routing.processed[self.slot].fetch_add(1, Ordering::Relaxed);
         if let Some(fault) = &run.fault {
             fault.note_progress(self.device);
@@ -432,7 +431,8 @@ struct Claimer<'r> {
     lane: Lane<'r>,
     /// Simulated floor inherited from the stage's dependency gate.
     gate_floor: SimTime,
-    /// Whether the stage may steal (anonymous routing, stealing enabled).
+    /// Whether the stage may steal (anonymous routing over siblings, see
+    /// `StageRouting::rehomeable`).
     steals: bool,
     /// The fault state, when an injected plan targets this worker's device;
     /// onsets are judged against the device's simulated clock.
@@ -459,7 +459,7 @@ impl<'r> Claimer<'r> {
         let wedge_at =
             fault.filter(|_| run.config.fault.watchdog).and_then(|f| f.plan.wedge_at(lane.device));
         Ok(Self {
-            steals: run.config.steal_policy.is_enabled() && run.routing[stage].rehomeable(),
+            steals: run.routing[stage].rehomeable(),
             lane,
             gate_floor,
             fault,
@@ -534,21 +534,38 @@ impl<'r> Claimer<'r> {
         Ok(None)
     }
 
-    /// Sim-paced claiming (steal-enabled stages only). Functional execution
+    /// Sim-paced claiming (stealing stages only). Functional execution
     /// runs at wall speed, so a device that is slow on the *simulated* clock
     /// would still drain its queue as fast as any sibling — wall-time
     /// claiming hides exactly the backlog that adaptive re-routing exists to
     /// absorb. A worker whose observed slowdown marks it a straggler
     /// therefore yields (bounded by [`MAX_CLAIM_YIELDS`]) instead of
-    /// claiming the next block: it wakes its siblings and runs again behind
+    /// claiming the next block while a sibling that claims first on the
+    /// simulated clock has not: it wakes its siblings and runs again behind
     /// them, leaving the block where a healthy thief can profitably take it.
     fn should_yield(&self) -> bool {
-        self.last_busy > 0 && self.claim_yields < MAX_CLAIM_YIELDS && self.straggling()
+        self.last_busy > 0
+            && self.claim_yields < MAX_CLAIM_YIELDS
+            && self.straggling()
+            && self.sibling_claims_first()
+    }
+
+    /// Whether a sibling with blocks of its own queued is behind this lane
+    /// on the simulated clock: it claims before this lane's next claim, and
+    /// prices this lane's backlog for a steal when it does.
+    fn sibling_claims_first(&self) -> bool {
+        let (run, stage) = (self.lane.run, self.lane.stage);
+        let now = self.lane.clock.now();
+        run.routing[stage].instance_devices.iter().enumerate().any(|(slot, device)| {
+            slot != self.lane.slot
+                && !run.queues[stage][slot].is_empty()
+                && !run.fault.as_ref().is_some_and(|f| f.is_quarantined(*device))
+                && run.device_clocks[device].now() < now
+        })
     }
 
     fn straggling(&self) -> bool {
-        let routing = &self.lane.run.routing[self.lane.stage];
-        self.lane.run.cost.is_straggler(routing.observed_slowdown(self.lane.slot))
+        self.lane.run.cost.is_straggler(self.lane.device.index())
     }
 
     fn yield_claim(&mut self) -> std::result::Result<Claimed, Progress> {
@@ -573,12 +590,13 @@ impl<'r> Claimer<'r> {
         }
     }
 
-    /// Claim the next block: from the own queue, or — late binding — an
-    /// idle worker (empty queue, or its stream already over) rescues the
-    /// tail of an overloaded sibling's backlog instead of waiting (or
-    /// finishing) while a straggler holds blocks hostage. Otherwise the
-    /// claim comes to a yield, a wait (for its own queue's push, completion
-    /// or close, or a sibling's wake-up) or the stream's end.
+    /// Claim the next block: from the own queue, or — late binding — the
+    /// tail of an overloaded sibling's backlog, rescued instead of waiting
+    /// (or finishing) while a straggler holds blocks hostage. A lane with
+    /// blocks of its own steals only from an observed straggler whose
+    /// backlog would end after its own. Otherwise the claim comes to a
+    /// yield, a wait (for its own queue's push, completion or close, or a
+    /// sibling's wake-up) or the stream's end.
     fn claim(&mut self, waker: &Waker) -> Result<std::result::Result<Claimed, Progress>> {
         let queue = self.queue();
         let finished = Progress::Finished(SimTime::ZERO);
@@ -596,6 +614,16 @@ impl<'r> Claimer<'r> {
             return Ok(self.yield_claim());
         }
         let (run, stage, slot) = (self.lane.run, self.lane.stage, self.lane.slot);
+        // The straggler's backlog is priced against this lane's before the
+        // lane takes its own next block: how much of it a sibling rescues
+        // then follows the two projected ends, not whether the straggler
+        // drained it in wall time before the sibling's queue ran dry.
+        if run.has_steal_victim(stage, slot) && !queue.is_empty() {
+            if let StealOutcome::Stolen(claimed) = run.steal_for(stage, slot, &self.lane.clock)? {
+                run.progress[stage].blocks_stolen.fetch_add(1, Ordering::Relaxed);
+                return Ok(Ok(claimed));
+            }
+        }
         let stream_over = match queue.poll_pop(waker) {
             PopNext::Block(block) => {
                 // Claim pacing, part two: a block that arrived after part one

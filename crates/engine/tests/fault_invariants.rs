@@ -13,7 +13,7 @@
 //! A failing case prints its own derived seed; re-running with
 //! `HETEX_CHAOS_SEED=<that seed> HETEX_CHAOS_CASES=1` replays exactly it.
 
-use hetex_common::{ColumnData, DataType, EngineConfig, StealPolicy};
+use hetex_common::{ColumnData, DataType, EngineConfig};
 use hetex_engine::Proteus;
 use hetex_jit::{AggSpec, Expr};
 use hetex_storage::TableBuilder;
@@ -78,9 +78,6 @@ fn run_case(case: u64, seed: u64) {
         _ => EngineConfig::hybrid(1 + rng.below(8) as usize, 1 + rng.below(2) as usize),
     };
     config.block_capacity = [1024, 2048, 4096][rng.below(3) as usize];
-    if rng.chance(0.4) {
-        config.steal_policy = StealPolicy::Disabled;
-    }
     // Half the cases stage under a tight budget (a few times the floor),
     // the rest under the default one.
     let tight = rng.chance(0.5);

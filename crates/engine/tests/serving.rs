@@ -1,18 +1,16 @@
 //! Engine-reuse and multi-query serving invariants.
 //!
 //! * Concurrent `Proteus::execute` calls from many threads are as good as
-//!   serial ones: byte-identical rows, zero staging leaks, and — with
-//!   work-stealing disabled, where execution is wall-clock independent —
-//!   bit-identical simulated times (each query runs on private clocks, so
+//!   serial ones: byte-identical rows, zero staging leaks, and — on a
+//!   healthy server, where nothing is stolen and execution is wall-clock
+//!   independent — bit-identical simulated times (each query runs on private clocks, so
 //!   co-runners cannot corrupt each other's accounting).
 //! * The [`QueryServer`] session layer: admission never exceeds the
 //!   per-node byte budget, rows are byte-identical to single-query runs,
 //!   the fair timeline's latencies dominate each query's isolated time, and
 //!   the makespan never exceeds the serial back-to-back baseline.
 
-use hetex_common::{
-    ColumnData, DataType, EngineConfig, HetError, Priority, ServeConfig, StealPolicy,
-};
+use hetex_common::{ColumnData, DataType, EngineConfig, HetError, Priority, ServeConfig};
 use hetex_core::SlowdownObserver;
 use hetex_engine::{Proteus, QueryServer};
 use hetex_jit::{AggSpec, Expr};
@@ -48,18 +46,15 @@ fn sum_where_plan(threshold: i64) -> hetex_core::RelNode {
 
 #[test]
 fn concurrent_executes_match_serial_bit_for_bit() {
-    // Steal disabled: execution is wall-clock independent, so even the
-    // simulated times must be bit-identical between serial and concurrent
-    // runs — the private-clock guarantee.
+    // Nothing straggles on a healthy server, so nothing is stolen and
+    // execution is wall-clock independent: even the simulated times must be
+    // bit-identical between serial and concurrent runs — the private-clock
+    // guarantee.
     let engine = Arc::new(engine_with_table(100_000));
     let configs: Vec<EngineConfig> = (0..4)
-        .map(|i| {
-            let mut c = match i % 2 {
-                0 => EngineConfig::cpu_only(4),
-                _ => EngineConfig::hybrid(4, 2),
-            };
-            c.steal_policy = StealPolicy::Disabled;
-            c
+        .map(|i| match i % 2 {
+            0 => EngineConfig::cpu_only(4),
+            _ => EngineConfig::hybrid(4, 2),
         })
         .collect();
     let serial: Vec<_> = configs
@@ -95,7 +90,7 @@ fn concurrent_executes_match_serial_bit_for_bit() {
 
 #[test]
 fn concurrent_executes_with_stealing_keep_rows_exact() {
-    // With adaptive stealing the time accounting legitimately depends on
+    // Once stealing engages, the time accounting legitimately depends on
     // load order, but the rows never may.
     let engine = Arc::new(engine_with_table(100_000));
     let config = EngineConfig::hybrid(6, 2);
@@ -119,8 +114,7 @@ fn concurrent_executes_with_stealing_keep_rows_exact() {
 #[test]
 fn query_server_serves_batches_with_exact_rows_and_bounded_admission() {
     let engine = Arc::new(engine_with_table(100_000));
-    let mut config = EngineConfig::cpu_only(4);
-    config.steal_policy = StealPolicy::Disabled;
+    let config = EngineConfig::cpu_only(4);
     let footprint = config.est_serve_footprint_bytes();
     // A budget for two queries at a time: the batch of four must overlap in
     // pairs, never beyond.

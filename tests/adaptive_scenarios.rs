@@ -1,23 +1,25 @@
 //! The adaptivity scenarios (DESIGN.md §4.3, §6, §7, §10 and §11): the
-//! router's defences against an unequal server, each run as an A/B pair on the
-//! join+reduce hybrid plan over the paper server — work stealing, slowdown
-//! feedback, fault recovery and plan re-optimization — plus four SSB streams
-//! through one `QueryServer` against serial execution. Every test asserts its
-//! feature's bar on simulated time with byte-identical rows, and the healthy
-//! legs pin their simulated seconds at ±10%.
+//! router's defences against an unequal server, run on the join+reduce
+//! hybrid plan over the paper server — work stealing and slowdown feedback
+//! (always on, measured against the healthy server and the narrower plan),
+//! fault recovery and plan re-optimization (each an A/B pair) — plus four
+//! SSB streams through one `QueryServer` against serial execution. Every
+//! test asserts its feature's bar on simulated time with byte-identical
+//! rows, and the healthy and skewed legs pin their simulated seconds at
+//! ±10%.
 //!
 //! How much of a straggler's backlog the router has queued before its first
-//! observation lands follows host-thread interleaving, so every join+reduce
-//! leg gates the median of three runs. The tests also take one lock, so that
-//! no two scenarios share the host's cores: run side by side, the unskewed
-//! controls drift past their 2% bars.
+//! observation lands follows host-thread interleaving, so every skewed or
+//! faulted leg gates the median of three runs. The tests also take one
+//! lock, so that no two scenarios share the host's cores: run side by side,
+//! the controls drift past their bars.
 
 use hetexchange::bench::workload::{join_reduce_engine_on, SsbWorkload, DEFAULT_PHYSICAL_SF};
 use hetexchange::common::config::ReoptConfig;
-use hetexchange::common::{CalibrationConfig, EngineConfig, FaultConfig, ServeConfig, StealPolicy};
+use hetexchange::common::{EngineConfig, FaultConfig, ServeConfig};
 use hetexchange::engine::{QueryOutcome, QueryServer};
 use hetexchange::topology::{FaultPlan, ServerTopology, SimTime};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// Fact rows of the join+reduce plan; its dimension has half as many.
 const FACT_ROWS: usize = 200_000;
@@ -25,10 +27,20 @@ const FACT_ROWS: usize = 200_000;
 /// Hidden slowdown of the straggler GPU in the skewed legs.
 const SKEW_FACTOR: f64 = 8.0;
 
-/// Simulated seconds of a healthy join+reduce run at [`FACT_ROWS`]: both
-/// sides of the unskewed steal and calibration pairs and of the healthy
-/// fault pair measure exactly this.
+/// Simulated seconds of a healthy hybrid(8,2) join+reduce run at
+/// [`FACT_ROWS`]: the healthy leg and both sides of the armed-fault pair
+/// measure this on a quiet host. It is also what the run measured with
+/// stealing and slowdown feedback switched off, before they became
+/// permanent, so it is the nominal time the healthy run's defences are held
+/// against.
 const HEALTHY_JOIN_REDUCE_S: f64 = 2.057_280_672;
+
+/// Simulated seconds of the same run with the second GPU a hidden
+/// [`SKEW_FACTOR`]× straggler, once stealing and slowdown feedback have
+/// rescued it: the end of the CPU lanes, which no rescue moves. The healthy
+/// GPU usually steals a few blocks past the balance point and ends up to 5%
+/// later (DESIGN.md §4.3, "Busy thieves").
+const SKEWED_JOIN_REDUCE_S: f64 = 3.302_369_748;
 
 static ONE_SCENARIO_AT_A_TIME: Mutex<()> = Mutex::new(());
 
@@ -82,10 +94,10 @@ fn median_of_three(leg: impl Fn() -> Ab) -> Ab {
 
 /// `base` with the weights that model a paper-scale volume (~48 GB of fact
 /// side, a dimension that scales more slowly) on the physically small
-/// tables, and stealing off. Without the weights a run is dominated by the
-/// fixed ~10 ms router initialization and the A/B measures nothing.
+/// tables. Without the weights a run is dominated by the fixed ~10 ms router
+/// initialization and the scenarios measure nothing.
 fn join_reduce_config(base: EngineConfig) -> EngineConfig {
-    let mut config = base.with_steal_policy(StealPolicy::Disabled);
+    let mut config = base;
     config.scale_weight = 20_000.0;
     config.block_capacity = 2048;
     config.with_table_weight("dim", 2_500.0)
@@ -110,71 +122,101 @@ fn ab_on(topology: Arc<ServerTopology>, rows: usize, on: &EngineConfig, off: &En
     Ab { on, off: engine.session().execute(&plan, off).unwrap() }
 }
 
-/// Stealing on vs off, with slowdown feedback off so stealing is the only
-/// defence: with both on, how much backlog is left to steal depends on how
-/// fast the host ran the straggler's first kernel.
-fn steal(skewed: bool) -> Ab {
-    let config = join_reduce_config(EngineConfig::hybrid(8, 2))
-        .with_calibration(CalibrationConfig::default().with_slowdown_feedback(false));
-    let stealing = config.clone().with_steal_policy(StealPolicy::TailMostLoaded);
-    median_of_three(|| ab_on(paper_server(skewed), FACT_ROWS, &stealing, &config))
+/// One join+reduce run of `config` over `rows` fact rows on `topology`.
+fn join_reduce(topology: Arc<ServerTopology>, rows: usize, config: &EngineConfig) -> QueryOutcome {
+    let (engine, plan) = join_reduce_engine_on(topology, rows).unwrap();
+    engine.session().execute(&plan, config).unwrap()
 }
 
-/// Online calibration (slowdown feedback routing and measured topology
-/// constants) on vs off, with stealing off so feedback is the only defence.
-fn calibration(skewed: bool, rows: usize) -> Ab {
-    let config = join_reduce_config(EngineConfig::hybrid(8, 2));
-    let calibrated = config.clone().with_calibration(CalibrationConfig::default());
-    let nominal = config.with_calibration(CalibrationConfig::disabled());
-    ab_on(paper_server(skewed), rows, &calibrated, &nominal)
-}
-
+/// Stealing and slowdown feedback against a hidden straggler GPU. Neither
+/// can be switched off, so the skewed run is measured against the healthy
+/// server and against the narrower plan that leaves the straggler out: the
+/// straggler must stay a net gain of at least 10%. The median of three
+/// skewed runs must meet every bar, a steal included.
 #[test]
 fn steal_recovers_ten_percent_from_a_hidden_straggler() {
     let _serial = serialized();
-    let ab = steal(true);
-    ab.assert_rows_identical();
-    assert!(ab.on.stats.total_blocks_stolen() > 0, "the straggler's backlog was never stolen");
-    assert!(ab.gain_pct() >= 10.0, "stealing gained less than 10%: {}", ab.describe());
+    let config = join_reduce_config(EngineConfig::hybrid(8, 2));
+    let healthy = join_reduce(paper_server(false), FACT_ROWS, &config);
+    let mut skewed: Vec<QueryOutcome> =
+        (0..3).map(|_| join_reduce(paper_server(true), FACT_ROWS, &config)).collect();
+    // The same server without the straggler: hybrid(8,1) keeps the healthy
+    // first GPU only.
+    let one_gpu = join_reduce_config(EngineConfig::hybrid(8, 1));
+    let without = join_reduce(paper_server(true), FACT_ROWS, &one_gpu);
+
+    for run in &skewed {
+        assert_eq!(run.rows, healthy.rows, "a skewed run returned different rows");
+    }
+    skewed.sort_by(|a, b| a.seconds().total_cmp(&b.seconds()));
+    let median = &skewed[1];
+    let stolen = median.stats.total_blocks_stolen();
+    assert!(stolen > 0, "the median run stole nothing from the straggler's backlog");
+    let ewma = median.stats.max_observed_slowdown();
+    assert!(ewma > 1.5, "the hidden straggler was never observed: EWMA {ewma}");
+    let (skewed_s, healthy_s) = (median.seconds(), healthy.seconds());
+    assert!(
+        skewed_s <= 1.75 * healthy_s,
+        "the straggler cost more than 75%: {skewed_s}s vs healthy {healthy_s}s"
+    );
+    assert!(
+        skewed_s <= 0.9 * without.seconds(),
+        "the straggler GPU gained less than 10%: {skewed_s}s with it, {}s without",
+        without.seconds()
+    );
+    assert_pinned("skewed_s", skewed_s, SKEWED_JOIN_REDUCE_S);
+}
+
+/// Three hybrid(8,2) join+reduce runs on the healthy server, shared by the
+/// two healthy legs and run once. The defences are inert there, so they cost
+/// nothing: the median run may take at most 2% longer than the nominal
+/// [`HEALTHY_JOIN_REDUCE_S`], and its time is pinned. (Under host load one
+/// run in forty reads up to ~1% slower.)
+fn healthy_runs() -> &'static [QueryOutcome] {
+    static RUNS: OnceLock<Vec<QueryOutcome>> = OnceLock::new();
+    RUNS.get_or_init(|| {
+        let config = join_reduce_config(EngineConfig::hybrid(8, 2));
+        let mut runs: Vec<QueryOutcome> =
+            (0..3).map(|_| join_reduce(paper_server(false), FACT_ROWS, &config)).collect();
+        runs.sort_by(|a, b| a.seconds().total_cmp(&b.seconds()));
+        let median_s = runs[1].seconds();
+        let cost_pct = (median_s / HEALTHY_JOIN_REDUCE_S - 1.0) * 100.0;
+        assert!(cost_pct <= 2.0, "the defences cost {cost_pct:.2}% on a healthy server");
+        assert_pinned("healthy_s", median_s, HEALTHY_JOIN_REDUCE_S);
+        for run in &runs {
+            assert_eq!(run.rows, runs[0].rows, "two healthy runs returned different rows");
+        }
+        runs
+    })
 }
 
 #[test]
 fn steal_costs_at_most_two_percent_on_a_healthy_server() {
     let _serial = serialized();
-    let ab = steal(false);
-    ab.assert_rows_identical();
-    assert!(ab.gain_pct() >= -2.0, "stealing cost more than 2%: {}", ab.describe());
-    assert_pinned("steal_s", ab.on.seconds(), HEALTHY_JOIN_REDUCE_S);
-    assert_pinned("no_steal_s", ab.off.seconds(), HEALTHY_JOIN_REDUCE_S);
+    for run in healthy_runs() {
+        assert_eq!(run.stats.total_blocks_stolen(), 0, "a healthy server had blocks stolen");
+    }
 }
 
-#[test]
-fn calib_recovers_twenty_percent_from_a_hidden_straggler_without_stealing() {
-    let _serial = serialized();
-    let ab = median_of_three(|| calibration(true, FACT_ROWS));
-    ab.assert_rows_identical();
-    let ewma = ab.on.stats.max_observed_slowdown();
-    assert!(ewma > 1.5, "the hidden straggler was never observed: EWMA {ewma}");
-    assert!(ab.gain_pct() >= 20.0, "calibration gained less than 20%: {}", ab.describe());
-}
-
+/// Every device's multiplier stays exactly 1.0, so routing takes the path it
+/// would take without feedback.
 #[test]
 fn calib_costs_at_most_two_percent_on_a_healthy_server() {
     let _serial = serialized();
-    let ab = median_of_three(|| calibration(false, FACT_ROWS));
-    ab.assert_rows_identical();
-    assert_eq!(ab.on.stats.max_observed_slowdown(), 1.0, "a healthy device observed a slowdown");
-    assert!(ab.gain_pct() >= -2.0, "calibration cost more than 2%: {}", ab.describe());
-    assert_pinned("calibrated_s", ab.on.seconds(), HEALTHY_JOIN_REDUCE_S);
-    assert_pinned("nominal_s", ab.off.seconds(), HEALTHY_JOIN_REDUCE_S);
+    for run in healthy_runs() {
+        for (device, &ewma) in run.stats.observed_slowdowns.iter().enumerate() {
+            assert_eq!(ewma, 1.0, "healthy device {device} observed a slowdown");
+        }
+    }
 }
 
 #[test]
 fn calib_observes_the_dimension_filters_selectivity() {
     let _serial = serialized();
     // Stage 0 is the dimension filter `attr < 3` over 7 values of `attr`.
-    let ab = calibration(false, 50_000);
-    let observed = ab.on.stats.observed_selectivity(0).expect("the filter stage saw input");
+    let config = join_reduce_config(EngineConfig::hybrid(8, 2));
+    let outcome = join_reduce(paper_server(false), 50_000, &config);
+    let observed = outcome.stats.observed_selectivity(0).expect("the filter stage saw input");
     assert!((observed - 3.0 / 7.0).abs() < 0.01, "observed stage-0 selectivity {observed} != 3/7");
 }
 
@@ -262,10 +304,10 @@ fn serve_four_streams_at_least_one_and_a_half_times_faster_than_serial() {
     // The default physical scale, not the environment's: the bar and the
     // pins below hold for this data only.
     let workload = SsbWorkload::build(DEFAULT_PHYSICAL_SF, 100.0, false).unwrap();
-    // Stealing off: the isolated times, and so the fair timeline built from
-    // them, are deterministic.
-    let config =
-        workload.config(EngineConfig::hybrid(6, 1)).with_steal_policy(StealPolicy::Disabled);
+    // Nothing straggles, so nothing is stolen; the isolated times, and so
+    // the fair timeline built from them, vary run to run only where thread
+    // interleaving decides a block claim (under 0.05% of `serial_s`).
+    let config = workload.config(EngineConfig::hybrid(6, 1));
     let queries = workload.queries.clone();
     let engine = Arc::new(workload.engine_cpu_data);
     let expected: Vec<Vec<Vec<i64>>> =
@@ -310,29 +352,49 @@ fn serve_four_streams_at_least_one_and_a_half_times_faster_than_serial() {
 }
 
 /// The same plan submitted twice to one engine under `reopt`: `off` is the
-/// first run, `on` the second. The plan is mis-planned on purpose —
-/// hybrid(8,2) on the skewed server with calibration and stealing off — so
-/// nothing below the plan can rescue it.
-fn resubmitted(reopt: ReoptConfig) -> Ab {
-    let (engine, plan) = join_reduce_engine_on(paper_server(true), FACT_ROWS).unwrap();
-    let config = join_reduce_config(EngineConfig::hybrid(8, 2))
-        .with_calibration(CalibrationConfig::disabled())
-        .with_reopt(reopt);
+/// first run, `on` the second.
+fn resubmitted(topology: Arc<ServerTopology>, base: EngineConfig, reopt: ReoptConfig) -> Ab {
+    let (engine, plan) = join_reduce_engine_on(topology, FACT_ROWS).unwrap();
+    let config = join_reduce_config(base).with_reopt(reopt);
     let off = engine.session().execute(&plan, &config).unwrap();
     Ab { on: engine.session().execute(&plan, &config).unwrap(), off }
 }
 
+/// `cpu_only(8)` on the skewed server, mis-planned on purpose: routing
+/// cannot widen a placement, so only a rewrite can reach the GPUs.
+fn misplanned(reopt: ReoptConfig) -> Ab {
+    resubmitted(paper_server(true), EngineConfig::cpu_only(8), reopt)
+}
+
+#[test]
+fn reopt_second_run_recovers_half_of_a_misplanned_cpu_only_run() {
+    let _serial = serialized();
+    let ab = median_of_three(|| misplanned(ReoptConfig::enabled()));
+    ab.assert_rows_identical();
+    let replanned = ab.on.stats.reopt_applied.as_deref().expect("the second run was not rewritten");
+    assert!(replanned.starts_with("hybrid"), "the rewrite left the GPUs out: {replanned}");
+    // The rewrite runs on the straggler too, and observes it.
+    let ewma = ab.on.stats.max_observed_slowdown();
+    assert!(ewma > 1.5, "the hidden straggler was never observed: EWMA {ewma}");
+    assert!(ab.gain_pct() >= 50.0, "the second run recovered less than 50%: {}", ab.describe());
+}
+
+/// hybrid(2,2) on the skewed server: stealing and feedback steer work off
+/// the straggler, but two cores and one healthy GPU are all that is left to
+/// take it, so only a rewrite can widen the plan.
 #[test]
 fn reopt_second_run_recovers_twenty_percent_from_the_misplanned_hybrid() {
     let _serial = serialized();
-    let ab = median_of_three(|| resubmitted(ReoptConfig::enabled()));
+    let misplanned_hybrid =
+        || resubmitted(paper_server(true), EngineConfig::hybrid(2, 2), ReoptConfig::enabled());
+    let ab = median_of_three(misplanned_hybrid);
     ab.assert_rows_identical();
     let ewma = ab.off.stats.max_observed_slowdown();
     assert!(ewma > 1.5, "the hidden straggler was never observed: EWMA {ewma}");
     let replanned = ab.on.stats.reopt_applied.as_deref().expect("the second run was not rewritten");
     assert!(
-        !replanned.contains("(8,2)"),
-        "the rewrite kept the mis-planned hybrid(8,2): {replanned}"
+        !replanned.contains("(2,2)"),
+        "the rewrite kept the mis-planned hybrid(2,2): {replanned}"
     );
     assert!(ab.gain_pct() >= 20.0, "the second run recovered less than 20%: {}", ab.describe());
 }
@@ -340,8 +402,18 @@ fn reopt_second_run_recovers_twenty_percent_from_the_misplanned_hybrid() {
 #[test]
 fn reopt_disabled_never_rewrites_and_repeats_the_first_run() {
     let _serial = serialized();
-    let ab = median_of_three(|| resubmitted(ReoptConfig::disabled()));
+    let ab = median_of_three(|| misplanned(ReoptConfig::disabled()));
     ab.assert_rows_identical();
     assert_eq!(ab.on.stats.reopt_applied, None, "ReoptConfig::disabled() rewrote the plan");
     assert!(ab.gain_pct().abs() <= 5.0, "the two runs diverged by more than 5%: {}", ab.describe());
+}
+
+#[test]
+fn reopt_never_slows_a_healthy_resubmission() {
+    let _serial = serialized();
+    let healthy =
+        || resubmitted(paper_server(false), EngineConfig::hybrid(8, 2), ReoptConfig::enabled());
+    let ab = median_of_three(healthy);
+    ab.assert_rows_identical();
+    assert!(ab.gain_pct() >= -2.0, "the rewrite slowed a healthy run: {}", ab.describe());
 }

@@ -2,19 +2,18 @@
 //!
 //! Every CostModel term — demand-weighted staging quotas, the cross-node
 //! control-plane charge, the critical-path gate estimate, the
-//! link-congestion steal term — and every calibration input only moves
-//! block handles between *equivalent* consumers of the same stage: none of
-//! them may ever change a query's result. This harness generates random
-//! server topologies (1–4 sockets, 0–4 GPUs, random per-device slowdowns
-//! and PCIe link widths) and random small plans, then executes each plan
-//! under **every calibration toggle configuration** (both feedback inputs
-//! off, observed-slowdown routing feedback alone, steal-victim feedback
-//! alone, both on) and asserts the rows are byte-identical to
-//! `reference_execute` — the independent single-threaded oracle that shares
-//! no routing, queue or kernel code with the executor. The four cost-model
-//! terms and the topology's derived link constants are not toggles: every
-//! configuration prices them, under a deliberately tight staging budget so quota
-//! admission, leases and the demand re-split genuinely engage.
+//! link-congestion steal term — and the straggler estimator that routing,
+//! stealing and claim pacing read only move block handles between
+//! *equivalent* consumers of the same stage: none of them may ever change a
+//! query's result. This harness generates random server topologies (1–4
+//! sockets, 0–4 GPUs, random per-device slowdowns and PCIe link widths) and
+//! random small plans, executes each plan, and asserts the rows are
+//! byte-identical to `reference_execute` — the independent single-threaded
+//! oracle that shares no routing, queue or kernel code with the executor.
+//! None of these mechanisms is a toggle: every run prices them, under a
+//! deliberately tight staging budget so quota admission, leases and the
+//! demand re-split genuinely engage. Every run also checks the estimator
+//! itself: every device but the hidden straggler reads exactly 1.0.
 //!
 //! A standalone property pins the chunk kernel's selection-vector
 //! refinement primitive (ordered-subset, monotone shrinking, in-bounds).
@@ -32,11 +31,10 @@
 //! Seeding: the vendored proptest derives a deterministic per-function seed
 //! from the property's name, so every run (local and CI) explores the same
 //! fixed case sequence and failures reproduce exactly. The case budget is
-//! `HETEX_DIFF_CASES` generated scenarios (default 72); each scenario runs
-//! four toggle configurations against one reference run, i.e. 72 × 4 = 288
-//! differential toggle-cases per default run (the acceptance bar is 256+).
+//! `HETEX_DIFF_CASES` generated scenarios (default 72), each run once
+//! against one reference run.
 
-use hetexchange::common::{CalibrationConfig, ColumnData, DataType, EngineConfig, HetError};
+use hetexchange::common::{ColumnData, DataType, EngineConfig, HetError};
 use hetexchange::core_ops::cost::{SlowdownObserver, SLOWDOWN_EWMA_ALPHA};
 use hetexchange::core_ops::RelNode;
 use hetexchange::engine::{reference_execute, Proteus};
@@ -50,18 +48,6 @@ use std::sync::Arc;
 /// the default; the knob exists so a local soak can raise it.
 fn case_budget() -> u32 {
     std::env::var("HETEX_DIFF_CASES").ok().and_then(|v| v.parse().ok()).unwrap_or(72)
-}
-
-/// Every toggle configuration the differential sweep runs: both calibration
-/// inputs off, each alone, and the all-on default.
-fn toggle_configs() -> Vec<(&'static str, CalibrationConfig)> {
-    let off = CalibrationConfig::disabled();
-    vec![
-        ("calibration_off", off),
-        ("slowdown_feedback", off.with_slowdown_feedback(true)),
-        ("steal_feedback", off.with_steal_feedback(true)),
-        ("all_on", CalibrationConfig::default()),
-    ]
 }
 
 /// A random heterogeneous server: `sockets` sockets of `cores_per_socket`
@@ -176,9 +162,11 @@ fn random_plan(plan_pick: usize, filter_class: usize, filter_lit: i64) -> RelNod
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(case_budget()))]
 
-    /// The centerpiece: across random topologies and plans, execution under
-    /// every calibration toggle configuration produces byte-identical rows
-    /// to the `reference_execute` oracle.
+    /// The centerpiece: across random topologies and plans, execution
+    /// produces byte-identical rows to the `reference_execute` oracle, stays
+    /// within its staging budget, and observes no slowdown on any device but
+    /// the hidden straggler — the invariant that keeps a healthy server on
+    /// the path it would take with no straggler estimator at all.
     #[test]
     fn prop_every_toggle_configuration_matches_the_reference(
         sockets in 1usize..5,
@@ -220,25 +208,27 @@ proptest! {
 
         let expected = reference_execute(&plan, engine.catalog()).unwrap();
 
-        for (label, calibration) in toggle_configs() {
-            let outcome = engine
-                .session().execute(&plan, &config.clone().with_calibration(calibration))
-                .unwrap();
-            prop_assert_eq!(
-                &outcome.rows, &expected,
-                "toggle config `{}` changed the rows on sockets={} cores={} gpus={} \
-                 pcie={} slow=({}, {}) fact_rows={} plan={} dop=({}, {}) key_stride={}",
-                label, sockets, cores_per_socket, gpus, pcie_gbps_x10, slow_pick,
-                slowdown_x10, fact_rows, plan_pick, cpu_dop, gpu_dop, key_stride
+        let outcome = engine.session().execute(&plan, &config).unwrap();
+        let case = format!(
+            "sockets={sockets} cores={cores_per_socket} gpus={gpus} pcie={pcie_gbps_x10} \
+             slow=({slow_pick}, {slowdown_x10}) fact_rows={fact_rows} plan={plan_pick} \
+             dop=({cpu_dop}, {gpu_dop}) key_stride={key_stride}"
+        );
+        prop_assert_eq!(&outcome.rows, &expected, "rows changed on {}", case);
+        // The demand re-split may never oversubscribe the arena.
+        for (node, peak) in &outcome.stats.staging_peaks {
+            prop_assert!(
+                *peak <= config.staging_bytes,
+                "node {} peaked at {} > budget {} on {}",
+                node, peak, config.staging_bytes, case
             );
-            // Every toggle configuration must also stay within the staging
-            // budget (the demand re-split may never oversubscribe the arena).
-            for (node, peak) in &outcome.stats.staging_peaks {
-                prop_assert!(
-                    *peak <= config.staging_bytes,
-                    "toggle config `{}`: node {} peaked at {} > budget {}",
-                    label, node, peak, config.staging_bytes
-                );
+        }
+        // Healthy devices are charged exactly their nominal cost, so their
+        // EWMAs never leave 1.0.
+        let straggler = (slowdown_x10 > 10).then(|| slow_pick % topology.devices().len());
+        for (device, &ewma) in outcome.stats.observed_slowdowns.iter().enumerate() {
+            if Some(device) != straggler {
+                prop_assert_eq!(ewma, 1.0, "healthy device {} observed slow on {}", device, case);
             }
         }
     }
@@ -284,7 +274,7 @@ proptest! {
         prop_assert!(sel.windows(2).all(|w| w[0] < w[1]));
     }
 
-    /// Calibration-loop soundness: the `SlowdownObserver` EWMA is monotone
+    /// Straggler-estimator soundness: the `SlowdownObserver` EWMA is monotone
     /// in the injected `exec_slowdown` — a device hidden-slowed by a larger
     /// factor can never be *observed* as less slow, whatever the nominal
     /// per-block costs and however many blocks were folded in. (The routing
@@ -370,7 +360,7 @@ proptest! {
         cpu_dop_raw in 1usize..9,
         stride_pick in 0usize..2,
     ) {
-        use hetexchange::common::{ServeConfig, StealPolicy};
+        use hetexchange::common::ServeConfig;
         let topology = random_topology(
             sockets, cores_per_socket, gpus, pcie_gbps_x10 as f64 / 10.0, 0, 1.0,
         ).unwrap();
@@ -385,7 +375,6 @@ proptest! {
             EngineConfig::hybrid(cpu_dop, gpu_dop)
         };
         config.block_capacity = 256;
-        config.steal_policy = StealPolicy::Disabled;
 
         let off = engine.session().execute(&plan, &config).unwrap();
         let on = engine
@@ -426,7 +415,7 @@ proptest! {
         cpu_dop_raw in 1usize..9,
         stride_pick in 0usize..2,
     ) {
-        use hetexchange::common::{ReoptConfig, StealPolicy};
+        use hetexchange::common::ReoptConfig;
         let topology = random_topology(
             sockets, cores_per_socket, gpus, pcie_gbps_x10 as f64 / 10.0, 0, 1.0,
         ).unwrap();
@@ -441,7 +430,6 @@ proptest! {
             EngineConfig::hybrid(cpu_dop, gpu_dop)
         };
         config.block_capacity = 256;
-        config.steal_policy = StealPolicy::Disabled;
 
         // Disabled runs record no feedback, so the enabled run that follows
         // still sees a cold cache for this plan fingerprint.

@@ -4,7 +4,7 @@
 //! zero, and execution with stealing produces byte-identical rows to the
 //! `reference_execute` oracle on a skewed (hidden-straggler) server.
 
-use hetexchange::common::{ColumnData, DataType, EngineConfig, StealPolicy};
+use hetexchange::common::{ColumnData, DataType, EngineConfig};
 use hetexchange::core_ops::queue::BlockQueue;
 use hetexchange::core_ops::RelNode;
 use hetexchange::engine::{reference_execute, Proteus};
@@ -138,14 +138,15 @@ fn join_plan() -> RelNode {
         .reduce(vec![AggSpec::sum(Expr::col(1)), AggSpec::count()], &["sum_v", "cnt"])
 }
 
-/// PR-3's "near-equilibrium" safety claim, sharpened by the cost model's
-/// link-congestion term: on a *healthy* server with congestion pricing,
-/// enabling stealing must take **zero steals** and leave the **simulated
-/// time unchanged** relative to `StealPolicy::Disabled`. The exact-equality half runs on an ungated
-/// single-stage plan, where simulated time is fully deterministic (gated
-/// plans read the gate estimate at wall-clock-dependent routing instants, so
-/// their simulated times carry schedule noise in *both* policies — rows and
-/// steal counts stay exact there; see the gated half below).
+/// The "near-equilibrium" safety claim, sharpened by the cost model's
+/// link-congestion term: on a *healthy* server, where no device is an
+/// observed straggler, stealing must take **zero steals** and leave the
+/// **simulated time deterministic** — two runs agree to the nanosecond. The
+/// exact-equality half runs on an ungated single-stage plan, where simulated
+/// time is fully deterministic (gated plans read the gate estimate at
+/// wall-clock-dependent routing instants, so their simulated times carry
+/// schedule noise — rows and steal counts stay exact there; see the gated
+/// half below).
 #[test]
 fn healthy_server_with_congestion_pricing_steals_nothing_and_keeps_sim_time() {
     let engine = skewed_engine(60_000, 15_000, 1.0); // slowdown 1.0 = healthy
@@ -162,29 +163,28 @@ fn healthy_server_with_congestion_pricing_steals_nothing_and_keeps_sim_time() {
         // The default staging budget keeps every arena under half full, so
         // the occupancy penalty (which reads live, wall-clock-dependent
         // occupancy) never engages and routing stays deterministic.
-        let stealing = engine.session().execute(&scan_plan(), &config).unwrap();
-        let bound = engine
-            .session()
-            .execute(&scan_plan(), &config.clone().with_steal_policy(StealPolicy::Disabled))
-            .unwrap();
-        assert_eq!(stealing.rows, bound.rows, "{label}: rows must match");
+        let first = engine.session().execute(&scan_plan(), &config).unwrap();
+        let second = engine.session().execute(&scan_plan(), &config).unwrap();
+        assert_eq!(first.rows, second.rows, "{label}: rows must match");
+        for run in [&first, &second] {
+            assert_eq!(
+                run.stats.total_blocks_stolen(),
+                0,
+                "{label}: a healthy server must take zero steals"
+            );
+        }
         assert_eq!(
-            stealing.stats.total_blocks_stolen(),
-            0,
-            "{label}: a healthy server must take zero steals"
-        );
-        assert_eq!(
-            stealing.sim_time, bound.sim_time,
-            "{label}: zero steals must leave the simulated time unchanged"
+            first.sim_time, second.sim_time,
+            "{label}: zero steals must leave the simulated time deterministic"
         );
     }
 }
 
 /// The gated half of the healthy-server safety claim: on the join plan
-/// (whose simulated time carries gate-estimate schedule noise in both
-/// policies), stealing with congestion pricing still takes zero steals and
-/// produces byte-identical rows — the straggler gate refuses healthy
-/// victims, and the congestion term is its second line.
+/// (whose simulated time carries gate-estimate schedule noise), stealing
+/// with congestion pricing still takes zero steals and produces
+/// byte-identical rows — the straggler gate refuses healthy victims, and
+/// the congestion term is its second line.
 #[test]
 fn healthy_server_join_takes_zero_steals() {
     let engine = skewed_engine(40_000, 10_000, 1.0);
@@ -211,8 +211,7 @@ proptest! {
     ) {
         let dim_rows = fact_rows / 4;
         let engine = skewed_engine(fact_rows, dim_rows, slowdown as f64);
-        let mut config = EngineConfig::hybrid(cpus, gpus)
-            .with_steal_policy(StealPolicy::TailMostLoaded);
+        let mut config = EngineConfig::hybrid(cpus, gpus);
         config.block_capacity = 512;
         config.scale_weight = 10_000.0;
         let budget = config.min_staging_bytes() * 3;
