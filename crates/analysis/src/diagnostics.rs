@@ -29,8 +29,8 @@ impl fmt::Display for Severity {
 }
 
 /// Stable diagnostic codes, grouped by check family:
-/// `HX00x` IR / schema, `HX01x` stage graph, `HX02x` staging memory,
-/// `HX03x` config / fault plan.
+/// `HX00x` IR / schema, `HX01x` stage graph, `HX02x` staging memory.
+/// Codes of retired checks stay unused (DESIGN.md §9 lists them).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Code {
     /// Cross-stage schema mismatch: a stage's input width disagrees with
@@ -74,18 +74,6 @@ pub enum Code {
     /// Staging governance degraded: per-queue quota carve-outs on some node
     /// fall below one block (near-lockstep progress).
     HX021,
-    /// The fault plan references a device or memory node that does not exist
-    /// in the topology, or carries an out-of-range probability.
-    HX030,
-    /// Wedge injection with the watchdog disabled: the documented-invalid
-    /// combination that turns a wedge into an unbounded hang.
-    HX031,
-    /// A transient-failure window with both transient retry and quarantine
-    /// disabled: any injected failure aborts the query outright.
-    HX032,
-    /// A fault-plan entry that can never fire (empty time window, zero
-    /// probability, zero-byte burst).
-    HX033,
 }
 
 impl Code {
@@ -105,19 +93,13 @@ impl Code {
             Code::HX014 => "HX014",
             Code::HX020 => "HX020",
             Code::HX021 => "HX021",
-            Code::HX030 => "HX030",
-            Code::HX031 => "HX031",
-            Code::HX032 => "HX032",
-            Code::HX033 => "HX033",
         }
     }
 
     /// The severity this code reports at.
     pub fn severity(self) -> Severity {
         match self {
-            Code::HX004 | Code::HX006 | Code::HX007 | Code::HX021 | Code::HX032 | Code::HX033 => {
-                Severity::Warning
-            }
+            Code::HX004 | Code::HX006 | Code::HX007 | Code::HX021 => Severity::Warning,
             _ => Severity::Error,
         }
     }
@@ -138,10 +120,6 @@ impl Code {
             Code::HX014 => "result-stage problems",
             Code::HX020 => "staging budget below deadlock-freedom floor",
             Code::HX021 => "degraded staging governance",
-            Code::HX030 => "fault plan names unknown device/node",
-            Code::HX031 => "wedge injection without watchdog",
-            Code::HX032 => "transient faults with recovery disabled",
-            Code::HX033 => "fault-plan entry never fires",
         }
     }
 }
@@ -251,8 +229,8 @@ mod tests {
     fn severity_follows_the_catalog() {
         assert_eq!(Code::HX001.severity(), Severity::Error);
         assert_eq!(Code::HX004.severity(), Severity::Warning);
-        assert_eq!(Code::HX031.severity(), Severity::Error);
-        assert_eq!(Code::HX033.severity(), Severity::Warning);
+        assert_eq!(Code::HX020.severity(), Severity::Error);
+        assert_eq!(Code::HX021.severity(), Severity::Warning);
     }
 
     #[test]

@@ -1,11 +1,11 @@
 //! # hetex-analysis
 //!
 //! Static verification of compiled queries: prove a [`StageGraph`] will
-//! execute — correct shapes, acyclic wiring, deadlock-free staging, a
-//! satisfiable fault plan — *without running it*.
+//! execute — correct shapes, acyclic wiring, deadlock-free staging —
+//! *without running it*.
 //!
 //! HetExchange's premise is that the query plan is a program; this crate is
-//! that program's type checker and linter. [`analyze`] runs four check
+//! that program's type checker and linter. [`analyze`] runs three check
 //! families over a compiled query and returns an [`AnalysisReport`] of
 //! [`Diagnostic`]s with stable `HX0xx` codes (see [`Code`] for the catalog):
 //!
@@ -20,22 +20,18 @@
 //! * **Staging deadlock-freedom** (`HX02x`, [`staging_check`]) — the §4.2
 //!   lease-ordering precondition proved per memory node against the actual
 //!   consumer placement.
-//! * **Config/fault-plan cross-validation** (`HX03x`, [`config_check`]) —
-//!   fault plans name real devices and are recoverable under the configured
-//!   fault-tolerance toggles.
 //!
-//! The engine runs [`analyze`] before executing every query (governed by
-//! `EngineConfig::analysis`); the `plan_lint` binary runs it over every
-//! bench and SSB plan in CI; and the mutation suite in `tests/` proves each
-//! lint actually fires.
+//! The engine runs [`analyze`] before executing every query and rejects a
+//! plan with error-severity diagnostics (fault plans are validated where
+//! they enter, by `ServerTopology::with_fault_plan`); the `plan_lint` binary
+//! runs it over every bench and SSB plan in CI; and the mutation suite in
+//! `tests/` proves each lint actually fires.
 
-pub mod config_check;
 pub mod diagnostics;
 pub mod graph_check;
 pub mod ir_check;
 pub mod staging_check;
 
-pub use config_check::check_fault_plan;
 pub use diagnostics::{AnalysisReport, Code, Diagnostic, Severity};
 
 use hetex_common::EngineConfig;
@@ -52,7 +48,6 @@ pub fn analyze(
     ir_check::check(graph, &mut report);
     graph_check::check(graph, topology, &mut report);
     staging_check::check(graph, config, topology, &mut report);
-    config_check::check(&config.fault, topology, &mut report);
     report
 }
 

@@ -6,16 +6,16 @@
 //!   under every execution target, analyze completely clean (property test).
 //! * **Each lint fires** — every mutation class seeds a specific defect into
 //!   a compiled stage graph (the `Stage`/`StageWiring` fields are public
-//!   exactly so tests can corrupt them) or into a config/fault plan, and the
+//!   exactly so tests can corrupt them) or into its config, and the
 //!   test asserts the *expected* HX code is reported — not just "something
 //!   failed".
 
-use hetex_analysis::{analyze, check_fault_plan, AnalysisReport, Code};
-use hetex_common::{EngineConfig, FaultConfig};
+use hetex_analysis::{analyze, AnalysisReport, Code};
+use hetex_common::EngineConfig;
 use hetex_core::codegen::{StageGraph, StageSource};
 use hetex_core::{compile, parallelize, RelNode};
 use hetex_jit::{AggSpec, Expr};
-use hetex_topology::{DeviceId, DeviceKind, FaultPlan, ServerTopology, SimTime};
+use hetex_topology::{DeviceId, DeviceKind, ServerTopology};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -270,57 +270,9 @@ fn mutation_sub_block_quota_carve_out_is_hx021() {
     assert!(!report.has_errors(), "HX021 is a warning");
 }
 
-#[test]
-fn mutation_unknown_fault_device_is_hx030() {
-    let topology = ServerTopology::paper_server();
-    let plan = FaultPlan::new().abort_device(DeviceId::new(999), SimTime::ZERO);
-    let mut report = AnalysisReport::new();
-    check_fault_plan(&plan, &topology, &FaultConfig::default(), &mut report);
-    assert_fires(&report, Code::HX030, "unknown fault device");
-}
-
-#[test]
-fn mutation_wedge_without_watchdog_is_hx031() {
-    let topology = ServerTopology::paper_server();
-    let device = topology.cpu_cores()[0];
-    let plan = FaultPlan::new().wedge_worker(device, SimTime::from_micros(5));
-    let config = FaultConfig { watchdog: false, ..FaultConfig::default() };
-    let mut report = AnalysisReport::new();
-    check_fault_plan(&plan, &topology, &config, &mut report);
-    assert_fires(&report, Code::HX031, "wedge without watchdog");
-}
-
-#[test]
-fn mutation_transients_without_recovery_is_hx032() {
-    let topology = ServerTopology::paper_server();
-    let device = topology.gpus()[0];
-    let plan =
-        FaultPlan::new().transient_window(device, SimTime::ZERO, SimTime::from_millis(10), 0.5, 42);
-    let config =
-        FaultConfig { transient_retry: false, quarantine: false, ..FaultConfig::default() };
-    let mut report = AnalysisReport::new();
-    check_fault_plan(&plan, &topology, &config, &mut report);
-    assert_fires(&report, Code::HX032, "transients without recovery");
-}
-
-#[test]
-fn mutation_never_firing_entries_are_hx033() {
-    let topology = ServerTopology::paper_server();
-    let device = topology.gpus()[0];
-    let node = topology.cpu_memory_nodes()[0];
-    // An empty transient window and a zero-byte burst: both dead entries.
-    let plan = FaultPlan::new()
-        .transient_window(device, SimTime::from_millis(5), SimTime::from_millis(5), 0.5, 42)
-        .arena_burst(node, 0, SimTime::ZERO, SimTime::from_millis(1));
-    let mut report = AnalysisReport::new();
-    check_fault_plan(&plan, &topology, &FaultConfig::default(), &mut report);
-    assert_fires(&report, Code::HX033, "never-firing fault entries");
-    assert_eq!(report.diagnostics().len(), 2, "both dead entries reported");
-}
-
-/// The engine-facing contract: a mutated plan is *rejected* under the
-/// default `AnalysisMode::Deny` before any execution. Exercised here at the
-/// analyzer level (error severities present ⇒ `Proteus::verify` errors).
+/// The engine-facing contract: a mutated plan is *rejected* before any
+/// execution. Exercised here at the analyzer level (error severities
+/// present ⇒ `Proteus::verify` errors).
 #[test]
 fn mutations_produce_error_severities_that_deny_would_reject() {
     let config = hybrid();

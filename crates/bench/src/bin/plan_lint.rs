@@ -3,8 +3,8 @@
 //!
 //! Usage: `plan_lint` — prints a per-plan markdown table and exits 1 when
 //! any plan draws an error-severity diagnostic (warnings are reported but do
-//! not fail the run; the engine's own `AnalysisMode::Deny` gate mirrors this
-//! split at execution time). When `GITHUB_STEP_SUMMARY` is set (a GitHub
+//! not fail the run; the engine's own pre-execution check makes the same
+//! split). When `GITHUB_STEP_SUMMARY` is set (a GitHub
 //! Actions step), the table is appended to the workflow summary page.
 //!
 //! The linted corpus is every plan a bench bin compiles: the thirteen SSB
@@ -19,7 +19,7 @@
 use hetex_analysis::analyze;
 use hetex_bench::micro::{MicroQuery, MicroWorkload};
 use hetex_bench::SsbWorkload;
-use hetex_common::{EngineConfig, ReoptConfig, ServeConfig};
+use hetex_common::{EngineConfig, ReoptConfig};
 use hetex_core::{compile, parallelize, RelNode};
 use hetex_topology::ServerTopology;
 use std::process::exit;
@@ -62,18 +62,17 @@ fn lint(
     })
 }
 
-/// The three execution targets the figure harnesses sweep, the serving
-/// configuration `tests/adaptive_scenarios.rs` serves SSB under (serving
-/// enabled: the lint proves a plan admitted by the `QueryServer` also
-/// validates and analyzes cleanly),
-/// and the `reopt` target whose searched plan space is linted candidate by
+/// The three execution targets the figure harnesses sweep, the
+/// configuration `tests/adaptive_scenarios.rs` serves SSB under (the lint
+/// proves a plan the `QueryServer` admits also validates and analyzes
+/// cleanly), and the `reopt` target whose searched plan space is linted candidate by
 /// candidate.
 fn targets() -> [(&'static str, EngineConfig); 5] {
     [
         ("cpu", EngineConfig::cpu_only(8)),
         ("gpu", EngineConfig::gpu_only(2)),
         ("hybrid", EngineConfig::hybrid(8, 2)),
-        ("serve", EngineConfig::hybrid(6, 1).with_serve(ServeConfig::serving())),
+        ("serve", EngineConfig::hybrid(6, 1)),
         ("reopt", EngineConfig::hybrid(8, 2).with_reopt(ReoptConfig::enabled())),
     ]
 }

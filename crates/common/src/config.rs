@@ -27,87 +27,6 @@ impl ExecutionTarget {
     }
 }
 
-/// What the engine does with the findings of the pre-execution static
-/// analysis pass (the `hetex-analysis` crate) it runs over every compiled
-/// query.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum AnalysisMode {
-    /// Error-severity diagnostics reject the query before execution;
-    /// warnings are printed to stderr. This is the default.
-    #[default]
-    Deny,
-    /// All diagnostics (errors included) are printed to stderr and the
-    /// query executes anyway — an escape hatch for debugging the analyzer
-    /// itself or deliberately running a flagged plan.
-    Warn,
-    /// The analysis pass is skipped entirely.
-    Off,
-}
-
-/// Toggles of the fault-tolerance machinery in the pipelined executor.
-///
-/// All machinery is additionally gated on a `FaultPlan` being attached to the
-/// topology — a healthy run (no plan) takes none of these paths and charges
-/// no simulated time to any of them, so the fault subsystem is free when
-/// unused. These toggles select how much of the recovery ladder engages when
-/// faults *do* fire; `FaultConfig::disabled()` reproduces the PR 1 behaviour
-/// (any failure poison-cascades the whole query).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FaultConfig {
-    /// Retry transient kernel failures in place with bounded, sim-charged
-    /// exponential backoff before escalating to a quarantine.
-    pub transient_retry: bool,
-    /// Quarantine a permanently failed device: stop routing to it, drain its
-    /// queued anonymous blocks to surviving same-stage siblings, and restart
-    /// from the gate when its blocks were semantically bound (hash/target).
-    pub quarantine: bool,
-    /// Per-stage watchdog that converts a wedged (no-progress) worker into a
-    /// quarantine instead of an unbounded hang.
-    pub watchdog: bool,
-    /// Engine-level degraded restart: when a query still fails with a
-    /// structured `DeviceLost`/`Wedged` error, re-plan and re-execute on the
-    /// surviving devices (CPU-only if every GPU is gone).
-    pub degraded_restart: bool,
-}
-
-impl Default for FaultConfig {
-    fn default() -> Self {
-        Self { transient_retry: true, quarantine: true, watchdog: true, degraded_restart: true }
-    }
-}
-
-impl FaultConfig {
-    /// Every recovery path disabled — the PR 1 poison-cascade behaviour:
-    /// the first failure aborts the query with a structured error.
-    pub fn disabled() -> Self {
-        Self { transient_retry: false, quarantine: false, watchdog: false, degraded_restart: false }
-    }
-
-    /// Toggle in-place transient retries.
-    pub fn with_transient_retry(mut self, on: bool) -> Self {
-        self.transient_retry = on;
-        self
-    }
-
-    /// Toggle device quarantine and block re-routing.
-    pub fn with_quarantine(mut self, on: bool) -> Self {
-        self.quarantine = on;
-        self
-    }
-
-    /// Toggle the per-stage no-progress watchdog.
-    pub fn with_watchdog(mut self, on: bool) -> Self {
-        self.watchdog = on;
-        self
-    }
-
-    /// Toggle the engine-level degraded restart.
-    pub fn with_degraded_restart(mut self, on: bool) -> Self {
-        self.degraded_restart = on;
-        self
-    }
-}
-
 /// Priority class of a query session submitted to the serving layer.
 ///
 /// Admission is strict-priority with FIFO order inside each class: a waiting
@@ -157,18 +76,11 @@ impl Priority {
     }
 }
 
-/// Configuration of the multi-query serving layer (`hetex-engine`'s
-/// `QueryServer`).
-///
-/// Default **off**: a plain [`EngineConfig::default`] never engages the
-/// serving machinery, so the single-query `Proteus::execute` path stays
-/// bit-identical to the pre-serving engine (asserted by the differential
-/// suite). `ServeConfig::serving()` turns it on with the default pool and
-/// admission budget.
+/// Configuration of the multi-query serving layer: the argument of
+/// `hetex-engine`'s `QueryServer::new`. A single-query `Proteus::execute`
+/// never reads it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServeConfig {
-    /// Master switch of the serving layer.
-    pub enabled: bool,
     /// Size of the shared worker pool: the maximum number of query sessions
     /// executing concurrently (admission may hold it lower).
     pub workers: usize,
@@ -180,22 +92,10 @@ pub struct ServeConfig {
     pub admission_bytes: Option<u64>,
 }
 
-impl Default for ServeConfig {
-    fn default() -> Self {
-        Self::disabled()
-    }
-}
-
 impl ServeConfig {
-    /// The serving layer switched off — the default, single-query behaviour.
-    pub fn disabled() -> Self {
-        Self { enabled: false, workers: DEFAULT_SERVE_WORKERS, admission_bytes: None }
-    }
-
-    /// The serving layer switched on with the default worker pool and
-    /// admission budget.
+    /// The default worker pool and admission budget.
     pub fn serving() -> Self {
-        Self { enabled: true, ..Self::disabled() }
+        Self { workers: DEFAULT_SERVE_WORKERS, admission_bytes: None }
     }
 
     /// Set the shared worker-pool size.
@@ -309,17 +209,6 @@ pub struct EngineConfig {
     /// released. The handle count of each queue is separately capped at
     /// [`DEFAULT_QUEUE_CAPACITY`].
     pub staging_bytes: u64,
-    /// Fault-tolerance toggles: how much of the recovery ladder (retry,
-    /// quarantine, watchdog, degraded restart) engages when injected or real
-    /// faults fire. Inert when the topology carries no fault plan.
-    pub fault: FaultConfig,
-    /// What to do with the findings of the pre-execution static analysis
-    /// pass: reject on errors (default), warn-and-run, or skip the pass.
-    pub analysis: AnalysisMode,
-    /// Multi-query serving toggles: admission budget and shared worker pool
-    /// of the `QueryServer` session layer. Off by default — the single-query
-    /// `Proteus::execute` path never consults this group.
-    pub serve: ServeConfig,
     /// Feedback-driven plan re-optimization toggles: whether repeated
     /// queries are re-planned from their previous runs' measurements. Off by
     /// default — a disabled group never fingerprints a plan or touches the
@@ -339,9 +228,6 @@ impl Default for EngineConfig {
             scale_weight: 1.0,
             table_weights: Vec::new(),
             staging_bytes: DEFAULT_STAGING_BYTES,
-            fault: FaultConfig::default(),
-            analysis: AnalysisMode::default(),
-            serve: ServeConfig::default(),
             reopt: ReoptConfig::default(),
         }
     }
@@ -399,24 +285,6 @@ impl EngineConfig {
     /// Set a per-table weight override.
     pub fn with_table_weight(mut self, table: impl Into<String>, weight: f64) -> Self {
         self.table_weights.push((table.into(), weight));
-        self
-    }
-
-    /// Select which fault-recovery paths are active.
-    pub fn with_fault(mut self, fault: FaultConfig) -> Self {
-        self.fault = fault;
-        self
-    }
-
-    /// Select what the engine does with static-analysis findings.
-    pub fn with_analysis(mut self, mode: AnalysisMode) -> Self {
-        self.analysis = mode;
-        self
-    }
-
-    /// Select the multi-query serving toggles.
-    pub fn with_serve(mut self, serve: ServeConfig) -> Self {
-        self.serve = serve;
         self
     }
 
@@ -480,22 +348,6 @@ impl EngineConfig {
             _ if self.scale_weight <= 0.0 => {
                 Err(HetError::Config("scale_weight must be positive".into()))
             }
-            _ if self.serve.enabled && self.serve.workers == 0 => {
-                Err(HetError::Config("serving requires at least one worker".into()))
-            }
-            _ if self.serve.enabled && self.serve.admission_bytes == Some(0) => {
-                Err(HetError::Config("serving admission budget must be positive".into()))
-            }
-            _ if self.serve.enabled
-                && self.serve.effective_admission_bytes() < self.est_serve_footprint_bytes() =>
-            {
-                Err(HetError::Config(format!(
-                    "serving admission budget ({}) cannot admit even one query of this \
-                     configuration (estimated peak staging footprint {} bytes per node)",
-                    self.serve.effective_admission_bytes(),
-                    self.est_serve_footprint_bytes()
-                )))
-            }
             _ if self.staging_bytes < self.min_staging_bytes() => Err(HetError::Config(format!(
                 "staging_bytes ({}) must cover at least one maximum-size block per active \
                      consumer: {} consumers x {} bytes/block (block_capacity {} x {} bytes/tuple) \
@@ -514,7 +366,8 @@ impl EngineConfig {
     /// The configuration this one degrades to when only `cpus` CPU cores and
     /// `gpus` GPUs survive a device loss: DOPs clamp to the survivors, a
     /// GPU-dependent target falls back to CPU-only when every GPU is gone
-    /// (on every surviving core when it had no CPU workers of its own),
+    /// (when it had no CPU workers of its own, on every surviving core its
+    /// staging budget covers, so the degraded plan still validates),
     /// and `None` means no degraded plan exists (no survivors can host the
     /// target). This is the clamping logic the engine's degraded-restart
     /// ladder applies between attempts, lifted out of the execute path so the
@@ -532,7 +385,9 @@ impl EngineConfig {
             // Every surviving plan must run somewhere: fall back to CPU-only.
             cfg.target = ExecutionTarget::CpuOnly;
             if cfg.cpu_dop == 0 {
-                cfg.cpu_dop = cpus;
+                // Every surviving core the staging budget has room for: the
+                // budget covered one block per consumer before the loss.
+                cfg.cpu_dop = cpus.min((cfg.staging_bytes / cfg.est_max_block_bytes()) as usize);
             }
         }
         if cfg.cpu_dop == 0 && cfg.target == ExecutionTarget::CpuOnly {
@@ -586,57 +441,13 @@ mod tests {
     }
 
     #[test]
-    fn fault_recovery_defaults_on_and_toggles_individually() {
-        let cfg = EngineConfig::default();
-        assert_eq!(cfg.fault, FaultConfig::default());
-        assert!(cfg.fault.transient_retry && cfg.fault.quarantine);
-        assert!(cfg.fault.watchdog && cfg.fault.degraded_restart);
-        let off = FaultConfig::disabled();
-        assert!(!off.transient_retry && !off.quarantine);
-        assert!(!off.watchdog && !off.degraded_restart);
-        let one = FaultConfig::disabled().with_quarantine(true);
-        assert!(one.quarantine && !one.transient_retry && !one.watchdog);
-        let two = FaultConfig::disabled().with_watchdog(true).with_transient_retry(true);
-        assert!(two.watchdog && two.transient_retry && !two.degraded_restart);
-        let three = FaultConfig::default().with_degraded_restart(false);
-        assert!(!three.degraded_restart && three.quarantine);
-        let cfg = cfg.with_fault(off);
-        assert_eq!(cfg.fault, FaultConfig::disabled());
-        cfg.validate().unwrap();
-    }
-
-    #[test]
-    fn serving_defaults_off_and_toggles_independently() {
-        // Default off: a plain config never engages the serving layer.
-        let cfg = EngineConfig::default();
-        assert_eq!(cfg.serve, ServeConfig::disabled());
-        assert!(!cfg.serve.enabled);
-        cfg.validate().unwrap();
-        // Switched on: defaults are a valid pool and budget.
-        let on = EngineConfig::default().with_serve(ServeConfig::serving());
-        assert!(on.serve.enabled);
-        assert_eq!(on.serve.workers, DEFAULT_SERVE_WORKERS);
-        assert_eq!(on.serve.effective_admission_bytes(), DEFAULT_SERVE_ADMISSION_BYTES);
-        on.validate().unwrap();
-        // Knobs toggle independently.
-        let tuned = ServeConfig::serving().with_workers(2).with_admission_bytes(Some(1 << 30));
-        assert!(tuned.enabled && tuned.workers == 2);
+    fn serve_config_defaults_and_builders() {
+        let serve = ServeConfig::serving();
+        assert_eq!(serve.workers, DEFAULT_SERVE_WORKERS);
+        assert_eq!(serve.effective_admission_bytes(), DEFAULT_SERVE_ADMISSION_BYTES);
+        let tuned = serve.with_workers(2).with_admission_bytes(Some(1 << 30));
+        assert_eq!(tuned.workers, 2);
         assert_eq!(tuned.effective_admission_bytes(), 1 << 30);
-        // Invalid serving configs are rejected — but only when enabled.
-        let zero_workers =
-            EngineConfig::default().with_serve(ServeConfig::serving().with_workers(0));
-        assert_eq!(zero_workers.validate().unwrap_err().category(), "config");
-        let no_budget = EngineConfig::default()
-            .with_serve(ServeConfig::serving().with_admission_bytes(Some(0)));
-        assert_eq!(no_budget.validate().unwrap_err().category(), "config");
-        let off_zero_workers =
-            EngineConfig::default().with_serve(ServeConfig::disabled().with_workers(0));
-        off_zero_workers.validate().unwrap();
-        // A budget that cannot admit even one query is rejected.
-        let starved = EngineConfig::default()
-            .with_serve(ServeConfig::serving().with_admission_bytes(Some(1024)));
-        let err = starved.validate().unwrap_err();
-        assert!(err.to_string().contains("cannot admit"), "descriptive: {err}");
     }
 
     #[test]
@@ -727,5 +538,12 @@ mod tests {
         assert_eq!(gpu_fallback.target, ExecutionTarget::CpuOnly);
         assert_eq!((gpu_fallback.cpu_dop, gpu_fallback.gpu_dop), (6, 0));
         gpu_fallback.validate().unwrap();
+        // A staging budget sized for the two GPUs' consumers caps how many
+        // surviving cores the fallback may use.
+        let gpu_only = EngineConfig::gpu_only(2);
+        let tight = EngineConfig { staging_bytes: gpu_only.min_staging_bytes() * 5, ..gpu_only };
+        let tight_fallback = tight.degraded_for(24, 0).unwrap();
+        assert_eq!(tight_fallback.cpu_dop, 10);
+        tight_fallback.validate().unwrap();
     }
 }

@@ -722,17 +722,6 @@ mod tests {
     }
 
     #[test]
-    fn construction_carries_the_configured_toggles() {
-        // No configuration knob reaches the model: every configuration
-        // builds the default, unattached model, which prices nominal.
-        for config in [EngineConfig::default(), EngineConfig::cpu_only(1)] {
-            let model = CostModel::from_config(&config);
-            assert_eq!(format!("{model:?}"), format!("{:?}", CostModel::default()));
-            assert_eq!(model.observed_device_slowdown(0), 1.0);
-        }
-    }
-
-    #[test]
     fn slowdown_observer_seeds_converges_and_floors() {
         let observer = SlowdownObserver::new(2);
         // Unobserved slots read nominal.
@@ -771,6 +760,17 @@ mod tests {
         // Every sample was 4.0, so whatever interleaving happened the EWMA
         // is exactly 4.0.
         assert_eq!(observer.slowdown(0), 4.0);
+    }
+
+    #[test]
+    fn construction_carries_the_configured_toggles() {
+        // No configuration knob reaches the model: every configuration
+        // builds the default, unattached model, which prices nominal.
+        for config in [EngineConfig::default(), EngineConfig::cpu_only(1)] {
+            let model = CostModel::from_config(&config);
+            assert_eq!(format!("{model:?}"), format!("{:?}", CostModel::default()));
+            assert_eq!(model.observed_device_slowdown(0), 1.0);
+        }
     }
 
     #[test]

@@ -9,7 +9,7 @@
 
 use crate::codegen::compile;
 use crate::executor::{DeviceKindStats, Executor};
-use hetex_common::{AnalysisMode, EngineConfig, HetError, MemoryNodeId, Result};
+use hetex_common::{EngineConfig, HetError, MemoryNodeId, Result};
 use hetex_core::reopt::reoptimize;
 use hetex_core::{
     parallelize, plan_fingerprint, CostModel, FeedbackCache, HetNode, PlanFeedback, RelNode,
@@ -262,13 +262,13 @@ impl Proteus {
     ///
     /// The last rung of the fault-recovery ladder lives here: when execution
     /// fails with a structured [`HetError::DeviceLost`] (a bound stage lost
-    /// its consumer, or a whole stage died) and `config.fault.degraded_restart`
-    /// is on, the lost device is excluded from the topology, the degrees of
-    /// parallelism are clamped to the surviving devices — a query losing its
-    /// last GPU degrades to CPU-only — and the query is re-planned and
-    /// re-executed from scratch. Results are exact either way; the reported
-    /// simulated time is that of the final (successful) attempt, with the time
-    /// each failed attempt burned recorded in `QueryStats::attempt_sim_times`.
+    /// its consumer, or a whole stage died), the lost device is excluded
+    /// from the topology, the degrees of parallelism are clamped to the
+    /// surviving devices — a query losing its last GPU degrades to CPU-only —
+    /// and the query is re-planned and re-executed from scratch. Results are
+    /// exact either way; the reported simulated time is that of the final
+    /// (successful) attempt, with the time each failed attempt burned
+    /// recorded in `QueryStats::attempt_sim_times`.
     fn execute_validated(
         &self,
         plan: &RelNode,
@@ -277,7 +277,7 @@ impl Proteus {
     ) -> Result<QueryOutcome> {
         let executor = self.query_executor(&self.topology, observer.clone());
         match self.execute_attempt(&self.topology, &executor, plan, config) {
-            Err(HetError::DeviceLost { device, .. }) if config.fault.degraded_restart => {
+            Err(HetError::DeviceLost { device, .. }) => {
                 let burned = executor
                     .take_failed_sim_time()
                     .expect("executor error paths record burned sim time");
@@ -378,30 +378,24 @@ impl Proteus {
     }
 
     /// The pre-execution static analysis pass: verify the compiled stage
-    /// graph against the config and topology (`hetex-analysis`), honouring
-    /// `config.analysis` — reject on error-severity diagnostics under
-    /// [`AnalysisMode::Deny`], print-and-run under [`AnalysisMode::Warn`],
-    /// skip under [`AnalysisMode::Off`]. Pure host-side work: it charges no
-    /// simulated time.
+    /// graph against the config and topology (`hetex-analysis`), reject it
+    /// on error-severity diagnostics and print its warnings. Pure host-side
+    /// work: it charges no simulated time.
     fn verify(
         graph: &crate::codegen::StageGraph,
         config: &EngineConfig,
         topology: &Arc<ServerTopology>,
     ) -> Result<()> {
-        if config.analysis == AnalysisMode::Off {
-            return Ok(());
-        }
         let report = hetex_analysis::analyze(graph, config, topology);
-        if report.is_clean() {
-            return Ok(());
-        }
-        if config.analysis == AnalysisMode::Deny && report.has_errors() {
+        if report.has_errors() {
             return Err(HetError::Plan(format!(
                 "static analysis rejected the plan:\n{}",
                 report.render()
             )));
         }
-        eprintln!("static analysis findings (executing anyway):\n{report}");
+        if !report.is_clean() {
+            eprintln!("static analysis warnings:\n{report}");
+        }
         Ok(())
     }
 
@@ -635,22 +629,22 @@ mod tests {
     }
 
     #[test]
-    fn degraded_restart_can_be_disabled() {
-        use hetex_common::FaultConfig;
+    fn losing_every_device_exhausts_the_degraded_restart() {
         use hetex_topology::FaultPlan;
-        let topology = ServerTopology::paper_server();
-        let gpus = topology.gpus();
-        let faulted = topology
-            .with_fault_plan(
-                FaultPlan::new()
-                    .abort_device(gpus[0], SimTime::ZERO)
-                    .abort_device(gpus[1], SimTime::ZERO),
-            )
-            .unwrap();
-        let engine = engine_on(faulted, 10_000);
-        let config = EngineConfig::gpu_only(2).with_fault(FaultConfig::disabled());
-        let err = engine.session().execute(&sum_where_plan(), &config).unwrap_err();
-        assert_eq!(err.category(), "device-lost", "got: {err}");
+        // One socket with two cores and one GPU, every device dead from t=0:
+        // each restart excludes the device it lost, and once none is left
+        // the ladder ends in a structured error.
+        let topology = ServerTopology::custom_server(1, 2, 1);
+        let plan = topology
+            .gpus()
+            .into_iter()
+            .chain(topology.cpu_cores())
+            .fold(FaultPlan::new(), |plan, device| plan.abort_device(device, SimTime::ZERO));
+        let engine = engine_on(topology.with_fault_plan(plan).unwrap(), 10_000);
+        let err =
+            engine.session().execute(&sum_where_plan(), &EngineConfig::hybrid(2, 1)).unwrap_err();
+        assert_eq!(err.category(), "execution", "got: {err}");
+        assert!(err.to_string().contains("degraded restart exhausted"), "got: {err}");
     }
 
     #[test]

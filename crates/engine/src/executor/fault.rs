@@ -21,9 +21,8 @@ use std::time::{Duration, Instant};
 const TRANSIENT_RETRY_BASE_NS: u64 = 50_000;
 
 /// Consecutive transient failures of one block before the in-place retry
-/// gives up and the device is declared lost (quarantined or, with recovery
-/// off, surfaced as a structured `DeviceLost`).
-const TRANSIENT_RETRY_BUDGET: u32 = 3;
+/// gives up and the device is quarantined.
+pub(super) const TRANSIENT_RETRY_BUDGET: u32 = 3;
 
 /// Wall-clock cadence of the fault watchdog's checks, run between task
 /// steps. Wall-clock only — the stall-detection *cost* is charged in
@@ -96,6 +95,13 @@ impl FaultState {
         self.quarantined[device.index()].load(Ordering::Acquire)
     }
 
+    /// Whether `device`, its clock at `now`, can take no more work: it is
+    /// quarantined, or its scripted abort onset has passed (a device that
+    /// never claimed a block since it died has not quarantined itself yet).
+    fn is_down(&self, device: DeviceId, now: SimTime) -> bool {
+        self.is_quarantined(device) || self.plan.abort_at(device).is_some_and(|at| now >= at)
+    }
+
     /// Quarantine `device` (idempotent): routing stops projecting onto it,
     /// siblings may steal its backlog at any depth, and its own worker
     /// re-homes its remaining stream the next time it looks at the flag.
@@ -121,9 +127,9 @@ impl FaultState {
     /// simply re-runs; each retry charges a doubling slice of simulated
     /// backoff, and past the budget the device is declared lost the same
     /// way.
-    pub(super) fn invocation_lost(&self, lane: &mut Lane<'_>, retry: bool) -> bool {
+    pub(super) fn invocation_lost(&self, lane: &mut Lane<'_>) -> bool {
         let device = lane.device;
-        if self.plan.abort_at(device).is_some_and(|at| lane.clock.now() >= at) {
+        if self.is_down(device, lane.clock.now()) {
             self.quarantine(device);
         }
         let mut attempt = 0u32;
@@ -132,7 +138,7 @@ impl FaultState {
             if !self.plan.transient_failure(device, lane.clock.now(), invocation) {
                 break;
             }
-            if !retry || attempt >= TRANSIENT_RETRY_BUDGET {
+            if attempt >= TRANSIENT_RETRY_BUDGET {
                 self.quarantine(device);
                 break;
             }
@@ -159,8 +165,8 @@ impl QueryRun<'_> {
 
     /// The fault watchdog, run between task steps at most once per
     /// [`WATCHDOG_POLL`] (`None` when not due or already running). Two
-    /// duties: convert a wedged worker into a quarantine or a structured
-    /// error ([`Self::detect_wedges`]), and drive scripted arena bursts
+    /// duties: convert a wedged worker into a quarantine
+    /// ([`Self::detect_wedges`]), and drive scripted arena bursts
     /// ([`Self::drive_bursts`]). Returns whether a wedge suspect is still
     /// being watched — a later check may wake its lane with no other event.
     pub(super) fn watch(&self) -> Option<bool> {
@@ -172,7 +178,7 @@ impl QueryRun<'_> {
         watch.last = Instant::now();
         let frontier =
             self.device_clocks.values().map(|c| c.now()).fold(SimTime::ZERO, SimTime::max);
-        let suspect = self.config.fault.watchdog && self.detect_wedges(fault, &mut watch.stall);
+        let suspect = self.detect_wedges(fault, &mut watch.stall);
         self.drive_bursts(fault, frontier, &mut watch.bursts);
         Some(suspect)
     }
@@ -181,10 +187,8 @@ impl QueryRun<'_> {
     /// progress counter stalled for [`WATCHDOG_STALL_POLLS`] checks is
     /// charged the detection budget in simulated time — a watchdog cannot
     /// tell silence from one slow block faster than two observed block
-    /// costs — then quarantined (its waiting lane is woken to hand its
-    /// stream over), or, with quarantine off, reported as `Wedged` with its
-    /// queues closed so waiting producers and the lane itself are released.
-    /// Returns whether a device is still under suspicion.
+    /// costs — then quarantined, and its waiting lane is woken to hand its
+    /// stream over. Returns whether a device is still under suspicion.
     fn detect_wedges(&self, fault: &FaultState, stall: &mut HashMap<usize, (u64, u32)>) -> bool {
         let mut suspect = false;
         for (dev_idx, progressed) in fault.progressed.iter().enumerate() {
@@ -215,14 +219,7 @@ impl QueryRun<'_> {
                 .max()
                 .unwrap_or(0);
             clock.reserve(at.add_nanos(WATCHDOG_DETECT_NS.max(2 * avg)), 0);
-            if self.config.fault.quarantine {
-                fault.quarantine(device);
-            } else {
-                if let Some((stage, slot)) = self.slots_on(device).next() {
-                    self.record_error(HetError::Wedged { stage, slot });
-                }
-                self.slots_on(device).for_each(|(stage, slot)| self.queues[stage][slot].close());
-            }
+            fault.quarantine(device);
             self.slots_on(device)
                 .for_each(|(stage, slot)| self.lane_waker(stage, slot).wake_by_ref());
         }
@@ -288,16 +285,13 @@ impl QueryRun<'_> {
             stage,
             block: self.queues[stage][lost_slot].len() + usize::from(in_hand.is_some()),
         };
-        if !self.config.fault.quarantine || !routing.rehomeable() {
+        if !routing.rehomeable() {
             return Err(lost_err);
         }
+        let now = |s: usize| self.device_clocks[&routing.instance_devices[s]].now();
         let Some(survivor) = (0..routing.instance_devices.len())
-            .filter(|&s| s != lost_slot && !fault.is_quarantined(routing.instance_devices[s]))
-            .min_by_key(|&s| {
-                self.device_clocks
-                    .get(&routing.instance_devices[s])
-                    .map_or(u64::MAX, |c| c.now().as_nanos())
-            })
+            .filter(|&s| s != lost_slot && !fault.is_down(routing.instance_devices[s], now(s)))
+            .min_by_key(|&s| now(s))
         else {
             return Err(lost_err);
         };
@@ -346,9 +340,10 @@ impl Drain<'_> {
                 }
             },
         };
-        if self.fault.is_quarantined(self.lane.device) {
+        if self.fault.is_down(self.lane.device, self.lane.clock.now()) {
             // The survivor died while we were draining onto it: escalate
             // and let the restart rung replan on whatever is left.
+            self.fault.quarantine(self.lane.device);
             return Err(HetError::DeviceLost {
                 device: self.lane.device.index(),
                 stage,

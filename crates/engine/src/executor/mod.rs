@@ -1042,7 +1042,7 @@ mod tests {
     }
 
     #[test]
-    fn cost_model_toggles_preserve_rows_and_measure_control_plane_traffic() {
+    fn straggler_estimator_preserves_rows_and_control_plane_traffic_is_measured() {
         // The straggler estimator only moves blocks between equivalent
         // consumers: with it engaged (a hidden straggler) or idle (a healthy
         // server), the rows are the same.
@@ -1224,29 +1224,27 @@ mod tests {
         // whole run; the retry budget absorbs almost all of them, and the
         // rare streak that exhausts it escalates to quarantine + drain — rows
         // are exact either way.
-        let plan = FaultPlan::new().transient_window(
-            flaky,
-            SimTime::ZERO,
-            SimTime::from_millis(60_000),
-            0.5,
-            42,
-        );
+        let window = |p: f64| {
+            let run_long = SimTime::from_millis(60_000);
+            FaultPlan::new().transient_window(flaky, SimTime::ZERO, run_long, p, 42)
+        };
         let config = EngineConfig::cpu_only(2);
-        let faulted = run_faulted(&topology, &plan, &config, &scan_sum_plan(), 200_000).unwrap();
+        let faulted =
+            run_faulted(&topology, &window(0.5), &config, &scan_sum_plan(), 200_000).unwrap();
         let sum: i64 = (0..200_000i64).sum();
         assert_eq!(faulted.rows, vec![vec![sum, 200_000]]);
         assert!(faulted.transient_retries > 0, "p=0.5 over ~50 blocks must hit at least once");
         assert_eq!(faulted.staging_leaked_bytes, 0);
 
-        // With in-place retry switched off, the first transient failure
-        // escalates straight to quarantine; the drain still saves the rows.
-        let no_retry_cfg = config
-            .clone()
-            .with_fault(hetex_common::FaultConfig::default().with_transient_retry(false));
+        // At p=1.0 every invocation fails: the first block exhausts the
+        // retry budget, the core is quarantined, and the drain still saves
+        // the rows.
         let escalated =
-            run_faulted(&topology, &plan, &no_retry_cfg, &scan_sum_plan(), 200_000).unwrap();
+            run_faulted(&topology, &window(1.0), &config, &scan_sum_plan(), 200_000).unwrap();
         assert_eq!(escalated.rows, faulted.rows);
-        assert_eq!(escalated.transient_retries, 0);
+        assert_eq!(escalated.transient_retries, u64::from(fault::TRANSIENT_RETRY_BUDGET));
+        assert!(escalated.recovered_blocks > 0, "the quarantined core's stream was not drained");
+        assert_eq!(escalated.staging_leaked_bytes, 0);
     }
 
     #[test]
@@ -1259,36 +1257,24 @@ mod tests {
         let sum: i64 = (0..50_000i64).sum();
         assert_eq!(recovered.rows, vec![vec![sum, 50_000]]);
         assert_eq!(recovered.staging_leaked_bytes, 0);
-
-        // Same wedge with quarantine off: the watchdog can only convert the
-        // hang into a structured `Wedged` failure.
-        let no_quarantine = config.clone().with_fault(
-            hetex_common::FaultConfig::default()
-                .with_quarantine(false)
-                .with_degraded_restart(false),
-        );
-        let err =
-            run_faulted(&topology, &plan, &no_quarantine, &scan_sum_plan(), 50_000).unwrap_err();
-        assert_eq!(err.category(), "wedged", "got: {err}");
-
-        // With the watchdog disabled the wedge is never injected at all: no
-        // configuration of the fault ladder may turn into an untestable hang.
-        let no_watchdog =
-            config.clone().with_fault(hetex_common::FaultConfig::default().with_watchdog(false));
-        let untouched =
-            run_faulted(&topology, &plan, &no_watchdog, &scan_sum_plan(), 50_000).unwrap();
-        assert_eq!(untouched.rows, recovered.rows);
     }
 
     #[test]
-    fn device_loss_without_quarantine_is_a_structured_error() {
+    fn device_loss_with_no_surviving_sibling_is_a_structured_error() {
+        // Both GPUs of a GPU-only stage are dead: the quarantine has no
+        // sibling to drain onto, so the executor fails with `DeviceLost`
+        // (the engine's degraded restart takes it from there).
         let topology = ServerTopology::paper_server();
-        let dead = topology.gpus()[1];
-        let plan = FaultPlan::new().abort_device(dead, SimTime::ZERO);
-        let config = EngineConfig::gpu_only(2).with_fault(hetex_common::FaultConfig::disabled());
+        let gpus = topology.gpus();
+        let plan = FaultPlan::new()
+            .abort_device(gpus[0], SimTime::ZERO)
+            .abort_device(gpus[1], SimTime::ZERO);
+        let config = EngineConfig::gpu_only(2);
         let err = run_faulted(&topology, &plan, &config, &scan_sum_plan(), 50_000).unwrap_err();
         match err {
-            HetError::DeviceLost { device, .. } => assert_eq!(device, dead.index()),
+            HetError::DeviceLost { device, .. } => {
+                assert!(gpus.contains(&DeviceId::new(device)), "lost {device}")
+            }
             other => panic!("expected DeviceLost, got: {other}"),
         }
     }

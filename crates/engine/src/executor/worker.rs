@@ -437,9 +437,8 @@ struct Claimer<'r> {
     /// The fault state, when an injected plan targets this worker's device;
     /// onsets are judged against the device's simulated clock.
     fault: Option<&'r FaultState>,
-    /// A wedge is only observable (and survivable) through the watchdog;
-    /// with the watchdog off the fault is not injected at all, so no
-    /// configuration can turn it into a hang.
+    /// When the device wedges: the watchdog, which runs whenever a fault
+    /// plan is attached, quarantines it.
     wedge_at: Option<SimTime>,
     /// A claimed block whose lease is still owed.
     in_hand: Option<Claimed>,
@@ -456,8 +455,7 @@ impl<'r> Claimer<'r> {
         #[cfg(test)]
         super::tests::record_probed_tables(&run.graph.state, &lane.pipeline);
         let fault = run.fault.as_ref().filter(|f| f.plan.targets_device(lane.device));
-        let wedge_at =
-            fault.filter(|_| run.config.fault.watchdog).and_then(|f| f.plan.wedge_at(lane.device));
+        let wedge_at = fault.and_then(|f| f.plan.wedge_at(lane.device));
         Ok(Self {
             steals: run.routing[stage].rehomeable(),
             lane,
@@ -504,8 +502,7 @@ impl<'r> Claimer<'r> {
             run.progress[self.lane.stage]
                 .record_first_block(run.wall_start.elapsed().as_nanos() as u64);
         }
-        let retry = run.config.fault.transient_retry;
-        if self.fault.is_some_and(|f| f.invocation_lost(&mut self.lane, retry)) {
+        if self.fault.is_some_and(|f| f.invocation_lost(&mut self.lane)) {
             return Ok(Progress::TakeOver(Some(claimed)));
         }
         self.last_busy = self.lane.step(claimed.block, self.gate_floor, outbox)?;
@@ -518,15 +515,15 @@ impl<'r> Claimer<'r> {
 
     /// Fault ladder, pre-claim: a wedged device waits, claiming nothing,
     /// until the watchdog quarantines it; a quarantined one hands its stream
-    /// to a survivor. A run that fails elsewhere releases a wedged worker
-    /// with a structured diagnosis.
+    /// to a survivor. A run that fails elsewhere releases a wedged worker;
+    /// its `Wedged` stays behind the run's first error.
     fn fault_before_claim(&mut self) -> Result<Option<Progress>> {
         let Some(fault) = self.fault else { return Ok(None) };
         if fault.is_quarantined(self.lane.device) {
             return Ok(Some(Progress::TakeOver(self.in_hand.take())));
         }
         if self.wedge_at.is_some_and(|at| self.lane.clock.now() >= at) {
-            if self.queue().is_closed() || self.lane.run.failed() {
+            if self.lane.run.failed() {
                 return Err(HetError::Wedged { stage: self.lane.stage, slot: self.lane.slot });
             }
             return Ok(Some(Progress::Wait(Wait::Quarantine)));

@@ -192,18 +192,13 @@ impl std::fmt::Debug for QueryServer {
 
 impl QueryServer {
     /// Start a server over `engine` with `serve` as the admission/fairness
-    /// policy. Fails unless serving is enabled — the default-off toggle is
-    /// what keeps every non-serving path bit-identical.
+    /// policy. Fails on an empty worker pool or a zero admission budget.
     pub fn new(engine: Arc<Proteus>, serve: ServeConfig) -> Result<Self> {
-        if !serve.enabled {
-            return Err(HetError::Config(
-                "QueryServer requires ServeConfig::serving(); \
-                 the default config keeps serving off"
-                    .into(),
-            ));
-        }
         if serve.workers == 0 {
             return Err(HetError::Config("serving requires at least one worker".into()));
+        }
+        if serve.admission_bytes == Some(0) {
+            return Err(HetError::Config("serving admission budget must be positive".into()));
         }
         let nodes: Vec<MemoryNodeId> =
             engine.topology().memory_nodes().iter().map(|m| m.id).collect();

@@ -198,8 +198,14 @@ fn two_server_workers_run_hybrid_queries_on_the_shared_pool() {
 #[test]
 fn query_server_requires_serving_enabled_and_fitting_footprints() {
     let engine = Arc::new(engine_with_table(1_000));
-    let err = QueryServer::new(Arc::clone(&engine), ServeConfig::disabled()).unwrap_err();
-    assert_eq!(err.category(), "config");
+    // An empty worker pool or a zero admission budget cannot serve.
+    for serve in [
+        ServeConfig::serving().with_workers(0),
+        ServeConfig::serving().with_admission_bytes(Some(0)),
+    ] {
+        let err = QueryServer::new(Arc::clone(&engine), serve).unwrap_err();
+        assert_eq!(err.category(), "config");
+    }
 
     let serve = ServeConfig::serving().with_admission_bytes(Some(1024));
     let mut server = QueryServer::new(Arc::clone(&engine), serve).unwrap();

@@ -93,7 +93,9 @@ impl FaultPlan {
 
     /// Script `device` to fail kernel invocations with probability
     /// `probability` while its clock is inside `[from, until)`, drawn
-    /// deterministically from `seed`.
+    /// deterministically from `seed`. The probability is kept as given;
+    /// [`ServerTopology::with_fault_plan`](crate::ServerTopology::with_fault_plan)
+    /// rejects one outside `[0, 1]`.
     pub fn transient_window(
         mut self,
         device: DeviceId,
@@ -102,15 +104,8 @@ impl FaultPlan {
         probability: f64,
         seed: u64,
     ) -> Self {
-        self.device_faults.push((
-            device,
-            DeviceFault::TransientWindow {
-                from,
-                until,
-                probability: probability.clamp(0.0, 1.0),
-                seed,
-            },
-        ));
+        self.device_faults
+            .push((device, DeviceFault::TransientWindow { from, until, probability, seed }));
         self
     }
 

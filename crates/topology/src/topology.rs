@@ -15,7 +15,7 @@
 
 use crate::clock::ResourceClock;
 use crate::device::{DeviceId, DeviceKind, DeviceProfile};
-use crate::fault::FaultPlan;
+use crate::fault::{DeviceFault, FaultPlan};
 use crate::interconnect::{LinkId, LinkKind, LinkSpec};
 use crate::memory::{MemoryNodeKind, MemoryNodeSpec};
 use hetex_common::{HetError, MemoryNodeId, Result};
@@ -108,10 +108,19 @@ impl ServerTopology {
     /// A copy of this topology carrying a scripted [`FaultPlan`]. Like
     /// [`Self::with_device_slowdown`], the plan is attached at construction
     /// and consulted against sim clocks at run time, so the injected schedule
-    /// is perfectly reproducible. Devices named by the plan must exist.
+    /// is perfectly reproducible. Devices and memory nodes named by the plan
+    /// must exist, and a transient window's probability must lie in `[0, 1]`.
     pub fn with_fault_plan(&self, plan: FaultPlan) -> Result<Arc<Self>> {
-        for (device, _) in plan.device_faults() {
+        for (device, fault) in plan.device_faults() {
             self.device(*device)?;
+            if let DeviceFault::TransientWindow { probability, .. } = fault {
+                if !(0.0..=1.0).contains(probability) {
+                    return Err(HetError::Config(format!(
+                        "transient window on {device} has probability {probability}, \
+                         outside [0, 1]"
+                    )));
+                }
+            }
         }
         for burst in plan.arena_bursts() {
             self.memory_node(burst.node)?;
@@ -646,6 +655,25 @@ mod tests {
             crate::clock::SimTime::from_nanos(1),
         );
         assert!(t.with_fault_plan(bad_node).is_err());
+    }
+
+    #[test]
+    fn fault_plan_probabilities_must_lie_in_the_unit_interval() {
+        use crate::clock::SimTime;
+        use crate::fault::FaultPlan;
+        let t = ServerTopology::paper_server();
+        let gpu = t.gpus()[0];
+        let window = |p: f64| {
+            FaultPlan::new().transient_window(gpu, SimTime::ZERO, SimTime::from_millis(1), p, 7)
+        };
+        for p in [0.0, 0.3, 1.0] {
+            t.with_fault_plan(window(p)).unwrap();
+        }
+        for p in [1.5, -0.1, f64::NAN] {
+            let err = t.with_fault_plan(window(p)).unwrap_err();
+            assert_eq!(err.category(), "config", "p = {p}: {err}");
+            assert!(err.to_string().contains("outside [0, 1]"), "descriptive: {err}");
+        }
     }
 
     #[test]

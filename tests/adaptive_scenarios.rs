@@ -16,7 +16,7 @@
 
 use hetexchange::bench::workload::{join_reduce_engine_on, SsbWorkload, DEFAULT_PHYSICAL_SF};
 use hetexchange::common::config::ReoptConfig;
-use hetexchange::common::{EngineConfig, FaultConfig, ServeConfig};
+use hetexchange::common::{EngineConfig, ServeConfig};
 use hetexchange::engine::{QueryOutcome, QueryServer};
 use hetexchange::topology::{FaultPlan, ServerTopology, SimTime};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
@@ -113,13 +113,6 @@ fn paper_server(skewed: bool) -> Arc<ServerTopology> {
     }
     let slow_gpu = topology.gpus()[1];
     topology.with_device_slowdown(slow_gpu, SKEW_FACTOR).unwrap()
-}
-
-/// Run the join+reduce plan on one engine under `on`, then under `off`.
-fn ab_on(topology: Arc<ServerTopology>, rows: usize, on: &EngineConfig, off: &EngineConfig) -> Ab {
-    let (engine, plan) = join_reduce_engine_on(topology, rows).unwrap();
-    let on = engine.session().execute(&plan, on).unwrap();
-    Ab { on, off: engine.session().execute(&plan, off).unwrap() }
 }
 
 /// One join+reduce run of `config` over `rows` fact rows on `topology`.
@@ -239,10 +232,13 @@ fn assert_exact_and_unleaked(ab: &Ab) {
 #[test]
 fn fault_machinery_armed_without_a_plan_costs_at_most_two_percent() {
     let _serial = serialized();
+    // The plan attaches the fault machinery (fault state, watchdog) but
+    // never fires: its window opens long after the run ends.
+    let gpu = ServerTopology::paper_server().gpus()[0];
+    let (opens, closes) = (SimTime::from_millis(600_000), SimTime::from_millis(1_200_000));
+    let never = || FaultPlan::new().transient_window(gpu, opens, closes, 1.0, 0xfa);
     let config = join_reduce_config(EngineConfig::hybrid(8, 2));
-    let armed = config.clone().with_fault(FaultConfig::default());
-    let disabled = config.with_fault(FaultConfig::disabled());
-    let ab = median_of_three(|| ab_on(paper_server(false), FACT_ROWS, &armed, &disabled));
+    let ab = median_of_three(|| faulted(never(), &config, FACT_ROWS));
     assert_exact_and_unleaked(&ab);
     assert_eq!(ab.on.stats.recovered_blocks, 0);
     assert_eq!(ab.on.stats.transient_retries, 0);

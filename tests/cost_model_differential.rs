@@ -168,7 +168,7 @@ proptest! {
     /// the hidden straggler — the invariant that keeps a healthy server on
     /// the path it would take with no straggler estimator at all.
     #[test]
-    fn prop_every_toggle_configuration_matches_the_reference(
+    fn prop_random_servers_and_plans_match_the_reference(
         sockets in 1usize..5,
         cores_per_socket in 2usize..5,
         gpus in 0usize..5,
@@ -337,57 +337,6 @@ proptest! {
             mixed + 1e-9 >= low_f && mixed <= high_f + 1e-9,
             "mixed EWMA {mixed} escaped the sample bracket [{low_f}, {high_f}]"
         );
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(case_budget()))]
-
-    /// The serving toggle (PR 9) is inert on the single-query path:
-    /// attaching an enabled `ServeConfig` to a config changes nothing about
-    /// a direct `execute` — byte-identical rows and the same compiled plan
-    /// shape as the default serve-off run.
-    #[test]
-    fn prop_serving_toggle_is_inert_on_single_queries(
-        sockets in 1usize..4,
-        cores_per_socket in 2usize..5,
-        gpus in 0usize..4,
-        pcie_gbps_x10 in 40u64..160,
-        fact_rows in 600usize..3_000,
-        plan_pick in 0usize..3,
-        filter_lit in 1i64..7,
-        filter_class in 0usize..3,
-        cpu_dop_raw in 1usize..9,
-        stride_pick in 0usize..2,
-    ) {
-        use hetexchange::common::ServeConfig;
-        let topology = random_topology(
-            sockets, cores_per_socket, gpus, pcie_gbps_x10 as f64 / 10.0, 0, 1.0,
-        ).unwrap();
-        let engine =
-            engine_with_tables(Arc::clone(&topology), fact_rows, KEY_STRIDES[stride_pick]);
-        let plan = random_plan(plan_pick, filter_class, filter_lit);
-        let cpu_dop = cpu_dop_raw.min(sockets * cores_per_socket);
-        let gpu_dop = gpus.min(2);
-        let mut config = if gpu_dop == 0 {
-            EngineConfig::cpu_only(cpu_dop)
-        } else {
-            EngineConfig::hybrid(cpu_dop, gpu_dop)
-        };
-        config.block_capacity = 256;
-
-        let off = engine.session().execute(&plan, &config).unwrap();
-        let on = engine
-            .session().execute(&plan, &config.clone().with_serve(ServeConfig::serving()))
-            .unwrap();
-        // Simulated instants can vary with wall-clock worker interleaving
-        // even between two identical runs on gated random-topology plans
-        // (queue-admission waits are charged in arrival order), so — like
-        // every other property in this sweep — the bit-identity bar is the
-        // rows and the plan shape. The paper-server serving suite pins
-        // sim-time equality where execution is fully deterministic.
-        prop_assert_eq!(&on.rows, &off.rows, "serving toggle changed the rows");
-        prop_assert_eq!(on.stats.stages, off.stats.stages, "serving toggle changed the plan");
     }
 }
 
