@@ -49,24 +49,6 @@ pub enum HetError {
         /// Number of blocks stranded (in-queue plus claimed).
         block: usize,
     },
-    /// A worker stopped making progress and the per-stage watchdog converted
-    /// the hang into a structured failure: stage `stage`, consumer slot
-    /// `slot`. Like [`HetError::DeviceLost`], the engine treats this as a
-    /// permanent device failure and degrades to the surviving devices.
-    Wedged {
-        /// Stage whose worker wedged.
-        stage: usize,
-        /// Consumer slot (instance index within the stage) that wedged.
-        slot: usize,
-    },
-    /// A kernel invocation failed transiently on a device (an injected
-    /// launch fault, a recoverable ECC event). The executor retries in place
-    /// with bounded sim-charged backoff; only after the retry budget is
-    /// exhausted does the failure escalate to [`HetError::DeviceLost`].
-    KernelTransient {
-        /// Raw index of the device whose kernel invocation failed.
-        device: usize,
-    },
 }
 
 impl HetError {
@@ -87,17 +69,7 @@ impl HetError {
             HetError::Config(_) => "config",
             HetError::Cancelled(_) => "cancelled",
             HetError::DeviceLost { .. } => "device-lost",
-            HetError::Wedged { .. } => "wedged",
-            HetError::KernelTransient { .. } => "kernel-transient",
         }
-    }
-
-    /// True for failures the executor may retry in place (with bounded,
-    /// sim-charged backoff) rather than escalate. Everything else is
-    /// permanent from the executor's point of view: either a clean abort or
-    /// a device loss the engine handles by degrading to survivors.
-    pub fn is_transient(&self) -> bool {
-        matches!(self, HetError::KernelTransient { .. })
     }
 }
 
@@ -120,12 +92,6 @@ impl fmt::Display for HetError {
                 "device lost: dev{device} failed permanently at stage {stage} \
                  with {block} block(s) stranded"
             ),
-            HetError::Wedged { stage, slot } => {
-                write!(f, "wedged: stage {stage} slot {slot} stopped making progress")
-            }
-            HetError::KernelTransient { device } => {
-                write!(f, "transient kernel failure on dev{device}")
-            }
         }
     }
 }
@@ -153,19 +119,8 @@ mod tests {
     fn fault_variants_are_structured_and_classified() {
         let lost = HetError::DeviceLost { device: 3, stage: 1, block: 4 };
         assert_eq!(lost.category(), "device-lost");
-        assert!(!lost.is_transient());
         assert!(lost.to_string().contains("dev3"));
         assert!(lost.to_string().contains("stage 1"));
-
-        let wedged = HetError::Wedged { stage: 2, slot: 5 };
-        assert_eq!(wedged.category(), "wedged");
-        assert!(!wedged.is_transient());
-        assert!(wedged.to_string().contains("slot 5"));
-
-        let transient = HetError::KernelTransient { device: 1 };
-        assert_eq!(transient.category(), "kernel-transient");
-        assert!(transient.is_transient());
-        assert!(!HetError::Memory(String::new()).is_transient());
     }
 
     #[test]

@@ -1,11 +1,10 @@
-//! The unified routing/admission/steal cost model (CostModel v2).
+//! The unified routing/admission cost model (CostModel v2).
 //!
-//! Every estimation term the executor's router path, queue-admission path
-//! and steal path consult lives behind one calibrated interface — those
-//! paths contain no penalty arithmetic of their own, they *ask* the
-//! [`CostModel`]. Beyond the shared mechanism (occupancy penalty,
-//! projection composition, gate-hiding transfer split, straggler and
-//! hysteresis checks) it prices three of the four v2 terms:
+//! Every estimation term the executor's router path and queue-admission
+//! path consult lives behind one calibrated interface — those paths contain
+//! no penalty arithmetic of their own, they *ask* the [`CostModel`]. Beyond
+//! the shared mechanism (occupancy penalty, projection composition,
+//! gate-hiding transfer split, straggler check) it prices three terms:
 //!
 //! 1. **Demand-weighted staging quotas** ([`CostModel::split_node_budget`],
 //!    [`DemandSplitter`]) — per-queue byte shares follow an EWMA of
@@ -14,27 +13,23 @@
 //! 2. **Cross-node control-plane term** — every push into a remote
 //!    consumer's queue is a mutex acquisition bouncing the queue's cache
 //!    line across the interconnect. Its price is the topology's derived
-//!    round trip ([`ServerTopology::control_plane_ns`]), which routing
+//!    round trip ([`hetex_topology::ServerTopology::control_plane_ns`]), which routing
 //!    charges on the consumer's node axis.
 //! 3. **Critical-path gate estimate** ([`CostModel::gate_estimate_ns`]) —
 //!    a gated stage cannot open before its dependency's slowest transitive
 //!    *feed* clears, not merely before the dependency's own committed load.
-//! 4. **Link-congestion steal term** ([`CostModel::link_congestion_ns`],
-//!    [`CostModel::steal_profitable`]) — a rescue whose relocation must
-//!    queue behind outstanding DMA on the route is priced honestly, so
-//!    near-equilibrium steals stay safe with stealing enabled.
 //!
-//! On top of the four terms sits the one straggler estimator,
+//! On top of the terms sits the one straggler estimator,
 //! [`SlowdownObserver`]: a shared, lock-free EWMA of each device's
 //! charged-vs-nominal busy ratio, updated at block completion. Every defence
 //! against an unequal server reads it ([`CostModel::observed_device_slowdown`],
 //! [`CostModel::is_straggler`]): routing multiplies it into the device-axis
 //! term of the projection, so a hidden 8× straggler stops *receiving* new
-//! blocks; the steal path takes blocks only from a device it marks as a
-//! straggler; and a straggling lane paces its own claims.
+//! blocks, and a lane on a device it marks as a straggler re-routes the
+//! tail of its queue wherever routing's projections end it earlier.
 //!
 //! Link transfer estimates are not priced here either: they are the
-//! topology's [`ServerTopology::transfer_estimate_ns`], at each link's
+//! topology's [`hetex_topology::ServerTopology::transfer_estimate_ns`], at each link's
 //! effective rate, derived from its declared width and latency when the
 //! topology is built.
 //!
@@ -44,24 +39,16 @@
 //! these per execution for estimation, so the two concerns cannot be mixed
 //! up.
 
-use hetex_common::{EngineConfig, MemoryNodeId, Priority};
-use hetex_topology::ServerTopology;
+use hetex_common::{EngineConfig, Priority};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Observed-slowdown EWMA (charged vs nominal busy time) above which a
-/// device is treated as a straggler: only consumers on observed stragglers
-/// are stealable, and straggling workers pace their claims. Healthy devices
-/// price out at exactly 1.0 in this simulation; the threshold leaves room
-/// for estimator drift without letting ordinary imbalance trigger either
-/// behaviour.
+/// device is treated as a straggler: only lanes on observed stragglers
+/// re-route their queued blocks. Healthy devices price out at exactly 1.0
+/// in this simulation; the threshold leaves room for estimator drift
+/// without letting ordinary imbalance trigger a re-route.
 pub const STRAGGLER_RATIO: f64 = 1.5;
-
-/// Hysteresis of the steal profitability check: the thief must beat the
-/// victim by at least this many of its own average block costs. Near
-/// equilibrium a steal only duplicates what least-loaded routing already
-/// achieves while paying an extra relocation.
-pub const STEAL_HYSTERESIS_BLOCKS: u64 = 2;
 
 /// Arena occupancy below which the staging-pressure penalty stays disengaged:
 /// a half-empty arena cannot park anyone, and pricing it would only add
@@ -84,36 +71,12 @@ pub const DEMAND_EWMA_ALPHA: f64 = 0.5;
 /// still unrouted when the feedback engages.
 pub const SLOWDOWN_EWMA_ALPHA: f64 = 0.25;
 
-/// Inputs of one steal profitability decision (see
-/// [`CostModel::steal_profitable`]). All times are simulated nanoseconds;
-/// the averages are *observed* charged costs, so a hidden slowdown is priced
-/// by what the victim did, not what the estimates promised.
-#[derive(Debug, Clone, Copy)]
-pub struct StealQuery {
-    /// The victim device's simulated clock.
-    pub victim_clock_ns: u64,
-    /// The victim's observed average charged cost per block.
-    pub victim_avg_ns: u64,
-    /// Blocks buffered in the victim's queue.
-    pub backlog_depth: u64,
-    /// The thief device's simulated clock.
-    pub thief_clock_ns: u64,
-    /// The thief's observed average charged cost per block.
-    pub thief_avg_ns: u64,
-    /// Blocks buffered in the thief's own queue: a stolen block adds to the
-    /// work the thief must finish, so it is priced behind them.
-    pub thief_backlog: u64,
-    /// Outstanding DMA backlog on the relocation route (0 when the thief
-    /// can address the block in place).
-    pub congestion_ns: u64,
-}
-
 /// The straggler estimator of one execution (or, when serving, of one
 /// server): a lock-free EWMA per device slot of the charged-vs-nominal busy
 /// ratio, updated by every worker at block completion. It is keyed by
 /// device, not by stage: a device that straggles in one stage straggles in
-/// all of them, so routing diverts *new* blocks everywhere and every stage's
-/// steal path sees the same straggler.
+/// all of them, so routing diverts *new* blocks everywhere and every
+/// stage's lane on it re-routes.
 ///
 /// Lock-free: each slot is one `AtomicU64` holding the EWMA's `f64` bits
 /// (zero bits encode "no observation yet" — a real EWMA is always ≥ 1.0,
@@ -216,8 +179,9 @@ impl CostModel {
     }
 
     /// True when `device_slot` is an observed straggler (its EWMA is above
-    /// [`STRAGGLER_RATIO`]): consumers on it are the only ones worth
-    /// stealing from, and the ones that pace their own claims.
+    /// [`STRAGGLER_RATIO`]): lanes on it re-route their queue's tail when a
+    /// sibling would end it earlier, and no re-route off a straggler goes
+    /// to another one.
     pub fn is_straggler(&self, device_slot: usize) -> bool {
         self.observed_device_slowdown(device_slot) > STRAGGLER_RATIO
     }
@@ -341,79 +305,6 @@ impl CostModel {
     }
 
     // ------------------------------------------------------------------
-    // Steal profitability (term 4)
-    // ------------------------------------------------------------------
-
-    /// Outstanding DMA backlog, in nanoseconds past `horizon_ns`, on the
-    /// route between two memory nodes: the slowest link of the route frees
-    /// only at its clock's current reservation end, and a relocation issued
-    /// at the horizon queues behind that backlog. Zero on idle links and
-    /// when source and destination coincide.
-    pub fn link_congestion_ns(
-        &self,
-        topology: &ServerTopology,
-        from: MemoryNodeId,
-        to: MemoryNodeId,
-        horizon_ns: u64,
-    ) -> u64 {
-        if from == to {
-            return 0;
-        }
-        let Ok(route) = topology.route(from, to) else { return 0 };
-        route
-            .iter()
-            .filter_map(|&l| topology.link_clock(l).ok())
-            .map(|clock| clock.now().as_nanos().saturating_sub(horizon_ns))
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// Outstanding DMA **bytes** on the route between two memory nodes at
-    /// `horizon_ns` — the congestion signal expressed in the unit the
-    /// transfers were issued in (each link's backlog time times its
-    /// bandwidth, worst link reported). Observability twin of
-    /// [`Self::link_congestion_ns`].
-    pub fn outstanding_link_bytes(
-        &self,
-        topology: &ServerTopology,
-        from: MemoryNodeId,
-        to: MemoryNodeId,
-        horizon_ns: u64,
-    ) -> f64 {
-        if from == to {
-            return 0.0;
-        }
-        let Ok(route) = topology.route(from, to) else { return 0.0 };
-        route
-            .iter()
-            .filter_map(|&l| {
-                let clock = topology.link_clock(l).ok()?;
-                let link = topology.link(l).ok()?;
-                let backlog_ns = clock.now().as_nanos().saturating_sub(horizon_ns);
-                Some(backlog_ns as f64 / 1e9 * link.bandwidth_gbps * 1e9)
-            })
-            .fold(0.0, f64::max)
-    }
-
-    /// The steal profitability decision: the stolen tail block would
-    /// complete on the victim no earlier than `victim_clock + backlog ×
-    /// victim_avg`, and on the thief at `thief_clock + (thief_backlog +
-    /// `[`STEAL_HYSTERESIS_BLOCKS`]`) × thief_avg + congestion`. The
-    /// congestion term prices the relocation's queueing behind outstanding
-    /// DMA, which is what keeps near-equilibrium rescues from losing to the
-    /// link they would saturate.
-    pub fn steal_profitable(&self, q: &StealQuery) -> bool {
-        let victim_end =
-            q.victim_clock_ns.saturating_add(q.victim_avg_ns.saturating_mul(q.backlog_depth));
-        let thief_blocks = q.thief_backlog.saturating_add(STEAL_HYSTERESIS_BLOCKS);
-        let thief_end = q
-            .thief_clock_ns
-            .saturating_add(q.thief_avg_ns.saturating_mul(thief_blocks))
-            .saturating_add(q.congestion_ns);
-        thief_end < victim_end
-    }
-
-    // ------------------------------------------------------------------
     // Staging quota shares (term 1)
     // ------------------------------------------------------------------
 
@@ -516,7 +407,6 @@ impl DemandSplitter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hetex_topology::{DmaEngine, SimTime};
 
     #[test]
     fn occupancy_penalty_engages_above_half() {
@@ -595,59 +485,6 @@ mod tests {
             assert!(estimate >= 1_000, "the dependency's own load is a lower bound");
             previous = estimate;
         }
-    }
-
-    #[test]
-    fn congestion_is_zero_on_idle_links_and_grows_with_backlog() {
-        let model = CostModel::default();
-        let topology = ServerTopology::paper_server();
-        let cpu = MemoryNodeId::new(0);
-        let gpu = MemoryNodeId::new(2);
-        // Satellite acceptance: idle links carry no congestion term.
-        assert_eq!(model.link_congestion_ns(&topology, cpu, gpu, 0), 0);
-        assert_eq!(model.outstanding_link_bytes(&topology, cpu, gpu, 0), 0.0);
-        assert_eq!(model.link_congestion_ns(&topology, cpu, cpu, 0), 0);
-        // Schedule real DMA over the PCIe link: the backlog becomes visible.
-        let dma = DmaEngine::new(std::sync::Arc::clone(&topology));
-        dma.schedule(1.2e9, cpu, gpu, SimTime::ZERO).unwrap();
-        let congested = model.link_congestion_ns(&topology, cpu, gpu, 0);
-        assert!(congested > 0, "a scheduled transfer must back the link up");
-        assert!(model.outstanding_link_bytes(&topology, cpu, gpu, 0) > 1e9);
-        // A horizon past the backlog sees the link idle again.
-        assert_eq!(model.link_congestion_ns(&topology, cpu, gpu, congested), 0);
-        topology.reset_clocks();
-    }
-
-    #[test]
-    fn steal_profitability_honours_hysteresis_and_congestion() {
-        let model = CostModel::default();
-        let base = StealQuery {
-            victim_clock_ns: 1_000,
-            victim_avg_ns: 800,
-            backlog_depth: 4,
-            thief_clock_ns: 900,
-            thief_avg_ns: 500,
-            thief_backlog: 0,
-            congestion_ns: 0,
-        };
-        // victim_end 4200 vs thief_end 1900: profitable.
-        assert!(model.steal_profitable(&base));
-        // Congestion on the relocation route flips the decision.
-        assert!(!model.steal_profitable(&StealQuery { congestion_ns: 2_400, ..base }));
-        // So does the thief's own backlog: 4 blocks end at 3900, 5 at 4400.
-        assert!(model.steal_profitable(&StealQuery { thief_backlog: 4, ..base }));
-        assert!(!model.steal_profitable(&StealQuery { thief_backlog: 5, ..base }));
-        // Near equilibrium the hysteresis declines the steal.
-        let tight = StealQuery {
-            victim_clock_ns: 1_000,
-            victim_avg_ns: 500,
-            backlog_depth: 2,
-            thief_clock_ns: 1_000,
-            thief_avg_ns: 500,
-            thief_backlog: 0,
-            congestion_ns: 0,
-        };
-        assert!(!model.steal_profitable(&tight));
     }
 
     #[test]
@@ -763,7 +600,7 @@ mod tests {
     }
 
     #[test]
-    fn construction_carries_the_configured_toggles() {
+    fn construction_builds_the_unattached_model() {
         // No configuration knob reaches the model: every configuration
         // builds the default, unattached model, which prices nominal.
         for config in [EngineConfig::default(), EngineConfig::cpu_only(1)] {
@@ -774,7 +611,7 @@ mod tests {
     }
 
     #[test]
-    fn feedback_multiplier_requires_toggle_and_observer() {
+    fn feedback_multiplier_requires_an_observer() {
         let observer = Arc::new(SlowdownObserver::new(1));
         observer.record(0, 8_000, 1_000);
         // Observer attached: its EWMA.

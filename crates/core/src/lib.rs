@@ -13,10 +13,9 @@
 //!   crossings, mem-moves and pack/unpack operators into a sequential plan,
 //!   reproducing the step-by-step construction of Figure 1 for CPU-only,
 //!   GPU-only and hybrid configurations.
-//! * [`cost`] — the unified routing/admission/steal cost model
+//! * [`cost`] — the unified routing/admission cost model
 //!   ([`cost::CostModel`]): every estimation term the executor's router
-//!   path, queue-admission path and steal path consult, behind one
-//!   calibrated interface with per-term `EngineConfig` toggles.
+//!   path and queue-admission path consult, behind one interface.
 //! * [`router`] — the control-flow router: policies (round-robin,
 //!   least-loaded, union, broadcast-target), degree-of-parallelism
 //!   control and affinity assignment. Routes block *handles*, never data.
@@ -49,7 +48,7 @@ pub mod serve;
 pub mod traits;
 
 pub use codegen::{compile, MemMoveMode, Stage, StageGraph, StageSource, StageWiring};
-pub use cost::{CostModel, DemandSplitter, SlowdownObserver, StealQuery};
+pub use cost::{CostModel, DemandSplitter, SlowdownObserver};
 pub use mem_move::MemMove;
 pub use pack::{Packer, Unpacker};
 pub use parallelizer::parallelize;

@@ -14,17 +14,15 @@
 //!
 //! The buffer is an in-process deque guarded by one mutex (it used to be a
 //! channel): the pipelined executor's adaptive re-routing needs *tail* access
-//! — [`BlockQueue::steal`] lets an idle sibling worker remove the most
-//! recently enqueued block from an overloaded consumer's backlog, which a
-//! FIFO channel cannot express. Stealing takes from the tail on purpose: the
-//! head blocks are the ones the victim will pop next anyway (taking them
-//! races the victim for work it is about to start), while tail blocks are the
-//! ones that would otherwise wait behind the victim's whole backlog.
+//! — [`BlockQueue::steal`] removes the most recently enqueued block, which a
+//! straggling consumer withdraws from its own backlog to re-route it and a
+//! FIFO channel cannot express. The tail is the block that would otherwise
+//! wait behind the whole backlog.
 //!
 //! Every wait has one mechanism ([`hetex_common::wait`]): the non-blocking
 //! forms [`BlockQueue::poll_pop`], [`BlockQueue::poll_push`] and
 //! [`BlockQueue::poll_admit`] register the caller's waker under the mutex
-//! whose condition failed, and push, give-back, completion, close, a
+//! whose condition failed, and push, completion, close, a
 //! released [`QueueSlot`] and a quota reset wake exactly the registered
 //! wakers. The blocking [`BlockQueue::push`], [`BlockQueue::pop`],
 //! [`BlockQueue::admit`] and [`BlockQueue::drain`] register a waker that
@@ -135,15 +133,15 @@ pub enum PopNext {
     /// A buffered block.
     Block(BlockHandle),
     /// Nothing buffered right now, but producers are still registered — more
-    /// blocks may arrive (the work-stealing window).
+    /// blocks may arrive.
     Empty,
     /// The stream ended: every producer finished and the queue drained, or
     /// the queue was closed.
     Finished,
 }
 
-/// A multi-producer, single-consumer queue of block handles (plus sibling
-/// thieves entering through [`BlockQueue::steal`]).
+/// A multi-producer, single-consumer queue of block handles (the consumer
+/// may also withdraw its tail through [`BlockQueue::steal`]).
 #[derive(Clone)]
 pub struct BlockQueue {
     core: Arc<QueueCore>,
@@ -389,12 +387,9 @@ impl BlockQueue {
         })
     }
 
-    /// Non-blocking pop distinguishing "empty for now" from "stream over" —
-    /// the decision point of the work-stealing loop: an [`PopNext::Empty`] /
-    /// [`PopNext::Finished`] consumer may go steal from a sibling instead of
-    /// waiting (or exiting) while a straggler holds a backlog. On
-    /// [`PopNext::Empty`] it registers `waker`: the next push, give-back,
-    /// completion or close wakes it.
+    /// Non-blocking pop distinguishing "empty for now" from "stream over".
+    /// On [`PopNext::Empty`] it registers `waker`: the next push, completion
+    /// or close wakes it.
     pub fn poll_pop(&self, waker: &Waker) -> PopNext {
         let mut inner = self.lock();
         if self.core.closed.load(Ordering::SeqCst) {
@@ -412,16 +407,16 @@ impl BlockQueue {
     }
 
     /// Remove the most recently enqueued block from this queue's backlog —
-    /// the producer-side entry point of adaptive re-routing. Returns `None`
-    /// when the queue is closed (poisoned backlogs were already swept and
-    /// their staging released; a thief must not resurrect them) or holds no
-    /// block. Never consumes completion signals: termination accounting is a
-    /// counter and is untouched by theft.
+    /// the entry point of adaptive re-routing. Returns `None` when the queue
+    /// is closed (poisoned backlogs were already swept and their staging
+    /// released; they must not be resurrected) or holds no block. Never
+    /// consumes completion signals: termination accounting is a counter and
+    /// is untouched by a withdrawal.
     ///
-    /// The stolen handle still carries the staging charge of *this* queue
-    /// (its byte-quota slot and the lease on this queue's node); the thief
-    /// must release it and re-charge its own node before processing — the
-    /// cross-node half of the lease-ordering rule (DESIGN.md §4.2).
+    /// The withdrawn handle still carries the staging charge of *this*
+    /// queue (its byte-quota slot and the lease on this queue's node); a
+    /// re-route releases it before the block is routed again — the
+    /// lease-ordering rule (DESIGN.md §4.2).
     pub fn steal(&self) -> Option<BlockHandle> {
         if self.core.closed.load(Ordering::SeqCst) {
             return None;
@@ -432,24 +427,6 @@ impl BlockQueue {
             Self::release_slot(inner);
         }
         stolen
-    }
-
-    /// Return a just-removed block to the tail of the queue without waiting:
-    /// capacity is deliberately ignored (the block vacated a slot moments ago
-    /// — at worst the buffer transiently exceeds its bound by the one block
-    /// being returned). Two callers: a thief whose profitability check
-    /// rejected a stolen block, and a sim-paced consumer un-claiming a block
-    /// so an idle sibling can steal it. Fails only when the queue was closed
-    /// in between; the caller must then let the block drop, exactly as
-    /// [`Self::close`]'s sweep would have.
-    pub fn give_back(&self, handle: BlockHandle) -> Result<()> {
-        let mut inner = self.lock();
-        if self.core.closed.load(Ordering::SeqCst) {
-            return Err(Self::closed_error());
-        }
-        inner.buf.push_back(handle);
-        Self::wake_consumers(inner);
-        Ok(())
     }
 
     /// Release the lock and wake the waiting consumers.
@@ -480,17 +457,8 @@ impl BlockQueue {
         out
     }
 
-    /// Memory node of the block a thief would take ([`Self::steal`] removes
-    /// the tail), or `None` when nothing is buffered. Advisory: the tail can
-    /// change between the peek and the steal, so callers may only use it for
-    /// estimates (the steal profitability pre-check prices the relocation
-    /// route from here), never for correctness.
-    pub fn tail_location(&self) -> Option<MemoryNodeId> {
-        self.lock().buf.back().map(|h| h.meta().location)
-    }
-
     /// Number of blocks currently buffered (completion signals are counters,
-    /// not messages, so this is exactly the stealable backlog depth).
+    /// not messages, so this is exactly the backlog depth).
     pub fn len(&self) -> usize {
         self.lock().buf.len()
     }
@@ -882,7 +850,7 @@ mod tests {
         let q = BlockQueue::new(1);
         q.push(handle(1)).unwrap();
         q.close();
-        assert!(q.steal().is_none(), "poisoned backlogs must not be resurrected by thieves");
+        assert!(q.steal().is_none(), "poisoned backlogs must not be resurrected");
     }
 
     #[test]
@@ -896,23 +864,6 @@ mod tests {
         thread::sleep(Duration::from_millis(30));
         assert!(q.steal().is_some());
         assert!(producer.join().unwrap().is_ok(), "theft must free a slot for parked producers");
-    }
-
-    #[test]
-    fn give_back_returns_a_block_without_blocking_even_at_capacity() {
-        let q = BlockQueue::bounded(1, 1);
-        q.push(handle(0)).unwrap();
-        let popped = q.pop().unwrap();
-        // A producer refills the freed slot before the give-back.
-        q.push(handle(1)).unwrap();
-        // give_back must not park: the buffer transiently holds cap+1 blocks.
-        q.give_back(popped).unwrap();
-        assert_eq!(q.len(), 2);
-        assert_eq!(q.pop().unwrap().meta().id, BlockId::new(1));
-        assert_eq!(q.pop().unwrap().meta().id, BlockId::new(0));
-        // On a closed queue the give-back is refused (the block must drop).
-        q.close();
-        assert!(q.give_back(handle(2)).is_err());
     }
 
     #[test]

@@ -287,11 +287,9 @@ impl LoadEstimator {
     }
 
     /// Remove `cost` from consumer `idx`'s load — the inverse of
-    /// [`Self::commit`], used when adaptive re-routing steals a block away
-    /// from the consumer it was committed to. Saturating: steal-time cost
-    /// re-estimates can differ from the routing-time commit (the block was
-    /// localized in between), and the estimator must never underflow into a
-    /// "negative" (huge) load.
+    /// [`Self::commit`], used when adaptive re-routing withdraws a block
+    /// from the consumer it was committed to. Saturating: the estimator must
+    /// never underflow into a "negative" (huge) load.
     pub fn decommit(&self, idx: usize, cost: u64) {
         if let Some(load) = self.loads.get(idx) {
             let _ = load.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| {
@@ -495,7 +493,7 @@ mod tests {
         est.commit(0, 100);
         est.commit(1, 40);
         assert_eq!(est.max_load(), 100);
-        // A steal moves the cost from the victim to the thief.
+        // A re-route moves the cost from one consumer to another.
         est.decommit(0, 60);
         est.commit(1, 60);
         assert_eq!(est.projected(&[0, 0]), vec![40, 100]);

@@ -37,8 +37,8 @@ pub struct QueryStats {
     pub wall_time: std::time::Duration,
     /// Peak leased staging bytes per memory node.
     pub staging_peaks: Vec<(MemoryNodeId, u64)>,
-    /// Blocks adaptively re-routed (work-stealing) per stage; all zeros
-    /// unless a device was observed straggling or was quarantined.
+    /// Blocks re-routed off an observed straggler's queue per stage; all
+    /// zeros unless a device was observed straggling.
     pub blocks_stolen: Vec<u64>,
     /// Cross-node control-plane traffic: pushes that acquired a queue mutex
     /// on a memory node other than the block's. Routing's control-plane
@@ -46,13 +46,13 @@ pub struct QueryStats {
     pub remote_control_acquisitions: u64,
     /// Observed-slowdown EWMA per device slot (charged vs nominal busy
     /// time, 1.0 = healthy), indexed like the topology's device list: the
-    /// straggler estimator routing, stealing and claim pacing read.
+    /// straggler estimator routing and the straggler's re-route test read.
     pub observed_slowdowns: Vec<f64>,
     /// Transient kernel failures absorbed by bounded in-place retry (zero
     /// without an injected fault plan).
     pub transient_retries: u64,
-    /// Blocks re-executed on a surviving sibling after a device quarantine
-    /// (zero without an injected fault plan).
+    /// Blocks re-routed off a quarantined device onto the live consumers
+    /// of their stage (zero without an injected fault plan).
     pub recovered_blocks: u64,
     /// Staging bytes still leased when execution finished; zero on every
     /// clean run (the fault suite's leak invariant).

@@ -1,19 +1,15 @@
-//! Fault recovery (DESIGN.md §7): per-execution fault state, the watchdog,
-//! the per-invocation fault ladder and the takeover drain.
+//! Fault recovery (DESIGN.md §7): per-execution fault state, the watchdog
+//! and the per-invocation fault ladder. A quarantined device's lanes
+//! re-route their blocks (see `Claimer::evacuate`).
 
-use super::movement::Claimed;
-use super::routing::Outbox;
-use super::worker::{Lane, Progress, Wait};
+use super::worker::Lane;
 use super::QueryRun;
-use hetex_common::{HetError, Result};
-use hetex_core::queue::PopNext;
 use hetex_storage::{BlockLease, ExhaustionPolicy};
 use hetex_topology::{DeviceId, FaultPlan, SimTime};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::task::Waker;
 use std::time::{Duration, Instant};
 
 /// Base simulated backoff charged before re-running a transiently failed
@@ -55,7 +51,7 @@ pub(super) struct FaultState {
     /// Blocks completed per device — the progress signal the watchdog's
     /// stall detector compares across polls.
     progressed: Vec<AtomicU64>,
-    /// Blocks re-executed on a survivor after a quarantine (observability).
+    /// Blocks re-routed off a quarantined device (observability).
     pub(super) recovered: AtomicU64,
     /// Transient failures absorbed by in-place retry (observability).
     pub(super) retries: AtomicU64,
@@ -103,8 +99,8 @@ impl FaultState {
     }
 
     /// Quarantine `device` (idempotent): routing stops projecting onto it,
-    /// siblings may steal its backlog at any depth, and its own worker
-    /// re-homes its remaining stream the next time it looks at the flag.
+    /// and its lanes re-route their remaining streams the next time they
+    /// look at the flag.
     fn quarantine(&self, device: DeviceId) {
         self.quarantined[device.index()].store(true, Ordering::Release);
     }
@@ -120,9 +116,9 @@ impl FaultState {
     /// whether the device is now quarantined.
     ///
     /// Permanent abort: a device whose clock has crossed the scripted onset
-    /// dies on the next block it claims, and that block leads the re-homed
-    /// stream. (Judged before the claim, a device that had already drained
-    /// its queue would quarantine itself with nothing in hand to re-home.)
+    /// dies on the next block it claims, and that block is re-routed first.
+    /// (Judged before the claim, a device that had already drained its
+    /// queue would quarantine itself with nothing in hand to re-route.)
     /// Transient failures draw deterministically from the plan and the block
     /// simply re-runs; each retry charges a doubling slice of simulated
     /// backoff, and past the budget the device is declared lost the same
@@ -254,108 +250,20 @@ impl QueryRun<'_> {
         bursts.retain(|(i, _)| frontier < fault.plan.arena_bursts()[*i].until);
     }
 
-    /// Graceful degradation after `lost`'s device was quarantined: the lost
-    /// lane's remaining stream — `in_hand` plus everything its queue still
-    /// buffers or receives — is re-executed on a new lane bound to the
-    /// surviving sibling with the earliest clock, charged to the survivor's
-    /// clock and profile. The lost worker's task *keeps consuming its own
-    /// queue* (it merely executes on borrowed silicon), so the stage's
-    /// exactly-once termination protocol — producer counts, finished sweeps,
-    /// the completion fan-in — is untouched; pushing the backlog into
-    /// sibling queues instead could race a sibling that already observed
-    /// termination and silently drop rows. Each block moves with
-    /// [`Self::rehome`], and runs with the lost lane's progress as its floor.
-    ///
-    /// Only anonymously routed streams can be re-homed. Bound streams and
-    /// stages with no surviving sibling escalate with a structured
-    /// [`HetError::DeviceLost`]; the engine's degraded-restart rung then
-    /// replans the query on the surviving devices.
-    pub(super) fn take_over<'r>(
-        &'r self,
-        fault: &'r FaultState,
-        lost: &mut Lane<'r>,
-        in_hand: Option<Claimed>,
-        outbox: &mut Outbox,
-    ) -> Result<Drain<'r>> {
-        lost.bank();
-        let (stage, lost_slot) = (lost.stage, lost.slot);
-        let routing = &self.routing[stage];
-        let lost_err = HetError::DeviceLost {
-            device: lost.device.index(),
-            stage,
-            block: self.queues[stage][lost_slot].len() + usize::from(in_hand.is_some()),
-        };
-        if !routing.rehomeable() {
-            return Err(lost_err);
-        }
-        let now = |s: usize| self.device_clocks[&routing.instance_devices[s]].now();
-        let Some(survivor) = (0..routing.instance_devices.len())
-            .filter(|&s| s != lost_slot && !fault.is_down(routing.instance_devices[s], now(s)))
+    /// The live sibling of `slot` of `stage` with the earliest clock: the
+    /// lane a quarantined lane's last flush is charged to. `None` when every
+    /// sibling is down (a sibling past its abort onset counts as down before
+    /// it has claimed a block and quarantined itself).
+    pub(super) fn flush_survivor(
+        &self,
+        fault: &FaultState,
+        stage: usize,
+        slot: usize,
+    ) -> Option<usize> {
+        let devices = &self.routing[stage].instance_devices;
+        let now = |s: usize| self.device_clocks[&devices[s]].now();
+        (0..devices.len())
+            .filter(|&s| s != slot && !fault.is_down(devices[s], now(s)))
             .min_by_key(|&s| now(s))
-        else {
-            return Err(lost_err);
-        };
-        let floor = lost.last_end;
-        let mut lane = Lane::new(self, stage, survivor, floor)?;
-        // The lost lane's partially packed outputs are flushed, not
-        // recomputed: completed work lives in managed host-visible staging
-        // in this fault model (kernels are transactional at block
-        // granularity and their packed outputs survive the device), so only
-        // the flush itself is charged — to the survivor, the device
-        // actually doing it.
-        lane.flush(lost.take_packed()?, outbox);
-        let in_hand = in_hand
-            .map(|claimed| self.rehome(stage, lost_slot, survivor, claimed.block))
-            .transpose()?;
-        Ok(Drain { fault, lane, lost_slot, floor, in_hand })
-    }
-}
-
-/// A takeover drain: the survivor's lane running the lost lane's stream —
-/// the claimed block first, then the lost queue to exhaustion (its
-/// producers still push into it and terminate it normally).
-pub(super) struct Drain<'r> {
-    fault: &'r FaultState,
-    lane: Lane<'r>,
-    lost_slot: usize,
-    /// The lost lane's progress: the floor of every re-executed block, and
-    /// what the lost worker reports if the drain fails.
-    pub(super) floor: SimTime,
-    in_hand: Option<Claimed>,
-}
-
-impl Drain<'_> {
-    /// Re-execute one block of the lost stream on the survivor.
-    pub(super) fn step(&mut self, outbox: &mut Outbox, waker: &Waker) -> Result<Progress> {
-        let (run, stage, survivor) = (self.lane.run, self.lane.stage, self.lane.slot);
-        let queue = &run.queues[stage][self.lost_slot];
-        let mut claimed = match self.in_hand.take() {
-            Some(claimed) => claimed,
-            None => match queue.poll_pop(waker) {
-                PopNext::Block(block) => run.rehome(stage, self.lost_slot, survivor, block)?,
-                PopNext::Empty => return Ok(Progress::Wait(Wait::Queue)),
-                PopNext::Finished => {
-                    self.lane.finalize(outbox)?;
-                    return Ok(Progress::Finished(self.lane.last_end));
-                }
-            },
-        };
-        if self.fault.is_down(self.lane.device, self.lane.clock.now()) {
-            // The survivor died while we were draining onto it: escalate
-            // and let the restart rung replan on whatever is left.
-            self.fault.quarantine(self.lane.device);
-            return Err(HetError::DeviceLost {
-                device: self.lane.device.index(),
-                stage,
-                block: queue.len() + 1,
-            });
-        }
-        if !run.poll_lease(&mut claimed, waker)? {
-            self.in_hand = Some(claimed);
-            return Ok(Progress::Wait(Wait::Lease(run.routing[stage].instance_nodes[survivor])));
-        }
-        self.lane.step(claimed.block, self.floor, outbox)?;
-        self.fault.recovered.fetch_add(1, Ordering::Relaxed);
-        Ok(Progress::Ran)
     }
 }

@@ -1,5 +1,5 @@
-//! Dependency gates (hash build before probe) and the stage-completion
-//! protocol that opens them.
+//! Dependency gates (hash build before probe), each stage's block ledger,
+//! and the stage-completion protocol that opens the gates.
 
 use super::routing::Outbox;
 use super::{QueryRun, StageTimeline};
@@ -58,15 +58,21 @@ pub(super) struct StageProgress {
     pub(super) remaining: AtomicUsize,
     /// Largest simulated completion time observed so far.
     pub(super) completion: Mutex<SimTime>,
-    /// This stage's producer registrations on its consumer's queues, dropped
-    /// (→ `producer_done`) by the last finishing worker after the terminal
-    /// emission was pushed.
-    pub(super) downstream_guards: Mutex<Vec<ProducerGuard>>,
+    /// The stage's block ledger: one for its source (its pump, or the stage
+    /// feeding it) until the source is done, plus one for every block routed
+    /// into the stage that no lane has started on a live device yet. A
+    /// re-routed block keeps its entry. Whoever takes the ledger to zero
+    /// drops `registrations`, which ends the stage's queues: no block can
+    /// then be on its way into one. Zero at the end of every run that
+    /// succeeds (checked by `Executor::finish`).
+    pub(super) ledger: AtomicUsize,
+    /// The ledger's producer registration on each of the stage's queues.
+    pub(super) registrations: Mutex<Vec<ProducerGuard>>,
     /// Wall-clock ns of the first processed block (`u64::MAX` = none yet).
     first_block_wall: AtomicU64,
     /// Wall-clock ns when the stage finished.
     finished_wall: AtomicU64,
-    /// Blocks this stage's workers stole from overloaded siblings.
+    /// Blocks this stage's lanes re-routed off an observed straggler.
     pub(super) blocks_stolen: AtomicU64,
     /// Physical rows that entered this stage's pipelines (summed across
     /// instances) — the numerator of the stage's actual selectivity.
@@ -81,7 +87,8 @@ impl StageProgress {
         Self {
             remaining: AtomicUsize::new(workers),
             completion: Mutex::new(SimTime::ZERO),
-            downstream_guards: Mutex::new(Vec::new()),
+            ledger: AtomicUsize::new(1),
+            registrations: Mutex::new(Vec::new()),
             first_block_wall: AtomicU64::new(u64::MAX),
             finished_wall: AtomicU64::new(0),
             blocks_stolen: AtomicU64::new(0),
@@ -104,6 +111,21 @@ impl StageProgress {
 }
 
 impl QueryRun<'_> {
+    /// A fresh block is routed into `stage`: it enters the ledger.
+    pub(super) fn ledger_enter(&self, stage: usize) {
+        self.progress[stage].ledger.fetch_add(1, Ordering::AcqRel);
+    }
+
+    /// An entry leaves `stage`'s ledger: a lane starts running a block on a
+    /// live device, or the stage's source has routed its last block into
+    /// it. The last one ends the stage's queues.
+    pub(super) fn ledger_leave(&self, stage: usize) {
+        let progress = &self.progress[stage];
+        if progress.ledger.fetch_sub(1, Ordering::AcqRel) == 1 {
+            progress.registrations.lock().clear();
+        }
+    }
+
     /// Estimated opening time of `stage`'s dependency gate and whether it is
     /// still closed, consulted on every routing decision into the stage: the
     /// partial floor of already-completed builds combined with the cost
@@ -165,15 +187,16 @@ impl QueryRun<'_> {
         Some(completion)
     }
 
-    /// Close `stage` after its terminal emission was delivered: release the
-    /// producer registrations (terminating downstream consumers) and open
-    /// dependent gates.
+    /// Close `stage` after its terminal emission was delivered: the stage
+    /// it feeds has its source done, and dependent gates open.
     pub(super) fn stage_finished(&self, stage: usize, completion: SimTime) {
         let progress = &self.progress[stage];
         progress
             .finished_wall
             .store(self.wall_start.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        progress.downstream_guards.lock().clear();
+        if let Some(consumer) = self.graph.wiring.feeds[stage] {
+            self.ledger_leave(consumer);
+        }
         for &dependent in &self.graph.wiring.unlocks[stage] {
             self.gates[dependent].open(completion);
         }

@@ -21,15 +21,16 @@
 //!
 //! One module per paper operator, plus the engine's own parts:
 //!
-//! * [`routing`] — the router: projections, routing plus mem-move, stealing;
-//! * [`movement`] — staging charges, the quota re-split and the one block
-//!   hand-off between slots (`rehome`) that steal and takeover share;
+//! * [`routing`] — the router: projections, routing plus mem-move, and the
+//!   re-route of a block a lane withdraws, the one placement decision;
+//! * [`movement`] — staging charges and the quota re-split;
 //! * [`worker`] — a pipeline instance bound to a device (`Lane`: the device
 //!   crossing is its execution context, the pack its finalize flush), the
-//!   worker task's step claim → fault check → run → steal or wait, and the
-//!   source pumps;
-//! * [`fault`] — fault state, the watchdog and the takeover drain;
-//! * [`gate`] — dependency gates and the stage-completion protocol;
+//!   worker task's step fault check → claim (or re-route) → run or wait, and
+//!   the source pumps;
+//! * [`fault`] — fault state, the watchdog and the per-invocation ladder;
+//! * [`gate`] — dependency gates, the per-stage block ledger and the
+//!   stage-completion protocol;
 //! * [`sched`] — the threads, the ready queue and the stall detector.
 
 mod fault;
@@ -112,9 +113,8 @@ pub struct ExecutionResult {
     pub stage_completion: Vec<SimTime>,
     /// Peak leased staging bytes per memory node.
     pub staging_peaks: Vec<(MemoryNodeId, u64)>,
-    /// Blocks adaptively re-routed (stolen from an overloaded sibling's
-    /// queue) per stage; all zeros unless a device was observed straggling
-    /// or was quarantined.
+    /// Blocks re-routed off an observed straggler's queue per stage; all
+    /// zeros unless a device was observed straggling.
     pub blocks_stolen: Vec<u64>,
     /// Cross-node control-plane traffic: block handles pushed into a queue
     /// on a memory node other than the block's (a remote queue mutex
@@ -123,13 +123,13 @@ pub struct ExecutionResult {
     pub remote_control_acquisitions: u64,
     /// Observed-slowdown EWMA per device slot (charged vs nominal busy
     /// time, 1.0 = healthy), indexed like the topology's device list: the
-    /// straggler estimator routing, stealing and claim pacing read.
+    /// straggler estimator routing and the straggler's re-route test read.
     pub observed_slowdowns: Vec<f64>,
     /// Transient kernel failures absorbed by bounded in-place retry (zero
     /// without an injected fault plan).
     pub transient_retries: u64,
-    /// Blocks re-executed on a surviving sibling after a device quarantine
-    /// (zero without an injected fault plan).
+    /// Blocks re-routed off a quarantined device onto the live consumers
+    /// of their stage (zero without an injected fault plan).
     pub recovered_blocks: u64,
     /// Staging bytes still leased when the execution finished, measured
     /// after remote caches were flushed back to their home arenas. Zero on
@@ -139,8 +139,8 @@ pub struct ExecutionResult {
     /// stage's pipelines across all instances and rows the stage emitted —
     /// the *actual* per-stage selectivities, as opposed to the structural
     /// estimates routing plans with. Every block is counted once, on the
-    /// lane that completed it, so a takeover drain reports the same rows as
-    /// a healthy run.
+    /// lane that completed it, so a run that re-routed blocks reports the
+    /// same rows as a healthy run.
     pub stage_rows: Vec<(u64, u64)>,
 }
 
@@ -257,7 +257,7 @@ impl Executor {
         if run.graph.stages.iter().any(|s| s.has_router) {
             sim_time = sim_time.add_nanos(ROUTER_INIT_OVERHEAD.as_nanos());
         }
-        if let Some(err) = run.first_error.lock().take() {
+        if let Some(err) = run.first_error.lock().take().or_else(|| run.ledger_error()) {
             *self.failed_sim_time.lock() = Some(sim_time);
             return Err(err);
         }
@@ -345,16 +345,13 @@ struct QueryRun<'a> {
     wall_start: Instant,
     /// `HETEX_TRACE_EXEC` is set: every lane prints a `[trace]` line.
     trace: bool,
-    /// `HETEX_TRACE_STEAL` is set: every priced steal prints a `[steal]`
-    /// line.
-    trace_steal: bool,
-    /// The run's unified cost model: every estimation term the router path,
-    /// the queue-admission path and the steal path consult (§5 of
-    /// DESIGN.md) and the straggler estimator (§6), `observer`.
+    /// The run's unified cost model: every estimation term the router path
+    /// and the queue-admission path consult (§5 of DESIGN.md) and the
+    /// straggler estimator (§6), `observer`.
     cost: CostModel,
     /// The run's slowdown observer (one EWMA slot per device): lanes record
-    /// every completed block's charged-vs-nominal ratio into it; routing,
-    /// the steal path and claim pacing read it back. A serving layer
+    /// every completed block's charged-vs-nominal ratio into it; routing
+    /// and the straggler's re-route test read it back. A serving layer
     /// substitutes its server-lifetime observer so one query's straggler
     /// observation informs the next.
     observer: Arc<SlowdownObserver>,
@@ -409,18 +406,17 @@ impl<'a> QueryRun<'a> {
             .collect::<Result<Vec<_>>>()?;
         let staging = Staging::new(topology, config, &routing);
         let queues = movement::placed_queues(config, &routing);
-        let progress: Vec<StageProgress> =
-            graph.stages.iter().map(|s| StageProgress::new(s.consumers.len())).collect();
-        // Register each producing stage as ONE logical producer on each of
-        // its consumer's queues: blocks flow from any worker at any time, and
-        // the registration is released when the stage completes (after the
-        // terminal emission was pushed).
-        for (stage, feeds) in graph.wiring.feeds.iter().enumerate() {
-            if let Some(consumer) = feeds {
-                *progress[stage].downstream_guards.lock() =
-                    queues[*consumer].iter().map(BlockQueue::register_producer).collect();
-            }
-        }
+        // Each stage's ledger is its queues' one producer: blocks flow in
+        // from its source and from re-routes at any time, and the
+        // registrations are released when the ledger reaches zero.
+        let progress: Vec<StageProgress> = (graph.stages.iter().zip(&queues))
+            .map(|(s, queues)| {
+                let progress = StageProgress::new(s.consumers.len());
+                *progress.registrations.lock() =
+                    queues.iter().map(BlockQueue::register_producer).collect();
+                progress
+            })
+            .collect();
         let lane_base: Vec<usize> = std::iter::once(0)
             .chain(graph.stages.iter().scan(0, |end, s| {
                 *end += s.consumers.len();
@@ -438,7 +434,6 @@ impl<'a> QueryRun<'a> {
             config,
             wall_start,
             trace: std::env::var("HETEX_TRACE_EXEC").is_ok(),
-            trace_steal: std::env::var("HETEX_TRACE_STEAL").is_ok(),
             cost,
             observer,
             mem_move: MemMove::new(DmaEngine::new(Arc::clone(topology))),
@@ -478,8 +473,31 @@ impl<'a> QueryRun<'a> {
     }
 
     /// Keep the first error; later ones are consequences of the cascade.
+    /// The first one closes every queue, which ends every lane's stream and
+    /// fails every push: a failed run winds down without waiting for any
+    /// ledger to settle.
     fn record_error(&self, e: HetError) {
-        self.first_error.lock().get_or_insert(e);
+        let first = {
+            let mut slot = self.first_error.lock();
+            let first = slot.is_none();
+            slot.get_or_insert(e);
+            first
+        };
+        if first {
+            self.queues.iter().flatten().for_each(BlockQueue::close);
+        }
+    }
+
+    /// The ledger law of a finished run: every stage's source is done and
+    /// its lanes started exactly the blocks routed into it, so its ledger
+    /// reads zero.
+    fn ledger_error(&self) -> Option<HetError> {
+        self.progress.iter().enumerate().find_map(|(stage, p)| {
+            let open = p.ledger.load(Ordering::Acquire);
+            (open != 0).then(|| {
+                HetError::Execution(format!("stage {stage} ended with a ledger of {open}, not 0"))
+            })
+        })
     }
 
     fn failed(&self) -> bool {
@@ -706,24 +724,6 @@ mod tests {
         }
     }
 
-    /// A sibling wake-up by a pipeline worker (see `record_wakeup`).
-    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-    pub(super) enum Wakeup {
-        /// A lane woke every sibling of its stage.
-        FanOut,
-        /// A pop left the lane's queue below the steal depth while a thief
-        /// lingered; the fan-out that follows is that thief's release.
-        Release,
-    }
-
-    /// `(state address, wake-up)` of every run's workers.
-    static WAKEUPS: StdMutex<Vec<(usize, Wakeup)>> = StdMutex::new(Vec::new());
-
-    pub(super) fn record_wakeup(run: &QueryRun<'_>, wakeup: Wakeup) {
-        let at = &run.graph.state as *const SharedState as usize;
-        WAKEUPS.lock().unwrap().push((at, wakeup));
-    }
-
     /// `(state address, (waits, re-queues))` of every finished execution.
     static WAITS: StdMutex<Vec<(usize, (usize, usize))>> = StdMutex::new(Vec::new());
 
@@ -743,31 +743,49 @@ mod tests {
 
     #[test]
     fn a_healthy_stealing_join_wakes_only_lanes_that_wait() {
-        // Stealing is on and nothing straggles, so the only sibling fan-out
-        // a lane may make is releasing a lingering thief, and every re-queue
-        // ends exactly one wait: no task is queued twice.
+        // Re-routing is always on and nothing straggles, so no lane
+        // re-routes a block, no lane wakes a sibling (nothing does any
+        // more), and every re-queue ends exactly one wait: no task is
+        // queued twice.
         let config = EngineConfig::hybrid(24, 2);
         let topology = ServerTopology::paper_server();
         let catalog = catalog_with_data(&topology, 400_000);
         let het = parallelize(&join_sum_plan(), &config).unwrap();
         let graph = compile(&het, &config, &topology).unwrap();
         let at = &graph.state as *const SharedState as usize;
-        WAKEUPS.lock().unwrap().retain(|seen| seen.0 != at);
         let result = Executor::new(topology).execute(&graph, &catalog, &config).unwrap();
         let (sum, cnt) = expected(400_000);
         assert_eq!(result.rows, vec![vec![sum, cnt]]);
-        let wakeups: Vec<Wakeup> =
-            WAKEUPS.lock().unwrap().iter().filter(|seen| seen.0 == at).map(|seen| seen.1).collect();
-        let count = |kind: Wakeup| wakeups.iter().filter(|&&w| w == kind).count();
-        assert_eq!(
-            count(Wakeup::FanOut),
-            count(Wakeup::Release),
-            "a sibling fan-out released no lingering thief"
-        );
+        assert!(result.blocks_stolen.iter().all(|&n| n == 0), "{:?}", result.blocks_stolen);
         let (waits, requeues) =
             WAITS.lock().unwrap().iter().rev().find(|seen| seen.0 == at).unwrap().1;
         assert!(waits > 0, "a pipelined join waits somewhere");
         assert_eq!(requeues, waits, "every wait is ended by exactly one re-queue");
+    }
+
+    #[test]
+    fn a_stage_that_started_fewer_blocks_than_were_routed_into_it_fails() {
+        // The ledger law: every block routed into a stage is started by one
+        // of its lanes. A block entered in the ledger and never started
+        // fails the run in release builds too.
+        let config = EngineConfig::hybrid(4, 2);
+        let topology = ServerTopology::paper_server();
+        let catalog = catalog_with_data(&topology, 1_000);
+        let graph =
+            compile(&parallelize(&join_sum_plan(), &config).unwrap(), &config, &topology).unwrap();
+        let exec = Executor::new(topology);
+        let run = QueryRun::new(&exec, &graph, &catalog, &config, Instant::now()).unwrap();
+        // Every stage's source is done…
+        (0..graph.stages.len()).for_each(|stage| run.ledger_leave(stage));
+        assert!(run.ledger_error().is_none());
+        // …and one block routed into stage 1 was never started.
+        run.ledger_enter(1);
+        match run.ledger_error() {
+            Some(HetError::Execution(msg)) => {
+                assert_eq!(msg, "stage 1 ended with a ledger of 1, not 0")
+            }
+            other => panic!("expected the ledger's execution error, got {other:?}"),
+        }
     }
 
     #[test]
@@ -976,31 +994,27 @@ mod tests {
 
     #[test]
     fn stealing_rescues_a_straggler_and_preserves_rows() {
-        // A sibling steals from the straggler's backlog in most runs, and
-        // the rows are exact. The dimension's weight is there to create that
-        // backlog: its build gates the probe long enough that the router
-        // queues probe blocks behind the straggler before its first
-        // observation lands. With a light build, routing diverts new blocks
-        // early and the straggler ends its few blocks before anyone else,
-        // leaving nothing worth stealing. Even with the weight, routing
-        // diverts early enough in about one run in thirty that the straggler
-        // ends its share before the healthy GPU does, so two runs of three
-        // must steal, not all three. The straggler must stay a net gain: the
-        // median of three runs beats the same server without it.
+        // The straggler re-routes the tail of its backlog ("steals" from
+        // itself) in every run, and the rows are exact. The dimension's
+        // weight is there to create that backlog: its build gates the probe
+        // long enough that the router queues probe blocks behind the
+        // straggler before its first observation lands. The straggler must
+        // stay a net gain: the median of three runs beats the same server
+        // without it.
         let (skewed, _) = skewed_server();
         let mut config = EngineConfig::hybrid(8, 2).with_table_weight("dim", 300_000.0);
         config.scale_weight = 20_000.0;
         config.block_capacity = 2048;
         let (sum, cnt) = expected(200_000);
         let mut times = Vec::new();
-        let mut stealing_runs = 0;
         for _ in 0..3 {
             let result = run_on(&skewed, &config, 200_000);
             assert_eq!(result.rows, vec![vec![sum, cnt]]);
-            stealing_runs += usize::from(result.blocks_stolen.iter().sum::<u64>() > 0);
+            let rerouted = result.blocks_stolen.iter().sum::<u64>();
+            assert!(rerouted > 0, "the straggler re-routed nothing");
+            assert_eq!(result.staging_leaked_bytes, 0);
             times.push(result.sim_time);
         }
-        assert!(stealing_runs >= 2, "only {stealing_runs} of 3 runs stole from the straggler");
         times.sort();
         let one_gpu = run_on(&skewed, &EngineConfig { gpu_dop: 1, ..config }, 200_000);
         assert!(
@@ -1134,7 +1148,7 @@ mod tests {
 
     /// `SELECT SUM(value), COUNT(*) FROM fact` — one anonymous routed stage,
     /// so every consumer is interchangeable and a quarantined worker's
-    /// backlog can always be drained on a sibling.
+    /// backlog can always be re-routed to a sibling.
     fn scan_sum_plan() -> RelNode {
         RelNode::scan("fact", &["key", "value"])
             .reduce(vec![AggSpec::sum(Expr::col(1)), AggSpec::count()], &["sum_v", "cnt"])
@@ -1160,9 +1174,7 @@ mod tests {
         let dead = topology.gpus()[1];
         // Abort after the first block: the worker's clock crosses 1ns as soon
         // as it has processed anything, so the next block it claims — and the
-        // rest of its stream — is re-executed on the surviving GPU. The block
-        // the worker held when it died always goes to the takeover drain,
-        // however much of the rest the survivor's own lane steals.
+        // rest of its stream — is re-routed to the surviving GPU.
         let plan = FaultPlan::new().abort_device(dead, SimTime::from_nanos(1));
         let config = EngineConfig::gpu_only(2);
         let faulted = run_faulted(&topology, &plan, &config, &scan_sum_plan(), 50_000).unwrap();
@@ -1182,7 +1194,7 @@ mod tests {
 
     #[test]
     fn a_takeover_drain_counts_every_rehomed_row_once() {
-        // The same one-GPU abort: the blocks the survivor re-executes, and
+        // The same one-GPU abort: the blocks re-routed to the survivor, and
         // the lost lane's packed rows it flushes, count toward the stage's
         // observed rows exactly as they would in a healthy run.
         let topology = ServerTopology::paper_server();
@@ -1191,7 +1203,7 @@ mod tests {
         let faulted = run_faulted(&topology, &plan, &config, &scan_sum_plan(), 50_000).unwrap();
         let healthy =
             run_faulted(&topology, &FaultPlan::new(), &config, &scan_sum_plan(), 50_000).unwrap();
-        assert!(faulted.recovered_blocks > 0, "nothing was taken over");
+        assert!(faulted.recovered_blocks > 0, "nothing was re-routed");
         assert_eq!(healthy.stage_rows, vec![(50_000, 0)]);
         assert_eq!(faulted.stage_rows, healthy.stage_rows);
     }
@@ -1199,7 +1211,7 @@ mod tests {
     #[test]
     fn a_takeover_mid_group_by_merges_the_lost_lanes_partials_once() {
         // The lost lane folds its first block into its group partials before
-        // the abort; the takeover merges them into the shared table once,
+        // the abort; its finalize merges them into the shared table once,
         // beside the survivor's, so every group counts each row once.
         let topology = ServerTopology::paper_server();
         let plan = FaultPlan::new().abort_device(topology.gpus()[1], SimTime::from_nanos(1));
@@ -1208,7 +1220,8 @@ mod tests {
         let rel = RelNode::scan("fact", &["key", "value"]).group_by(&[0], aggs, &["s", "n"]);
         let faulted = run_faulted(&topology, &plan, &config, &rel, 50_000).unwrap();
         let healthy = run_faulted(&topology, &FaultPlan::new(), &config, &rel, 50_000).unwrap();
-        assert!(faulted.recovered_blocks > 0, "nothing was taken over");
+        assert!(faulted.recovered_blocks > 0, "nothing was re-routed");
+        assert_eq!(faulted.staging_leaked_bytes, 0);
         let group = |k: i64| (0..50_000).filter(|i| i % 100 == k).collect::<Vec<i64>>();
         let expected: Vec<Vec<i64>> =
             (0..100).map(|k| vec![k, group(k).iter().sum(), group(k).len() as i64]).collect();
@@ -1222,8 +1235,8 @@ mod tests {
         let flaky = topology.cpu_cores()[0];
         // Every kernel invocation on the flaky core fails with p=0.5 for the
         // whole run; the retry budget absorbs almost all of them, and the
-        // rare streak that exhausts it escalates to quarantine + drain — rows
-        // are exact either way.
+        // rare streak that exhausts it escalates to a quarantine and the
+        // core's stream is re-routed — rows are exact either way.
         let window = |p: f64| {
             let run_long = SimTime::from_millis(60_000);
             FaultPlan::new().transient_window(flaky, SimTime::ZERO, run_long, p, 42)
@@ -1237,13 +1250,13 @@ mod tests {
         assert_eq!(faulted.staging_leaked_bytes, 0);
 
         // At p=1.0 every invocation fails: the first block exhausts the
-        // retry budget, the core is quarantined, and the drain still saves
+        // retry budget, the core is quarantined, and re-routing still saves
         // the rows.
         let escalated =
             run_faulted(&topology, &window(1.0), &config, &scan_sum_plan(), 200_000).unwrap();
         assert_eq!(escalated.rows, faulted.rows);
         assert_eq!(escalated.transient_retries, u64::from(fault::TRANSIENT_RETRY_BUDGET));
-        assert!(escalated.recovered_blocks > 0, "the quarantined core's stream was not drained");
+        assert!(escalated.recovered_blocks > 0, "the quarantined core's stream was not re-routed");
         assert_eq!(escalated.staging_leaked_bytes, 0);
     }
 
@@ -1256,13 +1269,14 @@ mod tests {
         let recovered = run_faulted(&topology, &plan, &config, &scan_sum_plan(), 50_000).unwrap();
         let sum: i64 = (0..50_000i64).sum();
         assert_eq!(recovered.rows, vec![vec![sum, 50_000]]);
+        assert!(recovered.recovered_blocks > 0, "the wedged GPU's backlog was not re-routed");
         assert_eq!(recovered.staging_leaked_bytes, 0);
     }
 
     #[test]
     fn device_loss_with_no_surviving_sibling_is_a_structured_error() {
         // Both GPUs of a GPU-only stage are dead: the quarantine has no
-        // sibling to drain onto, so the executor fails with `DeviceLost`
+        // sibling to re-route to, so the executor fails with `DeviceLost`
         // (the engine's degraded restart takes it from there).
         let topology = ServerTopology::paper_server();
         let gpus = topology.gpus();

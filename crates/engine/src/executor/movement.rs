@@ -1,7 +1,6 @@
 //! Mem-move's staging side (§4.2): queue placement and byte quotas, the
-//! staging charge backing every queued block, the demand-weighted quota
-//! re-split, and the one hand-off that moves a routed block between two
-//! slots of a stage (`rehome`), shared by stealing and the takeover drain.
+//! staging charge backing every queued block, and the demand-weighted quota
+//! re-split.
 
 use super::routing::StageRouting;
 use super::worker::Wait;
@@ -20,12 +19,32 @@ use std::task::{Poll, Waker};
 
 /// The staging charge backing one queued block: the byte admission into
 /// the consumer's queue plus the arena lease on the consumer's memory node.
-/// Attached to the handle as its staging token; the consumer's drop of the
-/// handle releases both, waking waiting producers.
+/// It also records what routing did to the block: the `(device_ns,
+/// node_ns)` it committed to the consumer, and the block's `(location,
+/// ready_at_ns)` before mem-move localized it. Attached to the handle as
+/// its staging token; the consumer's drop of the handle releases both,
+/// waking waiting producers.
 #[derive(Debug)]
 struct StagingCharge {
     _slot: Option<QueueSlot>,
     _lease: BlockLease,
+    committed: (u64, u64),
+    source: (MemoryNodeId, u64),
+}
+
+/// Undo routing's placement of a block withdrawn from its queue: release
+/// its staging charge, put the block back where it was before mem-move
+/// localized it (a copy leaves its source intact, and a dead device's
+/// memory is not read), and return the load routing committed for it. A
+/// block whose bytes were never charged has nothing to undo.
+pub(super) fn withdraw(block: &mut BlockHandle) -> (u64, u64) {
+    let token = block.take_staging();
+    let Some(charge) = token.as_ref().and_then(|t| t.downcast_ref::<StagingCharge>()) else {
+        return (0, 0);
+    };
+    let meta = block.meta_mut();
+    (meta.location, meta.ready_at_ns) = charge.source;
+    charge.committed
 }
 
 /// One memory node's demand-weighted quota re-split (cost-model term 1):
@@ -162,7 +181,9 @@ impl Staging {
 pub(super) struct Routed {
     pub(super) consumer: usize,
     pub(super) pick: usize,
-    pub(super) source: MemoryNodeId,
+    /// The block's `(location, ready_at_ns)` before it was localized.
+    pub(super) source: (MemoryNodeId, u64),
+    committed: (u64, u64),
     pub(super) block: BlockHandle,
     bytes: u64,
     charge: Charge,
@@ -176,21 +197,23 @@ enum Charge {
 }
 
 impl QueryRun<'_> {
-    /// A freshly routed block; its old staging charge is released here.
+    /// A freshly routed block, with the load routing `committed` to `pick`
+    /// for it; its old staging charge is released here.
     pub(super) fn routed(
         &self,
         consumer: usize,
         pick: usize,
-        source: MemoryNodeId,
+        source: (MemoryNodeId, u64),
+        committed: (u64, u64),
         mut block: BlockHandle,
     ) -> Routed {
-        if self.routing[consumer].instance_nodes[pick] != source {
+        if self.routing[consumer].instance_nodes[pick] != source.0 {
             self.remote_ctl.fetch_add(1, Ordering::Relaxed);
         }
         block.take_staging();
         let bytes = self.staging.bytes_of(&block);
         let charge = if bytes == 0 { Charge::Push } else { Charge::Admit };
-        Routed { consumer, pick, source, block, bytes, charge }
+        Routed { consumer, pick, source, committed, block, bytes, charge }
     }
 
     /// Take `routed` as far as it goes: `Ok(None)` once it is in its queue,
@@ -210,9 +233,14 @@ impl QueryRun<'_> {
         }
         if let Charge::Lease(admitted) = &mut routed.charge {
             let node = self.routing[stage].instance_nodes[slot];
-            match self.staging.lease(routed.source, node, routed.bytes, waker) {
+            match self.staging.lease(routed.source.0, node, routed.bytes, waker) {
                 Poll::Ready(lease) => {
-                    let charge = StagingCharge { _slot: admitted.take(), _lease: lease? };
+                    let charge = StagingCharge {
+                        _slot: admitted.take(),
+                        _lease: lease?,
+                        committed: routed.committed,
+                        source: routed.source,
+                    };
                     routed.block.attach_staging(Arc::new(charge));
                     routed.charge = Charge::Push;
                     self.resplit_quotas(node);
@@ -244,77 +272,5 @@ impl QueryRun<'_> {
         for (&(s, q), &share) in group.members.iter().zip(shares.iter().flatten()) {
             self.queues[s][q].set_byte_quota(share);
         }
-    }
-
-    /// Hand a routed block from slot `from` of `stage` to slot `to` — the one
-    /// hand-off a steal and a takeover drain share.
-    ///
-    /// The routing-time commit moves from `from`'s load accumulators (device
-    /// and memory node) to `to`'s, so subsequent routing sees the
-    /// re-balanced world. These hand-off estimates can differ slightly from
-    /// the routing-time commit (the block was localized in between), and the
-    /// de-commit saturates, so drift only perturbs the balancing heuristic.
-    ///
-    /// The staging charge follows the lease-ordering rule of DESIGN.md §4.2
-    /// across nodes: the `from`-side charge (queue byte slot plus the lease
-    /// on its node) is released *before* the block is localized for `to`,
-    /// and the lease on `to`'s node is owed by the returned claim (see
-    /// [`Self::poll_lease`]), so a lane waiting on a dry arena holds
-    /// nothing. No queue-quota admission: the block goes straight into
-    /// processing, never into `to`'s buffer, but its bytes now live on
-    /// `to`'s node and must be backed by that arena until the lane drops the
-    /// handle.
-    pub(super) fn rehome(
-        &self,
-        stage: usize,
-        from: usize,
-        to: usize,
-        mut block: BlockHandle,
-    ) -> Result<Claimed> {
-        let routing = &self.routing[stage];
-        let estimate = self.block_estimate(stage, &block);
-        routing.move_commit(
-            (from, self.consumer_cost(stage, from, &estimate, None)),
-            (to, self.consumer_cost(stage, to, &estimate, None)),
-        );
-        block.take_staging();
-        // Localize when `to` cannot address the block where `from`'s
-        // mem-move left it (e.g. a CPU core rescuing a block already copied
-        // into a straggler GPU's device memory).
-        let to_node = routing.instance_nodes[to];
-        if self.needs_move(stage, to, block.meta().location) {
-            block = self.mem_move.relocate(&block, to_node)?;
-        }
-        Ok(Claimed { block, lease: Some((routing.instance_nodes[from], to_node)) })
-    }
-
-    /// Acquire the lease a claimed block still owes; `false`, with `waker`
-    /// registered on the arena, while it is dry.
-    pub(super) fn poll_lease(&self, claimed: &mut Claimed, waker: &Waker) -> Result<bool> {
-        let Some((from, to)) = claimed.lease else { return Ok(true) };
-        let bytes = self.staging.bytes_of(&claimed.block);
-        if bytes > 0 {
-            let Poll::Ready(lease) = self.staging.lease(from, to, bytes, waker) else {
-                return Ok(false);
-            };
-            claimed.block.attach_staging(Arc::new(StagingCharge { _slot: None, _lease: lease? }));
-        }
-        claimed.lease = None;
-        Ok(true)
-    }
-}
-
-/// A block a lane claimed to run: popped from its own queue, or handed
-/// over from a sibling's by [`QueryRun::rehome`] with the lease on the
-/// lane's node still owed.
-pub(super) struct Claimed {
-    pub(super) block: BlockHandle,
-    /// `(from, to)` nodes of the owed lease.
-    lease: Option<(MemoryNodeId, MemoryNodeId)>,
-}
-
-impl From<BlockHandle> for Claimed {
-    fn from(block: BlockHandle) -> Self {
-        Self { block, lease: None }
     }
 }

@@ -1,35 +1,27 @@
 //! The router (§3.1): per-stage routing state, block cost projections,
-//! routing plus mem-move localization, the single downstream hand-off every
-//! producer uses, and adaptive re-routing (work stealing).
+//! routing plus mem-move localization, and the single downstream hand-off
+//! every producer uses — also for a block re-routed off a straggler or a
+//! quarantined device, so routing is the one placement decision.
 
-use super::movement::{Claimed, Routed};
+use super::movement::{withdraw, Routed};
 use super::worker::Wait;
 use super::QueryRun;
 use crate::codegen::{MemMoveMode, Stage};
 use hetex_common::{BlockHandle, HetError, MemoryNodeId, Result};
-use hetex_core::cost::StealQuery;
 use hetex_core::plan::RouterPolicy;
-use hetex_core::queue::BlockQueue;
 use hetex_core::router::{LoadEstimator, Router};
 use hetex_topology::{
-    DeviceId, DeviceKind, DeviceProfile, LinkId, MemoryNodeSpec, ResourceClock, ServerTopology,
-    WorkProfile,
+    DeviceId, DeviceKind, DeviceProfile, LinkId, MemoryNodeSpec, ServerTopology, WorkProfile,
 };
+use parking_lot::Mutex;
 use std::cell::RefCell;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::task::Waker;
 
 /// Filter selectivity the router assumes when estimating a block's cost for
 /// load balancing (it cannot know real selectivities up front).
 const ASSUMED_SELECTIVITY: f64 = 0.3;
-
-/// Minimum backlog depth a sibling queue must hold before it can be stolen
-/// from. Two is the smallest depth where theft is guaranteed progress: the
-/// victim keeps its head block (the one it pops next anyway) and the thief
-/// takes work that would otherwise wait behind it — a depth-1 queue would
-/// only invite ping-pong.
-pub(super) const STEAL_MIN_DEPTH: usize = 2;
 
 thread_local! {
     /// The per-consumer costs and projections of every block a thread routes.
@@ -53,34 +45,23 @@ pub(super) struct BlockEstimate {
     weighted_bytes: f64,
 }
 
-/// A task's emitted blocks on their way downstream (see
-/// [`QueryRun::deliver`]). Blocks are routed one at a time, in order; the
-/// routed head keeps its pick, its localized copy and the part of its
+/// A task's emitted and re-routed blocks on their way into a stage (see
+/// [`QueryRun::deliver`]), each with the consumer slot it was withdrawn
+/// from when it is a re-route. Blocks are routed one at a time, in order;
+/// the routed head keeps its pick, its localized copy and the part of its
 /// staging charge acquired so far, so a head held back is retried without
 /// being routed or moved a second time.
 #[derive(Default)]
 pub(super) struct Outbox {
-    queued: VecDeque<(usize, BlockHandle)>,
+    queued: VecDeque<(usize, Option<usize>, BlockHandle)>,
     head: Option<Routed>,
 }
 
 impl Outbox {
     /// Queue `block` for delivery to stage `consumer`.
     pub(super) fn push(&mut self, consumer: usize, block: BlockHandle) {
-        self.queued.push_back((consumer, block));
+        self.queued.push_back((consumer, None, block));
     }
-}
-
-/// Outcome of one steal attempt (see [`QueryRun::steal_for`]).
-pub(super) enum StealOutcome {
-    /// A block was stolen and handed to the thief.
-    Stolen(Claimed),
-    /// A sibling has stealable backlog, but moving its tail to this thief
-    /// would finish later than leaving it — worth re-checking once the
-    /// victim's clock has advanced.
-    Unprofitable,
-    /// No sibling holds enough backlog to steal from.
-    Nothing,
 }
 
 /// Routing state of one stage, shared by every producer pushing into it:
@@ -97,13 +78,16 @@ pub(super) struct StageRouting<'a> {
     profiles: Vec<&'a DeviceProfile>,
     node_bandwidth_gbps: Vec<f64>,
     routes: Vec<Vec<&'a [LinkId]>>,
-    /// Lanes lingering on an unprofitable backlog (see
-    /// [`QueryRun::release_lingering`]).
-    lingering: AtomicUsize,
     /// Dense index of each consumer's memory node into `node_load`.
     node_index: Vec<usize>,
     /// Per-consumer load estimates (device time committed per routed block).
     pub(super) est: LoadEstimator,
+    /// Held from a block's projections to its commit, so that concurrent
+    /// producers place blocks one after another, each on the loads the last
+    /// one left: two projections priced at once would both see the same
+    /// idle consumer, and a thread preempted mid-projection would place its
+    /// block on loads long gone.
+    placing: Mutex<()>,
     /// Per-memory-node load estimates: a socket's cores share its DRAM
     /// bandwidth, so a block's projected completion on a consumer is the max
     /// of its device backlog and its memory node's backlog — mirroring the
@@ -116,11 +100,9 @@ pub(super) struct StageRouting<'a> {
     est_probes_per_row: f64,
     /// Per-consumer nanoseconds actually charged to the device clock, and
     /// the count of blocks they were charged for: `charged_busy / processed`
-    /// is a consumer's observed average block cost, which the steal
-    /// profitability pre-check (run *before* a block leaves the victim's
-    /// queue — see [`QueryRun::steal_for`]) and the watchdog budget price
-    /// with, so a hidden straggler is priced by what it *did*, not what the
-    /// estimates promised.
+    /// is a consumer's observed average block cost, which the watchdog's
+    /// detection budget prices with, so a hidden straggler is priced by what
+    /// it *did*, not what the estimates promised.
     pub(super) charged_busy: Vec<AtomicU64>,
     pub(super) processed: Vec<AtomicU64>,
 }
@@ -193,9 +175,9 @@ impl<'a> StageRouting<'a> {
             profiles,
             node_bandwidth_gbps,
             routes,
-            lingering: AtomicUsize::new(0),
             node_index,
             est: LoadEstimator::new(stage.consumers.len()),
+            placing: Mutex::new(()),
             node_load: (0..distinct_nodes.len()).map(|_| AtomicU64::new(0)).collect(),
             est_selectivity,
             est_probes_per_row,
@@ -205,10 +187,10 @@ impl<'a> StageRouting<'a> {
     }
 
     /// Whether a block may move between this stage's consumers after routing
-    /// (a steal or a takeover): only when routing was anonymous to begin
-    /// with. Broadcast-target blocks are bound to their consumer (explicit
+    /// (a re-route): only when routing was anonymous to begin with.
+    /// Broadcast-target blocks are bound to their consumer (explicit
     /// copies), and a single-consumer stage has no sibling to move to.
-    pub(super) fn rehomeable(&self) -> bool {
+    pub(super) fn reroutable(&self) -> bool {
         self.stage.consumers.len() > 1
             && matches!(self.stage.policy, RouterPolicy::RoundRobin | RouterPolicy::LeastLoaded)
     }
@@ -223,35 +205,14 @@ impl<'a> StageRouting<'a> {
         Some(self.charged_busy[slot].load(Ordering::Relaxed) / blocks)
     }
 
-    /// Move `from`'s `(device_ns, node_ns)` of committed load to `to`'s.
-    pub(super) fn move_commit(
-        &self,
-        (from, from_cost): (usize, (u64, u64)),
-        (to, to_cost): (usize, (u64, u64)),
-    ) {
-        self.est.decommit(from, from_cost.0);
-        self.est.commit(to, to_cost.0);
-        let _ = self.node_load[self.node_index[from]].fetch_update(
+    /// Take `(device_ns, node_ns)` of committed load off consumer `slot`.
+    fn decommit(&self, slot: usize, (device_ns, node_ns): (u64, u64)) {
+        self.est.decommit(slot, device_ns);
+        let _ = self.node_load[self.node_index[slot]].fetch_update(
             Ordering::Relaxed,
             Ordering::Relaxed,
-            |v| Some(v.saturating_sub(from_cost.1)),
+            |v| Some(v.saturating_sub(node_ns)),
         );
-        self.node_load[self.node_index[to]].fetch_add(to_cost.1, Ordering::Relaxed);
-    }
-
-    /// Count the calling lane as lingering until the guard drops.
-    pub(super) fn linger(&self) -> Lingering<'_> {
-        self.lingering.fetch_add(1, Ordering::SeqCst);
-        Lingering(&self.lingering)
-    }
-}
-
-/// A lane's membership in its stage's lingering count.
-pub(super) struct Lingering<'r>(&'r AtomicUsize);
-
-impl Drop for Lingering<'_> {
-    fn drop(&mut self) {
-        self.0.fetch_sub(1, Ordering::SeqCst);
     }
 }
 
@@ -378,6 +339,40 @@ impl QueryRun<'_> {
         (block_ns as u64, mem.saturating_add(transfer_axis_ns).saturating_add(control_ns))
     }
 
+    /// Consumer `i`'s projected completion of a block costing
+    /// `(device_ns, node_ns)` there, on top of what is committed to it: the
+    /// device backlog (scaled by the device's observed slowdown, plus the
+    /// node arena's occupancy penalty and the gate estimate) against its
+    /// memory node's backlog, composed by the cost model. A block routed to
+    /// a starved node would hold its producer back on a lease, and a device
+    /// seen straggling projects expensive (exactly 1.0 for healthy ones).
+    fn projection(
+        &self,
+        stage: usize,
+        i: usize,
+        (device_ns, node_ns): (u64, u64),
+        gate_ns: u64,
+        location: MemoryNodeId,
+    ) -> u64 {
+        let (routing, cost) = (&self.routing[stage], &self.cost);
+        let node = routing.instance_nodes[i];
+        let penalty =
+            self.staging.occupancy(node).map_or(0, |o| cost.occupancy_penalty_ns(device_ns, o));
+        let slowdown = cost.observed_device_slowdown(routing.instance_devices[i].index());
+        let dev = routing.est.project(i, device_ns, penalty, gate_ns, slowdown);
+        let node_backlog = routing.node_load[routing.node_index[i]].load(Ordering::Relaxed);
+        cost.compose_projection(dev, node_backlog.saturating_add(node_ns), node == location, true)
+    }
+
+    fn quarantined(&self, stage: usize, i: usize) -> bool {
+        let device = self.routing[stage].instance_devices[i];
+        self.fault.as_ref().is_some_and(|f| f.is_quarantined(device))
+    }
+
+    fn straggles(&self, stage: usize, i: usize) -> bool {
+        self.cost.is_straggler(self.routing[stage].instance_devices[i].index())
+    }
+
     /// Route one block to a consumer of `stage` and localize it via
     /// mem-move; the block's readiness is not floored, so transfers overlap
     /// upstream compute. Each consumer node's arena occupancy is priced
@@ -393,67 +388,65 @@ impl QueryRun<'_> {
     /// consumers of gated probe stages stop collecting pre-gate blocks they
     /// cannot start anyway.
     ///
-    /// Under a fault plan, quarantined consumers are poisoned out of the
-    /// projection and a pick that still lands on one (round-robin ignores
-    /// projections) is redirected to the cheapest surviving sibling — when
-    /// the stage routes anonymously. A bound stage whose consumer died
-    /// cannot re-home the block, so routing surfaces a structured
-    /// [`HetError::DeviceLost`] and the engine's degraded-restart ladder
-    /// takes over.
+    /// `off` is the slot a re-routed block was withdrawn from. The block
+    /// never goes back there, and it was broadcast when it was first routed,
+    /// so it is not broadcast again. Off a straggler it goes only to
+    /// consumers that neither straggle nor are quarantined, while any is
+    /// live; off a quarantined device, to any live consumer. A straggler
+    /// therefore never pushes into a queue whose lane pushes back into its
+    /// own, and the §4.2 no-hold-and-wait argument holds.
     ///
-    /// Returns `(consumer index, localized handle)`.
+    /// Under a fault plan, quarantined consumers are poisoned out of the
+    /// projection and a pick that still lands on a barred consumer
+    /// (round-robin ignores projections) is redirected to the cheapest
+    /// allowed sibling — when the stage routes anonymously. A bound stage
+    /// whose consumer died cannot re-home the block, so routing surfaces a
+    /// structured [`HetError::DeviceLost`] and the engine's degraded-restart
+    /// ladder takes over.
+    ///
+    /// Returns the consumer index, the `(device_ns, node_ns)` committed to
+    /// it, and the localized handle.
     fn route_and_localize(
         &self,
         stage: usize,
+        off: Option<usize>,
         handle: BlockHandle,
-    ) -> Result<(usize, BlockHandle)> {
-        let (routing, cost) = (&self.routing[stage], &self.cost);
+    ) -> Result<(usize, (u64, u64), BlockHandle)> {
+        let routing = &self.routing[stage];
         let (gate_ns, gate_pending) = self.gate_estimate(stage);
         let block = self.block_estimate(stage, &handle);
-        let dead = |i: usize| {
-            self.fault.as_ref().is_some_and(|f| f.is_quarantined(routing.instance_devices[i]))
-        };
-        let (pick, (device_ns, node_ns)) = PROJECTION.with(|projection| {
+        let placing = routing.placing.lock();
+        let (pick, committed) = PROJECTION.with(|projection| {
             let Projection { costs, projected } = &mut *projection.borrow_mut();
             costs.clear();
             projected.clear();
-            for (i, &node) in routing.instance_nodes.iter().enumerate() {
-                let (device_ns, node_ns) =
-                    self.consumer_cost(stage, i, &block, gate_pending.then_some(gate_ns));
-                costs.push((device_ns, node_ns));
+            for i in 0..routing.instance_nodes.len() {
+                let cost = self.consumer_cost(stage, i, &block, gate_pending.then_some(gate_ns));
+                costs.push(cost);
                 // Quarantined consumers project as unusable (u64::MAX).
-                if dead(i) {
-                    projected.push(u64::MAX);
-                    continue;
+                projected.push(if self.quarantined(stage, i) {
+                    u64::MAX
+                } else {
+                    self.projection(stage, i, cost, gate_ns, block.location)
+                });
+            }
+            if let Some(from) = off {
+                projected[from] = u64::MAX;
+                let steady = |i: usize| projected[i] != u64::MAX && !self.straggles(stage, i);
+                if !self.quarantined(stage, from) && (0..projected.len()).any(steady) {
+                    for i in (0..projected.len()).filter(|&i| self.straggles(stage, i)) {
+                        projected[i] = u64::MAX;
+                    }
                 }
-                // A block routed to a starved node would hold its producer
-                // back on a lease: price the node arena's occupancy.
-                let penalty = self
-                    .staging
-                    .occupancy(node)
-                    .map_or(0, |o| cost.occupancy_penalty_ns(device_ns, o));
-                // Observed-slowdown feedback: a device seen straggling
-                // projects expensive; exactly 1.0 for healthy devices.
-                let slowdown = cost.observed_device_slowdown(routing.instance_devices[i].index());
-                let dev = routing.est.project(i, device_ns, penalty, gate_ns, slowdown);
-                // The completion from the two backlogs the executor charges
-                // (device and memory node), composed by the cost model.
-                let node_backlog = routing.node_load[routing.node_index[i]].load(Ordering::Relaxed);
-                projected.push(cost.compose_projection(
-                    dev,
-                    node_backlog.saturating_add(node_ns),
-                    node == block.location,
-                    true,
-                ));
             }
             let mut pick = routing.router.route(handle.meta(), projected)?;
-            if dead(pick) {
+            if projected[pick] == u64::MAX {
                 // Round-robin ignores projections, and least-loaded must
-                // pick something when every consumer is poisoned: an
-                // anonymous block goes to the cheapest survivor, a bound one
-                // has nowhere sound to go.
+                // pick something when every consumer is barred: an
+                // anonymous block goes to the cheapest allowed consumer, a
+                // bound one has nowhere sound to go.
                 pick = routing
-                    .rehomeable()
+                    .reroutable()
                     .then(|| {
                         projected
                             .iter()
@@ -463,21 +456,25 @@ impl QueryRun<'_> {
                             .map(|(i, _)| i)
                     })
                     .flatten()
-                    .ok_or(HetError::DeviceLost {
-                        device: routing.instance_devices[pick].index(),
+                    .ok_or_else(|| HetError::DeviceLost {
+                        device: routing.instance_devices[off.unwrap_or(pick)].index(),
                         stage,
-                        block: 0,
+                        block: off.map_or(0, |from| self.queues[stage][from].len() + 1),
                     })?;
             }
             Ok::<_, HetError>((pick, costs[pick]))
         })?;
-        routing.est.commit(pick, device_ns);
-        routing.node_load[routing.node_index[pick]].fetch_add(node_ns, Ordering::Relaxed);
+        routing.est.commit(pick, committed.0);
+        routing.node_load[routing.node_index[pick]].fetch_add(committed.1, Ordering::Relaxed);
+        drop(placing);
 
         // Broadcast the dimension data to every GPU memory node (so probes
         // on GPUs read local data), and hand the local copy to the building
         // instance.
-        if routing.stage.mem_move == MemMoveMode::Broadcast && !self.gpu_nodes.is_empty() {
+        if off.is_none()
+            && routing.stage.mem_move == MemMoveMode::Broadcast
+            && !self.gpu_nodes.is_empty()
+        {
             self.mem_move.broadcast(&handle, &self.gpu_nodes)?;
         }
         let localized = if self.needs_move(stage, pick, handle.meta().location) {
@@ -485,12 +482,13 @@ impl QueryRun<'_> {
         } else {
             handle
         };
-        Ok((pick, localized))
+        Ok((pick, committed, localized))
     }
 
-    /// Deliver `outbox` in order — the single downstream hand-off shared by
-    /// source pumps, lanes, finalize flushes and terminal emissions. Each
-    /// block is routed and localized once, then backed by a staging charge
+    /// Deliver `outbox` in order — the single hand-off into a stage shared
+    /// by source pumps, lanes, finalize flushes, terminal emissions and
+    /// re-routes. Each block is routed and localized once (a fresh one is
+    /// entered in its stage's ledger first), then backed by a staging charge
     /// and pushed (see [`Self::advance`]): the bounded queue, the byte quota
     /// and a dry arena all exert back-pressure here. `Ok(None)` once the
     /// outbox is empty; otherwise what holds its head back, with `waker`
@@ -500,12 +498,16 @@ impl QueryRun<'_> {
             let routed = match outbox.head.take() {
                 Some(routed) => routed,
                 None => {
-                    let Some((consumer, block)) = outbox.queued.pop_front() else {
+                    let Some((consumer, off, block)) = outbox.queued.pop_front() else {
                         return Ok(None);
                     };
-                    let source = block.meta().location;
-                    let (pick, localized) = self.route_and_localize(consumer, block)?;
-                    self.routed(consumer, pick, source, localized)
+                    if off.is_none() {
+                        self.ledger_enter(consumer);
+                    }
+                    let source = (block.meta().location, block.meta().ready_at_ns);
+                    let (pick, committed, localized) =
+                        self.route_and_localize(consumer, off, block)?;
+                    self.routed(consumer, pick, source, committed, localized)
                 }
             };
             if let Some((held, wait)) = self.advance(routed, waker)? {
@@ -515,160 +517,42 @@ impl QueryRun<'_> {
         }
     }
 
-    /// Adaptive re-routing: try to steal one block for the worker at slot
-    /// `thief` of `stage` from the most-loaded sibling whose backlog holds
-    /// at least [`STEAL_MIN_DEPTH`] blocks. A thief with a backlog of its
-    /// own prices the stolen block behind it, and leaves a quarantined
-    /// sibling's backlog to idle lanes and the takeover drain.
-    ///
-    /// Profitability is judged on the **device clocks** and **observed
-    /// average block costs**, not the routing estimator: both carry every
-    /// nanosecond actually charged, so they are the only place an unforeseen
-    /// straggler (a slowdown the cost model did not price) is visible — the
-    /// paper's feedback signal. The stolen tail block would complete on the
-    /// victim no earlier than `victim_clock + backlog × victim_avg_cost`,
-    /// and on the thief once the thief's own backlog and the block are
-    /// done, at `thief_clock + (own backlog + 1) × thief_avg_cost` (one block
-    /// more as hysteresis: near equilibrium a steal only duplicates what
-    /// least-loaded routing already achieves while paying an extra
-    /// relocation). Without this check an idle-but-expensive consumer (a CPU
-    /// core eyeing a GPU-bound backlog) would "rescue" blocks into a slower
-    /// home than the straggler itself.
-    ///
-    /// The check runs *before* anything leaves the victim's queue, and a
-    /// consummated steal is always processed by the thief: a block briefly
-    /// removed and returned could strand forever in a queue whose consumer
-    /// observed termination in between — the exactly-once guarantee admits
-    /// no "changed my mind" path. Consumers that have not processed any
-    /// block yet have no observed cost, so nothing is stolen from or by
-    /// them (a straggler is only detectable after it has straggled). A
-    /// consummated steal hands the block over with [`Self::rehome`].
-    pub(super) fn steal_for(
+    /// Re-route `block`, withdrawn from slot `from` of `stage`: undo its
+    /// placement (see [`withdraw`]), take what routing committed for it off
+    /// `from`'s load, and queue it in `outbox`, whose delivery routes it
+    /// like any new block (see [`Self::route_and_localize`]). Its ledger
+    /// entry stays open until a live lane starts it.
+    pub(super) fn reroute(
         &self,
         stage: usize,
-        thief: usize,
-        thief_clock: &ResourceClock,
-    ) -> Result<StealOutcome> {
-        let (routing, queues, cost) = (&self.routing[stage], &self.queues[stage], &self.cost);
-        let dead = |slot: usize| {
-            self.fault.as_ref().is_some_and(|f| f.is_quarantined(routing.instance_devices[slot]))
-        };
-        let own_backlog = queues[thief].len();
-        let mut best: Option<(usize, usize)> = None;
-        for (slot, queue) in queues.iter().enumerate() {
-            if slot == thief || (own_backlog > 0 && dead(slot)) {
-                continue;
-            }
-            // A quarantined sibling's backlog would never complete on its
-            // own, so any depth is stealable from it — even the head block
-            // its consumer would otherwise pop next.
-            let min_depth = if dead(slot) { 1 } else { STEAL_MIN_DEPTH };
-            let depth = queue.len();
-            if depth >= min_depth && best.is_none_or(|(_, d)| depth > d) {
-                best = Some((slot, depth));
-            }
-        }
-        let Some((victim, depth)) = best else { return Ok(StealOutcome::Nothing) };
-
-        // Rescuing a dead sibling is unconditionally profitable: the victim
-        // will never process the block, so every comparison against its
-        // clock is moot. Everything below prices live stragglers only.
-        if !dead(victim) {
-            // Only observed stragglers are worth stealing from. A backlog on
-            // a healthy consumer is ordinary routing imbalance: rescuing it
-            // wins a thin per-block margin but pays an un-modeled shared
-            // cost (the relocation's link bandwidth), which measurably loses
-            // on healthy workloads — and injects wall-clock-dependent noise
-            // into otherwise deterministic simulated times.
-            if !cost.is_straggler(routing.instance_devices[victim].index()) {
-                return Ok(StealOutcome::Unprofitable);
-            }
-
-            // Feedback-driven profitability pre-check (see the doc comment),
-            // evaluated while the block is still safely queued. The rescue's
-            // relocation would queue behind any outstanding DMA on the route
-            // from where the block's data actually lives (the peeked tail's
-            // location — advisory, the tail can change before the steal, but
-            // a mis-peek only perturbs an estimate) to the thief's node; the
-            // cost model's link-congestion term prices that backlog into the
-            // thief's side (zero when the thief can address the data in
-            // place).
-            let (Some(victim_avg), Some(thief_avg)) =
-                (routing.observed_avg_cost(victim), routing.observed_avg_cost(thief))
-            else {
-                return Ok(StealOutcome::Unprofitable);
-            };
-            let thief_clock_ns = thief_clock.now().as_nanos();
-            let data_location =
-                queues[victim].tail_location().unwrap_or(routing.instance_nodes[victim]);
-            let thief_node = routing.instance_nodes[thief];
-            let topology = &self.exec.topology;
-            let congestion_ns = if self.needs_move(stage, thief, data_location) {
-                cost.link_congestion_ns(topology, data_location, thief_node, thief_clock_ns)
-            } else {
-                0
-            };
-            let query = StealQuery {
-                victim_clock_ns: self
-                    .device_clocks
-                    .get(&routing.instance_devices[victim])
-                    .map(|c| c.now().as_nanos())
-                    .unwrap_or(0),
-                victim_avg_ns: victim_avg,
-                backlog_depth: depth as u64,
-                thief_clock_ns,
-                thief_avg_ns: thief_avg,
-                thief_backlog: own_backlog as u64,
-                congestion_ns,
-            };
-            let profitable = cost.steal_profitable(&query);
-            if self.trace_steal {
-                eprintln!(
-                    "[steal] thief {thief} victim {victim} {query:?} outstanding {:.0}B \
-                     slowdown {:.2} -> {}",
-                    cost.outstanding_link_bytes(
-                        topology,
-                        data_location,
-                        thief_node,
-                        thief_clock_ns
-                    ),
-                    cost.observed_device_slowdown(routing.instance_devices[victim].index()),
-                    if profitable { "steal" } else { "unprofitable" }
-                );
-            }
-            if !profitable {
-                return Ok(StealOutcome::Unprofitable);
-            }
-        }
-
-        // The victim may have drained (or been closed) since the scan; a
-        // failed steal is simply "nothing to do", never an error.
-        let Some(block) = queues[victim].steal() else { return Ok(StealOutcome::Nothing) };
-        Ok(StealOutcome::Stolen(self.rehome(stage, victim, thief, block)?))
+        from: usize,
+        mut block: BlockHandle,
+        outbox: &mut Outbox,
+    ) {
+        self.routing[stage].decommit(from, withdraw(&mut block));
+        outbox.queued.push_back((stage, Some(from), block));
     }
 
-    /// Whether a sibling of `thief` is an observed straggler or quarantined:
-    /// the only victims [`Self::steal_for`] takes a block from.
-    pub(super) fn has_steal_victim(&self, stage: usize, thief: usize) -> bool {
-        let routing = &self.routing[stage];
-        (0..routing.instance_devices.len()).any(|slot| {
-            slot != thief
-                && (self.cost.is_straggler(routing.instance_devices[slot].index())
-                    || self
-                        .fault
-                        .as_ref()
-                        .is_some_and(|f| f.is_quarantined(routing.instance_devices[slot])))
-        })
-    }
-
-    /// Whether `queue` of `stage`, having just popped, must wake its
-    /// siblings: a lane whose stream is over may linger on its backlog,
-    /// judged unprofitable, and below [`STEAL_MIN_DEPTH`] that verdict
-    /// turns to `Nothing`, on which the lane finishes. The lane raises the
-    /// count before its scan, which reads each depth under the queue's
-    /// mutex, so a pop its scan missed sees the count (DESIGN.md §4.3).
-    pub(super) fn release_lingering(&self, stage: usize, queue: &BlockQueue) -> bool {
-        self.routing[stage].lingering.load(Ordering::SeqCst) > 0 && queue.len() < STEAL_MIN_DEPTH
+    /// Whether a live sibling of `owner` that does not straggle would end
+    /// `block`, the tail of `owner`'s queue, earlier than `owner`: a
+    /// straggler's re-route test, priced on routing's projections. The
+    /// block is still committed to `owner`, so `owner`'s projection adds
+    /// nothing for it.
+    pub(super) fn sibling_ends_earlier(
+        &self,
+        stage: usize,
+        owner: usize,
+        block: &BlockHandle,
+    ) -> bool {
+        let (gate_ns, gate_pending) = self.gate_estimate(stage);
+        let estimate = self.block_estimate(stage, block);
+        let own = self.projection(stage, owner, (0, 0), gate_ns, estimate.location);
+        (0..self.routing[stage].instance_nodes.len())
+            .filter(|&i| i != owner && !self.quarantined(stage, i) && !self.straggles(stage, i))
+            .any(|i| {
+                let cost = self.consumer_cost(stage, i, &estimate, gate_pending.then_some(gate_ns));
+                self.projection(stage, i, cost, gate_ns, estimate.location) < own
+            })
     }
 }
 

@@ -1,28 +1,21 @@
 //! Pipeline instances at work: a [`Lane`] is one instance of a stage's
 //! pipeline bound to a device — building its execution context is the
 //! device crossing, its finalize flush the pack. A [`Task`] is a source
-//! pump or a lane's worker, stepped by the scheduler: a worker claims,
-//! checks the fault ladder and runs one block per step, stealing or
-//! waiting when its queue has nothing for it.
+//! pump or a lane's worker, stepped by the scheduler: a worker checks the
+//! fault ladder, claims and runs one block per step, or re-routes one its
+//! device should not run, and waits when its queue has nothing for it.
 
-use super::fault::{Drain, FaultState};
-use super::movement::Claimed;
-use super::routing::{Lingering, Outbox, StealOutcome};
+use super::fault::FaultState;
+use super::routing::Outbox;
 use super::sched::Step;
 use super::{DeviceKindStats, QueryRun};
 use hetex_common::{BlockHandle, HetError, MemoryNodeId, Result};
-use hetex_core::queue::{BlockQueue, PopNext, ProducerGuard};
+use hetex_core::queue::PopNext;
 use hetex_jit::{CompiledPipeline, ExecCtx, PipelineOutput};
 use hetex_topology::{DeviceId, DeviceKind, DeviceProfile, ResourceClock, SimTime};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
 use std::task::Waker;
-
-/// Most consecutive claim-yields a straggling worker may take before it
-/// processes a block regardless: progress even when the sibling it yields
-/// to cannot run. A yield is one scheduler step, and a sibling's block
-/// takes a few hundred of them on another thread, so the bound is wide.
-const MAX_CLAIM_YIELDS: usize = 4096;
 
 /// What a waiting task waits on, as the stall report names it.
 #[derive(Clone, Copy)]
@@ -30,9 +23,6 @@ pub(super) enum Wait {
     Gate,
     /// Its own queue: a block, a completion or the close.
     Queue,
-    /// Its stream is over; a sibling's backlog may turn profitable or drop
-    /// below the steal depth.
-    Lingering,
     Quarantine,
     Lease(MemoryNodeId),
     Admission {
@@ -50,7 +40,6 @@ impl std::fmt::Display for Wait {
         match self {
             Wait::Gate => write!(f, "its gate"),
             Wait::Queue => write!(f, "its queue"),
-            Wait::Lingering => write!(f, "a sibling's backlog"),
             Wait::Quarantine => write!(f, "its quarantine"),
             Wait::Lease(node) => write!(f, "a staging lease on {node}"),
             Wait::Admission { stage, slot } => {
@@ -63,8 +52,7 @@ impl std::fmt::Display for Wait {
 
 /// One pipeline instance of a stage bound to a device: its compiled
 /// pipeline, execution context, clock and profile. Charges are made at the
-/// instance's routing `slot`, so a lane that takes over a lost sibling's
-/// stream feeds the straggler detector as its own slot.
+/// instance's routing `slot`.
 pub(super) struct Lane<'r> {
     pub(super) run: &'r QueryRun<'r>,
     pub(super) stage: usize,
@@ -175,15 +163,16 @@ impl<'r> Lane<'r> {
 
     /// The lane's partially filled packed outputs, taken out of its context,
     /// and its group-by partials, merged into the shared table: once per
-    /// lane, whether the lane finishes or is taken over.
+    /// lane, whether its device finishes them or a live sibling's does.
     pub(super) fn take_packed(&mut self) -> Result<PipelineOutput> {
         self.pipeline.finalize_instance(&self.run.graph.state, &mut self.ctx)
     }
 
-    /// Charge a finalize pass's work to this lane after its latest work and
-    /// emit its blocks. Its rows count toward the stage's emitted rows;
-    /// nothing *entered* during finalize.
-    pub(super) fn flush(&mut self, out: PipelineOutput, outbox: &mut Outbox) {
+    /// Flush packed outputs `out`: charge the finalize pass's work to this
+    /// lane after its latest work and emit its blocks (its rows count toward
+    /// the stage's emitted rows; nothing *entered* during finalize), then
+    /// bank the lane's statistics.
+    pub(super) fn finalize(&mut self, out: PipelineOutput, outbox: &mut Outbox) {
         if !out.work.is_empty() {
             let (end, busy) =
                 self.run.exec.charge(&self.clock, &self.profile, &out.work, self.last_end);
@@ -194,12 +183,6 @@ impl<'r> Lane<'r> {
             .rows_out
             .fetch_add(out.counters.rows_emitted, Ordering::Relaxed);
         self.emit(out.blocks, self.last_end, outbox);
-    }
-
-    /// Flush the lane's own packed outputs, then bank its statistics.
-    pub(super) fn finalize(&mut self, outbox: &mut Outbox) -> Result<()> {
-        let out = self.take_packed()?;
-        self.flush(out, outbox);
         if self.run.trace {
             eprintln!(
                 "[trace] stage {} dev {:?} blocks {} busy {:.1}ms last_end {} clock {}",
@@ -212,7 +195,6 @@ impl<'r> Lane<'r> {
             );
         }
         self.bank();
-        Ok(())
     }
 
     /// Add the lane's statistics to the run's per-kind totals (once).
@@ -240,13 +222,12 @@ enum Kind<'r> {
     /// A table scan's source: a cursor over the table's segments, each
     /// routed the moment it exists, so transfers to (e.g.) GPU memory
     /// overlap whatever the gated consumer still waits for — the paper's
-    /// transfer/compute overlap. The guards register the pump on every queue
-    /// of the stage and end the stream when the task is dropped.
+    /// transfer/compute overlap. Its end is the source's end in the stage's
+    /// ledger.
     Pump {
         table: &'r str,
         projection: &'r [String],
         segments: Option<std::vec::IntoIter<BlockHandle>>,
-        _guards: Vec<ProducerGuard>,
     },
     /// The worker of pipeline instance `slot`.
     Worker { slot: usize, phase: Phase<'r> },
@@ -256,8 +237,6 @@ enum Phase<'r> {
     /// Waiting for the dependency gate; the lane is built when it opens.
     Gated,
     Claiming(Box<Claimer<'r>>),
-    /// The device was quarantined: a survivor runs the rest of the stream.
-    Draining(Box<Drain<'r>>),
     /// The lane finalized at this simulated time; the stage learns it once
     /// the lane's last blocks are delivered.
     Finalized(SimTime),
@@ -270,9 +249,6 @@ enum Phase<'r> {
 pub(super) enum Progress {
     Ran,
     Wait(Wait),
-    /// The device was lost; the claimed block, if any, leads the re-homed
-    /// stream.
-    TakeOver(Option<Claimed>),
     /// The stream is over; the lane finalized at this simulated time.
     Finished(SimTime),
 }
@@ -284,8 +260,7 @@ impl<'r> Task<'r> {
         table: &'r str,
         projection: &'r [String],
     ) -> Self {
-        let _guards = run.queues[stage].iter().map(BlockQueue::register_producer).collect();
-        let kind = Kind::Pump { table, projection, segments: None, _guards };
+        let kind = Kind::Pump { table, projection, segments: None };
         Self { run, stage, kind, outbox: Outbox::default(), wait: Wait::Queue }
     }
 
@@ -307,13 +282,18 @@ impl<'r> Task<'r> {
     /// One step. Whatever happens — an error or a panic — a worker runs the
     /// completion protocol: without it the stage's remaining-count never
     /// reaches zero, dependent gates never open, and the query stalls
-    /// instead of reporting the failure. A failed worker closes its queue,
-    /// releasing the producers pushing into it and cascading the shutdown
-    /// upstream.
+    /// instead of reporting the failure. A pump's end, whatever it is, ends
+    /// its source in the stage's ledger. The first error closes every
+    /// queue (see `QueryRun::record_error`).
     pub(super) fn step(&mut self, waker: &Waker) -> Step {
         let (run, stage) = (self.run, self.stage);
         let error = match catch_unwind(AssertUnwindSafe(|| self.advance(waker))) {
-            Ok(Ok(step)) => return step,
+            Ok(Ok(step)) => {
+                if let (Step::Done, Kind::Pump { .. }) = (&step, &self.kind) {
+                    run.ledger_leave(stage);
+                }
+                return step;
+            }
             Ok(Err(e)) => e,
             Err(_) => HetError::Execution(match self.kind {
                 Kind::Pump { .. } => format!("stage {stage} source pump panicked"),
@@ -322,12 +302,13 @@ impl<'r> Task<'r> {
         };
         run.record_error(error);
         self.outbox = Outbox::default();
-        let Kind::Worker { slot, phase } = &self.kind else { return Step::Done };
-        run.queues[stage][*slot].close();
+        let Kind::Worker { phase, .. } = &self.kind else {
+            run.ledger_leave(stage);
+            return Step::Done;
+        };
         let last_end = match phase {
             Phase::Gated => SimTime::ZERO,
             Phase::Claiming(claimer) => claimer.lane.last_end,
-            Phase::Draining(drain) => drain.floor,
             Phase::Finalized(last_end) => *last_end,
             Phase::Finishing(completion) => {
                 run.stage_finished(stage, *completion);
@@ -374,7 +355,6 @@ impl<'r> Task<'r> {
                         None => Progress::Wait(Wait::Gate),
                     },
                     Phase::Claiming(claimer) => claimer.step(&mut self.outbox, waker)?,
-                    Phase::Draining(drain) => drain.step(&mut self.outbox, waker)?,
                     Phase::Finalized(last_end) => {
                         match run.worker_finished(stage, *last_end, &mut self.outbox) {
                             Some(completion) => *phase = Phase::Finishing(completion),
@@ -392,15 +372,6 @@ impl<'r> Task<'r> {
                     Progress::Wait(wait) => {
                         self.wait = wait;
                         return Ok(Step::Waiting);
-                    }
-                    Progress::TakeOver(in_hand) => {
-                        let Phase::Claiming(claimer) = phase else { unreachable!("claiming") };
-                        claimer.wake_siblings();
-                        let fault = claimer.fault.expect("only a fault plan quarantines");
-                        let drain =
-                            run.take_over(fault, &mut claimer.lane, in_hand, &mut self.outbox)?;
-                        *phase = Phase::Draining(Box::new(drain));
-                        Step::Ran
                     }
                     Progress::Finished(last_end) => {
                         *phase = Phase::Finalized(last_end);
@@ -425,27 +396,21 @@ impl<'r> Task<'r> {
     }
 }
 
-/// A lane claiming and running blocks, with the claim-pacing and fault state
-/// it carries between steps.
+/// A lane claiming and running blocks, with the fault state it carries
+/// between steps.
 struct Claimer<'r> {
     lane: Lane<'r>,
     /// Simulated floor inherited from the stage's dependency gate.
     gate_floor: SimTime,
-    /// Whether the stage may steal (anonymous routing over siblings, see
-    /// `StageRouting::rehomeable`).
-    steals: bool,
+    /// Whether the stage's blocks may be re-routed (anonymous routing over
+    /// siblings, see `StageRouting::reroutable`).
+    reroutes: bool,
     /// The fault state, when an injected plan targets this worker's device;
     /// onsets are judged against the device's simulated clock.
     fault: Option<&'r FaultState>,
     /// When the device wedges: the watchdog, which runs whenever a fault
     /// plan is attached, quarantines it.
     wedge_at: Option<SimTime>,
-    /// A claimed block whose lease is still owed.
-    in_hand: Option<Claimed>,
-    /// Raised while the lane lingers (see `QueryRun::release_lingering`).
-    lingering: Option<Lingering<'r>>,
-    last_busy: u64,
-    claim_yields: usize,
     processed_any: bool,
 }
 
@@ -457,216 +422,120 @@ impl<'r> Claimer<'r> {
         let fault = run.fault.as_ref().filter(|f| f.plan.targets_device(lane.device));
         let wedge_at = fault.and_then(|f| f.plan.wedge_at(lane.device));
         Ok(Self {
-            steals: run.routing[stage].rehomeable(),
+            reroutes: run.routing[stage].reroutable(),
             lane,
             gate_floor,
             fault,
             wedge_at,
-            in_hand: None,
-            lingering: None,
-            last_busy: 0,
-            claim_yields: 0,
             processed_any: false,
         })
     }
 
-    fn queue(&self) -> &'r BlockQueue {
-        &self.lane.run.queues[self.lane.stage][self.lane.slot]
-    }
-
-    /// Fault check → claim → run one block.
+    /// Fault check → claim → run one block, or re-route one the device
+    /// should not run. A wedged device waits, claiming nothing, until the
+    /// watchdog quarantines it; a run that fails elsewhere releases it
+    /// through the error path.
     fn step(&mut self, outbox: &mut Outbox, waker: &Waker) -> Result<Progress> {
-        let run = self.lane.run;
-        self.lingering = None;
-        if let Some(progress) = self.fault_before_claim()? {
-            return Ok(progress);
-        }
-        let mut claimed = match self.in_hand.take() {
-            Some(claimed) => claimed,
-            None => match self.claim(waker)? {
-                Ok(claimed) => claimed,
-                Err(Progress::Finished(_)) => {
-                    self.lane.finalize(outbox)?;
-                    return Ok(Progress::Finished(self.lane.last_end));
+        let (run, stage, slot) = (self.lane.run, self.lane.stage, self.lane.slot);
+        if let Some(fault) = self.fault {
+            if fault.is_quarantined(self.lane.device) {
+                return self.evacuate(fault, outbox, waker);
+            }
+            if self.wedge_at.is_some_and(|at| self.lane.clock.now() >= at) {
+                if run.failed() {
+                    return Err(HetError::Execution(format!("stage {stage} slot {slot} wedged")));
                 }
-                Err(progress) => return Ok(progress),
-            },
-        };
-        if !run.poll_lease(&mut claimed, waker)? {
-            self.in_hand = Some(claimed);
-            let node = run.routing[self.lane.stage].instance_nodes[self.lane.slot];
-            return Ok(Progress::Wait(Wait::Lease(node)));
+                return Ok(Progress::Wait(Wait::Quarantine));
+            }
         }
+        let block = match self.claim(outbox, waker) {
+            Ok(block) => block,
+            Err(Progress::Finished(_)) => {
+                let out = self.lane.take_packed()?;
+                self.lane.finalize(out, outbox);
+                return Ok(Progress::Finished(self.lane.last_end));
+            }
+            Err(progress) => return Ok(progress),
+        };
         if !self.processed_any {
             self.processed_any = true;
-            run.progress[self.lane.stage]
-                .record_first_block(run.wall_start.elapsed().as_nanos() as u64);
+            run.progress[stage].record_first_block(run.wall_start.elapsed().as_nanos() as u64);
         }
-        if self.fault.is_some_and(|f| f.invocation_lost(&mut self.lane)) {
-            return Ok(Progress::TakeOver(Some(claimed)));
+        if let Some(fault) = self.fault.filter(|f| f.invocation_lost(&mut self.lane)) {
+            run.reroute(stage, slot, block, outbox);
+            fault.recovered.fetch_add(1, Ordering::Relaxed);
+            return Ok(Progress::Ran);
         }
-        self.last_busy = self.lane.step(claimed.block, self.gate_floor, outbox)?;
-        self.claim_yields = 0;
-        if self.steals && self.straggling() {
-            self.wake_siblings();
-        }
+        run.ledger_leave(stage);
+        self.lane.step(block, self.gate_floor, outbox)?;
         Ok(Progress::Ran)
     }
 
-    /// Fault ladder, pre-claim: a wedged device waits, claiming nothing,
-    /// until the watchdog quarantines it; a quarantined one hands its stream
-    /// to a survivor. A run that fails elsewhere releases a wedged worker;
-    /// its `Wedged` stays behind the run's first error.
-    fn fault_before_claim(&mut self) -> Result<Option<Progress>> {
-        let Some(fault) = self.fault else { return Ok(None) };
-        if fault.is_quarantined(self.lane.device) {
-            return Ok(Some(Progress::TakeOver(self.in_hand.take())));
-        }
-        if self.wedge_at.is_some_and(|at| self.lane.clock.now() >= at) {
-            if self.lane.run.failed() {
-                return Err(HetError::Wedged { stage: self.lane.stage, slot: self.lane.slot });
-            }
-            return Ok(Some(Progress::Wait(Wait::Quarantine)));
-        }
-        Ok(None)
-    }
-
-    /// Sim-paced claiming (stealing stages only). Functional execution
-    /// runs at wall speed, so a device that is slow on the *simulated* clock
-    /// would still drain its queue as fast as any sibling — wall-time
-    /// claiming hides exactly the backlog that adaptive re-routing exists to
-    /// absorb. A worker whose observed slowdown marks it a straggler
-    /// therefore yields (bounded by [`MAX_CLAIM_YIELDS`]) instead of
-    /// claiming the next block while a sibling that claims first on the
-    /// simulated clock has not: it wakes its siblings and runs again behind
-    /// them, leaving the block where a healthy thief can profitably take it.
-    fn should_yield(&self) -> bool {
-        self.last_busy > 0
-            && self.claim_yields < MAX_CLAIM_YIELDS
-            && self.straggling()
-            && self.sibling_claims_first()
-    }
-
-    /// Whether a sibling with blocks of its own queued is behind this lane
-    /// on the simulated clock: it claims before this lane's next claim, and
-    /// prices this lane's backlog for a steal when it does.
-    fn sibling_claims_first(&self) -> bool {
-        let (run, stage) = (self.lane.run, self.lane.stage);
-        let now = self.lane.clock.now();
-        run.routing[stage].instance_devices.iter().enumerate().any(|(slot, device)| {
-            slot != self.lane.slot
-                && !run.queues[stage][slot].is_empty()
-                && !run.fault.as_ref().is_some_and(|f| f.is_quarantined(*device))
-                && run.device_clocks[device].now() < now
-        })
-    }
-
-    fn straggling(&self) -> bool {
-        self.lane.run.cost.is_straggler(self.lane.device.index())
-    }
-
-    fn yield_claim(&mut self) -> std::result::Result<Claimed, Progress> {
-        self.claim_yields += 1;
-        self.wake_siblings();
-        Err(Progress::Ran)
-    }
-
-    /// Idle siblings wait until an event may change their steal verdict;
-    /// this worker's straggling, claim-yield and quarantine are such events,
-    /// and so is its backlog dropping below the steal depth while a thief
-    /// lingers on it.
-    fn wake_siblings(&self) {
-        if !self.steals {
-            return;
-        }
-        let (run, stage) = (self.lane.run, self.lane.stage);
-        #[cfg(test)]
-        super::tests::record_wakeup(run, super::tests::Wakeup::FanOut);
-        for slot in (0..run.queues[stage].len()).filter(|&slot| slot != self.lane.slot) {
-            run.lane_waker(stage, slot).wake_by_ref();
-        }
-    }
-
-    /// Claim the next block: from the own queue, or — late binding — the
-    /// tail of an overloaded sibling's backlog, rescued instead of waiting
-    /// (or finishing) while a straggler holds blocks hostage. A lane with
-    /// blocks of its own steals only from an observed straggler whose
-    /// backlog would end after its own. Otherwise the claim comes to a
-    /// yield, a wait (for its own queue's push, completion or close, or a
-    /// sibling's wake-up) or the stream's end.
-    fn claim(&mut self, waker: &Waker) -> Result<std::result::Result<Claimed, Progress>> {
-        let queue = self.queue();
-        let finished = Progress::Finished(SimTime::ZERO);
-        if !self.steals {
-            return Ok(match queue.poll_pop(waker) {
-                PopNext::Block(block) => Ok(block.into()),
-                PopNext::Empty => Err(Progress::Wait(Wait::Queue)),
-                PopNext::Finished => Err(finished),
-            });
-        }
-        // Claim pacing, part one: with backlog already visible, a sim-behind
-        // worker yields *without touching the queue* — the blocks keep their
-        // order and stay stealable.
-        if self.should_yield() && !queue.is_empty() {
-            return Ok(self.yield_claim());
-        }
+    /// Claim the next block of the lane's own queue. A lane on an observed
+    /// straggler first withdraws its queue's tail and prices it on routing's
+    /// projections: when a live sibling that does not straggle would end it
+    /// earlier, the tail is re-routed (`Err(Progress::Ran)`), one block a
+    /// step, so each verdict sees the last re-route's commit; the first tail
+    /// no sibling wins is the claim. Otherwise the claim comes to a wait
+    /// (for a push, the ledger's end or the close) or the stream's end.
+    fn claim(
+        &mut self,
+        outbox: &mut Outbox,
+        waker: &Waker,
+    ) -> std::result::Result<BlockHandle, Progress> {
         let (run, stage, slot) = (self.lane.run, self.lane.stage, self.lane.slot);
-        // The straggler's backlog is priced against this lane's before the
-        // lane takes its own next block: how much of it a sibling rescues
-        // then follows the two projected ends, not whether the straggler
-        // drained it in wall time before the sibling's queue ran dry.
-        if run.has_steal_victim(stage, slot) && !queue.is_empty() {
-            if let StealOutcome::Stolen(claimed) = run.steal_for(stage, slot, &self.lane.clock)? {
+        let queue = &run.queues[stage][slot];
+        if self.reroutes && run.cost.is_straggler(self.lane.device.index()) {
+            if let Some(tail) = queue.steal() {
+                if !run.sibling_ends_earlier(stage, slot, &tail) {
+                    return Ok(tail);
+                }
+                run.reroute(stage, slot, tail, outbox);
                 run.progress[stage].blocks_stolen.fetch_add(1, Ordering::Relaxed);
-                return Ok(Ok(claimed));
+                return Err(Progress::Ran);
             }
         }
-        let stream_over = match queue.poll_pop(waker) {
-            PopNext::Block(block) => {
-                // Claim pacing, part two: a block that arrived after part one
-                // looked was claimed before it could see it — un-claim it
-                // (back to the queue tail, where thieves look) and yield. A
-                // refused give-back means the queue closed: drop the block
-                // like close()'s sweep.
-                if self.should_yield() {
-                    let _ = queue.give_back(block);
-                    return Ok(self.yield_claim());
-                }
-                if run.release_lingering(stage, queue) {
-                    #[cfg(test)]
-                    super::tests::record_wakeup(run, super::tests::Wakeup::Release);
-                    self.wake_siblings();
-                }
-                return Ok(Ok(block.into()));
-            }
-            PopNext::Empty => false,
-            PopNext::Finished => true,
-        };
-        // Raised before the scan, lowered when the lane next runs: see
-        // `QueryRun::release_lingering`.
-        if stream_over {
-            self.lingering = Some(run.routing[stage].linger());
+        match queue.poll_pop(waker) {
+            PopNext::Block(block) => Ok(block),
+            PopNext::Empty => Err(Progress::Wait(Wait::Queue)),
+            PopNext::Finished => Err(Progress::Finished(SimTime::ZERO)),
         }
-        // A live stream waits on its own queue whatever a scan finds, unless
-        // a sibling is a victim worth stealing from; such a sibling's
-        // straggling or quarantine wakes this lane.
-        if stream_over || run.has_steal_victim(stage, slot) {
-            match run.steal_for(stage, slot, &self.lane.clock)? {
-                StealOutcome::Stolen(claimed) => {
-                    self.lingering = None;
-                    run.progress[stage].blocks_stolen.fetch_add(1, Ordering::Relaxed);
-                    return Ok(Ok(claimed));
+    }
+
+    /// The device is quarantined: re-route every block the lane's queue
+    /// holds, in queue order, and every block it receives later, until the
+    /// stage's ledger ends the queue; then flush the lane's packed outputs
+    /// on the live sibling with the earliest clock, which is charged for the
+    /// flush.
+    fn evacuate(
+        &mut self,
+        fault: &FaultState,
+        outbox: &mut Outbox,
+        waker: &Waker,
+    ) -> Result<Progress> {
+        let (run, stage, slot) = (self.lane.run, self.lane.stage, self.lane.slot);
+        let queue = &run.queues[stage][slot];
+        let mut withdrawn: Vec<BlockHandle> = std::iter::from_fn(|| queue.steal()).collect();
+        if withdrawn.is_empty() {
+            match queue.poll_pop(waker) {
+                PopNext::Block(block) => withdrawn.push(block),
+                PopNext::Empty => return Ok(Progress::Wait(Wait::Queue)),
+                PopNext::Finished => {
+                    let out = self.lane.take_packed()?;
+                    self.lane.bank();
+                    let lost =
+                        HetError::DeviceLost { device: self.lane.device.index(), stage, block: 0 };
+                    let survivor = run.flush_survivor(fault, stage, slot).ok_or(lost)?;
+                    let mut lane = Lane::new(run, stage, survivor, self.lane.last_end)?;
+                    lane.finalize(out, outbox);
+                    return Ok(Progress::Finished(lane.last_end));
                 }
-                StealOutcome::Nothing if stream_over => {
-                    self.lingering = None;
-                    return Ok(Err(finished));
-                }
-                // A sibling backlog may turn profitable as the victim's clock
-                // advances, and more work may arrive: wait for the event that
-                // says so.
-                StealOutcome::Unprofitable | StealOutcome::Nothing => {}
             }
         }
-        Ok(Err(Progress::Wait(if stream_over { Wait::Lingering } else { Wait::Queue })))
+        fault.recovered.fetch_add(withdrawn.len() as u64, Ordering::Relaxed);
+        for block in withdrawn.into_iter().rev() {
+            run.reroute(stage, slot, block, outbox);
+        }
+        Ok(Progress::Ran)
     }
 }

@@ -90,7 +90,7 @@ fn concurrent_executes_match_serial_bit_for_bit() {
 
 #[test]
 fn concurrent_executes_with_stealing_keep_rows_exact() {
-    // Once stealing engages, the time accounting legitimately depends on
+    // Once re-routing engages, the time accounting legitimately depends on
     // load order, but the rows never may.
     let engine = Arc::new(engine_with_table(100_000));
     let config = EngineConfig::hybrid(6, 2);

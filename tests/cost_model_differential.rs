@@ -1,9 +1,9 @@
 //! Differential testing of the unified cost model (DESIGN.md §5).
 //!
 //! Every CostModel term — demand-weighted staging quotas, the cross-node
-//! control-plane charge, the critical-path gate estimate, the
-//! link-congestion steal term — and the straggler estimator that routing,
-//! stealing and claim pacing read only move block handles between
+//! control-plane charge, the critical-path gate estimate — and the
+//! straggler estimator that routing and re-routing read only move block
+//! handles between
 //! *equivalent* consumers of the same stage: none of them may ever change a
 //! query's result. This harness generates random server topologies (1–4
 //! sockets, 0–4 GPUs, random per-device slowdowns and PCIe link widths) and
@@ -134,8 +134,8 @@ fn fact_filter(class: usize, filter_lit: i64) -> Expr {
 }
 
 /// One of three plan shapes: a filtered scan+reduce (ungated single
-/// pipeline), a hash join+reduce (gated probe — the critical-path and
-/// congestion terms engage), or a join+group-by (multi-row, key-sorted
+/// pipeline), a hash join+reduce (gated probe — the critical-path term
+/// engages), or a join+group-by (multi-row, key-sorted
 /// output so row comparison is order-stable).
 fn random_plan(plan_pick: usize, filter_class: usize, filter_lit: i64) -> RelNode {
     match plan_pick % 3 {

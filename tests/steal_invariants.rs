@@ -1,8 +1,9 @@
-//! Work-stealing invariants (DESIGN.md "Adaptive re-routing"): under
-//! randomized steal timing every block is consumed exactly once (no loss, no
-//! duplication), the staging charges attached to queued handles balance to
-//! zero, and execution with stealing produces byte-identical rows to the
-//! `reference_execute` oracle on a skewed (hidden-straggler) server.
+//! Re-routing invariants (DESIGN.md "Adaptive re-routing"): under
+//! randomized withdrawal timing every block is consumed exactly once (no
+//! loss, no duplication), the staging charges attached to queued handles
+//! balance to zero, and execution that re-routes off a straggler produces
+//! byte-identical rows to the `reference_execute` oracle on a skewed
+//! (hidden-straggler) server.
 
 use hetexchange::common::{ColumnData, DataType, EngineConfig};
 use hetexchange::core_ops::queue::BlockQueue;
@@ -138,10 +139,11 @@ fn join_plan() -> RelNode {
         .reduce(vec![AggSpec::sum(Expr::col(1)), AggSpec::count()], &["sum_v", "cnt"])
 }
 
-/// The "near-equilibrium" safety claim, sharpened by the cost model's
-/// link-congestion term: on a *healthy* server, where no device is an
-/// observed straggler, stealing must take **zero steals** and leave the
-/// **simulated time deterministic** — two runs agree to the nanosecond. The
+/// The healthy-server safety claim: on a server where no device is an
+/// observed straggler, no lane re-routes a block (**zero steals**) and the
+/// **simulated time is deterministic** — two runs agree to the nanosecond.
+/// (The name still mentions the link-congestion term the retired steal path
+/// priced.) The
 /// exact-equality half runs on an ungated single-stage plan, where simulated
 /// time is fully deterministic (gated plans read the gate estimate at
 /// wall-clock-dependent routing instants, so their simulated times carry
@@ -181,10 +183,9 @@ fn healthy_server_with_congestion_pricing_steals_nothing_and_keeps_sim_time() {
 }
 
 /// The gated half of the healthy-server safety claim: on the join plan
-/// (whose simulated time carries gate-estimate schedule noise), stealing
-/// with congestion pricing still takes zero steals and produces
-/// byte-identical rows — the straggler gate refuses healthy victims, and
-/// the congestion term is its second line.
+/// (whose simulated time carries gate-estimate schedule noise), no lane
+/// re-routes and the rows are byte-identical — only a lane on an observed
+/// straggler re-routes.
 #[test]
 fn healthy_server_join_takes_zero_steals() {
     let engine = skewed_engine(40_000, 10_000, 1.0);
