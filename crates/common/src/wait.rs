@@ -22,10 +22,38 @@ pub fn register(wakers: &mut Vec<Waker>, waker: &Waker) {
     }
 }
 
-/// Wake every registration taken from a condition (after its mutex was
-/// released).
-pub fn wake_all(wakers: Vec<Waker>) {
-    wakers.into_iter().for_each(Waker::wake);
+/// The registrations taken from a condition by [`take`], to wake once its
+/// mutex is released.
+#[must_use = "taken registrations are woken by `Wakeups::wake`"]
+#[derive(Default)]
+pub enum Wakeups {
+    #[default]
+    None,
+    One(Waker),
+    All(Vec<Waker>),
+}
+
+/// Take every registration of a condition, under its mutex. A lone
+/// registration is popped and the condition keeps its buffer, so the next
+/// wait registers without allocating; only several take the buffer along.
+pub fn take(wakers: &mut Vec<Waker>) -> Wakeups {
+    match wakers.len() {
+        0 => Wakeups::None,
+        1 => wakers.pop().map_or(Wakeups::None, Wakeups::One),
+        _ => Wakeups::All(std::mem::take(wakers)),
+    }
+}
+
+impl Wakeups {
+    /// Wake the taken registrations (after the condition's mutex was
+    /// released).
+    pub fn wake(self) {
+        match self {
+            Wakeups::None => {}
+            Wakeups::One(waker) => waker.wake(),
+            Wakeups::All(wakers) => wakers.into_iter().for_each(Waker::wake),
+        }
+    }
 }
 
 struct Unparker(Thread);

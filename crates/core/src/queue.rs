@@ -42,7 +42,7 @@
 //!   `producer_done` from its `Drop` impl, so a producer that panics before
 //!   finishing still releases its consumer during unwinding.
 
-use hetex_common::wait::{block_on, register, wake_all};
+use hetex_common::wait::{block_on, register, take};
 use hetex_common::{BlockHandle, HetError, MemoryNodeId, Result};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -81,8 +81,8 @@ impl QueueStaging {
 
     /// Wake every producer waiting in admission.
     fn wake_waiters(&self) {
-        let waiters = std::mem::take(&mut self.lock().waiters);
-        wake_all(waiters);
+        let waiters = take(&mut self.lock().waiters);
+        waiters.wake();
     }
 }
 
@@ -100,9 +100,9 @@ impl Drop for QueueSlot {
     fn drop(&mut self) {
         let mut admission = self.staging.lock();
         admission.bytes = admission.bytes.saturating_sub(self.bytes);
-        let waiters = std::mem::take(&mut admission.waiters);
+        let waiters = take(&mut admission.waiters);
         drop(admission);
-        wake_all(waiters);
+        waiters.wake();
     }
 }
 
@@ -360,13 +360,13 @@ impl BlockQueue {
         let (swept, consumers, producers) = {
             let mut inner = self.lock();
             let buf = std::mem::take(&mut inner.buf);
-            (buf, std::mem::take(&mut inner.consumers), std::mem::take(&mut inner.producers))
+            (buf, take(&mut inner.consumers), take(&mut inner.producers))
         };
         // Release the staging charges outside the buffer lock: QueueSlot
         // drops take the (separate) staging lock and wake their waiters.
         drop(swept);
-        wake_all(consumers);
-        wake_all(producers);
+        consumers.wake();
+        producers.wake();
         if let Some(staging) = &self.staging {
             staging.wake_waiters();
         }
@@ -431,17 +431,17 @@ impl BlockQueue {
 
     /// Release the lock and wake the waiting consumers.
     fn wake_consumers(mut inner: MutexGuard<'_, QueueInner>) {
-        let consumers = std::mem::take(&mut inner.consumers);
+        let consumers = take(&mut inner.consumers);
         drop(inner);
-        wake_all(consumers);
+        consumers.wake();
     }
 
     /// A block just left the buffer: release the lock and wake the
     /// producers waiting on the full buffer.
     fn release_slot(mut inner: MutexGuard<'_, QueueInner>) {
-        let producers = std::mem::take(&mut inner.producers);
+        let producers = take(&mut inner.producers);
         drop(inner);
-        wake_all(producers);
+        producers.wake();
     }
 
     /// Pop until the stream ends and collect every block: waits until every

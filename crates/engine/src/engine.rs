@@ -8,7 +8,7 @@
 //! execution statistics.
 
 use crate::codegen::compile;
-use crate::executor::{DeviceKindStats, Executor};
+use crate::executor::{DeviceKindStats, Executor, HostCounts};
 use hetex_common::{EngineConfig, HetError, MemoryNodeId, Result};
 use hetex_core::reopt::reoptimize;
 use hetex_core::{
@@ -76,6 +76,9 @@ pub struct QueryStats {
     /// (e.g. `"cpu_only(24)"`). `None` when re-optimization is off, no
     /// feedback existed yet, or the search kept the submitted plan.
     pub reopt_applied: Option<String>,
+    /// Host work counts of the attempt that returned the rows (see
+    /// [`HostCounts`]).
+    pub host_counts: HostCounts,
 }
 
 impl QueryStats {
@@ -373,6 +376,7 @@ impl Proteus {
                 attempt_sim_times: vec![result.sim_time],
                 stage_rows: result.stage_rows,
                 reopt_applied: None,
+                host_counts: result.host_counts,
             },
         })
     }

@@ -101,7 +101,7 @@ impl FaultState {
     /// Quarantine `device` (idempotent): routing stops projecting onto it,
     /// and its lanes re-route their remaining streams the next time they
     /// look at the flag.
-    fn quarantine(&self, device: DeviceId) {
+    pub(super) fn quarantine(&self, device: DeviceId) {
         self.quarantined[device.index()].store(true, Ordering::Release);
     }
 

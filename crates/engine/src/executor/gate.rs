@@ -3,7 +3,7 @@
 
 use super::routing::Outbox;
 use super::{QueryRun, StageTimeline};
-use hetex_common::wait::{register, wake_all};
+use hetex_common::wait::{register, take, Wakeups};
 use hetex_core::queue::ProducerGuard;
 use hetex_topology::SimTime;
 use parking_lot::Mutex;
@@ -27,9 +27,9 @@ impl Gate {
         let mut state = self.0.lock();
         state.0 = state.0.saturating_sub(1);
         state.1 = state.1.max(at);
-        let waiters = if state.0 == 0 { std::mem::take(&mut state.2) } else { Vec::new() };
+        let waiters = if state.0 == 0 { take(&mut state.2) } else { Wakeups::default() };
         drop(state);
-        wake_all(waiters);
+        waiters.wake();
     }
 
     /// The floor once every dependency completed; until then `None`, with

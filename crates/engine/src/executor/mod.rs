@@ -57,7 +57,7 @@ use hetex_topology::{
 };
 use movement::Staging;
 use parking_lot::Mutex;
-use routing::StageRouting;
+use routing::{RouteCounts, StageRouting};
 use sched::{Scheduler, Step, TaskSet};
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -80,6 +80,24 @@ pub struct DeviceKindStats {
     pub busy_ns: u64,
     /// Modeled bytes scanned by this device kind.
     pub bytes_scanned: f64,
+}
+
+/// Host work one execution did, counted where it happens: each task counts
+/// its own routing and the run adds the counts up as tasks end; the
+/// scheduler counts its notifications and parks under its lock.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct HostCounts {
+    /// Pricing-class evaluations (`class_cost` calls): one per pricing
+    /// class of the block's stage for every routed block, and for every
+    /// queue tail an observed straggler prices before it claims.
+    pub route_evals: u64,
+    /// Blocks routed into a stage (re-routes included).
+    pub routed_blocks: u64,
+    /// Idle threads notified to take queued work. Depends on thread
+    /// interleaving: reported, not bounded.
+    pub wakes: u64,
+    /// Waits an idle thread began for work. Interleaving-dependent too.
+    pub parks: u64,
 }
 
 /// Wall-clock milestones of one stage, used to observe genuine pipelining:
@@ -142,6 +160,8 @@ pub struct ExecutionResult {
     /// lane that completed it, so a run that re-routed blocks reports the
     /// same rows as a healthy run.
     pub stage_rows: Vec<(u64, u64)>,
+    /// Host work counts of the execution.
+    pub host_counts: HostCounts,
 }
 
 /// Executes stage graphs on a topology.
@@ -289,6 +309,7 @@ impl Executor {
                 .iter()
                 .map(|p| (p.rows_in.load(Ordering::Relaxed), p.rows_out.load(Ordering::Relaxed)))
                 .collect(),
+            host_counts: run.host_counts(),
         })
     }
 
@@ -377,6 +398,8 @@ struct QueryRun<'a> {
     /// Cross-node control-plane traffic gauge (remote queue mutex
     /// acquisitions), reported in the execution result.
     remote_ctl: AtomicU64,
+    /// The routing counts of the tasks that ended so far.
+    route_counts: Mutex<RouteCounts>,
     sched: Arc<Scheduler>,
     /// One waker per task: the lanes of each stage in slot order, stage by
     /// stage, then the source pumps.
@@ -461,6 +484,7 @@ impl<'a> QueryRun<'a> {
             result_rows: Mutex::new(Vec::new()),
             first_error: Mutex::new(None),
             remote_ctl: AtomicU64::new(0),
+            route_counts: Mutex::new(RouteCounts::default()),
             sched,
             wakers,
             lane_base,
@@ -498,6 +522,13 @@ impl<'a> QueryRun<'a> {
                 HetError::Execution(format!("stage {stage} ended with a ledger of {open}, not 0"))
             })
         })
+    }
+
+    /// The host work counts, once every task has ended.
+    fn host_counts(&self) -> HostCounts {
+        let routing = self.route_counts.lock();
+        let (wakes, parks) = self.sched.wakes_and_parks();
+        HostCounts { route_evals: routing.evals, routed_blocks: routing.blocks, wakes, parks }
     }
 
     fn failed(&self) -> bool {
@@ -742,7 +773,7 @@ mod tests {
     }
 
     #[test]
-    fn a_healthy_stealing_join_wakes_only_lanes_that_wait() {
+    fn a_healthy_join_wakes_only_lanes_that_wait() {
         // Re-routing is always on and nothing straggles, so no lane
         // re-routes a block, no lane wakes a sibling (nothing does any
         // more), and every re-queue ends exactly one wait: no task is
@@ -993,7 +1024,7 @@ mod tests {
     }
 
     #[test]
-    fn stealing_rescues_a_straggler_and_preserves_rows() {
+    fn rerouting_rescues_a_straggler_and_preserves_rows() {
         // The straggler re-routes the tail of its backlog ("steals" from
         // itself) in every run, and the rows are exact. The dimension's
         // weight is there to create that backlog: its build gates the probe
@@ -1193,7 +1224,7 @@ mod tests {
     }
 
     #[test]
-    fn a_takeover_drain_counts_every_rehomed_row_once() {
+    fn a_lost_gpus_rerouted_rows_count_once() {
         // The same one-GPU abort: the blocks re-routed to the survivor, and
         // the lost lane's packed rows it flushes, count toward the stage's
         // observed rows exactly as they would in a healthy run.
@@ -1209,7 +1240,7 @@ mod tests {
     }
 
     #[test]
-    fn a_takeover_mid_group_by_merges_the_lost_lanes_partials_once() {
+    fn a_lost_gpu_mid_group_by_merges_its_partials_once() {
         // The lost lane folds its first block into its group partials before
         // the abort; its finalize merges them into the shared table once,
         // beside the survivor's, so every group counts each row once.

@@ -396,6 +396,16 @@ impl<'r> Task<'r> {
     }
 }
 
+impl Drop for Task<'_> {
+    /// Bank the task's routing counts in the run's (once, as it ends).
+    fn drop(&mut self) {
+        let counts = std::mem::take(&mut self.outbox.counts);
+        let mut total = self.run.route_counts.lock();
+        total.evals += counts.evals;
+        total.blocks += counts.blocks;
+    }
+}
+
 /// A lane claiming and running blocks, with the fault state it carries
 /// between steps.
 struct Claimer<'r> {
@@ -487,7 +497,7 @@ impl<'r> Claimer<'r> {
         let queue = &run.queues[stage][slot];
         if self.reroutes && run.cost.is_straggler(self.lane.device.index()) {
             if let Some(tail) = queue.steal() {
-                if !run.sibling_ends_earlier(stage, slot, &tail) {
+                if !run.sibling_ends_earlier(stage, slot, &tail, &mut outbox.counts) {
                     return Ok(tail);
                 }
                 run.reroute(stage, slot, tail, outbox);

@@ -38,7 +38,7 @@ pub mod server;
 pub mod session;
 
 pub use engine::{Proteus, QueryOutcome, QueryStats};
-pub use executor::Executor;
+pub use executor::{Executor, HostCounts};
 pub use hetex_core::codegen::{compile, MemMoveMode, Stage, StageGraph, StageSource};
 pub use reference::reference_execute;
 pub use server::{QueryServer, QueryTicket, ServeReport, ServedQuery};

@@ -37,7 +37,7 @@
 //! back instead of killing the query, and `Park` is built on the same
 //! registration with a waker that unparks the calling thread.
 
-use hetex_common::wait::{block_until, register, wake_all};
+use hetex_common::wait::{block_until, register, take};
 use hetex_common::{BlockId, HetError, MemoryNodeId, Result};
 use parking_lot::Mutex;
 use std::borrow::Cow;
@@ -281,9 +281,9 @@ impl NodeState {
         arena.available = (arena.available + bytes).min(self.capacity);
         self.leased.store(self.capacity - arena.available, Ordering::Relaxed);
         arena.holders.remove(&id);
-        let waiters = std::mem::take(&mut arena.waiters);
+        let waiters = take(&mut arena.waiters);
         drop(arena);
-        wake_all(waiters);
+        waiters.wake();
     }
 }
 
@@ -417,11 +417,14 @@ impl BlockManagerSet {
         }
     }
 
-    /// The manager local to `node`.
+    /// The manager local to `node`. A set built over a topology's memory
+    /// nodes holds node `i` at position `i`, which is looked at first: every
+    /// routed block asks once per pricing class and once for its lease.
     pub fn manager(&self, node: MemoryNodeId) -> Result<&Arc<BlockManager>> {
         self.managers
-            .iter()
-            .find(|m| m.node() == node)
+            .get(node.index())
+            .filter(|m| m.node() == node)
+            .or_else(|| self.managers.iter().find(|m| m.node() == node))
             .ok_or_else(|| HetError::Memory(format!("no block manager for {node}")))
     }
 

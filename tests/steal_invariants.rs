@@ -142,15 +142,13 @@ fn join_plan() -> RelNode {
 /// The healthy-server safety claim: on a server where no device is an
 /// observed straggler, no lane re-routes a block (**zero steals**) and the
 /// **simulated time is deterministic** — two runs agree to the nanosecond.
-/// (The name still mentions the link-congestion term the retired steal path
-/// priced.) The
-/// exact-equality half runs on an ungated single-stage plan, where simulated
+/// The exact-equality half runs on an ungated single-stage plan, where simulated
 /// time is fully deterministic (gated plans read the gate estimate at
 /// wall-clock-dependent routing instants, so their simulated times carry
 /// schedule noise — rows and steal counts stay exact there; see the gated
 /// half below).
 #[test]
-fn healthy_server_with_congestion_pricing_steals_nothing_and_keeps_sim_time() {
+fn a_healthy_server_reroutes_nothing_and_keeps_sim_time() {
     let engine = skewed_engine(60_000, 15_000, 1.0); // slowdown 1.0 = healthy
     let scan_plan = || {
         RelNode::scan("fact", &["key", "value"])
