@@ -36,9 +36,6 @@ pub enum Code {
     /// Cross-stage schema mismatch: a stage's input width disagrees with
     /// what its source (base-table projection or producer stage) emits.
     HX001,
-    /// Device templates of one stage disagree (steps, terminal, input width
-    /// or a template registered under the wrong device kind).
-    HX002,
     /// State-slot mismatch: a step references a missing slot, a slot of the
     /// wrong kind, or a slot whose arity/payload width disagrees.
     HX003,
@@ -62,8 +59,8 @@ pub enum Code {
     /// that builds nothing, or `unlocks` is not the inverse of `depends_on`.
     HX012,
     /// Consumer instances are incompatible with the topology: missing
-    /// affinity, unknown/excluded/wrong-kind device, no template for a
-    /// consumer's device kind, or a stage with no consumers at all.
+    /// affinity, unknown/excluded/wrong-kind device, or a stage with no
+    /// consumers at all.
     HX013,
     /// Result-stage problems: no result stage, several, or a result stage
     /// that feeds another stage.
@@ -81,7 +78,6 @@ impl Code {
     pub fn as_str(self) -> &'static str {
         match self {
             Code::HX001 => "HX001",
-            Code::HX002 => "HX002",
             Code::HX003 => "HX003",
             Code::HX004 => "HX004",
             Code::HX006 => "HX006",
@@ -108,7 +104,6 @@ impl Code {
     pub fn summary(self) -> &'static str {
         match self {
             Code::HX001 => "cross-stage schema mismatch",
-            Code::HX002 => "device templates disagree",
             Code::HX003 => "state-slot kind/arity mismatch",
             Code::HX004 => "division by constant zero",
             Code::HX006 => "excessive vectorized scratch depth",

@@ -154,35 +154,30 @@ fn check_gates(graph: &StageGraph, report: &mut AnalysisReport) {
     // Which stage builds each hash-table slot.
     let build_stage_of_slot = |slot: usize| -> Option<usize> {
         graph.stages.iter().position(|s| {
-            s.templates.values().any(|t| {
-                matches!(t.terminal(), TerminalStep::HashJoinBuild { slot: s, .. }
-                    if s.index() == slot)
-            })
+            matches!(s.pipeline.terminal(), TerminalStep::HashJoinBuild { slot: s, .. }
+                if s.index() == slot)
         })
     };
     for (idx, stage) in graph.stages.iter().enumerate() {
-        for template in stage.templates.values() {
-            for step in template.steps() {
-                let Step::HashJoinProbe { slot, .. } = step else { continue };
-                match build_stage_of_slot(slot.index()) {
-                    Some(build) if stage.depends_on.contains(&build) => {}
-                    Some(build) => report.report(
-                        Code::HX012,
-                        Some(idx),
-                        format!(
-                            "probes slot {} built by stage {build}, but the gate is missing \
-                             from depends_on {:?} — the probe could run against a half-built \
-                             table",
-                            slot.index(),
-                            stage.depends_on
-                        ),
+        for step in stage.pipeline.steps() {
+            let Step::HashJoinProbe { slot, .. } = step else { continue };
+            match build_stage_of_slot(slot.index()) {
+                Some(build) if stage.depends_on.contains(&build) => {}
+                Some(build) => report.report(
+                    Code::HX012,
+                    Some(idx),
+                    format!(
+                        "probes slot {} built by stage {build}, but the gate is missing from \
+                         depends_on {:?} — the probe could run against a half-built table",
+                        slot.index(),
+                        stage.depends_on
                     ),
-                    None => report.report(
-                        Code::HX012,
-                        Some(idx),
-                        format!("probes slot {} which no stage builds", slot.index()),
-                    ),
-                }
+                ),
+                None => report.report(
+                    Code::HX012,
+                    Some(idx),
+                    format!("probes slot {} which no stage builds", slot.index()),
+                ),
             }
         }
         for &dep in &stage.depends_on {
@@ -190,10 +185,8 @@ fn check_gates(graph: &StageGraph, report: &mut AnalysisReport) {
                 report.report(Code::HX012, Some(idx), format!("depends on unknown stage {dep}"));
                 continue;
             }
-            let builds_something = graph.stages[dep]
-                .templates
-                .values()
-                .any(|t| matches!(t.terminal(), TerminalStep::HashJoinBuild { .. }));
+            let builds_something =
+                matches!(graph.stages[dep].pipeline.terminal(), TerminalStep::HashJoinBuild { .. });
             if !builds_something {
                 report.report(
                     Code::HX012,
@@ -238,7 +231,7 @@ fn check_gates(graph: &StageGraph, report: &mut AnalysisReport) {
 }
 
 /// `HX013`: every consumer instance names a real, non-excluded device of its
-/// kind and has a matching pipeline template.
+/// kind.
 fn check_consumers(graph: &StageGraph, topology: &ServerTopology, report: &mut AnalysisReport) {
     for (idx, stage) in graph.stages.iter().enumerate() {
         if stage.consumers.is_empty() {
@@ -281,17 +274,6 @@ fn check_consumers(graph: &StageGraph, topology: &ServerTopology, report: &mut A
                     ),
                 ),
                 Ok(_) => {}
-            }
-            if !stage.templates.contains_key(&consumer.kind) {
-                report.report(
-                    Code::HX013,
-                    Some(idx),
-                    format!(
-                        "no {:?} pipeline template exists for consumer {slot_idx} — the \
-                         executor would silently fall back to another device's template",
-                        consumer.kind
-                    ),
-                );
             }
         }
     }

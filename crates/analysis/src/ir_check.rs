@@ -2,17 +2,14 @@
 //!
 //! Width propagation re-runs the per-pipeline validation of
 //! [`CompiledPipeline::new`] *and* extends it across stage boundaries: the
-//! producer's emitted width must match every consumer template's declared
-//! input width, and every device template of one stage must agree on the
-//! shared step blueprint (§4.2's "parameterizable version of the pipeline per
-//! device" is only sound when the versions are the same program).
+//! producer's emitted width must match each consumer stage's pipeline input
+//! width.
 //!
 //! [`CompiledPipeline::new`]: hetex_jit::CompiledPipeline
 
 use crate::diagnostics::{AnalysisReport, Code};
 use hetex_core::codegen::{Stage, StageGraph, StageSource};
 use hetex_jit::{CompiledPipeline, Expr, SharedState, StateObject, Step, TerminalStep};
-use hetex_topology::DeviceKind;
 
 /// Maximum number of concurrently live scratch columns the vectorized
 /// lowering may rent for one expression before we flag the plan: each buffer
@@ -21,14 +18,11 @@ use hetex_topology::DeviceKind;
 /// at.
 pub const MAX_SCRATCH_DEPTH: usize = 8;
 
-/// Run every IR check over every stage template.
+/// Run every IR check over every stage's pipeline.
 pub fn check(graph: &StageGraph, report: &mut AnalysisReport) {
     for (idx, stage) in graph.stages.iter().enumerate() {
         check_source_width(idx, stage, &graph.stages, report);
-        check_template_agreement(idx, stage, report);
-        for template in stage.templates.values() {
-            check_template(idx, template, &graph.state, report);
-        }
+        check_pipeline(idx, &stage.pipeline, &graph.state, report);
     }
 }
 
@@ -41,19 +35,17 @@ fn check_source_width(idx: usize, stage: &Stage, stages: &[Stage], report: &mut 
     // An unknown producer stage is reported by the graph checks (HX011);
     // width checking only applies when the source resolves.
     let Some(source_width) = source_width else { return };
-    for (kind, template) in &stage.templates {
-        if template.input_width() != source_width {
-            report.report(
-                Code::HX001,
-                Some(idx),
-                format!(
-                    "{kind:?} template expects {} input columns, but the stage's source ({}) \
-                     emits {source_width}",
-                    template.input_width(),
-                    describe_source(&stage.source),
-                ),
-            );
-        }
+    let input_width = stage.pipeline.input_width();
+    if input_width != source_width {
+        report.report(
+            Code::HX001,
+            Some(idx),
+            format!(
+                "the pipeline expects {input_width} input columns, but the stage's source ({}) \
+                 emits {source_width}",
+                describe_source(&stage.source),
+            ),
+        );
     }
 }
 
@@ -66,52 +58,15 @@ fn describe_source(source: &StageSource) -> String {
     }
 }
 
-/// `HX002`: all device templates of a stage must share one blueprint, and
-/// each must be registered under its own device kind.
-fn check_template_agreement(idx: usize, stage: &Stage, report: &mut AnalysisReport) {
-    for (kind, template) in &stage.templates {
-        if template.device() != *kind {
-            report.report(
-                Code::HX002,
-                Some(idx),
-                format!(
-                    "template registered under {kind:?} was compiled for {:?}",
-                    template.device()
-                ),
-            );
-        }
-    }
-    let mut kinds: Vec<DeviceKind> = stage.templates.keys().copied().collect();
-    kinds.sort_by_key(|k| format!("{k:?}"));
-    let Some((&first_kind, rest)) = kinds.split_first() else { return };
-    let first = &stage.templates[&first_kind];
-    for &kind in rest {
-        let other = &stage.templates[&kind];
-        if other.input_width() != first.input_width()
-            || other.steps() != first.steps()
-            || other.terminal() != first.terminal()
-        {
-            report.report(
-                Code::HX002,
-                Some(idx),
-                format!(
-                    "{kind:?} and {first_kind:?} templates disagree on the step blueprint \
-                     (the device lowerings would compute different results)"
-                ),
-            );
-        }
-    }
-}
-
-/// Width propagation plus per-expression lints over one template.
-fn check_template(
+/// Width propagation plus per-expression lints over one pipeline.
+fn check_pipeline(
     idx: usize,
-    template: &CompiledPipeline,
+    pipeline: &CompiledPipeline,
     state: &SharedState,
     report: &mut AnalysisReport,
 ) {
-    let mut width = template.input_width();
-    for step in template.steps() {
+    let mut width = pipeline.input_width();
+    for step in pipeline.steps() {
         if let Err(err) = step.check_width(width) {
             report.report(Code::HX001, Some(idx), err.to_string());
         }
@@ -166,10 +121,10 @@ fn check_template(
         }
         width = step.output_width(width);
     }
-    if let Err(err) = template.terminal().check_width(width) {
+    if let Err(err) = pipeline.terminal().check_width(width) {
         report.report(Code::HX001, Some(idx), err.to_string());
     }
-    check_terminal(idx, template.terminal(), state, report);
+    check_terminal(idx, pipeline.terminal(), state, report);
 }
 
 fn check_terminal(

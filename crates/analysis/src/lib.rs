@@ -10,10 +10,9 @@
 //! [`Diagnostic`]s with stable `HX0xx` codes (see [`Code`] for the catalog):
 //!
 //! * **IR type/schema checking** (`HX00x`, [`ir_check`]) — column widths
-//!   propagate through every step chain, all device templates of a stage
-//!   agree on one blueprint, state slots match their uses, plus expression
-//!   lints (constant zero divisors, vectorized scratch depth, non-boolean
-//!   filter predicates).
+//!   propagate through every stage's pipeline and across stage boundaries,
+//!   state slots match their uses, plus expression lints (constant zero
+//!   divisors, vectorized scratch depth, non-boolean filter predicates).
 //! * **Stage-graph linting** (`HX01x`, [`graph_check`]) — acyclicity, queue
 //!   wiring consistency, dependency gates mirroring hash-build dependencies,
 //!   consumers naming real non-excluded devices.

@@ -116,17 +116,6 @@ fn mutation_truncated_projection_is_hx001() {
 }
 
 #[test]
-fn mutation_template_under_wrong_kind_is_hx002() {
-    let config = hybrid();
-    let (mut graph, topology) = compiled(&reduce_plan(10), &config);
-    let stage = graph.stages.first_mut().expect("a stage");
-    let cpu = stage.template(DeviceKind::CpuCore).clone();
-    stage.templates.insert(DeviceKind::Gpu, cpu);
-    let report = analyze(&graph, &config, &topology);
-    assert_fires(&report, Code::HX002, "CPU template registered as GPU");
-}
-
-#[test]
 fn mutation_foreign_state_is_hx003() {
     let config = hybrid();
     let (mut graph, topology) = compiled(&join_plan(3), &config);

@@ -9,9 +9,9 @@ use crate::micro::{MicroQuery, MicroWorkload, PAPER_PROBE_BYTES};
 use crate::report::{print_matrix, speedup_summary, QueryTimeRow};
 use crate::systems::{run_query, System};
 use crate::workload::SsbWorkload;
-use hetex_common::{EngineConfig, MemoryNodeId, Result};
+use hetex_common::{EngineConfig, MemoryNodeId, PipelineId, Result};
 use hetex_gpu_sim::device::standalone_gpu;
-use hetex_jit::{CpuProvider, DeviceProvider, GpuProvider};
+use hetex_jit::{AggSpec, CompiledPipeline, ExecCtx, Expr, StateSlot, Step, TerminalStep};
 use std::sync::Arc;
 
 /// A regenerated figure: its title and every measured point.
@@ -243,8 +243,9 @@ pub fn figure8(probe_rows: usize, sizes_gb: &[f64]) -> Result<Figure> {
 
 // ------------------------------------------------------------------ Table 1
 
-/// Table 1: the device-provider interface, and how each provider specializes
-/// the same pipeline blueprint (Figure 3 / Listing 1).
+/// Table 1: the device-provider interface, and how the execution contexts
+/// of a CPU core and a GPU — the providers instances run through — specialize
+/// one pipeline (Figure 3 / Listing 1).
 pub fn table1() -> String {
     let methods = [
         ("allocStateVar", "get/releaseBuffer", "#threadsInWorker"),
@@ -258,35 +259,21 @@ pub fn table1() -> String {
         out.push_str(&format!("{a:<16}{b:<28}{c}\n"));
     }
 
-    let cpu = CpuProvider::new(MemoryNodeId::new(0));
-    let gpu = GpuProvider::new(Arc::new(standalone_gpu()));
-    out.push_str(&format!(
-        "\nCPU provider: #threadsInWorker = {}, threadIdInWorker(lane 7) = {}\n",
-        cpu.threads_in_worker(),
-        cpu.thread_id_in_worker(7)
-    ));
-    out.push_str(&format!(
-        "GPU provider: #threadsInWorker = {}, threadIdInWorker(lane 7) = {}\n",
-        gpu.threads_in_worker(),
-        gpu.thread_id_in_worker(7)
-    ));
-
-    // The same blueprint, specialized per device (Figure 3).
-    let pipeline = hetex_jit::CompiledPipeline::new(
-        hetex_common::PipelineId::new(9),
-        hetex_topology::DeviceKind::Gpu,
+    // The same pipeline, specialized by each device's context (Figure 3).
+    let pipeline = CompiledPipeline::new(
+        PipelineId::new(9),
+        hetex_topology::DeviceKind::CpuCore,
         2,
-        vec![hetex_jit::Step::Filter { predicate: hetex_jit::Expr::col(0).gt_lit(42) }],
-        hetex_jit::TerminalStep::Reduce {
-            aggs: vec![hetex_jit::AggSpec::sum(hetex_jit::Expr::col(1))],
-            slot: hetex_jit::StateSlot(0),
-        },
+        vec![Step::Filter { predicate: Expr::col(0).gt_lit(42) }],
+        TerminalStep::Reduce { aggs: vec![AggSpec::sum(Expr::col(1))], slot: StateSlot(0) },
     )
     .expect("valid pipeline");
-    out.push_str("\n-- CPU specialization of the running example --\n");
-    out.push_str(&cpu.convert_to_machine_code(&pipeline));
-    out.push_str("\n-- GPU specialization of the running example --\n");
-    out.push_str(&gpu.convert_to_machine_code(&pipeline));
+    let cpu = ExecCtx::cpu(MemoryNodeId::new(0), 1024);
+    let gpu = ExecCtx::gpu(Arc::new(standalone_gpu()), 1024);
+    for (label, ctx) in [("CPU", &cpu), ("GPU", &gpu)] {
+        out.push_str(&format!("\n-- convertToMachineCode on the {label} context --\n"));
+        out.push_str(&pipeline.explain(ctx));
+    }
     println!("{out}");
     out
 }
@@ -404,7 +391,13 @@ mod tests {
         let text = table1();
         assert!(text.contains("allocStateVar"));
         assert!(text.contains("workerScopedAtomic"));
-        assert!(text.contains("neighborhood_reduce"));
-        assert!(text.contains("single atomic per block"));
+        // The live contexts' values, not fixed strings.
+        let gpu = hetex_gpu_sim::LaunchConfig::default_for_device();
+        let threads = gpu.total_threads();
+        assert!(text.contains("#threadsInWorker = 1, threadIdInWorker in 0..1"));
+        assert!(text.contains(&format!("#threadsInWorker = {threads}, threadIdInWorker in 0..")));
+        assert!(text.contains(&format!("launch {} x {}", gpu.grid_dim, gpu.block_dim)));
+        assert!(text.contains(&format!("VEC_CHUNK = {}", hetex_jit::VEC_CHUNK)));
+        assert!(text.contains("filter: [specialised, 1 atom(s)]"));
     }
 }

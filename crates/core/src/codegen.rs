@@ -6,13 +6,14 @@
 //! operators break pipelines and carry the *edge attributes* between them —
 //! which routing policy distributes blocks, which devices the consumer is
 //! instantiated on (and with what affinities), whether a mem-move localizes or
-//! broadcasts the blocks. Because the router generates "a parameterizable
-//! version of the pipeline per device" (§4.2), a stage holds one compiled
-//! pipeline *template per device type* and the executor instantiates them.
+//! broadcasts the blocks. A stage holds one compiled pipeline: the router's
+//! "parameterizable version of the pipeline per device" (§4.2) is that one
+//! pipeline run through the execution context each instance builds for its
+//! device, which picks the schedule and the charge.
 
 use crate::plan::{DeviceTarget, HetNode, RouterPolicy};
 use crate::router::{ConsumerSlot, Router};
-use hetex_common::{EngineConfig, HetError, PipelineId, Result};
+use hetex_common::{EngineConfig, HetError, Result};
 use hetex_jit::{
     CodegenContext, CompiledPipeline, Expr, SharedState, StateSlot, Step, TerminalStep,
 };
@@ -44,8 +45,9 @@ pub enum StageSource {
 /// One stage: a set of pipeline instances fed by a router.
 #[derive(Debug)]
 pub struct Stage {
-    /// Per-device-type pipeline templates (at least one entry).
-    pub templates: HashMap<DeviceKind, CompiledPipeline>,
+    /// The stage's pipeline, run by every consumer instance whatever its
+    /// device.
+    pub pipeline: CompiledPipeline,
     /// Input blocks.
     pub source: StageSource,
     /// Consumer instances (device type + affinity), as planned by the router.
@@ -65,18 +67,9 @@ pub struct Stage {
 }
 
 impl Stage {
-    /// The pipeline template for a device kind (falling back to any template —
-    /// a stage always has at least one).
-    pub fn template(&self, kind: DeviceKind) -> &CompiledPipeline {
-        self.templates
-            .get(&kind)
-            .or_else(|| self.templates.values().next())
-            .expect("stage has at least one pipeline template")
-    }
-
-    /// Output width of the stage's pipelines.
+    /// Output width of the stage's pipeline.
     pub fn output_width(&self) -> usize {
-        self.template(DeviceKind::CpuCore).terminal().output_width()
+        self.pipeline.terminal().output_width()
     }
 }
 
@@ -146,11 +139,6 @@ impl StageGraph {
             .position(|s| s.is_result)
             .ok_or_else(|| HetError::Codegen("plan has no result stage".into()))
     }
-
-    /// Total number of pipeline templates generated.
-    pub fn pipeline_count(&self) -> usize {
-        self.stages.iter().map(|s| s.templates.len()).sum()
-    }
 }
 
 /// Compile a heterogeneity-aware plan into a stage graph.
@@ -165,7 +153,6 @@ pub fn compile(
         config,
         topology,
         build_stage_of_slot: HashMap::new(),
-        next_pipeline: 1000,
         core_offset: 0,
     };
 
@@ -183,7 +170,7 @@ pub fn compile(
 
     let result_stage = cg.compile_stage(root, true)?;
     cg.stages[result_stage].is_result = true;
-    let (_pipelines, state) = cg.ctx.seal()?;
+    let state = cg.ctx.seal()?;
     let wiring = StageWiring::derive(&cg.stages)?;
     Ok(StageGraph { stages: cg.stages, state, wiring })
 }
@@ -204,7 +191,6 @@ struct Codegen<'a> {
     topology: &'a Arc<ServerTopology>,
     /// Which stage builds each hash-table slot.
     build_stage_of_slot: HashMap<usize, usize>,
-    next_pipeline: usize,
     /// Running count of planned CPU instances: each stage's consumers are
     /// staggered past the previous stages' so concurrently running pipelines
     /// land on disjoint cores when the topology has enough.
@@ -344,7 +330,7 @@ impl<'a> Codegen<'a> {
                 }
             }
         };
-        self.ctx.begin_pipeline(DeviceKind::CpuCore, width)?;
+        self.ctx.begin_pipeline(width)?;
         Ok(OpenBody { source, width, attrs, depends_on: Vec::new() })
     }
 
@@ -372,8 +358,7 @@ impl<'a> Codegen<'a> {
 
     /// Seal the currently open pipeline into a stage.
     fn seal_stage(&mut self, terminal: TerminalStep, body: OpenBody) -> Result<usize> {
-        let primary = self.ctx.finish_pipeline(terminal)?;
-        let primary = self.ctx.pipeline(primary)?.clone();
+        let pipeline = self.ctx.finish_pipeline(terminal)?;
 
         // Resolve the consumer instances from the router targets (or a single
         // sequential CPU/GPU instance when no router is present).
@@ -387,34 +372,12 @@ impl<'a> Codegen<'a> {
         let consumers = Router::plan_consumers_offset(&targets, self.topology, self.core_offset)?;
         self.core_offset += consumers.iter().filter(|c| c.kind == DeviceKind::CpuCore).count();
 
-        // Build one template per device kind appearing in the consumers
-        // (§4.2: a parameterizable pipeline per device, not per thread).
-        let mut templates = HashMap::new();
-        for kind in consumers.iter().map(|c| c.kind) {
-            if templates.contains_key(&kind) {
-                continue;
-            }
-            let pipeline = if kind == primary.device() {
-                primary.clone()
-            } else {
-                self.next_pipeline += 1;
-                CompiledPipeline::new(
-                    PipelineId::new(self.next_pipeline),
-                    kind,
-                    primary.input_width(),
-                    primary.steps().to_vec(),
-                    primary.terminal().clone(),
-                )?
-            };
-            templates.insert(kind, pipeline);
-        }
-
         let mut depends_on = body.depends_on;
         depends_on.sort_unstable();
         depends_on.dedup();
 
         let stage = Stage {
-            templates,
+            pipeline,
             source: body.source,
             consumers,
             policy: body.attrs.policy.unwrap_or(RouterPolicy::RoundRobin),
@@ -476,21 +439,17 @@ mod tests {
     }
 
     #[test]
-    fn hybrid_result_stage_has_cpu_and_gpu_templates() {
+    fn hybrid_result_stage_has_cpu_and_gpu_consumers_and_one_pipeline() {
         let graph = compile_for(&EngineConfig::hybrid(8, 2));
         let result = &graph.stages[2];
-        assert!(result.templates.contains_key(&DeviceKind::CpuCore));
-        assert!(result.templates.contains_key(&DeviceKind::Gpu));
-        assert_eq!(result.consumers.len(), 10);
+        let kinds = |kind| result.consumers.iter().filter(|c| c.kind == kind).count();
+        assert_eq!((kinds(DeviceKind::CpuCore), kinds(DeviceKind::Gpu)), (8, 2));
         assert_eq!(result.policy, RouterPolicy::LeastLoaded);
         assert!(result.has_router);
         assert_eq!(result.mem_move, MemMoveMode::ToInstance);
-        // Both templates share the same blueprint.
-        let cpu = result.template(DeviceKind::CpuCore);
-        let gpu = result.template(DeviceKind::Gpu);
-        assert_eq!(cpu.steps(), gpu.steps());
-        assert_eq!(cpu.terminal(), gpu.terminal());
-        assert_ne!(cpu.device(), gpu.device());
+        // Both kinds run the one pipeline: filter, probe, reduce.
+        assert_eq!(result.pipeline.steps().len(), 2);
+        assert!(matches!(result.pipeline.terminal(), TerminalStep::Reduce { .. }));
     }
 
     #[test]
@@ -499,8 +458,9 @@ mod tests {
         assert_eq!(hybrid.stages[1].mem_move, MemMoveMode::Broadcast);
         let cpu_only = compile_for(&EngineConfig::cpu_only(8));
         assert_eq!(cpu_only.stages[1].mem_move, MemMoveMode::ToInstance);
-        // CPU-only plans never generate GPU templates.
-        assert!(cpu_only.stages.iter().all(|s| !s.templates.contains_key(&DeviceKind::Gpu)));
+        // CPU-only plans never instantiate a GPU consumer.
+        let mut consumers = cpu_only.stages.iter().flat_map(|s| &s.consumers);
+        assert!(consumers.all(|c| c.kind == DeviceKind::CpuCore));
     }
 
     #[test]
@@ -509,7 +469,6 @@ mod tests {
         let result = &graph.stages[graph.result_stage().unwrap()];
         assert!(result.consumers.iter().all(|c| c.kind == DeviceKind::Gpu));
         assert_eq!(result.consumers.len(), 2);
-        assert!(result.templates.contains_key(&DeviceKind::Gpu));
     }
 
     #[test]
@@ -521,12 +480,6 @@ mod tests {
             assert!(!stage.has_router);
             assert_eq!(stage.consumers.len(), 1);
         }
-    }
-
-    #[test]
-    fn pipeline_count_matches_templates() {
-        let graph = compile_for(&EngineConfig::hybrid(4, 1));
-        assert!(graph.pipeline_count() >= graph.stages.len());
     }
 
     #[test]

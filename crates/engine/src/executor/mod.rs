@@ -555,14 +555,14 @@ impl<'a> QueryRun<'a> {
         stage: usize,
         completion: SimTime,
     ) -> Result<(Vec<Vec<i64>>, Vec<BlockHandle>)> {
-        let template = self.graph.stages[stage].template(DeviceKind::CpuCore);
-        if matches!(template.terminal(), TerminalStep::Pack { .. }) {
+        let pipeline = &self.graph.stages[stage].pipeline;
+        if matches!(pipeline.terminal(), TerminalStep::Pack { .. }) {
             return Ok((Vec::new(), Vec::new()));
         }
         let node = self.exec.topology.cpu_memory_nodes()[0];
         let mut ctx = ExecCtx::cpu(node, self.config.block_capacity);
         let state: &SharedState = &self.graph.state;
-        let emitted = template.emit_state_results(state, &mut ctx)?;
+        let emitted = pipeline.emit_state_results(state, &mut ctx)?;
         let mut blocks = emitted.blocks;
         let mut rows = Vec::new();
         if self.graph.stages[stage].is_result {

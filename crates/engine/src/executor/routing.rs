@@ -196,7 +196,7 @@ impl<'a> StageRouting<'a> {
         // overloads them.
         let mut est_selectivity = 1.0f64;
         let mut est_probes_per_row = 0.0f64;
-        for step in stage.template(DeviceKind::CpuCore).steps() {
+        for step in stage.pipeline.steps() {
             match step {
                 hetex_jit::Step::Filter { .. } => est_selectivity *= ASSUMED_SELECTIVITY,
                 hetex_jit::Step::HashJoinProbe { .. } => {
@@ -297,9 +297,9 @@ impl QueryRun<'_> {
         // both kinds with one shape would skew the device comparison — the
         // chunked estimate under-prices GPUs, steering blocks onto them that
         // cost more than projected.
-        let template = routing.stage.template(DeviceKind::CpuCore);
+        let pipeline = &routing.stage.pipeline;
         let [cpu_work, gpu_work] = [DeviceKind::CpuCore, DeviceKind::Gpu]
-            .map(|kind| template.work_profile_on(kind, &counters, handle.meta().weight));
+            .map(|kind| pipeline.work_profile_on(kind, &counters, handle.meta().weight));
         BlockEstimate {
             cpu_work,
             gpu_work,

@@ -61,11 +61,9 @@ pub(super) struct Lane<'r> {
     kind: DeviceKind,
     profile: DeviceProfile,
     pub(super) clock: ResourceClock,
-    /// The lane's own copy of the stage template, read on every block. It
-    /// lives with the task's allocations, not beside the query's shared
-    /// state: borrowing the graph's template cost `scan_cpu` about 6% of
-    /// its host throughput on a 2-vCPU host.
-    pipeline: CompiledPipeline,
+    /// The stage's pipeline, run through `ctx`: the context built for the
+    /// lane's device is its device provider.
+    pipeline: &'r CompiledPipeline,
     ctx: ExecCtx,
     stats: DeviceKindStats,
     /// Simulated completion of the lane's latest work.
@@ -103,7 +101,7 @@ impl<'r> Lane<'r> {
             kind,
             profile: run.exec.topology.device(device)?.clone(),
             clock: run.device_clocks.get(&device).expect("device clock exists").clone(),
-            pipeline: routing.stage.template(kind).clone(),
+            pipeline: &routing.stage.pipeline,
             ctx: ctx.with_arena(run.graph.state.arena()),
             stats: DeviceKindStats::default(),
             last_end,
@@ -428,7 +426,7 @@ impl<'r> Claimer<'r> {
     fn new(run: &'r QueryRun<'r>, stage: usize, slot: usize, gate_floor: SimTime) -> Result<Self> {
         let lane = Lane::new(run, stage, slot, gate_floor)?;
         #[cfg(test)]
-        super::tests::record_probed_tables(&run.graph.state, &lane.pipeline);
+        super::tests::record_probed_tables(&run.graph.state, lane.pipeline);
         let fault = run.fault.as_ref().filter(|f| f.plan.targets_device(lane.device));
         let wedge_at = fault.and_then(|f| f.plan.wedge_at(lane.device));
         Ok(Self {

@@ -8,7 +8,6 @@
 //! worker and several devices (or several launches into one) may run at once,
 //! so device-visible state still needs device atomics.
 
-use crate::memory::DeviceMemory;
 use crate::simt::{LaunchConfig, ThreadCtx};
 use hetex_common::MemoryNodeId;
 use hetex_topology::{DeviceId, DeviceProfile};
@@ -27,13 +26,12 @@ pub struct LaunchStats {
     pub warps: u64,
 }
 
-/// A software GPU: SIMT execution on the launching host thread plus device
-/// memory.
+/// A software GPU: SIMT execution on the launching host thread, and the
+/// launch statistics it has counted.
 #[derive(Debug, Clone)]
 pub struct GpuDevice {
     id: DeviceId,
     profile: DeviceProfile,
-    memory: DeviceMemory,
     launches: Arc<AtomicU64>,
     threads: Arc<AtomicU64>,
     warps: Arc<AtomicU64>,
@@ -42,11 +40,9 @@ pub struct GpuDevice {
 impl GpuDevice {
     /// Create a device from its topology profile.
     pub fn new(id: DeviceId, profile: DeviceProfile) -> Self {
-        let memory = DeviceMemory::new(profile.local_memory, profile.memory_capacity);
         Self {
             id,
             profile,
-            memory,
             launches: Arc::new(AtomicU64::new(0)),
             threads: Arc::new(AtomicU64::new(0)),
             warps: Arc::new(AtomicU64::new(0)),
@@ -61,11 +57,6 @@ impl GpuDevice {
     /// The device's performance profile.
     pub fn profile(&self) -> &DeviceProfile {
         &self.profile
-    }
-
-    /// The device-memory pool.
-    pub fn memory(&self) -> &DeviceMemory {
-        &self.memory
     }
 
     /// The memory node holding this device's memory.
@@ -127,8 +118,6 @@ pub fn standalone_gpu() -> GpuDevice {
 mod tests {
     use super::*;
     use crate::atomic::DeviceAtomicI64;
-    use crate::reduce::NeighborhoodReducer;
-    use crate::simt::WARP_SIZE;
     use std::sync::atomic::AtomicUsize;
 
     #[test]
@@ -163,43 +152,39 @@ mod tests {
     }
 
     #[test]
-    fn filtered_sum_with_neighborhood_reduce_matches_listing_one() {
-        // This mirrors pipeline 9 of Listing 1: scan, filter (t.a > 42),
-        // thread-local accumulate, neighborhood reduce, leader atomic.
+    fn filtered_sum_kernel_matches_listing_one_and_counts_its_launch() {
+        // Pipeline 9 of Listing 1: scan, filter (t.a > 42), thread-local
+        // accumulate, one device atomic per thread.
         let gpu = standalone_gpu();
         let a: Vec<i64> = (0..50_000).map(|i| i % 100).collect();
         let b: Vec<i64> = (0..50_000).map(|i| i * 3).collect();
         let expected: i64 = a.iter().zip(&b).filter(|(av, _)| **av > 42).map(|(_, bv)| *bv).sum();
 
         let cfg = LaunchConfig::new(8, 64);
-        let reducer = NeighborhoodReducer::new(cfg.total_warps(), WARP_SIZE);
         let acc = DeviceAtomicI64::new(0);
-        gpu.launch(cfg, |ctx| {
+        let stats = gpu.launch(cfg, |ctx| {
             let mut local = 0i64;
             for i in ctx.grid_stride(a.len()) {
                 if a[i] > 42 {
                     local += b[i];
                 }
             }
-            reducer.contribute(ctx.warp_id(), local, &acc);
+            acc.fetch_add(local);
         });
         assert_eq!(acc.load(), expected);
-        // One global atomic per warp, not per thread.
-        assert_eq!(reducer.global_atomics(), cfg.total_warps());
+        assert_eq!(stats, LaunchStats { launches: 1, threads: 512, warps: 16 });
     }
 
     #[test]
     fn concurrent_launches_into_shared_device_state_lose_nothing() {
         // A launch runs on its caller's thread, so the concurrency device
         // atomics exist for is forced here: four host threads, released
-        // together, launch into one accumulator and one reducer.
+        // together, launch into one accumulator.
         const HOSTS: usize = 4;
         let gpu = standalone_gpu();
         let data: Vec<i64> = (0..40_000).map(|i| i % 89 - 40).collect();
         let expected: i64 = data.iter().sum::<i64>() * HOSTS as i64;
         let cfg = LaunchConfig::new(8, 64);
-        // Every warp hears from its 32 lanes once per launching host.
-        let reducer = NeighborhoodReducer::new(cfg.total_warps(), HOSTS * WARP_SIZE);
         let acc = DeviceAtomicI64::new(0);
         let start = std::sync::Barrier::new(HOSTS);
         std::thread::scope(|scope| {
@@ -207,14 +192,12 @@ mod tests {
                 scope.spawn(|| {
                     start.wait();
                     gpu.launch(cfg, |ctx| {
-                        let local: i64 = ctx.grid_stride(data.len()).map(|i| data[i]).sum();
-                        reducer.contribute(ctx.warp_id(), local, &acc);
+                        acc.fetch_add(ctx.grid_stride(data.len()).map(|i| data[i]).sum());
                     });
                 });
             }
         });
         assert_eq!(acc.load(), expected);
-        assert_eq!(reducer.global_atomics(), cfg.total_warps(), "one device atomic per warp");
         let stats = gpu.stats();
         assert_eq!(stats.launches, HOSTS as u64);
         assert_eq!(stats.threads, (HOSTS * cfg.total_threads()) as u64);
@@ -252,9 +235,8 @@ mod tests {
     #[test]
     fn device_memory_capacity_matches_profile() {
         let gpu = standalone_gpu();
-        assert_eq!(gpu.memory().capacity(), 8 * (1 << 30));
+        assert_eq!(gpu.profile().memory_capacity, 8 * (1 << 30));
         assert_eq!(gpu.memory_node(), MemoryNodeId::new(0));
-        assert!(gpu.memory().alloc(9 * (1 << 30)).is_err());
     }
 
     #[test]

@@ -11,18 +11,17 @@
 //! * [`device::GpuDevice`] — a device you can launch kernels on; a launch runs
 //!   its grid on the calling host thread (devices run concurrently with each
 //!   other, one executor worker apiece), and every launch reports statistics
-//!   (threads, warps, launches) that feed the cost model;
-//! * [`memory::DeviceMemory`] — a capacity-limited device-memory allocator
-//!   (8 GB per GTX 1080), so "out of device memory" failures behave like the
-//!   real thing (DBMS G's Q4.3 failure at SF1000 depends on this);
-//! * [`atomic`] — device-scoped atomics (the GPU provider lowers
-//!   `workerScopedAtomic` to these);
-//! * [`reduce::NeighborhoodReducer`] — warp-level ("neighborhood") reductions,
-//!   used so that only one atomic per warp reaches the device-global state,
-//!   exactly like Listing 1's generated kernel;
+//!   (threads, warps, launches) that feed the cost model. The JIT's GPU
+//!   lowering runs its warp tiles itself and records each launch;
+//! * [`atomic`] — device-scoped atomics (`workerScopedAtomic`);
 //! * [`occupancy`] — a register-pressure → occupancy model, used to reproduce
 //!   the paper's observation that DBMS G's kernels allocate twice the
 //!   registers and therefore underutilize the GPU.
+//!
+//! A device's memory capacity is its topology profile's
+//! (`DeviceProfile::memory_capacity`); nothing allocates against it here.
+//! DBMS G's Q4.3 failure at SF1000 is modeled by its cardinality-estimation
+//! limit (`hetex-baselines`), not by device memory.
 //!
 //! The *functional* result of a kernel is exact (it runs real Rust closures on
 //! real data); the *performance* of the simulated GPU is modeled by
@@ -30,14 +29,10 @@
 
 pub mod atomic;
 pub mod device;
-pub mod memory;
 pub mod occupancy;
-pub mod reduce;
 pub mod simt;
 
-pub use atomic::{DeviceAtomicF64, DeviceAtomicI64, DeviceCounter};
+pub use atomic::DeviceAtomicI64;
 pub use device::{GpuDevice, LaunchStats};
-pub use memory::{DeviceAllocation, DeviceMemory};
 pub use occupancy::OccupancyModel;
-pub use reduce::NeighborhoodReducer;
 pub use simt::{GridStride, LaunchConfig, ThreadCtx};

@@ -1,12 +1,14 @@
 //! The SIMT thread hierarchy: launch configurations, thread contexts and
 //! grid-stride loops.
 //!
-//! The GPU device provider (in `hetex-jit`) lowers `threadIdInWorker` to
-//! [`ThreadCtx::global_id`] and `#threadsInWorker` to
-//! [`ThreadCtx::threads_in_grid`], exactly mirroring how the paper's GPU
-//! provider translates those calls for NVPTX. Kernels iterate their input with
-//! a [`GridStride`] loop, the canonical CUDA idiom the generated pipeline 9 of
+//! In a kernel launched with [`GpuDevice::launch`](crate::GpuDevice::launch),
+//! `threadIdInWorker` is [`ThreadCtx::global_id`] and `#threadsInWorker`
+//! [`ThreadCtx::threads_in_grid`], mirroring how the paper's GPU provider
+//! translates those calls for NVPTX. Kernels iterate their input with a
+//! [`GridStride`] loop, the canonical CUDA idiom the generated pipeline 9 of
 //! Listing 1 uses (`for i = threadIdInWorker to N-1 with step #threadsInWorker`).
+//! The JIT's GPU lowering runs the same row order as warp tiles and records
+//! its launch with [`GpuDevice::record_launch`](crate::GpuDevice::record_launch).
 
 /// Warp width of the simulated GPU (NVIDIA GPUs execute 32 lanes in lock-step).
 pub const WARP_SIZE: usize = 32;

@@ -7,9 +7,9 @@
 //! (Table 1, Figure 3). LLVM and CUDA are not available here, so this crate
 //! substitutes machine-code generation with **plan-time specialization**: a
 //! pipeline is described by a small IR of fused steps ([`ir::Step`]) built via
-//! the classic produce()/consume() traversal ([`codegen`]), and "compilation"
-//! resolves column offsets, constants and state slots up front and selects a
-//! device-specific *lowering*:
+//! the classic produce()/consume() traversal ([`codegen`]), "compilation"
+//! resolves column offsets, constants and expression shapes up front, and the
+//! device each instance runs on selects the *lowering*:
 //!
 //! * [`lower_cpu_vec`] — the chunk kernel, run as is on a CPU core: filters
 //!   refine a `u32` selection index array in tight autovectorizable loops,
@@ -23,9 +23,13 @@
 //!
 //! Both lowerings run the *same* step IR, which is exactly the paper's
 //! "one operator blueprint, per-device specializations" property: relational
-//! operators never contain device-specific code; the [`provider::DeviceProvider`]
-//! supplies `threadIdInWorker`, `#threadsInWorker`, state allocation and
-//! worker-scoped atomics.
+//! operators never contain device-specific code, and a stage compiles one
+//! [`CompiledPipeline`]. The [`ExecCtx`] each instance builds for its device
+//! is its device provider (Table 1): it supplies `threadIdInWorker` and
+//! `#threadsInWorker` (its launch configuration), picks the lowering and the
+//! charge, and [`CompiledPipeline::explain`] is `convertToMachineCode` — the
+//! schedule that context runs. State variables live in [`SharedState`], and
+//! worker-scoped atomics are the GPU lowering's counted atomics.
 
 pub mod codegen;
 pub mod expr;
@@ -35,7 +39,6 @@ mod lower_cpu;
 pub mod lower_cpu_vec;
 pub mod lower_gpu;
 pub mod pipeline;
-pub mod provider;
 pub mod state;
 
 pub use codegen::CodegenContext;
@@ -43,5 +46,4 @@ pub use expr::{Expr, ScratchPool};
 pub use ir::{AggFunc, AggSpec, StateSlot, Step, TerminalStep};
 pub use lower_cpu_vec::{refine_selection, VEC_CHUNK};
 pub use pipeline::{BlockCounters, CompiledPipeline, ExecCtx, PipelineOutput};
-pub use provider::{CpuProvider, DeviceProvider, GpuProvider};
 pub use state::{SharedState, StateObject};

@@ -145,6 +145,28 @@ pub(crate) enum Op {
     Mul,
 }
 
+impl std::fmt::Display for Shape {
+    /// How [`CompiledPipeline::explain`] names an expression's kernel.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let leaf = |l: &Leaf| match l {
+            Leaf::Reg(r) => format!("r{r}"),
+            Leaf::Lit(v) => v.to_string(),
+        };
+        match self {
+            Shape::Atoms(atoms) => write!(f, "specialised, {} atom(s)", atoms.len()),
+            Shape::Value(a, op, b) => {
+                let op = match op {
+                    Op::Add => '+',
+                    Op::Sub => '-',
+                    Op::Mul => '*',
+                };
+                write!(f, "specialised, {} {op} {}", leaf(a), leaf(b))
+            }
+            Shape::Tree => f.write_str("tree-walked"),
+        }
+    }
+}
+
 fn leaf(expr: &Expr) -> Option<Leaf> {
     match *expr {
         Expr::Col(r) => Some(Leaf::Reg(r)),
@@ -1661,22 +1683,25 @@ mod tests {
             ((3_000, true), (700, true)),
             ((2_100, true), (500, false)),
         ];
-        for device in [DeviceKind::CpuCore, DeviceKind::Gpu] {
-            for terminal in &terminals {
-                let pipeline = CompiledPipeline::new(
-                    PipelineId::new(80),
-                    device,
-                    2,
-                    steps.clone(),
-                    terminal.clone(),
-                )
-                .unwrap();
+        for terminal in &terminals {
+            let pipeline = CompiledPipeline::new(
+                PipelineId::new(80),
+                DeviceKind::CpuCore,
+                2,
+                steps.clone(),
+                terminal.clone(),
+            )
+            .unwrap();
+            // One pipeline, run through a context of each kind.
+            for device in [DeviceKind::CpuCore, DeviceKind::Gpu] {
                 for ((a_rows, a_pass), (b_rows, b_pass)) in orders {
                     let (a, b) = (input(a_rows, a_pass), input(b_rows, b_pass));
                     let mut reused = ctx_for(device);
                     let state = mk_state(terminal);
-                    pipeline.process_block(&a, &state, &mut reused).unwrap();
-                    pipeline.finalize_instance(&state, &mut reused).unwrap();
+                    let out = pipeline.process_block(&a, &state, &mut reused).unwrap();
+                    assert_eq!(out.work, pipeline.work_profile_on(device, &out.counters, 1.0));
+                    let tail = pipeline.finalize_instance(&state, &mut reused).unwrap();
+                    assert_eq!(tail.work, pipeline.work_profile_on(device, &tail.counters, 1.0));
                     let seen = observe(&pipeline, &b, &mut reused);
                     assert_eq!(
                         seen,

@@ -1,11 +1,11 @@
 //! The GPU lowering: the chunk kernel under a SIMT schedule.
 //!
-//! This is the left-hand side of Figure 3 as specialized by the GPU provider
-//! and the shape of Listing 1's pipeline 9: `threadIdInWorker` is the
-//! grid-wide thread id, `#threadsInWorker` the grid size, tuples are visited
-//! with a grid-stride loop, aggregates accumulate in registers, are reduced
-//! per warp ("neighborhood") and flushed with one device-scoped atomic per
-//! warp.
+//! This is the left-hand side of Figure 3 as a GPU instance's [`ExecCtx`]
+//! specializes it, and the shape of Listing 1's pipeline 9:
+//! `threadIdInWorker` is the grid-wide thread id, `#threadsInWorker` the grid
+//! size of the context's launch configuration, tuples are visited with a
+//! grid-stride loop, and aggregates reach device-global state with one
+//! device-scoped atomic per warp.
 //!
 //! A grid-stride loop hands row `i` to thread `i mod #threads` in wave
 //! `i div #threads`, so consecutive lanes — and consecutive warps, and
@@ -16,43 +16,38 @@
 //! lanes are the initial selection vector and a filter refines it exactly as
 //! predication masks lanes off. What SIMT adds is *counted*, from the launch
 //! and block sizes, not simulated lane by lane: one launch, its threads and
-//! warps on the device's [`LaunchStats`](hetex_gpu_sim::LaunchStats), and one
-//! device atomic per active warp — the quantities the cost model prices.
+//! warps on the device's [`LaunchStats`], and one device atomic per active
+//! warp — the quantities the cost model prices.
 //!
-//! One operator blueprint, one chunk kernel, two schedules: that is the
-//! "single blueprint, per-device specialization" property HetExchange gets
-//! from device providers.
+//! One pipeline, one chunk kernel, two schedules: [`CompiledPipeline::process_block`]
+//! picks this one when the context has a GPU attached.
 
 use crate::ir::TerminalStep;
 use crate::lower_cpu_vec::{self, VEC_CHUNK};
 use crate::pipeline::{BlockCounters, CompiledPipeline, ExecCtx};
 use crate::state::SharedState;
-use hetex_common::{BlockHandle, HetError, Result};
+use hetex_common::{BlockHandle, Result};
 use hetex_gpu_sim::simt::WARP_SIZE;
+use hetex_gpu_sim::LaunchStats;
 
 // A tile is a whole number of warps: no warp straddles two tiles.
 const _: () = assert!(VEC_CHUNK.is_multiple_of(WARP_SIZE));
 
-/// Process one block with the GPU specialization.
+/// Process one block with the GPU specialization; `launch` is the launch
+/// the caller recorded for it on the context's device.
 pub(crate) fn process_block(
     pipeline: &CompiledPipeline,
+    launch: LaunchStats,
     block: &BlockHandle,
     state: &SharedState,
     ctx: &mut ExecCtx,
 ) -> Result<(Vec<BlockHandle>, BlockCounters)> {
-    // Counted: the launch — its threads and warps, on the device.
-    let launch = ctx
-        .gpu
-        .as_ref()
-        .ok_or_else(|| HetError::Execution("GPU pipeline executed without a GPU device".into()))?
-        .record_launch(ctx.launch_config);
-
     // Executed: the warp tiles, in grid-stride (= ascending row) order.
     let (outputs, mut counters) = lower_cpu_vec::process_block(pipeline, block, state, ctx)?;
 
-    // Counted: one device atomic per active warp (per aggregate) — the
-    // neighborhood-reduction discipline of Listing 1. A hash build inserts
-    // with one atomic per tuple; a pack needs none.
+    // Counted: the launch, and one device atomic per active warp (per
+    // aggregate) — the neighborhood-reduction discipline of Listing 1. A
+    // hash build inserts with one atomic per tuple; a pack needs none.
     counters.launches = launch.launches;
     let active_warps = launch.warps.min(block.rows().div_ceil(WARP_SIZE).max(1) as u64);
     counters.atomics = match pipeline.terminal() {
@@ -109,24 +104,6 @@ mod tests {
         assert_eq!(out.counters.launches, 1);
         assert!(out.counters.atomics > 0);
         assert!(out.work.kernel_launches == 1);
-    }
-
-    #[test]
-    fn gpu_requires_a_device() {
-        let mut state = SharedState::new();
-        let slot = state.add_accumulators(&[AggSpec::count()]);
-        let pipeline = CompiledPipeline::new(
-            PipelineId::new(8),
-            DeviceKind::Gpu,
-            2,
-            vec![],
-            TerminalStep::Reduce { aggs: vec![AggSpec::count()], slot },
-        )
-        .unwrap();
-        // A CPU context has no GPU attached.
-        let mut ctx = ExecCtx::cpu(MemoryNodeId::new(0), 64);
-        let err = pipeline.process_block(&block_of(vec![1], vec![2]), &state, &mut ctx);
-        assert!(err.is_err());
     }
 
     #[test]
@@ -275,39 +252,32 @@ mod tests {
         config.total_warps().min(rows.div_ceil(32).max(1)) as u64
     }
 
-    /// Feed `inputs` through one instance of the pipeline compiled for
-    /// `device`, then finalize it.
+    /// Feed `inputs` through one instance of `pipeline` on `ctx`, then
+    /// finalize it. Every call's work must be the charge of the context's
+    /// kind on its counters.
     fn observe(
-        device: DeviceKind,
-        steps: &[Step],
-        terminal: &TerminalStep,
+        pipeline: &CompiledPipeline,
+        mut ctx: ExecCtx,
         inputs: &[BlockHandle],
         mk_state: &dyn Fn() -> SharedState,
         probe_keys: &[i64],
     ) -> (Observed, Vec<BlockCounters>) {
-        let pipeline = CompiledPipeline::new(
-            PipelineId::new(21),
-            device,
-            inputs[0].block().width(),
-            steps.to_vec(),
-            terminal.clone(),
-        )
-        .unwrap();
         let state = mk_state();
-        let mut ctx = match device {
-            DeviceKind::Gpu => gpu_ctx(100),
-            DeviceKind::CpuCore => ExecCtx::cpu(MemoryNodeId::new(0), 100),
-        };
         let mut blocks = Vec::new();
         let mut counters = BlockCounters::default();
         let mut per_block = Vec::new();
+        let kind = ctx.device();
         for input in inputs {
             let out = pipeline.process_block(input, &state, &mut ctx).unwrap();
+            let weight = input.meta().weight;
+            assert_eq!(out.work, pipeline.work_profile_on(kind, &out.counters, weight));
             blocks.extend(out.blocks);
             counters.merge(&out.counters);
             per_block.push(out.counters);
         }
         let tail = pipeline.finalize_instance(&state, &mut ctx).unwrap();
+        let weight = inputs.last().map_or(1.0, |b| b.meta().weight);
+        assert_eq!(tail.work, pipeline.work_profile_on(kind, &tail.counters, weight));
         blocks.extend(tail.blocks);
         counters.merge(&tail.counters);
         let blocks = blocks
@@ -324,9 +294,10 @@ mod tests {
         (Observed { blocks, state: dump_state(&state, probe_keys), counters }, per_block)
     }
 
-    /// Both lowerings of one pipeline over the same inputs: identical packed
-    /// blocks, shared state and functional counters; the GPU additionally
-    /// counts one launch per block and the warp formula's atomics.
+    /// One pipeline through a GPU and a CPU context over the same inputs:
+    /// identical packed blocks, shared state and functional counters; the
+    /// GPU additionally counts one launch per block and the warp formula's
+    /// atomics.
     fn assert_gpu_matches_cpu_vec(
         steps: &[Step],
         terminal: &TerminalStep,
@@ -334,10 +305,17 @@ mod tests {
         mk_state: &dyn Fn() -> SharedState,
         probe_keys: &[i64],
     ) -> Observed {
-        let (mut gpu, gpu_blocks) =
-            observe(DeviceKind::Gpu, steps, terminal, inputs, mk_state, probe_keys);
-        let (mut cpu, _) =
-            observe(DeviceKind::CpuCore, steps, terminal, inputs, mk_state, probe_keys);
+        let pipeline = CompiledPipeline::new(
+            PipelineId::new(21),
+            DeviceKind::CpuCore,
+            inputs[0].block().width(),
+            steps.to_vec(),
+            terminal.clone(),
+        )
+        .unwrap();
+        let (mut gpu, gpu_blocks) = observe(&pipeline, gpu_ctx(100), inputs, mk_state, probe_keys);
+        let cpu_ctx = ExecCtx::cpu(MemoryNodeId::new(0), 100);
+        let (mut cpu, _) = observe(&pipeline, cpu_ctx, inputs, mk_state, probe_keys);
 
         let config = LaunchConfig::default_for_device();
         for (input, counters) in inputs.iter().zip(&gpu_blocks) {

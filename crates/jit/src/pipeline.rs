@@ -4,7 +4,9 @@
 //! specialized form of the operators between two pipeline breakers. Its
 //! behaviour is identical on every device; *how* it is executed differs per
 //! device and is implemented by the two lowerings (`lower_cpu_vec`,
-//! `lower_gpu`), selected by the pipeline's device kind.
+//! `lower_gpu`). A stage compiles one pipeline, and the [`ExecCtx`] each
+//! instance builds for its device is its device provider (Table 1): it picks
+//! the lowering, the launch shape and the charge.
 //!
 //! Processing a block returns the produced output blocks plus
 //! [`BlockCounters`] describing what actually happened (rows, probes,
@@ -20,6 +22,7 @@ use crate::state::{FlatGroups, SharedState, StateArena};
 use hetex_common::{
     Block, BlockHandle, BlockId, BlockMeta, ColumnData, HetError, MemoryNodeId, PipelineId, Result,
 };
+use hetex_gpu_sim::simt::WARP_SIZE;
 use hetex_gpu_sim::{GpuDevice, LaunchConfig};
 use hetex_topology::{DeviceKind, WorkProfile};
 use std::sync::Arc;
@@ -81,17 +84,18 @@ pub(crate) struct OpenBlock {
     pub(crate) rows: usize,
 }
 
-/// Per-instance execution context: which device the instance runs on, where
-/// its outputs live, the partially filled output block of the pack terminal
-/// and the group-by partials (both flushed by `finalize_instance`), and the
-/// kernel's reusable scratch.
+/// Per-instance execution context, and the instance's device provider: the
+/// simulated GPU it launches on (none on a CPU core), where its outputs
+/// live, the partially filled output block of the pack terminal and the
+/// group-by partials (both flushed by `finalize_instance`), and the kernel's
+/// reusable scratch.
 #[derive(Debug)]
 pub struct ExecCtx {
-    /// The device kind this instance runs on.
-    pub device: DeviceKind,
-    /// The simulated GPU, for GPU instances.
+    /// The simulated GPU, for GPU instances: whether it is set picks the
+    /// lowering and the charge.
     pub gpu: Option<Arc<GpuDevice>>,
-    /// Kernel launch configuration used by the GPU lowering.
+    /// Kernel launch configuration used by the GPU lowering
+    /// (`#threadsInWorker` is its total thread count; 1 on a CPU core).
     pub launch_config: LaunchConfig,
     /// Capacity (tuples) of produced output blocks.
     pub out_capacity: usize,
@@ -129,7 +133,6 @@ impl ExecCtx {
     /// A CPU execution context producing blocks on `out_node`.
     pub fn cpu(out_node: MemoryNodeId, out_capacity: usize) -> Self {
         Self {
-            device: DeviceKind::CpuCore,
             gpu: None,
             launch_config: LaunchConfig::new(1, 1),
             out_capacity,
@@ -146,10 +149,19 @@ impl ExecCtx {
     /// A GPU execution context bound to a simulated device.
     pub fn gpu(device: Arc<GpuDevice>, out_capacity: usize) -> Self {
         let mut ctx = Self::cpu(device.memory_node(), out_capacity);
-        ctx.device = DeviceKind::Gpu;
         ctx.gpu = Some(device);
         ctx.launch_config = LaunchConfig::default_for_device();
         ctx
+    }
+
+    /// The device kind this instance runs on: a GPU exactly when a simulated
+    /// GPU is attached.
+    pub fn device(&self) -> DeviceKind {
+        if self.gpu.is_some() {
+            DeviceKind::Gpu
+        } else {
+            DeviceKind::CpuCore
+        }
     }
 
     /// Take the group partials, the build buffers and the pack's output
@@ -204,11 +216,11 @@ impl ExecCtx {
     }
 }
 
-/// A device-specialized, fused pipeline.
+/// A fused pipeline: one per stage, run on every device its instances run
+/// on.
 #[derive(Debug, Clone)]
 pub struct CompiledPipeline {
     id: PipelineId,
-    device: DeviceKind,
     input_width: usize,
     steps: Vec<Step>,
     terminal: TerminalStep,
@@ -222,10 +234,11 @@ pub struct CompiledPipeline {
 
 impl CompiledPipeline {
     /// Compile a pipeline, validating that register references are within the
-    /// width flowing through each step.
+    /// width flowing through each step. The pipeline runs on whichever
+    /// device its [`ExecCtx`] names, so `_device` is ignored.
     pub fn new(
         id: PipelineId,
-        device: DeviceKind,
+        _device: DeviceKind,
         input_width: usize,
         steps: Vec<Step>,
         terminal: TerminalStep,
@@ -247,17 +260,12 @@ impl CompiledPipeline {
         });
         let probe_random_bytes =
             probe_bytes.clone().sum::<f64>() / probe_bytes.count().max(1) as f64;
-        Ok(Self { id, device, input_width, steps, terminal, shapes, ops, probe_random_bytes })
+        Ok(Self { id, input_width, steps, terminal, shapes, ops, probe_random_bytes })
     }
 
     /// The pipeline's identifier.
     pub fn id(&self) -> PipelineId {
         self.id
-    }
-
-    /// The device kind the pipeline was compiled for.
-    pub fn device(&self) -> DeviceKind {
-        self.device
     }
 
     /// Number of registers of the input layout.
@@ -286,7 +294,69 @@ impl CompiledPipeline {
         self.steps.iter().fold(self.input_width, |w, s| s.output_width(w))
     }
 
-    /// Process one input block on this instance.
+    /// `convertToMachineCode` (Table 1): the schedule `ctx` runs this
+    /// pipeline with, and each expression's kernel, read from what the
+    /// lowerings read — the context's launch configuration, [`VEC_CHUNK`]
+    /// and the shapes chosen at compile time.
+    pub fn explain(&self, ctx: &ExecCtx) -> String {
+        let config = ctx.launch_config;
+        let threads = config.total_threads();
+        let schedule = match ctx.gpu {
+            None => format!("a CPU core: chunks of VEC_CHUNK = {VEC_CHUNK} tuples"),
+            Some(_) => format!(
+                "a GPU: launch {} x {}, grid-stride loop run as tiles of VEC_CHUNK = \
+                 {VEC_CHUNK} lanes ({} warps of WARP_SIZE = {WARP_SIZE})",
+                config.grid_dim,
+                config.block_dim,
+                VEC_CHUNK / WARP_SIZE
+            ),
+        };
+        let mut out = format!(
+            "{} on {schedule}\n  #threadsInWorker = {threads}, threadIdInWorker in 0..{threads}\n",
+            self.id
+        );
+        let names = self.steps.iter().map(|step| match step {
+            Step::Filter { .. } => "filter".to_owned(),
+            Step::Map { .. } => "map".to_owned(),
+            Step::HashJoinProbe { slot, .. } => format!("probe state[{}]", slot.index()),
+        });
+        let (terminal, merge, atomics) = match &self.terminal {
+            TerminalStep::Reduce { slot, aggs } => (
+                format!("reduce into state[{}]", slot.index()),
+                "accumulators merge into shared state once per block",
+                format!("{} per active warp", aggs.len()),
+            ),
+            TerminalStep::GroupBy { slot, .. } => (
+                format!("group-by into state[{}]", slot.index()),
+                "partials merge into the shared table once per instance",
+                "1 per active warp".to_owned(),
+            ),
+            TerminalStep::HashJoinBuild { slot, .. } => (
+                format!("build state[{}]", slot.index()),
+                "one batch insert into the shared table per block",
+                "1 per inserted tuple".to_owned(),
+            ),
+            TerminalStep::Pack { .. } => {
+                ("pack".to_owned(), "rows go to the open output block", "none".to_owned())
+            }
+        };
+        for (name, shapes) in names.chain([terminal]).zip(&self.shapes) {
+            let shapes: Vec<String> = shapes.iter().map(Shape::to_string).collect();
+            out.push_str(&format!("  {name}: [{}]\n", shapes.join("; ")));
+        }
+        out.push_str(&format!("  {merge}\n"));
+        if ctx.gpu.is_some() {
+            out.push_str(&format!(
+                "  counted per block: 1 launch; device atomics {atomics} (at most {} warps)\n",
+                config.total_warps()
+            ));
+        }
+        out
+    }
+
+    /// Process one input block on this instance, with the lowering of the
+    /// context's device: warp tiles under a counted launch on a GPU, the
+    /// chunk kernel as is on a CPU core.
     pub fn process_block(
         &self,
         block: &BlockHandle,
@@ -302,11 +372,14 @@ impl CompiledPipeline {
             )));
         }
         ctx.current_weight = block.meta().weight;
-        let (blocks, counters) = match self.device {
-            DeviceKind::CpuCore => lower_cpu_vec::process_block(self, block, state, ctx)?,
-            DeviceKind::Gpu => lower_gpu::process_block(self, block, state, ctx)?,
+        let (blocks, counters) = match &ctx.gpu {
+            Some(gpu) => {
+                let launch = gpu.record_launch(ctx.launch_config);
+                lower_gpu::process_block(self, launch, block, state, ctx)?
+            }
+            None => lower_cpu_vec::process_block(self, block, state, ctx)?,
         };
-        let work = self.work_profile(&counters, ctx.current_weight);
+        let work = self.work_profile_on(ctx.device(), &counters, ctx.current_weight);
         Ok(PipelineOutput { blocks, counters, work })
     }
 
@@ -331,7 +404,7 @@ impl CompiledPipeline {
         } else {
             open.columns.into_iter().for_each(|c| ctx.arena.give(c));
         }
-        let work = self.work_profile(&counters, ctx.current_weight);
+        let work = self.work_profile_on(ctx.device(), &counters, ctx.current_weight);
         Ok(PipelineOutput { blocks, counters, work })
     }
 
@@ -361,19 +434,13 @@ impl CompiledPipeline {
         if rows > 0 {
             blocks.push(ctx.build_block(columns, rows, &mut counters)?);
         }
-        let work = self.work_profile(&counters, 1.0);
+        let work = self.work_profile_on(ctx.device(), &counters, 1.0);
         Ok(PipelineOutput { blocks, counters, work })
     }
 
     /// Convert functional counters into modeled work, scaled by `weight` and
-    /// priced for the device this pipeline was compiled for.
-    pub fn work_profile(&self, counters: &BlockCounters, weight: f64) -> WorkProfile {
-        self.work_profile_on(self.device, counters, weight)
-    }
-
-    /// Convert functional counters into modeled work, scaled by `weight` and
-    /// priced for `device`'s kernel shape (routing estimates price one
-    /// template on every consumer kind).
+    /// priced for `device`'s kernel shape (an instance's charge prices its
+    /// context's kind; routing estimates price every consumer kind).
     ///
     /// The charge prices the modeled device, not how the host simulates it.
     /// A GPU thread pays one dispatch op per input tuple (the per-thread
@@ -504,8 +571,8 @@ mod tests {
             launches: 1,
             ..Default::default()
         };
-        let w1 = p.work_profile(&counters, 1.0);
-        let w10 = p.work_profile(&counters, 10.0);
+        let w1 = p.work_profile_on(DeviceKind::Gpu, &counters, 1.0);
+        let w10 = p.work_profile_on(DeviceKind::Gpu, &counters, 10.0);
         assert!((w10.bytes_scanned - 10.0 * w1.bytes_scanned).abs() < 1e-6);
         assert!((w10.ops - 10.0 * w1.ops).abs() < 1e-6);
         assert_eq!(w1.kernel_launches, 1);
@@ -514,19 +581,16 @@ mod tests {
 
     #[test]
     fn vectorized_charge_is_cheaper_on_cpu_and_unchanged_on_gpu() {
-        let compile = |id: usize, device: DeviceKind| {
-            CompiledPipeline::new(
-                PipelineId::new(id),
-                device,
-                2,
-                vec![Step::Filter {
-                    predicate: Expr::col(0).between(5, 500).and(Expr::col(1).gt_lit(3)),
-                }],
-                TerminalStep::Reduce { aggs: vec![AggSpec::sum(Expr::col(1))], slot: StateSlot(0) },
-            )
-            .unwrap()
-        };
-        let (cpu, gpu) = (compile(11, DeviceKind::CpuCore), compile(12, DeviceKind::Gpu));
+        let pipeline = CompiledPipeline::new(
+            PipelineId::new(11),
+            DeviceKind::CpuCore,
+            2,
+            vec![Step::Filter {
+                predicate: Expr::col(0).between(5, 500).and(Expr::col(1).gt_lit(3)),
+            }],
+            TerminalStep::Reduce { aggs: vec![AggSpec::sum(Expr::col(1))], slot: StateSlot(0) },
+        )
+        .unwrap();
         let counters = BlockCounters {
             rows_in: 10_000,
             rows_terminal: 4_000,
@@ -534,16 +598,52 @@ mod tests {
             atomics: 1,
             ..Default::default()
         };
-        let per_thread = cpu.work_profile_on(DeviceKind::Gpu, &counters, 1.0);
-        let chunked = cpu.work_profile_on(DeviceKind::CpuCore, &counters, 1.0);
+        let per_thread = pipeline.work_profile_on(DeviceKind::Gpu, &counters, 1.0);
+        let chunked = pipeline.work_profile_on(DeviceKind::CpuCore, &counters, 1.0);
         assert!(chunked.ops < per_thread.ops, "{} !< {}", chunked.ops, per_thread.ops);
         // Memory terms do not change: the kernel shape moves no extra bytes.
         assert_eq!(chunked.bytes_scanned, per_thread.bytes_scanned);
         assert_eq!(chunked.random_bytes, per_thread.random_bytes);
-        // A pipeline's own charge is its device's shape, whichever template
-        // the estimate was taken from.
-        assert_eq!(cpu.work_profile(&counters, 1.0), chunked);
-        assert_eq!(gpu.work_profile(&counters, 1.0), per_thread);
+        // An instance is charged its context's shape: a GPU exactly when one
+        // is attached.
+        let gpu = Arc::new(hetex_gpu_sim::device::standalone_gpu());
+        assert_eq!(ExecCtx::cpu(MemoryNodeId::new(0), 8).device(), DeviceKind::CpuCore);
+        assert_eq!(ExecCtx::gpu(gpu, 8).device(), DeviceKind::Gpu);
+    }
+
+    #[test]
+    fn explain_reads_the_shapes_and_the_context_schedule() {
+        // A specialised filter, then a pack of a specialised value and an
+        // expression the kernel leaves to the tree walker.
+        let pipeline = CompiledPipeline::new(
+            PipelineId::new(9),
+            DeviceKind::CpuCore,
+            2,
+            vec![Step::Filter { predicate: Expr::col(0).gt_lit(42) }],
+            TerminalStep::Pack {
+                exprs: vec![Expr::col(1), Expr::col(0).mul(Expr::col(0).sub(Expr::col(1)))],
+            },
+        )
+        .unwrap();
+        let cpu = pipeline.explain(&ExecCtx::cpu(MemoryNodeId::new(0), 8));
+        assert!(cpu.contains("filter: [specialised, 1 atom(s)]"), "{cpu}");
+        assert!(cpu.contains("pack: [specialised, r1 + 0; tree-walked]"), "{cpu}");
+        assert!(cpu.contains(&format!("VEC_CHUNK = {VEC_CHUNK}")), "{cpu}");
+        assert!(cpu.contains("#threadsInWorker = 1, threadIdInWorker in 0..1"), "{cpu}");
+
+        let mut ctx = ExecCtx::gpu(Arc::new(hetex_gpu_sim::device::standalone_gpu()), 8);
+        let gpu = pipeline.explain(&ctx);
+        let config = ctx.launch_config;
+        let launch = format!("launch {} x {}", config.grid_dim, config.block_dim);
+        assert!(gpu.contains(&launch), "{gpu}");
+        assert!(gpu.contains(&format!("#threadsInWorker = {}", config.total_threads())), "{gpu}");
+        assert!(gpu.contains(&format!("WARP_SIZE = {WARP_SIZE}")), "{gpu}");
+        assert!(gpu.contains("pack: [specialised, r1 + 0; tree-walked]"), "{gpu}");
+        ctx.launch_config = LaunchConfig::new(16, 64);
+        let narrower = pipeline.explain(&ctx);
+        assert!(narrower.contains("launch 16 x 64,"), "{narrower}");
+        assert!(narrower.contains("#threadsInWorker = 1024,"), "{narrower}");
+        assert_ne!(narrower, gpu);
     }
 
     #[test]

@@ -27,7 +27,7 @@
 //!
 //! * [`ExhaustionPolicy::Error`] — fail immediately with `HetError::Memory`.
 //!   This is the failure-injection path the unit tests and strict callers
-//!   (e.g. the device providers' `getBuffer`) use.
+//!   (callers that must never stall inside a buffer grab) use.
 //! * [`ExhaustionPolicy::Park`] — block the calling thread until enough
 //!   bytes are released, up to a timeout.
 //!

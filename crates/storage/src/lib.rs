@@ -1,15 +1,14 @@
 //! # hetex-storage
 //!
 //! The storage substrate of the reproduction: an in-memory columnar store with
-//! NUMA-aware placement, plus the two memory subsystems §4.3 of the paper
-//! distinguishes:
+//! NUMA-aware placement, and the **block managers** ([`block_manager`]) that
+//! serve the *staging* memory of §4.3 — the blocks that carry intermediate
+//! results between devices — with pre-allocated arenas, device-local
+//! synchronization, per-remote-node caches and batched remote acquisition,
+//! as described in the paper.
 //!
-//! * **memory managers** ([`memory_manager`]) serve *state* memory — hash
-//!   tables, aggregation state — one manager per memory node;
-//! * **block managers** ([`block_manager`]) serve *staging* memory — the
-//!   blocks that carry intermediate results between devices — with
-//!   pre-allocated arenas, device-local synchronization, per-remote-node
-//!   caches and batched remote acquisition, as described in the paper.
+//! *State* memory — hash tables, aggregation state — is not this crate's:
+//! `hetex-jit`'s `SharedState` holds it, in buffers from its `StateArena`.
 //!
 //! Tables ([`catalog`]) are stored column-wise; each table is split into row
 //! segments placed round-robin across the memory nodes of the chosen
@@ -19,10 +18,8 @@
 
 pub mod block_manager;
 pub mod catalog;
-pub mod memory_manager;
 pub mod segmenter;
 
 pub use block_manager::{BlockLease, BlockManager, BlockManagerSet, ExhaustionPolicy};
 pub use catalog::{Catalog, StoredTable, TableBuilder};
-pub use memory_manager::{MemoryManager, MemoryManagerSet, StateAllocation};
 pub use segmenter::Segmenter;

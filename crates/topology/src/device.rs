@@ -79,7 +79,8 @@ pub struct DeviceProfile {
     /// billions of operations per second for the whole device.
     pub compute_gops: f64,
     /// Number of SIMT lanes that execute in lock-step (1 for a CPU core,
-    /// 32 for a GPU warp). Used by the occupancy model and the GPU provider.
+    /// 32 for a GPU warp). Informational: the GPU lowering's warp is
+    /// `hetex_gpu_sim::simt::WARP_SIZE`.
     pub simt_width: usize,
     /// Hardware threads the device runs concurrently (1 per CPU core;
     /// thousands for a GPU). Informational, used for occupancy accounting.

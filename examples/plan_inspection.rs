@@ -1,5 +1,6 @@
-//! Inspect how HetExchange rewrites a plan and how the device providers
-//! specialize the same pipeline blueprint (Figures 1-3 and Table 1).
+//! Inspect how HetExchange rewrites a plan and how the execution contexts of
+//! a CPU core and a GPU — the device providers — specialize one pipeline
+//! (Figures 1-3 and Table 1).
 //!
 //! Run with: `cargo run --release --example plan_inspection`
 
@@ -7,10 +8,7 @@ use hetexchange::common::{EngineConfig, MemoryNodeId, PipelineId};
 use hetexchange::core_ops::traits::{check_relational_requirements, derive_traits};
 use hetexchange::core_ops::{parallelize, RelNode};
 use hetexchange::gpu_sim::device::standalone_gpu;
-use hetexchange::jit::{
-    AggSpec, CompiledPipeline, CpuProvider, DeviceProvider, Expr, GpuProvider, StateSlot, Step,
-    TerminalStep,
-};
+use hetexchange::jit::{AggSpec, CompiledPipeline, ExecCtx, Expr, StateSlot, Step, TerminalStep};
 use hetexchange::topology::DeviceKind;
 use std::sync::Arc;
 
@@ -45,17 +43,18 @@ fn main() -> hetexchange::common::Result<()> {
         );
     }
 
-    // Table 1 / Figure 3: one pipeline blueprint, two device specializations.
+    // Table 1 / Figure 3: one pipeline, specialized by each device's context.
     let pipeline = CompiledPipeline::new(
         PipelineId::new(9),
-        DeviceKind::Gpu,
+        DeviceKind::CpuCore,
         2,
         vec![Step::Filter { predicate: Expr::col(0).gt_lit(42) }],
         TerminalStep::Reduce { aggs: vec![AggSpec::sum(Expr::col(1))], slot: StateSlot(0) },
     )?;
-    let cpu = CpuProvider::new(MemoryNodeId::new(0));
-    let gpu = GpuProvider::new(Arc::new(standalone_gpu()));
-    println!("== CPU provider specialization ==\n{}", cpu.convert_to_machine_code(&pipeline));
-    println!("== GPU provider specialization ==\n{}", gpu.convert_to_machine_code(&pipeline));
+    let cpu = ExecCtx::cpu(MemoryNodeId::new(0), 1024);
+    let gpu = ExecCtx::gpu(Arc::new(standalone_gpu()), 1024);
+    for (label, ctx) in [("CPU", &cpu), ("GPU", &gpu)] {
+        println!("== convertToMachineCode on the {label} context ==\n{}", pipeline.explain(ctx));
+    }
     Ok(())
 }

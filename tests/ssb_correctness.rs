@@ -47,9 +47,9 @@ fn all_ssb_queries_match_reference_on_cpu_gpu_and_hybrid() {
 }
 
 /// Every expression of every stage that scans `lineorder` runs a specialised
-/// kernel shape, on every device template of the CPU, GPU and hybrid plans of
-/// all 13 queries: a predicate or aggregate that falls back to the tree walker
-/// fails here rather than silently slowing the fact scan.
+/// kernel shape, in the CPU, GPU and hybrid plans of all 13 queries: a
+/// predicate or aggregate that falls back to the tree walker fails here
+/// rather than silently slowing the fact scan.
 #[test]
 fn ssb_fact_stages_compile_to_specialised_shapes_only() {
     let engine = Proteus::on_paper_server();
@@ -66,20 +66,20 @@ fn ssb_fact_stages_compile_to_specialised_shapes_only() {
             let fact = graph.stages.iter().filter(|stage| {
                 matches!(&stage.source, StageSource::Table { table, .. } if table == "lineorder")
             });
-            let mut templates = 0;
-            for template in fact.flat_map(|stage| stage.templates.values()) {
-                templates += 1;
+            let mut pipelines = 0;
+            for pipeline in fact.map(|stage| &stage.pipeline) {
+                pipelines += 1;
                 assert_eq!(
-                    template.tree_walked_exprs(),
+                    pipeline.tree_walked_exprs(),
                     0,
                     "{} on {:?}: {:?} -> {:?}",
                     query.name,
                     config.target,
-                    template.steps(),
-                    template.terminal()
+                    pipeline.steps(),
+                    pipeline.terminal()
                 );
             }
-            assert!(templates > 0, "{} on {:?} has no lineorder stage", query.name, config.target);
+            assert!(pipelines > 0, "{} on {:?} has no lineorder stage", query.name, config.target);
         }
     }
 }
